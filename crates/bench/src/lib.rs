@@ -14,8 +14,8 @@
 //! | `false_positives` | §IV — 100 fault-free runs per program |
 //! | `duplication` | §VI — BLOCKWATCH vs. software duplication |
 //!
-//! Criterion micro-benchmarks for the infrastructure itself live in
-//! `benches/`.
+//! Performance of the infrastructure itself is measured by `bwbench`
+//! (`benchmark/`, see `BENCHMARK.json`), not here.
 
 #![warn(missing_docs)]
 

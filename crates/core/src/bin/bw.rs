@@ -21,8 +21,6 @@
 //! bw top      <trace.jsonl>          time-series view of a sampled trace
 //! bw timeline <trace.jsonl> [--chrome OUT.json] [--phase-profile]
 //!                                    per-thread span lanes from a trace
-//! bw bench-suite [--json OUT.json] [--baseline BASE.json]
-//!                                    seeded perf-trajectory suite
 //! bw report   <trace.jsonl>          violation forensics from a trace
 //! ```
 //!
@@ -32,8 +30,7 @@
 //! `--metrics-addr HOST:PORT` (live Prometheus `/metrics` endpoint).
 //!
 //! Every executing command takes `--engine sim|real`: `sim` is the
-//! deterministic simulated scheduler, `real` runs on OS threads (`--real`
-//! is kept as a legacy alias for `--engine real` on `bw run`).
+//! deterministic simulated scheduler, `real` runs on OS threads.
 //!
 //! Commands that analyze a program (`analyze`, `run`, `ir`, `campaign`,
 //! `fuzz`) take `--analysis-workers N` to run the similarity analysis as
@@ -48,7 +45,6 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use blockwatch::bench_suite::{run_bench_suite, BenchSuiteConfig, BenchSuiteResult};
 use blockwatch::ir::ModulePrinter;
 use blockwatch::reports::{render_telemetry, ForensicsReport, SeriesReport, TraceSummary};
 use blockwatch::timeline::TimelineReport;
@@ -75,7 +71,6 @@ fn main() -> ExitCode {
         "stats" => cmd_stats(rest),
         "top" => cmd_top(rest),
         "timeline" => cmd_timeline(rest),
-        "bench-suite" => cmd_bench_suite(rest),
         "report" => cmd_report(rest),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
@@ -127,25 +122,21 @@ const USAGE: &str = "usage:
                                       Perfetto or chrome://tracing);
                                       --phase-profile flags straggler
                                       threads per barrier phase
-  bw bench-suite [--json OUT.json] [--baseline BASE.json] [--seed S]
-              [--threads N] [--injections K] [--reps R]
-                                      seeded perf-trajectory suite (monitor
-                                      ingest, campaign, pipeline stages)
   bw report   <trace.jsonl>           violation forensics from a trace:
                                       per-category detection matrix, top
                                       violating sites, deviant-thread tables
 
   --engine selects the scheduler: `sim` (deterministic, default) or `real`
-  (OS threads); `--real` remains a legacy alias on `bw run`.
+  (OS threads).
 
   --monitor-shards splits the monitor ingest across S workers, each owning
   a disjoint (site, branch) slice. Verdicts are byte-identical at any S —
-  it is purely a throughput knob (see the monitor-ingest bench).
+  it is purely a throughput knob (see `events_per_s` in bwbench).
 
   --analysis-workers runs the similarity analysis as per-SCC worklists
   scheduled across N workers (0 = one per core; omit for the sequential
   oracle). Categories, branches and verdicts are bitwise-identical at any
-  N — it is purely a throughput knob (see the analysis bench).
+  N — it is purely a throughput knob (see `analysis.par*_us` in bwbench).
 
   --sample-interval-ms starts a background sampler that appends timestamped
   `sample` records (counter deltas, gauge levels) to the --telemetry trace;
@@ -327,8 +318,54 @@ fn warn_dropped(telemetry: &TelemetrySnapshot) {
     }
 }
 
+/// Every flag that consumes the following argument as its value; all
+/// other `--flags` are switches. [`file_arg`] needs the distinction to
+/// tell a flag's value from the positional `<file>`.
+const VALUE_FLAGS: &[&str] = &[
+    "--analysis-workers",
+    "--chrome",
+    "--engine",
+    "--format",
+    "--inject",
+    "--injections",
+    "--max-stmts",
+    "--metrics-addr",
+    "--model",
+    "--monitor-shards",
+    "--out",
+    "--sample-interval-ms",
+    "--seed",
+    "--seeds",
+    "--size",
+    "--start",
+    "--telemetry",
+    "--threads",
+    "--workers",
+];
+
 fn flag(rest: &[String], name: &str) -> Option<String> {
+    debug_assert!(VALUE_FLAGS.contains(&name), "{name} is missing from VALUE_FLAGS");
     rest.iter().position(|a| a == name).and_then(|i| rest.get(i + 1)).cloned()
+}
+
+/// Parses numeric flag `name`: absent = `default`, malformed = an error
+/// naming the flag and the value (never a silent fallback).
+fn num_flag<T: std::str::FromStr>(rest: &[String], name: &str, default: T) -> Result<T, String> {
+    match flag(rest, name) {
+        None => Ok(default),
+        Some(s) => s.parse().map_err(|_| format!("invalid {name} `{s}` (expected a number)")),
+    }
+}
+
+/// [`num_flag`] for seeds, which are reported (and repro files named) in
+/// hex: accepts both `26` and `0x1a`.
+fn seed_flag(rest: &[String], name: &str, default: u64) -> Result<u64, String> {
+    let Some(s) = flag(rest, name) else { return Ok(default) };
+    match s.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => s.parse().ok(),
+    }
+    .ok_or_else(|| format!("invalid {name} `{s}` (expected a decimal or 0x-hex number)"))
 }
 
 /// Writes a rendered report to stdout. A closed pipe (`bw top … | head`,
@@ -341,15 +378,22 @@ fn emit(s: &str) {
     }
 }
 
+/// The positional `<file>`: the first argument that is neither a flag nor
+/// the value of a [`VALUE_FLAGS`] flag.
 fn file_arg(rest: &[String]) -> Result<String, String> {
-    rest.iter()
-        .find(|a| !a.starts_with("--") && rest.iter().position(|b| b == *a).is_some_and(|i| i == 0 || !rest[i - 1].starts_with("--")))
-        .cloned()
-        .ok_or_else(|| format!("missing <file> argument\n{USAGE}"))
+    let mut args = rest.iter();
+    while let Some(arg) = args.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            args.next();
+        } else if !arg.starts_with("--") {
+            return Ok(arg.clone());
+        }
+    }
+    Err(format!("missing <file> argument\n{USAGE}"))
 }
 
-fn threads(rest: &[String]) -> u32 {
-    flag(rest, "--threads").and_then(|s| s.parse().ok()).unwrap_or(4)
+fn threads(rest: &[String]) -> Result<u32, String> {
+    num_flag(rest, "--threads", 4)
 }
 
 /// Parses `--monitor-shards S` (must be positive when given).
@@ -363,12 +407,10 @@ fn monitor_shards(rest: &[String]) -> Result<Option<usize>, String> {
     }
 }
 
-/// Parses `--engine sim|real` (with `--real` as a legacy alias for
-/// `--engine real`).
+/// Parses `--engine sim|real`.
 fn engine_kind(rest: &[String]) -> Result<EngineKind, String> {
     match flag(rest, "--engine") {
         Some(name) => name.parse(),
-        None if rest.iter().any(|a| a == "--real") => Ok(EngineKind::Real),
         None => Ok(EngineKind::Sim),
     }
 }
@@ -409,7 +451,7 @@ fn cmd_analyze(rest: &[String]) -> Result<(), String> {
 
 fn cmd_run(rest: &[String]) -> Result<(), String> {
     let bw = load(&file_arg(rest)?, rest)?;
-    let n = threads(rest);
+    let n = threads(rest)?;
     let recorder = telemetry_recorder(rest)?;
     let mut obs = start_observability(rest, recorder.as_ref())?;
     let trace = trace_spans_guard(rest, recorder.as_ref())?;
@@ -468,14 +510,8 @@ fn cmd_ir(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_fuzz(rest: &[String]) -> Result<(), String> {
-    // Seeds are reported (and repro files named) in hex, so accept both
-    // `--start 26` and `--start 0x1a`.
-    let parse_seed = |s: &str| match s.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => s.parse().ok(),
-    };
-    let seeds = flag(rest, "--seeds").and_then(|s| parse_seed(&s)).unwrap_or(100);
-    let start_seed = flag(rest, "--start").and_then(|s| parse_seed(&s)).unwrap_or(0);
+    let seeds = seed_flag(rest, "--seeds", 100)?;
+    let start_seed = seed_flag(rest, "--start", 0)?;
     let threads = match flag(rest, "--threads") {
         Some(list) => list
             .split(',')
@@ -486,11 +522,8 @@ fn cmd_fuzz(rest: &[String]) -> Result<(), String> {
     if threads.is_empty() || threads.contains(&0) {
         return Err("--threads needs a comma-separated list of positive counts".into());
     }
-    let injections = flag(rest, "--inject").and_then(|s| s.parse().ok()).unwrap_or(0);
-    let mut gen = blockwatch::gen::GenConfig::default();
-    if let Some(m) = flag(rest, "--max-stmts").and_then(|s| s.parse().ok()) {
-        gen.max_stmts = m;
-    }
+    let injections = num_flag(rest, "--inject", 0)?;
+    let gen = gen_config(rest)?;
     let kind = engine_kind(rest)?;
     let real_cross_check = rest.iter().any(|a| a == "--real-cross-check");
     let shards = monitor_shards(rest)?;
@@ -540,18 +573,16 @@ fn cmd_fuzz(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_gen(rest: &[String]) -> Result<(), String> {
-    let seed = flag(rest, "--seed")
-        .map(|s| match s.strip_prefix("0x") {
-            Some(hex) => u64::from_str_radix(hex, 16).map_err(|e| format!("bad --seed `{s}`: {e}")),
-            None => s.parse().map_err(|e| format!("bad --seed `{s}`: {e}")),
-        })
-        .transpose()?
-        .unwrap_or(0);
+/// The generator configuration, with `--max-stmts` applied.
+fn gen_config(rest: &[String]) -> Result<blockwatch::gen::GenConfig, String> {
     let mut gen = blockwatch::gen::GenConfig::default();
-    if let Some(m) = flag(rest, "--max-stmts").and_then(|s| s.parse().ok()) {
-        gen.max_stmts = m;
-    }
+    gen.max_stmts = num_flag(rest, "--max-stmts", gen.max_stmts)?;
+    Ok(gen)
+}
+
+fn cmd_gen(rest: &[String]) -> Result<(), String> {
+    let seed = seed_flag(rest, "--seed", 0)?;
+    let gen = gen_config(rest)?;
     let module = blockwatch::gen::generate_module(seed, &gen);
     let text = format!("{}", ModulePrinter(&module));
     match flag(rest, "--out") {
@@ -636,50 +667,6 @@ fn cmd_timeline(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_bench_suite(rest: &[String]) -> Result<(), String> {
-    let mut config = BenchSuiteConfig::default();
-    if let Some(seed) = flag(rest, "--seed").and_then(|s| s.parse().ok()) {
-        config.seed = seed;
-    }
-    if let Some(n) = flag(rest, "--threads").and_then(|s| s.parse().ok()) {
-        config.nthreads = n;
-    }
-    if let Some(k) = flag(rest, "--injections").and_then(|s| s.parse().ok()) {
-        config.injections = k;
-    }
-    if let Some(r) = flag(rest, "--reps").and_then(|s| s.parse().ok()) {
-        config.reps = r;
-    }
-    let result = run_bench_suite(&config).map_err(|e| format!("{e}"))?;
-    emit(&result.render());
-    if let Some(path) = flag(rest, "--json") {
-        if let Some(dir) = std::path::Path::new(&path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| format!("cannot create `{}`: {e}", dir.display()))?;
-            }
-        }
-        std::fs::write(&path, result.to_json())
-            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        println!("wrote {path}");
-    }
-    if let Some(path) = flag(rest, "--baseline") {
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-        let baseline = BenchSuiteResult::parse(&text)?;
-        match result.check_against(&baseline, 20.0) {
-            Ok(()) => println!("baseline check: ok (within 20x of {path})"),
-            Err(failures) => {
-                return Err(format!(
-                    "baseline check failed:\n  {}",
-                    failures.join("\n  ")
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
 fn cmd_report(rest: &[String]) -> Result<(), String> {
     let path = file_arg(rest)?;
     let text =
@@ -697,18 +684,17 @@ fn cmd_report(rest: &[String]) -> Result<(), String> {
 
 fn cmd_campaign(rest: &[String]) -> Result<(), String> {
     let bw = load(&file_arg(rest)?, rest)?;
-    let n = threads(rest);
+    let n = threads(rest)?;
     let recorder = telemetry_recorder(rest)?;
     let mut obs = start_observability(rest, recorder.as_ref())?;
-    let injections =
-        flag(rest, "--injections").and_then(|s| s.parse().ok()).unwrap_or(200);
+    let injections = num_flag(rest, "--injections", 200)?;
     let model = match flag(rest, "--model").as_deref() {
         None | Some("flip") => FaultModel::BranchFlip,
         Some("cond") => FaultModel::ConditionBitFlip,
         Some(other) => return Err(format!("unknown model `{other}` (use flip|cond)")),
     };
 
-    let workers = flag(rest, "--workers").and_then(|s| s.parse().ok()).unwrap_or(0);
+    let workers = num_flag(rest, "--workers", 0)?;
     let kind = engine_kind(rest)?;
     let shards = monitor_shards(rest)?;
     let show_progress = rest.iter().any(|a| a == "--progress");

@@ -7,7 +7,7 @@ use bw_ir::VerifyError;
 /// Everything that can go wrong between source text and campaign results.
 ///
 /// [`crate::Blockwatch::compile`], [`crate::Blockwatch::from_module`] and
-/// [`crate::Blockwatch::campaign`] all return this type, so a full
+/// [`crate::CampaignRunner::run`] all return this type, so a full
 /// compile-and-inject pipeline propagates through one `?` chain.
 #[derive(Debug)]
 #[non_exhaustive]

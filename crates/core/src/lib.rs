@@ -45,13 +45,11 @@
 
 #![warn(missing_docs)]
 
-pub mod bench_suite;
 mod error;
 mod pipeline;
 pub mod reports;
 pub mod timeline;
 
-pub use bench_suite::{run_bench_suite, BenchSuiteConfig, BenchSuiteResult, BENCH_SUITE_SCHEMA};
 pub use error::Error;
 pub use pipeline::{Blockwatch, CampaignRunner};
 pub use reports::{ForensicsReport, SampleTick, SeriesReport, TraceSummary};
@@ -76,6 +74,4 @@ pub use bw_telemetry::{
     JsonlRecorder, MetricRegistry, MetricsServer, Recorder, Sampler, TelemetrySnapshot,
     NULL_RECORDER,
 };
-pub use bw_vm::{
-    EngineKind, ExecConfig, MachineModel, MonitorMode, RunOutcome, RunResult, SimConfig,
-};
+pub use bw_vm::{EngineKind, ExecConfig, MachineModel, MonitorMode, RunOutcome, RunResult};

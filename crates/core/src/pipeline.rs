@@ -9,13 +9,12 @@ use std::time::Instant;
 use bw_analysis::{AnalysisConfig, CategoryHistogram, CheckPlan, ModuleAnalysis};
 use bw_fault::{
     run_campaign_with_golden_recorded, CampaignConfig, CampaignError, CampaignProgress,
-    CampaignResult, FaultModel, ProgressFn,
+    CampaignResult, FaultModel,
 };
 use bw_ir::Module;
 use bw_telemetry::{Histogram, Recorder, TelemetrySnapshot, NULL_RECORDER};
 use bw_vm::{
-    engine, run_real, run_sim, EngineKind, ExecConfig, MonitorMode, PrepareTimings, ProgramImage,
-    RealConfig, RealResult, RunResult, SimConfig,
+    engine, EngineKind, ExecConfig, MonitorMode, PrepareTimings, ProgramImage, RunResult,
 };
 
 use crate::error::Error;
@@ -158,12 +157,7 @@ impl Blockwatch {
 
     /// Runs on the deterministic simulated machine with default settings.
     pub fn run(&self, nthreads: u32) -> RunResult {
-        run_sim(&self.image, &SimConfig::new(nthreads))
-    }
-
-    /// Runs on the deterministic simulated machine with full control.
-    pub fn run_with(&self, config: &SimConfig) -> RunResult {
-        self.run_on(EngineKind::Sim, config)
+        self.run_on(EngineKind::Sim, &ExecConfig::new(nthreads))
     }
 
     /// Runs on the selected [engine](bw_vm::Engine) with full control.
@@ -171,15 +165,10 @@ impl Blockwatch {
         engine(kind).run(&self.image, config)
     }
 
-    /// Runs on real OS threads with the asynchronous monitor thread.
-    pub fn run_real(&self, nthreads: u32) -> RealResult {
-        run_real(&self.image, &RealConfig::new(nthreads))
-    }
-
     /// The golden (fault-free) run under `config` on the simulated engine,
     /// cached per configuration: campaigns that share a simulation
     /// configuration also share one profiling run.
-    pub fn golden(&self, config: &SimConfig) -> Arc<RunResult> {
+    pub fn golden(&self, config: &ExecConfig) -> Arc<RunResult> {
         self.golden_on(EngineKind::Sim, config)
     }
 
@@ -195,42 +184,6 @@ impl Blockwatch {
                 .entry((kind, config.clone()))
                 .or_insert_with(|| Arc::new(engine(kind).run(&self.image, config))),
         )
-    }
-
-    /// Runs a fault-injection campaign.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Campaign`] when the campaign cannot run — e.g. the
-    /// golden run does not complete, or zero threads are configured.
-    pub fn campaign(&self, config: &CampaignConfig) -> Result<CampaignResult, Error> {
-        self.campaign_with(config, None)
-    }
-
-    /// [`Blockwatch::campaign`] with a streaming progress callback.
-    pub fn campaign_with(
-        &self,
-        config: &CampaignConfig,
-        progress: Option<&ProgressFn<'_>>,
-    ) -> Result<CampaignResult, Error> {
-        self.campaign_recorded(config, progress, &NULL_RECORDER)
-    }
-
-    /// [`Blockwatch::campaign_with`] plus a structured-event
-    /// [`Recorder`] receiving the campaign's stage spans and per-injection
-    /// trace (see [`bw_fault::run_campaign_recorded`]).
-    pub fn campaign_recorded(
-        &self,
-        config: &CampaignConfig,
-        progress: Option<&ProgressFn<'_>>,
-        recorder: &dyn Recorder,
-    ) -> Result<CampaignResult, Error> {
-        if config.sim.nthreads == 0 {
-            return Err(Error::Campaign(CampaignError::NoThreads));
-        }
-        let golden = self.golden_on(config.engine, &config.sim);
-        run_campaign_with_golden_recorded(&self.image, config, &golden, progress, recorder)
-            .map_err(Error::Campaign)
     }
 
     /// Starts a builder-style campaign on this program.
@@ -316,7 +269,7 @@ impl<'a> CampaignRunner<'a> {
     }
 
     /// Replaces the simulation configuration wholesale.
-    pub fn sim(mut self, sim: SimConfig) -> Self {
+    pub fn sim(mut self, sim: ExecConfig) -> Self {
         self.config = self.config.sim(sim);
         self
     }
@@ -356,13 +309,22 @@ impl<'a> CampaignRunner<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Campaign`] when the campaign cannot run.
+    /// Returns [`Error::Campaign`] when the campaign cannot run — e.g. the
+    /// golden run does not complete, or zero threads are configured.
     pub fn run(self) -> Result<CampaignResult, Error> {
-        self.bw.campaign_recorded(
-            &self.config,
+        let config = &self.config;
+        if config.sim.nthreads == 0 {
+            return Err(Error::Campaign(CampaignError::NoThreads));
+        }
+        let golden = self.bw.golden_on(config.engine, &config.sim);
+        run_campaign_with_golden_recorded(
+            &self.bw.image,
+            config,
+            &golden,
             self.progress.as_deref(),
             self.recorder.unwrap_or(&NULL_RECORDER),
         )
+        .map_err(Error::Campaign)
     }
 }
 
@@ -405,12 +367,12 @@ mod tests {
             "#,
         )
         .unwrap();
-        let sim = SimConfig::new(2);
+        let sim = ExecConfig::new(2);
         let first = bw.golden(&sim);
         let second = bw.golden(&sim);
         assert!(Arc::ptr_eq(&first, &second), "same config must hit the cache");
         // A different configuration gets its own entry.
-        let other = bw.golden(&SimConfig::new(3));
+        let other = bw.golden(&ExecConfig::new(3));
         assert!(!Arc::ptr_eq(&first, &other));
     }
 
@@ -423,9 +385,8 @@ mod tests {
             "#,
         )
         .unwrap();
-        let config = CampaignConfig::new(5, FaultModel::BranchFlip, 0);
         assert!(matches!(
-            bw.campaign(&config),
+            bw.campaign_runner(5, FaultModel::BranchFlip, 0).run(),
             Err(Error::Campaign(CampaignError::NoThreads))
         ));
     }

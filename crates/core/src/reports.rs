@@ -9,12 +9,10 @@
 use std::fmt::Write as _;
 
 use bw_analysis::ModuleAnalysis;
-use bw_fault::{CampaignConfig, FaultModel, OutcomeCounts};
+use bw_fault::{FaultModel, OutcomeCounts};
 use bw_splash::{Benchmark, Size};
 use bw_telemetry::{parse_flat_object, write_json_object, HistogramSnapshot, TelemetrySnapshot, Value};
-use bw_vm::{
-    run_sim, ExecMode, MonitorMode, ProgramImage, RunOutcome, SimConfig,
-};
+use bw_vm::{Engine, ExecConfig, ExecMode, MonitorMode, ProgramImage, RunOutcome, SimEngine};
 use serde::{Deserialize, Serialize};
 
 use crate::{Blockwatch, Error};
@@ -134,18 +132,18 @@ impl OverheadPoint {
 /// the simulated cost is identical because monitor processing is not
 /// charged to application threads.
 pub fn overhead_point(image: &ProgramImage, nthreads: u32) -> OverheadPoint {
-    let mut baseline = SimConfig::new(nthreads);
+    let mut baseline = ExecConfig::new(nthreads);
     baseline.monitor = MonitorMode::Off;
-    let base = run_sim(image, &baseline);
+    let base = SimEngine.run(image, &baseline);
     assert_eq!(base.outcome, RunOutcome::Completed, "baseline must complete");
 
-    let mut protected = SimConfig::new(nthreads);
+    let mut protected = ExecConfig::new(nthreads);
     protected.monitor = if nthreads >= protected.machine.cores() {
         MonitorMode::SendOnly
     } else {
         MonitorMode::Enabled
     };
-    let prot = run_sim(image, &protected);
+    let prot = SimEngine.run(image, &protected);
     assert_eq!(prot.outcome, RunOutcome::Completed, "protected must complete");
     assert!(!prot.detected(), "no false positives in performance runs");
 
@@ -259,13 +257,9 @@ pub fn coverage_row_on(
     seed: u64,
     workers: usize,
 ) -> Result<CoverageRow, Error> {
-    let protected_cfg =
-        CampaignConfig::new(injections, model, nthreads).seed(seed).workers(workers);
-    let protected = bw.campaign(&protected_cfg)?;
-
-    let mut original_cfg = protected_cfg.clone();
-    original_cfg.sim.monitor = MonitorMode::Off;
-    let original = bw.campaign(&original_cfg)?;
+    let runner = || bw.campaign_runner(injections, model, nthreads).seed(seed).workers(workers);
+    let protected = runner().run()?;
+    let original = runner().monitor(MonitorMode::Off).run()?;
 
     Ok(CoverageRow {
         name: name.to_string(),
@@ -300,13 +294,13 @@ pub fn duplication_comparison(
         .map(|&n| {
             let bw = overhead_point(&image, n);
 
-            let mut base = SimConfig::new(n);
+            let mut base = ExecConfig::new(n);
             base.monitor = MonitorMode::Off;
-            let baseline = run_sim(&image, &base);
+            let baseline = SimEngine.run(&image, &base);
 
             let mut dup = base.clone();
             dup.exec = ExecMode::Duplicated;
-            let duplicated = run_sim(&image, &dup);
+            let duplicated = SimEngine.run(&image, &dup);
 
             DuplicationPoint {
                 nthreads: n,
@@ -326,7 +320,7 @@ pub fn false_positive_sweep(size: Size, nthreads: u32, runs: usize) -> Vec<(Stri
         .map(|&bench| {
             let image =
                 ProgramImage::prepare_default(bench.module(size).expect("port compiles"));
-            let fps = bw_fault::false_positive_runs(&image, &SimConfig::new(nthreads), runs);
+            let fps = bw_fault::false_positive_runs(&image, &ExecConfig::new(nthreads), runs);
             (bench.name().to_string(), fps)
         })
         .collect()

@@ -25,7 +25,7 @@
 //! `telemetry` feature on or off (an untraced build just has no `tspan`
 //! records to parse).
 
-use bw_telemetry::{parse_flat_object, write_json_object, write_json_str, Value};
+use bw_telemetry::{parse_flat_object, write_json_object, Value};
 
 /// The shape of one timeline record (the `kind` field of a `tspan`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -571,14 +571,6 @@ fn deviation(v: u64, med: u64) -> f64 {
         return 0.0;
     }
     diff as f64 / med.max(1) as f64
-}
-
-/// Escape helper re-exported for the CLI's `--chrome` writer tests.
-#[doc(hidden)]
-pub fn _json_str(s: &str) -> String {
-    let mut out = String::new();
-    write_json_str(&mut out, s);
-    out
 }
 
 #[cfg(test)]

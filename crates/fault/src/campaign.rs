@@ -28,8 +28,7 @@ use bw_telemetry::{
 };
 use bw_monitor::ViolationReport;
 use bw_vm::{
-    engine, Engine, EngineKind, ExecConfig, ProgramImage, RunOutcome, RunResult, SimConfig,
-    SplitMix64,
+    engine, Engine, EngineKind, ExecConfig, ProgramImage, RunOutcome, RunResult, SplitMix64,
 };
 use serde::{Deserialize, Serialize};
 
@@ -42,7 +41,7 @@ const _: () = {
     const fn assert_sync<T: Sync>() {}
     assert_sync::<ProgramImage>();
     assert_sync::<RunResult>();
-    assert_sync::<SimConfig>();
+    assert_sync::<ExecConfig>();
 };
 
 /// Classification of one injection experiment.
@@ -291,7 +290,7 @@ impl CampaignConfig {
             injections,
             model,
             seed: 0xfa_017,
-            sim: SimConfig::new(nthreads),
+            sim: ExecConfig::new(nthreads),
             engine: EngineKind::Sim,
             workers: 0,
             abort_after_sdc: None,
@@ -318,7 +317,7 @@ impl CampaignConfig {
     }
 
     /// Replaces the simulation configuration wholesale.
-    pub fn sim(mut self, sim: SimConfig) -> Self {
+    pub fn sim(mut self, sim: ExecConfig) -> Self {
         self.sim = sim;
         self
     }
@@ -836,38 +835,12 @@ pub fn run_campaign(
     image: &ProgramImage,
     config: &CampaignConfig,
 ) -> Result<CampaignResult, CampaignError> {
-    run_campaign_with(image, config, None)
-}
-
-/// [`run_campaign`] with a streaming progress callback.
-pub fn run_campaign_with(
-    image: &ProgramImage,
-    config: &CampaignConfig,
-    progress: Option<&ProgressFn<'_>>,
-) -> Result<CampaignResult, CampaignError> {
-    run_campaign_recorded(image, config, progress, &NULL_RECORDER)
-}
-
-/// [`run_campaign_with`] plus a structured-event [`Recorder`]: stage spans
-/// (`campaign.golden`, `campaign.plan`, `campaign.execute`,
-/// `campaign.reduce`), one `injection` event per experiment and one
-/// `worker` event per worker are traced to it. Pass
-/// [`bw_telemetry::JsonlRecorder`] to capture a JSONL trace, or
-/// [`NULL_RECORDER`] for none. Without the `telemetry` feature no events
-/// are emitted at all.
-pub fn run_campaign_recorded(
-    image: &ProgramImage,
-    config: &CampaignConfig,
-    progress: Option<&ProgressFn<'_>>,
-    recorder: &dyn Recorder,
-) -> Result<CampaignResult, CampaignError> {
     if config.sim.nthreads == 0 {
         return Err(CampaignError::NoThreads);
     }
     // Step 1: profile — the golden run records per-thread dynamic branch
     // counts (the paper's PIN profiling run), on the same engine the
     // faulty runs will use.
-    let span = tm_span!(recorder, "campaign.golden");
     let stage_start = bw_telemetry::wall_now_us();
     let golden = engine(config.engine).run(image, &config.sim);
     trace_stage(
@@ -875,24 +848,20 @@ pub fn run_campaign_recorded(
         stage_start,
         &[("total_steps", Value::from(golden.total_steps))],
     );
-    span.finish(&[("total_steps", Value::from(golden.total_steps))]);
-    run_campaign_with_golden_recorded(image, config, &golden, progress, recorder)
+    run_campaign_with_golden_recorded(image, config, &golden, None, &NULL_RECORDER)
 }
 
 /// Runs a campaign against an already-computed golden run (which must come
-/// from `run_sim(image, &config.sim)`). Lets callers amortize one golden
-/// run across several campaigns on the same image and configuration.
-pub fn run_campaign_with_golden(
-    image: &ProgramImage,
-    config: &CampaignConfig,
-    golden: &RunResult,
-    progress: Option<&ProgressFn<'_>>,
-) -> Result<CampaignResult, CampaignError> {
-    run_campaign_with_golden_recorded(image, config, golden, progress, &NULL_RECORDER)
-}
-
-/// [`run_campaign_with_golden`] with a structured-event [`Recorder`] (see
-/// [`run_campaign_recorded`]).
+/// from `engine(config.engine).run(image, &config.sim)`), with every
+/// optional input explicit. Lets callers amortize one golden run across
+/// several campaigns on the same image and configuration.
+///
+/// `progress` streams per-injection completion. `recorder` receives stage
+/// spans (`campaign.plan`, `campaign.execute`, `campaign.reduce`), one
+/// `injection` event per experiment and one `worker` event per worker:
+/// pass [`bw_telemetry::JsonlRecorder`] to capture a JSONL trace, or
+/// [`NULL_RECORDER`] for none. Without the `telemetry` feature no events
+/// are emitted at all.
 pub fn run_campaign_with_golden_recorded(
     image: &ProgramImage,
     config: &CampaignConfig,
@@ -952,7 +921,7 @@ pub fn run_campaign_with_golden_recorded(
 /// zero, by construction of the static analysis). Runs on the
 /// deterministic engine; see [`false_positive_runs_on`] for the real-thread
 /// variant.
-pub fn false_positive_runs(image: &ProgramImage, config: &SimConfig, runs: usize) -> usize {
+pub fn false_positive_runs(image: &ProgramImage, config: &ExecConfig, runs: usize) -> usize {
     false_positive_runs_on(EngineKind::Sim, image, config, runs)
 }
 

@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bw_ir::BranchId;
-use bw_vm::{BranchHook, FaultAction, SharedBranchHook};
+use bw_vm::{BranchHook, FaultAction};
 use serde::{Deserialize, Serialize};
 
 /// The two fault models of the paper's Section IV.
@@ -47,11 +47,9 @@ const NOT_ACTIVATED: u64 = u64::MAX;
 
 /// A branch hook that fires once at the planned injection point.
 ///
-/// Usable from both engines: as a [`BranchHook`] on the single-OS-thread
-/// simulator and as a [`SharedBranchHook`] across the real engine's worker
-/// threads — a compare-and-swap on the activation slot guarantees the fault
-/// fires exactly once even when several threads race past the target
-/// dynamic index.
+/// Usable from both engines: a compare-and-swap on the activation slot
+/// guarantees the fault fires exactly once even when several of the real
+/// engine's worker threads race past the target dynamic index.
 #[derive(Debug)]
 pub struct InjectionHook {
     plan: InjectionPlan,
@@ -80,8 +78,8 @@ impl InjectionHook {
     }
 }
 
-impl SharedBranchHook for InjectionHook {
-    fn on_shared_branch(&self, tid: u32, dyn_index: u64, branch: BranchId) -> Option<FaultAction> {
+impl BranchHook for InjectionHook {
+    fn on_branch(&self, tid: u32, dyn_index: u64, branch: BranchId) -> Option<FaultAction> {
         if tid != self.plan.tid || dyn_index != self.plan.dyn_index {
             return None;
         }
@@ -111,19 +109,13 @@ impl SharedBranchHook for InjectionHook {
     }
 }
 
-impl BranchHook for InjectionHook {
-    fn on_branch(&mut self, tid: u32, dyn_index: u64, branch: BranchId) -> Option<FaultAction> {
-        self.on_shared_branch(tid, dyn_index, branch)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn fires_exactly_once_at_the_target() {
-        let mut hook = InjectionHook::new(InjectionPlan {
+        let hook = InjectionHook::new(InjectionPlan {
             tid: 1,
             dyn_index: 3,
             model: FaultModel::BranchFlip,
@@ -142,7 +134,7 @@ mod tests {
 
     #[test]
     fn condition_model_requests_corruption() {
-        let mut hook = InjectionHook::new(InjectionPlan {
+        let hook = InjectionHook::new(InjectionPlan {
             tid: 0,
             dyn_index: 1,
             model: FaultModel::ConditionBitFlip,

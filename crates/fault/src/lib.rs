@@ -50,9 +50,8 @@ mod injector;
 
 pub use batch::{BatchResult, CampaignBatch};
 pub use campaign::{
-    classify, false_positive_runs, false_positive_runs_on, plan_campaign, run_campaign, run_campaign_recorded,
-    run_campaign_with, run_campaign_with_golden, run_campaign_with_golden_recorded,
-    CampaignConfig, CampaignError, CampaignProgress, CampaignResult, FaultOutcome,
-    InjectionRecord, OutcomeCounts, ProgressFn, WorkerStats,
+    classify, false_positive_runs, false_positive_runs_on, plan_campaign, run_campaign,
+    run_campaign_with_golden_recorded, CampaignConfig, CampaignError, CampaignProgress,
+    CampaignResult, FaultOutcome, InjectionRecord, OutcomeCounts, ProgressFn, WorkerStats,
 };
 pub use injector::{FaultModel, InjectionHook, InjectionPlan};

@@ -6,7 +6,7 @@ use bw_fault::{
     classify, run_campaign, CampaignConfig, FaultModel, FaultOutcome, InjectionHook,
     InjectionPlan,
 };
-use bw_vm::{run_sim, run_sim_with_hook, ProgramImage, RunOutcome, SimConfig};
+use bw_vm::{Engine, ExecConfig, ProgramImage, RunOutcome, SimEngine};
 
 fn image(src: &str) -> ProgramImage {
     ProgramImage::prepare_default(bw_ir::frontend::compile(src).expect("compile"))
@@ -31,19 +31,19 @@ fn shared_branch_program() -> ProgramImage {
 #[test]
 fn branch_flip_on_shared_branch_is_detected() {
     let image = shared_branch_program();
-    let config = SimConfig::new(4);
-    let golden = run_sim(&image, &config);
+    let config = ExecConfig::new(4);
+    let golden = SimEngine.run(&image, &config);
     assert_eq!(golden.outcome, RunOutcome::Completed);
 
     // Flip thread 2's 10th dynamic branch (a loop-exit decision).
-    let mut hook = InjectionHook::new(InjectionPlan {
+    let hook = InjectionHook::new(InjectionPlan {
         tid: 2,
         dyn_index: 10,
         model: FaultModel::BranchFlip,
         value_choice: 0,
         bit: 0,
     });
-    let result = run_sim_with_hook(&image, &config, &mut hook);
+    let result = SimEngine.run_hooked(&image, &config, &hook);
     assert!(hook.activated());
     assert_eq!(classify(&result, &golden, true), FaultOutcome::Detected);
 }
@@ -51,20 +51,20 @@ fn branch_flip_on_shared_branch_is_detected() {
 #[test]
 fn condition_bit_flip_on_shared_branch_is_detected_even_without_flip() {
     let image = shared_branch_program();
-    let config = SimConfig::new(4);
-    let _golden = run_sim(&image, &config);
+    let config = ExecConfig::new(4);
+    let _golden = SimEngine.run(&image, &config);
 
     // Flip a *high* bit of the loop counter of thread 1: i changes sign /
     // magnitude massively, the comparison outcome may or may not change,
     // but the witness diverges from the other threads either way.
-    let mut hook = InjectionHook::new(InjectionPlan {
+    let hook = InjectionHook::new(InjectionPlan {
         tid: 1,
         dyn_index: 5,
         model: FaultModel::ConditionBitFlip,
         value_choice: 0,
         bit: 62,
     });
-    let result = run_sim_with_hook(&image, &config, &mut hook);
+    let result = SimEngine.run_hooked(&image, &config, &hook);
     assert!(hook.activated());
     assert!(result.detected(), "witness mismatch must be flagged");
 }
@@ -84,17 +84,17 @@ fn threadid_branch_flip_is_detected() {
         }
         "#,
     );
-    let config = SimConfig::new(4);
-    let golden = run_sim(&image, &config);
+    let config = ExecConfig::new(4);
+    let golden = SimEngine.run(&image, &config);
 
-    let mut hook = InjectionHook::new(InjectionPlan {
+    let hook = InjectionHook::new(InjectionPlan {
         tid: 2,
         dyn_index: 1,
         model: FaultModel::BranchFlip,
         value_choice: 0,
         bit: 0,
     });
-    let result = run_sim_with_hook(&image, &config, &mut hook);
+    let result = SimEngine.run_hooked(&image, &config, &hook);
     assert!(hook.activated());
     assert_eq!(classify(&result, &golden, true), FaultOutcome::Detected);
 }
@@ -120,22 +120,22 @@ fn partial_branch_flip_is_detected_when_groups_split() {
         }
         "#,
     );
-    let config = SimConfig::new(4);
-    let golden = run_sim(&image, &config);
+    let config = ExecConfig::new(4);
+    let golden = SimEngine.run(&image, &config);
     assert_eq!(golden.outcome, RunOutcome::Completed);
 
     // Find and flip a partial branch instance in thread 3. Dynamic branches
     // per thread: loop branch + 2 ifs per iteration; pick an inner `if`.
     let mut detected = false;
     for dyn_index in 2..6 {
-        let mut hook = InjectionHook::new(InjectionPlan {
+        let hook = InjectionHook::new(InjectionPlan {
             tid: 3,
             dyn_index,
             model: FaultModel::BranchFlip,
             value_choice: 0,
             bit: 0,
         });
-        let result = run_sim_with_hook(&image, &config, &mut hook);
+        let result = SimEngine.run_hooked(&image, &config, &hook);
         if result.detected() {
             detected = true;
             break;
@@ -161,17 +161,17 @@ fn fault_in_none_branch_with_promotion_can_be_detected() {
         }
         "#,
     );
-    let config = SimConfig::new(4);
-    let golden = run_sim(&image, &config);
+    let config = ExecConfig::new(4);
+    let golden = SimEngine.run(&image, &config);
 
-    let mut hook = InjectionHook::new(InjectionPlan {
+    let hook = InjectionHook::new(InjectionPlan {
         tid: 1,
         dyn_index: 1,
         model: FaultModel::BranchFlip,
         value_choice: 0,
         bit: 0,
     });
-    let result = run_sim_with_hook(&image, &config, &mut hook);
+    let result = SimEngine.run_hooked(&image, &config, &hook);
     assert!(hook.activated());
     assert_eq!(classify(&result, &golden, true), FaultOutcome::Detected);
 }
@@ -181,18 +181,18 @@ fn unprotected_program_lets_sdc_through() {
     // Same shared-branch program, monitor off: the flipped loop exit cuts
     // one thread's sum short -> SDC (or crash), never Detected.
     let image = shared_branch_program();
-    let mut config = SimConfig::new(4);
+    let mut config = ExecConfig::new(4);
     config.monitor = bw_vm::MonitorMode::Off;
-    let golden = run_sim(&image, &config);
+    let golden = SimEngine.run(&image, &config);
 
-    let mut hook = InjectionHook::new(InjectionPlan {
+    let hook = InjectionHook::new(InjectionPlan {
         tid: 2,
         dyn_index: 10,
         model: FaultModel::BranchFlip,
         value_choice: 0,
         bit: 0,
     });
-    let result = run_sim_with_hook(&image, &config, &mut hook);
+    let result = SimEngine.run_hooked(&image, &config, &hook);
     let outcome = classify(&result, &golden, hook.activated());
     assert_ne!(outcome, FaultOutcome::Detected);
     assert_eq!(outcome, FaultOutcome::Sdc, "early loop exit changes the sum");
@@ -234,6 +234,6 @@ fn campaign_is_reproducible() {
 #[test]
 fn false_positive_sweep_is_clean() {
     let image = shared_branch_program();
-    let fps = bw_fault::false_positive_runs(&image, &SimConfig::new(4), 20);
+    let fps = bw_fault::false_positive_runs(&image, &ExecConfig::new(4), 20);
     assert_eq!(fps, 0);
 }

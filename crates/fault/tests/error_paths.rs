@@ -3,10 +3,21 @@
 //! and must render a useful, non-empty `Display` message.
 
 use bw_fault::{
-    run_campaign, run_campaign_with_golden, CampaignConfig, CampaignError, FaultModel,
+    run_campaign, run_campaign_with_golden_recorded, CampaignConfig, CampaignError,
+    CampaignResult, FaultModel,
 };
 use bw_splash::{Benchmark, Size};
-use bw_vm::{run_sim, ProgramImage, RunOutcome, SimConfig};
+use bw_telemetry::NULL_RECORDER;
+use bw_vm::{Engine, ExecConfig, ProgramImage, RunOutcome, RunResult, SimEngine};
+
+/// The cached-golden entry point with no progress callback and no trace.
+fn run_campaign_with_golden(
+    image: &ProgramImage,
+    config: &CampaignConfig,
+    golden: &RunResult,
+) -> Result<CampaignResult, CampaignError> {
+    run_campaign_with_golden_recorded(image, config, golden, None, &NULL_RECORDER)
+}
 
 fn image() -> ProgramImage {
     ProgramImage::prepare_default(Benchmark::Fft.module(Size::Test).expect("port compiles"))
@@ -16,10 +27,10 @@ fn image() -> ProgramImage {
 fn golden_mismatch_when_cached_golden_has_wrong_thread_count() {
     let image = image();
     // Golden run profiled at 2 threads, campaign configured for 4.
-    let golden = run_sim(&image, &SimConfig::new(2));
+    let golden = SimEngine.run(&image, &ExecConfig::new(2));
     assert_eq!(golden.outcome, RunOutcome::Completed);
     let config = CampaignConfig::new(4, FaultModel::BranchFlip, 4);
-    let err = run_campaign_with_golden(&image, &config, &golden, None).unwrap_err();
+    let err = run_campaign_with_golden(&image, &config, &golden).unwrap_err();
     assert_eq!(err, CampaignError::GoldenMismatch { expected: 4, actual: 2 });
 }
 
@@ -28,19 +39,19 @@ fn cached_golden_path_rejects_failed_golden_runs() {
     let image = image();
     // A step budget no run can satisfy: the cached result ends Hung, and
     // the campaign must refuse it rather than inject into a broken run.
-    let golden = run_sim(&image, &SimConfig::new(4).max_steps(10));
+    let golden = SimEngine.run(&image, &ExecConfig::new(4).max_steps(10));
     assert_eq!(golden.outcome, RunOutcome::Hung);
     let config = CampaignConfig::new(4, FaultModel::BranchFlip, 4);
-    let err = run_campaign_with_golden(&image, &config, &golden, None).unwrap_err();
+    let err = run_campaign_with_golden(&image, &config, &golden).unwrap_err();
     assert_eq!(err, CampaignError::GoldenRunFailed { outcome: RunOutcome::Hung });
 }
 
 #[test]
 fn cached_golden_path_rejects_zero_threads_first() {
     let image = image();
-    let golden = run_sim(&image, &SimConfig::new(4));
+    let golden = SimEngine.run(&image, &ExecConfig::new(4));
     let config = CampaignConfig::new(4, FaultModel::BranchFlip, 0);
-    let err = run_campaign_with_golden(&image, &config, &golden, None).unwrap_err();
+    let err = run_campaign_with_golden(&image, &config, &golden).unwrap_err();
     assert_eq!(err, CampaignError::NoThreads);
 }
 
@@ -56,8 +67,7 @@ fn every_variant_reachable_via_run_campaign_displays_distinctly() {
     let mismatch = run_campaign_with_golden(
         &image,
         &CampaignConfig::new(1, FaultModel::BranchFlip, 4),
-        &run_sim(&image, &SimConfig::new(2)),
-        None,
+        &SimEngine.run(&image, &ExecConfig::new(2)),
     )
     .unwrap_err();
 

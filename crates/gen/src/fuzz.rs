@@ -13,7 +13,7 @@ use bw_analysis::AnalysisConfig;
 use bw_fault::{CampaignBatch, CampaignConfig, FaultModel, OutcomeCounts};
 use bw_ir::{parse_module, Module, ModulePrinter};
 use bw_telemetry::{Recorder, Value, NULL_RECORDER};
-use bw_vm::{EngineKind, ProgramImage, SimConfig};
+use bw_vm::{EngineKind, ExecConfig, ProgramImage};
 
 use crate::generate::{generate_module, GenConfig};
 use crate::oracle::{check_image_cross, OracleStats, DEFAULT_THREADS};
@@ -355,7 +355,7 @@ fn inject_batch(
     let nthreads = config.threads.iter().copied().max().unwrap_or(4);
     let mut batch = CampaignBatch::new();
     for (seed, image) in pending.iter() {
-        let sim = SimConfig::new(nthreads)
+        let sim = ExecConfig::new(nthreads)
             .seed(*seed)
             .max_steps(2_000_000)
             .monitor_shards(config.monitor_shards);

@@ -32,7 +32,8 @@ use bw_analysis::{AnalysisConfig, Category, CheckKind, CheckPlan, TidCheck};
 use bw_monitor::{Violation, ViolationReport};
 use bw_telemetry::TelemetrySnapshot;
 use bw_vm::{
-    engine, run_sim, EngineKind, MonitorMode, ProgramImage, RunOutcome, RunResult, SimConfig,
+    engine, Engine, EngineKind, ExecConfig, MonitorMode, ProgramImage, RunOutcome, RunResult,
+    SimEngine,
 };
 use bw_ir::BranchId;
 
@@ -326,12 +327,12 @@ pub fn check_image_cross(
 ) -> Result<OracleStats, OracleFailure> {
     let mut stats = OracleStats::default();
     for &n in threads {
-        let cfg_on = SimConfig::new(n)
+        let cfg_on = ExecConfig::new(n)
             .seed(base_seed)
             .max_steps(ORACLE_MAX_STEPS)
             .capture_events(true);
 
-        let r_on = run_sim(image, &cfg_on);
+        let r_on = SimEngine.run(image, &cfg_on);
         stats.runs += 1;
         if r_on.outcome != RunOutcome::Completed {
             return Err(OracleFailure::RunFailed { nthreads: n, outcome: r_on.outcome });
@@ -351,7 +352,7 @@ pub fn check_image_cross(
         }
 
         // Reproducibility: the identical configuration, bit for bit.
-        let r_again = run_sim(image, &cfg_on);
+        let r_again = SimEngine.run(image, &cfg_on);
         stats.runs += 1;
         if let Some(detail) = diff_full(&r_on, &r_again) {
             return Err(OracleFailure::NotReproducible { nthreads: n, detail });
@@ -359,7 +360,7 @@ pub fn check_image_cross(
 
         // Invariant 3: the monitor must be invisible to the program.
         let cfg_off = cfg_on.clone().monitor(MonitorMode::Off).capture_events(false);
-        let r_off = run_sim(image, &cfg_off);
+        let r_off = SimEngine.run(image, &cfg_off);
         stats.runs += 1;
         if let Some(detail) = diff_transparent(&r_on, &r_off) {
             return Err(OracleFailure::NotTransparent { nthreads: n, detail });
@@ -374,7 +375,7 @@ pub fn check_image_cross(
         {
             let prev = bw_telemetry::trace_sink();
             bw_telemetry::set_trace_sink(Some(std::sync::Arc::new(bw_telemetry::NullRecorder)));
-            let r_traced = run_sim(image, &cfg_on);
+            let r_traced = SimEngine.run(image, &cfg_on);
             bw_telemetry::set_trace_sink(prev);
             stats.runs += 1;
             if let Some(detail) = diff_full(&r_on, &r_traced) {
@@ -387,7 +388,7 @@ pub fn check_image_cross(
         // program-visible results, same costs.
         for shards in [1usize, 2, 4, 8] {
             let cfg_sharded = cfg_on.clone().monitor_shards(Some(shards));
-            let r_sharded = run_sim(image, &cfg_sharded);
+            let r_sharded = SimEngine.run(image, &cfg_sharded);
             stats.runs += 1;
             if let Some(detail) = diff_sharded(&r_on, &r_sharded) {
                 return Err(OracleFailure::ShardDivergence { nthreads: n, shards, detail });

@@ -5,7 +5,7 @@
 use bw_analysis::AnalysisConfig;
 use bw_gen::{check_image, generate_module, sabotaged_image, shrink, GenConfig};
 use bw_ir::Module;
-use bw_vm::{run_sim, SimConfig};
+use bw_vm::{Engine, ExecConfig, SimEngine};
 
 const SIM_SEED: u64 = 0xdead_beef;
 
@@ -16,9 +16,9 @@ const SIM_SEED: u64 = 0xdead_beef;
 fn regression_fires(module: &Module) -> bool {
     sabotaged_image(module, AnalysisConfig::default())
         .map(|image| {
-            let r = run_sim(
+            let r = SimEngine.run(
                 &image,
-                &SimConfig::new(4).seed(SIM_SEED).max_steps(bw_gen::ORACLE_MAX_STEPS),
+                &ExecConfig::new(4).seed(SIM_SEED).max_steps(bw_gen::ORACLE_MAX_STEPS),
             );
             !r.violations.is_empty()
         })

@@ -18,15 +18,13 @@
 //!
 //! Monitors are constructed through one surface: [`MonitorBuilder`], with
 //! the ingest shape chosen by [`MonitorTopology`] — `Flat` (the paper's
-//! single monitor thread), `Hierarchical` (the Section VI sub-monitor
-//! tree), or `Sharded` (N workers each owning a disjoint
-//! `(site, branch)` key-space slice, routed by [`shard_of`]). Every
-//! topology joins into the same [`MonitorVerdict`] shape, and sharded
-//! verdicts are byte-identical to flat ones by construction. (The old
-//! per-topology entry points — `MonitorThread`, the explicit-queue
-//! `HierarchicalMonitorThread` spawns, `run_flat` — have been removed;
-//! drive a passive [`Monitor`] directly where a test needs full control
-//! of the event stream.)
+//! single monitor thread) or `Sharded` (N workers each owning a disjoint
+//! `(site, branch)` key-space slice, routed by [`shard_of`]). Flat is one
+//! shard, so there is a single ingest implementation; every topology
+//! joins into the same [`MonitorVerdict`] shape, and sharded verdicts are
+//! byte-identical to flat ones by construction. Drive a passive
+//! [`Monitor`] directly where a test needs full control of the event
+//! stream.
 //!
 //! # Examples
 //!
@@ -48,7 +46,6 @@
 
 mod checker;
 mod event;
-mod hierarchy;
 mod live;
 mod monitor;
 pub mod provenance;
@@ -59,7 +56,6 @@ mod telemetry;
 mod topology;
 
 pub use checker::{check_instance, Report, ViolationKind};
-pub use hierarchy::{HierarchicalMonitorThread, InstanceBatch, RootMonitor, SubMonitor};
 pub use event::{hash_words, BranchEvent, KeyHasher};
 pub use monitor::{CheckTable, EventSender, Monitor, Violation};
 pub use shard::{per_shard_capacity, shard_of, ShardedMonitor, ShardedMonitorThread};

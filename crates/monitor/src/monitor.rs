@@ -246,7 +246,7 @@ impl Monitor {
 
     /// Events the application threads had to drop because this monitor
     /// could not keep up (aggregated from every [`EventSender`] when the
-    /// monitor is driven through [`MonitorThread`]).
+    /// monitor is spawned through [`crate::MonitorBuilder`]).
     ///
     /// A nonzero value means verdicts may have missed violations — the
     /// paper's zero-false-negative claim only holds when this is zero.
@@ -298,8 +298,8 @@ pub struct EventSender {
     spin_budget: u32,
     /// Shared per-shard sinks the local drop counts are flushed into when
     /// the sender goes away, so the totals survive the sender's lifetime
-    /// (see [`MonitorThread::spawn_with_drop_counter`]). Empty when no one
-    /// is counting; otherwise aligned with `producers`.
+    /// (folded into the verdict at [`crate::MonitorHandle::join`]). Empty
+    /// when no one is counting; otherwise aligned with `producers`.
     drop_sinks: Vec<Arc<AtomicU64>>,
 }
 
@@ -307,14 +307,6 @@ impl EventSender {
     /// Wraps a single queue producer (unsharded ingest, no drop sink).
     pub fn new(producer: Producer<BranchEvent>) -> Self {
         Self::fanned(vec![producer], Vec::new())
-    }
-
-    /// Wraps a single queue producer and flushes this sender's drop count
-    /// into `sink` when the sender is dropped. Before this existed, drop
-    /// counts died with their sender — a monitor that fell behind looked
-    /// indistinguishable from one that kept up.
-    pub fn with_drop_counter(producer: Producer<BranchEvent>, sink: Arc<AtomicU64>) -> Self {
-        Self::fanned(vec![producer], vec![sink])
     }
 
     /// Wraps one producer per monitor shard (indexed by shard id), with an

@@ -29,9 +29,8 @@ use crate::monitor::Violation;
 /// *site's* report stream it was recorded.
 ///
 /// `seq` is the per-`(branch, site)` record counter at record time
-/// (1-based; thread reports for the flat [`crate::Monitor`], sub-monitor
-/// batch entries for the hierarchical root), which makes detection latency
-/// a simple subtraction of sequence numbers. Site-local numbering — rather
+/// (1-based, one per thread report), which makes detection latency a
+/// simple subtraction of sequence numbers. Site-local numbering — rather
 /// than a monitor-global message counter — keeps reports byte-identical no
 /// matter how the key space is partitioned across monitor shards, since a
 /// site's events always land on one shard in their original order.

@@ -10,7 +10,7 @@
 use bw_analysis::CheckKind;
 use bw_telemetry::{Counter, Gauge, TelemetrySnapshot};
 
-/// Instruments shared by the flat monitor and the hierarchy root.
+/// One monitor's instruments.
 #[derive(Debug, Default)]
 pub struct MonitorTelemetry {
     /// Highest SPSC queue occupancy observed before a drain pass.

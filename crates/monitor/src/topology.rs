@@ -1,16 +1,12 @@
 //! The unified monitor construction surface: one [`MonitorBuilder`] covers
 //! every ingest shape behind a [`MonitorTopology`] enum.
 //!
-//! Before this existed each topology had its own ad-hoc constructor —
-//! a `MonitorThread` for flat ingest, explicit-queue
-//! [`crate::HierarchicalMonitorThread`] spawns for the Section VI tree —
-//! and callers wired queues, senders, and drop counters by hand,
-//! differently each time. Those constructors are gone; the builder owns
-//! that wiring: it creates the queues, hands
-//! back one routing [`EventSender`] per application thread, and returns a
+//! The builder owns the wiring: it creates the queues, hands back one
+//! routing [`EventSender`] per application thread, and returns a
 //! [`MonitorHandle`] whose `join` produces a [`MonitorVerdict`] with the
-//! same shape for every topology. Choosing sharded ingest is flipping an
-//! enum variant, not adopting a parallel code path.
+//! same shape for every topology. Flat ingest is one shard, so choosing
+//! sharded ingest is flipping an enum variant, not adopting a parallel
+//! code path.
 
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -18,7 +14,6 @@ use std::sync::Arc;
 use bw_telemetry::TelemetrySnapshot;
 
 use crate::event::BranchEvent;
-use crate::hierarchy::HierarchicalMonitorThread;
 use crate::monitor::{CheckTable, EventSender, Monitor, Violation};
 use crate::provenance::ViolationReport;
 use crate::shard::{per_shard_capacity, ShardedMonitorThread};
@@ -30,12 +25,6 @@ pub enum MonitorTopology {
     /// One monitor thread drains every producer queue (the paper's base
     /// design). Equivalent to `Sharded { shards: 1 }`.
     Flat,
-    /// The Section VI tree: sub-monitor threads aggregate subgroups of
-    /// `fanout` producers each and forward instance batches to one root.
-    Hierarchical {
-        /// Producer threads per sub-monitor (must be positive).
-        fanout: usize,
-    },
     /// `shards` monitor threads, each owning the `(site, branch)` keys that
     /// hash to it ([`crate::shard_of`]); producers route per event.
     Sharded {
@@ -45,12 +34,12 @@ pub enum MonitorTopology {
 }
 
 impl MonitorTopology {
-    /// How many shard queues a producer routes across (1 for flat and
-    /// hierarchical ingest).
+    /// How many shard queues a producer routes across (1 for flat
+    /// ingest).
     pub fn shard_count(&self) -> usize {
         match *self {
             MonitorTopology::Sharded { shards } => shards,
-            MonitorTopology::Flat | MonitorTopology::Hierarchical { .. } => 1,
+            MonitorTopology::Flat => 1,
         }
     }
 }
@@ -129,16 +118,9 @@ impl MonitorVerdict {
     }
 }
 
-/// A running monitor of any topology; join to collect the verdict.
-pub struct MonitorHandle {
-    inner: HandleInner,
-}
-
-enum HandleInner {
-    /// Flat and sharded ingest share one implementation: flat is one shard.
-    Sharded(ShardedMonitorThread),
-    Tree(HierarchicalMonitorThread),
-}
+/// A running monitor of any topology (flat is one shard worker); join to
+/// collect the verdict.
+pub struct MonitorHandle(ShardedMonitorThread);
 
 impl MonitorHandle {
     /// Stops the monitor once its queues drain and merges the final state
@@ -149,25 +131,7 @@ impl MonitorHandle {
     ///
     /// Panics if a monitor thread panicked.
     pub fn join(self) -> MonitorVerdict {
-        match self.inner {
-            HandleInner::Sharded(t) => t.join(),
-            HandleInner::Tree(t) => {
-                let (root, events_processed) = t.join();
-                let mut violations = root.violations().to_vec();
-                let mut violation_reports = root.violation_reports().to_vec();
-                violations.sort_unstable_by_key(|v| (v.site, v.branch, v.iter, v.kind));
-                violation_reports.sort_by_key(|r| {
-                    (r.violation.site, r.violation.branch, r.violation.iter, r.violation.kind)
-                });
-                MonitorVerdict {
-                    violations,
-                    violation_reports,
-                    events_processed,
-                    events_dropped: root.events_dropped(),
-                    telemetry: root.snapshot(),
-                }
-            }
-        }
+        self.0.join()
     }
 }
 
@@ -205,8 +169,8 @@ impl MonitorBuilder {
     }
 
     /// Sets the *total* per-thread queue budget in events. Sharded ingest
-    /// splits the budget across shards ([`per_shard_capacity`]); flat and
-    /// hierarchical ingest give the single queue the whole budget.
+    /// splits the budget across shards ([`per_shard_capacity`]); flat
+    /// ingest gives the single queue the whole budget.
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity;
         self
@@ -217,60 +181,32 @@ impl MonitorBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the topology's fanout or shard count is zero, or if the
-    /// queue capacity is zero.
+    /// Panics if the shard count or the queue capacity is zero.
     pub fn spawn(self) -> (Vec<EventSender>, MonitorHandle) {
         crate::live::register();
-        match self.topology {
-            MonitorTopology::Hierarchical { fanout } => {
-                assert!(fanout > 0, "fanout must be positive");
-                let drops = Arc::new(AtomicU64::new(0));
-                let mut senders = Vec::with_capacity(self.nthreads);
-                let mut queues = Vec::with_capacity(self.nthreads);
-                for _ in 0..self.nthreads {
-                    let (p, c) = spsc_queue(self.queue_capacity);
-                    senders.push(EventSender::with_drop_counter(p, Arc::clone(&drops)));
-                    queues.push(c);
-                }
-                let tree = HierarchicalMonitorThread::spawn_internal(
-                    self.checks,
-                    self.nthreads,
-                    queues,
-                    fanout,
-                    drops,
-                );
-                (senders, MonitorHandle { inner: HandleInner::Tree(tree) })
+        let shards = self.topology.shard_count();
+        assert!(shards > 0, "shard count must be positive");
+        let capacity = per_shard_capacity(self.queue_capacity, shards);
+        let shard_drops: Vec<Arc<AtomicU64>> =
+            (0..shards).map(|_| Arc::new(AtomicU64::new(0))).collect();
+        let mut shard_queues: Vec<Vec<Consumer<BranchEvent>>> =
+            (0..shards).map(|_| Vec::with_capacity(self.nthreads)).collect();
+        let mut senders = Vec::with_capacity(self.nthreads);
+        for _ in 0..self.nthreads {
+            let mut producers = Vec::with_capacity(shards);
+            for queues in shard_queues.iter_mut() {
+                let (p, c) = spsc_queue(capacity);
+                producers.push(p);
+                queues.push(c);
             }
-            MonitorTopology::Flat | MonitorTopology::Sharded { .. } => {
-                let shards = self.topology.shard_count();
-                assert!(shards > 0, "shard count must be positive");
-                let capacity = per_shard_capacity(self.queue_capacity, shards);
-                let shard_drops: Vec<Arc<AtomicU64>> =
-                    (0..shards).map(|_| Arc::new(AtomicU64::new(0))).collect();
-                let mut shard_queues: Vec<Vec<Consumer<BranchEvent>>> =
-                    (0..shards).map(|_| Vec::with_capacity(self.nthreads)).collect();
-                let mut senders = Vec::with_capacity(self.nthreads);
-                for _ in 0..self.nthreads {
-                    let mut producers = Vec::with_capacity(shards);
-                    for queues in shard_queues.iter_mut() {
-                        let (p, c) = spsc_queue(capacity);
-                        producers.push(p);
-                        queues.push(c);
-                    }
-                    senders.push(EventSender::fanned(
-                        producers,
-                        shard_drops.iter().map(Arc::clone).collect(),
-                    ));
-                }
-                let monitor = ShardedMonitorThread::spawn(
-                    self.checks,
-                    self.nthreads,
-                    shard_queues,
-                    shard_drops,
-                );
-                (senders, MonitorHandle { inner: HandleInner::Sharded(monitor) })
-            }
+            senders.push(EventSender::fanned(
+                producers,
+                shard_drops.iter().map(Arc::clone).collect(),
+            ));
         }
+        let monitor =
+            ShardedMonitorThread::spawn(self.checks, self.nthreads, shard_queues, shard_drops);
+        (senders, MonitorHandle(monitor))
     }
 }
 
@@ -320,7 +256,6 @@ mod tests {
     fn every_topology_reaches_the_same_verdict() {
         for topology in [
             MonitorTopology::Flat,
-            MonitorTopology::Hierarchical { fanout: 2 },
             MonitorTopology::Sharded { shards: 1 },
             MonitorTopology::Sharded { shards: 4 },
         ] {
@@ -365,7 +300,6 @@ mod tests {
     #[test]
     fn shard_count_is_one_except_for_sharded() {
         assert_eq!(MonitorTopology::Flat.shard_count(), 1);
-        assert_eq!(MonitorTopology::Hierarchical { fanout: 4 }.shard_count(), 1);
         assert_eq!(MonitorTopology::Sharded { shards: 8 }.shard_count(), 8);
     }
 }

@@ -4,9 +4,8 @@
 //!   consistent with `events_processed`;
 //! * flush batch accounting matches what `flush` actually drained;
 //! * sender-side drop counts survive the sender (the `EventSender` drop
-//!   aggregation bugfix) and surface on the joined monitor — flat and
-//!   sharded here; the hierarchical variant lives in the `hierarchy`
-//!   module's unit tests next to the crate-private spawn it needs.
+//!   aggregation bugfix) and surface on the joined monitor, one shard
+//!   and several.
 //!
 //! All strict value assertions are conditioned on the `telemetry` feature
 //! (without it the gated instruments legitimately read zero); the
@@ -167,13 +166,11 @@ fn violation_tallies_match_violations() {
 
 /// Bugfix regression: a sender dropped (thread exit) after overflowing its
 /// queue must not take its drop count with it — the joined monitor sees it.
-/// (The hierarchical-topology variant lives in the `hierarchy` module's
-/// unit tests, next to the crate-private spawn it needs.)
 #[test]
 fn dropped_events_survive_the_sender() {
     let drops = Arc::new(AtomicU64::new(0));
     let (p, c) = spsc_queue(4);
-    let mut sender = EventSender::with_drop_counter(p, Arc::clone(&drops));
+    let mut sender = EventSender::fanned(vec![p], vec![Arc::clone(&drops)]);
     // No consumer is draining yet: capacity 4, so sends 5..=7 must drop
     // after the spin budget.
     for iter in 0..7u64 {

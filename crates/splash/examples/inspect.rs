@@ -5,7 +5,7 @@
 
 use bw_analysis::ModuleAnalysis;
 use bw_splash::{Benchmark, Size};
-use bw_vm::{run_sim, ProgramImage, RunOutcome, SimConfig};
+use bw_vm::{Engine, ExecConfig, ProgramImage, RunOutcome, SimEngine};
 
 fn main() {
     for bench in Benchmark::ALL {
@@ -29,7 +29,7 @@ fn main() {
         );
         let image = ProgramImage::prepare_default(bench.module(Size::Test).expect("compiles"));
         for n in [1u32, 2, 4, 8] {
-            let r = run_sim(&image, &SimConfig::new(n));
+            let r = SimEngine.run(&image, &ExecConfig::new(n));
             let status = match r.outcome {
                 RunOutcome::Completed => "ok",
                 _ => "BAD",

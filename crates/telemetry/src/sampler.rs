@@ -90,11 +90,14 @@ impl Sampler {
         }
         let interval = interval.max(Duration::from_millis(1));
         let thread_stop = Arc::clone(&stop);
+        // Baseline taken here, not on the sampler thread: whatever the
+        // caller counts after `start` returns belongs to the first tick,
+        // however late the thread is first scheduled.
+        let mut prev = registry.snapshot();
+        let mut last = Instant::now();
         let handle = thread::Builder::new()
             .name("bw-sampler".to_string())
             .spawn(move || {
-                let mut prev = registry.snapshot();
-                let mut last = Instant::now();
                 let mut tick = 0u64;
                 loop {
                     while last.elapsed() < interval && !thread_stop.load(Ordering::Acquire) {

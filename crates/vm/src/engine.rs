@@ -23,7 +23,6 @@
 //! [`ThreadState::step`]: crate::thread::ThreadState::step
 //! [`MachineModel`]: crate::machine::MachineModel
 
-use bw_ir::BranchId;
 use bw_monitor::{BranchEvent, Violation, ViolationReport};
 use bw_telemetry::TelemetrySnapshot;
 use bw_ir::Val;
@@ -31,7 +30,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::image::ProgramImage;
 use crate::machine::MachineModel;
-use crate::thread::{BranchHook, FaultAction};
+use crate::thread::{BranchHook, NoHook};
 use crate::trap::TrapKind;
 
 /// Which scheduler runs the program.
@@ -155,17 +154,12 @@ pub struct ExecConfig {
     /// Lower it when injecting faults on the real engine — every deadlocked
     /// experiment costs this long in wall time.
     pub watchdog_ms: u64,
-    /// When set, [`RealEngine`] uses the hierarchical monitor tree of the
-    /// paper's Section VI with this many threads per sub-monitor, instead
-    /// of one flat monitor thread. [`SimEngine`] ignores it (the inline
-    /// monitor checks the same table either way).
-    pub hierarchy_fanout: Option<usize>,
     /// When set, the monitor ingest is sharded across this many workers,
     /// each owning a disjoint `(site, branch)` key-space slice (routed by
-    /// [`bw_monitor::shard_of`]). Takes precedence over `hierarchy_fanout`
-    /// — see [`ExecConfig::monitor_topology`]. On [`SimEngine`] the inline
-    /// monitor partitions its pending tables the same way, so verdicts are
-    /// byte-identical at any shard count.
+    /// [`bw_monitor::shard_of`]); `None` is the paper's single monitor
+    /// thread. On [`SimEngine`] the inline monitor partitions its pending
+    /// tables the same way, so verdicts are byte-identical at any shard
+    /// count.
     pub monitor_shards: Option<usize>,
 }
 
@@ -184,7 +178,6 @@ impl ExecConfig {
             capture_events: false,
             queue_capacity: 1 << 14,
             watchdog_ms: 10_000,
-            hierarchy_fanout: None,
             monitor_shards: None,
         }
     }
@@ -243,41 +236,22 @@ impl ExecConfig {
         self
     }
 
-    /// Selects the real engine's hierarchical monitor tree with the given
-    /// fanout (`None` = one flat monitor thread).
-    pub fn hierarchy_fanout(mut self, fanout: Option<usize>) -> Self {
-        self.hierarchy_fanout = fanout;
-        self
-    }
-
     /// Shards the monitor ingest across `shards` workers (`None` = one
-    /// monitor, i.e. whatever `hierarchy_fanout` selects).
+    /// flat monitor).
     pub fn monitor_shards(mut self, shards: Option<usize>) -> Self {
         self.monitor_shards = shards;
         self
     }
 
-    /// The monitor topology this configuration selects, in precedence
-    /// order: `monitor_shards` wins over `hierarchy_fanout`, and neither
-    /// means the paper's single flat monitor thread.
+    /// The monitor topology this configuration selects.
     pub fn monitor_topology(&self) -> bw_monitor::MonitorTopology {
         use bw_monitor::MonitorTopology;
-        match (self.monitor_shards, self.hierarchy_fanout) {
-            (Some(shards), _) => MonitorTopology::Sharded { shards },
-            (None, Some(fanout)) => MonitorTopology::Hierarchical { fanout },
-            (None, None) => MonitorTopology::Flat,
+        match self.monitor_shards {
+            Some(shards) => MonitorTopology::Sharded { shards },
+            None => MonitorTopology::Flat,
         }
     }
 }
-
-/// Backwards-compatible alias: the simulated engine's configuration is the
-/// unified [`ExecConfig`].
-pub type SimConfig = ExecConfig;
-
-/// Backwards-compatible alias: the real engine's configuration is the
-/// unified [`ExecConfig`]. (The old `max_steps_per_thread` field is the
-/// unified `max_steps`, which the real engine interprets per thread.)
-pub type RealConfig = ExecConfig;
 
 /// How a run ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -366,42 +340,6 @@ pub(crate) fn sort_violations(
     });
 }
 
-/// Backwards-compatible alias: the real engine's result is the unified
-/// [`RunResult`].
-pub type RealResult = RunResult;
-
-/// A branch hook that can be consulted from several OS threads at once.
-///
-/// The interpreter-level [`BranchHook`] takes `&mut self` — fine for the
-/// single-OS-thread simulator, unusable across the real engine's workers.
-/// Implementations of this trait use interior mutability (atomics) instead;
-/// [`SharedHookAdapter`] turns one into a per-thread [`BranchHook`].
-pub trait SharedBranchHook: Sync {
-    /// Called for every dynamic branch, exactly like
-    /// [`BranchHook::on_branch`] but through a shared reference.
-    fn on_shared_branch(&self, tid: u32, dyn_index: u64, branch: BranchId) -> Option<FaultAction>;
-}
-
-/// The no-op [`SharedBranchHook`]: fault-free execution.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoSharedHook;
-
-impl SharedBranchHook for NoSharedHook {
-    fn on_shared_branch(&self, _: u32, _: u64, _: BranchId) -> Option<FaultAction> {
-        None
-    }
-}
-
-/// Adapts a [`SharedBranchHook`] to the interpreter's `&mut`-based
-/// [`BranchHook`] so one shared hook can serve every worker thread.
-pub struct SharedHookAdapter<'a>(pub &'a dyn SharedBranchHook);
-
-impl BranchHook for SharedHookAdapter<'_> {
-    fn on_branch(&mut self, tid: u32, dyn_index: u64, branch: BranchId) -> Option<FaultAction> {
-        self.0.on_shared_branch(tid, dyn_index, branch)
-    }
-}
-
 /// One scheduler wrapped around the shared interpreter core.
 ///
 /// # Contract
@@ -411,7 +349,7 @@ impl BranchHook for SharedHookAdapter<'_> {
 /// * execute init single-threaded, then `nthreads` SPMD threads, then fini
 ///   single-threaded, collecting outputs in (init, thread-id, fini) order;
 /// * consult the hook for every dynamic branch (init and fini run as
-///   thread 0), applying any returned [`FaultAction`] *after* the
+///   thread 0), applying any returned [`FaultAction`](crate::FaultAction) *after* the
 ///   instrumentation witness is captured;
 /// * classify the end state as `Completed`, first-trap `Crashed`, or
 ///   `Hung` on budget exhaustion / deadlock;
@@ -436,12 +374,12 @@ pub trait Engine: Sync {
         &self,
         image: &ProgramImage,
         config: &ExecConfig,
-        hook: &dyn SharedBranchHook,
+        hook: &dyn BranchHook,
     ) -> RunResult;
 
     /// Runs `image` fault-free under this scheduler.
     fn run(&self, image: &ProgramImage, config: &ExecConfig) -> RunResult {
-        self.run_hooked(image, config, &NoSharedHook)
+        self.run_hooked(image, config, &NoHook)
     }
 }
 
@@ -462,10 +400,9 @@ impl Engine for SimEngine {
         &self,
         image: &ProgramImage,
         config: &ExecConfig,
-        hook: &dyn SharedBranchHook,
+        hook: &dyn BranchHook,
     ) -> RunResult {
-        let mut adapter = SharedHookAdapter(hook);
-        let result = crate::sim::run_sim_with_hook(image, config, &mut adapter);
+        let result = crate::sim::run_sim_engine(image, config, hook);
         crate::live::record_run(EngineKind::Sim, &result);
         result
     }
@@ -488,7 +425,7 @@ impl Engine for RealEngine {
         &self,
         image: &ProgramImage,
         config: &ExecConfig,
-        hook: &dyn SharedBranchHook,
+        hook: &dyn BranchHook,
     ) -> RunResult {
         let result = crate::real::run_real_engine(image, config, hook);
         crate::live::record_run(EngineKind::Real, &result);
@@ -525,22 +462,10 @@ mod tests {
     }
 
     #[test]
-    fn config_aliases_are_the_unified_type() {
-        let sim = SimConfig::new(4);
-        let real: RealConfig = sim.clone();
-        assert_eq!(sim, real);
-        assert_eq!(real.queue_capacity, 1 << 14);
-        assert_eq!(real.hierarchy_fanout, None);
-        assert_eq!(real.monitor_shards, None);
-    }
-
-    #[test]
-    fn monitor_topology_precedence() {
+    fn monitor_topology_follows_monitor_shards() {
         use bw_monitor::MonitorTopology;
         let cfg = ExecConfig::new(4);
         assert_eq!(cfg.monitor_topology(), MonitorTopology::Flat);
-        let cfg = cfg.hierarchy_fanout(Some(2));
-        assert_eq!(cfg.monitor_topology(), MonitorTopology::Hierarchical { fanout: 2 });
         let cfg = cfg.monitor_shards(Some(4));
         assert_eq!(cfg.monitor_topology(), MonitorTopology::Sharded { shards: 4 });
     }

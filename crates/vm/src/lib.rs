@@ -4,27 +4,29 @@
 //! [`bw_analysis`], reporting to the [`bw_monitor`] runtime monitor. Two
 //! engines share one interpreter core:
 //!
-//! * **Deterministic simulated engine** ([`run_sim`]): all threads are
+//! * **Deterministic simulated engine** ([`SimEngine`]): all threads are
 //!   interpreted under a discrete-event scheduler with an explicit
 //!   [`MachineModel`] (the paper's 4-socket, 32-core Opteron testbed).
 //!   Execution is a deterministic function of program, thread count and
 //!   seed — the substrate for the fault-injection campaigns (which need
 //!   golden-run comparison) and the performance figures (which need a
 //!   32-core machine this reproduction does not have).
-//! * **Real-threads engine** ([`run_real`]): one OS thread per SPMD
+//! * **Real-threads engine** ([`RealEngine`]): one OS thread per SPMD
 //!   thread plus the asynchronous monitor thread of the paper, with the
 //!   lock-free queues actually crossing threads. Used to validate the
 //!   monitor machinery under true concurrency.
 //!
 //! Both are implementations of the [`Engine`] trait over one unified
 //! [`ExecConfig`]/[`RunResult`] pair — pick one at runtime with
-//! [`engine`]`(`[`EngineKind`]`)`. Determinism is a property of the
-//! scheduler ([`Engine::deterministic`]), not of the shared core.
+//! [`engine`]`(`[`EngineKind`]`)`; [`Engine::run`] and
+//! [`Engine::run_hooked`] are the only way to execute. Determinism is a
+//! property of the scheduler ([`Engine::deterministic`]), not of the shared
+//! core.
 //!
 //! # Examples
 //!
 //! ```
-//! use bw_vm::{run_sim, ProgramImage, SimConfig, RunOutcome};
+//! use bw_vm::{Engine, ExecConfig, ProgramImage, RunOutcome, SimEngine};
 //!
 //! let module = bw_ir::frontend::compile(r#"
 //!     shared int n = 8;
@@ -34,7 +36,7 @@
 //!     }
 //! "#).unwrap();
 //! let image = ProgramImage::prepare_default(module);
-//! let result = run_sim(&image, &SimConfig::new(4));
+//! let result = SimEngine.run(&image, &ExecConfig::new(4));
 //! assert_eq!(result.outcome, RunOutcome::Completed);
 //! assert_eq!(result.outputs.len(), 32);
 //! assert!(!result.detected());
@@ -54,16 +56,13 @@ mod thread;
 mod trap;
 
 pub use engine::{
-    engine, Engine, EngineKind, ExecConfig, ExecMode, MonitorMode, NoSharedHook, RealConfig,
-    RealEngine, RealResult, RunOutcome, RunResult, SharedBranchHook, SharedHookAdapter,
-    SimConfig, SimEngine,
+    engine, Engine, EngineKind, ExecConfig, ExecMode, MonitorMode, RealEngine, RunOutcome,
+    RunResult, SimEngine,
 };
 pub use image::{BranchRuntime, FuncMeta, PrepareTimings, ProgramImage};
 pub use telemetry::VmTelemetry;
 pub use machine::MachineModel;
 pub use memory::{AtomicMemory, LocalMemory, SharedMemory, SimMemory};
-pub use real::run_real;
-pub use sim::{run_module, run_sim, run_sim_with_hook};
 pub use thread::{
     BranchHook, CostClass, FaultAction, Frame, NoHook, SplitMix64, StepOutcome, ThreadState,
     MAX_CALL_DEPTH,

@@ -27,13 +27,10 @@ use bw_ir::Val;
 use bw_monitor::{CheckTable, EventSender, MonitorBuilder, Violation, ViolationReport};
 use bw_telemetry::{Recorder, TelemetrySnapshot, TimeDomain, Value};
 
-use crate::engine::{
-    ExecConfig, MonitorMode, RealConfig, RealResult, RunOutcome, RunResult, SharedBranchHook,
-    SharedHookAdapter,
-};
+use crate::engine::{ExecConfig, MonitorMode, RunOutcome, RunResult};
 use crate::image::ProgramImage;
 use crate::memory::AtomicMemory;
-use crate::thread::{StepOutcome, ThreadState};
+use crate::thread::{BranchHook, StepOutcome, ThreadState};
 use crate::trap::TrapKind;
 
 /// How a blocking wait ended.
@@ -288,7 +285,7 @@ fn worker_loop(
     stop: &AtomicBool,
     deadline: Instant,
     config: &ExecConfig,
-    hook: &dyn SharedBranchHook,
+    hook: &dyn BranchHook,
     mut sender: Option<EventSender>,
 ) -> WorkerExit {
     let Some(entry) = entry else {
@@ -301,7 +298,6 @@ fn worker_loop(
             dyn_branches: 0,
         };
     };
-    let mut adapter = SharedHookAdapter(hook);
     let mut t = ThreadState::new(tid, entry, image, config.seed);
     let mut trap = None;
     let mut hung = false;
@@ -320,7 +316,7 @@ fn worker_loop(
             trip_stop(stop, mutexes, barriers);
             break;
         }
-        match t.step(image, mem, config.nthreads, &mut adapter) {
+        match t.step(image, mem, config.nthreads, hook) {
             StepOutcome::Ran { event, .. } => {
                 if let (Some(event), Some(sender)) = (event, sender.as_mut()) {
                     sender.send(event);
@@ -400,17 +396,16 @@ fn run_serial_phase(
     mem: &AtomicMemory,
     func: bw_ir::FuncId,
     config: &ExecConfig,
-    hook: &dyn SharedBranchHook,
+    hook: &dyn BranchHook,
     outputs: &mut Vec<Val>,
     total_steps: &mut u64,
 ) -> Result<(), RunOutcome> {
-    let mut adapter = SharedHookAdapter(hook);
     let mut t = ThreadState::new(0, func, image, config.seed ^ 0xfeed);
     let result = loop {
         if t.steps > config.max_steps {
             break Err(RunOutcome::Hung);
         }
-        match t.step(image, mem, config.nthreads, &mut adapter) {
+        match t.step(image, mem, config.nthreads, hook) {
             StepOutcome::Ran { .. } => {}
             // Sync ops are no-ops single-threaded (a barrier with
             // nthreads participants in init would deadlock a real
@@ -428,11 +423,11 @@ fn run_serial_phase(
 }
 
 /// The real engine's run loop; reached through
-/// [`RealEngine`](crate::engine::RealEngine) or the [`run_real`] wrapper.
+/// [`RealEngine`](crate::engine::RealEngine).
 pub(crate) fn run_real_engine(
     image: &ProgramImage,
     config: &ExecConfig,
-    hook: &dyn SharedBranchHook,
+    hook: &dyn BranchHook,
 ) -> RunResult {
     let n = config.nthreads;
     let mem = AtomicMemory::new(&image.module);
@@ -503,10 +498,10 @@ pub(crate) fn run_real_engine(
     let deadline = Instant::now() + Duration::from_millis(config.watchdog_ms);
 
     // The builder wires the full monitor side for whichever topology the
-    // config selects — flat, hierarchical tree, or sharded ingest — and
-    // hands back one routing sender per SPMD thread. Sender-side drop
-    // counts flow into per-shard sinks that the joined verdict folds in,
-    // so counts survive worker threads that exit early.
+    // config selects — flat or sharded ingest — and hands back one
+    // routing sender per SPMD thread. Sender-side drop counts flow into
+    // per-shard sinks that the joined verdict folds in, so counts survive
+    // worker threads that exit early.
     let (senders, monitor): (Vec<Option<EventSender>>, _) = match config.monitor {
         MonitorMode::Off => ((0..n).map(|_| None).collect(), None),
         MonitorMode::Enabled | MonitorMode::SendOnly => {
@@ -609,19 +604,10 @@ pub(crate) fn run_real_engine(
     )
 }
 
-/// Runs `image` on real OS threads with the asynchronous monitor.
-///
-/// Thin wrapper kept for compatibility: prefer
-/// [`engine`](crate::engine::engine)`(`[`EngineKind::Real`](crate::engine::EngineKind)`)`
-/// when the scheduler is a parameter rather than a fixed choice.
-pub fn run_real(image: &Arc<ProgramImage>, config: &RealConfig) -> RealResult {
-    run_real_engine(image, config, &crate::engine::NoSharedHook)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{engine, EngineKind};
+    use crate::engine::{engine, Engine, EngineKind, RealEngine};
 
     fn image(src: &str) -> Arc<ProgramImage> {
         Arc::new(ProgramImage::prepare_default(bw_ir::frontend::compile(src).expect("compile")))
@@ -648,7 +634,7 @@ mod tests {
             @fini func done() { output(acc); }
             "#,
         );
-        let result = run_real(&image, &RealConfig::new(4));
+        let result = RealEngine.run(&image, &ExecConfig::new(4));
         assert_eq!(result.outcome, RunOutcome::Completed);
         assert!(!result.detected(), "{:?}", result.violations);
         assert_eq!(result.outputs.last(), Some(&Val::I64(4)));
@@ -666,31 +652,8 @@ mod tests {
             @spmd func f() { grid[100] = 1.0; }
             "#,
         );
-        let result = run_real(&image, &RealConfig::new(2));
+        let result = RealEngine.run(&image, &ExecConfig::new(2));
         assert_eq!(result.outcome, RunOutcome::Crashed(TrapKind::OutOfBounds));
-    }
-
-    #[test]
-    fn hierarchical_monitor_is_clean_on_real_program() {
-        let image = image(
-            r#"
-            shared int n = 24;
-            barrier b;
-            @spmd func f() {
-                var t: int = threadid();
-                for (var i: int = 0; i < n; i = i + 1) {
-                    if (i == t) { output(i); }
-                }
-                barrier(b);
-            }
-            "#,
-        );
-        let mut config = RealConfig::new(8);
-        config.hierarchy_fanout = Some(4);
-        let result = run_real(&image, &config);
-        assert_eq!(result.outcome, RunOutcome::Completed);
-        assert!(!result.detected(), "{:?}", result.violations);
-        assert!(result.events_processed > 0);
     }
 
     #[test]
@@ -708,8 +671,8 @@ mod tests {
             }
             "#,
         );
-        let config = RealConfig::new(8).monitor_shards(Some(4));
-        let result = run_real(&image, &config);
+        let config = ExecConfig::new(8).monitor_shards(Some(4));
+        let result = RealEngine.run(&image, &config);
         assert_eq!(result.outcome, RunOutcome::Completed);
         assert!(!result.detected(), "{:?}", result.violations);
         assert_eq!(result.events_dropped, 0);
@@ -745,8 +708,8 @@ mod tests {
             }
         "#;
         let img = image(src);
-        let real = run_real(&img, &RealConfig::new(4));
-        let sim = crate::sim::run_sim(&img, &crate::engine::SimConfig::new(4));
+        let real = RealEngine.run(&img, &ExecConfig::new(4));
+        let sim = crate::engine::SimEngine.run(&img, &ExecConfig::new(4));
         assert_eq!(real.outputs, sim.outputs);
     }
 
@@ -762,7 +725,7 @@ mod tests {
             }
             "#,
         );
-        let config = RealConfig::new(4).monitor(MonitorMode::Off);
+        let config = ExecConfig::new(4).monitor(MonitorMode::Off);
         let result = engine(EngineKind::Real).run(&image, &config);
         assert_eq!(result.outcome, RunOutcome::Completed);
         assert_eq!(result.events_sent, 0);
@@ -782,7 +745,7 @@ mod tests {
             }
             "#,
         );
-        let config = RealConfig::new(4).monitor(MonitorMode::SendOnly);
+        let config = ExecConfig::new(4).monitor(MonitorMode::SendOnly);
         let result = engine(EngineKind::Real).run(&image, &config);
         assert_eq!(result.outcome, RunOutcome::Completed);
         assert!(result.events_sent > 0);
@@ -803,7 +766,7 @@ mod tests {
             }
             "#,
         );
-        let config = RealConfig::new(4).watchdog_ms(200);
+        let config = ExecConfig::new(4).watchdog_ms(200);
         let result = engine(EngineKind::Real).run(&image, &config);
         assert_eq!(result.outcome, RunOutcome::Hung);
     }

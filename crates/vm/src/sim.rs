@@ -23,11 +23,11 @@ use bw_ir::Val;
 use bw_monitor::{BranchEvent, CheckTable, ShardedMonitor};
 use bw_telemetry::{tm_add, Recorder, TimeDomain, Value};
 
-use crate::engine::{ExecMode, MonitorMode, RunOutcome, RunResult, SimConfig};
+use crate::engine::{ExecConfig, ExecMode, MonitorMode, RunOutcome, RunResult};
 use crate::image::ProgramImage;
 use crate::memory::SimMemory;
 use crate::telemetry::VmTelemetry;
-use crate::thread::{BranchHook, CostClass, NoHook, StepOutcome, ThreadState};
+use crate::thread::{BranchHook, CostClass, StepOutcome, ThreadState};
 use crate::trap::TrapKind;
 
 struct MutexState {
@@ -217,32 +217,19 @@ impl SimTracer {
     }
 }
 
-/// Runs `image` on the simulated machine.
-///
-/// Thin wrapper kept for compatibility: prefer
-/// [`engine`](crate::engine::engine)`(`[`EngineKind::Sim`](crate::engine::EngineKind)`)`
-/// when the scheduler is a parameter rather than a fixed choice.
-pub fn run_sim(image: &ProgramImage, config: &SimConfig) -> RunResult {
-    run_sim_with_hook(image, config, &mut NoHook)
-}
-
-/// Runs `image` with a fault-injection hook.
-///
-/// Thin wrapper kept for compatibility: prefer
-/// [`Engine::run_hooked`](crate::engine::Engine::run_hooked) with a
-/// [`SharedBranchHook`](crate::engine::SharedBranchHook) when the scheduler
-/// is a parameter rather than a fixed choice.
-pub fn run_sim_with_hook(
+/// The sim engine's run loop; reached through
+/// [`SimEngine`](crate::engine::SimEngine).
+pub(crate) fn run_sim_engine(
     image: &ProgramImage,
-    config: &SimConfig,
-    hook: &mut dyn BranchHook,
+    config: &ExecConfig,
+    hook: &dyn BranchHook,
 ) -> RunResult {
     Sim::new(image, config).run(hook)
 }
 
 struct Sim<'a> {
     image: &'a ProgramImage,
-    config: &'a SimConfig,
+    config: &'a ExecConfig,
     mem: SimMemory,
     monitor: Option<ShardedMonitor>,
     outputs: Vec<Val>,
@@ -255,7 +242,7 @@ struct Sim<'a> {
 }
 
 impl<'a> Sim<'a> {
-    fn new(image: &'a ProgramImage, config: &'a SimConfig) -> Self {
+    fn new(image: &'a ProgramImage, config: &'a ExecConfig) -> Self {
         let monitor = match config.monitor {
             // The inline monitor partitions its pending tables across the
             // configured shard count exactly as the real engine's shard
@@ -329,7 +316,7 @@ impl<'a> Sim<'a> {
     }
 
     /// Runs a single-threaded phase (init / fini) on thread 0 state.
-    fn run_serial(&mut self, func: bw_ir::FuncId, hook: &mut dyn BranchHook) -> Result<(), RunOutcome> {
+    fn run_serial(&mut self, func: bw_ir::FuncId, hook: &dyn BranchHook) -> Result<(), RunOutcome> {
         let mut thread = ThreadState::new(0, func, self.image, self.config.seed ^ 0xfeed);
         loop {
             self.total_steps += 1;
@@ -351,7 +338,7 @@ impl<'a> Sim<'a> {
         }
     }
 
-    fn run(mut self, hook: &mut dyn BranchHook) -> RunResult {
+    fn run(mut self, hook: &dyn BranchHook) -> RunResult {
         // Phase 1: init.
         if let Some(init) = self.image.module.init {
             if let Err(outcome) = self.run_serial(init, hook) {
@@ -438,7 +425,7 @@ impl<'a> Sim<'a> {
     #[allow(clippy::type_complexity)]
     fn run_parallel(
         &mut self,
-        hook: &mut dyn BranchHook,
+        hook: &dyn BranchHook,
     ) -> (RunOutcome, u64, Vec<ThreadState>) {
         let n = self.config.nthreads;
         let Some(entry) = self.image.module.spmd_entry else {
@@ -640,15 +627,10 @@ impl<'a> Sim<'a> {
     }
 }
 
-/// Convenience: prepare and run a module with default analysis config.
-pub fn run_module(module: bw_ir::Module, config: &SimConfig) -> RunResult {
-    let image = ProgramImage::prepare(module, bw_analysis::AnalysisConfig::default());
-    run_sim(&image, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, SimEngine};
     use bw_ir::Val;
 
     fn compile(src: &str) -> ProgramImage {
@@ -664,7 +646,7 @@ mod tests {
             }
             "#,
         );
-        let result = run_sim(&image, &SimConfig::new(4));
+        let result = SimEngine.run(&image, &ExecConfig::new(4));
         assert_eq!(result.outcome, RunOutcome::Completed);
         assert_eq!(
             result.outputs,
@@ -690,7 +672,7 @@ mod tests {
             @fini func teardown() { output(acc); }
             "#,
         );
-        let result = run_sim(&image, &SimConfig::new(2));
+        let result = SimEngine.run(&image, &ExecConfig::new(2));
         assert_eq!(result.outcome, RunOutcome::Completed);
         assert_eq!(result.outputs.first(), Some(&Val::I64(100)));
         assert_eq!(result.outputs.last(), Some(&Val::I64(2)));
@@ -716,8 +698,8 @@ mod tests {
             }
             "#,
         );
-        let a = run_sim(&image, &SimConfig::new(4));
-        let b = run_sim(&image, &SimConfig::new(4));
+        let a = SimEngine.run(&image, &ExecConfig::new(4));
+        let b = SimEngine.run(&image, &ExecConfig::new(4));
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.parallel_cycles, b.parallel_cycles);
         assert_eq!(a.total_steps, b.total_steps);
@@ -738,7 +720,7 @@ mod tests {
             @fini func done() { output(counter); }
             "#,
         );
-        let result = run_sim(&image, &SimConfig::new(8));
+        let result = SimEngine.run(&image, &ExecConfig::new(8));
         assert_eq!(result.outcome, RunOutcome::Completed);
         assert_eq!(result.outputs, vec![Val::I64(8)]);
     }
@@ -762,7 +744,7 @@ mod tests {
             }
             "#,
         );
-        let result = run_sim(&image, &SimConfig::new(4));
+        let result = SimEngine.run(&image, &ExecConfig::new(4));
         assert_eq!(result.outcome, RunOutcome::Completed);
         // 1+2+3+4 = 10 from every thread.
         assert_eq!(result.outputs, vec![Val::I64(10); 4]);
@@ -778,7 +760,7 @@ mod tests {
             }
             "#,
         );
-        let result = run_sim(&image, &SimConfig::new(2));
+        let result = SimEngine.run(&image, &ExecConfig::new(2));
         assert_eq!(result.outcome, RunOutcome::Crashed(TrapKind::DivideByZero));
     }
 
@@ -792,7 +774,7 @@ mod tests {
             }
             "#,
         );
-        let result = run_sim(&image, &SimConfig::new(1));
+        let result = SimEngine.run(&image, &ExecConfig::new(1));
         assert_eq!(result.outcome, RunOutcome::Crashed(TrapKind::OutOfBounds));
     }
 
@@ -806,9 +788,9 @@ mod tests {
             }
             "#,
         );
-        let mut config = SimConfig::new(2);
+        let mut config = ExecConfig::new(2);
         config.max_steps = 100_000;
-        let result = run_sim(&image, &config);
+        let result = SimEngine.run(&image, &config);
         assert_eq!(result.outcome, RunOutcome::Hung);
     }
 
@@ -831,7 +813,7 @@ mod tests {
             "#,
         );
         for nthreads in [1, 2, 4, 8] {
-            let result = run_sim(&image, &SimConfig::new(nthreads));
+            let result = SimEngine.run(&image, &ExecConfig::new(nthreads));
             assert_eq!(result.outcome, RunOutcome::Completed, "n={nthreads}");
             assert!(!result.detected(), "false positive at n={nthreads}");
             assert!(result.events_sent > 0 || nthreads == 0);
@@ -850,12 +832,12 @@ mod tests {
             }
             "#,
         );
-        let mut on = SimConfig::new(4);
+        let mut on = ExecConfig::new(4);
         on.monitor = MonitorMode::Enabled;
-        let mut off = SimConfig::new(4);
+        let mut off = ExecConfig::new(4);
         off.monitor = MonitorMode::Off;
-        let with = run_sim(&image, &on);
-        let without = run_sim(&image, &off);
+        let with = SimEngine.run(&image, &on);
+        let without = SimEngine.run(&image, &off);
         assert_eq!(with.outputs, without.outputs);
         assert!(
             with.parallel_cycles > without.parallel_cycles,
@@ -875,12 +857,12 @@ mod tests {
             }
             "#,
         );
-        let mut enabled = SimConfig::new(4);
+        let mut enabled = ExecConfig::new(4);
         enabled.monitor = MonitorMode::Enabled;
-        let mut send_only = SimConfig::new(4);
+        let mut send_only = ExecConfig::new(4);
         send_only.monitor = MonitorMode::SendOnly;
-        let a = run_sim(&image, &enabled);
-        let b = run_sim(&image, &send_only);
+        let a = SimEngine.run(&image, &enabled);
+        let b = SimEngine.run(&image, &send_only);
         assert_eq!(a.parallel_cycles, b.parallel_cycles);
         assert_eq!(b.violations.len(), 0);
         assert_eq!(a.events_sent, b.events_sent);
@@ -903,12 +885,12 @@ mod tests {
             }
             "#,
         );
-        let flat = run_sim(&image, &SimConfig::new(4));
+        let flat = SimEngine.run(&image, &ExecConfig::new(4));
         assert_eq!(flat.outcome, RunOutcome::Completed);
         assert!(flat.events_processed > 0);
         for shards in [1usize, 2, 4, 8] {
             let sharded =
-                run_sim(&image, &SimConfig::new(4).monitor_shards(Some(shards)));
+                SimEngine.run(&image, &ExecConfig::new(4).monitor_shards(Some(shards)));
             assert_eq!(sharded.outcome, flat.outcome, "shards={shards}");
             assert_eq!(sharded.outputs, flat.outputs, "shards={shards}");
             assert_eq!(sharded.parallel_cycles, flat.parallel_cycles, "shards={shards}");
@@ -933,12 +915,12 @@ mod tests {
             }
             "#,
         );
-        let mut base = SimConfig::new(32);
+        let mut base = ExecConfig::new(32);
         base.monitor = MonitorMode::Off;
         let mut dup = base.clone();
         dup.exec = ExecMode::Duplicated;
-        let a = run_sim(&image, &base);
-        let b = run_sim(&image, &dup);
+        let a = SimEngine.run(&image, &base);
+        let b = SimEngine.run(&image, &dup);
         assert!(b.parallel_cycles > a.parallel_cycles * 3 / 2);
     }
 }

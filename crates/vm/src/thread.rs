@@ -33,11 +33,15 @@ pub enum FaultAction {
 
 /// Hook consulted at every dynamic branch — the integration point for the
 /// fault injector (profiling and injection runs).
-pub trait BranchHook {
+///
+/// One hook serves every thread of a run, and on the real engine those are
+/// OS threads consulting it concurrently: hence `&self` and `Sync`.
+/// Stateful hooks use interior mutability (atomics).
+pub trait BranchHook: Sync {
     /// Called when `tid` is about to execute its `dyn_index`-th dynamic
     /// branch (1-based), which is static branch `branch`. Returning an
     /// action injects a fault.
-    fn on_branch(&mut self, tid: u32, dyn_index: u64, branch: BranchId) -> Option<FaultAction>;
+    fn on_branch(&self, tid: u32, dyn_index: u64, branch: BranchId) -> Option<FaultAction>;
 }
 
 /// A no-op hook for fault-free runs.
@@ -45,7 +49,7 @@ pub trait BranchHook {
 pub struct NoHook;
 
 impl BranchHook for NoHook {
-    fn on_branch(&mut self, _: u32, _: u64, _: BranchId) -> Option<FaultAction> {
+    fn on_branch(&self, _: u32, _: u64, _: BranchId) -> Option<FaultAction> {
         None
     }
 }
@@ -206,7 +210,7 @@ impl ThreadState {
         image: &ProgramImage,
         mem: &dyn SharedMemory,
         nthreads: u32,
-        hook: &mut dyn BranchHook,
+        hook: &dyn BranchHook,
     ) -> StepOutcome {
         debug_assert!(self.finished.is_none(), "stepping a finished thread");
         self.steps += 1;

@@ -3,9 +3,11 @@
 //! sites, caller-loop iterations and barrier epochs — for the checks to be
 //! simultaneously sound and precise.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use bw_ir::BranchId;
 use bw_vm::{
-    run_sim, run_sim_with_hook, BranchHook, FaultAction, ProgramImage, RunOutcome, SimConfig,
+    BranchHook, Engine, ExecConfig, FaultAction, ProgramImage, RunOutcome, SimEngine,
 };
 
 /// Minimal one-shot flip hook (the full injector lives in `bw-fault`,
@@ -13,13 +15,13 @@ use bw_vm::{
 struct FlipAt {
     tid: u32,
     dyn_index: u64,
-    fired: bool,
+    fired: AtomicBool,
 }
 
 impl BranchHook for FlipAt {
-    fn on_branch(&mut self, tid: u32, dyn_index: u64, _branch: BranchId) -> Option<FaultAction> {
-        if !self.fired && tid == self.tid && dyn_index == self.dyn_index {
-            self.fired = true;
+    fn on_branch(&self, tid: u32, dyn_index: u64, _branch: BranchId) -> Option<FaultAction> {
+        if tid == self.tid && dyn_index == self.dyn_index && !self.fired.swap(true, Ordering::AcqRel)
+        {
             Some(FaultAction::FlipOutcome)
         } else {
             None
@@ -50,7 +52,7 @@ fn call_sites_are_tracked_separately() {
         }
         "#,
     );
-    let result = run_sim(&image, &SimConfig::new(4));
+    let result = SimEngine.run(&image, &ExecConfig::new(4));
     assert_eq!(result.outcome, RunOutcome::Completed);
     assert!(!result.detected(), "{:?}", result.violations);
 }
@@ -73,7 +75,7 @@ fn caller_loop_iterations_separate_callee_instances() {
         }
         "#,
     );
-    let result = run_sim(&image, &SimConfig::new(4));
+    let result = SimEngine.run(&image, &ExecConfig::new(4));
     assert_eq!(result.outcome, RunOutcome::Completed);
     assert!(!result.detected(), "{:?}", result.violations);
 }
@@ -95,13 +97,13 @@ fn fault_inside_called_function_is_caught_at_the_right_iteration() {
         }
         "#,
     );
-    let config = SimConfig::new(4);
+    let config = ExecConfig::new(4);
     // Thread 1's dynamic branches: loop branch, callee branch, loop, callee…
     // Hit a callee branch (even indices are the loop header).
     let mut detected = false;
     for dyn_index in [2u64, 4, 6, 8] {
-        let mut hook = FlipAt { tid: 1, dyn_index, fired: false };
-        let result = run_sim_with_hook(&image, &config, &mut hook);
+        let hook = FlipAt { tid: 1, dyn_index, fired: AtomicBool::new(false) };
+        let result = SimEngine.run_hooked(&image, &config, &hook);
         if result.detected() {
             detected = true;
             break;
@@ -135,7 +137,7 @@ fn barrier_epochs_separate_phases() {
         "#,
     );
     for n in [2u32, 4, 8] {
-        let result = run_sim(&image, &SimConfig::new(n));
+        let result = SimEngine.run(&image, &ExecConfig::new(n));
         assert_eq!(result.outcome, RunOutcome::Completed);
         assert!(!result.detected(), "n={n}: {:?}", result.violations);
     }
@@ -156,7 +158,7 @@ fn recursion_depths_are_distinct_instances() {
         }
         "#,
     );
-    let result = run_sim(&image, &SimConfig::new(4));
+    let result = SimEngine.run(&image, &ExecConfig::new(4));
     assert_eq!(result.outcome, RunOutcome::Completed);
     assert!(!result.detected(), "{:?}", result.violations);
     assert_eq!(result.outputs, vec![bw_ir::Val::I64(21); 4]);
@@ -176,7 +178,7 @@ fn unbounded_recursion_traps() {
         }
         "#,
     );
-    let result = run_sim(&image, &SimConfig::new(1));
+    let result = SimEngine.run(&image, &ExecConfig::new(1));
     assert_eq!(
         result.outcome,
         RunOutcome::Crashed(bw_vm::TrapKind::StackOverflow)
@@ -198,7 +200,7 @@ fn corrupted_indirect_selector_traps() {
         }
         "#,
     );
-    let result = run_sim(&image, &SimConfig::new(2));
+    let result = SimEngine.run(&image, &ExecConfig::new(2));
     assert_eq!(
         result.outcome,
         RunOutcome::Crashed(bw_vm::TrapKind::BadIndirectCall)

@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 
-use bw_vm::{run_sim, MonitorMode, ProgramImage, SimConfig};
+use bw_vm::{Engine, ExecConfig, MonitorMode, ProgramImage, SimEngine};
 
 /// Per-thread array slice width used by generated programs.
 const SLICE: usize = 8;
@@ -237,8 +237,8 @@ proptest! {
     #[test]
     fn generated_programs_run_deterministically(stmts in program_strategy()) {
         let image = prepare(&stmts);
-        let a = run_sim(&image, &SimConfig::new(4));
-        let b = run_sim(&image, &SimConfig::new(4));
+        let a = SimEngine.run(&image, &ExecConfig::new(4));
+        let b = SimEngine.run(&image, &ExecConfig::new(4));
         prop_assert_eq!(a.outputs, b.outputs);
         prop_assert_eq!(a.total_steps, b.total_steps);
         prop_assert_eq!(a.parallel_cycles, b.parallel_cycles);
@@ -247,12 +247,12 @@ proptest! {
     #[test]
     fn monitor_never_changes_semantics(stmts in program_strategy()) {
         let image = prepare(&stmts);
-        let mut on = SimConfig::new(4);
+        let mut on = ExecConfig::new(4);
         on.monitor = MonitorMode::Enabled;
-        let mut off = SimConfig::new(4);
+        let mut off = ExecConfig::new(4);
         off.monitor = MonitorMode::Off;
-        let a = run_sim(&image, &on);
-        let b = run_sim(&image, &off);
+        let a = SimEngine.run(&image, &on);
+        let b = SimEngine.run(&image, &off);
         prop_assert_eq!(a.outcome, b.outcome);
         prop_assert_eq!(a.outputs, b.outputs);
         prop_assert_eq!(a.branches_per_thread, b.branches_per_thread);
@@ -262,7 +262,7 @@ proptest! {
     fn fault_free_runs_never_violate(stmts in program_strategy()) {
         let image = prepare(&stmts);
         for nthreads in [1u32, 2, 4, 8] {
-            let result = run_sim(&image, &SimConfig::new(nthreads));
+            let result = SimEngine.run(&image, &ExecConfig::new(nthreads));
             prop_assert!(
                 result.violations.is_empty(),
                 "false positive at {} threads: {:?}",

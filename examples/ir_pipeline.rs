@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use blockwatch::ir::{CmpOp, FunctionBuilder, Module, ModulePrinter, Type, Val};
-use blockwatch::vm::{run_real, run_sim, ProgramImage, RealConfig, SimConfig};
+use blockwatch::vm::{Engine, ExecConfig, ProgramImage, RealEngine, SimEngine};
 use blockwatch::Category;
 
 fn main() {
@@ -40,10 +40,10 @@ fn main() {
     let check = image.plan.check(branch.id).expect("instrumented");
     println!("runtime check: {:?}", check.kind);
 
-    let sim = run_sim(&image, &SimConfig::new(8));
+    let sim = SimEngine.run(&image, &ExecConfig::new(8));
     println!("\nsimulated run, 8 threads: outputs {:?}", sim.outputs);
 
-    let real = run_real(&Arc::new(image), &RealConfig::new(8));
+    let real = RealEngine.run(&Arc::new(image), &ExecConfig::new(8));
     println!("real-threads run, 8 threads: outputs {:?}", real.outputs);
     assert_eq!(sim.outputs, real.outputs);
     println!("\nboth engines agree; the prefix predicate held in both.");

@@ -9,7 +9,7 @@
 //! Run with: `cargo run -p blockwatch --example quickstart`
 
 use blockwatch::fault::{InjectionHook, InjectionPlan};
-use blockwatch::vm::{run_sim_with_hook, SimConfig};
+use blockwatch::vm::{Engine, ExecConfig, SimEngine};
 use blockwatch::{Blockwatch, FaultModel};
 
 const FIGURE1: &str = r#"
@@ -74,14 +74,14 @@ fn main() {
 
     println!("\n== injecting the paper's Section II-D fault ==");
     println!("  (flip thread 2's first branch -- it wrongly takes `procid == 0`)");
-    let mut hook = InjectionHook::new(InjectionPlan {
+    let hook = InjectionHook::new(InjectionPlan {
         tid: 2,
         dyn_index: 1,
         model: FaultModel::BranchFlip,
         value_choice: 0,
         bit: 0,
     });
-    let faulty = run_sim_with_hook(bw.image(), &SimConfig::new(4), &mut hook);
+    let faulty = SimEngine.run_hooked(bw.image(), &ExecConfig::new(4), &hook);
     println!("  outcome: {:?}", faulty.outcome);
     for v in &faulty.violations {
         println!("  VIOLATION: branch {} -> {:?} ({} reporters)", v.branch, v.kind, v.reporters);

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use blockwatch::fault::{run_campaign, CampaignBatch, CampaignConfig, FaultModel};
 use blockwatch::gen::{generate_module, GenConfig};
-use blockwatch::vm::{ProgramImage, SimConfig};
+use blockwatch::vm::{ExecConfig, ProgramImage};
 
 const NTHREADS: u32 = 4;
 const INJECTIONS: usize = 6;
@@ -26,7 +26,7 @@ fn images() -> Vec<(u64, Arc<ProgramImage>)> {
 }
 
 fn config_for(seed: u64) -> CampaignConfig {
-    let sim = SimConfig::new(NTHREADS).seed(seed).max_steps(2_000_000);
+    let sim = ExecConfig::new(NTHREADS).seed(seed).max_steps(2_000_000);
     CampaignConfig::new(INJECTIONS, FaultModel::BranchFlip, NTHREADS).seed(seed).sim(sim)
 }
 

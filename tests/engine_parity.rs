@@ -8,10 +8,11 @@
 //! outputs in thread-id order). Step counts, cycle attribution and event
 //! totals are schedule-*dependent* and deliberately not compared.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
+use blockwatch::ir::BranchId;
 use blockwatch::vm::{
-    engine, run_sim, EngineKind, ExecConfig, ProgramImage, RunOutcome, SimConfig,
+    engine, BranchHook, EngineKind, ExecConfig, FaultAction, ProgramImage, RunOutcome,
 };
 use blockwatch::{Benchmark, Size};
 
@@ -73,34 +74,39 @@ fn engines_agree_on_outputs_of_deterministic_ports() {
 }
 
 #[test]
-fn sim_engine_is_bitwise_identical_to_the_run_sim_wrapper() {
-    // The Engine abstraction must be a pure refactor of the original entry
-    // point: identical results, field for field, on the deterministic
-    // engine.
-    let image = image(Benchmark::Fft);
-    let config = SimConfig::new(4).seed(0x5eed).capture_events(true);
-    let via_wrapper = run_sim(&image, &config);
-    let via_engine = engine(EngineKind::Sim).run(&image, &config);
-    assert_eq!(via_wrapper.outcome, via_engine.outcome);
-    assert_eq!(via_wrapper.outputs, via_engine.outputs);
-    assert_eq!(via_wrapper.parallel_cycles, via_engine.parallel_cycles);
-    assert_eq!(via_wrapper.total_steps, via_engine.total_steps);
-    assert_eq!(via_wrapper.events_sent, via_engine.events_sent);
-    assert_eq!(via_wrapper.events_processed, via_engine.events_processed);
-    assert_eq!(via_wrapper.branches_per_thread, via_engine.branches_per_thread);
-    assert_eq!(via_wrapper.steps_per_thread, via_engine.steps_per_thread);
-    assert_eq!(via_wrapper.branch_events, via_engine.branch_events);
-    assert_eq!(via_wrapper.violations, via_engine.violations);
-    assert_eq!(
-        via_wrapper.telemetry.deterministic_part(),
-        via_engine.telemetry.deterministic_part()
-    );
-}
-
-#[test]
 fn engine_metadata_reflects_the_scheduler() {
     assert!(engine(EngineKind::Sim).deterministic());
     assert!(!engine(EngineKind::Real).deterministic());
     assert_eq!(engine(EngineKind::Sim).kind(), EngineKind::Sim);
     assert_eq!(engine(EngineKind::Real).kind(), EngineKind::Real);
+}
+
+/// Records every hook consultation, per thread, without injecting.
+struct StreamHook(Mutex<Vec<Vec<(u64, u32)>>>);
+
+impl BranchHook for StreamHook {
+    fn on_branch(&self, tid: u32, dyn_index: u64, branch: BranchId) -> Option<FaultAction> {
+        self.0.lock().unwrap()[tid as usize].push((dyn_index, branch.0));
+        None
+    }
+}
+
+/// Both engines consult the one hook trait at every dynamic branch, so a
+/// thread's `(dyn_index, branch)` stream — init and fini included, as
+/// thread 0 — is the same whichever scheduler interleaves the threads.
+#[test]
+fn a_hook_sees_the_same_per_thread_branch_stream_on_both_engines() {
+    let n = 4;
+    for bench in DETERMINISTIC_OUTPUT_PORTS {
+        let image = image(bench);
+        let config = ExecConfig::new(n);
+        let [sim, real] = [EngineKind::Sim, EngineKind::Real].map(|kind| {
+            let hook = StreamHook(Mutex::new(vec![Vec::new(); n as usize]));
+            let result = engine(kind).run_hooked(&image, &config, &hook);
+            assert_eq!(result.outcome, RunOutcome::Completed, "{} on {kind}", bench.name());
+            hook.0.into_inner().unwrap()
+        });
+        assert!(sim.iter().all(|stream| !stream.is_empty()), "{}", bench.name());
+        assert_eq!(sim, real, "{}: hook streams diverge between engines", bench.name());
+    }
 }

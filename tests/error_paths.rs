@@ -5,10 +5,11 @@
 
 use std::error::Error as _;
 
-use blockwatch::fault::run_campaign_with_golden;
-use blockwatch::vm::run_sim;
+use blockwatch::fault::run_campaign_with_golden_recorded;
+use blockwatch::telemetry::NULL_RECORDER;
+use blockwatch::vm::{Engine, SimEngine};
 use blockwatch::{
-    Benchmark, Blockwatch, CampaignConfig, CampaignError, Error, FaultModel, Size, SimConfig,
+    Benchmark, Blockwatch, CampaignConfig, CampaignError, Error, ExecConfig, FaultModel, Size,
 };
 
 fn assert_well_formed(err: &Error, expect_prefix: &str) {
@@ -42,14 +43,16 @@ fn campaign_errors_surface_through_campaign() {
         .expect("verifies");
 
     // NoThreads: zero-thread configuration.
-    let err = bw.campaign(&CampaignConfig::new(1, FaultModel::BranchFlip, 0)).unwrap_err();
+    let err = bw.campaign_runner(1, FaultModel::BranchFlip, 0).run().unwrap_err();
     assert!(matches!(err, Error::Campaign(CampaignError::NoThreads)), "got {err:?}");
     assert_well_formed(&err, "campaign error: ");
 
     // GoldenRunFailed: a step budget no golden run can satisfy.
-    let mut starved = CampaignConfig::new(1, FaultModel::BranchFlip, 4);
-    starved.sim.max_steps = 10;
-    let err = bw.campaign(&starved).unwrap_err();
+    let err = bw
+        .campaign_runner(1, FaultModel::BranchFlip, 4)
+        .sim(ExecConfig::new(4).max_steps(10))
+        .run()
+        .unwrap_err();
     assert!(
         matches!(err, Error::Campaign(CampaignError::GoldenRunFailed { .. })),
         "got {err:?}"
@@ -58,10 +61,12 @@ fn campaign_errors_surface_through_campaign() {
 
     // GoldenMismatch: cached golden profiled at a different thread count,
     // wrapped into the umbrella type via From.
-    let golden = run_sim(bw.image(), &SimConfig::new(2));
+    let golden = SimEngine.run(bw.image(), &ExecConfig::new(2));
     let config = CampaignConfig::new(1, FaultModel::BranchFlip, 4);
     let err: Error =
-        run_campaign_with_golden(bw.image(), &config, &golden, None).unwrap_err().into();
+        run_campaign_with_golden_recorded(bw.image(), &config, &golden, None, &NULL_RECORDER)
+            .unwrap_err()
+            .into();
     assert!(
         matches!(err, Error::Campaign(CampaignError::GoldenMismatch { expected: 4, actual: 2 })),
         "got {err:?}"

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use blockwatch::vm::{run_real, run_sim, ProgramImage, RealConfig, RunOutcome, SimConfig};
+use blockwatch::vm::{Engine, ExecConfig, ProgramImage, RealEngine, RunOutcome, SimEngine};
 use blockwatch::{Benchmark, Blockwatch, Size};
 
 #[test]
@@ -37,8 +37,8 @@ fn all_ports_complete_cleanly_at_many_thread_counts() {
 fn sim_runs_are_deterministic() {
     for bench in Benchmark::ALL {
         let image = ProgramImage::prepare_default(bench.module(Size::Test).expect("compiles"));
-        let a = run_sim(&image, &SimConfig::new(4));
-        let b = run_sim(&image, &SimConfig::new(4));
+        let a = SimEngine.run(&image, &ExecConfig::new(4));
+        let b = SimEngine.run(&image, &ExecConfig::new(4));
         assert_eq!(a.outputs, b.outputs, "{}", bench.name());
         assert_eq!(a.parallel_cycles, b.parallel_cycles, "{}", bench.name());
         assert_eq!(a.total_steps, b.total_steps, "{}", bench.name());
@@ -52,8 +52,8 @@ fn real_engine_matches_sim_outputs_on_deterministic_ports() {
     for bench in [Benchmark::Fft, Benchmark::Radix, Benchmark::Raytrace] {
         let image =
             Arc::new(ProgramImage::prepare_default(bench.module(Size::Test).expect("compiles")));
-        let sim = run_sim(&image, &SimConfig::new(4));
-        let real = run_real(&image, &RealConfig::new(4));
+        let sim = SimEngine.run(&image, &ExecConfig::new(4));
+        let real = RealEngine.run(&image, &ExecConfig::new(4));
         assert_eq!(real.outcome, RunOutcome::Completed, "{}", bench.name());
         assert_eq!(sim.outputs, real.outputs, "{}", bench.name());
         assert!(!real.detected(), "{}: {:?}", bench.name(), real.violations);
@@ -66,7 +66,7 @@ fn all_ports_are_clean_on_the_real_engine() {
     for bench in Benchmark::ALL {
         let image =
             Arc::new(ProgramImage::prepare_default(bench.module(Size::Test).expect("compiles")));
-        let real = run_real(&image, &RealConfig::new(4));
+        let real = RealEngine.run(&image, &ExecConfig::new(4));
         assert_eq!(real.outcome, RunOutcome::Completed, "{}", bench.name());
         assert!(
             !real.detected(),
@@ -81,12 +81,12 @@ fn all_ports_are_clean_on_the_real_engine() {
 fn instrumentation_does_not_change_program_semantics() {
     for bench in Benchmark::ALL {
         let image = ProgramImage::prepare_default(bench.module(Size::Test).expect("compiles"));
-        let mut with = SimConfig::new(4);
+        let mut with = ExecConfig::new(4);
         with.monitor = blockwatch::MonitorMode::Enabled;
-        let mut without = SimConfig::new(4);
+        let mut without = ExecConfig::new(4);
         without.monitor = blockwatch::MonitorMode::Off;
-        let a = run_sim(&image, &with);
-        let b = run_sim(&image, &without);
+        let a = SimEngine.run(&image, &with);
+        let b = SimEngine.run(&image, &without);
         assert_eq!(a.outputs, b.outputs, "{}", bench.name());
         assert_eq!(a.branches_per_thread, b.branches_per_thread, "{}", bench.name());
     }

@@ -13,7 +13,7 @@ use blockwatch::splash::{Benchmark, Size};
 use blockwatch::timeline::TimelineReport;
 use blockwatch::{
     Blockwatch, EngineKind, ExecConfig, FaultModel, JsonlRecorder, MetricRegistry, Recorder,
-    Sampler, SimConfig,
+    Sampler,
 };
 
 /// Serializes the tests that install the process-global `--trace-spans`
@@ -28,9 +28,9 @@ fn trace_sink_lock() -> std::sync::MutexGuard<'static, ()> {
 #[test]
 fn same_seed_runs_have_identical_counters() {
     let bw = Blockwatch::from_module(Benchmark::Fft.module(Size::Test).unwrap()).unwrap();
-    let config = SimConfig::new(4).seed(0xdead_beef);
-    let a = bw.run_with(&config);
-    let b = bw.run_with(&config);
+    let config = ExecConfig::new(4).seed(0xdead_beef);
+    let a = bw.run_on(EngineKind::Sim, &config);
+    let b = bw.run_on(EngineKind::Sim, &config);
 
     let da = a.telemetry.deterministic_part();
     let db = b.telemetry.deterministic_part();
