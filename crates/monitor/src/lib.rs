@@ -3,17 +3,26 @@
 //! The runtime half of BLOCKWATCH (paper Section III-B): application
 //! threads append fixed-size [`BranchEvent`]s to per-thread lock-free
 //! [Lamport SPSC queues](spsc_queue); an asynchronous monitor drains the
-//! queues round-robin, correlates reports across threads in a
-//! [two-level hash table](BranchTable) keyed by call-site path and
-//! enclosing-loop iterations, and applies the per-category
-//! [checks](check_instance) derived from the static analysis. A deviation
-//! from the statically inferred similarity is reported as a [`Violation`].
+//! queues round-robin, correlates reports across threads under the paper's
+//! two keys — call-site path, then enclosing-loop iterations — and applies
+//! the per-category [checks](check_instance) derived from the static
+//! analysis. A deviation from the statically inferred similarity is
+//! reported as a [`Violation`].
+//!
+//! The two-level *keying* is the paper's; the storage is flat. Level 1 is
+//! one site table (`(branch, site)` → stream length, pending count, ring of
+//! recent reports — the [`FlightRecorder`], present only with the
+//! `provenance` feature), level 2 one instance table keyed by the full
+//! `(branch, site, iter)`, and reports and ring entries are chains through
+//! shared arenas. In steady state an event costs two hash probes and no
+//! heap allocation, and memory follows the reports received, not
+//! `instances × nthreads` (`src/table.rs`).
 //!
 //! Design goals carried over from the paper:
 //! 1. **Asynchronous** — senders never wait for the monitor (the queue push
 //!    returns immediately; the monitor threads run on their own cores).
 //! 2. **Unique branch identifier and fast lookup** — `(static branch id,
-//!    call-path hash)` at level 1, loop-iteration hash at level 2.
+//!    call-path hash)` at level 1, plus the loop-iteration hash at level 2.
 //! 3. **Lock freedom** — no locks anywhere on the reporting path.
 //!
 //! Monitors are constructed through one surface: [`MonitorBuilder`], with
@@ -65,5 +74,4 @@ pub use provenance::{
     PROVENANCE_ENABLED,
 };
 pub use spsc::{spsc_queue, Consumer, Producer, QueueFull};
-pub use table::{BranchTable, Instance};
 pub use telemetry::MonitorTelemetry;

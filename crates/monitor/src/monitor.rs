@@ -1,5 +1,6 @@
 //! The monitor proper: drains the per-thread queues round-robin, correlates
-//! reports in the two-level table, and applies the per-category checks.
+//! reports under the paper's two keys (`table.rs`), and applies
+//! the per-category checks.
 //!
 //! The monitor is a passive object ([`Monitor::poll`] / [`Monitor::flush`])
 //! so that the deterministic simulator can drive it inline; for the
@@ -16,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::checker::{check_instance, Report, ViolationKind};
 use crate::event::BranchEvent;
-use crate::provenance::{window_capacity, FlightRecorder, ViolationReport, WindowEntry};
+use crate::provenance::{window_capacity, FlightRecorder, ViolationReport};
 use crate::spsc::{Producer, QueueFull};
 use crate::table::BranchTable;
 use crate::telemetry::MonitorTelemetry;
@@ -110,6 +111,9 @@ pub struct Monitor {
     violations: Vec<Violation>,
     reports: Vec<ViolationReport>,
     recorder: FlightRecorder,
+    /// The reports of the instance being checked, reused from one check to
+    /// the next.
+    scratch: Vec<Report>,
     events_processed: u64,
     events_dropped: u64,
     telemetry: MonitorTelemetry,
@@ -122,10 +126,11 @@ impl Monitor {
         Monitor {
             checks,
             nthreads,
-            table: BranchTable::new(),
+            table: BranchTable::default(),
             violations: Vec::new(),
             reports: Vec::new(),
             recorder: FlightRecorder::new(window_capacity(nthreads)),
+            scratch: Vec::new(),
             events_processed: 0,
             events_dropped: 0,
             telemetry: MonitorTelemetry::new(),
@@ -140,25 +145,24 @@ impl Monitor {
         };
         let report =
             Report { thread: event.thread, witness: event.witness, taken: event.taken };
-        // Flight recorder (provenance feature; compiles out otherwise):
-        // one ring write per instrumented event. The recorder numbers the
-        // site's own report stream, so the seq it returns is the same no
-        // matter which shard (or topology) this monitor is.
-        let site_seq = self.recorder.record(
+        // Level 1 (provenance feature; compiles out otherwise): one ring
+        // write per instrumented event, dropped re-reports included. The
+        // recorder numbers the site's own report stream, so what it holds
+        // is the same no matter which shard (or topology) this monitor is.
+        let site_row = self.recorder.record(&event);
+        let recorded = self.table.record(
             event.branch,
             event.site,
-            WindowEntry {
-                thread: event.thread,
-                witness: event.witness,
-                taken: event.taken,
-                iter: event.iter,
-                seq: 0, // assigned by the recorder
-            },
+            event.iter,
+            report,
+            self.nthreads,
+            &mut self.scratch,
         );
-        if let Some(reports) =
-            self.table.record(event.branch, event.site, event.iter, report, self.nthreads)
-        {
-            self.check(kind, event.branch, event.site, event.iter, &reports, site_seq);
+        self.recorder.track(site_row, recorded);
+        if recorded.completed {
+            let reports = std::mem::take(&mut self.scratch);
+            self.check(kind, event.branch, event.site, event.iter, &reports);
+            self.scratch = reports;
         }
         tm_gauge_max!(self.telemetry.pending_high_water, self.table.len());
     }
@@ -167,29 +171,37 @@ impl Monitor {
     /// (executed at the end of the parallel phase). Returns the total number
     /// of violations found so far.
     pub fn flush(&mut self) -> usize {
-        let pending = self.table.drain_pending();
         tm_inc!(self.telemetry.flush_calls);
-        tm_add!(self.telemetry.flush_batch_total, pending.len());
-        tm_gauge_max!(self.telemetry.flush_batch_max, pending.len());
-        for (branch, site, iter, reports) in pending {
+        tm_add!(self.telemetry.flush_batch_total, self.table.len());
+        tm_gauge_max!(self.telemetry.flush_batch_max, self.table.len());
+        // All of them leave the table at once: a report built below finds
+        // no backlog at its site.
+        self.recorder.clear_pending();
+        let (first, first_report) = (self.violations.len(), self.reports.len());
+        let mut table = std::mem::take(&mut self.table);
+        let mut reports = std::mem::take(&mut self.scratch);
+        table.drain_pending(&mut reports, |branch, site, iter, reports| {
             if let Some(kind) = self.checks.kind(branch) {
-                let site_seq = self.recorder.site_seq(branch, site);
-                self.check(kind, branch, site, iter, &reports, site_seq);
+                self.check(kind, branch, site, iter, reports);
             }
-        }
+        });
+        self.table = table;
+        self.scratch = reports;
+        // The table hands instances out in storage order; pending keys are
+        // distinct, so sorting what this flush found by key gives the one
+        // reproducible order — without sorting the instances that passed.
+        self.violations[first..].sort_unstable_by_key(|v| (v.branch, v.site, v.iter));
+        self.reports[first_report..].sort_unstable_by_key(|r| {
+            let v = &r.violation;
+            (v.branch, v.site, v.iter)
+        });
         self.violations.len()
     }
 
-    #[cfg_attr(not(feature = "provenance"), allow(unused_variables))]
-    fn check(
-        &mut self,
-        kind: CheckKind,
-        branch: u32,
-        site: u64,
-        iter: u64,
-        reports: &[Report],
-        detected_seq: u64,
-    ) {
+    /// Checks one instance. On a violation the evidence is the site's state
+    /// as of now: at an eager check its newest record is the report that
+    /// completed the instance, at a flush the last the site received.
+    fn check(&mut self, kind: CheckKind, branch: u32, site: u64, iter: u64, reports: &[Report]) {
         if let Err(vk) = check_instance(kind, reports) {
             tm_inc!(self.telemetry.violations_for(kind));
             let violation = Violation {
@@ -206,8 +218,8 @@ impl Monitor {
                 kind,
                 reports,
                 self.recorder.window(branch, site),
-                detected_seq,
-                self.table.pending_at(branch, site) as u64,
+                self.recorder.site_seq(branch, site),
+                self.recorder.pending_at(branch, site),
             ));
         }
     }
@@ -223,8 +235,8 @@ impl Monitor {
         &self.reports
     }
 
-    /// The per-site flight recorder (empty shell without the `provenance`
-    /// feature).
+    /// The site table and per-site flight recorder (empty shell without
+    /// the `provenance` feature).
     pub fn flight_recorder(&self) -> &FlightRecorder {
         &self.recorder
     }

@@ -3,7 +3,8 @@
 //!
 //! A bare [`Violation`] says *that* the monitor flagged an instance; it
 //! does not say *why*. This module keeps, per `(branch, site)`, a bounded
-//! ring of the most recent reports (the **flight recorder**) and, at the
+//! ring of the most recent reports (the **flight recorder**, which is also
+//! the monitor's level-1 site table) and, at the
 //! moment a check fails, snapshots the ring together with the full
 //! per-thread outcome/witness vector, a majority/deviant split, and the
 //! site's position in its own report stream into a [`ViolationReport`].
@@ -23,7 +24,11 @@ use bw_analysis::{CheckKind, TidCheck};
 use serde::{Deserialize, Serialize};
 
 use crate::checker::{Report, ViolationKind};
+use crate::event::BranchEvent;
 use crate::monitor::Violation;
+use crate::table::Recorded;
+#[cfg(feature = "provenance")]
+use crate::table::{mix_key, push_node, KeyIndex, Link, NIL};
 
 /// One flight-recorder entry: a thread's report plus where in the
 /// *site's* report stream it was recorded.
@@ -45,7 +50,7 @@ pub struct WindowEntry {
     /// Level-2 instance key (loop-iteration hash) the report belongs to.
     pub iter: u64,
     /// Per-site record sequence number assigned when the report was
-    /// recorded (see [`FlightRecorder::record`]).
+    /// recorded (see [`FlightRecorder`]).
     pub seq: u64,
 }
 
@@ -330,113 +335,221 @@ pub fn window_capacity(nthreads: usize) -> usize {
 /// Whether flight recording is compiled in (`provenance` cargo feature).
 pub const PROVENANCE_ENABLED: bool = cfg!(feature = "provenance");
 
-/// The per-site flight recorder: a fixed-capacity ring of recent
-/// [`WindowEntry`]s per `(branch, site)`.
+/// The site table — level 1 of the monitor's keying — and the per-site
+/// flight recorder in one: per `(branch, site)` the length of its report
+/// stream, how many of its instances are pending, and a bounded ring of its
+/// most recent [`WindowEntry`]s.
+///
+/// Sites are rows of one dense `Vec` behind a [`KeyIndex`]; a site's ring is
+/// a circular chain through one shared node arena that grows to `capacity`
+/// nodes and from then on overwrites its oldest, so recording allocates
+/// nothing per site and costs one probe per event.
 ///
 /// With the `provenance` feature off this is a zero-sized type and
-/// [`FlightRecorder::record`] compiles to nothing — the hot path pays
-/// nothing, exactly like the `tm_*!` macros.
+/// recording compiles to nothing — the hot path pays nothing, exactly like
+/// the `tm_*!` macros.
 #[cfg(feature = "provenance")]
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FlightRecorder {
-    rings: std::collections::HashMap<(u32, u64), SiteRing>,
-    capacity: usize,
+    index: KeyIndex,
+    sites: Vec<Site>,
+    ring: Vec<RingNode>,
+    capacity: u32,
 }
 
 #[cfg(feature = "provenance")]
 #[derive(Debug)]
-struct SiteRing {
-    /// Entries in ring order; meaningful up to `len`, overwritten at
-    /// `next` once full.
-    entries: Vec<WindowEntry>,
-    next: usize,
-    /// Records ever made to this site's ring (1-based seq of the newest
-    /// entry), including entries that have since aged out.
+struct Site {
+    site: u64,
+    /// Records ever made at this site (1-based seq of the newest entry),
+    /// including entries that have since aged out of the ring.
     seq: u64,
+    branch: u32,
+    /// Instances of this site awaiting reporters.
+    pending: u32,
+    /// Newest ring node; its link leads to the oldest.
+    newest: u32,
+    /// Ring nodes held, at most the recorder's capacity.
+    len: u32,
+}
+
+/// One ring entry. Its `seq` is not stored: the ring holds the site's last
+/// `len` records, so the entry `k` places from the newest has `seq - k`.
+#[cfg(feature = "provenance")]
+#[derive(Debug)]
+struct RingNode {
+    witness: u64,
+    iter: u64,
+    thread: u32,
+    link: Link,
+}
+
+#[cfg(feature = "provenance")]
+impl Site {
+    fn is(&self, branch: u32, site: u64) -> bool {
+        self.site == site && self.branch == branch
+    }
 }
 
 #[cfg(feature = "provenance")]
 impl FlightRecorder {
     /// A recorder whose per-site rings hold `capacity` entries.
-    pub fn new(capacity: usize) -> Self {
-        FlightRecorder { rings: std::collections::HashMap::new(), capacity: capacity.max(1) }
+    pub(crate) fn new(capacity: usize) -> Self {
+        FlightRecorder {
+            index: KeyIndex::default(),
+            sites: Vec::new(),
+            ring: Vec::new(),
+            capacity: capacity.clamp(1, NIL as usize) as u32,
+        }
     }
 
-    /// Appends one entry to the `(branch, site)` ring and returns the
-    /// per-site sequence number it was assigned — `entry.seq` is
-    /// overwritten with the site stream's next value (1-based), so callers
-    /// never number entries themselves. Hot path: one hash lookup and one
-    /// slot write; allocation only the first `capacity` times a site is
-    /// seen.
+    /// Appends `event` to its site's ring, numbering it with the site
+    /// stream's next seq (1-based), and returns the site's row for
+    /// [`FlightRecorder::track`].
     #[inline]
-    pub fn record(&mut self, branch: u32, site: u64, mut entry: WindowEntry) -> u64 {
-        let capacity = self.capacity;
-        let ring = self
-            .rings
-            .entry((branch, site))
-            .or_insert_with(|| SiteRing { entries: Vec::new(), next: 0, seq: 0 });
-        ring.seq += 1;
-        entry.seq = ring.seq;
-        if ring.entries.len() < capacity {
-            ring.entries.push(entry);
+    pub(crate) fn record(&mut self, event: &BranchEvent) -> u32 {
+        self.index.reserve();
+        let hash = mix_key(event.branch, event.site, 0);
+        let sites = &self.sites;
+        let found = self.index.probe(hash, |row| sites[row as usize].is(event.branch, event.site));
+        let row = match found {
+            Ok(pos) => self.index.row(pos),
+            Err(pos) => {
+                let site = Site {
+                    site: event.site,
+                    seq: 0,
+                    branch: event.branch,
+                    pending: 0,
+                    newest: NIL,
+                    len: 0,
+                };
+                let row = push_node(&mut self.sites, site);
+                self.index.insert(pos, hash, row);
+                row
+            }
+        };
+        let site = &mut self.sites[row as usize];
+        site.seq += 1;
+        let node = RingNode {
+            witness: event.witness,
+            iter: event.iter,
+            thread: event.thread,
+            link: Link::new(NIL, event.taken),
+        };
+        if site.len == self.capacity {
+            // Full: the oldest node becomes the newest, in place.
+            let oldest = self.ring[site.newest as usize].link.next();
+            let second = self.ring[oldest as usize].link.next();
+            self.ring[oldest as usize] = node;
+            self.ring[oldest as usize].link.set_next(second);
+            site.newest = oldest;
         } else {
-            ring.entries[ring.next] = entry;
-            ring.next = (ring.next + 1) % capacity;
+            // Growing: the new node goes between the newest and the oldest.
+            let index = push_node(&mut self.ring, node);
+            let oldest = if site.len == 0 {
+                index
+            } else {
+                let newest = &mut self.ring[site.newest as usize].link;
+                let oldest = newest.next();
+                newest.set_next(index);
+                oldest
+            };
+            self.ring[index as usize].link.set_next(oldest);
+            site.newest = index;
+            site.len += 1;
         }
-        ring.seq
+        row
+    }
+
+    /// Keeps the pending count of the site at `row` in step with what the
+    /// instance table did with the report just recorded there.
+    #[inline]
+    pub(crate) fn track(&mut self, row: u32, recorded: Recorded) {
+        let pending = &mut self.sites[row as usize].pending;
+        *pending = *pending + u32::from(recorded.opened) - u32::from(recorded.completed);
+    }
+
+    /// Zeroes every site's pending count (the instance table was drained).
+    pub(crate) fn clear_pending(&mut self) {
+        for site in &mut self.sites {
+            site.pending = 0;
+        }
+    }
+
+    fn find(&self, branch: u32, site: u64) -> Option<&Site> {
+        let is_key = |row: u32| self.sites[row as usize].is(branch, site);
+        let row = self.index.get(mix_key(branch, site, 0), is_key)?;
+        Some(&self.sites[row as usize])
     }
 
     /// The per-site sequence number of the most recent record at
     /// `(branch, site)`; zero when the site was never recorded.
     pub fn site_seq(&self, branch: u32, site: u64) -> u64 {
-        self.rings.get(&(branch, site)).map_or(0, |r| r.seq)
+        self.find(branch, site).map_or(0, |s| s.seq)
+    }
+
+    /// Number of pending instances at one `(branch, site)` key — the
+    /// site-local backlog a [`ViolationReport`] records as its
+    /// `pending_depth`. Unlike the monitor's total it is invariant under
+    /// sharding the key space across monitors.
+    pub fn pending_at(&self, branch: u32, site: u64) -> u64 {
+        self.find(branch, site).map_or(0, |s| u64::from(s.pending))
     }
 
     /// Snapshot of the `(branch, site)` ring, oldest entry first.
     pub fn window(&self, branch: u32, site: u64) -> Vec<WindowEntry> {
-        match self.rings.get(&(branch, site)) {
-            Some(ring) => {
-                let mut out =
-                    Vec::with_capacity(ring.entries.len());
-                out.extend_from_slice(&ring.entries[ring.next..]);
-                out.extend_from_slice(&ring.entries[..ring.next]);
-                out
-            }
-            None => Vec::new(),
+        let Some(site) = self.find(branch, site) else {
+            return Vec::new();
+        };
+        let mut out = Vec::with_capacity(site.len as usize);
+        let mut node = self.ring[site.newest as usize].link.next();
+        for age in (0..u64::from(site.len)).rev() {
+            let RingNode { witness, iter, thread, link } = self.ring[node as usize];
+            out.push(WindowEntry { thread, witness, taken: link.taken(), iter, seq: site.seq - age });
+            node = link.next();
         }
+        out
     }
 
-    /// Number of `(branch, site)` rings currently held.
+    /// Number of `(branch, site)` keys seen.
     pub fn sites(&self) -> usize {
-        self.rings.len()
+        self.sites.len()
     }
 }
 
-/// The per-site flight recorder, compiled out (`provenance` feature off):
-/// zero-sized, never records, never allocates.
+/// The site table and flight recorder, compiled out (`provenance` feature
+/// off): zero-sized, never records, never allocates.
 #[cfg(not(feature = "provenance"))]
 #[derive(Debug, Default)]
 pub struct FlightRecorder;
 
 #[cfg(not(feature = "provenance"))]
 impl FlightRecorder {
-    /// A recorder whose per-site rings would hold `capacity` entries
-    /// (no-op in this configuration).
     #[inline]
-    pub fn new(_capacity: usize) -> Self {
+    pub(crate) fn new(_capacity: usize) -> Self {
         FlightRecorder
     }
 
-    /// Recording compiles to nothing without the `provenance` feature;
-    /// the returned sequence number is always zero.
     #[inline]
-    pub fn record(&mut self, _branch: u32, _site: u64, _entry: WindowEntry) -> u64 {
+    pub(crate) fn record(&mut self, _event: &BranchEvent) -> u32 {
+        0
+    }
+
+    #[inline]
+    pub(crate) fn track(&mut self, _row: u32, _recorded: Recorded) {}
+
+    #[inline]
+    pub(crate) fn clear_pending(&mut self) {}
+
+    /// Always zero without the `provenance` feature.
+    #[inline]
+    pub fn site_seq(&self, _branch: u32, _site: u64) -> u64 {
         0
     }
 
     /// Always zero without the `provenance` feature.
     #[inline]
-    pub fn site_seq(&self, _branch: u32, _site: u64) -> u64 {
+    pub fn pending_at(&self, _branch: u32, _site: u64) -> u64 {
         0
     }
 
@@ -546,37 +659,75 @@ mod tests {
     }
 
     #[cfg(feature = "provenance")]
+    fn event(site: u64, thread: u32, witness: u64, iter: u64) -> BranchEvent {
+        BranchEvent { branch: 1, thread, site, iter, witness, taken: witness.is_multiple_of(2) }
+    }
+
+    #[cfg(feature = "provenance")]
     #[test]
     fn ring_wraps_at_capacity_keeping_the_newest_entries() {
         let mut fr = FlightRecorder::new(4);
         for i in 0..10u64 {
-            let assigned = fr.record(
-                1,
-                0xfeed,
-                WindowEntry { thread: (i % 2) as u32, witness: i, taken: true, iter: i, seq: 0 },
-            );
-            assert_eq!(assigned, i + 1, "seq is 1-based and site-local");
+            fr.record(&event(0xfeed, (i % 2) as u32, i, i));
+            assert_eq!(fr.site_seq(1, 0xfeed), i + 1, "seq is 1-based and site-local");
+            let window = fr.window(1, 0xfeed);
+            let kept = (i + 1).min(4);
+            let expect: Vec<WindowEntry> = (i + 1 - kept..=i)
+                .map(|j| WindowEntry {
+                    thread: (j % 2) as u32,
+                    witness: j,
+                    taken: j.is_multiple_of(2),
+                    iter: j,
+                    seq: j + 1,
+                })
+                .collect();
+            assert_eq!(window, expect, "oldest-first, newest kept");
         }
-        let window = fr.window(1, 0xfeed);
-        assert_eq!(window.len(), 4);
-        let seqs: Vec<u64> = window.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![7, 8, 9, 10], "oldest-first, newest kept");
         assert!(fr.window(1, 0xbeef).is_empty());
         assert_eq!(fr.sites(), 1);
-        assert_eq!(fr.site_seq(1, 0xfeed), 10);
+        assert_eq!(fr.ring.len(), 4, "a full ring overwrites in place");
         assert_eq!(fr.site_seq(1, 0xbeef), 0);
     }
 
     #[cfg(feature = "provenance")]
     #[test]
-    fn site_seq_streams_are_independent() {
-        let mut fr = FlightRecorder::new(8);
-        let entry = |t: u32| WindowEntry { thread: t, witness: 1, taken: true, iter: 0, seq: 0 };
-        assert_eq!(fr.record(0, 0xa, entry(0)), 1);
-        assert_eq!(fr.record(0, 0xb, entry(0)), 1, "each site numbers its own stream");
-        assert_eq!(fr.record(0, 0xa, entry(1)), 2);
-        assert_eq!(fr.site_seq(0, 0xa), 2);
-        assert_eq!(fr.site_seq(0, 0xb), 1);
+    fn site_streams_are_independent_and_interleave_in_one_arena() {
+        let mut fr = FlightRecorder::new(2);
+        let a = fr.record(&event(0xa, 0, 10, 0));
+        let b = fr.record(&event(0xb, 0, 20, 0));
+        assert_ne!(a, b);
+        assert_eq!(fr.record(&event(0xa, 1, 11, 0)), a, "a site keeps its row");
+        fr.record(&event(0xb, 1, 21, 0));
+        fr.record(&event(0xa, 2, 12, 0)); // wraps site a only
+        assert_eq!(fr.site_seq(1, 0xa), 3);
+        assert_eq!(fr.site_seq(1, 0xb), 2, "each site numbers its own stream");
+        let witnesses = |site| fr.window(1, site).iter().map(|e| e.witness).collect::<Vec<_>>();
+        assert_eq!(witnesses(0xa), vec![11, 12]);
+        assert_eq!(witnesses(0xb), vec![20, 21]);
+        assert_eq!(fr.site_seq(2, 0xa), 0, "the branch is part of the key");
+    }
+
+    #[cfg(feature = "provenance")]
+    #[test]
+    fn pending_counts_one_site_only() {
+        let opened = Recorded { opened: true, completed: false };
+        let completed = Recorded { opened: false, completed: true };
+        let mut fr = FlightRecorder::new(4);
+        let a = fr.record(&event(0, 0, 0, 0));
+        fr.track(a, opened);
+        fr.track(a, opened);
+        let b = fr.record(&event(7, 0, 0, 0));
+        fr.track(b, opened);
+        fr.track(b, Recorded::default()); // joined or dropped: no change
+        fr.track(b, Recorded { opened: true, completed: true }); // one thread
+        assert_eq!(fr.pending_at(1, 0), 2);
+        assert_eq!(fr.pending_at(1, 7), 1);
+        assert_eq!(fr.pending_at(9, 9), 0);
+        fr.track(a, completed);
+        assert_eq!(fr.pending_at(1, 0), 1);
+        fr.clear_pending();
+        assert_eq!(fr.pending_at(1, 0) + fr.pending_at(1, 7), 0);
+        assert_eq!(fr.site_seq(1, 0), 1, "a flush leaves the streams alone");
     }
 
     #[cfg(not(feature = "provenance"))]
@@ -584,12 +735,19 @@ mod tests {
     fn recorder_is_zero_sized_and_inert_when_disabled() {
         assert_eq!(std::mem::size_of::<FlightRecorder>(), 0);
         let mut fr = FlightRecorder::new(64);
-        let seq =
-            fr.record(0, 0, WindowEntry { thread: 0, witness: 0, taken: true, iter: 0, seq: 0 });
-        assert_eq!(seq, 0);
+        let row = fr.record(&BranchEvent {
+            branch: 0,
+            thread: 0,
+            site: 0,
+            iter: 0,
+            witness: 0,
+            taken: true,
+        });
+        fr.track(row, Recorded { opened: true, completed: false });
         assert!(fr.window(0, 0).is_empty());
         assert_eq!(fr.sites(), 0);
         assert_eq!(fr.site_seq(0, 0), 0);
+        assert_eq!(fr.pending_at(0, 0), 0);
         assert_eq!(PROVENANCE_ENABLED, cfg!(feature = "provenance"));
     }
 

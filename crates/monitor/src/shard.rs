@@ -6,7 +6,7 @@
 //! monitor's correlation is strictly per-key: two events interact only when
 //! they share `(branch, site)`, so the key space can be partitioned across
 //! independent workers with **no cross-shard coordination at all**. Each
-//! shard owns its own pending [`crate::BranchTable`], checker, and
+//! shard owns its own pending-instance table, checker, and
 //! (feature-gated) flight recorder; producers route every event to the
 //! owning shard's SPSC queue ([`shard_of`]), and shards drain in batches
 //! ([`crate::Consumer::pop_batch`]) to amortize per-event synchronization.

@@ -1,0 +1,266 @@
+//! Differential tests: the flat back-end against the two-level reference
+//! model in `reference/`, event by event.
+//!
+//! Both monitors see the same stream; after every event their
+//! `pending_instances()` must agree, and after the closing flush so must
+//! `violations()`, `violation_reports()` (whole structs: window contents,
+//! site-local seqs, pending depth, latency), `events_processed()` and
+//! `snapshot()`. The streams are random scripts shaped to reach what the
+//! two layouts do differently — rings that wrap, sites seen once, a thread
+//! reporting a key it has already reported (while the instance is pending:
+//! dropped, first report wins; after it completed: a new instance — what a
+//! sender truncating the `iter` key at the six-loop cutoff produces, though
+//! this repository's engines do not), flushes in mid-stream — and the
+//! captured streams of the seven SPLASH ports. Runs in both `provenance`
+//! configurations.
+
+mod reference;
+
+use bw_analysis::{CheckKind, TidCheck};
+use bw_monitor::{BranchEvent, CheckTable, Monitor, ViolationKind};
+use bw_splash::{Benchmark, Size};
+use bw_vm::{Engine, ExecConfig, ProgramImage, SimEngine};
+use proptest::prelude::*;
+use reference::RefMonitor;
+
+/// One branch per check kind, and one the plan left uninstrumented.
+const KINDS: [Option<CheckKind>; 7] = [
+    Some(CheckKind::SharedUniform),
+    Some(CheckKind::GroupByWitness),
+    Some(CheckKind::ThreadIdPredicate(TidCheck::AtMostOneTaken)),
+    Some(CheckKind::ThreadIdPredicate(TidCheck::AtMostOneNotTaken)),
+    Some(CheckKind::ThreadIdPredicate(TidCheck::TakenIsPrefix)),
+    Some(CheckKind::ThreadIdPredicate(TidCheck::TakenIsSuffix)),
+    None,
+];
+
+/// The monitor under test and the model, fed in lock step.
+struct Pair {
+    flat: Monitor,
+    model: RefMonitor,
+}
+
+impl Pair {
+    fn new(checks: CheckTable, nthreads: usize) -> Self {
+        Pair { flat: Monitor::new(checks.clone(), nthreads), model: RefMonitor::new(checks, nthreads) }
+    }
+
+    fn process(&mut self, event: BranchEvent) {
+        self.flat.process(event);
+        self.model.process(event);
+        assert_eq!(self.flat.pending_instances(), self.model.pending_instances(), "{event:?}");
+    }
+
+    fn flush(&mut self) {
+        assert_eq!(self.flat.flush(), self.model.flush());
+        assert_eq!(self.flat.pending_instances(), 0);
+    }
+
+    /// The closing flush and the full comparison.
+    fn finish(mut self) -> Monitor {
+        self.flush();
+        assert_eq!(self.flat.violations(), self.model.violations());
+        assert_eq!(self.flat.violation_reports(), self.model.violation_reports());
+        assert_eq!(self.flat.events_processed(), self.model.events_processed());
+        assert_eq!(self.flat.snapshot(), self.model.snapshot());
+        let expect_reports =
+            if cfg!(feature = "provenance") { self.flat.violations().len() } else { 0 };
+        assert_eq!(self.flat.violation_reports().len(), expect_reports);
+        self.flat
+    }
+}
+
+/// A step of a random script.
+#[derive(Clone, Debug)]
+enum Op {
+    /// `count` threads, starting at thread `start`, report one instance of
+    /// `branch` at one of a few hot sites, behaving as the branch's
+    /// category predicts — except thread `liar`, if it is among them.
+    Round { branch: u32, site: u64, iter: u64, start: u32, count: u32, liar: Option<(u32, bool)> },
+    /// One report at a site never seen before or again.
+    OneShot { branch: u32, thread: u32 },
+    /// An end-of-phase flush in mid-stream.
+    Flush,
+}
+
+/// What thread `t` of `n` reports at `(branch, iter)` when nothing is wrong.
+fn honest(branch: u32, iter: u64, t: u32, n: u32) -> (u64, bool) {
+    match branch {
+        0 => (iter + 7, iter.is_multiple_of(2)),
+        1 => (u64::from(t % 2), t.is_multiple_of(2)),
+        2 => (iter, t == 0),
+        3 => (iter, t != 0),
+        4 => (iter, t < n.div_ceil(2)),
+        _ => (iter, t >= n / 2),
+    }
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    let liar = prop_oneof![2 => Just(None), 1 => (0u32..32, any::<bool>()).prop_map(Some)];
+    // Three sites and six iterations for seven branches: keys recur, so
+    // rounds overlap pending instances and reopen completed ones, and the
+    // sites' rings fill up and wrap.
+    let round = ((0u32..7, 0u64..3, 0u64..6), (0u32..32, 1u32..33), liar).prop_map(
+        |((branch, site, iter), (start, count), liar)| Op::Round {
+            branch,
+            site,
+            iter,
+            start,
+            count,
+            liar,
+        },
+    );
+    let one_shot = (0u32..7, 0u32..32).prop_map(|(branch, thread)| Op::OneShot { branch, thread });
+    prop_oneof![3 => round.boxed(), 2 => one_shot.boxed(), 1 => Just(Op::Flush).boxed()]
+}
+
+/// Plays `ops` to both monitors at `nthreads`; returns the flat one after
+/// the closing comparison.
+fn play(nthreads: u32, ops: &[Op]) -> Monitor {
+    let mut pair = Pair::new(CheckTable::from_kinds(KINDS.to_vec()), nthreads as usize);
+    let mut fresh_site = 1000;
+    for op in ops {
+        match *op {
+            Op::Round { branch, site, iter, start, count, liar } => {
+                for k in 0..count.min(nthreads) {
+                    let thread = (start + k) % nthreads;
+                    let (mut witness, mut taken) = honest(branch, iter, thread, nthreads);
+                    match liar {
+                        Some((t, true)) if t % nthreads == thread => witness ^= 0x100,
+                        Some((t, false)) if t % nthreads == thread => taken = !taken,
+                        _ => {}
+                    }
+                    pair.process(BranchEvent { branch, thread, site, iter, witness, taken });
+                }
+            }
+            Op::OneShot { branch, thread } => {
+                fresh_site += 1;
+                let thread = thread % nthreads;
+                let (witness, taken) = honest(branch, 0, thread, nthreads);
+                pair.process(BranchEvent { branch, thread, site: fresh_site, iter: 0, witness, taken });
+            }
+            Op::Flush => pair.flush(),
+        }
+    }
+    pair.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    /// Any script, at every thread count the exhibits use, reads the same
+    /// on the flat back-end and on the model.
+    #[test]
+    fn flat_backend_matches_the_two_level_model(
+        nthreads in prop_oneof![Just(1u32), Just(2u32), Just(4u32), Just(32u32)],
+        ops in proptest::collection::vec(op(), 0..160),
+    ) {
+        play(nthreads, &ops);
+    }
+}
+
+/// The generator's scenarios, pinned: one fixed script that is known to
+/// reach a wrapped ring, a dropped re-report, a reopened key, and a fault of
+/// each violation kind caught eagerly and at flush — so the property above
+/// cannot pass by never leaving the easy cases.
+#[test]
+fn a_fixed_script_reaches_every_scenario() {
+    let full = |branch, iter, liar| Op::Round { branch, site: 0, iter, start: 1, count: 4, liar };
+    let part = |branch, iter, liar| Op::Round { branch, site: 1, iter, start: 0, count: 2, liar };
+    let mut ops = Vec::new();
+    // Eager: a lying witness and a flipped direction on every category.
+    for branch in 0..6 {
+        ops.push(full(branch, 0, Some((2, true))));
+        ops.push(full(branch, 1, Some((2, false))));
+        ops.push(full(branch, 2, None));
+    }
+    // Thread 0 and 1 open an instance; both come round again while it is
+    // pending (dropped, even though the second time they disagree); a
+    // mid-stream flush checks it with two reporters; then the key reopens.
+    ops.push(part(0, 3, None));
+    ops.push(part(0, 3, Some((1, false))));
+    ops.push(Op::Flush);
+    ops.push(part(0, 3, Some((0, true))));
+    // Left for the closing flush: two-reporter instances with a fault.
+    for branch in 0..6 {
+        ops.push(part(branch, 4, Some((1, false))));
+    }
+    ops.push(Op::OneShot { branch: 6, thread: 3 }); // uninstrumented: counted, not kept
+    let flat = play(4, &ops);
+
+    let kinds: Vec<ViolationKind> = flat.violations().iter().map(|v| v.kind).collect();
+    for kind in [
+        ViolationKind::WitnessMismatch,
+        ViolationKind::DirectionMismatch,
+        ViolationKind::GroupMismatch,
+        ViolationKind::TidPredicate,
+    ] {
+        assert!(kinds.contains(&kind), "{kind:?} never raised: {kinds:?}");
+    }
+    let at_flush: Vec<_> = flat.violations().iter().filter(|v| v.reporters == 2).collect();
+    assert!(at_flush.len() >= 3, "{at_flush:?}");
+    // The dropped re-report left the pending instance clean at the first
+    // flush; the reopened one carries thread 0's lie.
+    assert!(at_flush.iter().any(|v| (v.branch, v.site, v.iter) == (0, 1, 3)));
+    assert_eq!(at_flush.iter().filter(|v| (v.branch, v.site, v.iter) == (0, 1, 3)).count(), 1);
+    if cfg!(feature = "provenance") {
+        // Eager checks at the hot site saw a backlog of zero and a known
+        // latency; flush-time ones read the site's final stream position.
+        let reports = flat.violation_reports();
+        assert!(reports.iter().any(|r| r.detection_latency.is_some_and(|n| n > 0)));
+        assert!(reports.iter().all(|r| r.pending_depth == 0 || r.violation.reporters == 4));
+    }
+
+    // A ring that wraps, and the latency lost with it: 5 full rounds (20
+    // reports) at one site, the deviant in the first, checked last.
+    let mut ops = vec![Op::Round { branch: 0, site: 2, iter: 0, start: 0, count: 3, liar: Some((0, true)) }];
+    for iter in 1..5 {
+        ops.push(Op::Round { branch: 0, site: 2, iter, start: 0, count: 4, liar: None });
+    }
+    ops.push(Op::Round { branch: 0, site: 2, iter: 0, start: 3, count: 1, liar: None });
+    let flat = play(4, &ops);
+    assert_eq!(flat.violations().len(), 1);
+    if cfg!(feature = "provenance") {
+        let report = &flat.violation_reports()[0];
+        assert_eq!(report.window.len(), 16);
+        assert_eq!((report.window[0].seq, report.detected_seq), (5, 20));
+        assert_eq!(report.detection_latency, None, "the deviant's entry aged out");
+        assert_eq!(report.deviants, vec![0]);
+    }
+}
+
+/// The branch events of a port at `Size::Test`, four threads, with the
+/// check table that goes with them.
+fn captured(bench: Benchmark) -> (CheckTable, Vec<BranchEvent>) {
+    let image = ProgramImage::prepare_default(bench.module(Size::Test).expect("port compiles"));
+    let result = SimEngine.run(&image, &ExecConfig::new(4).capture_events(true));
+    (CheckTable::from_plan(&image.plan), result.branch_events)
+}
+
+/// Real site mixes: every port's captured stream, clean (nothing flagged)
+/// and with a direction bit flipped every 997 events (plenty flagged, so
+/// the reports of real sites are compared too).
+#[test]
+fn the_seven_ports_replay_identically() {
+    for bench in Benchmark::ALL {
+        let (checks, events) = captured(bench);
+        assert!(!events.is_empty(), "{}", bench.name());
+        let mut pair = Pair::new(checks.clone(), 4);
+        for &event in &events {
+            pair.process(event);
+        }
+        let clean = pair.finish();
+        assert!(clean.violations().is_empty(), "{}: false positive", bench.name());
+
+        let mut pair = Pair::new(checks, 4);
+        for (i, &event) in events.iter().enumerate() {
+            let taken = event.taken ^ (i % 997 == 0);
+            pair.process(BranchEvent { taken, ..event });
+            if i == events.len() / 2 {
+                pair.flush();
+            }
+        }
+        let faulty = pair.finish();
+        assert!(!faulty.violations().is_empty(), "{}: no fault was caught", bench.name());
+    }
+}

@@ -14,6 +14,16 @@ cargo build --workspace --no-default-features
 cargo test -q --workspace --no-default-features
 cargo clippy --workspace --all-targets --no-default-features -- -D warnings
 
+# The monitor's two features are independent, and its storage differs
+# between them: the level-1 site table (pending counts, recorder rings)
+# exists only with `provenance`. The two legs above cover both-on and
+# both-off; these cover each feature alone.
+for feature in telemetry provenance; do
+  cargo test -q -p bw-monitor --no-default-features --features "$feature"
+  cargo clippy -p bw-monitor --all-targets --no-default-features \
+    --features "$feature" -- -D warnings
+done
+
 # Fuzz smoke: a bounded random-program sweep through the whole pipeline
 # (generate → round-trip → prepare → oracle), in both telemetry configs.
 # 200 seeds keep this under two minutes; the nightly job goes deeper.

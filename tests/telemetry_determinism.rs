@@ -16,8 +16,11 @@ use blockwatch::{
     Sampler,
 };
 
-/// Serializes the tests that install the process-global `--trace-spans`
-/// sink, so parallel test threads cannot see each other's spans.
+/// Serializes every test here that runs an engine. The `--trace-spans`
+/// sink is process-global: an engine run on another test thread while one
+/// test has it installed writes its spans into that test's trace (the
+/// straggler profile then sees two programs' phases). Tests that install
+/// the sink and tests that merely run both hold this.
 static TRACE_SINK_LOCK: Mutex<()> = Mutex::new(());
 
 fn trace_sink_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -27,6 +30,7 @@ fn trace_sink_lock() -> std::sync::MutexGuard<'static, ()> {
 /// Two same-seed simulated runs produce identical deterministic snapshots.
 #[test]
 fn same_seed_runs_have_identical_counters() {
+    let _guard = trace_sink_lock();
     let bw = Blockwatch::from_module(Benchmark::Fft.module(Size::Test).unwrap()).unwrap();
     let config = ExecConfig::new(4).seed(0xdead_beef);
     let a = bw.run_on(EngineKind::Sim, &config);
@@ -61,6 +65,7 @@ fn same_seed_runs_have_identical_counters() {
 /// each seed remains self-consistent.
 #[test]
 fn deterministic_part_excludes_wall_clock() {
+    let _guard = trace_sink_lock();
     let bw = Blockwatch::from_module(Benchmark::Radix.module(Size::Test).unwrap()).unwrap();
     let result = bw.run(2);
     let det = result.telemetry.deterministic_part();
@@ -75,6 +80,7 @@ fn deterministic_part_excludes_wall_clock() {
 /// outcome counters are reproducible; only wall-time histograms differ.
 #[test]
 fn same_seed_campaigns_have_identical_outcome_counters() {
+    let _guard = trace_sink_lock();
     let bw = Blockwatch::from_module(Benchmark::Fft.module(Size::Test).unwrap()).unwrap();
     let run = || {
         bw.campaign_runner(20, FaultModel::BranchFlip, 2)
@@ -115,6 +121,7 @@ impl Write for SharedBuf {
 /// the `sample` records ride alongside without perturbing anything.
 #[test]
 fn sampling_does_not_perturb_campaign_determinism() {
+    let _guard = trace_sink_lock();
     let bw = Blockwatch::from_module(Benchmark::Fft.module(Size::Test).unwrap()).unwrap();
     let run = |with_sampler: bool| {
         let buf = SharedBuf::default();
