@@ -662,19 +662,10 @@ pub fn sabotaged_image(
     for (func, cond) in targets {
         image.analysis.override_value_category(func, cond, Category::Shared);
     }
+    // The interpreter must evaluate the (corrupted) plan's witness lists,
+    // exactly as if try_prepare had built it.
     let plan = CheckPlan::build(&image.module, &image.analysis, config);
-    image.plan = plan;
-    // Re-link the per-branch witness lists the interpreter evaluates; they
-    // must reflect the (corrupted) plan, exactly as try_prepare would.
-    let witnesses: Vec<Option<Vec<bw_ir::ValueId>>> = image
-        .analysis
-        .branches
-        .iter()
-        .map(|b| image.plan.check(b.id).map(|c| c.witnesses.clone()))
-        .collect();
-    for (rt, w) in image.branch_runtime.iter_mut().zip(witnesses) {
-        rt.witnesses = w;
-    }
+    image.replace_plan(plan);
     Some(image)
 }
 

@@ -65,3 +65,46 @@ fn planted_category_regression_is_caught_and_minimized() {
     let reparsed = bw_ir::parse_module(&printed).unwrap();
     assert_eq!(reparsed, minimized);
 }
+
+/// The interpreter hashes the witness lists linked into the image, not the
+/// ones in `image.plan`: a sabotaged image must have had them re-linked
+/// (`ProgramImage::replace_plan`), or its events would still carry the
+/// healthy plan's witnesses and the oracle would have nothing to catch.
+#[test]
+fn a_sabotaged_image_sends_the_sabotaged_witnesses() {
+    let module = bw_ir::frontend::compile(
+        r#"
+        shared int n = 2;
+        @spmd func f() {
+            var t: int = threadid();
+            if (t < n) { output(t); }
+        }
+        "#,
+    )
+    .unwrap();
+    let config = ExecConfig::new(4).capture_events(true);
+    let witnesses = |image: &bw_vm::ProgramImage| -> Vec<u64> {
+        let run = SimEngine.run(image, &config);
+        assert_eq!(run.branch_events.len(), 4, "one instrumented branch, four threads");
+        run.branch_events.iter().map(|e| e.witness).collect()
+    };
+
+    // Healthy: a threadID predicate sends only its shared operand, `n`.
+    let healthy =
+        bw_vm::ProgramImage::try_prepare(module.clone(), AnalysisConfig::default()).unwrap();
+    let sent = witnesses(&healthy);
+    assert!(sent.iter().all(|&w| w == sent[0]), "{sent:x?}");
+
+    // Sabotaged: re-labeled `shared`, the check's witnesses include the
+    // thread id, so every thread sends a different hash.
+    let broken = sabotaged_image(&module, AnalysisConfig::default()).expect("a threadID branch");
+    let branch = bw_ir::BranchId(0);
+    assert_ne!(
+        broken.plan.check(branch).unwrap().witnesses,
+        healthy.plan.check(branch).unwrap().witnesses
+    );
+    let mut sent = witnesses(&broken);
+    sent.sort_unstable();
+    sent.dedup();
+    assert_eq!(sent.len(), 4, "{sent:x?}");
+}

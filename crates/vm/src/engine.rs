@@ -1,7 +1,7 @@
 //! The engine abstraction: one execution core, pluggable schedulers.
 //!
-//! Both engines interpret the same [`ThreadState::step`] core over the same
-//! [`ProgramImage`]; what differs is the *scheduler* wrapped around it:
+//! Both engines drive the same stepper, `ThreadState::run`, over the same
+//! decoded [`ProgramImage`]; what differs is the *scheduler* wrapped around it:
 //!
 //! * [`SimEngine`] — the deterministic discrete-event scheduler of
 //!   [`crate::sim`]: all threads interpreted in one OS thread under an
@@ -20,7 +20,6 @@
 //! [`RunResult`]; fields a scheduler cannot honour are documented on the
 //! field and ignored (e.g. the cost model on [`RealEngine`]).
 //!
-//! [`ThreadState::step`]: crate::thread::ThreadState::step
 //! [`MachineModel`]: crate::machine::MachineModel
 
 use bw_monitor::{BranchEvent, Violation, ViolationReport};

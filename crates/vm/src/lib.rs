@@ -59,12 +59,8 @@ pub use engine::{
     engine, Engine, EngineKind, ExecConfig, ExecMode, MonitorMode, RealEngine, RunOutcome,
     RunResult, SimEngine,
 };
-pub use image::{BranchRuntime, FuncMeta, PrepareTimings, ProgramImage};
-pub use telemetry::VmTelemetry;
+pub use image::{PrepareTimings, ProgramImage};
 pub use machine::MachineModel;
 pub use memory::{AtomicMemory, LocalMemory, SharedMemory, SimMemory};
-pub use thread::{
-    BranchHook, CostClass, FaultAction, Frame, NoHook, SplitMix64, StepOutcome, ThreadState,
-    MAX_CALL_DEPTH,
-};
+pub use thread::{BranchHook, FaultAction, NoHook, SplitMix64, MAX_CALL_DEPTH};
 pub use trap::TrapKind;

@@ -52,11 +52,11 @@ fn check_bounds(len: usize, ptr: Ptr) -> Result<usize, TrapKind> {
 
 /// Plain shared memory for the single-OS-thread simulator.
 ///
-/// Interior mutability via `RefCell`-free unsafe is unnecessary here: the
-/// simulator serializes all accesses, so a `std::cell::RefCell` per region
-/// would also work, but a flat `UnsafeCell` is simpler and faster. Instead
-/// we keep it fully safe with `std::cell::Cell`-like semantics by using
-/// `RefCell`-less `Cell<Val>`? `Val` is `Copy`, so `Cell` works directly.
+/// [`SharedMemory`] stores through `&self`, and the simulator interprets
+/// every thread on one OS thread, so each word is a [`Cell`](std::cell::Cell):
+/// `Val` is `Copy`, which makes `get`/`set` all that is needed — no `unsafe`,
+/// no `RefCell` borrow flag. (It also makes `SimMemory` `!Sync`, so it cannot
+/// end up under the real-threads engine by mistake.)
 pub struct SimMemory {
     regions: Vec<Vec<std::cell::Cell<Val>>>,
 }
@@ -131,17 +131,13 @@ impl SharedMemory for AtomicMemory {
     }
 
     fn store(&self, ptr: Ptr, value: Val) -> Result<(), TrapKind> {
-        let (ty, region) =
+        let (_, region) =
             self.regions.get(ptr.region as usize).ok_or(TrapKind::OutOfBounds)?;
         let off = check_bounds(region.len(), ptr)?;
-        if value.ty() != *ty {
-            // Storing a differently-typed value (possible after pointer
-            // corruption redirects a store into another global): keep the
-            // bit pattern; the region's type reinterprets it, as real
-            // memory would.
-            region[off].store(value.bits(), Ordering::Relaxed);
-            return Ok(());
-        }
+        // Only the bit pattern is kept. A value of another type than the
+        // region's (possible after pointer corruption redirects a store
+        // into another global) is reinterpreted by the next load, as real
+        // memory would.
         region[off].store(value.bits(), Ordering::Relaxed);
         Ok(())
     }

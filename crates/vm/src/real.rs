@@ -24,13 +24,15 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use bw_ir::Val;
-use bw_monitor::{CheckTable, EventSender, MonitorBuilder, Violation, ViolationReport};
+use bw_monitor::{
+    BranchEvent, CheckTable, EventSender, MonitorBuilder, Violation, ViolationReport,
+};
 use bw_telemetry::{Recorder, TelemetrySnapshot, TimeDomain, Value};
 
 use crate::engine::{ExecConfig, MonitorMode, RunOutcome, RunResult};
 use crate::image::ProgramImage;
 use crate::memory::AtomicMemory;
-use crate::thread::{BranchHook, StepOutcome, ThreadState};
+use crate::thread::{BranchHook, CostClass, NoSink, Sink, ThreadState, Yield};
 use crate::trap::TrapKind;
 
 /// How a blocking wait ended.
@@ -264,6 +266,30 @@ impl RealTracer {
     }
 }
 
+/// A worker looks at the stop flag at least this often (in steps), so a
+/// thread spinning without sync instructions still dies promptly when
+/// another one traps.
+const STOP_POLL_STEPS: u64 = 4096;
+
+/// How many more steps `t` may take before it counts as hung (`None`: it
+/// already does). A thread is hung once it has *taken* more than
+/// `max_steps` steps, so the last allowed one is number `max_steps + 1`.
+fn steps_before_hang(t: &ThreadState, config: &ExecConfig) -> Option<u64> {
+    (t.steps <= config.max_steps).then(|| (config.max_steps - t.steps).saturating_add(1))
+}
+
+/// The worker's side of the stepper: no cost model, events go to the
+/// thread's queue (if the monitor is on).
+impl Sink for Option<EventSender> {
+    fn charge(&mut self, _: CostClass) {}
+
+    fn event(&mut self, event: BranchEvent) {
+        if let Some(sender) = self {
+            sender.send(event);
+        }
+    }
+}
+
 /// What one worker thread brought back.
 struct WorkerExit {
     outputs: Vec<Val>,
@@ -311,18 +337,14 @@ fn worker_loop(
             // the non-`Completed` outcome.
             break;
         }
-        if t.steps > config.max_steps {
+        let Some(budget) = steps_before_hang(&t, config) else {
             hung = true;
             trip_stop(stop, mutexes, barriers);
             break;
-        }
-        match t.step(image, mem, config.nthreads, hook) {
-            StepOutcome::Ran { event, .. } => {
-                if let (Some(event), Some(sender)) = (event, sender.as_mut()) {
-                    sender.send(event);
-                }
-            }
-            StepOutcome::Lock(m) => {
+        };
+        match t.run(image, mem, config.nthreads, hook, budget.min(STOP_POLL_STEPS), &mut sender) {
+            Yield::Budget => {}
+            Yield::Lock(m) => {
                 let wait_start = tracer.as_ref().map(|tr| tr.now());
                 match mutexes[m.index()].lock(stop, deadline) {
                     WaitOutcome::Released => {
@@ -338,7 +360,7 @@ fn worker_loop(
                     }
                 }
             }
-            StepOutcome::Unlock(m) => {
+            Yield::Unlock(m) => {
                 if !mutexes[m.index()].unlock() {
                     trap = Some(TrapKind::BadUnlock);
                     trip_stop(stop, mutexes, barriers);
@@ -348,7 +370,7 @@ fn worker_loop(
                     tr.lock_released(m.index());
                 }
             }
-            StepOutcome::Barrier(b) => {
+            Yield::Barrier(b) => {
                 let wait_start = tracer.as_ref().map(|tr| tr.now());
                 match barriers[b.index()].wait(stop, deadline) {
                     WaitOutcome::Released => {
@@ -364,13 +386,13 @@ fn worker_loop(
                     }
                 }
             }
-            StepOutcome::Done => {
+            Yield::Done => {
                 if let Some(tr) = tracer.as_ref() {
                     tr.finish(&t);
                 }
                 break;
             }
-            StepOutcome::Trap(k) => {
+            Yield::Trap(k) => {
                 trap = Some(k);
                 trip_stop(stop, mutexes, barriers);
                 break;
@@ -402,17 +424,16 @@ fn run_serial_phase(
 ) -> Result<(), RunOutcome> {
     let mut t = ThreadState::new(0, func, image, config.seed ^ 0xfeed);
     let result = loop {
-        if t.steps > config.max_steps {
+        let Some(budget) = steps_before_hang(&t, config) else {
             break Err(RunOutcome::Hung);
-        }
-        match t.step(image, mem, config.nthreads, hook) {
-            StepOutcome::Ran { .. } => {}
+        };
+        match t.run(image, mem, config.nthreads, hook, budget, &mut NoSink) {
             // Sync ops are no-ops single-threaded (a barrier with
             // nthreads participants in init would deadlock a real
             // program; our ports never do this).
-            StepOutcome::Lock(_) | StepOutcome::Unlock(_) | StepOutcome::Barrier(_) => {}
-            StepOutcome::Done => break Ok(()),
-            StepOutcome::Trap(k) => break Err(RunOutcome::Crashed(k)),
+            Yield::Budget | Yield::Lock(_) | Yield::Unlock(_) | Yield::Barrier(_) => {}
+            Yield::Done => break Ok(()),
+            Yield::Trap(k) => break Err(RunOutcome::Crashed(k)),
         }
     };
     *total_steps += t.steps;

@@ -21,13 +21,13 @@ use std::sync::Arc;
 
 use bw_ir::Val;
 use bw_monitor::{BranchEvent, CheckTable, ShardedMonitor};
-use bw_telemetry::{tm_add, Recorder, TimeDomain, Value};
+use bw_telemetry::{Recorder, TimeDomain, Value};
 
 use crate::engine::{ExecConfig, ExecMode, MonitorMode, RunOutcome, RunResult};
 use crate::image::ProgramImage;
 use crate::memory::SimMemory;
 use crate::telemetry::VmTelemetry;
-use crate::thread::{BranchHook, CostClass, StepOutcome, ThreadState};
+use crate::thread::{BranchHook, CostClass, NoSink, Sink, ThreadState, Yield};
 use crate::trap::TrapKind;
 
 struct MutexState {
@@ -227,18 +227,123 @@ pub(crate) fn run_sim_engine(
     Sim::new(image, config).run(hook)
 }
 
+/// What each instruction class and each monitor event costs one thread, in
+/// cycles: the machine model, the thread's socket and the execution mode
+/// resolved once per run.
+struct ThreadCosts {
+    alu: u64,
+    mul: u64,
+    div: u64,
+    local_mem: u64,
+    call: u64,
+    output: u64,
+    /// A shared access, by region (the region's home socket decides).
+    shared: Vec<u64>,
+    /// What an atomic RMW costs on top of its region's shared access.
+    atomic: u64,
+    /// Building and pushing one monitor event.
+    event: u64,
+}
+
+impl ThreadCosts {
+    fn new(tid: u32, config: &ExecConfig, regions: u32) -> Self {
+        let m = &config.machine;
+        let n = config.nthreads;
+        // Instruction-level duplication re-executes everything (2x), and
+        // each shared access of either replica pays a determinism-
+        // enforcement cost proportional to the thread count (Section VI's
+        // scaling argument).
+        let (dup, tax) = match config.exec {
+            ExecMode::Normal => (1, 0),
+            ExecMode::Duplicated => (2, config.dup_tax * u64::from(n) / 2),
+        };
+        ThreadCosts {
+            alu: m.alu * dup,
+            mul: m.mul * dup,
+            div: m.div * dup,
+            local_mem: m.mem_local * dup,
+            call: m.call * dup,
+            output: m.output * dup,
+            shared: (0..regions).map(|r| (m.shared_access(tid, r, n) + tax) * dup).collect(),
+            atomic: m.atomic * dup,
+            event: (m.event_build + m.event_push(tid, n)) * dup,
+        }
+    }
+
+    fn of(&self, class: CostClass) -> u64 {
+        match class {
+            CostClass::Alu => self.alu,
+            CostClass::Mul => self.mul,
+            CostClass::Div => self.div,
+            CostClass::LocalMem => self.local_mem,
+            CostClass::Shared(region) => self.shared[region as usize],
+            CostClass::Atomic(region) => self.shared[region as usize] + self.atomic,
+            CostClass::Call => self.call,
+            CostClass::Output => self.output,
+        }
+    }
+}
+
+/// Where a run's events and cycle attribution go: everything the stepper
+/// reports to, apart from the reporting thread's clock.
+struct Ledger {
+    mode: MonitorMode,
+    capture: bool,
+    monitor: Option<ShardedMonitor>,
+    events_sent: u64,
+    telemetry: VmTelemetry,
+    branch_events: Vec<BranchEvent>,
+}
+
+/// One thread's slot as the stepper sees it: its clock, its costs, the
+/// run's ledger.
+struct SlotSink<'a> {
+    clock: u64,
+    costs: &'a ThreadCosts,
+    ledger: &'a mut Ledger,
+    tracer: Option<&'a mut SimTracer>,
+}
+
+impl Sink for SlotSink<'_> {
+    #[inline]
+    fn charge(&mut self, class: CostClass) {
+        let cycles = self.costs.of(class);
+        self.clock += cycles;
+        self.ledger.telemetry.add(class, cycles);
+    }
+
+    fn event(&mut self, event: BranchEvent) {
+        let ledger = &mut *self.ledger;
+        if ledger.capture {
+            ledger.branch_events.push(event);
+        }
+        if ledger.mode == MonitorMode::Off {
+            return;
+        }
+        self.clock += self.costs.event;
+        ledger.telemetry.add_events(self.costs.event);
+        ledger.events_sent += 1;
+        if let Some(monitor) = ledger.monitor.as_mut() {
+            if let Some(tr) = self.tracer.as_mut() {
+                let before = monitor.violations_found();
+                monitor.process(event);
+                if monitor.violations_found() > before {
+                    tr.verdict(&event, self.clock);
+                }
+            } else {
+                monitor.process(event);
+            }
+        }
+    }
+}
+
 struct Sim<'a> {
     image: &'a ProgramImage,
     config: &'a ExecConfig,
     mem: SimMemory,
-    monitor: Option<ShardedMonitor>,
+    ledger: Ledger,
     outputs: Vec<Val>,
     total_steps: u64,
-    events_sent: u64,
-    /// Oversubscription factor in duplicated mode.
-    dup_factor: u64,
-    telemetry: VmTelemetry,
-    branch_events: Vec<BranchEvent>,
 }
 
 impl<'a> Sim<'a> {
@@ -255,85 +360,54 @@ impl<'a> Sim<'a> {
             )),
             _ => None,
         };
-        // Instruction-level duplication re-executes everything: 2x.
-        let dup_factor = match config.exec {
-            ExecMode::Normal => 1,
-            ExecMode::Duplicated => 2,
-        };
         Sim {
             image,
             config,
             mem: SimMemory::new(&image.module),
-            monitor,
+            ledger: Ledger {
+                mode: config.monitor,
+                capture: config.capture_events,
+                monitor,
+                events_sent: 0,
+                telemetry: VmTelemetry::default(),
+                branch_events: Vec::new(),
+            },
             outputs: Vec::new(),
             total_steps: 0,
-            events_sent: 0,
-            dup_factor,
-            telemetry: VmTelemetry::new(),
-            branch_events: Vec::new(),
         }
     }
 
-    fn cost(&self, tid: u32, class: CostClass) -> u64 {
-        let m = &self.config.machine;
-        let n = self.config.nthreads;
-        let base = match class {
-            CostClass::Free => 0,
-            CostClass::Alu => m.alu,
-            CostClass::Mul => m.mul,
-            CostClass::Div => m.div,
-            CostClass::LocalMem => m.mem_local,
-            CostClass::Shared(region) => {
-                m.shared_access(tid, region, n) + self.determinism_tax()
-            }
-            CostClass::Atomic(region) => {
-                m.shared_access(tid, region, n) + m.atomic + self.determinism_tax()
-            }
-            CostClass::Call => m.call,
-            CostClass::Output => m.output,
-        };
-        let cycles = base * self.dup_factor;
-        tm_add!(self.telemetry.cycles_for(class), cycles);
-        cycles
-    }
-
-    /// The per-shared-access determinism-enforcement cost of duplicated
-    /// mode, proportional to the thread count (Section VI's scaling
-    /// argument). Note it is inside the ×2 duplication factor: both
-    /// replicas pay it.
-    fn determinism_tax(&self) -> u64 {
-        match self.config.exec {
-            ExecMode::Normal => 0,
-            ExecMode::Duplicated => self.config.dup_tax * u64::from(self.config.nthreads) / 2,
+    /// Steps still allowed before the run counts as hung; `Err` once the
+    /// next step would be one too many (that step is counted, as the
+    /// attempt that tripped the cut).
+    fn steps_allowed(&mut self) -> Result<u64, RunOutcome> {
+        let allowed = self.config.max_steps.saturating_sub(self.total_steps);
+        if allowed == 0 {
+            self.total_steps += 1;
+            return Err(RunOutcome::Hung);
         }
-    }
-
-    fn event_cost(&self, tid: u32) -> u64 {
-        let m = &self.config.machine;
-        let cycles = (m.event_build + m.event_push(tid, self.config.nthreads)) * self.dup_factor;
-        tm_add!(self.telemetry.cycles_events, cycles);
-        cycles
+        Ok(allowed)
     }
 
     /// Runs a single-threaded phase (init / fini) on thread 0 state.
     fn run_serial(&mut self, func: bw_ir::FuncId, hook: &dyn BranchHook) -> Result<(), RunOutcome> {
         let mut thread = ThreadState::new(0, func, self.image, self.config.seed ^ 0xfeed);
         loop {
-            self.total_steps += 1;
-            if self.total_steps > self.config.max_steps {
-                return Err(RunOutcome::Hung);
-            }
-            match thread.step(self.image, &self.mem, self.config.nthreads, hook) {
-                StepOutcome::Ran { .. } => {}
+            let allowed = self.steps_allowed()?;
+            let before = thread.steps;
+            let yielded =
+                thread.run(self.image, &self.mem, self.config.nthreads, hook, allowed, &mut NoSink);
+            self.total_steps += thread.steps - before;
+            match yielded {
                 // Sync ops are no-ops single-threaded (a barrier with
                 // nthreads participants in init would deadlock a real
                 // program; our ports never do this).
-                StepOutcome::Lock(_) | StepOutcome::Unlock(_) | StepOutcome::Barrier(_) => {}
-                StepOutcome::Done => {
+                Yield::Budget | Yield::Lock(_) | Yield::Unlock(_) | Yield::Barrier(_) => {}
+                Yield::Done => {
                     self.outputs.append(&mut thread.outputs);
                     return Ok(());
                 }
-                StepOutcome::Trap(k) => return Err(RunOutcome::Crashed(k)),
+                Yield::Trap(k) => return Err(RunOutcome::Crashed(k)),
             }
         }
     }
@@ -348,13 +422,11 @@ impl<'a> Sim<'a> {
 
         // Phase 2: parallel section.
         let (outcome, parallel_cycles, threads) = self.run_parallel(hook);
-        if outcome != RunOutcome::Completed {
-            let branches = threads.iter().map(|t| t.dyn_branches).collect();
-            let steps = threads.iter().map(|t| t.steps).collect();
-            return self.finish(outcome, parallel_cycles, branches, steps);
-        }
         let branches: Vec<u64> = threads.iter().map(|t| t.dyn_branches).collect();
         let steps: Vec<u64> = threads.iter().map(|t| t.steps).collect();
+        if outcome != RunOutcome::Completed {
+            return self.finish(outcome, parallel_cycles, branches, steps);
+        }
         for mut t in threads {
             self.outputs.append(&mut t.outputs);
         }
@@ -370,13 +442,14 @@ impl<'a> Sim<'a> {
     }
 
     fn finish(
-        mut self,
+        self,
         outcome: RunOutcome,
         parallel_cycles: u64,
         branches_per_thread: Vec<u64>,
         steps_per_thread: Vec<u64>,
     ) -> RunResult {
-        let verdict = self.monitor.take().map(|mut m| {
+        let Ledger { monitor, events_sent, telemetry, branch_events, .. } = self.ledger;
+        let verdict = monitor.map(|mut m| {
             // The end-of-run flush only happens if the program survived:
             // a crash or hang kills the real monitor thread along with
             // the process, so only eagerly detected violations count.
@@ -391,10 +464,10 @@ impl<'a> Sim<'a> {
                 None => (Vec::new(), Vec::new(), 0, None),
             };
         crate::engine::sort_violations(&mut violations, &mut violation_reports);
-        let mut telemetry = self.telemetry.snapshot();
+        let mut telemetry = telemetry.snapshot();
         telemetry.push_counter("vm.engine.sim", 1);
         telemetry.push_counter("vm.instructions", self.total_steps);
-        telemetry.push_counter("vm.events_sent", self.events_sent);
+        telemetry.push_counter("vm.events_sent", events_sent);
         telemetry.push_counter(
             "vm.branches",
             branches_per_thread.iter().copied().sum::<u64>(),
@@ -412,28 +485,29 @@ impl<'a> Sim<'a> {
             violations,
             violation_reports,
             total_steps: self.total_steps,
-            events_sent: self.events_sent,
+            events_sent,
             events_processed,
             events_dropped: 0,
             branches_per_thread,
             steps_per_thread,
             telemetry,
-            branch_events: self.branch_events,
+            branch_events,
         }
     }
 
-    #[allow(clippy::type_complexity)]
-    fn run_parallel(
-        &mut self,
-        hook: &dyn BranchHook,
-    ) -> (RunOutcome, u64, Vec<ThreadState>) {
-        let n = self.config.nthreads;
+    fn run_parallel(&mut self, hook: &dyn BranchHook) -> (RunOutcome, u64, Vec<ThreadState>) {
+        let config = self.config;
+        let machine = &config.machine;
+        let n = config.nthreads;
         let Some(entry) = self.image.module.spmd_entry else {
             return (RunOutcome::Completed, 0, Vec::new());
         };
 
         let mut threads: Vec<ThreadState> =
-            (0..n).map(|tid| ThreadState::new(tid, entry, self.image, self.config.seed)).collect();
+            (0..n).map(|tid| ThreadState::new(tid, entry, self.image, config.seed)).collect();
+        let regions = self.image.module.globals.len() as u32;
+        let costs: Vec<ThreadCosts> =
+            (0..n).map(|tid| ThreadCosts::new(tid, config, regions)).collect();
         let mut clocks = vec![0u64; n as usize];
         let mut blocked = vec![false; n as usize];
         let mut finish_clock = vec![0u64; n as usize];
@@ -459,53 +533,38 @@ impl<'a> Sim<'a> {
             }
             let mut clock = clock.max(clocks[t]);
 
+            // One scheduler slot: `quantum` steps, in as many stretches as
+            // the thread's sync instructions cut it into.
+            let mut slot = u64::from(config.quantum);
             let mut requeue = true;
-            for _ in 0..self.config.quantum {
-                self.total_steps += 1;
-                if self.total_steps > self.config.max_steps {
-                    clocks[t] = clock;
-                    let max_clock = clocks.iter().copied().max().unwrap_or(0);
-                    return (RunOutcome::Hung, max_clock, threads);
-                }
-
-                let outcome = {
-                    let thread = &mut threads[t];
-                    thread.step(self.image, &self.mem, n, hook)
-                };
-                match outcome {
-                    StepOutcome::Ran { cost, event } => {
-                        clock += self.cost(tid, cost);
-                        if let Some(event) = event {
-                            if self.config.capture_events {
-                                self.branch_events.push(event);
-                            }
-                            match self.config.monitor {
-                                MonitorMode::Enabled => {
-                                    clock += self.event_cost(tid);
-                                    self.events_sent += 1;
-                                    let monitor =
-                                        self.monitor.as_mut().expect("enabled monitor exists");
-                                    if let Some(tr) = tracer.as_mut() {
-                                        let before = monitor.violations_found();
-                                        monitor.process(event);
-                                        if monitor.violations_found() > before {
-                                            tr.verdict(&event, clock);
-                                        }
-                                    } else {
-                                        monitor.process(event);
-                                    }
-                                }
-                                MonitorMode::SendOnly => {
-                                    clock += self.event_cost(tid);
-                                    self.events_sent += 1;
-                                }
-                                MonitorMode::Off => {}
-                            }
-                        }
+            while slot > 0 {
+                let allowed = match self.steps_allowed() {
+                    Ok(allowed) => allowed.min(slot),
+                    Err(hung) => {
+                        clocks[t] = clock;
+                        let max_clock = clocks.iter().copied().max().unwrap_or(0);
+                        return (hung, max_clock, threads);
                     }
-                    StepOutcome::Lock(m) => {
-                        clock += self.cost(tid, CostClass::Alu) + self.config.machine.lock;
-                        tm_add!(self.telemetry.cycles_sync, self.config.machine.lock);
+                };
+                let before = threads[t].steps;
+                let mut sink = SlotSink {
+                    clock,
+                    costs: &costs[t],
+                    ledger: &mut self.ledger,
+                    tracer: tracer.as_mut(),
+                };
+                let yielded = threads[t].run(self.image, &self.mem, n, hook, allowed, &mut sink);
+                clock = sink.clock;
+                let used = threads[t].steps - before;
+                self.total_steps += used;
+                slot -= used;
+
+                match yielded {
+                    Yield::Budget => {}
+                    Yield::Lock(m) => {
+                        clock += costs[t].alu + machine.lock;
+                        self.ledger.telemetry.add(CostClass::Alu, costs[t].alu);
+                        self.ledger.telemetry.add_sync(machine.lock);
                         let ms = &mut mutexes[m.index()];
                         if ms.owner.is_none() {
                             ms.owner = Some(tid);
@@ -522,9 +581,9 @@ impl<'a> Sim<'a> {
                             break;
                         }
                     }
-                    StepOutcome::Unlock(m) => {
-                        clock += self.config.machine.lock;
-                        tm_add!(self.telemetry.cycles_sync, self.config.machine.lock);
+                    Yield::Unlock(m) => {
+                        clock += machine.lock;
+                        self.ledger.telemetry.add_sync(machine.lock);
                         let ms = &mut mutexes[m.index()];
                         if ms.owner != Some(tid) {
                             // Control flow corrupted into an unlock the
@@ -545,8 +604,7 @@ impl<'a> Sim<'a> {
                             let next = ms.waiters.remove(0);
                             ms.owner = Some(next);
                             let nt = next as usize;
-                            clocks[nt] =
-                                clocks[nt].max(clock) + self.config.machine.lock_handoff;
+                            clocks[nt] = clocks[nt].max(clock) + machine.lock_handoff;
                             blocked[nt] = false;
                             if let Some(tr) = tracer.as_mut() {
                                 tr.lock_handoff(next, m.index(), clocks[nt]);
@@ -554,7 +612,7 @@ impl<'a> Sim<'a> {
                             heap.push(Reverse((clocks[nt], next)));
                         }
                     }
-                    StepOutcome::Barrier(b) => {
+                    Yield::Barrier(b) => {
                         let bs = &mut barriers[b.index()];
                         bs.arrivals.push((tid, clock));
                         // Barriers are sized to the full thread count, like
@@ -569,11 +627,8 @@ impl<'a> Sim<'a> {
                                 .map(|&(_, c)| c)
                                 .max()
                                 .expect("nonempty arrivals")
-                                + self.config.machine.barrier_latency(n);
-                            tm_add!(
-                                self.telemetry.cycles_sync,
-                                self.config.machine.barrier_latency(n)
-                            );
+                                + machine.barrier_latency(n);
+                            self.ledger.telemetry.add_sync(machine.barrier_latency(n));
                             for &(other, _) in &bs.arrivals {
                                 let ot = other as usize;
                                 clocks[ot] = release;
@@ -593,12 +648,12 @@ impl<'a> Sim<'a> {
                             break;
                         }
                     }
-                    StepOutcome::Done => {
+                    Yield::Done => {
                         finish_clock[t] = clock;
                         requeue = false;
                         break;
                     }
-                    StepOutcome::Trap(k) => {
+                    Yield::Trap(k) => {
                         clocks[t] = clock;
                         let max_clock = clocks.iter().copied().max().unwrap_or(0).max(clock);
                         return (RunOutcome::Crashed(k), max_clock, threads);

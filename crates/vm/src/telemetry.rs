@@ -7,83 +7,89 @@
 //! to queue pressure rather than check cost. All values are simulated
 //! cycles, so they are deterministic for a given (program, config, seed)
 //! and participate in the determinism contract.
+//!
+//! One simulated run is one OS thread, so the buckets are plain integers,
+//! folded into a [`TelemetrySnapshot`] once, when the run finishes.
+//! Without the `telemetry` feature nothing is added to them.
 
-use bw_telemetry::{Counter, TelemetrySnapshot};
+use bw_telemetry::TelemetrySnapshot;
 
 use crate::thread::CostClass;
 
-/// Cycle attribution instruments for one simulated run.
+/// Cycle attribution buckets for one simulated run.
 #[derive(Debug, Default)]
-pub struct VmTelemetry {
+pub(crate) struct VmTelemetry {
     /// Cycles in plain ALU / compare / jump instructions.
-    pub cycles_alu: Counter,
+    pub cycles_alu: u64,
     /// Cycles in multiplies.
-    pub cycles_mul: Counter,
+    pub cycles_mul: u64,
     /// Cycles in divides / sqrt.
-    pub cycles_div: Counter,
+    pub cycles_div: u64,
     /// Cycles in thread-local memory accesses.
-    pub cycles_local_mem: Counter,
+    pub cycles_local_mem: u64,
     /// Cycles in shared-memory accesses.
-    pub cycles_shared: Counter,
+    pub cycles_shared: u64,
     /// Cycles in atomic RMWs.
-    pub cycles_atomic: Counter,
+    pub cycles_atomic: u64,
     /// Cycles in calls/returns.
-    pub cycles_call: Counter,
+    pub cycles_call: u64,
     /// Cycles in output appends.
-    pub cycles_output: Counter,
+    pub cycles_output: u64,
     /// Cycles spent building and pushing monitor events (the paper's
     /// instrumentation overhead proper).
-    pub cycles_events: Counter,
+    pub cycles_events: u64,
     /// Cycles in lock/unlock/barrier machinery beyond the issuing
     /// instruction.
-    pub cycles_sync: Counter,
+    pub cycles_sync: u64,
 }
 
 impl VmTelemetry {
-    /// All-zero instruments.
-    pub const fn new() -> Self {
-        VmTelemetry {
-            cycles_alu: Counter::new(),
-            cycles_mul: Counter::new(),
-            cycles_div: Counter::new(),
-            cycles_local_mem: Counter::new(),
-            cycles_shared: Counter::new(),
-            cycles_atomic: Counter::new(),
-            cycles_call: Counter::new(),
-            cycles_output: Counter::new(),
-            cycles_events: Counter::new(),
-            cycles_sync: Counter::new(),
+    /// Attributes `cycles` to the bucket of a cost class.
+    #[inline]
+    pub fn add(&mut self, class: CostClass, cycles: u64) {
+        if !bw_telemetry::ENABLED {
+            return;
+        }
+        *match class {
+            CostClass::Alu => &mut self.cycles_alu,
+            CostClass::Mul => &mut self.cycles_mul,
+            CostClass::Div => &mut self.cycles_div,
+            CostClass::LocalMem => &mut self.cycles_local_mem,
+            CostClass::Shared(_) => &mut self.cycles_shared,
+            CostClass::Atomic(_) => &mut self.cycles_atomic,
+            CostClass::Call => &mut self.cycles_call,
+            CostClass::Output => &mut self.cycles_output,
+        } += cycles;
+    }
+
+    /// Attributes `cycles` to monitor-event pushes.
+    #[inline]
+    pub fn add_events(&mut self, cycles: u64) {
+        if bw_telemetry::ENABLED {
+            self.cycles_events += cycles;
         }
     }
 
-    /// The attribution counter for a cost class (`Free` maps to the ALU
-    /// bucket; it contributes zero cycles anyway).
-    pub fn cycles_for(&self, class: CostClass) -> &Counter {
-        match class {
-            CostClass::Alu | CostClass::Free => &self.cycles_alu,
-            CostClass::Mul => &self.cycles_mul,
-            CostClass::Div => &self.cycles_div,
-            CostClass::LocalMem => &self.cycles_local_mem,
-            CostClass::Shared(_) => &self.cycles_shared,
-            CostClass::Atomic(_) => &self.cycles_atomic,
-            CostClass::Call => &self.cycles_call,
-            CostClass::Output => &self.cycles_output,
+    /// Attributes `cycles` to synchronization machinery.
+    pub fn add_sync(&mut self, cycles: u64) {
+        if bw_telemetry::ENABLED {
+            self.cycles_sync += cycles;
         }
     }
 
     /// Exports the attribution under `vm.cycles.*` names.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let mut s = TelemetrySnapshot::new();
-        s.push_counter("vm.cycles.alu", self.cycles_alu.get());
-        s.push_counter("vm.cycles.mul", self.cycles_mul.get());
-        s.push_counter("vm.cycles.div", self.cycles_div.get());
-        s.push_counter("vm.cycles.local_mem", self.cycles_local_mem.get());
-        s.push_counter("vm.cycles.shared", self.cycles_shared.get());
-        s.push_counter("vm.cycles.atomic", self.cycles_atomic.get());
-        s.push_counter("vm.cycles.call", self.cycles_call.get());
-        s.push_counter("vm.cycles.output", self.cycles_output.get());
-        s.push_counter("vm.cycles.events", self.cycles_events.get());
-        s.push_counter("vm.cycles.sync", self.cycles_sync.get());
+        s.push_counter("vm.cycles.alu", self.cycles_alu);
+        s.push_counter("vm.cycles.mul", self.cycles_mul);
+        s.push_counter("vm.cycles.div", self.cycles_div);
+        s.push_counter("vm.cycles.local_mem", self.cycles_local_mem);
+        s.push_counter("vm.cycles.shared", self.cycles_shared);
+        s.push_counter("vm.cycles.atomic", self.cycles_atomic);
+        s.push_counter("vm.cycles.call", self.cycles_call);
+        s.push_counter("vm.cycles.output", self.cycles_output);
+        s.push_counter("vm.cycles.events", self.cycles_events);
+        s.push_counter("vm.cycles.sync", self.cycles_sync);
         s
     }
 }
@@ -94,12 +100,15 @@ mod tests {
 
     #[test]
     fn cost_classes_map_to_distinct_buckets() {
-        let t = VmTelemetry::new();
-        t.cycles_for(CostClass::Shared(3)).add(10);
-        t.cycles_for(CostClass::Atomic(0)).add(5);
-        t.cycles_for(CostClass::Free).add(0);
-        assert_eq!(t.cycles_shared.get(), 10);
-        assert_eq!(t.cycles_atomic.get(), 5);
-        assert_eq!(t.snapshot().counter("vm.cycles.shared"), Some(10));
+        let mut t = VmTelemetry::default();
+        t.add(CostClass::Shared(3), 10);
+        t.add(CostClass::Atomic(0), 5);
+        t.add_events(7);
+        let on = u64::from(bw_telemetry::ENABLED);
+        assert_eq!(t.cycles_shared, 10 * on);
+        assert_eq!(t.cycles_atomic, 5 * on);
+        assert_eq!(t.cycles_alu, 0);
+        assert_eq!(t.snapshot().counter("vm.cycles.shared"), Some(10 * on));
+        assert_eq!(t.snapshot().counter("vm.cycles.events"), Some(7 * on));
     }
 }

@@ -1,13 +1,23 @@
-//! Per-thread interpreter state and the single-instruction step function
-//! shared by both execution engines.
+//! Per-thread interpreter state and the run-to-yield stepper shared by
+//! both execution engines.
+//!
+//! [`ThreadState::run`] executes decoded instructions
+//! ([`crate::image::Inst`]) until the thread needs its scheduler — a lock,
+//! an unlock, a barrier, the end of the thread, a trap — or until the step
+//! budget it was given runs out.
+//!
+//! **What counts as a step.** Every IR instruction is one step, and a phi
+//! is one `Free` step: a control transfer evaluates the target block's
+//! phis (in parallel) as part of the `br`/`jump` step, and the thread then
+//! owes one zero-cost step per phi before the block's first real
+//! instruction. Owed steps are consumed in O(1), but they are ordinary
+//! steps to every counter: they fill a budget, can straddle two calls of
+//! `run`, and count in [`ThreadState::steps`].
 
-use bw_ir::{
-    BarrierId, BinOp, BlockId, BranchId, CmpOp, FuncId, MutexId, Op, Ptr, Space, UnOp, Val,
-    ValueId,
-};
+use bw_ir::{BarrierId, BinOp, BranchId, CmpOp, FuncId, MutexId, Space, UnOp, Val, ValueId};
 use bw_monitor::{BranchEvent, KeyHasher};
 
-use crate::image::ProgramImage;
+use crate::image::{CallSite, Edge, Inst, PhiCopy, ProgramImage, NONE};
 use crate::memory::{LocalMemory, SharedMemory};
 use crate::trap::TrapKind;
 
@@ -54,10 +64,10 @@ impl BranchHook for NoHook {
     }
 }
 
-/// Cost classification of an executed instruction; the engine translates it
-/// into cycles with the machine model.
+/// Cost classification of an executed instruction; the simulator
+/// translates it into cycles with the machine model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CostClass {
+pub(crate) enum CostClass {
     /// Simple ALU / compare / jump.
     Alu,
     /// Multiply.
@@ -74,20 +84,32 @@ pub enum CostClass {
     Call,
     /// Output append.
     Output,
-    /// No cost (phi bookkeeping, constants folded into issue).
-    Free,
 }
 
-/// What happened during one step.
-#[derive(Debug)]
-pub enum StepOutcome {
-    /// An ordinary instruction ran.
-    Ran {
-        /// Cost classification for the engine's accounting.
-        cost: CostClass,
-        /// Monitor event to deliver, when an instrumented branch executed.
-        event: Option<BranchEvent>,
-    },
+/// What an engine does with the instructions a thread executes.
+pub(crate) trait Sink {
+    /// One instruction of class `class` completed. Zero-cost instructions
+    /// (constants, `threadid`, phi steps) are not reported.
+    fn charge(&mut self, class: CostClass);
+    /// An instrumented branch executed; called after the branch's own
+    /// [`Sink::charge`].
+    fn event(&mut self, event: BranchEvent);
+}
+
+/// The sink of the serial phases (init / fini): nothing is charged and
+/// nothing is sent.
+pub(crate) struct NoSink;
+
+impl Sink for NoSink {
+    fn charge(&mut self, _: CostClass) {}
+    fn event(&mut self, _: BranchEvent) {}
+}
+
+/// Why [`ThreadState::run`] returned.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Yield {
+    /// The step budget is used up.
+    Budget,
     /// The thread executed a `lock` — the engine must grant or block.
     Lock(MutexId),
     /// The thread executed an `unlock`.
@@ -129,452 +151,450 @@ impl SplitMix64 {
     }
 }
 
-/// One activation record.
-#[derive(Debug)]
-pub struct Frame {
-    /// Executing function.
-    pub func: FuncId,
-    /// Current block.
-    pub block: BlockId,
-    /// Next instruction index within the block.
-    pub inst: usize,
-    /// Register file (indexed by `ValueId`).
-    pub regs: Vec<Val>,
-    /// Iteration counters of the loops currently containing the program
-    /// point, outermost first.
-    pub loop_stack: Vec<(bw_ir::LoopId, u64)>,
+/// One activation record: where the function's registers and loop
+/// counters start on the thread's two stacks, and where it resumes.
+#[derive(Clone, Copy, Debug)]
+struct Frame {
+    /// Next instruction (valid while the frame is suspended); pcs are
+    /// module-wide, so this names the function too.
+    pc: u32,
+    /// Caller register to receive the return value ([`NONE`] if unused).
+    ret_dst: u32,
+    /// Start of the frame's register window in [`ThreadState::regs`].
+    reg_base: usize,
+    /// Start of the frame's loop counters in [`ThreadState::loops`].
+    loop_base: usize,
     /// Call-path hash for this frame (level-1 runtime key).
-    pub path_hash: u64,
-    /// Caller register to receive the return value.
-    pub ret_dest: Option<ValueId>,
+    path_hash: u64,
 }
 
 /// The full interpreter state of one thread.
-pub struct ThreadState {
+pub(crate) struct ThreadState {
     /// Thread id in `0..nthreads`.
     pub tid: u32,
-    /// Activation stack.
-    pub frames: Vec<Frame>,
+    /// Activation stack; the last frame is the running one.
+    frames: Vec<Frame>,
+    /// Register windows of all live frames, innermost last (a window is
+    /// indexed by `ValueId`, plus one scratch register).
+    regs: Vec<Val>,
+    /// `(loop, iteration)` of the loops containing each live frame's
+    /// program point, outermost first, innermost frame last.
+    loops: Vec<(u32, u64)>,
+    /// Values in flight during a parallel phi copy.
+    phi_buf: Vec<Val>,
+    /// Phi steps the last transfer left to take (see the module docs).
+    phi_owed: u64,
     /// Thread-local memory.
-    pub local: LocalMemory,
+    local: LocalMemory,
     /// Values emitted by `output`.
     pub outputs: Vec<Val>,
     /// Deterministic PRNG for the `rand` op.
-    pub rng: SplitMix64,
+    rng: SplitMix64,
     /// Number of barriers passed (part of the instance key).
-    pub barrier_epoch: u64,
+    barrier_epoch: u64,
     /// Dynamic branches executed so far.
     pub dyn_branches: u64,
-    /// Monitor events produced.
-    pub events_sent: u64,
     /// Set when the thread finished or trapped.
     pub finished: Option<Result<(), TrapKind>>,
-    /// Instructions executed (for statistics).
+    /// Instructions executed, phi steps included.
     pub steps: u64,
+}
+
+/// The word a loop-stack entry contributes to instance-key hashes.
+fn loop_key((loop_id, iteration): (u32, u64)) -> u64 {
+    u64::from(loop_id) << 32 | (iteration & 0xffff_ffff)
 }
 
 impl ThreadState {
     /// Creates a thread poised to execute `func` (no arguments).
     pub fn new(tid: u32, func: FuncId, image: &ProgramImage, seed: u64) -> Self {
-        let f = image.module.func(func);
-        let frame = Frame {
-            func,
-            block: f.entry(),
-            inst: 0,
-            regs: vec![Val::I64(0); f.num_values()],
-            loop_stack: Vec::new(),
+        let entry = image.code.funcs[func.index()];
+        let root = Frame {
+            pc: entry.pc,
+            ret_dst: NONE,
+            reg_base: 0,
+            loop_base: 0,
             // The root path hash must be identical in every thread: the
             // call-site path is a *cross-thread* correlation key.
             path_hash: KeyHasher::new().with(0x5bd1_e995).finish(),
-            ret_dest: None,
         };
         ThreadState {
             tid,
-            frames: vec![frame],
+            frames: vec![root],
+            regs: vec![Val::I64(0); entry.nregs as usize],
+            loops: Vec::new(),
+            phi_buf: Vec::new(),
+            phi_owed: u64::from(entry.phi_steps),
             local: LocalMemory::new(),
             outputs: Vec::new(),
             rng: SplitMix64::new(seed ^ (u64::from(tid) << 32) ^ 0x1234_5678_9abc_def0),
             barrier_epoch: 0,
             dyn_branches: 0,
-            events_sent: 0,
             finished: None,
             steps: 0,
         }
     }
 
-    /// Executes one instruction. `nthreads` is the SPMD width (for the
-    /// `numthreads` op); `mem` is the shared memory; `hook` may inject
-    /// faults at branches.
-    pub fn step(
+    /// Executes up to `budget` steps and says why it stopped. `nthreads`
+    /// is the SPMD width (for the `numthreads` op); `mem` is the shared
+    /// memory; `hook` may inject faults at branches; `sink` is told of
+    /// every costed instruction and every monitor event.
+    ///
+    /// A sync instruction (`lock`, `unlock`, `barrier`) is executed — and
+    /// counted — before the matching [`Yield`] is returned; the next call
+    /// resumes after it.
+    pub fn run<M: SharedMemory, S: Sink>(
         &mut self,
         image: &ProgramImage,
-        mem: &dyn SharedMemory,
+        mem: &M,
         nthreads: u32,
         hook: &dyn BranchHook,
-    ) -> StepOutcome {
-        debug_assert!(self.finished.is_none(), "stepping a finished thread");
-        self.steps += 1;
+        budget: u64,
+        sink: &mut S,
+    ) -> Yield {
+        debug_assert!(self.finished.is_none(), "running a finished thread");
+        let code = &image.code;
+        let mut left = budget;
+        let yielded = 'frame: loop {
+            // Phi steps owed since the last transfer or call: as many as
+            // the budget allows now, the rest on the next call.
+            let owed = self.phi_owed.min(left);
+            self.phi_owed -= owed;
+            left -= owed;
 
-        let frame_index = self.frames.len() - 1;
-        let (func_id, block, inst_index) = {
-            let f = &self.frames[frame_index];
-            (f.func, f.block, f.inst)
-        };
-        let func = image.module.func(func_id);
-        let inst = &func.block(block).insts[inst_index];
+            let frame = *self.frames.last().expect("a live thread has a frame");
+            let regs = &mut self.regs[frame.reg_base..];
+            let mut pc = frame.pc as usize;
 
-        macro_rules! trap {
-            ($kind:expr) => {{
-                self.finished = Some(Err($kind));
-                return StepOutcome::Trap($kind);
-            }};
-        }
-        macro_rules! get {
-            ($v:expr) => {
-                self.frames[frame_index].regs[$v.index()]
-            };
-        }
-        macro_rules! set {
-            ($val:expr) => {
-                if let Some(result) = inst.result {
-                    self.frames[frame_index].regs[result.index()] = $val;
-                }
-            };
-        }
-        macro_rules! advance {
-            ($cost:expr) => {{
-                self.frames[frame_index].inst += 1;
-                return StepOutcome::Ran { cost: $cost, event: None };
-            }};
-        }
-
-        match &inst.op {
-            Op::Const(v) => {
-                set!(*v);
-                advance!(CostClass::Free)
+            macro_rules! suspend {
+                ($why:expr) => {{
+                    self.frames.last_mut().expect("a live thread has a frame").pc = pc as u32;
+                    break 'frame $why;
+                }};
             }
-            Op::Bin { op, lhs, rhs } => {
-                let (l, r) = (get!(*lhs), get!(*rhs));
-                let cost = match op {
-                    BinOp::Mul => CostClass::Mul,
-                    BinOp::Div | BinOp::Rem => CostClass::Div,
-                    _ => CostClass::Alu,
-                };
-                match eval_bin(*op, l, r) {
-                    Ok(v) => set!(v),
-                    Err(k) => trap!(k),
-                }
-                advance!(cost)
+            macro_rules! trap {
+                ($kind:expr) => {{
+                    let kind = $kind;
+                    self.finished = Some(Err(kind));
+                    break 'frame Yield::Trap(kind);
+                }};
             }
-            Op::Cmp { op, lhs, rhs } => {
-                let (l, r) = (get!(*lhs), get!(*rhs));
-                match eval_cmp(*op, l, r) {
-                    Ok(v) => set!(Val::Bool(v)),
-                    Err(k) => trap!(k),
-                }
-                advance!(CostClass::Alu)
-            }
-            Op::Un { op, operand } => {
-                match eval_un(*op, get!(*operand)) {
-                    Ok(v) => set!(v),
-                    Err(k) => trap!(k),
-                }
-                advance!(CostClass::Alu)
-            }
-            Op::Phi { .. } => {
-                // Phis are evaluated on the incoming edge (see `transfer`);
-                // reaching one at inst 0 means entry-block phi, impossible.
-                advance!(CostClass::Free)
-            }
-            Op::GlobalAddr(g) => {
-                set!(Val::Ptr(Ptr::shared(g.0)));
-                advance!(CostClass::Free)
-            }
-            Op::Gep { base, offset } => {
-                let Some(p) = get!(*base).as_ptr() else { trap!(TrapKind::TypeError) };
-                let Some(off) = get!(*offset).as_i64() else { trap!(TrapKind::TypeError) };
-                set!(Val::Ptr(p.offset_by(off)));
-                advance!(CostClass::Alu)
-            }
-            Op::Load { addr, .. } => {
-                let Some(p) = get!(*addr).as_ptr() else { trap!(TrapKind::TypeError) };
-                let (value, cost) = match p.space {
-                    Space::Shared => match mem.load(p) {
-                        Ok(v) => (v, CostClass::Shared(p.region)),
+            macro_rules! bin {
+                ($op:expr, $r:expr, $cost:expr) => {{
+                    match eval_bin($op, regs[$r.a as usize], regs[$r.b as usize]) {
+                        Ok(v) => regs[$r.dst as usize] = v,
                         Err(k) => trap!(k),
-                    },
-                    Space::Local => match self.local.load(p) {
-                        Ok(v) => (v, CostClass::LocalMem),
-                        Err(k) => trap!(k),
-                    },
-                };
-                self.frames[frame_index].regs[inst.result.expect("load has result").index()] =
-                    value;
-                self.frames[frame_index].inst += 1;
-                StepOutcome::Ran { cost, event: None }
-            }
-            Op::Store { addr, value } => {
-                let Some(p) = get!(*addr).as_ptr() else { trap!(TrapKind::TypeError) };
-                let v = get!(*value);
-                let cost = match p.space {
-                    Space::Shared => match mem.store(p, v) {
-                        Ok(()) => CostClass::Shared(p.region),
-                        Err(k) => trap!(k),
-                    },
-                    Space::Local => match self.local.store(p, v) {
-                        Ok(()) => CostClass::LocalMem,
-                        Err(k) => trap!(k),
-                    },
-                };
-                self.frames[frame_index].inst += 1;
-                StepOutcome::Ran { cost, event: None }
-            }
-            Op::Alloca { size } => {
-                let Some(n) = get!(*size).as_i64() else { trap!(TrapKind::TypeError) };
-                match self.local.alloca(n) {
-                    Ok(p) => set!(Val::Ptr(p)),
-                    Err(k) => trap!(k),
-                }
-                advance!(CostClass::LocalMem)
-            }
-            Op::ThreadId => {
-                set!(Val::I64(i64::from(self.tid)));
-                advance!(CostClass::Free)
-            }
-            Op::NumThreads => {
-                set!(Val::I64(i64::from(nthreads)));
-                advance!(CostClass::Free)
-            }
-            Op::AtomicFetchAdd { global, delta } => {
-                let Some(d) = get!(*delta).as_i64() else { trap!(TrapKind::TypeError) };
-                match mem.fetch_add(global.0, d) {
-                    Ok(old) => set!(Val::I64(old)),
-                    Err(k) => trap!(k),
-                }
-                advance!(CostClass::Atomic(global.0))
-            }
-            Op::Rand { bound } => {
-                let Some(b) = get!(*bound).as_i64() else { trap!(TrapKind::TypeError) };
-                let v = self.rng.below(b);
-                set!(Val::I64(v));
-                advance!(CostClass::Mul)
-            }
-            Op::Output(v) => {
-                let value = get!(*v);
-                self.outputs.push(value);
-                advance!(CostClass::Output)
-            }
-            Op::MutexLock(m) => {
-                let m = *m;
-                self.frames[frame_index].inst += 1;
-                StepOutcome::Lock(m)
-            }
-            Op::MutexUnlock(m) => {
-                let m = *m;
-                self.frames[frame_index].inst += 1;
-                StepOutcome::Unlock(m)
-            }
-            Op::Barrier(b) => {
-                let b = *b;
-                self.frames[frame_index].inst += 1;
-                self.barrier_epoch += 1;
-                StepOutcome::Barrier(b)
-            }
-            Op::Call { func: callee, args, site } => {
-                if self.frames.len() >= MAX_CALL_DEPTH {
-                    trap!(TrapKind::StackOverflow);
-                }
-                let arg_vals: Vec<Val> = args.iter().map(|a| get!(*a)).collect();
-                self.push_call(image, *callee, arg_vals, site.0, inst.result);
-                StepOutcome::Ran { cost: CostClass::Call, event: None }
-            }
-            Op::CallIndirect { table, selector, args, site } => {
-                if self.frames.len() >= MAX_CALL_DEPTH {
-                    trap!(TrapKind::StackOverflow);
-                }
-                let Some(sel) = get!(*selector).as_i64() else { trap!(TrapKind::TypeError) };
-                let funcs = &image.module.tables[table.index()].funcs;
-                if sel < 0 || sel as usize >= funcs.len() {
-                    trap!(TrapKind::BadIndirectCall);
-                }
-                let callee = funcs[sel as usize];
-                let arg_vals: Vec<Val> = args.iter().map(|a| get!(*a)).collect();
-                self.push_call(image, callee, arg_vals, site.0, inst.result);
-                StepOutcome::Ran { cost: CostClass::Call, event: None }
-            }
-            Op::Br { cond, then_bb, else_bb } => {
-                let (then_bb, else_bb) = (*then_bb, *else_bb);
-                let Some(mut outcome) = get!(*cond).as_bool() else { trap!(TrapKind::TypeError) };
-                self.dyn_branches += 1;
-
-                let branch_id =
-                    image.branch_id(func_id, block).expect("every Br is registered");
-                let runtime = &image.branch_runtime[branch_id.index()];
-
-                // The witness is captured *before* the branch executes, as
-                // the paper's `sendBranchCondition` call precedes the branch
-                // instruction PIN injects into. A condition-data fault at
-                // the branch therefore sends the clean witness but takes
-                // the corrupted direction — which is exactly what makes it
-                // detectable as a within-group direction mismatch.
-                let witness = runtime.witnesses.as_ref().map(|witnesses| {
-                    let frame = &self.frames[frame_index];
-                    let mut wh = KeyHasher::new();
-                    for &w in witnesses {
-                        wh.write(frame.regs[w.index()].bits());
                     }
-                    wh.finish()
-                });
+                    sink.charge($cost);
+                }};
+            }
+            macro_rules! cmp {
+                ($op:expr, $r:expr) => {{
+                    match eval_cmp($op, regs[$r.a as usize], regs[$r.b as usize]) {
+                        Ok(v) => regs[$r.dst as usize] = Val::Bool(v),
+                        Err(k) => trap!(k),
+                    }
+                    sink.charge(CostClass::Alu);
+                }};
+            }
+            macro_rules! un {
+                ($op:expr, $r:expr) => {{
+                    match eval_un($op, regs[$r.a as usize]) {
+                        Ok(v) => regs[$r.dst as usize] = v,
+                        Err(k) => trap!(k),
+                    }
+                    sink.charge(CostClass::Alu);
+                }};
+            }
+            // Takes a CFG edge; the phi steps it leaves are owed from the
+            // rest of this budget first.
+            macro_rules! take {
+                ($edge:expr) => {{
+                    let edge = &code.edges[$edge as usize];
+                    transfer(edge, &code.copies, regs, &mut self.phi_buf);
+                    adjust_loops(edge, &mut self.loops, frame.loop_base);
+                    pc = edge.pc as usize;
+                    let phis = u64::from(edge.phi_steps);
+                    let now = phis.min(left);
+                    left -= now;
+                    self.phi_owed = phis - now;
+                }};
+            }
 
-                // Fault injection hook (the fault strikes at the branch).
-                if let Some(action) = hook.on_branch(self.tid, self.dyn_branches, branch_id) {
-                    match action {
-                        FaultAction::FlipOutcome => outcome = !outcome,
-                        FaultAction::CorruptData { value_choice, bit } => {
-                            let targets = &runtime.cond_info.data_values;
-                            let target = targets[value_choice as usize % targets.len()];
-                            let regs = &mut self.frames[frame_index].regs;
-                            let old = regs[target.index()];
-                            let corrupted =
-                                Val::from_bits(old.ty(), old.bits() ^ (1u64 << (bit % 64)));
-                            regs[target.index()] = corrupted;
-                            outcome = recompute_outcome(
-                                &runtime.cond_info,
-                                &self.frames[frame_index].regs,
-                                *cond,
-                            );
+            loop {
+                if left == 0 {
+                    suspend!(Yield::Budget);
+                }
+                left -= 1;
+                let inst = code.insts[pc];
+                pc += 1;
+                match inst {
+                    Inst::Const { dst, idx } => regs[dst as usize] = code.consts[idx as usize],
+                    Inst::Add(r) => bin!(BinOp::Add, r, CostClass::Alu),
+                    Inst::Sub(r) => bin!(BinOp::Sub, r, CostClass::Alu),
+                    Inst::Mul(r) => bin!(BinOp::Mul, r, CostClass::Mul),
+                    Inst::Div(r) => bin!(BinOp::Div, r, CostClass::Div),
+                    Inst::Rem(r) => bin!(BinOp::Rem, r, CostClass::Div),
+                    Inst::And(r) => bin!(BinOp::And, r, CostClass::Alu),
+                    Inst::Or(r) => bin!(BinOp::Or, r, CostClass::Alu),
+                    Inst::Xor(r) => bin!(BinOp::Xor, r, CostClass::Alu),
+                    Inst::Shl(r) => bin!(BinOp::Shl, r, CostClass::Alu),
+                    Inst::Shr(r) => bin!(BinOp::Shr, r, CostClass::Alu),
+                    Inst::Min(r) => bin!(BinOp::Min, r, CostClass::Alu),
+                    Inst::Max(r) => bin!(BinOp::Max, r, CostClass::Alu),
+                    Inst::CmpEq(r) => cmp!(CmpOp::Eq, r),
+                    Inst::CmpNe(r) => cmp!(CmpOp::Ne, r),
+                    Inst::CmpLt(r) => cmp!(CmpOp::Lt, r),
+                    Inst::CmpLe(r) => cmp!(CmpOp::Le, r),
+                    Inst::CmpGt(r) => cmp!(CmpOp::Gt, r),
+                    Inst::CmpGe(r) => cmp!(CmpOp::Ge, r),
+                    Inst::Neg(r) => un!(UnOp::Neg, r),
+                    Inst::Not(r) => un!(UnOp::Not, r),
+                    Inst::IntToFloat(r) => un!(UnOp::IntToFloat, r),
+                    Inst::FloatToInt(r) => un!(UnOp::FloatToInt, r),
+                    Inst::Sqrt(r) => un!(UnOp::Sqrt, r),
+                    Inst::Abs(r) => un!(UnOp::Abs, r),
+                    Inst::Gep(r) => {
+                        let Some(p) = regs[r.a as usize].as_ptr() else { trap!(TrapKind::TypeError) };
+                        let Some(off) = regs[r.b as usize].as_i64() else {
+                            trap!(TrapKind::TypeError)
+                        };
+                        regs[r.dst as usize] = Val::Ptr(p.offset_by(off));
+                        sink.charge(CostClass::Alu);
+                    }
+                    Inst::Load(r) => {
+                        let Some(p) = regs[r.a as usize].as_ptr() else { trap!(TrapKind::TypeError) };
+                        let (loaded, cost) = match p.space {
+                            Space::Shared => (mem.load(p), CostClass::Shared(p.region)),
+                            Space::Local => (self.local.load(p), CostClass::LocalMem),
+                        };
+                        match loaded {
+                            Ok(v) => regs[r.dst as usize] = v,
+                            Err(k) => trap!(k),
+                        }
+                        sink.charge(cost);
+                    }
+                    Inst::Store { addr, value } => {
+                        let Some(p) = regs[addr as usize].as_ptr() else { trap!(TrapKind::TypeError) };
+                        let v = regs[value as usize];
+                        let (stored, cost) = match p.space {
+                            Space::Shared => (mem.store(p, v), CostClass::Shared(p.region)),
+                            Space::Local => (self.local.store(p, v), CostClass::LocalMem),
+                        };
+                        if let Err(k) = stored {
+                            trap!(k);
+                        }
+                        sink.charge(cost);
+                    }
+                    Inst::Alloca(r) => {
+                        let Some(n) = regs[r.a as usize].as_i64() else { trap!(TrapKind::TypeError) };
+                        match self.local.alloca(n) {
+                            Ok(p) => regs[r.dst as usize] = Val::Ptr(p),
+                            Err(k) => trap!(k),
+                        }
+                        sink.charge(CostClass::LocalMem);
+                    }
+                    Inst::ThreadId { dst } => regs[dst as usize] = Val::I64(i64::from(self.tid)),
+                    Inst::NumThreads { dst } => regs[dst as usize] = Val::I64(i64::from(nthreads)),
+                    Inst::FetchAdd { dst, global, delta } => {
+                        let Some(d) = regs[delta as usize].as_i64() else { trap!(TrapKind::TypeError) };
+                        match mem.fetch_add(global, d) {
+                            Ok(old) => regs[dst as usize] = Val::I64(old),
+                            Err(k) => trap!(k),
+                        }
+                        sink.charge(CostClass::Atomic(global));
+                    }
+                    Inst::Rand(r) => {
+                        let Some(b) = regs[r.a as usize].as_i64() else { trap!(TrapKind::TypeError) };
+                        regs[r.dst as usize] = Val::I64(self.rng.below(b));
+                        sink.charge(CostClass::Mul);
+                    }
+                    Inst::Output { src } => {
+                        self.outputs.push(regs[src as usize]);
+                        sink.charge(CostClass::Output);
+                    }
+                    Inst::Lock { mutex } => suspend!(Yield::Lock(MutexId(mutex))),
+                    Inst::Unlock { mutex } => suspend!(Yield::Unlock(MutexId(mutex))),
+                    Inst::Barrier { barrier } => {
+                        self.barrier_epoch += 1;
+                        suspend!(Yield::Barrier(BarrierId(barrier)));
+                    }
+                    Inst::Call { call } => {
+                        if self.frames.len() >= MAX_CALL_DEPTH {
+                            trap!(TrapKind::StackOverflow);
+                        }
+                        let site = code.calls[call as usize];
+                        self.push_frame(image, site, site.target, pc);
+                        sink.charge(CostClass::Call);
+                        continue 'frame;
+                    }
+                    Inst::CallIndirect { call } => {
+                        if self.frames.len() >= MAX_CALL_DEPTH {
+                            trap!(TrapKind::StackOverflow);
+                        }
+                        let site = code.calls[call as usize];
+                        let Some(sel) = regs[site.selector as usize].as_i64() else {
+                            trap!(TrapKind::TypeError)
+                        };
+                        let funcs = &image.module.tables[site.target as usize].funcs;
+                        if sel < 0 || sel as usize >= funcs.len() {
+                            trap!(TrapKind::BadIndirectCall);
+                        }
+                        self.push_frame(image, site, funcs[sel as usize].0, pc);
+                        sink.charge(CostClass::Call);
+                        continue 'frame;
+                    }
+                    Inst::Br { cond, branch, edge } => {
+                        let Some(mut outcome) = regs[cond as usize].as_bool() else {
+                            trap!(TrapKind::TypeError)
+                        };
+                        self.dyn_branches += 1;
+                        let runtime = &image.branches[branch as usize];
+
+                        // The witness is captured *before* the branch executes, as
+                        // the paper's `sendBranchCondition` call precedes the branch
+                        // instruction PIN injects into. A condition-data fault at
+                        // the branch therefore sends the clean witness but takes
+                        // the corrupted direction — which is exactly what makes it
+                        // detectable as a within-group direction mismatch.
+                        let witness = runtime.witnesses.as_ref().map(|witnesses| {
+                            let mut wh = KeyHasher::new();
+                            for &w in witnesses {
+                                wh.write(regs[w.index()].bits());
+                            }
+                            wh.finish()
+                        });
+
+                        // Fault injection hook (the fault strikes at the branch).
+                        if let Some(action) =
+                            hook.on_branch(self.tid, self.dyn_branches, BranchId(branch))
+                        {
+                            match action {
+                                FaultAction::FlipOutcome => outcome = !outcome,
+                                FaultAction::CorruptData { value_choice, bit } => {
+                                    let targets = &runtime.cond_info.data_values;
+                                    let target =
+                                        targets[value_choice as usize % targets.len()].index();
+                                    let old = regs[target];
+                                    regs[target] =
+                                        Val::from_bits(old.ty(), old.bits() ^ (1u64 << (bit % 64)));
+                                    outcome =
+                                        recompute_outcome(&runtime.cond_info, regs, ValueId(cond));
+                                }
+                            }
+                        }
+
+                        // The instance key describes the loop iteration the
+                        // branch executes in, so it is taken before the edge.
+                        let event = witness.map(|witness| {
+                            let mut ih = KeyHasher::new();
+                            for &entry in &self.loops[frame.loop_base..] {
+                                ih.write(loop_key(entry));
+                            }
+                            ih.write(self.barrier_epoch);
+                            BranchEvent {
+                                branch,
+                                thread: self.tid,
+                                site: frame.path_hash,
+                                iter: ih.finish(),
+                                witness,
+                                taken: outcome,
+                            }
+                        });
+
+                        take!(edge + u32::from(!outcome));
+                        sink.charge(CostClass::Alu);
+                        if let Some(event) = event {
+                            sink.event(event);
                         }
                     }
-                }
-
-                let event = witness.map(|witness| {
-                    let frame = &self.frames[frame_index];
-                    let mut ih = KeyHasher::new();
-                    for &(l, i) in &frame.loop_stack {
-                        ih.write(u64::from(l.0) << 32 | (i & 0xffff_ffff));
+                    Inst::Jump { edge } => {
+                        take!(edge);
+                        sink.charge(CostClass::Alu);
                     }
-                    ih.write(self.barrier_epoch);
-                    self.events_sent += 1;
-                    BranchEvent {
-                        branch: branch_id.0,
-                        thread: self.tid,
-                        site: frame.path_hash,
-                        iter: ih.finish(),
-                        witness,
-                        taken: outcome,
+                    Inst::Ret { src } => {
+                        let value = (src != NONE).then(|| regs[src as usize]);
+                        let done = self.frames.pop().expect("a live thread has a frame");
+                        let Some(caller) = self.frames.last() else {
+                            self.finished = Some(Ok(()));
+                            break 'frame Yield::Done;
+                        };
+                        self.regs.truncate(done.reg_base);
+                        self.loops.truncate(done.loop_base);
+                        if let (true, Some(value)) = (done.ret_dst != NONE, value) {
+                            self.regs[caller.reg_base + done.ret_dst as usize] = value;
+                        }
+                        sink.charge(CostClass::Call);
+                        continue 'frame;
                     }
-                });
-
-                let target = if outcome { then_bb } else { else_bb };
-                self.transfer(image, frame_index, block, target);
-                StepOutcome::Ran { cost: CostClass::Alu, event }
-            }
-            Op::Jump(target) => {
-                let target = *target;
-                self.transfer(image, frame_index, block, target);
-                StepOutcome::Ran { cost: CostClass::Alu, event: None }
-            }
-            Op::Ret(v) => {
-                let value = v.map(|v| get!(v));
-                let popped = self.frames.pop().expect("ret pops a frame");
-                if let Some(caller) = self.frames.last_mut() {
-                    if let (Some(dest), Some(val)) = (popped.ret_dest, value) {
-                        caller.regs[dest.index()] = val;
-                    }
-                    StepOutcome::Ran { cost: CostClass::Call, event: None }
-                } else {
-                    self.finished = Some(Ok(()));
-                    StepOutcome::Done
+                    Inst::Trap => trap!(TrapKind::Explicit),
                 }
             }
-            Op::Trap => {
-                self.finished = Some(Err(TrapKind::Explicit));
-                StepOutcome::Trap(TrapKind::Explicit)
-            }
-        }
+        };
+        self.steps += budget - left;
+        yielded
     }
 
-    fn push_call(
-        &mut self,
-        image: &ProgramImage,
-        callee: FuncId,
-        args: Vec<Val>,
-        site: u32,
-        ret_dest: Option<ValueId>,
-    ) {
+    /// Suspends the running frame at `resume_pc` and enters `callee` with
+    /// the arguments of `site`, read from the caller's window.
+    fn push_frame(&mut self, image: &ProgramImage, site: CallSite, callee: u32, resume_pc: usize) {
         let caller = self.frames.last_mut().expect("call from a frame");
-        caller.inst += 1; // resume after the call on return
+        caller.pc = resume_pc as u32;
+        let caller = *caller;
 
         // The callee's instance keys must distinguish caller loop
         // iterations and call sites: fold both into the child path hash.
-        let mut h = KeyHasher::new().with(caller.path_hash).with(u64::from(site));
-        for &(l, i) in &caller.loop_stack {
-            h.write(u64::from(l.0) << 32 | (i & 0xffff_ffff));
+        let mut h = KeyHasher::new().with(caller.path_hash).with(u64::from(site.site));
+        for &entry in &self.loops[caller.loop_base..] {
+            h.write(loop_key(entry));
         }
-        let path_hash = h.finish();
 
-        let f = image.module.func(callee);
-        let mut regs = vec![Val::I64(0); f.num_values()];
-        for (i, v) in args.into_iter().enumerate() {
-            regs[i] = v;
+        let entry = image.code.funcs[callee as usize];
+        let reg_base = self.regs.len();
+        self.regs.resize(reg_base + entry.nregs as usize, Val::I64(0));
+        let args = &image.code.args[site.args_start as usize..site.args_end as usize];
+        for (param, &arg) in args.iter().enumerate() {
+            self.regs[reg_base + param] = self.regs[caller.reg_base + arg as usize];
         }
         self.frames.push(Frame {
-            func: callee,
-            block: f.entry(),
-            inst: 0,
-            regs,
-            loop_stack: Vec::new(),
-            path_hash,
-            ret_dest,
+            pc: entry.pc,
+            ret_dst: site.dst,
+            reg_base,
+            loop_base: self.loops.len(),
+            path_hash: h.finish(),
         });
-    }
-
-    /// Transfers control along the edge `from → to` in the current frame:
-    /// evaluates the target's phis (in parallel), updates the loop-iteration
-    /// stack, and repositions the frame.
-    fn transfer(&mut self, image: &ProgramImage, frame_index: usize, from: BlockId, to: BlockId) {
-        let frame = &mut self.frames[frame_index];
-        let func = image.module.func(frame.func);
-        let meta = &image.func_meta[frame.func.index()];
-
-        // Parallel phi evaluation.
-        let target_block = func.block(to);
-        let mut phi_writes: Vec<(ValueId, Val)> = Vec::new();
-        for inst in target_block.phis() {
-            let incomings = inst.op.phi_incomings().expect("phis() yields phis");
-            let inc = incomings
-                .iter()
-                .find(|inc| inc.block == from)
-                .expect("verifier guarantees an incoming per predecessor");
-            phi_writes.push((
-                inst.result.expect("phi has a result"),
-                frame.regs[inc.value.index()],
-            ));
-        }
-        for (dest, val) in phi_writes {
-            frame.regs[dest.index()] = val;
-        }
-
-        // Loop-iteration bookkeeping.
-        let chain = &meta.chains[to.index()];
-        while let Some(&(top, _)) = frame.loop_stack.last() {
-            if chain.contains(&top) {
-                break;
-            }
-            frame.loop_stack.pop();
-        }
-        if let Some(header_loop) = meta.header_of[to.index()] {
-            match frame.loop_stack.last_mut() {
-                Some((top, iter)) if *top == header_loop => *iter += 1, // back edge
-                _ => frame.loop_stack.push((header_loop, 0)),           // loop entry
-            }
-        }
-
-        frame.block = to;
-        frame.inst = 0;
+        self.phi_owed = u64::from(entry.phi_steps);
     }
 }
 
+/// Evaluates the phis an edge feeds: every source is read before any
+/// destination is written, because one phi may read what another defines
+/// (a swap carried around a loop).
+fn transfer(edge: &Edge, copies: &[PhiCopy], regs: &mut [Val], in_flight: &mut Vec<Val>) {
+    let copies = &copies[edge.copy_start as usize..edge.copy_end as usize];
+    in_flight.clear();
+    in_flight.extend(copies.iter().map(|c| regs[c.src as usize]));
+    for (c, &value) in copies.iter().zip(in_flight.iter()) {
+        regs[c.dst as usize] = value;
+    }
+}
+
+/// Loop-iteration bookkeeping of an edge, on the running frame's part of
+/// the loop stack (`loops[floor..]`).
+fn adjust_loops(edge: &Edge, loops: &mut Vec<(u32, u64)>, floor: usize) {
+    // `pops` assumes the stack holds the source block's whole loop chain;
+    // see `image::decode` for the one case where its first entry is missing.
+    let kept = loops.len() - (edge.pops as usize).min(loops.len() - floor);
+    loops.truncate(kept);
+    if edge.header != NONE {
+        match loops[floor..].last_mut() {
+            Some((top, iteration)) if *top == edge.header => *iteration += 1, // back edge
+            _ => loops.push((edge.header, 0)),                                // loop entry
+        }
+    }
+}
+
+#[inline(always)]
 fn eval_bin(op: BinOp, l: Val, r: Val) -> Result<Val, TrapKind> {
     match (l, r) {
         (Val::I64(a), Val::I64(b)) => {
@@ -630,6 +650,7 @@ fn eval_bin(op: BinOp, l: Val, r: Val) -> Result<Val, TrapKind> {
     }
 }
 
+#[inline(always)]
 fn eval_cmp(op: CmpOp, l: Val, r: Val) -> Result<bool, TrapKind> {
     let ord = match (l, r) {
         (Val::I64(a), Val::I64(b)) => a.partial_cmp(&b),
@@ -651,6 +672,7 @@ fn eval_cmp(op: CmpOp, l: Val, r: Val) -> Result<bool, TrapKind> {
     })
 }
 
+#[inline(always)]
 fn eval_un(op: UnOp, v: Val) -> Result<Val, TrapKind> {
     Ok(match (op, v) {
         (UnOp::Neg, Val::I64(a)) => Val::I64(a.wrapping_neg()),

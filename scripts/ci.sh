@@ -24,6 +24,16 @@ for feature in telemetry provenance; do
     --features "$feature" -- -D warnings
 done
 
+# The interpreter against the stepper it replaced: `bw-vm`'s differential
+# test compares whole RunResults with the reference model kept under
+# crates/vm/tests/reference/. It thins its port sweep in debug builds (the
+# workspace legs above ran that), so the complete one runs here, in the
+# release profile, with the allocation budget — in both feature sets,
+# because the cycle buckets compile out of the hot loop without
+# `telemetry`.
+cargo test --release -q -p bw-vm
+cargo test --release -q -p bw-vm --no-default-features
+
 # Fuzz smoke: a bounded random-program sweep through the whole pipeline
 # (generate → round-trip → prepare → oracle), in both telemetry configs.
 # 200 seeds keep this under two minutes; the nightly job goes deeper.

@@ -18,10 +18,13 @@ use blockwatch::{Benchmark, Size};
 
 const THREADS: [u32; 4] = [1, 2, 4, 8];
 
-/// Ports whose outputs are schedule-independent (no lock-order-dependent
-/// float accumulation feeding the output).
-const DETERMINISTIC_OUTPUT_PORTS: [Benchmark; 3] =
-    [Benchmark::Fft, Benchmark::Radix, Benchmark::Raytrace];
+/// Ports whose outputs are schedule-independent: no lock-order-dependent
+/// float accumulation feeding the output, and no data race. That excludes
+/// FFT, whose normalisation phase has thread 0 compute `im[0] = im[0] / n`
+/// while the last thread stores `im[0] = 0.0` with no barrier between
+/// (DESIGN §8): on real threads its first output depends on who stores
+/// last. FFT stays in every clean-completion test below.
+const DETERMINISTIC_OUTPUT_PORTS: [Benchmark; 2] = [Benchmark::Radix, Benchmark::Raytrace];
 
 fn image(bench: Benchmark) -> Arc<ProgramImage> {
     Arc::new(ProgramImage::prepare_default(bench.module(Size::Test).expect("compiles")))

@@ -47,9 +47,13 @@ fn sim_runs_are_deterministic() {
 
 #[test]
 fn real_engine_matches_sim_outputs_on_deterministic_ports() {
-    // Ports whose outputs are schedule-independent (no lock-order-dependent
-    // float accumulation feeding the output).
-    for bench in [Benchmark::Fft, Benchmark::Radix, Benchmark::Raytrace] {
+    // Ports whose outputs are schedule-independent: no lock-order-dependent
+    // float accumulation feeding the output, and no data race. FFT is not
+    // one of them: in its normalisation phase thread 0 does
+    // `im[0] = im[0] / n` while the last thread does `im[0] = 0.0`, with no
+    // barrier between (DESIGN §8), so on real threads its first output
+    // depends on who stores last. It stays in every clean-completion test.
+    for bench in [Benchmark::Radix, Benchmark::Raytrace] {
         let image =
             Arc::new(ProgramImage::prepare_default(bench.module(Size::Test).expect("compiles")));
         let sim = SimEngine.run(&image, &ExecConfig::new(4));
