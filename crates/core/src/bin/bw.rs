@@ -752,6 +752,16 @@ fn cmd_campaign(rest: &[String]) -> Result<(), String> {
         100.0 * baseline.coverage(),
         100.0 * protected.coverage()
     );
+    // What forking injections from a shared fault-free prefix saved, over
+    // both campaigns (0% where every injection is a full replay: the real
+    // engine, or --trace-spans).
+    let stats = || protected.worker_stats.iter().chain(&baseline.worker_stats);
+    let run: u64 = stats().map(|w| w.steps_run).sum();
+    let skipped: u64 = stats().map(|w| w.steps_skipped).sum();
+    println!(
+        "  steps: {run} run, {skipped} skipped ({:.1}% of a full replay of every injection)",
+        100.0 * skipped as f64 / (run + skipped).max(1) as f64
+    );
     for w in &protected.worker_stats {
         println!(
             "  worker {:<3} {} injections, {:.1} inj/s",

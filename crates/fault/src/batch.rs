@@ -9,11 +9,12 @@
 //! one shared worker pool, the batching structure compositional injection
 //! studies like FastFlip use to get their throughput.
 //!
-//! Determinism is preserved **per image**: each image keeps its own claim
-//! counter and stop flag with the same contiguous-prefix invariant as the
-//! single-image engine (a worker checks the image's stop flag before
-//! claiming from it), and each image's records pass through the same
-//! index-order reduce. The per-image deterministic payload — records,
+//! Determinism is preserved **per image**: the pool is the single-image
+//! engine's own (`campaign::run_pool`), which takes the images in order,
+//! so each image keeps its claim counter and stop flag with the same
+//! contiguous-prefix invariant (a worker checks the image's stop flag
+//! before claiming a window of its plans), and each image's records pass
+//! through the same index-order reduce. The per-image deterministic payload — records,
 //! counts, abort cut, golden statistics and `campaign.*` outcome counters —
 //! is therefore bitwise-identical to running [`run_campaign`] on that image
 //! alone, at any pool width. Only the wall-clock artifacts (worker stats,
@@ -22,40 +23,15 @@
 //!
 //! [`run_campaign`]: crate::campaign::run_campaign
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::Arc;
 
-use bw_telemetry::{tm_event, tm_observe, tm_span, Histogram, Recorder, Value, NULL_RECORDER};
-use bw_vm::{engine, ExecConfig, ProgramImage, RunResult};
+use bw_telemetry::{tm_span, Recorder, Value, NULL_RECORDER};
+use bw_vm::{engine, ProgramImage, RunResult};
 
 use crate::campaign::{
-    abort_reached, campaign_telemetry, effective_pool, execute_one, reduce_campaign,
-    validate_and_plan, CampaignConfig, CampaignError, CampaignResult, InjectionRecord,
-    OutcomeCounts, WorkerStats,
+    record_workers, run_pool, CampaignConfig, CampaignError, CampaignJob, CampaignResult,
+    WorkerStats,
 };
-use crate::injector::InjectionPlan;
-
-/// One image's share of the batch, after the golden/plan stage.
-struct PreparedItem<'a> {
-    /// Index into the batch's item (and result) list.
-    item: usize,
-    image: &'a ProgramImage,
-    config: &'a CampaignConfig,
-    faulty: ExecConfig,
-    golden: RunResult,
-    plans: Vec<InjectionPlan>,
-    /// Next unclaimed injection index of this image.
-    next: AtomicUsize,
-    /// Raised when this image's abort condition is met; checked before
-    /// every claim, so claimed indices form a contiguous prefix.
-    stop: AtomicBool,
-    /// Completion-order counts driving the stop flag; authoritative counts
-    /// are recomputed in index order by the reducer.
-    live_counts: Mutex<OutcomeCounts>,
-    collected: Mutex<Vec<(usize, InjectionRecord)>>,
-    hist: Histogram,
-}
 
 /// Result of one [`CampaignBatch`] run.
 #[derive(Debug)]
@@ -155,181 +131,52 @@ impl CampaignBatch {
         // Goldens run sequentially — they are few and the deterministic
         // engine is single-threaded anyway.
         let span = tm_span!(recorder, "batch.prepare");
-        let mut slots: Vec<Option<CampaignError>> = Vec::with_capacity(self.items.len());
-        let mut prepared: Vec<PreparedItem<'_>> = Vec::new();
-        for (item, (image, config)) in self.items.iter().enumerate() {
-            if config.sim.nthreads == 0 {
-                slots.push(Some(CampaignError::NoThreads));
-                continue;
-            }
-            let golden = engine(config.engine).run(image, &config.sim);
-            match validate_and_plan(config, &golden) {
-                Ok((faulty, plans)) => {
-                    let capacity = plans.len();
-                    prepared.push(PreparedItem {
-                        item,
-                        image,
-                        config,
-                        faulty,
-                        golden,
-                        plans,
-                        next: AtomicUsize::new(0),
-                        stop: AtomicBool::new(false),
-                        live_counts: Mutex::new(OutcomeCounts::default()),
-                        collected: Mutex::new(Vec::with_capacity(capacity)),
-                        hist: Histogram::new(),
-                    });
-                    slots.push(None);
+        let goldens: Vec<Option<RunResult>> = self
+            .items
+            .iter()
+            .map(|(image, config)| {
+                (config.sim.nthreads != 0).then(|| engine(config.engine).run(image, &config.sim))
+            })
+            .collect();
+        let mut jobs: Vec<CampaignJob<'_>> = Vec::new();
+        let mut refused: Vec<Option<CampaignError>> = Vec::with_capacity(self.items.len());
+        for (item, ((image, config), golden)) in self.items.iter().zip(&goldens).enumerate() {
+            let job = golden
+                .as_ref()
+                .ok_or(CampaignError::NoThreads)
+                .and_then(|golden| CampaignJob::new(Some(item), image, config, golden, None));
+            refused.push(match job {
+                Ok(job) => {
+                    jobs.push(job);
+                    None
                 }
-                Err(error) => slots.push(Some(error)),
-            }
-        }
-        let total_jobs: usize = prepared.iter().map(|p| p.plans.len()).sum();
-        span.finish(&[
-            ("images", Value::from(prepared.len())),
-            ("injections", Value::from(total_jobs)),
-        ]);
-
-        // Stage 2: one pool over all images. The cursor names the first
-        // image that may still have unclaimed work; workers advance it
-        // (compare-exchange, so exactly one advance per exhausted image)
-        // and claim from the image's own counter, preserving the per-image
-        // contiguous-prefix invariant.
-        let span = tm_span!(recorder, "batch.execute");
-        let cursor = AtomicUsize::new(0);
-        let worker = |wid: usize| -> WorkerStats {
-            let started = Instant::now();
-            let mut stats = WorkerStats { worker: wid, ..WorkerStats::default() };
-            loop {
-                let current = cursor.load(Ordering::Relaxed);
-                if current >= prepared.len() {
-                    break;
-                }
-                let p = &prepared[current];
-                if p.stop.load(Ordering::Relaxed) {
-                    let _ = cursor.compare_exchange(
-                        current,
-                        current + 1,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    );
-                    continue;
-                }
-                let index = p.next.fetch_add(1, Ordering::Relaxed);
-                if index >= p.plans.len() {
-                    let _ = cursor.compare_exchange(
-                        current,
-                        current + 1,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    );
-                    continue;
-                }
-                let plan = p.plans[index];
-                let run_started = Instant::now();
-                let record =
-                    execute_one(engine(p.config.engine), p.image, &p.faulty, &p.golden, plan);
-                let run_us = run_started.elapsed().as_micros() as u64;
-                stats.injections += 1;
-                stats.busy_us += run_us;
-                tm_observe!(p.hist, run_us);
-                let _category = crate::campaign::injection_category(p.image, record.branch);
-                tm_event!(recorder, "injection",
-                    "image" => p.item,
-                    "index" => index,
-                    "worker" => wid,
-                    "outcome" => record.outcome.name(),
-                    "branch" => record.branch.map_or_else(|| "-".to_string(), |b| b.to_string()),
-                    "category" => _category,
-                    "dur_us" => run_us);
-                if let Some(_report) = record.report.as_deref() {
-                    tm_event!(recorder, "violation",
-                        "image" => p.item,
-                        "index" => index,
-                        "branch" => _report.violation.branch,
-                        "site" => _report.violation.site,
-                        "iter" => _report.violation.iter,
-                        "kind" => bw_monitor::kind_name(_report.violation.kind),
-                        "category" => _report.category(),
-                        "predicted" => _report.predicted(),
-                        "reporters" => _report.violation.reporters,
-                        "detected_seq" => _report.detected_seq,
-                        "latency" => _report
-                            .detection_latency
-                            .map_or_else(|| "?".to_string(), |l| l.to_string()),
-                        "observed" => _report.observed_field(),
-                        "deviants" => _report.deviants_field(),
-                        "majority" => _report.majority_field(),
-                        "window" => _report.window_field());
-                }
-                {
-                    let mut counts = p.live_counts.lock().unwrap();
-                    counts.add(record.outcome);
-                    if abort_reached(p.config, &counts) {
-                        p.stop.store(true, Ordering::Relaxed);
-                    }
-                }
-                p.collected.lock().unwrap().push((index, record));
-            }
-            stats.wall_us = started.elapsed().as_micros() as u64;
-            stats
-        };
-
-        let nworkers = effective_pool(self.workers, total_jobs);
-        let mut worker_stats = Vec::with_capacity(nworkers);
-        if nworkers <= 1 {
-            worker_stats.push(worker(0));
-        } else {
-            std::thread::scope(|scope| {
-                // The closure captures only shared references, so it is
-                // `Copy`: every spawn gets its own copy of the same borrows.
-                let handles: Vec<_> =
-                    (0..nworkers).map(|wid| scope.spawn(move || worker(wid))).collect();
-                for handle in handles {
-                    worker_stats.push(handle.join().expect("batch worker panicked"));
-                }
+                Err(error) => Some(error),
             });
         }
-        worker_stats.sort_unstable_by_key(|s| s.worker);
+        span.finish(&[
+            ("images", Value::from(jobs.len())),
+            ("injections", Value::from(jobs.iter().map(CampaignJob::planned).sum::<usize>())),
+        ]);
+
+        // Stage 2: one pool over all images, the campaign engine's own.
+        let span = tm_span!(recorder, "batch.execute");
+        let worker_stats = run_pool(&jobs, self.workers, recorder);
         span.finish(&[("workers", Value::from(worker_stats.len()))]);
 
         // Stage 3 (per image): the same index-order reduce as the
-        // single-image engine, then result assembly.
+        // single-image engine; the jobs are in push order, so each image
+        // that was not refused takes the next one.
         let span = tm_span!(recorder, "batch.reduce");
-        let mut results: Vec<Result<CampaignResult, CampaignError>> = slots
+        let mut reduced = jobs.into_iter().map(|job| job.reduce(worker_stats.len(), Vec::new()));
+        let results: Vec<Result<CampaignResult, CampaignError>> = refused
             .into_iter()
-            .map(|slot| {
-                Err(slot.unwrap_or(CampaignError::NoThreads)) // placeholder; Ok slots overwritten below
+            .map(|refusal| match refusal {
+                Some(error) => Err(error),
+                None => Ok(reduced.next().expect("a job for every image not refused")),
             })
             .collect();
-        for p in prepared {
-            let pairs = p.collected.into_inner().unwrap();
-            let (records, counts, aborted) = reduce_campaign(pairs, p.config);
-            let telemetry = campaign_telemetry(
-                &records,
-                &counts,
-                &p.golden,
-                worker_stats.len(),
-                &p.hist,
-            );
-            results[p.item] = Ok(CampaignResult {
-                records,
-                counts,
-                golden_outputs_len: p.golden.outputs.len(),
-                branches_per_thread: p.golden.branches_per_thread.clone(),
-                aborted,
-                worker_stats: Vec::new(),
-                telemetry,
-            });
-        }
         span.finish(&[("images", Value::from(results.len()))]);
-        for _stats in &worker_stats {
-            tm_event!(recorder, "worker",
-                "worker" => _stats.worker,
-                "injections" => _stats.injections,
-                "wall_us" => _stats.wall_us,
-                "busy_us" => _stats.busy_us);
-        }
+        record_workers(recorder, &worker_stats);
         recorder.flush();
 
         BatchResult { results, worker_stats }

@@ -10,9 +10,16 @@
 //!    a pure function of the configuration — independent of how the
 //!    experiments are later scheduled.
 //! 2. **Execute**: a `std::thread` worker pool shares the immutable
-//!    [`ProgramImage`] and claims injection indices from an atomic
-//!    counter. Claimed indices always form a contiguous prefix of the
-//!    plan list, which is what makes early abort deterministic.
+//!    [`ProgramImage`] and claims *windows* of consecutive injection
+//!    indices from an atomic counter. Claimed indices always form a
+//!    contiguous prefix of the plan list, which is what makes early abort
+//!    deterministic. A window's injections are not replayed from step 0:
+//!    one fault-free [`SimPrefix`] advances past the window's fault points
+//!    and every injection is a fork of it — the golden part of its run
+//!    inherited, only the faulty tail executed (see `execute_window` for
+//!    the three cases that still replay in full). A forked run's
+//!    `RunResult` is the replayed one bit for bit, so nothing downstream
+//!    can tell.
 //! 3. **Reduce**: records are merged in injection-index order and the
 //!    abort cut (stop after N SDCs, stop on first detection) is
 //!    recomputed over that deterministic order. The result is therefore
@@ -23,12 +30,13 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use bw_telemetry::{
-    tm_event, tm_observe, tm_span, Histogram, Recorder, TelemetrySnapshot, TimeDomain, TraceScope,
+    tm_observe, tm_span, Histogram, Recorder, TelemetrySnapshot, TimeDomain, TraceScope,
     Value, NULL_RECORDER,
 };
 use bw_monitor::ViolationReport;
 use bw_vm::{
-    engine, Engine, EngineKind, ExecConfig, ProgramImage, RunOutcome, RunResult, SplitMix64,
+    engine, Engine, EngineKind, ExecConfig, ProgramImage, RunOutcome, RunResult, SimPrefix,
+    SplitMix64,
 };
 use serde::{Deserialize, Serialize};
 
@@ -199,8 +207,10 @@ impl std::error::Error for CampaignError {}
 
 /// A streaming progress report, delivered once per finished injection.
 ///
-/// With more than one worker, reports arrive in completion order (which is
-/// nondeterministic); `completed`/`total` are still monotonic and exact.
+/// Reports arrive in completion order — within a worker's window that is
+/// the order in which the program reaches the fault points, not index
+/// order, and with more than one worker it is nondeterministic;
+/// `completed`/`total` are still monotonic and exact.
 #[derive(Clone, Copy, Debug)]
 #[non_exhaustive]
 pub struct CampaignProgress {
@@ -279,7 +289,7 @@ pub struct CampaignConfig {
     /// Stop early once this many SDCs have been observed. The surviving
     /// record prefix is identical at any worker count.
     pub abort_after_sdc: Option<usize>,
-    /// Stop early at the first monitor detection.
+    /// Stop early at the first monitor detection; the same cut.
     pub abort_on_detection: bool,
 }
 
@@ -322,13 +332,20 @@ impl CampaignConfig {
         self
     }
 
-    /// Stops the campaign once `n` SDCs have been observed.
+    /// Stops the campaign once `n` SDCs have been observed. The records
+    /// end with the injection that made it `n`, at any worker count;
+    /// workers stop claiming once the condition is seen but finish what
+    /// they hold, so up to one window of injections per worker (at most
+    /// 32) runs past the cut and is discarded.
     pub fn abort_after_sdc(mut self, n: usize) -> Self {
         self.abort_after_sdc = Some(n);
         self
     }
 
-    /// Stops the campaign at the first monitor detection.
+    /// Stops the campaign at the first monitor detection. The records end
+    /// with that injection, at any worker count; as with
+    /// [`CampaignConfig::abort_after_sdc`], up to one window of injections
+    /// per worker runs past the cut and is discarded.
     pub fn abort_on_detection(mut self, yes: bool) -> Self {
         self.abort_on_detection = yes;
         self
@@ -348,9 +365,19 @@ pub struct WorkerStats {
     pub injections: u64,
     /// Wall-clock microseconds from worker start to exit.
     pub wall_us: u64,
-    /// Microseconds spent inside injection runs (excludes claiming and
+    /// Microseconds spent inside injection runs, the advance of the
+    /// prefix they were forked from included (excludes claiming and
     /// bookkeeping); `wall_us - busy_us` is coordination overhead.
     pub busy_us: u64,
+    /// Interpreter steps this worker executed: full replays, the tails of
+    /// forked injections and the prefixes they were forked from. Exact.
+    pub steps_run: u64,
+    /// Interpreter steps this worker's injections inherited from a prefix
+    /// instead of executing them, less the steps the prefixes themselves
+    /// took: `steps_run + steps_skipped` is what replaying every one of
+    /// its injections from step 0 would have executed. Exact; `0` where
+    /// every injection is a full replay (real engine, span sink installed).
+    pub steps_skipped: u64,
 }
 
 impl WorkerStats {
@@ -438,6 +465,11 @@ fn injection_rng(seed: u64, index: usize) -> SplitMix64 {
 /// the list is a pure function of `(branches_per_thread, config)` — no
 /// state is threaded between injections and no scheduling decision can
 /// perturb it.
+///
+/// The profile counts the parallel section's branches only, but a plan is
+/// matched against `@init`'s branches too (it runs first, as thread 0):
+/// see [`InjectionPlan`] for where a thread-0 plan with a small index
+/// really lands.
 pub fn plan_campaign(branches_per_thread: &[u64], config: &CampaignConfig) -> Vec<InjectionPlan> {
     let nthreads = branches_per_thread.len().min(config.sim.nthreads as usize);
     (0..config.injections)
@@ -460,13 +492,9 @@ pub fn plan_campaign(branches_per_thread: &[u64], config: &CampaignConfig) -> Ve
 /// Whether `counts` satisfies one of the configured early-abort
 /// conditions. Both conditions are monotone in the counts, which is what
 /// lets the reducer recompute the abort cut deterministically.
-pub(crate) fn abort_reached(config: &CampaignConfig, counts: &OutcomeCounts) -> bool {
+fn abort_reached(config: &CampaignConfig, counts: &OutcomeCounts) -> bool {
     config.abort_after_sdc.is_some_and(|n| counts.sdc >= n)
         || (config.abort_on_detection && counts.detected > 0)
-}
-
-fn effective_workers(config: &CampaignConfig, njobs: usize) -> usize {
-    effective_pool(config.workers, njobs)
 }
 
 /// The similarity-category name of the branch an injection landed on, or
@@ -474,37 +502,21 @@ fn effective_workers(config: &CampaignConfig, njobs: usize) -> usize {
 /// `injection` trace events so reports can build per-category
 /// coverage/detection matrices over *all* activated injections, not just
 /// detected ones.
-pub(crate) fn injection_category(image: &ProgramImage, branch: Option<u32>) -> &'static str {
+fn injection_category(image: &ProgramImage, branch: Option<u32>) -> &'static str {
     branch
         .and_then(|b| image.plan.decisions.get(b as usize))
         .and_then(|d| d.as_ref().ok())
         .map_or("-", |c| bw_monitor::category_name(c.kind))
 }
 
-/// Worker-pool sizing shared with [`crate::batch`]: `0` = available
-/// parallelism, clamped to the job count.
-pub(crate) fn effective_pool(workers: usize, njobs: usize) -> usize {
-    let requested = if workers == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        workers
-    };
-    requested.clamp(1, njobs.max(1))
-}
-
-/// Runs exactly one injection experiment on `eng` and classifies it. The
-/// unit of work shared by [`execute_campaign`] and the cross-image
-/// [`crate::batch::CampaignBatch`] pool.
-pub(crate) fn execute_one(
-    eng: &dyn Engine,
-    image: &ProgramImage,
-    faulty: &ExecConfig,
-    golden: &RunResult,
+/// Classifies a finished injected run and assembles its record.
+fn injection_record(
     plan: InjectionPlan,
+    hook: &InjectionHook,
+    result: &RunResult,
+    golden: &RunResult,
 ) -> InjectionRecord {
-    let hook = InjectionHook::new(plan);
-    let result = eng.run_hooked(image, faulty, &hook);
-    let outcome = classify(&result, golden, hook.activated());
+    let outcome = classify(result, golden, hook.activated());
     // Attribute the outcome causally: the first violation report (reports
     // are sorted by (site, branch, iter), so "first" is deterministic) is
     // the earliest-keyed evidence the monitor produced for this run.
@@ -523,10 +535,24 @@ pub(crate) fn execute_one(
     }
 }
 
+/// Runs one injection experiment on `eng` from step 0 and classifies it;
+/// also returns the steps the run took. [`execute_window`]'s fallback for
+/// the injections no prefix can serve.
+fn execute_one(
+    eng: &dyn Engine,
+    image: &ProgramImage,
+    faulty: &ExecConfig,
+    golden: &RunResult,
+    plan: InjectionPlan,
+) -> (InjectionRecord, u64) {
+    let hook = InjectionHook::new(plan);
+    let result = eng.run_hooked(image, faulty, &hook);
+    (injection_record(plan, &hook, &result, golden), result.total_steps)
+}
+
 /// Validates a golden run against the campaign configuration and derives
-/// the faulty-run config plus the full plan list. Shared by the
-/// single-image entry points and [`crate::batch::CampaignBatch`].
-pub(crate) fn validate_and_plan(
+/// the faulty-run config plus the full plan list.
+fn validate_and_plan(
     config: &CampaignConfig,
     golden: &RunResult,
 ) -> Result<(ExecConfig, Vec<InjectionPlan>), CampaignError> {
@@ -556,9 +582,8 @@ pub(crate) fn validate_and_plan(
 
 /// Assembles the deterministic result-payload telemetry of one campaign:
 /// outcome counters, the worker gauge, the injection-wall-time histogram
-/// and the golden run's own instruments under a `golden.` prefix. Shared
-/// by the single-image entry points and [`crate::batch::CampaignBatch`].
-pub(crate) fn campaign_telemetry(
+/// and the golden run's own instruments under a `golden.` prefix.
+fn campaign_telemetry(
     records: &[InjectionRecord],
     counts: &OutcomeCounts,
     golden: &RunResult,
@@ -596,19 +621,6 @@ pub(crate) fn campaign_telemetry(
     telemetry
 }
 
-/// Stage 2: runs every plan, claiming injection indices monotonically from
-/// a shared counter. Because a worker checks the stop flag only *before*
-/// claiming, the set of executed indices is always a contiguous prefix of
-/// the plan list — with or without early abort, at any worker count.
-/// Wall-time instruments threaded through the execution stage. Consumed
-/// only by feature-gated macros; the underscore-prefixed bindings keep the
-/// code warning-free when the `telemetry` feature is off.
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
-struct ExecInstruments<'a> {
-    inj_hist: &'a Histogram,
-    recorder: &'a dyn Recorder,
-}
-
 /// Live-registry handles campaign workers bump once per injection. These
 /// are process-cumulative (`live.campaign.*` keeps growing across the
 /// protected and baseline campaigns of one `bw campaign` invocation, and
@@ -623,8 +635,8 @@ struct CampaignLive {
 }
 
 impl CampaignLive {
-    /// Resolves the handles (cold: once per campaign) and accounts the
-    /// new plan into `live.campaign.planned`. `None` when telemetry is
+    /// Resolves the handles (cold: once per pool) and accounts the new
+    /// plans into `live.campaign.planned`. `None` when telemetry is
     /// compiled out.
     fn resolve(planned: usize) -> Option<CampaignLive> {
         if !bw_telemetry::ENABLED {
@@ -660,128 +672,354 @@ fn trace_stage(name: &str, start_us: u64, extra: &[(&str, Value)]) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn execute_campaign(
-    image: &ProgramImage,
-    faulty_sim: &ExecConfig,
-    golden: &RunResult,
-    plans: &[InjectionPlan],
-    config: &CampaignConfig,
-    progress: Option<&ProgressFn<'_>>,
-    _instruments: &ExecInstruments<'_>,
-) -> (Vec<(usize, InjectionRecord)>, Vec<WorkerStats>) {
-    let eng = engine(config.engine);
-    let campaign_started = Instant::now();
-    let live = CampaignLive::resolve(plans.len());
-    let live = live.as_ref();
-    let next = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    // Completion-order counts, used only to decide *when* to raise the stop
-    // flag; the authoritative counts are recomputed in index order by the
-    // reducer.
-    let live_counts = Mutex::new(OutcomeCounts::default());
-    let collected: Mutex<Vec<(usize, InjectionRecord)>> =
-        Mutex::new(Vec::with_capacity(plans.len()));
+/// Injections a worker claims at a time and runs off one [`SimPrefix`],
+/// at most. The prefix's pass over the program is shared by the window's
+/// forks, so a full window adds 1/32 of a monitor-free golden run to each;
+/// a worker that finds the stop flag raised has at most this many
+/// injections past the abort cut behind it. [`run_pool`] shortens the
+/// window when the pool would otherwise have workers without one.
+const WINDOW: usize = 32;
 
-    let worker = |wid: usize| -> WorkerStats {
-        let started = Instant::now();
-        let mut stats = WorkerStats { worker: wid, ..WorkerStats::default() };
-        // Span tracing (`--trace-spans`): every record an injection's run
-        // emits (sim-engine spans run inline on this thread) is scoped
-        // with `inj`/`wid`, and the worker lane `w<wid>` gets one span
-        // per injection. Resolved once per worker; `None` costs nothing.
-        let trace = bw_telemetry::trace_sink();
-        while !stop.load(Ordering::Relaxed) {
-            let index = next.fetch_add(1, Ordering::Relaxed);
-            if index >= plans.len() {
-                break;
-            }
-            let plan = plans[index];
-            let _scope = trace.as_ref().map(|_| {
-                TraceScope::enter(&[
-                    ("inj", Value::U64(index as u64)),
-                    ("wid", Value::U64(wid as u64)),
-                ])
-            });
-            let trace_start = trace.as_ref().map(|_| bw_telemetry::wall_now_us());
-            let run_started = Instant::now();
-            let record = execute_one(eng, image, faulty_sim, golden, plan);
-            let outcome = record.outcome;
-            let run_us = run_started.elapsed().as_micros() as u64;
-            if let (Some(sink), Some(start)) = (trace.as_ref(), trace_start) {
-                bw_telemetry::record_span(
-                    sink.as_ref(),
-                    TimeDomain::WallUs,
-                    &format!("w{wid}"),
-                    "injection",
-                    &format!("inj {index}"),
-                    start,
-                    bw_telemetry::wall_now_us().saturating_sub(start),
-                    &[("outcome", Value::from(outcome.name()))],
-                );
-            }
-            stats.injections += 1;
-            stats.busy_us += run_us;
-            tm_observe!(_instruments.inj_hist, run_us);
-            if let Some(live) = live {
-                live.completed.inc();
-                if outcome == FaultOutcome::Detected {
-                    live.detected.inc();
-                }
-                live.injection_us.observe(run_us);
-            }
-            let _category = injection_category(image, record.branch);
-            tm_event!(_instruments.recorder, "injection",
-                "index" => index,
-                "worker" => wid,
-                "outcome" => outcome.name(),
-                "branch" => record.branch.map_or_else(|| "-".to_string(), |b| b.to_string()),
-                "category" => _category,
-                "dur_us" => run_us);
-            if let Some(_report) = record.report.as_deref() {
-                tm_event!(_instruments.recorder, "violation",
-                    "index" => index,
-                    "branch" => _report.violation.branch,
-                    "site" => _report.violation.site,
-                    "iter" => _report.violation.iter,
-                    "kind" => bw_monitor::kind_name(_report.violation.kind),
-                    "category" => _report.category(),
-                    "predicted" => _report.predicted(),
-                    "reporters" => _report.violation.reporters,
-                    "detected_seq" => _report.detected_seq,
-                    "latency" => _report
-                        .detection_latency
-                        .map_or_else(|| "?".to_string(), |l| l.to_string()),
-                    "observed" => _report.observed_field(),
-                    "deviants" => _report.deviants_field(),
-                    "majority" => _report.majority_field(),
-                    "window" => _report.window_field());
-            }
-            {
-                let mut counts = live_counts.lock().unwrap();
-                counts.add(outcome);
-                if abort_reached(config, &counts) {
-                    stop.store(true, Ordering::Relaxed);
-                }
-            }
-            collected.lock().unwrap().push((index, record));
-            let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-            if let Some(callback) = progress {
-                callback(CampaignProgress {
-                    index,
-                    outcome,
-                    completed: done,
-                    total: plans.len(),
-                    elapsed_us: campaign_started.elapsed().as_micros() as u64,
-                });
+/// One campaign as the worker pool sees it: what to run, the claim state
+/// that keeps executed indices a contiguous prefix of the plan list, and
+/// where the records go.
+pub(crate) struct CampaignJob<'a> {
+    /// Position in a [`crate::batch::CampaignBatch`], tagged onto the
+    /// job's trace records; `None` for a campaign run on its own.
+    item: Option<usize>,
+    image: &'a ProgramImage,
+    config: &'a CampaignConfig,
+    faulty: ExecConfig,
+    golden: &'a RunResult,
+    plans: Vec<InjectionPlan>,
+    progress: Option<&'a ProgressFn<'a>>,
+    started: Instant,
+    /// Start of the next unclaimed window.
+    next: AtomicUsize,
+    /// Raised when the abort condition is met; checked before every claim.
+    stop: AtomicBool,
+    /// Completion-order counts, used only to decide *when* to raise the
+    /// stop flag; the authoritative counts are recomputed in index order
+    /// by the reducer.
+    live_counts: Mutex<OutcomeCounts>,
+    completed: AtomicUsize,
+    collected: Mutex<Vec<(usize, InjectionRecord)>>,
+    inj_hist: Histogram,
+}
+
+impl<'a> CampaignJob<'a> {
+    /// Validates `golden` against `config` and plans the injections.
+    pub(crate) fn new(
+        item: Option<usize>,
+        image: &'a ProgramImage,
+        config: &'a CampaignConfig,
+        golden: &'a RunResult,
+        progress: Option<&'a ProgressFn<'a>>,
+    ) -> Result<Self, CampaignError> {
+        let (faulty, plans) = validate_and_plan(config, golden)?;
+        Ok(CampaignJob {
+            item,
+            image,
+            config,
+            faulty,
+            golden,
+            collected: Mutex::new(Vec::with_capacity(plans.len())),
+            plans,
+            progress,
+            started: Instant::now(),
+            next: AtomicUsize::new(0),
+            stop: AtomicBool::new(false),
+            live_counts: Mutex::new(OutcomeCounts::default()),
+            completed: AtomicUsize::new(0),
+            inj_hist: Histogram::new(),
+        })
+    }
+
+    /// Injections planned.
+    pub(crate) fn planned(&self) -> usize {
+        self.plans.len()
+    }
+
+    /// Claims the next window of plan indices, or `None` when the job has
+    /// none left to hand out. The stop flag is looked at here and nowhere
+    /// else, so every claimed window runs to its end and the executed
+    /// indices are a contiguous prefix of the plan list — with or without
+    /// early abort, at any worker count.
+    fn claim(&self, window: usize) -> Option<std::ops::Range<usize>> {
+        if self.stop.load(Ordering::Relaxed) {
+            return None;
+        }
+        let start = self.next.fetch_add(window, Ordering::Relaxed);
+        (start < self.plans.len()).then(|| start..(start + window).min(self.plans.len()))
+    }
+
+    /// Emits a trace record of this job, with its batch position in front
+    /// when it has one.
+    fn emit(&self, recorder: &dyn Recorder, event: &str, fields: &[(&str, Value)]) {
+        match self.item {
+            None => recorder.record(event, fields),
+            Some(item) => {
+                let mut tagged = Vec::with_capacity(fields.len() + 1);
+                tagged.push(("image", Value::from(item)));
+                tagged.extend_from_slice(fields);
+                recorder.record(event, &tagged);
             }
         }
-        stats.wall_us = started.elapsed().as_micros() as u64;
-        stats
+    }
+
+    /// Books one finished injection: worker statistics, trace records,
+    /// live counters, the stop flag, the record itself and the progress
+    /// callback.
+    fn account(&self, index: usize, record: InjectionRecord, run_us: u64, worker: &mut Worker<'_>) {
+        let outcome = record.outcome;
+        worker.stats.injections += 1;
+        worker.stats.busy_us += run_us;
+        tm_observe!(self.inj_hist, run_us);
+        if let Some(live) = worker.live {
+            live.completed.inc();
+            if outcome == FaultOutcome::Detected {
+                live.detected.inc();
+            }
+            live.injection_us.observe(run_us);
+        }
+        if bw_telemetry::ENABLED {
+            self.emit(
+                worker.recorder,
+                "injection",
+                &[
+                    ("index", Value::from(index)),
+                    ("worker", Value::from(worker.stats.worker)),
+                    ("outcome", Value::from(outcome.name())),
+                    (
+                        "branch",
+                        Value::from(record.branch.map_or_else(|| "-".to_string(), |b| b.to_string())),
+                    ),
+                    ("category", Value::from(injection_category(self.image, record.branch))),
+                    ("dur_us", Value::from(run_us)),
+                ],
+            );
+            if let Some(report) = record.report.as_deref() {
+                self.emit(
+                    worker.recorder,
+                    "violation",
+                    &[
+                        ("index", Value::from(index)),
+                        ("branch", Value::from(report.violation.branch)),
+                        ("site", Value::from(report.violation.site)),
+                        ("iter", Value::from(report.violation.iter)),
+                        ("kind", Value::from(bw_monitor::kind_name(report.violation.kind))),
+                        ("category", Value::from(report.category())),
+                        ("predicted", Value::from(report.predicted())),
+                        ("reporters", Value::from(report.violation.reporters)),
+                        ("detected_seq", Value::from(report.detected_seq)),
+                        (
+                            "latency",
+                            Value::from(
+                                report
+                                    .detection_latency
+                                    .map_or_else(|| "?".to_string(), |l| l.to_string()),
+                            ),
+                        ),
+                        ("observed", Value::from(report.observed_field())),
+                        ("deviants", Value::from(report.deviants_field())),
+                        ("majority", Value::from(report.majority_field())),
+                        ("window", Value::from(report.window_field())),
+                    ],
+                );
+            }
+        }
+        {
+            let mut counts = self.live_counts.lock().unwrap();
+            counts.add(outcome);
+            if abort_reached(self.config, &counts) {
+                self.stop.store(true, Ordering::Relaxed);
+            }
+        }
+        self.collected.lock().unwrap().push((index, record));
+        let done = self.completed.fetch_add(1, Ordering::Relaxed) + 1;
+        if let Some(callback) = self.progress {
+            callback(CampaignProgress {
+                index,
+                outcome,
+                completed: done,
+                total: self.plans.len(),
+                elapsed_us: self.started.elapsed().as_micros() as u64,
+            });
+        }
+    }
+
+    /// Stage 3: merges the records in injection-index order, applies the
+    /// deterministic abort cut and assembles the result. `nworkers` is the
+    /// pool's width (the `campaign.workers` gauge).
+    pub(crate) fn reduce(self, nworkers: usize, worker_stats: Vec<WorkerStats>) -> CampaignResult {
+        let pairs = self.collected.into_inner().unwrap();
+        let (records, counts, aborted) = reduce_campaign(pairs, self.config);
+        let telemetry =
+            campaign_telemetry(&records, &counts, self.golden, nworkers, &self.inj_hist);
+        CampaignResult {
+            records,
+            counts,
+            golden_outputs_len: self.golden.outputs.len(),
+            branches_per_thread: self.golden.branches_per_thread.clone(),
+            aborted,
+            worker_stats,
+            telemetry,
+        }
+    }
+}
+
+/// One pool worker: its statistics and the sinks its injections report to.
+struct Worker<'a> {
+    stats: WorkerStats,
+    live: Option<&'a CampaignLive>,
+    recorder: &'a dyn Recorder,
+}
+
+/// Runs one claimed window of `job`'s plans.
+///
+/// The window's injections share one golden [`SimPrefix`] under the
+/// faulty configuration (whose step budget the golden prefix never
+/// trips): the plans are bucketed per thread in ascending `dyn_index`,
+/// the prefix advances to each fault point in the order the run reaches
+/// them, and every injection is a fork of it — the interpreter state and
+/// the prefix's event log inherited, only the tail executed. The time the
+/// prefix takes to advance is charged to the injection it precedes.
+///
+/// Three cases replay an injection from step 0 ([`execute_one`]) instead,
+/// each decided by something observable: the real engine (OS threads
+/// cannot be forked); an installed span sink (an injection's trace holds
+/// the phase spans of its whole run); and a plan that fires in `@init`,
+/// which runs before any point a prefix can be forked at (see
+/// [`InjectionPlan`]).
+fn execute_window(job: &CampaignJob<'_>, window: std::ops::Range<usize>, worker: &mut Worker<'_>) {
+    let trace = bw_telemetry::trace_sink();
+    let forkable = job.config.engine == EngineKind::Sim && trace.is_none();
+    let mut started = Instant::now();
+    let mut prefix = forkable.then(|| {
+        SimPrefix::new(job.image, &job.faulty).log_capacity(job.golden.events_sent as usize)
+    });
+
+    // Per thread, the targets a fork can serve, latest first.
+    let mut queues: Vec<Vec<(u64, usize)>> = vec![Vec::new(); job.faulty.nthreads as usize];
+    for index in window {
+        let plan = job.plans[index];
+        if let Some(prefix) = &prefix {
+            if !(plan.tid == 0 && plan.dyn_index <= prefix.init_branches()) {
+                queues[plan.tid as usize].push((plan.dyn_index, index));
+                continue;
+            }
+        }
+        // Span tracing (`--trace-spans`): every record the run emits
+        // (sim-engine spans run inline on this thread) is scoped with
+        // `inj`/`wid`, and the worker lane `w<wid>` gets one span per
+        // injection.
+        let wid = worker.stats.worker;
+        let _scope = trace.as_ref().map(|_| {
+            TraceScope::enter(&[
+                ("inj", Value::U64(index as u64)),
+                ("wid", Value::U64(wid as u64)),
+            ])
+        });
+        let trace_start = trace.as_ref().map(|_| bw_telemetry::wall_now_us());
+        let (record, steps) =
+            execute_one(engine(job.config.engine), job.image, &job.faulty, job.golden, plan);
+        let run_us = started.elapsed().as_micros() as u64;
+        if let (Some(sink), Some(start)) = (trace.as_ref(), trace_start) {
+            bw_telemetry::record_span(
+                sink.as_ref(),
+                TimeDomain::WallUs,
+                &format!("w{wid}"),
+                "injection",
+                &format!("inj {index}"),
+                start,
+                bw_telemetry::wall_now_us().saturating_sub(start),
+                &[("outcome", Value::from(record.outcome.name()))],
+            );
+        }
+        worker.stats.steps_run += steps;
+        job.account(index, record, run_us, worker);
+        started = Instant::now();
+    }
+
+    let Some(prefix) = prefix.as_mut() else { return };
+    for queue in &mut queues {
+        queue.sort_unstable_by(|a, b| b.cmp(a));
+    }
+    let head = |queue: &Vec<(u64, usize)>| queue.last().map(|&(dyn_index, _)| dyn_index);
+    let mut targets: Vec<Option<u64>> = queues.iter().map(head).collect();
+    let mut inherited = 0u64;
+    while let Some(waiting) = targets.iter().position(Option::is_some) {
+        // Once the parallel section is over nothing comes into reach any
+        // more (the target of a thread with no branches): those forks have
+        // `@fini` left, and are taken in thread order.
+        let tid = prefix.advance_to(&targets).map_or(waiting, |tid| tid as usize);
+        let (_, index) = queues[tid].pop().expect("the thread has a target");
+        targets[tid] = head(&queues[tid]);
+
+        let plan = job.plans[index];
+        let hook = InjectionHook::new(plan);
+        let result = prefix.resume(&hook);
+        let record = injection_record(plan, &hook, &result, job.golden);
+        let run_us = started.elapsed().as_micros() as u64;
+        worker.stats.steps_run += result.total_steps - prefix.steps();
+        inherited += prefix.steps();
+        job.account(index, record, run_us, worker);
+        started = Instant::now();
+    }
+    // The prefix's own steps were run once; its forks skipped the rest of
+    // what they inherited.
+    worker.stats.steps_run += prefix.steps();
+    worker.stats.steps_skipped += inherited.saturating_sub(prefix.steps());
+}
+
+/// Stage 2: runs every job's plans on one pool of `workers` threads
+/// (`0` = available parallelism, and never more than there are plans).
+/// Workers take the jobs in order and claim whole windows of a job's plan
+/// indices ([`CampaignJob::claim`]); `recorder` receives one `injection`
+/// record per experiment.
+pub(crate) fn run_pool(
+    jobs: &[CampaignJob<'_>],
+    workers: usize,
+    recorder: &dyn Recorder,
+) -> Vec<WorkerStats> {
+    let planned: usize = jobs.iter().map(CampaignJob::planned).sum();
+    let requested = if workers == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        workers
+    };
+    let nworkers = requested.clamp(1, planned.max(1));
+    // A campaign too short to give every worker a full window is cut into
+    // shorter ones: a fork saves half a run, an idle worker a whole one.
+    let window = WINDOW.min(planned.div_ceil(nworkers)).max(1);
+    let live = CampaignLive::resolve(planned);
+    let live = live.as_ref();
+    // The first job that may still have unclaimed windows; workers advance
+    // it (compare-exchange, so exactly one advance per exhausted job).
+    let cursor = AtomicUsize::new(0);
+    let worker = |wid: usize| -> WorkerStats {
+        let started = Instant::now();
+        let mut worker =
+            Worker { stats: WorkerStats { worker: wid, ..WorkerStats::default() }, live, recorder };
+        loop {
+            let current = cursor.load(Ordering::Relaxed);
+            let Some(job) = jobs.get(current) else { break };
+            match job.claim(window) {
+                Some(window) => execute_window(job, window, &mut worker),
+                None => {
+                    let _ = cursor.compare_exchange(
+                        current,
+                        current + 1,
+                        Ordering::Relaxed,
+                        Ordering::Relaxed,
+                    );
+                }
+            }
+        }
+        worker.stats.wall_us = started.elapsed().as_micros() as u64;
+        worker.stats
     };
 
-    let nworkers = effective_workers(config, plans.len());
     let mut worker_stats = Vec::with_capacity(nworkers);
     if nworkers <= 1 {
         worker_stats.push(worker(0));
@@ -797,17 +1035,36 @@ fn execute_campaign(
         });
     }
     worker_stats.sort_unstable_by_key(|s| s.worker);
-
-    (collected.into_inner().unwrap(), worker_stats)
+    worker_stats
 }
 
-/// Stage 3: merges execution results in injection-index order and applies
-/// the deterministic abort cut: records are kept up to (and including) the
+/// Writes one `worker` record per pool worker.
+pub(crate) fn record_workers(recorder: &dyn Recorder, worker_stats: &[WorkerStats]) {
+    if !bw_telemetry::ENABLED {
+        return;
+    }
+    for stats in worker_stats {
+        recorder.record(
+            "worker",
+            &[
+                ("worker", Value::from(stats.worker)),
+                ("injections", Value::from(stats.injections)),
+                ("wall_us", Value::from(stats.wall_us)),
+                ("busy_us", Value::from(stats.busy_us)),
+                ("steps_run", Value::from(stats.steps_run)),
+                ("steps_skipped", Value::from(stats.steps_skipped)),
+            ],
+        );
+    }
+}
+
+/// Merges execution results in injection-index order and applies the
+/// deterministic abort cut: records are kept up to (and including) the
 /// first index at which an abort condition holds over the *prefix* counts.
 /// Executed indices form a contiguous prefix at least as long as that cut,
 /// so the surviving records — and every derived statistic — are identical
 /// at any worker count.
-pub(crate) fn reduce_campaign(
+fn reduce_campaign(
     mut pairs: Vec<(usize, InjectionRecord)>,
     config: &CampaignConfig,
 ) -> (Vec<InjectionRecord>, OutcomeCounts, bool) {
@@ -871,16 +1128,13 @@ pub fn run_campaign_with_golden_recorded(
 ) -> Result<CampaignResult, CampaignError> {
     let span = tm_span!(recorder, "campaign.plan");
     let stage_start = bw_telemetry::wall_now_us();
-    let (faulty_sim, plans) = validate_and_plan(config, golden)?;
-    trace_stage("campaign.plan", stage_start, &[("injections", Value::from(plans.len()))]);
-    span.finish(&[("injections", Value::from(plans.len()))]);
+    let job = CampaignJob::new(None, image, config, golden, progress)?;
+    trace_stage("campaign.plan", stage_start, &[("injections", Value::from(job.planned()))]);
+    span.finish(&[("injections", Value::from(job.planned()))]);
 
-    let inj_hist = Histogram::new();
     let span = tm_span!(recorder, "campaign.execute");
     let stage_start = bw_telemetry::wall_now_us();
-    let instruments = ExecInstruments { inj_hist: &inj_hist, recorder };
-    let (pairs, worker_stats) =
-        execute_campaign(image, &faulty_sim, golden, &plans, config, progress, &instruments);
+    let worker_stats = run_pool(std::slice::from_ref(&job), config.workers, recorder);
     trace_stage(
         "campaign.execute",
         stage_start,
@@ -890,30 +1144,13 @@ pub fn run_campaign_with_golden_recorded(
 
     let span = tm_span!(recorder, "campaign.reduce");
     let stage_start = bw_telemetry::wall_now_us();
-    let (records, counts, aborted) = reduce_campaign(pairs, config);
-    trace_stage("campaign.reduce", stage_start, &[("records", Value::from(records.len()))]);
-    span.finish(&[("records", Value::from(records.len()))]);
+    let result = job.reduce(worker_stats.len(), worker_stats);
+    trace_stage("campaign.reduce", stage_start, &[("records", Value::from(result.records.len()))]);
+    span.finish(&[("records", Value::from(result.records.len()))]);
 
-    let telemetry =
-        campaign_telemetry(&records, &counts, golden, worker_stats.len(), &inj_hist);
-    for _stats in &worker_stats {
-        tm_event!(recorder, "worker",
-            "worker" => _stats.worker,
-            "injections" => _stats.injections,
-            "wall_us" => _stats.wall_us,
-            "busy_us" => _stats.busy_us);
-    }
+    record_workers(recorder, &result.worker_stats);
     recorder.flush();
-
-    Ok(CampaignResult {
-        records,
-        counts,
-        golden_outputs_len: golden.outputs.len(),
-        branches_per_thread: golden.branches_per_thread.clone(),
-        aborted,
-        worker_stats,
-        telemetry,
-    })
+    Ok(result)
 }
 
 /// Runs `runs` fault-free executions and returns the number that reported

@@ -26,6 +26,18 @@ pub enum FaultModel {
 }
 
 /// The exact injection point and parameters of one experiment.
+///
+/// **Where `(tid, dyn_index)` lands.** [`InjectionHook`] fires at the first
+/// branch the engine reports with this pair, and `@init` runs before the
+/// parallel section *as thread 0 with a dynamic-branch count of its own*.
+/// A plan for thread 0 with `dyn_index` at most `@init`'s branch count
+/// therefore fires in `@init`, and thread 0's first that-many parallel
+/// branches are never injected into (on the SPLASH ports: 29 of thread 0's
+/// 2,715 branches on raytrace `Test`, 70 of 13,118 on FMM `Test`, 1,198 of
+/// 3,449 on ocean-noncontig `Small`, 134 of 1,242 on FFT `Test`).
+/// [`crate::plan_campaign`] draws `dyn_index` from the parallel section's
+/// counts all the same; the rule is pinned, not fixed, because every
+/// archived outcome tally includes such injections (ROADMAP's red list).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InjectionPlan {
     /// Thread to inject into.

@@ -1,13 +1,226 @@
 //! Determinism and error-path tests for the sharded campaign engine: the
 //! same configuration must produce bitwise-identical results at any worker
-//! count, and misconfigurations must surface as errors, not panics.
+//! count — the results of replaying every plan from step 0, although the
+//! engine forks most injections from a shared prefix — and
+//! misconfigurations must surface as errors, not panics.
 
-use bw_fault::{run_campaign, CampaignConfig, CampaignError, FaultModel, FaultOutcome};
+use bw_fault::{
+    classify, plan_campaign, run_campaign, CampaignConfig, CampaignError, CampaignResult,
+    FaultModel, FaultOutcome, InjectionHook, InjectionRecord, OutcomeCounts,
+};
 use bw_splash::{Benchmark, Size};
-use bw_vm::{MonitorMode, ProgramImage, RunOutcome};
+use bw_vm::{Engine, MonitorMode, ProgramImage, RunOutcome, SimEngine};
+
+/// bw-fault's full window: the plans a worker claims at a time and forks
+/// from one prefix (`campaign::WINDOW`, private; the pool shortens it when
+/// it is wider than the campaign is long). The sizes below sit on its
+/// boundaries.
+const W: usize = 32;
 
 fn image(bench: Benchmark) -> ProgramImage {
     ProgramImage::prepare_default(bench.module(Size::Test).expect("port compiles"))
+}
+
+/// What a campaign must return, computed the slow way: every plan replayed
+/// from step 0 through the public pieces (`plan_campaign`, `InjectionHook`,
+/// `run_hooked`, `classify`), then the abort cut in index order. Also the
+/// steps those replays took, up to the cut.
+fn plan_by_plan(
+    image: &ProgramImage,
+    config: &CampaignConfig,
+) -> (Vec<InjectionRecord>, OutcomeCounts, bool, u64) {
+    let golden = SimEngine.run(image, &config.sim);
+    let faulty =
+        config.sim.clone().max_steps(golden.total_steps.saturating_mul(8).saturating_add(100_000));
+    let mut records = Vec::new();
+    let mut counts = OutcomeCounts::default();
+    let mut steps = 0;
+    for plan in plan_campaign(&golden.branches_per_thread, config) {
+        let hook = InjectionHook::new(plan);
+        let result = SimEngine.run_hooked(image, &faulty, &hook);
+        steps += result.total_steps;
+        let outcome = classify(&result, &golden, hook.activated());
+        let report = (outcome == FaultOutcome::Detected)
+            .then(|| result.violation_reports.first().cloned().map(Box::new))
+            .flatten();
+        let detection_latency = report.as_ref().and_then(|r| r.detection_latency);
+        records.push(InjectionRecord {
+            plan,
+            branch: hook.injected_branch().map(|b| b.0),
+            outcome,
+            report,
+            detection_latency,
+        });
+        *match outcome {
+            FaultOutcome::NotActivated => &mut counts.not_activated,
+            FaultOutcome::Detected => &mut counts.detected,
+            FaultOutcome::Crashed => &mut counts.crashed,
+            FaultOutcome::Hung => &mut counts.hung,
+            FaultOutcome::Masked => &mut counts.masked,
+            FaultOutcome::Sdc => &mut counts.sdc,
+        } += 1;
+        if config.abort_after_sdc.is_some_and(|n| counts.sdc >= n)
+            || (config.abort_on_detection && counts.detected > 0)
+        {
+            return (records, counts, true, steps);
+        }
+    }
+    (records, counts, false, steps)
+}
+
+/// Whether the injection fired in `@init` (see `InjectionPlan`).
+fn fired_in_init(image: &ProgramImage, record: &InjectionRecord) -> bool {
+    record.branch.is_some_and(|b| Some(image.analysis.branches[b as usize].func) == image.module.init)
+}
+
+#[track_caller]
+fn assert_payload(
+    result: &CampaignResult,
+    reference: &(Vec<InjectionRecord>, OutcomeCounts, bool, u64),
+    what: &str,
+) {
+    let (records, counts, aborted, _) = reference;
+    assert_eq!(&result.records, records, "records: {what}");
+    assert_eq!(&result.counts, counts, "counts: {what}");
+    assert_eq!(result.aborted, *aborted, "aborted: {what}");
+    assert_eq!(
+        result.telemetry.counter("campaign.injections"),
+        Some(records.len() as u64),
+        "{what}"
+    );
+}
+
+/// A few thousand steps with everything the scheduler has: unbalanced
+/// loops, a critical section, a barrier, shared and thread-dependent
+/// branches — and no `@init`, so every plan can be forked.
+const KERNEL: &str = r#"
+    shared int n = 24;
+    int acc[4];
+    mutex m;
+    barrier b;
+    @spmd func f() {
+        var t: int = threadid();
+        var sum: int = 0;
+        for (var i: int = 0; i < n + 4 * t; i = i + 1) {
+            var x: int = ((t * n + i) * 37) % 23;
+            if (x > 11) { sum = sum + x; }
+        }
+        lock(m);
+        acc[0] = acc[0] + sum;
+        unlock(m);
+        barrier(b);
+        for (var i: int = 0; i < n; i = i + 1) {
+            if (i % 3 == 0) { sum = sum + acc[0] % 7; }
+        }
+        output(sum);
+    }
+    @fini func done() { output(acc[0]); }
+"#;
+
+#[test]
+fn windowed_campaigns_equal_the_plan_by_plan_reference() {
+    let image = ProgramImage::prepare_default(bw_ir::frontend::compile(KERNEL).expect("compiles"));
+    for size in [1, W - 1, W, W + 1, 3 * W + 5] {
+        for model in [FaultModel::BranchFlip, FaultModel::ConditionBitFlip] {
+            for monitor in [MonitorMode::Enabled, MonitorMode::Off] {
+                let mut base = CampaignConfig::new(size, model, 4).seed(0x16 + size as u64);
+                base.sim.monitor = monitor;
+                let reference = plan_by_plan(&image, &base);
+                let in_init = reference.0.iter().filter(|r| fired_in_init(&image, r)).count();
+                let mut counters = None;
+                // `0` exercises the available-parallelism default.
+                for workers in [0usize, 1, 2, 8] {
+                    let what = format!("{size} x {model:?}, {monitor:?}, {workers} workers");
+                    let result = run_campaign(&image, &base.clone().workers(workers))
+                        .expect("golden run completes");
+                    assert_payload(&result, &reference, &what);
+                    // The deterministic telemetry, but for the worker gauge.
+                    let det = result.telemetry.deterministic_part();
+                    let first = counters.get_or_insert_with(|| det.counters().to_vec());
+                    assert_eq!(first.as_slice(), det.counters(), "{what}");
+                    // Every step is either run or skipped, and a campaign
+                    // beyond a handful of injections skips some.
+                    let stats = &result.worker_stats;
+                    assert_eq!(stats.iter().map(|w| w.injections).sum::<u64>(), size as u64);
+                    let run: u64 = stats.iter().map(|w| w.steps_run).sum();
+                    let skipped: u64 = stats.iter().map(|w| w.steps_skipped).sum();
+                    if in_init == 0 {
+                        assert_eq!(run + skipped, reference.3, "{what}");
+                    } else {
+                        assert!(run + skipped >= reference.3, "{what}");
+                    }
+                    assert!(size < W || skipped > 0, "{what}: nothing was forked");
+                }
+            }
+        }
+    }
+}
+
+/// Both abort conditions cut at the injection the plan-by-plan campaign
+/// cuts at, although workers finish the windows they hold.
+#[test]
+fn abort_cuts_equal_the_plan_by_plan_reference() {
+    let image = image(Benchmark::Radix);
+    let size = 3 * W + 5;
+    let on_detection =
+        CampaignConfig::new(size, FaultModel::BranchFlip, 4).seed(0xab0).abort_on_detection(true);
+    let mut after_sdc =
+        CampaignConfig::new(size, FaultModel::BranchFlip, 4).seed(0x5dc).abort_after_sdc(2);
+    after_sdc.sim.monitor = MonitorMode::Off;
+    for (base, name) in [(on_detection, "abort_on_detection"), (after_sdc, "abort_after_sdc")] {
+        let reference = plan_by_plan(&image, &base);
+        assert!(reference.2 && reference.0.len() < size, "{name}: the reference does not abort");
+        for workers in [0usize, 1, 2, 8] {
+            let result = run_campaign(&image, &base.clone().workers(workers))
+                .expect("golden run completes");
+            assert_payload(&result, &reference, &format!("{name}, {workers} workers"));
+            // Whole windows ran: never fewer injections than the cut needs.
+            let executed: u64 = result.worker_stats.iter().map(|w| w.injections).sum();
+            assert!(executed as usize >= reference.0.len(), "{name}, {workers} workers");
+        }
+    }
+}
+
+/// A plan for thread 0 whose index lies within `@init`'s branch count
+/// fires in `@init` (see `InjectionPlan`): the campaign replays it from
+/// step 0, and its record is the plan-by-plan one, on an `@init` branch.
+#[test]
+fn plans_that_fire_in_init_are_replayed_in_full() {
+    // `@init` takes 201 branches as thread 0; each thread's own loop 25.
+    let image = ProgramImage::prepare_default(
+        bw_ir::frontend::compile(
+            r#"
+            shared int n = 24;
+            int data[256];
+            @init func setup() {
+                for (var i: int = 0; i < 200; i = i + 1) { data[i] = (i * 7) % 31; }
+            }
+            @spmd func f() {
+                var t: int = threadid();
+                var sum: int = 0;
+                for (var i: int = 0; i < n; i = i + 1) {
+                    if (data[t * n + i] > 12) { sum = sum + i; }
+                }
+                output(sum);
+            }
+            "#,
+        )
+        .expect("compiles"),
+    );
+    for model in [FaultModel::BranchFlip, FaultModel::ConditionBitFlip] {
+        let base = CampaignConfig::new(W + 8, model, 2).seed(0x1217);
+        let reference = plan_by_plan(&image, &base);
+        let in_init: Vec<_> = reference.0.iter().filter(|r| fired_in_init(&image, r)).collect();
+        // Thread 0's targets are drawn from its 48 parallel branches, all
+        // of which are within `@init`'s 201: every one fires in `@init`.
+        assert!(!in_init.is_empty(), "{model:?}: no plan for thread 0");
+        assert_eq!(in_init.len(), reference.0.iter().filter(|r| r.plan.tid == 0).count());
+        for workers in [1usize, 2] {
+            let result = run_campaign(&image, &base.clone().workers(workers))
+                .expect("golden run completes");
+            assert_payload(&result, &reference, &format!("{model:?}, {workers} workers"));
+        }
+    }
 }
 
 #[test]

@@ -57,6 +57,7 @@ fn check_bounds(len: usize, ptr: Ptr) -> Result<usize, TrapKind> {
 /// `Val` is `Copy`, which makes `get`/`set` all that is needed — no `unsafe`,
 /// no `RefCell` borrow flag. (It also makes `SimMemory` `!Sync`, so it cannot
 /// end up under the real-threads engine by mistake.)
+#[derive(Clone)]
 pub struct SimMemory {
     regions: Vec<Vec<std::cell::Cell<Val>>>,
 }
@@ -153,7 +154,7 @@ impl SharedMemory for AtomicMemory {
 }
 
 /// Per-thread local memory: a list of `alloca` regions.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct LocalMemory {
     regions: Vec<Vec<Val>>,
 }

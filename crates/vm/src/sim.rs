@@ -14,6 +14,11 @@
 //! each event is charged to the sending thread. `SendOnly` mode reproduces
 //! the paper's 32-thread setup where the monitor thread is disabled but
 //! the sends still happen.
+//!
+//! The scheduler is one function, `Sim::slot`, over a state that can be
+//! cloned between two slots: [`SimPrefix`] is a fault-free run stopped
+//! there, from which hooked runs continue without repeating what came
+//! before.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -27,17 +32,8 @@ use crate::engine::{ExecConfig, ExecMode, MonitorMode, RunOutcome, RunResult};
 use crate::image::ProgramImage;
 use crate::memory::SimMemory;
 use crate::telemetry::VmTelemetry;
-use crate::thread::{BranchHook, CostClass, NoSink, Sink, ThreadState, Yield};
+use crate::thread::{BranchHook, CostClass, NoHook, NoSink, Sink, ThreadState, Yield};
 use crate::trap::TrapKind;
-
-struct MutexState {
-    owner: Option<u32>,
-    waiters: Vec<u32>, // FIFO
-}
-
-struct BarrierState {
-    arrivals: Vec<(u32, u64)>, // (tid, arrival clock)
-}
 
 /// Passive span collection for the deterministic engine: while a trace
 /// sink is installed (`bw_telemetry::set_trace_sink`, the `--trace-spans`
@@ -224,7 +220,29 @@ pub(crate) fn run_sim_engine(
     config: &ExecConfig,
     hook: &dyn BranchHook,
 ) -> RunResult {
-    Sim::new(image, config).run(hook)
+    let events = match config.monitor {
+        MonitorMode::Enabled => EventSink::Monitor(inline_monitor(image, config)),
+        _ => EventSink::Discard,
+    };
+    let mut sim = Sim::new(image, config, events);
+    // Resolved once per run: cost nothing when no sink is installed.
+    sim.tracer = bw_telemetry::trace_sink().map(|sink| {
+        SimTracer::new(sink, config.nthreads as usize, image.module.num_mutexes as usize)
+    });
+    sim.init(hook);
+    sim.run(hook)
+}
+
+/// The inline monitor `config` asks for. It partitions its pending tables
+/// across the configured shard count exactly as the real engine's shard
+/// workers do, so `--monitor-shards` is observable (and verifiably
+/// verdict-neutral) on the deterministic engine too.
+fn inline_monitor(image: &ProgramImage, config: &ExecConfig) -> ShardedMonitor {
+    ShardedMonitor::new(
+        CheckTable::from_plan(&image.plan),
+        config.nthreads as usize,
+        config.monitor_shards.unwrap_or(1),
+    )
 }
 
 /// What each instruction class and each monitor event costs one thread, in
@@ -284,23 +302,34 @@ impl ThreadCosts {
     }
 }
 
-/// Where a run's events and cycle attribution go: everything the stepper
-/// reports to, apart from the reporting thread's clock.
+/// A run's event count and cycle attribution: everything the stepper
+/// reports to, apart from the reporting thread's clock and the monitor.
+#[derive(Clone)]
 struct Ledger {
     mode: MonitorMode,
     capture: bool,
-    monitor: Option<ShardedMonitor>,
     events_sent: u64,
     telemetry: VmTelemetry,
     branch_events: Vec<BranchEvent>,
 }
 
+/// Where a monitor event goes once the sending thread has paid for it.
+enum EventSink {
+    /// Nowhere: the monitor is off, or `SendOnly` drops what it sends.
+    Discard,
+    /// Into the inline monitor.
+    Monitor(ShardedMonitor),
+    /// Onto a [`SimPrefix`]'s log, for the monitor of each fork to process.
+    Log(Vec<BranchEvent>),
+}
+
 /// One thread's slot as the stepper sees it: its clock, its costs, the
-/// run's ledger.
+/// run's ledger and event sink.
 struct SlotSink<'a> {
     clock: u64,
     costs: &'a ThreadCosts,
     ledger: &'a mut Ledger,
+    events: &'a mut EventSink,
     tracer: Option<&'a mut SimTracer>,
 }
 
@@ -323,141 +352,389 @@ impl Sink for SlotSink<'_> {
         self.clock += self.costs.event;
         ledger.telemetry.add_events(self.costs.event);
         ledger.events_sent += 1;
-        if let Some(monitor) = ledger.monitor.as_mut() {
-            if let Some(tr) = self.tracer.as_mut() {
-                let before = monitor.violations_found();
-                monitor.process(event);
-                if monitor.violations_found() > before {
-                    tr.verdict(&event, self.clock);
+        match self.events {
+            EventSink::Discard => {}
+            EventSink::Monitor(monitor) => {
+                if let Some(tr) = self.tracer.as_mut() {
+                    let before = monitor.violations_found();
+                    monitor.process(event);
+                    if monitor.violations_found() > before {
+                        tr.verdict(&event, self.clock);
+                    }
+                } else {
+                    monitor.process(event);
                 }
-            } else {
-                monitor.process(event);
             }
+            EventSink::Log(log) => log.push(event),
         }
     }
 }
 
-struct Sim<'a> {
-    image: &'a ProgramImage,
-    config: &'a ExecConfig,
+#[derive(Clone)]
+struct MutexState {
+    owner: Option<u32>,
+    waiters: Vec<u32>, // FIFO
+}
+
+#[derive(Clone)]
+struct BarrierState {
+    arrivals: Vec<(u32, u64)>, // (tid, arrival clock)
+}
+
+/// Everything a run has computed so far, as of a scheduler-slot boundary:
+/// memory, threads, the scheduler's tables and the ledger. A clone of it
+/// is the same run, which is what lets a [`SimPrefix`] be forked.
+#[derive(Clone)]
+struct State {
     mem: SimMemory,
     ledger: Ledger,
     outputs: Vec<Val>,
     total_steps: u64,
+    /// The SPMD threads; empty until `@init` has completed.
+    threads: Vec<ThreadState>,
+    clocks: Vec<u64>,
+    blocked: Vec<bool>,
+    finish_clock: Vec<u64>,
+    mutexes: Vec<MutexState>,
+    barriers: Vec<BarrierState>,
+    /// Runnable threads by clock; entries of blocked or finished threads
+    /// are stale and skipped when popped.
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// How the parallel section ended and its simulated cycles, once it has
+    /// (or once `@init` failed, which skips it).
+    end: Option<(RunOutcome, u64)>,
+}
+
+/// Steps still allowed before the run counts as hung; `Err` once the next
+/// step would be one too many (that step is counted, as the attempt that
+/// tripped the cut).
+fn steps_allowed(max_steps: u64, total_steps: &mut u64) -> Result<u64, RunOutcome> {
+    let allowed = max_steps.saturating_sub(*total_steps);
+    if allowed == 0 {
+        *total_steps += 1;
+        return Err(RunOutcome::Hung);
+    }
+    Ok(allowed)
+}
+
+fn max_clock(clocks: &[u64]) -> u64 {
+    clocks.iter().copied().max().unwrap_or(0)
+}
+
+/// One run: `init`, then `slot` until it says the parallel section is
+/// over, then `finish`. [`run_sim_engine`] does that in one go;
+/// [`SimPrefix`] stops between two slots and clones the state.
+struct Sim<'a> {
+    image: &'a ProgramImage,
+    config: &'a ExecConfig,
+    costs: Arc<[ThreadCosts]>,
+    state: State,
+    events: EventSink,
+    tracer: Option<SimTracer>,
 }
 
 impl<'a> Sim<'a> {
-    fn new(image: &'a ProgramImage, config: &'a ExecConfig) -> Self {
-        let monitor = match config.monitor {
-            // The inline monitor partitions its pending tables across the
-            // configured shard count exactly as the real engine's shard
-            // workers do, so `--monitor-shards` is observable (and
-            // verifiably verdict-neutral) on the deterministic engine too.
-            MonitorMode::Enabled => Some(ShardedMonitor::new(
-                CheckTable::from_plan(&image.plan),
-                config.nthreads as usize,
-                config.monitor_shards.unwrap_or(1),
-            )),
-            _ => None,
-        };
+    fn new(image: &'a ProgramImage, config: &'a ExecConfig, events: EventSink) -> Self {
+        let n = config.nthreads;
+        let regions = image.module.globals.len() as u32;
         Sim {
             image,
             config,
-            mem: SimMemory::new(&image.module),
-            ledger: Ledger {
-                mode: config.monitor,
-                capture: config.capture_events,
-                monitor,
-                events_sent: 0,
-                telemetry: VmTelemetry::default(),
-                branch_events: Vec::new(),
+            costs: (0..n).map(|tid| ThreadCosts::new(tid, config, regions)).collect(),
+            state: State {
+                mem: SimMemory::new(&image.module),
+                ledger: Ledger {
+                    mode: config.monitor,
+                    capture: config.capture_events,
+                    events_sent: 0,
+                    telemetry: VmTelemetry::default(),
+                    branch_events: Vec::new(),
+                },
+                outputs: Vec::new(),
+                total_steps: 0,
+                threads: Vec::new(),
+                clocks: vec![0; n as usize],
+                blocked: vec![false; n as usize],
+                finish_clock: vec![0; n as usize],
+                mutexes: (0..image.module.num_mutexes)
+                    .map(|_| MutexState { owner: None, waiters: Vec::new() })
+                    .collect(),
+                barriers: (0..image.module.num_barriers)
+                    .map(|_| BarrierState { arrivals: Vec::new() })
+                    .collect(),
+                heap: BinaryHeap::new(),
+                end: None,
             },
-            outputs: Vec::new(),
-            total_steps: 0,
+            events,
+            tracer: None,
         }
     }
 
-    /// Steps still allowed before the run counts as hung; `Err` once the
-    /// next step would be one too many (that step is counted, as the
-    /// attempt that tripped the cut).
-    fn steps_allowed(&mut self) -> Result<u64, RunOutcome> {
-        let allowed = self.config.max_steps.saturating_sub(self.total_steps);
-        if allowed == 0 {
-            self.total_steps += 1;
-            return Err(RunOutcome::Hung);
-        }
-        Ok(allowed)
-    }
-
-    /// Runs a single-threaded phase (init / fini) on thread 0 state.
-    fn run_serial(&mut self, func: bw_ir::FuncId, hook: &dyn BranchHook) -> Result<(), RunOutcome> {
+    /// Runs a single-threaded phase (init / fini) on thread 0 state and
+    /// returns the dynamic branches it took.
+    fn run_serial(&mut self, func: bw_ir::FuncId, hook: &dyn BranchHook) -> Result<u64, RunOutcome> {
+        let state = &mut self.state;
         let mut thread = ThreadState::new(0, func, self.image, self.config.seed ^ 0xfeed);
         loop {
-            let allowed = self.steps_allowed()?;
+            let allowed = steps_allowed(self.config.max_steps, &mut state.total_steps)?;
             let before = thread.steps;
             let yielded =
-                thread.run(self.image, &self.mem, self.config.nthreads, hook, allowed, &mut NoSink);
-            self.total_steps += thread.steps - before;
+                thread.run(self.image, &state.mem, self.config.nthreads, hook, allowed, &mut NoSink);
+            state.total_steps += thread.steps - before;
             match yielded {
                 // Sync ops are no-ops single-threaded (a barrier with
                 // nthreads participants in init would deadlock a real
                 // program; our ports never do this).
                 Yield::Budget | Yield::Lock(_) | Yield::Unlock(_) | Yield::Barrier(_) => {}
                 Yield::Done => {
-                    self.outputs.append(&mut thread.outputs);
-                    return Ok(());
+                    state.outputs.append(&mut thread.outputs);
+                    return Ok(thread.dyn_branches);
                 }
                 Yield::Trap(k) => return Err(RunOutcome::Crashed(k)),
             }
         }
     }
 
-    fn run(mut self, hook: &dyn BranchHook) -> RunResult {
-        // Phase 1: init.
+    /// Phase 1: runs `@init` and readies the SPMD threads. Returns the
+    /// dynamic branches `@init` took (as thread 0).
+    fn init(&mut self, hook: &dyn BranchHook) -> u64 {
+        let mut init_branches = 0;
         if let Some(init) = self.image.module.init {
-            if let Err(outcome) = self.run_serial(init, hook) {
-                return self.finish(outcome, 0, Vec::new(), Vec::new());
+            match self.run_serial(init, hook) {
+                Ok(branches) => init_branches = branches,
+                Err(outcome) => {
+                    self.state.end = Some((outcome, 0));
+                    return 0;
+                }
             }
         }
-
-        // Phase 2: parallel section.
-        let (outcome, parallel_cycles, threads) = self.run_parallel(hook);
-        let branches: Vec<u64> = threads.iter().map(|t| t.dyn_branches).collect();
-        let steps: Vec<u64> = threads.iter().map(|t| t.steps).collect();
-        if outcome != RunOutcome::Completed {
-            return self.finish(outcome, parallel_cycles, branches, steps);
-        }
-        for mut t in threads {
-            self.outputs.append(&mut t.outputs);
-        }
-
-        // Phase 3: fini.
-        if let Some(fini) = self.image.module.fini {
-            if let Err(o) = self.run_serial(fini, hook) {
-                return self.finish(o, parallel_cycles, branches, steps);
-            }
-        }
-
-        self.finish(RunOutcome::Completed, parallel_cycles, branches, steps)
+        let Some(entry) = self.image.module.spmd_entry else {
+            self.state.end = Some((RunOutcome::Completed, 0));
+            return init_branches;
+        };
+        let n = self.config.nthreads;
+        self.state.threads =
+            (0..n).map(|tid| ThreadState::new(tid, entry, self.image, self.config.seed)).collect();
+        self.state.heap = (0..n).map(|tid| Reverse((0u64, tid))).collect();
+        init_branches
     }
 
-    fn finish(
-        self,
-        outcome: RunOutcome,
-        parallel_cycles: u64,
-        branches_per_thread: Vec<u64>,
-        steps_per_thread: Vec<u64>,
-    ) -> RunResult {
-        let Ledger { monitor, events_sent, telemetry, branch_events, .. } = self.ledger;
-        let verdict = monitor.map(|mut m| {
-            // The end-of-run flush only happens if the program survived:
-            // a crash or hang kills the real monitor thread along with
-            // the process, so only eagerly detected violations count.
-            if outcome == RunOutcome::Completed {
-                m.flush();
+    /// Phase 2, one step of it: pops the runnable thread with the smallest
+    /// clock and runs it for one scheduler slot. Returns `false` once the
+    /// parallel section is over (`state.end` says how).
+    fn slot(&mut self, hook: &dyn BranchHook) -> bool {
+        let config = self.config;
+        let machine = &config.machine;
+        let n = config.nthreads;
+        let State {
+            mem,
+            ledger,
+            total_steps,
+            threads,
+            clocks,
+            blocked,
+            finish_clock,
+            mutexes,
+            barriers,
+            heap,
+            end,
+            ..
+        } = &mut self.state;
+        if end.is_some() {
+            return false;
+        }
+        let Some(Reverse((clock, tid))) = heap.pop() else {
+            *end = Some(if threads.iter().any(|t| t.finished.is_none()) {
+                // Heap empty with unfinished threads: deadlock (e.g. a barrier
+                // missing an arrival after a fault diverted control flow).
+                (RunOutcome::Hung, max_clock(clocks))
+            } else {
+                if let Some(tr) = self.tracer.as_mut() {
+                    tr.finish(finish_clock, threads);
+                }
+                (RunOutcome::Completed, max_clock(finish_clock))
+            });
+            return false;
+        };
+        let t = tid as usize;
+        if threads[t].finished.is_some() || blocked[t] {
+            return true; // stale heap entry
+        }
+        let costs = &self.costs[t];
+        let mut clock = clock.max(clocks[t]);
+
+        // `quantum` steps, in as many stretches as the thread's sync
+        // instructions cut them into.
+        let mut slot = u64::from(config.quantum);
+        let mut requeue = true;
+        while slot > 0 {
+            let allowed = match steps_allowed(config.max_steps, total_steps) {
+                Ok(allowed) => allowed.min(slot),
+                Err(hung) => {
+                    clocks[t] = clock;
+                    *end = Some((hung, max_clock(clocks)));
+                    return false;
+                }
+            };
+            let before = threads[t].steps;
+            let mut sink = SlotSink {
+                clock,
+                costs,
+                ledger,
+                events: &mut self.events,
+                tracer: self.tracer.as_mut(),
+            };
+            let yielded = threads[t].run(self.image, mem, n, hook, allowed, &mut sink);
+            clock = sink.clock;
+            let used = threads[t].steps - before;
+            *total_steps += used;
+            slot -= used;
+
+            match yielded {
+                Yield::Budget => {}
+                Yield::Lock(m) => {
+                    clock += costs.alu + machine.lock;
+                    ledger.telemetry.add(CostClass::Alu, costs.alu);
+                    ledger.telemetry.add_sync(machine.lock);
+                    let ms = &mut mutexes[m.index()];
+                    if ms.owner.is_none() {
+                        ms.owner = Some(tid);
+                        if let Some(tr) = self.tracer.as_mut() {
+                            tr.lock_acquired(m.index(), clock);
+                        }
+                    } else {
+                        ms.waiters.push(tid);
+                        if let Some(tr) = self.tracer.as_mut() {
+                            tr.lock_blocked(tid, clock);
+                        }
+                        blocked[t] = true;
+                        requeue = false;
+                        break;
+                    }
+                }
+                Yield::Unlock(m) => {
+                    clock += machine.lock;
+                    ledger.telemetry.add_sync(machine.lock);
+                    let ms = &mut mutexes[m.index()];
+                    if ms.owner != Some(tid) {
+                        // Control flow corrupted into an unlock the
+                        // thread does not own: crash, like glibc would.
+                        clocks[t] = clock;
+                        *end =
+                            Some((RunOutcome::Crashed(TrapKind::BadUnlock), max_clock(clocks)));
+                        return false;
+                    }
+                    ms.owner = None;
+                    if let Some(tr) = self.tracer.as_mut() {
+                        tr.lock_released(tid, m.index(), clock);
+                    }
+                    if !ms.waiters.is_empty() {
+                        let next = ms.waiters.remove(0);
+                        ms.owner = Some(next);
+                        let nt = next as usize;
+                        clocks[nt] = clocks[nt].max(clock) + machine.lock_handoff;
+                        blocked[nt] = false;
+                        if let Some(tr) = self.tracer.as_mut() {
+                            tr.lock_handoff(next, m.index(), clocks[nt]);
+                        }
+                        heap.push(Reverse((clocks[nt], next)));
+                    }
+                }
+                Yield::Barrier(b) => {
+                    let bs = &mut barriers[b.index()];
+                    bs.arrivals.push((tid, clock));
+                    // Barriers are sized to the full thread count, like
+                    // the pthread barriers in SPLASH-2: if a fault makes
+                    // a thread exit early, the remaining threads
+                    // deadlock here and the run is classified as hung.
+                    if bs.arrivals.len() == n as usize {
+                        // Release everyone at the max arrival clock.
+                        let release = bs
+                            .arrivals
+                            .iter()
+                            .map(|&(_, c)| c)
+                            .max()
+                            .expect("nonempty arrivals")
+                            + machine.barrier_latency(n);
+                        ledger.telemetry.add_sync(machine.barrier_latency(n));
+                        for &(other, _) in &bs.arrivals {
+                            let ot = other as usize;
+                            clocks[ot] = release;
+                            if other != tid {
+                                blocked[ot] = false;
+                                heap.push(Reverse((release, other)));
+                            }
+                        }
+                        if let Some(tr) = self.tracer.as_mut() {
+                            tr.barrier_release(&bs.arrivals, release, threads);
+                        }
+                        bs.arrivals.clear();
+                        clock = release;
+                    } else {
+                        blocked[t] = true;
+                        requeue = false;
+                        break;
+                    }
+                }
+                Yield::Done => {
+                    finish_clock[t] = clock;
+                    requeue = false;
+                    break;
+                }
+                Yield::Trap(k) => {
+                    clocks[t] = clock;
+                    *end = Some((RunOutcome::Crashed(k), max_clock(clocks)));
+                    return false;
+                }
             }
-            m.into_verdict()
-        });
+        }
+
+        clocks[t] = clock;
+        if requeue {
+            heap.push(Reverse((clock, tid)));
+        }
+        true
+    }
+
+    /// The rest of the run from wherever it stands.
+    fn run(mut self, hook: &dyn BranchHook) -> RunResult {
+        while self.slot(hook) {}
+        self.finish(hook)
+    }
+
+    /// Phase 3: `@fini` if the program survived, then the result.
+    fn finish(mut self, hook: &dyn BranchHook) -> RunResult {
+        let (mut outcome, parallel_cycles) =
+            self.state.end.expect("the parallel section has ended");
+        let branches_per_thread: Vec<u64> =
+            self.state.threads.iter().map(|t| t.dyn_branches).collect();
+        let steps_per_thread: Vec<u64> = self.state.threads.iter().map(|t| t.steps).collect();
+        if outcome == RunOutcome::Completed {
+            let State { threads, outputs, .. } = &mut self.state;
+            for t in threads {
+                outputs.append(&mut t.outputs);
+            }
+            if let Some(fini) = self.image.module.fini {
+                if let Err(o) = self.run_serial(fini, hook) {
+                    outcome = o;
+                }
+            }
+        }
+
+        let State { ledger, outputs, total_steps, .. } = self.state;
+        let Ledger { events_sent, telemetry, branch_events, .. } = ledger;
+        let verdict = match self.events {
+            EventSink::Monitor(mut m) => {
+                // The end-of-run flush only happens if the program survived:
+                // a crash or hang kills the real monitor thread along with
+                // the process, so only eagerly detected violations count.
+                if outcome == RunOutcome::Completed {
+                    m.flush();
+                }
+                Some(m.into_verdict())
+            }
+            _ => None,
+        };
         let (mut violations, mut violation_reports, events_processed, monitor_telemetry) =
             match verdict {
                 Some(v) => (v.violations, v.violation_reports, v.events_processed, Some(v.telemetry)),
@@ -466,7 +743,7 @@ impl<'a> Sim<'a> {
         crate::engine::sort_violations(&mut violations, &mut violation_reports);
         let mut telemetry = telemetry.snapshot();
         telemetry.push_counter("vm.engine.sim", 1);
-        telemetry.push_counter("vm.instructions", self.total_steps);
+        telemetry.push_counter("vm.instructions", total_steps);
         telemetry.push_counter("vm.events_sent", events_sent);
         telemetry.push_counter(
             "vm.branches",
@@ -480,11 +757,11 @@ impl<'a> Sim<'a> {
         }
         RunResult {
             outcome,
-            outputs: self.outputs,
+            outputs,
             parallel_cycles,
             violations,
             violation_reports,
-            total_steps: self.total_steps,
+            total_steps,
             events_sent,
             events_processed,
             events_dropped: 0,
@@ -494,191 +771,122 @@ impl<'a> Sim<'a> {
             branch_events,
         }
     }
+}
 
-    fn run_parallel(&mut self, hook: &dyn BranchHook) -> (RunOutcome, u64, Vec<ThreadState>) {
-        let config = self.config;
-        let machine = &config.machine;
-        let n = config.nthreads;
-        let Some(entry) = self.image.module.spmd_entry else {
-            return (RunOutcome::Completed, 0, Vec::new());
+/// A fault-free run of the sim engine that can be stopped between two
+/// scheduler slots and *forked*: [`SimPrefix::resume`] continues a copy of
+/// it under a hook, to the same [`RunResult`] — bit for bit — that
+/// [`Engine::run_hooked`](crate::Engine::run_hooked) on [`SimEngine`]
+/// returns for that hook, provided the hook stays silent on every branch
+/// the prefix has already executed. A fault-injection campaign advances
+/// one prefix past many fault points instead of re-interpreting the
+/// program from step 0 for each.
+///
+/// The prefix runs hook-free and monitor-free. Its monitor events are
+/// charged and counted as the configured [`MonitorMode`] charges them and,
+/// under [`MonitorMode::Enabled`], kept in a log; each fork builds the
+/// monitor the configuration asks for and processes the log first, so
+/// verdicts, reports and monitor telemetry come out as if the monitor had
+/// watched the whole run. Neither the prefix nor its forks emit trace
+/// spans: a caller that wants a run's spans uses `run_hooked`.
+///
+/// [`SimEngine`]: crate::SimEngine
+pub struct SimPrefix<'a> {
+    sim: Sim<'a>,
+    init_branches: u64,
+}
+
+impl<'a> SimPrefix<'a> {
+    /// Runs `@init` (hook-free) and stops before the parallel section's
+    /// first slot.
+    pub fn new(image: &'a ProgramImage, config: &'a ExecConfig) -> Self {
+        let events = match config.monitor {
+            MonitorMode::Enabled => EventSink::Log(Vec::new()),
+            _ => EventSink::Discard,
         };
+        let mut sim = Sim::new(image, config, events);
+        let init_branches = sim.init(&NoHook);
+        SimPrefix { sim, init_branches }
+    }
 
-        let mut threads: Vec<ThreadState> =
-            (0..n).map(|tid| ThreadState::new(tid, entry, self.image, config.seed)).collect();
-        let regions = self.image.module.globals.len() as u32;
-        let costs: Vec<ThreadCosts> =
-            (0..n).map(|tid| ThreadCosts::new(tid, config, regions)).collect();
-        let mut clocks = vec![0u64; n as usize];
-        let mut blocked = vec![false; n as usize];
-        let mut finish_clock = vec![0u64; n as usize];
+    /// Sizes the event log for a prefix that will send up to `events`
+    /// monitor events (a fault-free run's [`RunResult::events_sent`]), so
+    /// the log is allocated once.
+    pub fn log_capacity(mut self, events: usize) -> Self {
+        if let EventSink::Log(log) = &mut self.sim.events {
+            log.reserve_exact(events);
+        }
+        self
+    }
 
-        let mut mutexes: Vec<MutexState> = (0..self.image.module.num_mutexes)
-            .map(|_| MutexState { owner: None, waiters: Vec::new() })
-            .collect();
-        let mut barriers: Vec<BarrierState> = (0..self.image.module.num_barriers)
-            .map(|_| BarrierState { arrivals: Vec::new() })
-            .collect();
+    /// Dynamic branches `@init` took. It ran as thread 0 with an index
+    /// stream of its own, so a hook that fires at thread 0's `k`-th branch
+    /// with `k` at most this would have fired in `@init` — behind this
+    /// prefix, which therefore cannot be resumed under it.
+    pub fn init_branches(&self) -> u64 {
+        self.init_branches
+    }
 
-        let mut heap: BinaryHeap<Reverse<(u64, u32)>> =
-            (0..n).map(|tid| Reverse((0u64, tid))).collect();
+    /// Instructions the prefix has executed, `@init` included: the part of
+    /// a fork's [`RunResult::total_steps`] it inherits.
+    pub fn steps(&self) -> u64 {
+        self.sim.state.total_steps
+    }
 
-        // Resolved once per run: cost nothing when no sink is installed.
-        let mut tracer = bw_telemetry::trace_sink()
-            .map(|sink| SimTracer::new(sink, n as usize, self.image.module.num_mutexes as usize));
-
-        while let Some(Reverse((clock, tid))) = heap.pop() {
-            let t = tid as usize;
-            if threads[t].finished.is_some() || blocked[t] {
-                continue; // stale heap entry
-            }
-            let mut clock = clock.max(clocks[t]);
-
-            // One scheduler slot: `quantum` steps, in as many stretches as
-            // the thread's sync instructions cut it into.
-            let mut slot = u64::from(config.quantum);
-            let mut requeue = true;
-            while slot > 0 {
-                let allowed = match self.steps_allowed() {
-                    Ok(allowed) => allowed.min(slot),
-                    Err(hung) => {
-                        clocks[t] = clock;
-                        let max_clock = clocks.iter().copied().max().unwrap_or(0);
-                        return (hung, max_clock, threads);
-                    }
-                };
-                let before = threads[t].steps;
-                let mut sink = SlotSink {
-                    clock,
-                    costs: &costs[t],
-                    ledger: &mut self.ledger,
-                    tracer: tracer.as_mut(),
-                };
-                let yielded = threads[t].run(self.image, &self.mem, n, hook, allowed, &mut sink);
-                clock = sink.clock;
-                let used = threads[t].steps - before;
-                self.total_steps += used;
-                slot -= used;
-
-                match yielded {
-                    Yield::Budget => {}
-                    Yield::Lock(m) => {
-                        clock += costs[t].alu + machine.lock;
-                        self.ledger.telemetry.add(CostClass::Alu, costs[t].alu);
-                        self.ledger.telemetry.add_sync(machine.lock);
-                        let ms = &mut mutexes[m.index()];
-                        if ms.owner.is_none() {
-                            ms.owner = Some(tid);
-                            if let Some(tr) = tracer.as_mut() {
-                                tr.lock_acquired(m.index(), clock);
-                            }
-                        } else {
-                            ms.waiters.push(tid);
-                            if let Some(tr) = tracer.as_mut() {
-                                tr.lock_blocked(tid, clock);
-                            }
-                            blocked[t] = true;
-                            requeue = false;
-                            break;
-                        }
-                    }
-                    Yield::Unlock(m) => {
-                        clock += machine.lock;
-                        self.ledger.telemetry.add_sync(machine.lock);
-                        let ms = &mut mutexes[m.index()];
-                        if ms.owner != Some(tid) {
-                            // Control flow corrupted into an unlock the
-                            // thread does not own: crash, like glibc would.
-                            let max_clock = clocks.iter().copied().max().unwrap_or(0);
-                            clocks[t] = clock;
-                            return (
-                                RunOutcome::Crashed(TrapKind::BadUnlock),
-                                max_clock.max(clock),
-                                threads,
-                            );
-                        }
-                        ms.owner = None;
-                        if let Some(tr) = tracer.as_mut() {
-                            tr.lock_released(tid, m.index(), clock);
-                        }
-                        if !ms.waiters.is_empty() {
-                            let next = ms.waiters.remove(0);
-                            ms.owner = Some(next);
-                            let nt = next as usize;
-                            clocks[nt] = clocks[nt].max(clock) + machine.lock_handoff;
-                            blocked[nt] = false;
-                            if let Some(tr) = tracer.as_mut() {
-                                tr.lock_handoff(next, m.index(), clocks[nt]);
-                            }
-                            heap.push(Reverse((clocks[nt], next)));
-                        }
-                    }
-                    Yield::Barrier(b) => {
-                        let bs = &mut barriers[b.index()];
-                        bs.arrivals.push((tid, clock));
-                        // Barriers are sized to the full thread count, like
-                        // the pthread barriers in SPLASH-2: if a fault makes
-                        // a thread exit early, the remaining threads
-                        // deadlock here and the run is classified as hung.
-                        if bs.arrivals.len() == n as usize {
-                            // Release everyone at the max arrival clock.
-                            let release = bs
-                                .arrivals
-                                .iter()
-                                .map(|&(_, c)| c)
-                                .max()
-                                .expect("nonempty arrivals")
-                                + machine.barrier_latency(n);
-                            self.ledger.telemetry.add_sync(machine.barrier_latency(n));
-                            for &(other, _) in &bs.arrivals {
-                                let ot = other as usize;
-                                clocks[ot] = release;
-                                if other != tid {
-                                    blocked[ot] = false;
-                                    heap.push(Reverse((release, other)));
-                                }
-                            }
-                            if let Some(tr) = tracer.as_mut() {
-                                tr.barrier_release(&bs.arrivals, release, &threads);
-                            }
-                            bs.arrivals.clear();
-                            clock = release;
-                        } else {
-                            blocked[t] = true;
-                            requeue = false;
-                            break;
-                        }
-                    }
-                    Yield::Done => {
-                        finish_clock[t] = clock;
-                        requeue = false;
-                        break;
-                    }
-                    Yield::Trap(k) => {
-                        clocks[t] = clock;
-                        let max_clock = clocks.iter().copied().max().unwrap_or(0).max(clock);
-                        return (RunOutcome::Crashed(k), max_clock, threads);
-                    }
+    /// Runs scheduler slots until the next one could take some thread to
+    /// its target, and returns that thread. `targets[t]` is the (1-based)
+    /// dynamic branch of thread `t` that must not be executed yet; the
+    /// prefix stops before a slot of `t` that starts within `quantum`
+    /// branches of it, the last boundary at which `t` provably has not
+    /// reached it. Returns `None` once the parallel section is over with
+    /// no target in reach (a thread that never gets to its target); the
+    /// prefix can still be resumed there.
+    pub fn advance_to(&mut self, targets: &[Option<u64>]) -> Option<u32> {
+        let quantum = u64::from(self.sim.config.quantum);
+        loop {
+            let state = &self.sim.state;
+            if let Some(&Reverse((_, tid))) = state.heap.peek() {
+                let t = tid as usize;
+                let thread = &state.threads[t];
+                let runnable = thread.finished.is_none() && !state.blocked[t];
+                let target = targets.get(t).copied().flatten();
+                if runnable && target.is_some_and(|k| thread.dyn_branches + quantum >= k) {
+                    return Some(tid);
                 }
             }
-
-            clocks[t] = clock;
-            if requeue {
-                heap.push(Reverse((clock, tid)));
+            if !self.sim.slot(&NoHook) {
+                return None;
             }
         }
+    }
 
-        if threads.iter().any(|t| t.finished.is_none()) {
-            // Heap empty with unfinished threads: deadlock (e.g. a barrier
-            // missing an arrival after a fault diverted control flow).
-            let max_clock = clocks.iter().copied().max().unwrap_or(0);
-            return (RunOutcome::Hung, max_clock, threads);
-        }
-
-        let parallel_cycles = finish_clock.iter().copied().max().unwrap_or(0);
-        if let Some(tr) = tracer.as_mut() {
-            tr.finish(&finish_clock, &threads);
-        }
-        (RunOutcome::Completed, parallel_cycles, threads)
+    /// Continues a copy of the run under `hook` to its end. Exact when
+    /// `hook` returns `None` for every branch executed so far: thread 0's
+    /// first [`SimPrefix::init_branches`] in `@init`, and every branch
+    /// short of the targets [`SimPrefix::advance_to`] was given.
+    pub fn resume(&self, hook: &dyn BranchHook) -> RunResult {
+        let Sim { image, config, costs, state, events, .. } = &self.sim;
+        let events = match events {
+            EventSink::Log(log) => {
+                let mut monitor = inline_monitor(image, config);
+                for &event in log {
+                    monitor.process(event);
+                }
+                EventSink::Monitor(monitor)
+            }
+            _ => EventSink::Discard,
+        };
+        let fork = Sim {
+            image,
+            config,
+            costs: Arc::clone(costs),
+            state: state.clone(),
+            events,
+            tracer: None,
+        };
+        let result = fork.run(hook);
+        crate::live::record_run(crate::engine::EngineKind::Sim, &result);
+        result
     }
 }
 

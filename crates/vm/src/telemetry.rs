@@ -17,7 +17,7 @@ use bw_telemetry::TelemetrySnapshot;
 use crate::thread::CostClass;
 
 /// Cycle attribution buckets for one simulated run.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct VmTelemetry {
     /// Cycles in plain ALU / compare / jump instructions.
     pub cycles_alu: u64,

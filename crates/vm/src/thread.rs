@@ -169,6 +169,7 @@ struct Frame {
 }
 
 /// The full interpreter state of one thread.
+#[derive(Clone)]
 pub(crate) struct ThreadState {
     /// Thread id in `0..nthreads`.
     pub tid: u32,

@@ -1,0 +1,393 @@
+//! A forked prefix against a full replay.
+//!
+//! [`SimPrefix`] runs the program once, stops between two scheduler slots
+//! and lets any number of hooked runs continue from copies of that state.
+//! Every test here demands that such a fork returns the [`RunResult`]
+//! `SimEngine::run_hooked` returns for the same hook, field for field —
+//! the comparison of `differential.rs`, whose reference model stays the
+//! oracle for the scheduler loop both sides share.
+//!
+//! `forked_campaigns_equal_full_replays` walks the grid of the issue
+//! (7 ports × both fault models × threads {1, 2, 4, 8} × quantum
+//! {1, 3, 64} × monitor {Off, Enabled} × shards {1, 4}) over the plans of
+//! 200-injection campaigns. The cell a campaign really runs in (4 threads,
+//! quantum 64) replays all 200 plans; the other cells replay every
+//! `STRIDE`-th plan, rotated by the cell's position so that neighbouring
+//! cells take different plans. Debug builds take every seventh cell and
+//! thin the plans of each further (a step of the interpreter is ~10x slower
+//! there); `scripts/ci.sh` runs this file in the release profile.
+//!
+//! Mutation check — each of these, applied to `src/sim.rs`, was run
+//! against this file in the release profile; "all seven" are the tests
+//! below:
+//! * the log replayed newest-first in `resume` → all but
+//!   `two_targets_share…` (violation reports and the monitor's telemetry
+//!   move; that test's port detects nothing);
+//! * the log replayed one event short → all seven (`events_processed`);
+//! * the fork taken one slot late (`advance_to` runs one more slot before
+//!   it returns) → `forked_campaigns…`, `generated_modules…`,
+//!   `targets_at_the_ends…`, `two_targets_share…`, `a_plan_that_fires_in_
+//!   init…` (the target is behind the fork: `total_steps`, outcome);
+//! * the peeked heap entry popped and not put back → all seven (a thread
+//!   vanishes from the schedule: `Hung`);
+//! * `events_sent` reset in the fork → all seven; the cycle buckets reset
+//!   → all seven (the telemetry snapshot);
+//! * the barrier arrivals not carried into the fork → `forked_campaigns…`,
+//!   `generated_modules…`, `targets_at_the_ends…`, `two_targets_share…`,
+//!   `unhooked_forks…` (a barrier waits for an arrival it already had);
+//!   the mutex tables not carried → `forked_campaigns…`,
+//!   `generated_modules…`;
+//! * `blocked` not carried into the fork: reset to all-true → all seven;
+//!   reset to all-false **survives, as an equivalent mutant** — a blocked
+//!   thread is never requeued, so the heap holds no entry for it and the
+//!   flag is only ever read for entries that cannot exist (the check in
+//!   `slot` is a guard, not a mechanism);
+//! * a plan that fires in `@init` forked all the same (in `walk` below) →
+//!   `forked_campaigns…`, `targets_at_the_ends…`; and
+//!   `a_plan_that_fires_in_init_is_behind_the_prefix` shows directly that
+//!   such a fork is *not* the full replay, which is why campaigns replay
+//!   those plans from step 0.
+//!
+//! [`SimPrefix`]: bw_vm::SimPrefix
+
+use bw_fault::{plan_campaign, CampaignConfig, FaultModel, InjectionHook, InjectionPlan};
+use bw_gen::{generate_module, GenConfig};
+use bw_ir::{Type, Val};
+use bw_splash::{Benchmark, Size};
+use bw_vm::{
+    Engine, ExecConfig, ExecMode, MonitorMode, NoHook, ProgramImage, RunOutcome, RunResult,
+    SimEngine, SimPrefix,
+};
+
+/// Plans replayed per grid cell away from the campaign's own: one in this
+/// many.
+const STRIDE: usize = if cfg!(debug_assertions) { 100 } else { 20 };
+
+/// Values by type and bit pattern, so a NaN equals itself.
+fn bits(values: &[Val]) -> Vec<(Type, u64)> {
+    values.iter().map(|v| (v.ty(), v.bits())).collect()
+}
+
+#[track_caller]
+fn assert_same(fork: &RunResult, full: &RunResult, what: &str) {
+    assert_eq!(fork.outcome, full.outcome, "outcome: {what}");
+    assert_eq!(fork.total_steps, full.total_steps, "total_steps: {what}");
+    assert_eq!(fork.steps_per_thread, full.steps_per_thread, "steps_per_thread: {what}");
+    assert_eq!(fork.branches_per_thread, full.branches_per_thread, "branches_per_thread: {what}");
+    assert_eq!(fork.parallel_cycles, full.parallel_cycles, "parallel_cycles: {what}");
+    assert_eq!(bits(&fork.outputs), bits(&full.outputs), "outputs: {what}");
+    assert_eq!(fork.events_sent, full.events_sent, "events_sent: {what}");
+    assert_eq!(fork.events_processed, full.events_processed, "events_processed: {what}");
+    assert_eq!(fork.events_dropped, full.events_dropped, "events_dropped: {what}");
+    assert_eq!(fork.branch_events, full.branch_events, "branch_events: {what}");
+    assert_eq!(fork.violations, full.violations, "violations: {what}");
+    assert_eq!(fork.violation_reports, full.violation_reports, "violation_reports: {what}");
+    assert_eq!(fork.telemetry, full.telemetry, "telemetry: {what}");
+}
+
+fn port(bench: Benchmark) -> ProgramImage {
+    ProgramImage::prepare_default(bench.module(Size::Test).expect("port compiles"))
+}
+
+/// The campaign's own hang cut-off (bw-fault's `validate_and_plan`).
+fn faulty(config: &ExecConfig, golden: &RunResult) -> ExecConfig {
+    config.clone().max_steps(golden.total_steps.saturating_mul(8).saturating_add(100_000))
+}
+
+/// What one pass of a prefix over a list of plans did.
+#[derive(Default)]
+struct Walk {
+    /// Plans forked from the prefix.
+    forked: usize,
+    /// Plans that fire in `@init`, which a prefix cannot serve.
+    in_init: usize,
+    /// Steps the prefix had executed at each fork, in `plans` order.
+    fork_steps: Vec<Option<u64>>,
+    /// How each forked run ended.
+    outcomes: std::collections::BTreeMap<String, usize>,
+}
+
+/// Advances one prefix past every plan, the way a campaign window does —
+/// plans bucketed per thread in ascending `dyn_index`, one fork at each —
+/// and compares each fork with `run_hooked` from step 0.
+#[track_caller]
+fn walk(image: &ProgramImage, config: &ExecConfig, plans: &[InjectionPlan], what: &str) -> Walk {
+    let mut prefix = SimPrefix::new(image, config);
+    let mut walk = Walk { fork_steps: vec![None; plans.len()], ..Walk::default() };
+    let mut queues: Vec<Vec<(u64, usize)>> = vec![Vec::new(); config.nthreads as usize];
+    for (i, plan) in plans.iter().enumerate() {
+        if plan.tid == 0 && plan.dyn_index <= prefix.init_branches() {
+            walk.in_init += 1;
+        } else {
+            queues[plan.tid as usize].push((plan.dyn_index, i));
+        }
+    }
+    for queue in &mut queues {
+        queue.sort_unstable_by(|a, b| b.cmp(a)); // `pop` takes the earliest
+    }
+    let head = |queue: &Vec<(u64, usize)>| queue.last().map(|&(k, _)| k);
+    let mut targets: Vec<Option<u64>> = queues.iter().map(head).collect();
+    while let Some(waiting) = targets.iter().position(Option::is_some) {
+        // `None`: the parallel section is over, what is left is never reached.
+        let tid = prefix.advance_to(&targets).map_or(waiting, |tid| tid as usize);
+        let (_, i) = queues[tid].pop().expect("a thread with a target");
+        targets[tid] = head(&queues[tid]);
+
+        let what = format!("{what} #{i} {:?}", plans[i]);
+        let (fork_hook, full_hook) = (InjectionHook::new(plans[i]), InjectionHook::new(plans[i]));
+        let fork = prefix.resume(&fork_hook);
+        let full = SimEngine.run_hooked(image, config, &full_hook);
+        assert_same(&fork, &full, &what);
+        assert_eq!(fork_hook.injected_branch(), full_hook.injected_branch(), "{what}");
+        walk.forked += 1;
+        walk.fork_steps[i] = Some(prefix.steps());
+        *walk.outcomes.entry(format!("{:?}", full.outcome)).or_default() += 1;
+    }
+    walk
+}
+
+#[test]
+fn forked_campaigns_equal_full_replays() {
+    let full = !cfg!(debug_assertions);
+    let injections = 200;
+    let mut cell = 0usize;
+    for bench in Benchmark::ALL {
+        let image = port(bench);
+        let mut outcomes = std::collections::BTreeSet::new();
+        for nthreads in [1u32, 2, 4, 8] {
+            for quantum in [1u32, 3, 64] {
+                for (monitor, shards) in [
+                    (MonitorMode::Off, 1),
+                    (MonitorMode::Off, 4),
+                    (MonitorMode::Enabled, 1),
+                    (MonitorMode::Enabled, 4),
+                ] {
+                    cell += 1;
+                    // Every seventh cell in debug builds (7 is coprime to
+                    // the grid's 4 x 3 x 4 axes, so every value of each
+                    // axis still comes up on every port).
+                    if !full && !cell.is_multiple_of(7) {
+                        continue;
+                    }
+                    let base = ExecConfig::new(nthreads)
+                        .quantum(quantum)
+                        .monitor(monitor)
+                        .monitor_shards(Some(shards));
+                    let golden = SimEngine.run(&image, &base);
+                    assert_eq!(golden.outcome, RunOutcome::Completed);
+                    let config = faulty(&base, &golden);
+                    for model in [FaultModel::BranchFlip, FaultModel::ConditionBitFlip] {
+                        let campaign =
+                            CampaignConfig::new(injections, model, nthreads).seed(0x16_f0f4);
+                        let mut plans = plan_campaign(&golden.branches_per_thread, &campaign);
+                        if !(full && nthreads == 4 && quantum == 64) {
+                            plans = plans.into_iter().skip(cell % STRIDE).step_by(STRIDE).collect();
+                        }
+                        let what = format!(
+                            "{} t{nthreads} q{quantum} {monitor:?} s{shards} {model:?}",
+                            bench.name()
+                        );
+                        let walked = walk(&image, &config, &plans, &what);
+                        assert_eq!(walked.forked + walked.in_init, plans.len(), "{what}");
+                        outcomes.extend(walked.outcomes.into_keys());
+                    }
+                }
+            }
+        }
+        // The comparison is only worth its name if faults did derail runs
+        // (the thinned sweep of a debug build may not draw one per port).
+        assert!(
+            !full || outcomes.len() > 1,
+            "{}: every forked run ended as {outcomes:?}",
+            bench.name()
+        );
+    }
+}
+
+#[test]
+fn generated_modules_fork_exactly() {
+    let gen = GenConfig::default();
+    for seed in 0..200u64 {
+        let image = ProgramImage::prepare_default(generate_module(seed, &gen));
+        // Every thread count, quantum and monitor mode comes round as
+        // seeds advance.
+        let nthreads = [1u32, 2, 4, 8][seed as usize % 4];
+        let quantum = [1u32, 3, 64][(seed as usize / 4) % 3];
+        let monitor = [MonitorMode::Enabled, MonitorMode::SendOnly, MonitorMode::Off]
+            [(seed as usize / 2) % 3];
+        let base =
+            ExecConfig::new(nthreads).quantum(quantum).monitor(monitor).capture_events(true);
+        let golden = SimEngine.run(&image, &base);
+        if golden.outcome != RunOutcome::Completed {
+            continue; // the generator's own failures are `bw fuzz`'s business
+        }
+        let config = faulty(&base, &golden);
+        let model =
+            if seed % 2 == 0 { FaultModel::BranchFlip } else { FaultModel::ConditionBitFlip };
+        let campaign = CampaignConfig::new(6, model, nthreads).seed(seed);
+        let plans = plan_campaign(&golden.branches_per_thread, &campaign);
+        walk(&image, &config, &plans, &format!("seed {seed:#x} t{nthreads} q{quantum} {monitor:?}"));
+    }
+}
+
+fn flip(tid: u32, dyn_index: u64) -> InjectionPlan {
+    InjectionPlan { tid, dyn_index, model: FaultModel::BranchFlip, value_choice: 0, bit: 0 }
+}
+
+/// The first branch of a thread forks at the very first slot boundary, the
+/// last one near the end, and one past the last is never reached: the
+/// prefix runs the parallel section out and the fork only has `@fini` left.
+#[test]
+fn targets_at_the_ends_of_a_thread() {
+    for bench in [Benchmark::Raytrace, Benchmark::Radix, Benchmark::OceanNoncontig] {
+        let image = port(bench);
+        for quantum in [1, 64] {
+            let base = ExecConfig::new(4).quantum(quantum).capture_events(true);
+            let golden = SimEngine.run(&image, &base);
+            let config = faulty(&base, &golden);
+            let mut plans = Vec::new();
+            for (tid, &last) in golden.branches_per_thread.iter().enumerate() {
+                plans.extend([flip(tid as u32, 1), flip(tid as u32, last), flip(tid as u32, last + 1)]);
+            }
+            let what = format!("{} q{quantum}", bench.name());
+            let walked = walk(&image, &config, &plans, &what);
+            // Thread 0's first branch is `@init`'s on every port with an
+            // `@init` that branches; nothing else is.
+            let init = SimPrefix::new(&image, &config).init_branches();
+            assert_eq!(walked.in_init, usize::from(init > 0), "{what}");
+            // A thread's first target forks before the thread has run; the
+            // unreachable ones fork after everything has.
+            let first = walked.fork_steps[3].expect("thread 1's first branch forks");
+            let never = walked.fork_steps[5].expect("a target past the end forks at the end");
+            assert!(first < golden.total_steps / 2 && never > first, "{what}: {first} {never}");
+        }
+    }
+}
+
+#[test]
+fn two_targets_share_a_fork_point() {
+    let image = port(Benchmark::Fft);
+    let base = ExecConfig::new(4).capture_events(true);
+    let golden = SimEngine.run(&image, &base);
+    let config = faulty(&base, &golden);
+    let k = golden.branches_per_thread[2] / 2;
+    // Neighbouring branches of one thread, the same branch twice, and a
+    // branch of another thread in between.
+    let plans = [flip(2, k), flip(2, k + 1), flip(2, k), flip(1, k), flip(2, k + 2)];
+    let walked = walk(&image, &config, &plans, "fft, shared fork point");
+    assert_eq!(walked.forked, plans.len());
+    let at = |i: usize| walked.fork_steps[i].expect("forked");
+    assert_eq!(at(0), at(2), "one branch, one fork point");
+    // The prefix stops at the first boundary within a quantum of `k`, which
+    // on this port is within a quantum of `k + 1` too; a later branch may
+    // lie a few slots on.
+    assert_eq!(at(0), at(1));
+    assert!(at(4) >= at(0) && at(4) - at(0) <= 16 * 64, "{} {}", at(0), at(4));
+}
+
+/// `max_steps` between the fork and the end of the faulty run cuts the run
+/// in its tail; `max_steps` short of the fork cuts the prefix itself, and
+/// the fork is then the cut run.
+#[test]
+fn a_step_cut_in_the_tail_or_in_the_prefix() {
+    let image = port(Benchmark::Raytrace);
+    let base = ExecConfig::new(4).capture_events(true);
+    let golden = SimEngine.run(&image, &base);
+    let plan = flip(1, golden.branches_per_thread[1] / 2);
+    let probe = walk(&image, &base, &[plan], "raytrace, uncut");
+    let fork_at = probe.fork_steps[0].expect("forked");
+    assert!(fork_at > 0 && fork_at < golden.total_steps);
+    for (max_steps, where_) in [
+        ((fork_at + golden.total_steps) / 2, "tail"),
+        (fork_at + 1, "first step of the tail"),
+        (fork_at, "boundary"),
+        (fork_at / 2, "prefix"),
+        (0, "init"),
+    ] {
+        let config = base.clone().max_steps(max_steps);
+        let walked = walk(&image, &config, &[plan], &format!("raytrace, cut in the {where_}"));
+        assert_eq!(walked.outcomes.get("Hung"), Some(&1), "cut in the {where_}");
+    }
+}
+
+/// A fork is the run it was taken from: with no hook, at any point.
+#[test]
+fn unhooked_forks_equal_the_plain_run() {
+    for bench in Benchmark::ALL {
+        let image = port(bench);
+        for (nthreads, monitor, exec) in [
+            (4, MonitorMode::Enabled, ExecMode::Normal),
+            (8, MonitorMode::SendOnly, ExecMode::Duplicated),
+            (1, MonitorMode::Off, ExecMode::Normal),
+        ] {
+            let config = ExecConfig::new(nthreads)
+                .monitor(monitor)
+                .exec(exec)
+                .monitor_shards(Some(2))
+                .capture_events(true);
+            let plain = SimEngine.run(&image, &config);
+            let what = format!("{} t{nthreads} {monitor:?}", bench.name());
+            let mut prefix = SimPrefix::new(&image, &config).log_capacity(plain.events_sent as usize);
+            assert_same(&prefix.resume(&NoHook), &plain, &format!("{what}, 0 %"));
+            let mut half = vec![None; nthreads as usize];
+            let last = nthreads as usize - 1;
+            half[last] = Some(plain.branches_per_thread[last] / 2);
+            assert_eq!(prefix.advance_to(&half), Some(last as u32), "{what}");
+            assert!(prefix.steps() > 0 && prefix.steps() < plain.total_steps, "{what}");
+            assert_same(&prefix.resume(&NoHook), &plain, &format!("{what}, 50 %"));
+            // Forking does not disturb the prefix: the same point again.
+            assert_same(&prefix.resume(&NoHook), &plain, &format!("{what}, 50 % again"));
+            assert_eq!(prefix.advance_to(&[]), None, "{what}");
+            assert_same(&prefix.resume(&NoHook), &plain, &format!("{what}, 100 %"));
+        }
+    }
+}
+
+/// `@init` runs as thread 0 with an index stream of its own, so a plan for
+/// thread 0's `k`-th branch with `k` within `@init`'s count fires there —
+/// before any point a prefix can be forked at. `init_branches` is how a
+/// caller tells; forking all the same yields a different run.
+#[test]
+fn a_plan_that_fires_in_init_is_behind_the_prefix() {
+    let image = ProgramImage::prepare_default(
+        bw_ir::frontend::compile(
+            r#"
+            shared int n = 6;
+            int data[8];
+            @init func setup() {
+                for (var i: int = 0; i < 8; i = i + 1) { data[i] = i; }
+            }
+            @spmd func f() {
+                var t: int = threadid();
+                for (var i: int = 0; i < n; i = i + 1) {
+                    if (data[i] > t) { output(i); }
+                }
+            }
+            "#,
+        )
+        .expect("compiles"),
+    );
+    let config = ExecConfig::new(2);
+    let mut prefix = SimPrefix::new(&image, &config);
+    // The loop test of `setup` runs nine times.
+    assert_eq!(prefix.init_branches(), 9);
+
+    // The last `@init` branch: the full replay leaves the loop one round
+    // early; a fork injects into thread 0's ninth parallel branch instead.
+    let plan = flip(0, 9);
+    let full_hook = InjectionHook::new(plan);
+    let full = SimEngine.run_hooked(&image, &config, &full_hook);
+    let init = image.module.init.expect("the program has an @init");
+    let hit = full_hook.injected_branch().expect("activated");
+    assert_eq!(image.analysis.branches[hit.index()].func, init);
+    assert_eq!(prefix.advance_to(&[Some(9)]), Some(0));
+    let fork_hook = InjectionHook::new(plan);
+    let fork = prefix.resume(&fork_hook);
+    let landed = fork_hook.injected_branch().expect("activated");
+    assert_ne!(image.analysis.branches[landed.index()].func, init);
+    assert_ne!((fork.total_steps, landed), (full.total_steps, hit));
+
+    // One past `@init`'s count is thread 0's own branch on both paths.
+    let walked = walk(&image, &config, &[flip(0, 10), flip(1, 1)], "first branch past @init");
+    assert_eq!((walked.forked, walked.in_init), (2, 0));
+}

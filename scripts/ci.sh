@@ -26,9 +26,10 @@ done
 
 # The interpreter against the stepper it replaced: `bw-vm`'s differential
 # test compares whole RunResults with the reference model kept under
-# crates/vm/tests/reference/. It thins its port sweep in debug builds (the
-# workspace legs above ran that), so the complete one runs here, in the
-# release profile, with the allocation budget — in both feature sets,
+# crates/vm/tests/reference/, and its prefix test compares every fork of a
+# `SimPrefix` with the full replay. Both thin their sweeps in debug builds
+# (the workspace legs above ran that), so the complete ones run here, in
+# the release profile, with the allocation budget — in both feature sets,
 # because the cycle buckets compile out of the hot loop without
 # `telemetry`.
 cargo test --release -q -p bw-vm
@@ -131,6 +132,32 @@ cargo run --release --quiet --bin bw -- campaign splash:fft \
 cargo run --release --quiet --bin bw -- report "$tmpdir/traced.jsonl" \
   > "$tmpdir/traced.txt"
 diff "$tmpdir/w1.txt" "$tmpdir/traced.txt"
+
+# Fork-vs-full-replay leg: a campaign forks its injections from a shared
+# fault-free prefix unless a span sink is installed, in which case every
+# injection is replayed from step 0. Both must reconstruct the same
+# forensics, at any worker count, on the two ports the benchmark injects
+# into without a sink.
+for spec in "raytrace --injections 64" "fmm --model cond --injections 32"; do
+  port="${spec%% *}"
+  # shellcheck disable=SC2086  # $spec is a flag list
+  cargo run --release --quiet --bin bw -- campaign splash:$spec \
+    --workers 1 --telemetry "$tmpdir/$port.w1.jsonl" >/dev/null
+  # shellcheck disable=SC2086
+  cargo run --release --quiet --bin bw -- campaign splash:$spec \
+    --workers 4 --telemetry "$tmpdir/$port.w4.jsonl" >/dev/null
+  # shellcheck disable=SC2086
+  cargo run --release --quiet --bin bw -- campaign splash:$spec \
+    --workers 1 --telemetry "$tmpdir/$port.full.jsonl" --trace-spans >/dev/null
+  for run in w1 w4 full; do
+    cargo run --release --quiet --bin bw -- report "$tmpdir/$port.$run.jsonl" \
+      > "$tmpdir/$port.$run.txt"
+  done
+  diff "$tmpdir/$port.w1.txt" "$tmpdir/$port.w4.txt"
+  diff "$tmpdir/$port.w1.txt" "$tmpdir/$port.full.txt"
+  grep -q '"steps_skipped":0}' "$tmpdir/$port.full.jsonl"
+  grep -q '"steps_skipped":[1-9]' "$tmpdir/$port.w1.jsonl"
+done
 
 # Metrics-endpoint smoke: a campaign serving --metrics-addr must answer
 # GET /metrics with bw_-prefixed Prometheus text while it runs.

@@ -72,6 +72,44 @@ fn batch_is_bitwise_identical_to_sequential_campaigns_at_any_worker_count() {
     }
 }
 
+/// Campaigns longer than the window a pool worker claims at a time (32
+/// plans, forked from one prefix), one of them aborting: each image's
+/// windows are claimed in order and its stop flag is its own, so the
+/// payload is still the standalone campaign's.
+#[test]
+fn batches_of_multi_window_campaigns_equal_sequential_campaigns() {
+    let images: Vec<_> = images().into_iter().take(3).collect();
+    let config_for = |seed: u64| {
+        let config = CampaignConfig::new(70, FaultModel::ConditionBitFlip, NTHREADS)
+            .seed(seed)
+            .sim(ExecConfig::new(NTHREADS).seed(seed).max_steps(2_000_000));
+        if seed == 1 {
+            config.abort_on_detection(true)
+        } else {
+            config
+        }
+    };
+    for pool in [1usize, 3] {
+        let mut batch = CampaignBatch::new().workers(pool);
+        for (seed, image) in &images {
+            batch.push(Arc::clone(image), config_for(*seed));
+        }
+        let outcome = batch.run();
+        for ((seed, image), result) in images.iter().zip(&outcome.results) {
+            let batched = result.as_ref().expect("batched campaign runs");
+            let alone = run_campaign(image, &config_for(*seed).workers(1)).expect("campaign runs");
+            assert_eq!(batched.records, alone.records, "seed {seed}, pool {pool}");
+            assert_eq!(batched.counts, alone.counts, "seed {seed}, pool {pool}");
+            assert_eq!(batched.aborted, alone.aborted, "seed {seed}, pool {pool}");
+            assert_eq!(
+                batched.telemetry.deterministic_part().counters(),
+                alone.telemetry.deterministic_part().counters(),
+                "seed {seed}, pool {pool}"
+            );
+        }
+    }
+}
+
 #[test]
 fn two_batch_runs_are_bitwise_identical() {
     let images = images();

@@ -208,7 +208,10 @@ fn span_tracing_does_not_perturb_run_determinism() {
 
 /// ...and on the campaign path: records, outcome counters and the
 /// rendered forensics report are byte-identical with tracing on or off,
-/// at a multi-worker, multi-shard configuration.
+/// at a multi-worker, multi-shard configuration. With the sink installed
+/// every injection is replayed from step 0 (its trace holds its whole
+/// run's spans); without it the injections are forks of a shared prefix —
+/// so this is also the fork-vs-full-replay equality, over two windows.
 #[test]
 fn span_tracing_does_not_perturb_campaign_determinism() {
     let _guard = trace_sink_lock();
@@ -220,7 +223,7 @@ fn span_tracing_does_not_perturb_campaign_determinism() {
             blockwatch::telemetry::set_trace_sink(Some(Arc::clone(&rec) as Arc<dyn Recorder>));
         }
         let result = bw
-            .campaign_runner(20, FaultModel::BranchFlip, 2)
+            .campaign_runner(40, FaultModel::BranchFlip, 2)
             .seed(11)
             .workers(2)
             .monitor_shards(Some(2))
@@ -237,6 +240,15 @@ fn span_tracing_does_not_perturb_campaign_determinism() {
 
     assert_eq!(traced.records, plain.records);
     assert_eq!(traced.counts, plain.counts);
+    assert_eq!(traced.aborted, plain.aborted);
+    let skipped = |r: &blockwatch::CampaignResult| -> u64 {
+        r.worker_stats.iter().map(|w| w.steps_skipped).sum()
+    };
+    assert!(skipped(&plain) > 0, "an untraced campaign forks");
+    if blockwatch::telemetry::ENABLED {
+        // (Without the feature there is no sink to install.)
+        assert_eq!(skipped(&traced), 0, "a traced campaign replays in full");
+    }
     let (dt, dp) =
         (traced.telemetry.deterministic_part(), plain.telemetry.deterministic_part());
     assert_eq!(dt.counters(), dp.counters());
