@@ -753,8 +753,8 @@ fn cmd_campaign(rest: &[String]) -> Result<(), String> {
         100.0 * protected.coverage()
     );
     // What forking injections from a shared fault-free prefix saved, over
-    // both campaigns (0% where every injection is a full replay: the real
-    // engine, or --trace-spans).
+    // both campaigns (0% on the real engine, where every injection is a
+    // full replay).
     let stats = || protected.worker_stats.iter().chain(&baseline.worker_stats);
     let run: u64 = stats().map(|w| w.steps_run).sum();
     let skipped: u64 = stats().map(|w| w.steps_skipped).sum();

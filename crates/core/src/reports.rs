@@ -418,9 +418,21 @@ pub struct TraceWorker {
     pub wall_us: u64,
     /// Microseconds inside injection runs.
     pub busy_us: u64,
+    /// Interpreter steps the worker executed (`0` in a trace written
+    /// before the field existed).
+    pub steps_run: u64,
+    /// Steps its injections inherited from a shared fault-free prefix
+    /// instead of executing them (likewise).
+    pub steps_skipped: u64,
 }
 
 impl TraceWorker {
+    /// The share of a full replay of every injection that forking from a
+    /// prefix spared this worker.
+    pub fn skipped_share(&self) -> f64 {
+        self.steps_skipped as f64 / (self.steps_run + self.steps_skipped).max(1) as f64
+    }
+
     /// Injections per second over the worker's wall time.
     pub fn throughput(&self) -> f64 {
         if self.wall_us == 0 {
@@ -588,6 +600,8 @@ impl TraceSummary {
                     injections: field_u64(&fields, "injections"),
                     wall_us: field_u64(&fields, "wall_us"),
                     busy_us: field_u64(&fields, "busy_us"),
+                    steps_run: field_u64(&fields, "steps_run"),
+                    steps_skipped: field_u64(&fields, "steps_skipped"),
                 }),
                 _ => {}
             }
@@ -730,8 +744,16 @@ impl TraceSummary {
             for w in &self.workers {
                 let _ = writeln!(
                     out,
-                    "  worker {:<3}  {} injections  wall {} us  busy {} us  {:.1} inj/s",
-                    w.worker, w.injections, w.wall_us, w.busy_us, w.throughput()
+                    "  worker {:<3}  {} injections  wall {} us  busy {} us  {:.1} inj/s  \
+                     steps {} run, {} skipped ({:.1}%)",
+                    w.worker,
+                    w.injections,
+                    w.wall_us,
+                    w.busy_us,
+                    w.throughput(),
+                    w.steps_run,
+                    w.steps_skipped,
+                    100.0 * w.skipped_share()
                 );
             }
         }
@@ -781,6 +803,11 @@ impl TraceSummary {
             fields.push((format!("worker.{}.injections", w.worker), Value::from(w.injections)));
             fields.push((format!("worker.{}.wall_us", w.worker), Value::from(w.wall_us)));
             fields.push((format!("worker.{}.busy_us", w.worker), Value::from(w.busy_us)));
+            fields.push((format!("worker.{}.steps_run", w.worker), Value::from(w.steps_run)));
+            fields.push((
+                format!("worker.{}.steps_skipped", w.worker),
+                Value::from(w.steps_skipped),
+            ));
         }
         let refs: Vec<(&str, Value)> =
             fields.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
@@ -1306,6 +1333,25 @@ mod tests {
         assert!(rendered.contains("monitor.violations"));
         assert!(rendered.contains("sdc=1"));
         assert!(rendered.contains("worker 0"));
+        // A `worker` record from before the step counts existed: zeros.
+        assert_eq!((s.workers[0].steps_run, s.workers[0].steps_skipped), (0, 0));
+        assert!(rendered.contains("steps 0 run, 0 skipped (0.0%)"), "{rendered}");
+    }
+
+    #[test]
+    fn trace_summary_renders_the_skipped_share_of_a_worker() {
+        let trace = concat!(
+            r#"{"seq":0,"t_us":4,"ev":"worker","worker":1,"injections":2,"wall_us":500,"#,
+            r#""busy_us":400,"steps_run":300,"steps_skipped":100}"#,
+            "\n",
+        );
+        let s = TraceSummary::parse(trace).unwrap();
+        assert_eq!((s.workers[0].steps_run, s.workers[0].steps_skipped), (300, 100));
+        assert!((s.workers[0].skipped_share() - 0.25).abs() < 1e-12);
+        assert!(s.render().contains("steps 300 run, 100 skipped (25.0%)"), "{}", s.render());
+        let json = s.to_json();
+        assert!(json.contains(r#""worker.1.steps_run":300"#), "{json}");
+        assert!(json.contains(r#""worker.1.steps_skipped":100"#), "{json}");
     }
 
     #[test]

@@ -148,22 +148,20 @@ impl TimelineReport {
         doms
     }
 
-    /// The tracks of one domain, in lane order: SPMD threads first
-    /// (numerically), then workers, shards, and the named lanes.
+    /// The tracks of one domain, in lane order.
     fn tracks(&self, dom: &str) -> Vec<String> {
-        let mut tracks: Vec<String> = self
-            .events
-            .iter()
-            .filter(|e| e.dom == dom)
-            .map(|e| e.track.clone())
-            .collect();
-        tracks.sort_by_key(|t| track_order(t));
-        tracks.dedup();
-        tracks
+        tracks_of(self.events.iter().filter(|e| e.dom == dom))
     }
 
     /// Renders the terminal lane view: one row per `(domain, track)`,
     /// spans drawn as category glyphs over a normalized time axis.
+    ///
+    /// A campaign trace holds one run per injection, each on the same
+    /// `t<tid>` tracks and the same cycle axis as the golden run. Drawn
+    /// into one lane they are a smear (and "busy" a multiple of 100 %), so
+    /// the cycle lanes leave out every record scoped to an injection
+    /// (`inj`), as [`TimelineReport::phase_profile`] does, and the header
+    /// says how many; [`TimelineReport::to_chrome_json`] keeps them all.
     pub fn render(&self) -> String {
         let mut out = String::new();
         if self.events.is_empty() {
@@ -172,22 +170,38 @@ impl TimelineReport {
         }
         const WIDTH: usize = 64;
         for dom in self.domains() {
-            let events: Vec<&TimelineEvent> =
-                self.events.iter().filter(|e| e.dom == dom).collect();
+            let (left_out, events): (Vec<&TimelineEvent>, Vec<&TimelineEvent>) = self
+                .events
+                .iter()
+                .filter(|e| e.dom == dom)
+                .partition(|e| dom == "cyc" && e.arg_u64("inj").is_some());
             let lo = events.iter().map(|e| e.ts).min().unwrap_or(0);
             let hi = events.iter().map(|e| e.ts + e.dur).max().unwrap_or(lo + 1).max(lo + 1);
             let unit = if dom == "cyc" { "cycles" } else { "us" };
             out.push_str(&format!(
-                "timeline [{dom}] {} spans over {}..{} {unit}\n",
+                "timeline [{dom}] {} spans over {}..{} {unit}",
                 events.len(),
                 lo,
                 hi
             ));
+            if !left_out.is_empty() {
+                // A batch numbers the injections of each of its images alike.
+                let mut injections: Vec<_> =
+                    left_out.iter().map(|e| (e.arg_u64("image"), e.arg_u64("inj"))).collect();
+                injections.sort_unstable();
+                injections.dedup();
+                out.push_str(&format!(
+                    " ({} spans of {} injections left out; --chrome exports them)",
+                    left_out.len(),
+                    injections.len()
+                ));
+            }
+            out.push('\n');
             let col = |ts: u64| -> usize {
                 (((ts - lo) as u128 * WIDTH as u128) / (hi - lo) as u128).min(WIDTH as u128 - 1)
                     as usize
             };
-            for track in self.tracks(dom) {
+            for track in tracks_of(events.iter().copied()) {
                 let mut lane = vec![' '; WIDTH];
                 // Work spans first, overlays second, points last — so a
                 // lock hold inside a phase stays visible.
@@ -349,6 +363,15 @@ impl TimelineReport {
 
 /// Lane sort key: SPMD threads (`t<tid>`) first in numeric order, then
 /// campaign workers, monitor shards, and finally the named lanes.
+/// The tracks of `events`, in lane order: SPMD threads first
+/// (numerically), then workers, shards, and the named lanes.
+fn tracks_of<'a>(events: impl Iterator<Item = &'a TimelineEvent>) -> Vec<String> {
+    let mut tracks: Vec<String> = events.map(|e| e.track.clone()).collect();
+    tracks.sort_by_key(|t| track_order(t));
+    tracks.dedup();
+    tracks
+}
+
 fn track_order(track: &str) -> (u8, u64, String) {
     let numeric = |prefix: &str| track.strip_prefix(prefix).and_then(|s| s.parse::<u64>().ok());
     if let Some(n) = numeric("t") {
@@ -703,6 +726,49 @@ mod tests {
             profile.deviant_threads().is_empty(),
             "no majority with two threads: {profile:?}"
         );
+    }
+
+    /// A campaign trace: the golden run's spans plus, per injection, the
+    /// same lanes over the same cycles again. The lanes show the golden run
+    /// alone; the worker lane (wall clock) keeps its injection spans; the
+    /// Chrome export keeps everything.
+    #[test]
+    fn injection_scoped_spans_stay_out_of_the_cycle_lanes() {
+        let golden = |t: u32| {
+            format!(
+                r#"{{"ev":"tspan","kind":"span","dom":"cyc","track":"t{t}","cat":"barrier_phase","name":"phase 0","ts":0,"dur":1000,"steps":50,"branches":5}}"#
+            )
+        };
+        let injected = |t: u32, inj: u32| {
+            format!(
+                r#"{{"ev":"tspan","kind":"span","dom":"cyc","track":"t{t}","cat":"barrier_phase","name":"phase 0","ts":0,"dur":990,"steps":50,"branches":5,"inj":{inj},"wid":0}}"#
+            )
+        };
+        let worker = |inj: u32| {
+            format!(
+                r#"{{"ev":"tspan","kind":"span","dom":"us","track":"w0","cat":"injection","name":"inj {inj}","ts":{},"dur":40,"outcome":"masked","inj":{inj},"wid":0}}"#,
+                inj * 40
+            )
+        };
+        let mut lines = vec![golden(0), golden(1)];
+        for inj in 0..2 {
+            lines.extend([injected(0, inj), injected(1, inj), worker(inj)]);
+        }
+        let report = TimelineReport::parse(&lines.join("\n")).unwrap();
+        let text = report.render();
+        assert!(
+            text.contains("timeline [cyc] 2 spans over 0..1000 cycles (4 spans of 2 injections left out"),
+            "{text}"
+        );
+        assert!(text.contains("timeline [us] 2 spans over 0..80 us\n"), "{text}");
+        let busy: Vec<f64> = text
+            .lines()
+            .filter_map(|l| l.split("busy").nth(1))
+            .map(|pct| pct.trim().trim_end_matches('%').parse().expect("a percentage"))
+            .collect();
+        assert_eq!(busy, vec![100.0; 3], "t0, t1 and w0: {text}");
+        let chrome = report.to_chrome_json();
+        assert_eq!(chrome.matches(r#""ph":"X""#).count(), 8, "every span exported");
     }
 
     #[test]

@@ -376,7 +376,7 @@ pub struct WorkerStats {
     /// instead of executing them, less the steps the prefixes themselves
     /// took: `steps_run + steps_skipped` is what replaying every one of
     /// its injections from step 0 would have executed. Exact; `0` where
-    /// every injection is a full replay (real engine, span sink installed).
+    /// every injection is a full replay (the real engine).
     pub steps_skipped: u64,
 }
 
@@ -881,24 +881,57 @@ struct Worker<'a> {
 /// faulty configuration (whose step budget the golden prefix never
 /// trips): the plans are bucketed per thread in ascending `dyn_index`,
 /// the prefix advances to each fault point in the order the run reaches
-/// them, and every injection is a fork of it — the interpreter state and
-/// the prefix's event log inherited, only the tail executed. The time the
-/// prefix takes to advance is charged to the injection it precedes.
+/// them, and every injection is a fork of it — the interpreter state, the
+/// prefix's event log and, under a span sink, its spans inherited, only
+/// the tail executed. The time the prefix takes to advance is charged to
+/// the injection it precedes.
 ///
-/// Three cases replay an injection from step 0 ([`execute_one`]) instead,
+/// Two cases replay an injection from step 0 ([`execute_one`]) instead,
 /// each decided by something observable: the real engine (OS threads
-/// cannot be forked); an installed span sink (an injection's trace holds
-/// the phase spans of its whole run); and a plan that fires in `@init`,
-/// which runs before any point a prefix can be forked at (see
-/// [`InjectionPlan`]).
+/// cannot be forked) and a plan that fires in `@init`, which runs before
+/// any point a prefix can be forked at (see [`InjectionPlan`]).
+///
+/// Span tracing (`--trace-spans`): every record an injection's run emits
+/// (sim-engine spans run inline on this thread; a fork writes its prefix's
+/// there too) is scoped with `inj`/`wid` — and `image` in a batch, whose
+/// jobs number their injections alike — and the worker lane `w<wid>` gets
+/// one span per injection, back to back like the `dur_us` they mirror.
 fn execute_window(job: &CampaignJob<'_>, window: std::ops::Range<usize>, worker: &mut Worker<'_>) {
     let trace = bw_telemetry::trace_sink();
-    let forkable = job.config.engine == EngineKind::Sim && trace.is_none();
-    let mut started = Instant::now();
-    let mut prefix = forkable.then(|| {
+    let mut started = bw_telemetry::wall_now_us();
+    // Runs one injection (`run` returns its record and the steps it
+    // executed) and books it, from the end of the one before.
+    let mut inject = |index: usize,
+                      worker: &mut Worker<'_>,
+                      run: &dyn Fn() -> (InjectionRecord, u64)| {
+        let wid = worker.stats.worker;
+        let _scope = trace.as_ref().map(|_| {
+            let image = job.item.map(|item| ("image", Value::from(item)));
+            let fields = [("inj", Value::from(index)), ("wid", Value::from(wid))];
+            TraceScope::enter(&image.into_iter().chain(fields).collect::<Vec<_>>())
+        });
+        let (record, steps) = run();
+        let run_us = bw_telemetry::wall_now_us().saturating_sub(started);
+        if let Some(sink) = trace.as_ref() {
+            bw_telemetry::record_span(
+                sink.as_ref(),
+                TimeDomain::WallUs,
+                &format!("w{wid}"),
+                "injection",
+                &format!("inj {index}"),
+                started,
+                run_us,
+                &[("outcome", Value::from(record.outcome.name()))],
+            );
+        }
+        worker.stats.steps_run += steps;
+        job.account(index, record, run_us, worker);
+        started = bw_telemetry::wall_now_us();
+    };
+
+    let mut prefix = (job.config.engine == EngineKind::Sim).then(|| {
         SimPrefix::new(job.image, &job.faulty).log_capacity(job.golden.events_sent as usize)
     });
-
     // Per thread, the targets a fork can serve, latest first.
     let mut queues: Vec<Vec<(u64, usize)>> = vec![Vec::new(); job.faulty.nthreads as usize];
     for index in window {
@@ -909,36 +942,9 @@ fn execute_window(job: &CampaignJob<'_>, window: std::ops::Range<usize>, worker:
                 continue;
             }
         }
-        // Span tracing (`--trace-spans`): every record the run emits
-        // (sim-engine spans run inline on this thread) is scoped with
-        // `inj`/`wid`, and the worker lane `w<wid>` gets one span per
-        // injection.
-        let wid = worker.stats.worker;
-        let _scope = trace.as_ref().map(|_| {
-            TraceScope::enter(&[
-                ("inj", Value::U64(index as u64)),
-                ("wid", Value::U64(wid as u64)),
-            ])
+        inject(index, worker, &|| {
+            execute_one(engine(job.config.engine), job.image, &job.faulty, job.golden, plan)
         });
-        let trace_start = trace.as_ref().map(|_| bw_telemetry::wall_now_us());
-        let (record, steps) =
-            execute_one(engine(job.config.engine), job.image, &job.faulty, job.golden, plan);
-        let run_us = started.elapsed().as_micros() as u64;
-        if let (Some(sink), Some(start)) = (trace.as_ref(), trace_start) {
-            bw_telemetry::record_span(
-                sink.as_ref(),
-                TimeDomain::WallUs,
-                &format!("w{wid}"),
-                "injection",
-                &format!("inj {index}"),
-                start,
-                bw_telemetry::wall_now_us().saturating_sub(start),
-                &[("outcome", Value::from(record.outcome.name()))],
-            );
-        }
-        worker.stats.steps_run += steps;
-        job.account(index, record, run_us, worker);
-        started = Instant::now();
     }
 
     let Some(prefix) = prefix.as_mut() else { return };
@@ -957,14 +963,12 @@ fn execute_window(job: &CampaignJob<'_>, window: std::ops::Range<usize>, worker:
         targets[tid] = head(&queues[tid]);
 
         let plan = job.plans[index];
-        let hook = InjectionHook::new(plan);
-        let result = prefix.resume(&hook);
-        let record = injection_record(plan, &hook, &result, job.golden);
-        let run_us = started.elapsed().as_micros() as u64;
-        worker.stats.steps_run += result.total_steps - prefix.steps();
+        inject(index, worker, &|| {
+            let hook = InjectionHook::new(plan);
+            let result = prefix.resume(&hook);
+            (injection_record(plan, &hook, &result, job.golden), result.total_steps - prefix.steps())
+        });
         inherited += prefix.steps();
-        job.account(index, record, run_us, worker);
-        started = Instant::now();
     }
     // The prefix's own steps were run once; its forks skipped the rest of
     // what they inherited.

@@ -8,8 +8,53 @@ use bw_fault::{
     classify, plan_campaign, run_campaign, CampaignConfig, CampaignError, CampaignResult,
     FaultModel, FaultOutcome, InjectionHook, InjectionRecord, OutcomeCounts,
 };
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard};
+
 use bw_splash::{Benchmark, Size};
+use bw_telemetry::{Recorder, Value};
 use bw_vm::{Engine, MonitorMode, ProgramImage, RunOutcome, SimEngine};
+
+/// Held by every test here that runs a campaign: the span sink one of them
+/// installs is process-global, and a campaign on another test thread would
+/// write into it.
+static SINK_LOCK: Mutex<()> = Mutex::new(());
+
+fn sink_lock() -> MutexGuard<'static, ()> {
+    SINK_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A span sink that keeps the records it is sent.
+#[derive(Default)]
+struct Capture(Mutex<Vec<Vec<(String, Value)>>>);
+
+impl Recorder for Capture {
+    fn record(&self, _event: &str, fields: &[(&str, Value)]) {
+        let fields = fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
+        self.0.lock().unwrap().push(fields);
+    }
+}
+
+impl Capture {
+    /// What was captured since the last call: the number of records, and
+    /// each injection's simulated-cycle records in the order written, less
+    /// the `wid` of whichever worker ran it. (Records of different
+    /// injections interleave by completion; an injection's own do not, it
+    /// runs on one thread.)
+    fn take(&self) -> (usize, BTreeMap<u64, Vec<String>>) {
+        let records = std::mem::take(&mut *self.0.lock().unwrap());
+        let mut by_injection = BTreeMap::<u64, Vec<String>>::new();
+        for fields in &records {
+            let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+            let (dom, inj) = (field("dom").and_then(Value::as_str), field("inj"));
+            if let (Some("cyc"), Some(inj)) = (dom, inj.and_then(Value::as_u64)) {
+                let rest: Vec<_> = fields.iter().filter(|(k, _)| k != "wid").collect();
+                by_injection.entry(inj).or_default().push(format!("{rest:?}"));
+            }
+        }
+        (records.len(), by_injection)
+    }
+}
 
 /// bw-fault's full window: the plans a worker claims at a time and forks
 /// from one prefix (`campaign::WINDOW`, private; the pool shortens it when
@@ -119,6 +164,7 @@ const KERNEL: &str = r#"
 
 #[test]
 fn windowed_campaigns_equal_the_plan_by_plan_reference() {
+    let _lock = sink_lock();
     let image = ProgramImage::prepare_default(bw_ir::frontend::compile(KERNEL).expect("compiles"));
     for size in [1, W - 1, W, W + 1, 3 * W + 5] {
         for model in [FaultModel::BranchFlip, FaultModel::ConditionBitFlip] {
@@ -151,6 +197,28 @@ fn windowed_campaigns_equal_the_plan_by_plan_reference() {
                     }
                     assert!(size < W || skipped > 0, "{what}: nothing was forked");
                 }
+
+                // The same under a span sink: the campaign forks all the
+                // same, returns the same payload, and writes the same trace
+                // at every worker count — as many records, and for each
+                // injection the same spans.
+                let capture = Arc::new(Capture::default());
+                bw_telemetry::set_trace_sink(Some(Arc::clone(&capture) as Arc<dyn Recorder>));
+                let mut first = None;
+                for workers in [1usize, 2, 8] {
+                    let what = format!("{size} x {model:?}, {monitor:?}, {workers} workers, traced");
+                    let result = run_campaign(&image, &base.clone().workers(workers))
+                        .expect("golden run completes");
+                    let trace = capture.take();
+                    assert_payload(&result, &reference, &what);
+                    let skipped: u64 = result.worker_stats.iter().map(|w| w.steps_skipped).sum();
+                    assert!(size < W || skipped > 0, "{what}: nothing was forked");
+                    if bw_telemetry::ENABLED {
+                        assert!(trace.1.len() > size / 2, "{what}: injections leave spans");
+                    }
+                    assert_eq!(first.get_or_insert_with(|| trace.clone()), &trace, "{what}");
+                }
+                bw_telemetry::set_trace_sink(None);
             }
         }
     }
@@ -160,6 +228,7 @@ fn windowed_campaigns_equal_the_plan_by_plan_reference() {
 /// cuts at, although workers finish the windows they hold.
 #[test]
 fn abort_cuts_equal_the_plan_by_plan_reference() {
+    let _lock = sink_lock();
     let image = image(Benchmark::Radix);
     let size = 3 * W + 5;
     let on_detection =
@@ -186,6 +255,7 @@ fn abort_cuts_equal_the_plan_by_plan_reference() {
 /// step 0, and its record is the plan-by-plan one, on an `@init` branch.
 #[test]
 fn plans_that_fire_in_init_are_replayed_in_full() {
+    let _lock = sink_lock();
     // `@init` takes 201 branches as thread 0; each thread's own loop 25.
     let image = ProgramImage::prepare_default(
         bw_ir::frontend::compile(
@@ -225,6 +295,7 @@ fn plans_that_fire_in_init_are_replayed_in_full() {
 
 #[test]
 fn results_identical_at_any_worker_count() {
+    let _lock = sink_lock();
     for bench in [Benchmark::Fft, Benchmark::Radix] {
         let image = image(bench);
         for model in [FaultModel::BranchFlip, FaultModel::ConditionBitFlip] {
@@ -250,6 +321,7 @@ fn results_identical_at_any_worker_count() {
 
 #[test]
 fn early_abort_cut_is_identical_at_any_worker_count() {
+    let _lock = sink_lock();
     let image = image(Benchmark::Fft);
     // Detections are frequent with the monitor on, so the abort trips well
     // inside the campaign; the surviving prefix must not depend on which
@@ -273,6 +345,7 @@ fn early_abort_cut_is_identical_at_any_worker_count() {
 
 #[test]
 fn abort_after_sdc_stops_on_the_exact_injection() {
+    let _lock = sink_lock();
     let image = image(Benchmark::Radix);
     // The unprotected program accumulates SDCs; stop at the second one.
     let base = CampaignConfig::new(200, FaultModel::BranchFlip, 4)
@@ -296,6 +369,7 @@ fn abort_after_sdc_stops_on_the_exact_injection() {
 
 #[test]
 fn non_completing_golden_run_is_an_error_not_a_panic() {
+    let _lock = sink_lock();
     let image = image(Benchmark::Fft);
     let mut config = CampaignConfig::new(10, FaultModel::BranchFlip, 4);
     // A step budget no golden run can satisfy.

@@ -7,13 +7,14 @@
 //! one JSON object per line — the format `bw stats` reads back.
 
 use std::fs::File;
+use std::fmt::Write as _;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::json::{write_json_object, Value};
+use crate::json::{write_json_str, write_json_value, Value};
 
 /// A sink for structured telemetry events.
 ///
@@ -43,13 +44,22 @@ impl Recorder for NullRecorder {
 pub static NULL_RECORDER: NullRecorder = NullRecorder;
 
 /// A recorder that writes one JSON object per event to a byte sink
-/// (JSON Lines). Every record carries `seq` (global order of emission)
+/// (JSON Lines). Every record carries `seq` (its position in the output)
 /// and `t_us` (microseconds since the recorder was created) before the
 /// caller's fields.
 pub struct JsonlRecorder {
+    /// Records written; advanced under `out`'s lock, so lines are in `seq`
+    /// order whatever the number of writers.
     seq: AtomicU64,
     start: Instant,
-    out: Mutex<BufWriter<Box<dyn Write + Send>>>,
+    out: Mutex<LineWriter>,
+}
+
+/// The byte sink and the buffer each line is rendered into before it is
+/// written, kept between records.
+struct LineWriter {
+    line: String,
+    writer: BufWriter<Box<dyn Write + Send>>,
 }
 
 impl JsonlRecorder {
@@ -58,7 +68,7 @@ impl JsonlRecorder {
         JsonlRecorder {
             seq: AtomicU64::new(0),
             start: Instant::now(),
-            out: Mutex::new(BufWriter::new(out)),
+            out: Mutex::new(LineWriter { line: String::new(), writer: BufWriter::new(out) }),
         }
     }
 
@@ -76,25 +86,31 @@ impl JsonlRecorder {
 
 impl Recorder for JsonlRecorder {
     fn record(&self, event: &str, fields: &[(&str, Value)]) {
+        // A writer that panicked mid-record poisons the lock; the trace
+        // ends there rather than failing the run.
+        let Ok(mut out) = self.out.lock() else { return };
+        let LineWriter { line, writer } = &mut *out;
+        // Only ever advanced here, under the lock: `Relaxed` publishes
+        // nothing but the count itself.
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let t_us = self.start.elapsed().as_micros() as u64;
-        let mut line = String::with_capacity(64 + fields.len() * 24);
-        let mut all = Vec::with_capacity(fields.len() + 3);
-        all.push(("seq", Value::U64(seq)));
-        all.push(("t_us", Value::U64(t_us)));
-        all.push(("ev", Value::from(event)));
-        all.extend(fields.iter().map(|(k, v)| (*k, v.clone())));
-        write_json_object(&mut line, &all);
-        line.push('\n');
-        if let Ok(mut out) = self.out.lock() {
-            // Best effort: a full disk must not fail the run.
-            let _ = out.write_all(line.as_bytes());
+        line.clear();
+        let _ = write!(line, "{{\"seq\":{seq},\"t_us\":{t_us},\"ev\":");
+        write_json_str(line, event);
+        for (key, value) in fields {
+            line.push(',');
+            write_json_str(line, key);
+            line.push(':');
+            write_json_value(line, value);
         }
+        line.push_str("}\n");
+        // Best effort: a full disk must not fail the run.
+        let _ = writer.write_all(line.as_bytes());
     }
 
     fn flush(&self) {
         if let Ok(mut out) = self.out.lock() {
-            let _ = out.flush();
+            let _ = out.writer.flush();
         }
     }
 }

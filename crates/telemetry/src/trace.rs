@@ -31,8 +31,8 @@
 //!   `events` counts, lock ids, batch sizes).
 //!
 //! Records additionally carry every field of the enclosing
-//! [`TraceScope`]s (campaigns push `inj` / `wid` so one trace file keeps
-//! per-injection spans separable).
+//! [`TraceScope`]s (campaigns push `inj` / `wid`, and `image` in a batch,
+//! so one trace file keeps per-injection spans separable).
 //!
 //! ## Determinism contract
 //!
@@ -175,19 +175,22 @@ fn record(
     if !crate::ENABLED {
         return;
     }
-    let scope: Vec<(String, Value)> = SCOPE.with(|s| s.borrow().clone());
-    let mut fields = Vec::with_capacity(6 + tail.len() + extra.len() + scope.len());
-    fields.push(("kind", Value::from(kind)));
-    fields.push(("dom", Value::from(dom.tag())));
-    fields.push(("track", Value::from(track)));
-    fields.push(("cat", Value::from(cat)));
-    fields.push(("name", Value::from(name)));
-    fields.push(("ts", Value::U64(ts)));
-    fields.extend(tail.iter().map(|(k, v)| (*k, v.clone())));
-    fields.extend(extra.iter().map(|(k, v)| (*k, v.clone())));
-    let scoped: Vec<(&str, Value)> =
-        fields.into_iter().chain(scope.iter().map(|(k, v)| (k.as_str(), v.clone()))).collect();
-    rec.record(TRACE_EVENT, &scoped);
+    // The scope stack stays borrowed while the recorder runs, so a
+    // `Recorder::record` must not enter a `TraceScope` itself.
+    SCOPE.with(|scope| {
+        let scope = scope.borrow();
+        let mut fields: Vec<(&str, Value)> =
+            Vec::with_capacity(6 + tail.len() + extra.len() + scope.len());
+        fields.push(("kind", Value::from(kind)));
+        fields.push(("dom", Value::from(dom.tag())));
+        fields.push(("track", Value::from(track)));
+        fields.push(("cat", Value::from(cat)));
+        fields.push(("name", Value::from(name)));
+        fields.push(("ts", Value::U64(ts)));
+        fields.extend(tail.iter().chain(extra).map(|(k, v)| (*k, v.clone())));
+        fields.extend(scope.iter().map(|(k, v)| (k.as_str(), v.clone())));
+        rec.record(TRACE_EVENT, &fields);
+    });
 }
 
 /// Emits one interval (`kind:"span"`) record: `[ts, ts + dur)` on lane

@@ -44,57 +44,200 @@ use crate::trap::TrapKind;
 /// decision and writes only to the sink — tracing cannot perturb clocks,
 /// verdicts or outputs, and every timestamp it emits is deterministic
 /// for a fixed seed.
+///
+/// A [`SimPrefix`]'s tracer holds its spans back instead: the prefix runs
+/// once for many forks, and each fork's trace has to contain them under
+/// the fork's own `TraceScope`. [`SimTracer::fork`] writes them there.
 struct SimTracer {
     sink: Arc<dyn Recorder>,
-    /// Start clock of each thread's current barrier phase.
-    phase_start: Vec<u64>,
-    /// Index of each thread's current barrier phase.
-    phase: Vec<u64>,
-    /// `ThreadState::steps` at phase start, for per-phase deltas.
-    steps_base: Vec<u64>,
-    /// `ThreadState::dyn_branches` at phase start.
-    branches_base: Vec<u64>,
-    /// Clock at which each thread blocked on a mutex, while it waits.
-    wait_since: Vec<Option<u64>>,
+    /// The spans not yet written to `sink`, while they are being held back.
+    held: Option<HeldSpans>,
+    threads: Vec<ThreadTrace>,
     /// Acquire clock of each mutex's current owner.
     hold_since: Vec<Option<u64>>,
     /// Next causal-arrow id.
     flows: u64,
 }
 
+/// What the tracer keeps per SPMD thread.
+#[derive(Clone)]
+struct ThreadTrace {
+    /// The thread's lane, `t<tid>`.
+    track: String,
+    /// Index of the thread's current barrier phase.
+    phase: u64,
+    /// Start clock of that phase.
+    phase_start: u64,
+    /// `ThreadState::steps` at phase start, for per-phase deltas.
+    steps_base: u64,
+    /// `ThreadState::dyn_branches` at phase start.
+    branches_base: u64,
+    /// Clock at which the thread blocked on a mutex, while it waits.
+    wait_since: Option<u64>,
+}
+
+/// One thing the tracer reports; [`Span::write`] renders it as `tspan`
+/// records.
+#[derive(Clone, Copy)]
+enum Span {
+    /// Thread `tid`'s work in barrier phase `phase`.
+    Phase { tid: u32, phase: u64, start: u64, end: u64, steps: u64, branches: u64 },
+    /// Its stall at the barrier that ends the phase.
+    BarrierWait { tid: u32, phase: u64, arrival: u64, release: u64 },
+    LockHold { tid: u32, mutex: usize, start: u64, end: u64 },
+    LockWait { tid: u32, mutex: usize, start: u64, end: u64 },
+    /// A violation the monitor flagged while processing `event`, sent at
+    /// `clock`: the causal arrow from the deviant thread's branch event to
+    /// the monitor verdict, plus a visible instant on the monitor lane.
+    Verdict { event: BranchEvent, clock: u64, flow: u64 },
+}
+
+impl Span {
+    fn write(self, sink: &dyn Recorder, threads: &[ThreadTrace]) {
+        let track = |tid: u32| threads[tid as usize].track.as_str();
+        let span = |tid, cat, name: &str, start: u64, end: u64, extra: &[(&str, Value)]| {
+            bw_telemetry::record_span(
+                sink,
+                TimeDomain::Cycles,
+                track(tid),
+                cat,
+                name,
+                start,
+                end.saturating_sub(start),
+                extra,
+            );
+        };
+        match self {
+            Span::Phase { tid, phase, start, end, steps, branches } => span(
+                tid,
+                "barrier_phase",
+                &format!("phase {phase}"),
+                start,
+                end,
+                &[("steps", Value::U64(steps)), ("branches", Value::U64(branches))],
+            ),
+            Span::BarrierWait { tid, phase, arrival, release } => {
+                span(tid, "barrier_wait", &format!("barrier (phase {phase})"), arrival, release, &[])
+            }
+            Span::LockHold { tid, mutex, start, end } => {
+                span(tid, "lock_hold", &format!("mutex {mutex}"), start, end, &[])
+            }
+            Span::LockWait { tid, mutex, start, end } => {
+                span(tid, "lock_wait", &format!("mutex {mutex}"), start, end, &[])
+            }
+            Span::Verdict { event, clock, flow } => {
+                let name = format!("site {}", event.site);
+                let detail = [
+                    ("site", Value::U64(event.site)),
+                    ("branch", Value::U64(u64::from(event.branch))),
+                    ("iter", Value::U64(event.iter)),
+                ];
+                let dom = TimeDomain::Cycles;
+                let sender = track(event.thread);
+                bw_telemetry::record_flow(
+                    sink, dom, sender, "branch_event", &name, clock, flow, true, &detail,
+                );
+                bw_telemetry::record_flow(
+                    sink, dom, "monitor", "verdict", &name, clock, flow, false, &detail,
+                );
+                bw_telemetry::record_instant(
+                    sink, dom, "monitor", "violation", &name, clock, &detail,
+                );
+            }
+        }
+    }
+}
+
+/// The spans a [`SimPrefix`] has produced so far, for its forks to write.
+#[derive(Default)]
+struct HeldSpans {
+    /// Each span with the number of monitor events logged before it: where
+    /// it stands among the verdicts a fork's replay of the log reaches.
+    spans: Vec<(usize, Span)>,
+    /// The sender's clock at each logged event, which a verdict reached on
+    /// that event is stamped with.
+    event_clocks: Vec<u64>,
+}
+
 impl SimTracer {
-    fn new(sink: Arc<dyn Recorder>, nthreads: usize, nmutexes: usize) -> Self {
-        SimTracer {
+    /// The tracer of a run on `image` under `config`, if a sink is
+    /// installed. Resolved once per run: costs nothing when none is.
+    fn installed(image: &ProgramImage, config: &ExecConfig) -> Option<Self> {
+        let sink = bw_telemetry::trace_sink()?;
+        let thread = |tid| ThreadTrace {
+            track: format!("t{tid}"),
+            phase: 0,
+            phase_start: 0,
+            steps_base: 0,
+            branches_base: 0,
+            wait_since: None,
+        };
+        Some(SimTracer {
             sink,
-            phase_start: vec![0; nthreads],
-            phase: vec![0; nthreads],
-            steps_base: vec![0; nthreads],
-            branches_base: vec![0; nthreads],
-            wait_since: vec![None; nthreads],
-            hold_since: vec![None; nmutexes],
+            held: None,
+            threads: (0..config.nthreads).map(thread).collect(),
+            hold_since: vec![None; image.module.num_mutexes as usize],
             flows: 0,
+        })
+    }
+
+    fn emit(&mut self, span: Span) {
+        match &mut self.held {
+            Some(held) => held.spans.push((held.event_clocks.len(), span)),
+            None => span.write(self.sink.as_ref(), &self.threads),
         }
     }
 
-    fn track(tid: u32) -> String {
-        format!("t{tid}")
+    /// A monitor event went onto a [`SimPrefix`]'s log at the sender's
+    /// `clock`.
+    fn logged(&mut self, clock: u64) {
+        if let Some(held) = &mut self.held {
+            held.event_clocks.push(clock);
+        }
+    }
+
+    /// The tracer of a fork: this one's state writing straight to the sink,
+    /// once the sink has everything the run would have written up to here —
+    /// the held spans and, among them, the verdict of every violation
+    /// `monitor` completes on `log`, in the order the run produced them.
+    /// The records pick up the calling thread's `TraceScope`, as a full
+    /// replay's would.
+    fn fork(&self, log: &[BranchEvent], monitor: Option<&mut ShardedMonitor>) -> SimTracer {
+        let mut fork = SimTracer {
+            sink: Arc::clone(&self.sink),
+            held: None,
+            threads: self.threads.clone(),
+            hold_since: self.hold_since.clone(),
+            flows: self.flows,
+        };
+        let Some(held) = &self.held else { return fork };
+        let mut spans = held.spans.iter().peekable();
+        if let Some(monitor) = monitor {
+            debug_assert_eq!(log.len(), held.event_clocks.len(), "one clock per logged event");
+            for (sent, (&event, &clock)) in log.iter().zip(&held.event_clocks).enumerate() {
+                while let Some(&(_, span)) = spans.next_if(|&&(before, _)| before <= sent) {
+                    fork.emit(span);
+                }
+                monitor_event(monitor, Some(&mut fork), event, clock);
+            }
+        }
+        for &(_, span) in spans {
+            fork.emit(span);
+        }
+        fork
     }
 
     /// Closes thread `tid`'s current barrier phase at clock `end`.
     fn phase_span(&mut self, tid: u32, end: u64, thread: &ThreadState) {
-        let t = tid as usize;
-        let steps = thread.steps.saturating_sub(self.steps_base[t]);
-        let branches = thread.dyn_branches.saturating_sub(self.branches_base[t]);
-        bw_telemetry::record_span(
-            self.sink.as_ref(),
-            TimeDomain::Cycles,
-            &Self::track(tid),
-            "barrier_phase",
-            &format!("phase {}", self.phase[t]),
-            self.phase_start[t],
-            end.saturating_sub(self.phase_start[t]),
-            &[("steps", Value::U64(steps)), ("branches", Value::U64(branches))],
-        );
+        let t = &self.threads[tid as usize];
+        self.emit(Span::Phase {
+            tid,
+            phase: t.phase,
+            start: t.phase_start,
+            end,
+            steps: thread.steps.saturating_sub(t.steps_base),
+            branches: thread.dyn_branches.saturating_sub(t.branches_base),
+        });
     }
 
     /// A full barrier released at clock `release`: one phase span (work)
@@ -102,22 +245,15 @@ impl SimTracer {
     /// phase opens at the release clock for all of them.
     fn barrier_release(&mut self, arrivals: &[(u32, u64)], release: u64, threads: &[ThreadState]) {
         for &(tid, arrival) in arrivals {
-            let t = tid as usize;
-            self.phase_span(tid, arrival, &threads[t]);
-            bw_telemetry::record_span(
-                self.sink.as_ref(),
-                TimeDomain::Cycles,
-                &Self::track(tid),
-                "barrier_wait",
-                &format!("barrier (phase {})", self.phase[t]),
-                arrival,
-                release.saturating_sub(arrival),
-                &[],
-            );
-            self.phase[t] += 1;
-            self.phase_start[t] = release;
-            self.steps_base[t] = threads[t].steps;
-            self.branches_base[t] = threads[t].dyn_branches;
+            let thread = &threads[tid as usize];
+            self.phase_span(tid, arrival, thread);
+            let phase = self.threads[tid as usize].phase;
+            self.emit(Span::BarrierWait { tid, phase, arrival, release });
+            let t = &mut self.threads[tid as usize];
+            t.phase += 1;
+            t.phase_start = release;
+            t.steps_base = thread.steps;
+            t.branches_base = thread.dyn_branches;
         }
     }
 
@@ -126,83 +262,28 @@ impl SimTracer {
     }
 
     fn lock_blocked(&mut self, tid: u32, clock: u64) {
-        self.wait_since[tid as usize] = Some(clock);
+        self.threads[tid as usize].wait_since = Some(clock);
     }
 
     fn lock_released(&mut self, tid: u32, m: usize, clock: u64) {
         if let Some(start) = self.hold_since[m].take() {
-            bw_telemetry::record_span(
-                self.sink.as_ref(),
-                TimeDomain::Cycles,
-                &Self::track(tid),
-                "lock_hold",
-                &format!("mutex {m}"),
-                start,
-                clock.saturating_sub(start),
-                &[],
-            );
+            self.emit(Span::LockHold { tid, mutex: m, start, end: clock });
         }
     }
 
     fn lock_handoff(&mut self, next: u32, m: usize, granted: u64) {
-        if let Some(start) = self.wait_since[next as usize].take() {
-            bw_telemetry::record_span(
-                self.sink.as_ref(),
-                TimeDomain::Cycles,
-                &Self::track(next),
-                "lock_wait",
-                &format!("mutex {m}"),
-                start,
-                granted.saturating_sub(start),
-                &[],
-            );
+        if let Some(start) = self.threads[next as usize].wait_since.take() {
+            self.emit(Span::LockWait { tid: next, mutex: m, start, end: granted });
         }
         self.hold_since[m] = Some(granted);
     }
 
-    /// The inline monitor flagged a violation while processing `event`:
-    /// emit the causal arrow from the deviant thread's branch event to
-    /// the monitor verdict, plus a visible instant on the monitor lane.
-    fn verdict(&mut self, event: &BranchEvent, clock: u64) {
-        let id = self.flows;
+    /// The inline monitor flagged a violation while processing `event`,
+    /// sent at `clock`.
+    fn verdict(&mut self, event: BranchEvent, clock: u64) {
+        let flow = self.flows;
         self.flows += 1;
-        let name = format!("site {}", event.site);
-        let detail = [
-            ("site", Value::U64(event.site)),
-            ("branch", Value::U64(u64::from(event.branch))),
-            ("iter", Value::U64(event.iter)),
-        ];
-        bw_telemetry::record_flow(
-            self.sink.as_ref(),
-            TimeDomain::Cycles,
-            &Self::track(event.thread),
-            "branch_event",
-            &name,
-            clock,
-            id,
-            true,
-            &detail,
-        );
-        bw_telemetry::record_flow(
-            self.sink.as_ref(),
-            TimeDomain::Cycles,
-            "monitor",
-            "verdict",
-            &name,
-            clock,
-            id,
-            false,
-            &detail,
-        );
-        bw_telemetry::record_instant(
-            self.sink.as_ref(),
-            TimeDomain::Cycles,
-            "monitor",
-            "violation",
-            &name,
-            clock,
-            &detail,
-        );
+        self.emit(Span::Verdict { event, clock, flow });
     }
 
     /// Closes every thread's final phase at its finish clock.
@@ -210,6 +291,23 @@ impl SimTracer {
         for (t, thread) in threads.iter().enumerate() {
             self.phase_span(t as u32, finish_clock[t], thread);
         }
+    }
+}
+
+/// Hands `event`, sent at `clock`, to the inline monitor; under a tracer a
+/// violation it completes leaves its verdict arrow there.
+#[inline]
+fn monitor_event(
+    monitor: &mut ShardedMonitor,
+    tracer: Option<&mut SimTracer>,
+    event: BranchEvent,
+    clock: u64,
+) {
+    let Some(tracer) = tracer else { return monitor.process(event) };
+    let before = monitor.violations_found();
+    monitor.process(event);
+    if monitor.violations_found() > before {
+        tracer.verdict(event, clock);
     }
 }
 
@@ -225,10 +323,7 @@ pub(crate) fn run_sim_engine(
         _ => EventSink::Discard,
     };
     let mut sim = Sim::new(image, config, events);
-    // Resolved once per run: cost nothing when no sink is installed.
-    sim.tracer = bw_telemetry::trace_sink().map(|sink| {
-        SimTracer::new(sink, config.nthreads as usize, image.module.num_mutexes as usize)
-    });
+    sim.tracer = SimTracer::installed(image, config);
     sim.init(hook);
     sim.run(hook)
 }
@@ -355,17 +450,14 @@ impl Sink for SlotSink<'_> {
         match self.events {
             EventSink::Discard => {}
             EventSink::Monitor(monitor) => {
+                monitor_event(monitor, self.tracer.as_deref_mut(), event, self.clock);
+            }
+            EventSink::Log(log) => {
+                log.push(event);
                 if let Some(tr) = self.tracer.as_mut() {
-                    let before = monitor.violations_found();
-                    monitor.process(event);
-                    if monitor.violations_found() > before {
-                        tr.verdict(&event, self.clock);
-                    }
-                } else {
-                    monitor.process(event);
+                    tr.logged(self.clock);
                 }
             }
-            EventSink::Log(log) => log.push(event),
         }
     }
 }
@@ -787,8 +879,18 @@ impl<'a> Sim<'a> {
 /// under [`MonitorMode::Enabled`], kept in a log; each fork builds the
 /// monitor the configuration asks for and processes the log first, so
 /// verdicts, reports and monitor telemetry come out as if the monitor had
-/// watched the whole run. Neither the prefix nor its forks emit trace
-/// spans: a caller that wants a run's spans uses `run_hooked`.
+/// watched the whole run.
+///
+/// The trace is forked with the state. If a span sink is installed when
+/// the prefix is created (`bw_telemetry::set_trace_sink`; looked up once,
+/// there), the prefix holds back the `tspan` records of its part of the
+/// run, and each fork first writes them to the sink — on the thread that
+/// calls [`SimPrefix::resume`], so they pick up its `TraceScope` — and
+/// then goes on tracing where the prefix stood: open barrier phases, lock
+/// waits and holds carry over, and a violation the log replay completes
+/// gets its verdict arrow at the sender's clock, in its place among the
+/// other records. Within one fork the sequence of `tspan` records is,
+/// field for field, the one `run_hooked` writes under the same scope.
 ///
 /// [`SimEngine`]: crate::SimEngine
 pub struct SimPrefix<'a> {
@@ -805,6 +907,8 @@ impl<'a> SimPrefix<'a> {
             _ => EventSink::Discard,
         };
         let mut sim = Sim::new(image, config, events);
+        sim.tracer = SimTracer::installed(image, config)
+            .map(|tracer| SimTracer { held: Some(HeldSpans::default()), ..tracer });
         let init_branches = sim.init(&NoHook);
         SimPrefix { sim, init_branches }
     }
@@ -815,6 +919,9 @@ impl<'a> SimPrefix<'a> {
     pub fn log_capacity(mut self, events: usize) -> Self {
         if let EventSink::Log(log) = &mut self.sim.events {
             log.reserve_exact(events);
+            if let Some(held) = self.sim.tracer.as_mut().and_then(|tr| tr.held.as_mut()) {
+                held.event_clocks.reserve_exact(events);
+            }
         }
         self
     }
@@ -865,24 +972,29 @@ impl<'a> SimPrefix<'a> {
     /// first [`SimPrefix::init_branches`] in `@init`, and every branch
     /// short of the targets [`SimPrefix::advance_to`] was given.
     pub fn resume(&self, hook: &dyn BranchHook) -> RunResult {
-        let Sim { image, config, costs, state, events, .. } = &self.sim;
-        let events = match events {
-            EventSink::Log(log) => {
-                let mut monitor = inline_monitor(image, config);
-                for &event in log {
-                    monitor.process(event);
+        let Sim { image, config, costs, state, events, tracer } = &self.sim;
+        let (log, mut monitor) = match events {
+            EventSink::Log(log) => (log.as_slice(), Some(inline_monitor(image, config))),
+            _ => (&[][..], None),
+        };
+        let tracer = match tracer {
+            Some(tracer) => Some(tracer.fork(log, monitor.as_mut())),
+            None => {
+                if let Some(monitor) = &mut monitor {
+                    for &event in log {
+                        monitor.process(event);
+                    }
                 }
-                EventSink::Monitor(monitor)
+                None
             }
-            _ => EventSink::Discard,
         };
         let fork = Sim {
             image,
             config,
             costs: Arc::clone(costs),
             state: state.clone(),
-            events,
-            tracer: None,
+            events: monitor.map_or(EventSink::Discard, EventSink::Monitor),
+            tracer,
         };
         let result = fork.run(hook);
         crate::live::record_run(crate::engine::EngineKind::Sim, &result);

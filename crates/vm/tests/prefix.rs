@@ -17,9 +17,15 @@
 //! thin the plans of each further (a step of the interpreter is ~10x slower
 //! there); `scripts/ci.sh` runs this file in the release profile.
 //!
+//! Under a span sink a fork must also *write* what the full replay writes:
+//! the traced legs (a capturing sink, installed while the file's one lock
+//! is held) compare the `tspan` records of the two, field for field and in
+//! order; `traced_forks_write_the_spans_of_full_replays` lists the tracer
+//! mutants those were checked against.
+//!
 //! Mutation check — each of these, applied to `src/sim.rs`, was run
 //! against this file in the release profile; "all seven" are the tests
-//! below:
+//! that were here before the traced ones (the first seven below):
 //! * the log replayed newest-first in `resume` → all but
 //!   `two_targets_share…` (violation reports and the monitor's telemetry
 //!   move; that test's port detects nothing);
@@ -50,14 +56,87 @@
 //!
 //! [`SimPrefix`]: bw_vm::SimPrefix
 
+use std::sync::{Arc, Mutex, MutexGuard};
+
+use bw_analysis::{Category, CheckPlan};
 use bw_fault::{plan_campaign, CampaignConfig, FaultModel, InjectionHook, InjectionPlan};
 use bw_gen::{generate_module, GenConfig};
 use bw_ir::{Type, Val};
 use bw_splash::{Benchmark, Size};
+use bw_telemetry::{Recorder, TraceScope, Value};
 use bw_vm::{
     Engine, ExecConfig, ExecMode, MonitorMode, NoHook, ProgramImage, RunOutcome, RunResult,
     SimEngine, SimPrefix,
 };
+
+/// Held by every test of this file while it runs: the span sink is
+/// process-global, so a run on another test thread while a traced leg has
+/// its sink installed would write into that leg's capture, and an untraced
+/// leg would stop being one.
+static SINK_LOCK: Mutex<()> = Mutex::new(());
+
+fn sink_lock() -> MutexGuard<'static, ()> {
+    SINK_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// One record as a sink receives it: the event name and the fields.
+type Record = (String, Vec<(String, Value)>);
+
+/// A span sink that keeps what it is sent.
+#[derive(Default)]
+struct Capture(Mutex<Vec<Record>>);
+
+impl Recorder for Capture {
+    fn record(&self, event: &str, fields: &[(&str, Value)]) {
+        let fields = fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
+        self.0.lock().unwrap().push((event.to_string(), fields));
+    }
+}
+
+/// A [`Capture`] installed as the span sink for as long as this lives.
+struct Traced(Arc<Capture>);
+
+impl Traced {
+    /// Installs the sink; the guard shows that the caller holds the lock.
+    fn install(_held: &MutexGuard<'static, ()>) -> Traced {
+        let capture = Arc::new(Capture::default());
+        bw_telemetry::set_trace_sink(Some(Arc::clone(&capture) as Arc<dyn Recorder>));
+        Traced(capture)
+    }
+}
+
+impl Drop for Traced {
+    fn drop(&mut self) {
+        bw_telemetry::set_trace_sink(None);
+    }
+}
+
+/// Runs `run` the way a campaign runs injection `inj` — inside its
+/// `TraceScope` — and returns what it wrote to the sink beside its result;
+/// with no sink, just runs it.
+fn spans_of<R>(trace: Option<&Traced>, inj: usize, run: impl FnOnce() -> R) -> (R, Vec<Record>) {
+    let Some(Traced(capture)) = trace else { return (run(), Vec::new()) };
+    capture.0.lock().unwrap().clear();
+    let scope = TraceScope::enter(&[("inj", Value::from(inj)), ("wid", Value::U64(0))]);
+    let result = run();
+    drop(scope);
+    let records = std::mem::take(&mut *capture.0.lock().unwrap());
+    (result, records)
+}
+
+/// The records of one category, e.g. `lock_wait`.
+fn of_cat<'a>(records: &'a [Record], cat: &str) -> Vec<&'a Record> {
+    let is = |r: &&Record| r.1.iter().any(|(k, v)| k == "cat" && v.as_str() == Some(cat));
+    records.iter().filter(is).collect()
+}
+
+#[track_caller]
+fn assert_same_spans(fork: &[Record], full: &[Record], what: &str) {
+    assert_eq!(fork.len(), full.len(), "number of trace records: {what}");
+    for (n, (fork, full)) in fork.iter().zip(full).enumerate() {
+        assert_eq!(fork, full, "trace record {n}: {what}");
+    }
+}
 
 /// Plans replayed per grid cell away from the campaign's own: one in this
 /// many.
@@ -105,13 +184,22 @@ struct Walk {
     fork_steps: Vec<Option<u64>>,
     /// How each forked run ended.
     outcomes: std::collections::BTreeMap<String, usize>,
+    /// Trace records the forks wrote.
+    spans: usize,
 }
 
 /// Advances one prefix past every plan, the way a campaign window does —
 /// plans bucketed per thread in ascending `dyn_index`, one fork at each —
-/// and compares each fork with `run_hooked` from step 0.
+/// and compares each fork with `run_hooked` from step 0: the results and,
+/// under `trace`, the records the two write inside the same `TraceScope`.
 #[track_caller]
-fn walk(image: &ProgramImage, config: &ExecConfig, plans: &[InjectionPlan], what: &str) -> Walk {
+fn walk(
+    image: &ProgramImage,
+    config: &ExecConfig,
+    plans: &[InjectionPlan],
+    trace: Option<&Traced>,
+    what: &str,
+) -> Walk {
     let mut prefix = SimPrefix::new(image, config);
     let mut walk = Walk { fork_steps: vec![None; plans.len()], ..Walk::default() };
     let mut queues: Vec<Vec<(u64, usize)>> = vec![Vec::new(); config.nthreads as usize];
@@ -135,10 +223,13 @@ fn walk(image: &ProgramImage, config: &ExecConfig, plans: &[InjectionPlan], what
 
         let what = format!("{what} #{i} {:?}", plans[i]);
         let (fork_hook, full_hook) = (InjectionHook::new(plans[i]), InjectionHook::new(plans[i]));
-        let fork = prefix.resume(&fork_hook);
-        let full = SimEngine.run_hooked(image, config, &full_hook);
+        let (fork, fork_spans) = spans_of(trace, i, || prefix.resume(&fork_hook));
+        let (full, full_spans) =
+            spans_of(trace, i, || SimEngine.run_hooked(image, config, &full_hook));
         assert_same(&fork, &full, &what);
         assert_eq!(fork_hook.injected_branch(), full_hook.injected_branch(), "{what}");
+        assert_same_spans(&fork_spans, &full_spans, &what);
+        walk.spans += fork_spans.len();
         walk.forked += 1;
         walk.fork_steps[i] = Some(prefix.steps());
         *walk.outcomes.entry(format!("{:?}", full.outcome)).or_default() += 1;
@@ -148,6 +239,7 @@ fn walk(image: &ProgramImage, config: &ExecConfig, plans: &[InjectionPlan], what
 
 #[test]
 fn forked_campaigns_equal_full_replays() {
+    let _lock = sink_lock();
     let full = !cfg!(debug_assertions);
     let injections = 200;
     let mut cell = 0usize;
@@ -187,7 +279,7 @@ fn forked_campaigns_equal_full_replays() {
                             "{} t{nthreads} q{quantum} {monitor:?} s{shards} {model:?}",
                             bench.name()
                         );
-                        let walked = walk(&image, &config, &plans, &what);
+                        let walked = walk(&image, &config, &plans, None, &what);
                         assert_eq!(walked.forked + walked.in_init, plans.len(), "{what}");
                         outcomes.extend(walked.outcomes.into_keys());
                     }
@@ -206,6 +298,7 @@ fn forked_campaigns_equal_full_replays() {
 
 #[test]
 fn generated_modules_fork_exactly() {
+    let _lock = sink_lock();
     let gen = GenConfig::default();
     for seed in 0..200u64 {
         let image = ProgramImage::prepare_default(generate_module(seed, &gen));
@@ -226,7 +319,8 @@ fn generated_modules_fork_exactly() {
             if seed % 2 == 0 { FaultModel::BranchFlip } else { FaultModel::ConditionBitFlip };
         let campaign = CampaignConfig::new(6, model, nthreads).seed(seed);
         let plans = plan_campaign(&golden.branches_per_thread, &campaign);
-        walk(&image, &config, &plans, &format!("seed {seed:#x} t{nthreads} q{quantum} {monitor:?}"));
+        let what = format!("seed {seed:#x} t{nthreads} q{quantum} {monitor:?}");
+        walk(&image, &config, &plans, None, &what);
     }
 }
 
@@ -235,11 +329,21 @@ fn flip(tid: u32, dyn_index: u64) -> InjectionPlan {
 }
 
 /// The first branch of a thread forks at the very first slot boundary, the
-/// last one near the end, and one past the last is never reached: the
-/// prefix runs the parallel section out and the fork only has `@fini` left.
+/// last one near the end — past the last barrier — and one past the last
+/// is never reached: the prefix runs the parallel section out and the fork
+/// only has `@fini` left (and, traced, every span of the run in its buffer,
+/// the final phases' included).
 #[test]
 fn targets_at_the_ends_of_a_thread() {
-    for bench in [Benchmark::Raytrace, Benchmark::Radix, Benchmark::OceanNoncontig] {
+    let lock = sink_lock();
+    for (bench, traced) in [
+        (Benchmark::Raytrace, false),
+        (Benchmark::Radix, false),
+        (Benchmark::OceanNoncontig, false),
+        (Benchmark::Raytrace, true),
+        (Benchmark::OceanNoncontig, true),
+    ] {
+        let trace = traced.then(|| Traced::install(&lock));
         let image = port(bench);
         for quantum in [1, 64] {
             let base = ExecConfig::new(4).quantum(quantum).capture_events(true);
@@ -249,8 +353,8 @@ fn targets_at_the_ends_of_a_thread() {
             for (tid, &last) in golden.branches_per_thread.iter().enumerate() {
                 plans.extend([flip(tid as u32, 1), flip(tid as u32, last), flip(tid as u32, last + 1)]);
             }
-            let what = format!("{} q{quantum}", bench.name());
-            let walked = walk(&image, &config, &plans, &what);
+            let what = format!("{} q{quantum} traced={traced}", bench.name());
+            let walked = walk(&image, &config, &plans, trace.as_ref(), &what);
             // Thread 0's first branch is `@init`'s on every port with an
             // `@init` that branches; nothing else is.
             let init = SimPrefix::new(&image, &config).init_branches();
@@ -266,6 +370,7 @@ fn targets_at_the_ends_of_a_thread() {
 
 #[test]
 fn two_targets_share_a_fork_point() {
+    let lock = sink_lock();
     let image = port(Benchmark::Fft);
     let base = ExecConfig::new(4).capture_events(true);
     let golden = SimEngine.run(&image, &base);
@@ -274,7 +379,14 @@ fn two_targets_share_a_fork_point() {
     // Neighbouring branches of one thread, the same branch twice, and a
     // branch of another thread in between.
     let plans = [flip(2, k), flip(2, k + 1), flip(2, k), flip(1, k), flip(2, k + 2)];
-    let walked = walk(&image, &config, &plans, "fft, shared fork point");
+    let walked = walk(&image, &config, &plans, None, "fft, shared fork point");
+    // Forks do not consume what the prefix holds back for them: each of the
+    // five writes the whole trace of its run.
+    let trace = Traced::install(&lock);
+    let traced = walk(&image, &config, &plans, Some(&trace), "fft, shared fork point, traced");
+    drop(trace);
+    assert_eq!(traced.fork_steps, walked.fork_steps, "a sink does not move the fork points");
+    assert_eq!(traced.spans > 0, bw_telemetry::ENABLED);
     assert_eq!(walked.forked, plans.len());
     let at = |i: usize| walked.fork_steps[i].expect("forked");
     assert_eq!(at(0), at(2), "one branch, one fork point");
@@ -290,11 +402,12 @@ fn two_targets_share_a_fork_point() {
 /// the fork is then the cut run.
 #[test]
 fn a_step_cut_in_the_tail_or_in_the_prefix() {
+    let _lock = sink_lock();
     let image = port(Benchmark::Raytrace);
     let base = ExecConfig::new(4).capture_events(true);
     let golden = SimEngine.run(&image, &base);
     let plan = flip(1, golden.branches_per_thread[1] / 2);
-    let probe = walk(&image, &base, &[plan], "raytrace, uncut");
+    let probe = walk(&image, &base, &[plan], None, "raytrace, uncut");
     let fork_at = probe.fork_steps[0].expect("forked");
     assert!(fork_at > 0 && fork_at < golden.total_steps);
     for (max_steps, where_) in [
@@ -305,40 +418,55 @@ fn a_step_cut_in_the_tail_or_in_the_prefix() {
         (0, "init"),
     ] {
         let config = base.clone().max_steps(max_steps);
-        let walked = walk(&image, &config, &[plan], &format!("raytrace, cut in the {where_}"));
+        let what = format!("raytrace, cut in the {where_}");
+        let walked = walk(&image, &config, &[plan], None, &what);
         assert_eq!(walked.outcomes.get("Hung"), Some(&1), "cut in the {where_}");
     }
 }
 
-/// A fork is the run it was taken from: with no hook, at any point.
+/// A fork is the run it was taken from: with no hook, at any point — 0 %
+/// (nothing held back yet), half way, the same point again, and 100 % (the
+/// parallel section over, every span of it held back) — and so is its trace.
 #[test]
 fn unhooked_forks_equal_the_plain_run() {
-    for bench in Benchmark::ALL {
-        let image = port(bench);
-        for (nthreads, monitor, exec) in [
-            (4, MonitorMode::Enabled, ExecMode::Normal),
-            (8, MonitorMode::SendOnly, ExecMode::Duplicated),
-            (1, MonitorMode::Off, ExecMode::Normal),
-        ] {
-            let config = ExecConfig::new(nthreads)
-                .monitor(monitor)
-                .exec(exec)
-                .monitor_shards(Some(2))
-                .capture_events(true);
-            let plain = SimEngine.run(&image, &config);
-            let what = format!("{} t{nthreads} {monitor:?}", bench.name());
-            let mut prefix = SimPrefix::new(&image, &config).log_capacity(plain.events_sent as usize);
-            assert_same(&prefix.resume(&NoHook), &plain, &format!("{what}, 0 %"));
-            let mut half = vec![None; nthreads as usize];
-            let last = nthreads as usize - 1;
-            half[last] = Some(plain.branches_per_thread[last] / 2);
-            assert_eq!(prefix.advance_to(&half), Some(last as u32), "{what}");
-            assert!(prefix.steps() > 0 && prefix.steps() < plain.total_steps, "{what}");
-            assert_same(&prefix.resume(&NoHook), &plain, &format!("{what}, 50 %"));
-            // Forking does not disturb the prefix: the same point again.
-            assert_same(&prefix.resume(&NoHook), &plain, &format!("{what}, 50 % again"));
-            assert_eq!(prefix.advance_to(&[]), None, "{what}");
-            assert_same(&prefix.resume(&NoHook), &plain, &format!("{what}, 100 %"));
+    let lock = sink_lock();
+    for traced in [false, true] {
+        let trace = traced.then(|| Traced::install(&lock));
+        let trace = trace.as_ref();
+        for bench in Benchmark::ALL {
+            let image = port(bench);
+            for (nthreads, monitor, exec) in [
+                (4, MonitorMode::Enabled, ExecMode::Normal),
+                (8, MonitorMode::SendOnly, ExecMode::Duplicated),
+                (1, MonitorMode::Off, ExecMode::Normal),
+            ] {
+                let config = ExecConfig::new(nthreads)
+                    .monitor(monitor)
+                    .exec(exec)
+                    .monitor_shards(Some(2))
+                    .capture_events(true);
+                let (plain, plain_spans) = spans_of(trace, 0, || SimEngine.run(&image, &config));
+                assert_eq!(plain_spans.is_empty(), !(traced && bw_telemetry::ENABLED));
+                let what = format!("{} t{nthreads} {monitor:?} traced={traced}", bench.name());
+                let check = |prefix: &SimPrefix, at: &str| {
+                    let (fork, fork_spans) = spans_of(trace, 0, || prefix.resume(&NoHook));
+                    assert_same(&fork, &plain, &format!("{what}, {at}"));
+                    assert_same_spans(&fork_spans, &plain_spans, &format!("{what}, {at}"));
+                };
+                let mut prefix =
+                    SimPrefix::new(&image, &config).log_capacity(plain.events_sent as usize);
+                check(&prefix, "0 %");
+                let mut half = vec![None; nthreads as usize];
+                let last = nthreads as usize - 1;
+                half[last] = Some(plain.branches_per_thread[last] / 2);
+                assert_eq!(prefix.advance_to(&half), Some(last as u32), "{what}");
+                assert!(prefix.steps() > 0 && prefix.steps() < plain.total_steps, "{what}");
+                check(&prefix, "50 %");
+                // Forking does not disturb the prefix: the same point again.
+                check(&prefix, "50 % again");
+                assert_eq!(prefix.advance_to(&[]), None, "{what}");
+                check(&prefix, "100 %");
+            }
         }
     }
 }
@@ -349,6 +477,7 @@ fn unhooked_forks_equal_the_plain_run() {
 /// caller tells; forking all the same yields a different run.
 #[test]
 fn a_plan_that_fires_in_init_is_behind_the_prefix() {
+    let _lock = sink_lock();
     let image = ProgramImage::prepare_default(
         bw_ir::frontend::compile(
             r#"
@@ -388,6 +517,204 @@ fn a_plan_that_fires_in_init_is_behind_the_prefix() {
     assert_ne!((fork.total_steps, landed), (full.total_steps, hit));
 
     // One past `@init`'s count is thread 0's own branch on both paths.
-    let walked = walk(&image, &config, &[flip(0, 10), flip(1, 1)], "first branch past @init");
+    let walked =
+        walk(&image, &config, &[flip(0, 10), flip(1, 1)], None, "first branch past @init");
     assert_eq!((walked.forked, walked.in_init), (2, 0));
+}
+
+/// The traced grid: 7 ports × both fault models × threads {1, 4} × quantum
+/// {1, 3, 64} × shards {1, 4} under the inline monitor, every `STRIDE`-th
+/// plan of the 200-injection campaigns. Since campaigns fork under a span
+/// sink too, this is where a traced fork meets the full replay it stands
+/// for: the `tspan` records `resume` writes inside an injection's
+/// `TraceScope` — the prefix's, held back and written late, then the
+/// tail's — against those of `run_hooked` inside the same scope, every
+/// field, in order.
+///
+/// Mutation check, as above, for the tracer (`src/sim.rs`) against the six
+/// tests that run under a sink — this one, `targets_at_the_ends…`,
+/// `two_targets_share…`, `unhooked_forks…` and the two below; each mutant
+/// fails the tests named:
+/// * the held spans not written by `SimTracer::fork` → all six;
+/// * the spans written while the prefix advances instead (`held` left
+///   `None` in `SimPrefix::new`: outside the fork's scope, and once per
+///   prefix instead of once per fork) → all six;
+/// * `steps_base`/`branches_base` zeroed in the fork, or `phase`/
+///   `phase_start` → all but `locks_held…`, whose cuts lie in phase 0
+///   (`steps`/`branches`, the names and `ts` of the phases open at the cut);
+/// * `hold_since` emptied in the fork → `locks_held…` and this test (a
+///   `lock_hold` goes missing); `wait_since` emptied → `locks_held…` (a
+///   `lock_wait` goes missing);
+/// * a verdict the log replay reaches not written; written after the held
+///   spans instead of among them; stamped one cycle off the sender's
+///   clock; flow ids restarted once the log is replayed → each
+///   `a_violation_the_log_replay_completes…`;
+/// * the final phases closed again by a fork of a finished parallel
+///   section → `unhooked_forks…` (at 100 %) and `a_violation…` (its last
+///   fork).
+#[test]
+fn traced_forks_write_the_spans_of_full_replays() {
+    let lock = sink_lock();
+    let trace = Traced::install(&lock);
+    let full = !cfg!(debug_assertions);
+    let mut cell = 0usize;
+    let mut spans = 0usize;
+    for bench in Benchmark::ALL {
+        let image = port(bench);
+        for nthreads in [1u32, 4] {
+            for quantum in [1u32, 3, 64] {
+                for shards in [1, 4] {
+                    cell += 1;
+                    // Every fifth cell in debug builds (coprime to the
+                    // grid's 2 x 3 x 2 axes).
+                    if !full && !cell.is_multiple_of(5) {
+                        continue;
+                    }
+                    let base =
+                        ExecConfig::new(nthreads).quantum(quantum).monitor_shards(Some(shards));
+                    let golden = SimEngine.run(&image, &base);
+                    assert_eq!(golden.outcome, RunOutcome::Completed);
+                    let config = faulty(&base, &golden);
+                    for model in [FaultModel::BranchFlip, FaultModel::ConditionBitFlip] {
+                        let campaign = CampaignConfig::new(200, model, nthreads).seed(0x17_f0f4);
+                        let plans: Vec<_> = plan_campaign(&golden.branches_per_thread, &campaign)
+                            .into_iter()
+                            .skip(cell % STRIDE)
+                            .step_by(STRIDE)
+                            .collect();
+                        let what =
+                            format!("{} t{nthreads} q{quantum} s{shards} {model:?}", bench.name());
+                        spans += walk(&image, &config, &plans, Some(&trace), &what).spans;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(spans > 0, bw_telemetry::ENABLED);
+}
+
+/// Forks taken while one thread holds a mutex and the others wait for it:
+/// the `lock_hold` and `lock_wait` spans open at the cut are closed by the
+/// fork, with the start clocks the prefix saw.
+#[test]
+fn locks_held_and_awaited_at_the_cut() {
+    let lock = sink_lock();
+    let image = ProgramImage::prepare_default(
+        bw_ir::frontend::compile(
+            r#"
+            shared int n = 30;
+            int counter = 0;
+            mutex m;
+            barrier b;
+            @spmd func f() {
+                lock(m);
+                for (var i: int = 0; i < n; i = i + 1) {
+                    if (i % 2 == 0) { counter = counter + 1; }
+                }
+                unlock(m);
+                barrier(b);
+                output(counter);
+            }
+            "#,
+        )
+        .expect("compiles"),
+    );
+    let trace = Traced::install(&lock);
+    for quantum in [1, 3, 64] {
+        let config = ExecConfig::new(4).quantum(quantum);
+        // Thread 0 takes the mutex first and the rest queue up behind it, so
+        // a branch in the middle of a thread's critical section is reached
+        // while that thread holds the mutex and every later one waits.
+        let plans = [flip(0, 20), flip(1, 20), flip(2, 20), flip(3, 20), flip(3, 21)];
+        let what = format!("critical sections, q{quantum}");
+        let walked = walk(&image, &config, &plans, Some(&trace), &what);
+        assert_eq!(walked.forked, plans.len(), "{what}");
+        if !bw_telemetry::ENABLED {
+            continue;
+        }
+        // The fork at thread 0's branch: nothing has been released yet, so
+        // what the prefix held back has no lock span in it and all seven
+        // of the run's are the fork's to close.
+        let mut prefix = SimPrefix::new(&image, &config);
+        assert_eq!(prefix.advance_to(&[Some(20)]), Some(0), "{what}");
+        let (_, spans) = spans_of(Some(&trace), 0, || prefix.resume(&NoHook));
+        assert_eq!(of_cat(&spans, "lock_hold").len(), 4, "{what}");
+        assert_eq!(of_cat(&spans, "lock_wait").len(), 3, "{what}");
+    }
+}
+
+/// A violation completed by an event of the *prefix* is found by the fork
+/// when it replays the log, with no thread running: its verdict arrow and
+/// instant must still be written, at the sender's clock, with the flow id
+/// and at the place among the other records that `run_hooked` gives them.
+/// No fault-free prefix of a sound plan raises one, so the plan is
+/// sabotaged: `threadID` branches checked as if they were `shared`.
+#[test]
+fn a_violation_the_log_replay_completes_is_traced() {
+    let lock = sink_lock();
+    let module = bw_ir::frontend::compile(
+        r#"
+        shared int n = 6;
+        shared int two = 2;
+        barrier b;
+        @spmd func f() {
+            var t: int = threadid();
+            for (var i: int = 0; i < n; i = i + 1) {
+                if (t < two) { output(i); }
+            }
+            barrier(b);
+            for (var k: int = 0; k < n; k = k + 1) {
+                if (t < two) { output(k); }
+            }
+            barrier(b);
+            for (var j: int = 0; j < n; j = j + 1) {
+                if (j > 2) { output(j); }
+            }
+        }
+        "#,
+    )
+    .expect("compiles");
+    let mut image = ProgramImage::prepare_default(module);
+    let staged: Vec<_> = image
+        .analysis
+        .branches
+        .iter()
+        .filter(|b| b.category == Category::ThreadId)
+        .map(|b| (b.func, b.cond))
+        .collect();
+    assert_eq!(staged.len(), 2);
+    for (func, cond) in staged {
+        image.analysis.override_value_category(func, cond, Category::Shared);
+    }
+    image.replace_plan(CheckPlan::build(&image.module, &image.analysis, image.plan.config));
+    let trace = Traced::install(&lock);
+    for (quantum, shards) in [(1, 1), (3, 4), (64, 1)] {
+        let config = ExecConfig::new(4).quantum(quantum).monitor_shards(Some(shards));
+        let (golden, golden_spans) = spans_of(Some(&trace), 0, || SimEngine.run(&image, &config));
+        let what = format!("sabotaged plan, q{quantum} s{shards}");
+        assert!(golden.violations.len() >= 2, "{what}: the fault-free run is flagged");
+        let last = golden.branches_per_thread[1];
+        // A fork before anything was sent, one between the two stages (the
+        // first stage's verdicts behind it, among the first barrier's
+        // spans), and one in the last loop, every verdict behind it.
+        let plans = [flip(1, 1), flip(1, last / 2), flip(1, last - 1), flip(2, last + 1)];
+        let walked = walk(&image, &config, &plans, Some(&trace), &what);
+        assert_eq!(walked.forked, plans.len(), "{what}");
+        if !bw_telemetry::ENABLED {
+            continue;
+        }
+        // The unhooked fork at the end: every verdict of the run comes out
+        // of the log replay, none out of a running thread.
+        let verdicts = of_cat(&golden_spans, "verdict").len();
+        assert!(verdicts >= 2, "{what}: {verdicts} verdict(s) traced");
+        assert!(
+            of_cat(&golden_spans, "barrier_wait").len() == 8,
+            "{what}: two barriers, four threads"
+        );
+        let mut prefix = SimPrefix::new(&image, &config);
+        assert_eq!(prefix.advance_to(&[]), None, "{what}");
+        let (end, end_spans) = spans_of(Some(&trace), 0, || prefix.resume(&NoHook));
+        assert_same(&end, &golden, &what);
+        assert_same_spans(&end_spans, &golden_spans, &what);
+    }
 }

@@ -3,11 +3,22 @@
 //! a standalone `run_campaign` on that image produces — at any worker
 //! count, with the whole batch sharing one worker pool.
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use blockwatch::fault::{run_campaign, CampaignBatch, CampaignConfig, FaultModel};
 use blockwatch::gen::{generate_module, GenConfig};
+use blockwatch::telemetry::{Recorder, Value};
 use blockwatch::vm::{ExecConfig, ProgramImage};
+
+/// Held by every test here: the span sink the last one installs is
+/// process-global, and a campaign on another test thread would write into
+/// it.
+static SINK_LOCK: Mutex<()> = Mutex::new(());
+
+fn sink_lock() -> MutexGuard<'static, ()> {
+    SINK_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 const NTHREADS: u32 = 4;
 const INJECTIONS: usize = 6;
@@ -32,6 +43,7 @@ fn config_for(seed: u64) -> CampaignConfig {
 
 #[test]
 fn batch_is_bitwise_identical_to_sequential_campaigns_at_any_worker_count() {
+    let _lock = sink_lock();
     let images = images();
 
     // Ground truth: one sequential, single-worker campaign per image.
@@ -78,6 +90,7 @@ fn batch_is_bitwise_identical_to_sequential_campaigns_at_any_worker_count() {
 /// payload is still the standalone campaign's.
 #[test]
 fn batches_of_multi_window_campaigns_equal_sequential_campaigns() {
+    let _lock = sink_lock();
     let images: Vec<_> = images().into_iter().take(3).collect();
     let config_for = |seed: u64| {
         let config = CampaignConfig::new(70, FaultModel::ConditionBitFlip, NTHREADS)
@@ -112,6 +125,7 @@ fn batches_of_multi_window_campaigns_equal_sequential_campaigns() {
 
 #[test]
 fn two_batch_runs_are_bitwise_identical() {
+    let _lock = sink_lock();
     let images = images();
     let run = |pool: usize| {
         let mut batch = CampaignBatch::new().workers(pool);
@@ -127,5 +141,73 @@ fn two_batch_runs_are_bitwise_identical() {
         let (ra, rb) = (ra.as_ref().unwrap(), rb.as_ref().unwrap());
         assert_eq!(ra.records, rb.records, "seed {seed}");
         assert_eq!(ra.counts, rb.counts, "seed {seed}");
+    }
+}
+
+/// A span sink that keeps the records it is sent.
+#[derive(Default)]
+struct Capture(Mutex<Vec<Vec<(String, Value)>>>);
+
+impl Recorder for Capture {
+    fn record(&self, _event: &str, fields: &[(&str, Value)]) {
+        let fields = fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
+        self.0.lock().unwrap().push(fields);
+    }
+}
+
+impl Capture {
+    /// The simulated-cycle records of injected runs captured since the last
+    /// call, by `(image, inj)`, each group in the order written and less
+    /// those two fields and the `wid` of whichever worker ran it.
+    fn take(&self) -> BTreeMap<(Option<u64>, u64), Vec<String>> {
+        let mut grouped = BTreeMap::<_, Vec<String>>::new();
+        for fields in std::mem::take(&mut *self.0.lock().unwrap()) {
+            let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+            let (dom, inj) = (field("dom").and_then(Value::as_str), field("inj"));
+            if let (Some("cyc"), Some(inj)) = (dom, inj.and_then(Value::as_u64)) {
+                let image = field("image").and_then(Value::as_u64);
+                let scope = ["image", "inj", "wid"];
+                let rest: Vec<_> =
+                    fields.iter().filter(|(k, _)| !scope.contains(&k.as_str())).collect();
+                grouped.entry((image, inj)).or_default().push(format!("{rest:?}"));
+            }
+        }
+        grouped
+    }
+}
+
+/// Every job of a batch numbers its injections from 0, so under a span
+/// sink an injection's records are scoped with the job's batch position
+/// (`image`) beside `inj` — the tag its `injection` record carries: keyed
+/// by both, the spans are those of the images' standalone campaigns.
+#[test]
+fn a_traced_batch_keeps_the_spans_of_its_images_apart() {
+    let _lock = sink_lock();
+    let images: Vec<_> = images().into_iter().take(3).collect();
+    let capture = Arc::new(Capture::default());
+    blockwatch::telemetry::set_trace_sink(Some(Arc::clone(&capture) as Arc<dyn Recorder>));
+
+    let mut batch = CampaignBatch::new().workers(2);
+    for (seed, image) in &images {
+        batch.push(Arc::clone(image), config_for(*seed));
+    }
+    let outcome = batch.run();
+    assert!(outcome.results.iter().all(Result::is_ok));
+    let batched = capture.take();
+
+    let mut alone = BTreeMap::new();
+    for (position, (seed, image)) in images.iter().enumerate() {
+        run_campaign(image, &config_for(*seed).workers(1)).expect("campaign runs");
+        for ((image, inj), spans) in capture.take() {
+            assert_eq!(image, None, "a campaign on its own has no batch position");
+            alone.insert((Some(position as u64), inj), spans);
+        }
+    }
+    blockwatch::telemetry::set_trace_sink(None);
+
+    assert_eq!(batched.is_empty(), !blockwatch::telemetry::ENABLED);
+    assert_eq!(batched.keys().collect::<Vec<_>>(), alone.keys().collect::<Vec<_>>());
+    for (key, spans) in &alone {
+        assert_eq!(&batched[key], spans, "(image, inj) = {key:?}");
     }
 }

@@ -207,16 +207,15 @@ fn span_tracing_does_not_perturb_run_determinism() {
 }
 
 /// ...and on the campaign path: records, outcome counters and the
-/// rendered forensics report are byte-identical with tracing on or off,
-/// at a multi-worker, multi-shard configuration. With the sink installed
-/// every injection is replayed from step 0 (its trace holds its whole
-/// run's spans); without it the injections are forks of a shared prefix —
-/// so this is also the fork-vs-full-replay equality, over two windows.
+/// rendered forensics report are byte-identical with tracing on or off
+/// and at 1 or 4 workers, at a multi-shard configuration. A sink does not
+/// change how a campaign executes either: its injections are forks of a
+/// shared prefix all the same, and skip the same steps.
 #[test]
 fn span_tracing_does_not_perturb_campaign_determinism() {
     let _guard = trace_sink_lock();
     let bw = Blockwatch::from_module(Benchmark::Fft.module(Size::Test).unwrap()).unwrap();
-    let run = |traced: bool| {
+    let run = |traced: bool, workers: usize| {
         let buf = SharedBuf::default();
         let rec = Arc::new(JsonlRecorder::new(Box::new(buf.clone())));
         if traced {
@@ -225,7 +224,7 @@ fn span_tracing_does_not_perturb_campaign_determinism() {
         let result = bw
             .campaign_runner(40, FaultModel::BranchFlip, 2)
             .seed(11)
-            .workers(2)
+            .workers(workers)
             .monitor_shards(Some(2))
             .recorder(rec.as_ref())
             .run()
@@ -235,31 +234,130 @@ fn span_tracing_does_not_perturb_campaign_determinism() {
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         (result, text)
     };
-    let (traced, trace) = run(true);
-    let (plain, plain_trace) = run(false);
-
-    assert_eq!(traced.records, plain.records);
-    assert_eq!(traced.counts, plain.counts);
-    assert_eq!(traced.aborted, plain.aborted);
     let skipped = |r: &blockwatch::CampaignResult| -> u64 {
         r.worker_stats.iter().map(|w| w.steps_skipped).sum()
     };
-    assert!(skipped(&plain) > 0, "an untraced campaign forks");
-    if blockwatch::telemetry::ENABLED {
-        // (Without the feature there is no sink to install.)
-        assert_eq!(skipped(&traced), 0, "a traced campaign replays in full");
+    let (reference, reference_trace) = run(false, 1);
+    let reference_report = ForensicsReport::parse(&reference_trace).unwrap().render();
+    for workers in [1, 4] {
+        let (traced, trace) = run(true, workers);
+        let (plain, plain_trace) = run(false, workers);
+        for (result, trace) in [(&traced, &trace), (&plain, &plain_trace)] {
+            assert_eq!(result.records, reference.records);
+            assert_eq!(result.counts, reference.counts);
+            assert_eq!(result.aborted, reference.aborted);
+            // `campaign.workers` is the one gauge that says how it was run.
+            assert_eq!(
+                result.telemetry.deterministic_part().counters(),
+                reference.telemetry.deterministic_part().counters()
+            );
+            // The forensics view skips tspan records entirely: byte-identical.
+            assert_eq!(ForensicsReport::parse(trace).unwrap().render(), reference_report);
+        }
+        // One window size per worker count, so the same forks either way.
+        assert!(skipped(&plain) > 0, "an untraced campaign forks");
+        assert_eq!(skipped(&traced), skipped(&plain), "and so does a traced one");
+        if blockwatch::telemetry::ENABLED {
+            assert!(trace.contains("\"cat\":\"stage\""), "campaign stages traced");
+            assert!(trace.contains("\"cat\":\"injection\""), "injections traced");
+            assert!(trace.contains("\"cat\":\"barrier_phase\""), "and their runs");
+        }
+        assert!(!plain_trace.contains("\"ev\":\"tspan\""));
     }
-    let (dt, dp) =
-        (traced.telemetry.deterministic_part(), plain.telemetry.deterministic_part());
-    assert_eq!(dt.counters(), dp.counters());
-    if blockwatch::telemetry::ENABLED {
-        assert!(trace.contains("\"cat\":\"stage\""), "campaign stages traced");
-        assert!(trace.contains("\"cat\":\"injection\""), "injections traced");
+}
+
+/// A span sink that keeps the records it is sent.
+#[derive(Default)]
+struct Capture(Mutex<Vec<Vec<(String, blockwatch::telemetry::Value)>>>);
+
+impl Recorder for Capture {
+    fn record(&self, _event: &str, fields: &[(&str, blockwatch::telemetry::Value)]) {
+        let fields = fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
+        self.0.lock().unwrap().push(fields);
     }
-    // The forensics view skips tspan records entirely: byte-identical.
-    let report_traced = ForensicsReport::parse(&trace).unwrap().render();
-    let report_plain = ForensicsReport::parse(&plain_trace).unwrap().render();
-    assert_eq!(report_traced, report_plain);
+}
+
+impl Capture {
+    /// The simulated-cycle records captured since the last call, grouped
+    /// by the `inj` they are scoped to, each group in the order written.
+    /// (An injection's one wall-clock record, its span on the worker lane,
+    /// holds wall-clock values and is left out, as is the golden run.)
+    fn take_by_injection(&self) -> std::collections::BTreeMap<u64, Vec<String>> {
+        let mut by_injection = std::collections::BTreeMap::<u64, Vec<String>>::new();
+        for fields in std::mem::take(&mut *self.0.lock().unwrap()) {
+            let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+            if field("dom").and_then(|v| v.as_str()) != Some("cyc") {
+                continue;
+            }
+            if let Some(inj) = field("inj").and_then(|v| v.as_u64()) {
+                by_injection.entry(inj).or_default().push(format!("{fields:?}"));
+            }
+        }
+        by_injection
+    }
+}
+
+/// The full-replay side of a traced campaign, which no longer has one of
+/// its own: the `tspan` records a campaign writes for each injection — by
+/// forking it from a shared prefix, or replaying it when it fires in
+/// `@init` — are, field for field and in order, those of a plan-by-plan
+/// `InjectionHook` + `run_hooked` under the same `TraceScope`. On the
+/// three ports the benchmark injects into, with its fault models.
+#[test]
+fn traced_campaign_spans_equal_plan_by_plan_full_replays() {
+    use blockwatch::fault::{plan_campaign, CampaignConfig, InjectionHook};
+    use blockwatch::telemetry::{TraceScope, Value};
+    use blockwatch::vm::{Engine, SimEngine};
+
+    let _guard = trace_sink_lock();
+    for (bench, size, model, injections) in [
+        (Benchmark::Raytrace, Size::Test, FaultModel::BranchFlip, 40),
+        (Benchmark::Fmm, Size::Test, FaultModel::ConditionBitFlip, 6),
+        (Benchmark::OceanNoncontig, Size::Small, FaultModel::BranchFlip, 40),
+    ] {
+        let bw = Blockwatch::from_module(bench.module(size).unwrap()).unwrap();
+        let nthreads = 4;
+        let golden = bw.golden(&ExecConfig::new(nthreads));
+        let capture = Arc::new(Capture::default());
+        blockwatch::telemetry::set_trace_sink(Some(Arc::clone(&capture) as Arc<dyn Recorder>));
+
+        // One worker: every injection is scoped `wid` 0, and the campaign's
+        // two windows (32 + 8) are walked in turn.
+        let result =
+            bw.campaign_runner(injections, model, nthreads).seed(17).workers(1).run().unwrap();
+        let campaign = capture.take_by_injection();
+
+        let config = CampaignConfig::new(injections, model, nthreads).seed(17);
+        let faulty = config
+            .sim
+            .clone()
+            .max_steps(golden.total_steps.saturating_mul(8).saturating_add(100_000));
+        let plans = plan_campaign(&golden.branches_per_thread, &config);
+        for (inj, plan) in plans.iter().enumerate() {
+            let _scope = TraceScope::enter(&[("inj", Value::from(inj)), ("wid", Value::U64(0))]);
+            SimEngine.run_hooked(bw.image(), &faulty, &InjectionHook::new(*plan));
+        }
+        let replayed = capture.take_by_injection();
+        blockwatch::telemetry::set_trace_sink(None);
+
+        let name = bench.name();
+        let skipped: u64 = result.worker_stats.iter().map(|w| w.steps_skipped).sum();
+        assert!(skipped > 0, "{name}: the campaign forked");
+        if !blockwatch::telemetry::ENABLED {
+            assert!(campaign.is_empty() && replayed.is_empty());
+            continue;
+        }
+        // (A run that crashes before its first barrier leaves none.)
+        assert!(replayed.len() > injections / 2, "{name}: injections leave spans");
+        assert_eq!(
+            campaign.keys().collect::<Vec<_>>(),
+            replayed.keys().collect::<Vec<_>>(),
+            "{name}"
+        );
+        for (inj, spans) in &replayed {
+            assert_eq!(&campaign[inj], spans, "{name}: injection {inj}, {:?}", plans[*inj as usize]);
+        }
+    }
 }
 
 /// A fixture where thread 0 does ~40x the work of its peers before the
