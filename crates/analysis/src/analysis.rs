@@ -32,13 +32,12 @@ use std::collections::HashMap;
 use bw_ir::{
     BlockId, BranchId, Cfg, DomTree, FuncId, Function, GlobalId, LoopForest, Module, Op, ValueId,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::category::{combine_all, combine_optimistic, Category};
 
 /// Where a pointer value can point, for load classification.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Prov {
+enum Prov {
     /// Not yet known (fixpoint bottom).
     Unresolved,
     /// Always into the given global region.
@@ -53,7 +52,7 @@ impl Prov {
     /// Join of the provenance lattice (`Unresolved < {Global, Local} <
     /// Unknown`): commutative and associative, so the provenance fixpoint
     /// has a unique least solution independent of iteration order.
-    pub(crate) fn merge(self, other: Prov) -> Prov {
+    fn merge(self, other: Prov) -> Prov {
         match (self, other) {
             (Prov::Unresolved, p) | (p, Prov::Unresolved) => p,
             (a, b) if a == b => a,
@@ -63,7 +62,7 @@ impl Prov {
 }
 
 /// One conditional branch discovered in the module.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BranchInfo {
     /// Stable id (index into [`ModuleAnalysis::branches`]).
     pub id: BranchId,
@@ -102,34 +101,30 @@ pub struct ModuleAnalysis {
     pub trace: Vec<Vec<Category>>,
     /// Whether each function is reachable from the SPMD entry.
     pub parallel_funcs: Vec<bool>,
-    /// Number of dependency-graph SCCs the parallel scheduler executed
-    /// (0 when the sequential oracle path produced this result).
-    pub sccs: usize,
 }
 
 impl ModuleAnalysis {
-    /// Runs the similarity analysis on `module` (the sequential oracle:
-    /// one whole-module fixpoint, as in the paper's Figure 3).
+    /// Runs the similarity analysis on `module`: one whole-module fixpoint,
+    /// as in the paper's Figure 3.
     pub fn run(module: &Module) -> ModuleAnalysis {
         Analyzer::new(module).run()
     }
 
-    /// Runs the SCC-parallel analysis: the interprocedural value-dependency
-    /// graph is condensed into its SCC DAG and per-SCC local fixpoints are
-    /// scheduled across `workers` threads in dependency order (`0` = one
-    /// worker per available core). The result is bitwise-identical to
-    /// [`ModuleAnalysis::run`] at any worker count, except that
-    /// [`ModuleAnalysis::trace`] is empty (there is no whole-module
-    /// iteration to snapshot) and [`ModuleAnalysis::iterations`] reports
-    /// the largest local-SCC round count instead.
-    pub fn run_parallel(module: &Module, workers: usize) -> ModuleAnalysis {
-        crate::parallel::run_parallel(module, workers)
+    /// Leftover of the SCC-parallel analysis removed in PR 19: forwards to
+    /// [`ModuleAnalysis::run`]. Its one caller is `bwbench`
+    /// (`benchmark/src/workloads/mod.rs`, the `analysis.par{1,2}_us` layer
+    /// metrics); it goes with the `benchmark` PR that retires them.
+    #[doc(hidden)]
+    pub fn run_parallel(module: &Module, _workers: usize) -> ModuleAnalysis {
+        ModuleAnalysis::run(module)
     }
 
-    /// Reports the first difference from `other` in the fields the two
-    /// analysis paths must agree on (`value_cats`, `branches`,
-    /// `parallel_funcs`), or `None` if they agree. `iterations`, `trace`
-    /// and `sccs` are schedule artifacts and deliberately not compared.
+    /// Reports the first difference from `other` in `value_cats`,
+    /// `branches` or `parallel_funcs`, or `None` if they agree.
+    /// `iterations` and `trace` are deliberately not compared.
+    ///
+    /// Like `run_parallel`, a leftover whose one caller is `bwbench`; it
+    /// goes with the same `benchmark` PR.
     pub fn divergence(&self, other: &ModuleAnalysis) -> Option<String> {
         if self.value_cats != other.value_cats {
             for (fi, (a, b)) in self.value_cats.iter().zip(&other.value_cats).enumerate() {
@@ -219,7 +214,7 @@ impl ModuleAnalysis {
 }
 
 /// Per-category branch counts for one program (a Table V row).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CategoryHistogram {
     /// Branches classified `shared`.
     pub shared: usize,
@@ -244,101 +239,6 @@ impl CategoryHistogram {
         }
         (self.shared + self.thread_id + self.partial) as f64 / self.total() as f64
     }
-}
-
-/// Everything the fixpoint needs that is a pure function of the module:
-/// CFG orders, loop structure, trivial-phi resolution, and the branch
-/// list. Computed once and shared by the sequential and parallel paths so
-/// both literally run the same transfer functions over the same facts.
-pub(crate) struct ModuleFacts {
-    pub(crate) rpo: Vec<Vec<BlockId>>,
-    /// Per function: loop header → in-loop predecessors (back edges).
-    pub(crate) loop_headers: Vec<HashMap<BlockId, Vec<BlockId>>>,
-    /// Trivial-phi resolution: `resolved[f][v]` is the value `v` is a copy
-    /// of (through chains of phis whose incomings all agree), or `v` itself.
-    pub(crate) resolved: Vec<Vec<ValueId>>,
-    pub(crate) branches: Vec<BranchInfo>,
-}
-
-impl ModuleFacts {
-    pub(crate) fn new(module: &Module) -> ModuleFacts {
-        let mut rpo = Vec::with_capacity(module.funcs.len());
-        let mut loop_headers = Vec::with_capacity(module.funcs.len());
-        let mut branches = Vec::new();
-        let mut loop_depths: Vec<Vec<u32>> = Vec::with_capacity(module.funcs.len());
-
-        for (fid, func) in module.iter_funcs() {
-            let cfg = Cfg::new(func);
-            let dom = DomTree::new(&cfg, func.entry());
-            let loops = LoopForest::new(&cfg, &dom);
-            rpo.push(cfg.reverse_postorder(func.entry()));
-
-            let mut headers: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-            for l in loops.loops() {
-                let latches: Vec<BlockId> = l
-                    .blocks
-                    .iter()
-                    .copied()
-                    .filter(|&b| cfg.succs(b).contains(&l.header))
-                    .collect();
-                headers.insert(l.header, latches);
-            }
-            loop_headers.push(headers);
-
-            let depths: Vec<u32> =
-                (0..func.blocks.len()).map(|i| loops.depth(BlockId::from_index(i))).collect();
-            loop_depths.push(depths);
-
-            for (bb, block) in func.iter_blocks() {
-                for (i, inst) in block.insts.iter().enumerate() {
-                    if let Op::Br { cond, .. } = inst.op {
-                        branches.push(BranchInfo {
-                            id: BranchId::from_index(branches.len()),
-                            func: fid,
-                            block: bb,
-                            inst_index: i,
-                            cond,
-                            category: Category::Na,
-                            loop_depth: loop_depths[fid.index()][bb.index()],
-                            in_parallel_section: false,
-                            min_locks_held: 0,
-                        });
-                    }
-                }
-            }
-        }
-
-        let resolved = module.funcs.iter().map(resolve_trivial_phis).collect();
-        ModuleFacts { rpo, loop_headers, resolved, branches }
-    }
-}
-
-/// Applies the shared post-fixpoint steps — default unresolved branches to
-/// `none` (Figure 3, line 18), mark the parallel section, run the
-/// critical-section dataflow — and assembles the result. Both analysis
-/// paths end here, so their outputs are structurally identical by
-/// construction.
-pub(crate) fn finalize(
-    module: &Module,
-    rpo: &[Vec<BlockId>],
-    mut branches: Vec<BranchInfo>,
-    value_cats: Vec<Vec<Category>>,
-    iterations: usize,
-    trace: Vec<Vec<Category>>,
-    sccs: usize,
-) -> ModuleAnalysis {
-    for b in &mut branches {
-        b.category = value_cats[b.func.index()][b.cond.index()];
-        if b.category == Category::Na {
-            b.category = Category::None;
-        }
-    }
-    let parallel_funcs = reachable_from_spmd(module);
-    for b in &mut branches {
-        b.in_parallel_section = parallel_funcs[b.func.index()];
-    }
-    compute_critical_sections(module, rpo, &mut branches);
-    ModuleAnalysis { value_cats, branches, iterations, trace, parallel_funcs, sccs }
 }
 
 struct Analyzer<'m> {
@@ -534,21 +434,60 @@ fn phi_sccs(
 }
 
 impl<'m> Analyzer<'m> {
+    /// Computes everything the fixpoint needs that is a pure function of
+    /// the module — CFG orders, loop structure, trivial-phi resolution, the
+    /// branch list — and the all-`NA` starting state.
     fn new(module: &'m Module) -> Self {
-        let facts = ModuleFacts::new(module);
-        let cats = module.funcs.iter().map(|f| vec![Category::Na; f.num_values()]).collect();
-        let provs = module.funcs.iter().map(|f| vec![Prov::Unresolved; f.num_values()]).collect();
-        let ret_cats = vec![Vec::new(); module.funcs.len()];
+        let mut rpo = Vec::with_capacity(module.funcs.len());
+        let mut loop_headers = Vec::with_capacity(module.funcs.len());
+        let mut branches = Vec::new();
+
+        for (fid, func) in module.iter_funcs() {
+            let cfg = Cfg::new(func);
+            let dom = DomTree::new(&cfg, func.entry());
+            let loops = LoopForest::new(&cfg, &dom);
+            rpo.push(cfg.reverse_postorder(func.entry()));
+
+            let mut headers: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+            for l in loops.loops() {
+                let latches: Vec<BlockId> = l
+                    .blocks
+                    .iter()
+                    .copied()
+                    .filter(|&b| cfg.succs(b).contains(&l.header))
+                    .collect();
+                headers.insert(l.header, latches);
+            }
+            loop_headers.push(headers);
+
+            for (bb, block) in func.iter_blocks() {
+                for (i, inst) in block.insts.iter().enumerate() {
+                    if let Op::Br { cond, .. } = inst.op {
+                        branches.push(BranchInfo {
+                            id: BranchId::from_index(branches.len()),
+                            func: fid,
+                            block: bb,
+                            inst_index: i,
+                            cond,
+                            category: Category::Na,
+                            loop_depth: loops.depth(bb),
+                            in_parallel_section: false,
+                            min_locks_held: 0,
+                        });
+                    }
+                }
+            }
+        }
 
         Analyzer {
             module,
-            cats,
-            provs,
-            ret_cats,
-            rpo: facts.rpo,
-            loop_headers: facts.loop_headers,
-            resolved: facts.resolved,
-            branches: facts.branches,
+            cats: module.funcs.iter().map(|f| vec![Category::Na; f.num_values()]).collect(),
+            provs: module.funcs.iter().map(|f| vec![Prov::Unresolved; f.num_values()]).collect(),
+            ret_cats: vec![Vec::new(); module.funcs.len()],
+            rpo,
+            loop_headers,
+            resolved: module.funcs.iter().map(resolve_trivial_phis).collect(),
+            branches,
         }
     }
 
@@ -573,7 +512,20 @@ impl<'m> Analyzer<'m> {
             );
         }
 
-        finalize(self.module, &self.rpo, self.branches, self.cats, iterations, trace, 0)
+        // Post-fixpoint: default unresolved branches to `none` (Figure 3,
+        // line 18), mark the parallel section, run the critical-section
+        // dataflow.
+        let mut branches = self.branches;
+        let parallel_funcs = reachable_from_spmd(self.module);
+        for b in &mut branches {
+            b.category = match self.cats[b.func.index()][b.cond.index()] {
+                Category::Na => Category::None,
+                cat => cat,
+            };
+            b.in_parallel_section = parallel_funcs[b.func.index()];
+        }
+        compute_critical_sections(self.module, &self.rpo, &mut branches);
+        ModuleAnalysis { value_cats: self.cats, branches, iterations, trace, parallel_funcs }
     }
 
     fn branch_snapshot(&self) -> Vec<Category> {
@@ -651,10 +603,9 @@ impl<'m> Analyzer<'m> {
         for (fid, func) in self.module.iter_funcs() {
             let rpo = self.rpo[fid.index()].clone();
             for bb in rpo {
-                for (i, inst) in func.block(bb).insts.iter().enumerate() {
-                    let _ = i;
+                for inst in &func.block(bb).insts {
                     let Some(result) = inst.result else { continue };
-                    let new = self.visit(fid, func, bb, inst, result);
+                    let new = self.visit(fid, bb, inst, result);
                     if new != Category::Na {
                         let slot = &mut self.cats[fid.index()][result.index()];
                         if *slot != new {
@@ -729,14 +680,7 @@ impl<'m> Analyzer<'m> {
         changed
     }
 
-    fn visit(
-        &self,
-        fid: FuncId,
-        func: &Function,
-        bb: BlockId,
-        inst: &bw_ir::Inst,
-        result: ValueId,
-    ) -> Category {
+    fn visit(&self, fid: FuncId, bb: BlockId, inst: &bw_ir::Inst, result: ValueId) -> Category {
         let cat = |v: ValueId| self.cats[fid.index()][v.index()];
         match &inst.op {
             Op::Const(_) => Category::Shared,
@@ -814,10 +758,7 @@ impl<'m> Analyzer<'m> {
             | Op::Br { .. }
             | Op::Jump(_)
             | Op::Ret(_)
-            | Op::Trap => {
-                let _ = func;
-                Category::Na
-            }
+            | Op::Trap => Category::Na,
         }
     }
 
@@ -846,7 +787,7 @@ impl<'m> Analyzer<'m> {
 
 /// Which functions are reachable from the SPMD entry (the paper's
 /// "parallel section").
-pub(crate) fn reachable_from_spmd(module: &Module) -> Vec<bool> {
+fn reachable_from_spmd(module: &Module) -> Vec<bool> {
     let mut reachable = vec![false; module.funcs.len()];
     let Some(entry) = module.spmd_entry else {
         return reachable;
@@ -876,7 +817,7 @@ pub(crate) fn reachable_from_spmd(module: &Module) -> Vec<bool> {
 /// Interprocedural "minimum mutexes held" dataflow, used by the
 /// critical-section optimization (branches only one thread can execute
 /// at a time are not worth checking).
-pub(crate) fn compute_critical_sections(
+fn compute_critical_sections(
     module: &Module,
     rpo: &[Vec<BlockId>],
     branches: &mut [BranchInfo],

@@ -14,10 +14,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The similarity category of a value or branch (paper Table I).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Category {
     /// Not assigned yet (fixpoint bottom).
     Na,
@@ -114,161 +112,6 @@ pub fn combine_optimistic(operands: impl IntoIterator<Item = Category>) -> Categ
     curr
 }
 
-/// A [`Category`] packed into a one-byte bitset, the state representation
-/// of the parallel analysis.
-///
-/// Each non-`Na` category is one bit; `Na` is the empty set. The Table II
-/// rule then becomes a union followed by a normalization: `none` poisons,
-/// `threadID` and `partial` together collapse to `none` (their runtime
-/// values disagree across threads in ways neither grouping covers), and
-/// otherwise the highest present bit wins. One byte per value lets the
-/// parallel fixpoint keep the whole module's state in a dense `AtomicU8`
-/// table instead of per-function `HashMap`s.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct PackedCategory(u8);
-
-impl PackedCategory {
-    /// Fixpoint bottom (the empty set).
-    pub const NA: PackedCategory = PackedCategory(0);
-    /// Same value in all threads.
-    pub const SHARED: PackedCategory = PackedCategory(1 << 0);
-    /// A function of the thread ID.
-    pub const THREAD_ID: PackedCategory = PackedCategory(1 << 1);
-    /// One of a small set of shared values.
-    pub const PARTIAL: PackedCategory = PackedCategory(1 << 2);
-    /// No statically inferable similarity.
-    pub const NONE: PackedCategory = PackedCategory(1 << 3);
-
-    /// The raw bits (always one of the five constants).
-    pub fn bits(self) -> u8 {
-        self.0
-    }
-
-    /// Rebuilds from raw bits previously obtained via [`Self::bits`].
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if `bits` is not one of the five encodings.
-    pub fn from_bits(bits: u8) -> PackedCategory {
-        debug_assert!(
-            matches!(bits, 0 | 1 | 2 | 4 | 8),
-            "invalid packed category bits: {bits:#x}"
-        );
-        PackedCategory(bits)
-    }
-
-    /// Packs an enum [`Category`].
-    pub fn pack(cat: Category) -> PackedCategory {
-        match cat {
-            Category::Na => Self::NA,
-            Category::Shared => Self::SHARED,
-            Category::ThreadId => Self::THREAD_ID,
-            Category::Partial => Self::PARTIAL,
-            Category::None => Self::NONE,
-        }
-    }
-
-    /// Unpacks back to the enum [`Category`].
-    pub fn unpack(self) -> Category {
-        match self {
-            Self::NA => Category::Na,
-            Self::SHARED => Category::Shared,
-            Self::THREAD_ID => Category::ThreadId,
-            Self::PARTIAL => Category::Partial,
-            Self::NONE => Category::None,
-            _ => unreachable!("invalid packed category bits: {:#x}", self.0),
-        }
-    }
-
-    /// Whether this category makes a branch eligible for checking.
-    pub fn is_checkable(self) -> bool {
-        matches!(self, Self::SHARED | Self::THREAD_ID | Self::PARTIAL)
-    }
-
-    /// Bitset form of [`combine`] — identical to Table II cell for cell.
-    ///
-    /// `Na` keeps the table's asymmetry: any `Na` operand forces `Na`, while
-    /// an `Na` accumulator just adopts the operand. Past that, the rule is
-    /// union-then-normalize on the bitset.
-    pub fn combine(self, operand: PackedCategory) -> PackedCategory {
-        if operand == Self::NA {
-            return Self::NA;
-        }
-        if self == Self::NA {
-            return operand;
-        }
-        Self::normalize(self.0 | operand.0)
-    }
-
-    /// Projects an arbitrary union of category bits back onto the five
-    /// canonical points: `none` poisons, `threadID ∪ partial` collapses to
-    /// `none`, otherwise the strongest present bit wins.
-    fn normalize(union: u8) -> PackedCategory {
-        if union & Self::NONE.0 != 0 {
-            return Self::NONE;
-        }
-        if union & Self::THREAD_ID.0 != 0 && union & Self::PARTIAL.0 != 0 {
-            return Self::NONE;
-        }
-        if union & Self::THREAD_ID.0 != 0 {
-            return Self::THREAD_ID;
-        }
-        if union & Self::PARTIAL.0 != 0 {
-            return Self::PARTIAL;
-        }
-        Self::SHARED
-    }
-
-    /// Bitset form of [`combine_all`]: strict fold, `Na` blocks.
-    pub fn combine_all(operands: impl IntoIterator<Item = PackedCategory>) -> PackedCategory {
-        let mut union = 0u8;
-        let mut any = false;
-        for op in operands {
-            if op == Self::NA {
-                return Self::NA;
-            }
-            union |= op.0;
-            any = true;
-        }
-        if !any {
-            return Self::NA;
-        }
-        Self::normalize(union)
-    }
-
-    /// Bitset form of [`combine_optimistic`]: `Na` operands are skipped.
-    pub fn combine_optimistic(
-        operands: impl IntoIterator<Item = PackedCategory>,
-    ) -> PackedCategory {
-        let mut union = 0u8;
-        for op in operands {
-            union |= op.0;
-        }
-        if union == 0 {
-            return Self::NA;
-        }
-        Self::normalize(union)
-    }
-}
-
-impl From<Category> for PackedCategory {
-    fn from(cat: Category) -> Self {
-        PackedCategory::pack(cat)
-    }
-}
-
-impl From<PackedCategory> for Category {
-    fn from(packed: PackedCategory) -> Self {
-        packed.unpack()
-    }
-}
-
-impl fmt::Display for PackedCategory {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.unpack().fmt(f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,26 +203,6 @@ mod tests {
         assert!(Partial.is_checkable());
         assert!(!None.is_checkable());
         assert!(!Na.is_checkable());
-    }
-
-    /// The packed bitset lattice agrees with the enum on every Table II
-    /// cell and round-trips every category.
-    #[test]
-    fn packed_matches_enum_exhaustively() {
-        for a in Category::ALL {
-            assert_eq!(PackedCategory::pack(a).unpack(), a);
-            assert_eq!(
-                PackedCategory::from_bits(PackedCategory::pack(a).bits()),
-                PackedCategory::pack(a)
-            );
-            for b in Category::ALL {
-                assert_eq!(
-                    PackedCategory::pack(a).combine(PackedCategory::pack(b)).unpack(),
-                    combine(a, b),
-                    "packed combine({a}, {b})"
-                );
-            }
-        }
     }
 
     #[test]

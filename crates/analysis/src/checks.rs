@@ -10,13 +10,12 @@
 //! library calls would) while keeping the IR immutable.
 
 use bw_ir::{BranchId, CmpOp, FuncId, Module, Op, UnOp, ValueId};
-use serde::{Deserialize, Serialize};
 
 use crate::analysis::ModuleAnalysis;
 use crate::category::Category;
 
 /// Configuration knobs of the static analysis + instrumentation.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AnalysisConfig {
     /// Promote `none` branches to `partial` checking (compare only threads
     /// whose condition value matches) — the paper's first optimization.
@@ -38,12 +37,6 @@ pub struct AnalysisConfig {
     /// one of the branches"). Trades detection of pure branch-flip faults
     /// on the skipped branches for fewer events; off by default.
     pub dedup_checks: bool,
-    /// Run the similarity fixpoint SCC-parallel across this many worker
-    /// threads (`Some(0)` = one per available core). `None` keeps the
-    /// sequential whole-module iteration. Both paths produce bitwise-
-    /// identical results; the parallel one trades the paper's Table III
-    /// iteration trace for throughput on large modules.
-    pub analysis_workers: Option<usize>,
 }
 
 impl Default for AnalysisConfig {
@@ -54,13 +47,12 @@ impl Default for AnalysisConfig {
             max_loop_depth: 6,
             parallel_section_only: true,
             dedup_checks: false,
-            analysis_workers: None,
         }
     }
 }
 
 /// The thread-ID predicate check derived from the branch's comparison shape.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TidCheck {
     /// `tid == shared`: at most one reporting thread takes the branch.
     AtMostOneTaken,
@@ -86,7 +78,7 @@ impl TidCheck {
 }
 
 /// How the monitor checks one branch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CheckKind {
     /// All reporting threads must send the same witness and take the same
     /// direction (`shared` branches).
@@ -102,7 +94,7 @@ pub enum CheckKind {
 }
 
 /// Why a branch is not instrumented.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SkipReason {
     /// Outside the parallel section.
     NotParallel,
@@ -118,7 +110,7 @@ pub enum SkipReason {
 }
 
 /// The instrumentation decision for one branch.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BranchCheck {
     /// The branch this check belongs to.
     pub branch: BranchId,

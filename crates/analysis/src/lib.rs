@@ -57,10 +57,9 @@
 mod analysis;
 mod category;
 mod checks;
-mod parallel;
 
 pub use analysis::{BranchInfo, CategoryHistogram, ModuleAnalysis};
-pub use category::{combine, combine_all, combine_optimistic, Category, PackedCategory};
+pub use category::{combine, combine_all, combine_optimistic, Category};
 pub use checks::{
     AnalysisConfig, BranchCheck, CheckKind, CheckPlan, ConditionInfo, SkipReason, TidCheck,
 };

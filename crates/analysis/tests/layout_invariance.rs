@@ -112,19 +112,3 @@ fn analysis_is_function_order_invariant() {
     };
     assert_eq!(branch_cats(&m_a, &a), branch_cats(&m_b, &b));
 }
-
-#[test]
-fn parallel_analysis_is_function_order_invariant() {
-    for helper_first in [true, false] {
-        let m = build(helper_first);
-        let oracle = ModuleAnalysis::run(&m);
-        for workers in [1, 4] {
-            let par = ModuleAnalysis::run_parallel(&m, workers);
-            assert_eq!(
-                oracle.divergence(&par),
-                None,
-                "helper_first={helper_first} workers={workers}"
-            );
-        }
-    }
-}

@@ -1,9 +1,6 @@
-//! Property tests for the similarity lattice and the fixpoint, including
-//! the packed-bitset representation the parallel analysis uses: every
-//! lattice operation on [`PackedCategory`] must agree with the enum
-//! reference implementation.
+//! Property tests for the similarity lattice and the fixpoint.
 
-use bw_analysis::{combine, combine_all, combine_optimistic, Category, ModuleAnalysis, PackedCategory};
+use bw_analysis::{combine, combine_all, combine_optimistic, Category, ModuleAnalysis};
 use proptest::prelude::*;
 
 fn category() -> impl Strategy<Value = Category> {
@@ -59,64 +56,6 @@ proptest! {
             combine_all(cats.iter().copied()),
             combine_optimistic(cats.iter().copied())
         );
-    }
-
-    /// Packing round-trips: unpack(pack(c)) == c for every category.
-    #[test]
-    fn packed_round_trips(a in category()) {
-        prop_assert_eq!(PackedCategory::pack(a).unpack(), a);
-    }
-
-    /// The packed combine agrees with the enum Table II combine, including
-    /// the asymmetric `Na` cases.
-    #[test]
-    fn packed_combine_matches_enum(a in category(), b in category()) {
-        let packed = PackedCategory::pack(a).combine(PackedCategory::pack(b));
-        prop_assert_eq!(packed.unpack(), combine(a, b));
-    }
-
-    /// The packed combine is commutative away from `Na` (where the enum
-    /// combine is deliberately asymmetric), so the parallel analysis may
-    /// fold operands in any order.
-    #[test]
-    fn packed_combine_is_commutative_without_na(a in category(), b in category()) {
-        prop_assume!(a != Category::Na && b != Category::Na);
-        let ab = PackedCategory::pack(a).combine(PackedCategory::pack(b));
-        let ba = PackedCategory::pack(b).combine(PackedCategory::pack(a));
-        prop_assert_eq!(ab, ba);
-    }
-
-    /// Packed combine never loses ground: the result is an upper bound of
-    /// both non-`Na` inputs in the lattice order (monotonicity of the
-    /// per-value update under re-evaluation).
-    #[test]
-    fn packed_combine_is_an_upper_bound(a in category(), b in category()) {
-        prop_assume!(a != Category::Na && b != Category::Na);
-        let c = PackedCategory::pack(a).combine(PackedCategory::pack(b)).unpack();
-        prop_assert!(le(a, c), "{} not <= {}", a, c);
-        prop_assert!(le(b, c), "{} not <= {}", b, c);
-    }
-
-    /// The packed strict fold agrees with the enum strict fold on any
-    /// operand list (including lists containing `Na`, which blocks both).
-    #[test]
-    fn packed_combine_all_matches_enum(
-        cats in proptest::collection::vec(category(), 1..6),
-    ) {
-        let packed =
-            PackedCategory::combine_all(cats.iter().map(|&c| PackedCategory::pack(c)));
-        prop_assert_eq!(packed.unpack(), combine_all(cats.iter().copied()));
-    }
-
-    /// The packed optimistic fold agrees with the enum optimistic fold on
-    /// any operand list (`Na` operands are skipped by both).
-    #[test]
-    fn packed_combine_optimistic_matches_enum(
-        cats in proptest::collection::vec(category(), 0..6),
-    ) {
-        let packed =
-            PackedCategory::combine_optimistic(cats.iter().map(|&c| PackedCategory::pack(c)));
-        prop_assert_eq!(packed.unpack(), combine_optimistic(cats.iter().copied()));
     }
 
     /// The whole-module fixpoint is idempotent: re-running the analysis on

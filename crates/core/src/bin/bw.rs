@@ -32,10 +32,9 @@
 //! Every executing command takes `--engine sim|real`: `sim` is the
 //! deterministic simulated scheduler, `real` runs on OS threads.
 //!
-//! Commands that analyze a program (`analyze`, `run`, `ir`, `campaign`,
-//! `fuzz`) take `--analysis-workers N` to run the similarity analysis as
-//! SCC-parallel worklists on N workers (0 = one per core). Results are
-//! bitwise-identical to the sequential default at any worker count.
+//! A `--flag` the subcommand does not list is an error (exit 1 with the
+//! usage), never silently ignored; `--help` after any subcommand prints
+//! the usage.
 //!
 //! `<file>` is a mini-language source path, or `splash:<name>` for a
 //! built-in SPLASH-2 port (`splash:fft`, `splash:radix`, …) sized with
@@ -55,28 +54,34 @@ use blockwatch::{
     RunOutcome, Size, TelemetrySnapshot,
 };
 
+type Command = fn(&[String]) -> Result<(), String>;
+
+const COMMANDS: &[(&str, Command)] = &[
+    ("analyze", cmd_analyze),
+    ("run", cmd_run),
+    ("ir", cmd_ir),
+    ("campaign", cmd_campaign),
+    ("fuzz", cmd_fuzz),
+    ("gen", cmd_gen),
+    ("stats", cmd_stats),
+    ("top", cmd_top),
+    ("timeline", cmd_timeline),
+    ("report", cmd_report),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let result = match command.as_str() {
-        "analyze" => cmd_analyze(rest),
-        "run" => cmd_run(rest),
-        "ir" => cmd_ir(rest),
-        "campaign" => cmd_campaign(rest),
-        "fuzz" => cmd_fuzz(rest),
-        "gen" => cmd_gen(rest),
-        "stats" => cmd_stats(rest),
-        "top" => cmd_top(rest),
-        "timeline" => cmd_timeline(rest),
-        "report" => cmd_report(rest),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+    if args.iter().any(|a| a == "--help" || a == "-h") || command == "help" {
+        emit(&format!("{USAGE}\n"));
+        return ExitCode::SUCCESS;
+    }
+    let result = match COMMANDS.iter().find(|(name, _)| name == command) {
+        Some((_, run)) => check_flags(command, rest).and_then(|()| run(rest)),
+        None => Err(format!("unknown command `{command}`\n{USAGE}")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -133,11 +138,6 @@ const USAGE: &str = "usage:
   a disjoint (site, branch) slice. Verdicts are byte-identical at any S —
   it is purely a throughput knob (see `events_per_s` in bwbench).
 
-  --analysis-workers runs the similarity analysis as per-SCC worklists
-  scheduled across N workers (0 = one per core; omit for the sequential
-  oracle). Categories, branches and verdicts are bitwise-identical at any
-  N — it is purely a throughput knob (see `analysis.par*_us` in bwbench).
-
   --sample-interval-ms starts a background sampler that appends timestamped
   `sample` records (counter deltas, gauge levels) to the --telemetry trace;
   render them with `bw top` or `bw stats --series`. --metrics-addr serves
@@ -157,21 +157,8 @@ const USAGE: &str = "usage:
   splash:<name> (fft, fmm, radix, raytrace, water, ocean-contig,
   ocean-noncontig) sized with --size test|small|reference";
 
-/// Parses `--analysis-workers` (the SCC-parallel analysis knob): absent =
-/// sequential oracle, `0` = one worker per core.
-fn analysis_workers(rest: &[String]) -> Result<Option<usize>, String> {
-    match flag(rest, "--analysis-workers") {
-        None => Ok(None),
-        Some(s) => s
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("invalid --analysis-workers `{s}` (expected a count, 0 = auto)")),
-    }
-}
-
 fn load(spec: &str, rest: &[String]) -> Result<Blockwatch, String> {
-    let config =
-        AnalysisConfig { analysis_workers: analysis_workers(rest)?, ..AnalysisConfig::default() };
+    let config = AnalysisConfig::default();
     if let Some(name) = spec.strip_prefix("splash:") {
         let bench = match name {
             "ocean-contig" | "ocean" => Benchmark::OceanContig,
@@ -294,7 +281,7 @@ fn trace_spans_guard(
     rest: &[String],
     recorder: Option<&Arc<JsonlRecorder>>,
 ) -> Result<Option<TraceGuard>, String> {
-    if !rest.iter().any(|a| a == "--trace-spans") {
+    if !switch(rest, "--trace-spans") {
         return Ok(None);
     }
     let Some(recorder) = recorder else {
@@ -318,34 +305,80 @@ fn warn_dropped(telemetry: &TelemetrySnapshot) {
     }
 }
 
-/// Every flag that consumes the following argument as its value; all
-/// other `--flags` are switches. [`file_arg`] needs the distinction to
-/// tell a flag's value from the positional `<file>`.
-const VALUE_FLAGS: &[&str] = &[
-    "--analysis-workers",
-    "--chrome",
-    "--engine",
-    "--format",
-    "--inject",
-    "--injections",
-    "--max-stmts",
-    "--metrics-addr",
-    "--model",
-    "--monitor-shards",
-    "--out",
-    "--sample-interval-ms",
-    "--seed",
-    "--seeds",
-    "--size",
-    "--start",
-    "--telemetry",
-    "--threads",
-    "--workers",
+/// One `--flag` of the command line.
+struct Flag {
+    name: &'static str,
+    /// Whether it consumes the following argument as its value (otherwise
+    /// it is a switch). [`file_arg`] needs the distinction to tell a
+    /// flag's value from the positional `<file>`.
+    value: bool,
+    /// The subcommands that accept it.
+    commands: &'static [&'static str],
+}
+
+/// Every flag `bw` knows, each defined once: [`check_flags`] rejects
+/// anything else before a subcommand runs, and [`flag`] / [`switch`] /
+/// [`file_arg`] look their flags up here.
+const FLAGS: &[Flag] = &[
+    Flag { name: "--chrome", value: true, commands: &["timeline"] },
+    Flag { name: "--engine", value: true, commands: &["run", "campaign", "fuzz"] },
+    Flag { name: "--format", value: true, commands: &["stats"] },
+    Flag { name: "--inject", value: true, commands: &["fuzz"] },
+    Flag { name: "--injections", value: true, commands: &["campaign"] },
+    Flag { name: "--max-stmts", value: true, commands: &["fuzz", "gen"] },
+    Flag { name: "--metrics-addr", value: true, commands: &["run", "campaign", "fuzz"] },
+    Flag { name: "--model", value: true, commands: &["campaign"] },
+    Flag { name: "--monitor-shards", value: true, commands: &["run", "campaign", "fuzz"] },
+    Flag { name: "--out", value: true, commands: &["gen"] },
+    Flag { name: "--phase-profile", value: false, commands: &["timeline"] },
+    Flag { name: "--progress", value: false, commands: &["campaign"] },
+    Flag { name: "--real-cross-check", value: false, commands: &["fuzz"] },
+    Flag { name: "--require-coverage", value: false, commands: &["fuzz"] },
+    Flag { name: "--sample-interval-ms", value: true, commands: &["run", "campaign", "fuzz"] },
+    Flag { name: "--seed", value: true, commands: &["gen"] },
+    Flag { name: "--seeds", value: true, commands: &["fuzz"] },
+    Flag { name: "--series", value: false, commands: &["stats"] },
+    Flag { name: "--size", value: true, commands: &["analyze", "run", "ir", "campaign"] },
+    Flag { name: "--start", value: true, commands: &["fuzz"] },
+    Flag { name: "--stats", value: false, commands: &["run", "campaign"] },
+    Flag { name: "--telemetry", value: true, commands: &["run", "campaign", "fuzz"] },
+    Flag { name: "--threads", value: true, commands: &["run", "campaign", "fuzz"] },
+    Flag { name: "--trace-spans", value: false, commands: &["run", "campaign", "fuzz"] },
+    Flag { name: "--workers", value: true, commands: &["campaign"] },
 ];
 
+fn lookup(name: &str) -> Option<&'static Flag> {
+    FLAGS.iter().find(|f| f.name == name)
+}
+
+/// Rejects every `--flag` in `rest` that `bw <command>` does not accept,
+/// and a value flag with nothing after it.
+fn check_flags(command: &str, rest: &[String]) -> Result<(), String> {
+    let mut args = rest.iter();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        let Some(f) = lookup(arg).filter(|f| f.commands.contains(&command)) else {
+            return Err(format!("unknown flag `{arg}` for `bw {command}`\n{USAGE}"));
+        };
+        if f.value && args.next().is_none() {
+            return Err(format!("flag `{arg}` needs a value"));
+        }
+    }
+    Ok(())
+}
+
+/// The value of value flag `name`, if given.
 fn flag(rest: &[String], name: &str) -> Option<String> {
-    debug_assert!(VALUE_FLAGS.contains(&name), "{name} is missing from VALUE_FLAGS");
+    debug_assert!(lookup(name).is_some_and(|f| f.value), "{name} is not a value flag in FLAGS");
     rest.iter().position(|a| a == name).and_then(|i| rest.get(i + 1)).cloned()
+}
+
+/// Whether switch `name` is given.
+fn switch(rest: &[String], name: &str) -> bool {
+    debug_assert!(lookup(name).is_some_and(|f| !f.value), "{name} is not a switch in FLAGS");
+    rest.iter().any(|a| a == name)
 }
 
 /// Parses numeric flag `name`: absent = `default`, malformed = an error
@@ -379,11 +412,11 @@ fn emit(s: &str) {
 }
 
 /// The positional `<file>`: the first argument that is neither a flag nor
-/// the value of a [`VALUE_FLAGS`] flag.
+/// the value of a value flag.
 fn file_arg(rest: &[String]) -> Result<String, String> {
     let mut args = rest.iter();
     while let Some(arg) = args.next() {
-        if VALUE_FLAGS.contains(&arg.as_str()) {
+        if lookup(arg).is_some_and(|f| f.value) {
             args.next();
         } else if !arg.starts_with("--") {
             return Ok(arg.clone());
@@ -494,7 +527,7 @@ fn cmd_run(rest: &[String]) -> Result<(), String> {
         telemetry.record_to(recorder.as_ref());
         recorder.flush();
     }
-    if rest.iter().any(|a| a == "--stats") {
+    if switch(rest, "--stats") {
         print!("{}", render_telemetry(&telemetry));
     }
     if outcome != RunOutcome::Completed {
@@ -525,7 +558,7 @@ fn cmd_fuzz(rest: &[String]) -> Result<(), String> {
     let injections = num_flag(rest, "--inject", 0)?;
     let gen = gen_config(rest)?;
     let kind = engine_kind(rest)?;
-    let real_cross_check = rest.iter().any(|a| a == "--real-cross-check");
+    let real_cross_check = switch(rest, "--real-cross-check");
     let shards = monitor_shards(rest)?;
     let recorder = telemetry_recorder(rest)?;
     let mut obs = start_observability(rest, recorder.as_ref())?;
@@ -539,7 +572,6 @@ fn cmd_fuzz(rest: &[String]) -> Result<(), String> {
         engine: kind,
         real_cross_check,
         monitor_shards: shards,
-        analysis_workers: analysis_workers(rest)?,
     };
     let trace = trace_spans_guard(rest, recorder.as_ref())?;
     let report = match &recorder {
@@ -560,7 +592,7 @@ fn cmd_fuzz(rest: &[String]) -> Result<(), String> {
     if !report.ok() {
         return Err(format!("{} seed(s) failed the oracle", report.failures.len()));
     }
-    if rest.iter().any(|a| a == "--require-coverage") {
+    if switch(rest, "--require-coverage") {
         let unexercised = report.stats.coverage.unexercised();
         if !unexercised.is_empty() {
             return Err(format!(
@@ -605,7 +637,7 @@ fn cmd_stats(rest: &[String]) -> Result<(), String> {
         Some("json") => emit(&summary.to_json()),
         Some(other) => return Err(format!("unknown format `{other}` (use text|json)")),
     }
-    if rest.iter().any(|a| a == "--series") {
+    if switch(rest, "--series") {
         let series = SeriesReport::parse(&text)?;
         if series.ticks.is_empty() {
             return Err(format!(
@@ -661,7 +693,7 @@ fn cmd_timeline(rest: &[String]) -> Result<(), String> {
         println!("wrote {out} (load in Perfetto or chrome://tracing)");
     }
     emit(&report.render());
-    if rest.iter().any(|a| a == "--phase-profile") {
+    if switch(rest, "--phase-profile") {
         emit(&report.phase_profile().render());
     }
     Ok(())
@@ -697,7 +729,7 @@ fn cmd_campaign(rest: &[String]) -> Result<(), String> {
     let workers = num_flag(rest, "--workers", 0)?;
     let kind = engine_kind(rest)?;
     let shards = monitor_shards(rest)?;
-    let show_progress = rest.iter().any(|a| a == "--progress");
+    let show_progress = switch(rest, "--progress");
     let progress = |label: &'static str| {
         move |p: CampaignProgress| {
             match p.eta_us() {
@@ -775,8 +807,25 @@ fn cmd_campaign(rest: &[String]) -> Result<(), String> {
         protected.telemetry.record_to(recorder.as_ref());
         recorder.flush();
     }
-    if rest.iter().any(|a| a == "--stats") {
+    if switch(rest, "--stats") {
         print!("{}", render_telemetry(&protected.telemetry));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The other direction of `tests/cli.rs`'s usage check: nothing in the
+    /// flag table is undocumented or names a subcommand that does not exist.
+    #[test]
+    fn every_flag_in_the_table_is_in_the_usage() {
+        for f in FLAGS {
+            assert!(USAGE.contains(f.name), "{} is not in the usage text", f.name);
+            for command in f.commands {
+                assert!(COMMANDS.iter().any(|(name, _)| name == command), "{}: {command}", f.name);
+            }
+        }
+    }
 }

@@ -47,6 +47,7 @@
 
 mod error;
 mod pipeline;
+mod records;
 pub mod reports;
 pub mod timeline;
 

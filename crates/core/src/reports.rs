@@ -11,14 +11,14 @@ use std::fmt::Write as _;
 use bw_analysis::ModuleAnalysis;
 use bw_fault::{FaultModel, OutcomeCounts};
 use bw_splash::{Benchmark, Size};
-use bw_telemetry::{parse_flat_object, write_json_object, HistogramSnapshot, TelemetrySnapshot, Value};
+use bw_telemetry::{write_json_object, HistogramSnapshot, TelemetrySnapshot, Value};
 use bw_vm::{Engine, ExecConfig, ExecMode, MonitorMode, ProgramImage, RunOutcome, SimEngine};
-use serde::{Deserialize, Serialize};
 
+use crate::records::records;
 use crate::{Blockwatch, Error};
 
 /// A row of Table IV: benchmark characteristics.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CharacteristicsRow {
     /// Benchmark name (paper's spelling).
     pub name: String,
@@ -61,7 +61,7 @@ pub fn table4(size: Size) -> Vec<CharacteristicsRow> {
 }
 
 /// A row of Table V: similarity-category statistics.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SimilarityRow {
     /// Benchmark name.
     pub name: String,
@@ -107,7 +107,7 @@ pub fn table5(size: Size) -> Vec<SimilarityRow> {
 }
 
 /// One point of the Figure 6/7 performance series.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct OverheadPoint {
     /// Thread count.
     pub nthreads: u32,
@@ -155,7 +155,7 @@ pub fn overhead_point(image: &ProgramImage, nthreads: u32) -> OverheadPoint {
 }
 
 /// A benchmark's overhead across thread counts (one Figure 6/7 series).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct OverheadSeries {
     /// Benchmark name.
     pub name: String,
@@ -196,7 +196,7 @@ pub fn geomean(values: &[f64]) -> f64 {
 }
 
 /// One bar pair of Figures 8/9: coverage with and without BLOCKWATCH.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CoverageRow {
     /// Benchmark name.
     pub name: String,
@@ -271,7 +271,7 @@ pub fn coverage_row_on(
 }
 
 /// One point of the Section VI duplication comparison.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DuplicationPoint {
     /// Thread count.
     pub nthreads: u32,
@@ -499,14 +499,6 @@ pub struct TraceSummary {
     pub workers: Vec<TraceWorker>,
 }
 
-fn field<'a>(fields: &'a [(String, Value)], name: &str) -> Option<&'a Value> {
-    fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-}
-
-fn field_u64(fields: &[(String, Value)], name: &str) -> u64 {
-    field(fields, name).and_then(Value::as_u64).unwrap_or(0)
-}
-
 fn bump(list: &mut Vec<(String, u64)>, name: &str, value: u64, accumulate: bool) {
     match list.iter_mut().find(|(n, _)| n == name) {
         Some((_, v)) if accumulate => *v += value,
@@ -520,22 +512,15 @@ impl TraceSummary {
     /// fails the whole parse with its line number.
     pub fn parse(text: &str) -> Result<TraceSummary, String> {
         let mut summary = TraceSummary::default();
-        for (lineno, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let fields = parse_flat_object(line)
-                .map_err(|e| format!("line {}: {} (offset {})", lineno + 1, e.message, e.offset))?;
-            let ev = field(&fields, "ev")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("line {}: record has no `ev` field", lineno + 1))?
-                .to_string();
+        for rec in records(text) {
+            let rec = rec?;
+            let ev = rec.ev();
             summary.records += 1;
-            bump(&mut summary.events, &ev, 1, true);
-            match ev.as_str() {
+            bump(&mut summary.events, ev, 1, true);
+            match ev {
                 "span" => {
-                    let name = field(&fields, "name").and_then(Value::as_str).unwrap_or("?");
-                    let dur = field_u64(&fields, "dur_us");
+                    let name = rec.field_str("name").unwrap_or("?");
+                    let dur = rec.field_u64("dur_us");
                     match summary.spans.iter_mut().find(|s| s.name == name) {
                         Some(s) => s.dur.observe(dur),
                         None => {
@@ -546,8 +531,8 @@ impl TraceSummary {
                     }
                 }
                 "counter" | "gauge" => {
-                    let name = field(&fields, "name").and_then(Value::as_str).unwrap_or("?");
-                    let value = field_u64(&fields, "value");
+                    let name = rec.field_str("name").unwrap_or("?");
+                    let value = rec.field_u64("value");
                     if ev == "counter" {
                         bump(&mut summary.counters, name, value, true);
                     } else {
@@ -555,16 +540,16 @@ impl TraceSummary {
                     }
                 }
                 "histogram" => {
-                    let name = field(&fields, "name").and_then(Value::as_str).unwrap_or("?");
+                    let name = rec.field_str("name").unwrap_or("?");
                     let (count, sum, max) = (
-                        field_u64(&fields, "count"),
-                        field_u64(&fields, "sum"),
-                        field_u64(&fields, "max"),
+                        rec.field_u64("count"),
+                        rec.field_u64("sum"),
+                        rec.field_u64("max"),
                     );
                     // Optional: pre-`buckets` traces still parse, they just
                     // can't answer quantile queries.
-                    let buckets = field(&fields, "buckets")
-                        .and_then(Value::as_str)
+                    let buckets = rec
+                        .field_str("buckets")
                         .map(HistogramSnapshot::decode_buckets)
                         .unwrap_or_default();
                     match summary.histograms.iter_mut().find(|h| h.name == name) {
@@ -590,18 +575,17 @@ impl TraceSummary {
                     }
                 }
                 "injection" => {
-                    let outcome =
-                        field(&fields, "outcome").and_then(Value::as_str).unwrap_or("?");
+                    let outcome = rec.field_str("outcome").unwrap_or("?");
                     bump(&mut summary.injections, outcome, 1, true);
-                    summary.injection_us.observe(field_u64(&fields, "dur_us"));
+                    summary.injection_us.observe(rec.field_u64("dur_us"));
                 }
                 "worker" => summary.workers.push(TraceWorker {
-                    worker: field_u64(&fields, "worker"),
-                    injections: field_u64(&fields, "injections"),
-                    wall_us: field_u64(&fields, "wall_us"),
-                    busy_us: field_u64(&fields, "busy_us"),
-                    steps_run: field_u64(&fields, "steps_run"),
-                    steps_skipped: field_u64(&fields, "steps_skipped"),
+                    worker: rec.field_u64("worker"),
+                    injections: rec.field_u64("injections"),
+                    wall_us: rec.field_u64("wall_us"),
+                    busy_us: rec.field_u64("busy_us"),
+                    steps_run: rec.field_u64("steps_run"),
+                    steps_skipped: rec.field_u64("steps_skipped"),
                 }),
                 _ => {}
             }
@@ -866,25 +850,18 @@ impl SeriesReport {
     /// skipped; a malformed line fails the whole parse with its number.
     pub fn parse(text: &str) -> Result<SeriesReport, String> {
         let mut report = SeriesReport::default();
-        for (lineno, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let fields = parse_flat_object(line)
-                .map_err(|e| format!("line {}: {} (offset {})", lineno + 1, e.message, e.offset))?;
-            let ev = field(&fields, "ev")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("line {}: record has no `ev` field", lineno + 1))?;
-            if ev != "sample" {
+        for rec in records(text) {
+            let rec = rec?;
+            if rec.ev() != "sample" {
                 continue;
             }
             let mut tick = SampleTick {
-                tick: field_u64(&fields, "tick"),
-                dt_us: field_u64(&fields, "dt_us"),
-                warn: field(&fields, "warn").is_some(),
+                tick: rec.field_u64("tick"),
+                dt_us: rec.field_u64("dt_us"),
+                warn: rec.field("warn").is_some(),
                 values: Vec::new(),
             };
-            for (name, value) in &fields {
+            for (name, value) in &rec.fields {
                 if matches!(name.as_str(), "seq" | "t_us" | "ev" | "tick" | "dt_us" | "warn") {
                     continue;
                 }
@@ -1100,42 +1077,29 @@ impl ForensicsReport {
     /// parse with its line number.
     pub fn parse(text: &str) -> Result<ForensicsReport, String> {
         let mut report = ForensicsReport::default();
-        for (lineno, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let fields = parse_flat_object(line)
-                .map_err(|e| format!("line {}: {} (offset {})", lineno + 1, e.message, e.offset))?;
-            let ev = field(&fields, "ev")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("line {}: record has no `ev` field", lineno + 1))?;
-            let text_field = |name: &str| {
-                field(&fields, name).and_then(Value::as_str).unwrap_or("").to_string()
-            };
-            match ev {
+        for rec in records(text) {
+            let rec = rec?;
+            let text_field = |name: &str| rec.field_str(name).unwrap_or("").to_string();
+            match rec.ev() {
                 "injection" => report.injections.push(TraceInjection {
-                    image: field_u64(&fields, "image"),
-                    index: field_u64(&fields, "index"),
+                    image: rec.field_u64("image"),
+                    index: rec.field_u64("index"),
                     outcome: text_field("outcome"),
-                    branch: field(&fields, "branch")
-                        .and_then(Value::as_str)
-                        .and_then(|b| b.parse().ok()),
+                    branch: rec.field_str("branch").and_then(|b| b.parse().ok()),
                     category: text_field("category"),
                 }),
                 "violation" => report.violations.push(TraceViolation {
-                    image: field_u64(&fields, "image"),
-                    index: field_u64(&fields, "index"),
-                    branch: field_u64(&fields, "branch"),
-                    site: field_u64(&fields, "site"),
-                    iter: field_u64(&fields, "iter"),
+                    image: rec.field_u64("image"),
+                    index: rec.field_u64("index"),
+                    branch: rec.field_u64("branch"),
+                    site: rec.field_u64("site"),
+                    iter: rec.field_u64("iter"),
                     kind: text_field("kind"),
                     category: text_field("category"),
                     predicted: text_field("predicted"),
-                    reporters: field_u64(&fields, "reporters"),
-                    detected_seq: field_u64(&fields, "detected_seq"),
-                    latency: field(&fields, "latency")
-                        .and_then(Value::as_str)
-                        .and_then(|l| l.parse().ok()),
+                    reporters: rec.field_u64("reporters"),
+                    detected_seq: rec.field_u64("detected_seq"),
+                    latency: rec.field_str("latency").and_then(|l| l.parse().ok()),
                     observed: text_field("observed"),
                     deviants: text_field("deviants"),
                     majority: text_field("majority"),
@@ -1520,8 +1484,9 @@ mod tests {
             r#"{"seq":2,"t_us":3,"ev":"histogram","name":"h","count":2,"sum":6,"max":5,"buckets":"7:2"}"#, "\n",
         );
         let json = TraceSummary::parse(trace).unwrap().to_json();
-        let fields = parse_flat_object(json.trim()).expect("flat JSON parses back");
-        let get = |name: &str| field(&fields, name).cloned();
+        let fields =
+            bw_telemetry::parse_flat_object(json.trim()).expect("flat JSON parses back");
+        let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone());
         assert_eq!(get("records"), Some(Value::U64(3)));
         assert_eq!(get("counter.monitor.violations"), Some(Value::U64(3)));
         assert_eq!(get("injection.detected"), Some(Value::U64(1)));

@@ -25,7 +25,9 @@
 //! `telemetry` feature on or off (an untraced build just has no `tspan`
 //! records to parse).
 
-use bw_telemetry::{parse_flat_object, write_json_object, Value};
+use bw_telemetry::{write_json_object, Value};
+
+use crate::records::records;
 
 /// The shape of one timeline record (the `kind` field of a `tspan`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -103,34 +105,27 @@ impl TimelineReport {
     /// are skipped; a malformed line fails the parse with its number.
     pub fn parse(text: &str) -> Result<TimelineReport, String> {
         let mut report = TimelineReport::default();
-        for (lineno, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
+        for rec in records(text) {
+            let rec = rec?;
+            if rec.ev() != "tspan" {
                 continue;
             }
-            let fields = parse_flat_object(line)
-                .map_err(|e| format!("line {}: {} (offset {})", lineno + 1, e.message, e.offset))?;
-            let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-            if get("ev").and_then(Value::as_str) != Some("tspan") {
-                continue;
-            }
-            let kind = get("kind")
-                .and_then(Value::as_str)
+            let kind = rec
+                .field_str("kind")
                 .and_then(TimelineKind::parse)
-                .ok_or_else(|| format!("line {}: tspan record with bad `kind`", lineno + 1))?;
-            let text_field = |name: &str| {
-                get(name).and_then(Value::as_str).unwrap_or("?").to_string()
-            };
-            let u64_field = |name: &str| get(name).and_then(Value::as_u64).unwrap_or(0);
+                .ok_or_else(|| format!("line {}: tspan record with bad `kind`", rec.line))?;
+            let text_field = |name: &str| rec.field_str(name).unwrap_or("?").to_string();
             report.events.push(TimelineEvent {
                 kind,
                 dom: text_field("dom"),
                 track: text_field("track"),
                 cat: text_field("cat"),
                 name: text_field("name"),
-                ts: u64_field("ts"),
-                dur: u64_field("dur"),
-                flow: get("flow").and_then(Value::as_u64),
-                args: fields
+                ts: rec.field_u64("ts"),
+                dur: rec.field_u64("dur"),
+                flow: rec.field("flow").and_then(Value::as_u64),
+                args: rec
+                    .fields
                     .iter()
                     .filter(|(k, _)| !CORE_FIELDS.contains(&k.as_str()) && k != "flow")
                     .cloned()

@@ -38,7 +38,6 @@ use bw_vm::{
     engine, Engine, EngineKind, ExecConfig, ProgramImage, RunOutcome, RunResult, SimPrefix,
     SplitMix64,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::injector::{FaultModel, InjectionHook, InjectionPlan};
 
@@ -53,7 +52,7 @@ const _: () = {
 };
 
 /// Classification of one injection experiment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultOutcome {
     /// The fault did not reach its target branch (e.g. the thread executed
     /// fewer branches than profiled — cannot happen in the deterministic
@@ -86,7 +85,7 @@ impl FaultOutcome {
 }
 
 /// Aggregate counts of a campaign.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OutcomeCounts {
     /// Injections that did not activate.
     pub not_activated: usize,
@@ -141,7 +140,7 @@ impl OutcomeCounts {
 }
 
 /// One injection's record.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InjectionRecord {
     /// What was injected where.
     pub plan: InjectionPlan,

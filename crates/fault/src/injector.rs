@@ -11,10 +11,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use bw_ir::BranchId;
 use bw_vm::{BranchHook, FaultAction};
-use serde::{Deserialize, Serialize};
 
 /// The two fault models of the paper's Section IV.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultModel {
     /// Single bit flip in the flag register: the chosen dynamic branch's
     /// outcome is inverted, program data is untouched.
@@ -38,7 +37,7 @@ pub enum FaultModel {
 /// [`crate::plan_campaign`] draws `dyn_index` from the parallel section's
 /// counts all the same; the rule is pinned, not fixed, because every
 /// archived outcome tally includes such injections (ROADMAP's red list).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct InjectionPlan {
     /// Thread to inject into.
     pub tid: u32,

@@ -44,11 +44,6 @@ pub struct FuzzConfig {
     /// monitor). The fault-free oracle stage always sweeps shard counts
     /// regardless (the shard-neutrality invariant).
     pub monitor_shards: Option<usize>,
-    /// Run the injection-stage image preparation with the SCC-parallel
-    /// analysis at this worker count (`None` = sequential). The fault-free
-    /// stage always cross-checks parallel-vs-sequential analysis parity
-    /// regardless (the analysis-divergence invariant).
-    pub analysis_workers: Option<usize>,
 }
 
 impl Default for FuzzConfig {
@@ -62,7 +57,6 @@ impl Default for FuzzConfig {
             engine: EngineKind::Sim,
             real_cross_check: false,
             monitor_shards: None,
-            analysis_workers: None,
         }
     }
 }
@@ -204,41 +198,11 @@ pub fn check_module_cross(
             })
         }
     }
-    check_analysis_parity(module)?;
     let image = ProgramImage::try_prepare(module.clone(), AnalysisConfig::default()).map_err(
         |e| CheckFailure { class: "prepare", message: format!("verifier rejected module: {e}") },
     )?;
     check_image_cross(&image, threads, seed, real_cross)
         .map_err(|f| CheckFailure { class: f.class(), message: f.to_string() })
-}
-
-/// The analysis-parity invariant: the SCC-parallel similarity analysis
-/// must be bitwise-identical to the sequential oracle on every generated
-/// module, at more than one worker count. This is the fuzz-side guard for
-/// the fixpoint-uniqueness assumption the parallel scheduler rests on.
-///
-/// # Errors
-///
-/// Returns an `analysis-divergence` failure naming the first mismatching
-/// value or branch.
-fn check_analysis_parity(module: &Module) -> Result<(), CheckFailure> {
-    if bw_ir::verify_module(module).is_err() {
-        // The prepare stage reports malformed modules with better context.
-        return Ok(());
-    }
-    let oracle = bw_analysis::ModuleAnalysis::run(module);
-    for workers in [1usize, 4] {
-        let parallel = bw_analysis::ModuleAnalysis::run_parallel(module, workers);
-        if let Some(diff) = oracle.divergence(&parallel) {
-            return Err(CheckFailure {
-                class: "analysis-divergence",
-                message: format!(
-                    "parallel analysis at {workers} workers diverges from sequential: {diff}"
-                ),
-            });
-        }
-    }
-    Ok(())
 }
 
 /// How many oracle-passing seeds one [`CampaignBatch`] covers: large
@@ -285,11 +249,7 @@ pub fn run_fuzz_recorded(config: &FuzzConfig, recorder: &dyn Recorder) -> FuzzRe
                 );
                 report.stats.absorb(stats);
                 if config.injections > 0 {
-                    let analysis_config = AnalysisConfig {
-                        analysis_workers: config.analysis_workers,
-                        ..AnalysisConfig::default()
-                    };
-                    let image = ProgramImage::prepare(module.clone(), analysis_config);
+                    let image = ProgramImage::prepare(module.clone(), AnalysisConfig::default());
                     pending.push((seed, Arc::new(image)));
                     if pending.len() >= INJECT_CHUNK {
                         inject_batch(&mut pending, config, &mut report, recorder);
@@ -402,7 +362,6 @@ mod tests {
             engine: EngineKind::Sim,
             real_cross_check: false,
             monitor_shards: None,
-            analysis_workers: None,
         }
     }
 

@@ -1,10 +1,13 @@
 //! The oracle's self-test: plant a category-propagation regression (a
 //! corrupted Table II rule) and prove the oracle catches it, with a
-//! minimized reproducer.
+//! minimized reproducer. Plus pinned seeds.
 
-use bw_analysis::AnalysisConfig;
-use bw_gen::{check_image, generate_module, sabotaged_image, shrink, GenConfig};
-use bw_ir::Module;
+use bw_analysis::{AnalysisConfig, Category, ModuleAnalysis};
+use bw_gen::{
+    check_image, check_module, generate_module, sabotaged_image, shrink, GenConfig,
+    DEFAULT_THREADS,
+};
+use bw_ir::{FuncId, Module, Op};
 use bw_vm::{Engine, ExecConfig, SimEngine};
 
 const SIM_SEED: u64 = 0xdead_beef;
@@ -107,4 +110,84 @@ fn a_sabotaged_image_sends_the_sabotaged_witnesses() {
     sent.sort_unstable();
     sent.dedup();
     assert_eq!(sent.len(), 4, "{sent:x?}");
+}
+
+/// `module` with the functions at `a` and `b` declared in the other order:
+/// the same logical program, every reference renumbered.
+fn with_funcs_swapped(module: &Module, a: FuncId, b: FuncId) -> Module {
+    let swap = |f: FuncId| match f {
+        f if f == a => b,
+        f if f == b => a,
+        f => f,
+    };
+    let mut m = module.clone();
+    m.funcs.swap(a.index(), b.index());
+    for inst in m.funcs.iter_mut().flat_map(|f| &mut f.blocks).flat_map(|b| &mut b.insts) {
+        if let Op::Call { func, .. } = &mut inst.op {
+            *func = swap(*func);
+        }
+    }
+    for callee in m.tables.iter_mut().flat_map(|t| &mut t.funcs) {
+        *callee = swap(*callee);
+    }
+    for role in [&mut m.init, &mut m.spmd_entry, &mut m.fini].into_iter().flatten() {
+        *role = swap(*role);
+    }
+    bw_ir::verify_module(&m).expect("the reordered module verifies");
+    m
+}
+
+/// Seed `0x307c8`: the module on which the SCC-parallel analysis (removed
+/// in PR 19, DESIGN §15) answered `none` for `helper1`'s branch where the
+/// Figure-3 pass answers `partial`, and which `check_module` therefore
+/// rejected (the two analyses disagreed). Both answers are fixpoints of the
+/// same rules: the rules are not monotone under `NA`-skipping, so the
+/// evaluation order picks one (DESIGN §8). The shape, minimised:
+///
+/// ```text
+/// spmd:  v3 = call helper1(3, tid)          ; cs0
+///        v6 = phi [then: v3], [else: 0]     ; an if-else merge
+///        v7 = call helper1(v6, v6)          ; cs1
+/// helper1(v0, v1):  ret (v0 >> v1)
+/// ```
+///
+/// a cycle call result → merge phi → argument → parameter → return → call
+/// result. The whole-module pass resolves it like this:
+///
+/// 1. `v3` is `NA` (helper1 has no return category yet), so the phi folds
+///    its one known incoming, `shared`, and the merge-phi downgrade
+///    (`shared` merging two distinct values → `partial`) fires: `v6` is
+///    `partial` while one incoming is still `NA`.
+/// 2. `helper1`'s parameters merge their call sites — `v0`: `shared` (cs0)
+///    with `partial` (cs1), `v1`: `threadID` with `partial` — and mixed
+///    checkable sites give `partial` for both; the return is `partial`.
+/// 3. `v3` takes the return category, `partial`; the phi is now
+///    `partial ⊔ shared = partial` without the downgrade; nothing moves in
+///    pass 4.
+///
+/// The SCC order evaluated the parameters first (`shared`, `threadID`),
+/// got a `threadID` return, then `partial ⊔ threadID = none`, and `none`
+/// poisons the cycle. The check is `GroupByWitness` either way.
+///
+/// So this pin may legitimately move to `none` when the transfer function
+/// is made monotone (ROADMAP red list, item 2); what must not happen is an
+/// answer that depends on the run or on the declaration order.
+#[test]
+fn seed_0x307c8_passes_and_helper1_stays_partial() {
+    let module = generate_module(0x307c8, &GenConfig::default());
+    check_module(&module, &DEFAULT_THREADS, 0x307c8)
+        .unwrap_or_else(|f| panic!("seed 0x307c8 fails the oracle: {} ({})", f.message, f.class));
+
+    let helper0 = module.func_by_name("helper0").unwrap();
+    let helper1 = module.func_by_name("helper1").unwrap();
+    let reordered = with_funcs_swapped(&module, helper0, helper1);
+    assert_eq!(reordered.func_by_name("helper1"), Some(helper0));
+
+    for m in [&module, &module, &reordered] {
+        let analysis = ModuleAnalysis::run(m);
+        let helper1 = m.func_by_name("helper1").unwrap();
+        let cats: Vec<Category> =
+            analysis.branches.iter().filter(|b| b.func == helper1).map(|b| b.category).collect();
+        assert_eq!(cats, [Category::Partial], "helper1's one branch");
+    }
 }

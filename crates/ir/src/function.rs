@@ -1,14 +1,12 @@
 //! Functions and basic blocks.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{BlockId, ValueId};
 use crate::inst::{Inst, Op};
 use crate::value::Type;
 
 /// A basic block: a straight-line sequence of instructions ending in a
 /// terminator. Phi nodes, if any, must come first.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Block {
     /// Instructions in execution order. The last one must be a terminator
     /// once the function is complete (the verifier enforces this).
@@ -30,7 +28,7 @@ impl Block {
 }
 
 /// Where a value was defined, for diagnostics.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[allow(missing_docs)] // variant fields are self-describing; variants are documented
 pub enum ValueDef {
     /// The value is the `n`-th function parameter.
@@ -40,7 +38,7 @@ pub enum ValueDef {
 }
 
 /// A function: parameters, a return type, and a CFG of basic blocks.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Function {
     /// Function name (unique within the module).
     pub name: String,

@@ -10,13 +10,11 @@
 //! table-indirect calls, pthread-style synchronization, and the thread-ID
 //! intrinsics that seed the `threadID` similarity category.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{BarrierId, BlockId, CallSiteId, FuncId, GlobalId, MutexId, TableId, ValueId};
 use crate::value::{Type, Val};
 
 /// Binary arithmetic / logical operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// Addition (wrapping for `i64`).
     Add,
@@ -70,7 +68,7 @@ impl BinOp {
 /// branches the runtime check depends on the comparison shape (an equality
 /// against a shared value means at most one thread dissents; an ordered
 /// comparison means outcomes are monotone in thread ID).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// Equal.
     Eq,
@@ -125,7 +123,7 @@ impl CmpOp {
 }
 
 /// Unary operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// Arithmetic negation.
     Neg,
@@ -156,7 +154,7 @@ impl UnOp {
 }
 
 /// One incoming edge of a phi node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PhiIncoming {
     /// Predecessor block the value flows in from.
     pub block: BlockId,
@@ -165,7 +163,7 @@ pub struct PhiIncoming {
 }
 
 /// The operation performed by an instruction.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 #[allow(missing_docs)] // variant fields are self-describing; variants are documented
 pub enum Op {
     /// A literal constant.
@@ -326,7 +324,7 @@ impl Op {
 }
 
 /// An instruction: an op plus its (optional) result value and type.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Inst {
     /// The operation.
     pub op: Op,

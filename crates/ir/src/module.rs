@@ -1,7 +1,5 @@
 //! Modules: the top-level IR container for an SPMD program.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{BarrierId, FuncId, GlobalId, MutexId, TableId};
 use crate::function::Function;
 use crate::value::{Type, Val};
@@ -13,7 +11,7 @@ use crate::value::{Type, Val};
 /// variables that are shared among all threads"). Globals written
 /// concurrently with data-dependent values should be declared with
 /// `shared = false`; loads from them are classified `none`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Global {
     /// Name for diagnostics and the textual front-end.
     pub name: String,
@@ -34,7 +32,7 @@ pub struct Global {
 
 /// A function table used by indirect calls (models function pointers; all
 /// potential callees must share a signature).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FuncTable {
     /// Name for diagnostics.
     pub name: String,
@@ -49,7 +47,7 @@ pub struct FuncTable {
 /// 2. `spmd_entry` runs concurrently in every thread (the `slave()`).
 /// 3. `fini`, if present, runs once single-threaded after the join and
 ///    typically emits outputs for golden-run comparison.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Module {
     /// Module name (benchmark name).
     pub name: String,

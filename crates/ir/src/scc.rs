@@ -8,7 +8,12 @@
 //! exactly the places iteration is needed. Condensing that graph into its
 //! DAG of strongly connected components turns the global fixpoint into a
 //! topological schedule of small local fixpoints, which is what the
-//! parallel analysis executes across a worker pool.
+//! parallel analysis executed across a worker pool.
+//!
+//! That analysis was removed in PR 19 (DESIGN §15). This module's one
+//! remaining caller is `bwbench` (`benchmark/src/workloads/mod.rs`, the
+//! `ir.scc_us` layer metric); it goes with the `benchmark` PR that
+//! retires that metric.
 //!
 //! [`ValueGraph`] numbers every SSA value of every function into one dense
 //! global index space and records the dependency edges the analysis

@@ -15,10 +15,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// IR-level type of an SSA value.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Type {
     /// 64-bit signed integer.
     I64,
@@ -43,7 +41,7 @@ impl fmt::Display for Type {
 }
 
 /// Address space a pointer refers to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Space {
     /// Globally shared memory (visible to all threads). Regions are global
     /// variables, identified by their `GlobalId` index.
@@ -54,7 +52,7 @@ pub enum Space {
 }
 
 /// A region-based pointer: address space, region, and word offset.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Ptr {
     /// Address space this pointer refers to.
     pub space: Space,
@@ -94,7 +92,7 @@ impl fmt::Display for Ptr {
 }
 
 /// A dynamically tagged runtime value.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Val {
     /// 64-bit signed integer.
     I64(i64),

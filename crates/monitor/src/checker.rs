@@ -3,10 +3,9 @@
 //! with the statically inferred similarity.
 
 use bw_analysis::{CheckKind, TidCheck};
-use serde::{Deserialize, Serialize};
 
 /// One thread's report for a branch instance.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Report {
     /// Reporting thread id.
     pub thread: u32,
@@ -17,7 +16,7 @@ pub struct Report {
 }
 
 /// Why an instance violated its check.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ViolationKind {
     /// A `shared` (or threadID) branch saw differing condition witnesses.
     WitnessMismatch,

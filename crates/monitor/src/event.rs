@@ -1,13 +1,11 @@
 //! Branch events: the fixed-size records threads send to the monitor.
 
-use serde::{Deserialize, Serialize};
-
 /// The information one `sendBranchCondition`/`sendBranchAddr` pair of the
 /// paper carries, folded into a single fixed-size record: the static branch
 /// identifier, the runtime instance identifiers (call-site path and
 /// enclosing-loop iterations, pre-hashed by the sender), the condition
 /// witness, and the branch outcome.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BranchEvent {
     /// Static branch id (index into the check plan).
     pub branch: u32,

@@ -14,37 +14,29 @@
 
 use std::sync::{Arc, OnceLock};
 
-use bw_telemetry::{Counter, Gauge, MetricRegistry, MetricSource, TelemetrySnapshot};
+use bw_telemetry::{Counter, Gauge, MetricRegistry};
 
 /// Events dropped by any [`crate::EventSender`] in this process, counted
 /// the moment they are dropped (the per-run tally only surfaces at join).
-static EVENTS_DROPPED: Counter = Counter::new();
-
-struct MonitorLiveSource;
-
-impl MetricSource for MonitorLiveSource {
-    fn collect(&self) -> TelemetrySnapshot {
-        let mut s = TelemetrySnapshot::new();
-        s.push_counter("live.monitor.events_dropped", EVENTS_DROPPED.get());
-        s
-    }
+fn events_dropped() -> &'static Counter {
+    static DROPPED: OnceLock<Arc<Counter>> = OnceLock::new();
+    DROPPED.get_or_init(|| MetricRegistry::global().counter("live.monitor.events_dropped"))
 }
 
-/// Registers the monitor's live metrics into the global registry.
-/// Idempotent; a no-op without the `telemetry` feature.
+/// Makes the monitor's live metrics visible (at zero) in the global
+/// registry. Idempotent; a no-op without the `telemetry` feature.
 pub(crate) fn register() {
-    static ONCE: OnceLock<()> = OnceLock::new();
-    ONCE.get_or_init(|| {
-        if bw_telemetry::ENABLED {
-            MetricRegistry::global().register_source("monitor.live", Arc::new(MonitorLiveSource));
-        }
-    });
+    if bw_telemetry::ENABLED {
+        events_dropped();
+    }
 }
 
 /// Counts one sender-side dropped event (cold path: queue overflow).
 #[inline]
 pub(crate) fn record_dropped_event() {
-    bw_telemetry::tm_inc!(EVENTS_DROPPED);
+    if bw_telemetry::ENABLED {
+        events_dropped().inc();
+    }
 }
 
 /// The live handles a shard worker updates per drain sweep: cumulative
@@ -68,14 +60,13 @@ mod tests {
     #[test]
     fn drop_counter_feeds_the_global_registry() {
         register();
-        let before = EVENTS_DROPPED.get();
+        let dropped = || MetricRegistry::global().snapshot().counter("live.monitor.events_dropped");
+        let before = dropped();
         record_dropped_event();
         if bw_telemetry::ENABLED {
-            assert_eq!(EVENTS_DROPPED.get(), before + 1);
-            let snap = MetricRegistry::global().snapshot();
-            assert!(snap.counter("live.monitor.events_dropped").unwrap_or(0) > before);
+            assert!(dropped() > before, "{:?} after {before:?}", dropped());
         } else {
-            assert_eq!(EVENTS_DROPPED.get(), 0);
+            assert_eq!(dropped(), None);
         }
     }
 

@@ -13,7 +13,6 @@ use std::sync::Arc;
 
 use bw_analysis::{CheckKind, CheckPlan};
 use bw_telemetry::{tm_add, tm_gauge_max, tm_inc, TelemetrySnapshot};
-use serde::{Deserialize, Serialize};
 
 use crate::checker::{check_instance, Report, ViolationKind};
 use crate::event::BranchEvent;
@@ -23,7 +22,7 @@ use crate::table::BranchTable;
 use crate::telemetry::MonitorTelemetry;
 
 /// A detected similarity violation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Violation {
     /// The offending branch.
     pub branch: u32,

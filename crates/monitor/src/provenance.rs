@@ -21,7 +21,6 @@
 //! [`bw_vm::RunResult`]: https://docs.rs/bw-vm
 
 use bw_analysis::{CheckKind, TidCheck};
-use serde::{Deserialize, Serialize};
 
 use crate::checker::{Report, ViolationKind};
 use crate::event::BranchEvent;
@@ -39,7 +38,7 @@ use crate::table::{mix_key, push_node, KeyIndex, Link, NIL};
 /// than a monitor-global message counter — keeps reports byte-identical no
 /// matter how the key space is partitioned across monitor shards, since a
 /// site's events always land on one shard in their original order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WindowEntry {
     /// Reporting thread id.
     pub thread: u32,
@@ -56,7 +55,7 @@ pub struct WindowEntry {
 
 /// Structured evidence for one [`Violation`]: everything the monitor knew
 /// about the instance at the moment the check failed.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ViolationReport {
     /// The compact violation this report explains.
     pub violation: Violation,

@@ -46,10 +46,9 @@ pub use size::{Size, MAX_THREADS};
 
 use bw_ir::frontend::FrontendError;
 use bw_ir::Module;
-use serde::{Deserialize, Serialize};
 
 /// The seven benchmark programs of the paper's evaluation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Benchmark {
     /// ocean, contiguous partitions.
     OceanContig,

@@ -1,12 +1,10 @@
 //! Problem sizes for the benchmark ports.
 
-use serde::{Deserialize, Serialize};
-
 /// Problem-size presets. The SPLASH-2 suite ships "default" inputs sized
 /// for real machines; the interpreter needs smaller ones. All presets keep
 /// the same control structure — only trip counts and array sizes change —
 /// so the similarity-category statistics (Table V) are size-independent.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Size {
     /// Tiny: unit tests (sub-second campaigns).
     Test,

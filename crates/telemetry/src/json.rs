@@ -1,8 +1,8 @@
 //! Minimal JSON support for telemetry traces.
 //!
-//! The workspace's vendored `serde` is an offline no-op stub, so the
-//! telemetry sink writes JSON by hand and `bw stats` reads it back with
-//! the flat-object parser below. Trace records are deliberately flat
+//! The workspace has no serialization dependency: the telemetry sink
+//! writes JSON by hand and `bw stats` reads it back with the
+//! flat-object parser below. Trace records are deliberately flat
 //! (one object per line, scalar values only), which keeps both halves
 //! small and dependency-free.
 

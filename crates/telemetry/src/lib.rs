@@ -55,7 +55,7 @@ pub use json::{parse_flat_object, write_json_object, write_json_str, JsonError, 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use prometheus::{escape_label_value, sanitize_metric_name};
 pub use recorder::{JsonlRecorder, NullRecorder, Recorder, Span, NULL_RECORDER};
-pub use registry::{MetricRegistry, MetricSource};
+pub use registry::MetricRegistry;
 pub use sampler::{sample_fields, Sampler};
 pub use serve::MetricsServer;
 pub use snapshot::TelemetrySnapshot;

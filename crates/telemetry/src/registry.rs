@@ -5,9 +5,8 @@
 //! to the same cell every time, so the monitor shards, campaign workers
 //! and engines can all bump "their" metric without threading handles
 //! through configs (several of which are `Hash + Eq` and cannot carry
-//! one). Subsystems that already own their atomics register a
-//! [`MetricSource`] instead; [`MetricRegistry::snapshot`] folds both
-//! worlds into one [`TelemetrySnapshot`].
+//! one). [`MetricRegistry::snapshot`] reads them all into one
+//! [`TelemetrySnapshot`].
 //!
 //! Registry lookups take a `Mutex` and are meant for *cold* paths —
 //! resolve the `Arc` once at spawn/run start, then update the lock-free
@@ -27,22 +26,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 use crate::metrics::{Counter, Gauge, Histogram};
 use crate::snapshot::TelemetrySnapshot;
 
-/// A subsystem that owns its metric cells and can be polled for a
-/// point-in-time snapshot (names fully prefixed by the source).
-pub trait MetricSource: Send + Sync {
-    /// Reads the source's current metrics.
-    fn collect(&self) -> TelemetrySnapshot;
-}
-
 #[derive(Default)]
 struct Inner {
     counters: BTreeMap<String, Arc<Counter>>,
     gauges: BTreeMap<String, Arc<Gauge>>,
     histograms: BTreeMap<String, Arc<Histogram>>,
-    sources: BTreeMap<String, Arc<dyn MetricSource>>,
 }
 
-/// A named directory of shared metric cells plus pollable sources.
+/// A named directory of shared metric cells.
 #[derive(Default)]
 pub struct MetricRegistry {
     inner: Mutex<Inner>,
@@ -95,43 +86,18 @@ impl MetricRegistry {
         )
     }
 
-    /// Registers (or replaces — latest wins) a pollable source under
-    /// `name`. The name identifies the registration, not the metrics:
-    /// collected snapshots keep their own fully-prefixed metric names.
-    pub fn register_source(&self, name: &str, source: Arc<dyn MetricSource>) {
-        self.lock().sources.insert(name.to_string(), source);
-    }
-
-    /// Removes the source registered under `name`, if any.
-    pub fn unregister_source(&self, name: &str) {
-        self.lock().sources.remove(name);
-    }
-
-    /// Reads everything: owned cells in name order, then each source's
-    /// snapshot merged in. Sources are collected *outside* the registry
-    /// lock so a slow `collect` never blocks metric lookups.
+    /// Reads every cell, in name order within each kind.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let (counters, gauges, histograms, sources) = {
-            let inner = self.lock();
-            (
-                inner.counters.clone(),
-                inner.gauges.clone(),
-                inner.histograms.clone(),
-                inner.sources.clone(),
-            )
-        };
+        let inner = self.lock();
         let mut s = TelemetrySnapshot::new();
-        for (name, c) in &counters {
+        for (name, c) in &inner.counters {
             s.push_counter(name.clone(), c.get());
         }
-        for (name, g) in &gauges {
+        for (name, g) in &inner.gauges {
             s.push_gauge(name.clone(), g.get());
         }
-        for (name, h) in &histograms {
+        for (name, h) in &inner.histograms {
             s.push_histogram(name.clone(), h.snapshot());
-        }
-        for source in sources.values() {
-            s.merge(&source.collect());
         }
         s
     }
@@ -144,7 +110,6 @@ impl fmt::Debug for MetricRegistry {
             .field("counters", &inner.counters.len())
             .field("gauges", &inner.gauges.len())
             .field("histograms", &inner.histograms.len())
-            .field("sources", &inner.sources.len())
             .finish()
     }
 }
@@ -176,26 +141,6 @@ mod tests {
         assert_eq!(names, ["live.a", "live.b"]);
         assert_eq!(s.gauge("live.depth"), Some(5));
         assert_eq!(s.histogram("live.lat").unwrap().count, 1);
-    }
-
-    #[test]
-    fn sources_merge_and_replace() {
-        struct Fixed(u64);
-        impl MetricSource for Fixed {
-            fn collect(&self) -> TelemetrySnapshot {
-                let mut s = TelemetrySnapshot::new();
-                s.push_counter("live.src.events", self.0);
-                s
-            }
-        }
-        let reg = MetricRegistry::new();
-        reg.register_source("src", Arc::new(Fixed(10)));
-        assert_eq!(reg.snapshot().counter("live.src.events"), Some(10));
-        // Latest registration wins.
-        reg.register_source("src", Arc::new(Fixed(3)));
-        assert_eq!(reg.snapshot().counter("live.src.events"), Some(3));
-        reg.unregister_source("src");
-        assert!(reg.snapshot().counter("live.src.events").is_none());
     }
 
     #[test]

@@ -35,9 +35,9 @@ use crate::snapshot::TelemetrySnapshot;
 const SLEEP_SLICE: Duration = Duration::from_millis(5);
 
 /// Builds one `sample` record's fields from two consecutive registry
-/// snapshots: counter deltas (changed counters only, saturating so a
-/// replaced source can never underflow), absolute gauge values, and a
-/// `warn` marker when events were dropped in the interval.
+/// snapshots: counter deltas (changed counters only, saturating so
+/// snapshots passed out of order cannot underflow), absolute gauge
+/// values, and a `warn` marker when events were dropped in the interval.
 pub fn sample_fields(
     prev: &TelemetrySnapshot,
     cur: &TelemetrySnapshot,
@@ -190,13 +190,13 @@ mod tests {
         let prev = snap(&[("live.a", 100)], &[]);
         let cur = snap(&[("live.a", 30)], &[]);
         let fields = sample_fields(&prev, &cur, 1, 1000);
-        // 30 < 100: a replaced source restarted its count; no delta.
+        // 30 < 100: the count went backwards; no delta.
         assert!(!fields.iter().any(|(k, _)| k == "live.a"));
     }
 
     #[test]
     fn counter_created_mid_tick_reports_its_full_value() {
-        // A source registered between two ticks has no `prev` entry; its
+        // A counter created between two ticks has no `prev` entry; its
         // whole count is this interval's delta, not silently zero.
         let prev = snap(&[], &[]);
         let cur = snap(&[("live.born", 42)], &[("live.born_gauge", 7)]);

@@ -2,7 +2,7 @@
 //! `tspan` record vocabulary.
 //!
 //! Several of the structs a trace would naturally hang off are `Hash +
-//! Eq + Serialize` configs (`ExecConfig`, `CampaignConfig`) that cannot
+//! Eq` configs (`ExecConfig`, `CampaignConfig`) that cannot
 //! carry a recorder, and the `Engine` trait is object-safe with a fixed
 //! signature — so, like [`crate::MetricRegistry::global`], the span sink
 //! is process-global: `--trace-spans` installs the run's

@@ -25,7 +25,6 @@
 use bw_monitor::{BranchEvent, Violation, ViolationReport};
 use bw_telemetry::TelemetrySnapshot;
 use bw_ir::Val;
-use serde::{Deserialize, Serialize};
 
 use crate::image::ProgramImage;
 use crate::machine::MachineModel;
@@ -33,7 +32,7 @@ use crate::thread::{BranchHook, NoHook};
 use crate::trap::TrapKind;
 
 /// Which scheduler runs the program.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// The deterministic discrete-event simulator ([`SimEngine`]).
     Sim,
@@ -70,7 +69,7 @@ impl std::fmt::Display for EngineKind {
 }
 
 /// What the monitor does with events during a run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MonitorMode {
     /// Events are charged and checked (normal operation).
     Enabled,
@@ -83,7 +82,7 @@ pub enum MonitorMode {
 }
 
 /// How the program executes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ExecMode {
     /// Normal execution.
     Normal,
@@ -108,7 +107,7 @@ pub enum ExecMode {
 /// Scheduler-specific fields are ignored by the other scheduler and say so
 /// in their docs; the common subset (`nthreads`, `monitor`, `seed`,
 /// `max_steps`) means the same thing everywhere.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub struct ExecConfig {
     /// Number of SPMD threads.
@@ -253,7 +252,7 @@ impl ExecConfig {
 }
 
 /// How a run ended.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RunOutcome {
     /// All phases completed.
     Completed,

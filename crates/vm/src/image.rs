@@ -250,13 +250,7 @@ impl ProgramImage {
         timings.verify_us = t0.elapsed().as_micros() as u64;
 
         let t1 = std::time::Instant::now();
-        // Both paths are bitwise-identical in everything the plan reads;
-        // the SCC-parallel one drops the Table III trace, so the default
-        // stays sequential until a caller opts in.
-        let analysis = match config.analysis_workers {
-            Some(workers) => ModuleAnalysis::run_parallel(&module, workers),
-            None => ModuleAnalysis::run(&module),
-        };
+        let analysis = ModuleAnalysis::run(&module);
         timings.analyze_us = t1.elapsed().as_micros() as u64;
 
         let t2 = std::time::Instant::now();

@@ -1,10 +1,11 @@
 //! Live (process-cumulative) engine metrics for the global registry.
 //!
 //! Every engine run folds its headline [`crate::RunResult`] numbers into
-//! these statics when it finishes, so the sampler and the `/metrics`
-//! endpoint see events/sec and run throughput *across* runs — exactly
-//! what a campaign looks like from the outside: thousands of short runs
-//! whose individual snapshots never exist at the same time.
+//! the registry's `live.engine.*` counters when it finishes, so the
+//! sampler and the `/metrics` endpoint see events/sec and run throughput
+//! *across* runs — exactly what a campaign looks like from the outside:
+//! thousands of short runs whose individual snapshots never exist at the
+//! same time.
 //!
 //! The fold happens once per run (cold) with relaxed atomics, and the
 //! values flow only into the global [`MetricRegistry`] — never back into
@@ -12,50 +13,50 @@
 
 use std::sync::{Arc, OnceLock};
 
-use bw_telemetry::{Counter, MetricRegistry, MetricSource, TelemetrySnapshot};
+use bw_telemetry::{Counter, MetricRegistry};
 
 use crate::engine::{EngineKind, RunResult};
 
-static SIM_RUNS: Counter = Counter::new();
-static REAL_RUNS: Counter = Counter::new();
-static EVENTS_SENT: Counter = Counter::new();
-static EVENTS_PROCESSED: Counter = Counter::new();
-static TOTAL_STEPS: Counter = Counter::new();
-static VIOLATIONS: Counter = Counter::new();
-
-struct EngineLiveSource;
-
-impl MetricSource for EngineLiveSource {
-    fn collect(&self) -> TelemetrySnapshot {
-        let mut s = TelemetrySnapshot::new();
-        s.push_counter("live.engine.sim.runs", SIM_RUNS.get());
-        s.push_counter("live.engine.real.runs", REAL_RUNS.get());
-        s.push_counter("live.engine.events_sent", EVENTS_SENT.get());
-        s.push_counter("live.engine.events_processed", EVENTS_PROCESSED.get());
-        s.push_counter("live.engine.total_steps", TOTAL_STEPS.get());
-        s.push_counter("live.engine.violations", VIOLATIONS.get());
-        s
-    }
+/// The registry's `live.engine.*` counters, resolved on first use.
+struct Live {
+    sim_runs: Arc<Counter>,
+    real_runs: Arc<Counter>,
+    events_sent: Arc<Counter>,
+    events_processed: Arc<Counter>,
+    total_steps: Arc<Counter>,
+    violations: Arc<Counter>,
 }
 
-/// Folds one finished run into the live registry (registering the source
-/// on first use). A no-op without the `telemetry` feature.
+fn live() -> &'static Live {
+    static LIVE: OnceLock<Live> = OnceLock::new();
+    LIVE.get_or_init(|| {
+        let registry = MetricRegistry::global();
+        Live {
+            sim_runs: registry.counter("live.engine.sim.runs"),
+            real_runs: registry.counter("live.engine.real.runs"),
+            events_sent: registry.counter("live.engine.events_sent"),
+            events_processed: registry.counter("live.engine.events_processed"),
+            total_steps: registry.counter("live.engine.total_steps"),
+            violations: registry.counter("live.engine.violations"),
+        }
+    })
+}
+
+/// Folds one finished run into the live registry. A no-op without the
+/// `telemetry` feature.
 pub(crate) fn record_run(kind: EngineKind, result: &RunResult) {
     if !bw_telemetry::ENABLED {
         return;
     }
-    static ONCE: OnceLock<()> = OnceLock::new();
-    ONCE.get_or_init(|| {
-        MetricRegistry::global().register_source("engine.live", Arc::new(EngineLiveSource));
-    });
+    let live = live();
     match kind {
-        EngineKind::Sim => SIM_RUNS.inc(),
-        EngineKind::Real => REAL_RUNS.inc(),
+        EngineKind::Sim => live.sim_runs.inc(),
+        EngineKind::Real => live.real_runs.inc(),
     }
-    EVENTS_SENT.add(result.events_sent);
-    EVENTS_PROCESSED.add(result.events_processed);
-    TOTAL_STEPS.add(result.total_steps);
-    VIOLATIONS.add(result.violations.len() as u64);
+    live.events_sent.add(result.events_sent);
+    live.events_processed.add(result.events_processed);
+    live.total_steps.add(result.total_steps);
+    live.violations.add(result.violations.len() as u64);
 }
 
 #[cfg(test)]
@@ -76,7 +77,7 @@ mod tests {
             events_dropped: 0,
             branches_per_thread: Vec::new(),
             steps_per_thread: Vec::new(),
-            telemetry: TelemetrySnapshot::new(),
+            telemetry: bw_telemetry::TelemetrySnapshot::new(),
             branch_events: Vec::new(),
         };
         record_run(EngineKind::Sim, &result);

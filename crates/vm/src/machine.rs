@@ -19,10 +19,8 @@
 //!   of execution as threads are added, which is what amortizes the
 //!   instrumentation overhead at high thread counts (paper Figure 7).
 
-use serde::{Deserialize, Serialize};
-
 /// Cycle costs and topology of the simulated machine.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct MachineModel {
     /// Number of sockets (NUMA domains).
     pub sockets: u32,

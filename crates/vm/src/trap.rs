@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Why a thread aborted. Mirrors what the OS / hardware would deliver to a
 /// native program: segmentation faults for wild accesses, arithmetic
 /// exceptions, and explicit aborts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrapKind {
     /// Memory access outside its region (segfault-equivalent; region-based
     /// pointers make corrupted indices trap like OS page protection does).

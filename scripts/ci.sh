@@ -182,27 +182,24 @@ done
 wait "$metrics_pid"
 [ -n "$got_metrics" ] || { echo "metrics endpoint never served bw_ metrics" >&2; exit 1; }
 
-# Analysis-parity leg: the SCC-parallel similarity analysis is a
-# throughput knob, never a semantic one. `bw analyze` output (per-branch
-# categories, check plan, histogram) must be byte-identical between the
-# sequential oracle and the parallel path at 1 and 4 workers, on every
-# SPLASH port and on a seeded generated module.
-cargo run --release --quiet --bin bw -- gen --seed 0xb10c --max-stmts 120 \
-  --out "$tmpdir/gen.bwir"
-for target in splash:fft splash:fmm splash:radix splash:raytrace splash:water \
-    splash:ocean-contig splash:ocean-noncontig "$tmpdir/gen.bwir"; do
-  name="$(basename "$target" | tr ':' '_')"
-  cargo run --release --quiet --bin bw -- analyze "$target" \
-    > "$tmpdir/seq_$name.txt"
-  for workers in 1 4; do
-    cargo run --release --quiet --bin bw -- analyze "$target" \
-      --analysis-workers "$workers" > "$tmpdir/par_$name.txt"
-    diff "$tmpdir/seq_$name.txt" "$tmpdir/par_$name.txt"
-  done
-done
-# The deeper sweep (worker counts 1/2/4/8, 100+ fuzz seeds) runs in the
-# test suite: crates/core's `analysis_parity` integration tests.
-cargo test -q -p blockwatch --test analysis_parity
+# Leftover guard (PR 19 removed the SCC-parallel analysis, DESIGN §15).
+# Three symbols outlive it only because bwbench still calls them:
+# nobody in the workspace may re-adopt `ModuleAnalysis::run_parallel`,
+# `ModuleAnalysis::divergence` or `bw_ir::{ValueGraph, Condensation}`
+# (the definitions in analysis.rs / scc.rs and the `bw_ir` re-export are
+# the only matches allowed); the analysis — and with it `check_module` —
+# spawns no thread; and no manifest names serde again.
+if grep -rnE 'ModuleAnalysis::run_parallel|fn run_parallel\(module|ValueGraph|\.divergence\(' \
+    crates tests examples \
+  | grep -vE '^crates/ir/src/scc\.rs:|^crates/ir/src/lib\.rs:[0-9]+:pub use scc::|^crates/analysis/src/analysis\.rs:[0-9]+: *pub fn run_parallel\(module'; then
+  echo "ci: a leftover of the parallel analysis has a caller again" >&2; exit 1
+fi
+if grep -rnE 'std::thread|Condvar|std::sync::atomic' crates/analysis/src; then
+  echo "ci: bw-analysis must stay single-threaded" >&2; exit 1
+fi
+if grep -rn serde Cargo.toml crates/*/Cargo.toml; then
+  echo "ci: serde is back in a workspace manifest" >&2; exit 1
+fi
 
 # Benchmark gate: bwbench (benchmark/, its own workspace) must build
 # against this tree's public surface and reproduce its exact-count oracle

@@ -1,6 +1,7 @@
 //! The `bw` binary's argument handling, driven as a subprocess: the
-//! positional `<file>` is found wherever the flags are, and malformed
-//! numeric flag values are errors, never silent defaults.
+//! positional `<file>` is found wherever the flags are, malformed numeric
+//! flag values are errors, never silent defaults, and a flag the
+//! subcommand does not know is an error, never silently ignored.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -70,4 +71,119 @@ fn malformed_numeric_flags_are_errors_naming_flag_and_value() {
     }
     // Well-formed values, hex seeds included, still parse.
     assert!(bw(&["gen", "--seed", "0x1a", "--max-stmts", "8"]).status.success());
+}
+
+fn stdout(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+#[test]
+fn unknown_flags_are_errors_not_ignored() {
+    for (args, flag, command) in [
+        // A typo used to run at the default thread count and exit 0.
+        (&["run", "splash:fft", "--thread", "8"][..], "--thread", "run"),
+        // A flag removed in PR 19: a script still passing it must fail
+        // loudly, not run the one analysis in silence.
+        (&["analyze", "splash:fft", "--analysis-workers", "1"], "--analysis-workers", "analyze"),
+        // A real flag, on a subcommand that does not take it.
+        (&["analyze", "splash:fft", "--threads", "8"], "--threads", "analyze"),
+        (&["gen", "--seeds", "3"], "--seeds", "gen"),
+        (&["report", "--series", "x.jsonl"], "--series", "report"),
+    ] {
+        let out = bw(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "bw {args:?}: {err}");
+        assert!(
+            err.contains(&format!("unknown flag `{flag}` for `bw {command}`")),
+            "bw {args:?}: {err}"
+        );
+        assert!(err.contains("usage:"), "bw {args:?} does not print the usage: {err}");
+        assert!(out.stdout.is_empty(), "bw {args:?} ran anyway: {}", stdout(&out));
+    }
+    // A value flag with nothing after it is not its default.
+    let out = bw(&["run", "splash:fft", "--threads"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).contains("`--threads` needs a value"), "{}", stderr(&out));
+}
+
+#[test]
+fn help_after_any_subcommand_prints_the_usage() {
+    let usage = stdout(&bw(&["help"]));
+    assert!(usage.starts_with("usage:"), "{usage}");
+    // `bw fuzz --help` used to run a 100-seed fuzz session.
+    for args in [&["fuzz", "--help"][..], &["fuzz", "-h"], &["run", "splash:fft", "--help"]] {
+        let out = bw(args);
+        assert!(out.status.success(), "bw {args:?}: {}", stderr(&out));
+        assert_eq!(stdout(&out), usage, "bw {args:?}");
+    }
+}
+
+/// Every `[--flag]` / `[--flag VALUE]` in a subcommand's usage synopsis,
+/// as `(subcommand, flag, takes a value)`.
+fn flags_the_usage_names(usage: &str) -> Vec<(String, String, bool)> {
+    let mut named = Vec::new();
+    let mut command = String::new();
+    for line in usage.lines() {
+        if let Some(synopsis) = line.strip_prefix("  bw ") {
+            command = synopsis.split_whitespace().next().expect("a subcommand").to_string();
+        } else if line.trim().is_empty() {
+            command.clear(); // the paragraphs under the synopses
+        }
+        if command.is_empty() {
+            continue;
+        }
+        for bracket in line.split('[').skip(1) {
+            let inner = bracket.split(']').next().expect("text after `[`");
+            if inner.starts_with("--") {
+                let mut words = inner.split_whitespace();
+                let flag = words.next().expect("a flag").to_string();
+                named.push((command.clone(), flag, words.next().is_some()));
+            }
+        }
+    }
+    named
+}
+
+/// The usage text and the flag table cannot drift: every flag the usage
+/// lists under a subcommand is accepted by that subcommand (and `--size`,
+/// which the usage documents with `<file>`, by the four that load one).
+#[test]
+fn every_flag_the_usage_names_is_accepted_where_it_is_listed() {
+    let usage = stdout(&bw(&["help"]));
+    let mut named = flags_the_usage_names(&usage);
+    assert!(named.len() >= 40, "the usage parser lost the synopses: {named:?}");
+    assert!(named.contains(&("timeline".into(), "--chrome".into(), true)), "{named:?}");
+    assert!(named.contains(&("fuzz".into(), "--real-cross-check".into(), false)), "{named:?}");
+    for command in ["analyze", "run", "ir", "campaign"] {
+        named.push((command.into(), "--size".into(), true));
+    }
+
+    // Run from an empty scratch directory (`--out 1` and `--telemetry 1`
+    // create a file named `1`), on arguments that end every subcommand at
+    // once: a `<file>` that does not exist, or zero seeds. Whatever else
+    // the command then says, it must not be that the flag is unknown.
+    let scratch: PathBuf = [env!("CARGO_TARGET_TMPDIR"), "cli-usage-flags"].iter().collect();
+    std::fs::create_dir_all(&scratch).expect("scratch directory");
+    for (command, flag, valued) in named {
+        let mut args = vec![command.as_str()];
+        match command.as_str() {
+            "fuzz" => args.extend(["--seeds", "0"]),
+            "gen" => args.extend(["--max-stmts", "4"]),
+            _ => args.push("no-such-file"),
+        }
+        args.push(&flag);
+        if valued {
+            args.push("1");
+        }
+        let out = Command::new(env!("CARGO_BIN_EXE_bw"))
+            .args(&args)
+            .current_dir(&scratch)
+            .output()
+            .expect("bw runs");
+        let err = stderr(&out);
+        assert!(
+            !err.contains("unknown flag") && !err.contains("needs a value"),
+            "the usage lists `{flag}` under `bw {command}`, but: {err}"
+        );
+    }
 }
