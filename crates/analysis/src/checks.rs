@@ -30,13 +30,6 @@ pub struct AnalysisConfig {
     /// from the SPMD entry). Branches elsewhere run single-threaded and
     /// cannot be cross-checked.
     pub parallel_section_only: bool,
-    /// Check only one branch per distinct condition-data set — the paper's
-    /// Section VI overhead optimization ("there may be many branches that
-    /// depend on the same set of variables, and faults propagating to the
-    /// data will affect all of them. Therefore, it is sufficient to check
-    /// one of the branches"). Trades detection of pure branch-flip faults
-    /// on the skipped branches for fewer events; off by default.
-    pub dedup_checks: bool,
 }
 
 impl Default for AnalysisConfig {
@@ -46,7 +39,6 @@ impl Default for AnalysisConfig {
             critical_section_opt: true,
             max_loop_depth: 6,
             parallel_section_only: true,
-            dedup_checks: false,
         }
     }
 }
@@ -104,9 +96,6 @@ pub enum SkipReason {
     TooDeep,
     /// Inside a critical section.
     CriticalSection,
-    /// Another branch with the same condition-data set is already checked
-    /// (the Section VI deduplication optimization).
-    DuplicateWitness,
 }
 
 /// The instrumentation decision for one branch.
@@ -138,8 +127,6 @@ pub struct CheckPlan {
 impl CheckPlan {
     /// Builds the plan from an analysis result.
     pub fn build(module: &Module, analysis: &ModuleAnalysis, config: AnalysisConfig) -> CheckPlan {
-        let mut seen_witnesses: std::collections::HashSet<(u32, Vec<u64>)> =
-            std::collections::HashSet::new();
         let decisions = analysis
             .branches
             .iter()
@@ -159,15 +146,6 @@ impl CheckPlan {
                     c => c,
                 };
                 let (kind, witnesses) = derive_check(module, analysis, b.func, b.cond, effective);
-                if config.dedup_checks {
-                    let f = module.func(b.func);
-                    let mut key: Vec<u64> =
-                        witnesses.iter().map(|&v| condition_source_token(f, v)).collect();
-                    key.sort_unstable();
-                    if !seen_witnesses.insert((b.func.0, key)) {
-                        return Err(SkipReason::DuplicateWitness);
-                    }
-                }
                 Ok(BranchCheck { branch: b.id, effective_category: effective, kind, witnesses })
             })
             .collect();
@@ -322,35 +300,6 @@ fn is_direct_tid(f: &bw_ir::Function, value: ValueId) -> bool {
         Some(Op::AtomicFetchAdd { .. }) => true, // counter flag checked by category
         _ => false,
     }
-}
-
-/// Canonical token identifying the *source* of a condition-data value for
-/// the Section VI deduplication: two loads of the same global location are
-/// the same condition data ("branches that depend on the same set of
-/// variables") even though they are distinct SSA values.
-fn condition_source_token(f: &bw_ir::Function, value: ValueId) -> u64 {
-    let v = resolve_trivial(f, value);
-    if let Some(Op::Load { addr, .. }) = f.def_inst(v).map(|i| &i.op) {
-        let a = resolve_trivial(f, *addr);
-        match f.def_inst(a).map(|i| &i.op) {
-            // Scalar global load: token on the global id.
-            Some(Op::GlobalAddr(g)) => return 0x8000_0000_0000_0000 | u64::from(g.0),
-            // Constant-indexed array load: token on (global, offset).
-            Some(Op::Gep { base, offset }) => {
-                let base = resolve_trivial(f, *base);
-                let off = resolve_trivial(f, *offset);
-                if let (Some(Op::GlobalAddr(g)), Some(Op::Const(c))) = (
-                    f.def_inst(base).map(|i| &i.op),
-                    f.def_inst(off).map(|i| &i.op),
-                ) {
-                    let bits = c.bits() & 0x0fff_ffff;
-                    return 0xc000_0000_0000_0000 | (u64::from(g.0) << 28) | bits;
-                }
-            }
-            _ => {}
-        }
-    }
-    u64::from(v.0)
 }
 
 /// Resolves trivial phis (all non-self incomings are the same value), which

@@ -534,33 +534,3 @@ fn fixpoint_converges_quickly_on_all_examples() {
         assert!(analysis.iterations < 10, "took {} iterations", analysis.iterations);
     }
 }
-
-#[test]
-fn dedup_checks_keeps_one_branch_per_condition_set() {
-    // Two branches on the same shared variable: §VI says checking one is
-    // enough for data faults.
-    let (module, analysis) = analyze(
-        r#"
-        shared int n = 4;
-        @spmd func f() {
-            if (n > 2) { output(1); }
-            if (n > 3) { output(2); }
-            if (threadid() == 0) { output(3); }
-        }
-        "#,
-    );
-    let base = CheckPlan::build(&module, &analysis, AnalysisConfig::default());
-    assert_eq!(base.num_instrumented(), 3);
-
-    let dedup = CheckPlan::build(
-        &module,
-        &analysis,
-        AnalysisConfig { dedup_checks: true, ..AnalysisConfig::default() },
-    );
-    // The two `n` branches share their condition-data set; the threadID
-    // branch has a different (empty, constant-only → cond) witness set.
-    assert_eq!(dedup.num_instrumented(), 2);
-    assert!(dedup.decisions[0].is_ok());
-    assert!(matches!(dedup.decisions[1], Err(SkipReason::DuplicateWitness)));
-    assert!(dedup.decisions[2].is_ok());
-}

@@ -1,10 +1,8 @@
-//! Ablations over BLOCKWATCH's design knobs (Section III-A optimizations
-//! and the Section VI proposals):
+//! Ablations over BLOCKWATCH's design knobs (Section III-A optimizations):
 //!
 //! * promotion of `none` branches to `partial` grouping (coverage ↑, events ↑)
 //! * the critical-section optimization (events ↓, no coverage change)
 //! * the loop-nesting cutoff (raytrace's coverage loss)
-//! * check deduplication (events ↓, flip coverage ↓ — §VI proposal)
 //!
 //! Run with: `cargo run --release -p bw-bench --bin ablations [injections]`
 
@@ -32,7 +30,6 @@ fn variants() -> Vec<Variant> {
         Variant { name: "loop cutoff 2", config: AnalysisConfig { max_loop_depth: 2, ..base } },
         Variant { name: "loop cutoff 4", config: AnalysisConfig { max_loop_depth: 4, ..base } },
         Variant { name: "loop cutoff 8", config: AnalysisConfig { max_loop_depth: 8, ..base } },
-        Variant { name: "dedup checks (§VI)", config: AnalysisConfig { dedup_checks: true, ..base } },
     ]
 }
 

@@ -5,70 +5,12 @@
 //! threads (default: available parallelism); results are bitwise identical
 //! for any worker count.
 
-use blockwatch::reports::coverage_row_on;
-use blockwatch::{Benchmark, Blockwatch, FaultModel, Size};
-use bw_bench::{parse_injections, parse_workers, pct, render_table};
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let injections = parse_injections(&args, 1000);
-    let workers = parse_workers(&args);
-    let size = Size::Small;
-    println!("Figure 8: coverage under branch-flip faults ({injections} injections per cell)");
-    println!("(coverage = 1 - SDC fraction of activated faults; higher is better)");
-    println!();
-    // One prepared image per benchmark, shared by the 4- and 32-thread
-    // campaigns; golden runs are cached per configuration on each program.
-    let programs: Vec<(&str, Blockwatch)> = Benchmark::ALL
-        .iter()
-        .map(|&bench| {
-            let bw = Blockwatch::from_module(bench.module(size).expect("port compiles"))
-                .expect("port verifies");
-            (bench.name(), bw)
-        })
-        .collect();
-    for nthreads in [4u32, 32] {
-        let mut rows = Vec::new();
-        let mut orig_cov = Vec::new();
-        let mut prot_cov = Vec::new();
-        for (name, bw) in &programs {
-            let row = coverage_row_on(
-                bw,
-                name,
-                FaultModel::BranchFlip,
-                nthreads,
-                injections,
-                0xf168,
-                workers,
-            )
-            .expect("campaign runs");
-            orig_cov.push(row.coverage_original());
-            prot_cov.push(row.coverage_protected());
-            rows.push(vec![
-                row.name.clone(),
-                pct(row.coverage_original()),
-                pct(row.coverage_protected()),
-                row.protected.detected.to_string(),
-                row.protected.crashed.to_string(),
-                row.protected.hung.to_string(),
-                row.protected.masked.to_string(),
-                row.protected.sdc.to_string(),
-            ]);
-        }
-        println!("{nthreads} threads:");
-        println!(
-            "{}",
-            render_table(
-                &["benchmark", "original", "blockwatch", "det", "crash", "hang", "mask", "sdc"],
-                &rows
-            )
-        );
-        let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        println!(
-            "average: original {} -> blockwatch {}   (paper: 83% -> 97-98%)",
-            pct(avg(&orig_cov)),
-            pct(avg(&prot_cov))
-        );
-        println!();
-    }
+    bw_bench::coverage_figure(
+        "Figure 8: coverage under branch-flip faults",
+        Some("(coverage = 1 - SDC fraction of activated faults; higher is better)"),
+        blockwatch::FaultModel::BranchFlip,
+        0xf168,
+        "83% -> 97-98%",
+    );
 }

@@ -21,6 +21,9 @@
 
 use std::fmt::Write as _;
 
+use blockwatch::reports::coverage_row_on;
+use blockwatch::{Benchmark, Blockwatch, FaultModel, Size};
+
 /// Renders a simple aligned text table.
 pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
@@ -56,33 +59,103 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 
-/// Parses the leading positional injection count (e.g. `figure8 300`),
-/// falling back to `default` when absent or non-numeric.
-pub fn parse_injections(args: &[String], default: usize) -> usize {
-    let mut i = 0;
-    while i < args.len() {
-        // `--workers` consumes the next argument as its value.
-        if args[i] == "--workers" {
-            i += 2;
-            continue;
+/// Parses a coverage figure's arguments, `[injections] [--workers N]`, into
+/// `(injections, workers)`. Without a count it is `default_injections`;
+/// `--workers 0` — the default — means available parallelism.
+///
+/// # Errors
+///
+/// Names the argument when a count is not a number, `--workers` has no
+/// value, a flag is unknown or a second positional argument is given.
+pub fn parse_args(args: &[String], default_injections: usize) -> Result<(usize, usize), String> {
+    let (mut injections, mut workers) = (None, 0);
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if arg == "--workers" {
+            let value = args.next().ok_or("--workers needs a count")?;
+            workers =
+                value.parse().map_err(|_| format!("--workers needs a count, got `{value}`"))?;
+        } else if arg.starts_with("--") {
+            return Err(format!("unknown flag `{arg}`"));
+        } else {
+            let n = arg.parse().map_err(|_| format!("injections must be a count, got `{arg}`"))?;
+            if injections.replace(n).is_some() {
+                return Err(format!("unexpected argument `{arg}`"));
+            }
         }
-        if args[i].starts_with("--") {
-            i += 1;
-            continue;
-        }
-        return args[i].parse().unwrap_or(default);
     }
-    default
+    Ok((injections.unwrap_or(default_injections), workers))
 }
 
-/// Parses a `--workers N` flag (campaign worker threads); `0` — the
-/// default — means available parallelism.
-pub fn parse_workers(args: &[String]) -> usize {
-    args.iter()
-        .position(|a| a == "--workers")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
+/// The body of `figure8` and `figure9`: SDC coverage with and without
+/// BLOCKWATCH under `model` faults, at 4 and 32 threads, over every port.
+/// Reads `[injections] [--workers N]` from the command line and exits 1 on
+/// an argument it cannot use.
+pub fn coverage_figure(
+    title: &str,
+    legend: Option<&str>,
+    model: FaultModel,
+    seed: u64,
+    paper_note: &str,
+) {
+    let mut argv = std::env::args();
+    let bin = argv.next().unwrap_or_default();
+    let args: Vec<String> = argv.collect();
+    let (injections, workers) = parse_args(&args, 1000).unwrap_or_else(|e| {
+        eprintln!("error: {e}\nusage: {bin} [injections] [--workers N]");
+        std::process::exit(1);
+    });
+    println!("{title} ({injections} injections per cell)");
+    if let Some(legend) = legend {
+        println!("{legend}");
+    }
+    println!();
+    // One prepared image per benchmark, shared by the 4- and 32-thread
+    // campaigns; golden runs are cached per configuration on each program.
+    let programs: Vec<(&str, Blockwatch)> = Benchmark::ALL
+        .iter()
+        .map(|&bench| {
+            let bw = Blockwatch::from_module(bench.module(Size::Small).expect("port compiles"))
+                .expect("port verifies");
+            (bench.name(), bw)
+        })
+        .collect();
+    for nthreads in [4u32, 32] {
+        let mut rows = Vec::new();
+        let mut orig_cov = Vec::new();
+        let mut prot_cov = Vec::new();
+        for (name, bw) in &programs {
+            let row = coverage_row_on(bw, name, model, nthreads, injections, seed, workers)
+                .expect("campaign runs");
+            orig_cov.push(row.coverage_original());
+            prot_cov.push(row.coverage_protected());
+            rows.push(vec![
+                row.name.clone(),
+                pct(row.coverage_original()),
+                pct(row.coverage_protected()),
+                row.protected.detected.to_string(),
+                row.protected.crashed.to_string(),
+                row.protected.hung.to_string(),
+                row.protected.masked.to_string(),
+                row.protected.sdc.to_string(),
+            ]);
+        }
+        println!("{nthreads} threads:");
+        println!(
+            "{}",
+            render_table(
+                &["benchmark", "original", "blockwatch", "det", "crash", "hang", "mask", "sdc"],
+                &rows
+            )
+        );
+        let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+        println!(
+            "average: original {} -> blockwatch {}   (paper: {paper_note})",
+            pct(avg(&orig_cov)),
+            pct(avg(&prot_cov))
+        );
+        println!();
+    }
 }
 
 #[cfg(test)]
@@ -104,13 +177,35 @@ mod tests {
         assert_eq!(pct(0.975), "97.5%");
     }
 
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn parses_campaign_args() {
-        let args: Vec<String> =
-            ["--workers", "3", "250"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(parse_workers(&args), 3);
-        assert_eq!(parse_injections(&args, 100), 250);
-        assert_eq!(parse_injections(&[], 100), 100);
-        assert_eq!(parse_workers(&[]), 0);
+        assert_eq!(parse_args(&args(&["--workers", "3", "250"]), 100), Ok((250, 3)));
+        assert_eq!(parse_args(&args(&["40", "--workers", "4"]), 100), Ok((40, 4)));
+        assert_eq!(parse_args(&[], 100), Ok((100, 0)));
+    }
+
+    #[test]
+    fn a_count_that_is_not_a_number_is_rejected() {
+        // `figure8 30O` used to run the default 1,000 injections per cell.
+        let err = parse_args(&args(&["30O"]), 1000).unwrap_err();
+        assert!(err.contains("`30O`"), "{err}");
+        assert!(parse_args(&args(&["40", "50"]), 1000).is_err());
+    }
+
+    #[test]
+    fn workers_without_a_count_is_rejected() {
+        assert!(parse_args(&args(&["40", "--workers"]), 1000).unwrap_err().contains("--workers"));
+        let err = parse_args(&args(&["--workers", "four"]), 1000).unwrap_err();
+        assert!(err.contains("--workers") && err.contains("`four`"), "{err}");
+    }
+
+    #[test]
+    fn an_unknown_flag_is_rejected() {
+        let err = parse_args(&args(&["40", "--worker", "4"]), 1000).unwrap_err();
+        assert!(err.contains("`--worker`"), "{err}");
     }
 }

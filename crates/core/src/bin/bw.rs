@@ -234,12 +234,6 @@ fn start_observability(
         let Some(recorder) = recorder else {
             return Err("--sample-interval-ms needs --telemetry to give the samples a file".into());
         };
-        if !blockwatch::telemetry::ENABLED {
-            eprintln!(
-                "warning: built without the `telemetry` feature; \
-                 --sample-interval-ms records nothing"
-            );
-        }
         obs.sampler = Some(Sampler::start(
             MetricRegistry::global(),
             Arc::clone(recorder) as Arc<dyn Recorder>,
@@ -287,9 +281,6 @@ fn trace_spans_guard(
     let Some(recorder) = recorder else {
         return Err("--trace-spans needs --telemetry to give the spans a file".into());
     };
-    if !blockwatch::telemetry::ENABLED {
-        eprintln!("warning: built without the `telemetry` feature; --trace-spans records nothing");
-    }
     Ok(Some(TraceGuard::install(recorder)))
 }
 

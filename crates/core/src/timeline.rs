@@ -21,9 +21,8 @@
 //!   way deviant branch outcomes do in the monitor.
 //!
 //! Everything here is a pure function of the trace text: nothing
-//! executes programs, so the module works identically with the
-//! `telemetry` feature on or off (an untraced build just has no `tspan`
-//! records to parse).
+//! executes programs (an untraced run just has no `tspan` records to
+//! parse).
 
 use bw_telemetry::{write_json_object, Value};
 

@@ -25,7 +25,7 @@
 
 use std::sync::Arc;
 
-use bw_telemetry::{tm_span, Recorder, Value, NULL_RECORDER};
+use bw_telemetry::{Recorder, Span, Value, NULL_RECORDER};
 use bw_vm::{engine, ProgramImage, RunResult};
 
 use crate::campaign::{
@@ -130,7 +130,7 @@ impl CampaignBatch {
         // Stage 1 (per image): golden run, validation, plan derivation.
         // Goldens run sequentially — they are few and the deterministic
         // engine is single-threaded anyway.
-        let span = tm_span!(recorder, "batch.prepare");
+        let span = Span::enter(recorder, "batch.prepare");
         let goldens: Vec<Option<RunResult>> = self
             .items
             .iter()
@@ -159,14 +159,14 @@ impl CampaignBatch {
         ]);
 
         // Stage 2: one pool over all images, the campaign engine's own.
-        let span = tm_span!(recorder, "batch.execute");
+        let span = Span::enter(recorder, "batch.execute");
         let worker_stats = run_pool(&jobs, self.workers, recorder);
         span.finish(&[("workers", Value::from(worker_stats.len()))]);
 
         // Stage 3 (per image): the same index-order reduce as the
         // single-image engine; the jobs are in push order, so each image
         // that was not refused takes the next one.
-        let span = tm_span!(recorder, "batch.reduce");
+        let span = Span::enter(recorder, "batch.reduce");
         let mut reduced = jobs.into_iter().map(|job| job.reduce(worker_stats.len(), Vec::new()));
         let results: Vec<Result<CampaignResult, CampaignError>> = refused
             .into_iter()

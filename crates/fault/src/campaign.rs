@@ -30,8 +30,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use bw_telemetry::{
-    tm_observe, tm_span, Histogram, Recorder, TelemetrySnapshot, TimeDomain, TraceScope,
-    Value, NULL_RECORDER,
+    Histogram, Recorder, Span, TelemetrySnapshot, TimeDomain, TraceScope, Value, NULL_RECORDER,
 };
 use bw_monitor::ViolationReport;
 use bw_vm::{
@@ -409,8 +408,8 @@ pub struct CampaignResult {
     /// based, hence nondeterministic (see [`WorkerStats`]).
     pub worker_stats: Vec<WorkerStats>,
     /// Telemetry: deterministic `campaign.*` outcome counters, the golden
-    /// run's instruments under a `golden.` prefix, and (with the
-    /// `telemetry` feature) wall-time histograms.
+    /// run's instruments under a `golden.` prefix, and wall-time
+    /// histograms.
     pub telemetry: TelemetrySnapshot,
 }
 
@@ -635,12 +634,8 @@ struct CampaignLive {
 
 impl CampaignLive {
     /// Resolves the handles (cold: once per pool) and accounts the new
-    /// plans into `live.campaign.planned`. `None` when telemetry is
-    /// compiled out.
-    fn resolve(planned: usize) -> Option<CampaignLive> {
-        if !bw_telemetry::ENABLED {
-            return None;
-        }
+    /// plans into `live.campaign.planned`.
+    fn resolve(planned: usize) -> CampaignLive {
         let registry = bw_telemetry::MetricRegistry::global();
         let live = CampaignLive {
             planned: registry.counter("live.campaign.planned"),
@@ -649,7 +644,7 @@ impl CampaignLive {
             injection_us: registry.histogram("live.campaign.injection_us"),
         };
         live.planned.add(planned as u64);
-        Some(live)
+        live
     }
 }
 
@@ -773,59 +768,55 @@ impl<'a> CampaignJob<'a> {
         let outcome = record.outcome;
         worker.stats.injections += 1;
         worker.stats.busy_us += run_us;
-        tm_observe!(self.inj_hist, run_us);
-        if let Some(live) = worker.live {
-            live.completed.inc();
-            if outcome == FaultOutcome::Detected {
-                live.detected.inc();
-            }
-            live.injection_us.observe(run_us);
+        self.inj_hist.observe(run_us);
+        worker.live.completed.inc();
+        if outcome == FaultOutcome::Detected {
+            worker.live.detected.inc();
         }
-        if bw_telemetry::ENABLED {
+        worker.live.injection_us.observe(run_us);
+        self.emit(
+            worker.recorder,
+            "injection",
+            &[
+                ("index", Value::from(index)),
+                ("worker", Value::from(worker.stats.worker)),
+                ("outcome", Value::from(outcome.name())),
+                (
+                    "branch",
+                    Value::from(record.branch.map_or_else(|| "-".to_string(), |b| b.to_string())),
+                ),
+                ("category", Value::from(injection_category(self.image, record.branch))),
+                ("dur_us", Value::from(run_us)),
+            ],
+        );
+        if let Some(report) = record.report.as_deref() {
             self.emit(
                 worker.recorder,
-                "injection",
+                "violation",
                 &[
                     ("index", Value::from(index)),
-                    ("worker", Value::from(worker.stats.worker)),
-                    ("outcome", Value::from(outcome.name())),
+                    ("branch", Value::from(report.violation.branch)),
+                    ("site", Value::from(report.violation.site)),
+                    ("iter", Value::from(report.violation.iter)),
+                    ("kind", Value::from(bw_monitor::kind_name(report.violation.kind))),
+                    ("category", Value::from(report.category())),
+                    ("predicted", Value::from(report.predicted())),
+                    ("reporters", Value::from(report.violation.reporters)),
+                    ("detected_seq", Value::from(report.detected_seq)),
                     (
-                        "branch",
-                        Value::from(record.branch.map_or_else(|| "-".to_string(), |b| b.to_string())),
+                        "latency",
+                        Value::from(
+                            report
+                                .detection_latency
+                                .map_or_else(|| "?".to_string(), |l| l.to_string()),
+                        ),
                     ),
-                    ("category", Value::from(injection_category(self.image, record.branch))),
-                    ("dur_us", Value::from(run_us)),
+                    ("observed", Value::from(report.observed_field())),
+                    ("deviants", Value::from(report.deviants_field())),
+                    ("majority", Value::from(report.majority_field())),
+                    ("window", Value::from(report.window_field())),
                 ],
             );
-            if let Some(report) = record.report.as_deref() {
-                self.emit(
-                    worker.recorder,
-                    "violation",
-                    &[
-                        ("index", Value::from(index)),
-                        ("branch", Value::from(report.violation.branch)),
-                        ("site", Value::from(report.violation.site)),
-                        ("iter", Value::from(report.violation.iter)),
-                        ("kind", Value::from(bw_monitor::kind_name(report.violation.kind))),
-                        ("category", Value::from(report.category())),
-                        ("predicted", Value::from(report.predicted())),
-                        ("reporters", Value::from(report.violation.reporters)),
-                        ("detected_seq", Value::from(report.detected_seq)),
-                        (
-                            "latency",
-                            Value::from(
-                                report
-                                    .detection_latency
-                                    .map_or_else(|| "?".to_string(), |l| l.to_string()),
-                            ),
-                        ),
-                        ("observed", Value::from(report.observed_field())),
-                        ("deviants", Value::from(report.deviants_field())),
-                        ("majority", Value::from(report.majority_field())),
-                        ("window", Value::from(report.window_field())),
-                    ],
-                );
-            }
         }
         {
             let mut counts = self.live_counts.lock().unwrap();
@@ -870,7 +861,7 @@ impl<'a> CampaignJob<'a> {
 /// One pool worker: its statistics and the sinks its injections report to.
 struct Worker<'a> {
     stats: WorkerStats,
-    live: Option<&'a CampaignLive>,
+    live: &'a CampaignLive,
     recorder: &'a dyn Recorder,
 }
 
@@ -995,8 +986,7 @@ pub(crate) fn run_pool(
     // A campaign too short to give every worker a full window is cut into
     // shorter ones: a fork saves half a run, an idle worker a whole one.
     let window = WINDOW.min(planned.div_ceil(nworkers)).max(1);
-    let live = CampaignLive::resolve(planned);
-    let live = live.as_ref();
+    let live = &CampaignLive::resolve(planned);
     // The first job that may still have unclaimed windows; workers advance
     // it (compare-exchange, so exactly one advance per exhausted job).
     let cursor = AtomicUsize::new(0);
@@ -1043,9 +1033,6 @@ pub(crate) fn run_pool(
 
 /// Writes one `worker` record per pool worker.
 pub(crate) fn record_workers(recorder: &dyn Recorder, worker_stats: &[WorkerStats]) {
-    if !bw_telemetry::ENABLED {
-        return;
-    }
     for stats in worker_stats {
         recorder.record(
             "worker",
@@ -1120,8 +1107,7 @@ pub fn run_campaign(
 /// spans (`campaign.plan`, `campaign.execute`, `campaign.reduce`), one
 /// `injection` event per experiment and one `worker` event per worker:
 /// pass [`bw_telemetry::JsonlRecorder`] to capture a JSONL trace, or
-/// [`NULL_RECORDER`] for none. Without the `telemetry` feature no events
-/// are emitted at all.
+/// [`NULL_RECORDER`] for none.
 pub fn run_campaign_with_golden_recorded(
     image: &ProgramImage,
     config: &CampaignConfig,
@@ -1129,13 +1115,13 @@ pub fn run_campaign_with_golden_recorded(
     progress: Option<&ProgressFn<'_>>,
     recorder: &dyn Recorder,
 ) -> Result<CampaignResult, CampaignError> {
-    let span = tm_span!(recorder, "campaign.plan");
+    let span = Span::enter(recorder, "campaign.plan");
     let stage_start = bw_telemetry::wall_now_us();
     let job = CampaignJob::new(None, image, config, golden, progress)?;
     trace_stage("campaign.plan", stage_start, &[("injections", Value::from(job.planned()))]);
     span.finish(&[("injections", Value::from(job.planned()))]);
 
-    let span = tm_span!(recorder, "campaign.execute");
+    let span = Span::enter(recorder, "campaign.execute");
     let stage_start = bw_telemetry::wall_now_us();
     let worker_stats = run_pool(std::slice::from_ref(&job), config.workers, recorder);
     trace_stage(
@@ -1145,7 +1131,7 @@ pub fn run_campaign_with_golden_recorded(
     );
     span.finish(&[("workers", Value::from(worker_stats.len()))]);
 
-    let span = tm_span!(recorder, "campaign.reduce");
+    let span = Span::enter(recorder, "campaign.reduce");
     let stage_start = bw_telemetry::wall_now_us();
     let result = job.reduce(worker_stats.len(), worker_stats);
     trace_stage("campaign.reduce", stage_start, &[("records", Value::from(result.records.len()))]);

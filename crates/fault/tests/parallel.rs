@@ -213,9 +213,7 @@ fn windowed_campaigns_equal_the_plan_by_plan_reference() {
                     assert_payload(&result, &reference, &what);
                     let skipped: u64 = result.worker_stats.iter().map(|w| w.steps_skipped).sum();
                     assert!(size < W || skipped > 0, "{what}: nothing was forked");
-                    if bw_telemetry::ENABLED {
-                        assert!(trace.1.len() > size / 2, "{what}: injections leave spans");
-                    }
+                    assert!(trace.1.len() > size / 2, "{what}: injections leave spans");
                     assert_eq!(first.get_or_insert_with(|| trace.clone()), &trace, "{what}");
                 }
                 bw_telemetry::set_trace_sink(None);

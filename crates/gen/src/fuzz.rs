@@ -225,10 +225,9 @@ pub fn run_fuzz_recorded(config: &FuzzConfig, recorder: &dyn Recorder) -> FuzzRe
     // Live registry handles for the sampler / `/metrics` endpoint: seeds
     // swept and failures found so far. Cold per-seed updates, trace-side
     // only — the report stays a pure function of the configuration.
-    let live = bw_telemetry::ENABLED.then(|| {
-        let registry = bw_telemetry::MetricRegistry::global();
-        (registry.counter("live.fuzz.seeds"), registry.counter("live.fuzz.failures"))
-    });
+    let registry = bw_telemetry::MetricRegistry::global();
+    let live_seeds = registry.counter("live.fuzz.seeds");
+    let live_failures = registry.counter("live.fuzz.failures");
     // Generated programs index per-thread array slots by thread ID; make
     // sure they are sized for the largest swept thread count.
     let mut gen = config.gen;
@@ -238,9 +237,7 @@ pub fn run_fuzz_recorded(config: &FuzzConfig, recorder: &dyn Recorder) -> FuzzRe
     for seed in config.start_seed..config.start_seed.saturating_add(config.seeds) {
         let module = generate_module(seed, &gen);
         report.seeds_run += 1;
-        if let Some((seeds, _)) = &live {
-            seeds.inc();
-        }
+        live_seeds.inc();
         match check_module_cross(&module, &config.threads, seed, config.real_cross_check) {
             Ok(stats) => {
                 recorder.record(
@@ -257,9 +254,7 @@ pub fn run_fuzz_recorded(config: &FuzzConfig, recorder: &dyn Recorder) -> FuzzRe
                 }
             }
             Err(failure) => {
-                if let Some((_, failures)) = &live {
-                    failures.inc();
-                }
+                live_failures.inc();
                 recorder.record(
                     "fuzz.seed",
                     &[

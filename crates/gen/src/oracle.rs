@@ -370,8 +370,7 @@ pub fn check_image_cross(
         // span tracer activates, and nothing deterministic may change. The
         // discarding sink exercises the instrumentation without a file; the
         // previous sink (the CLI may have installed one for the whole fuzz
-        // session) is restored afterwards. Without the `telemetry` feature
-        // the sink never installs and this leg doubles as a repeat run.
+        // session) is restored afterwards.
         {
             let prev = bw_telemetry::trace_sink();
             bw_telemetry::set_trace_sink(Some(std::sync::Arc::new(bw_telemetry::NullRecorder)));

@@ -24,33 +24,25 @@ fn events_dropped() -> &'static Counter {
 }
 
 /// Makes the monitor's live metrics visible (at zero) in the global
-/// registry. Idempotent; a no-op without the `telemetry` feature.
+/// registry. Idempotent.
 pub(crate) fn register() {
-    if bw_telemetry::ENABLED {
-        events_dropped();
-    }
+    events_dropped();
 }
 
 /// Counts one sender-side dropped event (cold path: queue overflow).
 #[inline]
 pub(crate) fn record_dropped_event() {
-    if bw_telemetry::ENABLED {
-        events_dropped().inc();
-    }
+    events_dropped().inc();
 }
 
 /// The live handles a shard worker updates per drain sweep: cumulative
 /// events processed and current total queue depth for shard `shard`.
-/// `None` without the `telemetry` feature.
-pub(crate) fn shard_handles(shard: usize) -> Option<(Arc<Counter>, Arc<Gauge>)> {
-    if !bw_telemetry::ENABLED {
-        return None;
-    }
+pub(crate) fn shard_handles(shard: usize) -> (Arc<Counter>, Arc<Gauge>) {
     let registry = MetricRegistry::global();
-    Some((
+    (
         registry.counter(&format!("live.monitor.shard.{shard}.events_processed")),
         registry.gauge(&format!("live.monitor.shard.{shard}.queue_depth")),
-    ))
+    )
 }
 
 #[cfg(test)]
@@ -63,15 +55,6 @@ mod tests {
         let dropped = || MetricRegistry::global().snapshot().counter("live.monitor.events_dropped");
         let before = dropped();
         record_dropped_event();
-        if bw_telemetry::ENABLED {
-            assert!(dropped() > before, "{:?} after {before:?}", dropped());
-        } else {
-            assert_eq!(dropped(), None);
-        }
-    }
-
-    #[test]
-    fn shard_handles_match_the_feature() {
-        assert_eq!(shard_handles(0).is_some(), bw_telemetry::ENABLED);
+        assert!(dropped() > before, "{:?} after {before:?}", dropped());
     }
 }

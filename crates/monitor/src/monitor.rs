@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bw_analysis::{CheckKind, CheckPlan};
-use bw_telemetry::{tm_add, tm_gauge_max, tm_inc, TelemetrySnapshot};
+use bw_telemetry::TelemetrySnapshot;
 
 use crate::checker::{check_instance, Report, ViolationKind};
 use crate::event::BranchEvent;
@@ -132,7 +132,7 @@ impl Monitor {
             scratch: Vec::new(),
             events_processed: 0,
             events_dropped: 0,
-            telemetry: MonitorTelemetry::new(),
+            telemetry: MonitorTelemetry::default(),
         }
     }
 
@@ -163,16 +163,18 @@ impl Monitor {
             self.check(kind, event.branch, event.site, event.iter, &reports);
             self.scratch = reports;
         }
-        tm_gauge_max!(self.telemetry.pending_high_water, self.table.len());
+        self.telemetry.pending_high_water =
+            self.telemetry.pending_high_water.max(self.table.len() as u64);
     }
 
     /// Checks every instance that has not reached `nthreads` reporters
     /// (executed at the end of the parallel phase). Returns the total number
     /// of violations found so far.
     pub fn flush(&mut self) -> usize {
-        tm_inc!(self.telemetry.flush_calls);
-        tm_add!(self.telemetry.flush_batch_total, self.table.len());
-        tm_gauge_max!(self.telemetry.flush_batch_max, self.table.len());
+        let batch = self.table.len() as u64;
+        self.telemetry.flush_calls += 1;
+        self.telemetry.flush_batch_total += batch;
+        self.telemetry.flush_batch_max = self.telemetry.flush_batch_max.max(batch);
         // All of them leave the table at once: a report built below finds
         // no backlog at its site.
         self.recorder.clear_pending();
@@ -202,7 +204,7 @@ impl Monitor {
     /// completed the instance, at a flush the last the site received.
     fn check(&mut self, kind: CheckKind, branch: u32, site: u64, iter: u64, reports: &[Report]) {
         if let Err(vk) = check_instance(kind, reports) {
-            tm_inc!(self.telemetry.violations_for(kind));
+            *self.telemetry.violations_for(kind) += 1;
             let violation = Violation {
                 branch,
                 site,
@@ -270,9 +272,15 @@ impl Monitor {
         self.events_dropped += n;
     }
 
-    /// The monitor's live instruments.
+    /// The monitor's instruments.
     pub fn telemetry(&self) -> &MonitorTelemetry {
         &self.telemetry
+    }
+
+    /// The instruments, for the owner to set `queue_high_water` (only the
+    /// thread draining the queues sees their occupancy).
+    pub fn telemetry_mut(&mut self) -> &mut MonitorTelemetry {
+        &mut self.telemetry
     }
 
     /// Decomposes the monitor into its owned verdict lists (used by the

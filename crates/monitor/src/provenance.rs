@@ -11,12 +11,15 @@
 //! Every detection then ships with the evidence that produced it — no
 //! re-execution needed.
 //!
-//! Recording is gated on the `provenance` cargo feature exactly like the
-//! `tm_*!` telemetry macros: with the feature off, [`FlightRecorder`] is a
+//! Recording is gated on the `provenance` cargo feature — the workspace's
+//! one build switch: with the feature off, [`FlightRecorder`] is a
 //! zero-sized type whose methods compile to nothing, and no report is ever
 //! allocated. The [`ViolationReport`] *type* always compiles so downstream
 //! structs ([`bw_vm::RunResult`]-style carriers) keep one shape in both
-//! configurations.
+//! configurations. Compiled in, the ring is written for every event to
+//! explain a violation a fault-free run never has: half of `Monitor::
+//! process` on `monitor-replay` (EXPERIMENTS.md, "What the two cargo
+//! features cost").
 //!
 //! [`bw_vm::RunResult`]: https://docs.rs/bw-vm
 
@@ -345,8 +348,7 @@ pub const PROVENANCE_ENABLED: bool = cfg!(feature = "provenance");
 /// nothing per site and costs one probe per event.
 ///
 /// With the `provenance` feature off this is a zero-sized type and
-/// recording compiles to nothing — the hot path pays nothing, exactly like
-/// the `tm_*!` macros.
+/// recording compiles to nothing — the hot path pays nothing.
 #[cfg(feature = "provenance")]
 #[derive(Debug)]
 pub struct FlightRecorder {

@@ -7,7 +7,7 @@
 //! they share `(branch, site)`, so the key space can be partitioned across
 //! independent workers with **no cross-shard coordination at all**. Each
 //! shard owns its own pending-instance table, checker, and
-//! (feature-gated) flight recorder; producers route every event to the
+//! (`provenance`-gated) flight recorder; producers route every event to the
 //! owning shard's SPSC queue ([`shard_of`]), and shards drain in batches
 //! ([`crate::Consumer::pop_batch`]) to amortize per-event synchronization.
 //!
@@ -22,7 +22,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bw_telemetry::{tm_gauge_max, TimeDomain, Value};
+use bw_telemetry::{TimeDomain, Value};
 
 use crate::event::{hash_words, BranchEvent};
 use crate::monitor::{CheckTable, Monitor};
@@ -212,7 +212,10 @@ fn shard_worker(
 ) -> Monitor {
     let mut monitor = Monitor::new(checks, nthreads);
     let mut batch: Vec<BranchEvent> = Vec::with_capacity(DRAIN_BATCH);
-    let live = crate::live::shard_handles(shard);
+    let (live_events, live_depth) = crate::live::shard_handles(shard);
+    // Only this thread sees the queues' occupancy; the monitor gets the
+    // mark once, before it is handed back.
+    let mut queue_high_water = 0usize;
     // Span tracing (`--trace-spans`): this shard's lane records
     // queue-wait gaps (idle, nothing to drain) and flush-batch spans
     // (one drain sweep that moved events), wall-clock, observability
@@ -228,7 +231,7 @@ fn shard_worker(
         for q in queues {
             let qlen = q.len();
             depth += qlen;
-            tm_gauge_max!(monitor.telemetry().queue_high_water, qlen);
+            queue_high_water = queue_high_water.max(qlen);
             loop {
                 let n = q.pop_batch(&mut batch, DRAIN_BATCH);
                 if n == 0 {
@@ -241,12 +244,10 @@ fn shard_worker(
                 }
             }
         }
-        if let Some((events, queue_depth)) = &live {
-            if processed > 0 {
-                events.add(processed);
-            }
-            queue_depth.set(depth as u64);
+        if processed > 0 {
+            live_events.add(processed);
         }
+        live_depth.set(depth as u64);
         if let Some(sink) = tracer.as_ref() {
             let start = sweep_start.expect("sweep start stamped when tracing");
             if drained_any {
@@ -288,7 +289,7 @@ fn shard_worker(
     let final_start = tracer.as_ref().map(|_| bw_telemetry::wall_now_us());
     let mut tail = 0u64;
     for q in queues {
-        tm_gauge_max!(monitor.telemetry().queue_high_water, q.len());
+        queue_high_water = queue_high_water.max(q.len());
         loop {
             let n = q.pop_batch(&mut batch, DRAIN_BATCH);
             if n == 0 {
@@ -300,12 +301,11 @@ fn shard_worker(
             }
         }
     }
-    if let Some((events, queue_depth)) = &live {
-        if tail > 0 {
-            events.add(tail);
-        }
-        queue_depth.set(0);
+    if tail > 0 {
+        live_events.add(tail);
     }
+    live_depth.set(0);
+    monitor.telemetry_mut().queue_high_water = queue_high_water as u64;
     monitor.flush();
     if let Some(sink) = tracer.as_ref() {
         let start = final_start.expect("final sweep stamped when tracing");

@@ -98,7 +98,7 @@ impl MonitorVerdict {
                 );
                 telemetry.push_gauge(
                     format!("monitor.shard.{i}.queue_high_water"),
-                    monitor.telemetry().queue_high_water.get(),
+                    monitor.telemetry().queue_high_water,
                 );
             }
             let (v, r) = monitor.into_results();

@@ -12,7 +12,7 @@ use bw_monitor::{
     check_instance, BranchEvent, CheckTable, MonitorTelemetry, Report, Violation, ViolationReport,
     WindowEntry,
 };
-use bw_telemetry::{tm_add, tm_gauge_max, tm_inc, TelemetrySnapshot};
+use bw_telemetry::TelemetrySnapshot;
 
 /// The two-level table: level 1 by `(branch, site)`, level 2 by `iter`.
 #[derive(Default)]
@@ -129,7 +129,7 @@ impl RefMonitor {
                 capacity: window_capacity(nthreads),
             },
             events_processed: 0,
-            telemetry: MonitorTelemetry::new(),
+            telemetry: MonitorTelemetry::default(),
         }
     }
 
@@ -149,14 +149,16 @@ impl RefMonitor {
         if let Some(reports) = self.table.record(branch, site, iter, report, self.nthreads) {
             self.check(kind, branch, site, iter, &reports, site_seq);
         }
-        tm_gauge_max!(self.telemetry.pending_high_water, self.table.len);
+        self.telemetry.pending_high_water =
+            self.telemetry.pending_high_water.max(self.table.len as u64);
     }
 
     pub fn flush(&mut self) -> usize {
         let pending = self.table.drain_pending();
-        tm_inc!(self.telemetry.flush_calls);
-        tm_add!(self.telemetry.flush_batch_total, pending.len());
-        tm_gauge_max!(self.telemetry.flush_batch_max, pending.len());
+        let batch = pending.len() as u64;
+        self.telemetry.flush_calls += 1;
+        self.telemetry.flush_batch_total += batch;
+        self.telemetry.flush_batch_max = self.telemetry.flush_batch_max.max(batch);
         for (branch, site, iter, reports) in pending {
             if let Some(kind) = self.checks.kind(branch) {
                 let site_seq = self.recorder.site_seq(branch, site);
@@ -176,7 +178,7 @@ impl RefMonitor {
         detected_seq: u64,
     ) {
         if let Err(vk) = check_instance(kind, reports) {
-            tm_inc!(self.telemetry.violations_for(kind));
+            *self.telemetry.violations_for(kind) += 1;
             let reporters = reports.len() as u32;
             let violation = Violation { branch, site, iter, kind: vk, reporters };
             self.violations.push(violation);

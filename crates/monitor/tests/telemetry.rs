@@ -6,11 +6,6 @@
 //! * sender-side drop counts survive the sender (the `EventSender` drop
 //!   aggregation bugfix) and surface on the joined monitor, one shard
 //!   and several.
-//!
-//! All strict value assertions are conditioned on the `telemetry` feature
-//! (without it the gated instruments legitimately read zero); the
-//! drop-count aggregation is correctness data and is asserted
-//! unconditionally.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -19,8 +14,6 @@ use bw_analysis::CheckKind;
 use bw_monitor::{
     shard_of, spsc_queue, BranchEvent, CheckTable, EventSender, Monitor, ShardedMonitorThread,
 };
-
-const TELEMETRY: bool = cfg!(feature = "telemetry");
 
 fn checks() -> CheckTable {
     CheckTable::from_kinds(vec![Some(CheckKind::SharedUniform)])
@@ -44,21 +37,17 @@ fn pending_high_water_is_monotone_and_bounded() {
         for t in 0..3u32 {
             m.process(ev(t, iter, iter));
             fed += 1;
-            let hw = m.telemetry().pending_high_water.get();
+            let hw = m.telemetry().pending_high_water;
             assert!(hw >= last_high_water, "high water went backwards");
             assert!(hw <= fed, "high water {hw} exceeds events processed {fed}");
             last_high_water = hw;
         }
     }
     assert_eq!(m.events_processed(), fed);
-    if TELEMETRY {
-        // Every instance stays pending, so the mark must have reached the
-        // full instance count.
-        assert_eq!(last_high_water, 50);
-        assert_eq!(m.pending_instances(), 50);
-    } else {
-        assert_eq!(last_high_water, 0);
-    }
+    // Every instance stays pending, so the mark must have reached the
+    // full instance count.
+    assert_eq!(last_high_water, 50);
+    assert_eq!(m.pending_instances(), 50);
 }
 
 /// `flush` accounting agrees with what it drained, and drained instances
@@ -83,22 +72,17 @@ fn flush_batches_match_drained_instances() {
     m.flush();
     assert_eq!(m.pending_instances(), 0);
     let t = m.telemetry();
-    if TELEMETRY {
-        assert_eq!(t.flush_calls.get(), 1);
-        assert_eq!(t.flush_batch_total.get(), pending_before);
-        assert_eq!(t.flush_batch_max.get(), pending_before);
-        // Flushed instances can never outnumber processed events.
-        assert!(t.flush_batch_total.get() <= m.events_processed());
-        // A second flush with nothing pending adds an empty batch.
-        let total_before = t.flush_batch_total.get();
-        m.flush();
-        let t = m.telemetry();
-        assert_eq!(t.flush_calls.get(), 2);
-        assert_eq!(t.flush_batch_total.get(), total_before);
-    } else {
-        assert_eq!(t.flush_calls.get(), 0);
-        assert_eq!(t.flush_batch_total.get(), 0);
-    }
+    assert_eq!(t.flush_calls, 1);
+    assert_eq!(t.flush_batch_total, pending_before);
+    assert_eq!(t.flush_batch_max, pending_before);
+    // Flushed instances can never outnumber processed events.
+    assert!(t.flush_batch_total <= m.events_processed());
+    // A second flush with nothing pending adds an empty batch.
+    let total_before = t.flush_batch_total;
+    m.flush();
+    let t = m.telemetry();
+    assert_eq!(t.flush_calls, 2);
+    assert_eq!(t.flush_batch_total, total_before);
 }
 
 /// The monitor thread's queue high-water mark stays within the physical
@@ -137,12 +121,8 @@ fn queue_high_water_is_bounded_by_capacity() {
     let hw = verdict.telemetry.gauge("monitor.queue_high_water").unwrap_or(0);
     assert!(hw <= capacity as u64, "high water {hw} exceeds capacity {capacity}");
     assert!(hw <= verdict.events_processed);
-    if TELEMETRY {
-        // The queues were full before the monitor started draining.
-        assert_eq!(hw, capacity as u64);
-    } else {
-        assert_eq!(hw, 0);
-    }
+    // The queues were full before the monitor started draining.
+    assert_eq!(hw, capacity as u64);
 }
 
 /// Per-check-kind violation tallies agree with the violation list.
@@ -157,10 +137,8 @@ fn violation_tallies_match_violations() {
     }
     m.flush();
     assert_eq!(m.violations().len(), 4);
-    if TELEMETRY {
-        assert_eq!(m.telemetry().violations_shared_uniform.get(), 4);
-        assert_eq!(m.snapshot().counter("monitor.violations.shared_uniform"), Some(4));
-    }
+    assert_eq!(m.telemetry().violations_shared_uniform, 4);
+    assert_eq!(m.snapshot().counter("monitor.violations.shared_uniform"), Some(4));
     assert_eq!(m.snapshot().counter("monitor.violations"), Some(4));
 }
 

@@ -3,11 +3,9 @@
 //!
 //! All three types are plain shared-memory cells updated with
 //! `Ordering::Relaxed`: no update ever synchronizes with another, so a
-//! recording site costs one uncontended atomic RMW (or less — see the
-//! `tm_*` macros, which compile to nothing without the `telemetry`
-//! feature). Reads are racy by design; a snapshot taken while writers are
-//! live is a consistent-enough diagnostic, and a snapshot taken after the
-//! writers joined is exact.
+//! recording site costs one uncontended atomic RMW. Reads are racy by
+//! design; a snapshot taken while writers are live is a consistent-enough
+//! diagnostic, and a snapshot taken after the writers joined is exact.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

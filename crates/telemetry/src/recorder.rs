@@ -121,7 +121,7 @@ impl Drop for JsonlRecorder {
     }
 }
 
-/// An RAII timer: created via [`Span::enter`] (or the `tm_span!` macro),
+/// An RAII timer: created via [`Span::enter`],
 /// it emits a `span` event with the measured `dur_us` when dropped.
 pub struct Span<'a> {
     recorder: &'a dyn Recorder,

@@ -18,8 +18,6 @@
 //!
 //! A final tick is always flushed on [`Sampler::stop`] (or drop), so even
 //! a run shorter than one interval leaves at least one sample behind.
-//! Without the `telemetry` feature the constructor returns an inert
-//! handle and no thread is ever spawned.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -78,16 +76,13 @@ pub struct Sampler {
 
 impl Sampler {
     /// Starts sampling `registry` into `recorder` every `interval`
-    /// (clamped to at least 1ms). Inert without the `telemetry` feature.
+    /// (clamped to at least 1ms).
     pub fn start(
         registry: Arc<MetricRegistry>,
         recorder: Arc<dyn Recorder>,
         interval: Duration,
     ) -> Sampler {
         let stop = Arc::new(AtomicBool::new(false));
-        if !crate::ENABLED {
-            return Sampler { stop, handle: None };
-        }
         let interval = interval.max(Duration::from_millis(1));
         let thread_stop = Arc::clone(&stop);
         // Baseline taken here, not on the sampler thread: whatever the
@@ -237,14 +232,10 @@ mod tests {
         registry.counter("live.sampler_test.early").add(3);
         sampler.stop();
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        if crate::ENABLED {
-            let samples: Vec<&str> =
-                text.lines().filter(|l| l.contains("\"ev\":\"sample\"")).collect();
-            assert_eq!(samples.len(), 1, "exactly the final tick: {text}");
-            assert!(samples[0].contains("\"tick\":1"), "{text}");
-            assert!(samples[0].contains("\"live.sampler_test.early\":3"), "{text}");
-        } else {
-            assert!(text.is_empty(), "inert sampler must not record: {text}");
-        }
+        let samples: Vec<&str> =
+            text.lines().filter(|l| l.contains("\"ev\":\"sample\"")).collect();
+        assert_eq!(samples.len(), 1, "exactly the final tick: {text}");
+        assert!(samples[0].contains("\"tick\":1"), "{text}");
+        assert!(samples[0].contains("\"live.sampler_test.early\":3"), "{text}");
     }
 }

@@ -38,11 +38,10 @@
 //!
 //! Tracing is observability-only by construction: the sink is written
 //! to, never read; nothing here flows into a [`TelemetrySnapshot`]
-//! (crate::TelemetrySnapshot), a verdict or a campaign record, and with
-//! the `telemetry` feature off every function in this module is an
-//! inert no-op. Sim-engine spans are timestamped in deterministic
-//! cycles, so even the trace itself is reproducible for a fixed seed
-//! (modulo the recorder's `seq`/`t_us` envelope).
+//! (crate::TelemetrySnapshot), a verdict or a campaign record. Sim-engine
+//! spans are timestamped in deterministic cycles, so even the trace itself
+//! is reproducible for a fixed seed (modulo the recorder's `seq`/`t_us`
+//! envelope).
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -62,11 +61,7 @@ static SINK: RwLock<Option<Arc<dyn Recorder>>> = RwLock::new(None);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 /// Installs (or, with `None`, removes) the process-global span sink.
-/// A no-op without the `telemetry` feature.
 pub fn set_trace_sink(sink: Option<Arc<dyn Recorder>>) {
-    if !crate::ENABLED {
-        return;
-    }
     // Pin the wall epoch no later than sink installation so every
     // wall-clock lane starts near zero.
     let _ = EPOCH.get_or_init(Instant::now);
@@ -87,7 +82,7 @@ pub fn wall_now_us() -> u64 {
 /// enough to gate per-run (not per-event) setup.
 #[inline]
 pub fn tracing_active() -> bool {
-    crate::ENABLED && ACTIVE.load(Ordering::Acquire)
+    ACTIVE.load(Ordering::Acquire)
 }
 
 /// The current span sink, if any. Resolve once per run and emit against
@@ -128,7 +123,7 @@ thread_local! {
 /// emitted from this thread while the scope lives — e.g. a campaign
 /// worker pushes `inj` / `wid` around each injection so one trace file
 /// keeps thousands of injections separable. Scopes nest; fields pop in
-/// LIFO order on drop. Inert without the `telemetry` feature.
+/// LIFO order on drop.
 #[derive(Debug)]
 pub struct TraceScope {
     pushed: usize,
@@ -137,9 +132,6 @@ pub struct TraceScope {
 impl TraceScope {
     /// Pushes `fields` onto this thread's scope stack.
     pub fn enter(fields: &[(&str, Value)]) -> TraceScope {
-        if !crate::ENABLED {
-            return TraceScope { pushed: 0 };
-        }
         SCOPE.with(|s| {
             s.borrow_mut()
                 .extend(fields.iter().map(|(k, v)| (k.to_string(), v.clone())))
@@ -172,9 +164,6 @@ fn record(
     tail: &[(&str, Value)],
     extra: &[(&str, Value)],
 ) {
-    if !crate::ENABLED {
-        return;
-    }
     // The scope stack stays borrowed while the recorder runs, so a
     // `Recorder::record` must not enter a `TraceScope` itself.
     SCOPE.with(|scope| {
@@ -274,13 +263,12 @@ mod tests {
     }
 
     #[test]
-    fn sink_toggle_matches_the_feature() {
-        // Isolated from other tests: only asserts the invariant that an
-        // installed sink reports active exactly when the feature is on.
+    fn an_installed_sink_reports_active_until_removed() {
+        // The only test in this binary that touches the global sink.
         let rec = Arc::new(crate::JsonlRecorder::new(Box::new(SharedBuf::default())));
         set_trace_sink(Some(rec));
-        assert_eq!(tracing_active(), crate::ENABLED);
-        assert_eq!(trace_sink().is_some(), crate::ENABLED);
+        assert!(tracing_active());
+        assert!(trace_sink().is_some());
         set_trace_sink(None);
         assert!(!tracing_active());
         assert!(trace_sink().is_none());
@@ -308,12 +296,6 @@ mod tests {
         record_span(&rec, TimeDomain::WallUs, "shard0", "flush_batch", "flush", 9, 2, &[]);
         rec.flush();
         let recs = lines(&buf);
-        if !crate::ENABLED {
-            // record() short-circuits; the recorder itself still works,
-            // so only assert the trace helpers stayed silent.
-            assert!(recs.is_empty() || recs.iter().all(|r| field(r, "ev").is_none()));
-            return;
-        }
         assert_eq!(recs.len(), 4);
         let span = &recs[0];
         assert_eq!(field(span, "ev"), Some(&Value::from(TRACE_EVENT)));
@@ -334,9 +316,6 @@ mod tests {
 
     #[test]
     fn scopes_nest_and_pop_in_lifo_order() {
-        if !crate::ENABLED {
-            return;
-        }
         let outer = TraceScope::enter(&[("wid", Value::U64(1))]);
         {
             let _inner = TraceScope::enter(&[("inj", Value::U64(5))]);

@@ -74,24 +74,20 @@ fn lines_are_byte_for_byte_what_the_fields_say() {
     rec.flush();
     let text = buf.text();
     let lines: Vec<String> = text.lines().map(without_time).collect();
-    let mut expected = vec![
+    let expected = vec![
         r#"{"seq":0,"t_us":T,"ev":"alpha"}"#.to_string(),
         concat!(
             r#"{"seq":1,"t_us":T,"ev":"be\"ta\n","n":18446744073709551615,"neg":-3,"x":0.25,"#,
             r#""nan":null,"ok":true,"none":null,"s\\k":"tab\there \u0001 é😀"}"#
         )
         .to_string(),
+        concat!(
+            r#"{"seq":2,"t_us":T,"ev":"tspan","kind":"span","dom":"cyc","track":"t2","#,
+            r#""cat":"barrier_phase","name":"phase 1","ts":100,"dur":40,"steps":12,"#,
+            r#""branches":3,"inj":7,"wid":1}"#
+        )
+        .to_string(),
     ];
-    if bw_telemetry::ENABLED {
-        expected.push(
-            concat!(
-                r#"{"seq":2,"t_us":T,"ev":"tspan","kind":"span","dom":"cyc","track":"t2","#,
-                r#""cat":"barrier_phase","name":"phase 1","ts":100,"dur":40,"steps":12,"#,
-                r#""branches":3,"inj":7,"wid":1}"#
-            )
-            .to_string(),
-        );
-    }
     assert_eq!(lines, expected);
     assert!(text.ends_with('\n'));
 

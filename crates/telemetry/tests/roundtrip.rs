@@ -330,10 +330,6 @@ fn sampler_emits_parseable_sample_records() {
     sampler.stop();
 
     let text = buf.text();
-    if !bw_telemetry::ENABLED {
-        assert!(text.is_empty(), "sampler must be inert without the feature");
-        return;
-    }
     let lines: Vec<Vec<(String, Value)>> =
         text.lines().map(|l| parse_flat_object(l).expect("sample record parses")).collect();
     assert!(!lines.is_empty(), "at least the final flush tick must land");

@@ -42,12 +42,8 @@ fn live() -> &'static Live {
     })
 }
 
-/// Folds one finished run into the live registry. A no-op without the
-/// `telemetry` feature.
+/// Folds one finished run into the live registry.
 pub(crate) fn record_run(kind: EngineKind, result: &RunResult) {
-    if !bw_telemetry::ENABLED {
-        return;
-    }
     let live = live();
     match kind {
         EngineKind::Sim => live.sim_runs.inc(),
@@ -81,10 +77,8 @@ mod tests {
             branch_events: Vec::new(),
         };
         record_run(EngineKind::Sim, &result);
-        if bw_telemetry::ENABLED {
-            let snap = MetricRegistry::global().snapshot();
-            assert!(snap.counter("live.engine.sim.runs").unwrap_or(0) >= 1);
-            assert!(snap.counter("live.engine.events_sent").unwrap_or(0) >= 5);
-        }
+        let snap = MetricRegistry::global().snapshot();
+        assert!(snap.counter("live.engine.sim.runs").unwrap_or(0) >= 1);
+        assert!(snap.counter("live.engine.events_sent").unwrap_or(0) >= 5);
     }
 }

@@ -445,7 +445,7 @@ impl Sink for SlotSink<'_> {
             return;
         }
         self.clock += self.costs.event;
-        ledger.telemetry.add_events(self.costs.event);
+        ledger.telemetry.cycles_events += self.costs.event;
         ledger.events_sent += 1;
         match self.events {
             EventSink::Discard => {}
@@ -687,7 +687,7 @@ impl<'a> Sim<'a> {
                 Yield::Lock(m) => {
                     clock += costs.alu + machine.lock;
                     ledger.telemetry.add(CostClass::Alu, costs.alu);
-                    ledger.telemetry.add_sync(machine.lock);
+                    ledger.telemetry.cycles_sync += machine.lock;
                     let ms = &mut mutexes[m.index()];
                     if ms.owner.is_none() {
                         ms.owner = Some(tid);
@@ -706,7 +706,7 @@ impl<'a> Sim<'a> {
                 }
                 Yield::Unlock(m) => {
                     clock += machine.lock;
-                    ledger.telemetry.add_sync(machine.lock);
+                    ledger.telemetry.cycles_sync += machine.lock;
                     let ms = &mut mutexes[m.index()];
                     if ms.owner != Some(tid) {
                         // Control flow corrupted into an unlock the
@@ -748,7 +748,7 @@ impl<'a> Sim<'a> {
                             .max()
                             .expect("nonempty arrivals")
                             + machine.barrier_latency(n);
-                        ledger.telemetry.add_sync(machine.barrier_latency(n));
+                        ledger.telemetry.cycles_sync += machine.barrier_latency(n);
                         for &(other, _) in &bs.arrivals {
                             let ot = other as usize;
                             clocks[ot] = release;

@@ -10,7 +10,6 @@
 //!
 //! One simulated run is one OS thread, so the buckets are plain integers,
 //! folded into a [`TelemetrySnapshot`] once, when the run finishes.
-//! Without the `telemetry` feature nothing is added to them.
 
 use bw_telemetry::TelemetrySnapshot;
 
@@ -47,9 +46,6 @@ impl VmTelemetry {
     /// Attributes `cycles` to the bucket of a cost class.
     #[inline]
     pub fn add(&mut self, class: CostClass, cycles: u64) {
-        if !bw_telemetry::ENABLED {
-            return;
-        }
         *match class {
             CostClass::Alu => &mut self.cycles_alu,
             CostClass::Mul => &mut self.cycles_mul,
@@ -60,21 +56,6 @@ impl VmTelemetry {
             CostClass::Call => &mut self.cycles_call,
             CostClass::Output => &mut self.cycles_output,
         } += cycles;
-    }
-
-    /// Attributes `cycles` to monitor-event pushes.
-    #[inline]
-    pub fn add_events(&mut self, cycles: u64) {
-        if bw_telemetry::ENABLED {
-            self.cycles_events += cycles;
-        }
-    }
-
-    /// Attributes `cycles` to synchronization machinery.
-    pub fn add_sync(&mut self, cycles: u64) {
-        if bw_telemetry::ENABLED {
-            self.cycles_sync += cycles;
-        }
     }
 
     /// Exports the attribution under `vm.cycles.*` names.
@@ -103,12 +84,11 @@ mod tests {
         let mut t = VmTelemetry::default();
         t.add(CostClass::Shared(3), 10);
         t.add(CostClass::Atomic(0), 5);
-        t.add_events(7);
-        let on = u64::from(bw_telemetry::ENABLED);
-        assert_eq!(t.cycles_shared, 10 * on);
-        assert_eq!(t.cycles_atomic, 5 * on);
+        t.cycles_events += 7;
+        assert_eq!(t.cycles_shared, 10);
+        assert_eq!(t.cycles_atomic, 5);
         assert_eq!(t.cycles_alu, 0);
-        assert_eq!(t.snapshot().counter("vm.cycles.shared"), Some(10 * on));
-        assert_eq!(t.snapshot().counter("vm.cycles.events"), Some(7 * on));
+        assert_eq!(t.snapshot().counter("vm.cycles.shared"), Some(10));
+        assert_eq!(t.snapshot().counter("vm.cycles.events"), Some(7));
     }
 }

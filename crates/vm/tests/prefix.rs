@@ -386,7 +386,7 @@ fn two_targets_share_a_fork_point() {
     let traced = walk(&image, &config, &plans, Some(&trace), "fft, shared fork point, traced");
     drop(trace);
     assert_eq!(traced.fork_steps, walked.fork_steps, "a sink does not move the fork points");
-    assert_eq!(traced.spans > 0, bw_telemetry::ENABLED);
+    assert!(traced.spans > 0);
     assert_eq!(walked.forked, plans.len());
     let at = |i: usize| walked.fork_steps[i].expect("forked");
     assert_eq!(at(0), at(2), "one branch, one fork point");
@@ -446,7 +446,7 @@ fn unhooked_forks_equal_the_plain_run() {
                     .monitor_shards(Some(2))
                     .capture_events(true);
                 let (plain, plain_spans) = spans_of(trace, 0, || SimEngine.run(&image, &config));
-                assert_eq!(plain_spans.is_empty(), !(traced && bw_telemetry::ENABLED));
+                assert_eq!(plain_spans.is_empty(), !traced);
                 let what = format!("{} t{nthreads} {monitor:?} traced={traced}", bench.name());
                 let check = |prefix: &SimPrefix, at: &str| {
                     let (fork, fork_spans) = spans_of(trace, 0, || prefix.resume(&NoHook));
@@ -590,7 +590,7 @@ fn traced_forks_write_the_spans_of_full_replays() {
             }
         }
     }
-    assert_eq!(spans > 0, bw_telemetry::ENABLED);
+    assert!(spans > 0);
 }
 
 /// Forks taken while one thread holds a mutex and the others wait for it:
@@ -629,9 +629,6 @@ fn locks_held_and_awaited_at_the_cut() {
         let what = format!("critical sections, q{quantum}");
         let walked = walk(&image, &config, &plans, Some(&trace), &what);
         assert_eq!(walked.forked, plans.len(), "{what}");
-        if !bw_telemetry::ENABLED {
-            continue;
-        }
         // The fork at thread 0's branch: nothing has been released yet, so
         // what the prefix held back has no lock span in it and all seven
         // of the run's are the fork's to close.
@@ -700,9 +697,6 @@ fn a_violation_the_log_replay_completes_is_traced() {
         let plans = [flip(1, 1), flip(1, last / 2), flip(1, last - 1), flip(2, last + 1)];
         let walked = walk(&image, &config, &plans, Some(&trace), &what);
         assert_eq!(walked.forked, plans.len(), "{what}");
-        if !bw_telemetry::ENABLED {
-            continue;
-        }
         // The unhooked fork at the end: every verdict of the run comes out
         // of the log replay, none out of a running thread.
         let verdicts = of_cat(&golden_spans, "verdict").len();

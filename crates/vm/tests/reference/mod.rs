@@ -10,8 +10,8 @@
 //! `ProgramImage` used to precompute (`FuncMeta`, `branch_at`, the
 //! witness lists) is rebuilt here from its public fields; the span tracer
 //! (observability only) is left out of the sim loop; and the cycle buckets
-//! are plain integers gated on `bw_telemetry::ENABLED`, which is what the
-//! `tm_add!` counters amounted to.
+//! are plain integers, which is what the parent's relaxed-atomic counters
+//! amounted to on one thread.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -695,27 +695,19 @@ fn recompute_outcome(
 
 // ---- cycle attribution (the parent's `VmTelemetry`, counters made plain) ----
 
-/// A `bw_telemetry::Counter` as the `tm_add!` macro used it: adds only
-/// when the `telemetry` feature is on.
+/// A `bw_telemetry::Counter` as the parent used it: added to through
+/// `&self`.
 #[derive(Default)]
 struct Bucket(std::cell::Cell<u64>);
 
 impl Bucket {
     fn add(&self, n: u64) {
-        if bw_telemetry::ENABLED {
-            self.0.set(self.0.get() + n);
-        }
+        self.0.set(self.0.get() + n);
     }
 
     fn get(&self) -> u64 {
         self.0.get()
     }
-}
-
-macro_rules! tm_add {
-    ($counter:expr, $n:expr) => {
-        $counter.add($n as u64)
-    };
 }
 
 #[derive(Default)]
@@ -861,7 +853,7 @@ impl<'a> Sim<'a> {
             CostClass::Output => m.output,
         };
         let cycles = base * self.dup_factor;
-        tm_add!(self.telemetry.cycles_for(class), cycles);
+        self.telemetry.cycles_for(class).add(cycles);
         cycles
     }
 
@@ -879,7 +871,7 @@ impl<'a> Sim<'a> {
     fn event_cost(&self, tid: u32) -> u64 {
         let m = &self.config.machine;
         let cycles = (m.event_build + m.event_push(tid, self.config.nthreads)) * self.dup_factor;
-        tm_add!(self.telemetry.cycles_events, cycles);
+        self.telemetry.cycles_events.add(cycles);
         cycles
     }
 
@@ -1061,7 +1053,7 @@ impl<'a> Sim<'a> {
                     }
                     StepOutcome::Lock(m) => {
                         clock += self.cost(tid, CostClass::Alu) + self.config.machine.lock;
-                        tm_add!(self.telemetry.cycles_sync, self.config.machine.lock);
+                        self.telemetry.cycles_sync.add(self.config.machine.lock);
                         let ms = &mut mutexes[m.index()];
                         if ms.owner.is_none() {
                             ms.owner = Some(tid);
@@ -1074,7 +1066,7 @@ impl<'a> Sim<'a> {
                     }
                     StepOutcome::Unlock(m) => {
                         clock += self.config.machine.lock;
-                        tm_add!(self.telemetry.cycles_sync, self.config.machine.lock);
+                        self.telemetry.cycles_sync.add(self.config.machine.lock);
                         let ms = &mut mutexes[m.index()];
                         if ms.owner != Some(tid) {
                             // Control flow corrupted into an unlock the
@@ -1114,10 +1106,9 @@ impl<'a> Sim<'a> {
                                 .max()
                                 .expect("nonempty arrivals")
                                 + self.config.machine.barrier_latency(n);
-                            tm_add!(
-                                self.telemetry.cycles_sync,
-                                self.config.machine.barrier_latency(n)
-                            );
+                            self.telemetry
+                                .cycles_sync
+                                .add(self.config.machine.barrier_latency(n));
                             for &(other, _) in &bs.arrivals {
                                 let ot = other as usize;
                                 clocks[ot] = release;

@@ -8,38 +8,25 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
-# The telemetry feature must be fully optional: the workspace builds,
-# tests and lints clean with every instrument compiled to a no-op.
+# The `provenance`-off build, the one other configuration (telemetry is
+# always compiled in): no flight recorder, so no level-1 site table in the
+# monitor and no `ViolationReport`s. Builds, tests and lints clean.
 cargo build --workspace --no-default-features
 cargo test -q --workspace --no-default-features
 cargo clippy --workspace --all-targets --no-default-features -- -D warnings
-
-# The monitor's two features are independent, and its storage differs
-# between them: the level-1 site table (pending counts, recorder rings)
-# exists only with `provenance`. The two legs above cover both-on and
-# both-off; these cover each feature alone.
-for feature in telemetry provenance; do
-  cargo test -q -p bw-monitor --no-default-features --features "$feature"
-  cargo clippy -p bw-monitor --all-targets --no-default-features \
-    --features "$feature" -- -D warnings
-done
 
 # The interpreter against the stepper it replaced: `bw-vm`'s differential
 # test compares whole RunResults with the reference model kept under
 # crates/vm/tests/reference/, and its prefix test compares every fork of a
 # `SimPrefix` with the full replay. Both thin their sweeps in debug builds
 # (the workspace legs above ran that), so the complete ones run here, in
-# the release profile, with the allocation budget — in both feature sets,
-# because the cycle buckets compile out of the hot loop without
-# `telemetry`.
+# the release profile, with the allocation budget.
 cargo test --release -q -p bw-vm
-cargo test --release -q -p bw-vm --no-default-features
 
 # Fuzz smoke: a bounded random-program sweep through the whole pipeline
-# (generate → round-trip → prepare → oracle), in both telemetry configs.
-# 200 seeds keep this under two minutes; the nightly job goes deeper.
+# (generate → round-trip → prepare → oracle). 200 seeds keep this under
+# two minutes; the nightly job goes deeper.
 cargo run --release --quiet --bin bw -- fuzz --seeds 200 --inject 2
-cargo run --release --quiet --bin bw --no-default-features -- fuzz --seeds 200
 
 # Forensics smoke: a seeded campaign must leave a trace that `bw report`
 # can reconstruct into per-injection evidence, and that evidence must be
@@ -199,6 +186,16 @@ if grep -rnE 'std::thread|Condvar|std::sync::atomic' crates/analysis/src; then
 fi
 if grep -rn serde Cargo.toml crates/*/Cargo.toml; then
   echo "ci: serde is back in a workspace manifest" >&2; exit 1
+fi
+# PR 20 removed the `telemetry` cargo feature (DESIGN §10) and
+# vendor/crossbeam; `bw_telemetry::ENABLED` survives, `#[doc(hidden)]`,
+# for bwbench's run header only and may have no reader here.
+if grep -rnE 'feature = "telemetry"|tm_(add|inc|gauge_max|observe|event|span)!|NoopSpan|(telemetry|crate)::ENABLED' \
+    crates tests examples; then
+  echo "ci: the telemetry feature gate is back" >&2; exit 1
+fi
+if grep -nE '^telemetry *=|crossbeam' Cargo.toml crates/*/Cargo.toml; then
+  echo "ci: a workspace manifest declares \`telemetry\` or names crossbeam" >&2; exit 1
 fi
 
 # Benchmark gate: bwbench (benchmark/, its own workspace) must build

@@ -205,7 +205,7 @@ fn a_traced_batch_keeps_the_spans_of_its_images_apart() {
     }
     blockwatch::telemetry::set_trace_sink(None);
 
-    assert_eq!(batched.is_empty(), !blockwatch::telemetry::ENABLED);
+    assert!(!batched.is_empty());
     assert_eq!(batched.keys().collect::<Vec<_>>(), alone.keys().collect::<Vec<_>>());
     for (key, spans) in &alone {
         assert_eq!(&batched[key], spans, "(image, inj) = {key:?}");

@@ -73,6 +73,27 @@ fn malformed_numeric_flags_are_errors_naming_flag_and_value() {
     assert!(bw(&["gen", "--seed", "0x1a", "--max-stmts", "8"]).status.success());
 }
 
+/// Every build traces and samples — there is no telemetry-off one: the
+/// flags leave their records in the file, with or without `provenance`.
+#[test]
+fn trace_spans_and_sampling_write_their_records_in_every_build() {
+    let trace: PathBuf = [env!("CARGO_TARGET_TMPDIR"), "cli-spans.jsonl"].iter().collect();
+    let trace = trace.to_str().expect("utf-8 temp path");
+    let run = bw(&["run", "splash:fft", "--threads", "4", "--telemetry", trace, "--trace-spans"]);
+    assert!(run.status.success(), "{}", stderr(&run));
+    assert!(!stderr(&run).contains("records nothing"), "{}", stderr(&run));
+    let text = std::fs::read_to_string(trace).expect("trace written");
+    assert!(text.contains("\"ev\":\"tspan\""), "no span record in {trace}");
+
+    let campaign = bw(&[
+        "campaign", "splash:fft", "--injections", "4", "--workers", "1",
+        "--telemetry", trace, "--sample-interval-ms", "5",
+    ]);
+    assert!(campaign.status.success(), "{}", stderr(&campaign));
+    let text = std::fs::read_to_string(trace).expect("trace written");
+    assert!(text.contains("\"ev\":\"sample\""), "no sample record in {trace}");
+}
+
 fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }

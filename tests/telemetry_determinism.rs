@@ -158,11 +158,8 @@ fn sampling_does_not_perturb_campaign_determinism() {
     assert_eq!(ds.counters(), dp.counters());
     assert_eq!(ds.gauges(), dp.gauges());
 
-    // The sampled trace actually contains sample records (with the
-    // feature on — the sampler is inert without it)...
-    if blockwatch::telemetry::ENABLED {
-        assert!(sampled_trace.contains("\"ev\":\"sample\""), "{sampled_trace}");
-    }
+    // The sampled trace actually contains sample records...
+    assert!(sampled_trace.contains("\"ev\":\"sample\""), "{sampled_trace}");
     assert!(!plain_trace.contains("\"ev\":\"sample\""));
     // ...and the forensics view ignores them: byte-identical reports.
     let report_sampled = ForensicsReport::parse(&sampled_trace).unwrap().render();
@@ -199,10 +196,8 @@ fn span_tracing_does_not_perturb_run_determinism() {
         (traced.telemetry.deterministic_part(), plain.telemetry.deterministic_part());
     assert_eq!(dt.counters(), dp.counters());
     assert_eq!(dt.gauges(), dp.gauges());
-    if blockwatch::telemetry::ENABLED {
-        assert!(trace.contains("\"ev\":\"tspan\""), "traced run emits spans");
-        assert!(trace.contains("\"cat\":\"barrier_phase\""), "{trace}");
-    }
+    assert!(trace.contains("\"ev\":\"tspan\""), "traced run emits spans");
+    assert!(trace.contains("\"cat\":\"barrier_phase\""), "{trace}");
     assert!(!plain_trace.contains("\"ev\":\"tspan\""));
 }
 
@@ -257,11 +252,9 @@ fn span_tracing_does_not_perturb_campaign_determinism() {
         // One window size per worker count, so the same forks either way.
         assert!(skipped(&plain) > 0, "an untraced campaign forks");
         assert_eq!(skipped(&traced), skipped(&plain), "and so does a traced one");
-        if blockwatch::telemetry::ENABLED {
-            assert!(trace.contains("\"cat\":\"stage\""), "campaign stages traced");
-            assert!(trace.contains("\"cat\":\"injection\""), "injections traced");
-            assert!(trace.contains("\"cat\":\"barrier_phase\""), "and their runs");
-        }
+        assert!(trace.contains("\"cat\":\"stage\""), "campaign stages traced");
+        assert!(trace.contains("\"cat\":\"injection\""), "injections traced");
+        assert!(trace.contains("\"cat\":\"barrier_phase\""), "and their runs");
         assert!(!plain_trace.contains("\"ev\":\"tspan\""));
     }
 }
@@ -343,10 +336,6 @@ fn traced_campaign_spans_equal_plan_by_plan_full_replays() {
         let name = bench.name();
         let skipped: u64 = result.worker_stats.iter().map(|w| w.steps_skipped).sum();
         assert!(skipped > 0, "{name}: the campaign forked");
-        if !blockwatch::telemetry::ENABLED {
-            assert!(campaign.is_empty() && replayed.is_empty());
-            continue;
-        }
         // (A run that crashes before its first barrier leaves none.)
         assert!(replayed.len() > injections / 2, "{name}: injections leave spans");
         assert_eq!(
@@ -413,9 +402,6 @@ fn traced_timeline(source: &str) -> TimelineReport {
 /// The phase profile flags the seeded straggler thread (and only it).
 #[test]
 fn phase_profile_flags_seeded_straggler() {
-    if !blockwatch::telemetry::ENABLED {
-        return; // no spans to profile without the feature
-    }
     let profile = traced_timeline(&straggler_source(true)).phase_profile();
     assert_eq!(profile.dom, "cyc");
     assert!(!profile.phases.is_empty());
@@ -428,9 +414,6 @@ fn phase_profile_flags_seeded_straggler() {
 /// The same program without the seeded imbalance profiles clean.
 #[test]
 fn phase_profile_reports_symmetric_program_similar() {
-    if !blockwatch::telemetry::ENABLED {
-        return;
-    }
     let profile = traced_timeline(&straggler_source(false)).phase_profile();
     assert!(!profile.phases.is_empty());
     assert_eq!(profile.deviant_threads(), Vec::<u32>::new(), "{}", profile.render());
