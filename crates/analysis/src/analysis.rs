@@ -22,10 +22,13 @@
 //!   several return sites (or an indirect call with several callees) yields
 //!   `partial` at best.
 //!
-//! The fixpoint is monotone in the similarity lattice
-//! (`shared ≤ {threadID, partial} ≤ none`), so it terminates; the paper
-//! observes fewer than ten iterations in practice and the tests here check
-//! the same programs converge just as fast.
+//! The paper observes fewer than ten iterations in practice and the tests
+//! here check the same programs converge just as fast. Termination is not
+//! guaranteed, though: skipping `NA` incomings makes the phi rule
+//! non-monotone, and a generated module can oscillate. The pass therefore
+//! stops at an iteration bound and says so in
+//! [`ModuleAnalysis::converged`]; preparing such a module is refused
+//! (`bw_vm::PrepareError::NoFixpoint`).
 
 use std::collections::HashMap;
 
@@ -95,6 +98,10 @@ pub struct ModuleAnalysis {
     pub branches: Vec<BranchInfo>,
     /// Number of whole-module fixpoint iterations executed.
     pub iterations: usize,
+    /// Whether the last iteration changed nothing. `false` means the pass
+    /// gave up at its iteration bound and the categories are whatever the
+    /// last iteration left — not a fixpoint, so not to be instrumented from.
+    pub converged: bool,
     /// Per-iteration snapshots of every branch's category (iteration 0 is
     /// the state after the first pass). Used to reproduce the paper's
     /// Table III convergence trace.
@@ -496,21 +503,18 @@ impl<'m> Analyzer<'m> {
 
         let mut trace = Vec::new();
         let mut iterations = 0;
-        // The categories only grow in a finite lattice, so this terminates;
-        // the bound is a safety net against bugs.
+        // The phi rule is not monotone (module docs), so a module can
+        // oscillate for ever; one that has not settled by the bound is
+        // handed back unconverged for the caller to refuse.
         let max_iterations = 10 + self.module.num_insts();
-        loop {
+        let converged = loop {
             iterations += 1;
             let changed = self.iterate();
             trace.push(self.branch_snapshot());
-            if !changed {
-                break;
+            if !changed || iterations > max_iterations {
+                break !changed;
             }
-            assert!(
-                iterations <= max_iterations,
-                "similarity fixpoint failed to converge in {max_iterations} iterations"
-            );
-        }
+        };
 
         // Post-fixpoint: default unresolved branches to `none` (Figure 3,
         // line 18), mark the parallel section, run the critical-section
@@ -525,7 +529,14 @@ impl<'m> Analyzer<'m> {
             b.in_parallel_section = parallel_funcs[b.func.index()];
         }
         compute_critical_sections(self.module, &self.rpo, &mut branches);
-        ModuleAnalysis { value_cats: self.cats, branches, iterations, trace, parallel_funcs }
+        ModuleAnalysis {
+            value_cats: self.cats,
+            branches,
+            iterations,
+            converged,
+            trace,
+            parallel_funcs,
+        }
     }
 
     fn branch_snapshot(&self) -> Vec<Category> {

@@ -26,20 +26,11 @@ pub struct AnalysisConfig {
     /// Do not instrument branches nested in more than this many loops (the
     /// paper uses six; `raytrace` loses coverage to this cutoff).
     pub max_loop_depth: u32,
-    /// Only instrument branches in the parallel section (functions reachable
-    /// from the SPMD entry). Branches elsewhere run single-threaded and
-    /// cannot be cross-checked.
-    pub parallel_section_only: bool,
 }
 
 impl Default for AnalysisConfig {
     fn default() -> Self {
-        AnalysisConfig {
-            promote_none: true,
-            critical_section_opt: true,
-            max_loop_depth: 6,
-            parallel_section_only: true,
-        }
+        AnalysisConfig { promote_none: true, critical_section_opt: true, max_loop_depth: 6 }
     }
 }
 
@@ -131,7 +122,9 @@ impl CheckPlan {
             .branches
             .iter()
             .map(|b| {
-                if config.parallel_section_only && !b.in_parallel_section {
+                // Branches outside the functions reachable from the SPMD
+                // entry run single-threaded: nothing to cross-check.
+                if !b.in_parallel_section {
                     return Err(SkipReason::NotParallel);
                 }
                 if b.loop_depth >= config.max_loop_depth {
@@ -349,6 +342,5 @@ mod tests {
         assert!(c.promote_none);
         assert!(c.critical_section_opt);
         assert_eq!(c.max_loop_depth, 6);
-        assert!(c.parallel_section_only);
     }
 }

@@ -4,7 +4,7 @@
 //! * the critical-section optimization (events ↓, no coverage change)
 //! * the loop-nesting cutoff (raytrace's coverage loss)
 //!
-//! Run with: `cargo run --release -p bw-bench --bin ablations [injections]`
+//! Run with: `cargo run --release -p bw-bench --bin ablations -- [injections]`
 
 use blockwatch::analysis::AnalysisConfig;
 use blockwatch::fault::{run_campaign, CampaignConfig};
@@ -33,9 +33,12 @@ fn variants() -> Vec<Variant> {
     ]
 }
 
-fn main() {
-    let injections: usize =
-        std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(300);
+fn main() -> std::process::ExitCode {
+    bw_bench::EXHIBITS.main(Some("ablations"), run)
+}
+
+fn run(args: &blockwatch::cli::Args) -> Result<(), String> {
+    let injections: usize = args.operand_count(300)?;
     let nthreads = 4;
 
     for bench in [Benchmark::Raytrace, Benchmark::OceanContig, Benchmark::Fmm] {
@@ -70,4 +73,5 @@ fn main() {
         );
         println!();
     }
+    Ok(())
 }

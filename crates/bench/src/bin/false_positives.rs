@@ -5,8 +5,12 @@ use blockwatch::reports::false_positive_sweep;
 use blockwatch::Size;
 use bw_bench::render_table;
 
-fn main() {
-    let runs: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(100);
+fn main() -> std::process::ExitCode {
+    bw_bench::EXHIBITS.main(Some("false_positives"), run)
+}
+
+fn run(args: &blockwatch::cli::Args) -> Result<(), String> {
+    let runs: usize = args.operand_count(100)?;
     println!("False-positive experiment: {runs} fault-free runs per program, 4 threads");
     println!();
     let mut rows = Vec::new();
@@ -18,4 +22,5 @@ fn main() {
     println!("{}", render_table(&["benchmark", "false positives"], &rows));
     println!("total false positives: {total} (paper and construction: 0)");
     assert_eq!(total, 0, "BLOCKWATCH must have zero false positives");
+    Ok(())
 }

@@ -21,6 +21,7 @@
 
 use std::fmt::Write as _;
 
+use blockwatch::cli::{command, flag, Args, Cli};
 use blockwatch::reports::coverage_row_on;
 use blockwatch::{Benchmark, Blockwatch, FaultModel, Size};
 
@@ -59,52 +60,43 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 
-/// Parses a coverage figure's arguments, `[injections] [--workers N]`, into
-/// `(injections, workers)`. Without a count it is `default_injections`;
-/// `--workers 0` — the default — means available parallelism.
+/// The command lines of the exhibits that take arguments — each command is
+/// a binary of its own — in the table form `bw` uses (`blockwatch::cli`).
+pub static EXHIBITS: Cli = Cli {
+    prefix: "",
+    commands: &[
+        command("figure8", Some("[injections]"), "coverage under branch flips (default 1000)"),
+        command("figure9", Some("[injections]"), "coverage under condition faults (default 1000)"),
+        command("ablations", Some("[injections]"), "the Section III-A optimizations (default 300)"),
+        command("false_positives", Some("[runs]"), "fault-free runs of every port (default 100)"),
+    ],
+    flags: &[flag(
+        "--workers",
+        Some("N"),
+        &["figure8", "figure9"],
+        "campaign worker threads (default 0: available parallelism); the output is \
+         byte-identical at any N",
+    )],
+    notes: "",
+};
+
+/// The body of `figure8` and `figure9`: SDC coverage with and
+/// without BLOCKWATCH under `model` faults, at 4 and 32 threads, over every
+/// port.
 ///
 /// # Errors
 ///
-/// Names the argument when a count is not a number, `--workers` has no
-/// value, a flag is unknown or a second positional argument is given.
-pub fn parse_args(args: &[String], default_injections: usize) -> Result<(usize, usize), String> {
-    let (mut injections, mut workers) = (None, 0);
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        if arg == "--workers" {
-            let value = args.next().ok_or("--workers needs a count")?;
-            workers =
-                value.parse().map_err(|_| format!("--workers needs a count, got `{value}`"))?;
-        } else if arg.starts_with("--") {
-            return Err(format!("unknown flag `{arg}`"));
-        } else {
-            let n = arg.parse().map_err(|_| format!("injections must be a count, got `{arg}`"))?;
-            if injections.replace(n).is_some() {
-                return Err(format!("unexpected argument `{arg}`"));
-            }
-        }
-    }
-    Ok((injections.unwrap_or(default_injections), workers))
-}
-
-/// The body of `figure8` and `figure9`: SDC coverage with and without
-/// BLOCKWATCH under `model` faults, at 4 and 32 threads, over every port.
-/// Reads `[injections] [--workers N]` from the command line and exits 1 on
-/// an argument it cannot use.
+/// Names the argument it cannot use.
 pub fn coverage_figure(
+    args: &Args,
     title: &str,
     legend: Option<&str>,
     model: FaultModel,
     seed: u64,
     paper_note: &str,
-) {
-    let mut argv = std::env::args();
-    let bin = argv.next().unwrap_or_default();
-    let args: Vec<String> = argv.collect();
-    let (injections, workers) = parse_args(&args, 1000).unwrap_or_else(|e| {
-        eprintln!("error: {e}\nusage: {bin} [injections] [--workers N]");
-        std::process::exit(1);
-    });
+) -> Result<(), String> {
+    let injections: usize = args.operand_count(1000)?;
+    let workers = args.count("--workers", 0)?;
     println!("{title} ({injections} injections per cell)");
     if let Some(legend) = legend {
         println!("{legend}");
@@ -156,6 +148,7 @@ pub fn coverage_figure(
         );
         println!();
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -177,35 +170,50 @@ mod tests {
         assert_eq!(pct(0.975), "97.5%");
     }
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
+    /// What exhibit `name` makes of the command line `list`: its count
+    /// (`default` when left out) and its workers.
+    fn parsed(name: &str, list: &[&str], default: usize) -> Result<(usize, usize), String> {
+        let argv: Vec<String> = list.iter().map(|s| s.to_string()).collect();
+        let args = EXHIBITS.parse(name, &argv)?;
+        Ok((args.operand_count(default)?, args.count("--workers", 0)?))
     }
 
     #[test]
     fn parses_campaign_args() {
-        assert_eq!(parse_args(&args(&["--workers", "3", "250"]), 100), Ok((250, 3)));
-        assert_eq!(parse_args(&args(&["40", "--workers", "4"]), 100), Ok((40, 4)));
-        assert_eq!(parse_args(&[], 100), Ok((100, 0)));
+        assert_eq!(parsed("figure8", &["--workers", "3", "250"], 100), Ok((250, 3)));
+        assert_eq!(parsed("figure9", &["40", "--workers", "4"], 100), Ok((40, 4)));
+        assert_eq!(parsed("figure8", &[], 100), Ok((100, 0)));
+        assert_eq!(parsed("ablations", &["30"], 300), Ok((30, 0)));
+        assert_eq!(parsed("false_positives", &[], 100), Ok((100, 0)));
     }
 
     #[test]
     fn a_count_that_is_not_a_number_is_rejected() {
-        // `figure8 30O` used to run the default 1,000 injections per cell.
-        let err = parse_args(&args(&["30O"]), 1000).unwrap_err();
-        assert!(err.contains("`30O`"), "{err}");
-        assert!(parse_args(&args(&["40", "50"]), 1000).is_err());
+        // `figure8 30O` used to run the default 1,000 injections per cell,
+        // and `ablations 30O` its default 300.
+        for c in EXHIBITS.commands {
+            for bad in ["30O", "1OO"] {
+                let err = parsed(c.name, &[bad], 1000).unwrap_err();
+                assert!(err.contains(&format!("`{bad}`")), "{}: {err}", c.name);
+            }
+            let err = parsed(c.name, &["40", "50"], 1000).unwrap_err();
+            assert!(err.contains("`50`"), "{}: {err}", c.name);
+        }
     }
 
     #[test]
     fn workers_without_a_count_is_rejected() {
-        assert!(parse_args(&args(&["40", "--workers"]), 1000).unwrap_err().contains("--workers"));
-        let err = parse_args(&args(&["--workers", "four"]), 1000).unwrap_err();
+        assert!(parsed("figure8", &["40", "--workers"], 1000).unwrap_err().contains("--workers"));
+        let err = parsed("figure8", &["--workers", "four"], 1000).unwrap_err();
         assert!(err.contains("--workers") && err.contains("`four`"), "{err}");
     }
 
     #[test]
     fn an_unknown_flag_is_rejected() {
-        let err = parse_args(&args(&["40", "--worker", "4"]), 1000).unwrap_err();
+        let err = parsed("figure8", &["40", "--worker", "4"], 1000).unwrap_err();
         assert!(err.contains("`--worker`"), "{err}");
+        // `--workers` exists, but not for the exhibits that run no pool of their own.
+        let err = parsed("ablations", &["--workers", "4"], 300).unwrap_err();
+        assert!(err.contains("`--workers` for `ablations`"), "{err}");
     }
 }

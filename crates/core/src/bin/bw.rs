@@ -1,164 +1,149 @@
-//! `bw` — the BLOCKWATCH command-line tool.
-//!
-//! Compile, analyze, protect and fault-test SPMD mini-language programs:
-//!
-//! ```text
-//! bw analyze  <file>                 print per-branch similarity categories
-//! bw run      <file> [--threads N] [--engine sim|real] [--monitor-shards S]
-//!             [--stats] [--telemetry T.jsonl]
-//!                                    run under the monitor
-//! bw ir       <file>                 dump the SSA IR
-//! bw campaign <file> [--threads N] [--injections K] [--model flip|cond]
-//!             [--workers W] [--engine sim|real] [--monitor-shards S]
-//!             [--progress] [--stats]
-//!             [--telemetry T.jsonl]  fault-injection campaign with and
-//!                                    without BLOCKWATCH
-//! bw gen      [--seed S] [--max-stmts M] [--out FILE]
-//!                                    dump a seeded random SPMD module as
-//!                                    textual IR (replayable with bw run)
-//! bw stats    <trace.jsonl> [--series] [--format text|json]
-//!                                    summarize a JSONL telemetry trace
-//! bw top      <trace.jsonl>          time-series view of a sampled trace
-//! bw timeline <trace.jsonl> [--chrome OUT.json] [--phase-profile]
-//!                                    per-thread span lanes from a trace
-//! bw report   <trace.jsonl>          violation forensics from a trace
-//! ```
-//!
-//! Traced commands also take `--sample-interval-ms MS` (background
-//! sampler appending `sample` records for `bw top`), `--trace-spans`
-//! (causal span records for `bw timeline`) and
-//! `--metrics-addr HOST:PORT` (live Prometheus `/metrics` endpoint).
-//!
-//! Every executing command takes `--engine sim|real`: `sim` is the
-//! deterministic simulated scheduler, `real` runs on OS threads.
-//!
-//! A `--flag` the subcommand does not list is an error (exit 1 with the
-//! usage), never silently ignored; `--help` after any subcommand prints
-//! the usage.
-//!
-//! `<file>` is a mini-language source path, or `splash:<name>` for a
-//! built-in SPLASH-2 port (`splash:fft`, `splash:radix`, …) sized with
-//! `--size test|small|reference`.
+//! `bw` — the BLOCKWATCH command-line tool: compile, analyze, protect and
+//! fault-test SPMD mini-language programs. `bw help` prints the synopsis of
+//! every subcommand and what every flag does; that text is rendered from
+//! the [`COMMANDS`] and [`FLAGS`] tables below, which are also what the
+//! parser ([`blockwatch::cli`]) accepts — a subcommand or flag is added by
+//! adding a row. A `--flag` its subcommand does not list is an error (exit
+//! 1 with the usage), never silently ignored.
 
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
+use blockwatch::cli::{command, emit, flag, Args, Cli, Command, Flag};
 use blockwatch::ir::ModulePrinter;
 use blockwatch::reports::{render_telemetry, ForensicsReport, SeriesReport, TraceSummary};
 use blockwatch::timeline::TimelineReport;
 use blockwatch::telemetry::{JsonlRecorder, MetricRegistry, MetricsServer, Recorder, Sampler};
 use blockwatch::vm::MonitorMode;
 use blockwatch::{
-    AnalysisConfig, Benchmark, Blockwatch, CampaignProgress, EngineKind, ExecConfig, FaultModel,
-    RunOutcome, Size, TelemetrySnapshot,
+    Benchmark, Blockwatch, CampaignProgress, EngineKind, ExecConfig, FaultModel, RunOutcome, Size,
+    TelemetrySnapshot,
 };
 
-type Command = fn(&[String]) -> Result<(), String>;
-
-const COMMANDS: &[(&str, Command)] = &[
-    ("analyze", cmd_analyze),
-    ("run", cmd_run),
-    ("ir", cmd_ir),
-    ("campaign", cmd_campaign),
-    ("fuzz", cmd_fuzz),
-    ("gen", cmd_gen),
-    ("stats", cmd_stats),
-    ("top", cmd_top),
-    ("timeline", cmd_timeline),
-    ("report", cmd_report),
+const COMMANDS: &[Command] = &[
+    command("analyze", Some("<file>"), "print per-branch similarity categories"),
+    command("run", Some("<file>"), "run under the monitor"),
+    command("ir", Some("<file>"), "dump the SSA IR"),
+    command("campaign", Some("<file>"), "fault-injection campaign with and without BLOCKWATCH"),
+    command(
+        "fuzz",
+        None,
+        "generate random SPMD programs and run the differential oracle; failures are shrunk and \
+         saved as fuzz-<seed>.bwir",
+    ),
+    command("gen", None, "dump a seeded random SPMD module as textual IR (replayable with bw run)"),
+    command("stats", Some("<trace.jsonl>"), "summarize a JSONL telemetry trace"),
+    command(
+        "top",
+        Some("<trace.jsonl>"),
+        "time-series view of a sampled trace: per-tick events/s, campaign progress with ETA, \
+         per-shard queue depth",
+    ),
+    command("timeline", Some("<trace.jsonl>"), "per-thread span lanes from a --trace-spans trace"),
+    command(
+        "report",
+        Some("<trace.jsonl>"),
+        "violation forensics from a trace: per-category detection matrix, top violating sites, \
+         deviant-thread tables",
+    ),
 ];
 
+const LOADING: &[&str] = &["analyze", "run", "ir", "campaign"];
+const EXECUTING: &[&str] = &["run", "campaign", "fuzz"];
+
+/// Every flag `bw` knows, each defined once, in the order the synopses list
+/// them: name, how the usage writes its value (`None` = a switch), the
+/// subcommands that accept it, what it does.
+const FLAGS: &[Flag] = &[
+    flag("--size", Some("test|small|reference"), LOADING, "input size of a splash:<name> port"),
+    flag("--threads", Some("N"), &["run", "campaign"], "SPMD threads (default 4)"),
+    flag("--injections", Some("K"), &["campaign"], "faults to inject, one per run (default 200)"),
+    flag("--model", Some("flip|cond"), &["campaign"], "flip the branch, or a bit of its condition"),
+    flag(
+        "--workers",
+        Some("W"),
+        &["campaign"],
+        "worker threads (default 0: available parallelism); results are identical at any W",
+    ),
+    flag("--seeds", Some("N"), &["fuzz"], "how many seeds to sweep (default 100)"),
+    flag("--start", Some("S"), &["fuzz"], "first seed, decimal or 0x-hex (default 0)"),
+    flag("--threads", Some("T1,T2,.."), &["fuzz"], "thread counts of the oracle (default 2,4,8)"),
+    flag("--inject", Some("K"), &["fuzz"], "also run a K-injection campaign on every passing seed"),
+    flag("--seed", Some("S"), &["gen"], "module seed, decimal or 0x-hex (default 0)"),
+    flag("--max-stmts", Some("M"), &["fuzz", "gen"], "statements per SPMD body (default 40)"),
+    flag("--out", Some("FILE"), &["gen"], "write the module there instead of stdout"),
+    flag("--engine", Some("sim|real"), EXECUTING, "deterministic simulator (default), OS threads"),
+    flag(
+        "--real-cross-check",
+        None,
+        &["fuzz"],
+        "re-run every oracle run on OS threads; what is schedule-independent must agree",
+    ),
+    flag(
+        "--monitor-shards",
+        Some("S"),
+        EXECUTING,
+        "split the monitor ingest across S workers, each owning a disjoint (site, branch) slice; \
+         verdicts are byte-identical at any S — a throughput knob (`events_per_s` in bwbench)",
+    ),
+    flag("--require-coverage", None, &["fuzz"], "fail unless every check kind was exercised"),
+    flag("--progress", None, &["campaign"], "live injections/s and ETA on stderr"),
+    flag("--stats", None, &["run", "campaign"], "print the telemetry summary table"),
+    flag("--series", None, &["stats"], "also render the trace's sample records as a time series"),
+    flag("--format", Some("text|json"), &["stats"], "output form"),
+    flag("--chrome", Some("OUT.json"), &["timeline"], "also export Chrome Trace Event JSON"),
+    flag("--phase-profile", None, &["timeline"], "flag straggler threads per barrier phase"),
+    flag("--telemetry", Some("T.jsonl"), EXECUTING, "write a JSONL trace for the trace readers"),
+    flag(
+        "--sample-interval-ms",
+        Some("MS"),
+        EXECUTING,
+        "background sampler appending `sample` records (counter deltas, gauge levels) to the \
+         --telemetry trace, for `bw top` and `bw stats --series`",
+    ),
+    flag(
+        "--trace-spans",
+        None,
+        EXECUTING,
+        "stream causal `tspan` records into the --telemetry trace, for `bw timeline`: barrier \
+         phases, lock wait/hold, monitor-shard flushes, campaign stages and injections, and flow \
+         arrows from a deviant thread's branch event to the verdict that flagged it",
+    ),
+    flag("--metrics-addr", Some("HOST:PORT"), EXECUTING, "serve Prometheus text at /metrics"),
+];
+
+static CLI: Cli = Cli {
+    prefix: "bw ",
+    commands: COMMANDS,
+    flags: FLAGS,
+    notes: "  <file> is a source path, a .bwir textual-IR dump (e.g. a fuzz repro), or
+  splash:<name> (fft, fmm, radix, raytrace, water, ocean-contig,
+  ocean-noncontig).
+
+  --sample-interval-ms, --trace-spans and --metrics-addr are observability-only:
+  verdicts, results and `bw report` output are byte-identical with or without.",
+};
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((command, rest)) = args.split_first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    if args.iter().any(|a| a == "--help" || a == "-h") || command == "help" {
-        emit(&format!("{USAGE}\n"));
-        return ExitCode::SUCCESS;
-    }
-    let result = match COMMANDS.iter().find(|(name, _)| name == command) {
-        Some((_, run)) => check_flags(command, rest).and_then(|()| run(rest)),
-        None => Err(format!("unknown command `{command}`\n{USAGE}")),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
-        }
-    }
+    CLI.main(None, |args| match args.command() {
+        "analyze" => cmd_analyze(args),
+        "run" => cmd_run(args),
+        "ir" => cmd_ir(args),
+        "campaign" => cmd_campaign(args),
+        "fuzz" => cmd_fuzz(args),
+        "gen" => cmd_gen(args),
+        "stats" => cmd_stats(args),
+        "top" => cmd_top(args),
+        "timeline" => cmd_timeline(args),
+        "report" => cmd_report(args),
+        other => Err(format!("`bw {other}` is in COMMANDS but has no body")),
+    })
 }
 
-const USAGE: &str = "usage:
-  bw analyze  <file>                  print per-branch similarity categories
-  bw run      <file> [--threads N] [--engine sim|real] [--monitor-shards S]
-              [--stats] [--telemetry T.jsonl] [--sample-interval-ms MS]
-              [--trace-spans] [--metrics-addr HOST:PORT]
-                                      run under the monitor
-  bw ir       <file>                  dump the SSA IR
-  bw campaign <file> [--threads N] [--injections K] [--model flip|cond]
-              [--workers W] [--engine sim|real] [--monitor-shards S]
-              [--progress] [--stats] [--telemetry T.jsonl]
-              [--sample-interval-ms MS] [--trace-spans]
-              [--metrics-addr HOST:PORT]
-  bw fuzz     [--seeds N] [--start S] [--threads T1,T2,..] [--inject K]
-              [--max-stmts M] [--engine sim|real] [--real-cross-check]
-              [--monitor-shards S] [--require-coverage] [--telemetry T.jsonl]
-              [--sample-interval-ms MS] [--trace-spans]
-              [--metrics-addr HOST:PORT]
-                                      generate random SPMD programs and run
-                                      the differential oracle; failures are
-                                      shrunk and saved as fuzz-<seed>.bwir
-  bw gen      [--seed S] [--max-stmts M] [--out FILE]
-                                      dump a seeded random SPMD module as
-                                      textual IR (replayable with bw run)
-  bw stats    <trace.jsonl> [--series] [--format text|json]
-                                      summarize a JSONL telemetry trace
-  bw top      <trace.jsonl>           time-series view of a sampled trace:
-                                      per-tick events/s, campaign progress
-                                      with ETA, per-shard queue depth
-  bw timeline <trace.jsonl> [--chrome OUT.json] [--phase-profile]
-                                      per-thread span lanes from a
-                                      --trace-spans trace; --chrome exports
-                                      Chrome Trace Event JSON (open in
-                                      Perfetto or chrome://tracing);
-                                      --phase-profile flags straggler
-                                      threads per barrier phase
-  bw report   <trace.jsonl>           violation forensics from a trace:
-                                      per-category detection matrix, top
-                                      violating sites, deviant-thread tables
-
-  --engine selects the scheduler: `sim` (deterministic, default) or `real`
-  (OS threads).
-
-  --monitor-shards splits the monitor ingest across S workers, each owning
-  a disjoint (site, branch) slice. Verdicts are byte-identical at any S —
-  it is purely a throughput knob (see `events_per_s` in bwbench).
-
-  --sample-interval-ms starts a background sampler that appends timestamped
-  `sample` records (counter deltas, gauge levels) to the --telemetry trace;
-  render them with `bw top` or `bw stats --series`. --metrics-addr serves
-  the live registry as Prometheus text at http://HOST:PORT/metrics. Both
-  are observability-only: verdicts, results and `bw report` output are
-  byte-identical with or without them.
-
-  --trace-spans streams causal span records (`tspan`) into the --telemetry
-  trace: barrier phases, lock wait/hold intervals and per-phase work counts
-  from both engines, monitor-shard queue-wait/flush-batch spans, campaign
-  stage and per-injection spans, and flow arrows from a deviant thread's
-  branch event to the monitor verdict that flagged it. Render with
-  `bw timeline`. Like the sampler it is observability-only: all verdicts
-  and results are byte-identical with or without it.
-
-  <file> is a source path, a .bwir textual-IR dump (e.g. a fuzz repro), or
-  splash:<name> (fft, fmm, radix, raytrace, water, ocean-contig,
-  ocean-noncontig) sized with --size test|small|reference";
-
-fn load(spec: &str, rest: &[String]) -> Result<Blockwatch, String> {
-    let config = AnalysisConfig::default();
+/// The program the `<file>` operand names.
+fn load(args: &Args) -> Result<Blockwatch, String> {
+    let spec = args.operand()?;
     if let Some(name) = spec.strip_prefix("splash:") {
         let bench = match name {
             "ocean-contig" | "ocean" => Benchmark::OceanContig,
@@ -170,118 +155,116 @@ fn load(spec: &str, rest: &[String]) -> Result<Blockwatch, String> {
             "water" | "water-nsquared" => Benchmark::WaterNsquared,
             other => return Err(format!("unknown SPLASH benchmark `{other}`")),
         };
-        let size = match flag(rest, "--size").as_deref() {
-            None | Some("test") => Size::Test,
-            Some("small") => Size::Small,
-            Some("reference") => Size::Reference,
-            Some(other) => {
-                return Err(format!("unknown size `{other}` (use test|small|reference)"))
-            }
-        };
+        let size = args.choice(
+            "--size",
+            &[("test", Size::Test), ("small", Size::Small), ("reference", Size::Reference)],
+        )?;
         let module = bench.module(size).map_err(|e| format!("{e}"))?;
-        return Blockwatch::from_module_with(module, config).map_err(|e| format!("{e}"));
+        return Blockwatch::from_module(module).map_err(|e| format!("{e}"));
     }
     let source =
         std::fs::read_to_string(spec).map_err(|e| format!("cannot read `{spec}`: {e}"))?;
     if spec.ends_with(".bwir") {
         let module = blockwatch::ir::parse_module(&source).map_err(|e| format!("{e}"))?;
-        return Blockwatch::from_module_with(module, config).map_err(|e| format!("{e}"));
+        return Blockwatch::from_module(module).map_err(|e| format!("{e}"));
     }
-    Blockwatch::compile_with(&source, config).map_err(|e| format!("{e}"))
+    Blockwatch::compile(&source).map_err(|e| format!("{e}"))
 }
 
-/// Opens the JSONL recorder named by `--telemetry`, if the flag is given.
-/// Shared (`Arc`) so the background sampler can append to the same trace.
-fn telemetry_recorder(rest: &[String]) -> Result<Option<Arc<JsonlRecorder>>, String> {
-    match flag(rest, "--telemetry") {
-        Some(path) => JsonlRecorder::create(std::path::Path::new(&path))
-            .map(|r| Some(Arc::new(r)))
-            .map_err(|e| format!("cannot create `{path}`: {e}")),
-        None => Ok(None),
-    }
-}
-
-/// Live-observability guards: the background sampler and the `/metrics`
-/// endpoint stay up while this value is alive and shut down on drop.
-struct Observability {
+/// What the four tracing flags set up, for as long as the traced work
+/// runs: the `--telemetry` recorder, the `--sample-interval-ms` sampler
+/// appending to the same trace, the `--metrics-addr` endpoint (both read the
+/// global [`MetricRegistry`]) and the `--trace-spans` global span sink.
+struct Tracing {
+    recorder: Option<Arc<JsonlRecorder>>,
     sampler: Option<Sampler>,
-    server: Option<MetricsServer>,
+    _server: Option<MetricsServer>,
+    spans: bool,
 }
 
-impl Observability {
-    /// Stops the sampler (flushing its final tick) before the caller
-    /// flushes and closes the trace.
-    fn finish(&mut self) {
+impl Tracing {
+    fn start(args: &Args) -> Result<Tracing, String> {
+        let recorder = match args.get("--telemetry") {
+            Some(path) => Some(Arc::new(
+                JsonlRecorder::create(std::path::Path::new(path))
+                    .map_err(|e| format!("cannot create `{path}`: {e}"))?,
+            )),
+            None => None,
+        };
+        let file = |flag: &str| match &recorder {
+            Some(recorder) => Ok(Arc::clone(recorder) as Arc<dyn Recorder>),
+            None => Err(format!("{flag} needs --telemetry to give its records a file")),
+        };
+        let sampler = match args.positive("--sample-interval-ms")? {
+            Some(ms) => Some(Sampler::start(
+                MetricRegistry::global(),
+                file("--sample-interval-ms")?,
+                Duration::from_millis(ms),
+            )),
+            None => None,
+        };
+        let server = match args.get("--metrics-addr") {
+            Some(addr) => {
+                let server = MetricsServer::bind(addr, MetricRegistry::global())
+                    .map_err(|e| format!("cannot serve metrics on `{addr}`: {e}"))?;
+                eprintln!("serving metrics at http://{}/metrics", server.local_addr());
+                Some(server)
+            }
+            None => None,
+        };
+        let spans = args.has("--trace-spans");
+        if spans {
+            blockwatch::telemetry::set_trace_sink(Some(file("--trace-spans")?));
+        }
+        Ok(Tracing { recorder, sampler, _server: server, spans })
+    }
+
+    /// Takes the span sink down, so that spans from later work (a second
+    /// campaign, test neighbours) cannot leak into the trace.
+    fn stop_spans(&mut self) {
+        if std::mem::take(&mut self.spans) {
+            blockwatch::telemetry::set_trace_sink(None);
+        }
+    }
+
+    /// Ends the traced work: the span sink comes down, the sampler stops
+    /// (flushing its final tick), and what the work measured goes into the
+    /// trace, which is flushed.
+    fn finish(mut self, measured: Option<&TelemetrySnapshot>) {
+        self.stop_spans();
         if let Some(sampler) = self.sampler.take() {
             sampler.stop();
+        }
+        if let (Some(recorder), Some(measured)) = (&self.recorder, measured) {
+            measured.record_to(recorder.as_ref());
+            recorder.flush();
         }
     }
 }
 
-/// Starts the observability sidecars requested by `--sample-interval-ms`
-/// and `--metrics-addr`, both reading the global [`MetricRegistry`].
-fn start_observability(
-    rest: &[String],
-    recorder: Option<&Arc<JsonlRecorder>>,
-) -> Result<Observability, String> {
-    let mut obs = Observability { sampler: None, server: None };
-    if let Some(ms) = flag(rest, "--sample-interval-ms") {
-        let ms: u64 = ms
-            .parse()
-            .ok()
-            .filter(|&ms| ms > 0)
-            .ok_or_else(|| format!("--sample-interval-ms needs a positive count, got `{ms}`"))?;
-        let Some(recorder) = recorder else {
-            return Err("--sample-interval-ms needs --telemetry to give the samples a file".into());
-        };
-        obs.sampler = Some(Sampler::start(
-            MetricRegistry::global(),
-            Arc::clone(recorder) as Arc<dyn Recorder>,
-            Duration::from_millis(ms),
-        ));
-    }
-    if let Some(addr) = flag(rest, "--metrics-addr") {
-        let server = MetricsServer::bind(&addr, MetricRegistry::global())
-            .map_err(|e| format!("cannot serve metrics on `{addr}`: {e}"))?;
-        eprintln!("serving metrics at http://{}/metrics", server.local_addr());
-        obs.server = Some(server);
-    }
-    Ok(obs)
-}
-
-/// Keeps the `--trace-spans` global span sink installed for as long as the
-/// traced work runs, and removes it on drop so spans from later work (a
-/// second campaign, test neighbours) cannot leak into the trace.
-struct TraceGuard;
-
-impl TraceGuard {
-    fn install(recorder: &Arc<JsonlRecorder>) -> TraceGuard {
-        blockwatch::telemetry::set_trace_sink(Some(
-            Arc::clone(recorder) as Arc<dyn Recorder>
-        ));
-        TraceGuard
-    }
-}
-
-impl Drop for TraceGuard {
+impl Drop for Tracing {
     fn drop(&mut self) {
-        blockwatch::telemetry::set_trace_sink(None);
+        self.stop_spans();
     }
 }
 
-/// Handles `--trace-spans`: installs the span sink over the `--telemetry`
-/// recorder and returns the guard that removes it again.
-fn trace_spans_guard(
-    rest: &[String],
-    recorder: Option<&Arc<JsonlRecorder>>,
-) -> Result<Option<TraceGuard>, String> {
-    if !switch(rest, "--trace-spans") {
-        return Ok(None);
+/// The trace the `<trace.jsonl>` operand names: its path and its text.
+fn read_trace(args: &Args) -> Result<(&str, String), String> {
+    let path = args.operand()?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    Ok((path, text))
+}
+
+/// The time series in a trace's sample records, which it must have.
+fn sampled_series(path: &str, text: &str) -> Result<SeriesReport, String> {
+    let series = SeriesReport::parse(text)?;
+    if series.ticks.is_empty() {
+        return Err(format!(
+            "no sample records in `{path}` — re-run with --sample-interval-ms MS \
+             (and --telemetry) to collect them"
+        ));
     }
-    let Some(recorder) = recorder else {
-        return Err("--trace-spans needs --telemetry to give the spans a file".into());
-    };
-    Ok(Some(TraceGuard::install(recorder)))
+    Ok(series)
 }
 
 /// Warns on stderr when the monitor lost events to full queues.
@@ -296,151 +279,13 @@ fn warn_dropped(telemetry: &TelemetrySnapshot) {
     }
 }
 
-/// One `--flag` of the command line.
-struct Flag {
-    name: &'static str,
-    /// Whether it consumes the following argument as its value (otherwise
-    /// it is a switch). [`file_arg`] needs the distinction to tell a
-    /// flag's value from the positional `<file>`.
-    value: bool,
-    /// The subcommands that accept it.
-    commands: &'static [&'static str],
+/// `--engine sim|real`.
+fn engine_kind(args: &Args) -> Result<EngineKind, String> {
+    args.choice("--engine", &[("sim", EngineKind::Sim), ("real", EngineKind::Real)])
 }
 
-/// Every flag `bw` knows, each defined once: [`check_flags`] rejects
-/// anything else before a subcommand runs, and [`flag`] / [`switch`] /
-/// [`file_arg`] look their flags up here.
-const FLAGS: &[Flag] = &[
-    Flag { name: "--chrome", value: true, commands: &["timeline"] },
-    Flag { name: "--engine", value: true, commands: &["run", "campaign", "fuzz"] },
-    Flag { name: "--format", value: true, commands: &["stats"] },
-    Flag { name: "--inject", value: true, commands: &["fuzz"] },
-    Flag { name: "--injections", value: true, commands: &["campaign"] },
-    Flag { name: "--max-stmts", value: true, commands: &["fuzz", "gen"] },
-    Flag { name: "--metrics-addr", value: true, commands: &["run", "campaign", "fuzz"] },
-    Flag { name: "--model", value: true, commands: &["campaign"] },
-    Flag { name: "--monitor-shards", value: true, commands: &["run", "campaign", "fuzz"] },
-    Flag { name: "--out", value: true, commands: &["gen"] },
-    Flag { name: "--phase-profile", value: false, commands: &["timeline"] },
-    Flag { name: "--progress", value: false, commands: &["campaign"] },
-    Flag { name: "--real-cross-check", value: false, commands: &["fuzz"] },
-    Flag { name: "--require-coverage", value: false, commands: &["fuzz"] },
-    Flag { name: "--sample-interval-ms", value: true, commands: &["run", "campaign", "fuzz"] },
-    Flag { name: "--seed", value: true, commands: &["gen"] },
-    Flag { name: "--seeds", value: true, commands: &["fuzz"] },
-    Flag { name: "--series", value: false, commands: &["stats"] },
-    Flag { name: "--size", value: true, commands: &["analyze", "run", "ir", "campaign"] },
-    Flag { name: "--start", value: true, commands: &["fuzz"] },
-    Flag { name: "--stats", value: false, commands: &["run", "campaign"] },
-    Flag { name: "--telemetry", value: true, commands: &["run", "campaign", "fuzz"] },
-    Flag { name: "--threads", value: true, commands: &["run", "campaign", "fuzz"] },
-    Flag { name: "--trace-spans", value: false, commands: &["run", "campaign", "fuzz"] },
-    Flag { name: "--workers", value: true, commands: &["campaign"] },
-];
-
-fn lookup(name: &str) -> Option<&'static Flag> {
-    FLAGS.iter().find(|f| f.name == name)
-}
-
-/// Rejects every `--flag` in `rest` that `bw <command>` does not accept,
-/// and a value flag with nothing after it.
-fn check_flags(command: &str, rest: &[String]) -> Result<(), String> {
-    let mut args = rest.iter();
-    while let Some(arg) = args.next() {
-        if !arg.starts_with("--") {
-            continue;
-        }
-        let Some(f) = lookup(arg).filter(|f| f.commands.contains(&command)) else {
-            return Err(format!("unknown flag `{arg}` for `bw {command}`\n{USAGE}"));
-        };
-        if f.value && args.next().is_none() {
-            return Err(format!("flag `{arg}` needs a value"));
-        }
-    }
-    Ok(())
-}
-
-/// The value of value flag `name`, if given.
-fn flag(rest: &[String], name: &str) -> Option<String> {
-    debug_assert!(lookup(name).is_some_and(|f| f.value), "{name} is not a value flag in FLAGS");
-    rest.iter().position(|a| a == name).and_then(|i| rest.get(i + 1)).cloned()
-}
-
-/// Whether switch `name` is given.
-fn switch(rest: &[String], name: &str) -> bool {
-    debug_assert!(lookup(name).is_some_and(|f| !f.value), "{name} is not a switch in FLAGS");
-    rest.iter().any(|a| a == name)
-}
-
-/// Parses numeric flag `name`: absent = `default`, malformed = an error
-/// naming the flag and the value (never a silent fallback).
-fn num_flag<T: std::str::FromStr>(rest: &[String], name: &str, default: T) -> Result<T, String> {
-    match flag(rest, name) {
-        None => Ok(default),
-        Some(s) => s.parse().map_err(|_| format!("invalid {name} `{s}` (expected a number)")),
-    }
-}
-
-/// [`num_flag`] for seeds, which are reported (and repro files named) in
-/// hex: accepts both `26` and `0x1a`.
-fn seed_flag(rest: &[String], name: &str, default: u64) -> Result<u64, String> {
-    let Some(s) = flag(rest, name) else { return Ok(default) };
-    match s.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => s.parse().ok(),
-    }
-    .ok_or_else(|| format!("invalid {name} `{s}` (expected a decimal or 0x-hex number)"))
-}
-
-/// Writes a rendered report to stdout. A closed pipe (`bw top … | head`,
-/// `… | grep -q`) is a normal way to consume these, so EPIPE is a clean
-/// exit, not a panic like `print!` would give.
-fn emit(s: &str) {
-    use std::io::Write;
-    if std::io::stdout().write_all(s.as_bytes()).is_err() {
-        std::process::exit(0);
-    }
-}
-
-/// The positional `<file>`: the first argument that is neither a flag nor
-/// the value of a value flag.
-fn file_arg(rest: &[String]) -> Result<String, String> {
-    let mut args = rest.iter();
-    while let Some(arg) = args.next() {
-        if lookup(arg).is_some_and(|f| f.value) {
-            args.next();
-        } else if !arg.starts_with("--") {
-            return Ok(arg.clone());
-        }
-    }
-    Err(format!("missing <file> argument\n{USAGE}"))
-}
-
-fn threads(rest: &[String]) -> Result<u32, String> {
-    num_flag(rest, "--threads", 4)
-}
-
-/// Parses `--monitor-shards S` (must be positive when given).
-fn monitor_shards(rest: &[String]) -> Result<Option<usize>, String> {
-    match flag(rest, "--monitor-shards") {
-        Some(s) => match s.parse::<usize>() {
-            Ok(n) if n > 0 => Ok(Some(n)),
-            _ => Err(format!("--monitor-shards needs a positive count, got `{s}`")),
-        },
-        None => Ok(None),
-    }
-}
-
-/// Parses `--engine sim|real`.
-fn engine_kind(rest: &[String]) -> Result<EngineKind, String> {
-    match flag(rest, "--engine") {
-        Some(name) => name.parse(),
-        None => Ok(EngineKind::Sim),
-    }
-}
-
-fn cmd_analyze(rest: &[String]) -> Result<(), String> {
-    let bw = load(&file_arg(rest)?, rest)?;
+fn cmd_analyze(args: &Args) -> Result<(), String> {
+    let bw = load(args)?;
     println!("{:<8} {:<20} {:<10} {:<6} check", "branch", "function", "category", "depth");
     for b in bw.analysis().branches.iter() {
         let func = &bw.image().module.func(b.func).name;
@@ -473,21 +318,18 @@ fn cmd_analyze(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_run(rest: &[String]) -> Result<(), String> {
-    let bw = load(&file_arg(rest)?, rest)?;
-    let n = threads(rest)?;
-    let recorder = telemetry_recorder(rest)?;
-    let mut obs = start_observability(rest, recorder.as_ref())?;
-    let trace = trace_spans_guard(rest, recorder.as_ref())?;
-
-    let kind = engine_kind(rest)?;
-    let shards = monitor_shards(rest)?;
+fn cmd_run(args: &Args) -> Result<(), String> {
+    let bw = load(args)?;
+    let n = args.count("--threads", 4)?;
+    let kind = engine_kind(args)?;
+    let shards = args.positive("--monitor-shards")?;
+    let tracing = Tracing::start(args)?;
 
     // The pipeline's own telemetry plus the run's: one merged snapshot.
     let mut telemetry = bw.telemetry();
     let result = bw.run_on(kind, &ExecConfig::new(n).monitor_shards(shards));
-    drop(trace);
-    obs.finish();
+    telemetry.merge(&result.telemetry);
+    tracing.finish(Some(&telemetry));
     println!("outcome: {:?} ({} engine)", result.outcome, kind.name());
     match kind {
         EngineKind::Sim => {
@@ -508,52 +350,38 @@ fn cmd_run(rest: &[String]) -> Result<(), String> {
             );
         }
     }
-    telemetry.merge(&result.telemetry);
-    let (outcome, violations) = (result.outcome, result.violations);
-    for v in &violations {
+    for v in &result.violations {
         println!("  violation: branch {} {:?} ({} reporters)", v.branch, v.kind, v.reporters);
     }
     warn_dropped(&telemetry);
-    if let Some(recorder) = &recorder {
-        telemetry.record_to(recorder.as_ref());
-        recorder.flush();
-    }
-    if switch(rest, "--stats") {
+    if args.has("--stats") {
         print!("{}", render_telemetry(&telemetry));
     }
-    if outcome != RunOutcome::Completed {
+    if result.outcome != RunOutcome::Completed {
         return Err("program did not complete".into());
     }
     Ok(())
 }
 
-fn cmd_ir(rest: &[String]) -> Result<(), String> {
-    let bw = load(&file_arg(rest)?, rest)?;
+fn cmd_ir(args: &Args) -> Result<(), String> {
+    let bw = load(args)?;
     println!("{}", ModulePrinter(&bw.image().module));
     Ok(())
 }
 
-fn cmd_fuzz(rest: &[String]) -> Result<(), String> {
-    let seeds = seed_flag(rest, "--seeds", 100)?;
-    let start_seed = seed_flag(rest, "--start", 0)?;
-    let threads = match flag(rest, "--threads") {
-        Some(list) => list
-            .split(',')
-            .map(|t| t.trim().parse::<u32>().map_err(|e| format!("bad thread count `{t}`: {e}")))
-            .collect::<Result<Vec<u32>, String>>()?,
-        None => blockwatch::gen::DEFAULT_THREADS.to_vec(),
-    };
-    if threads.is_empty() || threads.contains(&0) {
+fn cmd_fuzz(args: &Args) -> Result<(), String> {
+    let seeds = args.seed("--seeds", 100)?;
+    let start_seed = args.seed("--start", 0)?;
+    let threads: Vec<u32> =
+        args.list("--threads")?.unwrap_or_else(|| blockwatch::gen::DEFAULT_THREADS.to_vec());
+    if threads.contains(&0) {
         return Err("--threads needs a comma-separated list of positive counts".into());
     }
-    let injections = num_flag(rest, "--inject", 0)?;
-    let gen = gen_config(rest)?;
-    let kind = engine_kind(rest)?;
-    let real_cross_check = switch(rest, "--real-cross-check");
-    let shards = monitor_shards(rest)?;
-    let recorder = telemetry_recorder(rest)?;
-    let mut obs = start_observability(rest, recorder.as_ref())?;
-
+    let injections = args.count("--inject", 0)?;
+    let gen = gen_config(args)?;
+    let kind = engine_kind(args)?;
+    let real_cross_check = args.has("--real-cross-check");
+    let shards = args.positive("--monitor-shards")?;
     let config = blockwatch::gen::FuzzConfig {
         seeds,
         start_seed,
@@ -564,13 +392,12 @@ fn cmd_fuzz(rest: &[String]) -> Result<(), String> {
         real_cross_check,
         monitor_shards: shards,
     };
-    let trace = trace_spans_guard(rest, recorder.as_ref())?;
-    let report = match &recorder {
+    let tracing = Tracing::start(args)?;
+    let report = match &tracing.recorder {
         Some(recorder) => blockwatch::gen::run_fuzz_recorded(&config, recorder.as_ref()),
         None => blockwatch::gen::run_fuzz(&config),
     };
-    drop(trace);
-    obs.finish();
+    tracing.finish(None);
     emit(&report.render());
 
     // Save each minimized reproducer; replay with `bw run fuzz-<seed>.bwir`.
@@ -583,7 +410,7 @@ fn cmd_fuzz(rest: &[String]) -> Result<(), String> {
     if !report.ok() {
         return Err(format!("{} seed(s) failed the oracle", report.failures.len()));
     }
-    if switch(rest, "--require-coverage") {
+    if args.has("--require-coverage") {
         let unexercised = report.stats.coverage.unexercised();
         if !unexercised.is_empty() {
             return Err(format!(
@@ -597,20 +424,20 @@ fn cmd_fuzz(rest: &[String]) -> Result<(), String> {
 }
 
 /// The generator configuration, with `--max-stmts` applied.
-fn gen_config(rest: &[String]) -> Result<blockwatch::gen::GenConfig, String> {
+fn gen_config(args: &Args) -> Result<blockwatch::gen::GenConfig, String> {
     let mut gen = blockwatch::gen::GenConfig::default();
-    gen.max_stmts = num_flag(rest, "--max-stmts", gen.max_stmts)?;
+    gen.max_stmts = args.count("--max-stmts", gen.max_stmts)?;
     Ok(gen)
 }
 
-fn cmd_gen(rest: &[String]) -> Result<(), String> {
-    let seed = seed_flag(rest, "--seed", 0)?;
-    let gen = gen_config(rest)?;
+fn cmd_gen(args: &Args) -> Result<(), String> {
+    let seed = args.seed("--seed", 0)?;
+    let gen = gen_config(args)?;
     let module = blockwatch::gen::generate_module(seed, &gen);
     let text = format!("{}", ModulePrinter(&module));
-    match flag(rest, "--out") {
+    match args.get("--out") {
         Some(path) => {
-            std::fs::write(&path, &text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+            std::fs::write(path, &text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
             println!("wrote {path}");
         }
         None => emit(&text),
@@ -618,41 +445,23 @@ fn cmd_gen(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_stats(rest: &[String]) -> Result<(), String> {
-    let path = file_arg(rest)?;
-    let text =
-        std::fs::read_to_string(&path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+fn cmd_stats(args: &Args) -> Result<(), String> {
+    let (path, text) = read_trace(args)?;
     let summary = TraceSummary::parse(&text)?;
-    match flag(rest, "--format").as_deref() {
-        None | Some("text") => emit(&summary.render()),
-        Some("json") => emit(&summary.to_json()),
-        Some(other) => return Err(format!("unknown format `{other}` (use text|json)")),
+    if args.choice("--format", &[("text", false), ("json", true)])? {
+        emit(&summary.to_json());
+    } else {
+        emit(&summary.render());
     }
-    if switch(rest, "--series") {
-        let series = SeriesReport::parse(&text)?;
-        if series.ticks.is_empty() {
-            return Err(format!(
-                "no sample records in `{path}` — re-run with --sample-interval-ms MS \
-                 (and --telemetry) to collect them"
-            ));
-        }
-        emit(&series.render());
+    if args.has("--series") {
+        emit(&sampled_series(path, &text)?.render());
     }
     Ok(())
 }
 
-fn cmd_top(rest: &[String]) -> Result<(), String> {
-    let path = file_arg(rest)?;
-    let text =
-        std::fs::read_to_string(&path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    let series = SeriesReport::parse(&text)?;
-    if series.ticks.is_empty() {
-        return Err(format!(
-            "no sample records in `{path}` — re-run with --sample-interval-ms MS \
-             (and --telemetry) to collect them"
-        ));
-    }
-    emit(&series.render());
+fn cmd_top(args: &Args) -> Result<(), String> {
+    let (path, text) = read_trace(args)?;
+    emit(&sampled_series(path, &text)?.render());
     // Latency context under the series: the trace's histogram aggregates
     // (detection latency, injection duration) with quantiles from their
     // recorded buckets.
@@ -667,10 +476,8 @@ fn cmd_top(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_timeline(rest: &[String]) -> Result<(), String> {
-    let path = file_arg(rest)?;
-    let text =
-        std::fs::read_to_string(&path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+fn cmd_timeline(args: &Args) -> Result<(), String> {
+    let (path, text) = read_trace(args)?;
     let report = TimelineReport::parse(&text)?;
     if report.events.is_empty() {
         return Err(format!(
@@ -678,22 +485,20 @@ fn cmd_timeline(rest: &[String]) -> Result<(), String> {
              to collect spans"
         ));
     }
-    if let Some(out) = flag(rest, "--chrome") {
-        std::fs::write(&out, report.to_chrome_json())
+    if let Some(out) = args.get("--chrome") {
+        std::fs::write(out, report.to_chrome_json())
             .map_err(|e| format!("cannot write `{out}`: {e}"))?;
         println!("wrote {out} (load in Perfetto or chrome://tracing)");
     }
     emit(&report.render());
-    if switch(rest, "--phase-profile") {
+    if args.has("--phase-profile") {
         emit(&report.phase_profile().render());
     }
     Ok(())
 }
 
-fn cmd_report(rest: &[String]) -> Result<(), String> {
-    let path = file_arg(rest)?;
-    let text =
-        std::fs::read_to_string(&path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+fn cmd_report(args: &Args) -> Result<(), String> {
+    let (_, text) = read_trace(args)?;
     let report = ForensicsReport::parse(&text)?;
     emit(&report.render());
     if !report.has_detections() {
@@ -705,22 +510,21 @@ fn cmd_report(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_campaign(rest: &[String]) -> Result<(), String> {
-    let bw = load(&file_arg(rest)?, rest)?;
-    let n = threads(rest)?;
-    let recorder = telemetry_recorder(rest)?;
-    let mut obs = start_observability(rest, recorder.as_ref())?;
-    let injections = num_flag(rest, "--injections", 200)?;
-    let model = match flag(rest, "--model").as_deref() {
-        None | Some("flip") => FaultModel::BranchFlip,
-        Some("cond") => FaultModel::ConditionBitFlip,
-        Some(other) => return Err(format!("unknown model `{other}` (use flip|cond)")),
-    };
+fn cmd_campaign(args: &Args) -> Result<(), String> {
+    let bw = load(args)?;
+    let n = args.count("--threads", 4)?;
+    let injections = args.count("--injections", 200)?;
+    let model = args.choice(
+        "--model",
+        &[("flip", FaultModel::BranchFlip), ("cond", FaultModel::ConditionBitFlip)],
+    )?;
 
-    let workers = num_flag(rest, "--workers", 0)?;
-    let kind = engine_kind(rest)?;
-    let shards = monitor_shards(rest)?;
-    let show_progress = switch(rest, "--progress");
+    let workers = args.count("--workers", 0)?;
+    let kind = engine_kind(args)?;
+    let shards = args.positive("--monitor-shards")?;
+    let show_progress = args.has("--progress");
+    let mut tracing = Tracing::start(args)?;
+    let recorder = tracing.recorder.clone();
     let progress = |label: &'static str| {
         move |p: CampaignProgress| {
             match p.eta_us() {
@@ -761,11 +565,10 @@ fn cmd_campaign(rest: &[String]) -> Result<(), String> {
     // Only the protected campaign is traced: the JSONL file then describes
     // one campaign, not two interleaved ones. The span sink comes down
     // before the baseline campaign for the same reason.
-    let trace = trace_spans_guard(rest, recorder.as_ref())?;
     let protected = run(MonitorMode::Enabled, "with BLOCKWATCH", true)?;
-    drop(trace);
+    tracing.stop_spans();
     let baseline = run(MonitorMode::Off, "without BLOCKWATCH", false)?;
-    obs.finish();
+    tracing.finish(Some(&protected.telemetry));
 
     println!("{model:?}, {injections} injections, {n} threads, {} engine", kind.name());
     println!("  without BLOCKWATCH: {:?}", baseline.counts);
@@ -794,11 +597,7 @@ fn cmd_campaign(rest: &[String]) -> Result<(), String> {
         );
     }
     warn_dropped(&protected.telemetry);
-    if let Some(recorder) = &recorder {
-        protected.telemetry.record_to(recorder.as_ref());
-        recorder.flush();
-    }
-    if switch(rest, "--stats") {
+    if args.has("--stats") {
         print!("{}", render_telemetry(&protected.telemetry));
     }
     Ok(())
@@ -808,14 +607,14 @@ fn cmd_campaign(rest: &[String]) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    /// The other direction of `tests/cli.rs`'s usage check: nothing in the
-    /// flag table is undocumented or names a subcommand that does not exist.
+    /// The usage is rendered from the tables, so it cannot leave a flag
+    /// out; what a row can still get wrong is checked here.
     #[test]
-    fn every_flag_in_the_table_is_in_the_usage() {
+    fn every_flag_has_help_and_names_only_existing_commands() {
         for f in FLAGS {
-            assert!(USAGE.contains(f.name), "{} is not in the usage text", f.name);
+            assert!(!f.help.is_empty() && !f.commands.is_empty(), "{}", f.name);
             for command in f.commands {
-                assert!(COMMANDS.iter().any(|(name, _)| name == command), "{}: {command}", f.name);
+                assert!(COMMANDS.iter().any(|c| c.name == *command), "{}: {command}", f.name);
             }
         }
     }

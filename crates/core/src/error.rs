@@ -3,6 +3,7 @@
 use bw_fault::CampaignError;
 use bw_ir::frontend::FrontendError;
 use bw_ir::VerifyError;
+use bw_vm::PrepareError;
 
 /// Everything that can go wrong between source text and campaign results.
 ///
@@ -16,6 +17,12 @@ pub enum Error {
     Frontend(FrontendError),
     /// A hand-built module failed SSA verification.
     Verify(VerifyError),
+    /// The module's similarity analysis had not converged after this many
+    /// iterations, so there are no categories to instrument it from.
+    NoFixpoint {
+        /// Whole-module iterations executed before giving up.
+        iterations: usize,
+    },
     /// A fault-injection campaign could not run.
     Campaign(CampaignError),
 }
@@ -25,6 +32,9 @@ impl std::fmt::Display for Error {
         match self {
             Error::Frontend(e) => write!(f, "front-end error: {e}"),
             Error::Verify(e) => write!(f, "IR verification error: {e}"),
+            Error::NoFixpoint { iterations } => {
+                write!(f, "{}", PrepareError::NoFixpoint { iterations: *iterations })
+            }
             Error::Campaign(e) => write!(f, "campaign error: {e}"),
         }
     }
@@ -35,6 +45,7 @@ impl std::error::Error for Error {
         match self {
             Error::Frontend(e) => Some(e),
             Error::Verify(e) => Some(e),
+            Error::NoFixpoint { .. } => None,
             Error::Campaign(e) => Some(e),
         }
     }
@@ -46,9 +57,12 @@ impl From<FrontendError> for Error {
     }
 }
 
-impl From<VerifyError> for Error {
-    fn from(e: VerifyError) -> Self {
-        Error::Verify(e)
+impl From<PrepareError> for Error {
+    fn from(e: PrepareError) -> Self {
+        match e {
+            PrepareError::Verify(e) => Error::Verify(e),
+            PrepareError::NoFixpoint { iterations } => Error::NoFixpoint { iterations },
+        }
     }
 }
 

@@ -45,6 +45,8 @@
 
 #![warn(missing_docs)]
 
+#[doc(hidden)]
+pub mod cli;
 mod error;
 mod pipeline;
 mod records;

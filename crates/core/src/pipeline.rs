@@ -59,41 +59,27 @@ impl Blockwatch {
     ///
     /// Returns [`Error::Frontend`] on syntax or semantic problems.
     pub fn compile(source: &str) -> Result<Self, Error> {
-        Self::compile_with(source, AnalysisConfig::default())
-    }
-
-    /// Compiles with an explicit analysis configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Frontend`] on syntax or semantic problems.
-    pub fn compile_with(source: &str, config: AnalysisConfig) -> Result<Self, Error> {
         let started = Instant::now();
         let module = bw_ir::frontend::compile(source)?;
         let parse_us = started.elapsed().as_micros() as u64;
-        Self::build(module, config, parse_us)
+        Self::build(module, parse_us)
     }
 
-    /// Wraps an already-built module with the default config.
+    /// Wraps an already-built module, prepared with the default (paper)
+    /// analysis configuration. (The ablations, the one place another
+    /// configuration is used, prepare a [`ProgramImage`] directly.)
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Verify`] when the module fails SSA verification.
+    /// Returns [`Error::Verify`] when the module fails SSA verification and
+    /// [`Error::NoFixpoint`] when its similarity analysis does not converge.
     pub fn from_module(module: Module) -> Result<Self, Error> {
-        Self::from_module_with(module, AnalysisConfig::default())
+        Self::build(module, 0)
     }
 
-    /// Wraps an already-built module.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Verify`] when the module fails SSA verification.
-    pub fn from_module_with(module: Module, config: AnalysisConfig) -> Result<Self, Error> {
-        Self::build(module, config, 0)
-    }
-
-    fn build(module: Module, config: AnalysisConfig, parse_us: u64) -> Result<Self, Error> {
-        let (image, prepare) = ProgramImage::try_prepare_timed(module, config)?;
+    fn build(module: Module, parse_us: u64) -> Result<Self, Error> {
+        let (image, prepare) =
+            ProgramImage::try_prepare_timed(module, AnalysisConfig::default())?;
         Ok(Blockwatch {
             image: Arc::new(image),
             golden_cache: Mutex::new(HashMap::new()),
@@ -105,12 +91,6 @@ impl Blockwatch {
     /// The prepared program image.
     pub fn image(&self) -> &ProgramImage {
         &self.image
-    }
-
-    /// Wall-clock times of the preparation stages (verify, analyze,
-    /// instrument, link).
-    pub fn prepare_timings(&self) -> PrepareTimings {
-        self.prepare
     }
 
     /// The pipeline's own telemetry: deterministic counters describing the
@@ -274,18 +254,6 @@ impl<'a> CampaignRunner<'a> {
         self
     }
 
-    /// Stops the campaign once `n` SDCs have been observed.
-    pub fn abort_after_sdc(mut self, n: usize) -> Self {
-        self.config = self.config.abort_after_sdc(n);
-        self
-    }
-
-    /// Stops the campaign at the first monitor detection.
-    pub fn abort_on_detection(mut self, yes: bool) -> Self {
-        self.config = self.config.abort_on_detection(yes);
-        self
-    }
-
     /// Streams per-injection progress to `callback` (called from worker
     /// threads, in completion order).
     pub fn on_progress(mut self, callback: impl Fn(CampaignProgress) + Sync + 'a) -> Self {
@@ -298,11 +266,6 @@ impl<'a> CampaignRunner<'a> {
     pub fn recorder(mut self, recorder: &'a dyn Recorder) -> Self {
         self.recorder = Some(recorder);
         self
-    }
-
-    /// The campaign configuration built so far.
-    pub fn config(&self) -> &CampaignConfig {
-        &self.config
     }
 
     /// Runs the campaign.

@@ -12,7 +12,9 @@ use bw_analysis::ModuleAnalysis;
 use bw_fault::{FaultModel, OutcomeCounts};
 use bw_splash::{Benchmark, Size};
 use bw_telemetry::{write_json_object, HistogramSnapshot, TelemetrySnapshot, Value};
-use bw_vm::{Engine, ExecConfig, ExecMode, MonitorMode, ProgramImage, RunOutcome, SimEngine};
+use bw_vm::{
+    Engine, ExecConfig, ExecMode, MachineModel, MonitorMode, ProgramImage, RunOutcome, SimEngine,
+};
 
 use crate::records::records;
 use crate::{Blockwatch, Error};
@@ -138,7 +140,7 @@ pub fn overhead_point(image: &ProgramImage, nthreads: u32) -> OverheadPoint {
     assert_eq!(base.outcome, RunOutcome::Completed, "baseline must complete");
 
     let mut protected = ExecConfig::new(nthreads);
-    protected.monitor = if nthreads >= protected.machine.cores() {
+    protected.monitor = if nthreads >= MachineModel::opteron_6128().cores() {
         MonitorMode::SendOnly
     } else {
         MonitorMode::Enabled

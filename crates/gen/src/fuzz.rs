@@ -198,9 +198,10 @@ pub fn check_module_cross(
             })
         }
     }
-    let image = ProgramImage::try_prepare(module.clone(), AnalysisConfig::default()).map_err(
-        |e| CheckFailure { class: "prepare", message: format!("verifier rejected module: {e}") },
-    )?;
+    // Verifier rejections and a similarity fixpoint that does not converge
+    // share the class; the message says which.
+    let image = ProgramImage::try_prepare(module.clone(), AnalysisConfig::default())
+        .map_err(|e| CheckFailure { class: "prepare", message: e.to_string() })?;
     check_image_cross(&image, threads, seed, real_cross)
         .map_err(|f| CheckFailure { class: f.class(), message: f.to_string() })
 }

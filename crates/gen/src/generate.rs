@@ -12,8 +12,10 @@
 //! - **schedule-deterministic**: the program-visible results (outputs,
 //!   per-thread step counts) are independent of thread interleaving. Shared
 //!   state written during the parallel section is either per-thread-disjoint
-//!   (array slots indexed by the thread ID) or reduced under a mutex with
-//!   commutative operators whose intermediate values never escape into the
+//!   (array slots indexed by the thread ID) or reduced under *one* mutex —
+//!   the same for every critical section, or two sections could interleave
+//!   their read-modify-writes of the accumulator — with commutative
+//!   operators whose intermediate values never escape into the
 //!   value pool. This is the property that makes the differential
 //!   (instrumented vs. uninstrumented) oracle sound: the monitor perturbs
 //!   only timing, never results.
@@ -32,8 +34,6 @@ use bw_vm::SplitMix64;
 pub struct GenConfig {
     /// Approximate statement budget for the SPMD body.
     pub max_stmts: u32,
-    /// Maximum nesting depth of ifs and loops.
-    pub max_depth: u32,
     /// The largest thread count the program must be safe at. Written shared
     /// arrays are sized to at least this, so per-thread slots stay disjoint.
     pub max_threads: u32,
@@ -41,9 +41,12 @@ pub struct GenConfig {
 
 impl Default for GenConfig {
     fn default() -> Self {
-        GenConfig { max_stmts: 40, max_depth: 3, max_threads: 8 }
+        GenConfig { max_stmts: 40, max_threads: 8 }
     }
 }
+
+/// Maximum nesting depth of ifs and loops.
+const MAX_DEPTH: u32 = 3;
 
 struct Rng(SplitMix64);
 
@@ -149,7 +152,6 @@ pub fn generate_module(seed: u64, cfg: &GenConfig) -> Module {
         let g = BodyGen {
             m: &mut m,
             rng: &mut rng,
-            cfg,
             b,
             budget: cfg.max_stmts as i64,
             tid: ValueId(0), // placeholder, set below
@@ -279,7 +281,6 @@ fn gen_fini(
 struct BodyGen<'a> {
     m: &'a mut Module,
     rng: &'a mut Rng,
-    cfg: &'a GenConfig,
     b: FunctionBuilder,
     budget: i64,
     tid: ValueId,
@@ -342,8 +343,8 @@ impl BodyGen<'_> {
         let roll = self.rng.below(100);
         match roll {
             0..=19 => self.arith(pool),
-            20..=33 if depth < self.cfg.max_depth => self.if_stmt(pool, depth),
-            34..=43 if depth < self.cfg.max_depth => self.loop_stmt(pool, depth),
+            20..=33 if depth < MAX_DEPTH => self.if_stmt(pool, depth),
+            34..=43 if depth < MAX_DEPTH => self.loop_stmt(pool, depth),
             44..=53 => self.array_op(pool),
             54..=60 => self.critical_section(pool),
             61..=66 => self.rand_stmt(pool),
@@ -464,7 +465,11 @@ impl BodyGen<'_> {
     }
 
     fn critical_section(&mut self, pool: &[ValueId]) {
-        let mtx = self.rng.pick(&self.mutexes);
+        // Every section updates the one accumulator, so every section takes
+        // the one mutex; the draw stays so the RNG stream — and with it
+        // every generated shape — is what it was when sections drew theirs.
+        let _ = self.rng.pick(&self.mutexes);
+        let mtx = self.mutexes[0];
         let term = self.rng.pick(pool);
         self.b.mutex_lock(mtx);
         // The loaded intermediate is order-dependent, so it must never

@@ -4,11 +4,11 @@
 
 use bw_analysis::{AnalysisConfig, Category, ModuleAnalysis};
 use bw_gen::{
-    check_image, check_module, generate_module, sabotaged_image, shrink, GenConfig,
-    DEFAULT_THREADS,
+    check_image, check_module, check_module_cross, generate_module, sabotaged_image, shrink,
+    GenConfig, DEFAULT_THREADS,
 };
 use bw_ir::{FuncId, Module, Op};
-use bw_vm::{Engine, ExecConfig, SimEngine};
+use bw_vm::{Engine, ExecConfig, PrepareError, ProgramImage, SimEngine};
 
 const SIM_SEED: u64 = 0xdead_beef;
 
@@ -190,4 +190,103 @@ fn seed_0x307c8_passes_and_helper1_stays_partial() {
             analysis.branches.iter().filter(|b| b.func == helper1).map(|b| b.category).collect();
         assert_eq!(cats, [Category::Partial], "helper1's one branch");
     }
+}
+
+/// The seeds the generator's one data race failed: every critical section
+/// read-modify-writes the one accumulator, and each used to draw its own
+/// mutex, so two sections under different mutexes could lose an update.
+/// The simulator orders the race deterministically, but instrumentation
+/// changes cycle costs and with them the order — "instrumentation not
+/// transparent" on the five sim seeds; real threads just lose the update —
+/// "real engine diverges from sim" on `0xb` and `0x12`.
+#[test]
+fn seeds_that_raced_on_the_accumulator_pass() {
+    for (seed, real_cross) in [
+        (0xb, true),
+        (0x12, true),
+        (0x3c2, false),
+        (0x488, false),
+        (0x4ed, false),
+        (0x8db, false),
+        (0x9a2, false),
+    ] {
+        let module = generate_module(seed, &GenConfig::default());
+        check_module_cross(&module, &DEFAULT_THREADS, seed, real_cross)
+            .unwrap_or_else(|f| panic!("seed {seed:#x}: {} ({})", f.message, f.class));
+    }
+}
+
+/// The property behind the seeds above: one accumulator, so one mutex.
+#[test]
+fn every_lock_of_a_generated_module_names_one_mutex() {
+    for seed in 0..500 {
+        let module = generate_module(seed, &GenConfig::default());
+        let mut locked: Vec<_> = module
+            .funcs
+            .iter()
+            .flat_map(|f| &f.blocks)
+            .flat_map(|b| &b.insts)
+            .filter_map(|inst| match inst.op {
+                Op::MutexLock(m) | Op::MutexUnlock(m) => Some(m),
+                _ => None,
+            })
+            .collect();
+        locked.dedup();
+        assert!(locked.len() <= 1, "seed {seed:#x} locks {locked:?}");
+    }
+}
+
+/// Seed `0x7019d`, shrunk by `bw fuzz`: the similarity fixpoint oscillates
+/// on it (a call result feeding the arguments of a second call of the same
+/// helper, whose return is an if-else merge phi) and used to end the whole
+/// `bw fuzz` process in an `assert!`. Non-convergence is a value now: the
+/// analysis returns unconverged, preparation refuses with `NoFixpoint`, and
+/// the oracle counts the seed under `prepare` and carries on. This flips to
+/// `Ok` when the transfer function is made monotone (ROADMAP step B (a)).
+#[test]
+fn seed_0x7019d_is_refused_with_no_fixpoint() {
+    let shrunk = bw_ir::parse_module(
+        "module fuzz_0007019d {
+           mutexes 0
+           barriers 0
+           callsites 2
+           spmd spmd
+           func helper0(v0: i64, v1: i64) -> i64 {
+           bb0:
+             v2: i64 = const 4
+             v3: i64 = shr v1, v0
+             v4: bool = const false
+             br v4, bb1, bb2
+           bb1:
+             v5: i64 = and v3, v2
+             jump bb3
+           bb2:
+             v6: i64 = const 0
+             jump bb3
+           bb3:
+             v7: i64 = phi [bb1, v5], [bb2, v6]
+             ret v7
+           }
+           func spmd() {
+           bb0:
+             v0: i64 = threadid
+             v1: i64 = const 4
+             v2: i64 = call fn0(v1, v0) @cs0
+             v3: i64 = call fn0(v2, v2) @cs1
+             ret
+           }
+         }",
+    )
+    .expect("the reproducer parses");
+    let analysis = ModuleAnalysis::run(&shrunk);
+    assert!(!analysis.converged, "converged after {} iterations", analysis.iterations);
+    match ProgramImage::try_prepare(shrunk, AnalysisConfig::default()) {
+        Err(PrepareError::NoFixpoint { iterations }) => assert_eq!(iterations, analysis.iterations),
+        other => panic!("expected NoFixpoint, got {:?}", other.map(|_| "an image")),
+    }
+
+    let module = generate_module(0x7019d, &GenConfig::default());
+    let failure = check_module(&module, &DEFAULT_THREADS, 0x7019d).expect_err("no fixpoint");
+    assert_eq!(failure.class, "prepare");
+    assert!(failure.message.contains("fixpoint"), "{}", failure.message);
 }

@@ -104,15 +104,6 @@ impl Module {
         &self.funcs[id.index()]
     }
 
-    /// Mutable access to a function.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn func_mut(&mut self, id: FuncId) -> &mut Function {
-        &mut self.funcs[id.index()]
-    }
-
     /// Looks up a function by name.
     pub fn func_by_name(&self, name: &str) -> Option<FuncId> {
         self.funcs.iter().position(|f| f.name == name).map(FuncId::from_index)

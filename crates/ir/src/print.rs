@@ -3,7 +3,6 @@
 use std::fmt::{self, Write as _};
 
 use crate::function::Function;
-use crate::ids::BlockId;
 use crate::inst::{Inst, Op};
 use crate::module::Module;
 
@@ -143,15 +142,6 @@ fn format_op(op: &Op) -> String {
         Op::Ret(None) => "ret".to_string(),
         Op::Trap => "trap".to_string(),
     }
-}
-
-/// Formats an entire block for diagnostics.
-pub fn format_block(func: &Function, bb: BlockId) -> String {
-    let mut out = String::new();
-    for inst in &func.block(bb).insts {
-        let _ = writeln!(out, "{}", format_inst(func, inst));
-    }
-    out
 }
 
 #[cfg(test)]

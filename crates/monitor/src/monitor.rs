@@ -236,12 +236,6 @@ impl Monitor {
         &self.reports
     }
 
-    /// The site table and per-site flight recorder (empty shell without
-    /// the `provenance` feature).
-    pub fn flight_recorder(&self) -> &FlightRecorder {
-        &self.recorder
-    }
-
     /// Whether any violation has been detected.
     pub fn detected(&self) -> bool {
         !self.violations.is_empty()

@@ -18,16 +18,18 @@
 //!
 //! Both schedulers accept the same [`ExecConfig`] and produce the same
 //! [`RunResult`]; fields a scheduler cannot honour are documented on the
-//! field and ignored (e.g. the cost model on [`RealEngine`]).
+//! field and ignored (e.g. the quantum on [`RealEngine`]). The cost model
+//! is not a field: every number this repository publishes is simulated
+//! cycles on the paper's one testbed, [`MachineModel::opteron_6128`].
 //!
 //! [`MachineModel`]: crate::machine::MachineModel
+//! [`MachineModel::opteron_6128`]: crate::machine::MachineModel::opteron_6128
 
 use bw_monitor::{BranchEvent, Violation, ViolationReport};
 use bw_telemetry::TelemetrySnapshot;
 use bw_ir::Val;
 
 use crate::image::ProgramImage;
-use crate::machine::MachineModel;
 use crate::thread::{BranchHook, NoHook};
 use crate::trap::TrapKind;
 
@@ -46,18 +48,6 @@ impl EngineKind {
         match self {
             EngineKind::Sim => "sim",
             EngineKind::Real => "real",
-        }
-    }
-}
-
-impl std::str::FromStr for EngineKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "sim" => Ok(EngineKind::Sim),
-            "real" => Ok(EngineKind::Real),
-            other => Err(format!("unknown engine '{other}' (expected 'sim' or 'real')")),
         }
     }
 }
@@ -112,10 +102,6 @@ pub enum ExecMode {
 pub struct ExecConfig {
     /// Number of SPMD threads.
     pub nthreads: u32,
-    /// Machine cost model. [`SimEngine`] only ([`RealEngine`] has no cost
-    /// model; wall-clock on the host is meaningless for the paper's
-    /// 32-core numbers).
-    pub machine: MachineModel,
     /// Monitor behaviour.
     pub monitor: MonitorMode,
     /// Execution mode (normal or duplicated baseline). [`SimEngine`] only.
@@ -127,12 +113,12 @@ pub struct ExecConfig {
     /// one loop); on [`RealEngine`] it bounds each thread independently
     /// (threads run free and cannot observe a global count cheaply).
     pub max_steps: u64,
-    /// Instructions executed per scheduler slot. [`SimEngine`] only.
+    /// Instructions executed per scheduler slot. [`SimEngine`] only. No
+    /// exhibit or binary sets it; it stays a field because the schedule
+    /// sweeps of `tests/prefix.rs` and `tests/differential.rs` (quanta 1, 3
+    /// and 64) are what pins forks and the decoded stepper to the reference
+    /// at slot boundaries the default never produces.
     pub quantum: u32,
-    /// Determinism-enforcement cycles per shared access *per thread* in
-    /// duplicated mode (the non-scaling term of Section VI). [`SimEngine`]
-    /// only.
-    pub dup_tax: u64,
     /// Record every [`BranchEvent`] produced in the parallel section on
     /// [`RunResult::branch_events`]. Independent of [`MonitorMode`] (events
     /// are captured even with the monitor off) and free of cycle cost, so
@@ -141,16 +127,15 @@ pub struct ExecConfig {
     /// event order to record, so the field is ignored and
     /// [`RunResult::branch_events`] stays empty.
     pub capture_events: bool,
-    /// Per-thread SPSC event-queue capacity. [`RealEngine`] only (the
-    /// simulator's inline monitor has no queue).
-    pub queue_capacity: usize,
     /// Wall-clock watchdog for blocked waits, in milliseconds.
     /// [`RealEngine`] only: a real thread stuck at a barrier or mutex
     /// cannot observe a deadlock the way the simulator's scheduler can, so
     /// a wait past this deadline classifies the run as [`RunOutcome::Hung`]
     /// (the moral equivalent of the paper's injection-harness timeout).
     /// Lower it when injecting faults on the real engine — every deadlocked
-    /// experiment costs this long in wall time.
+    /// experiment costs this long in wall time. Only tests do (the 200 ms
+    /// `Hung` test would take the default's 10 s), which is why it is still
+    /// a field.
     pub watchdog_ms: u64,
     /// When set, the monitor ingest is sharded across this many workers,
     /// each owning a disjoint `(site, branch)` key-space slice (routed by
@@ -166,15 +151,12 @@ impl ExecConfig {
     pub fn new(nthreads: u32) -> Self {
         ExecConfig {
             nthreads,
-            machine: MachineModel::opteron_6128(),
             monitor: MonitorMode::Enabled,
             exec: ExecMode::Normal,
             seed: 0xb10c_0000,
             max_steps: 2_000_000_000,
             quantum: 64,
-            dup_tax: 12,
             capture_events: false,
-            queue_capacity: 1 << 14,
             watchdog_ms: 10_000,
             monitor_shards: None,
         }
@@ -189,12 +171,6 @@ impl ExecConfig {
     /// Sets the execution mode.
     pub fn exec(mut self, exec: ExecMode) -> Self {
         self.exec = exec;
-        self
-    }
-
-    /// Sets the machine cost model.
-    pub fn machine(mut self, machine: MachineModel) -> Self {
-        self.machine = machine;
         self
     }
 
@@ -219,12 +195,6 @@ impl ExecConfig {
     /// Enables (or disables) branch-event capture on the result.
     pub fn capture_events(mut self, capture: bool) -> Self {
         self.capture_events = capture;
-        self
-    }
-
-    /// Sets the real engine's per-thread event-queue capacity.
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity;
         self
     }
 
@@ -446,11 +416,10 @@ mod tests {
 
     #[test]
     fn kind_round_trips_through_names() {
-        for kind in [EngineKind::Sim, EngineKind::Real] {
-            assert_eq!(kind.name().parse::<EngineKind>().unwrap(), kind);
+        for (kind, name) in [(EngineKind::Sim, "sim"), (EngineKind::Real, "real")] {
+            assert_eq!(kind.name(), name);
             assert_eq!(engine(kind).kind(), kind);
         }
-        assert!("fast".parse::<EngineKind>().is_err());
     }
 
     #[test]

@@ -192,12 +192,32 @@ pub struct PrepareTimings {
     pub link_us: u64,
 }
 
-impl PrepareTimings {
-    /// Total preparation time across all stages.
-    pub fn total_us(&self) -> u64 {
-        self.verify_us + self.analyze_us + self.instrument_us + self.link_us
+/// Why [`ProgramImage::try_prepare`] refused a module.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum PrepareError {
+    /// The module is not well-formed SSA.
+    Verify(VerifyError),
+    /// The module verifies, but its similarity analysis had not settled
+    /// after this many whole-module iterations: no categories to instrument
+    /// from.
+    NoFixpoint {
+        /// Iterations executed before giving up.
+        iterations: usize,
+    },
+}
+
+impl std::fmt::Display for PrepareError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PrepareError::Verify(e) => write!(f, "verifier rejected module: {e}"),
+            PrepareError::NoFixpoint { iterations } => {
+                write!(f, "similarity fixpoint failed to converge in {iterations} iterations")
+            }
+        }
     }
 }
+
+impl std::error::Error for PrepareError {}
 
 /// A fully analyzed, instrumented program ready to execute.
 #[derive(Debug)]
@@ -224,16 +244,20 @@ impl ProgramImage {
     ///
     /// # Panics
     ///
-    /// Panics if the module fails verification (construct modules through
-    /// the builder or front-end to avoid this, or use
-    /// [`ProgramImage::try_prepare`] for a fallible variant).
+    /// Panics if [`ProgramImage::try_prepare`], the fallible variant,
+    /// would return an error (modules from the builder or front-end verify).
     pub fn prepare(module: Module, config: AnalysisConfig) -> ProgramImage {
-        Self::try_prepare(module, config).expect("module must verify before execution")
+        Self::try_prepare(module, config).expect("module must prepare before execution")
     }
 
-    /// Analyzes and instruments `module` with `config`, returning the
-    /// verifier's error instead of panicking when the module is malformed.
-    pub fn try_prepare(module: Module, config: AnalysisConfig) -> Result<ProgramImage, VerifyError> {
+    /// Analyzes and instruments `module` with `config`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the verifier's error when the module is malformed, and
+    /// [`PrepareError::NoFixpoint`] when its similarity analysis does not
+    /// converge.
+    pub fn try_prepare(module: Module, config: AnalysisConfig) -> Result<ProgramImage, PrepareError> {
         Self::try_prepare_timed(module, config).map(|(image, _)| image)
     }
 
@@ -243,14 +267,17 @@ impl ProgramImage {
     pub fn try_prepare_timed(
         module: Module,
         config: AnalysisConfig,
-    ) -> Result<(ProgramImage, PrepareTimings), VerifyError> {
+    ) -> Result<(ProgramImage, PrepareTimings), PrepareError> {
         let mut timings = PrepareTimings::default();
         let t0 = std::time::Instant::now();
-        bw_ir::verify_module(&module)?;
+        bw_ir::verify_module(&module).map_err(PrepareError::Verify)?;
         timings.verify_us = t0.elapsed().as_micros() as u64;
 
         let t1 = std::time::Instant::now();
         let analysis = ModuleAnalysis::run(&module);
+        if !analysis.converged {
+            return Err(PrepareError::NoFixpoint { iterations: analysis.iterations });
+        }
         timings.analyze_us = t1.elapsed().as_micros() as u64;
 
         let t2 = std::time::Instant::now();

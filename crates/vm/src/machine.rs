@@ -19,8 +19,10 @@
 //!   of execution as threads are added, which is what amortizes the
 //!   instrumentation overhead at high thread counts (paper Figure 7).
 
-/// Cycle costs and topology of the simulated machine.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+/// Cycle costs and topology of the simulated machine. There is one, the
+/// paper's ([`MachineModel::opteron_6128`]): the simulator reads it
+/// directly, it is not part of a run's configuration.
+#[derive(Clone, Debug)]
 pub struct MachineModel {
     /// Number of sockets (NUMA domains).
     pub sockets: u32,
@@ -66,12 +68,15 @@ pub struct MachineModel {
     pub event_far: u64,
     /// Cost of an `output` operation.
     pub output: u64,
+    /// Determinism-enforcement cycles per shared access *per thread* in
+    /// duplicated mode (the non-scaling term of Section VI).
+    pub dup_tax: u64,
 }
 
 impl MachineModel {
     /// The four-socket, 32-core AMD Opteron 6128 configuration of the
     /// paper's testbed.
-    pub fn opteron_6128() -> Self {
+    pub const fn opteron_6128() -> Self {
         MachineModel {
             sockets: 4,
             cores_per_socket: 8,
@@ -92,6 +97,7 @@ impl MachineModel {
             event_near: 50,
             event_far: 260,
             output: 4,
+            dup_tax: 12,
         }
     }
 
@@ -142,12 +148,6 @@ impl MachineModel {
     /// central-counter pthread barrier serializes arrivals).
     pub fn barrier_latency(&self, nthreads: u32) -> u64 {
         self.barrier_base + self.barrier_hop * u64::from(nthreads.saturating_sub(1))
-    }
-}
-
-impl Default for MachineModel {
-    fn default() -> Self {
-        Self::opteron_6128()
     }
 }
 
@@ -202,7 +202,7 @@ mod tests {
 
     #[test]
     fn default_is_the_paper_testbed() {
-        let m = MachineModel::default();
+        let m = MachineModel::opteron_6128();
         assert_eq!(m.cores(), 32);
         assert_eq!(m.sockets, 4);
     }

@@ -529,7 +529,6 @@ pub(crate) fn run_real_engine(
             let (senders, handle) =
                 MonitorBuilder::new(CheckTable::from_plan(&image.plan), n as usize)
                     .topology(config.monitor_topology())
-                    .queue_capacity(config.queue_capacity)
                     .spawn();
             (senders.into_iter().map(Some).collect(), Some(handle))
         }

@@ -30,10 +30,15 @@ use bw_telemetry::{Recorder, TimeDomain, Value};
 
 use crate::engine::{ExecConfig, ExecMode, MonitorMode, RunOutcome, RunResult};
 use crate::image::ProgramImage;
+use crate::machine::MachineModel;
 use crate::memory::SimMemory;
 use crate::telemetry::VmTelemetry;
 use crate::thread::{BranchHook, CostClass, NoHook, NoSink, Sink, ThreadState, Yield};
 use crate::trap::TrapKind;
+
+/// The simulated machine: the paper's testbed, the only one any exhibit,
+/// test or benchmark has run on.
+const MACHINE: MachineModel = MachineModel::opteron_6128();
 
 /// Passive span collection for the deterministic engine: while a trace
 /// sink is installed (`bw_telemetry::set_trace_sink`, the `--trace-spans`
@@ -360,7 +365,7 @@ struct ThreadCosts {
 
 impl ThreadCosts {
     fn new(tid: u32, config: &ExecConfig, regions: u32) -> Self {
-        let m = &config.machine;
+        let m = &MACHINE;
         let n = config.nthreads;
         // Instruction-level duplication re-executes everything (2x), and
         // each shared access of either replica pays a determinism-
@@ -368,7 +373,7 @@ impl ThreadCosts {
         // scaling argument).
         let (dup, tax) = match config.exec {
             ExecMode::Normal => (1, 0),
-            ExecMode::Duplicated => (2, config.dup_tax * u64::from(n) / 2),
+            ExecMode::Duplicated => (2, m.dup_tax * u64::from(n) / 2),
         };
         ThreadCosts {
             alu: m.alu * dup,
@@ -616,7 +621,6 @@ impl<'a> Sim<'a> {
     /// parallel section is over (`state.end` says how).
     fn slot(&mut self, hook: &dyn BranchHook) -> bool {
         let config = self.config;
-        let machine = &config.machine;
         let n = config.nthreads;
         let State {
             mem,
@@ -685,9 +689,9 @@ impl<'a> Sim<'a> {
             match yielded {
                 Yield::Budget => {}
                 Yield::Lock(m) => {
-                    clock += costs.alu + machine.lock;
+                    clock += costs.alu + MACHINE.lock;
                     ledger.telemetry.add(CostClass::Alu, costs.alu);
-                    ledger.telemetry.cycles_sync += machine.lock;
+                    ledger.telemetry.cycles_sync += MACHINE.lock;
                     let ms = &mut mutexes[m.index()];
                     if ms.owner.is_none() {
                         ms.owner = Some(tid);
@@ -705,8 +709,8 @@ impl<'a> Sim<'a> {
                     }
                 }
                 Yield::Unlock(m) => {
-                    clock += machine.lock;
-                    ledger.telemetry.cycles_sync += machine.lock;
+                    clock += MACHINE.lock;
+                    ledger.telemetry.cycles_sync += MACHINE.lock;
                     let ms = &mut mutexes[m.index()];
                     if ms.owner != Some(tid) {
                         // Control flow corrupted into an unlock the
@@ -724,7 +728,7 @@ impl<'a> Sim<'a> {
                         let next = ms.waiters.remove(0);
                         ms.owner = Some(next);
                         let nt = next as usize;
-                        clocks[nt] = clocks[nt].max(clock) + machine.lock_handoff;
+                        clocks[nt] = clocks[nt].max(clock) + MACHINE.lock_handoff;
                         blocked[nt] = false;
                         if let Some(tr) = self.tracer.as_mut() {
                             tr.lock_handoff(next, m.index(), clocks[nt]);
@@ -747,8 +751,8 @@ impl<'a> Sim<'a> {
                             .map(|&(_, c)| c)
                             .max()
                             .expect("nonempty arrivals")
-                            + machine.barrier_latency(n);
-                        ledger.telemetry.cycles_sync += machine.barrier_latency(n);
+                            + MACHINE.barrier_latency(n);
+                        ledger.telemetry.cycles_sync += MACHINE.barrier_latency(n);
                         for &(other, _) in &bs.arrivals {
                             let ot = other as usize;
                             clocks[ot] = release;

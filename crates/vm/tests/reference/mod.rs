@@ -24,10 +24,13 @@ use bw_ir::{
 use bw_monitor::{BranchEvent, CheckTable, KeyHasher, ShardedMonitor};
 use bw_telemetry::TelemetrySnapshot;
 use bw_vm::{
-    AtomicMemory, BranchHook, ExecConfig, ExecMode, FaultAction, LocalMemory, MonitorMode,
-    ProgramImage, RunOutcome, RunResult, SharedMemory, SimMemory, SplitMix64, TrapKind,
-    MAX_CALL_DEPTH,
+    AtomicMemory, BranchHook, ExecConfig, ExecMode, FaultAction, LocalMemory, MachineModel,
+    MonitorMode, ProgramImage, RunOutcome, RunResult, SharedMemory, SimMemory, SplitMix64,
+    TrapKind, MAX_CALL_DEPTH,
 };
+
+/// The simulated machine (there is one; `sim.rs` reads the same constant).
+const MACHINE: MachineModel = MachineModel::opteron_6128();
 
 /// Static per-function metadata used at runtime.
 struct FuncMeta {
@@ -835,7 +838,7 @@ impl<'a> Sim<'a> {
     }
 
     fn cost(&self, tid: u32, class: CostClass) -> u64 {
-        let m = &self.config.machine;
+        let m = &MACHINE;
         let n = self.config.nthreads;
         let base = match class {
             CostClass::Free => 0,
@@ -864,12 +867,12 @@ impl<'a> Sim<'a> {
     fn determinism_tax(&self) -> u64 {
         match self.config.exec {
             ExecMode::Normal => 0,
-            ExecMode::Duplicated => self.config.dup_tax * u64::from(self.config.nthreads) / 2,
+            ExecMode::Duplicated => MACHINE.dup_tax * u64::from(self.config.nthreads) / 2,
         }
     }
 
     fn event_cost(&self, tid: u32) -> u64 {
-        let m = &self.config.machine;
+        let m = &MACHINE;
         let cycles = (m.event_build + m.event_push(tid, self.config.nthreads)) * self.dup_factor;
         self.telemetry.cycles_events.add(cycles);
         cycles
@@ -1052,8 +1055,8 @@ impl<'a> Sim<'a> {
                         }
                     }
                     StepOutcome::Lock(m) => {
-                        clock += self.cost(tid, CostClass::Alu) + self.config.machine.lock;
-                        self.telemetry.cycles_sync.add(self.config.machine.lock);
+                        clock += self.cost(tid, CostClass::Alu) + MACHINE.lock;
+                        self.telemetry.cycles_sync.add(MACHINE.lock);
                         let ms = &mut mutexes[m.index()];
                         if ms.owner.is_none() {
                             ms.owner = Some(tid);
@@ -1065,8 +1068,8 @@ impl<'a> Sim<'a> {
                         }
                     }
                     StepOutcome::Unlock(m) => {
-                        clock += self.config.machine.lock;
-                        self.telemetry.cycles_sync.add(self.config.machine.lock);
+                        clock += MACHINE.lock;
+                        self.telemetry.cycles_sync.add(MACHINE.lock);
                         let ms = &mut mutexes[m.index()];
                         if ms.owner != Some(tid) {
                             // Control flow corrupted into an unlock the
@@ -1085,7 +1088,7 @@ impl<'a> Sim<'a> {
                             ms.owner = Some(next);
                             let nt = next as usize;
                             clocks[nt] =
-                                clocks[nt].max(clock) + self.config.machine.lock_handoff;
+                                clocks[nt].max(clock) + MACHINE.lock_handoff;
                             blocked[nt] = false;
                             heap.push(Reverse((clocks[nt], next)));
                         }
@@ -1105,10 +1108,10 @@ impl<'a> Sim<'a> {
                                 .map(|&(_, c)| c)
                                 .max()
                                 .expect("nonempty arrivals")
-                                + self.config.machine.barrier_latency(n);
+                                + MACHINE.barrier_latency(n);
                             self.telemetry
                                 .cycles_sync
-                                .add(self.config.machine.barrier_latency(n));
+                                .add(MACHINE.barrier_latency(n));
                             for &(other, _) in &bs.arrivals {
                                 let ot = other as usize;
                                 clocks[ot] = release;

@@ -208,3 +208,43 @@ fn every_flag_the_usage_names_is_accepted_where_it_is_listed() {
         );
     }
 }
+
+/// Every `--flag` word in `text`.
+fn flag_words(text: &str) -> std::collections::BTreeSet<String> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter(|w| w.len() > 2 && w.starts_with("--") && !w.ends_with('-'))
+        .map(String::from)
+        .collect()
+}
+
+/// README's CLI section does not restate the usage, but it does name the
+/// flags; it and the flag table cannot drift either: the section names
+/// every flag `bw help` lists and no flag `bw help` does not.
+#[test]
+fn the_readme_names_the_flags_bw_help_lists() {
+    let readme: PathBuf = [env!("CARGO_MANIFEST_DIR"), "..", "..", "README.md"].iter().collect();
+    let readme = std::fs::read_to_string(readme).expect("README.md");
+    let section = readme.split("\n## ").find(|s| s.starts_with("The `bw` CLI")).expect("the section");
+    let mut listed = flag_words(&stdout(&bw(&["help"])));
+    assert!(listed.len() >= 25, "the usage lost its flags: {listed:?}");
+    listed.insert("--help".into());
+    listed.insert("--bin".into()); // `cargo run --release --bin bw --` in the examples
+    listed.insert("--release".into());
+    let named = flag_words(section);
+    let (missing, stale): (Vec<_>, Vec<_>) =
+        (listed.difference(&named).collect(), named.difference(&listed).collect());
+    assert!(missing.is_empty() && stale.is_empty(), "README lacks {missing:?}, has stale {stale:?}");
+}
+
+/// `bw fuzz 500` used to sweep the default 100 seeds and `bw run a b` to
+/// run `a`: an argument nothing reads is an error like an unknown flag is.
+#[test]
+fn an_argument_the_subcommand_does_not_take_is_an_error() {
+    for (args, extra) in [(&["fuzz", "500"][..], "500"), (&["run", "splash:fft", "splash:fmm"], "splash:fmm")] {
+        let out = bw(args);
+        assert_eq!(out.status.code(), Some(1), "bw {args:?}");
+        let expected = format!("unexpected argument `{extra}`");
+        assert!(stderr(&out).contains(&expected), "bw {args:?}: {}", stderr(&out));
+        assert!(out.stdout.is_empty(), "bw {args:?} ran anyway: {}", stdout(&out));
+    }
+}
