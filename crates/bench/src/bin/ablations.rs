@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release -p bw-bench --bin ablations -- [injections]`
 
-use blockwatch::analysis::AnalysisConfig;
+use blockwatch::analysis::{AnalysisConfig, SkipReason};
 use blockwatch::fault::{run_campaign, CampaignConfig};
 use blockwatch::reports::overhead_point;
 use blockwatch::vm::ProgramImage;
@@ -40,6 +40,9 @@ fn main() -> std::process::ExitCode {
 fn run(args: &blockwatch::cli::Args) -> Result<(), String> {
     let injections: usize = args.operand_count(300)?;
     let nthreads = 4;
+    // Whether any port's default plan leaves a branch out because it sits
+    // inside a critical section (what `bw analyze` would print as a skip).
+    let mut critical_section_skips = false;
 
     for bench in [Benchmark::Raytrace, Benchmark::OceanContig, Benchmark::Fmm] {
         println!(
@@ -52,6 +55,11 @@ fn run(args: &blockwatch::cli::Args) -> Result<(), String> {
                 bench.module(Size::Small).expect("port compiles"),
                 v.config,
             );
+            critical_section_skips |= image
+                .plan
+                .decisions
+                .iter()
+                .any(|d| matches!(d, Err(SkipReason::CriticalSection)));
             let cfg =
                 CampaignConfig::new(injections, FaultModel::BranchFlip, nthreads).seed(0xab1a);
             let campaign = run_campaign(&image, &cfg).expect("golden run completes");
@@ -72,6 +80,12 @@ fn run(args: &blockwatch::cli::Args) -> Result<(), String> {
             )
         );
         println!();
+    }
+    if !critical_section_skips {
+        println!(
+            "no port has a branch inside a critical section: the `no critical-section opt` \
+             row equals the default by construction"
+        );
     }
     Ok(())
 }

@@ -12,13 +12,15 @@ use std::time::Duration;
 
 use blockwatch::cli::{command, emit, flag, Args, Cli, Command, Flag};
 use blockwatch::ir::ModulePrinter;
-use blockwatch::reports::{render_telemetry, ForensicsReport, SeriesReport, TraceSummary};
 use blockwatch::timeline::TimelineReport;
+use blockwatch::trace::{
+    render_histograms, render_telemetry, ForensicsReport, SeriesReport, TraceSummary,
+};
 use blockwatch::telemetry::{JsonlRecorder, MetricRegistry, MetricsServer, Recorder, Sampler};
 use blockwatch::vm::MonitorMode;
 use blockwatch::{
     Benchmark, Blockwatch, CampaignProgress, EngineKind, ExecConfig, FaultModel, RunOutcome, Size,
-    TelemetrySnapshot,
+    TelemetrySnapshot, WorkerStats,
 };
 
 const COMMANDS: &[Command] = &[
@@ -256,8 +258,7 @@ fn read_trace(args: &Args) -> Result<(&str, String), String> {
 }
 
 /// The time series in a trace's sample records, which it must have.
-fn sampled_series(path: &str, text: &str) -> Result<SeriesReport, String> {
-    let series = SeriesReport::parse(text)?;
+fn sampled<'a>(path: &str, series: &'a SeriesReport) -> Result<&'a SeriesReport, String> {
     if series.ticks.is_empty() {
         return Err(format!(
             "no sample records in `{path}` — re-run with --sample-interval-ms MS \
@@ -454,25 +455,19 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
         emit(&summary.render());
     }
     if args.has("--series") {
-        emit(&sampled_series(path, &text)?.render());
+        emit(&sampled(path, &summary.series)?.render());
     }
     Ok(())
 }
 
 fn cmd_top(args: &Args) -> Result<(), String> {
     let (path, text) = read_trace(args)?;
-    emit(&sampled_series(path, &text)?.render());
+    let summary = TraceSummary::parse(&text)?;
+    emit(&sampled(path, &summary.series)?.render());
     // Latency context under the series: the trace's histogram aggregates
     // (detection latency, injection duration) with quantiles from their
     // recorded buckets.
-    let summary = TraceSummary::parse(&text)?;
-    if !summary.histograms.is_empty() {
-        let mut snapshot = TelemetrySnapshot::new();
-        for h in &summary.histograms {
-            snapshot.push_histogram(h.name.as_str(), h.snapshot());
-        }
-        emit(&render_telemetry(&snapshot));
-    }
+    emit(&render_histograms(summary.metrics.histograms()));
     Ok(())
 }
 
@@ -581,12 +576,16 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
     // What forking injections from a shared fault-free prefix saved, over
     // both campaigns (0% on the real engine, where every injection is a
     // full replay).
-    let stats = || protected.worker_stats.iter().chain(&baseline.worker_stats);
-    let run: u64 = stats().map(|w| w.steps_run).sum();
-    let skipped: u64 = stats().map(|w| w.steps_skipped).sum();
+    let mut total = WorkerStats::default();
+    for w in protected.worker_stats.iter().chain(&baseline.worker_stats) {
+        total.steps_run += w.steps_run;
+        total.steps_skipped += w.steps_skipped;
+    }
     println!(
-        "  steps: {run} run, {skipped} skipped ({:.1}% of a full replay of every injection)",
-        100.0 * skipped as f64 / (run + skipped).max(1) as f64
+        "  steps: {} run, {} skipped ({:.1}% of a full replay of every injection)",
+        total.steps_run,
+        total.steps_skipped,
+        100.0 * total.skipped_share()
     );
     for w in &protected.worker_stats {
         println!(

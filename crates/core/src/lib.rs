@@ -10,8 +10,9 @@
 //! positives.
 //!
 //! This crate is the umbrella: [`Blockwatch`] drives the full pipeline
-//! (compile → analyze → instrument → execute/campaign), and [`reports`]
-//! regenerates every table and figure of the paper's evaluation. The
+//! (compile → analyze → instrument → execute/campaign), [`reports`]
+//! regenerates every table and figure of the paper's evaluation, and
+//! [`trace`] and [`timeline`] read a run's JSONL trace back. The
 //! heavy lifting lives in the component crates, re-exported here:
 //!
 //! * [`ir`] — SSA IR, builder, verifier, mini-language front-end.
@@ -49,14 +50,14 @@
 pub mod cli;
 mod error;
 mod pipeline;
-mod records;
 pub mod reports;
 pub mod timeline;
+pub mod trace;
 
 pub use error::Error;
 pub use pipeline::{Blockwatch, CampaignRunner};
-pub use reports::{ForensicsReport, SampleTick, SeriesReport, TraceSummary};
-pub use timeline::{PhaseProfile, PhaseStat, PhaseThread, TimelineEvent, TimelineReport};
+pub use timeline::{PhaseProfile, PhaseStat, PhaseThread, TimelineReport};
+pub use trace::{ForensicsReport, SeriesReport, TraceSummary};
 
 pub use bw_analysis as analysis;
 pub use bw_fault as fault;

@@ -24,70 +24,10 @@
 //! executes programs (an untraced run just has no `tspan` records to
 //! parse).
 
-use bw_telemetry::{write_json_object, Value};
+use bw_telemetry::{write_json_object, TimeDomain, Value};
+pub use bw_telemetry::{SpanKind, TraceSpan};
 
-use crate::records::records;
-
-/// The shape of one timeline record (the `kind` field of a `tspan`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TimelineKind {
-    /// An interval `[ts, ts + dur)`.
-    Span,
-    /// A point in time.
-    Instant,
-    /// The source end of a causal arrow (paired by `flow`).
-    FlowStart,
-    /// The target end of a causal arrow (paired by `flow`).
-    FlowEnd,
-}
-
-impl TimelineKind {
-    fn parse(tag: &str) -> Option<TimelineKind> {
-        match tag {
-            "span" => Some(TimelineKind::Span),
-            "instant" => Some(TimelineKind::Instant),
-            "flow_start" => Some(TimelineKind::FlowStart),
-            "flow_end" => Some(TimelineKind::FlowEnd),
-            _ => None,
-        }
-    }
-}
-
-/// One parsed `tspan` record.
-#[derive(Clone, Debug)]
-pub struct TimelineEvent {
-    /// Span / instant / flow end-point (see [`TimelineKind`]).
-    pub kind: TimelineKind,
-    /// Time domain tag: `"cyc"` (simulated cycles) or `"us"` (wall).
-    pub dom: String,
-    /// Lane: `t<tid>`, `shard<i>`, `w<wid>`, `main`, `monitor`.
-    pub track: String,
-    /// Category: `barrier_phase`, `lock_wait`, `flush_batch`, `stage`, …
-    pub cat: String,
-    /// Display label.
-    pub name: String,
-    /// Start timestamp in the record's own domain.
-    pub ts: u64,
-    /// Duration (zero for instants and flow end-points).
-    pub dur: u64,
-    /// Causal-arrow id pairing a `FlowStart` with its `FlowEnd`.
-    pub flow: Option<u64>,
-    /// Every remaining field: per-phase `steps`/`branches` counts,
-    /// campaign scope tags (`inj`, `wid`), verdict details (`site`, …).
-    pub args: Vec<(String, Value)>,
-}
-
-impl TimelineEvent {
-    /// The named extra field as a `u64`, if present.
-    pub fn arg_u64(&self, name: &str) -> Option<u64> {
-        self.args.iter().find(|(k, _)| k == name).and_then(|(_, v)| v.as_u64())
-    }
-}
-
-/// Envelope and schema fields that are *not* forwarded into
-/// [`TimelineEvent::args`].
-const CORE_FIELDS: [&str; 10] =
-    ["ev", "seq", "t_us", "kind", "dom", "track", "cat", "name", "ts", "dur"];
+use crate::trace::{Body, TraceEvent, TraceView};
 
 /// A parsed timeline: every `tspan` record of a JSONL trace, in file
 /// order. Non-`tspan` records (samples, counters, injections, …) are
@@ -96,54 +36,50 @@ const CORE_FIELDS: [&str; 10] =
 #[derive(Clone, Debug, Default)]
 pub struct TimelineReport {
     /// All parsed records, in trace order.
-    pub events: Vec<TimelineEvent>,
+    pub events: Vec<TraceSpan>,
+}
+
+impl TraceView for TimelineReport {
+    fn absorb(&mut self, event: TraceEvent) {
+        if let Body::Tspan(mut span) = event.body {
+            // The decoder kept the record's whole field list for the args.
+            span.args.shrink_to_fit();
+            self.events.push(span);
+        }
+    }
+}
+
+/// Spans of these categories are a lane standing still.
+const WAITS: [&str; 3] = ["barrier_wait", "queue_wait", "lock_wait"];
+
+/// The length of the union of the intervals `spans`.
+fn covered(mut spans: Vec<(u64, u64)>) -> u64 {
+    spans.sort_unstable();
+    let (mut total, mut reached) = (0, 0);
+    for (start, end) in spans {
+        total += end.saturating_sub(start.max(reached));
+        reached = reached.max(end);
+    }
+    total
 }
 
 impl TimelineReport {
     /// Parses a JSONL trace, keeping the `tspan` records. Blank lines
     /// are skipped; a malformed line fails the parse with its number.
     pub fn parse(text: &str) -> Result<TimelineReport, String> {
-        let mut report = TimelineReport::default();
-        for rec in records(text) {
-            let rec = rec?;
-            if rec.ev() != "tspan" {
-                continue;
-            }
-            let kind = rec
-                .field_str("kind")
-                .and_then(TimelineKind::parse)
-                .ok_or_else(|| format!("line {}: tspan record with bad `kind`", rec.line))?;
-            let text_field = |name: &str| rec.field_str(name).unwrap_or("?").to_string();
-            report.events.push(TimelineEvent {
-                kind,
-                dom: text_field("dom"),
-                track: text_field("track"),
-                cat: text_field("cat"),
-                name: text_field("name"),
-                ts: rec.field_u64("ts"),
-                dur: rec.field_u64("dur"),
-                flow: rec.field("flow").and_then(Value::as_u64),
-                args: rec
-                    .fields
-                    .iter()
-                    .filter(|(k, _)| !CORE_FIELDS.contains(&k.as_str()) && k != "flow")
-                    .cloned()
-                    .collect(),
-            });
-        }
-        Ok(report)
+        crate::trace::read(text)
     }
 
-    /// The time domains present, `"cyc"` before `"us"`.
-    pub fn domains(&self) -> Vec<&str> {
-        let mut doms: Vec<&str> = self.events.iter().map(|e| e.dom.as_str()).collect();
+    /// The time domains present, cycles before wall clock.
+    pub fn domains(&self) -> Vec<TimeDomain> {
+        let mut doms: Vec<TimeDomain> = self.events.iter().map(|e| e.dom).collect();
         doms.sort_unstable();
         doms.dedup();
         doms
     }
 
     /// The tracks of one domain, in lane order.
-    fn tracks(&self, dom: &str) -> Vec<String> {
+    fn tracks(&self, dom: TimeDomain) -> Vec<String> {
         tracks_of(self.events.iter().filter(|e| e.dom == dom))
     }
 
@@ -164,19 +100,20 @@ impl TimelineReport {
         }
         const WIDTH: usize = 64;
         for dom in self.domains() {
-            let (left_out, events): (Vec<&TimelineEvent>, Vec<&TimelineEvent>) = self
+            let (left_out, events): (Vec<&TraceSpan>, Vec<&TraceSpan>) = self
                 .events
                 .iter()
                 .filter(|e| e.dom == dom)
-                .partition(|e| dom == "cyc" && e.arg_u64("inj").is_some());
+                .partition(|e| dom == TimeDomain::Cycles && e.arg_u64("inj").is_some());
             let lo = events.iter().map(|e| e.ts).min().unwrap_or(0);
-            let hi = events.iter().map(|e| e.ts + e.dur).max().unwrap_or(lo + 1).max(lo + 1);
-            let unit = if dom == "cyc" { "cycles" } else { "us" };
+            let hi = events.iter().map(|e| e.end()).max().unwrap_or(lo).max(lo.saturating_add(1));
             out.push_str(&format!(
-                "timeline [{dom}] {} spans over {}..{} {unit}",
+                "timeline [{}] {} spans over {}..{} {}",
+                dom.tag(),
                 events.len(),
                 lo,
-                hi
+                hi,
+                dom.unit()
             ));
             if !left_out.is_empty() {
                 // A batch numbers the injections of each of its images alike.
@@ -202,21 +139,21 @@ impl TimelineReport {
                 let mut draw = |pass: usize| {
                     for e in events.iter().filter(|e| e.track == track) {
                         let glyph = match (e.kind, e.cat.as_str()) {
-                            (TimelineKind::Span, "barrier_phase") if pass == 0 => '=',
-                            (TimelineKind::Span, "barrier_phase") => continue,
-                            (TimelineKind::Span, _) if pass == 0 => continue,
-                            (TimelineKind::Span, "barrier_wait" | "queue_wait") => '.',
-                            (TimelineKind::Span, "lock_wait") => 'w',
-                            (TimelineKind::Span, "lock_hold") => 'L',
-                            (TimelineKind::Span, "flush_batch") => 'F',
-                            (TimelineKind::Span, "injection") => '#',
-                            (TimelineKind::Span, "stage") => 'S',
-                            (TimelineKind::Span, _) => '-',
+                            (SpanKind::Span, "barrier_phase") if pass == 0 => '=',
+                            (SpanKind::Span, "barrier_phase") => continue,
+                            (SpanKind::Span, _) if pass == 0 => continue,
+                            (SpanKind::Span, "barrier_wait" | "queue_wait") => '.',
+                            (SpanKind::Span, "lock_wait") => 'w',
+                            (SpanKind::Span, "lock_hold") => 'L',
+                            (SpanKind::Span, "flush_batch") => 'F',
+                            (SpanKind::Span, "injection") => '#',
+                            (SpanKind::Span, "stage") => 'S',
+                            (SpanKind::Span, _) => '-',
                             (_, _) if pass == 2 => '!',
                             (_, _) => continue,
                         };
-                        if pass == 2 || matches!(e.kind, TimelineKind::Span) {
-                            let (a, b) = (col(e.ts), col(e.ts + e.dur));
+                        if pass == 2 || matches!(e.kind, SpanKind::Span) {
+                            let (a, b) = (col(e.ts), col(e.end()));
                             for cell in lane.iter_mut().take(b + 1).skip(a) {
                                 *cell = glyph;
                             }
@@ -227,17 +164,18 @@ impl TimelineReport {
                 draw(1);
                 draw(2);
                 let n = events.iter().filter(|e| e.track == track).count();
-                let busy: u64 = events
-                    .iter()
-                    .filter(|e| {
+                // Busy is the time under a work span less the waits inside
+                // it: a lock hold within a phase counts once, a lock wait
+                // within a phase not at all.
+                let spans = |waits_only: bool| {
+                    let on_lane = events.iter().filter(|e| {
                         e.track == track
-                            && e.kind == TimelineKind::Span
-                            && e.cat != "barrier_wait"
-                            && e.cat != "queue_wait"
-                            && e.cat != "lock_wait"
-                    })
-                    .map(|e| e.dur)
-                    .sum();
+                            && e.kind == SpanKind::Span
+                            && (!waits_only || WAITS.contains(&e.cat.as_str()))
+                    });
+                    covered(on_lane.map(|e| (e.ts, e.end())).collect())
+                };
+                let busy = spans(false) - spans(true);
                 let pct = 100.0 * busy as f64 / (hi - lo) as f64;
                 out.push_str(&format!(
                     "  {:<8} |{}| {n:>4} ev, busy {pct:>5.1}%\n",
@@ -280,9 +218,12 @@ impl TimelineReport {
             first = false;
             out.push_str(&record);
         };
-        for (pid0, dom) in self.domains().iter().enumerate() {
+        for (pid0, dom) in self.domains().into_iter().enumerate() {
             let pid = pid0 as u64 + 1;
-            let process = if *dom == "cyc" { "sim (cycles)" } else { "wall (us)" };
+            let process = match dom {
+                TimeDomain::Cycles => "sim (cycles)",
+                TimeDomain::WallUs => "wall (us)",
+            };
             push(
                 &[
                     ("name", Value::from("process_name")),
@@ -305,7 +246,7 @@ impl TimelineReport {
                     &[("name", Value::from(track.as_str()))],
                 );
             }
-            for e in self.events.iter().filter(|e| &e.dom == dom) {
+            for e in self.events.iter().filter(|e| e.dom == dom) {
                 let tid = tracks.iter().position(|t| t == &e.track).map_or(0, |i| i as u64 + 1);
                 let args: Vec<(&str, Value)> =
                     e.args.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
@@ -320,22 +261,22 @@ impl TimelineReport {
                     ]
                 };
                 match e.kind {
-                    TimelineKind::Span => {
+                    SpanKind::Span => {
                         let mut fields = base("X");
                         fields.insert(4, ("dur", Value::U64(e.dur)));
                         push(&fields, &args);
                     }
-                    TimelineKind::Instant => {
+                    SpanKind::Instant => {
                         let mut fields = base("i");
                         fields.push(("s", Value::from("t")));
                         push(&fields, &args);
                     }
-                    TimelineKind::FlowStart => {
+                    SpanKind::FlowStart => {
                         let mut fields = base("s");
                         fields.push(("id", Value::U64(e.flow.unwrap_or(0))));
                         push(&fields, &args);
                     }
-                    TimelineKind::FlowEnd => {
+                    SpanKind::FlowEnd => {
                         let mut fields = base("f");
                         fields.push(("bp", Value::from("e")));
                         fields.push(("id", Value::U64(e.flow.unwrap_or(0))));
@@ -355,11 +296,9 @@ impl TimelineReport {
     }
 }
 
-/// Lane sort key: SPMD threads (`t<tid>`) first in numeric order, then
-/// campaign workers, monitor shards, and finally the named lanes.
 /// The tracks of `events`, in lane order: SPMD threads first
 /// (numerically), then workers, shards, and the named lanes.
-fn tracks_of<'a>(events: impl Iterator<Item = &'a TimelineEvent>) -> Vec<String> {
+fn tracks_of<'a>(events: impl Iterator<Item = &'a TraceSpan>) -> Vec<String> {
     let mut tracks: Vec<String> = events.map(|e| e.track.clone()).collect();
     tracks.sort_by_key(|t| track_order(t));
     tracks.dedup();
@@ -442,25 +381,26 @@ const DEVIANCE_FLOOR: u64 = 8;
 #[derive(Clone, Debug, Default)]
 pub struct PhaseProfile {
     /// Time domain the phases were measured in (`"cyc"` or `"us"`).
-    pub dom: String,
+    pub dom: &'static str,
     /// Per-phase statistics, sorted by phase index.
     pub phases: Vec<PhaseStat>,
 }
 
 impl PhaseProfile {
-    fn from_events(events: &[TimelineEvent]) -> PhaseProfile {
+    fn from_events(events: &[TraceSpan]) -> PhaseProfile {
         // Prefer the deterministic domain when both are present.
-        let phase_events: Vec<&TimelineEvent> = events
+        let phase_events: Vec<&TraceSpan> = events
             .iter()
             .filter(|e| {
-                e.kind == TimelineKind::Span
+                e.kind == SpanKind::Span
                     && e.cat == "barrier_phase"
                     && e.arg_u64("inj").is_none()
                     && e.track.starts_with('t')
             })
             .collect();
-        let dom = if phase_events.iter().any(|e| e.dom == "cyc") { "cyc" } else { "us" };
-        let mut profile = PhaseProfile { dom: dom.to_string(), phases: Vec::new() };
+        let cycles = phase_events.iter().any(|e| e.dom == TimeDomain::Cycles);
+        let dom = if cycles { TimeDomain::Cycles } else { TimeDomain::WallUs };
+        let mut profile = PhaseProfile { dom: dom.tag(), phases: Vec::new() };
         let mut grouped: std::collections::BTreeMap<u64, Vec<(u32, u64, u64, u64)>> =
             std::collections::BTreeMap::new();
         for e in phase_events.iter().filter(|e| e.dom == dom) {
@@ -534,7 +474,7 @@ impl PhaseProfile {
             );
             return out;
         }
-        let unit = if self.dom == "cyc" { "cycles" } else { "us" };
+        let unit = if self.dom == TimeDomain::Cycles.tag() { "cycles" } else { "us" };
         out.push_str(&format!(
             "phase profile [{}]: {} phase(s), deviance threshold {:.0}% of median\n",
             self.dom,
@@ -591,191 +531,4 @@ fn deviation(v: u64, med: u64) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A hand-written trace: two sim threads over two phases, thread 1
-    /// straggling hard in phase 0; one shard lane; a verdict flow pair.
-    fn fixture() -> String {
-        [
-            r#"{"seq":0,"t_us":1,"ev":"tspan","kind":"span","dom":"cyc","track":"t0","cat":"barrier_phase","name":"phase 0","ts":0,"dur":100,"steps":50,"branches":5}"#,
-            r#"{"seq":1,"t_us":2,"ev":"tspan","kind":"span","dom":"cyc","track":"t1","cat":"barrier_phase","name":"phase 0","ts":0,"dur":900,"steps":420,"branches":41}"#,
-            r#"{"seq":2,"t_us":3,"ev":"tspan","kind":"span","dom":"cyc","track":"t2","cat":"barrier_phase","name":"phase 0","ts":0,"dur":104,"steps":51,"branches":5}"#,
-            r#"{"seq":3,"t_us":4,"ev":"tspan","kind":"span","dom":"cyc","track":"t0","cat":"barrier_wait","name":"barrier (phase 0)","ts":100,"dur":800}"#,
-            r#"{"seq":4,"t_us":5,"ev":"tspan","kind":"span","dom":"cyc","track":"t0","cat":"barrier_phase","name":"phase 1","ts":900,"dur":60,"steps":30,"branches":3}"#,
-            r#"{"seq":5,"t_us":6,"ev":"tspan","kind":"span","dom":"cyc","track":"t1","cat":"barrier_phase","name":"phase 1","ts":900,"dur":62,"steps":30,"branches":3}"#,
-            r#"{"seq":6,"t_us":7,"ev":"tspan","kind":"span","dom":"cyc","track":"t2","cat":"barrier_phase","name":"phase 1","ts":900,"dur":58,"steps":29,"branches":3}"#,
-            r#"{"seq":7,"t_us":8,"ev":"tspan","kind":"flow_start","dom":"cyc","track":"t1","cat":"branch_event","name":"site 9","ts":700,"flow":0,"site":9}"#,
-            r#"{"seq":8,"t_us":9,"ev":"tspan","kind":"flow_end","dom":"cyc","track":"monitor","cat":"verdict","name":"site 9","ts":700,"flow":0,"site":9}"#,
-            r#"{"seq":9,"t_us":10,"ev":"tspan","kind":"instant","dom":"cyc","track":"monitor","cat":"violation","name":"site 9","ts":700,"site":9}"#,
-            r#"{"seq":10,"t_us":11,"ev":"tspan","kind":"span","dom":"us","track":"shard0","cat":"flush_batch","name":"drain","ts":5,"dur":3,"events":17}"#,
-            r#"{"seq":11,"t_us":12,"ev":"sample","tick":1}"#,
-        ]
-        .join("\n")
-    }
-
-    #[test]
-    fn parses_only_tspan_records() {
-        let report = TimelineReport::parse(&fixture()).unwrap();
-        assert_eq!(report.events.len(), 11, "sample record skipped");
-        assert_eq!(report.domains(), vec!["cyc", "us"]);
-        let first = &report.events[0];
-        assert_eq!(first.kind, TimelineKind::Span);
-        assert_eq!(first.track, "t0");
-        assert_eq!(first.dur, 100);
-        assert_eq!(first.arg_u64("steps"), Some(50));
-        assert!(first.args.iter().all(|(k, _)| k != "seq" && k != "ts"));
-        let flow = &report.events[7];
-        assert_eq!(flow.kind, TimelineKind::FlowStart);
-        assert_eq!(flow.flow, Some(0));
-    }
-
-    #[test]
-    fn lane_render_orders_tracks_and_draws_spans() {
-        let report = TimelineReport::parse(&fixture()).unwrap();
-        let text = report.render();
-        let t0 = text.find("  t0 ").expect("t0 lane");
-        let t1 = text.find("  t1 ").expect("t1 lane");
-        let monitor = text.find("  monitor").expect("monitor lane");
-        assert!(t0 < t1 && t1 < monitor, "threads before named lanes:\n{text}");
-        assert!(text.contains("timeline [cyc]"));
-        assert!(text.contains("timeline [us]"));
-        assert!(text.contains('='), "phase glyphs drawn");
-        assert!(text.contains('!'), "violation instant drawn");
-    }
-
-    #[test]
-    fn empty_trace_renders_a_hint() {
-        let report = TimelineReport::parse(r#"{"ev":"sample","tick":1}"#).unwrap();
-        assert!(report.render().contains("--trace-spans"));
-        assert!(report.phase_profile().render().contains("--trace-spans"));
-    }
-
-    #[test]
-    fn chrome_export_has_required_structure() {
-        let report = TimelineReport::parse(&fixture()).unwrap();
-        let json = report.to_chrome_json();
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.ends_with("]}"));
-        assert!(json.contains("\"ph\":\"X\""), "duration events");
-        assert!(json.contains("\"ph\":\"M\""), "metadata events");
-        assert!(json.contains("\"ph\":\"i\""), "instant events");
-        assert!(json.contains("\"ph\":\"s\"") && json.contains("\"ph\":\"f\""), "flow pair");
-        assert!(json.contains("\"process_name\""));
-        assert!(json.contains("sim (cycles)"));
-        assert!(json.contains("wall (us)"));
-        assert!(json.contains("\"tid\":"));
-        assert!(json.contains("\"args\":{"));
-        // Braces and brackets balance (the splicing is by hand).
-        let balance = |open: char, close: char| {
-            json.chars().filter(|&c| c == open).count()
-                == json.chars().filter(|&c| c == close).count()
-        };
-        assert!(balance('{', '}') && balance('[', ']'));
-    }
-
-    #[test]
-    fn phase_profile_flags_the_straggler() {
-        let report = TimelineReport::parse(&fixture()).unwrap();
-        let profile = report.phase_profile();
-        assert_eq!(profile.dom, "cyc");
-        assert_eq!(profile.phases.len(), 2);
-        assert_eq!(profile.deviant_threads(), vec![1], "t1 straggles in phase 0");
-        let p0 = &profile.phases[0];
-        assert!(p0.has_deviant());
-        assert_eq!(p0.median_dur, 104);
-        let t1 = p0.threads.iter().find(|t| t.tid == 1).unwrap();
-        assert!(t1.deviant && t1.distance > 5.0, "{t1:?}");
-        assert!(!profile.phases[1].has_deviant(), "phase 1 is symmetric");
-        let text = profile.render();
-        assert!(text.contains("DEVIANT"));
-        assert!(text.contains("deviant thread(s): t1"));
-    }
-
-    #[test]
-    fn symmetric_phases_report_all_threads_similar() {
-        let lines: Vec<String> = (0..4)
-            .map(|t| {
-                format!(
-                    r#"{{"ev":"tspan","kind":"span","dom":"cyc","track":"t{t}","cat":"barrier_phase","name":"phase 0","ts":0,"dur":{},"steps":100,"branches":10}}"#,
-                    500 + t
-                )
-            })
-            .collect();
-        let report = TimelineReport::parse(&lines.join("\n")).unwrap();
-        let profile = report.phase_profile();
-        assert!(profile.deviant_threads().is_empty());
-        assert!(profile.render().contains("all threads similar in every phase"));
-    }
-
-    #[test]
-    fn two_thread_phases_are_never_flagged() {
-        let text = [
-            r#"{"ev":"tspan","kind":"span","dom":"cyc","track":"t0","cat":"barrier_phase","name":"phase 0","ts":0,"dur":10,"steps":5,"branches":1}"#,
-            r#"{"ev":"tspan","kind":"span","dom":"cyc","track":"t1","cat":"barrier_phase","name":"phase 0","ts":0,"dur":9000,"steps":4000,"branches":400}"#,
-        ]
-        .join("\n");
-        let profile = TimelineReport::parse(&text).unwrap().phase_profile();
-        assert!(
-            profile.deviant_threads().is_empty(),
-            "no majority with two threads: {profile:?}"
-        );
-    }
-
-    /// A campaign trace: the golden run's spans plus, per injection, the
-    /// same lanes over the same cycles again. The lanes show the golden run
-    /// alone; the worker lane (wall clock) keeps its injection spans; the
-    /// Chrome export keeps everything.
-    #[test]
-    fn injection_scoped_spans_stay_out_of_the_cycle_lanes() {
-        let golden = |t: u32| {
-            format!(
-                r#"{{"ev":"tspan","kind":"span","dom":"cyc","track":"t{t}","cat":"barrier_phase","name":"phase 0","ts":0,"dur":1000,"steps":50,"branches":5}}"#
-            )
-        };
-        let injected = |t: u32, inj: u32| {
-            format!(
-                r#"{{"ev":"tspan","kind":"span","dom":"cyc","track":"t{t}","cat":"barrier_phase","name":"phase 0","ts":0,"dur":990,"steps":50,"branches":5,"inj":{inj},"wid":0}}"#
-            )
-        };
-        let worker = |inj: u32| {
-            format!(
-                r#"{{"ev":"tspan","kind":"span","dom":"us","track":"w0","cat":"injection","name":"inj {inj}","ts":{},"dur":40,"outcome":"masked","inj":{inj},"wid":0}}"#,
-                inj * 40
-            )
-        };
-        let mut lines = vec![golden(0), golden(1)];
-        for inj in 0..2 {
-            lines.extend([injected(0, inj), injected(1, inj), worker(inj)]);
-        }
-        let report = TimelineReport::parse(&lines.join("\n")).unwrap();
-        let text = report.render();
-        assert!(
-            text.contains("timeline [cyc] 2 spans over 0..1000 cycles (4 spans of 2 injections left out"),
-            "{text}"
-        );
-        assert!(text.contains("timeline [us] 2 spans over 0..80 us\n"), "{text}");
-        let busy: Vec<f64> = text
-            .lines()
-            .filter_map(|l| l.split("busy").nth(1))
-            .map(|pct| pct.trim().trim_end_matches('%').parse().expect("a percentage"))
-            .collect();
-        assert_eq!(busy, vec![100.0; 3], "t0, t1 and w0: {text}");
-        let chrome = report.to_chrome_json();
-        assert_eq!(chrome.matches(r#""ph":"X""#).count(), 8, "every span exported");
-    }
-
-    #[test]
-    fn injection_scoped_phases_are_excluded_from_the_profile() {
-        let text = [
-            r#"{"ev":"tspan","kind":"span","dom":"cyc","track":"t0","cat":"barrier_phase","name":"phase 0","ts":0,"dur":100,"steps":50,"branches":5}"#,
-            r#"{"ev":"tspan","kind":"span","dom":"cyc","track":"t1","cat":"barrier_phase","name":"phase 0","ts":0,"dur":101,"steps":50,"branches":5}"#,
-            r#"{"ev":"tspan","kind":"span","dom":"cyc","track":"t2","cat":"barrier_phase","name":"phase 0","ts":0,"dur":99,"steps":50,"branches":5}"#,
-            r#"{"ev":"tspan","kind":"span","dom":"cyc","track":"t1","cat":"barrier_phase","name":"phase 0","ts":0,"dur":99999,"steps":9000,"branches":900,"inj":3,"wid":0}"#,
-        ]
-        .join("\n");
-        let profile = TimelineReport::parse(&text).unwrap().phase_profile();
-        assert_eq!(profile.phases[0].threads.len(), 3, "faulty-run span excluded");
-        assert!(profile.deviant_threads().is_empty());
-    }
-}
+mod tests;

@@ -29,8 +29,7 @@ use bw_telemetry::{Recorder, Span, Value, NULL_RECORDER};
 use bw_vm::{engine, ProgramImage, RunResult};
 
 use crate::campaign::{
-    record_workers, run_pool, CampaignConfig, CampaignError, CampaignJob, CampaignResult,
-    WorkerStats,
+    run_pool, CampaignConfig, CampaignError, CampaignJob, CampaignResult, WorkerStats,
 };
 
 /// Result of one [`CampaignBatch`] run.
@@ -176,7 +175,7 @@ impl CampaignBatch {
             })
             .collect();
         span.finish(&[("images", Value::from(results.len()))]);
-        record_workers(recorder, &worker_stats);
+        worker_stats.iter().for_each(|w| w.record_to(recorder));
         recorder.flush();
 
         BatchResult { results, worker_stats }

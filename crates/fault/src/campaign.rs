@@ -30,9 +30,10 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use bw_telemetry::{
-    Histogram, Recorder, Span, TelemetrySnapshot, TimeDomain, TraceScope, Value, NULL_RECORDER,
+    Histogram, Record, Recorder, Span, TelemetrySnapshot, TimeDomain, TraceScope, Value,
+    NULL_RECORDER,
 };
-use bw_monitor::ViolationReport;
+use bw_monitor::{TraceViolation, ViolationReport};
 use bw_vm::{
     engine, Engine, EngineKind, ExecConfig, ProgramImage, RunOutcome, RunResult, SimPrefix,
     SplitMix64,
@@ -379,12 +380,117 @@ pub struct WorkerStats {
 }
 
 impl WorkerStats {
+    /// The `ev` tag of a worker's trace record.
+    pub const EV: &'static str = "worker";
+
     /// Injections per second over the worker's wall time.
     pub fn throughput(&self) -> f64 {
         if self.wall_us == 0 {
             return 0.0;
         }
         self.injections as f64 * 1e6 / self.wall_us as f64
+    }
+
+    /// The share of a full replay of every injection that forking from a
+    /// prefix spared this worker.
+    pub fn skipped_share(&self) -> f64 {
+        self.steps_skipped as f64 / self.steps_run.saturating_add(self.steps_skipped).max(1) as f64
+    }
+
+    /// Writes the worker's `worker` record.
+    pub fn record_to(&self, recorder: &dyn Recorder) {
+        recorder.record(
+            Self::EV,
+            &[
+                ("worker", Value::from(self.worker)),
+                ("injections", Value::from(self.injections)),
+                ("wall_us", Value::from(self.wall_us)),
+                ("busy_us", Value::from(self.busy_us)),
+                ("steps_run", Value::from(self.steps_run)),
+                ("steps_skipped", Value::from(self.steps_skipped)),
+            ],
+        );
+    }
+
+    /// Decodes a `worker` record; one from before the step counts existed
+    /// reads them as 0.
+    pub fn from_record(rec: Record) -> Result<WorkerStats, String> {
+        let mut stats = WorkerStats::default();
+        for (name, value) in &rec.fields {
+            let slot = match name.as_str() {
+                "injections" => &mut stats.injections,
+                "wall_us" => &mut stats.wall_us,
+                "busy_us" => &mut stats.busy_us,
+                "steps_run" => &mut stats.steps_run,
+                "steps_skipped" => &mut stats.steps_skipped,
+                "worker" => {
+                    stats.worker = Record::u64(rec.line, name, value)? as usize;
+                    continue;
+                }
+                _ => continue,
+            };
+            *slot = Record::u64(rec.line, name, value)?;
+        }
+        Ok(stats)
+    }
+}
+
+/// One `injection` trace record: what a campaign books per experiment, as
+/// the trace views read it back.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TraceInjection {
+    /// Batch image index, in a batch.
+    pub image: Option<u64>,
+    /// Injection index within its campaign.
+    pub index: u64,
+    /// The pool worker that ran it.
+    pub worker: u64,
+    /// Outcome name (`detected`, `sdc`, …).
+    pub outcome: String,
+    /// Static branch hit, if the fault activated.
+    pub branch: Option<u64>,
+    /// Similarity category of that branch (`shared` / `threadID` /
+    /// `partial`), or `-` when missed or uninstrumented.
+    pub category: String,
+    /// Wall-clock microseconds the experiment took.
+    pub dur_us: u64,
+}
+
+impl TraceInjection {
+    /// The `ev` tag of the record.
+    pub const EV: &'static str = "injection";
+
+    /// Writes the record; a fault that hit no branch has `branch` `"-"`.
+    pub fn record_to(self, recorder: &dyn Recorder) {
+        let branch = self.branch.map_or_else(|| "-".to_string(), |b| b.to_string());
+        let fields = [
+            ("index", Value::U64(self.index)),
+            ("worker", Value::U64(self.worker)),
+            ("outcome", Value::Str(self.outcome)),
+            ("branch", Value::Str(branch)),
+            ("category", Value::Str(self.category)),
+            ("dur_us", Value::U64(self.dur_us)),
+        ];
+        let image = self.image.map(|i| ("image", Value::U64(i)));
+        recorder.record(Self::EV, &image.into_iter().chain(fields).collect::<Vec<_>>());
+    }
+
+    /// Decodes an `injection` record.
+    pub fn from_record(mut rec: Record) -> Result<TraceInjection, String> {
+        let mut inj = TraceInjection::default();
+        for (name, value) in &mut rec.fields {
+            match name.as_str() {
+                "image" => inj.image = Some(Record::u64(rec.line, name, value)?),
+                "index" => inj.index = Record::u64(rec.line, name, value)?,
+                "worker" => inj.worker = Record::u64(rec.line, name, value)?,
+                "dur_us" => inj.dur_us = Record::u64(rec.line, name, value)?,
+                "outcome" => inj.outcome = Record::string(rec.line, name, value)?,
+                "category" => inj.category = Record::string(rec.line, name, value)?,
+                "branch" => inj.branch = Record::string(rec.line, name, value)?.parse().ok(),
+                _ => {}
+            }
+        }
+        Ok(inj)
     }
 }
 
@@ -747,20 +853,6 @@ impl<'a> CampaignJob<'a> {
         (start < self.plans.len()).then(|| start..(start + window).min(self.plans.len()))
     }
 
-    /// Emits a trace record of this job, with its batch position in front
-    /// when it has one.
-    fn emit(&self, recorder: &dyn Recorder, event: &str, fields: &[(&str, Value)]) {
-        match self.item {
-            None => recorder.record(event, fields),
-            Some(item) => {
-                let mut tagged = Vec::with_capacity(fields.len() + 1);
-                tagged.push(("image", Value::from(item)));
-                tagged.extend_from_slice(fields);
-                recorder.record(event, &tagged);
-            }
-        }
-    }
-
     /// Books one finished injection: worker statistics, trace records,
     /// live counters, the stop flag, the record itself and the progress
     /// callback.
@@ -774,49 +866,19 @@ impl<'a> CampaignJob<'a> {
             worker.live.detected.inc();
         }
         worker.live.injection_us.observe(run_us);
-        self.emit(
-            worker.recorder,
-            "injection",
-            &[
-                ("index", Value::from(index)),
-                ("worker", Value::from(worker.stats.worker)),
-                ("outcome", Value::from(outcome.name())),
-                (
-                    "branch",
-                    Value::from(record.branch.map_or_else(|| "-".to_string(), |b| b.to_string())),
-                ),
-                ("category", Value::from(injection_category(self.image, record.branch))),
-                ("dur_us", Value::from(run_us)),
-            ],
-        );
+        let image = self.item.map(|item| item as u64);
+        let traced = TraceInjection {
+            image,
+            index: index as u64,
+            worker: worker.stats.worker as u64,
+            outcome: outcome.name().to_string(),
+            branch: record.branch.map(u64::from),
+            category: injection_category(self.image, record.branch).to_string(),
+            dur_us: run_us,
+        };
+        traced.record_to(worker.recorder);
         if let Some(report) = record.report.as_deref() {
-            self.emit(
-                worker.recorder,
-                "violation",
-                &[
-                    ("index", Value::from(index)),
-                    ("branch", Value::from(report.violation.branch)),
-                    ("site", Value::from(report.violation.site)),
-                    ("iter", Value::from(report.violation.iter)),
-                    ("kind", Value::from(bw_monitor::kind_name(report.violation.kind))),
-                    ("category", Value::from(report.category())),
-                    ("predicted", Value::from(report.predicted())),
-                    ("reporters", Value::from(report.violation.reporters)),
-                    ("detected_seq", Value::from(report.detected_seq)),
-                    (
-                        "latency",
-                        Value::from(
-                            report
-                                .detection_latency
-                                .map_or_else(|| "?".to_string(), |l| l.to_string()),
-                        ),
-                    ),
-                    ("observed", Value::from(report.observed_field())),
-                    ("deviants", Value::from(report.deviants_field())),
-                    ("majority", Value::from(report.majority_field())),
-                    ("window", Value::from(report.window_field())),
-                ],
-            );
+            TraceViolation::new(report, image, index as u64).record_to(worker.recorder);
         }
         {
             let mut counts = self.live_counts.lock().unwrap();
@@ -1031,23 +1093,6 @@ pub(crate) fn run_pool(
     worker_stats
 }
 
-/// Writes one `worker` record per pool worker.
-pub(crate) fn record_workers(recorder: &dyn Recorder, worker_stats: &[WorkerStats]) {
-    for stats in worker_stats {
-        recorder.record(
-            "worker",
-            &[
-                ("worker", Value::from(stats.worker)),
-                ("injections", Value::from(stats.injections)),
-                ("wall_us", Value::from(stats.wall_us)),
-                ("busy_us", Value::from(stats.busy_us)),
-                ("steps_run", Value::from(stats.steps_run)),
-                ("steps_skipped", Value::from(stats.steps_skipped)),
-            ],
-        );
-    }
-}
-
 /// Merges execution results in injection-index order and applies the
 /// deterministic abort cut: records are kept up to (and including) the
 /// first index at which an abort condition holds over the *prefix* counts.
@@ -1137,7 +1182,7 @@ pub fn run_campaign_with_golden_recorded(
     trace_stage("campaign.reduce", stage_start, &[("records", Value::from(result.records.len()))]);
     span.finish(&[("records", Value::from(result.records.len()))]);
 
-    record_workers(recorder, &result.worker_stats);
+    result.worker_stats.iter().for_each(|w| w.record_to(recorder));
     recorder.flush();
     Ok(result)
 }
@@ -1191,6 +1236,104 @@ mod tests {
         assert_eq!(counts.activated(), 90);
         assert!((counts.coverage() - (1.0 - 10.0 / 90.0)).abs() < 1e-12);
         assert!((counts.detection_rate() - 40.0 / 90.0).abs() < 1e-12);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn worker_and_injection_records_round_trip(
+            n in proptest::collection::vec(proptest::any::<u64>(), 7),
+            outcome in 0usize..6,
+            category in "[ -~é]{0,8}",
+        ) {
+            let stats = WorkerStats {
+                worker: n[0] as usize,
+                injections: n[1],
+                wall_us: n[2],
+                busy_us: n[3],
+                steps_run: n[4],
+                steps_skipped: n[5],
+            };
+            let outcomes = [
+                FaultOutcome::NotActivated,
+                FaultOutcome::Detected,
+                FaultOutcome::Crashed,
+                FaultOutcome::Hung,
+                FaultOutcome::Masked,
+                FaultOutcome::Sdc,
+            ];
+            let injection = TraceInjection {
+                image: n[6].is_multiple_of(2).then_some(n[6]),
+                index: n[1],
+                worker: n[0],
+                outcome: outcomes[outcome].name().to_string(),
+                branch: (outcome > 0).then_some(n[2]),
+                category,
+                dur_us: n[3],
+            };
+            let buf = bw_telemetry::TraceBuffer::default();
+            stats.record_to(&buf.recorder());
+            injection.clone().record_to(&buf.recorder());
+            let text = buf.text();
+            let mut back = bw_telemetry::records(&text);
+            let worker = back.next().unwrap().and_then(WorkerStats::from_record);
+            proptest::prop_assert_eq!(worker, Ok(stats));
+            let read = back.next().unwrap().and_then(TraceInjection::from_record);
+            proptest::prop_assert_eq!(read, Ok(injection));
+        }
+    }
+
+    #[test]
+    fn worker_and_injection_wire_formats_are_pinned() {
+        let buf = bw_telemetry::TraceBuffer::default();
+        let stats = WorkerStats {
+            worker: 1,
+            injections: 2,
+            wall_us: 500,
+            busy_us: 400,
+            steps_run: 300,
+            steps_skipped: 100,
+        };
+        stats.record_to(&buf.recorder());
+        let injection = TraceInjection {
+            image: None,
+            index: 4,
+            worker: 1,
+            outcome: "detected".to_string(),
+            branch: Some(2),
+            category: "shared".to_string(),
+            dur_us: 10,
+        };
+        injection.clone().record_to(&buf.recorder());
+        TraceInjection { image: Some(3), branch: None, ..injection }.record_to(&buf.recorder());
+        assert_eq!(
+            buf.bodies(),
+            [
+                concat!(
+                    r#""ev":"worker","worker":1,"injections":2,"wall_us":500,"busy_us":400,"#,
+                    r#""steps_run":300,"steps_skipped":100}"#
+                ),
+                concat!(
+                    r#""ev":"injection","index":4,"worker":1,"outcome":"detected","branch":"2","#,
+                    r#""category":"shared","dur_us":10}"#
+                ),
+                concat!(
+                    r#""ev":"injection","image":3,"index":4,"worker":1,"outcome":"detected","#,
+                    r#""branch":"-","category":"shared","dur_us":10}"#
+                ),
+            ]
+        );
+        assert!((stats.skipped_share() - 0.25).abs() < 1e-12);
+
+        // A mistyped field is an error, not a zero; an absent one (a trace
+        // from before the step counts) keeps its default.
+        let decode = |line: &str| bw_telemetry::records(line).next().unwrap();
+        let err = decode(r#"{"ev":"worker","injections":"x"}"#).and_then(WorkerStats::from_record);
+        assert_eq!(err, Err("line 1: `injections` is not a non-negative integer".to_string()));
+        let old = decode(r#"{"ev":"worker","worker":0,"injections":2,"wall_us":5,"busy_us":4}"#);
+        let old = old.and_then(WorkerStats::from_record).unwrap();
+        assert_eq!((old.injections, old.steps_run, old.steps_skipped), (2, 0, 0));
+        let err = decode(r#"{"ev":"injection","branch":7}"#).and_then(TraceInjection::from_record);
+        assert_eq!(err, Err("line 1: `branch` is not a string".to_string()));
     }
 
     #[test]

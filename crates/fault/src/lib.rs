@@ -52,6 +52,7 @@ pub use batch::{BatchResult, CampaignBatch};
 pub use campaign::{
     classify, false_positive_runs, false_positive_runs_on, plan_campaign, run_campaign,
     run_campaign_with_golden_recorded, CampaignConfig, CampaignError, CampaignProgress,
-    CampaignResult, FaultOutcome, InjectionRecord, OutcomeCounts, ProgressFn, WorkerStats,
+    CampaignResult, FaultOutcome, InjectionRecord, OutcomeCounts, ProgressFn, TraceInjection,
+    WorkerStats,
 };
 pub use injector::{FaultModel, InjectionHook, InjectionPlan};

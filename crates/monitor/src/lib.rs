@@ -70,7 +70,7 @@ pub use monitor::{CheckTable, EventSender, Monitor, Violation};
 pub use shard::{per_shard_capacity, shard_of, ShardedMonitor, ShardedMonitorThread};
 pub use topology::{MonitorBuilder, MonitorHandle, MonitorTopology, MonitorVerdict};
 pub use provenance::{
-    category_name, kind_name, predicted_pattern, FlightRecorder, ViolationReport, WindowEntry,
+    category_name, FlightRecorder, TraceViolation, ViolationReport, WindowEntry,
     PROVENANCE_ENABLED,
 };
 pub use spsc::{spsc_queue, Consumer, Producer, QueueFull};

@@ -317,11 +317,6 @@ pub struct EventSender {
 }
 
 impl EventSender {
-    /// Wraps a single queue producer (unsharded ingest, no drop sink).
-    pub fn new(producer: Producer<BranchEvent>) -> Self {
-        Self::fanned(vec![producer], Vec::new())
-    }
-
     /// Wraps one producer per monitor shard (indexed by shard id), with an
     /// optional matching vector of per-shard drop sinks.
     ///
@@ -375,11 +370,6 @@ impl EventSender {
     /// Events dropped due to sustained queue overflow (all shards).
     pub fn dropped(&self) -> u64 {
         self.dropped.iter().sum()
-    }
-
-    /// Number of monitor shards this sender routes across.
-    pub fn shards(&self) -> usize {
-        self.producers.len()
     }
 }
 

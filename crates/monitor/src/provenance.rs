@@ -24,6 +24,7 @@
 //! [`bw_vm::RunResult`]: https://docs.rs/bw-vm
 
 use bw_analysis::{CheckKind, TidCheck};
+use bw_telemetry::{Record, Recorder, Value};
 
 use crate::checker::{Report, ViolationKind};
 use crate::event::BranchEvent;
@@ -135,7 +136,7 @@ impl ViolationReport {
 
     /// The observed table as a compact flat string for the JSONL sink:
     /// `t0=w2a:T,t1=w2b:F` (witnesses in hex).
-    pub fn observed_field(&self) -> String {
+    fn observed_field(&self) -> String {
         self.observed
             .iter()
             .map(|r| format!("t{}=w{:x}:{}", r.thread, r.witness, if r.taken { 'T' } else { 'F' }))
@@ -145,7 +146,7 @@ impl ViolationReport {
 
     /// The flight-recorder window as a compact flat string:
     /// `t0:i5:w2a:T:s12;...` (oldest first; iter/witness in hex).
-    pub fn window_field(&self) -> String {
+    fn window_field(&self) -> String {
         self.window
             .iter()
             .map(|e| {
@@ -163,18 +164,166 @@ impl ViolationReport {
     }
 
     /// Comma-joined deviant thread ids (`"1,3"`; empty when none).
-    pub fn deviants_field(&self) -> String {
+    fn deviants_field(&self) -> String {
         join_ids(&self.deviants)
     }
 
     /// Comma-joined majority thread ids.
-    pub fn majority_field(&self) -> String {
+    fn majority_field(&self) -> String {
         join_ids(&self.majority)
     }
 }
 
 fn join_ids(ids: &[u32]) -> String {
     ids.iter().map(|t| t.to_string()).collect::<Vec<_>>().join(",")
+}
+
+/// One `violation` trace record: a [`ViolationReport`] flattened for the
+/// JSONL sink, under the injection (and batch image) it was detected in.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TraceViolation {
+    /// Batch image index, in a batch.
+    pub image: Option<u64>,
+    /// Injection index the violation was detected under.
+    pub index: u64,
+    /// Offending branch.
+    pub branch: u64,
+    /// Call-site path hash.
+    pub site: u64,
+    /// Loop-iteration hash.
+    pub iter: u64,
+    /// Violation-kind name (`witness_mismatch`, …).
+    pub kind: String,
+    /// Similarity category of the check.
+    pub category: String,
+    /// The cross-thread pattern the category predicted.
+    pub predicted: String,
+    /// Threads that had reported when the check fired.
+    pub reporters: u64,
+    /// Per-site record sequence number at detection.
+    pub detected_seq: u64,
+    /// Records between the deviant's report and detection; `None` when the
+    /// deviant had aged out of the flight-recorder ring.
+    pub latency: Option<u64>,
+    /// Per-thread observation table, `t<id>=w<witness-hex>:<T|F>` entries.
+    pub observed: String,
+    /// Comma-joined deviant thread ids.
+    pub deviants: String,
+    /// Comma-joined majority thread ids.
+    pub majority: String,
+    /// Flight-recorder window, oldest first,
+    /// `t<id>:i<iter>:w<witness-hex>:<T|F>:s<seq>` entries.
+    pub window: String,
+}
+
+impl TraceViolation {
+    /// The `ev` tag of the record.
+    pub const EV: &'static str = "violation";
+
+    /// The record of `report`, detected under injection `index` of batch
+    /// image `image`.
+    pub fn new(report: &ViolationReport, image: Option<u64>, index: u64) -> TraceViolation {
+        TraceViolation {
+            image,
+            index,
+            branch: u64::from(report.violation.branch),
+            site: report.violation.site,
+            iter: report.violation.iter,
+            kind: kind_name(report.violation.kind).to_string(),
+            category: report.category().to_string(),
+            predicted: report.predicted().to_string(),
+            reporters: u64::from(report.violation.reporters),
+            detected_seq: report.detected_seq,
+            latency: report.detection_latency,
+            observed: report.observed_field(),
+            deviants: report.deviants_field(),
+            majority: report.majority_field(),
+            window: report.window_field(),
+        }
+    }
+
+    /// Writes the record; an unknown latency is `"?"`.
+    pub fn record_to(self, recorder: &dyn Recorder) {
+        let latency = self.latency.map_or_else(|| "?".to_string(), |l| l.to_string());
+        let fields = [
+            ("index", Value::U64(self.index)),
+            ("branch", Value::U64(self.branch)),
+            ("site", Value::U64(self.site)),
+            ("iter", Value::U64(self.iter)),
+            ("kind", Value::Str(self.kind)),
+            ("category", Value::Str(self.category)),
+            ("predicted", Value::Str(self.predicted)),
+            ("reporters", Value::U64(self.reporters)),
+            ("detected_seq", Value::U64(self.detected_seq)),
+            ("latency", Value::Str(latency)),
+            ("observed", Value::Str(self.observed)),
+            ("deviants", Value::Str(self.deviants)),
+            ("majority", Value::Str(self.majority)),
+            ("window", Value::Str(self.window)),
+        ];
+        let image = self.image.map(|i| ("image", Value::U64(i)));
+        recorder.record(Self::EV, &image.into_iter().chain(fields).collect::<Vec<_>>());
+    }
+
+    /// Decodes a `violation` record.
+    pub fn from_record(mut rec: Record) -> Result<TraceViolation, String> {
+        let mut v = TraceViolation::default();
+        for (name, value) in &mut rec.fields {
+            let text = match name.as_str() {
+                "kind" => &mut v.kind,
+                "category" => &mut v.category,
+                "predicted" => &mut v.predicted,
+                "observed" => &mut v.observed,
+                "deviants" => &mut v.deviants,
+                "majority" => &mut v.majority,
+                "window" => &mut v.window,
+                "latency" => {
+                    v.latency = Record::string(rec.line, name, value)?.parse().ok();
+                    continue;
+                }
+                _ => {
+                    let number = match name.as_str() {
+                        "image" => v.image.insert(0),
+                        "index" => &mut v.index,
+                        "branch" => &mut v.branch,
+                        "site" => &mut v.site,
+                        "iter" => &mut v.iter,
+                        "reporters" => &mut v.reporters,
+                        "detected_seq" => &mut v.detected_seq,
+                        _ => continue,
+                    };
+                    *number = Record::u64(rec.line, name, value)?;
+                    continue;
+                }
+            };
+            *text = Record::string(rec.line, name, value)?;
+        }
+        Ok(v)
+    }
+
+    /// Appends the observed table to `out`, one aligned row per thread with
+    /// its DEVIANT/majority role.
+    pub fn render_observed(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        if self.observed.is_empty() {
+            return;
+        }
+        let deviant_ids: Vec<&str> = self.deviants.split(',').filter(|s| !s.is_empty()).collect();
+        out.push_str("  thread  witness           outcome    role\n");
+        for entry in self.observed.split(',') {
+            let Some((thread, rest)) = entry.split_once('=') else { continue };
+            let thread = thread.trim_start_matches('t');
+            let (witness, taken) = rest.split_once(':').unwrap_or((rest, "?"));
+            let witness = witness.trim_start_matches('w');
+            let outcome = match taken {
+                "T" => "taken",
+                "F" => "not-taken",
+                _ => "?",
+            };
+            let role = if deviant_ids.contains(&thread) { "DEVIANT" } else { "majority" };
+            let _ = writeln!(out, "  {thread:>6}  {witness:<16}  {outcome:<9}  {role}");
+        }
+    }
 }
 
 /// The paper's similarity-category name for a check kind (`shared`,
@@ -188,7 +337,7 @@ pub fn category_name(kind: CheckKind) -> &'static str {
 }
 
 /// Stable lowercase name of a violation kind, used in JSONL trace records.
-pub fn kind_name(kind: ViolationKind) -> &'static str {
+fn kind_name(kind: ViolationKind) -> &'static str {
     match kind {
         ViolationKind::WitnessMismatch => "witness_mismatch",
         ViolationKind::DirectionMismatch => "direction_mismatch",
@@ -199,7 +348,7 @@ pub fn kind_name(kind: ViolationKind) -> &'static str {
 
 /// Human-readable statement of the cross-thread pattern a check kind
 /// expects.
-pub fn predicted_pattern(kind: CheckKind) -> &'static str {
+fn predicted_pattern(kind: CheckKind) -> &'static str {
     match kind {
         CheckKind::SharedUniform => "all threads agree on witness and direction",
         CheckKind::GroupByWitness => "threads with equal witnesses take the same direction",
@@ -639,6 +788,63 @@ mod tests {
         let text = report.describe();
         assert!(text.contains("DEVIANT"), "{text}");
         assert!(text.contains("latency 3 message(s)"), "{text}");
+    }
+
+    /// The report of a two-reporter witness mismatch on `site`, with a
+    /// one-entry window.
+    fn sample_report(site: u64, witness: u64, latency: bool) -> ViolationReport {
+        let violation =
+            Violation { branch: 3, site, iter: 7, kind: ViolationKind::WitnessMismatch, reporters: 3 };
+        let reports = [rep(0, 42, true), rep(1, witness, false), rep(2, 42, true)];
+        let iter = if latency { 7 } else { 8 };
+        let window = vec![WindowEntry { thread: 1, witness, taken: false, iter, seq: 11 }];
+        build_report(violation, CheckKind::SharedUniform, &reports, window, 14, 2)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn violation_records_round_trip(
+            site in proptest::any::<u64>(),
+            witness in 43u64..u64::MAX,
+            latency in proptest::any::<bool>(),
+            image in proptest::any::<u64>(),
+            index in proptest::any::<u64>(),
+        ) {
+            let image = latency.then_some(image);
+            let v = TraceViolation::new(&sample_report(site, witness, latency), image, index);
+            proptest::prop_assert_eq!(v.latency, latency.then_some(3));
+            let buf = bw_telemetry::TraceBuffer::default();
+            v.clone().record_to(&buf.recorder());
+            let back = bw_telemetry::records(&buf.text()).next().unwrap();
+            proptest::prop_assert_eq!(back.and_then(TraceViolation::from_record), Ok(v));
+        }
+    }
+
+    #[test]
+    fn violation_wire_format_is_pinned() {
+        let buf = bw_telemetry::TraceBuffer::default();
+        let v = TraceViolation::new(&sample_report(0x40, 99, true), None, 5);
+        v.clone().record_to(&buf.recorder());
+        TraceViolation { image: Some(2), latency: None, ..v.clone() }.record_to(&buf.recorder());
+        let pinned = concat!(
+            r#""ev":"violation","index":5,"branch":3,"site":64,"iter":7,"kind":"witness_mismatch","#,
+            r#""category":"shared","predicted":"all threads agree on witness and direction","#,
+            r#""reporters":3,"detected_seq":14,"latency":"3","observed":"t0=w2a:T,t1=w63:F,t2=w2a:T","#,
+            r#""deviants":"1","majority":"0,2","window":"t1:i7:w63:F:s11"}"#
+        );
+        let bodies = buf.bodies();
+        assert_eq!(bodies[0], pinned);
+        assert!(bodies[1].starts_with(r#""ev":"violation","image":2,"index":5,"#), "{}", bodies[1]);
+        assert!(bodies[1].contains(r#""latency":"?""#), "{}", bodies[1]);
+
+        let mut table = String::new();
+        v.render_observed(&mut table);
+        assert_eq!(table.lines().count(), 4, "{table}");
+        assert!(table.contains("       1  63                not-taken  DEVIANT"), "{table}");
+
+        let mistyped = r#"{"ev":"violation","index":0,"detected_seq":"late"}"#;
+        let err = bw_telemetry::records(mistyped).next().unwrap().and_then(TraceViolation::from_record);
+        assert_eq!(err, Err("line 1: `detected_seq` is not a non-negative integer".to_string()));
     }
 
     #[test]

@@ -97,7 +97,7 @@ fn queue_high_water_is_bounded_by_capacity() {
     let mut consumers = Vec::new();
     for _ in 0..nthreads {
         let (p, c) = spsc_queue(capacity);
-        producers.push(EventSender::new(p));
+        producers.push(EventSender::fanned(vec![p], Vec::new()));
         consumers.push(c);
     }
     // Pre-fill the queues before the monitor exists so the first drain

@@ -41,6 +41,7 @@
 pub mod json;
 pub mod metrics;
 pub mod prometheus;
+pub mod record;
 pub mod recorder;
 pub mod registry;
 pub mod sampler;
@@ -51,14 +52,17 @@ pub mod trace;
 pub use json::{parse_flat_object, write_json_object, write_json_str, JsonError, Value};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use prometheus::{escape_label_value, sanitize_metric_name};
-pub use recorder::{JsonlRecorder, NullRecorder, Recorder, Span, NULL_RECORDER};
+pub use record::{records, Record};
+pub use recorder::{
+    JsonlRecorder, NullRecorder, Recorder, Span, SpanRecord, TraceBuffer, NULL_RECORDER,
+};
 pub use registry::MetricRegistry;
-pub use sampler::{sample_fields, Sampler};
+pub use sampler::{record_sample, sample_fields, SampleTick, Sampler};
 pub use serve::MetricsServer;
-pub use snapshot::TelemetrySnapshot;
+pub use snapshot::{Metric, TelemetrySnapshot};
 pub use trace::{
     record_flow, record_instant, record_span, set_trace_sink, trace_sink, tracing_active,
-    wall_now_us, TimeDomain, TraceScope, TRACE_EVENT,
+    wall_now_us, SpanKind, TimeDomain, TraceScope, TraceSpan, TRACE_EVENT,
 };
 
 /// Always `true`: telemetry is compiled into every build and the sinks

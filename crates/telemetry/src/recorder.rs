@@ -11,10 +11,11 @@ use std::fmt::Write as _;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::json::{write_json_str, write_json_value, Value};
+use crate::record::Record;
 
 /// A sink for structured telemetry events.
 ///
@@ -121,6 +122,79 @@ impl Drop for JsonlRecorder {
     }
 }
 
+/// An in-memory trace: a byte sink any number of recorders can be built on
+/// and whose text is read back with [`TraceBuffer::text`] — what the
+/// round-trip tests of every record kind write through.
+#[derive(Clone, Debug, Default)]
+pub struct TraceBuffer(Arc<Mutex<Vec<u8>>>);
+
+impl TraceBuffer {
+    /// A recorder writing into this buffer.
+    pub fn recorder(&self) -> JsonlRecorder {
+        JsonlRecorder::new(Box::new(self.clone()))
+    }
+
+    /// Everything flushed into the buffer so far.
+    pub fn text(&self) -> String {
+        String::from_utf8_lossy(&self.0.lock().unwrap_or_else(|e| e.into_inner())).into_owned()
+    }
+
+    /// Each line from its `ev` on: the part the caller's fields decide,
+    /// without the recorder's `seq` / `t_us` envelope in front of it.
+    pub fn bodies(&self) -> Vec<String> {
+        let from_ev = |l: &str| l.find("\"ev\"").map(|at| l[at..].to_string());
+        self.text().lines().filter_map(from_ev).collect()
+    }
+}
+
+impl Write for TraceBuffer {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner()).extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// One `span` record: how long a named stage took on the wall clock. What
+/// a [`Span`] writes and `bw stats` aggregates per name.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SpanRecord {
+    /// Stage name.
+    pub name: String,
+    /// Wall-clock microseconds from enter to finish.
+    pub dur_us: u64,
+}
+
+impl SpanRecord {
+    /// The `ev` tag of the record.
+    pub const EV: &'static str = "span";
+
+    /// Writes the record, the caller's `extra` fields after its own.
+    pub fn record_to(&self, recorder: &dyn Recorder, extra: &[(&str, Value)]) {
+        let mut fields = Vec::with_capacity(extra.len() + 2);
+        fields.push(("name", Value::from(self.name.as_str())));
+        fields.push(("dur_us", Value::U64(self.dur_us)));
+        fields.extend_from_slice(extra);
+        recorder.record(Self::EV, &fields);
+    }
+
+    /// Decodes a `span` record; a missing name reads as `?`.
+    pub fn from_record(mut rec: Record) -> Result<SpanRecord, String> {
+        let mut span = SpanRecord { name: "?".to_string(), dur_us: 0 };
+        for (name, value) in &mut rec.fields {
+            match name.as_str() {
+                "name" => span.name = Record::string(rec.line, name, value)?,
+                "dur_us" => span.dur_us = Record::u64(rec.line, name, value)?,
+                _ => {}
+            }
+        }
+        Ok(span)
+    }
+}
+
 /// An RAII timer: created via [`Span::enter`],
 /// it emits a `span` event with the measured `dur_us` when dropped.
 pub struct Span<'a> {
@@ -144,28 +218,19 @@ impl<'a> Span<'a> {
     /// Ends the span early, attaching extra fields to the `span` record.
     pub fn finish(mut self, fields: &[(&str, Value)]) {
         self.done = true;
-        let dur = self.start.elapsed().as_micros() as u64;
-        let mut all = Vec::with_capacity(fields.len() + 2);
-        all.push(("name", Value::from(self.name)));
-        all.push(("dur_us", Value::U64(dur)));
-        all.extend(fields.iter().map(|(k, v)| (*k, v.clone())));
-        self.recorder.record("span", &all);
+        self.write(fields);
     }
 
-    /// Microseconds elapsed since the span was entered.
-    pub fn elapsed_us(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
+    fn write(&self, fields: &[(&str, Value)]) {
+        let dur_us = self.start.elapsed().as_micros() as u64;
+        SpanRecord { name: self.name.to_string(), dur_us }.record_to(self.recorder, fields);
     }
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
         if !self.done {
-            let dur = self.start.elapsed().as_micros() as u64;
-            self.recorder.record(
-                "span",
-                &[("name", Value::from(self.name)), ("dur_us", Value::U64(dur))],
-            );
+            self.write(&[]);
         }
     }
 }
@@ -173,37 +238,16 @@ impl Drop for Span<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse_flat_object;
-    use std::sync::Arc;
+    use crate::record::records;
 
-    /// A writer that appends into a shared buffer so tests can read back
-    /// what the recorder emitted.
-    #[derive(Clone, Default)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    fn lines_of(buf: &SharedBuf) -> Vec<Vec<(String, Value)>> {
-        let bytes = buf.0.lock().unwrap().clone();
-        String::from_utf8(bytes)
-            .unwrap()
-            .lines()
-            .map(|l| parse_flat_object(l).expect("valid JSONL line"))
-            .collect()
+    fn lines_of(buf: &TraceBuffer) -> Vec<Vec<(String, Value)>> {
+        records(&buf.text()).map(|r| r.expect("valid JSONL line").fields).collect()
     }
 
     #[test]
     fn jsonl_records_are_sequenced_and_parseable() {
-        let buf = SharedBuf::default();
-        let rec = JsonlRecorder::new(Box::new(buf.clone()));
+        let buf = TraceBuffer::default();
+        let rec = buf.recorder();
         rec.record("alpha", &[("n", Value::U64(1))]);
         rec.record("beta", &[("s", Value::from("x\"y"))]);
         rec.flush();
@@ -218,8 +262,8 @@ mod tests {
 
     #[test]
     fn span_emits_duration_on_drop() {
-        let buf = SharedBuf::default();
-        let rec = JsonlRecorder::new(Box::new(buf.clone()));
+        let buf = TraceBuffer::default();
+        let rec = buf.recorder();
         {
             let _span = Span::enter(&rec, "stage");
         }
@@ -231,6 +275,29 @@ mod tests {
         assert_eq!(lines[0][3], ("name".to_string(), Value::from("stage")));
         assert_eq!(lines[0][4].0, "dur_us");
         assert_eq!(lines[1][5], ("items".to_string(), Value::U64(7)));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn span_records_round_trip(name in "[ -~é]{0,12}", dur_us in proptest::any::<u64>()) {
+            let span = SpanRecord { name, dur_us };
+            let buf = TraceBuffer::default();
+            span.record_to(&buf.recorder(), &[("items", Value::U64(7))]);
+            let back = records(&buf.text()).next().unwrap().and_then(SpanRecord::from_record);
+            proptest::prop_assert_eq!(back, Ok(span));
+        }
+    }
+
+    #[test]
+    fn span_record_wire_format_is_pinned() {
+        let buf = TraceBuffer::default();
+        let span = SpanRecord { name: "campaign.plan".to_string(), dur_us: 10 };
+        span.record_to(&buf.recorder(), &[("injections", Value::U64(40))]);
+        let pinned = r#""ev":"span","name":"campaign.plan","dur_us":10,"injections":40}"#;
+        assert_eq!(buf.bodies(), [pinned]);
+        let mistyped = r#"{"ev":"span","name":"x","dur_us":"soon"}"#;
+        let err = records(mistyped).next().unwrap().and_then(SpanRecord::from_record);
+        assert_eq!(err, Err("line 1: `dur_us` is not a non-negative integer".to_string()));
     }
 
     #[test]

@@ -25,6 +25,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use crate::json::Value;
+use crate::record::Record;
 use crate::recorder::Recorder;
 use crate::registry::MetricRegistry;
 use crate::snapshot::TelemetrySnapshot;
@@ -63,6 +64,65 @@ pub fn sample_fields(
         fields.push(("warn".to_string(), Value::from("events_dropped")));
     }
     fields
+}
+
+/// Writes one `sample` record of `fields` (what [`sample_fields`] built).
+pub fn record_sample(recorder: &dyn Recorder, fields: &[(String, Value)]) {
+    let borrowed: Vec<(&str, Value)> =
+        fields.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
+    recorder.record(SampleTick::EV, &borrowed);
+}
+
+/// One `sample` record read back: a timestamped delta snapshot, the
+/// decoded form of what [`sample_fields`] builds.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SampleTick {
+    /// 1-based sample index.
+    pub tick: u64,
+    /// Wall-clock microseconds covered by this tick.
+    pub dt_us: u64,
+    /// True when the sampler flagged the interval (nonzero
+    /// `events_dropped` delta).
+    pub warn: bool,
+    /// Counter *deltas* and absolute gauge values, in record order.
+    pub values: Vec<(String, u64)>,
+}
+
+impl SampleTick {
+    /// The `ev` tag of the record.
+    pub const EV: &'static str = "sample";
+
+    /// Decodes a `sample` record: every field but the bookkeeping ones and
+    /// the recorder's envelope is a metric value.
+    pub fn from_record(rec: Record) -> Result<SampleTick, String> {
+        let mut tick = SampleTick::default();
+        for (name, value) in rec.fields {
+            match name.as_str() {
+                "seq" | "t_us" | "ev" => {}
+                "warn" => tick.warn = true,
+                "tick" => tick.tick = Record::u64(rec.line, &name, &value)?,
+                "dt_us" => tick.dt_us = Record::u64(rec.line, &name, &value)?,
+                _ => {
+                    let value = Record::u64(rec.line, &name, &value)?;
+                    tick.values.push((name, value));
+                }
+            }
+        }
+        Ok(tick)
+    }
+
+    /// The named value in this tick, if present.
+    pub fn value(&self, name: &str) -> Option<u64> {
+        self.values.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+    }
+
+    /// A counter delta as a per-second rate over this tick's interval.
+    pub fn rate(&self, name: &str) -> f64 {
+        if self.dt_us == 0 {
+            return 0.0;
+        }
+        self.value(name).unwrap_or(0) as f64 * 1e6 / self.dt_us as f64
+    }
 }
 
 /// A background thread emitting periodic `sample` records (see the
@@ -104,10 +164,7 @@ impl Sampler {
                     last = now;
                     let cur = registry.snapshot();
                     tick += 1;
-                    let fields = sample_fields(&prev, &cur, tick, dt_us);
-                    let borrowed: Vec<(&str, Value)> =
-                        fields.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
-                    recorder.record("sample", &borrowed);
+                    record_sample(recorder.as_ref(), &sample_fields(&prev, &cur, tick, dt_us));
                     prev = cur;
                     if stopping {
                         recorder.flush();
@@ -200,26 +257,51 @@ mod tests {
         assert!(fields.contains(&("live.born_gauge".to_string(), Value::U64(7))));
     }
 
-    /// A writer appending into a shared buffer, so the test can read the
-    /// emitted records back without the filesystem.
-    #[derive(Clone, Default)]
-    struct SharedBuf(Arc<std::sync::Mutex<Vec<u8>>>);
+    proptest::proptest! {
+        #[test]
+        fn sample_records_round_trip(
+            deltas in proptest::collection::vec((0u64..6, proptest::any::<u64>()), 0..6),
+            tick in proptest::any::<u64>(),
+            dt_us in proptest::any::<u64>(),
+        ) {
+            // Counters 0..6 (counter 5 is a drop counter), each also a gauge.
+            let name = |i: u64| if i == 5 { "live.events_dropped".into() } else { format!("live.c{i}") };
+            let cur: Vec<(String, u64)> = deltas.iter().map(|&(i, v)| (name(i), v)).collect();
+            let cur: Vec<(&str, u64)> = cur.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+            let fields = sample_fields(&snap(&[], &[]), &snap(&cur, &cur), tick, dt_us);
+            let buf = crate::TraceBuffer::default();
+            record_sample(&buf.recorder(), &fields);
+            let back = crate::records(&buf.text()).next().unwrap().and_then(SampleTick::from_record);
+            let values = fields[2..]
+                .iter()
+                .filter_map(|(k, v)| Some((k.clone(), v.as_u64()?)))
+                .collect();
+            let warn = fields.iter().any(|(k, _)| k == "warn");
+            proptest::prop_assert_eq!(back, Ok(SampleTick { tick, dt_us, warn, values }));
+        }
+    }
 
-    impl std::io::Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
+    #[test]
+    fn sample_record_wire_format_is_pinned() {
+        let prev = snap(&[("live.a", 1), ("live.monitor.events_dropped", 0)], &[]);
+        let cur = snap(&[("live.a", 4), ("live.monitor.events_dropped", 2)], &[("live.depth", 9)]);
+        let buf = crate::TraceBuffer::default();
+        record_sample(&buf.recorder(), &sample_fields(&prev, &cur, 3, 5000));
+        let pinned = concat!(
+            r#""ev":"sample","tick":3,"dt_us":5000,"live.a":3,"live.monitor.events_dropped":2,"#,
+            r#""live.depth":9,"warn":"events_dropped"}"#
+        );
+        assert_eq!(buf.bodies(), [pinned]);
+        let mistyped = r#"{"ev":"sample","tick":1,"dt_us":"5ms"}"#;
+        let err = crate::records(mistyped).next().unwrap().and_then(SampleTick::from_record);
+        assert_eq!(err, Err("line 1: `dt_us` is not a non-negative integer".to_string()));
     }
 
     #[test]
     fn stop_before_first_tick_still_flushes_one_sample() {
         let registry = Arc::new(MetricRegistry::new());
-        let buf = SharedBuf::default();
-        let rec = Arc::new(crate::recorder::JsonlRecorder::new(Box::new(buf.clone())));
+        let buf = crate::TraceBuffer::default();
+        let rec = Arc::new(buf.recorder());
         // Interval far longer than the test: the only record comes from
         // the final flush-on-stop tick.
         let sampler = Sampler::start(
@@ -231,7 +313,7 @@ mod tests {
         // interval has a nonzero delta to report.
         registry.counter("live.sampler_test.early").add(3);
         sampler.stop();
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let text = buf.text();
         let samples: Vec<&str> =
             text.lines().filter(|l| l.contains("\"ev\":\"sample\"")).collect();
         assert_eq!(samples.len(), 1, "exactly the final tick: {text}");

@@ -6,8 +6,9 @@
 //! Snapshots merge (for fan-in across workers or layers) and prefix (so
 //! `vm.` / `monitor.` / `campaign.` namespaces stay disjoint).
 
-use crate::json::{write_json_object, Value};
+use crate::json::Value;
 use crate::metrics::HistogramSnapshot;
+use crate::record::Record;
 use crate::recorder::Recorder;
 
 /// Named metric values captured at a point in time.
@@ -37,7 +38,7 @@ impl TelemetrySnapshot {
     pub fn push_counter(&mut self, name: impl Into<String>, value: u64) {
         let name = name.into();
         match self.counters.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, v)) => *v += value,
+            Some((_, v)) => *v = v.saturating_add(value),
             None => self.counters.push((name, value)),
         }
     }
@@ -144,67 +145,109 @@ impl TelemetrySnapshot {
     }
 
     /// Emits every metric to `recorder` as `counter` / `gauge` /
-    /// `histogram` records.
+    /// `histogram` records ([`Metric`] reads them back).
     pub fn record_to(&self, recorder: &dyn Recorder) {
         for (n, v) in &self.counters {
-            recorder.record(
-                "counter",
-                &[("name", Value::from(n.as_str())), ("value", Value::U64(*v))],
-            );
+            record_scalar(recorder, COUNTER, n, *v);
         }
         for (n, v) in &self.gauges {
-            recorder.record(
-                "gauge",
-                &[("name", Value::from(n.as_str())), ("value", Value::U64(*v))],
-            );
+            record_scalar(recorder, GAUGE, n, *v);
         }
         for (n, h) in &self.histograms {
-            let buckets = h.encode_buckets();
-            recorder.record(
-                "histogram",
-                &[
-                    ("name", Value::from(n.as_str())),
-                    ("count", Value::U64(h.count)),
-                    ("sum", Value::U64(h.sum)),
-                    ("max", Value::U64(h.max)),
-                    ("buckets", Value::from(buckets.as_str())),
-                ],
-            );
+            record_histogram(recorder, n, h);
         }
     }
 
-    /// Renders the whole snapshot as one flat JSON object; histogram
-    /// aggregates appear as `<name>.count` / `.sum` / `.max` keys.
-    pub fn to_json(&self) -> String {
-        let mut fields: Vec<(String, Value)> = Vec::new();
-        for (n, v) in &self.counters {
-            fields.push((n.clone(), Value::U64(*v)));
+    /// Folds one decoded metric record in: what `push_counter`,
+    /// `push_gauge` or `push_histogram` would do with it.
+    pub fn absorb(&mut self, metric: &Metric) {
+        match metric {
+            Metric::Counter(name, value) => self.push_counter(name.as_str(), *value),
+            Metric::Gauge(name, value) => self.push_gauge(name.as_str(), *value),
+            Metric::Histogram(name, snap) => self.push_histogram(name.as_str(), snap.clone()),
         }
-        for (n, v) in &self.gauges {
-            fields.push((n.clone(), Value::U64(*v)));
+    }
+
+    /// Sorts counters, gauges and histograms by name.
+    pub fn sort(&mut self) {
+        self.counters.sort();
+        self.gauges.sort();
+        self.histograms.sort_by(|a, b| a.0.cmp(&b.0));
+    }
+}
+
+const COUNTER: &str = "counter";
+const GAUGE: &str = "gauge";
+const HISTOGRAM: &str = "histogram";
+
+fn record_scalar(recorder: &dyn Recorder, ev: &str, name: &str, value: u64) {
+    recorder.record(ev, &[("name", Value::from(name)), ("value", Value::U64(value))]);
+}
+
+fn record_histogram(recorder: &dyn Recorder, name: &str, h: &HistogramSnapshot) {
+    recorder.record(
+        HISTOGRAM,
+        &[
+            ("name", Value::from(name)),
+            ("count", Value::U64(h.count)),
+            ("sum", Value::U64(h.sum)),
+            ("max", Value::U64(h.max)),
+            ("buckets", Value::from(h.encode_buckets())),
+        ],
+    );
+}
+
+/// One `counter`, `gauge` or `histogram` record: a named metric value as
+/// [`TelemetrySnapshot::record_to`] writes it.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Metric {
+    /// A counter's final value (or one contribution to it).
+    Counter(String, u64),
+    /// A gauge's high-water mark.
+    Gauge(String, u64),
+    /// A histogram's aggregates and buckets.
+    Histogram(String, HistogramSnapshot),
+}
+
+impl Metric {
+    /// The `ev` tags of the three metric records.
+    pub const EVS: [&'static str; 3] = [COUNTER, GAUGE, HISTOGRAM];
+
+    /// Decodes a record whose `ev` is one of [`Metric::EVS`]. A missing
+    /// name reads as `?`; a histogram from before the `buckets` field
+    /// existed has none and answers no quantile query.
+    pub fn from_record(mut rec: Record) -> Result<Metric, String> {
+        let (mut metric, mut value, mut snap) = ("?".to_string(), 0, HistogramSnapshot::default());
+        for (name, v) in &mut rec.fields {
+            match name.as_str() {
+                "name" => metric = Record::string(rec.line, name, v)?,
+                "value" => value = Record::u64(rec.line, name, v)?,
+                "count" => snap.count = Record::u64(rec.line, name, v)?,
+                "sum" => snap.sum = Record::u64(rec.line, name, v)?,
+                "max" => snap.max = Record::u64(rec.line, name, v)?,
+                "buckets" => {
+                    let encoded = Record::string(rec.line, name, v)?;
+                    snap.buckets = HistogramSnapshot::decode_buckets(&encoded);
+                    snap.buckets.sort_unstable_by_key(|&(bound, _)| bound);
+                }
+                _ => {}
+            }
         }
-        for (n, h) in &self.histograms {
-            fields.push((format!("{n}.count"), Value::U64(h.count)));
-            fields.push((format!("{n}.sum"), Value::U64(h.sum)));
-            fields.push((format!("{n}.max"), Value::U64(h.max)));
-        }
-        let borrowed: Vec<(&str, Value)> = fields
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.clone()))
-            .collect();
-        let mut out = String::new();
-        write_json_object(&mut out, &borrowed);
-        out
+        Ok(match rec.ev() {
+            HISTOGRAM => Metric::Histogram(metric, snap),
+            GAUGE => Metric::Gauge(metric, value),
+            _ => Metric::Counter(metric, value),
+        })
     }
 }
 
 fn merge_histograms(into: &mut HistogramSnapshot, from: &HistogramSnapshot) {
-    into.count += from.count;
+    into.count = into.count.saturating_add(from.count);
     into.sum = into.sum.wrapping_add(from.sum);
     into.max = into.max.max(from.max);
     for &(bound, n) in &from.buckets {
         match into.buckets.binary_search_by_key(&bound, |&(b, _)| b) {
-            Ok(i) => into.buckets[i].1 += n,
+            Ok(i) => into.buckets[i].1 = into.buckets[i].1.saturating_add(n),
             Err(i) => into.buckets.insert(i, (bound, n)),
         }
     }
@@ -213,8 +256,9 @@ fn merge_histograms(into: &mut HistogramSnapshot, from: &HistogramSnapshot) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse_flat_object;
     use crate::metrics::Histogram;
+    use crate::record::records;
+    use crate::recorder::TraceBuffer;
 
     #[test]
     fn counters_accumulate_and_gauges_take_max() {
@@ -273,24 +317,66 @@ mod tests {
         assert!(d.histograms().is_empty());
     }
 
-    #[test]
-    fn to_json_is_parseable() {
+    /// A snapshot with every metric kind and names a JSON writer must escape.
+    fn sample_snapshot() -> TelemetrySnapshot {
         let mut s = TelemetrySnapshot::new();
-        s.push_counter("c", 2);
-        s.push_gauge("g", 3);
+        s.push_counter("vm.\"quoted\"", 2);
+        s.push_counter("c", u64::MAX);
+        s.push_gauge("g é", 3);
         let h = Histogram::new();
-        h.observe(8);
+        for v in [0, 8, 9, 1 << 40] {
+            h.observe(v);
+        }
         s.push_histogram("h", h.snapshot());
-        let parsed = parse_flat_object(&s.to_json()).unwrap();
-        let get = |k: &str| {
-            parsed
-                .iter()
-                .find(|(n, _)| n == k)
-                .and_then(|(_, v)| v.as_u64())
-        };
-        assert_eq!(get("c"), Some(2));
-        assert_eq!(get("g"), Some(3));
-        assert_eq!(get("h.count"), Some(1));
-        assert_eq!(get("h.sum"), Some(8));
+        s.push_histogram("empty", HistogramSnapshot::default());
+        s
+    }
+
+    #[test]
+    fn record_to_round_trips_through_absorb() {
+        let snap = sample_snapshot();
+        let buf = TraceBuffer::default();
+        snap.record_to(&buf.recorder());
+        let mut back = TelemetrySnapshot::new();
+        for rec in records(&buf.text()) {
+            back.absorb(&Metric::from_record(rec.unwrap()).unwrap());
+        }
+        assert_eq!(back, snap);
+        back.sort();
+        assert_eq!(back.counters()[0].0, "c");
+        assert_eq!(back.histograms()[0].0, "empty");
+    }
+
+    #[test]
+    fn metric_wire_format_is_pinned() {
+        let mut s = TelemetrySnapshot::new();
+        s.push_counter("monitor.violations", 3);
+        s.push_gauge("monitor.queue_high_water", 7);
+        let h = Histogram::new();
+        h.observe(5);
+        h.observe(900);
+        s.push_histogram("campaign.injection_us", h.snapshot());
+        let buf = TraceBuffer::default();
+        s.record_to(&buf.recorder());
+        assert_eq!(
+            buf.bodies(),
+            [
+                r#""ev":"counter","name":"monitor.violations","value":3}"#,
+                r#""ev":"gauge","name":"monitor.queue_high_water","value":7}"#,
+                r#""ev":"histogram","name":"campaign.injection_us","count":2,"sum":905,"max":900,"buckets":"7:1;1023:1"}"#,
+            ]
+        );
+    }
+
+    #[test]
+    fn mistyped_metric_fields_are_errors_and_old_histograms_have_no_buckets() {
+        let decode = |line: &str| records(line).next().unwrap().and_then(Metric::from_record);
+        let err = decode(r#"{"ev":"counter","name":"c","value":"many"}"#).unwrap_err();
+        assert_eq!(err, "line 1: `value` is not a non-negative integer");
+        let err = decode(r#"{"ev":"histogram","name":"h","count":1,"buckets":7}"#).unwrap_err();
+        assert_eq!(err, "line 1: `buckets` is not a string");
+        let legacy = decode(r#"{"ev":"histogram","name":"x","count":2,"sum":4,"max":3}"#);
+        let expected = HistogramSnapshot { count: 2, sum: 4, max: 3, buckets: Vec::new() };
+        assert_eq!(legacy, Ok(Metric::Histogram("x".to_string(), expected)));
     }
 }

@@ -13,26 +13,18 @@
 //!
 //! ## Record schema
 //!
-//! Every record is one flat JSONL object with `ev:"tspan"` plus:
-//!
-//! * `kind` — `"span"` (an interval), `"instant"` (a point), or
-//!   `"flow_start"` / `"flow_end"` (the two ends of a causal arrow,
-//!   paired by `flow`);
-//! * `dom` — the time domain: `"cyc"` (deterministic simulated cycles)
-//!   or `"us"` (wall-clock microseconds). The two are never compared;
-//!   `bw timeline --chrome` exports them as separate processes;
-//! * `track` — the lane the record belongs to (`t<tid>` for SPMD
-//!   threads, `shard<i>` for monitor shards, `w<wid>` for campaign
-//!   workers, `main` for pipeline stages);
-//! * `cat` — the span category (`barrier_phase`, `lock_wait`,
-//!   `lock_hold`, `queue_wait`, `flush_batch`, `stage`, …);
-//! * `name`, `ts`, `dur` — label, start timestamp and duration in the
-//!   record's own domain — plus any caller extras (per-phase `steps` /
-//!   `events` counts, lock ids, batch sizes).
-//!
-//! Records additionally carry every field of the enclosing
-//! [`TraceScope`]s (campaigns push `inj` / `wid`, and `image` in a batch,
-//! so one trace file keeps per-injection spans separable).
+//! Every record is one flat JSONL object with `ev:"tspan"`; its fields, in
+//! wire order, are the `tspan` row of DESIGN.md §10's "Trace schema" table
+//! (which a test diffs against [`record_span`] and [`record_flow`]). This
+//! file owns both ends: the `record_*` functions write a record and
+//! [`TraceSpan::from_record`] reads it back — `kind` as a [`SpanKind`],
+//! `dom` as a [`TimeDomain`] (`"cyc"`, deterministic simulated cycles, or
+//! `"us"`, wall-clock microseconds; the two are never compared), `track`
+//! the lane, `cat` the span category, `name` / `ts` / `dur` label, start
+//! and duration in the record's own domain, and every other field — caller
+//! extras, then the fields of the enclosing [`TraceScope`]s (campaigns push
+//! `inj` / `wid`, and `image` in a batch, so one trace file keeps
+//! per-injection spans separable) — as `args`.
 //!
 //! ## Determinism contract
 //!
@@ -49,6 +41,7 @@ use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
 use crate::json::Value;
+use crate::record::Record;
 use crate::recorder::Recorder;
 
 /// The `ev` name of every trace record.
@@ -97,7 +90,7 @@ pub fn trace_sink() -> Option<Arc<dyn Recorder>> {
 /// The timestamp domain of a trace record. Spans from the deterministic
 /// simulator carry cycle counts; everything timed against the OS clock
 /// carries microseconds. The domains are never mixed on one lane.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TimeDomain {
     /// Deterministic simulated machine cycles.
     Cycles,
@@ -112,6 +105,132 @@ impl TimeDomain {
             TimeDomain::Cycles => "cyc",
             TimeDomain::WallUs => "us",
         }
+    }
+
+    /// The unit a timestamp of this domain counts, for display.
+    pub fn unit(self) -> &'static str {
+        match self {
+            TimeDomain::Cycles => "cycles",
+            TimeDomain::WallUs => "us",
+        }
+    }
+}
+
+/// The shape of one trace record (its `kind` field).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SpanKind {
+    /// An interval `[ts, ts + dur)`.
+    Span,
+    /// A point in time.
+    Instant,
+    /// The source end of a causal arrow (paired by `flow`).
+    FlowStart,
+    /// The target end of a causal arrow (paired by `flow`).
+    FlowEnd,
+}
+
+impl SpanKind {
+    const ALL: [SpanKind; 4] =
+        [SpanKind::Span, SpanKind::Instant, SpanKind::FlowStart, SpanKind::FlowEnd];
+
+    /// The `kind` field tag.
+    pub fn tag(self) -> &'static str {
+        match self {
+            SpanKind::Span => "span",
+            SpanKind::Instant => "instant",
+            SpanKind::FlowStart => "flow_start",
+            SpanKind::FlowEnd => "flow_end",
+        }
+    }
+}
+
+/// One `tspan` record read back: what [`record_span`], [`record_instant`]
+/// and [`record_flow`] write.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TraceSpan {
+    /// Span / instant / flow end-point.
+    pub kind: SpanKind,
+    /// Time domain of `ts` and `dur`.
+    pub dom: TimeDomain,
+    /// Lane: `t<tid>`, `shard<i>`, `w<wid>`, `main`, `monitor`.
+    pub track: String,
+    /// Category: `barrier_phase`, `lock_wait`, `flush_batch`, `stage`, …
+    pub cat: String,
+    /// Display label.
+    pub name: String,
+    /// Start timestamp in the record's own domain.
+    pub ts: u64,
+    /// Duration (zero for instants and flow end-points).
+    pub dur: u64,
+    /// Causal-arrow id pairing a `FlowStart` with its `FlowEnd`.
+    pub flow: Option<u64>,
+    /// Every remaining field: per-phase `steps`/`branches` counts,
+    /// campaign scope tags (`inj`, `wid`), verdict details (`site`, …).
+    pub args: Vec<(String, Value)>,
+}
+
+impl TraceSpan {
+    /// Decodes a `tspan` record. `kind` and `dom` must be there; a missing
+    /// label reads as `?`, a missing time as 0.
+    pub fn from_record(rec: Record) -> Result<TraceSpan, String> {
+        let Record { line, mut fields } = rec;
+        let (mut kind, mut dom) = (None, None);
+        let (mut track, mut cat, mut label) = (None, None, None);
+        let (mut ts, mut dur, mut flow) = (0, 0, None);
+        let unknown = |name: &str, what: &str| format!("line {line}: `{name}` is not a {what}");
+        // The fields no arm below names are the record's `args`: they are
+        // moved to the front of `fields`, which is then cut to them.
+        let mut args = 0;
+        for at in 0..fields.len() {
+            let (name, value) = &mut fields[at];
+            match name.as_str() {
+                "seq" | "t_us" | "ev" => {}
+                "kind" => {
+                    let tagged = |k: &SpanKind| value.as_str() == Some(k.tag());
+                    let found = SpanKind::ALL.into_iter().find(tagged);
+                    kind = Some(found.ok_or_else(|| unknown(name, "span kind"))?);
+                }
+                "dom" => {
+                    let tagged = |d: &TimeDomain| value.as_str() == Some(d.tag());
+                    let found = [TimeDomain::Cycles, TimeDomain::WallUs].into_iter().find(tagged);
+                    dom = Some(found.ok_or_else(|| unknown(name, "time domain"))?);
+                }
+                "track" => track = Some(Record::string(line, name, value)?),
+                "cat" => cat = Some(Record::string(line, name, value)?),
+                "name" => label = Some(Record::string(line, name, value)?),
+                "ts" => ts = Record::u64(line, name, value)?,
+                "dur" => dur = Record::u64(line, name, value)?,
+                "flow" => flow = Some(Record::u64(line, name, value)?),
+                _ => {
+                    fields.swap(args, at);
+                    args += 1;
+                }
+            }
+        }
+        fields.truncate(args);
+        let missing = |name: &str| format!("line {line}: tspan record has no `{name}`");
+        let or_unnamed = |text: Option<String>| text.unwrap_or_else(|| "?".to_string());
+        Ok(TraceSpan {
+            kind: kind.ok_or_else(|| missing("kind"))?,
+            dom: dom.ok_or_else(|| missing("dom"))?,
+            track: or_unnamed(track),
+            cat: or_unnamed(cat),
+            name: or_unnamed(label),
+            ts,
+            dur,
+            flow,
+            args: fields,
+        })
+    }
+
+    /// Where the record ends on its time axis (`ts` for a point).
+    pub fn end(&self) -> u64 {
+        self.ts.saturating_add(self.dur)
+    }
+
+    /// The named extra field as a `u64`, if present.
+    pub fn arg_u64(&self, name: &str) -> Option<u64> {
+        self.args.iter().find(|(k, _)| k == name).and_then(|(_, v)| v.as_u64())
     }
 }
 
@@ -155,7 +274,7 @@ impl Drop for TraceScope {
 #[allow(clippy::too_many_arguments)]
 fn record(
     rec: &dyn Recorder,
-    kind: &str,
+    kind: SpanKind,
     dom: TimeDomain,
     track: &str,
     cat: &str,
@@ -170,7 +289,7 @@ fn record(
         let scope = scope.borrow();
         let mut fields: Vec<(&str, Value)> =
             Vec::with_capacity(6 + tail.len() + extra.len() + scope.len());
-        fields.push(("kind", Value::from(kind)));
+        fields.push(("kind", Value::from(kind.tag())));
         fields.push(("dom", Value::from(dom.tag())));
         fields.push(("track", Value::from(track)));
         fields.push(("cat", Value::from(cat)));
@@ -195,7 +314,7 @@ pub fn record_span(
     dur: u64,
     extra: &[(&str, Value)],
 ) {
-    record(rec, "span", dom, track, cat, name, ts, &[("dur", Value::U64(dur))], extra);
+    record(rec, SpanKind::Span, dom, track, cat, name, ts, &[("dur", Value::U64(dur))], extra);
 }
 
 /// Emits one point-in-time (`kind:"instant"`) record.
@@ -208,7 +327,7 @@ pub fn record_instant(
     ts: u64,
     extra: &[(&str, Value)],
 ) {
-    record(rec, "instant", dom, track, cat, name, ts, &[], extra);
+    record(rec, SpanKind::Instant, dom, track, cat, name, ts, &[], extra);
 }
 
 /// Emits one end of a causal arrow: `start = true` for the source
@@ -226,47 +345,123 @@ pub fn record_flow(
     start: bool,
     extra: &[(&str, Value)],
 ) {
-    let kind = if start { "flow_start" } else { "flow_end" };
+    let kind = if start { SpanKind::FlowStart } else { SpanKind::FlowEnd };
     record(rec, kind, dom, track, cat, name, ts, &[("flow", Value::U64(flow))], extra);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
-    use std::sync::Mutex;
+    use crate::record::records;
+    use crate::recorder::TraceBuffer;
 
-    #[derive(Clone, Default)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    fn lines(buf: &SharedBuf) -> Vec<Vec<(String, Value)>> {
-        let bytes = buf.0.lock().unwrap().clone();
-        String::from_utf8(bytes)
-            .unwrap()
-            .lines()
-            .map(|l| crate::parse_flat_object(l).expect("valid JSONL"))
-            .collect()
+    fn lines(buf: &TraceBuffer) -> Vec<Vec<(String, Value)>> {
+        records(&buf.text()).map(|r| r.expect("valid JSONL").fields).collect()
     }
 
     fn field<'a>(rec: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
         rec.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
+    /// Writes `span` with the `record_*` function of its kind.
+    fn write(rec: &dyn Recorder, span: &TraceSpan) {
+        let TraceSpan { dom, track, cat, name, ts, .. } = span;
+        let extra: Vec<(&str, Value)> =
+            span.args.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
+        let flow = span.flow.unwrap_or(0);
+        match span.kind {
+            SpanKind::Span => record_span(rec, *dom, track, cat, name, *ts, span.dur, &extra),
+            SpanKind::Instant => record_instant(rec, *dom, track, cat, name, *ts, &extra),
+            SpanKind::FlowStart => record_flow(rec, *dom, track, cat, name, *ts, flow, true, &extra),
+            SpanKind::FlowEnd => record_flow(rec, *dom, track, cat, name, *ts, flow, false, &extra),
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn tspan_records_round_trip(
+            kind in 0usize..4,
+            wall in proptest::any::<bool>(),
+            label in "[ -~é]{0,10}",
+            times in (proptest::any::<u64>(), proptest::any::<u64>(), proptest::any::<u64>()),
+            steps in proptest::any::<u64>(),
+        ) {
+            let kind = SpanKind::ALL[kind];
+            let span = TraceSpan {
+                kind,
+                dom: if wall { TimeDomain::WallUs } else { TimeDomain::Cycles },
+                track: format!("t{}", steps % 7),
+                cat: "barrier_phase".to_string(),
+                name: label.clone(),
+                ts: times.0,
+                dur: if kind == SpanKind::Span { times.1 } else { 0 },
+                flow: matches!(kind, SpanKind::FlowStart | SpanKind::FlowEnd).then_some(times.2),
+                args: vec![
+                    ("steps".to_string(), Value::U64(steps)),
+                    ("outcome".to_string(), Value::Str(label)),
+                    ("inj".to_string(), Value::U64(3)),
+                ],
+            };
+            let buf = TraceBuffer::default();
+            {
+                let _scope = TraceScope::enter(&[("inj", Value::U64(3))]);
+                let mut unscoped = span.clone();
+                unscoped.args.pop();
+                write(&buf.recorder(), &unscoped);
+            }
+            let back = records(&buf.text()).next().unwrap().and_then(TraceSpan::from_record);
+            proptest::prop_assert_eq!(back, Ok(span));
+        }
+    }
+
+    #[test]
+    fn tspan_wire_format_is_pinned() {
+        let buf = TraceBuffer::default();
+        let rec = buf.recorder();
+        let _scope = TraceScope::enter(&[("inj", Value::U64(7)), ("wid", Value::U64(0))]);
+        let steps = [("steps", Value::U64(12)), ("branches", Value::U64(2))];
+        record_span(&rec, TimeDomain::Cycles, "t2", "barrier_phase", "phase 1", 100, 40, &steps);
+        record_instant(&rec, TimeDomain::Cycles, "monitor", "violation", "site 3", 140, &[]);
+        record_flow(&rec, TimeDomain::WallUs, "t2", "branch_event", "site 3", 140, 1, true, &[]);
+        rec.flush();
+        assert_eq!(
+            buf.bodies(),
+            [
+                concat!(
+                    r#""ev":"tspan","kind":"span","dom":"cyc","track":"t2","cat":"barrier_phase","#,
+                    r#""name":"phase 1","ts":100,"dur":40,"steps":12,"branches":2,"inj":7,"wid":0}"#
+                ),
+                concat!(
+                    r#""ev":"tspan","kind":"instant","dom":"cyc","track":"monitor","#,
+                    r#""cat":"violation","name":"site 3","ts":140,"inj":7,"wid":0}"#
+                ),
+                concat!(
+                    r#""ev":"tspan","kind":"flow_start","dom":"us","track":"t2","#,
+                    r#""cat":"branch_event","name":"site 3","ts":140,"flow":1,"inj":7,"wid":0}"#
+                ),
+            ]
+        );
+    }
+
+    #[test]
+    fn tspan_decoding_rejects_unknown_tags_and_mistyped_times() {
+        let decode = |line: &str| records(line).next().unwrap().and_then(TraceSpan::from_record);
+        let err = decode(r#"{"ev":"tspan","kind":"span","dom":"cyc","ts":0,"dur":-5}"#);
+        assert_eq!(err, Err("line 1: `dur` is not a non-negative integer".to_string()));
+        let err = decode(r#"{"ev":"tspan","kind":"blob","dom":"cyc"}"#).unwrap_err();
+        assert_eq!(err, "line 1: `kind` is not a span kind");
+        let err = decode(r#"{"ev":"tspan","kind":"span","dom":7}"#).unwrap_err();
+        assert_eq!(err, "line 1: `dom` is not a time domain");
+        let err = decode(r#"{"ev":"tspan","dom":"us"}"#).unwrap_err();
+        assert_eq!(err, "line 1: tspan record has no `kind`");
+        let bare = decode(r#"{"ev":"tspan","kind":"instant","dom":"us"}"#).unwrap();
+        assert_eq!((bare.track.as_str(), bare.ts, bare.end(), bare.flow), ("?", 0, 0, None));
+    }
+
     #[test]
     fn an_installed_sink_reports_active_until_removed() {
         // The only test in this binary that touches the global sink.
-        let rec = Arc::new(crate::JsonlRecorder::new(Box::new(SharedBuf::default())));
-        set_trace_sink(Some(rec));
+        set_trace_sink(Some(Arc::new(TraceBuffer::default().recorder())));
         assert!(tracing_active());
         assert!(trace_sink().is_some());
         set_trace_sink(None);
@@ -276,8 +471,8 @@ mod tests {
 
     #[test]
     fn spans_carry_schema_and_scope_fields() {
-        let buf = SharedBuf::default();
-        let rec = crate::JsonlRecorder::new(Box::new(buf.clone()));
+        let buf = TraceBuffer::default();
+        let rec = buf.recorder();
         {
             let _scope = TraceScope::enter(&[("inj", Value::U64(7))]);
             record_span(

@@ -7,12 +7,11 @@
 //! cases (empty traces, the `u64::MAX` histogram bucket) a hand-rolled
 //! serializer is most likely to get wrong.
 
-use std::io::{self, Write};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use bw_telemetry::{
-    parse_flat_object, Histogram, HistogramSnapshot, JsonlRecorder, Recorder, TelemetrySnapshot,
-    Value,
+    parse_flat_object, records, Histogram, HistogramSnapshot, Metric, Recorder,
+    TelemetrySnapshot, TraceBuffer, Value,
 };
 
 /// SplitMix64 — the same tiny deterministic generator the fuzzer uses.
@@ -119,32 +118,24 @@ fn random_snapshot(rng: &mut Rng) -> TelemetrySnapshot {
     s
 }
 
+/// What `snap.record_to` leaves in a JSONL trace, absorbed back into a
+/// snapshot record by record.
+fn through_trace(snap: &TelemetrySnapshot) -> TelemetrySnapshot {
+    let buf = TraceBuffer::default();
+    snap.record_to(&buf.recorder());
+    let mut back = TelemetrySnapshot::new();
+    for rec in records(&buf.text()) {
+        back.absorb(&Metric::from_record(rec.expect("a flat record")).expect("a metric record"));
+    }
+    back
+}
+
 #[test]
 fn random_snapshots_round_trip_through_json() {
     let mut rng = Rng(0x5eed_0001);
     for _case in 0..200 {
         let snap = random_snapshot(&mut rng);
-        let text = snap.to_json();
-        let parsed = parse_flat_object(&text)
-            .unwrap_or_else(|e| panic!("snapshot JSON failed to parse: {e}\n  text: {text}"));
-        let get = |key: &str| -> Option<u64> {
-            parsed.iter().find(|(k, _)| k == key).and_then(|(_, v)| v.as_u64())
-        };
-        for (name, v) in snap.counters() {
-            assert_eq!(get(name), Some(*v), "counter {name:?} lost in {text}");
-        }
-        for (name, v) in snap.gauges() {
-            assert_eq!(get(name), Some(*v), "gauge {name:?} lost in {text}");
-        }
-        for (name, h) in snap.histograms() {
-            assert_eq!(get(&format!("{name}.count")), Some(h.count));
-            assert_eq!(get(&format!("{name}.sum")), Some(h.sum));
-            assert_eq!(get(&format!("{name}.max")), Some(h.max));
-        }
-        let expect_fields = snap.counters().len()
-            + snap.gauges().len()
-            + 3 * snap.histograms().len();
-        assert_eq!(parsed.len(), expect_fields);
+        assert_eq!(through_trace(&snap), snap);
     }
 }
 
@@ -152,9 +143,7 @@ fn random_snapshots_round_trip_through_json() {
 fn empty_snapshot_round_trips() {
     let snap = TelemetrySnapshot::new();
     assert!(snap.is_empty());
-    let text = snap.to_json();
-    assert_eq!(text, "{}");
-    assert!(parse_flat_object(&text).unwrap().is_empty());
+    assert!(through_trace(&snap).is_empty());
 }
 
 #[test]
@@ -177,10 +166,8 @@ fn max_bucket_histogram_survives_snapshot_and_json() {
     assert_eq!(merged.count, 6);
     assert_eq!(merged.buckets, vec![(0, 2), (u64::MAX, 4)]);
 
-    let parsed = parse_flat_object(&snap.to_json()).unwrap();
-    let get = |key: &str| parsed.iter().find(|(k, _)| k == key).and_then(|(_, v)| v.as_u64());
-    assert_eq!(get("big.count"), Some(6));
-    assert_eq!(get("big.max"), Some(u64::MAX));
+    let back = through_trace(&snap);
+    assert_eq!(back.histogram("big"), Some(merged));
 }
 
 #[test]
@@ -194,38 +181,18 @@ fn mergeable_snapshot_survives_round_trip_fields() {
     b.push_counter("runs", 3);
     b.push_gauge("depth", 4);
     a.merge(&b);
-    let parsed = parse_flat_object(&a.to_json()).unwrap();
-    assert_eq!(parsed.len(), 2);
-    assert_eq!(parsed[0], ("runs".to_string(), Value::U64(5)));
-    assert_eq!(parsed[1], ("depth".to_string(), Value::U64(7)));
-}
-
-/// A writer that appends into a shared buffer so the test can read back
-/// what the JSONL recorder emitted.
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-impl SharedBuf {
-    fn text(&self) -> String {
-        String::from_utf8(self.0.lock().unwrap().clone()).expect("recorder output is UTF-8")
-    }
+    let buf = TraceBuffer::default();
+    a.record_to(&buf.recorder());
+    assert_eq!(buf.text().lines().count(), 2);
+    let back = through_trace(&a);
+    assert_eq!((back.counter("runs"), back.gauge("depth")), (Some(5), Some(7)));
 }
 
 #[test]
 fn random_trace_events_round_trip_through_jsonl() {
     let mut rng = Rng(0x7ace_5eed);
-    let buf = SharedBuf::default();
-    let rec = JsonlRecorder::new(Box::new(buf.clone()));
+    let buf = TraceBuffer::default();
+    let rec = buf.recorder();
     let mut emitted: Vec<(String, Vec<(String, Value)>)> = Vec::new();
     for case in 0..120 {
         let event = tricky_name(&mut rng, case);
@@ -262,8 +229,8 @@ fn random_trace_events_round_trip_through_jsonl() {
 
 #[test]
 fn empty_trace_produces_no_lines() {
-    let buf = SharedBuf::default();
-    let rec = JsonlRecorder::new(Box::new(buf.clone()));
+    let buf = TraceBuffer::default();
+    let rec = buf.recorder();
     rec.flush();
     assert_eq!(rec.records_emitted(), 0);
     assert!(buf.text().is_empty());
@@ -278,8 +245,8 @@ fn empty_trace_produces_no_lines() {
 
 #[test]
 fn histogram_records_round_trip_their_buckets() {
-    let buf = SharedBuf::default();
-    let rec = JsonlRecorder::new(Box::new(buf.clone()));
+    let buf = TraceBuffer::default();
+    let rec = buf.recorder();
     let h = Histogram::new();
     for v in [0, 1, 1, 900, u64::MAX] {
         h.observe(v);
@@ -317,8 +284,8 @@ fn sampler_emits_parseable_sample_records() {
     let gauge = registry.gauge("live.test.depth");
     let dropped = registry.counter("live.test.events_dropped");
 
-    let buf = SharedBuf::default();
-    let rec: Arc<dyn Recorder> = Arc::new(JsonlRecorder::new(Box::new(buf.clone())));
+    let buf = TraceBuffer::default();
+    let rec: Arc<dyn Recorder> = Arc::new(buf.recorder());
     let sampler = Sampler::start(Arc::clone(&registry), rec, Duration::from_millis(5));
     // Let the sampler take its baseline snapshot before any activity, so
     // everything below must appear as deltas in some tick.
@@ -403,8 +370,8 @@ fn prometheus_exposition_has_types_labels_and_escapes() {
 
 #[test]
 fn snapshot_record_to_emits_parseable_metric_records() {
-    let buf = SharedBuf::default();
-    let rec = JsonlRecorder::new(Box::new(buf.clone()));
+    let buf = TraceBuffer::default();
+    let rec = buf.recorder();
     let mut snap = TelemetrySnapshot::new();
     snap.push_counter("events", 11);
     snap.push_gauge("peak", 5);

@@ -51,6 +51,7 @@ mod machine;
 mod memory;
 mod real;
 mod sim;
+mod span;
 mod telemetry;
 mod thread;
 mod trap;

@@ -27,11 +27,12 @@ use bw_ir::Val;
 use bw_monitor::{
     BranchEvent, CheckTable, EventSender, MonitorBuilder, Violation, ViolationReport,
 };
-use bw_telemetry::{Recorder, TelemetrySnapshot, TimeDomain, Value};
+use bw_telemetry::{Recorder, TelemetrySnapshot, TimeDomain};
 
 use crate::engine::{ExecConfig, MonitorMode, RunOutcome, RunResult};
 use crate::image::ProgramImage;
 use crate::memory::AtomicMemory;
+use crate::span::{lane, Span};
 use crate::thread::{BranchHook, CostClass, NoSink, Sink, ThreadState, Yield};
 use crate::trap::TrapKind;
 
@@ -176,6 +177,7 @@ fn trip_stop(stop: &AtomicBool, mutexes: &[RawMutex], barriers: &[RawBarrier]) {
 /// and writes to the sink, so tracing cannot change outputs or verdicts.
 struct RealTracer {
     sink: Arc<dyn Recorder>,
+    tid: u32,
     track: String,
     phase: u64,
     phase_start: u64,
@@ -189,7 +191,8 @@ impl RealTracer {
     fn new(sink: Arc<dyn Recorder>, tid: u32, nmutexes: usize) -> Self {
         RealTracer {
             sink,
-            track: format!("t{tid}"),
+            tid,
+            track: lane(tid),
             phase: 0,
             phase_start: 0,
             steps_base: 0,
@@ -202,60 +205,43 @@ impl RealTracer {
         bw_telemetry::wall_now_us()
     }
 
-    fn span(&self, cat: &str, name: &str, start: u64, end: u64, extra: &[(&str, Value)]) {
-        bw_telemetry::record_span(
-            self.sink.as_ref(),
-            TimeDomain::WallUs,
-            &self.track,
-            cat,
-            name,
-            start,
-            end.saturating_sub(start),
-            extra,
-        );
+    fn emit(&self, span: Span) {
+        span.write(self.sink.as_ref(), TimeDomain::WallUs, |_| self.track.as_str());
     }
 
     /// Closes the current barrier phase at time `end`.
     fn phase_span(&self, end: u64, t: &ThreadState) {
-        self.span(
-            "barrier_phase",
-            &format!("phase {}", self.phase),
-            self.phase_start,
+        self.emit(Span::Phase {
+            tid: self.tid,
+            phase: self.phase,
+            start: self.phase_start,
             end,
-            &[
-                ("steps", Value::U64(t.steps.saturating_sub(self.steps_base))),
-                ("branches", Value::U64(t.dyn_branches.saturating_sub(self.branches_base))),
-            ],
-        );
+            steps: t.steps.saturating_sub(self.steps_base),
+            branches: t.dyn_branches.saturating_sub(self.branches_base),
+        });
     }
 
-    fn lock_acquired(&mut self, m: usize, wait_start: u64) {
-        let now = self.now();
-        self.span("lock_wait", &format!("mutex {m}"), wait_start, now, &[]);
-        self.hold_since[m] = Some(now);
+    fn lock_acquired(&mut self, mutex: usize, start: u64) {
+        let end = self.now();
+        self.emit(Span::LockWait { tid: self.tid, mutex, start, end });
+        self.hold_since[mutex] = Some(end);
     }
 
-    fn lock_released(&mut self, m: usize) {
-        if let Some(start) = self.hold_since[m].take() {
-            self.span("lock_hold", &format!("mutex {m}"), start, self.now(), &[]);
+    fn lock_released(&mut self, mutex: usize) {
+        if let Some(start) = self.hold_since[mutex].take() {
+            self.emit(Span::LockHold { tid: self.tid, mutex, start, end: self.now() });
         }
     }
 
     /// A barrier this worker waited on was released: one phase span
     /// (work) plus one barrier-wait span (stall), then the next phase
     /// opens at the release time.
-    fn barrier_released(&mut self, wait_start: u64, t: &ThreadState) {
-        self.phase_span(wait_start, t);
-        let now = self.now();
-        self.span(
-            "barrier_wait",
-            &format!("barrier (phase {})", self.phase),
-            wait_start,
-            now,
-            &[],
-        );
+    fn barrier_released(&mut self, arrival: u64, t: &ThreadState) {
+        self.phase_span(arrival, t);
+        let release = self.now();
+        self.emit(Span::BarrierWait { tid: self.tid, phase: self.phase, arrival, release });
         self.phase += 1;
-        self.phase_start = now;
+        self.phase_start = release;
         self.steps_base = t.steps;
         self.branches_base = t.dyn_branches;
     }

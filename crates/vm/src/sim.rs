@@ -26,12 +26,13 @@ use std::sync::Arc;
 
 use bw_ir::Val;
 use bw_monitor::{BranchEvent, CheckTable, ShardedMonitor};
-use bw_telemetry::{Recorder, TimeDomain, Value};
+use bw_telemetry::{Recorder, TimeDomain};
 
 use crate::engine::{ExecConfig, ExecMode, MonitorMode, RunOutcome, RunResult};
 use crate::image::ProgramImage;
 use crate::machine::MachineModel;
 use crate::memory::SimMemory;
+use crate::span::{lane, Span};
 use crate::telemetry::VmTelemetry;
 use crate::thread::{BranchHook, CostClass, NoHook, NoSink, Sink, ThreadState, Yield};
 use crate::trap::TrapKind;
@@ -81,78 +82,6 @@ struct ThreadTrace {
     wait_since: Option<u64>,
 }
 
-/// One thing the tracer reports; [`Span::write`] renders it as `tspan`
-/// records.
-#[derive(Clone, Copy)]
-enum Span {
-    /// Thread `tid`'s work in barrier phase `phase`.
-    Phase { tid: u32, phase: u64, start: u64, end: u64, steps: u64, branches: u64 },
-    /// Its stall at the barrier that ends the phase.
-    BarrierWait { tid: u32, phase: u64, arrival: u64, release: u64 },
-    LockHold { tid: u32, mutex: usize, start: u64, end: u64 },
-    LockWait { tid: u32, mutex: usize, start: u64, end: u64 },
-    /// A violation the monitor flagged while processing `event`, sent at
-    /// `clock`: the causal arrow from the deviant thread's branch event to
-    /// the monitor verdict, plus a visible instant on the monitor lane.
-    Verdict { event: BranchEvent, clock: u64, flow: u64 },
-}
-
-impl Span {
-    fn write(self, sink: &dyn Recorder, threads: &[ThreadTrace]) {
-        let track = |tid: u32| threads[tid as usize].track.as_str();
-        let span = |tid, cat, name: &str, start: u64, end: u64, extra: &[(&str, Value)]| {
-            bw_telemetry::record_span(
-                sink,
-                TimeDomain::Cycles,
-                track(tid),
-                cat,
-                name,
-                start,
-                end.saturating_sub(start),
-                extra,
-            );
-        };
-        match self {
-            Span::Phase { tid, phase, start, end, steps, branches } => span(
-                tid,
-                "barrier_phase",
-                &format!("phase {phase}"),
-                start,
-                end,
-                &[("steps", Value::U64(steps)), ("branches", Value::U64(branches))],
-            ),
-            Span::BarrierWait { tid, phase, arrival, release } => {
-                span(tid, "barrier_wait", &format!("barrier (phase {phase})"), arrival, release, &[])
-            }
-            Span::LockHold { tid, mutex, start, end } => {
-                span(tid, "lock_hold", &format!("mutex {mutex}"), start, end, &[])
-            }
-            Span::LockWait { tid, mutex, start, end } => {
-                span(tid, "lock_wait", &format!("mutex {mutex}"), start, end, &[])
-            }
-            Span::Verdict { event, clock, flow } => {
-                let name = format!("site {}", event.site);
-                let detail = [
-                    ("site", Value::U64(event.site)),
-                    ("branch", Value::U64(u64::from(event.branch))),
-                    ("iter", Value::U64(event.iter)),
-                ];
-                let dom = TimeDomain::Cycles;
-                let sender = track(event.thread);
-                bw_telemetry::record_flow(
-                    sink, dom, sender, "branch_event", &name, clock, flow, true, &detail,
-                );
-                bw_telemetry::record_flow(
-                    sink, dom, "monitor", "verdict", &name, clock, flow, false, &detail,
-                );
-                bw_telemetry::record_instant(
-                    sink, dom, "monitor", "violation", &name, clock, &detail,
-                );
-            }
-        }
-    }
-}
-
 /// The spans a [`SimPrefix`] has produced so far, for its forks to write.
 #[derive(Default)]
 struct HeldSpans {
@@ -170,7 +99,7 @@ impl SimTracer {
     fn installed(image: &ProgramImage, config: &ExecConfig) -> Option<Self> {
         let sink = bw_telemetry::trace_sink()?;
         let thread = |tid| ThreadTrace {
-            track: format!("t{tid}"),
+            track: lane(tid),
             phase: 0,
             phase_start: 0,
             steps_base: 0,
@@ -189,7 +118,10 @@ impl SimTracer {
     fn emit(&mut self, span: Span) {
         match &mut self.held {
             Some(held) => held.spans.push((held.event_clocks.len(), span)),
-            None => span.write(self.sink.as_ref(), &self.threads),
+            None => {
+                let track = |tid: u32| self.threads[tid as usize].track.as_str();
+                span.write(self.sink.as_ref(), TimeDomain::Cycles, track);
+            }
         }
     }
 

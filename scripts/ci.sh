@@ -7,7 +7,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 legs=(test fuzz-smoke forensics shards sampled traced traced-vs-untraced
-      metrics leftover-guard bwbench real-engine)
+      metrics leftover-guard schema-guard bwbench real-engine)
 
 if [ -n "${CI_OUT:-}" ]; then
   mkdir -p "$CI_OUT"
@@ -197,6 +197,33 @@ leg_leftover_guard() {
   fi
   if grep -nE '^telemetry *=|crossbeam' Cargo.toml crates/*/Cargo.toml; then
     echo "ci: a workspace manifest declares \`telemetry\` or names crossbeam" >&2; return 1
+  fi
+}
+
+# One owner per trace record kind (DESIGN §10, "Trace schema"): the file that
+# writes a kind also decodes it, so a field name that belongs to one kind is
+# spelled in that one source file (its in-file tests included; the `tests.rs`
+# files of other modules quote whole trace lines and are left out), and the
+# trace views in crates/core read decoded records, never a field by name.
+# `tests/trace_schema.rs` — the parent-written fixtures, the hostile-input
+# sweep and DESIGN's table against the encoders — runs in the `test` leg.
+leg_schema_guard() {
+  local field owner spelled
+  while read -r field owner; do
+    spelled="$(grep -rlE --include='*.rs' "\"$field\\\\?\"" crates/*/src \
+      | grep -v '/tests\.rs$' | sort | tr '\n' ' ')"
+    if [ "$spelled" != "$owner " ]; then
+      echo "ci: \"$field\" belongs to $owner alone; spelled in: $spelled" >&2; return 1
+    fi
+  done <<'FIELDS'
+steps_skipped crates/fault/src/campaign.rs
+detected_seq crates/monitor/src/provenance.rs
+dt_us crates/telemetry/src/sampler.rs
+buckets crates/telemetry/src/snapshot.rs
+track crates/telemetry/src/trace.rs
+FIELDS
+  if grep -rnE --include='*.rs' '\.field(_u64|_str)?\("' crates/core/src | grep -v '/tests\.rs:'; then
+    echo "ci: a trace view reads a record field by name again" >&2; return 1
   fi
 }
 
