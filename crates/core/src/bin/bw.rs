@@ -258,7 +258,7 @@ fn read_trace(args: &Args) -> Result<(&str, String), String> {
 }
 
 /// The time series in a trace's sample records, which it must have.
-fn sampled<'a>(path: &str, series: &'a SeriesReport) -> Result<&'a SeriesReport, String> {
+fn sampled<'s, 'a>(path: &str, series: &'s SeriesReport<'a>) -> Result<&'s SeriesReport<'a>, String> {
     if series.ticks.is_empty() {
         return Err(format!(
             "no sample records in `{path}` — re-run with --sample-interval-ms MS \

@@ -22,25 +22,25 @@
 //!
 //! Everything here is a pure function of the trace text: nothing
 //! executes programs (an untraced run just has no `tspan` records to
-//! parse).
+//! parse). A [`TimelineReport`] borrows its spans from that text.
 
-use bw_telemetry::{write_json_object, TimeDomain, Value};
+use bw_telemetry::{write_json_members, TimeDomain, Value};
 pub use bw_telemetry::{SpanKind, TraceSpan};
 
 use crate::trace::{Body, TraceEvent, TraceView};
 
 /// A parsed timeline: every `tspan` record of a JSONL trace, in file
-/// order. Non-`tspan` records (samples, counters, injections, …) are
-/// skipped, so the same trace file feeds `bw stats`, `bw report` and
-/// `bw timeline` at once.
+/// order, borrowing from the trace text. Non-`tspan` records (samples,
+/// counters, injections, …) are skipped, so the same trace file feeds
+/// `bw stats`, `bw report` and `bw timeline` at once.
 #[derive(Clone, Debug, Default)]
-pub struct TimelineReport {
+pub struct TimelineReport<'a> {
     /// All parsed records, in trace order.
-    pub events: Vec<TraceSpan>,
+    pub events: Vec<TraceSpan<'a>>,
 }
 
-impl TraceView for TimelineReport {
-    fn absorb(&mut self, event: TraceEvent) {
+impl<'a> TraceView<'a> for TimelineReport<'a> {
+    fn absorb(&mut self, event: TraceEvent<'a>) {
         if let Body::Tspan(mut span) = event.body {
             // The decoder kept the record's whole field list for the args.
             span.args.shrink_to_fit();
@@ -63,23 +63,23 @@ fn covered(mut spans: Vec<(u64, u64)>) -> u64 {
     total
 }
 
-impl TimelineReport {
+impl<'a> TimelineReport<'a> {
     /// Parses a JSONL trace, keeping the `tspan` records. Blank lines
     /// are skipped; a malformed line fails the parse with its number.
-    pub fn parse(text: &str) -> Result<TimelineReport, String> {
+    pub fn parse(text: &'a str) -> Result<TimelineReport<'a>, String> {
         crate::trace::read(text)
     }
 
     /// The time domains present, cycles before wall clock.
     pub fn domains(&self) -> Vec<TimeDomain> {
-        let mut doms: Vec<TimeDomain> = self.events.iter().map(|e| e.dom).collect();
-        doms.sort_unstable();
-        doms.dedup();
-        doms
+        [TimeDomain::Cycles, TimeDomain::WallUs]
+            .into_iter()
+            .filter(|&dom| self.events.iter().any(|e| e.dom == dom))
+            .collect()
     }
 
     /// The tracks of one domain, in lane order.
-    fn tracks(&self, dom: TimeDomain) -> Vec<String> {
+    fn tracks(&self, dom: TimeDomain) -> Vec<&str> {
         tracks_of(self.events.iter().filter(|e| e.dom == dom))
     }
 
@@ -107,6 +107,8 @@ impl TimelineReport {
                 .partition(|e| dom == TimeDomain::Cycles && e.arg_u64("inj").is_some());
             let lo = events.iter().map(|e| e.ts).min().unwrap_or(0);
             let hi = events.iter().map(|e| e.end()).max().unwrap_or(lo).max(lo.saturating_add(1));
+            // Zero only when every span sits at `u64::MAX`.
+            let span = (hi - lo).max(1);
             out.push_str(&format!(
                 "timeline [{}] {} spans over {}..{} {}",
                 dom.tag(),
@@ -129,8 +131,7 @@ impl TimelineReport {
             }
             out.push('\n');
             let col = |ts: u64| -> usize {
-                (((ts - lo) as u128 * WIDTH as u128) / (hi - lo) as u128).min(WIDTH as u128 - 1)
-                    as usize
+                (((ts - lo) as u128 * WIDTH as u128) / span as u128).min(WIDTH as u128 - 1) as usize
             };
             for track in tracks_of(events.iter().copied()) {
                 let mut lane = vec![' '; WIDTH];
@@ -138,7 +139,7 @@ impl TimelineReport {
                 // lock hold inside a phase stays visible.
                 let mut draw = |pass: usize| {
                     for e in events.iter().filter(|e| e.track == track) {
-                        let glyph = match (e.kind, e.cat.as_str()) {
+                        let glyph = match (e.kind, &*e.cat) {
                             (SpanKind::Span, "barrier_phase") if pass == 0 => '=',
                             (SpanKind::Span, "barrier_phase") => continue,
                             (SpanKind::Span, _) if pass == 0 => continue,
@@ -171,12 +172,12 @@ impl TimelineReport {
                     let on_lane = events.iter().filter(|e| {
                         e.track == track
                             && e.kind == SpanKind::Span
-                            && (!waits_only || WAITS.contains(&e.cat.as_str()))
+                            && (!waits_only || WAITS.contains(&&*e.cat))
                     });
                     covered(on_lane.map(|e| (e.ts, e.end())).collect())
                 };
                 let busy = spans(false) - spans(true);
-                let pct = 100.0 * busy as f64 / (hi - lo) as f64;
+                let pct = 100.0 * busy as f64 / span as f64;
                 out.push_str(&format!(
                     "  {:<8} |{}| {n:>4} ev, busy {pct:>5.1}%\n",
                     track,
@@ -195,92 +196,54 @@ impl TimelineReport {
     /// (`{"traceEvents": [...]}`), loadable in Perfetto or
     /// `chrome://tracing`. Each time domain is a process, each track a
     /// thread; flow arrows connect a deviant thread's branch event to
-    /// the monitor verdict that flagged it.
+    /// the monitor verdict that flagged it. Every event is written straight
+    /// into the one output buffer.
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
-        let mut push = |fields: &[(&str, Value)], args: &[(&str, Value)]| {
-            // Hand-spliced because trace events nest an `args` object
-            // inside the record, and the flat-writer does one level.
-            let mut record = String::new();
-            write_json_object(&mut record, fields);
-            if !args.is_empty() {
-                let mut nested = String::new();
-                write_json_object(&mut nested, args);
-                record.truncate(record.len() - 1);
-                record.push_str(",\"args\":");
-                record.push_str(&nested);
-                record.push('}');
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&record);
-        };
+        let mut out = String::with_capacity(64 + 160 * self.events.len());
+        out.push_str("{\"traceEvents\":[");
         for (pid0, dom) in self.domains().into_iter().enumerate() {
-            let pid = pid0 as u64 + 1;
+            let pid = ("pid", Value::U64(pid0 as u64 + 1));
             let process = match dom {
                 TimeDomain::Cycles => "sim (cycles)",
                 TimeDomain::WallUs => "wall (us)",
             };
-            push(
-                &[
-                    ("name", Value::from("process_name")),
-                    ("ph", Value::from("M")),
-                    ("pid", Value::U64(pid)),
-                    ("tid", Value::U64(0)),
-                ],
-                &[("name", Value::from(process))],
-            );
+            let meta = |name: &'static str, tid: u64| {
+                let tid = ("tid", Value::U64(tid));
+                [("name", Value::from(name)), ("ph", Value::from("M")), pid.clone(), tid]
+            };
+            push_event(&mut out, &[&meta("process_name", 0)], &[("name", Value::from(process))]);
             let tracks = self.tracks(dom);
             for (tid0, track) in tracks.iter().enumerate() {
-                let tid = tid0 as u64 + 1;
-                push(
-                    &[
-                        ("name", Value::from("thread_name")),
-                        ("ph", Value::from("M")),
-                        ("pid", Value::U64(pid)),
-                        ("tid", Value::U64(tid)),
-                    ],
-                    &[("name", Value::from(track.as_str()))],
-                );
+                let thread = meta("thread_name", tid0 as u64 + 1);
+                push_event(&mut out, &[&thread], &[("name", Value::from(*track))]);
             }
             for e in self.events.iter().filter(|e| e.dom == dom) {
-                let tid = tracks.iter().position(|t| t == &e.track).map_or(0, |i| i as u64 + 1);
-                let args: Vec<(&str, Value)> =
-                    e.args.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
-                let base = |ph: &str| {
-                    vec![
-                        ("name", Value::from(e.name.as_str())),
-                        ("cat", Value::from(e.cat.as_str())),
+                let tid = tracks.iter().position(|t| *t == e.track).map_or(0, |i| i as u64 + 1);
+                let head = |ph: &'static str| {
+                    [
+                        ("name", Value::from(&*e.name)),
+                        ("cat", Value::from(&*e.cat)),
                         ("ph", Value::from(ph)),
                         ("ts", Value::U64(e.ts)),
-                        ("pid", Value::U64(pid)),
-                        ("tid", Value::U64(tid)),
                     ]
                 };
+                let at = [pid.clone(), ("tid", Value::U64(tid))];
+                let flow = ("id", Value::U64(e.flow.unwrap_or(0)));
                 match e.kind {
                     SpanKind::Span => {
-                        let mut fields = base("X");
-                        fields.insert(4, ("dur", Value::U64(e.dur)));
-                        push(&fields, &args);
+                        let dur = [("dur", Value::U64(e.dur))];
+                        push_event(&mut out, &[&head("X"), &dur, &at], &e.args);
                     }
                     SpanKind::Instant => {
-                        let mut fields = base("i");
-                        fields.push(("s", Value::from("t")));
-                        push(&fields, &args);
+                        let scope = [("s", Value::from("t"))];
+                        push_event(&mut out, &[&head("i"), &at, &scope], &e.args);
                     }
                     SpanKind::FlowStart => {
-                        let mut fields = base("s");
-                        fields.push(("id", Value::U64(e.flow.unwrap_or(0))));
-                        push(&fields, &args);
+                        push_event(&mut out, &[&head("s"), &at, &[flow]], &e.args);
                     }
                     SpanKind::FlowEnd => {
-                        let mut fields = base("f");
-                        fields.push(("bp", Value::from("e")));
-                        fields.push(("id", Value::U64(e.flow.unwrap_or(0))));
-                        push(&fields, &args);
+                        let end = [("bp", Value::from("e")), flow];
+                        push_event(&mut out, &[&head("f"), &at, &end], &e.args);
                     }
                 }
             }
@@ -296,27 +259,58 @@ impl TimelineReport {
     }
 }
 
-/// The tracks of `events`, in lane order: SPMD threads first
+/// Appends one Chrome trace event to the `traceEvents` array in `out`: the
+/// members of `parts` in order, then `args` as a nested object unless there
+/// are none.
+fn push_event<K: AsRef<str>>(
+    out: &mut String,
+    parts: &[&[(&str, Value<'_>)]],
+    args: &[(K, Value<'_>)],
+) {
+    if !out.ends_with('[') {
+        out.push(',');
+    }
+    out.push('{');
+    for (i, part) in parts.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_json_members(out, part);
+    }
+    if !args.is_empty() {
+        out.push_str(",\"args\":{");
+        write_json_members(out, args);
+        out.push('}');
+    }
+    out.push('}');
+}
+
+/// The tracks of `events`, each once, in lane order: SPMD threads first
 /// (numerically), then workers, shards, and the named lanes.
-fn tracks_of<'a>(events: impl Iterator<Item = &'a TraceSpan>) -> Vec<String> {
-    let mut tracks: Vec<String> = events.map(|e| e.track.clone()).collect();
+fn tracks_of<'s>(events: impl Iterator<Item = &'s TraceSpan<'s>>) -> Vec<&'s str> {
+    let mut tracks: Vec<&str> = Vec::new();
+    for e in events {
+        if !tracks.contains(&&*e.track) {
+            tracks.push(&e.track);
+        }
+    }
     tracks.sort_by_key(|t| track_order(t));
-    tracks.dedup();
     tracks
 }
 
-fn track_order(track: &str) -> (u8, u64, String) {
+/// A lane's sort key; two names of one number (`t1`, `t01`) order by name.
+fn track_order(track: &str) -> (u8, u64, &str) {
     let numeric = |prefix: &str| track.strip_prefix(prefix).and_then(|s| s.parse::<u64>().ok());
     if let Some(n) = numeric("t") {
-        return (0, n, String::new());
+        return (0, n, track);
     }
     if let Some(n) = numeric("w") {
-        return (1, n, String::new());
+        return (1, n, track);
     }
     if let Some(n) = numeric("shard") {
-        return (2, n, String::new());
+        return (2, n, track);
     }
-    (3, 0, track.to_string())
+    (3, 0, track)
 }
 
 /// One thread's contribution to one barrier phase.
@@ -387,7 +381,7 @@ pub struct PhaseProfile {
 }
 
 impl PhaseProfile {
-    fn from_events(events: &[TraceSpan]) -> PhaseProfile {
+    fn from_events(events: &[TraceSpan<'_>]) -> PhaseProfile {
         // Prefer the deterministic domain when both are present.
         let phase_events: Vec<&TraceSpan> = events
             .iter()

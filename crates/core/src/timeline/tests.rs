@@ -22,7 +22,8 @@ fn fixture() -> String {
 
 #[test]
 fn parses_only_tspan_records() {
-    let report = TimelineReport::parse(&fixture()).unwrap();
+    let trace = fixture();
+    let report = TimelineReport::parse(&trace).unwrap();
     assert_eq!(report.events.len(), 11, "sample record skipped");
     assert_eq!(report.domains(), vec![TimeDomain::Cycles, TimeDomain::WallUs]);
     let first = &report.events[0];
@@ -38,7 +39,8 @@ fn parses_only_tspan_records() {
 
 #[test]
 fn lane_render_orders_tracks_and_draws_spans() {
-    let report = TimelineReport::parse(&fixture()).unwrap();
+    let trace = fixture();
+    let report = TimelineReport::parse(&trace).unwrap();
     let text = report.render();
     let t0 = text.find("  t0 ").expect("t0 lane");
     let t1 = text.find("  t1 ").expect("t1 lane");
@@ -48,6 +50,17 @@ fn lane_render_orders_tracks_and_draws_spans() {
     assert!(text.contains("timeline [us]"));
     assert!(text.contains('='), "phase glyphs drawn");
     assert!(text.contains('!'), "violation instant drawn");
+
+    // Two names for thread 1: two lanes, each drawn and exported once.
+    let span = |track: &str| {
+        format!(r#"{{"ev":"tspan","kind":"span","dom":"cyc","track":"{track}","cat":"c","name":"x","ts":0,"dur":1}}"#)
+    };
+    let trace = [span("t1"), span("t01"), span("t1")].join("\n");
+    let report = TimelineReport::parse(&trace).unwrap();
+    let text = report.render();
+    assert_eq!((text.matches("  t1 ").count(), text.matches("  t01 ").count()), (1, 1), "{text}");
+    assert!(text.find("  t01 ") < text.find("  t1 "), "{text}");
+    assert_eq!(report.to_chrome_json().matches("thread_name").count(), 2);
 }
 
 /// The busy column is the time a lane spends under a work span, less the
@@ -80,7 +93,8 @@ fn empty_trace_renders_a_hint() {
 
 #[test]
 fn chrome_export_has_required_structure() {
-    let report = TimelineReport::parse(&fixture()).unwrap();
+    let trace = fixture();
+    let report = TimelineReport::parse(&trace).unwrap();
     let json = report.to_chrome_json();
     assert!(json.starts_with("{\"traceEvents\":["));
     assert!(json.ends_with("]}"));
@@ -103,7 +117,8 @@ fn chrome_export_has_required_structure() {
 
 #[test]
 fn phase_profile_flags_the_straggler() {
-    let report = TimelineReport::parse(&fixture()).unwrap();
+    let trace = fixture();
+    let report = TimelineReport::parse(&trace).unwrap();
     let profile = report.phase_profile();
     assert_eq!(profile.dom, "cyc");
     assert_eq!(profile.phases.len(), 2);
@@ -129,7 +144,8 @@ fn symmetric_phases_report_all_threads_similar() {
             )
         })
         .collect();
-    let report = TimelineReport::parse(&lines.join("\n")).unwrap();
+    let trace = lines.join("\n");
+    let report = TimelineReport::parse(&trace).unwrap();
     let profile = report.phase_profile();
     assert!(profile.deviant_threads().is_empty());
     assert!(profile.render().contains("all threads similar in every phase"));
@@ -175,7 +191,8 @@ fn injection_scoped_spans_stay_out_of_the_cycle_lanes() {
     for inj in 0..2 {
         lines.extend([injected(0, inj), injected(1, inj), worker(inj)]);
     }
-    let report = TimelineReport::parse(&lines.join("\n")).unwrap();
+    let trace = lines.join("\n");
+    let report = TimelineReport::parse(&trace).unwrap();
     let text = report.render();
     assert!(
         text.contains("timeline [cyc] 2 spans over 0..1000 cycles (4 spans of 2 injections left out"),

@@ -15,7 +15,11 @@ struct CategoryStats {
     activated: u64,
     detected: u64,
     sdc: u64,
-    latencies: Vec<u64>,
+    /// Violations with a known latency, their sum (saturating: a hostile
+    /// trace may carry any `u64`) and their maximum.
+    latencies: u64,
+    latency_sum: u64,
+    latency_max: u64,
 }
 
 /// The forensics view of a JSONL trace — what `bw report` prints.
@@ -27,15 +31,15 @@ struct CategoryStats {
 /// worker ids, timestamps and durations are deliberately ignored — so the
 /// report is byte-identical across runs at any worker count.
 #[derive(Clone, Debug, Default)]
-pub struct ForensicsReport {
+pub struct ForensicsReport<'a> {
     /// Injection records, sorted by (image, index).
-    pub injections: Vec<TraceInjection>,
+    pub injections: Vec<TraceInjection<'a>>,
     /// Violation records, sorted by (image, index, site, branch, iter).
-    pub violations: Vec<TraceViolation>,
+    pub violations: Vec<TraceViolation<'a>>,
 }
 
-impl TraceView for ForensicsReport {
-    fn absorb(&mut self, event: TraceEvent) {
+impl<'a> TraceView<'a> for ForensicsReport<'a> {
+    fn absorb(&mut self, event: TraceEvent<'a>) {
         match event.body {
             Body::Injection(injection) => self.injections.push(injection),
             Body::Violation(violation) => self.violations.push(violation),
@@ -58,11 +62,11 @@ impl TraceView for ForensicsReport {
     }
 }
 
-impl ForensicsReport {
+impl<'a> ForensicsReport<'a> {
     /// Parses a JSONL trace, keeping the `injection` and `violation`
     /// records. Blank lines are skipped; a malformed line fails the whole
     /// parse with its line number.
-    pub fn parse(text: &str) -> Result<ForensicsReport, String> {
+    pub fn parse(text: &'a str) -> Result<ForensicsReport<'a>, String> {
         super::read(text)
     }
 
@@ -103,15 +107,15 @@ impl ForensicsReport {
         // Per-category coverage/detection matrix. Categories come from the
         // injection records (so undetected injections count too); latency
         // aggregates come from the violation evidence.
-        let mut matrix: std::collections::BTreeMap<String, CategoryStats> =
+        let mut matrix: std::collections::BTreeMap<&str, CategoryStats> =
             std::collections::BTreeMap::new();
         for i in &self.injections {
-            let s = matrix.entry(i.category.clone()).or_default();
+            let s = matrix.entry(&i.category).or_default();
             s.injected += 1;
             if i.outcome != "not_activated" {
                 s.activated += 1;
             }
-            match i.outcome.as_str() {
+            match &*i.outcome {
                 "detected" => s.detected += 1,
                 "sdc" => s.sdc += 1,
                 _ => {}
@@ -119,7 +123,10 @@ impl ForensicsReport {
         }
         for v in &self.violations {
             if let Some(l) = v.latency {
-                matrix.entry(v.category.clone()).or_default().latencies.push(l);
+                let s = matrix.entry(&v.category).or_default();
+                s.latencies += 1;
+                s.latency_sum = s.latency_sum.saturating_add(l);
+                s.latency_max = s.latency_max.max(l);
             }
         }
         if !matrix.is_empty() {
@@ -133,12 +140,11 @@ impl ForensicsReport {
                 } else {
                     100.0 * (1.0 - s.sdc as f64 / s.activated as f64)
                 };
-                let latency = if s.latencies.is_empty() {
+                let latency = if s.latencies == 0 {
                     "-".to_string()
                 } else {
-                    let sum: u64 = s.latencies.iter().sum();
-                    let max = s.latencies.iter().max().copied().unwrap_or(0);
-                    format!("{:.1} / {max}", sum as f64 / s.latencies.len() as f64)
+                    let mean = s.latency_sum as f64 / s.latencies as f64;
+                    format!("{mean:.1} / {}", s.latency_max)
                 };
                 let _ = writeln!(
                     out,
@@ -149,9 +155,9 @@ impl ForensicsReport {
         }
 
         // Top violating sites: which (branch, site) instances fire most.
-        let mut sites: Vec<((u64, u64, String), u64)> = Vec::new();
+        let mut sites: Vec<((u64, u64, &str), u64)> = Vec::new();
         for v in &self.violations {
-            let key = (v.branch, v.site, v.category.clone());
+            let key = (v.branch, v.site, &*v.category);
             match sites.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, n)) => *n += 1,
                 None => sites.push((key, 1)),

@@ -6,7 +6,9 @@
 //! decodes every record with the decoder of the crate that writes its kind
 //! ([`TraceEvent::decode`]; DESIGN, "Trace schema") and hands it to the
 //! view (`bw stats --series` and `bw top` need two: the summary carries
-//! the series). No view sees a field name,
+//! the series). A decoded record borrows its strings from the trace text,
+//! so a view that drops a record has copied nothing of it, and a view is
+//! tied to the text it read. No view sees a field name,
 //! so they agree on what a well-formed trace is: a line that is not a flat
 //! JSON object, has no `ev`, or carries a mistyped field fails the read
 //! with its line number and the same words, whichever view was asked.
@@ -27,19 +29,19 @@ pub use summary::{render_histograms, render_telemetry, DurStat, SpanStat, TraceS
 
 /// What one trace record says, as the file that writes its kind decodes it.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Body {
+pub enum Body<'a> {
     /// `counter` / `gauge` / `histogram`: an end-of-run metric value.
-    Metric(Metric),
+    Metric(Metric<'a>),
     /// `sample`: one tick of the background sampler.
-    Sample(SampleTick),
+    Sample(SampleTick<'a>),
     /// `span`: a wall-clock stage duration.
-    Span(SpanRecord),
+    Span(SpanRecord<'a>),
     /// `tspan`: a timeline span, instant or flow end-point.
-    Tspan(TraceSpan),
+    Tspan(TraceSpan<'a>),
     /// `injection`: one campaign experiment.
-    Injection(TraceInjection),
+    Injection(TraceInjection<'a>),
     /// `violation`: the evidence of one detection.
-    Violation(TraceViolation),
+    Violation(TraceViolation<'a>),
     /// `worker`: one campaign worker's statistics.
     Worker(WorkerStats),
     /// Any other kind (`fuzz.seed`, …): counted, read by no view.
@@ -48,14 +50,14 @@ pub enum Body {
 
 /// One decoded trace record.
 #[derive(Clone, Debug, PartialEq)]
-pub struct TraceEvent {
-    /// The record's `ev` tag (owned only for a kind no decoder knows).
-    pub ev: Cow<'static, str>,
+pub struct TraceEvent<'a> {
+    /// The record's `ev` tag.
+    pub ev: Cow<'a, str>,
     /// Its decoded content.
-    pub body: Body,
+    pub body: Body<'a>,
 }
 
-type Decoder = fn(Record) -> Result<Body, String>;
+type Decoder = for<'a> fn(Record<'a>) -> Result<Body<'a>, String>;
 
 /// The decoder of each record kind a view reads, most frequent first.
 const DECODERS: [(&str, Decoder); 9] = [
@@ -70,22 +72,24 @@ const DECODERS: [(&str, Decoder); 9] = [
     (WorkerStats::EV, |rec| WorkerStats::from_record(rec).map(Body::Worker)),
 ];
 
-impl TraceEvent {
+impl<'a> TraceEvent<'a> {
     /// Decodes `rec` with the decoder of its kind.
-    pub fn decode(rec: Record) -> Result<TraceEvent, String> {
+    pub fn decode(rec: Record<'a>) -> Result<TraceEvent<'a>, String> {
         let ev = rec.ev();
-        match DECODERS.iter().find(|(kind, _)| *kind == ev) {
-            Some(&(ev, decode)) => Ok(TraceEvent { ev: Cow::Borrowed(ev), body: decode(rec)? }),
-            None => Ok(TraceEvent { ev: Cow::Owned(ev.to_string()), body: Body::Other }),
-        }
+        let body = match DECODERS.iter().find(|(kind, _)| *kind == ev) {
+            Some((_, decode)) => decode(rec)?,
+            None => Body::Other,
+        };
+        Ok(TraceEvent { ev, body })
     }
 }
 
-/// A view of a trace: a fold over its decoded records.
-pub trait TraceView: Default {
+/// A view of a trace: a fold over its decoded records, borrowing from the
+/// trace text `'a`.
+pub trait TraceView<'a>: Default {
     /// Folds one record in (and keeps what it needs of it: a record is
     /// decoded once and not copied).
-    fn absorb(&mut self, event: TraceEvent);
+    fn absorb(&mut self, event: TraceEvent<'a>);
 
     /// Called once after the last record: puts what was absorbed into the
     /// order the view renders it in.
@@ -94,7 +98,7 @@ pub trait TraceView: Default {
 
 /// Reads a JSONL trace into a view, in one pass. Blank lines are skipped;
 /// a malformed line or record fails the read with its line number.
-pub fn read<V: TraceView>(text: &str) -> Result<V, String> {
+pub fn read<'a, V: TraceView<'a>>(text: &'a str) -> Result<V, String> {
     let mut view = V::default();
     for rec in records(text) {
         view.absorb(TraceEvent::decode(rec?)?);

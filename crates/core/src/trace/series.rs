@@ -15,23 +15,23 @@ use super::{Body, TraceEvent, TraceView};
 /// campaign progress with an ETA extrapolated from the cumulative rate,
 /// and per-shard monitor queue depth.
 #[derive(Clone, Debug, Default)]
-pub struct SeriesReport {
+pub struct SeriesReport<'a> {
     /// Sample ticks in trace order.
-    pub ticks: Vec<SampleTick>,
+    pub ticks: Vec<SampleTick<'a>>,
 }
 
-impl TraceView for SeriesReport {
-    fn absorb(&mut self, event: TraceEvent) {
+impl<'a> TraceView<'a> for SeriesReport<'a> {
+    fn absorb(&mut self, event: TraceEvent<'a>) {
         if let Body::Sample(tick) = event.body {
             self.ticks.push(tick);
         }
     }
 }
 
-impl SeriesReport {
+impl<'a> SeriesReport<'a> {
     /// Parses a JSONL trace, keeping the `sample` records. Blank lines are
     /// skipped; a malformed line fails the whole parse with its number.
-    pub fn parse(text: &str) -> Result<SeriesReport, String> {
+    pub fn parse(text: &'a str) -> Result<SeriesReport<'a>, String> {
         super::read(text)
     }
 
@@ -40,7 +40,7 @@ impl SeriesReport {
     pub fn shard_ids(&self) -> Vec<u64> {
         let mut ids: Vec<u64> = Vec::new();
         for tick in &self.ticks {
-            for (name, _) in &tick.values {
+            for (name, _) in tick.values() {
                 let Some(rest) = name.strip_prefix("live.monitor.shard.") else { continue };
                 let Some(id) = rest.strip_suffix(".queue_depth") else { continue };
                 if let Ok(id) = id.parse::<u64>() {
@@ -63,7 +63,8 @@ impl SeriesReport {
             );
             return out;
         }
-        let total_us: u64 = self.ticks.iter().map(|t| t.dt_us).sum();
+        // Sums saturate: a hostile trace may carry any `u64`.
+        let total_us = self.ticks.iter().fold(0u64, |sum, t| sum.saturating_add(t.dt_us));
         let _ = writeln!(
             out,
             "samples: {} tick(s) over {:.2} s",
@@ -74,7 +75,7 @@ impl SeriesReport {
         let has_campaign = self
             .ticks
             .iter()
-            .any(|t| t.values.iter().any(|(n, _)| n.starts_with("live.campaign.")));
+            .any(|t| t.values().any(|(n, _)| n.starts_with("live.campaign.")));
         let _ = write!(out, "{:>5}  {:>8}  {:>10}", "tick", "dt_ms", "events/s");
         if has_campaign {
             let _ = write!(out, "  {:>7}  {:>15}  {:>7}", "inj/s", "progress", "eta_s");
@@ -87,9 +88,9 @@ impl SeriesReport {
         let (mut elapsed_us, mut events_total) = (0u64, 0u64);
         let mut warned = 0u64;
         for tick in &self.ticks {
-            elapsed_us += tick.dt_us;
+            elapsed_us = elapsed_us.saturating_add(tick.dt_us);
             let events = tick.value("live.engine.events_processed").unwrap_or(0);
-            events_total += events;
+            events_total = events_total.saturating_add(events);
             let _ = write!(
                 out,
                 "{:>5}  {:>8.1}  {:>10.0}",
@@ -98,9 +99,10 @@ impl SeriesReport {
                 tick.rate("live.engine.events_processed")
             );
             if has_campaign {
-                planned += tick.value("live.campaign.planned").unwrap_or(0);
-                completed += tick.value("live.campaign.completed").unwrap_or(0);
-                detected += tick.value("live.campaign.detected").unwrap_or(0);
+                let delta = |name: &str| tick.value(name).unwrap_or(0);
+                planned = planned.saturating_add(delta("live.campaign.planned"));
+                completed = completed.saturating_add(delta("live.campaign.completed"));
+                detected = detected.saturating_add(delta("live.campaign.detected"));
                 let progress = if planned > 0 {
                     format!("{completed}/{planned} {:.0}%", completed as f64 * 100.0 / planned as f64)
                 } else {

@@ -106,8 +106,10 @@ pub struct SpanStat {
 /// Counter records accumulate, gauges keep their maximum and histograms
 /// merge (into one [`TelemetrySnapshot`], as the layers that wrote them
 /// merge their own); spans and injections aggregate durations per name.
+/// Each name is copied out of the trace once; the sampled series borrows
+/// from it.
 #[derive(Clone, Debug, Default)]
-pub struct TraceSummary {
+pub struct TraceSummary<'a> {
     /// Total records parsed.
     pub records: u64,
     /// Record counts per `ev` type, sorted by name.
@@ -124,22 +126,23 @@ pub struct TraceSummary {
     /// Per-worker statistics, sorted by worker index.
     pub workers: Vec<WorkerStats>,
     /// The sampled time series (`bw stats --series`, `bw top`).
-    pub series: SeriesReport,
+    pub series: SeriesReport<'a>,
 }
 
-impl TraceView for TraceSummary {
-    fn absorb(&mut self, event: TraceEvent) {
+impl<'a> TraceView<'a> for TraceSummary<'a> {
+    fn absorb(&mut self, event: TraceEvent<'a>) {
         self.records += 1;
         count(&mut self.events, &event.ev);
         match event.body {
             Body::Span(span) => {
                 let at = self.spans.iter().position(|s| s.name == span.name).unwrap_or_else(|| {
-                    self.spans.push(SpanStat { name: span.name, dur: DurStat::default() });
+                    let name = span.name.into_owned();
+                    self.spans.push(SpanStat { name, dur: DurStat::default() });
                     self.spans.len() - 1
                 });
                 self.spans[at].dur.observe(span.dur_us);
             }
-            Body::Metric(metric) => self.metrics.absorb(&metric),
+            Body::Metric(metric) => self.metrics.absorb(metric),
             Body::Injection(injection) => {
                 count(&mut self.injections, &injection.outcome);
                 self.injection_us.observe(injection.dur_us);
@@ -159,10 +162,10 @@ impl TraceView for TraceSummary {
     }
 }
 
-impl TraceSummary {
+impl<'a> TraceSummary<'a> {
     /// Parses a JSONL trace. Blank lines are skipped; a malformed line
     /// fails the whole parse with its line number.
-    pub fn parse(text: &str) -> Result<TraceSummary, String> {
+    pub fn parse(text: &'a str) -> Result<TraceSummary<'a>, String> {
         super::read(text)
     }
 
@@ -213,8 +216,8 @@ impl TraceSummary {
             let Some(id) = parts.next().and_then(|s| s.parse::<u64>().ok()) else { continue };
             let row = shards.entry(id).or_default();
             match parts.next() {
-                Some("events_processed") => row.0 += value,
-                Some("events_dropped") => row.1 += value,
+                Some("events_processed") => row.0 = row.0.saturating_add(*value),
+                Some("events_dropped") => row.1 = row.1.saturating_add(*value),
                 Some("queue_high_water") => row.2 = row.2.max(*value),
                 _ => {}
             }
@@ -290,7 +293,7 @@ impl TraceSummary {
     /// prints.
     pub fn to_json(&self) -> String {
         let mut fields: Vec<(String, Value)> = Vec::new();
-        let mut put = |key: String, value: Value| fields.push((key, value));
+        let mut put = |key: String, value: Value<'static>| fields.push((key, value));
         put("records".into(), self.records.into());
         for (name, count) in &self.events {
             put(format!("events.{name}"), (*count).into());
@@ -331,10 +334,8 @@ impl TraceSummary {
             put(format!("worker.{}.steps_run", w.worker), w.steps_run.into());
             put(format!("worker.{}.steps_skipped", w.worker), w.steps_skipped.into());
         }
-        let refs: Vec<(&str, Value)> =
-            fields.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
         let mut out = String::new();
-        write_json_object(&mut out, &refs);
+        write_json_object(&mut out, &fields);
         out.push('\n');
         out
     }

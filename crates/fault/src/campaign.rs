@@ -25,6 +25,7 @@
 //!    recomputed over that deterministic order. The result is therefore
 //!    **bitwise identical for any worker count**.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -414,10 +415,10 @@ impl WorkerStats {
 
     /// Decodes a `worker` record; one from before the step counts existed
     /// reads them as 0.
-    pub fn from_record(rec: Record) -> Result<WorkerStats, String> {
+    pub fn from_record(rec: Record<'_>) -> Result<WorkerStats, String> {
         let mut stats = WorkerStats::default();
         for (name, value) in &rec.fields {
-            let slot = match name.as_str() {
+            let slot = match &**name {
                 "injections" => &mut stats.injections,
                 "wall_us" => &mut stats.wall_us,
                 "busy_us" => &mut stats.busy_us,
@@ -436,9 +437,9 @@ impl WorkerStats {
 }
 
 /// One `injection` trace record: what a campaign books per experiment, as
-/// the trace views read it back.
+/// the trace views read it back (its strings borrowed from the trace text).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TraceInjection {
+pub struct TraceInjection<'a> {
     /// Batch image index, in a batch.
     pub image: Option<u64>,
     /// Injection index within its campaign.
@@ -446,23 +447,23 @@ pub struct TraceInjection {
     /// The pool worker that ran it.
     pub worker: u64,
     /// Outcome name (`detected`, `sdc`, …).
-    pub outcome: String,
+    pub outcome: Cow<'a, str>,
     /// Static branch hit, if the fault activated.
     pub branch: Option<u64>,
     /// Similarity category of that branch (`shared` / `threadID` /
     /// `partial`), or `-` when missed or uninstrumented.
-    pub category: String,
+    pub category: Cow<'a, str>,
     /// Wall-clock microseconds the experiment took.
     pub dur_us: u64,
 }
 
-impl TraceInjection {
+impl<'a> TraceInjection<'a> {
     /// The `ev` tag of the record.
     pub const EV: &'static str = "injection";
 
     /// Writes the record; a fault that hit no branch has `branch` `"-"`.
     pub fn record_to(self, recorder: &dyn Recorder) {
-        let branch = self.branch.map_or_else(|| "-".to_string(), |b| b.to_string());
+        let branch = self.branch.map_or(Cow::Borrowed("-"), |b| Cow::Owned(b.to_string()));
         let fields = [
             ("index", Value::U64(self.index)),
             ("worker", Value::U64(self.worker)),
@@ -476,17 +477,17 @@ impl TraceInjection {
     }
 
     /// Decodes an `injection` record.
-    pub fn from_record(mut rec: Record) -> Result<TraceInjection, String> {
+    pub fn from_record(rec: Record<'a>) -> Result<TraceInjection<'a>, String> {
         let mut inj = TraceInjection::default();
-        for (name, value) in &mut rec.fields {
-            match name.as_str() {
-                "image" => inj.image = Some(Record::u64(rec.line, name, value)?),
-                "index" => inj.index = Record::u64(rec.line, name, value)?,
-                "worker" => inj.worker = Record::u64(rec.line, name, value)?,
-                "dur_us" => inj.dur_us = Record::u64(rec.line, name, value)?,
-                "outcome" => inj.outcome = Record::string(rec.line, name, value)?,
-                "category" => inj.category = Record::string(rec.line, name, value)?,
-                "branch" => inj.branch = Record::string(rec.line, name, value)?.parse().ok(),
+        for (name, value) in rec.fields {
+            match &*name {
+                "image" => inj.image = Some(Record::u64(rec.line, &name, &value)?),
+                "index" => inj.index = Record::u64(rec.line, &name, &value)?,
+                "worker" => inj.worker = Record::u64(rec.line, &name, &value)?,
+                "dur_us" => inj.dur_us = Record::u64(rec.line, &name, &value)?,
+                "outcome" => inj.outcome = Record::string(rec.line, &name, value)?,
+                "category" => inj.category = Record::string(rec.line, &name, value)?,
+                "branch" => inj.branch = Record::string(rec.line, &name, value)?.parse().ok(),
                 _ => {}
             }
         }
@@ -871,9 +872,9 @@ impl<'a> CampaignJob<'a> {
             image,
             index: index as u64,
             worker: worker.stats.worker as u64,
-            outcome: outcome.name().to_string(),
+            outcome: Cow::Borrowed(outcome.name()),
             branch: record.branch.map(u64::from),
-            category: injection_category(self.image, record.branch).to_string(),
+            category: Cow::Borrowed(injection_category(self.image, record.branch)),
             dur_us: run_us,
         };
         traced.record_to(worker.recorder);
@@ -1265,9 +1266,9 @@ mod tests {
                 image: n[6].is_multiple_of(2).then_some(n[6]),
                 index: n[1],
                 worker: n[0],
-                outcome: outcomes[outcome].name().to_string(),
+                outcome: outcomes[outcome].name().into(),
                 branch: (outcome > 0).then_some(n[2]),
-                category,
+                category: category.into(),
                 dur_us: n[3],
             };
             let buf = bw_telemetry::TraceBuffer::default();
@@ -1298,9 +1299,9 @@ mod tests {
             image: None,
             index: 4,
             worker: 1,
-            outcome: "detected".to_string(),
+            outcome: "detected".into(),
             branch: Some(2),
-            category: "shared".to_string(),
+            category: "shared".into(),
             dur_us: 10,
         };
         injection.clone().record_to(&buf.recorder());
@@ -1326,7 +1327,9 @@ mod tests {
 
         // A mistyped field is an error, not a zero; an absent one (a trace
         // from before the step counts) keeps its default.
-        let decode = |line: &str| bw_telemetry::records(line).next().unwrap();
+        fn decode(line: &str) -> Result<Record<'_>, String> {
+            bw_telemetry::records(line).next().unwrap()
+        }
         let err = decode(r#"{"ev":"worker","injections":"x"}"#).and_then(WorkerStats::from_record);
         assert_eq!(err, Err("line 1: `injections` is not a non-negative integer".to_string()));
         let old = decode(r#"{"ev":"worker","worker":0,"injections":2,"wall_us":5,"busy_us":4}"#);

@@ -26,11 +26,11 @@ fn sink_lock() -> MutexGuard<'static, ()> {
 
 /// A span sink that keeps the records it is sent.
 #[derive(Default)]
-struct Capture(Mutex<Vec<Vec<(String, Value)>>>);
+struct Capture(Mutex<Vec<Vec<(String, Value<'static>)>>>);
 
 impl Recorder for Capture {
     fn record(&self, _event: &str, fields: &[(&str, Value)]) {
-        let fields = fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
+        let fields = fields.iter().map(|(k, v)| (k.to_string(), v.clone().into_owned())).collect();
         self.0.lock().unwrap().push(fields);
     }
 }

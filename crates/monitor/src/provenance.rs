@@ -23,6 +23,8 @@
 //!
 //! [`bw_vm::RunResult`]: https://docs.rs/bw-vm
 
+use std::borrow::Cow;
+
 use bw_analysis::{CheckKind, TidCheck};
 use bw_telemetry::{Record, Recorder, Value};
 
@@ -32,6 +34,10 @@ use crate::monitor::Violation;
 use crate::table::Recorded;
 #[cfg(feature = "provenance")]
 use crate::table::{mix_key, push_node, KeyIndex, Link, NIL};
+
+/// The `latency` a `violation` record carries when the deviant had aged
+/// out of the flight-recorder ring.
+const UNKNOWN_LATENCY: &str = "?";
 
 /// One flight-recorder entry: a thread's report plus where in the
 /// *site's* report stream it was recorded.
@@ -180,8 +186,9 @@ fn join_ids(ids: &[u32]) -> String {
 
 /// One `violation` trace record: a [`ViolationReport`] flattened for the
 /// JSONL sink, under the injection (and batch image) it was detected in.
+/// Read back, its strings borrow from the trace text.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TraceViolation {
+pub struct TraceViolation<'a> {
     /// Batch image index, in a batch.
     pub image: Option<u64>,
     /// Injection index the violation was detected under.
@@ -193,11 +200,11 @@ pub struct TraceViolation {
     /// Loop-iteration hash.
     pub iter: u64,
     /// Violation-kind name (`witness_mismatch`, …).
-    pub kind: String,
+    pub kind: Cow<'a, str>,
     /// Similarity category of the check.
-    pub category: String,
+    pub category: Cow<'a, str>,
     /// The cross-thread pattern the category predicted.
-    pub predicted: String,
+    pub predicted: Cow<'a, str>,
     /// Threads that had reported when the check fired.
     pub reporters: u64,
     /// Per-site record sequence number at detection.
@@ -206,45 +213,50 @@ pub struct TraceViolation {
     /// deviant had aged out of the flight-recorder ring.
     pub latency: Option<u64>,
     /// Per-thread observation table, `t<id>=w<witness-hex>:<T|F>` entries.
-    pub observed: String,
+    pub observed: Cow<'a, str>,
     /// Comma-joined deviant thread ids.
-    pub deviants: String,
+    pub deviants: Cow<'a, str>,
     /// Comma-joined majority thread ids.
-    pub majority: String,
+    pub majority: Cow<'a, str>,
     /// Flight-recorder window, oldest first,
     /// `t<id>:i<iter>:w<witness-hex>:<T|F>:s<seq>` entries.
-    pub window: String,
+    pub window: Cow<'a, str>,
 }
 
-impl TraceViolation {
+impl<'a> TraceViolation<'a> {
     /// The `ev` tag of the record.
     pub const EV: &'static str = "violation";
 
     /// The record of `report`, detected under injection `index` of batch
     /// image `image`.
-    pub fn new(report: &ViolationReport, image: Option<u64>, index: u64) -> TraceViolation {
+    pub fn new(
+        report: &ViolationReport,
+        image: Option<u64>,
+        index: u64,
+    ) -> TraceViolation<'static> {
         TraceViolation {
             image,
             index,
             branch: u64::from(report.violation.branch),
             site: report.violation.site,
             iter: report.violation.iter,
-            kind: kind_name(report.violation.kind).to_string(),
-            category: report.category().to_string(),
-            predicted: report.predicted().to_string(),
+            kind: Cow::Borrowed(kind_name(report.violation.kind)),
+            category: Cow::Borrowed(report.category()),
+            predicted: Cow::Borrowed(report.predicted()),
             reporters: u64::from(report.violation.reporters),
             detected_seq: report.detected_seq,
             latency: report.detection_latency,
-            observed: report.observed_field(),
-            deviants: report.deviants_field(),
-            majority: report.majority_field(),
-            window: report.window_field(),
+            observed: Cow::Owned(report.observed_field()),
+            deviants: Cow::Owned(report.deviants_field()),
+            majority: Cow::Owned(report.majority_field()),
+            window: Cow::Owned(report.window_field()),
         }
     }
 
     /// Writes the record; an unknown latency is `"?"`.
     pub fn record_to(self, recorder: &dyn Recorder) {
-        let latency = self.latency.map_or_else(|| "?".to_string(), |l| l.to_string());
+        let latency =
+            self.latency.map_or(Cow::Borrowed(UNKNOWN_LATENCY), |l| Cow::Owned(l.to_string()));
         let fields = [
             ("index", Value::U64(self.index)),
             ("branch", Value::U64(self.branch)),
@@ -265,11 +277,12 @@ impl TraceViolation {
         recorder.record(Self::EV, &image.into_iter().chain(fields).collect::<Vec<_>>());
     }
 
-    /// Decodes a `violation` record.
-    pub fn from_record(mut rec: Record) -> Result<TraceViolation, String> {
+    /// Decodes a `violation` record. `latency` is a message count or the
+    /// writer's `"?"`; anything else is an error, like any mistyped field.
+    pub fn from_record(rec: Record<'a>) -> Result<TraceViolation<'a>, String> {
         let mut v = TraceViolation::default();
-        for (name, value) in &mut rec.fields {
-            let text = match name.as_str() {
+        for (name, value) in rec.fields {
+            let text = match &*name {
                 "kind" => &mut v.kind,
                 "category" => &mut v.category,
                 "predicted" => &mut v.predicted,
@@ -278,11 +291,16 @@ impl TraceViolation {
                 "majority" => &mut v.majority,
                 "window" => &mut v.window,
                 "latency" => {
-                    v.latency = Record::string(rec.line, name, value)?.parse().ok();
+                    v.latency = match &*Record::string(rec.line, &name, value)? {
+                        UNKNOWN_LATENCY => None,
+                        count => Some(count.parse().map_err(|_| {
+                            format!("line {}: `latency` is not a message count or `?`", rec.line)
+                        })?),
+                    };
                     continue;
                 }
                 _ => {
-                    let number = match name.as_str() {
+                    let number = match &*name {
                         "image" => v.image.insert(0),
                         "index" => &mut v.index,
                         "branch" => &mut v.branch,
@@ -292,11 +310,11 @@ impl TraceViolation {
                         "detected_seq" => &mut v.detected_seq,
                         _ => continue,
                     };
-                    *number = Record::u64(rec.line, name, value)?;
+                    *number = Record::u64(rec.line, &name, &value)?;
                     continue;
                 }
             };
-            *text = Record::string(rec.line, name, value)?;
+            *text = Record::string(rec.line, &name, value)?;
         }
         Ok(v)
     }
@@ -815,7 +833,8 @@ mod tests {
             proptest::prop_assert_eq!(v.latency, latency.then_some(3));
             let buf = bw_telemetry::TraceBuffer::default();
             v.clone().record_to(&buf.recorder());
-            let back = bw_telemetry::records(&buf.text()).next().unwrap();
+            let text = buf.text();
+            let back = bw_telemetry::records(&text).next().unwrap();
             proptest::prop_assert_eq!(back.and_then(TraceViolation::from_record), Ok(v));
         }
     }
@@ -845,6 +864,22 @@ mod tests {
         let mistyped = r#"{"ev":"violation","index":0,"detected_seq":"late"}"#;
         let err = bw_telemetry::records(mistyped).next().unwrap().and_then(TraceViolation::from_record);
         assert_eq!(err, Err("line 1: `detected_seq` is not a non-negative integer".to_string()));
+    }
+
+    #[test]
+    fn only_the_writers_question_mark_is_an_unknown_latency() {
+        fn latency(value: &str) -> Result<Option<u64>, String> {
+            let line = format!(r#"{{"ev":"violation","index":0,"latency":{value}}}"#);
+            let rec = bw_telemetry::records(&line).next().unwrap();
+            rec.and_then(TraceViolation::from_record).map(|v| v.latency)
+        }
+        assert_eq!(latency(r#""?""#), Ok(None));
+        assert_eq!(latency(r#""12""#), Ok(Some(12)));
+        let mistyped = Err("line 1: `latency` is not a message count or `?`".to_string());
+        for bad in [r#""soon""#, r#""-1""#, r#""""#, r#""1.5""#, r#""18446744073709551616""#] {
+            assert_eq!(latency(bad), mistyped, "{bad}");
+        }
+        assert_eq!(latency("3"), Err("line 1: `latency` is not a string".to_string()));
     }
 
     #[test]

@@ -1,17 +1,23 @@
 //! Minimal JSON support for telemetry traces.
 //!
 //! The workspace has no serialization dependency: the telemetry sink
-//! writes JSON by hand and `bw stats` reads it back with the
-//! flat-object parser below. Trace records are deliberately flat
-//! (one object per line, scalar values only), which keeps both halves
-//! small and dependency-free.
+//! writes JSON by hand and the trace views read it back with the
+//! flat-object parser below. Trace records are deliberately flat (one
+//! object per line, scalar values only), which keeps both halves small and
+//! dependency-free.
+//!
+//! Both halves share one [`Value`], whose string payload is a
+//! `Cow<str>`: a writer hands in its static tags and its data by reference,
+//! and [`parse_flat_object`] returns every key and string value as a slice
+//! of the line it read, copying only a literal that holds an escape.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A scalar JSON value, as written by the recorder and returned by
 /// [`parse_flat_object`].
 #[derive(Clone, Debug, PartialEq)]
-pub enum Value {
+pub enum Value<'a> {
     /// `null`
     Null,
     /// `true` / `false`
@@ -22,11 +28,12 @@ pub enum Value {
     I64(i64),
     /// Floating-point number.
     F64(f64),
-    /// String.
-    Str(String),
+    /// String: borrowed from the writer's data or the parsed line, owned
+    /// only where it had to be built.
+    Str(Cow<'a, str>),
 }
 
-impl Value {
+impl Value<'_> {
     /// The value as a `u64` if it is a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
@@ -53,27 +60,40 @@ impl Value {
             _ => None,
         }
     }
+
+    /// The value with its string, if any, owned: one that outlives what it
+    /// borrowed from.
+    pub fn into_owned(self) -> Value<'static> {
+        match self {
+            Value::Null => Value::Null,
+            Value::Bool(b) => Value::Bool(b),
+            Value::U64(v) => Value::U64(v),
+            Value::I64(v) => Value::I64(v),
+            Value::F64(v) => Value::F64(v),
+            Value::Str(s) => Value::Str(Cow::Owned(s.into_owned())),
+        }
+    }
 }
 
-impl From<u64> for Value {
+impl From<u64> for Value<'_> {
     fn from(v: u64) -> Self {
         Value::U64(v)
     }
 }
 
-impl From<u32> for Value {
+impl From<u32> for Value<'_> {
     fn from(v: u32) -> Self {
         Value::U64(v as u64)
     }
 }
 
-impl From<usize> for Value {
+impl From<usize> for Value<'_> {
     fn from(v: usize) -> Self {
         Value::U64(v as u64)
     }
 }
 
-impl From<i64> for Value {
+impl From<i64> for Value<'_> {
     fn from(v: i64) -> Self {
         if v >= 0 {
             Value::U64(v as u64)
@@ -83,57 +103,64 @@ impl From<i64> for Value {
     }
 }
 
-impl From<f64> for Value {
+impl From<f64> for Value<'_> {
     fn from(v: f64) -> Self {
         Value::F64(v)
     }
 }
 
-impl From<bool> for Value {
+impl From<bool> for Value<'_> {
     fn from(v: bool) -> Self {
         Value::Bool(v)
     }
 }
 
-impl From<&str> for Value {
-    fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+impl<'a> From<&'a str> for Value<'a> {
+    fn from(v: &'a str) -> Self {
+        Value::Str(Cow::Borrowed(v))
     }
 }
 
-impl From<String> for Value {
+impl From<String> for Value<'_> {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(Cow::Owned(v))
     }
 }
 
-/// Appends `s` to `out` as a JSON string literal (with quotes).
+/// Appends `s` to `out` as a JSON string literal (with quotes). Each run of
+/// characters that needs no escape is copied with one `push_str`.
 pub fn write_json_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (at, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // `b` is ASCII, so `at` is a character boundary.
+        out.push_str(&s[run..at]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = at + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
 /// Appends `v` to `out` as a JSON value.
-pub fn write_json_value(out: &mut String, v: &Value) {
+pub fn write_json_value(out: &mut String, v: &Value<'_>) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::U64(n) => {
-            let _ = write!(out, "{n}");
-        }
+        Value::U64(n) => push_u64(out, *n),
         Value::I64(n) => {
             let _ = write!(out, "{n}");
         }
@@ -149,17 +176,39 @@ pub fn write_json_value(out: &mut String, v: &Value) {
     }
 }
 
-/// Appends a flat JSON object built from `fields` to `out`.
-pub fn write_json_object(out: &mut String, fields: &[(&str, Value)]) {
-    out.push('{');
+/// Appends the decimal digits of `n` — what `write!(out, "{n}")` does,
+/// without the formatting machinery.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    digits[at..].iter().for_each(|&d| out.push(char::from(d)));
+}
+
+/// Appends the members of a flat JSON object built from `fields` to `out`,
+/// `"k":v` comma-separated, without the braces.
+pub fn write_json_members<K: AsRef<str>>(out: &mut String, fields: &[(K, Value<'_>)]) {
     for (i, (k, v)) in fields.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        write_json_str(out, k);
+        write_json_str(out, k.as_ref());
         out.push(':');
         write_json_value(out, v);
     }
+}
+
+/// Appends a flat JSON object built from `fields` to `out`.
+pub fn write_json_object<K: AsRef<str>>(out: &mut String, fields: &[(K, Value<'_>)]) {
+    out.push('{');
+    write_json_members(out, fields);
     out.push('}');
 }
 
@@ -181,19 +230,32 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The fields of one flat JSON object, in source order: keys and string
+/// values borrow from the parsed text unless they held an escape.
+pub type Fields<'a> = Vec<(Cow<'a, str>, Value<'a>)>;
+
 /// Parses one flat JSON object — scalar values only, no nesting — into
-/// its fields in source order.
+/// its fields in source order, borrowing every key and string from
+/// `input` that holds no escape.
 ///
 /// This is exactly the shape the JSONL recorder emits; nested objects or
 /// arrays are rejected rather than silently skipped.
-pub fn parse_flat_object(input: &str) -> Result<Vec<(String, Value)>, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+pub fn parse_flat_object(input: &str) -> Result<Fields<'_>, JsonError> {
+    let mut fields = Vec::new();
+    parse_flat_object_into(input, &mut fields)?;
+    Ok(fields)
+}
+
+/// [`parse_flat_object`] into `fields`, which it clears first: a reader of
+/// many lines parses them all into one buffer.
+pub(crate) fn parse_flat_object_into<'a>(
+    input: &'a str,
+    fields: &mut Fields<'a>,
+) -> Result<(), JsonError> {
+    fields.clear();
+    let mut p = Parser { text: input, pos: 0 };
     p.skip_ws();
     p.expect(b'{')?;
-    let mut fields = Vec::new();
     p.skip_ws();
     if p.peek() == Some(b'}') {
         p.pos += 1;
@@ -215,18 +277,22 @@ pub fn parse_flat_object(input: &str) -> Result<Vec<(String, Value)>, JsonError>
         }
     }
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != input.len() {
         return Err(p.err("trailing data after object"));
     }
-    Ok(fields)
+    Ok(())
 }
 
+/// The cursor of [`parse_flat_object`]. `pos` only ever stops on an ASCII
+/// byte or the end once a token is complete, so every slice it takes of
+/// `text` falls on character boundaries.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    #[cold]
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             message: message.to_string(),
@@ -235,7 +301,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn next(&mut self) -> Option<u8> {
@@ -260,7 +326,7 @@ impl Parser<'_> {
     }
 
     fn eat_keyword(&mut self, word: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             true
         } else {
@@ -268,7 +334,7 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, JsonError> {
+    fn parse_value(&mut self) -> Result<Value<'a>, JsonError> {
         match self.peek() {
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
@@ -280,15 +346,24 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_number(&mut self) -> Result<Value, JsonError> {
+    fn parse_number(&mut self) -> Result<Value<'a>, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
         let mut float = false;
+        // The digits' value, accumulated as they are scanned; `None` once it
+        // overflows a `u64`.
+        let mut digits = Some(0u64);
         while let Some(b) = self.peek() {
             match b {
-                b'0'..=b'9' => self.pos += 1,
+                b'0'..=b'9' => {
+                    digits = digits
+                        .and_then(|v| v.checked_mul(10))
+                        .and_then(|v| v.checked_add(u64::from(b - b'0')));
+                    self.pos += 1;
+                }
                 b'.' | b'e' | b'E' | b'+' | b'-' => {
                     float = true;
                     self.pos += 1;
@@ -296,9 +371,12 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid utf-8 in number"))?;
-        if float {
+        let text = &self.text[start..self.pos];
+        if !(negative || float) {
+            // Digits only (at least one): what `text.parse::<u64>()` says,
+            // and past `u64::MAX` no `i64` either.
+            digits.map(Value::U64).ok_or_else(|| self.err("invalid number"))
+        } else if float {
             text.parse::<f64>()
                 .map(Value::F64)
                 .map_err(|_| self.err("invalid number"))
@@ -311,65 +389,67 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_string(&mut self) -> Result<String, JsonError> {
+    /// A string literal: a slice of the text, or — once an escape turns
+    /// up — the decoded copy built run by run.
+    fn parse_string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut decoded: Option<String> = None;
         loop {
+            let run = self.pos;
+            let rest = &self.text.as_bytes()[run..];
+            self.pos += rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+            let text = &self.text[run..self.pos];
             match self.next() {
                 None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hi = self.parse_hex4()?;
-                        let cp = if (0xd800..0xdc00).contains(&hi) {
-                            // Surrogate pair: require the low half.
-                            if self.next() != Some(b'\\') || self.next() != Some(b'u') {
-                                return Err(self.err("missing low surrogate"));
-                            }
-                            let lo = self.parse_hex4()?;
-                            if !(0xdc00..0xe000).contains(&lo) {
-                                return Err(self.err("invalid low surrogate"));
-                            }
-                            0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
-                        } else {
-                            hi
-                        };
-                        out.push(
-                            char::from_u32(cp).ok_or_else(|| self.err("invalid code point"))?,
-                        );
-                    }
-                    _ => return Err(self.err("invalid escape")),
-                },
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    // Re-decode the multi-byte UTF-8 sequence in place.
-                    let len = match b {
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        0xf0..=0xf7 => 4,
-                        _ => return Err(self.err("invalid utf-8")),
-                    };
-                    let start = self.pos - 1;
-                    let end = start + len;
-                    let chunk = self
-                        .bytes
-                        .get(start..end)
-                        .ok_or_else(|| self.err("truncated utf-8"))?;
-                    let s =
-                        std::str::from_utf8(chunk).map_err(|_| self.err("invalid utf-8"))?;
-                    out.push_str(s);
-                    self.pos = end;
+                Some(b'"') => {
+                    return Ok(match decoded {
+                        None => Cow::Borrowed(text),
+                        Some(mut out) => {
+                            out.push_str(text);
+                            Cow::Owned(out)
+                        }
+                    })
+                }
+                _ => {
+                    let out = decoded.get_or_insert_with(String::new);
+                    out.push_str(text);
+                    let c = self.parse_escape()?;
+                    out.push(c);
                 }
             }
         }
+    }
+
+    /// The character of the escape whose backslash was just read.
+    fn parse_escape(&mut self) -> Result<char, JsonError> {
+        Ok(match self.next() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{0008}',
+            Some(b'f') => '\u{000c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                let hi = self.parse_hex4()?;
+                let cp = if (0xd800..0xdc00).contains(&hi) {
+                    // Surrogate pair: require the low half.
+                    if self.next() != Some(b'\\') || self.next() != Some(b'u') {
+                        return Err(self.err("missing low surrogate"));
+                    }
+                    let lo = self.parse_hex4()?;
+                    if !(0xdc00..0xe000).contains(&lo) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
+                } else {
+                    hi
+                };
+                char::from_u32(cp).ok_or_else(|| self.err("invalid code point"))?
+            }
+            _ => return Err(self.err("invalid escape")),
+        })
     }
 
     fn parse_hex4(&mut self) -> Result<u32, JsonError> {
@@ -389,10 +469,11 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
-    fn roundtrip(fields: &[(&str, Value)]) -> Vec<(String, Value)> {
+    fn roundtrip(fields: &[(&str, Value)]) -> Vec<(String, Value<'static>)> {
         let mut s = String::new();
         write_json_object(&mut s, fields);
-        parse_flat_object(&s).expect("roundtrip parse")
+        let parsed = parse_flat_object(&s).expect("roundtrip parse");
+        parsed.into_iter().map(|(k, v)| (k.into_owned(), v.into_owned())).collect()
     }
 
     #[test]
@@ -421,12 +502,28 @@ mod tests {
         let tricky = "a\"b\\c\nd\te\u{0001}f — π";
         let parsed = roundtrip(&[("s", Value::from(tricky))]);
         assert_eq!(parsed[0].1.as_str(), Some(tricky));
+        let mut s = String::new();
+        write_json_str(&mut s, tricky);
+        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\te\\u0001f — π\"");
     }
 
     #[test]
     fn parses_unicode_escapes() {
         let parsed = parse_flat_object(r#"{"s":"é😀"}"#).unwrap();
         assert_eq!(parsed[0].1.as_str(), Some("é😀"));
+        let escaped = format!("{{\"s\":\"{}u00e9{}ud83d{}ude00\"}}", '\\', '\\', '\\');
+        let parsed = parse_flat_object(&escaped).unwrap();
+        assert_eq!(parsed[0].1.as_str(), Some("é😀"));
+    }
+
+    #[test]
+    fn plain_strings_are_borrowed_and_escaped_ones_decoded() {
+        let line = r#"{"plain":"phase 1","esc\"aped":"a\tb"}"#;
+        let parsed = parse_flat_object(line).unwrap();
+        assert!(matches!(parsed[0].0, Cow::Borrowed("plain")));
+        assert!(matches!(parsed[0].1, Value::Str(Cow::Borrowed("phase 1"))));
+        assert!(matches!(&parsed[1].0, Cow::Owned(k) if k == "esc\"aped"));
+        assert!(matches!(&parsed[1].1, Value::Str(Cow::Owned(v)) if v == "a\tb"));
     }
 
     #[test]

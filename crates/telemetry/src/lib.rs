@@ -49,7 +49,10 @@ pub mod serve;
 pub mod snapshot;
 pub mod trace;
 
-pub use json::{parse_flat_object, write_json_object, write_json_str, JsonError, Value};
+pub use json::{
+    parse_flat_object, write_json_members, write_json_object, write_json_str, Fields, JsonError,
+    Value,
+};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use prometheus::{escape_label_value, sanitize_metric_name};
 pub use record::{records, Record};

@@ -198,9 +198,12 @@ impl HistogramSnapshot {
         if self.count == 0 {
             return 0.0;
         }
+        // The walk is in `f64`, so no bucket count can overflow it. A bucket
+        // read back from a trace may hold zero samples, which would make
+        // `frac` 0/0: it has no share of the quantile and is skipped.
         let target = q.clamp(0.0, 1.0) * self.count as f64;
         let mut cum = 0.0;
-        for &(bound, n) in &self.buckets {
+        for &(bound, n) in self.buckets.iter().filter(|&&(_, n)| n > 0) {
             let n = n as f64;
             if cum + n >= target {
                 let lower = Self::bucket_lower(bound) as f64;
@@ -256,12 +259,12 @@ impl HistogramSnapshot {
     /// `(bound, count)` pairs. Malformed entries are skipped rather than
     /// failing the whole record — trace readers are best-effort.
     pub fn decode_buckets(s: &str) -> Vec<(u64, u64)> {
-        s.split(';')
-            .filter_map(|pair| {
-                let (bound, n) = pair.split_once(':')?;
-                Some((bound.parse().ok()?, n.parse().ok()?))
-            })
-            .collect()
+        let mut buckets = Vec::with_capacity(s.split(';').count());
+        buckets.extend(s.split(';').filter_map(|pair| {
+            let (bound, n) = pair.split_once(':')?;
+            Some((bound.parse().ok()?, n.parse().ok()?))
+        }));
+        buckets
     }
 }
 
@@ -337,6 +340,23 @@ mod tests {
         assert_eq!(s.max, 900);
         assert_eq!(s.buckets, vec![(0, 1), (1, 2), (7, 1), (1023, 1)]);
         assert!((s.mean() - 181.4).abs() < 1e-9);
+    }
+
+    #[test]
+    fn quantiles_of_a_hostile_snapshot_stay_in_range() {
+        // What a trace may claim: counts at `u64::MAX`, a bucket with none.
+        let s = HistogramSnapshot {
+            count: u64::MAX,
+            sum: u64::MAX,
+            max: 100,
+            buckets: vec![(1, 0), (7, u64::MAX), (127, u64::MAX)],
+        };
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            let v = s.quantile(q);
+            assert!((0.0..=100.0).contains(&v), "q {q}: {v}");
+        }
+        // The lower edge of the first bucket that holds a sample.
+        assert_eq!(s.quantile(0.0), 4.0);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! number and a microsecond offset from recorder creation, then writes
 //! one JSON object per line — the format `bw stats` reads back.
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::fmt::Write as _;
 use std::io::{self, BufWriter, Write};
@@ -24,7 +25,7 @@ use crate::record::Record;
 /// correct run into a failing one).
 pub trait Recorder: Send + Sync {
     /// Records one event with its fields.
-    fn record(&self, event: &str, fields: &[(&str, Value)]);
+    fn record(&self, event: &str, fields: &[(&str, Value<'_>)]);
 
     /// Flushes any buffered output (best effort).
     fn flush(&self) {}
@@ -38,7 +39,7 @@ pub struct NullRecorder;
 
 impl Recorder for NullRecorder {
     #[inline]
-    fn record(&self, _event: &str, _fields: &[(&str, Value)]) {}
+    fn record(&self, _event: &str, _fields: &[(&str, Value<'_>)]) {}
 }
 
 /// The shared no-op recorder.
@@ -86,7 +87,7 @@ impl JsonlRecorder {
 }
 
 impl Recorder for JsonlRecorder {
-    fn record(&self, event: &str, fields: &[(&str, Value)]) {
+    fn record(&self, event: &str, fields: &[(&str, Value<'_>)]) {
         // A writer that panicked mid-record poisons the lock; the trace
         // ends there rather than failing the run.
         let Ok(mut out) = self.out.lock() else { return };
@@ -161,33 +162,33 @@ impl Write for TraceBuffer {
 /// One `span` record: how long a named stage took on the wall clock. What
 /// a [`Span`] writes and `bw stats` aggregates per name.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SpanRecord {
+pub struct SpanRecord<'a> {
     /// Stage name.
-    pub name: String,
+    pub name: Cow<'a, str>,
     /// Wall-clock microseconds from enter to finish.
     pub dur_us: u64,
 }
 
-impl SpanRecord {
+impl<'a> SpanRecord<'a> {
     /// The `ev` tag of the record.
     pub const EV: &'static str = "span";
 
     /// Writes the record, the caller's `extra` fields after its own.
-    pub fn record_to(&self, recorder: &dyn Recorder, extra: &[(&str, Value)]) {
+    pub fn record_to(&self, recorder: &dyn Recorder, extra: &[(&str, Value<'_>)]) {
         let mut fields = Vec::with_capacity(extra.len() + 2);
-        fields.push(("name", Value::from(self.name.as_str())));
+        fields.push(("name", Value::from(&*self.name)));
         fields.push(("dur_us", Value::U64(self.dur_us)));
         fields.extend_from_slice(extra);
         recorder.record(Self::EV, &fields);
     }
 
     /// Decodes a `span` record; a missing name reads as `?`.
-    pub fn from_record(mut rec: Record) -> Result<SpanRecord, String> {
-        let mut span = SpanRecord { name: "?".to_string(), dur_us: 0 };
-        for (name, value) in &mut rec.fields {
-            match name.as_str() {
-                "name" => span.name = Record::string(rec.line, name, value)?,
-                "dur_us" => span.dur_us = Record::u64(rec.line, name, value)?,
+    pub fn from_record(rec: Record<'a>) -> Result<SpanRecord<'a>, String> {
+        let mut span = SpanRecord { name: Cow::Borrowed("?"), dur_us: 0 };
+        for (name, value) in rec.fields {
+            match &*name {
+                "name" => span.name = Record::string(rec.line, &name, value)?,
+                "dur_us" => span.dur_us = Record::u64(rec.line, &name, &value)?,
                 _ => {}
             }
         }
@@ -216,14 +217,14 @@ impl<'a> Span<'a> {
     }
 
     /// Ends the span early, attaching extra fields to the `span` record.
-    pub fn finish(mut self, fields: &[(&str, Value)]) {
+    pub fn finish(mut self, fields: &[(&str, Value<'_>)]) {
         self.done = true;
         self.write(fields);
     }
 
-    fn write(&self, fields: &[(&str, Value)]) {
+    fn write(&self, fields: &[(&str, Value<'_>)]) {
         let dur_us = self.start.elapsed().as_micros() as u64;
-        SpanRecord { name: self.name.to_string(), dur_us }.record_to(self.recorder, fields);
+        SpanRecord { name: Cow::Borrowed(self.name), dur_us }.record_to(self.recorder, fields);
     }
 }
 
@@ -240,8 +241,12 @@ mod tests {
     use super::*;
     use crate::record::records;
 
-    fn lines_of(buf: &TraceBuffer) -> Vec<Vec<(String, Value)>> {
-        records(&buf.text()).map(|r| r.expect("valid JSONL line").fields).collect()
+    fn lines_of(buf: &TraceBuffer) -> Vec<Vec<(String, Value<'static>)>> {
+        let text = buf.text();
+        let fields = |rec: Record<'_>| -> Vec<_> {
+            rec.fields.into_iter().map(|(k, v)| (k.into_owned(), v.into_owned())).collect()
+        };
+        records(&text).map(|r| fields(r.expect("valid JSONL line"))).collect()
     }
 
     #[test]
@@ -280,10 +285,11 @@ mod tests {
     proptest::proptest! {
         #[test]
         fn span_records_round_trip(name in "[ -~é]{0,12}", dur_us in proptest::any::<u64>()) {
-            let span = SpanRecord { name, dur_us };
+            let span = SpanRecord { name: name.into(), dur_us };
             let buf = TraceBuffer::default();
             span.record_to(&buf.recorder(), &[("items", Value::U64(7))]);
-            let back = records(&buf.text()).next().unwrap().and_then(SpanRecord::from_record);
+            let text = buf.text();
+            let back = records(&text).next().unwrap().and_then(SpanRecord::from_record);
             proptest::prop_assert_eq!(back, Ok(span));
         }
     }
@@ -291,7 +297,7 @@ mod tests {
     #[test]
     fn span_record_wire_format_is_pinned() {
         let buf = TraceBuffer::default();
-        let span = SpanRecord { name: "campaign.plan".to_string(), dur_us: 10 };
+        let span = SpanRecord { name: "campaign.plan".into(), dur_us: 10 };
         span.record_to(&buf.recorder(), &[("injections", Value::U64(40))]);
         let pinned = r#""ev":"span","name":"campaign.plan","dur_us":10,"injections":40}"#;
         assert_eq!(buf.bodies(), [pinned]);

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crate::json::Value;
+use crate::json::{Fields, Value};
 use crate::record::Record;
 use crate::recorder::Recorder;
 use crate::registry::MetricRegistry;
@@ -42,7 +42,7 @@ pub fn sample_fields(
     cur: &TelemetrySnapshot,
     tick: u64,
     dt_us: u64,
-) -> Vec<(String, Value)> {
+) -> Vec<(String, Value<'static>)> {
     let mut fields = vec![
         ("tick".to_string(), Value::U64(tick)),
         ("dt_us".to_string(), Value::U64(dt_us)),
@@ -67,16 +67,17 @@ pub fn sample_fields(
 }
 
 /// Writes one `sample` record of `fields` (what [`sample_fields`] built).
-pub fn record_sample(recorder: &dyn Recorder, fields: &[(String, Value)]) {
+pub fn record_sample(recorder: &dyn Recorder, fields: &[(String, Value<'_>)]) {
     let borrowed: Vec<(&str, Value)> =
         fields.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
     recorder.record(SampleTick::EV, &borrowed);
 }
 
 /// One `sample` record read back: a timestamped delta snapshot, the
-/// decoded form of what [`sample_fields`] builds.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SampleTick {
+/// decoded form of what [`sample_fields`] builds. Its values are the
+/// record's own fields, names still borrowed from the trace text.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct SampleTick<'a> {
     /// 1-based sample index.
     pub tick: u64,
     /// Wall-clock microseconds covered by this tick.
@@ -84,36 +85,50 @@ pub struct SampleTick {
     /// True when the sampler flagged the interval (nonzero
     /// `events_dropped` delta).
     pub warn: bool,
-    /// Counter *deltas* and absolute gauge values, in record order.
-    pub values: Vec<(String, u64)>,
+    /// Counter *deltas* and absolute gauge values, in record order, each a
+    /// `Value::U64` ([`SampleTick::from_record`] checked).
+    values: Fields<'a>,
 }
 
-impl SampleTick {
+impl<'a> SampleTick<'a> {
     /// The `ev` tag of the record.
     pub const EV: &'static str = "sample";
 
     /// Decodes a `sample` record: every field but the bookkeeping ones and
     /// the recorder's envelope is a metric value.
-    pub fn from_record(rec: Record) -> Result<SampleTick, String> {
+    pub fn from_record(rec: Record<'a>) -> Result<SampleTick<'a>, String> {
+        let Record { line, mut fields } = rec;
         let mut tick = SampleTick::default();
-        for (name, value) in rec.fields {
-            match name.as_str() {
+        // The metric values are moved to the front of `fields`, which is
+        // then cut to them.
+        let mut values = 0;
+        for at in 0..fields.len() {
+            let (name, value) = &fields[at];
+            match &**name {
                 "seq" | "t_us" | "ev" => {}
                 "warn" => tick.warn = true,
-                "tick" => tick.tick = Record::u64(rec.line, &name, &value)?,
-                "dt_us" => tick.dt_us = Record::u64(rec.line, &name, &value)?,
+                "tick" => tick.tick = Record::u64(line, name, value)?,
+                "dt_us" => tick.dt_us = Record::u64(line, name, value)?,
                 _ => {
-                    let value = Record::u64(rec.line, &name, &value)?;
-                    tick.values.push((name, value));
+                    Record::u64(line, name, value)?;
+                    fields.swap(values, at);
+                    values += 1;
                 }
             }
         }
+        fields.truncate(values);
+        tick.values = fields;
         Ok(tick)
+    }
+
+    /// The counter deltas and gauge values, in record order.
+    pub fn values(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
+        self.values.iter().map(|(name, value)| (&**name, value.as_u64().unwrap_or_default()))
     }
 
     /// The named value in this tick, if present.
     pub fn value(&self, name: &str) -> Option<u64> {
-        self.values.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+        self.values().find(|&(n, _)| n == name).map(|(_, v)| v)
     }
 
     /// A counter delta as a per-second rate over this tick's interval.
@@ -271,10 +286,12 @@ mod tests {
             let fields = sample_fields(&snap(&[], &[]), &snap(&cur, &cur), tick, dt_us);
             let buf = crate::TraceBuffer::default();
             record_sample(&buf.recorder(), &fields);
-            let back = crate::records(&buf.text()).next().unwrap().and_then(SampleTick::from_record);
+            let text = buf.text();
+            let back = crate::records(&text).next().unwrap().and_then(SampleTick::from_record);
             let values = fields[2..]
                 .iter()
-                .filter_map(|(k, v)| Some((k.clone(), v.as_u64()?)))
+                .filter(|(_, v)| v.as_u64().is_some())
+                .map(|(k, v)| (k.as_str().into(), v.clone()))
                 .collect();
             let warn = fields.iter().any(|(k, _)| k == "warn");
             proptest::prop_assert_eq!(back, Ok(SampleTick { tick, dt_us, warn, values }));

@@ -6,6 +6,8 @@
 //! Snapshots merge (for fan-in across workers or layers) and prefix (so
 //! `vm.` / `monitor.` / `campaign.` namespaces stay disjoint).
 
+use std::borrow::Cow;
+
 use crate::json::Value;
 use crate::metrics::HistogramSnapshot;
 use crate::record::Record;
@@ -34,31 +36,33 @@ impl TelemetrySnapshot {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
-    /// Adds (or accumulates into) a counter.
-    pub fn push_counter(&mut self, name: impl Into<String>, value: u64) {
-        let name = name.into();
-        match self.counters.iter_mut().find(|(n, _)| *n == name) {
+    /// Adds (or accumulates into) a counter. The name is copied only the
+    /// first time it is seen.
+    pub fn push_counter(&mut self, name: impl AsRef<str> + Into<String>, value: u64) {
+        match self.counters.iter_mut().find(|(n, _)| n == name.as_ref()) {
             Some((_, v)) => *v = v.saturating_add(value),
-            None => self.counters.push((name, value)),
+            None => self.counters.push((name.into(), value)),
         }
     }
 
     /// Adds (or raises) a gauge; merging keeps the maximum, matching the
     /// high-water semantics of [`crate::Gauge::record_max`].
-    pub fn push_gauge(&mut self, name: impl Into<String>, value: u64) {
-        let name = name.into();
-        match self.gauges.iter_mut().find(|(n, _)| *n == name) {
+    pub fn push_gauge(&mut self, name: impl AsRef<str> + Into<String>, value: u64) {
+        match self.gauges.iter_mut().find(|(n, _)| n == name.as_ref()) {
             Some((_, v)) => *v = (*v).max(value),
-            None => self.gauges.push((name, value)),
+            None => self.gauges.push((name.into(), value)),
         }
     }
 
     /// Adds (or folds into) a histogram snapshot.
-    pub fn push_histogram(&mut self, name: impl Into<String>, snap: HistogramSnapshot) {
-        let name = name.into();
-        match self.histograms.iter_mut().find(|(n, _)| *n == name) {
+    pub fn push_histogram(
+        &mut self,
+        name: impl AsRef<str> + Into<String>,
+        snap: HistogramSnapshot,
+    ) {
+        match self.histograms.iter_mut().find(|(n, _)| n == name.as_ref()) {
             Some((_, h)) => merge_histograms(h, &snap),
-            None => self.histograms.push((name, snap)),
+            None => self.histograms.push((name.into(), snap)),
         }
     }
 
@@ -102,13 +106,13 @@ impl TelemetrySnapshot {
     /// histograms merge bucket-wise.
     pub fn merge(&mut self, other: &TelemetrySnapshot) {
         for (n, v) in &other.counters {
-            self.push_counter(n.clone(), *v);
+            self.push_counter(n, *v);
         }
         for (n, v) in &other.gauges {
-            self.push_gauge(n.clone(), *v);
+            self.push_gauge(n, *v);
         }
         for (n, h) in &other.histograms {
-            self.push_histogram(n.clone(), h.clone());
+            self.push_histogram(n, h.clone());
         }
     }
 
@@ -160,11 +164,11 @@ impl TelemetrySnapshot {
 
     /// Folds one decoded metric record in: what `push_counter`,
     /// `push_gauge` or `push_histogram` would do with it.
-    pub fn absorb(&mut self, metric: &Metric) {
+    pub fn absorb(&mut self, metric: Metric<'_>) {
         match metric {
-            Metric::Counter(name, value) => self.push_counter(name.as_str(), *value),
-            Metric::Gauge(name, value) => self.push_gauge(name.as_str(), *value),
-            Metric::Histogram(name, snap) => self.push_histogram(name.as_str(), snap.clone()),
+            Metric::Counter(name, value) => self.push_counter(name, value),
+            Metric::Gauge(name, value) => self.push_gauge(name, value),
+            Metric::Histogram(name, snap) => self.push_histogram(name, snap),
         }
     }
 
@@ -198,45 +202,51 @@ fn record_histogram(recorder: &dyn Recorder, name: &str, h: &HistogramSnapshot) 
 }
 
 /// One `counter`, `gauge` or `histogram` record: a named metric value as
-/// [`TelemetrySnapshot::record_to`] writes it.
+/// [`TelemetrySnapshot::record_to`] writes it, its name borrowed from the
+/// trace text.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Metric {
+pub enum Metric<'a> {
     /// A counter's final value (or one contribution to it).
-    Counter(String, u64),
+    Counter(Cow<'a, str>, u64),
     /// A gauge's high-water mark.
-    Gauge(String, u64),
+    Gauge(Cow<'a, str>, u64),
     /// A histogram's aggregates and buckets.
-    Histogram(String, HistogramSnapshot),
+    Histogram(Cow<'a, str>, HistogramSnapshot),
 }
 
-impl Metric {
+impl<'a> Metric<'a> {
     /// The `ev` tags of the three metric records.
     pub const EVS: [&'static str; 3] = [COUNTER, GAUGE, HISTOGRAM];
 
     /// Decodes a record whose `ev` is one of [`Metric::EVS`]. A missing
     /// name reads as `?`; a histogram from before the `buckets` field
     /// existed has none and answers no quantile query.
-    pub fn from_record(mut rec: Record) -> Result<Metric, String> {
-        let (mut metric, mut value, mut snap) = ("?".to_string(), 0, HistogramSnapshot::default());
-        for (name, v) in &mut rec.fields {
-            match name.as_str() {
-                "name" => metric = Record::string(rec.line, name, v)?,
-                "value" => value = Record::u64(rec.line, name, v)?,
-                "count" => snap.count = Record::u64(rec.line, name, v)?,
-                "sum" => snap.sum = Record::u64(rec.line, name, v)?,
-                "max" => snap.max = Record::u64(rec.line, name, v)?,
+    pub fn from_record(rec: Record<'a>) -> Result<Metric<'a>, String> {
+        let ev = rec.ev();
+        let (histogram, gauge) = (ev == HISTOGRAM, ev == GAUGE);
+        let (mut metric, mut value) = (Cow::Borrowed("?"), 0);
+        let mut snap = HistogramSnapshot::default();
+        for (name, v) in rec.fields {
+            match &*name {
+                "name" => metric = Record::string(rec.line, &name, v)?,
+                "value" => value = Record::u64(rec.line, &name, &v)?,
+                "count" => snap.count = Record::u64(rec.line, &name, &v)?,
+                "sum" => snap.sum = Record::u64(rec.line, &name, &v)?,
+                "max" => snap.max = Record::u64(rec.line, &name, &v)?,
                 "buckets" => {
-                    let encoded = Record::string(rec.line, name, v)?;
+                    let encoded = Record::string(rec.line, &name, v)?;
                     snap.buckets = HistogramSnapshot::decode_buckets(&encoded);
                     snap.buckets.sort_unstable_by_key(|&(bound, _)| bound);
                 }
                 _ => {}
             }
         }
-        Ok(match rec.ev() {
-            HISTOGRAM => Metric::Histogram(metric, snap),
-            GAUGE => Metric::Gauge(metric, value),
-            _ => Metric::Counter(metric, value),
+        Ok(if histogram {
+            Metric::Histogram(metric, snap)
+        } else if gauge {
+            Metric::Gauge(metric, value)
+        } else {
+            Metric::Counter(metric, value)
         })
     }
 }
@@ -338,8 +348,9 @@ mod tests {
         let buf = TraceBuffer::default();
         snap.record_to(&buf.recorder());
         let mut back = TelemetrySnapshot::new();
-        for rec in records(&buf.text()) {
-            back.absorb(&Metric::from_record(rec.unwrap()).unwrap());
+        let text = buf.text();
+        for rec in records(&text) {
+            back.absorb(Metric::from_record(rec.unwrap()).unwrap());
         }
         assert_eq!(back, snap);
         back.sort();
@@ -370,13 +381,15 @@ mod tests {
 
     #[test]
     fn mistyped_metric_fields_are_errors_and_old_histograms_have_no_buckets() {
-        let decode = |line: &str| records(line).next().unwrap().and_then(Metric::from_record);
+        fn decode(line: &str) -> Result<Metric<'_>, String> {
+            records(line).next().unwrap().and_then(Metric::from_record)
+        }
         let err = decode(r#"{"ev":"counter","name":"c","value":"many"}"#).unwrap_err();
         assert_eq!(err, "line 1: `value` is not a non-negative integer");
         let err = decode(r#"{"ev":"histogram","name":"h","count":1,"buckets":7}"#).unwrap_err();
         assert_eq!(err, "line 1: `buckets` is not a string");
         let legacy = decode(r#"{"ev":"histogram","name":"x","count":2,"sum":4,"max":3}"#);
         let expected = HistogramSnapshot { count: 2, sum: 4, max: 3, buckets: Vec::new() };
-        assert_eq!(legacy, Ok(Metric::Histogram("x".to_string(), expected)));
+        assert_eq!(legacy, Ok(Metric::Histogram("x".into(), expected)));
     }
 }

@@ -35,12 +35,13 @@
 //! is reproducible for a fixed seed (modulo the recorder's `seq`/`t_us`
 //! envelope).
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
-use crate::json::Value;
+use crate::json::{Fields, Value};
 use crate::record::Record;
 use crate::recorder::Recorder;
 
@@ -145,19 +146,19 @@ impl SpanKind {
 }
 
 /// One `tspan` record read back: what [`record_span`], [`record_instant`]
-/// and [`record_flow`] write.
+/// and [`record_flow`] write. Its strings borrow from the trace text.
 #[derive(Clone, Debug, PartialEq)]
-pub struct TraceSpan {
+pub struct TraceSpan<'a> {
     /// Span / instant / flow end-point.
     pub kind: SpanKind,
     /// Time domain of `ts` and `dur`.
     pub dom: TimeDomain,
     /// Lane: `t<tid>`, `shard<i>`, `w<wid>`, `main`, `monitor`.
-    pub track: String,
+    pub track: Cow<'a, str>,
     /// Category: `barrier_phase`, `lock_wait`, `flush_batch`, `stage`, …
-    pub cat: String,
+    pub cat: Cow<'a, str>,
     /// Display label.
-    pub name: String,
+    pub name: Cow<'a, str>,
     /// Start timestamp in the record's own domain.
     pub ts: u64,
     /// Duration (zero for instants and flow end-points).
@@ -166,24 +167,27 @@ pub struct TraceSpan {
     pub flow: Option<u64>,
     /// Every remaining field: per-phase `steps`/`branches` counts,
     /// campaign scope tags (`inj`, `wid`), verdict details (`site`, …).
-    pub args: Vec<(String, Value)>,
+    pub args: Fields<'a>,
 }
 
-impl TraceSpan {
+impl<'a> TraceSpan<'a> {
     /// Decodes a `tspan` record. `kind` and `dom` must be there; a missing
     /// label reads as `?`, a missing time as 0.
-    pub fn from_record(rec: Record) -> Result<TraceSpan, String> {
+    pub fn from_record(rec: Record<'a>) -> Result<TraceSpan<'a>, String> {
         let Record { line, mut fields } = rec;
         let (mut kind, mut dom) = (None, None);
         let (mut track, mut cat, mut label) = (None, None, None);
         let (mut ts, mut dur, mut flow) = (0, 0, None);
         let unknown = |name: &str, what: &str| format!("line {line}: `{name}` is not a {what}");
+        let text = |name: &str, value: &mut Value<'a>| {
+            Record::string(line, name, std::mem::replace(value, Value::Null)).map(Some)
+        };
         // The fields no arm below names are the record's `args`: they are
         // moved to the front of `fields`, which is then cut to them.
         let mut args = 0;
         for at in 0..fields.len() {
             let (name, value) = &mut fields[at];
-            match name.as_str() {
+            match &**name {
                 "seq" | "t_us" | "ev" => {}
                 "kind" => {
                     let tagged = |k: &SpanKind| value.as_str() == Some(k.tag());
@@ -195,9 +199,9 @@ impl TraceSpan {
                     let found = [TimeDomain::Cycles, TimeDomain::WallUs].into_iter().find(tagged);
                     dom = Some(found.ok_or_else(|| unknown(name, "time domain"))?);
                 }
-                "track" => track = Some(Record::string(line, name, value)?),
-                "cat" => cat = Some(Record::string(line, name, value)?),
-                "name" => label = Some(Record::string(line, name, value)?),
+                "track" => track = text(name, value)?,
+                "cat" => cat = text(name, value)?,
+                "name" => label = text(name, value)?,
                 "ts" => ts = Record::u64(line, name, value)?,
                 "dur" => dur = Record::u64(line, name, value)?,
                 "flow" => flow = Some(Record::u64(line, name, value)?),
@@ -209,7 +213,7 @@ impl TraceSpan {
         }
         fields.truncate(args);
         let missing = |name: &str| format!("line {line}: tspan record has no `{name}`");
-        let or_unnamed = |text: Option<String>| text.unwrap_or_else(|| "?".to_string());
+        let or_unnamed = |text: Option<Cow<'a, str>>| text.unwrap_or(Cow::Borrowed("?"));
         Ok(TraceSpan {
             kind: kind.ok_or_else(|| missing("kind"))?,
             dom: dom.ok_or_else(|| missing("dom"))?,
@@ -235,7 +239,7 @@ impl TraceSpan {
 }
 
 thread_local! {
-    static SCOPE: RefCell<Vec<(String, Value)>> = const { RefCell::new(Vec::new()) };
+    static SCOPE: RefCell<Vec<(String, Value<'static>)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// An RAII bundle of context fields attached to every trace record
@@ -250,10 +254,10 @@ pub struct TraceScope {
 
 impl TraceScope {
     /// Pushes `fields` onto this thread's scope stack.
-    pub fn enter(fields: &[(&str, Value)]) -> TraceScope {
+    pub fn enter(fields: &[(&str, Value<'_>)]) -> TraceScope {
         SCOPE.with(|s| {
             s.borrow_mut()
-                .extend(fields.iter().map(|(k, v)| (k.to_string(), v.clone())))
+                .extend(fields.iter().map(|(k, v)| (k.to_string(), v.clone().into_owned())))
         });
         TraceScope { pushed: fields.len() }
     }
@@ -280,8 +284,8 @@ fn record(
     cat: &str,
     name: &str,
     ts: u64,
-    tail: &[(&str, Value)],
-    extra: &[(&str, Value)],
+    tail: &[(&str, Value<'_>)],
+    extra: &[(&str, Value<'_>)],
 ) {
     // The scope stack stays borrowed while the recorder runs, so a
     // `Recorder::record` must not enter a `TraceScope` itself.
@@ -312,7 +316,7 @@ pub fn record_span(
     name: &str,
     ts: u64,
     dur: u64,
-    extra: &[(&str, Value)],
+    extra: &[(&str, Value<'_>)],
 ) {
     record(rec, SpanKind::Span, dom, track, cat, name, ts, &[("dur", Value::U64(dur))], extra);
 }
@@ -325,7 +329,7 @@ pub fn record_instant(
     cat: &str,
     name: &str,
     ts: u64,
-    extra: &[(&str, Value)],
+    extra: &[(&str, Value<'_>)],
 ) {
     record(rec, SpanKind::Instant, dom, track, cat, name, ts, &[], extra);
 }
@@ -343,7 +347,7 @@ pub fn record_flow(
     ts: u64,
     flow: u64,
     start: bool,
-    extra: &[(&str, Value)],
+    extra: &[(&str, Value<'_>)],
 ) {
     let kind = if start { SpanKind::FlowStart } else { SpanKind::FlowEnd };
     record(rec, kind, dom, track, cat, name, ts, &[("flow", Value::U64(flow))], extra);
@@ -355,19 +359,22 @@ mod tests {
     use crate::record::records;
     use crate::recorder::TraceBuffer;
 
-    fn lines(buf: &TraceBuffer) -> Vec<Vec<(String, Value)>> {
-        records(&buf.text()).map(|r| r.expect("valid JSONL").fields).collect()
+    fn lines(buf: &TraceBuffer) -> Vec<Vec<(String, Value<'static>)>> {
+        let text = buf.text();
+        let fields = |rec: Record<'_>| -> Vec<_> {
+            rec.fields.into_iter().map(|(k, v)| (k.into_owned(), v.into_owned())).collect()
+        };
+        records(&text).map(|r| fields(r.expect("valid JSONL"))).collect()
     }
 
-    fn field<'a>(rec: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
+    fn field<'a>(rec: &'a [(String, Value<'static>)], key: &str) -> Option<&'a Value<'static>> {
         rec.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// Writes `span` with the `record_*` function of its kind.
     fn write(rec: &dyn Recorder, span: &TraceSpan) {
         let TraceSpan { dom, track, cat, name, ts, .. } = span;
-        let extra: Vec<(&str, Value)> =
-            span.args.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
+        let extra: Vec<(&str, Value)> = span.args.iter().map(|(k, v)| (&**k, v.clone())).collect();
         let flow = span.flow.unwrap_or(0);
         match span.kind {
             SpanKind::Span => record_span(rec, *dom, track, cat, name, *ts, span.dur, &extra),
@@ -390,16 +397,16 @@ mod tests {
             let span = TraceSpan {
                 kind,
                 dom: if wall { TimeDomain::WallUs } else { TimeDomain::Cycles },
-                track: format!("t{}", steps % 7),
-                cat: "barrier_phase".to_string(),
-                name: label.clone(),
+                track: format!("t{}", steps % 7).into(),
+                cat: "barrier_phase".into(),
+                name: label.clone().into(),
                 ts: times.0,
                 dur: if kind == SpanKind::Span { times.1 } else { 0 },
                 flow: matches!(kind, SpanKind::FlowStart | SpanKind::FlowEnd).then_some(times.2),
                 args: vec![
-                    ("steps".to_string(), Value::U64(steps)),
-                    ("outcome".to_string(), Value::Str(label)),
-                    ("inj".to_string(), Value::U64(3)),
+                    ("steps".into(), Value::U64(steps)),
+                    ("outcome".into(), Value::from(label)),
+                    ("inj".into(), Value::U64(3)),
                 ],
             };
             let buf = TraceBuffer::default();
@@ -409,7 +416,8 @@ mod tests {
                 unscoped.args.pop();
                 write(&buf.recorder(), &unscoped);
             }
-            let back = records(&buf.text()).next().unwrap().and_then(TraceSpan::from_record);
+            let text = buf.text();
+            let back = records(&text).next().unwrap().and_then(TraceSpan::from_record);
             proptest::prop_assert_eq!(back, Ok(span));
         }
     }
@@ -445,7 +453,9 @@ mod tests {
 
     #[test]
     fn tspan_decoding_rejects_unknown_tags_and_mistyped_times() {
-        let decode = |line: &str| records(line).next().unwrap().and_then(TraceSpan::from_record);
+        fn decode(line: &str) -> Result<TraceSpan<'_>, String> {
+            records(line).next().unwrap().and_then(TraceSpan::from_record)
+        }
         let err = decode(r#"{"ev":"tspan","kind":"span","dom":"cyc","ts":0,"dur":-5}"#);
         assert_eq!(err, Err("line 1: `dur` is not a non-negative integer".to_string()));
         let err = decode(r#"{"ev":"tspan","kind":"blob","dom":"cyc"}"#).unwrap_err();
@@ -455,7 +465,7 @@ mod tests {
         let err = decode(r#"{"ev":"tspan","dom":"us"}"#).unwrap_err();
         assert_eq!(err, "line 1: tspan record has no `kind`");
         let bare = decode(r#"{"ev":"tspan","kind":"instant","dom":"us"}"#).unwrap();
-        assert_eq!((bare.track.as_str(), bare.ts, bare.end(), bare.flow), ("?", 0, 0, None));
+        assert_eq!((&*bare.track, bare.ts, bare.end(), bare.flow), ("?", 0, 0, None));
     }
 
     #[test]

@@ -95,10 +95,8 @@ fn lines_are_byte_for_byte_what_the_fields_say() {
     // envelope followed by the fields.
     for line in text.lines() {
         let fields = parse_flat_object(line).expect("a flat object");
-        let borrowed: Vec<(&str, Value)> =
-            fields.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
         let mut again = String::new();
-        write_json_object(&mut again, &borrowed);
+        write_json_object(&mut again, &fields);
         assert_eq!(again, line);
     }
 }

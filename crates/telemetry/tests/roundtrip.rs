@@ -7,10 +7,11 @@
 //! cases (empty traces, the `u64::MAX` histogram bucket) a hand-rolled
 //! serializer is most likely to get wrong.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use bw_telemetry::{
-    parse_flat_object, records, Histogram, HistogramSnapshot, Metric, Recorder,
+    parse_flat_object, records, Fields, Histogram, HistogramSnapshot, Metric, Recorder,
     TelemetrySnapshot, TraceBuffer, Value,
 };
 
@@ -42,7 +43,7 @@ fn tricky_name(rng: &mut Rng, uniq: usize) -> String {
     s
 }
 
-fn random_value(rng: &mut Rng, uniq: usize) -> Value {
+fn random_value(rng: &mut Rng, uniq: usize) -> Value<'static> {
     match rng.below(6) {
         0 => Value::Null,
         1 => Value::Bool(rng.below(2) == 0),
@@ -50,7 +51,7 @@ fn random_value(rng: &mut Rng, uniq: usize) -> Value {
         3 => Value::I64(-((rng.next() >> 1) as i64) - 1),
         // Finite f64s only; the writer turns NaN/Inf into null by design.
         4 => Value::F64(f64::from_bits(rng.next() >> 12) * if rng.below(2) == 0 { -0.5 } else { 3.25 }),
-        _ => Value::Str(tricky_name(rng, uniq)),
+        _ => Value::from(tricky_name(rng, uniq)),
     }
 }
 
@@ -72,7 +73,7 @@ fn random_flat_objects_round_trip() {
     let mut rng = Rng(0x0bad_cafe);
     for _case in 0..300 {
         let nfields = rng.below(8) as usize;
-        let fields: Vec<(String, Value)> = (0..nfields)
+        let fields: Vec<(String, Value<'static>)> = (0..nfields)
             .map(|i| (tricky_name(&mut rng, i), random_value(&mut rng, i)))
             .collect();
         let borrowed: Vec<(&str, Value)> =
@@ -124,8 +125,9 @@ fn through_trace(snap: &TelemetrySnapshot) -> TelemetrySnapshot {
     let buf = TraceBuffer::default();
     snap.record_to(&buf.recorder());
     let mut back = TelemetrySnapshot::new();
-    for rec in records(&buf.text()) {
-        back.absorb(&Metric::from_record(rec.expect("a flat record")).expect("a metric record"));
+    let text = buf.text();
+    for rec in records(&text) {
+        back.absorb(Metric::from_record(rec.expect("a flat record")).expect("a metric record"));
     }
     back
 }
@@ -193,10 +195,10 @@ fn random_trace_events_round_trip_through_jsonl() {
     let mut rng = Rng(0x7ace_5eed);
     let buf = TraceBuffer::default();
     let rec = buf.recorder();
-    let mut emitted: Vec<(String, Vec<(String, Value)>)> = Vec::new();
+    let mut emitted: Vec<(String, Vec<(String, Value<'static>)>)> = Vec::new();
     for case in 0..120 {
         let event = tricky_name(&mut rng, case);
-        let fields: Vec<(String, Value)> = (0..rng.below(5) as usize)
+        let fields: Vec<(String, Value<'static>)> = (0..rng.below(5) as usize)
             .map(|i| (tricky_name(&mut rng, i), random_value(&mut rng, i)))
             .collect();
         let borrowed: Vec<(&str, Value)> =
@@ -214,7 +216,7 @@ fn random_trace_events_round_trip_through_jsonl() {
         let parsed = parse_flat_object(line)
             .unwrap_or_else(|e| panic!("line {i} failed to parse: {e}\n  line: {line}"));
         // Every record leads with seq / t_us / ev, then the caller's fields.
-        assert_eq!(parsed[0], ("seq".to_string(), Value::U64(i as u64)));
+        assert_eq!(parsed[0], ("seq".into(), Value::U64(i as u64)));
         assert_eq!(parsed[1].0, "t_us");
         assert!(parsed[1].1.as_u64().is_some());
         assert_eq!(parsed[2].0, "ev");
@@ -240,7 +242,7 @@ fn empty_trace_produces_no_lines() {
     let text = buf.text();
     let parsed = parse_flat_object(text.trim_end()).unwrap();
     assert_eq!(parsed.len(), 3);
-    assert_eq!(parsed[2], ("ev".to_string(), Value::Str("tick".to_string())));
+    assert_eq!(parsed[2], ("ev".into(), Value::from("tick")));
 }
 
 #[test]
@@ -256,7 +258,8 @@ fn histogram_records_round_trip_their_buckets() {
     snap.push_histogram("lat", h.snapshot());
     snap.record_to(&rec);
     rec.flush();
-    let parsed = parse_flat_object(buf.text().trim_end()).unwrap();
+    let text = buf.text();
+    let parsed = parse_flat_object(text.trim_end()).unwrap();
     let encoded = parsed
         .iter()
         .find(|(k, _)| k == "buckets")
@@ -297,12 +300,12 @@ fn sampler_emits_parseable_sample_records() {
     sampler.stop();
 
     let text = buf.text();
-    let lines: Vec<Vec<(String, Value)>> =
+    let lines: Vec<Fields> =
         text.lines().map(|l| parse_flat_object(l).expect("sample record parses")).collect();
     assert!(!lines.is_empty(), "at least the final flush tick must land");
-    let get = |l: &[(String, Value)], k: &str| {
-        l.iter().find(|(n, _)| n == k).map(|(_, v)| v.clone())
-    };
+    fn get(l: &[(Cow<str>, Value)], k: &str) -> Option<Value<'static>> {
+        l.iter().find(|(n, _)| n == k).map(|(_, v)| v.clone().into_owned())
+    }
     // Every record is a flat `sample` with tick/dt_us; ticks increase.
     let mut last_tick = 0;
     for line in &lines {
@@ -382,14 +385,14 @@ fn snapshot_record_to_emits_parseable_metric_records() {
     snap.record_to(&rec);
     rec.flush();
     let text = buf.text();
-    let lines: Vec<Vec<(String, Value)>> =
+    let lines: Vec<Fields> =
         text.lines().map(|l| parse_flat_object(l).expect("metric record parses")).collect();
     assert_eq!(lines.len(), 3);
-    let ev = |l: &Vec<(String, Value)>| l[2].1.as_str().unwrap().to_string();
+    let ev = |l: &Fields| l[2].1.as_str().unwrap().to_string();
     assert_eq!(ev(&lines[0]), "counter");
     assert_eq!(ev(&lines[1]), "gauge");
     assert_eq!(ev(&lines[2]), "histogram");
-    assert_eq!(lines[2][4], ("count".to_string(), Value::U64(2)));
-    assert_eq!(lines[2][5], ("sum".to_string(), Value::U64(9)));
-    assert_eq!(lines[2][6], ("max".to_string(), Value::U64(8)));
+    assert_eq!(lines[2][4], ("count".into(), Value::U64(2)));
+    assert_eq!(lines[2][5], ("sum".into(), Value::U64(9)));
+    assert_eq!(lines[2][6], ("max".into(), Value::U64(8)));
 }

@@ -80,7 +80,7 @@ fn sink_lock() -> MutexGuard<'static, ()> {
 }
 
 /// One record as a sink receives it: the event name and the fields.
-type Record = (String, Vec<(String, Value)>);
+type Record = (String, Vec<(String, Value<'static>)>);
 
 /// A span sink that keeps what it is sent.
 #[derive(Default)]
@@ -88,7 +88,7 @@ struct Capture(Mutex<Vec<Record>>);
 
 impl Recorder for Capture {
     fn record(&self, event: &str, fields: &[(&str, Value)]) {
-        let fields = fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
+        let fields = fields.iter().map(|(k, v)| (k.to_string(), v.clone().into_owned())).collect();
         self.0.lock().unwrap().push((event.to_string(), fields));
     }
 }

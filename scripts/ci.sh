@@ -42,7 +42,11 @@ w1() {
 # differential test compares whole RunResults with the reference stepper
 # kept under crates/vm/tests/reference/, its prefix test every fork of a
 # `SimPrefix` with the full replay, and both thin their sweeps in debug
-# builds, so the complete ones (and the allocation budget) run here.
+# builds, so the complete ones (and the allocation budget) run here. The
+# workspace passes run the two other allocation budgets with a counting
+# allocator: the monitor's (`crates/monitor/tests/alloc_budget.rs`) and the
+# trace read path's (`tests/trace_alloc_budget.rs`: one allocation per
+# record, none per field).
 leg_test() {
   cargo build --release --workspace
   cargo test -q --workspace

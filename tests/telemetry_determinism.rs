@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use blockwatch::reports::ForensicsReport;
 use blockwatch::splash::{Benchmark, Size};
-use blockwatch::timeline::TimelineReport;
+use blockwatch::timeline::{PhaseProfile, TimelineReport};
 use blockwatch::{
     Blockwatch, EngineKind, ExecConfig, FaultModel, JsonlRecorder, MetricRegistry, Recorder,
     Sampler,
@@ -261,11 +261,11 @@ fn span_tracing_does_not_perturb_campaign_determinism() {
 
 /// A span sink that keeps the records it is sent.
 #[derive(Default)]
-struct Capture(Mutex<Vec<Vec<(String, blockwatch::telemetry::Value)>>>);
+struct Capture(Mutex<Vec<Vec<(String, blockwatch::telemetry::Value<'static>)>>>);
 
 impl Recorder for Capture {
     fn record(&self, _event: &str, fields: &[(&str, blockwatch::telemetry::Value)]) {
-        let fields = fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
+        let fields = fields.iter().map(|(k, v)| (k.to_string(), v.clone().into_owned())).collect();
         self.0.lock().unwrap().push(fields);
     }
 }
@@ -384,8 +384,9 @@ barrier phase;
     )
 }
 
-/// Runs a source under the span sink and returns its parsed timeline.
-fn traced_timeline(source: &str) -> TimelineReport {
+/// Runs a source under the span sink and returns the phase profile of its
+/// timeline.
+fn traced_profile(source: &str) -> PhaseProfile {
     let _guard = trace_sink_lock();
     let bw = Blockwatch::compile(source).unwrap();
     let buf = SharedBuf::default();
@@ -396,13 +397,13 @@ fn traced_timeline(source: &str) -> TimelineReport {
     assert_eq!(result.outcome, blockwatch::RunOutcome::Completed);
     rec.flush();
     let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-    TimelineReport::parse(&text).unwrap()
+    TimelineReport::parse(&text).unwrap().phase_profile()
 }
 
 /// The phase profile flags the seeded straggler thread (and only it).
 #[test]
 fn phase_profile_flags_seeded_straggler() {
-    let profile = traced_timeline(&straggler_source(true)).phase_profile();
+    let profile = traced_profile(&straggler_source(true));
     assert_eq!(profile.dom, "cyc");
     assert!(!profile.phases.is_empty());
     assert_eq!(profile.deviant_threads(), vec![0], "{}", profile.render());
@@ -414,7 +415,7 @@ fn phase_profile_flags_seeded_straggler() {
 /// The same program without the seeded imbalance profiles clean.
 #[test]
 fn phase_profile_reports_symmetric_program_similar() {
-    let profile = traced_timeline(&straggler_source(false)).phase_profile();
+    let profile = traced_profile(&straggler_source(false));
     assert!(!profile.phases.is_empty());
     assert_eq!(profile.deviant_threads(), Vec::<u32>::new(), "{}", profile.render());
     assert!(profile.render().contains("all threads similar in every phase"));

@@ -166,7 +166,7 @@ fn encoded_fields() -> Vec<(String, Vec<String>)> {
         });
         for (name, _) in rec.fields.iter().skip(3) {
             // A sample's metric values are named by the registry.
-            let name = if name.starts_with("live.") { "<metric>" } else { name.as_str() };
+            let name = if name.starts_with("live.") { "<metric>" } else { &**name };
             if !kinds[at].1.iter().any(|n| n == name) {
                 kinds[at].1.push(name.to_string());
             }
