@@ -497,10 +497,7 @@ fn cmd_report(args: &Args) -> Result<(), String> {
     let report = ForensicsReport::parse(&text)?;
     emit(&report.render());
     if !report.has_detections() {
-        eprintln!(
-            "note: no detections in this trace; run the campaign with \
-             --telemetry and the `provenance` feature enabled"
-        );
+        eprintln!("note: no detections in this trace; run the campaign with --telemetry");
     }
     Ok(())
 }

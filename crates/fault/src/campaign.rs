@@ -150,14 +150,13 @@ pub struct InjectionRecord {
     /// The classification.
     pub outcome: FaultOutcome,
     /// The first [`ViolationReport`] of the faulty run, when the monitor
-    /// detected it and the `provenance` feature is on: the causal evidence
-    /// tying this injection to its detection (deviant threads, flight-
-    /// recorder window, latency). Boxed to keep the record small for the
-    /// common undetected case.
+    /// detected it: the causal evidence tying this injection to its
+    /// detection (deviant threads, window, latency). Boxed to keep the
+    /// record small for the common undetected case.
     pub report: Option<Box<ViolationReport>>,
     /// Monitor messages between the corruption entering the event stream
     /// and the check firing (see [`ViolationReport::detection_latency`]);
-    /// `None` when undetected or when the deviant aged out of the ring.
+    /// `None` when undetected or when the deviant aged out of the window.
     pub detection_latency: Option<u64>,
 }
 
@@ -708,8 +707,7 @@ fn campaign_telemetry(
     // Detection-latency distribution per similarity category: monitor
     // messages between the corruption and the check firing, from each
     // detected record's provenance. Deterministic (derived from the
-    // reduced records, not wall time); absent without detections or
-    // without the `provenance` feature.
+    // reduced records, not wall time); absent without detections.
     let mut latency: std::collections::BTreeMap<&'static str, Histogram> =
         std::collections::BTreeMap::new();
     for record in records {

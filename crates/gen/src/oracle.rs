@@ -67,9 +67,8 @@ pub enum OracleFailure {
         /// The spurious violation.
         violation: Violation,
         /// The monitor's full provenance for the spurious violation
-        /// (deviant threads, witness table, flight-recorder window), when
-        /// the `provenance` feature is on. Shrunken repros carry it so the
-        /// evidence survives minimization.
+        /// (deviant threads, witness table, window). Shrunken repros carry
+        /// it so the evidence survives minimization.
         report: Option<Box<ViolationReport>>,
     },
     /// Invariant 2 broken: an event stream contradicts a branch's category.

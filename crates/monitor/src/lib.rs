@@ -9,14 +9,16 @@
 //! analysis. A deviation from the statically inferred similarity is
 //! reported as a [`Violation`].
 //!
-//! The two-level *keying* is the paper's; the storage is flat. Level 1 is
-//! one site table (`(branch, site)` → stream length, pending count, ring of
-//! recent reports — the [`FlightRecorder`], present only with the
-//! `provenance` feature), level 2 one instance table keyed by the full
-//! `(branch, site, iter)`, and reports and ring entries are chains through
-//! shared arenas. In steady state an event costs two hash probes and no
-//! heap allocation, and memory follows the reports received, not
-//! `instances × nthreads` (`src/table.rs`).
+//! The two-level *keying* is the paper's; the storage is flat. Level 2 is
+//! one instance table keyed by the full `(branch, site, iter)`, and it is
+//! all an event touches: one hash probe and one report node, no heap
+//! allocation in steady state (`src/table.rs`). Level 1 is one site table,
+//! `(branch, site)` → the recent history of the site's reports, reached only
+//! when an instance leaves level 2; a [`ViolationReport`]'s evidence is
+//! rebuilt from it when a check fails (`src/provenance.rs`). Reports are
+//! nodes of one arena that move from an instance's chain to its site's
+//! history without a copy, so memory follows the reports received, not
+//! `instances × nthreads`.
 //!
 //! Design goals carried over from the paper:
 //! 1. **Asynchronous** — senders never wait for the monitor (the queue push
@@ -66,12 +68,11 @@ mod topology;
 
 pub use checker::{check_instance, Report, ViolationKind};
 pub use event::{hash_words, BranchEvent, KeyHasher};
-pub use monitor::{CheckTable, EventSender, Monitor, Violation};
+pub use monitor::{sort_violations, CheckTable, EventSender, Monitor, Violation};
 pub use shard::{per_shard_capacity, shard_of, ShardedMonitor, ShardedMonitorThread};
 pub use topology::{MonitorBuilder, MonitorHandle, MonitorTopology, MonitorVerdict};
-pub use provenance::{
-    category_name, FlightRecorder, TraceViolation, ViolationReport, WindowEntry,
-    PROVENANCE_ENABLED,
-};
+#[doc(hidden)]
+pub use provenance::PROVENANCE_ENABLED;
+pub use provenance::{category_name, TraceViolation, ViolationReport, WindowEntry};
 pub use spsc::{spsc_queue, Consumer, Producer, QueueFull};
 pub use telemetry::MonitorTelemetry;

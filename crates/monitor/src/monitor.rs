@@ -16,9 +16,9 @@ use bw_telemetry::TelemetrySnapshot;
 
 use crate::checker::{check_instance, Report, ViolationKind};
 use crate::event::BranchEvent;
-use crate::provenance::{window_capacity, FlightRecorder, ViolationReport};
+use crate::provenance::{build_report, window_capacity, Evidence, SiteTable, ViolationReport};
 use crate::spsc::{Producer, QueueFull};
-use crate::table::BranchTable;
+use crate::table::{BranchTable, Chain, Recorded};
 use crate::telemetry::MonitorTelemetry;
 
 /// A detected similarity violation.
@@ -37,6 +37,10 @@ pub struct Violation {
 }
 
 impl Violation {
+    fn order(&self) -> (u64, u32, u64, ViolationKind, u32) {
+        (self.site, self.branch, self.iter, self.kind, self.reporters)
+    }
+
     /// A one-line human-readable rendering, used by diagnostic CLIs
     /// (`bw fuzz`) when reporting a detection.
     pub fn describe(&self) -> String {
@@ -59,6 +63,18 @@ impl Violation {
             self.branch, self.site, self.iter, self.reporters
         )
     }
+}
+
+/// Puts violations and their reports into the one order every topology and
+/// engine hands them out in: by site, branch, iteration, kind and reporter
+/// count — every field, so violations that tie are equal — and reports by
+/// their violation, then by the site-local `detected_seq`, which no two
+/// reports of one violation share. So `violations[i]` is
+/// `reports[i].violation` for every report, and neither list depends on
+/// how the key space was sharded.
+pub fn sort_violations(violations: &mut [Violation], reports: &mut [ViolationReport]) {
+    violations.sort_unstable_by_key(Violation::order);
+    reports.sort_unstable_by_key(|r| (r.violation.order(), r.detected_seq));
 }
 
 /// How the monitor checks each branch: a compact per-branch table derived
@@ -107,9 +123,9 @@ pub struct Monitor {
     checks: CheckTable,
     nthreads: usize,
     table: BranchTable,
+    sites: SiteTable,
     violations: Vec<Violation>,
     reports: Vec<ViolationReport>,
-    recorder: FlightRecorder,
     /// The reports of the instance being checked, reused from one check to
     /// the next.
     scratch: Vec<Report>,
@@ -126,9 +142,9 @@ impl Monitor {
             checks,
             nthreads,
             table: BranchTable::default(),
+            sites: SiteTable::new(window_capacity(nthreads)),
             violations: Vec::new(),
             reports: Vec::new(),
-            recorder: FlightRecorder::new(window_capacity(nthreads)),
             scratch: Vec::new(),
             events_processed: 0,
             events_dropped: 0,
@@ -136,35 +152,47 @@ impl Monitor {
         }
     }
 
-    /// Processes one event.
+    /// Processes one event. The instance table is the only state an event
+    /// writes; the site table is reached when the report leaves it — its
+    /// instance completes, or it is a dropped re-report.
     pub fn process(&mut self, event: BranchEvent) {
         self.events_processed += 1;
         let Some(kind) = self.checks.kind(event.branch) else {
             return; // not instrumented; defensive
         };
-        let report =
-            Report { thread: event.thread, witness: event.witness, taken: event.taken };
-        // Level 1 (provenance feature; compiles out otherwise): one ring
-        // write per instrumented event, dropped re-reports included. The
-        // recorder numbers the site's own report stream, so what it holds
-        // is the same no matter which shard (or topology) this monitor is.
-        let site_row = self.recorder.record(&event);
-        let recorded = self.table.record(
-            event.branch,
-            event.site,
-            event.iter,
-            report,
-            self.nthreads,
-            &mut self.scratch,
-        );
-        self.recorder.track(site_row, recorded);
-        if recorded.completed {
-            let reports = std::mem::take(&mut self.scratch);
-            self.check(kind, event.branch, event.site, event.iter, &reports);
-            self.scratch = reports;
+        if self.table.has_drained() {
+            self.file_drained();
+        }
+        let BranchEvent { branch, thread, site, iter, witness, taken } = event;
+        let report = Report { thread, witness, taken };
+        match self.table.record(branch, site, iter, report, self.nthreads, &mut self.scratch) {
+            Recorded::Pending => {}
+            Recorded::Dropped(chain) => self.file(branch, site, chain),
+            Recorded::Completed(chain) => {
+                self.file(branch, site, chain);
+                let reports = std::mem::take(&mut self.scratch);
+                self.check(kind, branch, site, iter, &reports, false);
+                self.scratch = reports;
+            }
         }
         self.telemetry.pending_high_water =
             self.telemetry.pending_high_water.max(self.table.len() as u64);
+    }
+
+    /// Files a chain that left the instance table into its site's history
+    /// (out of line: most events leave an instance pending).
+    #[inline(never)]
+    fn file(&mut self, branch: u32, site: u64, chain: Chain) {
+        self.sites.file(&mut self.table.nodes, branch, site, chain);
+    }
+
+    /// Files the instances the last flush drained: only a monitor fed again
+    /// after a flush needs them in their sites' histories.
+    #[cold]
+    fn file_drained(&mut self) {
+        let sites = &mut self.sites;
+        self.table
+            .file_drained(|nodes, branch, site, chain| sites.file(nodes, branch, site, chain));
     }
 
     /// Checks every instance that has not reached `nthreads` reporters
@@ -175,19 +203,21 @@ impl Monitor {
         self.telemetry.flush_calls += 1;
         self.telemetry.flush_batch_total += batch;
         self.telemetry.flush_batch_max = self.telemetry.flush_batch_max.max(batch);
-        // All of them leave the table at once: a report built below finds
-        // no backlog at its site.
-        self.recorder.clear_pending();
         let (first, first_report) = (self.violations.len(), self.reports.len());
-        let mut table = std::mem::take(&mut self.table);
-        let mut reports = std::mem::take(&mut self.scratch);
-        table.drain_pending(&mut reports, |branch, site, iter, reports| {
-            if let Some(kind) = self.checks.kind(branch) {
-                self.check(kind, branch, site, iter, reports);
+        // With nothing pending the rows can only hold what an earlier flush
+        // drained, checked already.
+        if batch > 0 {
+            let mut reports = std::mem::take(&mut self.scratch);
+            for row in 0..self.table.rows() {
+                if let Some((branch, site, iter)) = self.table.pending_row(row, &mut reports) {
+                    if let Some(kind) = self.checks.kind(branch) {
+                        self.check(kind, branch, site, iter, &reports, true);
+                    }
+                }
             }
-        });
-        self.table = table;
-        self.scratch = reports;
+            self.scratch = reports;
+            self.table.close_flush();
+        }
         // The table hands instances out in storage order; pending keys are
         // distinct, so sorting what this flush found by key gives the one
         // reproducible order — without sorting the instances that passed.
@@ -199,10 +229,20 @@ impl Monitor {
         self.violations.len()
     }
 
-    /// Checks one instance. On a violation the evidence is the site's state
-    /// as of now: at an eager check its newest record is the report that
-    /// completed the instance, at a flush the last the site received.
-    fn check(&mut self, kind: CheckKind, branch: u32, site: u64, iter: u64, reports: &[Report]) {
+    /// Checks one instance. On a violation the evidence is rebuilt from the
+    /// site's history and its pending instances as of now: at an eager
+    /// check the newest entry is the report that completed the instance; at
+    /// a flush it is the last the site received, and the site's pending
+    /// depth is zero, the flush draining every instance at once.
+    fn check(
+        &mut self,
+        kind: CheckKind,
+        branch: u32,
+        site: u64,
+        iter: u64,
+        reports: &[Report],
+        at_flush: bool,
+    ) {
         if let Err(vk) = check_instance(kind, reports) {
             *self.telemetry.violations_for(kind) += 1;
             let violation = Violation {
@@ -213,15 +253,9 @@ impl Monitor {
                 reporters: reports.len() as u32,
             };
             self.violations.push(violation);
-            #[cfg(feature = "provenance")]
-            self.reports.push(crate::provenance::build_report(
-                violation,
-                kind,
-                reports,
-                self.recorder.window(branch, site),
-                self.recorder.site_seq(branch, site),
-                self.recorder.pending_at(branch, site),
-            ));
+            let Evidence { window, seq, pending } = self.sites.evidence(&self.table, branch, site);
+            let pending = if at_flush { 0 } else { pending };
+            self.reports.push(build_report(violation, kind, reports, window, seq, pending));
         }
     }
 
@@ -231,7 +265,7 @@ impl Monitor {
     }
 
     /// Structured evidence for each violation, in the same order as
-    /// [`Monitor::violations`]. Empty without the `provenance` feature.
+    /// [`Monitor::violations`].
     pub fn violation_reports(&self) -> &[ViolationReport] {
         &self.reports
     }
@@ -447,7 +481,6 @@ mod tests {
         assert_eq!(m.events_processed(), 8);
     }
 
-    #[cfg(feature = "provenance")]
     #[test]
     fn violation_report_snapshots_every_reporter() {
         let checks = table_with(vec![Some(CheckKind::SharedUniform)]);
@@ -474,17 +507,6 @@ mod tests {
         assert_eq!(r.window.len(), 4);
         assert_eq!(r.detected_seq, 4);
         assert_eq!(r.detection_latency, Some(3));
-    }
-
-    #[cfg(not(feature = "provenance"))]
-    #[test]
-    fn violation_reports_are_empty_without_the_feature() {
-        let checks = table_with(vec![Some(CheckKind::SharedUniform)]);
-        let mut m = Monitor::new(checks, 2);
-        m.process(ev(0, 0, 5, true));
-        m.process(ev(0, 1, 6, true));
-        assert!(m.detected());
-        assert!(m.violation_reports().is_empty());
     }
 
     #[test]

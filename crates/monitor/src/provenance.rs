@@ -1,27 +1,21 @@
-//! Violation provenance: a per-site flight recorder and the structured
-//! [`ViolationReport`] evidence attached to every detection.
+//! Violation provenance: the site table that keeps each `(branch, site)`'s
+//! recent reports, and the structured [`ViolationReport`] evidence attached
+//! to every detection.
 //!
 //! A bare [`Violation`] says *that* the monitor flagged an instance; it
-//! does not say *why*. This module keeps, per `(branch, site)`, a bounded
-//! ring of the most recent reports (the **flight recorder**, which is also
-//! the monitor's level-1 site table) and, at the
-//! moment a check fails, snapshots the ring together with the full
-//! per-thread outcome/witness vector, a majority/deviant split, and the
-//! site's position in its own report stream into a [`ViolationReport`].
-//! Every detection then ships with the evidence that produced it — no
-//! re-execution needed.
+//! does not say *why*. A [`ViolationReport`] adds the full per-thread
+//! outcome/witness vector, a majority/deviant split, and the **window**:
+//! the site's most recent reports across all its instances, each numbered
+//! by its place in the site's own report stream. Every detection ships with
+//! the evidence that produced it — no re-execution needed.
 //!
-//! Recording is gated on the `provenance` cargo feature — the workspace's
-//! one build switch: with the feature off, [`FlightRecorder`] is a
-//! zero-sized type whose methods compile to nothing, and no report is ever
-//! allocated. The [`ViolationReport`] *type* always compiles so downstream
-//! structs ([`bw_vm::RunResult`]-style carriers) keep one shape in both
-//! configurations. Compiled in, the ring is written for every event to
-//! explain a violation a fault-free run never has: half of `Monitor::
-//! process` on `monitor-replay` (EXPERIMENTS.md, "What the two cargo
-//! features cost").
-//!
-//! [`bw_vm::RunResult`]: https://docs.rs/bw-vm
+//! The evidence is rebuilt when a check fails, not written as events
+//! arrive. An event touches only the instance table (`table.rs`); a
+//! report reaches its site's history when its instance leaves that table
+//! ([`SiteTable`]), and the window is the newest entries of that history
+//! together with the site's pending reports, put back in arrival order by
+//! the stamp every report node carries. A fault-free run never asks for
+//! it, so its only per-event cost is the stamp.
 
 use std::borrow::Cow;
 
@@ -29,22 +23,19 @@ use bw_analysis::{CheckKind, TidCheck};
 use bw_telemetry::{Record, Recorder, Value};
 
 use crate::checker::{Report, ViolationKind};
-use crate::event::BranchEvent;
 use crate::monitor::Violation;
-use crate::table::Recorded;
-#[cfg(feature = "provenance")]
-use crate::table::{mix_key, push_node, KeyIndex, Link, NIL};
+use crate::table::{mix_key, push_node, BranchTable, Chain, KeyIndex, Nodes, NIL};
 
 /// The `latency` a `violation` record carries when the deviant had aged
-/// out of the flight-recorder ring.
+/// out of the window.
 const UNKNOWN_LATENCY: &str = "?";
 
-/// One flight-recorder entry: a thread's report plus where in the
-/// *site's* report stream it was recorded.
+/// One window entry: a thread's report plus where in the *site's* report
+/// stream it arrived.
 ///
-/// `seq` is the per-`(branch, site)` record counter at record time
-/// (1-based, one per thread report), which makes detection latency a
-/// simple subtraction of sequence numbers. Site-local numbering — rather
+/// `seq` counts the site's reports up to and including this one (1-based,
+/// one per thread report), which makes detection latency a simple
+/// subtraction of sequence numbers. Site-local numbering — rather
 /// than a monitor-global message counter — keeps reports byte-identical no
 /// matter how the key space is partitioned across monitor shards, since a
 /// site's events always land on one shard in their original order.
@@ -58,8 +49,7 @@ pub struct WindowEntry {
     pub taken: bool,
     /// Level-2 instance key (loop-iteration hash) the report belongs to.
     pub iter: u64,
-    /// Per-site record sequence number assigned when the report was
-    /// recorded (see [`FlightRecorder`]).
+    /// The report's 1-based place in its site's report stream.
     pub seq: u64,
 }
 
@@ -79,9 +69,9 @@ pub struct ViolationReport {
     /// Threads whose reports deviate from the modal behaviour — the likely
     /// fault victims.
     pub deviants: Vec<u32>,
-    /// The flight-recorder window of the violating `(branch, site)`,
-    /// oldest entry first: recent history across *all* iterations of the
-    /// site, not just the violating instance.
+    /// The window of the violating `(branch, site)`, oldest entry first:
+    /// recent history across *all* iterations of the site, not just the
+    /// violating instance.
     pub window: Vec<WindowEntry>,
     /// Per-site record sequence number at which the check fired (the seq
     /// of the site's most recent report; topology-independent).
@@ -91,7 +81,7 @@ pub struct ViolationReport {
     pub pending_depth: u64,
     /// Site-stream records between the first deviant report reaching the
     /// monitor and the check firing (`detected_seq - deviant entry seq`).
-    /// `None` when the deviant's entry had already aged out of the ring,
+    /// `None` when the deviant's entry had already aged out of the window,
     /// or when no deviant could be singled out.
     pub detection_latency: Option<u64>,
 }
@@ -150,7 +140,7 @@ impl ViolationReport {
             .join(",")
     }
 
-    /// The flight-recorder window as a compact flat string:
+    /// The window as a compact flat string:
     /// `t0:i5:w2a:T:s12;...` (oldest first; iter/witness in hex).
     fn window_field(&self) -> String {
         self.window
@@ -210,7 +200,7 @@ pub struct TraceViolation<'a> {
     /// Per-site record sequence number at detection.
     pub detected_seq: u64,
     /// Records between the deviant's report and detection; `None` when the
-    /// deviant had aged out of the flight-recorder ring.
+    /// deviant had aged out of the window.
     pub latency: Option<u64>,
     /// Per-thread observation table, `t<id>=w<witness-hex>:<T|F>` entries.
     pub observed: Cow<'a, str>,
@@ -218,8 +208,8 @@ pub struct TraceViolation<'a> {
     pub deviants: Cow<'a, str>,
     /// Comma-joined majority thread ids.
     pub majority: Cow<'a, str>,
-    /// Flight-recorder window, oldest first,
-    /// `t<id>:i<iter>:w<witness-hex>:<T|F>:s<seq>` entries.
+    /// The window, oldest first, `t<id>:i<iter>:w<witness-hex>:<T|F>:s<seq>`
+    /// entries.
     pub window: Cow<'a, str>,
 }
 
@@ -460,7 +450,7 @@ fn partition(reports: &[Report], majority: impl Fn(&Report) -> bool) -> (Vec<u32
 
 /// Assembles a [`ViolationReport`] at detection time: sorts the observed
 /// table, computes the majority/deviant split, and derives the detection
-/// latency from the deviants' flight-recorder entries.
+/// latency from the deviants' window entries.
 pub fn build_report(
     violation: Violation,
     check: CheckKind,
@@ -474,7 +464,7 @@ pub fn build_report(
     let (majority, deviants) = majority_split(violation.kind, reports);
     // Latency: messages between the first deviant report of *this*
     // instance reaching the monitor and the check firing. The entry may
-    // have aged out of the bounded ring, in which case it is unknown.
+    // have aged out of the bounded window, in which case it is unknown.
     let detection_latency = window
         .iter()
         .filter(|e| e.iter == violation.iter && deviants.contains(&e.thread))
@@ -494,249 +484,221 @@ pub fn build_report(
     }
 }
 
-/// Ring capacity for a monitor serving `nthreads` reporters: a few full
-/// instances of history per site, bounded so a long campaign cannot grow
-/// the recorder past a fixed budget per `(branch, site)`.
+/// Window capacity for a monitor serving `nthreads` reporters: a few full
+/// instances of history per site, bounded so a long campaign cannot grow a
+/// site's history past a fixed budget per `(branch, site)`.
 pub fn window_capacity(nthreads: usize) -> usize {
     (4 * nthreads.max(1)).clamp(16, 1024)
 }
 
-/// Whether flight recording is compiled in (`provenance` cargo feature).
-pub const PROVENANCE_ENABLED: bool = cfg!(feature = "provenance");
+/// Always true: violation provenance is no longer a cargo feature. Kept for
+/// `bwbench`'s run header, which prints it.
+#[doc(hidden)]
+pub const PROVENANCE_ENABLED: bool = true;
 
-/// The site table — level 1 of the monitor's keying — and the per-site
-/// flight recorder in one: per `(branch, site)` the length of its report
-/// stream, how many of its instances are pending, and a bounded ring of its
-/// most recent [`WindowEntry`]s.
+/// The site table — level 1 of the monitor's keying — and the flight
+/// recorder in one: per `(branch, site)`, the history of the reports that
+/// have left the instance table, and a count of the older ones it let go.
 ///
-/// Sites are rows of one dense `Vec` behind a [`KeyIndex`]; a site's ring is
-/// a circular chain through one shared node arena that grows to `capacity`
-/// nodes and from then on overwrites its oldest, so recording allocates
-/// nothing per site and costs one probe per event.
+/// No event writes it. A site's row is reached only when something leaves
+/// the instance table: a completed instance's chain, a dropped re-report,
+/// or — once another event arrives — the instances a flush drained. The
+/// chains are filed whole, nodes and all, so filing copies nothing. The
+/// evidence of a violation is rebuilt from the history plus the site's
+/// pending instances ([`SiteTable::evidence`]); a fault-free run never
+/// asks for it.
 ///
-/// With the `provenance` feature off this is a zero-sized type and
-/// recording compiles to nothing — the hot path pays nothing.
-#[cfg(feature = "provenance")]
+/// A history that reaches four times `capacity` entries keeps its newest
+/// `capacity` and lets the rest go: one pass over the history lets go of
+/// three entries in four. So the history always holds the newest `capacity`
+/// of all it was ever given, and every entry let go is older than those —
+/// an entry filed late that is older than one already let go is itself let
+/// go at the next compaction, at least `capacity` newer ones being held.
+/// That makes a window entry's place in its site's stream exact: the count
+/// let go plus the entries held or pending at the site with a stamp no
+/// larger. Stamps are only compared within one site, so any shard count
+/// numbers a site's stream the same.
 #[derive(Debug)]
-pub struct FlightRecorder {
+pub(crate) struct SiteTable {
     index: KeyIndex,
     sites: Vec<Site>,
-    ring: Vec<RingNode>,
+    held: Vec<Held>,
+    free_held: u32,
     capacity: u32,
+    /// The stamps of the history being compacted, reused.
+    stamps: Vec<u64>,
 }
 
-#[cfg(feature = "provenance")]
 #[derive(Debug)]
 struct Site {
     site: u64,
-    /// Records ever made at this site (1-based seq of the newest entry),
-    /// including entries that have since aged out of the ring.
-    seq: u64,
+    /// Entries let go.
+    evicted: u64,
     branch: u32,
-    /// Instances of this site awaiting reporters.
-    pending: u32,
-    /// Newest ring node; its link leads to the oldest.
-    newest: u32,
-    /// Ring nodes held, at most the recorder's capacity.
+    /// The chains held, last filed first, linked through [`Held::next`].
+    chains: u32,
+    /// Entries held, below four times the table's capacity.
     len: u32,
 }
 
-/// One ring entry. Its `seq` is not stored: the ring holds the site's last
-/// `len` records, so the entry `k` places from the newest has `seq - k`.
-#[cfg(feature = "provenance")]
+/// One chain a site holds: a completed or flushed instance's reports, or a
+/// dropped re-report, oldest first, under the instance's `iter`. On the
+/// free list, `next` leads to the next free one.
 #[derive(Debug)]
-struct RingNode {
-    witness: u64,
+struct Held {
     iter: u64,
-    thread: u32,
-    link: Link,
+    head: u32,
+    next: u32,
 }
 
-#[cfg(feature = "provenance")]
 impl Site {
     fn is(&self, branch: u32, site: u64) -> bool {
         self.site == site && self.branch == branch
     }
 }
 
-#[cfg(feature = "provenance")]
-impl FlightRecorder {
-    /// A recorder whose per-site rings hold `capacity` entries.
-    pub(crate) fn new(capacity: usize) -> Self {
-        FlightRecorder {
-            index: KeyIndex::default(),
-            sites: Vec::new(),
-            ring: Vec::new(),
-            capacity: capacity.clamp(1, NIL as usize) as u32,
-        }
-    }
-
-    /// Appends `event` to its site's ring, numbering it with the site
-    /// stream's next seq (1-based), and returns the site's row for
-    /// [`FlightRecorder::track`].
-    #[inline]
-    pub(crate) fn record(&mut self, event: &BranchEvent) -> u32 {
-        self.index.reserve();
-        let hash = mix_key(event.branch, event.site, 0);
-        let sites = &self.sites;
-        let found = self.index.probe(hash, |row| sites[row as usize].is(event.branch, event.site));
-        let row = match found {
-            Ok(pos) => self.index.row(pos),
-            Err(pos) => {
-                let site = Site {
-                    site: event.site,
-                    seq: 0,
-                    branch: event.branch,
-                    pending: 0,
-                    newest: NIL,
-                    len: 0,
-                };
-                let row = push_node(&mut self.sites, site);
-                self.index.insert(pos, hash, row);
-                row
-            }
-        };
-        let site = &mut self.sites[row as usize];
-        site.seq += 1;
-        let node = RingNode {
-            witness: event.witness,
-            iter: event.iter,
-            thread: event.thread,
-            link: Link::new(NIL, event.taken),
-        };
-        if site.len == self.capacity {
-            // Full: the oldest node becomes the newest, in place.
-            let oldest = self.ring[site.newest as usize].link.next();
-            let second = self.ring[oldest as usize].link.next();
-            self.ring[oldest as usize] = node;
-            self.ring[oldest as usize].link.set_next(second);
-            site.newest = oldest;
-        } else {
-            // Growing: the new node goes between the newest and the oldest.
-            let index = push_node(&mut self.ring, node);
-            let oldest = if site.len == 0 {
-                index
-            } else {
-                let newest = &mut self.ring[site.newest as usize].link;
-                let oldest = newest.next();
-                newest.set_next(index);
-                oldest
-            };
-            self.ring[index as usize].link.set_next(oldest);
-            site.newest = index;
-            site.len += 1;
-        }
-        row
-    }
-
-    /// Keeps the pending count of the site at `row` in step with what the
-    /// instance table did with the report just recorded there.
-    #[inline]
-    pub(crate) fn track(&mut self, row: u32, recorded: Recorded) {
-        let pending = &mut self.sites[row as usize].pending;
-        *pending = *pending + u32::from(recorded.opened) - u32::from(recorded.completed);
-    }
-
-    /// Zeroes every site's pending count (the instance table was drained).
-    pub(crate) fn clear_pending(&mut self) {
-        for site in &mut self.sites {
-            site.pending = 0;
-        }
-    }
-
-    fn find(&self, branch: u32, site: u64) -> Option<&Site> {
-        let is_key = |row: u32| self.sites[row as usize].is(branch, site);
-        let row = self.index.get(mix_key(branch, site, 0), is_key)?;
-        Some(&self.sites[row as usize])
-    }
-
-    /// The per-site sequence number of the most recent record at
-    /// `(branch, site)`; zero when the site was never recorded.
-    pub fn site_seq(&self, branch: u32, site: u64) -> u64 {
-        self.find(branch, site).map_or(0, |s| s.seq)
-    }
-
-    /// Number of pending instances at one `(branch, site)` key — the
-    /// site-local backlog a [`ViolationReport`] records as its
-    /// `pending_depth`. Unlike the monitor's total it is invariant under
-    /// sharding the key space across monitors.
-    pub fn pending_at(&self, branch: u32, site: u64) -> u64 {
-        self.find(branch, site).map_or(0, |s| u64::from(s.pending))
-    }
-
-    /// Snapshot of the `(branch, site)` ring, oldest entry first.
-    pub fn window(&self, branch: u32, site: u64) -> Vec<WindowEntry> {
-        let Some(site) = self.find(branch, site) else {
-            return Vec::new();
-        };
-        let mut out = Vec::with_capacity(site.len as usize);
-        let mut node = self.ring[site.newest as usize].link.next();
-        for age in (0..u64::from(site.len)).rev() {
-            let RingNode { witness, iter, thread, link } = self.ring[node as usize];
-            out.push(WindowEntry { thread, witness, taken: link.taken(), iter, seq: site.seq - age });
-            node = link.next();
-        }
-        out
-    }
-
-    /// Number of `(branch, site)` keys seen.
-    pub fn sites(&self) -> usize {
-        self.sites.len()
-    }
+/// What a violation report records of its site's stream.
+#[derive(Debug)]
+pub(crate) struct Evidence {
+    /// The newest `capacity` entries of the stream, oldest first.
+    pub(crate) window: Vec<WindowEntry>,
+    /// The stream's length: the seq of its newest entry.
+    pub(crate) seq: u64,
+    /// The site's instances pending in the instance table.
+    pub(crate) pending: u64,
 }
 
-/// The site table and flight recorder, compiled out (`provenance` feature
-/// off): zero-sized, never records, never allocates.
-#[cfg(not(feature = "provenance"))]
-#[derive(Debug, Default)]
-pub struct FlightRecorder;
-
-#[cfg(not(feature = "provenance"))]
-impl FlightRecorder {
-    #[inline]
-    pub(crate) fn new(_capacity: usize) -> Self {
-        FlightRecorder
+impl SiteTable {
+    /// A site table whose windows hold `capacity` entries.
+    pub(crate) fn new(capacity: usize) -> Self {
+        SiteTable {
+            index: KeyIndex::default(),
+            sites: Vec::new(),
+            held: Vec::new(),
+            free_held: NIL,
+            // Four times the capacity must fit a `u32`.
+            capacity: capacity.clamp(1, (u32::MAX / 4) as usize) as u32,
+            stamps: Vec::new(),
+        }
     }
 
-    #[inline]
-    pub(crate) fn record(&mut self, _event: &BranchEvent) -> u32 {
-        0
+    /// Files `chain` into the history of `(branch, site)`.
+    pub(crate) fn file(&mut self, nodes: &mut Nodes, branch: u32, site: u64, chain: Chain) {
+        let row = self.row(branch, site);
+        let held = Held { iter: chain.iter, head: chain.head, next: self.sites[row].chains };
+        let held = if self.free_held == NIL {
+            push_node(&mut self.held, held)
+        } else {
+            let index = self.free_held;
+            self.free_held = std::mem::replace(&mut self.held[index as usize], held).next;
+            index
+        };
+        let entry = &mut self.sites[row];
+        entry.chains = held;
+        entry.len += chain.len;
+        if entry.len >= 4 * self.capacity {
+            self.compact(nodes, row);
+        }
     }
 
-    #[inline]
-    pub(crate) fn track(&mut self, _row: u32, _recorded: Recorded) {}
-
-    #[inline]
-    pub(crate) fn clear_pending(&mut self) {}
-
-    /// Always zero without the `provenance` feature.
-    #[inline]
-    pub fn site_seq(&self, _branch: u32, _site: u64) -> u64 {
-        0
+    /// The row of `(branch, site)`, made on first use.
+    fn row(&mut self, branch: u32, site: u64) -> usize {
+        self.index.reserve();
+        let hash = mix_key(branch, site, 0);
+        let sites = &self.sites;
+        match self.index.probe(hash, |row| sites[row as usize].is(branch, site)) {
+            Ok(pos) => self.index.row(pos) as usize,
+            Err(pos) => {
+                let entry = Site { site, evicted: 0, branch, chains: NIL, len: 0 };
+                let row = push_node(&mut self.sites, entry);
+                self.index.insert(pos, hash, row);
+                row as usize
+            }
+        }
     }
 
-    /// Always zero without the `provenance` feature.
-    #[inline]
-    pub fn pending_at(&self, _branch: u32, _site: u64) -> u64 {
-        0
+    /// Lets go of all but the newest `capacity` entries of the site at
+    /// `row`, their nodes back to `nodes`. Each chain is in arrival order,
+    /// so what goes is a prefix of each.
+    fn compact(&mut self, nodes: &mut Nodes, row: usize) {
+        self.stamps.clear();
+        let mut held = self.sites[row].chains;
+        while held != NIL {
+            let Held { head, next, .. } = self.held[held as usize];
+            self.stamps.extend(nodes.chain(head).map(|n| n.stamp));
+            held = next;
+        }
+        let evict = self.stamps.len() - self.capacity as usize;
+        let oldest_kept = *self.stamps.select_nth_unstable(evict).1;
+        let (mut held, mut before) = (self.sites[row].chains, NIL);
+        while held != NIL {
+            let chain = &mut self.held[held as usize];
+            while chain.head != NIL && nodes.get(chain.head).stamp < oldest_kept {
+                let node = chain.head;
+                chain.head = nodes.get(node).link.next();
+                nodes.free(node);
+            }
+            let next = chain.next;
+            if chain.head == NIL {
+                chain.next = self.free_held;
+                self.free_held = held;
+                if before == NIL {
+                    self.sites[row].chains = next;
+                } else {
+                    self.held[before as usize].next = next;
+                }
+            } else {
+                before = held;
+            }
+            held = next;
+        }
+        let site = &mut self.sites[row];
+        site.len = self.capacity;
+        site.evicted += evict as u64;
     }
 
-    /// Always empty without the `provenance` feature.
-    #[inline]
-    pub fn window(&self, _branch: u32, _site: u64) -> Vec<WindowEntry> {
-        Vec::new()
-    }
-
-    /// Always zero without the `provenance` feature.
-    #[inline]
-    pub fn sites(&self) -> usize {
-        0
+    /// The evidence at `(branch, site)`, rebuilt from the site's history
+    /// and the chains of its instances pending in `table`.
+    pub(crate) fn evidence(&self, table: &BranchTable, branch: u32, site: u64) -> Evidence {
+        let nodes = &table.nodes;
+        let mut entries: Vec<(u64, WindowEntry)> = Vec::new();
+        let mut add = |iter: u64, head: u32| {
+            entries.extend(nodes.chain(head).map(|n| {
+                let Report { thread, witness, taken } = n.report();
+                (n.stamp, WindowEntry { thread, witness, taken, iter, seq: 0 })
+            }));
+        };
+        let mut evicted = 0;
+        let is_key = |row: u32| self.sites[row as usize].is(branch, site);
+        if let Some(row) = self.index.get(mix_key(branch, site, 0), is_key) {
+            let entry = &self.sites[row as usize];
+            evicted = entry.evicted;
+            let mut held = entry.chains;
+            while held != NIL {
+                let Held { iter, head, next, .. } = self.held[held as usize];
+                add(iter, head);
+                held = next;
+            }
+        }
+        let mut pending = 0;
+        for (iter, head) in table.pending_at(branch, site) {
+            pending += 1;
+            add(iter, head);
+        }
+        entries.sort_unstable_by_key(|&(stamp, _)| stamp);
+        let skip = entries.len().saturating_sub(self.capacity as usize);
+        let window = (skip..)
+            .zip(&entries[skip..])
+            .map(|(place, &(_, entry))| WindowEntry { seq: evicted + place as u64 + 1, ..entry })
+            .collect();
+        Evidence { window, seq: evicted + entries.len() as u64, pending }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::Recorded;
 
     fn rep(thread: u32, witness: u64, taken: bool) -> Report {
         Report { thread, witness, taken }
@@ -900,19 +862,42 @@ mod tests {
         assert!(report.describe().contains("latency unknown"));
     }
 
-    #[cfg(feature = "provenance")]
-    fn event(site: u64, thread: u32, witness: u64, iter: u64) -> BranchEvent {
-        BranchEvent { branch: 1, thread, site, iter, witness, taken: witness.is_multiple_of(2) }
+    /// An instance table and a site table wired as the monitor wires them:
+    /// whatever leaves the first is filed into the second.
+    struct Tables {
+        table: BranchTable,
+        sites: SiteTable,
+        nthreads: usize,
     }
 
-    #[cfg(feature = "provenance")]
+    impl Tables {
+        fn new(capacity: usize, nthreads: usize) -> Self {
+            Tables { table: BranchTable::default(), sites: SiteTable::new(capacity), nthreads }
+        }
+
+        /// Thread `thread` reports `iter` of branch 1 at `site`.
+        fn report(&mut self, site: u64, thread: u32, witness: u64, iter: u64) -> Recorded {
+            let report = Report { thread, witness, taken: witness.is_multiple_of(2) };
+            let recorded = self.table.record(1, site, iter, report, self.nthreads, &mut Vec::new());
+            if let Recorded::Dropped(chain) | Recorded::Completed(chain) = recorded {
+                self.sites.file(&mut self.table.nodes, 1, site, chain);
+            }
+            recorded
+        }
+
+        fn evidence(&self, branch: u32, site: u64) -> Evidence {
+            self.sites.evidence(&self.table, branch, site)
+        }
+    }
+
     #[test]
     fn ring_wraps_at_capacity_keeping_the_newest_entries() {
-        let mut fr = FlightRecorder::new(4);
-        for i in 0..10u64 {
-            fr.record(&event(0xfeed, (i % 2) as u32, i, i));
-            assert_eq!(fr.site_seq(1, 0xfeed), i + 1, "seq is 1-based and site-local");
-            let window = fr.window(1, 0xfeed);
+        // One thread: every report completes its instance and is filed.
+        let mut t = Tables::new(4, 1);
+        for i in 0..40u64 {
+            t.report(0xfeed, (i % 2) as u32, i, i);
+            let evidence = t.evidence(1, 0xfeed);
+            assert_eq!(evidence.seq, i + 1, "seq is 1-based and site-local");
             let kept = (i + 1).min(4);
             let expect: Vec<WindowEntry> = (i + 1 - kept..=i)
                 .map(|j| WindowEntry {
@@ -923,74 +908,61 @@ mod tests {
                     seq: j + 1,
                 })
                 .collect();
-            assert_eq!(window, expect, "oldest-first, newest kept");
+            assert_eq!(evidence.window, expect, "oldest-first, newest kept");
         }
-        assert!(fr.window(1, 0xbeef).is_empty());
-        assert_eq!(fr.sites(), 1);
-        assert_eq!(fr.ring.len(), 4, "a full ring overwrites in place");
-        assert_eq!(fr.site_seq(1, 0xbeef), 0);
+        let unseen = t.evidence(1, 0xbeef);
+        assert_eq!((unseen.window, unseen.seq, unseen.pending), (Vec::new(), 0, 0));
+        assert_eq!(t.sites.sites.len(), 1);
+        assert_eq!(t.sites.held.len(), 16, "compacted at four times its capacity, and reused");
     }
 
-    #[cfg(feature = "provenance")]
     #[test]
     fn site_streams_are_independent_and_interleave_in_one_arena() {
-        let mut fr = FlightRecorder::new(2);
-        let a = fr.record(&event(0xa, 0, 10, 0));
-        let b = fr.record(&event(0xb, 0, 20, 0));
-        assert_ne!(a, b);
-        assert_eq!(fr.record(&event(0xa, 1, 11, 0)), a, "a site keeps its row");
-        fr.record(&event(0xb, 1, 21, 0));
-        fr.record(&event(0xa, 2, 12, 0)); // wraps site a only
-        assert_eq!(fr.site_seq(1, 0xa), 3);
-        assert_eq!(fr.site_seq(1, 0xb), 2, "each site numbers its own stream");
-        let witnesses = |site| fr.window(1, site).iter().map(|e| e.witness).collect::<Vec<_>>();
+        let mut t = Tables::new(2, 1);
+        t.report(0xa, 0, 10, 0);
+        t.report(0xb, 0, 20, 0);
+        t.report(0xa, 1, 11, 0);
+        t.report(0xb, 1, 21, 0);
+        t.report(0xa, 2, 12, 0); // lets go of site a's oldest only
+        assert_eq!(t.sites.sites.len(), 2, "a site keeps its row");
+        assert_eq!(t.evidence(1, 0xa).seq, 3);
+        assert_eq!(t.evidence(1, 0xb).seq, 2, "each site numbers its own stream");
+        let witnesses =
+            |site| t.evidence(1, site).window.iter().map(|e| e.witness).collect::<Vec<_>>();
         assert_eq!(witnesses(0xa), vec![11, 12]);
         assert_eq!(witnesses(0xb), vec![20, 21]);
-        assert_eq!(fr.site_seq(2, 0xa), 0, "the branch is part of the key");
+        assert_eq!(t.evidence(2, 0xa).seq, 0, "the branch is part of the key");
     }
 
-    #[cfg(feature = "provenance")]
     #[test]
     fn pending_counts_one_site_only() {
-        let opened = Recorded { opened: true, completed: false };
-        let completed = Recorded { opened: false, completed: true };
-        let mut fr = FlightRecorder::new(4);
-        let a = fr.record(&event(0, 0, 0, 0));
-        fr.track(a, opened);
-        fr.track(a, opened);
-        let b = fr.record(&event(7, 0, 0, 0));
-        fr.track(b, opened);
-        fr.track(b, Recorded::default()); // joined or dropped: no change
-        fr.track(b, Recorded { opened: true, completed: true }); // one thread
-        assert_eq!(fr.pending_at(1, 0), 2);
-        assert_eq!(fr.pending_at(1, 7), 1);
-        assert_eq!(fr.pending_at(9, 9), 0);
-        fr.track(a, completed);
-        assert_eq!(fr.pending_at(1, 0), 1);
-        fr.clear_pending();
-        assert_eq!(fr.pending_at(1, 0) + fr.pending_at(1, 7), 0);
-        assert_eq!(fr.site_seq(1, 0), 1, "a flush leaves the streams alone");
-    }
-
-    #[cfg(not(feature = "provenance"))]
-    #[test]
-    fn recorder_is_zero_sized_and_inert_when_disabled() {
-        assert_eq!(std::mem::size_of::<FlightRecorder>(), 0);
-        let mut fr = FlightRecorder::new(64);
-        let row = fr.record(&BranchEvent {
-            branch: 0,
-            thread: 0,
-            site: 0,
-            iter: 0,
-            witness: 0,
-            taken: true,
-        });
-        fr.track(row, Recorded { opened: true, completed: false });
-        assert!(fr.window(0, 0).is_empty());
-        assert_eq!(fr.sites(), 0);
-        assert_eq!(fr.site_seq(0, 0), 0);
-        assert_eq!(fr.pending_at(0, 0), 0);
-        assert_eq!(PROVENANCE_ENABLED, cfg!(feature = "provenance"));
+        let mut t = Tables::new(16, 4);
+        t.report(0, 0, 0, 0);
+        t.report(0, 0, 0, 1);
+        t.report(7, 0, 0, 0);
+        t.report(7, 1, 0, 0); // joined: no change
+        assert!(matches!(t.report(7, 0, 2, 0), Recorded::Dropped(_)));
+        assert_eq!(t.evidence(1, 0).pending, 2);
+        assert_eq!(t.evidence(1, 7).pending, 1);
+        assert_eq!(t.evidence(9, 9).pending, 0);
+        let at_7 = t.evidence(1, 7);
+        assert_eq!(at_7.seq, 3, "the dropped re-report is part of the stream");
+        let in_order: Vec<(u32, u64)> = at_7.window.iter().map(|e| (e.thread, e.seq)).collect();
+        assert_eq!(in_order, vec![(0, 1), (1, 2), (0, 3)], "pending and filed entries, by arrival");
+        for thread in 1..4 {
+            t.report(0, thread, 0, 0);
+        }
+        assert_eq!(t.evidence(1, 0).pending, 1);
+        assert_eq!(t.evidence(1, 0).seq, 5);
+        // A flush drains the table; its rows are filed when the next report
+        // arrives. Either way the streams are left alone.
+        t.table.close_flush();
+        assert_eq!(t.table.len(), 0);
+        assert_eq!(t.evidence(1, 0).seq, 5);
+        let sites = &mut t.sites;
+        t.table.file_drained(|nodes, branch, site, chain| sites.file(nodes, branch, site, chain));
+        assert_eq!(t.evidence(1, 0).pending + t.evidence(1, 7).pending, 0);
+        assert_eq!((t.evidence(1, 0).seq, t.evidence(1, 7).seq), (5, 3));
     }
 
     #[test]

@@ -6,18 +6,18 @@
 //! monitor's correlation is strictly per-key: two events interact only when
 //! they share `(branch, site)`, so the key space can be partitioned across
 //! independent workers with **no cross-shard coordination at all**. Each
-//! shard owns its own pending-instance table, checker, and
-//! (`provenance`-gated) flight recorder; producers route every event to the
-//! owning shard's SPSC queue ([`shard_of`]), and shards drain in batches
-//! ([`crate::Consumer::pop_batch`]) to amortize per-event synchronization.
+//! shard owns its own instance table, site table and checker; producers
+//! route every event to the owning shard's SPSC queue ([`shard_of`]), and
+//! shards drain in batches ([`crate::Consumer::pop_batch`]) to amortize
+//! per-event synchronization.
 //!
 //! Determinism: a site's events always land on exactly one shard, in the
-//! order the producing thread sent them, and flight-recorder sequence
-//! numbers are site-local — so every shard computes byte-identical
-//! violations and [`crate::ViolationReport`]s to what a flat monitor would
-//! have computed for those keys. Merging at join sorts both lists in the
-//! engine's canonical `(site, branch, iter, kind)` order, making the final
-//! verdict independent of the shard count.
+//! order the producing thread sent them, and a report's sequence numbers
+//! are site-local — so every shard computes byte-identical violations and
+//! [`crate::ViolationReport`]s to what a flat monitor would have computed
+//! for those keys. Merging at join sorts both lists into the canonical
+//! order of [`crate::sort_violations`], making the final verdict
+//! independent of the shard count.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -118,7 +118,7 @@ impl ShardedMonitor {
     }
 
     /// Merges the shards into one verdict: violations and reports in the
-    /// engine's canonical order, counters summed, telemetry merged (plus
+    /// canonical order, counters summed, telemetry merged (plus
     /// per-shard `monitor.shard.<i>.*` metrics when sharded).
     pub fn into_verdict(self) -> MonitorVerdict {
         MonitorVerdict::merge_monitors(self.monitors)
@@ -326,6 +326,7 @@ fn shard_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::Violation;
     use bw_analysis::CheckKind;
 
     fn checks() -> CheckTable {
@@ -411,6 +412,44 @@ mod tests {
                 "{shards} shards: reports must be byte-identical"
             );
             assert_eq!(sharded.events_processed, flat.events_processed);
+        }
+    }
+
+    /// A key that recurs — as from a sender truncating `iter` — can be
+    /// flagged many times: here `rounds` completed three-reporter instances
+    /// with a lying witness at each of three sites, then a reopened
+    /// instance whose two reporters disagree on the witness, caught at the
+    /// flush. Those violations share `(site, branch, iter, kind)`; the lists
+    /// must still be in lockstep, and read the same at any shard count.
+    #[test]
+    fn recurring_keys_keep_violations_and_reports_in_lockstep() {
+        for rounds in [25u32, 40] {
+            let verdict = |shards| {
+                let mut m = ShardedMonitor::new(checks(), 3, shards);
+                for site in 0..3 {
+                    for round in 0..rounds {
+                        for t in 0..3 {
+                            let witness = if t == round % 3 { 0xbad } else { 7 };
+                            m.process(ev(t, site, 0, witness, true));
+                        }
+                    }
+                    m.process(ev(0, site, 0, 7, true));
+                    m.process(ev(1, site, 0, 8, true));
+                }
+                m.flush();
+                m.into_verdict()
+            };
+            let flat = verdict(1);
+            assert_eq!(flat.violations.len(), 3 * (rounds as usize + 1));
+            for shards in [1, 2, 4] {
+                let v = verdict(shards);
+                let what = format!("{shards} shards, {rounds} rounds");
+                let reported: Vec<Violation> =
+                    v.violation_reports.iter().map(|r| r.violation).collect();
+                assert_eq!(reported, v.violations, "{what}: lockstep");
+                assert_eq!(v.violations, flat.violations, "{what}");
+                assert_eq!(v.violation_reports, flat.violation_reports, "{what}");
+            }
         }
     }
 

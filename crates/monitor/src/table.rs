@@ -4,22 +4,28 @@
 //! The paper's two keys are kept: level 1 is `(static branch id, call-site
 //! path)` — the "function's call site ID and static branch identifier" —
 //! and level 2 adds the enclosing-loop iteration hash. What is not kept is
-//! a map per level-1 key. Level 1 is the site table
-//! ([`crate::FlightRecorder`], which exists only with the `provenance`
-//! feature: nothing else needs per-site state); level 2 is the
-//! [`BranchTable`] here, keyed by the full `(branch, site, iter)` key. Both
-//! are a [`KeyIndex`] — an open-addressing array of `hash tag | row` words —
-//! over a dense `Vec` of 32-byte rows, and the reports of an instance are a
-//! chain through one shared arena, one node per report received. Nothing is
-//! allocated per key: the arenas and indexes grow by doubling, completed
-//! chains and rows go onto free lists, and an event costs one probe here
-//! (and one in the site table).
+//! a map per level-1 key. Level 2 is the [`BranchTable`] here, keyed by the
+//! full `(branch, site, iter)` key, and it is the only table an event
+//! touches. Level 1 is the site table of `provenance.rs`, which holds
+//! nothing but the evidence a violation report needs and is reached only
+//! when an instance leaves this table. Both are a [`KeyIndex`] — an
+//! open-addressing array of `hash tag | row` words — over a dense `Vec` of
+//! rows, and every report is a node in one shared arena ([`Nodes`]): a
+//! pending instance's reports are a chain in arrival order, and when the
+//! instance leaves, the chain is handed on whole to its site's history.
+//! Each node carries an arrival stamp, so the site table can put a site's
+//! reports back in the order they came. Nothing is allocated per key: the
+//! arenas and indexes grow by doubling, rows and nodes go onto free lists,
+//! and an event costs one probe.
 //!
 //! An instance accumulates one report per thread; when `nthreads` threads
 //! have reported it is handed out for its eager check and removed. Entries
-//! with fewer reporters are checked at [`BranchTable::drain_pending`] (end
-//! of the parallel phase), since the monitor cannot know statically how
-//! many threads execute a branch that is itself under divergent control.
+//! with fewer reporters are checked at the flush (end of the parallel
+//! phase, [`BranchTable::pending_row`]), since the monitor cannot know
+//! statically how many threads execute a branch that is itself under
+//! divergent control. The flush leaves their rows in place until the next
+//! report arrives ([`BranchTable::file_drained`]): a monitor that is never
+//! fed again never files them.
 //!
 //! A thread reporting a key it has already reported is defined behaviour,
 //! not a sign of a hash collision: while the instance is pending the first
@@ -39,7 +45,7 @@ pub(crate) const NIL: u32 = Link::NEXT;
 
 /// A chain link: the arena index of the next node in the low 31 bits and
 /// the node's own branch direction in the top one, which keeps a report
-/// node at 16 bytes and a recorder node at 24.
+/// node at 24 bytes.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Link(u32);
 
@@ -144,7 +150,6 @@ impl KeyIndex {
 
     /// The row of the key with `hash`, if it is in the index (a read that,
     /// unlike [`KeyIndex::probe`], needs no slots).
-    #[cfg(any(feature = "provenance", test))]
     pub(crate) fn get(&self, hash: u64, is_key: impl Fn(u32) -> bool) -> Option<u32> {
         if self.slots.is_empty() {
             return None;
@@ -197,45 +202,114 @@ impl KeyIndex {
 }
 
 /// One pending instance: its key and the chain of its reports, in arrival
-/// order. A row on the free list has `count == 0` and its successor in
-/// `head`.
+/// order. The chain's length and last node are found by walking it, which
+/// a report joining the instance does anyway to drop a repeat. A row on the
+/// free list has `head == NIL` and its successor in `iter`.
 #[derive(Debug)]
 struct Row {
     site: u64,
     iter: u64,
     branch: u32,
     head: u32,
-    tail: u32,
-    count: u32,
 }
 
-/// One report in the arena; `link` chains it to the instance's next report
-/// (or, on the free list, to the next free node).
+/// One report in the arena. `stamp` numbers the instrumented events the
+/// monitor has received, in arrival order; `link` chains the node to the
+/// next report of its chain (or, on the free list, to the next free node).
 #[derive(Debug)]
-struct ReportNode {
-    witness: u64,
-    thread: u32,
-    link: Link,
+pub(crate) struct ReportNode {
+    pub(crate) witness: u64,
+    pub(crate) stamp: u64,
+    pub(crate) thread: u32,
+    pub(crate) link: Link,
 }
 
 impl ReportNode {
-    fn new(report: Report) -> Self {
-        ReportNode {
-            witness: report.witness,
-            thread: report.thread,
-            link: Link::new(NIL, report.taken),
-        }
+    pub(crate) fn report(&self) -> Report {
+        Report { thread: self.thread, witness: self.witness, taken: self.link.taken() }
     }
 }
 
+/// The report nodes of every chain — pending instances' and site
+/// histories' alike — in one arena with a free list.
+#[derive(Debug)]
+pub(crate) struct Nodes {
+    arena: Vec<ReportNode>,
+    free: u32,
+}
+
+impl Default for Nodes {
+    fn default() -> Self {
+        Nodes { arena: Vec::new(), free: NIL }
+    }
+}
+
+impl Nodes {
+    /// Takes a node off the free list, or grows the arena.
+    fn alloc(&mut self, node: ReportNode) -> u32 {
+        if self.free == NIL {
+            return push_node(&mut self.arena, node);
+        }
+        let index = self.free;
+        self.free = std::mem::replace(&mut self.arena[index as usize], node).link.next();
+        index
+    }
+
+    /// Puts one node onto the free list.
+    pub(crate) fn free(&mut self, node: u32) {
+        self.arena[node as usize].link.set_next(self.free);
+        self.free = node;
+    }
+
+    /// Puts every node of `chain` onto the free list.
+    #[cfg(test)]
+    fn free_chain(&mut self, chain: Chain) {
+        let mut node = chain.head;
+        while node != NIL {
+            let next = self.arena[node as usize].link.next();
+            self.free(node);
+            node = next;
+        }
+    }
+
+    pub(crate) fn get(&self, node: u32) -> &ReportNode {
+        &self.arena[node as usize]
+    }
+
+    /// The nodes of the chain that starts at `head`, in order.
+    pub(crate) fn chain(&self, head: u32) -> impl Iterator<Item = &ReportNode> + '_ {
+        let mut node = head;
+        std::iter::from_fn(move || {
+            // `NIL` is past the end of any arena.
+            let current = self.arena.get(node as usize)?;
+            node = current.link.next();
+            Some(current)
+        })
+    }
+}
+
+/// A chain of reports out of the instance table, oldest first, its last
+/// node linking to `NIL`: a completed or flushed instance's reports, or a
+/// single dropped re-report.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Chain {
+    /// The instance's level-2 key.
+    pub(crate) iter: u64,
+    pub(crate) head: u32,
+    pub(crate) len: u32,
+}
+
 /// What [`BranchTable::record`] did with a report.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct Recorded {
-    /// The report opened a new instance.
-    pub(crate) opened: bool,
-    /// The report was the `nthreads`-th; the instance was handed out and
-    /// removed.
-    pub(crate) completed: bool,
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Recorded {
+    /// The report opened or joined a pending instance.
+    Pending,
+    /// The thread had already reported the pending instance: the report is
+    /// not part of it and comes back as a one-node chain.
+    Dropped(Chain),
+    /// The report was the `nthreads`-th: the instance left the table, its
+    /// reports are in `full` and its chain comes back.
+    Completed(Chain),
 }
 
 /// The level-2 table: every pending instance by its full runtime key.
@@ -244,8 +318,13 @@ pub(crate) struct BranchTable {
     index: KeyIndex,
     rows: Vec<Row>,
     free_row: u32,
-    reports: Vec<ReportNode>,
-    free_report: u32,
+    /// Every report node, the chains the site histories hold included.
+    pub(crate) nodes: Nodes,
+    /// The stamp of the next report.
+    stamp: u64,
+    /// Whether `rows` holds the instances the last flush checked, not yet
+    /// filed.
+    drained: bool,
 }
 
 impl Default for BranchTable {
@@ -254,8 +333,9 @@ impl Default for BranchTable {
             index: KeyIndex::default(),
             rows: Vec::new(),
             free_row: NIL,
-            reports: Vec::new(),
-            free_report: NIL,
+            nodes: Nodes::default(),
+            stamp: 0,
+            drained: false,
         }
     }
 }
@@ -274,103 +354,132 @@ impl BranchTable {
         nthreads: usize,
         full: &mut Vec<Report>,
     ) -> Recorded {
+        debug_assert!(!self.drained, "file the drained instances first");
         self.index.reserve();
+        let node = ReportNode {
+            witness: report.witness,
+            stamp: self.stamp,
+            thread: report.thread,
+            link: Link::new(NIL, report.taken),
+        };
+        self.stamp += 1;
         let hash = mix_key(branch, site, iter);
         let rows = &self.rows;
         let found = self.index.probe(hash, |row| {
             let row = &rows[row as usize];
             row.site == site && row.iter == iter && row.branch == branch
         });
-        let (pos, row, opened) = match found {
+        let (pos, row, len) = match found {
             Ok(pos) => {
                 let row = self.index.row(pos);
-                let mut node = self.rows[row as usize].head;
-                while node != NIL {
-                    if self.reports[node as usize].thread == report.thread {
-                        return Recorded::default();
+                let (mut last, mut len) = (self.rows[row as usize].head, 1);
+                loop {
+                    let current = self.nodes.get(last);
+                    if current.thread == report.thread {
+                        let head = self.nodes.alloc(node);
+                        return Recorded::Dropped(Chain { iter, head, len: 1 });
                     }
-                    node = self.reports[node as usize].link.next();
+                    let next = current.link.next();
+                    if next == NIL {
+                        break;
+                    }
+                    (last, len) = (next, len + 1);
                 }
-                let node = self.new_report(report);
-                let entry = &mut self.rows[row as usize];
-                self.reports[entry.tail as usize].link.set_next(node);
-                entry.tail = node;
-                entry.count += 1;
-                (pos, row, false)
+                let node = self.nodes.alloc(node);
+                self.nodes.arena[last as usize].link.set_next(node);
+                (pos, row, len + 1)
             }
             Err(pos) => {
-                let node = self.new_report(report);
-                let entry = Row { site, iter, branch, head: node, tail: node, count: 1 };
+                let entry = Row { site, iter, branch, head: self.nodes.alloc(node) };
                 let row = if self.free_row == NIL {
                     push_node(&mut self.rows, entry)
                 } else {
                     let row = self.free_row;
-                    self.free_row = std::mem::replace(&mut self.rows[row as usize], entry).head;
+                    let free = std::mem::replace(&mut self.rows[row as usize], entry);
+                    self.free_row = free.iter as u32;
                     row
                 };
                 self.index.insert(pos, hash, row);
-                (pos, row, true)
+                (pos, row, 1)
             }
         };
-        let completed = self.rows[row as usize].count as usize >= nthreads;
-        if completed {
-            self.index.remove(pos);
-            self.release(row, full);
+        if (len as usize) < nthreads {
+            return Recorded::Pending;
         }
-        Recorded { opened, completed }
-    }
-
-    /// Takes a node for `report` off the free list, or grows the arena.
-    fn new_report(&mut self, report: Report) -> u32 {
-        let node = ReportNode::new(report);
-        if self.free_report == NIL {
-            return push_node(&mut self.reports, node);
-        }
-        let index = self.free_report;
-        self.free_report = std::mem::replace(&mut self.reports[index as usize], node).link.next();
-        index
-    }
-
-    /// Copies a row's reports into `out` and puts the row and its whole
-    /// chain (one splice) onto the free lists.
-    fn release(&mut self, row: u32, out: &mut Vec<Report>) {
-        let Row { head, tail, .. } = self.rows[row as usize];
-        out.clear();
-        let mut node = head;
-        while node != NIL {
-            let ReportNode { witness, thread, link } = self.reports[node as usize];
-            out.push(Report { thread, witness, taken: link.taken() });
-            node = link.next();
-        }
-        self.reports[tail as usize].link.set_next(self.free_report);
-        self.free_report = head;
+        self.index.remove(pos);
         let entry = &mut self.rows[row as usize];
-        entry.count = 0;
-        entry.head = self.free_row;
+        let head = std::mem::replace(&mut entry.head, NIL);
+        entry.iter = u64::from(self.free_row);
         self.free_row = row;
+        self.copy_reports(head, full);
+        Recorded::Completed(Chain { iter, head, len })
     }
 
-    /// Removes every pending (partially reported) instance, passing each to
-    /// `visit` as `(branch, site, iter, reports)` in no particular order;
-    /// `reports` is the buffer they are copied through. The table keeps its
-    /// memory for the next phase.
-    pub(crate) fn drain_pending(
-        &mut self,
-        reports: &mut Vec<Report>,
-        mut visit: impl FnMut(u32, u64, u64, &[Report]),
-    ) {
-        for row in 0..self.rows.len() {
-            let Row { site, iter, branch, count, .. } = self.rows[row];
-            if count != 0 {
-                self.release(row as u32, reports);
-                visit(branch, site, iter, reports);
+    fn copy_reports(&self, head: u32, out: &mut Vec<Report>) {
+        out.clear();
+        out.extend(self.nodes.chain(head).map(ReportNode::report));
+    }
+
+    /// Number of rows, pending or free: the range of
+    /// [`BranchTable::pending_row`].
+    pub(crate) fn rows(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// The key of the instance pending in `row`, its reports copied into
+    /// `out` in arrival order; `None` for a free row. A flush visits every
+    /// row this way, then calls [`BranchTable::close_flush`].
+    pub(crate) fn pending_row(&self, row: usize, out: &mut Vec<Report>) -> Option<(u32, u64, u64)> {
+        let Row { site, iter, branch, head } = self.rows[row];
+        if head == NIL {
+            return None;
+        }
+        self.copy_reports(head, out);
+        Some((branch, site, iter))
+    }
+
+    /// Ends a flush: every pending instance has been checked and leaves the
+    /// index. The rows stay as they are — the evidence of a violation found
+    /// at the flush reads them — until [`BranchTable::file_drained`].
+    pub(crate) fn close_flush(&mut self) {
+        if self.index.len() > 0 {
+            self.index.clear();
+            self.drained = true;
+        }
+    }
+
+    /// Whether rows hold instances a flush drained and nobody filed yet.
+    pub(crate) fn has_drained(&self) -> bool {
+        self.drained
+    }
+
+    /// Hands the chain of every instance the last flush drained to `file`
+    /// as `(nodes, branch, site, chain)`, then forgets the rows.
+    pub(crate) fn file_drained(&mut self, mut file: impl FnMut(&mut Nodes, u32, u64, Chain)) {
+        for row in &self.rows {
+            if row.head != NIL {
+                let len = self.nodes.chain(row.head).count() as u32;
+                let chain = Chain { iter: row.iter, head: row.head, len };
+                file(&mut self.nodes, row.branch, row.site, chain);
             }
         }
-        self.index.clear();
         self.rows.clear();
-        self.reports.clear();
         self.free_row = NIL;
-        self.free_report = NIL;
+        self.drained = false;
+    }
+
+    /// The `(iter, head)` of each instance pending at `(branch, site)`: a
+    /// scan of every row, made only for a violation's evidence. During a
+    /// flush it reads the instances the flush is draining.
+    pub(crate) fn pending_at(
+        &self,
+        branch: u32,
+        site: u64,
+    ) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.rows
+            .iter()
+            .filter(move |row| row.head != NIL && row.site == site && row.branch == branch)
+            .map(|row| (row.iter, row.head))
     }
 
     /// Number of pending instances: each holds one key of the index.
@@ -392,23 +501,38 @@ mod tests {
         t.record(key.0, key.1, key.2, report, n, &mut Vec::new())
     }
 
+    /// What a flush visits, sorted by key; the table is closed after.
     fn drained(t: &mut BranchTable) -> Vec<(u32, u64, u64, Vec<Report>)> {
         let mut out = Vec::new();
-        t.drain_pending(&mut Vec::new(), |b, s, i, reports| out.push((b, s, i, reports.to_vec())));
+        let mut reports = Vec::new();
+        for row in 0..t.rows() {
+            if let Some((b, s, i)) = t.pending_row(row, &mut reports) {
+                out.push((b, s, i, reports.clone()));
+            }
+        }
+        t.close_flush();
         out.sort_by_key(|(b, s, i, _)| (*b, *s, *i));
         out
+    }
+
+    /// The reports and stamps of a chain, in order.
+    fn chain(t: &BranchTable, chain: Chain) -> Vec<(Report, u64)> {
+        let nodes: Vec<_> = t.nodes.chain(chain.head).map(|n| (n.report(), n.stamp)).collect();
+        assert_eq!(nodes.len(), chain.len as usize);
+        nodes
     }
 
     #[test]
     fn completes_at_nthreads() {
         let mut t = BranchTable::default();
         let mut full = Vec::new();
-        let first = t.record(1, 0, 0, r(0, true), 3, &mut full);
-        assert_eq!(first, Recorded { opened: true, completed: false });
-        assert_eq!(t.record(1, 0, 0, r(1, false), 3, &mut full), Recorded::default());
-        let last = t.record(1, 0, 0, r(2, true), 3, &mut full);
-        assert_eq!(last, Recorded { opened: false, completed: true });
+        assert_eq!(t.record(1, 0, 0, r(0, true), 3, &mut full), Recorded::Pending);
+        assert_eq!(t.record(1, 0, 0, r(1, false), 3, &mut full), Recorded::Pending);
+        let Recorded::Completed(last) = t.record(1, 0, 0, r(2, true), 3, &mut full) else {
+            panic!("the third of three reports completes the instance");
+        };
         assert_eq!(full, vec![r(0, true), r(1, false), r(2, true)], "arrival order");
+        assert_eq!(chain(&t, last), vec![(r(0, true), 0), (r(1, false), 1), (r(2, true), 2)]);
         assert_eq!(t.len(), 0);
     }
 
@@ -416,8 +540,8 @@ mod tests {
     fn a_single_thread_completes_what_it_opens() {
         let mut t = BranchTable::default();
         let mut full = Vec::new();
-        let only = t.record(1, 0, 0, r(0, true), 1, &mut full);
-        assert_eq!(only, Recorded { opened: true, completed: true });
+        let only = t.record(1, 0, 7, r(0, true), 1, &mut full);
+        assert!(matches!(only, Recorded::Completed(Chain { iter: 7, len: 1, .. })), "{only:?}");
         assert_eq!(full, vec![r(0, true)]);
         assert_eq!(t.len(), 0);
     }
@@ -430,21 +554,27 @@ mod tests {
         rec(&mut t, (2, 0, 0), r(1, true), 2); // different branch
         rec(&mut t, (1, 7, 0), r(1, true), 2); // different call path
         assert_eq!(t.len(), 4);
+        assert_eq!(t.pending_at(1, 0).count(), 2);
+        assert_eq!(t.pending_at(1, 7).count(), 1);
+        assert_eq!(t.pending_at(3, 0).count(), 0);
     }
 
     #[test]
     fn first_report_wins_while_pending_and_a_completed_key_reopens() {
         let mut t = BranchTable::default();
         let mut full = Vec::new();
-        assert!(t.record(1, 0, 0, r(0, true), 2, &mut full).opened);
+        assert_eq!(t.record(1, 0, 0, r(0, true), 2, &mut full), Recorded::Pending);
         // Thread 0 comes round to the same key (a sender truncating `iter`).
-        assert_eq!(t.record(1, 0, 0, r(0, false), 2, &mut full), Recorded::default());
+        let Recorded::Dropped(dropped) = t.record(1, 0, 0, r(0, false), 2, &mut full) else {
+            panic!("a second report from thread 0 is dropped");
+        };
+        assert_eq!(chain(&t, dropped), vec![(r(0, false), 1)], "handed back, stamped");
         assert_eq!(t.len(), 1);
-        assert!(t.record(1, 0, 0, r(1, true), 2, &mut full).completed);
-        assert_eq!(full, vec![r(0, true), r(1, true)], "the dropped report left no trace");
+        assert!(matches!(t.record(1, 0, 0, r(1, true), 2, &mut full), Recorded::Completed(_)));
+        assert_eq!(full, vec![r(0, true), r(1, true)], "the dropped report is not the instance's");
         // After completion the key is free again: the next report opens a
         // new instance rather than joining the old one.
-        assert!(t.record(1, 0, 0, r(0, false), 2, &mut full).opened);
+        assert_eq!(t.record(1, 0, 0, r(0, false), 2, &mut full), Recorded::Pending);
         assert_eq!(t.len(), 1);
     }
 
@@ -467,9 +597,18 @@ mod tests {
             ]
         );
         assert_eq!(t.len(), 0);
+        // The drained chains wait in their rows until they are filed.
+        assert!(t.has_drained());
+        assert_eq!(t.pending_at(1, 0).count(), 2, "a flush's evidence reads them");
+        let mut filed = Vec::new();
+        t.file_drained(|_, branch, site, c| filed.push((branch, site, c.iter, c.len)));
+        filed.sort_unstable();
+        assert_eq!(filed, vec![(1, 0, 1, 1), (1, 0, 3, 2), (2, 0, 5, 1)]);
+        assert!(!t.has_drained());
         assert!(drained(&mut t).is_empty());
         // Usable afterwards, from a clean slate.
-        assert!(rec(&mut t, (1, 0, 3), r(0, true), 4).opened);
+        assert_eq!(rec(&mut t, (1, 0, 3), r(0, true), 4), Recorded::Pending);
+        assert_eq!(t.len(), 1);
     }
 
     #[test]
@@ -477,12 +616,14 @@ mod tests {
         let mut t = BranchTable::default();
         for iter in 0..1000u64 {
             for thread in 0..4 {
-                rec(&mut t, (0, 0, iter), r(thread, true), 4);
+                if let Recorded::Completed(chain) = rec(&mut t, (0, 0, iter), r(thread, true), 4) {
+                    t.nodes.free_chain(chain); // as a full site history does
+                }
             }
         }
         assert_eq!(t.len(), 0);
         assert_eq!(t.rows.len(), 1, "one instance in flight at a time");
-        assert_eq!(t.reports.len(), 4);
+        assert_eq!(t.nodes.arena.len(), 4);
     }
 
     #[test]
@@ -513,10 +654,12 @@ mod tests {
         assert_eq!(index.get(hash(1), |r| r == 1), None);
     }
 
+    /// A row per instance and a report node per event, its arrival stamp
+    /// included, are what `tests/alloc_budget.rs` holds FMM to.
     #[test]
     fn nodes_are_the_size_the_memory_budget_assumes() {
-        assert_eq!(std::mem::size_of::<Row>(), 32);
-        assert_eq!(std::mem::size_of::<ReportNode>(), 16);
+        assert_eq!(std::mem::size_of::<Row>(), 24);
+        assert_eq!(std::mem::size_of::<ReportNode>(), 24);
         let mut link = Link::new(7, true);
         link.set_next(NIL);
         assert!(link.taken() && link.next() == NIL);

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use bw_telemetry::TelemetrySnapshot;
 
 use crate::event::BranchEvent;
-use crate::monitor::{CheckTable, EventSender, Monitor, Violation};
+use crate::monitor::{sort_violations, CheckTable, EventSender, Monitor, Violation};
 use crate::provenance::ViolationReport;
 use crate::shard::{per_shard_capacity, ShardedMonitorThread};
 use crate::spsc::{spsc_queue, Consumer};
@@ -47,11 +47,10 @@ impl MonitorTopology {
 /// Everything a monitor topology reports at join, in one shape.
 #[derive(Debug)]
 pub struct MonitorVerdict {
-    /// Detected violations, in the engine's canonical
-    /// `(site, branch, iter, kind)` order.
+    /// Detected violations, in the canonical order of
+    /// [`crate::sort_violations`].
     pub violations: Vec<Violation>,
-    /// Structured evidence, in lockstep with `violations` (empty without
-    /// the `provenance` feature).
+    /// Structured evidence, in lockstep with `violations`.
     pub violation_reports: Vec<ViolationReport>,
     /// Events processed across every monitor worker.
     pub events_processed: u64,
@@ -70,8 +69,9 @@ impl MonitorVerdict {
     }
 
     /// Merges per-shard monitors into one verdict. Violations and reports
-    /// are sorted into the engine's canonical order so the result is
-    /// independent of how the key space was partitioned; counters sum,
+    /// are sorted into the canonical order ([`crate::sort_violations`]) so
+    /// the result is independent of how the key space was partitioned;
+    /// counters sum,
     /// telemetry merges. With more than one shard, per-shard
     /// `monitor.shard.<i>.{events_processed, events_dropped}` counters and
     /// `monitor.shard.<i>.queue_high_water` gauges are appended so `bw
@@ -105,9 +105,7 @@ impl MonitorVerdict {
             violations.extend(v);
             violation_reports.extend(r);
         }
-        violations.sort_unstable_by_key(|v| (v.site, v.branch, v.iter, v.kind));
-        violation_reports
-            .sort_by_key(|r| (r.violation.site, r.violation.branch, r.violation.iter, r.violation.kind));
+        sort_violations(&mut violations, &mut violation_reports);
         MonitorVerdict {
             violations,
             violation_reports,
@@ -265,11 +263,7 @@ mod tests {
             assert_eq!(verdict.violations.len(), 1, "{topology:?}");
             assert_eq!(verdict.violations[0].site, 3, "{topology:?}");
             assert_eq!(verdict.violations[0].iter, 7, "{topology:?}");
-            assert_eq!(
-                verdict.violation_reports.len(),
-                if cfg!(feature = "provenance") { 1 } else { 0 },
-                "{topology:?}"
-            );
+            assert_eq!(verdict.violation_reports.len(), 1, "{topology:?}");
             assert!(verdict.detected());
         }
     }

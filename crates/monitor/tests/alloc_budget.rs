@@ -1,11 +1,14 @@
-//! The allocation budget of the monitor's back-end.
+//! The allocation and memory budget of the monitor's back-end.
 //!
 //! The back-end allocates for its arenas and indexes as they double, never
 //! per key: replaying a real stream costs a few dozen allocations, a
 //! stream twice as long a handful more, a stream that has reached its
-//! working set none, and building a monitor nothing. A counting global
-//! allocator measures it; counts are per thread, so the test harness's own
-//! threads do not show.
+//! working set none, and building a monitor nothing. What it holds is
+//! pinned too, as the peak of live heap bytes per event of a real stream:
+//! the instance table, one report node per event, and the site histories
+//! of the instances that completed — no per-event evidence. A counting
+//! global allocator measures both; counts are per thread, so the test
+//! harness's own threads do not show.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,6 +21,10 @@ use bw_vm::{Engine, ExecConfig, ProgramImage, SimEngine};
 thread_local! {
     /// Allocations and reallocations this thread has made.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated and not freed.
+    static LIVE: Cell<u64> = const { Cell::new(0) };
+    /// The most `LIVE` has been since it was last reset.
+    static PEAK: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -27,31 +34,51 @@ fn count() {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
+fn grow(bytes: usize) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + bytes as u64);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
+fn shrink(bytes: usize) {
+    // Saturating: a block another thread allocated may be freed here.
+    let _ = LIVE.try_with(|live| live.set(live.get().saturating_sub(bytes as u64)));
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a `const`-initialised
-// thread-local `Cell<u64>` (no lazy initialiser, no destructor), so touching
-// it neither allocates nor re-enters the allocator.
+// upholds the `GlobalAlloc` contract; the counters are `const`-initialised
+// thread-local `Cell<u64>`s (no lazy initialiser, no destructor), so
+// touching them neither allocates nor re-enters the allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        grow(layout.size());
         // SAFETY: the caller's obligations are `System.alloc`'s own.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count();
+        grow(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
+        if new_size > layout.size() {
+            grow(new_size - layout.size());
+        } else {
+            shrink(layout.size() - new_size);
+        }
         // SAFETY: `ptr` came from this allocator, that is from `System`,
         // with `layout`; the caller guarantees the rest.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
         // SAFETY: `ptr` came from `System` with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -67,21 +94,46 @@ fn allocations(work: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(Cell::get) - before
 }
 
-/// Allocations of one monitor's life over `events`: built, fed, flushed,
-/// dropped. Returns them with the instances the flush found pending.
-fn replay(checks: &CheckTable, events: &[BranchEvent]) -> (u64, usize) {
+/// The most heap the calling thread held while `work` ran, above what it
+/// held before.
+fn peak_bytes(work: impl FnOnce()) -> u64 {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(before));
+    work();
+    PEAK.with(Cell::get) - before
+}
+
+/// One monitor's life over `events`: built, fed, flushed, dropped.
+struct Replay {
+    allocations: u64,
+    peak_bytes: u64,
+    /// Instances the flush found pending.
+    pending: usize,
+}
+
+fn replay(checks: &CheckTable, events: &[BranchEvent]) -> Replay {
     let checks = checks.clone(); // the caller's allocation, not the monitor's
     let mut pending = 0;
-    let n = allocations(|| {
-        let mut monitor = Monitor::new(checks, 4);
-        for &event in events {
-            monitor.process(event);
-        }
-        pending = monitor.pending_instances();
-        monitor.flush();
-        assert!(!monitor.detected());
+    let mut peak = 0;
+    let allocations = allocations(|| {
+        peak = peak_bytes(|| {
+            let mut monitor = Monitor::new(checks, 4);
+            for &event in events {
+                monitor.process(event);
+            }
+            pending = monitor.pending_instances();
+            monitor.flush();
+            assert!(!monitor.detected());
+        });
     });
-    (n, pending)
+    Replay { allocations, peak_bytes: peak, pending }
+}
+
+/// A port's branch events at `Size::Test`, four threads, and its checks.
+fn captured(bench: Benchmark) -> (CheckTable, Vec<BranchEvent>) {
+    let image = ProgramImage::prepare_default(bench.module(Size::Test).expect("port compiles"));
+    let events = SimEngine.run(&image, &ExecConfig::new(4).capture_events(true)).branch_events;
+    (CheckTable::from_plan(&image.plan), events)
 }
 
 /// FMM at `Size::Test`: 51,541 events over 19,867 sites and 36,830
@@ -90,30 +142,57 @@ fn replay(checks: &CheckTable, events: &[BranchEvent]) -> (u64, usize) {
 /// more than 75,000 times.
 #[test]
 fn a_real_stream_costs_a_logarithmic_number_of_allocations() {
-    let image =
-        ProgramImage::prepare_default(Benchmark::Fmm.module(Size::Test).expect("port compiles"));
-    let events = SimEngine.run(&image, &ExecConfig::new(4).capture_events(true)).branch_events;
-    let checks = CheckTable::from_plan(&image.plan);
+    let (checks, events) = captured(Benchmark::Fmm);
     assert!(events.len() > 50_000, "{} events", events.len());
 
-    let (once, pending) = replay(&checks, &events);
-    println!("{} events, {pending} pending at flush: {once} allocations", events.len());
-    assert!(pending > 30_000, "the stream leaves most instances for the flush: {pending}");
-    assert!(once <= 200, "{once} allocations for {} events", events.len());
+    let once = replay(&checks, &events);
+    let n = events.len();
+    println!("{n} events, {} pending at flush: {} allocations", once.pending, once.allocations);
+    assert!(once.pending > 30_000, "most instances are left for the flush: {}", once.pending);
+    assert!(once.allocations <= 200, "{} allocations for {n} events", once.allocations);
 
     // The same stream followed by a copy of itself at other sites: twice
-    // the sites, instances, reports and ring entries — and one more
+    // the sites, instances, reports and history entries — and one more
     // doubling of each arena and index, not twice the allocations.
     let mut twice = events.clone();
     twice.extend(events.iter().map(|e| BranchEvent { site: e.site ^ 0x5bd1_e995_0000_0001, ..*e }));
-    let (doubled, pending_doubled) = replay(&checks, &twice);
-    assert_eq!(pending_doubled, 2 * pending);
-    assert!(doubled <= once + 16, "{once} allocations grew to {doubled} on doubling the stream");
+    let doubled = replay(&checks, &twice);
+    assert_eq!(doubled.pending, 2 * once.pending);
+    assert!(
+        doubled.allocations <= once.allocations + 16,
+        "{} allocations grew to {} on doubling the stream",
+        once.allocations,
+        doubled.allocations
+    );
+}
+
+/// The peak of live heap bytes per event over one monitor's life. FMM
+/// leaves most instances pending, so it reads the instance table: its
+/// index, a 24-byte row per instance and a 24-byte report node (witness,
+/// arrival stamp, thread, link) per event, with arenas at the next power
+/// of two — 71.6 B/event — plus the site histories of the few instances
+/// that completed. Water completes nearly every instance, so its reports
+/// outlive their instances in the histories (39.2 B/event). A per-event
+/// evidence write that comes back — the ring the site table used to keep,
+/// 24 bytes an event plus a 32-byte site row per `(branch, site)`, when
+/// FMM read 111.9 — breaks the budget.
+#[test]
+fn a_real_stream_stays_within_its_bytes_budget() {
+    for (bench, budget) in [(Benchmark::Fmm, 75.0), (Benchmark::WaterNsquared, 45.0)] {
+        let (checks, events) = captured(bench);
+        let run = replay(&checks, &events);
+        let per_event = run.peak_bytes as f64 / events.len() as f64;
+        let name = bench.name();
+        let (n, peak) = (events.len(), run.peak_bytes);
+        println!("{name}: {n} events, peak {peak} bytes, {per_event:.1} B/event");
+        assert!(per_event <= budget, "{name}: {per_event:.1} B/event over a budget of {budget}");
+    }
 }
 
 /// A stream whose instances all complete reaches a fixed working set —
-/// rows and report nodes come off the free lists, full rings overwrite
-/// themselves — and from then on allocates nothing at all.
+/// rows and report nodes come off the free lists, full site histories
+/// evict their oldest entries onto them — and from then on allocates
+/// nothing at all.
 #[test]
 fn steady_state_allocates_nothing() {
     let checks = CheckTable::from_kinds(vec![Some(CheckKind::SharedUniform)]);
@@ -130,9 +209,10 @@ fn steady_state_allocates_nothing() {
             }
         })
     };
-    let warm_up = rounds(&mut monitor, 0..8); // 32 reports a site: rings (16) full
+    // 64 reports a site: each history (capacity 16) has compacted once.
+    let warm_up = rounds(&mut monitor, 0..16);
     assert!(warm_up > 0);
-    assert_eq!(rounds(&mut monitor, 8..60), 0, "steady state");
+    assert_eq!(rounds(&mut monitor, 16..80), 0, "steady state");
     assert_eq!(allocations(|| assert_eq!(monitor.flush(), 0)), 0, "a flush with nothing pending");
     assert!(!monitor.detected());
 }

@@ -6,18 +6,17 @@
 //! `violations()`, `violation_reports()` (whole structs: window contents,
 //! site-local seqs, pending depth, latency), `events_processed()` and
 //! `snapshot()`. The streams are random scripts shaped to reach what the
-//! two layouts do differently — rings that wrap, sites seen once, a thread
-//! reporting a key it has already reported (while the instance is pending:
-//! dropped, first report wins; after it completed: a new instance — what a
-//! sender truncating the `iter` key at the six-loop cutoff produces, though
-//! this repository's engines do not), flushes in mid-stream — and the
-//! captured streams of the seven SPLASH ports. Runs in both `provenance`
-//! configurations.
+//! two layouts do differently — windows that lose their oldest entries,
+//! sites seen once, a thread reporting a key it has already reported (while
+//! the instance is pending: dropped, first report wins; after it completed:
+//! a new instance — what a sender truncating the `iter` key at the six-loop
+//! cutoff produces, though this repository's engines do not), flushes in
+//! mid-stream — and the captured streams of the seven SPLASH ports.
 
 mod reference;
 
 use bw_analysis::{CheckKind, TidCheck};
-use bw_monitor::{BranchEvent, CheckTable, Monitor, ViolationKind};
+use bw_monitor::{BranchEvent, CheckTable, Monitor, ViolationKind, ViolationReport};
 use bw_splash::{Benchmark, Size};
 use bw_vm::{Engine, ExecConfig, ProgramImage, SimEngine};
 use proptest::prelude::*;
@@ -63,9 +62,7 @@ impl Pair {
         assert_eq!(self.flat.violation_reports(), self.model.violation_reports());
         assert_eq!(self.flat.events_processed(), self.model.events_processed());
         assert_eq!(self.flat.snapshot(), self.model.snapshot());
-        let expect_reports =
-            if cfg!(feature = "provenance") { self.flat.violations().len() } else { 0 };
-        assert_eq!(self.flat.violation_reports().len(), expect_reports);
+        assert_eq!(self.flat.violation_reports().len(), self.flat.violations().len());
         self.flat
     }
 }
@@ -159,10 +156,14 @@ proptest! {
     }
 }
 
-/// The generator's scenarios, pinned: one fixed script that is known to
-/// reach a wrapped ring, a dropped re-report, a reopened key, and a fault of
-/// each violation kind caught eagerly and at flush — so the property above
-/// cannot pass by never leaving the easy cases.
+/// The generator's scenarios, pinned: fixed scripts known to reach a
+/// window that has lost its oldest entries, a dropped re-report inside a
+/// window, a reopened key, a fault of each violation kind caught eagerly
+/// and at flush, a flush-time violation at a site with a history of
+/// completed instances, a violation after a mid-stream flush (whose
+/// drained instances are filed only then), and at 32 threads a window that
+/// mixes pending reports with a history that has let entries go — so the
+/// property above cannot pass by never leaving the easy cases.
 #[test]
 fn a_fixed_script_reaches_every_scenario() {
     let full = |branch, iter, liar| Op::Round { branch, site: 0, iter, start: 1, count: 4, liar };
@@ -180,11 +181,16 @@ fn a_fixed_script_reaches_every_scenario() {
     ops.push(part(0, 3, None));
     ops.push(part(0, 3, Some((1, false))));
     ops.push(Op::Flush);
+    // After the flush: an eager check at the site the flush drained, whose
+    // window needs the drained reports filed first.
+    ops.push(Op::Round { branch: 0, site: 1, iter: 5, start: 0, count: 4, liar: Some((2, true)) });
     ops.push(part(0, 3, Some((0, true))));
-    // Left for the closing flush: two-reporter instances with a fault.
+    // Left for the closing flush: two-reporter instances with a fault, and
+    // one at the site whose completed instances are in its history.
     for branch in 0..6 {
         ops.push(part(branch, 4, Some((1, false))));
     }
+    ops.push(Op::Round { branch: 0, site: 0, iter: 9, start: 0, count: 2, liar: Some((1, true)) });
     ops.push(Op::OneShot { branch: 6, thread: 3 }); // uninstrumented: counted, not kept
     let flat = play(4, &ops);
 
@@ -203,13 +209,34 @@ fn a_fixed_script_reaches_every_scenario() {
     // flush; the reopened one carries thread 0's lie.
     assert!(at_flush.iter().any(|v| (v.branch, v.site, v.iter) == (0, 1, 3)));
     assert_eq!(at_flush.iter().filter(|v| (v.branch, v.site, v.iter) == (0, 1, 3)).count(), 1);
-    if cfg!(feature = "provenance") {
-        // Eager checks at the hot site saw a backlog of zero and a known
-        // latency; flush-time ones read the site's final stream position.
-        let reports = flat.violation_reports();
-        assert!(reports.iter().any(|r| r.detection_latency.is_some_and(|n| n > 0)));
-        assert!(reports.iter().all(|r| r.pending_depth == 0 || r.violation.reporters == 4));
-    }
+    // Eager checks at the hot site saw a backlog of zero and a known
+    // latency; flush-time ones read the site's final stream position.
+    let reports = flat.violation_reports();
+    assert!(reports.iter().any(|r| r.detection_latency.is_some_and(|n| n > 0)));
+    assert!(reports.iter().all(|r| r.pending_depth == 0 || r.violation.reporters == 4));
+    let report = |key: (u32, u64, u64), reporters: u32| {
+        let found = reports.iter().find(|r| {
+            let v = r.violation;
+            (v.branch, v.site, v.iter, v.reporters) == (key.0, key.1, key.2, reporters)
+        });
+        found.unwrap_or_else(|| panic!("no report for {key:?} with {reporters} reporters"))
+    };
+    let iters = |r: &ViolationReport| r.window.iter().map(|e| e.iter).collect::<Vec<_>>();
+    // The eager check after the mid-stream flush: the drained instance's
+    // four reports lead its window, the dropped re-reports among them.
+    let after_flush = report((0, 1, 5), 4);
+    assert_eq!(&iters(after_flush)[..4], [3, 3, 3, 3]);
+    assert_eq!(after_flush.window[0].seq, 1);
+    // The reopened key, caught at the closing flush: its window holds
+    // the dropped re-report of thread 0 beside both real ones.
+    let reopened = report((0, 1, 3), 2);
+    let thread_0 = reopened.window.iter().filter(|e| e.iter == 3 && e.thread == 0).count();
+    assert_eq!(thread_0, 3, "{:?}", reopened.window);
+    // A flush-time violation at a site with a history of completed
+    // instances: the window reaches back into it.
+    let with_history = report((0, 0, 9), 2);
+    assert!(iters(with_history).contains(&0), "{:?}", with_history.window);
+    assert_eq!(with_history.pending_depth, 0);
 
     // A ring that wraps, and the latency lost with it: 5 full rounds (20
     // reports) at one site, the deviant in the first, checked last.
@@ -220,13 +247,37 @@ fn a_fixed_script_reaches_every_scenario() {
     ops.push(Op::Round { branch: 0, site: 2, iter: 0, start: 3, count: 1, liar: None });
     let flat = play(4, &ops);
     assert_eq!(flat.violations().len(), 1);
-    if cfg!(feature = "provenance") {
-        let report = &flat.violation_reports()[0];
-        assert_eq!(report.window.len(), 16);
-        assert_eq!((report.window[0].seq, report.detected_seq), (5, 20));
-        assert_eq!(report.detection_latency, None, "the deviant's entry aged out");
-        assert_eq!(report.deviants, vec![0]);
+    let report = &flat.violation_reports()[0];
+    assert_eq!(report.window.len(), 16);
+    assert_eq!((report.window[0].seq, report.detected_seq), (5, 20));
+    assert_eq!(report.detection_latency, None, "the deviant's entry aged out");
+    assert_eq!(report.deviants, vec![0]);
+
+    // Thirty-two threads, a window of 128: one report opens an instance
+    // that stays pending throughout; twenty full rounds pass, so the site's
+    // history lets entries go (it keeps at most 4 × 128); two instances
+    // are left pending with eight reports each; then a round with a liar
+    // completes. The window mixes the pending reports with the history and
+    // leaves out the oldest pending one, which still counts in the seqs.
+    let round =
+        |iter, start, count, liar| Op::Round { branch: 0, site: 5, iter, start, count, liar };
+    let mut ops = vec![round(99, 0, 1, None)];
+    ops.extend((0..20).map(|iter| round(iter, 0, 32, None)));
+    ops.extend([round(20, 0, 8, None), round(21, 8, 8, None), round(22, 0, 32, Some((3, true)))]);
+    let flat = play(32, &ops);
+    assert_eq!(flat.violations().len(), 1);
+    let report = &flat.violation_reports()[0];
+    assert_eq!(report.violation.iter, 22);
+    assert_eq!(report.detected_seq, 1 + 20 * 32 + 8 + 8 + 32);
+    assert!(report.detected_seq > 4 * 128, "the history has let entries go");
+    assert_eq!(report.window.len(), 128);
+    assert_eq!(report.window[0].seq, report.detected_seq - 127);
+    let iters: Vec<u64> = report.window.iter().map(|e| e.iter).collect();
+    for iter in [17, 19, 20, 21, 22] {
+        assert!(iters.contains(&iter), "iteration {iter} missing from {iters:?}");
     }
+    assert!(!iters.contains(&99), "the oldest pending report is outside the window");
+    assert_eq!(report.pending_depth, 3);
 }
 
 /// The branch events of a port at `Size::Test`, four threads, with the

@@ -139,12 +139,8 @@ impl RefMonitor {
             return;
         };
         let BranchEvent { branch, thread, site, iter, witness, taken } = event;
-        let site_seq = if cfg!(feature = "provenance") {
-            let entry = WindowEntry { thread, witness, taken, iter, seq: 0 };
-            self.recorder.record(branch, site, entry)
-        } else {
-            0
-        };
+        let entry = WindowEntry { thread, witness, taken, iter, seq: 0 };
+        let site_seq = self.recorder.record(branch, site, entry);
         let report = Report { thread, witness, taken };
         if let Some(reports) = self.table.record(branch, site, iter, report, self.nthreads) {
             self.check(kind, branch, site, iter, &reports, site_seq);
@@ -182,16 +178,14 @@ impl RefMonitor {
             let reporters = reports.len() as u32;
             let violation = Violation { branch, site, iter, kind: vk, reporters };
             self.violations.push(violation);
-            if cfg!(feature = "provenance") {
-                self.reports.push(build_report(
-                    violation,
-                    kind,
-                    reports,
-                    self.recorder.window(branch, site),
-                    detected_seq,
-                    self.table.pending_at(branch, site) as u64,
-                ));
-            }
+            self.reports.push(build_report(
+                violation,
+                kind,
+                reports,
+                self.recorder.window(branch, site),
+                detected_seq,
+                self.table.pending_at(branch, site) as u64,
+            ));
         }
     }
 

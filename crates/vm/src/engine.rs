@@ -247,14 +247,13 @@ pub struct RunResult {
     /// Simulated cycles of the parallel section (max over thread clocks).
     /// Sim engine only; `0` on the real engine (no cost model).
     pub parallel_cycles: u64,
-    /// Monitor violations (detections), sorted by `(site, branch, iter)`
-    /// so fixed-seed runs list violations identically on both engines and
-    /// at any worker count.
+    /// Monitor violations (detections), in the order of
+    /// [`bw_monitor::sort_violations`], so fixed-seed runs list violations
+    /// identically on both engines and at any worker count.
     pub violations: Vec<Violation>,
-    /// Structured provenance for each violation — the flight-recorder
-    /// window, per-thread table and majority/deviant split captured at
-    /// detection time — in the same `(site, branch, iter)` order as
-    /// [`RunResult::violations`]. Empty without the `provenance` feature.
+    /// Structured provenance for each violation — the site's window,
+    /// per-thread table and majority/deviant split captured at detection
+    /// time — in lockstep with [`RunResult::violations`].
     pub violation_reports: Vec<ViolationReport>,
     /// Total interpreted instructions (all phases, all threads).
     pub total_steps: u64,
@@ -291,21 +290,6 @@ impl RunResult {
     pub fn detected(&self) -> bool {
         !self.violations.is_empty()
     }
-}
-
-/// Puts violations (and their provenance reports) into the deterministic
-/// user-facing order: sorted by `(site, branch, iter, kind)`. Detection
-/// order depends on queue drain interleaving on the real engine; the
-/// sorted lists are byte-identical for a fixed seed at any worker count.
-pub(crate) fn sort_violations(
-    violations: &mut [Violation],
-    reports: &mut [ViolationReport],
-) {
-    violations.sort_unstable_by_key(|v| (v.site, v.branch, v.iter, v.kind));
-    reports.sort_unstable_by_key(|r| {
-        let v = r.violation;
-        (v.site, v.branch, v.iter, v.kind)
-    });
 }
 
 /// One scheduler wrapped around the shared interpreter core.

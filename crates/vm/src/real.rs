@@ -451,7 +451,7 @@ pub(crate) fn run_real_engine(
                   steps_per_thread: Vec<u64>,
                   mut telemetry: TelemetrySnapshot| {
         let (events_sent, events_processed, events_dropped) = events;
-        crate::engine::sort_violations(&mut violations, &mut violation_reports);
+        bw_monitor::sort_violations(&mut violations, &mut violation_reports);
         telemetry.push_counter("vm.engine.real", 1);
         telemetry.push_counter("vm.instructions", total_steps);
         telemetry.push_counter("vm.events_sent", events_sent);

@@ -768,7 +768,7 @@ impl<'a> Sim<'a> {
                 Some(v) => (v.violations, v.violation_reports, v.events_processed, Some(v.telemetry)),
                 None => (Vec::new(), Vec::new(), 0, None),
             };
-        crate::engine::sort_violations(&mut violations, &mut violation_reports);
+        bw_monitor::sort_violations(&mut violations, &mut violation_reports);
         let mut telemetry = telemetry.snapshot();
         telemetry.push_counter("vm.engine.sim", 1);
         telemetry.push_counter("vm.instructions", total_steps);

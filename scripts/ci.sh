@@ -35,10 +35,8 @@ w1() {
 }
 
 # Release build, full test suite and a zero-warning clippy pass over every
-# target, in both build configurations: `--no-default-features` is the
-# `provenance`-off build (telemetry is always compiled in) — no flight
-# recorder, so no level-1 site table in the monitor and no
-# `ViolationReport`s. Then `bw-vm` again in the release profile: its
+# target — the one build configuration: there is no cargo feature. Then
+# `bw-vm` again in the release profile: its
 # differential test compares whole RunResults with the reference stepper
 # kept under crates/vm/tests/reference/, its prefix test every fork of a
 # `SimPrefix` with the full replay, and both thin their sweeps in debug
@@ -51,9 +49,6 @@ leg_test() {
   cargo build --release --workspace
   cargo test -q --workspace
   cargo clippy --workspace --all-targets -- -D warnings
-  cargo build --workspace --no-default-features
-  cargo test -q --workspace --no-default-features
-  cargo clippy --workspace --all-targets --no-default-features -- -D warnings
   cargo test --release -q -p bw-vm
 }
 
@@ -183,6 +178,7 @@ leg_metrics() {
 # names serde again. PR 20 removed the `telemetry` cargo feature (DESIGN
 # §10) and vendor/crossbeam; `bw_telemetry::ENABLED` survives,
 # `#[doc(hidden)]`, for bwbench's run header only and may have no reader.
+# The `provenance` feature (DESIGN §12) went the same way.
 leg_leftover_guard() {
   if grep -rnE 'ModuleAnalysis::run_parallel|fn run_parallel\(module|ValueGraph|\.divergence\(' \
       crates tests examples \
@@ -201,6 +197,10 @@ leg_leftover_guard() {
   fi
   if grep -nE '^telemetry *=|crossbeam' Cargo.toml crates/*/Cargo.toml; then
     echo "ci: a workspace manifest declares \`telemetry\` or names crossbeam" >&2; return 1
+  fi
+  if grep -rn 'feature = "provenance"' crates tests examples \
+      || grep -n provenance Cargo.toml crates/*/Cargo.toml; then
+    echo "ci: the provenance feature gate is back" >&2; return 1
   fi
 }
 

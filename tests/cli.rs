@@ -74,7 +74,7 @@ fn malformed_numeric_flags_are_errors_naming_flag_and_value() {
 }
 
 /// Every build traces and samples — there is no telemetry-off one: the
-/// flags leave their records in the file, with or without `provenance`.
+/// flags leave their records in the file.
 #[test]
 fn trace_spans_and_sampling_write_their_records_in_every_build() {
     let trace: PathBuf = [env!("CARGO_TARGET_TMPDIR"), "cli-spans.jsonl"].iter().collect();
