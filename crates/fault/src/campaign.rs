@@ -622,8 +622,9 @@ fn injection_record(
 ) -> InjectionRecord {
     let outcome = classify(result, golden, hook.activated());
     // Attribute the outcome causally: the first violation report (reports
-    // are sorted by (site, branch, iter), so "first" is deterministic) is
-    // the earliest-keyed evidence the monitor produced for this run.
+    // are in `bw_monitor::sort_violations` order — every violation field,
+    // then `detected_seq` — so "first" is deterministic) is the
+    // earliest-keyed evidence the monitor produced for this run.
     let report = if outcome == FaultOutcome::Detected {
         result.violation_reports.first().cloned().map(Box::new)
     } else {
@@ -773,7 +774,7 @@ fn trace_stage(name: &str, start_us: u64, extra: &[(&str, Value)]) {
 
 /// Injections a worker claims at a time and runs off one [`SimPrefix`],
 /// at most. The prefix's pass over the program is shared by the window's
-/// forks, so a full window adds 1/32 of a monitor-free golden run to each;
+/// forks, so a full window adds 1/32 of a monitored golden run to each;
 /// a worker that finds the stop flag raised has at most this many
 /// injections past the abort cut behind it. [`run_pool`] shortens the
 /// window when the pool would otherwise have workers without one.
@@ -932,10 +933,10 @@ struct Worker<'a> {
 /// faulty configuration (whose step budget the golden prefix never
 /// trips): the plans are bucketed per thread in ascending `dyn_index`,
 /// the prefix advances to each fault point in the order the run reaches
-/// them, and every injection is a fork of it — the interpreter state, the
-/// prefix's event log and, under a span sink, its spans inherited, only
-/// the tail executed. The time the prefix takes to advance is charged to
-/// the injection it precedes.
+/// them, and every injection is a fork of it — the interpreter state, a
+/// clone of the prefix's inline monitor and, under a span sink, its spans
+/// inherited, only the tail executed and checked. The time the prefix
+/// takes to advance is charged to the injection it precedes.
 ///
 /// Two cases replay an injection from step 0 ([`execute_one`]) instead,
 /// each decided by something observable: the real engine (OS threads
@@ -980,9 +981,8 @@ fn execute_window(job: &CampaignJob<'_>, window: std::ops::Range<usize>, worker:
         started = bw_telemetry::wall_now_us();
     };
 
-    let mut prefix = (job.config.engine == EngineKind::Sim).then(|| {
-        SimPrefix::new(job.image, &job.faulty).log_capacity(job.golden.events_sent as usize)
-    });
+    let mut prefix =
+        (job.config.engine == EngineKind::Sim).then(|| SimPrefix::new(job.image, &job.faulty));
     // Per thread, the targets a fork can serve, latest first.
     let mut queues: Vec<Vec<(u64, usize)>> = vec![Vec::new(); job.faulty.nthreads as usize];
     for index in window {

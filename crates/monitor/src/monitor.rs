@@ -117,8 +117,9 @@ impl CheckTable {
     }
 }
 
-/// The passive monitor object.
-#[derive(Debug)]
+/// The passive monitor object. A clone is the same monitor: fed the same
+/// events from then on, it reaches the same verdicts, reports and telemetry.
+#[derive(Clone, Debug)]
 pub struct Monitor {
     checks: CheckTable,
     nthreads: usize,

@@ -518,7 +518,7 @@ pub const PROVENANCE_ENABLED: bool = true;
 /// let go plus the entries held or pending at the site with a stamp no
 /// larger. Stamps are only compared within one site, so any shard count
 /// numbers a site's stream the same.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct SiteTable {
     index: KeyIndex,
     sites: Vec<Site>,
@@ -529,7 +529,7 @@ pub(crate) struct SiteTable {
     stamps: Vec<u64>,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Site {
     site: u64,
     /// Entries let go.
@@ -544,7 +544,7 @@ struct Site {
 /// One chain a site holds: a completed or flushed instance's reports, or a
 /// dropped re-report, oldest first, under the instance's `iter`. On the
 /// free list, `next` leads to the next free one.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Held {
     iter: u64,
     head: u32,

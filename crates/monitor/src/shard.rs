@@ -62,7 +62,7 @@ pub fn per_shard_capacity(total: usize, shards: usize) -> usize {
 /// With one shard this is a plain [`Monitor`] behind a bounds check — the
 /// flat topology is the `shards == 1` special case, not a separate code
 /// path.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ShardedMonitor {
     monitors: Vec<Monitor>,
 }

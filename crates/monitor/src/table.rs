@@ -96,7 +96,7 @@ pub(crate) fn mix_key(branch: u32, site: u64, iter: u64) -> u64 {
 /// the hash above `row + 1`; the stored half also gives the slot's home
 /// position, so growing and deleting never look at a key. Linear probing,
 /// at most three quarters full, deletion by backward shift (no tombstones).
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct KeyIndex {
     slots: Vec<u64>,
     used: usize,
@@ -205,7 +205,7 @@ impl KeyIndex {
 /// order. The chain's length and last node are found by walking it, which
 /// a report joining the instance does anyway to drop a repeat. A row on the
 /// free list has `head == NIL` and its successor in `iter`.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Row {
     site: u64,
     iter: u64,
@@ -216,7 +216,7 @@ struct Row {
 /// One report in the arena. `stamp` numbers the instrumented events the
 /// monitor has received, in arrival order; `link` chains the node to the
 /// next report of its chain (or, on the free list, to the next free node).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct ReportNode {
     pub(crate) witness: u64,
     pub(crate) stamp: u64,
@@ -232,7 +232,7 @@ impl ReportNode {
 
 /// The report nodes of every chain — pending instances' and site
 /// histories' alike — in one arena with a free list.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct Nodes {
     arena: Vec<ReportNode>,
     free: u32,
@@ -313,7 +313,7 @@ pub(crate) enum Recorded {
 }
 
 /// The level-2 table: every pending instance by its full runtime key.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct BranchTable {
     index: KeyIndex,
     rows: Vec<Row>,

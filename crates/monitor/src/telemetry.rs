@@ -12,7 +12,7 @@ use bw_analysis::CheckKind;
 use bw_telemetry::TelemetrySnapshot;
 
 /// One monitor's instruments.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct MonitorTelemetry {
     /// Highest SPSC queue occupancy observed before a drain pass.
     pub queue_high_water: u64,

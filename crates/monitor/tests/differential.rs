@@ -12,11 +12,17 @@
 //! a new instance — what a sender truncating the `iter` key at the six-loop
 //! cutoff produces, though this repository's engines do not), flushes in
 //! mid-stream — and the captured streams of the seven SPLASH ports.
+//!
+//! A clone of a monitor is the same monitor, which is what lets a campaign
+//! fork continue the fault-free prefix's monitor instead of replaying its
+//! events: cloned at any point of a script, one shard (the flat monitor) or
+//! four, and fed the rest of the stream beside the original, the clone ends
+//! with the original's violations, reports and telemetry.
 
 mod reference;
 
 use bw_analysis::{CheckKind, TidCheck};
-use bw_monitor::{BranchEvent, CheckTable, Monitor, ViolationKind, ViolationReport};
+use bw_monitor::{BranchEvent, CheckTable, Monitor, ShardedMonitor, ViolationKind, ViolationReport};
 use bw_splash::{Benchmark, Size};
 use bw_vm::{Engine, ExecConfig, ProgramImage, SimEngine};
 use proptest::prelude::*;
@@ -111,10 +117,16 @@ fn op() -> impl Strategy<Value = Op> {
     prop_oneof![3 => round.boxed(), 2 => one_shot.boxed(), 1 => Just(Op::Flush).boxed()]
 }
 
-/// Plays `ops` to both monitors at `nthreads`; returns the flat one after
-/// the closing comparison.
-fn play(nthreads: u32, ops: &[Op]) -> Monitor {
-    let mut pair = Pair::new(CheckTable::from_kinds(KINDS.to_vec()), nthreads as usize);
+/// What a monitor is fed: an event, or an end-of-phase flush.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    Event(BranchEvent),
+    Flush,
+}
+
+/// The stream `ops` make at `nthreads`.
+fn steps(nthreads: u32, ops: &[Op]) -> Vec<Step> {
+    let mut steps = Vec::new();
     let mut fresh_site = 1000;
     for op in ops {
         match *op {
@@ -127,32 +139,101 @@ fn play(nthreads: u32, ops: &[Op]) -> Monitor {
                         Some((t, false)) if t % nthreads == thread => taken = !taken,
                         _ => {}
                     }
-                    pair.process(BranchEvent { branch, thread, site, iter, witness, taken });
+                    steps.push(Step::Event(BranchEvent { branch, thread, site, iter, witness, taken }));
                 }
             }
             Op::OneShot { branch, thread } => {
                 fresh_site += 1;
                 let thread = thread % nthreads;
                 let (witness, taken) = honest(branch, 0, thread, nthreads);
-                pair.process(BranchEvent { branch, thread, site: fresh_site, iter: 0, witness, taken });
+                let site = fresh_site;
+                steps.push(Step::Event(BranchEvent { branch, thread, site, iter: 0, witness, taken }));
             }
-            Op::Flush => pair.flush(),
+            Op::Flush => steps.push(Step::Flush),
         }
     }
-    pair.finish()
+    steps
+}
+
+/// Plays `ops` to both monitors at `nthreads`; returns the flat one after
+/// the closing comparison, and the stream it was fed.
+fn play(nthreads: u32, ops: &[Op]) -> (Monitor, Vec<Step>) {
+    let steps = steps(nthreads, ops);
+    let mut pair = Pair::new(CheckTable::from_kinds(KINDS.to_vec()), nthreads as usize);
+    for &step in &steps {
+        match step {
+            Step::Event(event) => pair.process(event),
+            Step::Flush => pair.flush(),
+        }
+    }
+    (pair.finish(), steps)
+}
+
+fn feed(monitor: &mut ShardedMonitor, step: Step) {
+    match step {
+        Step::Event(event) => monitor.process(event),
+        Step::Flush => {
+            monitor.flush();
+        }
+    }
+}
+
+/// Feeds `steps` to a `ShardedMonitor` of one shard (a [`Monitor`] behind a
+/// bounds check) and of four, cloning it before each step whose index is in
+/// `at` (and at the end, if `at` holds `steps.len()`). Every clone is fed the
+/// rest of the stream beside the original and, after the closing flush,
+/// must have its violations, reports and telemetry snapshot.
+fn clones_are_the_monitor(nthreads: u32, steps: &[Step], at: &[usize]) {
+    for shards in [1, 4] {
+        let checks = CheckTable::from_kinds(KINDS.to_vec());
+        let mut original = ShardedMonitor::new(checks, nthreads as usize, shards);
+        let mut clones = Vec::new();
+        for (k, &step) in steps.iter().enumerate() {
+            if at.contains(&k) {
+                clones.push((k, original.clone()));
+            }
+            feed(&mut original, step);
+            for (_, clone) in &mut clones {
+                feed(clone, step);
+            }
+        }
+        if at.contains(&steps.len()) {
+            clones.push((steps.len(), original.clone()));
+        }
+        let verdict = |mut monitor: ShardedMonitor| {
+            monitor.flush();
+            monitor.into_verdict()
+        };
+        let expected = verdict(original);
+        for (k, clone) in clones {
+            let got = verdict(clone);
+            let what = format!("{shards} shard(s), the clone at {k}");
+            assert_eq!(got.violations, expected.violations, "{what}: violations");
+            assert_eq!(got.violation_reports, expected.violation_reports, "{what}: reports");
+            assert_eq!(got.telemetry, expected.telemetry, "{what}: telemetry");
+        }
+    }
+}
+
+/// Every position of a fixed script, its end included.
+fn every_position(steps: &[Step]) -> Vec<usize> {
+    (0..=steps.len()).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
     /// Any script, at every thread count the exhibits use, reads the same
-    /// on the flat back-end and on the model.
+    /// on the flat back-end and on the model, and a clone taken at a random
+    /// point of it continues as the monitor it was taken from.
     #[test]
     fn flat_backend_matches_the_two_level_model(
         nthreads in prop_oneof![Just(1u32), Just(2u32), Just(4u32), Just(32u32)],
         ops in proptest::collection::vec(op(), 0..160),
+        at in any::<usize>(),
     ) {
-        play(nthreads, &ops);
+        let (_, steps) = play(nthreads, &ops);
+        clones_are_the_monitor(nthreads, &steps, &[at % (steps.len() + 1)]);
     }
 }
 
@@ -163,7 +244,8 @@ proptest! {
 /// completed instances, a violation after a mid-stream flush (whose
 /// drained instances are filed only then), and at 32 threads a window that
 /// mixes pending reports with a history that has let entries go — so the
-/// property above cannot pass by never leaving the easy cases.
+/// property above cannot pass by never leaving the easy cases. Each script
+/// is also cloned at every position, to continue as the original does.
 #[test]
 fn a_fixed_script_reaches_every_scenario() {
     let full = |branch, iter, liar| Op::Round { branch, site: 0, iter, start: 1, count: 4, liar };
@@ -192,7 +274,8 @@ fn a_fixed_script_reaches_every_scenario() {
     }
     ops.push(Op::Round { branch: 0, site: 0, iter: 9, start: 0, count: 2, liar: Some((1, true)) });
     ops.push(Op::OneShot { branch: 6, thread: 3 }); // uninstrumented: counted, not kept
-    let flat = play(4, &ops);
+    let (flat, steps) = play(4, &ops);
+    clones_are_the_monitor(4, &steps, &every_position(&steps));
 
     let kinds: Vec<ViolationKind> = flat.violations().iter().map(|v| v.kind).collect();
     for kind in [
@@ -245,7 +328,8 @@ fn a_fixed_script_reaches_every_scenario() {
         ops.push(Op::Round { branch: 0, site: 2, iter, start: 0, count: 4, liar: None });
     }
     ops.push(Op::Round { branch: 0, site: 2, iter: 0, start: 3, count: 1, liar: None });
-    let flat = play(4, &ops);
+    let (flat, steps) = play(4, &ops);
+    clones_are_the_monitor(4, &steps, &every_position(&steps));
     assert_eq!(flat.violations().len(), 1);
     let report = &flat.violation_reports()[0];
     assert_eq!(report.window.len(), 16);
@@ -264,7 +348,8 @@ fn a_fixed_script_reaches_every_scenario() {
     let mut ops = vec![round(99, 0, 1, None)];
     ops.extend((0..20).map(|iter| round(iter, 0, 32, None)));
     ops.extend([round(20, 0, 8, None), round(21, 8, 8, None), round(22, 0, 32, Some((3, true)))]);
-    let flat = play(32, &ops);
+    let (flat, steps) = play(32, &ops);
+    clones_are_the_monitor(32, &steps, &every_position(&steps));
     assert_eq!(flat.violations().len(), 1);
     let report = &flat.violation_reports()[0];
     assert_eq!(report.violation.iter, 22);

@@ -15,10 +15,10 @@
 //! the paper's 32-thread setup where the monitor thread is disabled but
 //! the sends still happen.
 //!
-//! The scheduler is one function, `Sim::slot`, over a state that can be
-//! cloned between two slots: [`SimPrefix`] is a fault-free run stopped
-//! there, from which hooked runs continue without repeating what came
-//! before.
+//! The scheduler is one function, `Sim::slot`, over a state that — inline
+//! monitor included — can be cloned between two slots: [`SimPrefix`] is a
+//! fault-free run stopped there, from which hooked runs continue without
+//! repeating what came before, neither the interpretation nor the checking.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -56,8 +56,10 @@ const MACHINE: MachineModel = MachineModel::opteron_6128();
 /// the fork's own `TraceScope`. [`SimTracer::fork`] writes them there.
 struct SimTracer {
     sink: Arc<dyn Recorder>,
-    /// The spans not yet written to `sink`, while they are being held back.
-    held: Option<HeldSpans>,
+    /// The spans not yet written to `sink`, while they are being held back:
+    /// everything a prefix has produced so far, the verdict arrows of its
+    /// inline monitor among them in the order the run reached them.
+    held: Option<Vec<Span>>,
     threads: Vec<ThreadTrace>,
     /// Acquire clock of each mutex's current owner.
     hold_since: Vec<Option<u64>>,
@@ -80,17 +82,6 @@ struct ThreadTrace {
     branches_base: u64,
     /// Clock at which the thread blocked on a mutex, while it waits.
     wait_since: Option<u64>,
-}
-
-/// The spans a [`SimPrefix`] has produced so far, for its forks to write.
-#[derive(Default)]
-struct HeldSpans {
-    /// Each span with the number of monitor events logged before it: where
-    /// it stands among the verdicts a fork's replay of the log reaches.
-    spans: Vec<(usize, Span)>,
-    /// The sender's clock at each logged event, which a verdict reached on
-    /// that event is stamped with.
-    event_clocks: Vec<u64>,
 }
 
 impl SimTracer {
@@ -117,7 +108,7 @@ impl SimTracer {
 
     fn emit(&mut self, span: Span) {
         match &mut self.held {
-            Some(held) => held.spans.push((held.event_clocks.len(), span)),
+            Some(held) => held.push(span),
             None => {
                 let track = |tid: u32| self.threads[tid as usize].track.as_str();
                 span.write(self.sink.as_ref(), TimeDomain::Cycles, track);
@@ -125,21 +116,11 @@ impl SimTracer {
         }
     }
 
-    /// A monitor event went onto a [`SimPrefix`]'s log at the sender's
-    /// `clock`.
-    fn logged(&mut self, clock: u64) {
-        if let Some(held) = &mut self.held {
-            held.event_clocks.push(clock);
-        }
-    }
-
     /// The tracer of a fork: this one's state writing straight to the sink,
-    /// once the sink has everything the run would have written up to here —
-    /// the held spans and, among them, the verdict of every violation
-    /// `monitor` completes on `log`, in the order the run produced them.
-    /// The records pick up the calling thread's `TraceScope`, as a full
-    /// replay's would.
-    fn fork(&self, log: &[BranchEvent], monitor: Option<&mut ShardedMonitor>) -> SimTracer {
+    /// once the sink has everything the run would have written up to here,
+    /// the held spans. The records pick up the calling thread's
+    /// `TraceScope`, as a full replay's would.
+    fn fork(&self) -> SimTracer {
         let mut fork = SimTracer {
             sink: Arc::clone(&self.sink),
             held: None,
@@ -147,18 +128,7 @@ impl SimTracer {
             hold_since: self.hold_since.clone(),
             flows: self.flows,
         };
-        let Some(held) = &self.held else { return fork };
-        let mut spans = held.spans.iter().peekable();
-        if let Some(monitor) = monitor {
-            debug_assert_eq!(log.len(), held.event_clocks.len(), "one clock per logged event");
-            for (sent, (&event, &clock)) in log.iter().zip(&held.event_clocks).enumerate() {
-                while let Some(&(_, span)) = spans.next_if(|&&(before, _)| before <= sent) {
-                    fork.emit(span);
-                }
-                monitor_event(monitor, Some(&mut fork), event, clock);
-            }
-        }
-        for &(_, span) in spans {
+        for &span in self.held.iter().flatten() {
             fork.emit(span);
         }
         fork
@@ -255,11 +225,7 @@ pub(crate) fn run_sim_engine(
     config: &ExecConfig,
     hook: &dyn BranchHook,
 ) -> RunResult {
-    let events = match config.monitor {
-        MonitorMode::Enabled => EventSink::Monitor(inline_monitor(image, config)),
-        _ => EventSink::Discard,
-    };
-    let mut sim = Sim::new(image, config, events);
+    let mut sim = Sim::new(image, config);
     sim.tracer = SimTracer::installed(image, config);
     sim.init(hook);
     sim.run(hook)
@@ -346,13 +312,12 @@ struct Ledger {
 }
 
 /// Where a monitor event goes once the sending thread has paid for it.
+#[derive(Clone)]
 enum EventSink {
     /// Nowhere: the monitor is off, or `SendOnly` drops what it sends.
     Discard,
     /// Into the inline monitor.
     Monitor(ShardedMonitor),
-    /// Onto a [`SimPrefix`]'s log, for the monitor of each fork to process.
-    Log(Vec<BranchEvent>),
 }
 
 /// One thread's slot as the stepper sees it: its clock, its costs, the
@@ -384,17 +349,8 @@ impl Sink for SlotSink<'_> {
         self.clock += self.costs.event;
         ledger.telemetry.cycles_events += self.costs.event;
         ledger.events_sent += 1;
-        match self.events {
-            EventSink::Discard => {}
-            EventSink::Monitor(monitor) => {
-                monitor_event(monitor, self.tracer.as_deref_mut(), event, self.clock);
-            }
-            EventSink::Log(log) => {
-                log.push(event);
-                if let Some(tr) = self.tracer.as_mut() {
-                    tr.logged(self.clock);
-                }
-            }
+        if let EventSink::Monitor(monitor) = self.events {
+            monitor_event(monitor, self.tracer.as_deref_mut(), event, self.clock);
         }
     }
 }
@@ -463,7 +419,7 @@ struct Sim<'a> {
 }
 
 impl<'a> Sim<'a> {
-    fn new(image: &'a ProgramImage, config: &'a ExecConfig, events: EventSink) -> Self {
+    fn new(image: &'a ProgramImage, config: &'a ExecConfig) -> Self {
         let n = config.nthreads;
         let regions = image.module.globals.len() as u32;
         Sim {
@@ -494,7 +450,10 @@ impl<'a> Sim<'a> {
                 heap: BinaryHeap::new(),
                 end: None,
             },
-            events,
+            events: match config.monitor {
+                MonitorMode::Enabled => EventSink::Monitor(inline_monitor(image, config)),
+                _ => EventSink::Discard,
+            },
             tracer: None,
         }
     }
@@ -810,23 +769,23 @@ impl<'a> Sim<'a> {
 /// one prefix past many fault points instead of re-interpreting the
 /// program from step 0 for each.
 ///
-/// The prefix runs hook-free and monitor-free. Its monitor events are
-/// charged and counted as the configured [`MonitorMode`] charges them and,
-/// under [`MonitorMode::Enabled`], kept in a log; each fork builds the
-/// monitor the configuration asks for and processes the log first, so
-/// verdicts, reports and monitor telemetry come out as if the monitor had
-/// watched the whole run.
+/// The prefix runs hook-free, with the monitor the configuration asks for:
+/// under [`MonitorMode::Enabled`] its inline monitor checks each event as
+/// it is sent, as in any run, and each fork continues a clone of it, so
+/// verdicts, reports and monitor telemetry come out as if one monitor had
+/// watched the whole run — and the prefix's events are checked once, not
+/// once per fork.
 ///
 /// The trace is forked with the state. If a span sink is installed when
 /// the prefix is created (`bw_telemetry::set_trace_sink`; looked up once,
 /// there), the prefix holds back the `tspan` records of its part of the
-/// run, and each fork first writes them to the sink — on the thread that
-/// calls [`SimPrefix::resume`], so they pick up its `TraceScope` — and
-/// then goes on tracing where the prefix stood: open barrier phases, lock
-/// waits and holds carry over, and a violation the log replay completes
-/// gets its verdict arrow at the sender's clock, in its place among the
-/// other records. Within one fork the sequence of `tspan` records is,
-/// field for field, the one `run_hooked` writes under the same scope.
+/// run — the verdict arrows of violations its monitor completes among them,
+/// at the sender's clock — and each fork first writes them to the sink, on
+/// the thread that calls [`SimPrefix::resume`], so they pick up its
+/// `TraceScope`; it then goes on tracing where the prefix stood: open
+/// barrier phases, lock waits and holds and the next flow id carry over.
+/// Within one fork the sequence of `tspan` records is, field for field, the
+/// one `run_hooked` writes under the same scope.
 ///
 /// [`SimEngine`]: crate::SimEngine
 pub struct SimPrefix<'a> {
@@ -838,28 +797,11 @@ impl<'a> SimPrefix<'a> {
     /// Runs `@init` (hook-free) and stops before the parallel section's
     /// first slot.
     pub fn new(image: &'a ProgramImage, config: &'a ExecConfig) -> Self {
-        let events = match config.monitor {
-            MonitorMode::Enabled => EventSink::Log(Vec::new()),
-            _ => EventSink::Discard,
-        };
-        let mut sim = Sim::new(image, config, events);
+        let mut sim = Sim::new(image, config);
         sim.tracer = SimTracer::installed(image, config)
-            .map(|tracer| SimTracer { held: Some(HeldSpans::default()), ..tracer });
+            .map(|tracer| SimTracer { held: Some(Vec::new()), ..tracer });
         let init_branches = sim.init(&NoHook);
         SimPrefix { sim, init_branches }
-    }
-
-    /// Sizes the event log for a prefix that will send up to `events`
-    /// monitor events (a fault-free run's [`RunResult::events_sent`]), so
-    /// the log is allocated once.
-    pub fn log_capacity(mut self, events: usize) -> Self {
-        if let EventSink::Log(log) = &mut self.sim.events {
-            log.reserve_exact(events);
-            if let Some(held) = self.sim.tracer.as_mut().and_then(|tr| tr.held.as_mut()) {
-                held.event_clocks.reserve_exact(events);
-            }
-        }
-        self
     }
 
     /// Dynamic branches `@init` took. It ran as thread 0 with an index
@@ -909,28 +851,13 @@ impl<'a> SimPrefix<'a> {
     /// short of the targets [`SimPrefix::advance_to`] was given.
     pub fn resume(&self, hook: &dyn BranchHook) -> RunResult {
         let Sim { image, config, costs, state, events, tracer } = &self.sim;
-        let (log, mut monitor) = match events {
-            EventSink::Log(log) => (log.as_slice(), Some(inline_monitor(image, config))),
-            _ => (&[][..], None),
-        };
-        let tracer = match tracer {
-            Some(tracer) => Some(tracer.fork(log, monitor.as_mut())),
-            None => {
-                if let Some(monitor) = &mut monitor {
-                    for &event in log {
-                        monitor.process(event);
-                    }
-                }
-                None
-            }
-        };
         let fork = Sim {
             image,
             config,
             costs: Arc::clone(costs),
             state: state.clone(),
-            events: monitor.map_or(EventSink::Discard, EventSink::Monitor),
-            tracer,
+            events: events.clone(),
+            tracer: tracer.as_ref().map(SimTracer::fork),
         };
         let result = fork.run(hook);
         crate::live::record_run(crate::engine::EngineKind::Sim, &result);

@@ -26,10 +26,16 @@
 //! Mutation check — each of these, applied to `src/sim.rs`, was run
 //! against this file in the release profile; "all seven" are the tests
 //! that were here before the traced ones (the first seven below):
-//! * the log replayed newest-first in `resume` → all but
-//!   `two_targets_share…` (violation reports and the monitor's telemetry
-//!   move; that test's port detects nothing);
-//! * the log replayed one event short → all seven (`events_processed`);
+//! * each fork given a fresh inline monitor instead of a clone of the
+//!   prefix's → all seven, the traced grid and `a_violation…`: all but
+//!   `locks_held…`, whose branches lie in critical sections and send no
+//!   events (`events_processed`, violations, the monitor's telemetry);
+//! * the prefix's monitor moved into the fork (`std::mem::replace`, with
+//!   `resume` taking `&mut self`), so that the next fork of the prefix
+//!   starts from an empty one → `forked_campaigns…`, `generated_modules…`,
+//!   `targets_at_the_ends…`, `two_targets_share…`, `unhooked_forks…`, the
+//!   traced grid and `a_violation…` — every test that forks one prefix
+//!   again once events have been sent;
 //! * the fork taken one slot late (`advance_to` runs one more slot before
 //!   it returns) → `forked_campaigns…`, `generated_modules…`,
 //!   `targets_at_the_ends…`, `two_targets_share…`, `a_plan_that_fires_in_
@@ -453,8 +459,7 @@ fn unhooked_forks_equal_the_plain_run() {
                     assert_same(&fork, &plain, &format!("{what}, {at}"));
                     assert_same_spans(&fork_spans, &plain_spans, &format!("{what}, {at}"));
                 };
-                let mut prefix =
-                    SimPrefix::new(&image, &config).log_capacity(plain.events_sent as usize);
+                let mut prefix = SimPrefix::new(&image, &config);
                 check(&prefix, "0 %");
                 let mut half = vec![None; nthreads as usize];
                 let last = nthreads as usize - 1;
@@ -545,9 +550,9 @@ fn a_plan_that_fires_in_init_is_behind_the_prefix() {
 /// * `hold_since` emptied in the fork → `locks_held…` and this test (a
 ///   `lock_hold` goes missing); `wait_since` emptied → `locks_held…` (a
 ///   `lock_wait` goes missing);
-/// * a verdict the log replay reaches not written; written after the held
-///   spans instead of among them; stamped one cycle off the sender's
-///   clock; flow ids restarted once the log is replayed → each
+/// * the prefix's events handed to `monitor.process` instead of
+///   `monitor_event`, so that a verdict its monitor reaches is not held
+///   back; flow ids restarted in the fork → each
 ///   `a_violation_the_log_replay_completes…`;
 /// * the final phases closed again by a fork of a finished parallel
 ///   section → `unhooked_forks…` (at 100 %) and `a_violation…` (its last
@@ -640,11 +645,13 @@ fn locks_held_and_awaited_at_the_cut() {
     }
 }
 
-/// A violation completed by an event of the *prefix* is found by the fork
-/// when it replays the log, with no thread running: its verdict arrow and
-/// instant must still be written, at the sender's clock, with the flow id
-/// and at the place among the other records that `run_hooked` gives them.
-/// No fault-free prefix of a sound plan raises one, so the plan is
+/// A violation completed by an event of the *prefix* is found by the
+/// prefix's own inline monitor, before any fork exists: its verdict arrow
+/// and instant are held back with the prefix's spans, and every fork must
+/// write them at the sender's clock, with the flow id and at the place
+/// among the other records that `run_hooked` gives them. (Forks used to
+/// find such a violation by replaying the prefix's event log, hence the
+/// name.) No fault-free prefix of a sound plan raises one, so the plan is
 /// sabotaged: `threadID` branches checked as if they were `shared`.
 #[test]
 fn a_violation_the_log_replay_completes_is_traced() {
@@ -697,8 +704,8 @@ fn a_violation_the_log_replay_completes_is_traced() {
         let plans = [flip(1, 1), flip(1, last / 2), flip(1, last - 1), flip(2, last + 1)];
         let walked = walk(&image, &config, &plans, Some(&trace), &what);
         assert_eq!(walked.forked, plans.len(), "{what}");
-        // The unhooked fork at the end: every verdict of the run comes out
-        // of the log replay, none out of a running thread.
+        // The unhooked fork at the end: the prefix's monitor reached every
+        // verdict of the run, the fork's tail none.
         let verdicts = of_cat(&golden_spans, "verdict").len();
         assert!(verdicts >= 2, "{what}: {verdicts} verdict(s) traced");
         assert!(
