@@ -329,7 +329,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     // The pipeline's own telemetry plus the run's: one merged snapshot.
     let mut telemetry = bw.telemetry();
     let result = bw.run_on(kind, &ExecConfig::new(n).monitor_shards(shards));
-    telemetry.merge(&result.telemetry);
+    telemetry.merge(&result.telemetry());
     tracing.finish(Some(&telemetry));
     println!("outcome: {:?} ({} engine)", result.outcome, kind.name());
     match kind {

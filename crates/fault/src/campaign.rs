@@ -721,7 +721,7 @@ fn campaign_telemetry(
     }
     // The golden run's own instruments, prefixed so queue pressure during
     // the fault-free run can be told apart from campaign costs.
-    telemetry.merge(&golden.telemetry.prefixed("golden."));
+    telemetry.merge(&golden.telemetry().prefixed("golden."));
     telemetry
 }
 
@@ -935,8 +935,9 @@ struct Worker<'a> {
 /// the prefix advances to each fault point in the order the run reaches
 /// them, and every injection is a fork of it — the interpreter state, a
 /// clone of the prefix's inline monitor and, under a span sink, its spans
-/// inherited, only the tail executed and checked. The time the prefix
-/// takes to advance is charged to the injection it precedes.
+/// inherited, only the tail executed and checked. The last fork takes the
+/// prefix itself ([`SimPrefix::finish`]) instead of a copy. The time the
+/// prefix takes to advance is charged to the injection it precedes.
 ///
 /// Two cases replay an injection from step 0 ([`execute_one`]) instead,
 /// each decided by something observable: the real engine (OS threads
@@ -955,7 +956,7 @@ fn execute_window(job: &CampaignJob<'_>, window: std::ops::Range<usize>, worker:
     // executed) and books it, from the end of the one before.
     let mut inject = |index: usize,
                       worker: &mut Worker<'_>,
-                      run: &dyn Fn() -> (InjectionRecord, u64)| {
+                      run: &mut dyn FnMut() -> (InjectionRecord, u64)| {
         let wid = worker.stats.worker;
         let _scope = trace.as_ref().map(|_| {
             let image = job.item.map(|item| ("image", Value::from(item)));
@@ -981,7 +982,7 @@ fn execute_window(job: &CampaignJob<'_>, window: std::ops::Range<usize>, worker:
         started = bw_telemetry::wall_now_us();
     };
 
-    let mut prefix =
+    let prefix =
         (job.config.engine == EngineKind::Sim).then(|| SimPrefix::new(job.image, &job.faulty));
     // Per thread, the targets a fork can serve, latest first.
     let mut queues: Vec<Vec<(u64, usize)>> = vec![Vec::new(); job.faulty.nthreads as usize];
@@ -993,18 +994,18 @@ fn execute_window(job: &CampaignJob<'_>, window: std::ops::Range<usize>, worker:
                 continue;
             }
         }
-        inject(index, worker, &|| {
+        inject(index, worker, &mut || {
             execute_one(engine(job.config.engine), job.image, &job.faulty, job.golden, plan)
         });
     }
 
-    let Some(prefix) = prefix.as_mut() else { return };
+    let Some(mut prefix) = prefix else { return };
     for queue in &mut queues {
         queue.sort_unstable_by(|a, b| b.cmp(a));
     }
     let head = |queue: &Vec<(u64, usize)>| queue.last().map(|&(dyn_index, _)| dyn_index);
     let mut targets: Vec<Option<u64>> = queues.iter().map(head).collect();
-    let mut inherited = 0u64;
+    let (mut ran, mut inherited) = (prefix.steps(), 0u64);
     while let Some(waiting) = targets.iter().position(Option::is_some) {
         // Once the parallel section is over nothing comes into reach any
         // more (the target of a thread with no branches): those forks have
@@ -1014,17 +1015,27 @@ fn execute_window(job: &CampaignJob<'_>, window: std::ops::Range<usize>, worker:
         targets[tid] = head(&queues[tid]);
 
         let plan = job.plans[index];
-        inject(index, worker, &|| {
-            let hook = InjectionHook::new(plan);
-            let result = prefix.resume(&hook);
-            (injection_record(plan, &hook, &result, job.golden), result.total_steps - prefix.steps())
-        });
-        inherited += prefix.steps();
+        ran = prefix.steps();
+        inherited += ran;
+        let hook = InjectionHook::new(plan);
+        let record = |result: RunResult| {
+            (injection_record(plan, &hook, &result, job.golden), result.total_steps - ran)
+        };
+        if targets.iter().any(Option::is_some) {
+            inject(index, worker, &mut || record(prefix.resume(&hook)));
+        } else {
+            // The window's last fork takes the prefix over: its state and
+            // monitor are moved, not cloned, and dropped within this
+            // injection's time.
+            let mut last = Some(prefix);
+            inject(index, worker, &mut || record(last.take().expect("one run").finish(&hook)));
+            break;
+        }
     }
     // The prefix's own steps were run once; its forks skipped the rest of
     // what they inherited.
-    worker.stats.steps_run += prefix.steps();
-    worker.stats.steps_skipped += inherited.saturating_sub(prefix.steps());
+    worker.stats.steps_run += ran;
+    worker.stats.steps_skipped += inherited.saturating_sub(ran);
 }
 
 /// Stage 2: runs every job's plans on one pool of `workers` threads

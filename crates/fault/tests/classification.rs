@@ -3,7 +3,7 @@
 
 use bw_fault::{classify, FaultOutcome};
 use bw_monitor::{Violation, ViolationKind};
-use bw_vm::{RunOutcome, RunResult};
+use bw_vm::{EngineKind, RunOutcome, RunResult};
 use bw_ir::Val;
 
 fn result(outcome: RunOutcome, outputs: Vec<Val>, detected: bool) -> RunResult {
@@ -29,7 +29,9 @@ fn result(outcome: RunOutcome, outputs: Vec<Val>, detected: bool) -> RunResult {
         events_dropped: 0,
         branches_per_thread: vec![0],
         steps_per_thread: vec![0],
-        telemetry: bw_telemetry::TelemetrySnapshot::new(),
+        engine: EngineKind::Sim,
+        cycles: Default::default(),
+        monitor: None,
         branch_events: Vec::new(),
     }
 }

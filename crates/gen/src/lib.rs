@@ -32,7 +32,7 @@ pub use fuzz::{
 };
 pub use generate::{generate_module, GenConfig};
 pub use oracle::{
-    check_image, check_image_cross, sabotaged_image, transparent_counters, CoverageCounts,
+    check_image, check_image_cross, sabotaged_image, CoverageCounts,
     OracleFailure, OracleStats, DEFAULT_THREADS, ORACLE_MAX_STEPS,
 };
 pub use shrink::shrink;

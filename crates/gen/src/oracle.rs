@@ -13,32 +13,35 @@
 //!    up as a disagreement.
 //! 3. **Differential transparency** — instrumented and uninstrumented runs
 //!    produce identical program-visible results: outputs, outcome, and the
-//!    per-thread instruction/branch counts recorded in the deterministic
-//!    telemetry. (Monitor-side counters necessarily differ and are
-//!    excluded; see [`transparent_counters`].)
+//!    total and per-thread instruction and branch counts. (Event counts,
+//!    cycle attribution and the monitor's instruments necessarily differ and
+//!    are not compared.)
 //!
 //! Plus a reproducibility gate: running the same configuration twice must be
-//! bitwise-identical, including the full `deterministic_part()` snapshot.
+//! bitwise-identical in every deterministic field of the `RunResult` —
+//! outcome, outputs, cycles, step and branch counts (total and per thread),
+//! the event stream and counts, violations, the cycle buckets and the
+//! monitor's instruments.
 //!
 //! And a **shard-neutrality** gate: sharding the monitor ingest
 //! (`ExecConfig::monitor_shards`) is a throughput knob, never a semantic
 //! one — every shard count must produce byte-identical violations,
 //! violation reports and program observables.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use bw_analysis::{AnalysisConfig, Category, CheckKind, CheckPlan, TidCheck};
 use bw_monitor::{Violation, ViolationReport};
-use bw_telemetry::TelemetrySnapshot;
 use bw_vm::{
     engine, Engine, EngineKind, ExecConfig, MonitorMode, ProgramImage, RunOutcome, RunResult,
     SimEngine,
 };
 use bw_ir::BranchId;
 
-/// The `(thread, witness, taken)` reports of one runtime branch instance.
-type InstanceReports = Vec<(u32, u64, bool)>;
+/// One branch event as the pattern check orders it: its runtime instance
+/// `(branch, site, iter)`, keyed as the monitor keys its pending table, then
+/// its report `(thread, witness, taken)`.
+type Keyed = ((u32, u64, u64), (u32, u64, bool));
 
 /// Thread counts the oracle sweeps by default.
 pub const DEFAULT_THREADS: [u32; 4] = [1, 2, 4, 8];
@@ -324,6 +327,18 @@ pub fn check_image_cross(
     base_seed: u64,
     real_cross: bool,
 ) -> Result<OracleStats, OracleFailure> {
+    check_on(&SimEngine, image, threads, base_seed, real_cross)
+}
+
+/// [`check_image_cross`] with its simulator runs on `sim`, which tests
+/// replace with a deliberately faulty engine.
+fn check_on(
+    sim: &dyn Engine,
+    image: &ProgramImage,
+    threads: &[u32],
+    base_seed: u64,
+    real_cross: bool,
+) -> Result<OracleStats, OracleFailure> {
     let mut stats = OracleStats::default();
     for &n in threads {
         let cfg_on = ExecConfig::new(n)
@@ -331,7 +346,7 @@ pub fn check_image_cross(
             .max_steps(ORACLE_MAX_STEPS)
             .capture_events(true);
 
-        let r_on = SimEngine.run(image, &cfg_on);
+        let r_on = sim.run(image, &cfg_on);
         stats.runs += 1;
         if r_on.outcome != RunOutcome::Completed {
             return Err(OracleFailure::RunFailed { nthreads: n, outcome: r_on.outcome });
@@ -351,7 +366,7 @@ pub fn check_image_cross(
         }
 
         // Reproducibility: the identical configuration, bit for bit.
-        let r_again = SimEngine.run(image, &cfg_on);
+        let r_again = sim.run(image, &cfg_on);
         stats.runs += 1;
         if let Some(detail) = diff_full(&r_on, &r_again) {
             return Err(OracleFailure::NotReproducible { nthreads: n, detail });
@@ -359,7 +374,7 @@ pub fn check_image_cross(
 
         // Invariant 3: the monitor must be invisible to the program.
         let cfg_off = cfg_on.clone().monitor(MonitorMode::Off).capture_events(false);
-        let r_off = SimEngine.run(image, &cfg_off);
+        let r_off = sim.run(image, &cfg_off);
         stats.runs += 1;
         if let Some(detail) = diff_transparent(&r_on, &r_off) {
             return Err(OracleFailure::NotTransparent { nthreads: n, detail });
@@ -373,7 +388,7 @@ pub fn check_image_cross(
         {
             let prev = bw_telemetry::trace_sink();
             bw_telemetry::set_trace_sink(Some(std::sync::Arc::new(bw_telemetry::NullRecorder)));
-            let r_traced = SimEngine.run(image, &cfg_on);
+            let r_traced = sim.run(image, &cfg_on);
             bw_telemetry::set_trace_sink(prev);
             stats.runs += 1;
             if let Some(detail) = diff_full(&r_on, &r_traced) {
@@ -386,7 +401,7 @@ pub fn check_image_cross(
         // program-visible results, same costs.
         for shards in [1usize, 2, 4, 8] {
             let cfg_sharded = cfg_on.clone().monitor_shards(Some(shards));
-            let r_sharded = SimEngine.run(image, &cfg_sharded);
+            let r_sharded = sim.run(image, &cfg_sharded);
             stats.runs += 1;
             if let Some(detail) = diff_sharded(&r_on, &r_sharded) {
                 return Err(OracleFailure::ShardDivergence { nthreads: n, shards, detail });
@@ -471,29 +486,28 @@ fn diff_engines(sim: &RunResult, real: &RunResult) -> Option<String> {
     None
 }
 
+/// Compares two runs of one configuration: every deterministic field must
+/// match, the first that does not is named.
 fn diff_full(a: &RunResult, b: &RunResult) -> Option<String> {
     if a.outcome != b.outcome {
         return Some(format!("outcome {:?} vs {:?}", a.outcome, b.outcome));
     }
-    if a.outputs != b.outputs {
-        return Some("outputs differ between identical runs".into());
-    }
-    if a.parallel_cycles != b.parallel_cycles {
-        return Some("parallel_cycles differ between identical runs".into());
-    }
-    if a.total_steps != b.total_steps {
-        return Some("total_steps differ between identical runs".into());
-    }
-    if a.branch_events != b.branch_events {
-        return Some("branch event streams differ between identical runs".into());
-    }
-    if a.violations != b.violations {
-        return Some("violations differ between identical runs".into());
-    }
-    if a.telemetry.deterministic_part() != b.telemetry.deterministic_part() {
-        return Some("deterministic telemetry differs between identical runs".into());
-    }
-    None
+    let events = |r: &RunResult| (r.events_sent, r.events_processed, r.events_dropped);
+    [
+        (a.outputs != b.outputs, "outputs"),
+        (a.parallel_cycles != b.parallel_cycles, "parallel_cycles"),
+        (a.total_steps != b.total_steps, "total_steps"),
+        (a.branch_events != b.branch_events, "branch event streams"),
+        (a.violations != b.violations, "violations"),
+        (a.steps_per_thread != b.steps_per_thread, "per-thread step counts"),
+        (a.branches_per_thread != b.branches_per_thread, "per-thread branch counts"),
+        (events(a) != events(b), "event counts"),
+        (a.engine != b.engine, "engines"),
+        (a.cycles != b.cycles, "cycle attributions"),
+        (a.monitor != b.monitor, "monitor instruments"),
+    ]
+    .into_iter()
+    .find_map(|(differs, what)| differs.then(|| format!("{what} differ between identical runs")))
 }
 
 fn diff_transparent(on: &RunResult, off: &RunResult) -> Option<String> {
@@ -512,30 +526,7 @@ fn diff_transparent(on: &RunResult, off: &RunResult) -> Option<String> {
     if on.total_steps != off.total_steps {
         return Some("total interpreted instructions differ with the monitor on".into());
     }
-    let (ton, toff) =
-        (transparent_counters(&on.telemetry), transparent_counters(&off.telemetry));
-    if ton != toff {
-        return Some(format!("transparent telemetry differs: {ton:?} vs {toff:?}"));
-    }
     None
-}
-
-/// The subset of deterministic counters that must be identical whether or
-/// not the monitor runs: pure program-execution shape. Monitor-dependent
-/// counters (`monitor.*`, `vm.events_sent`, cycle attribution) are excluded
-/// — the monitor legitimately costs cycles; it must not change *execution*.
-pub fn transparent_counters(snapshot: &TelemetrySnapshot) -> Vec<(String, u64)> {
-    snapshot
-        .deterministic_part()
-        .counters()
-        .iter()
-        .filter(|(name, _)| {
-            name == "vm.instructions"
-                || name == "vm.branches"
-                || (name.starts_with("vm.thread.") && name.ends_with(".steps"))
-        })
-        .cloned()
-        .collect()
 }
 
 fn check_category_patterns(
@@ -544,16 +535,16 @@ fn check_category_patterns(
     nthreads: u32,
     stats: &mut OracleStats,
 ) -> Result<(), OracleFailure> {
-    // Group events into runtime instances, exactly as the monitor keys its
-    // two-level pending table: (branch, call-site path hash, iteration hash).
-    let mut instances: BTreeMap<(u32, u64, u64), InstanceReports> = BTreeMap::new();
-    for e in &run.branch_events {
-        instances
-            .entry((e.branch, e.site, e.iter))
-            .or_default()
-            .push((e.thread, e.witness, e.taken));
-    }
-    for ((branch, _site, _iter), mut reports) in instances {
+    // Sorting puts each runtime instance's reports next to each other, by
+    // thread, and the instances in key order.
+    let mut events: Vec<Keyed> = run
+        .branch_events
+        .iter()
+        .map(|e| ((e.branch, e.site, e.iter), (e.thread, e.witness, e.taken)))
+        .collect();
+    events.sort_unstable();
+    for reports in events.chunk_by(|a, b| a.0 == b.0) {
+        let ((branch, _, _), _) = reports[0];
         let Some(check) = image.plan.check(BranchId(branch)) else {
             return Err(OracleFailure::CategoryPattern {
                 nthreads,
@@ -566,57 +557,63 @@ fn check_category_patterns(
             stats.checked_instances += 1;
             stats.coverage.record(&check.kind);
         }
-        reports.sort_unstable();
-        if let Err(detail) = expected_pattern(&check.kind, &reports) {
+        if let Err(detail) = expected_pattern(&check.kind, reports) {
             return Err(OracleFailure::CategoryPattern { nthreads, branch, detail });
         }
     }
     Ok(())
 }
 
-/// The cross-thread pattern a category predicts, checked independently of
-/// the monitor (shape checks over the thread-sorted report vector, rather
-/// than the monitor's pairwise scans). Applied even to single-reporter
-/// instances — the *prediction* holds for any reporter subset, even where
-/// the monitor's check would pass vacuously.
-fn expected_pattern(kind: &CheckKind, reports: &[(u32, u64, bool)]) -> Result<(), String> {
-    let witnesses: Vec<u64> = reports.iter().map(|&(_, w, _)| w).collect();
-    let takens: Vec<bool> = reports.iter().map(|&(_, _, t)| t).collect();
-    let uniform_witness = witnesses.windows(2).all(|w| w[0] == w[1]);
+/// The cross-thread pattern a category predicts for one instance's reports,
+/// sorted by thread, checked independently of the monitor (shape checks
+/// over the sorted reports, rather than the monitor's pairwise scans).
+/// Applied even to single-reporter instances — the *prediction* holds for
+/// any reporter subset, even where the monitor's check would pass
+/// vacuously.
+fn expected_pattern(kind: &CheckKind, reports: &[Keyed]) -> Result<(), String> {
+    let witness = |&(_, (_, witness, _)): &Keyed| witness;
+    let taken = |&(_, (_, _, taken)): &Keyed| taken;
+    // The reports' witnesses and directions, for a failure message only.
+    let witnesses = || reports.iter().map(witness).collect::<Vec<u64>>();
+    let takens = || reports.iter().map(taken).collect::<Vec<bool>>();
+    let uniform_witness = reports.windows(2).all(|w| witness(&w[0]) == witness(&w[1]));
     match kind {
         CheckKind::SharedUniform => {
             if !uniform_witness {
-                return Err(format!("shared branch saw witnesses {witnesses:?}"));
+                return Err(format!("shared branch saw witnesses {:?}", witnesses()));
             }
-            if takens.windows(2).any(|w| w[0] != w[1]) {
-                return Err(format!("shared branch saw directions {takens:?}"));
+            if reports.windows(2).any(|w| taken(&w[0]) != taken(&w[1])) {
+                return Err(format!("shared branch saw directions {:?}", takens()));
             }
             Ok(())
         }
         CheckKind::ThreadIdPredicate(tc) => {
             if !uniform_witness {
-                return Err(format!("threadID branch saw witnesses {witnesses:?}"));
+                return Err(format!("threadID branch saw witnesses {:?}", witnesses()));
             }
-            // `reports` is sorted by thread id, so prefix/suffix shapes are
-            // positional properties of the `takens` vector.
+            // The reports are sorted by thread id, so prefix/suffix shapes
+            // are positional properties of their directions.
+            let steps = || reports.windows(2).map(|w| (taken(&w[0]), taken(&w[1])));
             let ok = match tc {
-                TidCheck::AtMostOneTaken => takens.iter().filter(|&&t| t).count() <= 1,
-                TidCheck::AtMostOneNotTaken => takens.iter().filter(|&&t| !t).count() <= 1,
-                TidCheck::TakenIsPrefix => !takens.windows(2).any(|w| !w[0] && w[1]),
-                TidCheck::TakenIsSuffix => !takens.windows(2).any(|w| w[0] && !w[1]),
+                TidCheck::AtMostOneTaken => reports.iter().filter(|r| taken(r)).count() <= 1,
+                TidCheck::AtMostOneNotTaken => reports.iter().filter(|r| !taken(r)).count() <= 1,
+                TidCheck::TakenIsPrefix => !steps().any(|(a, b)| !a && b),
+                TidCheck::TakenIsSuffix => !steps().any(|(a, b)| a && !b),
             };
             if ok {
                 Ok(())
             } else {
-                Err(format!("threadID predicate {tc:?} broken by directions {takens:?}"))
+                Err(format!("threadID predicate {tc:?} broken by directions {:?}", takens()))
             }
         }
         CheckKind::GroupByWitness => {
-            for (i, &(_, w1, t1)) in reports.iter().enumerate() {
-                for &(_, w2, t2) in &reports[i + 1..] {
-                    if w1 == w2 && t1 != t2 {
+            for (i, a) in reports.iter().enumerate() {
+                for b in &reports[i + 1..] {
+                    if witness(a) == witness(b) && taken(a) != taken(b) {
                         return Err(format!(
-                            "witness group {w1:#x} split directions {takens:?}"
+                            "witness group {:#x} split directions {:?}",
+                            witness(a),
+                            takens()
                         ));
                     }
                 }
@@ -670,17 +667,24 @@ pub fn sabotaged_image(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use bw_vm::BranchHook;
+
+    /// One instance's reports, `(thread, witness, taken)` sorted by thread.
+    fn at(reports: &[(u32, u64, bool)]) -> Vec<Keyed> {
+        reports.iter().map(|&report| ((0, 0, 0), report)).collect()
+    }
 
     #[test]
     fn expected_pattern_shapes() {
-        // (thread, witness, taken), sorted by thread.
-        let uniform = [(0, 9, true), (1, 9, true)];
-        let split = [(0, 9, true), (1, 9, false)];
+        let uniform = at(&[(0, 9, true), (1, 9, true)]);
+        let split = at(&[(0, 9, true), (1, 9, false)]);
         assert!(expected_pattern(&CheckKind::SharedUniform, &uniform).is_ok());
         assert!(expected_pattern(&CheckKind::SharedUniform, &split).is_err());
 
-        let prefix = [(0, 5, true), (1, 5, true), (2, 5, false)];
-        let broken = [(0, 5, false), (1, 5, true)];
+        let prefix = at(&[(0, 5, true), (1, 5, true), (2, 5, false)]);
+        let broken = at(&[(0, 5, false), (1, 5, true)]);
         let k = CheckKind::ThreadIdPredicate(TidCheck::TakenIsPrefix);
         assert!(expected_pattern(&k, &prefix).is_ok());
         assert!(expected_pattern(&k, &broken).is_err());
@@ -688,15 +692,126 @@ mod tests {
         assert!(expected_pattern(&k, &broken).is_ok());
 
         let k = CheckKind::ThreadIdPredicate(TidCheck::AtMostOneTaken);
-        assert!(expected_pattern(&k, &[(0, 5, true), (1, 5, false)]).is_ok());
-        assert!(expected_pattern(&k, &[(0, 5, true), (1, 5, true)]).is_err());
+        assert!(expected_pattern(&k, &at(&[(0, 5, true), (1, 5, false)])).is_ok());
+        assert!(expected_pattern(&k, &at(&[(0, 5, true), (1, 5, true)])).is_err());
 
-        let groups = [(0, 1, true), (1, 2, false), (2, 1, true)];
-        let bad = [(0, 1, true), (1, 1, false)];
+        let groups = at(&[(0, 1, true), (1, 2, false), (2, 1, true)]);
+        let bad = at(&[(0, 1, true), (1, 1, false)]);
         assert!(expected_pattern(&CheckKind::GroupByWitness, &groups).is_ok());
         assert!(expected_pattern(&CheckKind::GroupByWitness, &bad).is_err());
 
         // Single reporters are never a pattern violation.
-        assert!(expected_pattern(&CheckKind::SharedUniform, &[(0, 1, true)]).is_ok());
+        assert!(expected_pattern(&CheckKind::SharedUniform, &at(&[(0, 1, true)])).is_ok());
+    }
+
+    /// What a `CategoryPattern` failure says, word for word, for each kind
+    /// of check and each way it can fail.
+    #[test]
+    fn pattern_failure_details_are_pinned() {
+        let detail = |kind: CheckKind, reports: &[(u32, u64, bool)]| {
+            expected_pattern(&kind, &at(reports)).expect_err("the pattern is broken")
+        };
+        let tid = |check| CheckKind::ThreadIdPredicate(check);
+        for (got, expected) in [
+            (
+                detail(CheckKind::SharedUniform, &[(0, 1, true), (1, 2, true)]),
+                "shared branch saw witnesses [1, 2]",
+            ),
+            (
+                detail(CheckKind::SharedUniform, &[(0, 1, true), (1, 1, false)]),
+                "shared branch saw directions [true, false]",
+            ),
+            (
+                detail(tid(TidCheck::AtMostOneTaken), &[(0, 3, true), (2, 4, false)]),
+                "threadID branch saw witnesses [3, 4]",
+            ),
+            (
+                detail(tid(TidCheck::AtMostOneTaken), &[(0, 3, true), (1, 3, true)]),
+                "threadID predicate AtMostOneTaken broken by directions [true, true]",
+            ),
+            (
+                detail(tid(TidCheck::AtMostOneNotTaken), &[(0, 3, false), (1, 3, false)]),
+                "threadID predicate AtMostOneNotTaken broken by directions [false, false]",
+            ),
+            (
+                detail(tid(TidCheck::TakenIsPrefix), &[(0, 3, false), (1, 3, true)]),
+                "threadID predicate TakenIsPrefix broken by directions [false, true]",
+            ),
+            (
+                detail(tid(TidCheck::TakenIsSuffix), &[(0, 3, true), (1, 3, false)]),
+                "threadID predicate TakenIsSuffix broken by directions [true, false]",
+            ),
+            (
+                detail(
+                    CheckKind::GroupByWitness,
+                    &[(0, 0xab, true), (1, 7, true), (2, 0xab, false)],
+                ),
+                "witness group 0xab split directions [true, true, false]",
+            ),
+        ] {
+            assert_eq!(got, expected);
+        }
+    }
+
+    /// The simulator, except that its `faulty`-th run comes back with
+    /// `perturb` applied.
+    struct Perturbed {
+        faulty: usize,
+        runs: AtomicUsize,
+        perturb: fn(&mut RunResult),
+    }
+
+    impl Engine for Perturbed {
+        fn kind(&self) -> EngineKind {
+            EngineKind::Sim
+        }
+
+        fn deterministic(&self) -> bool {
+            true
+        }
+
+        fn run_hooked(
+            &self,
+            image: &ProgramImage,
+            config: &ExecConfig,
+            hook: &dyn BranchHook,
+        ) -> RunResult {
+            let mut result = SimEngine.run_hooked(image, config, hook);
+            if self.runs.fetch_add(1, Ordering::Relaxed) == self.faulty {
+                (self.perturb)(&mut result);
+            }
+            result
+        }
+    }
+
+    /// The reproducibility gate compares the cycle buckets and the monitor's
+    /// instruments: a repeat run that moves one of them by one is caught.
+    #[test]
+    fn a_repeat_run_that_moves_one_instrument_is_not_reproducible() {
+        let image = ProgramImage::prepare_default(crate::generate_module(0, &Default::default()));
+        let sound = Perturbed { faulty: usize::MAX, runs: AtomicUsize::new(0), perturb: |_| {} };
+        check_on(&sound, &image, &[4], 7, false).expect("seed 0 passes the oracle");
+        let mutants: [(fn(&mut RunResult), _); 3] = [
+            (|r| r.cycles.cycles_alu += 1, "cycle attributions"),
+            (
+                |r| r.monitor.as_mut().expect("monitored").instruments.flush_calls += 1,
+                "monitor instruments",
+            ),
+            (
+                |r| r.monitor.as_mut().expect("monitored").pending_instances += 1,
+                "monitor instruments",
+            ),
+        ];
+        for (perturb, what) in mutants {
+            // The first run at a thread count is the monitored one, the
+            // second its repeat.
+            let mutant = Perturbed { faulty: 1, runs: AtomicUsize::new(0), perturb };
+            match check_on(&mutant, &image, &[4], 7, false) {
+                Err(OracleFailure::NotReproducible { nthreads: 4, detail }) => {
+                    assert_eq!(detail, format!("{what} differ between identical runs"));
+                }
+                other => panic!("{what}: {other:?}"),
+            }
+        }
     }
 }

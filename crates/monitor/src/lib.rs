@@ -75,4 +75,4 @@ pub use topology::{MonitorBuilder, MonitorHandle, MonitorTopology, MonitorVerdic
 pub use provenance::PROVENANCE_ENABLED;
 pub use provenance::{category_name, TraceViolation, ViolationReport, WindowEntry};
 pub use spsc::{spsc_queue, Consumer, Producer, QueueFull};
-pub use telemetry::MonitorTelemetry;
+pub use telemetry::{MonitorTelemetry, ShardHealth, VerdictTelemetry};

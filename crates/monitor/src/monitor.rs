@@ -12,7 +12,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bw_analysis::{CheckKind, CheckPlan};
-use bw_telemetry::TelemetrySnapshot;
 
 use crate::checker::{check_instance, Report, ViolationKind};
 use crate::event::BranchEvent;
@@ -316,16 +315,6 @@ impl Monitor {
     /// topology layer when merging shards).
     pub(crate) fn into_results(self) -> (Vec<Violation>, Vec<ViolationReport>) {
         (self.violations, self.reports)
-    }
-
-    /// Exports everything this monitor measured under `monitor.*` names.
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        let mut s = self.telemetry.snapshot();
-        s.push_counter("monitor.events_processed", self.events_processed);
-        s.push_counter("monitor.events_dropped", self.events_dropped);
-        s.push_counter("monitor.violations", self.violations.len() as u64);
-        s.push_gauge("monitor.pending_instances", self.table.len() as u64);
-        s
     }
 }
 

@@ -118,8 +118,8 @@ impl ShardedMonitor {
     }
 
     /// Merges the shards into one verdict: violations and reports in the
-    /// canonical order, counters summed, telemetry merged (plus
-    /// per-shard `monitor.shard.<i>.*` metrics when sharded).
+    /// canonical order, counts summed, instruments merged (plus each
+    /// shard's health when sharded).
     pub fn into_verdict(self) -> MonitorVerdict {
         MonitorVerdict::merge_monitors(self.monitors)
     }

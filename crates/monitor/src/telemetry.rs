@@ -3,16 +3,20 @@
 //!
 //! Plain integers, like `bw-vm`'s cycle buckets: a [`crate::Monitor`] is
 //! driven through `&mut self` by the one thread that owns it (the
-//! simulator, or a shard worker) and its snapshot is taken after that
+//! simulator, or a shard worker) and its instruments are read after that
 //! thread is joined, so nothing reads these from a second thread. What
 //! diagnostics watch while a run is live are the registry handles in
 //! `live.rs`.
+//!
+//! A verdict carries the instruments as a [`VerdictTelemetry`], still plain
+//! numbers; the `monitor.*` names exist only in [`VerdictTelemetry::render_to`],
+//! which builds them when a caller asks for a named snapshot.
 
 use bw_analysis::CheckKind;
 use bw_telemetry::TelemetrySnapshot;
 
 /// One monitor's instruments.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MonitorTelemetry {
     /// Highest SPSC queue occupancy observed before a drain pass.
     pub queue_high_water: u64,
@@ -42,9 +46,24 @@ impl MonitorTelemetry {
         }
     }
 
-    /// Exports the instruments under `monitor.*` names.
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        let mut s = TelemetrySnapshot::new();
+    /// Folds another shard's instruments in: counts add (saturating),
+    /// high-water marks keep the maximum.
+    pub(crate) fn merge(&mut self, other: &MonitorTelemetry) {
+        self.queue_high_water = self.queue_high_water.max(other.queue_high_water);
+        self.flush_calls = self.flush_calls.saturating_add(other.flush_calls);
+        self.flush_batch_total = self.flush_batch_total.saturating_add(other.flush_batch_total);
+        self.flush_batch_max = self.flush_batch_max.max(other.flush_batch_max);
+        self.pending_high_water = self.pending_high_water.max(other.pending_high_water);
+        self.violations_shared_uniform =
+            self.violations_shared_uniform.saturating_add(other.violations_shared_uniform);
+        self.violations_tid_predicate =
+            self.violations_tid_predicate.saturating_add(other.violations_tid_predicate);
+        self.violations_group_witness =
+            self.violations_group_witness.saturating_add(other.violations_group_witness);
+    }
+
+    /// Appends the instruments to `s` under their `monitor.*` names.
+    fn render_to(&self, s: &mut TelemetrySnapshot) {
         s.push_gauge("monitor.queue_high_water", self.queue_high_water);
         s.push_counter("monitor.flush.calls", self.flush_calls);
         s.push_counter("monitor.flush.batch_total", self.flush_batch_total);
@@ -62,7 +81,57 @@ impl MonitorTelemetry {
             "monitor.violations.group_witness",
             self.violations_group_witness,
         );
-        s
+    }
+}
+
+/// One shard's ingest health, kept when a verdict merges more than one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ShardHealth {
+    /// Events the shard processed.
+    pub events_processed: u64,
+    /// Events its senders dropped.
+    pub events_dropped: u64,
+    /// Its highest queue occupancy before a drain pass.
+    pub queue_high_water: u64,
+}
+
+/// Everything a monitor measured, summed across its shards: what a
+/// [`crate::MonitorVerdict`] and a run's result carry in place of named
+/// metrics. Counts add and high-water marks keep the maximum, as a merge of
+/// one named snapshot per shard would.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct VerdictTelemetry {
+    /// The monitors' instruments, merged.
+    pub instruments: MonitorTelemetry,
+    /// Events processed.
+    pub events_processed: u64,
+    /// Events the senders dropped.
+    pub events_dropped: u64,
+    /// Violations found (before `SendOnly` discards them).
+    pub violations: u64,
+    /// Instances still pending at the end, the largest of any shard.
+    pub pending_instances: u64,
+    /// Per-shard health, in shard order, when there is more than one shard;
+    /// empty for one.
+    pub shards: Vec<ShardHealth>,
+}
+
+impl VerdictTelemetry {
+    /// Appends the `monitor.*` metrics to `s`: the instruments, the event
+    /// and violation counts, then `monitor.shard.<i>.{events_processed,
+    /// events_dropped}` counters and `monitor.shard.<i>.queue_high_water`
+    /// gauges per shard.
+    pub fn render_to(&self, s: &mut TelemetrySnapshot) {
+        self.instruments.render_to(s);
+        s.push_counter("monitor.events_processed", self.events_processed);
+        s.push_counter("monitor.events_dropped", self.events_dropped);
+        s.push_counter("monitor.violations", self.violations);
+        s.push_gauge("monitor.pending_instances", self.pending_instances);
+        for (i, shard) in self.shards.iter().enumerate() {
+            s.push_counter(format!("monitor.shard.{i}.events_processed"), shard.events_processed);
+            s.push_counter(format!("monitor.shard.{i}.events_dropped"), shard.events_dropped);
+            s.push_gauge(format!("monitor.shard.{i}.queue_high_water"), shard.queue_high_water);
+        }
     }
 }
 
@@ -85,7 +154,8 @@ mod tests {
     #[test]
     fn snapshot_carries_all_instruments() {
         let t = MonitorTelemetry { queue_high_water: 17, flush_calls: 1, ..Default::default() };
-        let s = t.snapshot();
+        let mut s = TelemetrySnapshot::new();
+        t.render_to(&mut s);
         assert_eq!(s.gauge("monitor.queue_high_water"), Some(17));
         assert_eq!(s.counter("monitor.flush.calls"), Some(1));
         assert_eq!(s.counter("monitor.violations.group_witness"), Some(0));

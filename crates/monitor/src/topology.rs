@@ -11,13 +11,12 @@
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use bw_telemetry::TelemetrySnapshot;
-
 use crate::event::BranchEvent;
 use crate::monitor::{sort_violations, CheckTable, EventSender, Monitor, Violation};
 use crate::provenance::ViolationReport;
 use crate::shard::{per_shard_capacity, ShardedMonitorThread};
 use crate::spsc::{spsc_queue, Consumer};
+use crate::telemetry::{ShardHealth, VerdictTelemetry};
 
 /// How monitor ingest is laid out across OS threads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,9 +56,10 @@ pub struct MonitorVerdict {
     /// Sender-side drops across every monitor worker. Nonzero means
     /// verdicts may have missed violations.
     pub events_dropped: u64,
-    /// Merged `monitor.*` telemetry (counters summed, gauges maxed), plus
-    /// per-shard `monitor.shard.<i>.*` metrics when sharded.
-    pub telemetry: TelemetrySnapshot,
+    /// What the monitor measured, merged across shards, plus per-shard
+    /// health when sharded; named on demand by
+    /// [`VerdictTelemetry::render_to`].
+    pub telemetry: VerdictTelemetry,
 }
 
 impl MonitorVerdict {
@@ -71,35 +71,30 @@ impl MonitorVerdict {
     /// Merges per-shard monitors into one verdict. Violations and reports
     /// are sorted into the canonical order ([`crate::sort_violations`]) so
     /// the result is independent of how the key space was partitioned;
-    /// counters sum,
-    /// telemetry merges. With more than one shard, per-shard
-    /// `monitor.shard.<i>.{events_processed, events_dropped}` counters and
-    /// `monitor.shard.<i>.queue_high_water` gauges are appended so `bw
-    /// stats` can show ingest balance.
+    /// counts sum and high-water marks keep the maximum. With more than one
+    /// shard, each shard's [`ShardHealth`] is kept too, so `bw stats` can
+    /// show ingest balance.
     pub(crate) fn merge_monitors(monitors: Vec<Monitor>) -> MonitorVerdict {
         let sharded = monitors.len() > 1;
-        let mut events_processed = 0;
-        let mut events_dropped = 0;
-        let mut telemetry = TelemetrySnapshot::new();
+        let mut telemetry = VerdictTelemetry::default();
+        if sharded {
+            telemetry.shards.reserve_exact(monitors.len());
+        }
         let mut violations = Vec::new();
         let mut violation_reports = Vec::new();
-        for (i, monitor) in monitors.into_iter().enumerate() {
-            events_processed += monitor.events_processed();
-            events_dropped += monitor.events_dropped();
-            telemetry.merge(&monitor.snapshot());
+        for monitor in monitors {
+            let t = &mut telemetry;
+            t.instruments.merge(monitor.telemetry());
+            t.events_processed = t.events_processed.saturating_add(monitor.events_processed());
+            t.events_dropped = t.events_dropped.saturating_add(monitor.events_dropped());
+            t.violations = t.violations.saturating_add(monitor.violations().len() as u64);
+            t.pending_instances = t.pending_instances.max(monitor.pending_instances() as u64);
             if sharded {
-                telemetry.push_counter(
-                    format!("monitor.shard.{i}.events_processed"),
-                    monitor.events_processed(),
-                );
-                telemetry.push_counter(
-                    format!("monitor.shard.{i}.events_dropped"),
-                    monitor.events_dropped(),
-                );
-                telemetry.push_gauge(
-                    format!("monitor.shard.{i}.queue_high_water"),
-                    monitor.telemetry().queue_high_water,
-                );
+                t.shards.push(ShardHealth {
+                    events_processed: monitor.events_processed(),
+                    events_dropped: monitor.events_dropped(),
+                    queue_high_water: monitor.telemetry().queue_high_water,
+                });
             }
             let (v, r) = monitor.into_results();
             violations.extend(v);
@@ -109,8 +104,8 @@ impl MonitorVerdict {
         MonitorVerdict {
             violations,
             violation_reports,
-            events_processed,
-            events_dropped,
+            events_processed: telemetry.events_processed,
+            events_dropped: telemetry.events_dropped,
             telemetry,
         }
     }
@@ -271,7 +266,13 @@ mod tests {
     #[test]
     fn sharded_verdicts_carry_per_shard_metrics() {
         let verdict = drive(MonitorTopology::Sharded { shards: 4 });
-        let counters = verdict.telemetry.counters();
+        let snapshot = |verdict: &MonitorVerdict| {
+            let mut s = bw_telemetry::TelemetrySnapshot::new();
+            verdict.telemetry.render_to(&mut s);
+            s
+        };
+        let named = snapshot(&verdict);
+        let counters = named.counters();
         let per_shard: Vec<&(String, u64)> = counters
             .iter()
             .filter(|(name, _)| name.starts_with("monitor.shard."))
@@ -284,8 +285,7 @@ mod tests {
         assert_eq!(processed, verdict.events_processed, "shard counters sum to the total");
         // Flat verdicts stay label-free.
         let flat = drive(MonitorTopology::Flat);
-        assert!(flat
-            .telemetry
+        assert!(snapshot(&flat)
             .counters()
             .iter()
             .all(|(name, _)| !name.starts_with("monitor.shard.")));

@@ -5,7 +5,7 @@
 //! `pending_instances()` must agree, and after the closing flush so must
 //! `violations()`, `violation_reports()` (whole structs: window contents,
 //! site-local seqs, pending depth, latency), `events_processed()` and
-//! `snapshot()`. The streams are random scripts shaped to reach what the
+//! `telemetry()`. The streams are random scripts shaped to reach what the
 //! two layouts do differently — windows that lose their oldest entries,
 //! sites seen once, a thread reporting a key it has already reported (while
 //! the instance is pending: dropped, first report wins; after it completed:
@@ -67,7 +67,7 @@ impl Pair {
         assert_eq!(self.flat.violations(), self.model.violations());
         assert_eq!(self.flat.violation_reports(), self.model.violation_reports());
         assert_eq!(self.flat.events_processed(), self.model.events_processed());
-        assert_eq!(self.flat.snapshot(), self.model.snapshot());
+        assert_eq!(self.flat.telemetry(), self.model.telemetry());
         assert_eq!(self.flat.violation_reports().len(), self.flat.violations().len());
         self.flat
     }

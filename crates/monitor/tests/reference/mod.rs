@@ -12,7 +12,6 @@ use bw_monitor::{
     check_instance, BranchEvent, CheckTable, MonitorTelemetry, Report, Violation, ViolationReport,
     WindowEntry,
 };
-use bw_telemetry::TelemetrySnapshot;
 
 /// The two-level table: level 1 by `(branch, site)`, level 2 by `iter`.
 #[derive(Default)]
@@ -205,12 +204,7 @@ impl RefMonitor {
         self.table.len
     }
 
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        let mut s = self.telemetry.snapshot();
-        s.push_counter("monitor.events_processed", self.events_processed);
-        s.push_counter("monitor.events_dropped", 0);
-        s.push_counter("monitor.violations", self.violations.len() as u64);
-        s.push_gauge("monitor.pending_instances", self.table.len as u64);
-        s
+    pub fn telemetry(&self) -> &MonitorTelemetry {
+        &self.telemetry
     }
 }

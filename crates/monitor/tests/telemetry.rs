@@ -12,7 +12,8 @@ use std::sync::Arc;
 
 use bw_analysis::CheckKind;
 use bw_monitor::{
-    shard_of, spsc_queue, BranchEvent, CheckTable, EventSender, Monitor, ShardedMonitorThread,
+    shard_of, spsc_queue, BranchEvent, CheckTable, EventSender, Monitor, ShardedMonitor,
+    ShardedMonitorThread,
 };
 
 fn checks() -> CheckTable {
@@ -118,28 +119,30 @@ fn queue_high_water_is_bounded_by_capacity() {
     drop(producers);
     let verdict = monitor.join();
     assert_eq!(verdict.events_processed, (nthreads * capacity) as u64);
-    let hw = verdict.telemetry.gauge("monitor.queue_high_water").unwrap_or(0);
+    let hw = verdict.telemetry.instruments.queue_high_water;
     assert!(hw <= capacity as u64, "high water {hw} exceeds capacity {capacity}");
     assert!(hw <= verdict.events_processed);
     // The queues were full before the monitor started draining.
     assert_eq!(hw, capacity as u64);
 }
 
-/// Per-check-kind violation tallies agree with the violation list.
+/// Per-check-kind violation tallies agree with the violation list, on the
+/// monitor and on its verdict.
 #[test]
 fn violation_tallies_match_violations() {
     let nthreads = 2;
-    let mut m = Monitor::new(checks(), nthreads);
+    let mut m = ShardedMonitor::new(checks(), nthreads, 1);
     for iter in 0..8u64 {
         let witness = if iter % 2 == 0 { 1 } else { 2 };
         m.process(ev(0, iter, 1));
         m.process(ev(1, iter, witness)); // odd iters mismatch
     }
     m.flush();
-    assert_eq!(m.violations().len(), 4);
-    assert_eq!(m.telemetry().violations_shared_uniform, 4);
-    assert_eq!(m.snapshot().counter("monitor.violations.shared_uniform"), Some(4));
-    assert_eq!(m.snapshot().counter("monitor.violations"), Some(4));
+    assert_eq!(m.violations_found(), 4);
+    let verdict = m.into_verdict();
+    assert_eq!(verdict.violations.len(), 4);
+    assert_eq!(verdict.telemetry.instruments.violations_shared_uniform, 4);
+    assert_eq!(verdict.telemetry.violations, 4);
 }
 
 /// Bugfix regression: a sender dropped (thread exit) after overflowing its
@@ -166,7 +169,8 @@ fn dropped_events_survive_the_sender() {
     let verdict = monitor.join();
     assert_eq!(verdict.events_dropped, 3);
     assert_eq!(verdict.events_processed, 4);
-    assert_eq!(verdict.telemetry.counter("monitor.events_dropped"), Some(3));
+    assert_eq!(verdict.telemetry.events_dropped, 3);
+    assert!(verdict.telemetry.shards.is_empty(), "one shard keeps no per-shard health");
 }
 
 /// The same drop-survival guarantee through sharded ingest: each shard's
@@ -210,8 +214,8 @@ fn dropped_events_survive_the_sender_sharded() {
     let verdict = monitor.join();
     assert_eq!(verdict.events_dropped, 6);
     assert_eq!(verdict.events_processed, 8);
-    assert_eq!(verdict.telemetry.counter("monitor.events_dropped"), Some(6));
-    assert_eq!(verdict.telemetry.counter("monitor.shard.0.events_dropped"), Some(3));
-    assert_eq!(verdict.telemetry.counter("monitor.shard.1.events_dropped"), Some(3));
-    assert_eq!(verdict.telemetry.counter("monitor.shard.0.events_processed"), Some(4));
+    assert_eq!(verdict.telemetry.events_dropped, 6);
+    let shards = &verdict.telemetry.shards;
+    assert_eq!(shards.iter().map(|s| s.events_dropped).collect::<Vec<_>>(), [3, 3]);
+    assert_eq!(shards[0].events_processed, 4);
 }

@@ -25,11 +25,12 @@
 //! [`MachineModel`]: crate::machine::MachineModel
 //! [`MachineModel::opteron_6128`]: crate::machine::MachineModel::opteron_6128
 
-use bw_monitor::{BranchEvent, Violation, ViolationReport};
+use bw_monitor::{BranchEvent, VerdictTelemetry, Violation, ViolationReport};
 use bw_telemetry::TelemetrySnapshot;
 use bw_ir::Val;
 
 use crate::image::ProgramImage;
+use crate::telemetry::VmTelemetry;
 use crate::thread::{BranchHook, NoHook};
 use crate::trap::TrapKind;
 
@@ -274,11 +275,15 @@ pub struct RunResult {
     pub branches_per_thread: Vec<u64>,
     /// Interpreted instructions per SPMD thread (parallel section only).
     pub steps_per_thread: Vec<u64>,
-    /// Everything this run measured: `vm.*` interpreter counts and cycle
-    /// attribution, plus `monitor.*` instruments when the monitor ran, plus
-    /// a `vm.engine.<kind>` label counter. Counters and gauges are
-    /// deterministic for a given config and seed on the sim engine.
-    pub telemetry: TelemetrySnapshot,
+    /// The engine that ran it.
+    pub engine: EngineKind,
+    /// Simulated cycles by cost class. Sim engine only; zero on the real
+    /// engine (no cost model).
+    pub cycles: VmTelemetry,
+    /// What the monitor measured, when one ran: on the sim engine under
+    /// [`MonitorMode::Enabled`], on the real engine under `Enabled` or
+    /// `SendOnly` once `@init` has completed.
+    pub monitor: Option<VerdictTelemetry>,
     /// Every branch event produced in the parallel section, in simulated
     /// execution order. Empty unless [`ExecConfig::capture_events`] is set
     /// — and always empty on the real engine (no deterministic order).
@@ -289,6 +294,37 @@ impl RunResult {
     /// Whether the monitor flagged a violation.
     pub fn detected(&self) -> bool {
         !self.violations.is_empty()
+    }
+
+    /// Everything this run measured, by name: the `vm.cycles.*` buckets
+    /// (sim engine), a `vm.engine.<kind>` label counter, `vm.instructions`,
+    /// `vm.events_sent`, `vm.branches` and `vm.thread.<tid>.steps`, and the
+    /// `monitor.*` instruments when the monitor ran — after the `vm.*`
+    /// counters on the sim engine, before them on the real engine. Built on
+    /// demand from the fields above; counters and gauges are deterministic
+    /// for a given config and seed on the sim engine.
+    pub fn telemetry(&self) -> TelemetrySnapshot {
+        let mut s = TelemetrySnapshot::new();
+        let monitor = |s: &mut TelemetrySnapshot| {
+            if let Some(monitor) = &self.monitor {
+                monitor.render_to(s);
+            }
+        };
+        match self.engine {
+            EngineKind::Sim => self.cycles.render_to(&mut s),
+            EngineKind::Real => monitor(&mut s),
+        }
+        s.push_counter(format!("vm.engine.{}", self.engine.name()), 1);
+        s.push_counter("vm.instructions", self.total_steps);
+        s.push_counter("vm.events_sent", self.events_sent);
+        s.push_counter("vm.branches", self.branches_per_thread.iter().sum::<u64>());
+        for (tid, &steps) in self.steps_per_thread.iter().enumerate() {
+            s.push_counter(format!("vm.thread.{tid}.steps"), steps);
+        }
+        if self.engine == EngineKind::Sim {
+            monitor(&mut s);
+        }
+        s
     }
 }
 
@@ -355,7 +391,7 @@ impl Engine for SimEngine {
         hook: &dyn BranchHook,
     ) -> RunResult {
         let result = crate::sim::run_sim_engine(image, config, hook);
-        crate::live::record_run(EngineKind::Sim, &result);
+        crate::live::record_run(&result);
         result
     }
 }
@@ -380,7 +416,7 @@ impl Engine for RealEngine {
         hook: &dyn BranchHook,
     ) -> RunResult {
         let result = crate::real::run_real_engine(image, config, hook);
-        crate::live::record_run(EngineKind::Real, &result);
+        crate::live::record_run(&result);
         result
     }
 }

@@ -64,5 +64,6 @@ pub use image::{PrepareError, PrepareTimings, ProgramImage};
 pub use machine::MachineModel;
 pub use memory::{AtomicMemory, LocalMemory, SharedMemory, SimMemory};
 pub use sim::SimPrefix;
+pub use telemetry::VmTelemetry;
 pub use thread::{BranchHook, FaultAction, NoHook, SplitMix64, MAX_CALL_DEPTH};
 pub use trap::TrapKind;

@@ -43,9 +43,9 @@ fn live() -> &'static Live {
 }
 
 /// Folds one finished run into the live registry.
-pub(crate) fn record_run(kind: EngineKind, result: &RunResult) {
+pub(crate) fn record_run(result: &RunResult) {
     let live = live();
-    match kind {
+    match result.engine {
         EngineKind::Sim => live.sim_runs.inc(),
         EngineKind::Real => live.real_runs.inc(),
     }
@@ -73,10 +73,12 @@ mod tests {
             events_dropped: 0,
             branches_per_thread: Vec::new(),
             steps_per_thread: Vec::new(),
-            telemetry: bw_telemetry::TelemetrySnapshot::new(),
+            engine: EngineKind::Sim,
+            cycles: Default::default(),
+            monitor: None,
             branch_events: Vec::new(),
         };
-        record_run(EngineKind::Sim, &result);
+        record_run(&result);
         let snap = MetricRegistry::global().snapshot();
         assert!(snap.counter("live.engine.sim.runs").unwrap_or(0) >= 1);
         assert!(snap.counter("live.engine.events_sent").unwrap_or(0) >= 5);

@@ -24,15 +24,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use bw_ir::Val;
-use bw_monitor::{
-    BranchEvent, CheckTable, EventSender, MonitorBuilder, Violation, ViolationReport,
-};
-use bw_telemetry::{Recorder, TelemetrySnapshot, TimeDomain};
+use bw_monitor::{BranchEvent, CheckTable, EventSender, MonitorBuilder, MonitorHandle};
+use bw_telemetry::{Recorder, TimeDomain};
 
-use crate::engine::{ExecConfig, MonitorMode, RunOutcome, RunResult};
+use crate::engine::{EngineKind, ExecConfig, MonitorMode, RunOutcome, RunResult};
 use crate::image::ProgramImage;
 use crate::memory::AtomicMemory;
 use crate::span::{lane, Span};
+use crate::telemetry::VmTelemetry;
 use crate::thread::{BranchHook, CostClass, NoSink, Sink, ThreadState, Yield};
 use crate::trap::TrapKind;
 
@@ -441,40 +440,23 @@ pub(crate) fn run_real_engine(
     let mut outputs = Vec::new();
     let mut total_steps = 0u64;
 
-    let finish = |outcome: RunOutcome,
-                  outputs: Vec<Val>,
-                  total_steps: u64,
-                  events: (u64, u64, u64),
-                  mut violations: Vec<Violation>,
-                  mut violation_reports: Vec<ViolationReport>,
-                  branches_per_thread: Vec<u64>,
-                  steps_per_thread: Vec<u64>,
-                  mut telemetry: TelemetrySnapshot| {
-        let (events_sent, events_processed, events_dropped) = events;
-        bw_monitor::sort_violations(&mut violations, &mut violation_reports);
-        telemetry.push_counter("vm.engine.real", 1);
-        telemetry.push_counter("vm.instructions", total_steps);
-        telemetry.push_counter("vm.events_sent", events_sent);
-        telemetry
-            .push_counter("vm.branches", branches_per_thread.iter().copied().sum::<u64>());
-        for (tid, steps) in steps_per_thread.iter().enumerate() {
-            telemetry.push_counter(format!("vm.thread.{tid}.steps"), *steps);
-        }
-        RunResult {
-            outcome,
-            outputs,
-            parallel_cycles: 0,
-            violations,
-            violation_reports,
-            total_steps,
-            events_sent,
-            events_processed,
-            events_dropped,
-            branches_per_thread,
-            steps_per_thread,
-            telemetry,
-            branch_events: Vec::new(),
-        }
+    // What every result has, whichever phase ended the run.
+    let ended = |outcome: RunOutcome, outputs: Vec<Val>, total_steps: u64| RunResult {
+        outcome,
+        outputs,
+        parallel_cycles: 0,
+        violations: Vec::new(),
+        violation_reports: Vec::new(),
+        total_steps,
+        events_sent: 0,
+        events_processed: 0,
+        events_dropped: 0,
+        branches_per_thread: Vec::new(),
+        steps_per_thread: Vec::new(),
+        engine: EngineKind::Real,
+        cycles: VmTelemetry::default(),
+        monitor: None,
+        branch_events: Vec::new(),
     };
 
     // Phase 1: init, single-threaded.
@@ -482,17 +464,7 @@ pub(crate) fn run_real_engine(
         if let Err(outcome) =
             run_serial_phase(image, &mem, init, config, hook, &mut outputs, &mut total_steps)
         {
-            return finish(
-                outcome,
-                outputs,
-                total_steps,
-                (0, 0, 0),
-                Vec::new(),
-                Vec::new(),
-                Vec::new(),
-                Vec::new(),
-                TelemetrySnapshot::new(),
-            );
+            return ended(outcome, outputs, total_steps);
         }
     }
 
@@ -542,26 +514,7 @@ pub(crate) fn run_real_engine(
     });
 
     // All senders are gone, so the monitor drains the queues and exits.
-    let (mut violations, mut violation_reports, events_processed, events_dropped, monitor_telemetry) =
-        match monitor {
-            Some(handle) => {
-                let verdict = handle.join();
-                (
-                    verdict.violations,
-                    verdict.violation_reports,
-                    verdict.events_processed,
-                    verdict.events_dropped,
-                    verdict.telemetry,
-                )
-            }
-            None => (Vec::new(), Vec::new(), 0, 0, TelemetrySnapshot::new()),
-        };
-    if config.monitor == MonitorMode::SendOnly {
-        // The send path ran hot (queues drained for real), but verdicts are
-        // discarded — the paper's 32-thread methodology.
-        violations.clear();
-        violation_reports.clear();
-    }
+    let verdict = monitor.map(MonitorHandle::join);
 
     // Aggregate workers: first trap (in thread-id order) wins, like the
     // simulator; otherwise any hang makes the run hung.
@@ -597,17 +550,24 @@ pub(crate) fn run_real_engine(
         }
     }
 
-    finish(
-        outcome,
-        outputs,
-        total_steps,
-        (events_sent, events_processed, events_dropped),
-        violations,
-        violation_reports,
+    let mut result = RunResult {
+        events_sent,
         branches_per_thread,
         steps_per_thread,
-        monitor_telemetry,
-    )
+        ..ended(outcome, outputs, total_steps)
+    };
+    if let Some(verdict) = verdict {
+        result.events_processed = verdict.events_processed;
+        result.events_dropped = verdict.events_dropped;
+        result.monitor = Some(verdict.telemetry);
+        // `SendOnly`: the send path ran hot (queues drained for real), but
+        // verdicts are discarded — the paper's 32-thread methodology.
+        if config.monitor == MonitorMode::Enabled {
+            result.violations = verdict.violations;
+            result.violation_reports = verdict.violation_reports;
+        }
+    }
+    result
 }
 
 #[cfg(test)]
@@ -685,13 +645,9 @@ mod tests {
         assert_eq!(result.events_sent, result.events_processed);
         // Per-shard health counters surface in the run telemetry and sum
         // to the merged total.
+        let telemetry = result.telemetry();
         let per_shard: u64 = (0..4)
-            .map(|s| {
-                result
-                    .telemetry
-                    .counter(&format!("monitor.shard.{s}.events_processed"))
-                    .unwrap_or(0)
-            })
+            .map(|s| telemetry.counter(&format!("monitor.shard.{s}.events_processed")).unwrap_or(0))
             .sum();
         assert_eq!(per_shard, result.events_processed);
     }

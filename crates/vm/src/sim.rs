@@ -28,7 +28,7 @@ use bw_ir::Val;
 use bw_monitor::{BranchEvent, CheckTable, ShardedMonitor};
 use bw_telemetry::{Recorder, TimeDomain};
 
-use crate::engine::{ExecConfig, ExecMode, MonitorMode, RunOutcome, RunResult};
+use crate::engine::{EngineKind, ExecConfig, ExecMode, MonitorMode, RunOutcome, RunResult};
 use crate::image::ProgramImage;
 use crate::machine::MachineModel;
 use crate::memory::SimMemory;
@@ -53,7 +53,8 @@ const MACHINE: MachineModel = MachineModel::opteron_6128();
 ///
 /// A [`SimPrefix`]'s tracer holds its spans back instead: the prefix runs
 /// once for many forks, and each fork's trace has to contain them under
-/// the fork's own `TraceScope`. [`SimTracer::fork`] writes them there.
+/// the fork's own `TraceScope`. [`SimTracer::into_fork`] writes them there.
+#[derive(Clone)]
 struct SimTracer {
     sink: Arc<dyn Recorder>,
     /// The spans not yet written to `sink`, while they are being held back:
@@ -116,22 +117,15 @@ impl SimTracer {
         }
     }
 
-    /// The tracer of a fork: this one's state writing straight to the sink,
+    /// This tracer as a fork's: its state writing straight to the sink,
     /// once the sink has everything the run would have written up to here,
     /// the held spans. The records pick up the calling thread's
     /// `TraceScope`, as a full replay's would.
-    fn fork(&self) -> SimTracer {
-        let mut fork = SimTracer {
-            sink: Arc::clone(&self.sink),
-            held: None,
-            threads: self.threads.clone(),
-            hold_since: self.hold_since.clone(),
-            flows: self.flows,
-        };
-        for &span in self.held.iter().flatten() {
-            fork.emit(span);
+    fn into_fork(mut self) -> SimTracer {
+        for span in self.held.take().into_iter().flatten() {
+            self.emit(span);
         }
-        fork
+        self
     }
 
     /// Closes thread `tid`'s current barrier phase at clock `end`.
@@ -307,7 +301,7 @@ struct Ledger {
     mode: MonitorMode,
     capture: bool,
     events_sent: u64,
-    telemetry: VmTelemetry,
+    cycles: VmTelemetry,
     branch_events: Vec<BranchEvent>,
 }
 
@@ -335,7 +329,7 @@ impl Sink for SlotSink<'_> {
     fn charge(&mut self, class: CostClass) {
         let cycles = self.costs.of(class);
         self.clock += cycles;
-        self.ledger.telemetry.add(class, cycles);
+        self.ledger.cycles.add(class, cycles);
     }
 
     fn event(&mut self, event: BranchEvent) {
@@ -347,7 +341,7 @@ impl Sink for SlotSink<'_> {
             return;
         }
         self.clock += self.costs.event;
-        ledger.telemetry.cycles_events += self.costs.event;
+        ledger.cycles.cycles_events += self.costs.event;
         ledger.events_sent += 1;
         if let EventSink::Monitor(monitor) = self.events {
             monitor_event(monitor, self.tracer.as_deref_mut(), event, self.clock);
@@ -409,6 +403,7 @@ fn max_clock(clocks: &[u64]) -> u64 {
 /// One run: `init`, then `slot` until it says the parallel section is
 /// over, then `finish`. [`run_sim_engine`] does that in one go;
 /// [`SimPrefix`] stops between two slots and clones the state.
+#[derive(Clone)]
 struct Sim<'a> {
     image: &'a ProgramImage,
     config: &'a ExecConfig,
@@ -432,7 +427,7 @@ impl<'a> Sim<'a> {
                     mode: config.monitor,
                     capture: config.capture_events,
                     events_sent: 0,
-                    telemetry: VmTelemetry::default(),
+                    cycles: VmTelemetry::default(),
                     branch_events: Vec::new(),
                 },
                 outputs: Vec::new(),
@@ -581,8 +576,8 @@ impl<'a> Sim<'a> {
                 Yield::Budget => {}
                 Yield::Lock(m) => {
                     clock += costs.alu + MACHINE.lock;
-                    ledger.telemetry.add(CostClass::Alu, costs.alu);
-                    ledger.telemetry.cycles_sync += MACHINE.lock;
+                    ledger.cycles.add(CostClass::Alu, costs.alu);
+                    ledger.cycles.cycles_sync += MACHINE.lock;
                     let ms = &mut mutexes[m.index()];
                     if ms.owner.is_none() {
                         ms.owner = Some(tid);
@@ -601,7 +596,7 @@ impl<'a> Sim<'a> {
                 }
                 Yield::Unlock(m) => {
                     clock += MACHINE.lock;
-                    ledger.telemetry.cycles_sync += MACHINE.lock;
+                    ledger.cycles.cycles_sync += MACHINE.lock;
                     let ms = &mut mutexes[m.index()];
                     if ms.owner != Some(tid) {
                         // Control flow corrupted into an unlock the
@@ -643,7 +638,7 @@ impl<'a> Sim<'a> {
                             .max()
                             .expect("nonempty arrivals")
                             + MACHINE.barrier_latency(n);
-                        ledger.telemetry.cycles_sync += MACHINE.barrier_latency(n);
+                        ledger.cycles.cycles_sync += MACHINE.barrier_latency(n);
                         for &(other, _) in &bs.arrivals {
                             let ot = other as usize;
                             clocks[ot] = release;
@@ -689,6 +684,15 @@ impl<'a> Sim<'a> {
         self.finish(hook)
     }
 
+    /// The rest of a [`SimPrefix`]'s run under `hook`, its held spans
+    /// written first.
+    fn fork(mut self, hook: &dyn BranchHook) -> RunResult {
+        self.tracer = self.tracer.map(SimTracer::into_fork);
+        let result = self.run(hook);
+        crate::live::record_run(&result);
+        result
+    }
+
     /// Phase 3: `@fini` if the program survived, then the result.
     fn finish(mut self, hook: &dyn BranchHook) -> RunResult {
         let (mut outcome, parallel_cycles) =
@@ -709,7 +713,7 @@ impl<'a> Sim<'a> {
         }
 
         let State { ledger, outputs, total_steps, .. } = self.state;
-        let Ledger { events_sent, telemetry, branch_events, .. } = ledger;
+        let Ledger { events_sent, cycles, branch_events, .. } = ledger;
         let verdict = match self.events {
             EventSink::Monitor(mut m) => {
                 // The end-of-run flush only happens if the program survived:
@@ -722,26 +726,10 @@ impl<'a> Sim<'a> {
             }
             _ => None,
         };
-        let (mut violations, mut violation_reports, events_processed, monitor_telemetry) =
-            match verdict {
-                Some(v) => (v.violations, v.violation_reports, v.events_processed, Some(v.telemetry)),
-                None => (Vec::new(), Vec::new(), 0, None),
-            };
-        bw_monitor::sort_violations(&mut violations, &mut violation_reports);
-        let mut telemetry = telemetry.snapshot();
-        telemetry.push_counter("vm.engine.sim", 1);
-        telemetry.push_counter("vm.instructions", total_steps);
-        telemetry.push_counter("vm.events_sent", events_sent);
-        telemetry.push_counter(
-            "vm.branches",
-            branches_per_thread.iter().copied().sum::<u64>(),
-        );
-        for (tid, steps) in steps_per_thread.iter().enumerate() {
-            telemetry.push_counter(format!("vm.thread.{tid}.steps"), *steps);
-        }
-        if let Some(snapshot) = monitor_telemetry.as_ref() {
-            telemetry.merge(snapshot);
-        }
+        let (violations, violation_reports, events_processed, monitor) = match verdict {
+            Some(v) => (v.violations, v.violation_reports, v.events_processed, Some(v.telemetry)),
+            None => (Vec::new(), Vec::new(), 0, None),
+        };
         RunResult {
             outcome,
             outputs,
@@ -754,7 +742,9 @@ impl<'a> Sim<'a> {
             events_dropped: 0,
             branches_per_thread,
             steps_per_thread,
-            telemetry,
+            engine: EngineKind::Sim,
+            cycles,
+            monitor,
             branch_events,
         }
     }
@@ -850,18 +840,14 @@ impl<'a> SimPrefix<'a> {
     /// first [`SimPrefix::init_branches`] in `@init`, and every branch
     /// short of the targets [`SimPrefix::advance_to`] was given.
     pub fn resume(&self, hook: &dyn BranchHook) -> RunResult {
-        let Sim { image, config, costs, state, events, tracer } = &self.sim;
-        let fork = Sim {
-            image,
-            config,
-            costs: Arc::clone(costs),
-            state: state.clone(),
-            events: events.clone(),
-            tracer: tracer.as_ref().map(SimTracer::fork),
-        };
-        let result = fork.run(hook);
-        crate::live::record_run(crate::engine::EngineKind::Sim, &result);
-        result
+        self.sim.clone().fork(hook)
+    }
+
+    /// [`SimPrefix::resume`] for the last fork of a prefix: the run itself
+    /// continues, its state and inline monitor moved instead of cloned, and
+    /// dropped when the fork ends instead of when the prefix would have.
+    pub fn finish(self, hook: &dyn BranchHook) -> RunResult {
+        self.sim.fork(hook)
     }
 }
 

@@ -8,16 +8,17 @@
 //! cycles, so they are deterministic for a given (program, config, seed)
 //! and participate in the determinism contract.
 //!
-//! One simulated run is one OS thread, so the buckets are plain integers,
-//! folded into a [`TelemetrySnapshot`] once, when the run finishes.
+//! One simulated run is one OS thread, so the buckets are plain integers.
+//! A [`crate::RunResult`] keeps them as they are; the `vm.cycles.*` names
+//! exist only in the named view, [`crate::RunResult::telemetry`].
 
 use bw_telemetry::TelemetrySnapshot;
 
 use crate::thread::CostClass;
 
 /// Cycle attribution buckets for one simulated run.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct VmTelemetry {
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct VmTelemetry {
     /// Cycles in plain ALU / compare / jump instructions.
     pub cycles_alu: u64,
     /// Cycles in multiplies.
@@ -45,7 +46,7 @@ pub(crate) struct VmTelemetry {
 impl VmTelemetry {
     /// Attributes `cycles` to the bucket of a cost class.
     #[inline]
-    pub fn add(&mut self, class: CostClass, cycles: u64) {
+    pub(crate) fn add(&mut self, class: CostClass, cycles: u64) {
         *match class {
             CostClass::Alu => &mut self.cycles_alu,
             CostClass::Mul => &mut self.cycles_mul,
@@ -58,9 +59,8 @@ impl VmTelemetry {
         } += cycles;
     }
 
-    /// Exports the attribution under `vm.cycles.*` names.
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        let mut s = TelemetrySnapshot::new();
+    /// Appends the attribution to `s` under `vm.cycles.*` names.
+    pub(crate) fn render_to(&self, s: &mut TelemetrySnapshot) {
         s.push_counter("vm.cycles.alu", self.cycles_alu);
         s.push_counter("vm.cycles.mul", self.cycles_mul);
         s.push_counter("vm.cycles.div", self.cycles_div);
@@ -71,7 +71,6 @@ impl VmTelemetry {
         s.push_counter("vm.cycles.output", self.cycles_output);
         s.push_counter("vm.cycles.events", self.cycles_events);
         s.push_counter("vm.cycles.sync", self.cycles_sync);
-        s
     }
 }
 
@@ -88,7 +87,9 @@ mod tests {
         assert_eq!(t.cycles_shared, 10);
         assert_eq!(t.cycles_atomic, 5);
         assert_eq!(t.cycles_alu, 0);
-        assert_eq!(t.snapshot().counter("vm.cycles.shared"), Some(10));
-        assert_eq!(t.snapshot().counter("vm.cycles.events"), Some(7));
+        let mut s = TelemetrySnapshot::new();
+        t.render_to(&mut s);
+        assert_eq!(s.counter("vm.cycles.shared"), Some(10));
+        assert_eq!(s.counter("vm.cycles.events"), Some(7));
     }
 }

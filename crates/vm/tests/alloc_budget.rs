@@ -5,8 +5,9 @@
 //! and a phi copy allocate nothing. What a run allocates is its set-up
 //! (shared memory, one state per thread, the scheduler's tables, the cost
 //! tables), the growth of those two stacks and of each thread's `outputs`
-//! as they double, and its result (the telemetry snapshot's names). None
-//! of that is per step. A counting global allocator measures it; counts
+//! as they double, and its result. None of that is per step, and none of
+//! it is a metric name: a result keeps its instruments as numbers and names
+//! them only when `RunResult::telemetry` is asked. A counting global allocator measures it; counts
 //! are per thread, so the test harness's own threads do not show.
 //!
 //! The parent commit allocated a `Vec` for every transfer into a block with
@@ -71,19 +72,24 @@ fn allocations(work: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(Cell::get) - before
 }
 
-/// Allocations of one monitor-off run of raytrace at `size`, with the
+/// Allocations of one run of raytrace at `size` under `config`, with the
 /// steps it took.
-fn run(size: Size) -> (u64, u64) {
+fn run_with(size: Size, config: &ExecConfig) -> (u64, u64) {
     let image =
         ProgramImage::prepare_default(Benchmark::Raytrace.module(size).expect("port compiles"));
-    let config = ExecConfig::new(4).monitor(MonitorMode::Off);
     let mut steps = 0;
     let n = allocations(|| {
-        let result = SimEngine.run(&image, &config);
+        let result = SimEngine.run(&image, config);
         assert_eq!(result.outcome, RunOutcome::Completed);
         steps = result.total_steps;
     });
     (n, steps)
+}
+
+/// Allocations of one monitor-off run of raytrace at `size`, with the
+/// steps it took.
+fn run(size: Size) -> (u64, u64) {
+    run_with(size, &ExecConfig::new(4).monitor(MonitorMode::Off))
 }
 
 #[test]
@@ -94,10 +100,29 @@ fn a_run_allocates_for_its_setup_and_its_stacks_only() {
     println!("Size::Test: {test} allocations in {test_steps} steps");
     println!("Size::Small: {small} allocations in {small_steps} steps");
     assert!(test_steps > 200_000, "{test_steps} steps");
-    // Measured: 98 at either size (set-up, the stacks' and outputs' few
-    // doublings, the result). The parent commit made 38,110 and 79,603.
+    // Measured: 76 at either size (set-up, the stacks' and outputs' few
+    // doublings, the result); 98 while a result named its ~20 `vm.*`
+    // metrics. The tree-walking stepper the decoded one replaced made
+    // 38,110 and 79,603.
     assert!(test <= 200, "{test} allocations in {test_steps} steps");
     // More than twice the work on the same program: a few more doublings.
     assert!(small_steps > 2 * test_steps, "{small_steps} vs {test_steps} steps");
     assert!(small <= test + 16, "{test} allocations grew to {small} with the work");
+}
+
+/// A monitored run adds the monitor's tables and its verdict, and with
+/// four shards four of each; the result keeps the instruments as numbers,
+/// so neither names a metric.
+#[test]
+fn a_monitored_run_allocates_no_metric_name() {
+    run(Size::Test); // the process's first run registers the live metrics source
+    let config = ExecConfig::new(4);
+    let (flat, _) = run_with(Size::Test, &config);
+    let (sharded, _) = run_with(Size::Test, &config.clone().monitor_shards(Some(4)));
+    println!("monitored: {flat} allocations, 4 shards: {sharded}");
+    // Measured: 115 and 188. A result that named its metrics made 180 and
+    // 325: the ~20 `vm.*` names, twelve `monitor.*` names per shard and
+    // their merge, and three `monitor.shard.<i>.*` names per shard.
+    assert!(flat <= 120, "{flat} allocations, monitored");
+    assert!(sharded <= 197, "{sharded} allocations, 4 shards");
 }

@@ -51,7 +51,9 @@ fn assert_same(new: &RunResult, old: &RunResult, what: &str) {
     assert_eq!(new.branch_events, old.branch_events, "branch_events: {what}");
     assert_eq!(new.violations, old.violations, "violations: {what}");
     assert_eq!(new.violation_reports, old.violation_reports, "violation_reports: {what}");
-    assert_eq!(new.telemetry, old.telemetry, "telemetry: {what}");
+    assert_eq!(new.engine, old.engine, "engine: {what}");
+    assert_eq!(new.cycles, old.cycles, "cycles: {what}");
+    assert_eq!(new.monitor, old.monitor, "monitor: {what}");
 }
 
 /// Runs `image` on the sim engine and on the reference model, each with

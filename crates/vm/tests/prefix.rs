@@ -167,7 +167,9 @@ fn assert_same(fork: &RunResult, full: &RunResult, what: &str) {
     assert_eq!(fork.branch_events, full.branch_events, "branch_events: {what}");
     assert_eq!(fork.violations, full.violations, "violations: {what}");
     assert_eq!(fork.violation_reports, full.violation_reports, "violation_reports: {what}");
-    assert_eq!(fork.telemetry, full.telemetry, "telemetry: {what}");
+    assert_eq!(fork.engine, full.engine, "engine: {what}");
+    assert_eq!(fork.cycles, full.cycles, "cycles: {what}");
+    assert_eq!(fork.monitor, full.monitor, "monitor: {what}");
 }
 
 fn port(bench: Benchmark) -> ProgramImage {
@@ -195,9 +197,10 @@ struct Walk {
 }
 
 /// Advances one prefix past every plan, the way a campaign window does —
-/// plans bucketed per thread in ascending `dyn_index`, one fork at each —
-/// and compares each fork with `run_hooked` from step 0: the results and,
-/// under `trace`, the records the two write inside the same `TraceScope`.
+/// plans bucketed per thread in ascending `dyn_index`, one fork at each,
+/// the last taking the prefix itself (`SimPrefix::finish`) — and compares
+/// each fork with `run_hooked` from step 0: the results and, under `trace`,
+/// the records the two write inside the same `TraceScope`.
 #[track_caller]
 fn walk(
     image: &ProgramImage,
@@ -229,16 +232,22 @@ fn walk(
 
         let what = format!("{what} #{i} {:?}", plans[i]);
         let (fork_hook, full_hook) = (InjectionHook::new(plans[i]), InjectionHook::new(plans[i]));
-        let (fork, fork_spans) = spans_of(trace, i, || prefix.resume(&fork_hook));
-        let (full, full_spans) =
-            spans_of(trace, i, || SimEngine.run_hooked(image, config, &full_hook));
-        assert_same(&fork, &full, &what);
-        assert_eq!(fork_hook.injected_branch(), full_hook.injected_branch(), "{what}");
-        assert_same_spans(&fork_spans, &full_spans, &what);
-        walk.spans += fork_spans.len();
-        walk.forked += 1;
         walk.fork_steps[i] = Some(prefix.steps());
-        *walk.outcomes.entry(format!("{:?}", full.outcome)).or_default() += 1;
+        let mut compare = |(fork, fork_spans): (RunResult, Vec<Record>)| {
+            let (full, full_spans) =
+                spans_of(trace, i, || SimEngine.run_hooked(image, config, &full_hook));
+            assert_same(&fork, &full, &what);
+            assert_eq!(fork_hook.injected_branch(), full_hook.injected_branch(), "{what}");
+            assert_same_spans(&fork_spans, &full_spans, &what);
+            walk.spans += fork_spans.len();
+            walk.forked += 1;
+            *walk.outcomes.entry(format!("{:?}", full.outcome)).or_default() += 1;
+        };
+        if targets.iter().all(Option::is_none) {
+            compare(spans_of(trace, i, || prefix.finish(&fork_hook)));
+            break;
+        }
+        compare(spans_of(trace, i, || prefix.resume(&fork_hook)));
     }
     walk
 }
@@ -471,6 +480,10 @@ fn unhooked_forks_equal_the_plain_run() {
                 check(&prefix, "50 % again");
                 assert_eq!(prefix.advance_to(&[]), None, "{what}");
                 check(&prefix, "100 %");
+                // The prefix itself continued, as a window's last fork does.
+                let (end, end_spans) = spans_of(trace, 0, || prefix.finish(&NoHook));
+                assert_same(&end, &plain, &format!("{what}, 100 %, finished"));
+                assert_same_spans(&end_spans, &plain_spans, &format!("{what}, 100 %, finished"));
             }
         }
     }
@@ -540,7 +553,9 @@ fn a_plan_that_fires_in_init_is_behind_the_prefix() {
 /// tests that run under a sink — this one, `targets_at_the_ends…`,
 /// `two_targets_share…`, `unhooked_forks…` and the two below; each mutant
 /// fails the tests named:
-/// * the held spans not written by `SimTracer::fork` → all six;
+/// * the held spans not written by `SimTracer::into_fork` → all six; not
+///   written by the last fork alone (`SimPrefix::finish` running the run
+///   without `Sim::fork`) → all six too, since every walk ends with one;
 /// * the spans written while the prefix advances instead (`held` left
 ///   `None` in `SimPrefix::new`: outside the fork's scope, and once per
 ///   prefix instead of once per fork) → all six;

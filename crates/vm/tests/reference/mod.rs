@@ -22,11 +22,10 @@ use bw_ir::{
     MutexId, Op, Ptr, Space, UnOp, Val, ValueId,
 };
 use bw_monitor::{BranchEvent, CheckTable, KeyHasher, ShardedMonitor};
-use bw_telemetry::TelemetrySnapshot;
 use bw_vm::{
-    AtomicMemory, BranchHook, ExecConfig, ExecMode, FaultAction, LocalMemory, MachineModel,
-    MonitorMode, ProgramImage, RunOutcome, RunResult, SharedMemory, SimMemory, SplitMix64,
-    TrapKind, MAX_CALL_DEPTH,
+    AtomicMemory, BranchHook, EngineKind, ExecConfig, ExecMode, FaultAction, LocalMemory,
+    MachineModel, MonitorMode, ProgramImage, RunOutcome, RunResult, SharedMemory, SimMemory,
+    SplitMix64, TrapKind, VmTelemetry as Cycles, MAX_CALL_DEPTH,
 };
 
 /// The simulated machine (there is one; `sim.rs` reads the same constant).
@@ -745,19 +744,19 @@ impl VmTelemetry {
         }
     }
 
-    fn snapshot(&self) -> TelemetrySnapshot {
-        let mut s = TelemetrySnapshot::new();
-        s.push_counter("vm.cycles.alu", self.cycles_alu.get());
-        s.push_counter("vm.cycles.mul", self.cycles_mul.get());
-        s.push_counter("vm.cycles.div", self.cycles_div.get());
-        s.push_counter("vm.cycles.local_mem", self.cycles_local_mem.get());
-        s.push_counter("vm.cycles.shared", self.cycles_shared.get());
-        s.push_counter("vm.cycles.atomic", self.cycles_atomic.get());
-        s.push_counter("vm.cycles.call", self.cycles_call.get());
-        s.push_counter("vm.cycles.output", self.cycles_output.get());
-        s.push_counter("vm.cycles.events", self.cycles_events.get());
-        s.push_counter("vm.cycles.sync", self.cycles_sync.get());
-        s
+    fn cycles(&self) -> Cycles {
+        Cycles {
+            cycles_alu: self.cycles_alu.get(),
+            cycles_mul: self.cycles_mul.get(),
+            cycles_div: self.cycles_div.get(),
+            cycles_local_mem: self.cycles_local_mem.get(),
+            cycles_shared: self.cycles_shared.get(),
+            cycles_atomic: self.cycles_atomic.get(),
+            cycles_call: self.cycles_call.get(),
+            cycles_output: self.cycles_output.get(),
+            cycles_events: self.cycles_events.get(),
+            cycles_sync: self.cycles_sync.get(),
+        }
     }
 }
 
@@ -948,26 +947,12 @@ impl<'a> Sim<'a> {
             }
             m.into_verdict()
         });
-        let (mut violations, mut violation_reports, events_processed, monitor_telemetry) =
+        let (mut violations, mut violation_reports, events_processed, monitor) =
             match verdict {
                 Some(v) => (v.violations, v.violation_reports, v.events_processed, Some(v.telemetry)),
                 None => (Vec::new(), Vec::new(), 0, None),
             };
         sort_violations(&mut violations, &mut violation_reports);
-        let mut telemetry = self.telemetry.snapshot();
-        telemetry.push_counter("vm.engine.sim", 1);
-        telemetry.push_counter("vm.instructions", self.total_steps);
-        telemetry.push_counter("vm.events_sent", self.events_sent);
-        telemetry.push_counter(
-            "vm.branches",
-            branches_per_thread.iter().copied().sum::<u64>(),
-        );
-        for (tid, steps) in steps_per_thread.iter().enumerate() {
-            telemetry.push_counter(format!("vm.thread.{tid}.steps"), *steps);
-        }
-        if let Some(snapshot) = monitor_telemetry.as_ref() {
-            telemetry.merge(snapshot);
-        }
         RunResult {
             outcome,
             outputs: self.outputs,
@@ -980,7 +965,9 @@ impl<'a> Sim<'a> {
             events_dropped: 0,
             branches_per_thread,
             steps_per_thread,
-            telemetry,
+            engine: EngineKind::Sim,
+            cycles: self.telemetry.cycles(),
+            monitor,
             branch_events: self.branch_events,
         }
     }

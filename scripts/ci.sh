@@ -41,12 +41,13 @@ w1() {
 # kept under crates/vm/tests/reference/, its prefix test every fork of a
 # `SimPrefix` with the full replay, and both thin their sweeps in debug
 # builds, so the complete ones (and the allocation budget) run here. The
-# workspace passes run the three other allocation budgets with a counting
+# workspace passes run the four other allocation budgets with a counting
 # allocator: the monitor's (`crates/monitor/tests/alloc_budget.rs`), the
-# trace read path's (`tests/trace_alloc_budget.rs`: one allocation per
-# record, none per field) and the benchmark campaigns' exact cost
-# (`tests/campaign_cost.rs`: steps run and skipped, FMM's allocations per
-# injection and peak heap; ~5 s in the debug profile).
+# fuzz oracle's (`crates/gen/tests/alloc_budget.rs`: per run over 600
+# seeds), the trace read path's (`tests/trace_alloc_budget.rs`: one
+# allocation per record, none per field) and the benchmark campaigns'
+# exact cost (`tests/campaign_cost.rs`: steps run and skipped, FMM's
+# allocations per injection and peak heap; ~5 s in the debug profile).
 leg_test() {
   cargo build --release --workspace
   cargo test -q --workspace

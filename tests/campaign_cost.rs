@@ -14,7 +14,9 @@
 //! live heap bytes over the campaign. A fork continues a clone of the
 //! prefix's monitor; when each fork built a fresh monitor and replayed the
 //! prefix's event log into it, every fork paid each table doubling again
-//! (220 allocations an injection). The allocator's counters are
+//! (220 allocations an injection), and while every run's result named its
+//! metrics, each fork built ~30 names and merged a second copy of the
+//! monitor's (168 an injection). The allocator's counters are
 //! process-wide, so this file holds one test: no other test of the same
 //! binary allocates while it measures.
 
@@ -125,6 +127,6 @@ fn the_benchmark_campaigns_cost_what_they_did() {
     let per_injection = fmm.allocations as f64 / injections as f64;
     let peak_mb = fmm.peak_bytes as f64 / (1 << 20) as f64;
     println!("fmm: {per_injection:.1} allocations an injection, peak {peak_mb:.2} MB live");
-    assert!(per_injection <= 185.0, "fmm: {per_injection:.1} allocations an injection");
+    assert!(per_injection <= 112.0, "fmm: {per_injection:.1} allocations an injection");
     assert!(peak_mb <= 10.0, "fmm: peak {peak_mb:.2} MB of live heap");
 }

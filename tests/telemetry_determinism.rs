@@ -36,25 +36,25 @@ fn same_seed_runs_have_identical_counters() {
     let a = bw.run_on(EngineKind::Sim, &config);
     let b = bw.run_on(EngineKind::Sim, &config);
 
-    let da = a.telemetry.deterministic_part();
-    let db = b.telemetry.deterministic_part();
+    let (ta, tb) = (a.telemetry(), b.telemetry());
+    let (da, db) = (ta.deterministic_part(), tb.deterministic_part());
     assert_eq!(da.counters(), db.counters(), "counters must be reproducible");
     assert_eq!(da.gauges(), db.gauges(), "gauges must be reproducible");
 
     // The snapshot agrees with the run's own bookkeeping.
-    assert_eq!(a.telemetry.counter("vm.instructions"), Some(a.total_steps));
-    assert_eq!(a.telemetry.counter("vm.events_sent"), Some(a.events_sent));
+    assert_eq!(ta.counter("vm.instructions"), Some(a.total_steps));
+    assert_eq!(ta.counter("vm.events_sent"), Some(a.events_sent));
     assert_eq!(
-        a.telemetry.counter("vm.branches"),
+        ta.counter("vm.branches"),
         Some(a.branches_per_thread.iter().sum())
     );
     // Cycle attribution is internally consistent: the events bucket is
     // nonzero for an instrumented program.
-    assert!(a.telemetry.counter("vm.cycles.events").is_some());
+    assert!(ta.counter("vm.cycles.events").is_some());
     // Per-thread step counters line up with the steps_per_thread vector.
     for (tid, &steps) in a.steps_per_thread.iter().enumerate() {
         assert_eq!(
-            a.telemetry.counter(&format!("vm.thread.{tid}.steps")),
+            ta.counter(&format!("vm.thread.{tid}.steps")),
             Some(steps),
             "thread {tid} step counter"
         );
@@ -68,7 +68,7 @@ fn deterministic_part_excludes_wall_clock() {
     let _guard = trace_sink_lock();
     let bw = Blockwatch::from_module(Benchmark::Radix.module(Size::Test).unwrap()).unwrap();
     let result = bw.run(2);
-    let det = result.telemetry.deterministic_part();
+    let det = result.telemetry().deterministic_part();
     assert!(det.histograms().is_empty(), "histograms are wall-clock, not deterministic");
     // The full pipeline snapshot keeps its stage-timing histograms.
     let pipeline = bw.telemetry();
@@ -193,7 +193,7 @@ fn span_tracing_does_not_perturb_run_determinism() {
     assert_eq!(traced.violations, plain.violations);
     assert_eq!(traced.parallel_cycles, plain.parallel_cycles);
     let (dt, dp) =
-        (traced.telemetry.deterministic_part(), plain.telemetry.deterministic_part());
+        (traced.telemetry().deterministic_part(), plain.telemetry().deterministic_part());
     assert_eq!(dt.counters(), dp.counters());
     assert_eq!(dt.gauges(), dp.gauges());
     assert!(trace.contains("\"ev\":\"tspan\""), "traced run emits spans");
