@@ -36,10 +36,28 @@ macro_rules! id_type {
 
         impl fmt::Display for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, concat!($prefix, "{}"), self.0)
+                f.write_str($prefix)?;
+                write_decimal(f, self.0)
             }
         }
     };
+}
+
+/// Writes `n` in decimal with two `write_str`s and no nested `write!`. Like
+/// the `write!(f, "v{}", n)` it replaces, it ignores the caller's width and
+/// fill: `format!("{:>4}", ValueId(3))` is `v3`.
+fn write_decimal(f: &mut fmt::Formatter<'_>, mut n: u32) -> fmt::Result {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    f.write_str(std::str::from_utf8(&digits[at..]).map_err(|_| fmt::Error)?)
 }
 
 id_type!(
@@ -112,6 +130,7 @@ mod tests {
         assert_eq!(format!("{}", BlockId(3)), "bb3");
         assert_eq!(format!("{:?}", FuncId(1)), "fn1");
         assert_eq!(format!("{}", BranchId(7)), "br7");
+        assert_eq!(format!("{:>4} {}", ValueId(3), CallSiteId(u32::MAX)), "v3 cs4294967295");
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub use ids::{
 pub use inst::{BinOp, CmpOp, Inst, Op, PhiIncoming, UnOp};
 pub use loops::{Loop, LoopForest};
 pub use module::{FuncTable, Global, Module};
-pub use print::{format_inst, FunctionPrinter, ModulePrinter};
+pub use print::{FunctionPrinter, ModulePrinter};
 pub use scc::{Condensation, ValueGraph};
 pub use text::{parse_module, TextError};
 pub use value::{Ptr, Space, Type, Val};

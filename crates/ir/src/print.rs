@@ -1,6 +1,8 @@
-//! Textual dump of IR modules and functions, for diagnostics and tests.
+//! The textual form of IR modules and functions, which
+//! [`crate::parse_module`] reads back: one writer family that appends to a
+//! single [`fmt::Write`] output, and the `Display` wrappers over it.
 
-use std::fmt::{self, Write as _};
+use std::fmt::{self, Write};
 
 use crate::function::Function;
 use crate::inst::{Inst, Op};
@@ -14,133 +16,129 @@ pub struct ModulePrinter<'a>(pub &'a Module);
 
 impl fmt::Display for FunctionPrinter<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_function(f, self.0)
+        write_function(f, self.0, "")
     }
 }
 
 impl fmt::Display for ModulePrinter<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let m = self.0;
-        writeln!(f, "module {} {{", m.name)?;
-        for g in &m.globals {
-            writeln!(
-                f,
-                "  global {} : {} x{}{}{} = {}",
-                g.name,
-                g.ty,
-                g.len,
-                if g.shared { " shared" } else { "" },
-                if g.tid_counter { " tid_counter" } else { "" },
-                g.init
-            )?;
-        }
-        for t in &m.tables {
-            let funcs: Vec<String> =
-                t.funcs.iter().map(|&fid| m.func(fid).name.clone()).collect();
-            writeln!(f, "  table {} = [{}]", t.name, funcs.join(", "))?;
-        }
-        // Resource counts and role bindings. Emitted so the textual form is
-        // lossless: `crate::text::parse_module` reads these back. Zero counts
-        // and absent roles are omitted (the parser defaults them).
-        if m.num_mutexes > 0 {
-            writeln!(f, "  mutexes {}", m.num_mutexes)?;
-        }
-        if m.num_barriers > 0 {
-            writeln!(f, "  barriers {}", m.num_barriers)?;
-        }
-        if m.num_call_sites > 0 {
-            writeln!(f, "  callsites {}", m.num_call_sites)?;
-        }
-        for (role, fid) in
-            [("init", m.init), ("spmd", m.spmd_entry), ("fini", m.fini)]
-        {
-            if let Some(fid) = fid {
-                writeln!(f, "  {role} {}", m.func(fid).name)?;
-            }
-        }
-        for func in &m.funcs {
-            let mut body = String::new();
-            write_function_into(&mut body, func).map_err(|_| fmt::Error)?;
-            for line in body.lines() {
-                writeln!(f, "  {line}")?;
-            }
-        }
-        writeln!(f, "}}")
+        write_module(f, self.0)
     }
 }
 
-fn write_function(f: &mut fmt::Formatter<'_>, func: &Function) -> fmt::Result {
-    let mut s = String::new();
-    write_function_into(&mut s, func).map_err(|_| fmt::Error)?;
-    f.write_str(&s)
+/// Writes `items` separated by `", "`.
+fn list<T: fmt::Display>(out: &mut impl Write, items: impl IntoIterator<Item = T>) -> fmt::Result {
+    for (i, item) in items.into_iter().enumerate() {
+        write!(out, "{}{item}", if i == 0 { "" } else { ", " })?;
+    }
+    Ok(())
 }
 
-fn write_function_into(out: &mut String, func: &Function) -> fmt::Result {
-    let params: Vec<String> =
-        func.params.iter().enumerate().map(|(i, ty)| format!("v{i}: {ty}")).collect();
-    let ret = func.ret.map(|t| format!(" -> {t}")).unwrap_or_default();
-    writeln!(out, "func {}({}){} {{", func.name, params.join(", "), ret)?;
+fn write_module(out: &mut impl Write, m: &Module) -> fmt::Result {
+    writeln!(out, "module {} {{", m.name)?;
+    for g in &m.globals {
+        let shared = if g.shared { " shared" } else { "" };
+        let tid_counter = if g.tid_counter { " tid_counter" } else { "" };
+        let (name, ty, len, init) = (&g.name, g.ty, g.len, g.init);
+        writeln!(out, "  global {name} : {ty} x{len}{shared}{tid_counter} = {init}")?;
+    }
+    for t in &m.tables {
+        write!(out, "  table {} = [", t.name)?;
+        list(out, t.funcs.iter().map(|&fid| &m.func(fid).name))?;
+        out.write_str("]\n")?;
+    }
+    // Resource counts and role bindings. Emitted so the textual form is
+    // lossless: `crate::text::parse_module` reads these back. Zero counts
+    // and absent roles are omitted (the parser defaults them).
+    let counts =
+        [("mutexes", m.num_mutexes), ("barriers", m.num_barriers), ("callsites", m.num_call_sites)];
+    for (directive, n) in counts {
+        if n > 0 {
+            writeln!(out, "  {directive} {n}")?;
+        }
+    }
+    for (role, fid) in [("init", m.init), ("spmd", m.spmd_entry), ("fini", m.fini)] {
+        if let Some(fid) = fid {
+            writeln!(out, "  {role} {}", m.func(fid).name)?;
+        }
+    }
+    for func in &m.funcs {
+        write_function(out, func, "  ")?;
+    }
+    out.write_str("}\n")
+}
+
+/// Writes `func`, every line after `indent`.
+fn write_function(out: &mut impl Write, func: &Function, indent: &str) -> fmt::Result {
+    write!(out, "{indent}func {}(", func.name)?;
+    for (i, ty) in func.params.iter().enumerate() {
+        write!(out, "{}v{i}: {ty}", if i == 0 { "" } else { ", " })?;
+    }
+    out.write_char(')')?;
+    if let Some(t) = func.ret {
+        write!(out, " -> {t}")?;
+    }
+    out.write_str(" {\n")?;
     for (bb, block) in func.iter_blocks() {
-        let name = block.name.as_deref().unwrap_or("");
-        if name.is_empty() {
-            writeln!(out, "{bb}:")?;
-        } else {
-            writeln!(out, "{bb}: ; {name}")?;
+        match block.name.as_deref() {
+            Some(name) if !name.is_empty() => writeln!(out, "{indent}{bb}: ; {name}")?,
+            _ => writeln!(out, "{indent}{bb}:")?,
         }
         for inst in &block.insts {
-            writeln!(out, "  {}", format_inst(func, inst))?;
+            write!(out, "{indent}  ")?;
+            write_inst(out, func, inst)?;
+            out.write_char('\n')?;
         }
     }
-    writeln!(out, "}}")
+    writeln!(out, "{indent}}}")
 }
 
-/// Formats one instruction as text.
-pub fn format_inst(func: &Function, inst: &Inst) -> String {
-    let lhs = match inst.result {
-        Some(r) => format!("{r}: {} = ", func.value_type(r)),
-        None => String::new(),
-    };
-    let rhs = format_op(&inst.op);
-    format!("{lhs}{rhs}")
-}
-
-fn format_op(op: &Op) -> String {
-    match op {
-        Op::Const(v) => format!("const {v}"),
-        Op::Bin { op, lhs, rhs } => format!("{} {lhs}, {rhs}", op.mnemonic()),
-        Op::Cmp { op, lhs, rhs } => format!("cmp.{} {lhs}, {rhs}", op.mnemonic()),
-        Op::Un { op, operand } => format!("{} {operand}", op.mnemonic()),
+/// Writes one instruction, without indent or line break.
+fn write_inst(out: &mut impl Write, func: &Function, inst: &Inst) -> fmt::Result {
+    if let Some(r) = inst.result {
+        write!(out, "{r}: {} = ", func.value_type(r))?;
+    }
+    match &inst.op {
+        Op::Const(v) => write!(out, "const {v}"),
+        Op::Bin { op, lhs, rhs } => write!(out, "{} {lhs}, {rhs}", op.mnemonic()),
+        Op::Cmp { op, lhs, rhs } => write!(out, "cmp.{} {lhs}, {rhs}", op.mnemonic()),
+        Op::Un { op, operand } => write!(out, "{} {operand}", op.mnemonic()),
         Op::Phi { incomings, .. } => {
-            let parts: Vec<String> =
-                incomings.iter().map(|inc| format!("[{}, {}]", inc.block, inc.value)).collect();
-            format!("phi {}", parts.join(", "))
+            out.write_str("phi ")?;
+            for (i, inc) in incomings.iter().enumerate() {
+                let sep = if i == 0 { "" } else { ", " };
+                write!(out, "{sep}[{}, {}]", inc.block, inc.value)?;
+            }
+            Ok(())
         }
-        Op::GlobalAddr(g) => format!("globaladdr {g}"),
-        Op::Gep { base, offset } => format!("gep {base}, {offset}"),
-        Op::Load { addr, ty } => format!("load.{ty} {addr}"),
-        Op::Store { addr, value } => format!("store {value} -> {addr}"),
-        Op::Alloca { size } => format!("alloca {size}"),
-        Op::ThreadId => "threadid".to_string(),
-        Op::NumThreads => "numthreads".to_string(),
-        Op::AtomicFetchAdd { global, delta } => format!("fetchadd {global}, {delta}"),
+        Op::GlobalAddr(g) => write!(out, "globaladdr {g}"),
+        Op::Gep { base, offset } => write!(out, "gep {base}, {offset}"),
+        Op::Load { addr, ty } => write!(out, "load.{ty} {addr}"),
+        Op::Store { addr, value } => write!(out, "store {value} -> {addr}"),
+        Op::Alloca { size } => write!(out, "alloca {size}"),
+        Op::ThreadId => out.write_str("threadid"),
+        Op::NumThreads => out.write_str("numthreads"),
+        Op::AtomicFetchAdd { global, delta } => write!(out, "fetchadd {global}, {delta}"),
         Op::Call { func, args, site } => {
-            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-            format!("call {func}({}) @{site}", args.join(", "))
+            write!(out, "call {func}(")?;
+            list(out, args)?;
+            write!(out, ") @{site}")
         }
         Op::CallIndirect { table, selector, args, site } => {
-            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-            format!("icall {table}[{selector}]({}) @{site}", args.join(", "))
+            write!(out, "icall {table}[{selector}](")?;
+            list(out, args)?;
+            write!(out, ") @{site}")
         }
-        Op::Output(v) => format!("output {v}"),
-        Op::MutexLock(m) => format!("lock {m}"),
-        Op::MutexUnlock(m) => format!("unlock {m}"),
-        Op::Barrier(b) => format!("barrier {b}"),
-        Op::Rand { bound } => format!("rand {bound}"),
-        Op::Br { cond, then_bb, else_bb } => format!("br {cond}, {then_bb}, {else_bb}"),
-        Op::Jump(bb) => format!("jump {bb}"),
-        Op::Ret(Some(v)) => format!("ret {v}"),
-        Op::Ret(None) => "ret".to_string(),
-        Op::Trap => "trap".to_string(),
+        Op::Output(v) => write!(out, "output {v}"),
+        Op::MutexLock(m) => write!(out, "lock {m}"),
+        Op::MutexUnlock(m) => write!(out, "unlock {m}"),
+        Op::Barrier(b) => write!(out, "barrier {b}"),
+        Op::Rand { bound } => write!(out, "rand {bound}"),
+        Op::Br { cond, then_bb, else_bb } => write!(out, "br {cond}, {then_bb}, {else_bb}"),
+        Op::Jump(bb) => write!(out, "jump {bb}"),
+        Op::Ret(Some(v)) => write!(out, "ret {v}"),
+        Op::Ret(None) => out.write_str("ret"),
+        Op::Trap => out.write_str("trap"),
     }
 }
 

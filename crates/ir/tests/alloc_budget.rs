@@ -1,0 +1,135 @@
+//! The allocation budget of the IR text path.
+//!
+//! Printing writes into one output: it may allocate only as that output
+//! grows, never per instruction, so a module printed into a buffer with
+//! room for it allocates nothing and `to_string` only for the `String`'s
+//! doublings. Parsing allocates the module it builds — names, blocks,
+//! instruction and value tables, phi and call operand lists — and nothing
+//! per line beyond that. A counting global allocator measures both over the
+//! seven ports and the generated modules `prepare-pipeline` draws; counts
+//! are per thread, so the test harness's own threads do not show.
+
+mod reference;
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::fmt::Write;
+
+use bw_gen::{generate_module, GenConfig};
+use bw_ir::{parse_module, Module, ModulePrinter};
+use bw_splash::{Benchmark, Size};
+
+thread_local! {
+    /// Allocations and reallocations this thread has made.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count() {
+    // `try_with`: an allocation during thread teardown is simply not counted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a `const`-initialised
+// thread-local `Cell<u64>` (no lazy initialiser, no destructor), so touching
+// it neither allocates nor re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's obligations are `System.alloc`'s own.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` came from this allocator, that is from `System`,
+        // with `layout`; the caller guarantees the rest.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations the calling thread makes while `work` runs.
+fn allocations<R>(work: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let result = work();
+    (ALLOCATIONS.with(Cell::get) - before, result)
+}
+
+/// The seven ports at `Test` size and 64 generated modules at each of
+/// `prepare-pipeline`'s four statement budgets.
+fn corpus() -> Vec<Module> {
+    let mut modules: Vec<Module> = Benchmark::ALL
+        .iter()
+        .map(|bench| bench.module(Size::Test).expect("the port compiles"))
+        .collect();
+    for max_stmts in [60, 120, 240, 480] {
+        let config = GenConfig { max_stmts, ..GenConfig::default() };
+        modules.extend((0..64).map(|seed| generate_module(seed, &config)));
+    }
+    modules
+}
+
+fn instructions(m: &Module) -> usize {
+    m.funcs.iter().flat_map(|f| &f.blocks).map(|b| b.insts.len()).sum()
+}
+
+#[test]
+fn printing_allocates_only_for_output_growth() {
+    for module in corpus() {
+        let len = ModulePrinter(&module).to_string().len();
+        let mut buffer = String::with_capacity(len);
+        let (n, written) = allocations(|| write!(buffer, "{}", ModulePrinter(&module)));
+        written.expect("a String takes any text");
+        assert_eq!(n, 0, "`{}` allocated printing into a buffer with room", module.name);
+
+        // `to_string` starts empty and doubles: one allocation, then one
+        // per doubling from the first 8 bytes to `len`.
+        let doublings = (len as f64 / 8.0).log2().ceil() as u64;
+        let (n, _) = allocations(|| ModulePrinter(&module).to_string());
+        assert!(n <= 1 + doublings, "`{}`: {n} allocations for {len} bytes", module.name);
+    }
+}
+
+#[test]
+fn parsing_allocates_for_the_module_it_builds() {
+    let texts: Vec<(String, usize)> = corpus()
+        .iter()
+        .map(|m| (ModulePrinter(m).to_string(), instructions(m)))
+        .collect();
+    let insts: usize = texts.iter().map(|(_, n)| n).sum();
+    let (mut new, mut old) = (0, 0);
+    for (text, _) in &texts {
+        let (n, parsed) = allocations(|| parse_module(text));
+        parsed.expect("printed text parses");
+        new += n;
+        let (n, parsed) = allocations(|| reference::text::parse_module(text));
+        parsed.expect("printed text parses");
+        old += n;
+    }
+    let (per_inst, ref_per_inst) = (new as f64 / insts as f64, old as f64 / insts as f64);
+    println!(
+        "{} modules, {insts} instructions: {new} allocations ({per_inst:.3} an instruction), \
+         {old} by the reference parser ({ref_per_inst:.3})",
+        texts.len()
+    );
+    // Measured: 0.580 an instruction (30,415 over 52,415), against 0.710
+    // for the reference, which grew every block's instruction list by
+    // doubling and built its value table as a third vector.
+    assert!(per_inst <= 0.61, "{per_inst:.3} allocations per instruction");
+}

@@ -7,7 +7,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 legs=(test fuzz-smoke forensics shards sampled traced traced-vs-untraced
-      metrics leftover-guard schema-guard bwbench real-engine)
+      metrics leftover-guard schema-guard bwir bwbench real-engine)
 
 if [ -n "${CI_OUT:-}" ]; then
   mkdir -p "$CI_OUT"
@@ -41,8 +41,10 @@ w1() {
 # kept under crates/vm/tests/reference/, its prefix test every fork of a
 # `SimPrefix` with the full replay, and both thin their sweeps in debug
 # builds, so the complete ones (and the allocation budget) run here. The
-# workspace passes run the four other allocation budgets with a counting
-# allocator: the monitor's (`crates/monitor/tests/alloc_budget.rs`), the
+# workspace passes run the five other allocation budgets with a counting
+# allocator: the IR text path's (`crates/ir/tests/alloc_budget.rs`: printing
+# allocates only as its output grows, parsing per instruction), the
+# monitor's (`crates/monitor/tests/alloc_budget.rs`), the
 # fuzz oracle's (`crates/gen/tests/alloc_budget.rs`: per run over 600
 # seeds), the trace read path's (`tests/trace_alloc_budget.rs`: one
 # allocation per record, none per field) and the benchmark campaigns'
@@ -232,6 +234,29 @@ FIELDS
   if grep -rnE --include='*.rs' '\.field(_u64|_str)?\("' crates/core/src | grep -v '/tests\.rs:'; then
     echo "ci: a trace view reads a record field by name again" >&2; return 1
   fi
+}
+
+# The IR text format. `tests/fixtures/ir/` holds `bw ir` of the seven ports
+# at `--size test` and `bw gen` of seeds 0-2, written by the binary that
+# preceded the one-buffer printer and the one-pass parser: this binary must
+# write the same bytes, and reprint every fixture unchanged once it has
+# parsed it (`bw ir` ends its dump with a blank line, `bw gen` does not).
+# Then the text path's differential and mutation tests
+# (crates/ir/tests/text_oracle.rs: the printer and parser they replaced,
+# kept under tests/reference/) in the release profile, where they are
+# complete, with its allocation budget.
+leg_bwir() {
+  local fx=tests/fixtures/ir port seed f
+  for port in fft fmm ocean-contig ocean-noncontig radix raytrace water-nsquared; do
+    bw ir "splash:$port" --size test | diff - "$fx/$port.bwir"
+  done
+  for seed in 0 1 2; do
+    bw gen --seed "$seed" | diff - "$fx/gen-$seed.bwir"
+  done
+  for f in "$fx"/*.bwir; do
+    diff <(bw ir "$f") <(cat "$f"; case "$f" in */gen-*) echo ;; esac)
+  done
+  cargo test --release -q -p bw-ir --test text_oracle --test alloc_budget
 }
 
 # bwbench (benchmark/, its own workspace) must build against this tree's
