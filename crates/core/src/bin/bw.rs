@@ -16,7 +16,7 @@ use blockwatch::timeline::TimelineReport;
 use blockwatch::trace::{
     render_histograms, render_telemetry, ForensicsReport, SeriesReport, TraceSummary,
 };
-use blockwatch::telemetry::{JsonlRecorder, MetricRegistry, MetricsServer, Recorder, Sampler};
+use blockwatch::telemetry::{JsonlRecorder, MetricRegistry, Recorder, Sampler};
 use blockwatch::vm::MonitorMode;
 use blockwatch::{
     Benchmark, Blockwatch, CampaignProgress, EngineKind, ExecConfig, FaultModel, RunOutcome, Size,
@@ -112,7 +112,6 @@ const FLAGS: &[Flag] = &[
          phases, lock wait/hold, monitor-shard flushes, campaign stages and injections, and flow \
          arrows from a deviant thread's branch event to the verdict that flagged it",
     ),
-    flag("--metrics-addr", Some("HOST:PORT"), EXECUTING, "serve Prometheus text at /metrics"),
 ];
 
 static CLI: Cli = Cli {
@@ -123,8 +122,8 @@ static CLI: Cli = Cli {
   splash:<name> (fft, fmm, radix, raytrace, water, ocean-contig,
   ocean-noncontig).
 
-  --sample-interval-ms, --trace-spans and --metrics-addr are observability-only:
-  verdicts, results and `bw report` output are byte-identical with or without.",
+  --sample-interval-ms and --trace-spans are observability-only: verdicts,
+  results and `bw report` output are byte-identical with or without.",
 };
 
 fn main() -> ExitCode {
@@ -173,14 +172,13 @@ fn load(args: &Args) -> Result<Blockwatch, String> {
     Blockwatch::compile(&source).map_err(|e| format!("{e}"))
 }
 
-/// What the four tracing flags set up, for as long as the traced work
+/// What the three tracing flags set up, for as long as the traced work
 /// runs: the `--telemetry` recorder, the `--sample-interval-ms` sampler
-/// appending to the same trace, the `--metrics-addr` endpoint (both read the
-/// global [`MetricRegistry`]) and the `--trace-spans` global span sink.
+/// appending to the same trace (it reads the global [`MetricRegistry`])
+/// and the `--trace-spans` global span sink.
 struct Tracing {
     recorder: Option<Arc<JsonlRecorder>>,
     sampler: Option<Sampler>,
-    _server: Option<MetricsServer>,
     spans: bool,
 }
 
@@ -198,27 +196,21 @@ impl Tracing {
             None => Err(format!("{flag} needs --telemetry to give its records a file")),
         };
         let sampler = match args.positive("--sample-interval-ms")? {
-            Some(ms) => Some(Sampler::start(
-                MetricRegistry::global(),
-                file("--sample-interval-ms")?,
-                Duration::from_millis(ms),
-            )),
-            None => None,
-        };
-        let server = match args.get("--metrics-addr") {
-            Some(addr) => {
-                let server = MetricsServer::bind(addr, MetricRegistry::global())
-                    .map_err(|e| format!("cannot serve metrics on `{addr}`: {e}"))?;
-                eprintln!("serving metrics at http://{}/metrics", server.local_addr());
-                Some(server)
-            }
+            Some(ms) => Some(
+                Sampler::start(
+                    MetricRegistry::global(),
+                    file("--sample-interval-ms")?,
+                    Duration::from_millis(ms),
+                )
+                .map_err(|e| format!("cannot start the sampler: {e}"))?,
+            ),
             None => None,
         };
         let spans = args.has("--trace-spans");
         if spans {
             blockwatch::telemetry::set_trace_sink(Some(file("--trace-spans")?));
         }
-        Ok(Tracing { recorder, sampler, _server: server, spans })
+        Ok(Tracing { recorder, sampler, spans })
     }
 
     /// Takes the span sink down, so that spans from later work (a second

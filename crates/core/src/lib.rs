@@ -75,7 +75,6 @@ pub use bw_fault::{
 };
 pub use bw_splash::{Benchmark, Size};
 pub use bw_telemetry::{
-    JsonlRecorder, MetricRegistry, MetricsServer, Recorder, Sampler, TelemetrySnapshot,
-    NULL_RECORDER,
+    JsonlRecorder, MetricRegistry, Recorder, Sampler, TelemetrySnapshot, NULL_RECORDER,
 };
 pub use bw_vm::{EngineKind, ExecConfig, MachineModel, MonitorMode, RunOutcome, RunResult};

@@ -729,13 +729,12 @@ fn campaign_telemetry(
 /// are process-cumulative (`live.campaign.*` keeps growing across the
 /// protected and baseline campaigns of one `bw campaign` invocation, and
 /// across fuzz batches), which is what turns them into rates under the
-/// sampler. They feed the trace/`/metrics` side only — never the
+/// sampler. They feed the trace's `sample` records only — never the
 /// campaign's own result snapshot.
 struct CampaignLive {
     planned: std::sync::Arc<bw_telemetry::Counter>,
     completed: std::sync::Arc<bw_telemetry::Counter>,
     detected: std::sync::Arc<bw_telemetry::Counter>,
-    injection_us: std::sync::Arc<Histogram>,
 }
 
 impl CampaignLive {
@@ -747,7 +746,6 @@ impl CampaignLive {
             planned: registry.counter("live.campaign.planned"),
             completed: registry.counter("live.campaign.completed"),
             detected: registry.counter("live.campaign.detected"),
-            injection_us: registry.histogram("live.campaign.injection_us"),
         };
         live.planned.add(planned as u64);
         live
@@ -865,7 +863,6 @@ impl<'a> CampaignJob<'a> {
         if outcome == FaultOutcome::Detected {
             worker.live.detected.inc();
         }
-        worker.live.injection_us.observe(run_us);
         let image = self.item.map(|item| item as u64);
         let traced = TraceInjection {
             image,

@@ -223,8 +223,8 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
 /// configuration; only the trace carries wall-clock data.
 pub fn run_fuzz_recorded(config: &FuzzConfig, recorder: &dyn Recorder) -> FuzzReport {
     let mut report = FuzzReport::default();
-    // Live registry handles for the sampler / `/metrics` endpoint: seeds
-    // swept and failures found so far. Cold per-seed updates, trace-side
+    // Live registry handles for the sampler: seeds swept and failures
+    // found so far. Cold per-seed updates, trace-side
     // only — the report stays a pure function of the configuration.
     let registry = bw_telemetry::MetricRegistry::global();
     let live_seeds = registry.counter("live.fuzz.seeds");

@@ -1,11 +1,10 @@
 //! Live (process-cumulative) monitor metrics for the global registry.
 //!
 //! The per-run [`crate::MonitorVerdict`] numbers only exist once a run
-//! finishes; this module is what the sampler and the `/metrics` endpoint
-//! see *while* monitors are running. Everything here is additive across
-//! runs (Prometheus counter semantics) and flows only into the global
-//! [`MetricRegistry`] — never into a verdict — so watching a run cannot
-//! change its results.
+//! finishes; this module is what the sampler sees *while* monitors are
+//! running. Everything here is additive across runs and flows only into
+//! the global [`MetricRegistry`] — never into a verdict — so watching a
+//! run cannot change its results.
 //!
 //! Cost: the dropped-event counter sits on the sender's overflow path
 //! (already cold — the queue was full and the spin budget exhausted), and

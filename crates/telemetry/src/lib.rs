@@ -31,21 +31,17 @@
 //!
 //! On top of the per-run snapshots sits a live layer: the process-wide
 //! [`MetricRegistry`] the monitor shards, campaign workers and engines
-//! register into, the background [`Sampler`] that turns it into
-//! timestamped `sample` trace records, the Prometheus text exposition
-//! ([`TelemetrySnapshot::to_prometheus`]) and the stdlib
-//! [`MetricsServer`] `/metrics` endpoint. The live layer only *reads*
-//! run state and only *writes* to traces and HTTP responses — never into
-//! result snapshots — so observing a run cannot change its verdicts.
+//! register into, and the background [`Sampler`] that turns it into
+//! timestamped `sample` trace records. The live layer only *reads* run
+//! state and only *writes* to traces — never into result snapshots — so
+//! observing a run cannot change its verdicts.
 
 pub mod json;
 pub mod metrics;
-pub mod prometheus;
 pub mod record;
 pub mod recorder;
 pub mod registry;
 pub mod sampler;
-pub mod serve;
 pub mod snapshot;
 pub mod trace;
 
@@ -54,14 +50,12 @@ pub use json::{
     Value,
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
-pub use prometheus::{escape_label_value, sanitize_metric_name};
 pub use record::{records, Record};
 pub use recorder::{
     JsonlRecorder, NullRecorder, Recorder, Span, SpanRecord, TraceBuffer, NULL_RECORDER,
 };
 pub use registry::MetricRegistry;
 pub use sampler::{record_sample, sample_fields, SampleTick, Sampler};
-pub use serve::MetricsServer;
 pub use snapshot::{Metric, TelemetrySnapshot};
 pub use trace::{
     record_flow, record_instant, record_span, set_trace_sink, trace_sink, tracing_active,

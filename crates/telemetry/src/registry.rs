@@ -1,36 +1,34 @@
 //! The named, process-wide metric registry live observability reads from.
 //!
 //! A [`MetricRegistry`] is a directory of shared metric cells: callers ask
-//! for a [`Counter`] / [`Gauge`] / [`Histogram`] by name and get an `Arc`
-//! to the same cell every time, so the monitor shards, campaign workers
-//! and engines can all bump "their" metric without threading handles
-//! through configs (several of which are `Hash + Eq` and cannot carry
-//! one). [`MetricRegistry::snapshot`] reads them all into one
+//! for a [`Counter`] / [`Gauge`] by name and get an `Arc` to the same cell
+//! every time, so the monitor shards, campaign workers and engines can all
+//! bump "their" metric without threading handles through configs (several
+//! of which are `Hash + Eq` and cannot carry one).
+//! [`MetricRegistry::snapshot`] reads them all into one
 //! [`TelemetrySnapshot`].
 //!
 //! Registry lookups take a `Mutex` and are meant for *cold* paths —
 //! resolve the `Arc` once at spawn/run start, then update the lock-free
-//! cell from the hot path. Registry contents are process-cumulative
-//! (Prometheus semantics): counters keep growing across runs, which is
-//! exactly what the [`crate::Sampler`] needs to turn them into rates.
+//! cell from the hot path. Registry contents are process-cumulative:
+//! counters keep growing across runs, which is exactly what the
+//! [`crate::Sampler`] needs to turn them into rates.
 //!
-//! The registry feeds the *live* side only (trace `sample` records and
-//! the `/metrics` endpoint); per-run result snapshots never read from it,
-//! so `deterministic_part()` comparisons stay byte-identical whether or
-//! not anything is watching.
+//! The registry feeds the *live* side only (trace `sample` records);
+//! per-run result snapshots never read from it, so `deterministic_part()`
+//! comparisons stay byte-identical whether or not anything is watching.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::metrics::{Counter, Gauge, Histogram};
+use crate::metrics::{Counter, Gauge};
 use crate::snapshot::TelemetrySnapshot;
 
 #[derive(Default)]
 struct Inner {
     counters: BTreeMap<String, Arc<Counter>>,
     gauges: BTreeMap<String, Arc<Gauge>>,
-    histograms: BTreeMap<String, Arc<Histogram>>,
 }
 
 /// A named directory of shared metric cells.
@@ -76,16 +74,6 @@ impl MetricRegistry {
         )
     }
 
-    /// The histogram named `name`, creating it (empty) on first use.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        Arc::clone(
-            self.lock()
-                .histograms
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::new())),
-        )
-    }
-
     /// Reads every cell, in name order within each kind.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let inner = self.lock();
@@ -95,9 +83,6 @@ impl MetricRegistry {
         }
         for (name, g) in &inner.gauges {
             s.push_gauge(name.clone(), g.get());
-        }
-        for (name, h) in &inner.histograms {
-            s.push_histogram(name.clone(), h.snapshot());
         }
         s
     }
@@ -109,7 +94,6 @@ impl fmt::Debug for MetricRegistry {
         f.debug_struct("MetricRegistry")
             .field("counters", &inner.counters.len())
             .field("gauges", &inner.gauges.len())
-            .field("histograms", &inner.histograms.len())
             .finish()
     }
 }
@@ -135,12 +119,10 @@ mod tests {
         reg.counter("live.b").add(2);
         reg.counter("live.a").inc();
         reg.gauge("live.depth").set(5);
-        reg.histogram("live.lat").observe(9);
         let s = reg.snapshot();
         let names: Vec<&str> = s.counters().iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["live.a", "live.b"]);
         assert_eq!(s.gauge("live.depth"), Some(5));
-        assert_eq!(s.histogram("live.lat").unwrap().count, 1);
     }
 
     #[test]

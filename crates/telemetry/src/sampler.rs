@@ -3,9 +3,9 @@
 //! A [`Sampler`] polls a [`MetricRegistry`] on a fixed interval and emits
 //! one flat `sample` record per tick into a [`Recorder`]: counter
 //! *deltas* since the previous tick (only the ones that moved), every
-//! gauge's current value, plus `tick` / `dt_us` bookkeeping. Histograms
-//! are deliberately excluded — their shape travels in the end-of-run
-//! `histogram` records, and per-tick bucket dumps would swamp the trace.
+//! gauge's current value, plus `tick` / `dt_us` bookkeeping. The registry
+//! holds no histograms: their shape travels in the end-of-run `histogram`
+//! records, and per-tick bucket dumps would swamp the trace.
 //!
 //! `sample` records are time series, not forensics: `bw report` ignores
 //! them (its parser keeps only `injection` / `violation` events), and
@@ -19,6 +19,7 @@
 //! A final tick is always flushed on [`Sampler::stop`] (or drop), so even
 //! a run shorter than one interval leaves at least one sample behind.
 
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -151,12 +152,13 @@ pub struct Sampler {
 
 impl Sampler {
     /// Starts sampling `registry` into `recorder` every `interval`
-    /// (clamped to at least 1ms).
+    /// (clamped to at least 1ms). Fails only when the sampler thread
+    /// cannot be spawned.
     pub fn start(
         registry: Arc<MetricRegistry>,
         recorder: Arc<dyn Recorder>,
         interval: Duration,
-    ) -> Sampler {
+    ) -> io::Result<Sampler> {
         let stop = Arc::new(AtomicBool::new(false));
         let interval = interval.max(Duration::from_millis(1));
         let thread_stop = Arc::clone(&stop);
@@ -186,12 +188,11 @@ impl Sampler {
                         break;
                     }
                 }
-            })
-            .expect("spawn bw-sampler thread");
-        Sampler {
+            })?;
+        Ok(Sampler {
             stop,
             handle: Some(handle),
-        }
+        })
     }
 
     /// Stops the sampler, flushing a final partial-interval tick.
@@ -325,7 +326,8 @@ mod tests {
             Arc::clone(&registry),
             rec as Arc<dyn Recorder>,
             Duration::from_secs(3600),
-        );
+        )
+        .unwrap();
         // Bumped after the sampler's baseline snapshot, so the partial
         // interval has a nonzero delta to report.
         registry.counter("live.sampler_test.early").add(3);

@@ -289,7 +289,7 @@ fn sampler_emits_parseable_sample_records() {
 
     let buf = TraceBuffer::default();
     let rec: Arc<dyn Recorder> = Arc::new(buf.recorder());
-    let sampler = Sampler::start(Arc::clone(&registry), rec, Duration::from_millis(5));
+    let sampler = Sampler::start(Arc::clone(&registry), rec, Duration::from_millis(5)).unwrap();
     // Let the sampler take its baseline snapshot before any activity, so
     // everything below must appear as deltas in some tick.
     std::thread::sleep(Duration::from_millis(50));
@@ -333,42 +333,6 @@ fn sampler_emits_parseable_sample_records() {
     let last = lines.last().unwrap();
     assert_eq!(get(last, "live.test.depth").and_then(|v| v.as_u64()), Some(7));
     assert!(get(last, "warn").is_none(), "warn must clear once drops stop\n{text}");
-}
-
-#[test]
-fn prometheus_exposition_has_types_labels_and_escapes() {
-    use bw_telemetry::{escape_label_value, sanitize_metric_name};
-
-    let mut snap = TelemetrySnapshot::new();
-    snap.push_counter("live.monitor.shard.0.events_processed", 12);
-    snap.push_counter("live.monitor.shard.1.events_processed", 30);
-    snap.push_gauge("live.monitor.shard.0.queue_depth", 4);
-    let h = Histogram::new();
-    h.observe(1);
-    h.observe(1000);
-    snap.push_histogram("campaign.injection_us", h.snapshot());
-    let text = snap.to_prometheus();
-
-    // One family, two labelled series, one TYPE line.
-    assert_eq!(text.matches("# TYPE bw_live_monitor_shard_events_processed counter").count(), 1);
-    assert!(text.contains("bw_live_monitor_shard_events_processed{shard=\"0\"} 12"), "{text}");
-    assert!(text.contains("bw_live_monitor_shard_events_processed{shard=\"1\"} 30"), "{text}");
-    assert!(text.contains("# TYPE bw_live_monitor_shard_queue_depth gauge"), "{text}");
-    // Histograms expose cumulative le buckets ending at +Inf, plus
-    // _sum/_count.
-    assert!(text.contains("# TYPE bw_campaign_injection_us histogram"), "{text}");
-    assert!(text.contains("le=\"+Inf\"} 2"), "{text}");
-    assert!(text.contains("bw_campaign_injection_us_sum 1001"), "{text}");
-    assert!(text.contains("bw_campaign_injection_us_count 2"), "{text}");
-    // Name sanitization and label escaping helpers hold their contracts.
-    assert_eq!(sanitize_metric_name("9lives μ"), "_9lives__");
-    assert_eq!(escape_label_value("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    // Every non-comment line is `name[{labels}] value`.
-    for line in text.lines().filter(|l| !l.starts_with('#')) {
-        let (name, value) = line.rsplit_once(' ').expect("metric line has a value");
-        assert!(!name.is_empty());
-        assert!(value.parse::<f64>().is_ok() || value.parse::<u64>().is_ok(), "{line}");
-    }
 }
 
 #[test]

@@ -2,10 +2,9 @@
 //!
 //! Every engine run folds its headline [`crate::RunResult`] numbers into
 //! the registry's `live.engine.*` counters when it finishes, so the
-//! sampler and the `/metrics` endpoint see events/sec and run throughput
-//! *across* runs — exactly what a campaign looks like from the outside:
-//! thousands of short runs whose individual snapshots never exist at the
-//! same time.
+//! sampler sees events/sec and run throughput *across* runs — exactly
+//! what a campaign looks like from the outside: thousands of short runs
+//! whose individual snapshots never exist at the same time.
 //!
 //! The fold happens once per run (cold) with relaxed atomics, and the
 //! values flow only into the global [`MetricRegistry`] — never back into

@@ -7,7 +7,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 legs=(test fuzz-smoke forensics shards sampled traced traced-vs-untraced
-      metrics leftover-guard schema-guard bwir bwbench real-engine)
+      leftover-guard schema-guard bwir bwbench real-engine)
 
 if [ -n "${CI_OUT:-}" ]; then
   mkdir -p "$CI_OUT"
@@ -154,26 +154,6 @@ leg_traced_vs_untraced() {
   done
 }
 
-# A campaign serving --metrics-addr must answer GET /metrics with
-# bw_-prefixed Prometheus text while it runs.
-leg_metrics() {
-  local pid body got=""
-  bw campaign splash:fft --injections 3000 --workers 2 --metrics-addr 127.0.0.1:9187 \
-    >/dev/null 2>&1 &
-  pid=$!
-  for _ in $(seq 1 50); do
-    if body="$(curl -sf http://127.0.0.1:9187/metrics 2>/dev/null)" \
-       || body="$( (exec 3<>/dev/tcp/127.0.0.1/9187 \
-            && printf 'GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n' >&3 \
-            && cat <&3) 2>/dev/null)"; then
-      if grep -q "bw_live_" <<<"$body"; then got=yes; break; fi
-    fi
-    sleep 0.1
-  done
-  wait "$pid"
-  [ -n "$got" ] || { echo "ci: metrics endpoint never served bw_ metrics" >&2; return 1; }
-}
-
 # PR 19 removed the SCC-parallel analysis (DESIGN §15). Three symbols
 # outlive it only because bwbench still calls them: nobody in the workspace
 # may re-adopt `ModuleAnalysis::run_parallel`, `ModuleAnalysis::divergence`
@@ -183,7 +163,9 @@ leg_metrics() {
 # names serde again. PR 20 removed the `telemetry` cargo feature (DESIGN
 # §10) and vendor/crossbeam; `bw_telemetry::ENABLED` survives,
 # `#[doc(hidden)]`, for bwbench's run header only and may have no reader.
-# The `provenance` feature (DESIGN §12) went the same way.
+# The `provenance` feature (DESIGN §12) went the same way. The `/metrics`
+# pull server and its Prometheus text format are gone too (DESIGN §14):
+# `sample` trace records are the one live view.
 leg_leftover_guard() {
   if grep -rnE 'ModuleAnalysis::run_parallel|fn run_parallel\(module|ValueGraph|\.divergence\(' \
       crates tests examples \
@@ -206,6 +188,10 @@ leg_leftover_guard() {
   if grep -rn 'feature = "provenance"' crates tests examples \
       || grep -n provenance Cargo.toml crates/*/Cargo.toml; then
     echo "ci: the provenance feature gate is back" >&2; return 1
+  fi
+  if grep -rnE 'MetricsServer|to_prometheus|metrics-addr' crates tests examples \
+    | grep -v '^tests/cli\.rs:.*"--metrics-addr"'; then
+    echo "ci: the /metrics pull server is back" >&2; return 1
   fi
 }
 

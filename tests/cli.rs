@@ -106,6 +106,9 @@ fn unknown_flags_are_errors_not_ignored() {
         // A flag removed in PR 19: a script still passing it must fail
         // loudly, not run the one analysis in silence.
         (&["analyze", "splash:fft", "--analysis-workers", "1"], "--analysis-workers", "analyze"),
+        // Likewise the flag of the removed `/metrics` pull server: a campaign
+        // asked to serve it must not run unwatched.
+        (&["campaign", "splash:fft", "--metrics-addr", "127.0.0.1:0"], "--metrics-addr", "campaign"),
         // A real flag, on a subcommand that does not take it.
         (&["analyze", "splash:fft", "--threads", "8"], "--threads", "analyze"),
         (&["gen", "--seeds", "3"], "--seeds", "gen"),
@@ -226,7 +229,7 @@ fn the_readme_names_the_flags_bw_help_lists() {
     let readme = std::fs::read_to_string(readme).expect("README.md");
     let section = readme.split("\n## ").find(|s| s.starts_with("The `bw` CLI")).expect("the section");
     let mut listed = flag_words(&stdout(&bw(&["help"])));
-    assert!(listed.len() >= 25, "the usage lost its flags: {listed:?}");
+    assert!(listed.len() >= 24, "the usage lost its flags: {listed:?}");
     listed.insert("--help".into());
     listed.insert("--bin".into()); // `cargo run --release --bin bw --` in the examples
     listed.insert("--release".into());

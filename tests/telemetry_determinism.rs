@@ -13,7 +13,7 @@ use blockwatch::splash::{Benchmark, Size};
 use blockwatch::timeline::{PhaseProfile, TimelineReport};
 use blockwatch::{
     Blockwatch, EngineKind, ExecConfig, FaultModel, JsonlRecorder, MetricRegistry, Recorder,
-    Sampler,
+    Sampler, SeriesReport,
 };
 
 /// Serializes every test here that runs an engine. The `--trace-spans`
@@ -132,6 +132,7 @@ fn sampling_does_not_perturb_campaign_determinism() {
                 Arc::clone(&rec) as Arc<dyn Recorder>,
                 Duration::from_millis(2),
             )
+            .unwrap()
         });
         let result = bw
             .campaign_runner(20, FaultModel::BranchFlip, 2)
@@ -158,8 +159,20 @@ fn sampling_does_not_perturb_campaign_determinism() {
     assert_eq!(ds.counters(), dp.counters());
     assert_eq!(ds.gauges(), dp.gauges());
 
-    // The sampled trace actually contains sample records...
-    assert!(sampled_trace.contains("\"ev\":\"sample\""), "{sampled_trace}");
+    // The sampled trace actually contains sample records, naming the
+    // campaign and engine counters `bw top` renders...
+    let series = SeriesReport::parse(&sampled_trace).unwrap();
+    for key in [
+        "live.campaign.planned",
+        "live.campaign.completed",
+        "live.campaign.detected",
+        "live.engine.events_processed",
+    ] {
+        assert!(
+            series.ticks.iter().any(|tick| tick.value(key).is_some()),
+            "no sample names {key}\n{sampled_trace}"
+        );
+    }
     assert!(!plain_trace.contains("\"ev\":\"sample\""));
     // ...and the forensics view ignores them: byte-identical reports.
     let report_sampled = ForensicsReport::parse(&sampled_trace).unwrap().render();
