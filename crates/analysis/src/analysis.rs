@@ -30,11 +30,7 @@
 //! [`ModuleAnalysis::converged`]; preparing such a module is refused
 //! (`bw_vm::PrepareError::NoFixpoint`).
 
-use std::collections::HashMap;
-
-use bw_ir::{
-    BlockId, BranchId, Cfg, DomTree, FuncId, Function, GlobalId, LoopForest, Module, Op, ValueId,
-};
+use bw_ir::{BlockId, BranchId, FlowFacts, FuncId, Function, GlobalId, Module, Op, ValueId};
 
 use crate::category::{combine_all, combine_optimistic, Category};
 
@@ -114,7 +110,20 @@ impl ModuleAnalysis {
     /// Runs the similarity analysis on `module`: one whole-module fixpoint,
     /// as in the paper's Figure 3.
     pub fn run(module: &Module) -> ModuleAnalysis {
-        Analyzer::new(module).run()
+        let facts: Vec<FlowFacts> = module.funcs.iter().map(FlowFacts::new).collect();
+        ModuleAnalysis::run_with_facts(module, &facts)
+    }
+
+    /// [`ModuleAnalysis::run`] on control-flow facts already built, one per
+    /// function and indexed by [`FuncId`] — those
+    /// [`bw_ir::verify_module_facts`] returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `facts` does not hold one entry per function.
+    pub fn run_with_facts(module: &Module, facts: &[FlowFacts]) -> ModuleAnalysis {
+        assert_eq!(facts.len(), module.funcs.len(), "one FlowFacts per function");
+        Analyzer::new(module, facts).run()
     }
 
     /// Leftover of the SCC-parallel analysis removed in PR 19: forwards to
@@ -250,15 +259,57 @@ impl CategoryHistogram {
 
 struct Analyzer<'m> {
     module: &'m Module,
+    facts: &'m [FlowFacts],
     cats: Vec<Vec<Category>>,
     provs: Vec<Vec<Prov>>,
-    ret_cats: Vec<Vec<(usize, Category)>>, // per func: (distinct ret site idx, category)
-    rpo: Vec<Vec<BlockId>>,
-    loop_headers: Vec<HashMap<BlockId, Vec<BlockId>>>, // header -> in-loop preds (back edges)
+    /// Every function's return sites (`ret v` terminators, in block order),
+    /// all functions end to end: `rets[ret_start[f]..ret_start[f + 1]]`.
+    rets: Vec<ValueId>,
+    ret_start: Vec<usize>,
+    /// The category of each return site's value as of the last pass.
+    ret_cats: Vec<Category>,
+    /// Every call, in function and block order: the calling function, the
+    /// functions it may call and its arguments.
+    calls: Vec<(FuncId, &'m [FuncId], &'m [ValueId])>,
+    /// Every function's parameters end to end, as `rets` are: what the
+    /// call sites of the current pass pass to each, merged.
+    param_start: Vec<usize>,
+    param_inputs: Vec<Category>,
     /// Trivial-phi resolution: `resolved[f][v]` is the value `v` is a copy
     /// of (through chains of phis whose incomings all agree), or `v` itself.
     resolved: Vec<Vec<ValueId>>,
     branches: Vec<BranchInfo>,
+}
+
+/// The phis of one function in block order, with their incoming values end
+/// to end: phi `i` is `results[i]` and reads `incomings(i)`.
+#[derive(Default)]
+struct Phis {
+    results: Vec<ValueId>,
+    starts: Vec<usize>,
+    values: Vec<ValueId>,
+}
+
+impl Phis {
+    /// Holds the phis of `func` from now on.
+    fn fill(&mut self, func: &Function) {
+        self.results.clear();
+        self.starts.clear();
+        self.values.clear();
+        for block in &func.blocks {
+            for inst in block.phis() {
+                self.results.push(inst.result.expect("phi has a result"));
+                self.starts.push(self.values.len());
+                let incomings = inst.op.phi_incomings().expect("phi");
+                self.values.extend(incomings.iter().map(|inc| inc.value));
+            }
+        }
+        self.starts.push(self.values.len());
+    }
+
+    fn incomings(&self, phi: usize) -> &[ValueId] {
+        &self.values[self.starts[phi]..self.starts[phi + 1]]
+    }
 }
 
 /// Computes the trivial-phi resolution map of one function: a phi all of
@@ -270,39 +321,30 @@ struct Analyzer<'m> {
 /// behind for variables read but not written across merges; without
 /// resolving them, the merge-phi `partial` downgrade would fire on values
 /// that are not actually merged.
-fn resolve_trivial_phis(func: &Function) -> Vec<ValueId> {
+///
+/// `tables` are scratch, kept across the functions of a module.
+fn resolve_trivial_phis(func: &Function, tables: &mut PhiTables) -> Vec<ValueId> {
     let n = func.num_values();
     let mut resolved: Vec<ValueId> = (0..n).map(ValueId::from_index).collect();
-    let mut is_phi = vec![false; n];
-    let mut phi_incomings: Vec<Vec<ValueId>> = vec![Vec::new(); n];
-    let mut phis = Vec::new();
-    for block in &func.blocks {
-        for inst in block.phis() {
-            let result = inst.result.expect("phi has a result");
-            is_phi[result.index()] = true;
-            phi_incomings[result.index()] = inst
-                .op
-                .phi_incomings()
-                .expect("phi")
-                .iter()
-                .map(|inc| inc.value)
-                .collect();
-            phis.push(result);
-        }
+    if !func.blocks.iter().any(|b| b.phis().next().is_some()) {
+        return resolved;
     }
+    let PhiTables { phis, sccs } = tables;
+    phis.fill(func);
+    sccs.fit(n);
 
     let mut changed = true;
     let mut rounds = 0;
-    while changed && rounds <= phis.len() + 10 {
+    while changed && rounds <= phis.results.len() + 10 {
         changed = false;
         rounds += 1;
 
         // Pass 1: simple chains — a phi whose non-self incomings all
         // resolve to one value is that value.
-        for &p in &phis {
+        for (i, &p) in phis.results.iter().enumerate() {
             let mut target: Option<ValueId> = None;
             let mut trivial = true;
-            for &inc in &phi_incomings[p.index()] {
+            for &inc in phis.incomings(i) {
                 let r = resolved[inc.index()];
                 if r == p {
                     continue;
@@ -325,17 +367,16 @@ fn resolve_trivial_phis(func: &Function) -> Vec<ValueId> {
 
         // Pass 2: SCCs of still-unresolved phis with a single external
         // input (mutually-referencing copies through nested merges).
-        let unresolved: Vec<ValueId> =
-            phis.iter().copied().filter(|&p| resolved[p.index()] == p).collect();
-        if unresolved.is_empty() {
+        if !sccs.find(phis, &resolved) {
             break;
         }
-        for component in phi_sccs(&unresolved, &phi_incomings, &resolved) {
+        for component in sccs.components() {
             let in_scc = |v: ValueId| component.contains(&v);
             let mut external: Option<ValueId> = None;
             let mut single = true;
-            'members: for &member in &component {
-                for &inc in &phi_incomings[member.index()] {
+            'members: for &member in component {
+                let phi = sccs.phi_of[member.index()] as usize;
+                for &inc in phis.incomings(phi) {
                     let r = resolved[inc.index()];
                     if in_scc(r) {
                         continue;
@@ -352,7 +393,7 @@ fn resolve_trivial_phis(func: &Function) -> Vec<ValueId> {
             }
             if single {
                 if let Some(x) = external {
-                    for &member in &component {
+                    for &member in component {
                         if resolved[member.index()] != x {
                             resolved[member.index()] = x;
                             changed = true;
@@ -365,110 +406,181 @@ fn resolve_trivial_phis(func: &Function) -> Vec<ValueId> {
     resolved
 }
 
-/// Strongly connected components (size >= 2, plus self-loops are impossible
-/// here) of the "phi resolves-through phi" graph over `nodes`, via
-/// iterative Tarjan.
-fn phi_sccs(
-    nodes: &[ValueId],
-    phi_incomings: &[Vec<ValueId>],
-    resolved: &[ValueId],
-) -> Vec<Vec<ValueId>> {
-    use std::collections::HashMap;
-    let index_of: HashMap<ValueId, usize> =
-        nodes.iter().copied().enumerate().map(|(i, v)| (v, i)).collect();
-    let n = nodes.len();
-    let succs: Vec<Vec<usize>> = nodes
-        .iter()
-        .map(|&p| {
-            phi_incomings[p.index()]
-                .iter()
-                .filter_map(|&inc| index_of.get(&resolved[inc.index()]).copied())
-                .collect()
-        })
-        .collect();
+/// The tables [`resolve_trivial_phis`] works in.
+#[derive(Default)]
+struct PhiTables {
+    phis: Phis,
+    sccs: PhiSccs,
+}
 
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut sccs = Vec::new();
+/// Strongly connected components (size >= 2; self-loops are impossible
+/// here) of the "phi resolves-through phi" graph over the unresolved phis
+/// of one function, via iterative Tarjan.
+#[derive(Default)]
+struct PhiSccs {
+    /// The phi index of each value that is a node of the current graph, or
+    /// `u32::MAX`.
+    phi_of: Vec<u32>,
+    /// The node each value is, or `u32::MAX`.
+    node_of: Vec<u32>,
+    /// The unresolved phis (their results), and the nodes each resolves
+    /// through: `succs[succ_start[v]..succ_start[v + 1]]`.
+    nodes: Vec<ValueId>,
+    succ_start: Vec<usize>,
+    succs: Vec<usize>,
+    /// The components found, members end to end: component `i` ends at
+    /// `ends[i]`.
+    members: Vec<ValueId>,
+    ends: Vec<usize>,
+    /// Tarjan's state per node, its node stack and its work stack of
+    /// (node, child pos).
+    index: Vec<usize>,
+    low: Vec<usize>,
+    on_stack: Vec<bool>,
+    stack: Vec<usize>,
+    work: Vec<(usize, usize)>,
+}
 
-    for start in 0..n {
-        if index[start] != usize::MAX {
-            continue;
+impl PhiSccs {
+    /// Makes room for a function of `values` values.
+    fn fit(&mut self, values: usize) {
+        if self.node_of.len() < values {
+            self.phi_of.resize(values, u32::MAX);
+            self.node_of.resize(values, u32::MAX);
         }
-        // Iterative Tarjan with an explicit work stack of (node, child pos).
-        let mut work: Vec<(usize, usize)> = vec![(start, 0)];
-        while let Some(&mut (v, ref mut ci)) = work.last_mut() {
-            if *ci == 0 {
-                index[v] = next_index;
-                low[v] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v] = true;
+    }
+
+    /// Finds the components among the phis still resolved to themselves;
+    /// returns `false` if there are no such phis.
+    fn find(&mut self, phis: &Phis, resolved: &[ValueId]) -> bool {
+        for &v in &self.nodes {
+            self.node_of[v.index()] = u32::MAX;
+        }
+        self.nodes.clear();
+        for (i, &p) in phis.results.iter().enumerate() {
+            if resolved[p.index()] == p {
+                self.phi_of[p.index()] = i as u32;
+                self.node_of[p.index()] = self.nodes.len() as u32;
+                self.nodes.push(p);
             }
-            if *ci < succs[v].len() {
-                let w = succs[v][*ci];
-                *ci += 1;
-                if index[w] == usize::MAX {
-                    work.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
+        }
+        if self.nodes.is_empty() {
+            return false;
+        }
+        self.succ_start.clear();
+        self.succs.clear();
+        for &p in &self.nodes {
+            self.succ_start.push(self.succs.len());
+            let phi = self.phi_of[p.index()] as usize;
+            for &inc in phis.incomings(phi) {
+                let node = self.node_of[resolved[inc.index()].index()];
+                if node != u32::MAX {
+                    self.succs.push(node as usize);
                 }
-            } else {
-                work.pop();
-                if let Some(&(parent, _)) = work.last() {
-                    low[parent] = low[parent].min(low[v]);
+            }
+        }
+        self.succ_start.push(self.succs.len());
+        self.tarjan();
+        true
+    }
+
+    fn tarjan(&mut self) {
+        let n = self.nodes.len();
+        let PhiSccs {
+            nodes, succ_start, succs, members, ends, index, low, on_stack, stack, work, ..
+        } = self;
+        index.clear();
+        index.resize(n, usize::MAX);
+        low.clear();
+        low.resize(n, 0);
+        on_stack.clear();
+        on_stack.resize(n, false);
+        let mut next_index = 0usize;
+        members.clear();
+        ends.clear();
+
+        for start in 0..n {
+            if index[start] != usize::MAX {
+                continue;
+            }
+            work.push((start, 0));
+            while let Some(&mut (v, ref mut ci)) = work.last_mut() {
+                if *ci == 0 {
+                    index[v] = next_index;
+                    low[v] = next_index;
+                    next_index += 1;
+                    stack.push(v);
+                    on_stack[v] = true;
                 }
-                if low[v] == index[v] {
-                    let mut component = Vec::new();
-                    while let Some(w) = stack.pop() {
-                        on_stack[w] = false;
-                        component.push(nodes[w]);
-                        if w == v {
-                            break;
-                        }
+                let succs = &succs[succ_start[v]..succ_start[v + 1]];
+                if *ci < succs.len() {
+                    let w = succs[*ci];
+                    *ci += 1;
+                    if index[w] == usize::MAX {
+                        work.push((w, 0));
+                    } else if on_stack[w] {
+                        low[v] = low[v].min(index[w]);
                     }
-                    if component.len() >= 2 {
-                        sccs.push(component);
+                } else {
+                    work.pop();
+                    if let Some(&(parent, _)) = work.last() {
+                        low[parent] = low[parent].min(low[v]);
+                    }
+                    if low[v] == index[v] {
+                        let start = members.len();
+                        while let Some(w) = stack.pop() {
+                            on_stack[w] = false;
+                            members.push(nodes[w]);
+                            if w == v {
+                                break;
+                            }
+                        }
+                        if members.len() - start >= 2 {
+                            ends.push(members.len());
+                        } else {
+                            members.truncate(start);
+                        }
                     }
                 }
             }
         }
     }
-    sccs
+
+    /// The components [`PhiSccs::find`] found, in the order Tarjan closed
+    /// them, each in the order its members left the stack.
+    fn components(&self) -> impl Iterator<Item = &[ValueId]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(start, &end)| &self.members[start..end])
+    }
 }
 
 impl<'m> Analyzer<'m> {
     /// Computes everything the fixpoint needs that is a pure function of
-    /// the module — CFG orders, loop structure, trivial-phi resolution, the
-    /// branch list — and the all-`NA` starting state.
-    fn new(module: &'m Module) -> Self {
-        let mut rpo = Vec::with_capacity(module.funcs.len());
-        let mut loop_headers = Vec::with_capacity(module.funcs.len());
+    /// the module — return sites, trivial-phi resolution, the branch list —
+    /// and the all-`NA` starting state. CFG orders and loop structure are
+    /// read from `facts`.
+    fn new(module: &'m Module, facts: &'m [FlowFacts]) -> Self {
         let mut branches = Vec::new();
-
-        for (fid, func) in module.iter_funcs() {
-            let cfg = Cfg::new(func);
-            let dom = DomTree::new(&cfg, func.entry());
-            let loops = LoopForest::new(&cfg, &dom);
-            rpo.push(cfg.reverse_postorder(func.entry()));
-
-            let mut headers: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-            for l in loops.loops() {
-                let latches: Vec<BlockId> = l
-                    .blocks
-                    .iter()
-                    .copied()
-                    .filter(|&b| cfg.succs(b).contains(&l.header))
-                    .collect();
-                headers.insert(l.header, latches);
-            }
-            loop_headers.push(headers);
-
+        let mut calls = Vec::new();
+        let mut rets = Vec::new();
+        let mut ret_start = Vec::with_capacity(module.funcs.len() + 1);
+        let mut param_start = Vec::with_capacity(module.funcs.len() + 1);
+        let mut params = 0;
+        for ((fid, func), facts) in module.iter_funcs().zip(facts) {
+            ret_start.push(rets.len());
+            param_start.push(params);
+            params += func.params.len();
             for (bb, block) in func.iter_blocks() {
                 for (i, inst) in block.insts.iter().enumerate() {
+                    match &inst.op {
+                        Op::Call { func: callee, args, .. } => {
+                            calls.push((fid, std::slice::from_ref(callee), &args[..]));
+                        }
+                        Op::CallIndirect { table, args, .. } => {
+                            calls.push((fid, &module.tables[table.index()].funcs[..], &args[..]));
+                        }
+                        _ => {}
+                    }
                     if let Op::Br { cond, .. } = inst.op {
                         branches.push(BranchInfo {
                             id: BranchId::from_index(branches.len()),
@@ -477,23 +589,35 @@ impl<'m> Analyzer<'m> {
                             inst_index: i,
                             cond,
                             category: Category::Na,
-                            loop_depth: loops.depth(bb),
+                            loop_depth: facts.loops.depth(bb),
                             in_parallel_section: false,
                             min_locks_held: 0,
                         });
                     }
                 }
+                if let Some(Op::Ret(Some(v))) = block.terminator().map(|t| &t.op) {
+                    rets.push(*v);
+                }
             }
         }
+        ret_start.push(rets.len());
+        param_start.push(params);
 
         Analyzer {
             module,
+            facts,
             cats: module.funcs.iter().map(|f| vec![Category::Na; f.num_values()]).collect(),
             provs: module.funcs.iter().map(|f| vec![Prov::Unresolved; f.num_values()]).collect(),
-            ret_cats: vec![Vec::new(); module.funcs.len()],
-            rpo,
-            loop_headers,
-            resolved: module.funcs.iter().map(resolve_trivial_phis).collect(),
+            ret_cats: vec![Category::Na; rets.len()],
+            rets,
+            ret_start,
+            calls,
+            param_inputs: vec![Category::Na; params],
+            param_start,
+            resolved: {
+                let mut tables = PhiTables::default();
+                module.funcs.iter().map(|f| resolve_trivial_phis(f, &mut tables)).collect()
+            },
             branches,
         }
     }
@@ -509,7 +633,7 @@ impl<'m> Analyzer<'m> {
         let max_iterations = 10 + self.module.num_insts();
         let converged = loop {
             iterations += 1;
-            let changed = self.iterate();
+            let changed = self.iterate(iterations == 1);
             trace.push(self.branch_snapshot());
             if !changed || iterations > max_iterations {
                 break !changed;
@@ -528,7 +652,7 @@ impl<'m> Analyzer<'m> {
             };
             b.in_parallel_section = parallel_funcs[b.func.index()];
         }
-        compute_critical_sections(self.module, &self.rpo, &mut branches);
+        compute_critical_sections(self.module, self.facts, &mut branches);
         ModuleAnalysis {
             value_cats: self.cats,
             branches,
@@ -559,16 +683,18 @@ impl<'m> Analyzer<'m> {
                 }
             }
         }
+        let facts = self.facts;
         let mut changed = true;
         while changed {
             changed = false;
             for (fid, func) in self.module.iter_funcs() {
-                for &bb in &self.rpo[fid.index()].clone() {
+                let provs = &mut self.provs[fid.index()];
+                for &bb in facts[fid.index()].dom.reverse_postorder() {
                     for inst in &func.block(bb).insts {
                         let Some(result) = inst.result else { continue };
                         let new = match &inst.op {
                             Op::GlobalAddr(g) => Prov::Global(*g),
-                            Op::Gep { base, .. } => self.provs[fid.index()][base.index()],
+                            Op::Gep { base, .. } => provs[base.index()],
                             Op::Alloca { .. } => Prov::Local,
                             Op::Phi { incomings, .. } => {
                                 let mut p = Prov::Unresolved;
@@ -576,7 +702,7 @@ impl<'m> Analyzer<'m> {
                                     if inc.value == result {
                                         continue;
                                     }
-                                    p = p.merge(self.provs[fid.index()][inc.value.index()]);
+                                    p = p.merge(provs[inc.value.index()]);
                                 }
                                 p
                             }
@@ -591,7 +717,7 @@ impl<'m> Analyzer<'m> {
                             }
                             _ => continue,
                         };
-                        let slot = &mut self.provs[fid.index()][result.index()];
+                        let slot = &mut provs[result.index()];
                         let merged = slot.merge(new);
                         if *slot != merged {
                             *slot = merged;
@@ -603,17 +729,19 @@ impl<'m> Analyzer<'m> {
         }
     }
 
-    /// One whole-module pass; returns whether anything changed.
-    fn iterate(&mut self) -> bool {
+    /// One whole-module pass; returns whether anything changed. The first
+    /// pass always reports a change when the module has a return site: it
+    /// is the one that records the return sites' categories.
+    fn iterate(&mut self, first: bool) -> bool {
         let mut changed = false;
 
         // 1. Merge call-site argument categories into parameter categories.
         changed |= self.update_params();
 
         // 2. Visit all instructions in RPO.
+        let facts = self.facts;
         for (fid, func) in self.module.iter_funcs() {
-            let rpo = self.rpo[fid.index()].clone();
-            for bb in rpo {
+            for &bb in facts[fid.index()].dom.reverse_postorder() {
                 for inst in &func.block(bb).insts {
                     let Some(result) = inst.result else { continue };
                     let new = self.visit(fid, bb, inst, result);
@@ -629,18 +757,14 @@ impl<'m> Analyzer<'m> {
         }
 
         // 3. Refresh per-function return categories.
-        for (fid, func) in self.module.iter_funcs() {
-            let mut rets = Vec::new();
-            for (_, block) in func.iter_blocks() {
-                if let Some(inst) = block.terminator() {
-                    if let Op::Ret(Some(v)) = inst.op {
-                        rets.push((rets.len(), self.cats[fid.index()][v.index()]));
-                    }
+        changed |= first && !self.rets.is_empty();
+        for (f, cats) in self.cats.iter().enumerate() {
+            let sites = self.ret_start[f]..self.ret_start[f + 1];
+            for (&v, slot) in self.rets[sites.clone()].iter().zip(&mut self.ret_cats[sites]) {
+                if *slot != cats[v.index()] {
+                    *slot = cats[v.index()];
+                    changed = true;
                 }
-            }
-            if self.ret_cats[fid.index()] != rets {
-                self.ret_cats[fid.index()] = rets;
-                changed = true;
             }
         }
 
@@ -648,41 +772,23 @@ impl<'m> Analyzer<'m> {
     }
 
     fn update_params(&mut self) -> bool {
-        let mut changed = false;
-        // Collect argument categories per (callee, param index).
-        let mut inputs: HashMap<(FuncId, usize), Vec<Category>> = HashMap::new();
-        for (fid, func) in self.module.iter_funcs() {
-            for (_, block) in func.iter_blocks() {
-                for inst in &block.insts {
-                    match &inst.op {
-                        Op::Call { func: callee, args, .. } => {
-                            for (i, arg) in args.iter().enumerate() {
-                                inputs
-                                    .entry((*callee, i))
-                                    .or_default()
-                                    .push(self.cats[fid.index()][arg.index()]);
-                            }
-                        }
-                        Op::CallIndirect { table, args, .. } => {
-                            for &callee in &self.module.tables[table.index()].funcs {
-                                for (i, arg) in args.iter().enumerate() {
-                                    inputs
-                                        .entry((callee, i))
-                                        .or_default()
-                                        .push(self.cats[fid.index()][arg.index()]);
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
+        // Merge argument categories per (callee, param index).
+        self.param_inputs.fill(Category::Na);
+        for &(fid, callees, args) in &self.calls {
+            let cats = &self.cats[fid.index()];
+            for callee in callees {
+                let c = callee.index();
+                let inputs = &mut self.param_inputs[self.param_start[c]..self.param_start[c + 1]];
+                for (input, arg) in inputs.iter_mut().zip(args) {
+                    *input = merge_site(*input, cats[arg.index()]);
                 }
             }
         }
-        for ((callee, i), cats) in inputs {
-            let new = merge_sites(&cats);
-            if new != Category::Na {
-                let slot = &mut self.cats[callee.index()][i];
-                if *slot != new {
+        let mut changed = false;
+        for (f, cats) in self.cats.iter_mut().enumerate() {
+            let inputs = &self.param_inputs[self.param_start[f]..self.param_start[f + 1]];
+            for (slot, &new) in cats.iter_mut().zip(inputs) {
+                if new != Category::Na && *slot != new {
                     *slot = new;
                     changed = true;
                 }
@@ -692,7 +798,8 @@ impl<'m> Analyzer<'m> {
     }
 
     fn visit(&self, fid: FuncId, bb: BlockId, inst: &bw_ir::Inst, result: ValueId) -> Category {
-        let cat = |v: ValueId| self.cats[fid.index()][v.index()];
+        let cats = &self.cats[fid.index()];
+        let cat = |v: ValueId| cats[v.index()];
         match &inst.op {
             Op::Const(_) => Category::Shared,
             Op::GlobalAddr(_) => Category::Shared,
@@ -731,32 +838,37 @@ impl<'m> Analyzer<'m> {
                 if target != result {
                     return cat(target);
                 }
-                let latches = self.loop_headers[fid.index()].get(&bb);
-                let is_loop_phi = latches
-                    .is_some_and(|l| incomings.iter().any(|inc| l.contains(&inc.block)));
-                let cats: Vec<Category> = incomings
+                // A loop phi takes a value along a back edge: from a latch,
+                // a block of the loop headed by `bb` with an edge to it.
+                let FlowFacts { cfg, loops, .. } = &self.facts[fid.index()];
+                let is_loop_phi = loops.loop_with_header(bb).is_some_and(|l| {
+                    incomings.iter().any(|inc| {
+                        loops.contains(l, inc.block) && cfg.succs(inc.block).contains(&bb)
+                    })
+                });
+                let merged = incomings
                     .iter()
-                    .filter(|inc| resolved[inc.value.index()] != result)
-                    .map(|inc| cat(inc.value))
-                    .collect();
-                let combined = combine_optimistic(cats.iter().copied());
+                    .map(|inc| resolved[inc.value.index()])
+                    .filter(|&v| v != result);
+                let combined = combine_optimistic(
+                    incomings
+                        .iter()
+                        .filter(|inc| resolved[inc.value.index()] != result)
+                        .map(|inc| cat(inc.value)),
+                );
                 if !is_loop_phi && combined == Category::Shared {
                     // If-else convergence merging distinct shared values →
                     // partial (the paper's deviation from Table II).
-                    let mut distinct: Vec<ValueId> = incomings
-                        .iter()
-                        .map(|inc| resolved[inc.value.index()])
-                        .filter(|&v| v != result)
-                        .collect();
-                    distinct.sort_unstable();
-                    distinct.dedup();
-                    if distinct.len() >= 2 {
-                        return Category::Partial;
+                    let mut merged = merged;
+                    if let Some(first) = merged.next() {
+                        if merged.any(|v| v != first) {
+                            return Category::Partial;
+                        }
                     }
                 }
                 combined
             }
-            Op::Call { func: callee, .. } => self.callee_result(&[*callee]),
+            Op::Call { func: callee, .. } => self.callee_result(std::slice::from_ref(callee)),
             Op::CallIndirect { table, .. } => {
                 self.callee_result(&self.module.tables[table.index()].funcs)
             }
@@ -774,15 +886,12 @@ impl<'m> Analyzer<'m> {
     }
 
     fn callee_result(&self, callees: &[FuncId]) -> Category {
-        let mut cats = Vec::new();
-        let mut sites = 0usize;
-        for &callee in callees {
-            for (_, c) in &self.ret_cats[callee.index()] {
-                sites += 1;
-                cats.push(*c);
-            }
-        }
-        let combined = combine_optimistic(cats.iter().copied());
+        let site_cats = |callee: &FuncId| {
+            let f = callee.index();
+            &self.ret_cats[self.ret_start[f]..self.ret_start[f + 1]]
+        };
+        let sites: usize = callees.iter().map(|c| site_cats(c).len()).sum();
+        let combined = combine_optimistic(callees.iter().flat_map(site_cats).copied());
         match combined {
             Category::Na | Category::None => combined,
             c if sites <= 1 && callees.len() <= 1 => c,
@@ -793,7 +902,6 @@ impl<'m> Analyzer<'m> {
             _ => Category::Partial,
         }
     }
-
 }
 
 /// Which functions are reachable from the SPMD entry (the paper's
@@ -808,12 +916,12 @@ fn reachable_from_spmd(module: &Module) -> Vec<bool> {
     while let Some(fid) = work.pop() {
         for block in &module.func(fid).blocks {
             for inst in &block.insts {
-                let callees: Vec<FuncId> = match &inst.op {
-                    Op::Call { func, .. } => vec![*func],
-                    Op::CallIndirect { table, .. } => module.tables[table.index()].funcs.clone(),
+                let callees = match &inst.op {
+                    Op::Call { func, .. } => std::slice::from_ref(func),
+                    Op::CallIndirect { table, .. } => &module.tables[table.index()].funcs,
                     _ => continue,
                 };
-                for callee in callees {
+                for &callee in callees {
                     if !reachable[callee.index()] {
                         reachable[callee.index()] = true;
                         work.push(callee);
@@ -828,11 +936,7 @@ fn reachable_from_spmd(module: &Module) -> Vec<bool> {
 /// Interprocedural "minimum mutexes held" dataflow, used by the
 /// critical-section optimization (branches only one thread can execute
 /// at a time are not worth checking).
-fn compute_critical_sections(
-    module: &Module,
-    rpo: &[Vec<BlockId>],
-    branches: &mut [BranchInfo],
-) {
+fn compute_critical_sections(module: &Module, facts: &[FlowFacts], branches: &mut [BranchInfo]) {
     const INF: u32 = u32::MAX / 2;
     // held_entry[f] = min locks held when f is entered.
     let mut held_entry = vec![INF; module.funcs.len()];
@@ -840,9 +944,14 @@ fn compute_critical_sections(
         held_entry[role.index()] = 0;
     }
 
-    // block_in[f][b] = min locks held entering block b of f.
-    let mut block_in: Vec<Vec<u32>> =
-        module.funcs.iter().map(|f| vec![INF; f.blocks.len()]).collect();
+    // block_in[first_block[f] + b] = min locks held entering block b of f.
+    let mut first_block = Vec::with_capacity(module.funcs.len());
+    let mut nblocks = 0;
+    for func in &module.funcs {
+        first_block.push(nblocks);
+        nblocks += func.blocks.len();
+    }
+    let mut block_in = vec![INF; nblocks];
 
     let mut changed = true;
     while changed {
@@ -850,12 +959,13 @@ fn compute_critical_sections(
         for (fid, func) in module.iter_funcs() {
             let entry_held = held_entry[fid.index()];
             let fi = fid.index();
-            if block_in[fi][func.entry().index()] > entry_held {
-                block_in[fi][func.entry().index()] = entry_held;
+            let block_in = &mut block_in[first_block[fi]..first_block[fi] + func.blocks.len()];
+            if block_in[func.entry().index()] > entry_held {
+                block_in[func.entry().index()] = entry_held;
                 changed = true;
             }
-            for &bb in &rpo[fi] {
-                let mut held = block_in[fi][bb.index()];
+            for &bb in facts[fi].dom.reverse_postorder() {
+                let mut held = block_in[bb.index()];
                 if held >= INF {
                     continue;
                 }
@@ -877,14 +987,14 @@ fn compute_critical_sections(
                         }
                         Op::Br { then_bb, else_bb, .. } => {
                             for succ in [*then_bb, *else_bb] {
-                                if block_in[fi][succ.index()] > held {
-                                    block_in[fi][succ.index()] = held;
+                                if block_in[succ.index()] > held {
+                                    block_in[succ.index()] = held;
                                     changed = true;
                                 }
                             }
                         }
-                        Op::Jump(succ) if block_in[fi][succ.index()] > held => {
-                            block_in[fi][succ.index()] = held;
+                        Op::Jump(succ) if block_in[succ.index()] > held => {
+                            block_in[succ.index()] = held;
                             changed = true;
                         }
                         _ => {}
@@ -897,7 +1007,7 @@ fn compute_critical_sections(
     for b in branches {
         let fi = b.func.index();
         let func = module.func(b.func);
-        let mut held = block_in[fi][b.block.index()];
+        let mut held = block_in[first_block[fi] + b.block.index()];
         if held >= INF {
             held = 0; // unreachable branch
         } else {
@@ -913,28 +1023,29 @@ fn compute_critical_sections(
     }
 }
 
-/// Merges the categories arriving at a parameter from its call sites (or a
-/// call result from multiple returns): unanimous sites keep their category
-/// (instances are tracked per call site); mixed checkable categories fall
-/// back to `partial`; any `none` poisons the merge.
-fn merge_sites(cats: &[Category]) -> Category {
-    let known: Vec<Category> = cats.iter().copied().filter(|&c| c != Category::Na).collect();
-    if known.is_empty() {
-        return Category::Na;
+/// Merges one more category arriving at a parameter from its call sites
+/// into what the sites before it merged to (`Na` before the first): `Na`
+/// sites are skipped; unanimous sites keep their category (instances are
+/// tracked per call site); mixed checkable categories fall back to
+/// `partial`; any `none` poisons the merge. The result does not depend on
+/// the order of the sites.
+fn merge_site(merged: Category, cat: Category) -> Category {
+    match (merged, cat) {
+        (m, Category::Na) => m,
+        (Category::Na, c) => c,
+        (Category::None, _) | (_, Category::None) => Category::None,
+        (m, c) if m == c => m,
+        _ => Category::Partial,
     }
-    if known.contains(&Category::None) {
-        return Category::None;
-    }
-    let first = known[0];
-    if known.iter().all(|&c| c == first) {
-        return first;
-    }
-    Category::Partial
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn merge_sites(cats: &[Category]) -> Category {
+        cats.iter().fold(Category::Na, |merged, &cat| merge_site(merged, cat))
+    }
 
     #[test]
     fn merge_sites_rules() {
@@ -946,6 +1057,71 @@ mod tests {
         assert_eq!(merge_sites(&[Shared, None]), None);
         assert_eq!(merge_sites(&[ThreadId, ThreadId]), ThreadId);
         assert_eq!(merge_sites(&[Partial, Shared]), Partial);
+    }
+
+    /// The fold agrees with merging the whole list at once, as the sites
+    /// were merged before they were folded one by one: `Na` dropped, then
+    /// `none` if any, the one category if unanimous, else `partial`.
+    #[test]
+    fn merge_site_folds_like_the_list_rule() {
+        use Category::*;
+        let whole = |cats: &[Category]| {
+            let known: Vec<Category> = cats.iter().copied().filter(|&c| c != Na).collect();
+            match known.first() {
+                Option::None => Na,
+                Some(_) if known.contains(&None) => None,
+                Some(&first) if known.iter().all(|&c| c == first) => first,
+                Some(_) => Partial,
+            }
+        };
+        let all = [Na, Shared, ThreadId, Partial, None];
+        let mut lists: Vec<Vec<Category>> = vec![vec![]];
+        for _ in 0..4 {
+            let longer: Vec<Vec<Category>> = lists
+                .iter()
+                .flat_map(|l| all.iter().map(move |&c| [l.as_slice(), &[c]].concat()))
+                .collect();
+            for list in &longer {
+                assert_eq!(merge_sites(list), whole(list), "{list:?}");
+            }
+            lists = longer;
+        }
+    }
+
+    /// Three phis that only pass each other around, fed from one value
+    /// outside: pass 1 resolves none of them, their component resolves all
+    /// three to that value. With a second value fed in, none resolves.
+    #[test]
+    fn a_phi_cycle_with_one_input_is_a_copy_of_it() {
+        let text = |second: &str| {
+            format!(
+                "module m {{
+  func f() {{
+  bb0:
+    v0: i64 = const 1
+    v1: i64 = const 2
+    jump bb1
+  bb1:
+    v2: i64 = phi [bb0, v0], [bb3, v4]
+    jump bb2
+  bb2:
+    v3: i64 = phi [bb1, v2], [bb3, {second}]
+    jump bb3
+  bb3:
+    v4: i64 = phi [bb2, v3], [bb1, v2]
+    jump bb1
+  }}
+}}
+"
+            )
+        };
+        let resolve = |second: &str| {
+            let module = bw_ir::parse_module(&text(second)).expect("the module parses");
+            resolve_trivial_phis(&module.funcs[0], &mut PhiTables::default())
+        };
+        let v = ValueId::from_index;
+        assert_eq!(resolve("v4")[2..], [v(0), v(0), v(0)]);
+        assert_eq!(resolve("v1")[2..], [v(2), v(3), v(4)]);
     }
 
     #[test]

@@ -179,7 +179,7 @@ fn all_blocks_reach_exit(f: &Function) -> bool {
     let mut exits = Vec::new();
     for (bi, block) in f.blocks.iter().enumerate() {
         match block.terminator() {
-            Some(t) if t.op.successors().is_empty() => exits.push(bi),
+            Some(t) if t.op.successors().next().is_none() => exits.push(bi),
             Some(t) => {
                 for succ in t.op.successors() {
                     preds[succ.index()].push(bi);
@@ -203,7 +203,7 @@ fn all_blocks_reach_exit(f: &Function) -> bool {
             continue;
         }
         if let Some(t) = f.blocks[b].terminator() {
-            stack.extend(t.op.successors().into_iter().map(|s| s.index()));
+            stack.extend(t.op.successors().map(|s| s.index()));
         }
     }
     (0..n).all(|b| !reachable[b] || reaches_exit[b])

@@ -1,31 +1,72 @@
-//! Control-flow graph utilities: predecessor/successor maps and orderings.
+//! Control-flow graph: the successors and predecessors of every block.
+//! Orders over it are the dominator tree's ([`crate::DomTree::reverse_postorder`]).
 
-use crate::function::Function;
+use crate::function::{Block, Function};
 use crate::ids::BlockId;
 
-/// Precomputed CFG edges for a function.
+/// The successors `block`'s terminator names (none without one).
+fn succs_of(block: &Block) -> impl Iterator<Item = BlockId> + '_ {
+    block.terminator().into_iter().flat_map(|t| t.op.successors())
+}
+
+/// Precomputed CFG edges for a function, flat: every block's successors and
+/// predecessors are one run each of a single edge array.
+///
+/// Successors are in terminator order (`br`'s `then` before its `else`);
+/// predecessors in block order, each once per edge — `br v, bb1, bb1` makes
+/// `bb1` a successor twice and its block a predecessor of `bb1` twice.
 #[derive(Clone, Debug)]
 pub struct Cfg {
-    succs: Vec<Vec<BlockId>>,
-    preds: Vec<Vec<BlockId>>,
+    /// `starts[b]..starts[b + 1]` is where the successors of block `b` lie
+    /// in `edges`; `starts[n + 1 + b]..starts[n + 2 + b]` its predecessors.
+    starts: Vec<u32>,
+    /// All successor runs, block by block, then all predecessor runs.
+    edges: Vec<BlockId>,
 }
 
 impl Cfg {
     /// Computes the CFG of `func` from its terminators. Blocks without a
     /// terminator (only possible mid-construction) have no successors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a terminator names a block out of range (the verifier
+    /// rejects such functions before it builds their CFG).
     pub fn new(func: &Function) -> Self {
         let n = func.blocks.len();
-        let mut succs = vec![Vec::new(); n];
-        let mut preds = vec![Vec::new(); n];
-        for (bb, block) in func.iter_blocks() {
-            if let Some(term) = block.terminator() {
-                for succ in term.op.successors() {
-                    succs[bb.index()].push(succ);
-                    preds[succ.index()].push(bb);
-                }
+        let count: usize = func.blocks.iter().map(|block| succs_of(block).count()).sum();
+        let mut starts = vec![0u32; 2 * n + 3];
+        let mut edges = vec![BlockId(0); 2 * count];
+
+        // Successor runs in block order; meanwhile count every block's
+        // predecessors two slots ahead (`starts[n + 3 + b]`).
+        let mut next = 0;
+        for (b, block) in func.blocks.iter().enumerate() {
+            starts[b] = next as u32;
+            for succ in succs_of(block) {
+                edges[next] = succ;
+                next += 1;
+                starts[n + 3 + succ.index()] += 1;
             }
         }
-        Cfg { succs, preds }
+        starts[n] = next as u32;
+        // Prefix sums from the end of the successor runs turn the counts
+        // into predecessor-run starts one slot ahead (`starts[n + 2 + b]`);
+        // placing each run's edges advances its start to the next run's,
+        // which leaves every start in its own slot.
+        starts[n + 1] = next as u32;
+        for i in n + 2..2 * n + 3 {
+            starts[i] += starts[i - 1];
+        }
+        for b in 0..n {
+            for i in starts[b]..starts[b + 1] {
+                let succ = edges[i as usize].index();
+                let slot = &mut starts[n + 2 + succ];
+                edges[*slot as usize] = BlockId::from_index(b);
+                *slot += 1;
+            }
+        }
+        Cfg { starts, edges }
     }
 
     /// Successors of a block.
@@ -34,7 +75,9 @@ impl Cfg {
     ///
     /// Panics if the id is out of range.
     pub fn succs(&self, block: BlockId) -> &[BlockId] {
-        &self.succs[block.index()]
+        let b = block.index();
+        assert!(b < self.len(), "{block} out of range");
+        &self.edges[self.starts[b] as usize..self.starts[b + 1] as usize]
     }
 
     /// Predecessors of a block.
@@ -43,67 +86,20 @@ impl Cfg {
     ///
     /// Panics if the id is out of range.
     pub fn preds(&self, block: BlockId) -> &[BlockId] {
-        &self.preds[block.index()]
+        let b = block.index();
+        assert!(b < self.len(), "{block} out of range");
+        let at = self.len() + 1 + b;
+        &self.edges[self.starts[at] as usize..self.starts[at + 1] as usize]
     }
 
     /// Number of blocks.
     pub fn len(&self) -> usize {
-        self.succs.len()
+        (self.starts.len() - 3) / 2
     }
 
     /// Whether the CFG has no blocks.
     pub fn is_empty(&self) -> bool {
-        self.succs.is_empty()
-    }
-
-    /// Blocks in reverse postorder from the entry. Unreachable blocks are
-    /// excluded.
-    pub fn reverse_postorder(&self, entry: BlockId) -> Vec<BlockId> {
-        let mut order = self.postorder(entry);
-        order.reverse();
-        order
-    }
-
-    /// Blocks in postorder from the entry (iterative DFS). Unreachable
-    /// blocks are excluded.
-    pub fn postorder(&self, entry: BlockId) -> Vec<BlockId> {
-        let n = self.len();
-        let mut visited = vec![false; n];
-        let mut order = Vec::with_capacity(n);
-        // Each stack frame is (block, next-successor-index).
-        let mut stack: Vec<(BlockId, usize)> = vec![(entry, 0)];
-        visited[entry.index()] = true;
-        while let Some((bb, idx)) = stack.last_mut() {
-            let succs = &self.succs[bb.index()];
-            if *idx < succs.len() {
-                let next = succs[*idx];
-                *idx += 1;
-                if !visited[next.index()] {
-                    visited[next.index()] = true;
-                    stack.push((next, 0));
-                }
-            } else {
-                order.push(*bb);
-                stack.pop();
-            }
-        }
-        order
-    }
-
-    /// Blocks reachable from `entry`, as a boolean vector indexed by block.
-    pub fn reachable(&self, entry: BlockId) -> Vec<bool> {
-        let mut seen = vec![false; self.len()];
-        let mut work = vec![entry];
-        seen[entry.index()] = true;
-        while let Some(bb) = work.pop() {
-            for &succ in self.succs(bb) {
-                if !seen[succ.index()] {
-                    seen[succ.index()] = true;
-                    work.push(succ);
-                }
-            }
-        }
-        seen
+        self.len() == 0
     }
 }
 
@@ -111,7 +107,13 @@ impl Cfg {
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
+    use crate::dom::DomTree;
     use crate::value::Type;
+
+    /// The reverse postorder from block 0, as the dominator tree keeps it.
+    fn rpo(cfg: &Cfg) -> Vec<BlockId> {
+        DomTree::new(cfg, BlockId(0)).reverse_postorder().to_vec()
+    }
 
     fn diamond() -> Function {
         let mut b = FunctionBuilder::new("f", vec![Type::Bool], None);
@@ -142,7 +144,7 @@ mod tests {
     fn rpo_starts_at_entry_ends_at_exit() {
         let f = diamond();
         let cfg = Cfg::new(&f);
-        let rpo = cfg.reverse_postorder(BlockId(0));
+        let rpo = rpo(&cfg);
         assert_eq!(rpo.len(), 4);
         assert_eq!(rpo[0], BlockId(0));
         assert_eq!(rpo[3], BlockId(3));
@@ -157,11 +159,7 @@ mod tests {
         b.ret(None);
         let f = b.finish();
         let cfg = Cfg::new(&f);
-        let rpo = cfg.reverse_postorder(BlockId(0));
-        assert_eq!(rpo, vec![BlockId(0)]);
-        let reach = cfg.reachable(BlockId(0));
-        assert!(reach[0]);
-        assert!(!reach[1]);
+        assert_eq!(rpo(&cfg), vec![BlockId(0)]);
     }
 
     #[test]
@@ -180,7 +178,7 @@ mod tests {
         b.ret(None);
         let f = b.finish();
         let cfg = Cfg::new(&f);
-        let rpo = cfg.reverse_postorder(BlockId(0));
+        let rpo = rpo(&cfg);
         let pos =
             |bb: BlockId| rpo.iter().position(|&x| x == bb).unwrap();
         assert!(pos(header) < pos(body));

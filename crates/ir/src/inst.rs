@@ -270,10 +270,12 @@ impl Op {
         }
     }
 
-    /// Iterates over the value operands of this op (excluding phi incomings,
-    /// which require edge context; use [`Op::phi_incomings`] for those).
-    pub fn operands(&self) -> Vec<ValueId> {
-        match self {
+    /// Iterates over the value operands of this op. A phi's incomings are
+    /// not among them: each flows in along an edge, so they need edge
+    /// context; use [`Op::phi_incomings`] for those.
+    pub fn operands(&self) -> impl Iterator<Item = ValueId> + '_ {
+        const NO: ValueId = ValueId(u32::MAX);
+        let (fixed, n, rest): ([ValueId; 2], usize, &[ValueId]) = match self {
             Op::Const(_)
             | Op::GlobalAddr(_)
             | Op::ThreadId
@@ -282,26 +284,23 @@ impl Op {
             | Op::MutexUnlock(_)
             | Op::Barrier(_)
             | Op::Jump(_)
-            | Op::Trap => Vec::new(),
-            Op::Phi { incomings, .. } => incomings.iter().map(|inc| inc.value).collect(),
-            Op::Bin { lhs, rhs, .. } | Op::Cmp { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Op::Un { operand, .. } => vec![*operand],
-            Op::Gep { base, offset } => vec![*base, *offset],
-            Op::Load { addr, .. } => vec![*addr],
-            Op::Store { addr, value } => vec![*addr, *value],
-            Op::Alloca { size } => vec![*size],
-            Op::AtomicFetchAdd { delta, .. } => vec![*delta],
-            Op::Call { args, .. } => args.clone(),
-            Op::CallIndirect { selector, args, .. } => {
-                let mut v = vec![*selector];
-                v.extend_from_slice(args);
-                v
-            }
-            Op::Output(v) => vec![*v],
-            Op::Rand { bound } => vec![*bound],
-            Op::Br { cond, .. } => vec![*cond],
-            Op::Ret(v) => v.iter().copied().collect(),
-        }
+            | Op::Trap
+            | Op::Phi { .. }
+            | Op::Ret(None) => ([NO, NO], 0, &[]),
+            Op::Bin { lhs, rhs, .. } | Op::Cmp { lhs, rhs, .. } => ([*lhs, *rhs], 2, &[]),
+            Op::Gep { base: a, offset: b } | Op::Store { addr: a, value: b } => ([*a, *b], 2, &[]),
+            Op::Un { operand: v, .. }
+            | Op::Load { addr: v, .. }
+            | Op::Alloca { size: v }
+            | Op::AtomicFetchAdd { delta: v, .. }
+            | Op::Output(v)
+            | Op::Rand { bound: v }
+            | Op::Br { cond: v, .. }
+            | Op::Ret(Some(v)) => ([*v, NO], 1, &[]),
+            Op::Call { args, .. } => ([NO, NO], 0, args),
+            Op::CallIndirect { selector, args, .. } => ([*selector, NO], 1, args),
+        };
+        fixed.into_iter().take(n).chain(rest.iter().copied())
     }
 
     /// The phi incomings, if this is a phi node.
@@ -312,14 +311,16 @@ impl Op {
         }
     }
 
-    /// The successor blocks of this op, if it is a terminator.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Op::Br { then_bb, else_bb, .. } => vec![*then_bb, *else_bb],
-            Op::Jump(bb) => vec![*bb],
-            Op::Ret(_) | Op::Trap => Vec::new(),
-            _ => Vec::new(),
-        }
+    /// The successor blocks of this op, in branch order (`then` before
+    /// `else`, twice the same block if both name it); none unless it is a
+    /// `br` or a `jump`.
+    pub fn successors(&self) -> impl ExactSizeIterator<Item = BlockId> {
+        let (fixed, n) = match self {
+            Op::Br { then_bb, else_bb, .. } => ([*then_bb, *else_bb], 2),
+            Op::Jump(bb) => ([*bb, *bb], 1),
+            _ => ([BlockId(0), BlockId(0)], 0),
+        };
+        fixed.into_iter().take(n)
     }
 }
 
@@ -357,24 +358,35 @@ mod tests {
     #[test]
     fn successors_of_terminators() {
         let br = Op::Br { cond: ValueId(0), then_bb: BlockId(1), else_bb: BlockId(2) };
-        assert_eq!(br.successors(), vec![BlockId(1), BlockId(2)]);
-        assert_eq!(Op::Jump(BlockId(7)).successors(), vec![BlockId(7)]);
-        assert!(Op::Ret(None).successors().is_empty());
+        assert_eq!(br.successors().collect::<Vec<_>>(), vec![BlockId(1), BlockId(2)]);
+        let twice = Op::Br { cond: ValueId(0), then_bb: BlockId(3), else_bb: BlockId(3) };
+        assert_eq!(twice.successors().collect::<Vec<_>>(), vec![BlockId(3), BlockId(3)]);
+        assert_eq!(Op::Jump(BlockId(7)).successors().collect::<Vec<_>>(), vec![BlockId(7)]);
+        assert_eq!(Op::Ret(None).successors().len(), 0);
     }
 
     #[test]
     fn operand_lists() {
         let bin = Op::Bin { op: BinOp::Add, lhs: ValueId(1), rhs: ValueId(2) };
-        assert_eq!(bin.operands(), vec![ValueId(1), ValueId(2)]);
+        let operands = |op: &Op| op.operands().collect::<Vec<_>>();
+        assert_eq!(operands(&bin), vec![ValueId(1), ValueId(2)]);
         let call = Op::Call { func: FuncId(0), args: vec![ValueId(3)], site: CallSiteId(0) };
-        assert_eq!(call.operands(), vec![ValueId(3)]);
+        assert_eq!(operands(&call), vec![ValueId(3)]);
         let ci = Op::CallIndirect {
             table: TableId(0),
             selector: ValueId(9),
             args: vec![ValueId(1)],
             site: CallSiteId(1),
         };
-        assert_eq!(ci.operands(), vec![ValueId(9), ValueId(1)]);
+        assert_eq!(operands(&ci), vec![ValueId(9), ValueId(1)]);
+        assert_eq!(operands(&Op::Ret(Some(ValueId(4)))), vec![ValueId(4)]);
+        assert_eq!(operands(&Op::Ret(None)), vec![]);
+        // A phi's incomings come with their edges, from `phi_incomings`.
+        let phi = Op::Phi {
+            incomings: vec![PhiIncoming { block: BlockId(0), value: ValueId(5) }],
+            ty: Type::I64,
+        };
+        assert_eq!(operands(&phi), vec![]);
     }
 
     #[test]

@@ -48,6 +48,7 @@
 mod builder;
 mod cfg;
 mod dom;
+mod facts;
 mod function;
 mod ids;
 mod inst;
@@ -64,6 +65,7 @@ pub mod frontend;
 pub use builder::FunctionBuilder;
 pub use cfg::Cfg;
 pub use dom::DomTree;
+pub use facts::FlowFacts;
 pub use function::{Block, Function, ValueDef};
 pub use ids::{
     BarrierId, BlockId, BranchId, CallSiteId, FuncId, GlobalId, LoopId, MutexId, TableId, ValueId,
@@ -75,4 +77,4 @@ pub use print::{FunctionPrinter, ModulePrinter};
 pub use scc::{Condensation, ValueGraph};
 pub use text::{parse_module, TextError};
 pub use value::{Ptr, Space, Type, Val};
-pub use verify::{verify_function, verify_module, VerifyError};
+pub use verify::{verify_function, verify_module, verify_module_facts, VerifyError};

@@ -10,8 +10,6 @@
 //! where `header` dominates `tail`); back edges sharing a header are merged
 //! into one loop, matching the classical definition.
 
-use std::collections::BTreeMap;
-
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::ids::{BlockId, LoopId};
@@ -44,8 +42,9 @@ impl LoopForest {
     pub fn new(cfg: &Cfg, dom: &DomTree) -> Self {
         let n = cfg.len();
 
-        // 1. Find back edges, grouped by header (BTreeMap for determinism).
-        let mut back_edges: BTreeMap<BlockId, Vec<BlockId>> = BTreeMap::new();
+        // 1. Find back edges (tail, header), grouped by header in header
+        //    order, each group's tails in block order.
+        let mut back_edges: Vec<(BlockId, BlockId)> = Vec::new();
         for bb_index in 0..n {
             let bb = BlockId::from_index(bb_index);
             if !dom.is_reachable(bb) {
@@ -53,19 +52,22 @@ impl LoopForest {
             }
             for &succ in cfg.succs(bb) {
                 if dom.dominates(succ, bb) {
-                    back_edges.entry(succ).or_default().push(bb);
+                    back_edges.push((succ, bb));
                 }
             }
         }
+        back_edges.sort_by_key(|&(header, _)| header);
 
         // 2. For each header, collect the loop body: header plus all blocks
         //    that reach a back-edge tail without passing through the header.
-        let mut loops = Vec::new();
-        for (&header, tails) in &back_edges {
-            let mut in_loop = vec![false; n];
+        let mut loops: Vec<Loop> = Vec::new();
+        let mut in_loop = vec![false; if back_edges.is_empty() { 0 } else { n }];
+        let mut work: Vec<BlockId> = Vec::new();
+        for group in back_edges.chunk_by(|a, b| a.0 == b.0) {
+            let header = group[0].0;
+            in_loop.fill(false);
             in_loop[header.index()] = true;
-            let mut work: Vec<BlockId> = Vec::new();
-            for &tail in tails {
+            for &(_, tail) in group {
                 if !in_loop[tail.index()] {
                     in_loop[tail.index()] = true;
                     work.push(tail);
@@ -88,7 +90,6 @@ impl LoopForest {
 
         // 3. Establish nesting: loop A is nested in loop B iff A's header is
         //    in B's body and A ≠ B. The parent is the smallest such B.
-        let ids: Vec<LoopId> = (0..loops.len()).map(LoopId::from_index).collect();
         for i in 0..loops.len() {
             let mut best: Option<(usize, usize)> = None; // (size, index)
             for j in 0..loops.len() {
@@ -105,7 +106,7 @@ impl LoopForest {
                     }
                 }
             }
-            loops[i].parent = best.map(|(_, j)| ids[j]);
+            loops[i].parent = best.map(|(_, j)| LoopId::from_index(j));
         }
 
         // 4. Depths by walking parent chains.
@@ -129,7 +130,7 @@ impl LoopForest {
                 if l.blocks.binary_search(&bb).is_ok() {
                     let size = l.blocks.len();
                     if best.is_none_or(|(s, _)| size < s) {
-                        best = Some((size, ids[li]));
+                        best = Some((size, LoopId::from_index(li)));
                     }
                 }
             }

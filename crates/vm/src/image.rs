@@ -13,7 +13,7 @@
 
 use bw_analysis::{AnalysisConfig, CheckPlan, ConditionInfo, ModuleAnalysis};
 use bw_ir::{
-    BinOp, BlockId, BranchId, Cfg, CmpOp, DomTree, Function, LoopForest, Module, Op, Ptr,
+    BinOp, BlockId, BranchId, CmpOp, Function, LoopForest, Module, Op, Ptr,
     UnOp, Val, ValueId, VerifyError,
 };
 
@@ -181,14 +181,14 @@ pub(crate) struct BranchRuntime {
 /// therefore excluded from the telemetry determinism contract.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PrepareTimings {
-    /// IR verification.
+    /// IR verification, which also builds every function's CFG,
+    /// dominator tree and loop forest.
     pub verify_us: u64,
     /// Similarity analysis ([`ModuleAnalysis::run`]).
     pub analyze_us: u64,
     /// Instrumentation planning ([`CheckPlan::build`]).
     pub instrument_us: u64,
-    /// Linking: CFG/dominators/loops, decoding every function, branch
-    /// tables.
+    /// Linking: decoding every function, branch tables.
     pub link_us: u64,
 }
 
@@ -270,11 +270,13 @@ impl ProgramImage {
     ) -> Result<(ProgramImage, PrepareTimings), PrepareError> {
         let mut timings = PrepareTimings::default();
         let t0 = std::time::Instant::now();
-        bw_ir::verify_module(&module).map_err(PrepareError::Verify)?;
+        // The verifier builds every function's control-flow facts; the
+        // analysis and the decoder read the same ones.
+        let facts = bw_ir::verify_module_facts(&module).map_err(PrepareError::Verify)?;
         timings.verify_us = t0.elapsed().as_micros() as u64;
 
         let t1 = std::time::Instant::now();
-        let analysis = ModuleAnalysis::run(&module);
+        let analysis = ModuleAnalysis::run_with_facts(&module, &facts);
         if !analysis.converged {
             return Err(PrepareError::NoFixpoint { iterations: analysis.iterations });
         }
@@ -298,8 +300,8 @@ impl ProgramImage {
             branch_of[first_block[b.func.index()] + b.block.index()] = b.id.0;
         }
         let mut code = Code::default();
-        for (func, &first) in module.funcs.iter().zip(&first_block) {
-            decode(func, &branch_of[first..first + func.blocks.len()], &mut code);
+        for ((func, facts), &first) in module.funcs.iter().zip(&facts).zip(&first_block) {
+            decode(func, &facts.loops, &branch_of[first..first + func.blocks.len()], &mut code);
         }
         let branches = analysis
             .branches
@@ -336,12 +338,9 @@ impl ProgramImage {
     }
 }
 
-/// Decodes one function onto the end of `code`. `branch_of[block]` is the
-/// id of the `br` terminating `block`.
-fn decode(func: &Function, branch_of: &[u32], code: &mut Code) {
-    let cfg = Cfg::new(func);
-    let dom = DomTree::new(&cfg, func.entry());
-    let loops = LoopForest::new(&cfg, &dom);
+/// Decodes one function, whose loops are `loops`, onto the end of `code`.
+/// `branch_of[block]` is the id of the `br` terminating `block`.
+fn decode(func: &Function, loops: &LoopForest, branch_of: &[u32], code: &mut Code) {
     let nblocks = func.blocks.len();
     let mut header_of = vec![NONE; nblocks];
     for (id, l) in loops.loops().iter().enumerate().rev() {
@@ -385,7 +384,7 @@ fn decode(func: &Function, branch_of: &[u32], code: &mut Code) {
             // block is itself a loop header runs its first iteration), and
             // what stays is the part shared with the chain around `to`.
             let depth = loops.depth(from);
-            let kept = shared_depth(&loops, from, to);
+            let kept = shared_depth(loops, from, to);
             let index = code.edges.len() as u32;
             code.edges.push(Edge {
                 pc: block_pc[to.index()],

@@ -229,8 +229,10 @@ FIELDS
 # parsed it (`bw ir` ends its dump with a blank line, `bw gen` does not).
 # Then the text path's differential and mutation tests
 # (crates/ir/tests/text_oracle.rs: the printer and parser they replaced,
-# kept under tests/reference/) in the release profile, where they are
-# complete, with its allocation budget.
+# kept under tests/reference/) and the control-flow facts' (flow_oracle.rs:
+# the CFG and verifier they replaced, kept there too) in the release
+# profile, where they are complete, with the allocation budgets of the text
+# path, of verification and of preparing a module.
 leg_bwir() {
   local fx=tests/fixtures/ir port seed f
   for port in fft fmm ocean-contig ocean-noncontig radix raytrace water-nsquared; do
@@ -242,7 +244,8 @@ leg_bwir() {
   for f in "$fx"/*.bwir; do
     diff <(bw ir "$f") <(cat "$f"; case "$f" in */gen-*) echo ;; esac)
   done
-  cargo test --release -q -p bw-ir --test text_oracle --test alloc_budget
+  cargo test --release -q -p bw-ir --test text_oracle --test flow_oracle --test alloc_budget
+  cargo test --release -q -p bw-vm --test prepare_alloc_budget
 }
 
 # bwbench (benchmark/, its own workspace) must build against this tree's
