@@ -22,13 +22,19 @@
 //!   several return sites (or an indirect call with several callees) yields
 //!   `partial` at best.
 //!
-//! The paper observes fewer than ten iterations in practice and the tests
-//! here check the same programs converge just as fast. Termination is not
-//! guaranteed, though: skipping `NA` incomings makes the phi rule
-//! non-monotone, and a generated module can oscillate. The pass therefore
-//! stops at an iteration bound and says so in
-//! [`ModuleAnalysis::converged`]; preparing such a module is refused
-//! (`bw_vm::PrepareError::NoFixpoint`).
+//! Every update is a join: a value's category only climbs the lattice
+//! `NA < shared < {threadID, partial} < none` ([`Category::join`]), whatever
+//! the rules above compute in a pass. A chain in that lattice has at most
+//! three steps, so each value changes at most three times and the pass
+//! stops after at most `3 × values + 2` iterations (one pass records the
+//! return sites, one finds nothing to change). The paper observes fewer
+//! than ten in practice, and so do the tests here.
+//!
+//! The join makes the pass terminate, not the answer independent of the
+//! order it visits values in: the optimistic phi rule and the merge-phi
+//! downgrade read only the incomings known so far, so a module can have
+//! more than one fixpoint and the pass's order picks one (fuzz seed
+//! `0x307c8`, DESIGN §8).
 
 use bw_ir::{BlockId, BranchId, FlowFacts, FuncId, Function, GlobalId, Module, Op, ValueId};
 
@@ -94,10 +100,6 @@ pub struct ModuleAnalysis {
     pub branches: Vec<BranchInfo>,
     /// Number of whole-module fixpoint iterations executed.
     pub iterations: usize,
-    /// Whether the last iteration changed nothing. `false` means the pass
-    /// gave up at its iteration bound and the categories are whatever the
-    /// last iteration left — not a fixpoint, so not to be instrumented from.
-    pub converged: bool,
     /// Per-iteration snapshots of every branch's category (iteration 0 is
     /// the state after the first pass). Used to reproduce the paper's
     /// Table III convergence trace.
@@ -333,37 +335,15 @@ fn resolve_trivial_phis(func: &Function, tables: &mut PhiTables) -> Vec<ValueId>
     phis.fill(func);
     sccs.fit(n);
 
+    // Pass 1, then pass 2, until a round changes nothing or the round
+    // limit is reached. Most ports reach the limit while still changing,
+    // because pass 1 can undo what pass 2 resolved (DESIGN §8,
+    // `tests::radix_slave_is_not_closed_under_pass_1`).
     let mut changed = true;
     let mut rounds = 0;
     while changed && rounds <= phis.results.len() + 10 {
-        changed = false;
         rounds += 1;
-
-        // Pass 1: simple chains — a phi whose non-self incomings all
-        // resolve to one value is that value.
-        for (i, &p) in phis.results.iter().enumerate() {
-            let mut target: Option<ValueId> = None;
-            let mut trivial = true;
-            for &inc in phis.incomings(i) {
-                let r = resolved[inc.index()];
-                if r == p {
-                    continue;
-                }
-                match target {
-                    None => target = Some(r),
-                    Some(t) if t == r => {}
-                    Some(_) => {
-                        trivial = false;
-                        break;
-                    }
-                }
-            }
-            let new = if trivial { target.unwrap_or(p) } else { p };
-            if resolved[p.index()] != new {
-                resolved[p.index()] = new;
-                changed = true;
-            }
-        }
+        changed = resolve_phi_chains(phis, &mut resolved);
 
         // Pass 2: SCCs of still-unresolved phis with a single external
         // input (mutually-referencing copies through nested merges).
@@ -404,6 +384,37 @@ fn resolve_trivial_phis(func: &Function, tables: &mut PhiTables) -> Vec<ValueId>
         }
     }
     resolved
+}
+
+/// Pass 1 of [`resolve_trivial_phis`], simple chains: a phi whose
+/// non-self incomings all resolve to one value is that value, and any
+/// other phi is itself. Returns whether `resolved` changed.
+fn resolve_phi_chains(phis: &Phis, resolved: &mut [ValueId]) -> bool {
+    let mut changed = false;
+    for (i, &p) in phis.results.iter().enumerate() {
+        let mut target: Option<ValueId> = None;
+        let mut trivial = true;
+        for &inc in phis.incomings(i) {
+            let r = resolved[inc.index()];
+            if r == p {
+                continue;
+            }
+            match target {
+                None => target = Some(r),
+                Some(t) if t == r => {}
+                Some(_) => {
+                    trivial = false;
+                    break;
+                }
+            }
+        }
+        let new = if trivial { target.unwrap_or(p) } else { p };
+        if resolved[p.index()] != new {
+            resolved[p.index()] = new;
+            changed = true;
+        }
+    }
+    changed
 }
 
 /// The tables [`resolve_trivial_phis`] works in.
@@ -625,20 +636,15 @@ impl<'m> Analyzer<'m> {
     fn run(mut self) -> ModuleAnalysis {
         self.resolve_provenance();
 
+        // One snapshot per pass; the module docs bound their number.
         let mut trace = Vec::new();
-        let mut iterations = 0;
-        // The phi rule is not monotone (module docs), so a module can
-        // oscillate for ever; one that has not settled by the bound is
-        // handed back unconverged for the caller to refuse.
-        let max_iterations = 10 + self.module.num_insts();
-        let converged = loop {
-            iterations += 1;
-            let changed = self.iterate(iterations == 1);
+        loop {
+            let changed = self.iterate(trace.is_empty());
             trace.push(self.branch_snapshot());
-            if !changed || iterations > max_iterations {
-                break !changed;
+            if !changed {
+                break;
             }
-        };
+        }
 
         // Post-fixpoint: default unresolved branches to `none` (Figure 3,
         // line 18), mark the parallel section, run the critical-section
@@ -656,8 +662,7 @@ impl<'m> Analyzer<'m> {
         ModuleAnalysis {
             value_cats: self.cats,
             branches,
-            iterations,
-            converged,
+            iterations: trace.len(),
             trace,
             parallel_funcs,
         }
@@ -745,13 +750,7 @@ impl<'m> Analyzer<'m> {
                 for inst in &func.block(bb).insts {
                     let Some(result) = inst.result else { continue };
                     let new = self.visit(fid, bb, inst, result);
-                    if new != Category::Na {
-                        let slot = &mut self.cats[fid.index()][result.index()];
-                        if *slot != new {
-                            *slot = new;
-                            changed = true;
-                        }
-                    }
+                    changed |= climb(&mut self.cats[fid.index()][result.index()], new);
                 }
             }
         }
@@ -788,10 +787,7 @@ impl<'m> Analyzer<'m> {
         for (f, cats) in self.cats.iter_mut().enumerate() {
             let inputs = &self.param_inputs[self.param_start[f]..self.param_start[f + 1]];
             for (slot, &new) in cats.iter_mut().zip(inputs) {
-                if new != Category::Na && *slot != new {
-                    *slot = new;
-                    changed = true;
-                }
+                changed |= climb(slot, new);
             }
         }
         changed
@@ -1023,6 +1019,14 @@ fn compute_critical_sections(module: &Module, facts: &[FlowFacts], branches: &mu
     }
 }
 
+/// Joins `new` into `slot`; returns whether `slot` climbed.
+fn climb(slot: &mut Category, new: Category) -> bool {
+    let joined = slot.join(new);
+    let climbed = *slot != joined;
+    *slot = joined;
+    climbed
+}
+
 /// Merges one more category arriving at a parameter from its call sites
 /// into what the sites before it merged to (`Na` before the first): `Na`
 /// sites are skipped; unanimous sites keep their category (instances are
@@ -1122,6 +1126,57 @@ mod tests {
         let v = ValueId::from_index;
         assert_eq!(resolve("v4")[2..], [v(0), v(0), v(0)]);
         assert_eq!(resolve("v1")[2..], [v(2), v(3), v(4)]);
+    }
+
+    /// Radix's `slave` (`tests/fixtures/ir/radix.bwir`; 98 phis, the same
+    /// at every size): a defect pinned, not fixed. The resolver stops at
+    /// its round limit, `phis + 10`, while rounds still change the table,
+    /// so what it returns is not closed under its own pass 1. Two things
+    /// keep it moving:
+    ///
+    /// 1. pass 1 recomputes every phi, also one that pass 2 resolved with
+    ///    its component, and resets any phi whose incomings it reads as two
+    ///    values to itself;
+    /// 2. it reads an incoming's entry one step deep, not the end of its
+    ///    chain, so a copy of a copy looks like a second value.
+    ///
+    /// In the table returned here `v13 = phi [v0, v294]` resolves to `v0`
+    /// while `v294` resolves to itself; one more pass-1 sweep sends `v13`
+    /// back to itself and moves 51 phis in all. Pass 2 then puts
+    /// components back together, and the next round starts over: some
+    /// functions still change after 100,000 rounds. The same limit is
+    /// reached in six of the seven ports (not FFT) and in `bw-gen` seeds
+    /// `0x5`, `0x239`, `0x573` and `0x645`.
+    ///
+    /// Where the loop stops is visible: b17 and b18, in `slave`, are
+    /// `partial` at the limit and `shared` if the loop runs 100,000 rounds.
+    /// At the limit, phis such as `v212` and `v246`, which resolve to one
+    /// shared value given the rounds, still read as merging two, and the
+    /// merge-phi downgrade makes them `partial`.
+    /// `benchmark/expected.json` pins the ports' category counts, so the
+    /// fix — a resolver that terminates on its own (ROADMAP, re-pin step
+    /// (ii)(e)) — moves this pin, and must move it to `shared`.
+    #[test]
+    fn radix_slave_is_not_closed_under_pass_1() {
+        let module = bw_ir::parse_module(include_str!("../../../tests/fixtures/ir/radix.bwir"))
+            .expect("the fixture parses");
+        let slave = module.func_by_name("slave").expect("radix has a slave");
+        let mut tables = PhiTables::default();
+        let resolved = resolve_trivial_phis(module.func(slave), &mut tables);
+        assert_eq!(tables.phis.results.len(), 98);
+
+        let v = ValueId::from_index;
+        assert_eq!((resolved[13], resolved[294]), (v(0), v(294)));
+        let mut again = resolved.clone();
+        assert!(resolve_phi_chains(&tables.phis, &mut again));
+        assert_eq!(again[13], v(13));
+        assert_eq!(resolved.iter().zip(&again).filter(|(a, b)| a != b).count(), 51);
+
+        let analysis = ModuleAnalysis::run(&module);
+        for b in [17, 18] {
+            let branch = &analysis.branches[b];
+            assert_eq!((branch.func, branch.category), (slave, Category::Partial), "b{b}");
+        }
     }
 
     #[test]

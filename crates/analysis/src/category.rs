@@ -11,6 +11,10 @@
 //!   threads holding the same value agree.
 //! * [`Category::None`] — thread-private; no statically known similarity.
 //! * [`Category::Na`] — not yet assigned (the fixpoint's bottom element).
+//!
+//! Ordered by how little they promise, they form the lattice
+//! `NA < shared < {threadID, partial} < none` ([`Category::join`]). Table II
+//! is its join, except that an `NA` operand leaves the result `NA`.
 
 use std::fmt;
 
@@ -38,6 +42,20 @@ impl Category {
     /// (everything but `None` and `Na`).
     pub fn is_checkable(self) -> bool {
         matches!(self, Category::Shared | Category::ThreadId | Category::Partial)
+    }
+
+    /// The least category at or above both, in the lattice
+    /// `NA < shared < {threadID, partial} < none`: `NA` is the identity,
+    /// `shared` is below every other assigned category, and `threadID` and
+    /// `partial`, which promise different things, only meet at `none`.
+    pub fn join(self, other: Category) -> Category {
+        use Category::*;
+        match (self, other) {
+            (Na, c) | (c, Na) => c,
+            (a, b) if a == b => a,
+            (Shared, c) | (c, Shared) => c,
+            _ => None,
+        }
     }
 }
 
@@ -67,17 +85,13 @@ impl fmt::Display for Category {
 /// | threadID  | NA | threadID | threadID | none    | none |
 /// | partial   | NA | partial  | none     | partial | none |
 /// | none      | NA | none     | none     | none    | none |
+///
+/// Outside the `NA` column it is [`Category::join`].
 pub fn combine(curr: Category, operand: Category) -> Category {
-    use Category::*;
-    match (curr, operand) {
-        (_, Na) => Na,
-        (Na, op) => op,
-        (Shared, op) => op,
-        (ThreadId, Shared) | (ThreadId, ThreadId) => ThreadId,
-        (ThreadId, Partial) | (ThreadId, None) => None,
-        (Partial, Shared) | (Partial, Partial) => Partial,
-        (Partial, ThreadId) | (Partial, None) => None,
-        (None, _) => None,
+    if operand == Category::Na {
+        Category::Na
+    } else {
+        curr.join(operand)
     }
 }
 
@@ -85,13 +99,11 @@ pub fn combine(curr: Category, operand: Category) -> Category {
 /// `visitInst`). Returns `Na` as soon as any operand is `Na`.
 pub fn combine_all(operands: impl IntoIterator<Item = Category>) -> Category {
     let mut curr = Category::Na;
-    let mut first = true;
     for op in operands {
         if op == Category::Na {
             return Category::Na;
         }
-        curr = if first { op } else { combine(curr, op) };
-        first = false;
+        curr = curr.join(op);
     }
     curr
 }
@@ -100,16 +112,10 @@ pub fn combine_all(operands: impl IntoIterator<Item = Category>) -> Category {
 /// are skipped instead of forcing the result to `Na`, so loop-carried
 /// values resolve from their initial value (the behaviour Table III of the
 /// paper requires: the induction variable `i = phi(0, i+1)` becomes `shared`
-/// in the first iteration even though `i+1` is still `NA`).
+/// in the first iteration even though `i+1` is still `NA`). It is the join
+/// of the operands.
 pub fn combine_optimistic(operands: impl IntoIterator<Item = Category>) -> Category {
-    let mut curr = Category::Na;
-    for op in operands {
-        if op == Category::Na {
-            continue;
-        }
-        curr = if curr == Category::Na { op } else { combine(curr, op) };
-    }
-    curr
+    operands.into_iter().fold(Category::Na, Category::join)
 }
 
 #[cfg(test)]
@@ -168,6 +174,55 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The lattice order, written out rather than read off the join: `NA`
+    /// below everything, `none` above everything, `shared` below every
+    /// assigned category, `threadID` and `partial` incomparable.
+    fn below(a: Category, b: Category) -> bool {
+        a == b || a == Na || b == None || (a == Shared && b != Na)
+    }
+
+    /// The join is the least upper bound of that order, checked on every
+    /// pair and triple of the five elements.
+    #[test]
+    fn join_is_the_least_upper_bound() {
+        for a in Category::ALL {
+            assert_eq!(Na.join(a), a, "NA is the identity");
+            assert_eq!(a.join(Na), a, "NA is the identity");
+            assert_eq!(a.join(a), a, "idempotent");
+            for b in Category::ALL {
+                let j = a.join(b);
+                assert_eq!(j, b.join(a), "commutative: {a} ⊔ {b}");
+                assert!(below(a, j) && below(b, j), "upper bound: {a} ⊔ {b} = {j}");
+                assert_eq!(below(a, b), j == b, "{a} ≤ {b} iff {a} ⊔ {b} = {b}");
+                for c in Category::ALL {
+                    assert_eq!(j.join(c), a.join(b.join(c)), "associative: {a}, {b}, {c}");
+                    if below(a, c) && below(b, c) {
+                        assert!(below(j, c), "least: {a} ⊔ {b} = {j} is not below {c}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A value whose category only joins climbs at most three times: the
+    /// longest strictly rising chain is `NA < shared < threadID < none`
+    /// (or through `partial`).
+    #[test]
+    fn the_longest_chain_has_three_steps() {
+        // steps[i]: the longest chain that ends at `Category::ALL[i]`.
+        // `ALL` lists every element after the ones below it.
+        let mut steps = [0usize; 5];
+        for (i, a) in Category::ALL.into_iter().enumerate() {
+            for (k, b) in Category::ALL.into_iter().enumerate() {
+                if b != a && below(b, a) {
+                    assert!(k < i, "{b} is listed after {a}");
+                    steps[i] = steps[i].max(steps[k] + 1);
+                }
+            }
+        }
+        assert_eq!(steps, [0, 1, 2, 2, 3]);
     }
 
     #[test]

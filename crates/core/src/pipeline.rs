@@ -71,8 +71,7 @@ impl Blockwatch {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Verify`] when the module fails SSA verification and
-    /// [`Error::NoFixpoint`] when its similarity analysis does not converge.
+    /// Returns [`Error::Verify`] when the module fails SSA verification.
     pub fn from_module(module: Module) -> Result<Self, Error> {
         Self::build(module, 0)
     }

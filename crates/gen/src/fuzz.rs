@@ -198,8 +198,7 @@ pub fn check_module_cross(
             })
         }
     }
-    // Verifier rejections and a similarity fixpoint that does not converge
-    // share the class; the message says which.
+    // The one way preparing can fail is a verifier rejection.
     let image = ProgramImage::try_prepare(module.clone(), AnalysisConfig::default())
         .map_err(|e| CheckFailure { class: "prepare", message: e.to_string() })?;
     check_image_cross(&image, threads, seed, real_cross)

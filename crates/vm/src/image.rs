@@ -192,33 +192,6 @@ pub struct PrepareTimings {
     pub link_us: u64,
 }
 
-/// Why [`ProgramImage::try_prepare`] refused a module.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PrepareError {
-    /// The module is not well-formed SSA.
-    Verify(VerifyError),
-    /// The module verifies, but its similarity analysis had not settled
-    /// after this many whole-module iterations: no categories to instrument
-    /// from.
-    NoFixpoint {
-        /// Iterations executed before giving up.
-        iterations: usize,
-    },
-}
-
-impl std::fmt::Display for PrepareError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PrepareError::Verify(e) => write!(f, "verifier rejected module: {e}"),
-            PrepareError::NoFixpoint { iterations } => {
-                write!(f, "similarity fixpoint failed to converge in {iterations} iterations")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PrepareError {}
-
 /// A fully analyzed, instrumented program ready to execute.
 #[derive(Debug)]
 pub struct ProgramImage {
@@ -254,10 +227,11 @@ impl ProgramImage {
     ///
     /// # Errors
     ///
-    /// Returns the verifier's error when the module is malformed, and
-    /// [`PrepareError::NoFixpoint`] when its similarity analysis does not
-    /// converge.
-    pub fn try_prepare(module: Module, config: AnalysisConfig) -> Result<ProgramImage, PrepareError> {
+    /// Returns the verifier's error when the module is malformed.
+    pub fn try_prepare(
+        module: Module,
+        config: AnalysisConfig,
+    ) -> Result<ProgramImage, VerifyError> {
         Self::try_prepare_timed(module, config).map(|(image, _)| image)
     }
 
@@ -267,19 +241,16 @@ impl ProgramImage {
     pub fn try_prepare_timed(
         module: Module,
         config: AnalysisConfig,
-    ) -> Result<(ProgramImage, PrepareTimings), PrepareError> {
+    ) -> Result<(ProgramImage, PrepareTimings), VerifyError> {
         let mut timings = PrepareTimings::default();
         let t0 = std::time::Instant::now();
         // The verifier builds every function's control-flow facts; the
         // analysis and the decoder read the same ones.
-        let facts = bw_ir::verify_module_facts(&module).map_err(PrepareError::Verify)?;
+        let facts = bw_ir::verify_module_facts(&module)?;
         timings.verify_us = t0.elapsed().as_micros() as u64;
 
         let t1 = std::time::Instant::now();
         let analysis = ModuleAnalysis::run_with_facts(&module, &facts);
-        if !analysis.converged {
-            return Err(PrepareError::NoFixpoint { iterations: analysis.iterations });
-        }
         timings.analyze_us = t1.elapsed().as_micros() as u64;
 
         let t2 = std::time::Instant::now();

@@ -60,7 +60,7 @@ pub use engine::{
     engine, Engine, EngineKind, ExecConfig, ExecMode, MonitorMode, RealEngine, RunOutcome,
     RunResult, SimEngine,
 };
-pub use image::{PrepareError, PrepareTimings, ProgramImage};
+pub use image::{PrepareTimings, ProgramImage};
 pub use machine::MachineModel;
 pub use memory::{AtomicMemory, LocalMemory, SharedMemory, SimMemory};
 pub use sim::SimPrefix;

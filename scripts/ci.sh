@@ -165,7 +165,9 @@ leg_traced_vs_untraced() {
 # `#[doc(hidden)]`, for bwbench's run header only and may have no reader.
 # The `provenance` feature (DESIGN §12) went the same way. The `/metrics`
 # pull server and its Prometheus text format are gone too (DESIGN §14):
-# `sample` trace records are the one live view.
+# `sample` trace records are the one live view. The similarity pass always
+# settles, because every category update is a join (DESIGN §4.1): no
+# iteration cap, no `converged` flag and no `NoFixpoint` refusal.
 leg_leftover_guard() {
   if grep -rnE 'ModuleAnalysis::run_parallel|fn run_parallel\(module|ValueGraph|\.divergence\(' \
       crates tests examples \
@@ -192,6 +194,9 @@ leg_leftover_guard() {
   if grep -rnE 'MetricsServer|to_prometheus|metrics-addr' crates tests examples \
     | grep -v '^tests/cli\.rs:.*"--metrics-addr"'; then
     echo "ci: the /metrics pull server is back" >&2; return 1
+  fi
+  if grep -rnE 'NoFixpoint|PrepareError|\.converged\b|max_iterations' crates tests examples; then
+    echo "ci: the similarity pass's iteration cap or its refusal is back" >&2; return 1
   fi
 }
 
