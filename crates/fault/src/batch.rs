@@ -10,16 +10,15 @@
 //! studies like FastFlip use to get their throughput.
 //!
 //! Determinism is preserved **per image**: the pool is the single-image
-//! engine's own (`campaign::run_pool`), which takes the images in order,
-//! so each image keeps its claim counter and stop flag with the same
-//! contiguous-prefix invariant (a worker checks the image's stop flag
-//! before claiming a window of its plans), and each image's records pass
-//! through the same index-order reduce. The per-image deterministic payload — records,
-//! counts, abort cut, golden statistics and `campaign.*` outcome counters —
-//! is therefore bitwise-identical to running [`run_campaign`] on that image
-//! alone, at any pool width. Only the wall-clock artifacts (worker stats,
-//! the `campaign.workers` gauge, the `campaign.injection_us` histogram)
-//! depend on the pool.
+//! engine's own (`campaign::run_pool`), which takes the images in order
+//! and claims windows from each image's own counter until every one of
+//! its plans has run, and each image's records pass through the same
+//! index-order reduce. The per-image deterministic payload — records,
+//! counts and `campaign.*` outcome counters — is therefore
+//! bitwise-identical to running [`run_campaign`] on that image alone, at
+//! any pool width. Only the wall-clock artifacts (worker stats, the
+//! `campaign.workers` gauge, the `campaign.injection_us` histogram's
+//! durations) depend on the pool.
 //!
 //! [`run_campaign`]: crate::campaign::run_campaign
 
@@ -224,9 +223,6 @@ mod tests {
             let alone = run_campaign(&img, &config.clone().workers(1)).expect("campaign");
             assert_eq!(batched.records, alone.records);
             assert_eq!(batched.counts, alone.counts);
-            assert_eq!(batched.aborted, alone.aborted);
-            assert_eq!(batched.branches_per_thread, alone.branches_per_thread);
-            assert_eq!(batched.golden_outputs_len, alone.golden_outputs_len);
         }
     }
 
@@ -240,22 +236,5 @@ mod tests {
         assert_eq!(outcome.results.len(), 2);
         assert!(matches!(outcome.results[0], Err(CampaignError::NoThreads)));
         assert_eq!(outcome.results[1].as_ref().unwrap().records.len(), 4);
-    }
-
-    #[test]
-    fn abort_conditions_are_honoured_per_image() {
-        let img = image(SRC);
-        let mut batch = CampaignBatch::new().workers(2);
-        let aborting =
-            CampaignConfig::new(64, FaultModel::BranchFlip, 2).abort_on_detection(true);
-        let full = CampaignConfig::new(16, FaultModel::BranchFlip, 2);
-        batch.push(Arc::clone(&img), aborting.clone());
-        batch.push(Arc::clone(&img), full.clone());
-        let outcome = batch.run();
-        let alone = run_campaign(&img, &aborting.clone().workers(1)).expect("campaign");
-        let batched = outcome.results[0].as_ref().unwrap();
-        assert_eq!(batched.records, alone.records);
-        assert_eq!(batched.aborted, alone.aborted);
-        assert_eq!(outcome.results[1].as_ref().unwrap().records.len(), 16);
     }
 }

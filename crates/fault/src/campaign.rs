@@ -11,22 +11,19 @@
 //!    experiments are later scheduled.
 //! 2. **Execute**: a `std::thread` worker pool shares the immutable
 //!    [`ProgramImage`] and claims *windows* of consecutive injection
-//!    indices from an atomic counter. Claimed indices always form a
-//!    contiguous prefix of the plan list, which is what makes early abort
-//!    deterministic. A window's injections are not replayed from step 0:
-//!    one fault-free [`SimPrefix`] advances past the window's fault points
-//!    and every injection is a fork of it — the golden part of its run
-//!    inherited, only the faulty tail executed (see `execute_window` for
-//!    the three cases that still replay in full). A forked run's
-//!    `RunResult` is the replayed one bit for bit, so nothing downstream
-//!    can tell.
-//! 3. **Reduce**: records are merged in injection-index order and the
-//!    abort cut (stop after N SDCs, stop on first detection) is
-//!    recomputed over that deterministic order. The result is therefore
-//!    **bitwise identical for any worker count**.
+//!    indices from an atomic counter until every plan is claimed. A
+//!    window's injections are not replayed from step 0: one fault-free
+//!    [`SimPrefix`] advances past the window's fault points and every
+//!    injection is a fork of it — the golden part of its run inherited,
+//!    only the faulty tail executed (see `execute_window` for the two
+//!    cases that still replay in full). A forked run's `RunResult` is the
+//!    replayed one bit for bit, so nothing downstream can tell.
+//! 3. **Reduce**: records are sorted into injection-index order and
+//!    counted. Every planned injection runs exactly once, so the result
+//!    is **bitwise identical for any worker count**.
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -36,8 +33,8 @@ use bw_telemetry::{
 };
 use bw_monitor::{TraceViolation, ViolationReport};
 use bw_vm::{
-    engine, Engine, EngineKind, ExecConfig, ProgramImage, RunOutcome, RunResult, SimPrefix,
-    SplitMix64,
+    engine, Engine, EngineKind, ExecConfig, ProgramImage, RunOutcome, RunResult, SimEngine,
+    SimPrefix, SplitMix64,
 };
 
 use crate::injector::{FaultModel, InjectionHook, InjectionPlan};
@@ -285,11 +282,6 @@ pub struct CampaignConfig {
     /// Worker threads for the execution stage; `0` means
     /// `std::thread::available_parallelism()`.
     pub workers: usize,
-    /// Stop early once this many SDCs have been observed. The surviving
-    /// record prefix is identical at any worker count.
-    pub abort_after_sdc: Option<usize>,
-    /// Stop early at the first monitor detection; the same cut.
-    pub abort_on_detection: bool,
 }
 
 impl CampaignConfig {
@@ -302,8 +294,6 @@ impl CampaignConfig {
             sim: ExecConfig::new(nthreads),
             engine: EngineKind::Sim,
             workers: 0,
-            abort_after_sdc: None,
-            abort_on_detection: false,
         }
     }
 
@@ -328,25 +318,6 @@ impl CampaignConfig {
     /// Replaces the simulation configuration wholesale.
     pub fn sim(mut self, sim: ExecConfig) -> Self {
         self.sim = sim;
-        self
-    }
-
-    /// Stops the campaign once `n` SDCs have been observed. The records
-    /// end with the injection that made it `n`, at any worker count;
-    /// workers stop claiming once the condition is seen but finish what
-    /// they hold, so up to one window of injections per worker (at most
-    /// 32) runs past the cut and is discarded.
-    pub fn abort_after_sdc(mut self, n: usize) -> Self {
-        self.abort_after_sdc = Some(n);
-        self
-    }
-
-    /// Stops the campaign at the first monitor detection. The records end
-    /// with that injection, at any worker count; as with
-    /// [`CampaignConfig::abort_after_sdc`], up to one window of injections
-    /// per worker runs past the cut and is discarded.
-    pub fn abort_on_detection(mut self, yes: bool) -> Self {
-        self.abort_on_detection = yes;
         self
     }
 }
@@ -498,18 +469,11 @@ impl<'a> TraceInjection<'a> {
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct CampaignResult {
-    /// Per-injection records, in injection-index order. When the campaign
-    /// aborted early this is the exact prefix up to (and including) the
-    /// injection that tripped the abort condition.
+    /// Per-injection records, one per planned injection, in
+    /// injection-index order.
     pub records: Vec<InjectionRecord>,
     /// Aggregate counts over `records`.
     pub counts: OutcomeCounts,
-    /// The golden (fault-free) run the experiments were compared against.
-    pub golden_outputs_len: usize,
-    /// Dynamic branches per thread in the golden run.
-    pub branches_per_thread: Vec<u64>,
-    /// Whether an early-abort condition was reached.
-    pub aborted: bool,
     /// Per-worker execution statistics, sorted by worker index. Wall-clock
     /// based, hence nondeterministic (see [`WorkerStats`]).
     pub worker_stats: Vec<WorkerStats>,
@@ -591,14 +555,6 @@ pub fn plan_campaign(branches_per_thread: &[u64], config: &CampaignConfig) -> Ve
             }
         })
         .collect()
-}
-
-/// Whether `counts` satisfies one of the configured early-abort
-/// conditions. Both conditions are monotone in the counts, which is what
-/// lets the reducer recompute the abort cut deterministically.
-fn abort_reached(config: &CampaignConfig, counts: &OutcomeCounts) -> bool {
-    config.abort_after_sdc.is_some_and(|n| counts.sdc >= n)
-        || (config.abort_on_detection && counts.detected > 0)
 }
 
 /// The similarity-category name of the branch an injection landed on, or
@@ -772,15 +728,13 @@ fn trace_stage(name: &str, start_us: u64, extra: &[(&str, Value)]) {
 
 /// Injections a worker claims at a time and runs off one [`SimPrefix`],
 /// at most. The prefix's pass over the program is shared by the window's
-/// forks, so a full window adds 1/32 of a monitored golden run to each;
-/// a worker that finds the stop flag raised has at most this many
-/// injections past the abort cut behind it. [`run_pool`] shortens the
-/// window when the pool would otherwise have workers without one.
+/// forks, so a full window adds 1/32 of a monitored golden run to each.
+/// [`run_pool`] shortens the window when the pool would otherwise have
+/// workers without one.
 const WINDOW: usize = 32;
 
-/// One campaign as the worker pool sees it: what to run, the claim state
-/// that keeps executed indices a contiguous prefix of the plan list, and
-/// where the records go.
+/// One campaign as the worker pool sees it: what to run, the counter its
+/// windows are claimed from, and where the records go.
 pub(crate) struct CampaignJob<'a> {
     /// Position in a [`crate::batch::CampaignBatch`], tagged onto the
     /// job's trace records; `None` for a campaign run on its own.
@@ -794,12 +748,6 @@ pub(crate) struct CampaignJob<'a> {
     started: Instant,
     /// Start of the next unclaimed window.
     next: AtomicUsize,
-    /// Raised when the abort condition is met; checked before every claim.
-    stop: AtomicBool,
-    /// Completion-order counts, used only to decide *when* to raise the
-    /// stop flag; the authoritative counts are recomputed in index order
-    /// by the reducer.
-    live_counts: Mutex<OutcomeCounts>,
     completed: AtomicUsize,
     collected: Mutex<Vec<(usize, InjectionRecord)>>,
     inj_hist: Histogram,
@@ -826,8 +774,6 @@ impl<'a> CampaignJob<'a> {
             progress,
             started: Instant::now(),
             next: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
-            live_counts: Mutex::new(OutcomeCounts::default()),
             completed: AtomicUsize::new(0),
             inj_hist: Histogram::new(),
         })
@@ -839,21 +785,15 @@ impl<'a> CampaignJob<'a> {
     }
 
     /// Claims the next window of plan indices, or `None` when the job has
-    /// none left to hand out. The stop flag is looked at here and nowhere
-    /// else, so every claimed window runs to its end and the executed
-    /// indices are a contiguous prefix of the plan list — with or without
-    /// early abort, at any worker count.
+    /// none left to hand out. Windows are disjoint and together cover the
+    /// plan list, so every planned injection runs exactly once.
     fn claim(&self, window: usize) -> Option<std::ops::Range<usize>> {
-        if self.stop.load(Ordering::Relaxed) {
-            return None;
-        }
         let start = self.next.fetch_add(window, Ordering::Relaxed);
         (start < self.plans.len()).then(|| start..(start + window).min(self.plans.len()))
     }
 
     /// Books one finished injection: worker statistics, trace records,
-    /// live counters, the stop flag, the record itself and the progress
-    /// callback.
+    /// live counters, the record itself and the progress callback.
     fn account(&self, index: usize, record: InjectionRecord, run_us: u64, worker: &mut Worker<'_>) {
         let outcome = record.outcome;
         worker.stats.injections += 1;
@@ -877,13 +817,6 @@ impl<'a> CampaignJob<'a> {
         if let Some(report) = record.report.as_deref() {
             TraceViolation::new(report, image, index as u64).record_to(worker.recorder);
         }
-        {
-            let mut counts = self.live_counts.lock().unwrap();
-            counts.add(outcome);
-            if abort_reached(self.config, &counts) {
-                self.stop.store(true, Ordering::Relaxed);
-            }
-        }
         self.collected.lock().unwrap().push((index, record));
         let done = self.completed.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(callback) = self.progress {
@@ -897,23 +830,14 @@ impl<'a> CampaignJob<'a> {
         }
     }
 
-    /// Stage 3: merges the records in injection-index order, applies the
-    /// deterministic abort cut and assembles the result. `nworkers` is the
-    /// pool's width (the `campaign.workers` gauge).
+    /// Stage 3: merges the records in injection-index order and assembles
+    /// the result. `nworkers` is the pool's width (the `campaign.workers`
+    /// gauge).
     pub(crate) fn reduce(self, nworkers: usize, worker_stats: Vec<WorkerStats>) -> CampaignResult {
-        let pairs = self.collected.into_inner().unwrap();
-        let (records, counts, aborted) = reduce_campaign(pairs, self.config);
+        let (records, counts) = reduce_campaign(self.collected.into_inner().unwrap());
         let telemetry =
             campaign_telemetry(&records, &counts, self.golden, nworkers, &self.inj_hist);
-        CampaignResult {
-            records,
-            counts,
-            golden_outputs_len: self.golden.outputs.len(),
-            branches_per_thread: self.golden.branches_per_thread.clone(),
-            aborted,
-            worker_stats,
-            telemetry,
-        }
+        CampaignResult { records, counts, worker_stats, telemetry }
     }
 }
 
@@ -1100,28 +1024,21 @@ pub(crate) fn run_pool(
     worker_stats
 }
 
-/// Merges execution results in injection-index order and applies the
-/// deterministic abort cut: records are kept up to (and including) the
-/// first index at which an abort condition holds over the *prefix* counts.
-/// Executed indices form a contiguous prefix at least as long as that cut,
-/// so the surviving records — and every derived statistic — are identical
-/// at any worker count.
+/// Sorts execution results into injection-index order and counts their
+/// outcomes. Every planned index ran exactly once, so the records — and
+/// every derived statistic — are identical at any worker count.
 fn reduce_campaign(
     mut pairs: Vec<(usize, InjectionRecord)>,
-    config: &CampaignConfig,
-) -> (Vec<InjectionRecord>, OutcomeCounts, bool) {
+) -> (Vec<InjectionRecord>, OutcomeCounts) {
     pairs.sort_unstable_by_key(|&(index, _)| index);
     let mut counts = OutcomeCounts::default();
     let mut records = Vec::with_capacity(pairs.len());
     for (index, record) in pairs {
-        debug_assert_eq!(index, records.len(), "executed indices must form a prefix");
+        debug_assert_eq!(index, records.len(), "every planned index runs exactly once");
         counts.add(record.outcome);
         records.push(record);
-        if abort_reached(config, &counts) {
-            return (records, counts, true);
-        }
     }
-    (records, counts, false)
+    (records, counts)
 }
 
 /// Runs a full campaign: one golden run, then `config.injections`
@@ -1194,32 +1111,17 @@ pub fn run_campaign_with_golden_recorded(
     Ok(result)
 }
 
-/// Runs `runs` fault-free executions and returns the number that reported
-/// a violation — the paper's false-positive experiment (the result must be
-/// zero, by construction of the static analysis). Runs on the
-/// deterministic engine; see [`false_positive_runs_on`] for the real-thread
-/// variant.
+/// Runs `runs` fault-free executions on the deterministic engine and
+/// returns the number that reported a violation — the paper's
+/// false-positive experiment (the result must be zero, by construction of
+/// the static analysis).
 pub fn false_positive_runs(image: &ProgramImage, config: &ExecConfig, runs: usize) -> usize {
-    false_positive_runs_on(EngineKind::Sim, image, config, runs)
-}
-
-/// [`false_positive_runs`] on an explicit engine. On [`EngineKind::Real`]
-/// every run exercises true cross-thread queueing, so this doubles as a
-/// stress test of the zero-false-positive guarantee under real schedules.
-pub fn false_positive_runs_on(
-    kind: EngineKind,
-    image: &ProgramImage,
-    config: &ExecConfig,
-    runs: usize,
-) -> usize {
-    let eng = engine(kind);
     let mut fps = 0;
     for i in 0..runs {
         let cfg = config
             .clone()
             .seed(config.seed.wrapping_add(i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15 | 1));
-        let result = eng.run(image, &cfg);
-        if result.detected() {
+        if SimEngine.run(image, &cfg).detected() {
             fps += 1;
         }
     }
@@ -1381,38 +1283,6 @@ mod tests {
             }
             assert!(plan.bit < 64);
         }
-    }
-
-    #[test]
-    fn abort_cut_is_prefix_deterministic() {
-        let config = CampaignConfig::new(6, FaultModel::BranchFlip, 1).abort_after_sdc(2);
-        let record = |outcome| InjectionRecord {
-            plan: InjectionPlan {
-                tid: 0,
-                dyn_index: 1,
-                model: FaultModel::BranchFlip,
-                value_choice: 0,
-                bit: 0,
-            },
-            branch: None,
-            outcome,
-            report: None,
-            detection_latency: None,
-        };
-        // Completion order scrambled; indices 1 and 3 are SDCs, so the cut
-        // must land after index 3 regardless of arrival order.
-        let pairs = vec![
-            (4, record(FaultOutcome::Masked)),
-            (1, record(FaultOutcome::Sdc)),
-            (0, record(FaultOutcome::Masked)),
-            (3, record(FaultOutcome::Sdc)),
-            (2, record(FaultOutcome::Detected)),
-        ];
-        let (records, counts, aborted) = reduce_campaign(pairs, &config);
-        assert!(aborted);
-        assert_eq!(records.len(), 4);
-        assert_eq!(counts.sdc, 2);
-        assert_eq!(records.last().unwrap().outcome, FaultOutcome::Sdc);
     }
 
     #[test]

@@ -50,7 +50,7 @@ mod injector;
 
 pub use batch::{BatchResult, CampaignBatch};
 pub use campaign::{
-    classify, false_positive_runs, false_positive_runs_on, plan_campaign, run_campaign,
+    classify, false_positive_runs, plan_campaign, run_campaign,
     run_campaign_with_golden_recorded, CampaignConfig, CampaignError, CampaignProgress,
     CampaignResult, FaultOutcome, InjectionRecord, OutcomeCounts, ProgressFn, TraceInjection,
     WorkerStats,

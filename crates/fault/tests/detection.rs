@@ -3,8 +3,8 @@
 //! it catches.
 
 use bw_fault::{
-    classify, run_campaign, CampaignConfig, FaultModel, FaultOutcome, InjectionHook,
-    InjectionPlan,
+    classify, run_campaign, CampaignConfig, CampaignResult, FaultModel, FaultOutcome,
+    InjectionHook, InjectionPlan,
 };
 use bw_vm::{Engine, ExecConfig, ProgramImage, RunOutcome, SimEngine};
 
@@ -218,7 +218,10 @@ fn campaign_improves_coverage_over_baseline() {
         without.counts
     );
     // Same seed, same profile: identical injection targets.
-    assert_eq!(with.branches_per_thread, without.branches_per_thread);
+    let plans = |campaign: &CampaignResult| -> Vec<InjectionPlan> {
+        campaign.records.iter().map(|record| record.plan).collect()
+    };
+    assert_eq!(plans(&with), plans(&without));
 }
 
 #[test]

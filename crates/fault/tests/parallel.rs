@@ -5,14 +5,15 @@
 //! misconfigurations must surface as errors, not panics.
 
 use bw_fault::{
-    classify, plan_campaign, run_campaign, CampaignConfig, CampaignError, CampaignResult,
-    FaultModel, FaultOutcome, InjectionHook, InjectionRecord, OutcomeCounts,
+    classify, plan_campaign, run_campaign, run_campaign_with_golden_recorded, CampaignConfig,
+    CampaignError, CampaignResult, FaultModel, FaultOutcome, InjectionHook, InjectionRecord,
+    OutcomeCounts, TraceInjection,
 };
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use bw_splash::{Benchmark, Size};
-use bw_telemetry::{Recorder, Value};
+use bw_telemetry::{Recorder, TraceBuffer, Value};
 use bw_vm::{Engine, MonitorMode, ProgramImage, RunOutcome, SimEngine};
 
 /// Held by every test here that runs a campaign: the span sink one of them
@@ -68,12 +69,12 @@ fn image(bench: Benchmark) -> ProgramImage {
 
 /// What a campaign must return, computed the slow way: every plan replayed
 /// from step 0 through the public pieces (`plan_campaign`, `InjectionHook`,
-/// `run_hooked`, `classify`), then the abort cut in index order. Also the
-/// steps those replays took, up to the cut.
+/// `run_hooked`, `classify`), in index order. Also the steps those replays
+/// took.
 fn plan_by_plan(
     image: &ProgramImage,
     config: &CampaignConfig,
-) -> (Vec<InjectionRecord>, OutcomeCounts, bool, u64) {
+) -> (Vec<InjectionRecord>, OutcomeCounts, u64) {
     let golden = SimEngine.run(image, &config.sim);
     let faulty =
         config.sim.clone().max_steps(golden.total_steps.saturating_mul(8).saturating_add(100_000));
@@ -104,13 +105,8 @@ fn plan_by_plan(
             FaultOutcome::Masked => &mut counts.masked,
             FaultOutcome::Sdc => &mut counts.sdc,
         } += 1;
-        if config.abort_after_sdc.is_some_and(|n| counts.sdc >= n)
-            || (config.abort_on_detection && counts.detected > 0)
-        {
-            return (records, counts, true, steps);
-        }
     }
-    (records, counts, false, steps)
+    (records, counts, steps)
 }
 
 /// Whether the injection fired in `@init` (see `InjectionPlan`).
@@ -121,17 +117,41 @@ fn fired_in_init(image: &ProgramImage, record: &InjectionRecord) -> bool {
 #[track_caller]
 fn assert_payload(
     result: &CampaignResult,
-    reference: &(Vec<InjectionRecord>, OutcomeCounts, bool, u64),
+    reference: &(Vec<InjectionRecord>, OutcomeCounts, u64),
     what: &str,
 ) {
-    let (records, counts, aborted, _) = reference;
+    let (records, counts, _) = reference;
     assert_eq!(&result.records, records, "records: {what}");
     assert_eq!(&result.counts, counts, "counts: {what}");
-    assert_eq!(result.aborted, *aborted, "aborted: {what}");
     assert_eq!(
         result.telemetry.counter("campaign.injections"),
         Some(records.len() as u64),
         "{what}"
+    );
+}
+
+/// A campaign runs every injection it plans, once: its trace holds one
+/// `injection` record per index `0..n`, and the `campaign.injection_us`
+/// histogram, the `campaign.injections` counter and the workers' tallies
+/// all count `n`.
+#[track_caller]
+fn assert_every_injection_once(result: &CampaignResult, trace: &str, n: usize, what: &str) {
+    let mut indices: Vec<u64> = bw_telemetry::records(trace)
+        .map(|record| record.expect("the trace parses"))
+        .filter(|record| record.ev() == TraceInjection::EV)
+        .map(|record| TraceInjection::from_record(record).expect("an injection record").index)
+        .collect();
+    indices.sort_unstable();
+    assert_eq!(indices, (0..n as u64).collect::<Vec<_>>(), "injection records: {what}");
+    let telemetry = &result.telemetry;
+    assert_eq!(
+        (
+            telemetry.histogram("campaign.injection_us").map(|h| h.count),
+            telemetry.counter("campaign.injections"),
+            result.worker_stats.iter().map(|w| w.injections).sum::<u64>(),
+        ),
+        (Some(n as u64), Some(n as u64), n as u64),
+        "injection_us count, campaign.injections, worker injections: {what}"
     );
 }
 
@@ -191,9 +211,9 @@ fn windowed_campaigns_equal_the_plan_by_plan_reference() {
                     let run: u64 = stats.iter().map(|w| w.steps_run).sum();
                     let skipped: u64 = stats.iter().map(|w| w.steps_skipped).sum();
                     if in_init == 0 {
-                        assert_eq!(run + skipped, reference.3, "{what}");
+                        assert_eq!(run + skipped, reference.2, "{what}");
                     } else {
-                        assert!(run + skipped >= reference.3, "{what}");
+                        assert!(run + skipped >= reference.2, "{what}");
                     }
                     assert!(size < W || skipped > 0, "{what}: nothing was forked");
                 }
@@ -201,16 +221,27 @@ fn windowed_campaigns_equal_the_plan_by_plan_reference() {
                 // The same under a span sink: the campaign forks all the
                 // same, returns the same payload, and writes the same trace
                 // at every worker count — as many records, and for each
-                // injection the same spans.
+                // injection the same spans; its recorder gets one
+                // `injection` record per planned injection.
                 let capture = Arc::new(Capture::default());
                 bw_telemetry::set_trace_sink(Some(Arc::clone(&capture) as Arc<dyn Recorder>));
                 let mut first = None;
                 for workers in [1usize, 2, 8] {
                     let what = format!("{size} x {model:?}, {monitor:?}, {workers} workers, traced");
-                    let result = run_campaign(&image, &base.clone().workers(workers))
-                        .expect("golden run completes");
+                    let config = base.clone().workers(workers);
+                    let golden = SimEngine.run(&image, &config.sim);
+                    let buf = TraceBuffer::default();
+                    let result = run_campaign_with_golden_recorded(
+                        &image,
+                        &config,
+                        &golden,
+                        None,
+                        &buf.recorder(),
+                    )
+                    .expect("golden run completes");
                     let trace = capture.take();
                     assert_payload(&result, &reference, &what);
+                    assert_every_injection_once(&result, &buf.text(), size, &what);
                     let skipped: u64 = result.worker_stats.iter().map(|w| w.steps_skipped).sum();
                     assert!(size < W || skipped > 0, "{what}: nothing was forked");
                     assert!(trace.1.len() > size / 2, "{what}: injections leave spans");
@@ -218,32 +249,6 @@ fn windowed_campaigns_equal_the_plan_by_plan_reference() {
                 }
                 bw_telemetry::set_trace_sink(None);
             }
-        }
-    }
-}
-
-/// Both abort conditions cut at the injection the plan-by-plan campaign
-/// cuts at, although workers finish the windows they hold.
-#[test]
-fn abort_cuts_equal_the_plan_by_plan_reference() {
-    let _lock = sink_lock();
-    let image = image(Benchmark::Radix);
-    let size = 3 * W + 5;
-    let on_detection =
-        CampaignConfig::new(size, FaultModel::BranchFlip, 4).seed(0xab0).abort_on_detection(true);
-    let mut after_sdc =
-        CampaignConfig::new(size, FaultModel::BranchFlip, 4).seed(0x5dc).abort_after_sdc(2);
-    after_sdc.sim.monitor = MonitorMode::Off;
-    for (base, name) in [(on_detection, "abort_on_detection"), (after_sdc, "abort_after_sdc")] {
-        let reference = plan_by_plan(&image, &base);
-        assert!(reference.2 && reference.0.len() < size, "{name}: the reference does not abort");
-        for workers in [0usize, 1, 2, 8] {
-            let result = run_campaign(&image, &base.clone().workers(workers))
-                .expect("golden run completes");
-            assert_payload(&result, &reference, &format!("{name}, {workers} workers"));
-            // Whole windows ran: never fewer injections than the cut needs.
-            let executed: u64 = result.worker_stats.iter().map(|w| w.injections).sum();
-            assert!(executed as usize >= reference.0.len(), "{name}, {workers} workers");
         }
     }
 }
@@ -310,58 +315,8 @@ fn results_identical_at_any_worker_count() {
                     bench.name()
                 );
                 assert_eq!(reference.counts, result.counts);
-                assert_eq!(reference.branches_per_thread, result.branches_per_thread);
-                assert_eq!(reference.aborted, result.aborted);
             }
         }
-    }
-}
-
-#[test]
-fn early_abort_cut_is_identical_at_any_worker_count() {
-    let _lock = sink_lock();
-    let image = image(Benchmark::Fft);
-    // Detections are frequent with the monitor on, so the abort trips well
-    // inside the campaign; the surviving prefix must not depend on which
-    // worker saw the detection first.
-    let base = CampaignConfig::new(64, FaultModel::BranchFlip, 4)
-        .seed(0xab0)
-        .abort_on_detection(true);
-    let reference =
-        run_campaign(&image, &base.clone().workers(1)).expect("golden run completes");
-    assert!(reference.aborted, "expected at least one detection in 64 injections");
-    assert!(reference.records.len() < 64);
-    assert_eq!(reference.records.last().unwrap().outcome, FaultOutcome::Detected);
-    for workers in [2usize, 8] {
-        let result =
-            run_campaign(&image, &base.clone().workers(workers)).expect("golden run completes");
-        assert_eq!(reference.records, result.records, "{workers} workers");
-        assert_eq!(reference.counts, result.counts);
-        assert!(result.aborted);
-    }
-}
-
-#[test]
-fn abort_after_sdc_stops_on_the_exact_injection() {
-    let _lock = sink_lock();
-    let image = image(Benchmark::Radix);
-    // The unprotected program accumulates SDCs; stop at the second one.
-    let base = CampaignConfig::new(200, FaultModel::BranchFlip, 4)
-        .seed(0x5dc)
-        .abort_after_sdc(2);
-    let mut config = base.clone();
-    config.sim.monitor = MonitorMode::Off;
-    let reference =
-        run_campaign(&image, &config.clone().workers(1)).expect("golden run completes");
-    if reference.aborted {
-        assert_eq!(reference.counts.sdc, 2);
-        assert_eq!(reference.records.last().unwrap().outcome, FaultOutcome::Sdc);
-    }
-    for workers in [2usize, 8] {
-        let result =
-            run_campaign(&image, &config.clone().workers(workers)).expect("golden run completes");
-        assert_eq!(reference.records, result.records, "{workers} workers");
-        assert_eq!(reference.aborted, result.aborted);
     }
 }
 

@@ -167,7 +167,10 @@ leg_traced_vs_untraced() {
 # pull server and its Prometheus text format are gone too (DESIGN §14):
 # `sample` trace records are the one live view. The similarity pass always
 # settles, because every category update is a join (DESIGN §4.1): no
-# iteration cap, no `converged` flag and no `NoFixpoint` refusal.
+# iteration cap, no `converged` flag and no `NoFixpoint` refusal. A
+# campaign runs every injection it plans (DESIGN §5.1): no early abort, no
+# golden-run copies on `CampaignResult` and no engine-generic
+# false-positive sweep.
 leg_leftover_guard() {
   if grep -rnE 'ModuleAnalysis::run_parallel|fn run_parallel\(module|ValueGraph|\.divergence\(' \
       crates tests examples \
@@ -197,6 +200,10 @@ leg_leftover_guard() {
   fi
   if grep -rnE 'NoFixpoint|PrepareError|\.converged\b|max_iterations' crates tests examples; then
     echo "ci: the similarity pass's iteration cap or its refusal is back" >&2; return 1
+  fi
+  if grep -rnE 'abort_after_sdc|abort_on_detection|\.aborted\b|golden_outputs_len|false_positive_runs_on' \
+      crates tests examples; then
+    echo "ci: campaign early abort or a deleted CampaignResult field is back" >&2; return 1
   fi
 }
 

@@ -6,9 +6,9 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use blockwatch::fault::{run_campaign, CampaignBatch, CampaignConfig, FaultModel};
+use blockwatch::fault::{run_campaign, CampaignBatch, CampaignConfig, FaultModel, TraceInjection};
 use blockwatch::gen::{generate_module, GenConfig};
-use blockwatch::telemetry::{Recorder, Value};
+use blockwatch::telemetry::{Recorder, TraceBuffer, Value};
 use blockwatch::vm::{ExecConfig, ProgramImage};
 
 /// Held by every test here: the span sink the last one installs is
@@ -71,55 +71,71 @@ fn batch_is_bitwise_identical_to_sequential_campaigns_at_any_worker_count() {
             let seed = images[i].0;
             assert_eq!(batched.records, alone.records, "records diverge for seed {seed}");
             assert_eq!(batched.counts, alone.counts, "counts diverge for seed {seed}");
-            assert_eq!(batched.aborted, alone.aborted, "abort diverges for seed {seed}");
-            assert_eq!(
-                batched.branches_per_thread, alone.branches_per_thread,
-                "golden branch counts diverge for seed {seed}"
-            );
-            assert_eq!(
-                batched.golden_outputs_len, alone.golden_outputs_len,
-                "golden outputs diverge for seed {seed}"
-            );
         }
     }
 }
 
 /// Campaigns longer than the window a pool worker claims at a time (32
-/// plans, forked from one prefix), one of them aborting: each image's
-/// windows are claimed in order and its stop flag is its own, so the
-/// payload is still the standalone campaign's.
+/// plans, forked from one prefix): each image's windows are claimed in
+/// order from its own counter, so the payload is still the standalone
+/// campaign's, and every planned injection of every image runs once — one
+/// `injection` record per `(image, index)`, and each image's
+/// `campaign.injection_us` histogram and `campaign.injections` counter
+/// count its plans.
 #[test]
 fn batches_of_multi_window_campaigns_equal_sequential_campaigns() {
+    const PLANS: usize = 70;
     let _lock = sink_lock();
     let images: Vec<_> = images().into_iter().take(3).collect();
     let config_for = |seed: u64| {
-        let config = CampaignConfig::new(70, FaultModel::ConditionBitFlip, NTHREADS)
+        CampaignConfig::new(PLANS, FaultModel::ConditionBitFlip, NTHREADS)
             .seed(seed)
-            .sim(ExecConfig::new(NTHREADS).seed(seed).max_steps(2_000_000));
-        if seed == 1 {
-            config.abort_on_detection(true)
-        } else {
-            config
-        }
+            .sim(ExecConfig::new(NTHREADS).seed(seed).max_steps(2_000_000))
     };
     for pool in [1usize, 3] {
         let mut batch = CampaignBatch::new().workers(pool);
         for (seed, image) in &images {
             batch.push(Arc::clone(image), config_for(*seed));
         }
-        let outcome = batch.run();
+        let buf = TraceBuffer::default();
+        let outcome = batch.run_recorded(&buf.recorder());
         for ((seed, image), result) in images.iter().zip(&outcome.results) {
             let batched = result.as_ref().expect("batched campaign runs");
             let alone = run_campaign(image, &config_for(*seed).workers(1)).expect("campaign runs");
             assert_eq!(batched.records, alone.records, "seed {seed}, pool {pool}");
             assert_eq!(batched.counts, alone.counts, "seed {seed}, pool {pool}");
-            assert_eq!(batched.aborted, alone.aborted, "seed {seed}, pool {pool}");
             assert_eq!(
                 batched.telemetry.deterministic_part().counters(),
                 alone.telemetry.deterministic_part().counters(),
                 "seed {seed}, pool {pool}"
             );
+            let telemetry = &batched.telemetry;
+            assert_eq!(
+                (
+                    telemetry.histogram("campaign.injection_us").map(|h| h.count),
+                    telemetry.counter("campaign.injections"),
+                ),
+                (Some(PLANS as u64), Some(PLANS as u64)),
+                "seed {seed}, pool {pool}"
+            );
         }
+
+        let trace = buf.text();
+        let mut injections: Vec<(Option<u64>, u64)> = blockwatch::telemetry::records(&trace)
+            .map(|record| record.expect("the trace parses"))
+            .filter(|record| record.ev() == TraceInjection::EV)
+            .map(|record| {
+                let injection = TraceInjection::from_record(record).expect("an injection record");
+                (injection.image, injection.index)
+            })
+            .collect();
+        injections.sort_unstable();
+        let planned: Vec<_> = (0..images.len() as u64)
+            .flat_map(|image| (0..PLANS as u64).map(move |index| (Some(image), index)))
+            .collect();
+        assert_eq!(injections, planned, "pool {pool}");
+        let executed: u64 = outcome.worker_stats.iter().map(|w| w.injections).sum();
+        assert_eq!(executed, planned.len() as u64, "pool {pool}");
     }
 }
 
