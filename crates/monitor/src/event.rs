@@ -1,4 +1,5 @@
-//! Branch events: the fixed-size records threads send to the monitor.
+//! Branch events: the fixed-size records threads send to the monitor, and
+//! [`KeyHasher`], the one function every runtime key is derived with.
 
 /// The information one `sendBranchCondition`/`sendBranchAddr` pair of the
 /// paper carries, folded into a single fixed-size record: the static branch
@@ -14,8 +15,10 @@ pub struct BranchEvent {
     /// Level-1 runtime key: hash of the call-site path from the SPMD entry
     /// (the paper's "function's call site ID").
     pub site: u64,
-    /// Level-2 runtime key: hash of the iteration numbers of all enclosing
-    /// loops (≤ 6, the paper's cutoff) plus the barrier epoch.
+    /// Level-2 runtime key: hash of the iteration numbers of every loop the
+    /// running frame is in, plus the barrier epoch. The paper's cutoff of
+    /// six enclosing loops is not applied here: it decides which branches
+    /// the check plan instruments.
     pub iter: u64,
     /// Condition witness: hash of the non-constant condition operands.
     pub witness: u64,
@@ -23,27 +26,36 @@ pub struct BranchEvent {
     pub taken: bool,
 }
 
-/// A stable 64-bit hash combiner (FNV-1a over 8-byte words) used for the
-/// runtime keys. Deterministic across runs and platforms so golden runs and
-/// fault-injection runs agree.
+/// A stable 64-bit hash combiner over 64-bit words, used for every runtime
+/// key (call-site path, loop iterations and epoch, condition witness) and
+/// for the shard a key lands on. Deterministic across runs and platforms so
+/// golden runs and fault-injection runs agree.
+///
+/// One step per word: xor the word into the state, multiply by an odd
+/// constant, then xor the high half into the low half. Each part is a
+/// bijection of the state, so two sequences of equal length that differ in
+/// one word never hash alike, and the multiply is the only long-latency
+/// operation on the chain of dependent steps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KeyHasher(u64);
 
 impl KeyHasher {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    /// The state before any word. It must not be a fixed point of the
+    /// step on the word 0, or `[0]` would hash like `[]`.
+    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+    /// Odd, so the multiply is invertible modulo 2^64.
+    const MULTIPLIER: u64 = 0xff51_afd7_ed55_8ccd;
 
     /// A fresh hasher.
     pub fn new() -> Self {
-        KeyHasher(Self::OFFSET)
+        KeyHasher(Self::SEED)
     }
 
     /// Mixes one 64-bit word.
+    #[inline]
     pub fn write(&mut self, word: u64) {
-        for byte in word.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
+        let h = (self.0 ^ word).wrapping_mul(Self::MULTIPLIER);
+        self.0 = h ^ (h >> 32);
     }
 
     /// Mixes and returns a new hasher (for functional chaining).
@@ -64,7 +76,8 @@ impl Default for KeyHasher {
     }
 }
 
-/// Hashes a sequence of words in one call.
+/// Hashes a sequence of words in one call: [`KeyHasher::new`], one
+/// [`KeyHasher::write`] per word, [`KeyHasher::finish`].
 pub fn hash_words(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h = KeyHasher::new();
     for w in words {
@@ -77,9 +90,14 @@ pub fn hash_words(words: impl IntoIterator<Item = u64>) -> u64 {
 mod tests {
     use super::*;
 
+    /// The key function is pinned to literal values: golden and faulty runs,
+    /// both engines and every platform must derive the same keys, so a
+    /// change to the derivation has to be a deliberate edit here.
     #[test]
     fn hash_is_deterministic() {
-        assert_eq!(hash_words([1, 2, 3]), hash_words([1, 2, 3]));
+        assert_eq!(hash_words([]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(hash_words([0]), 0xedae_e432_8b79_8493);
+        assert_eq!(hash_words([1, 2, 3]), 0xe2e8_e00e_9855_8268);
     }
 
     #[test]

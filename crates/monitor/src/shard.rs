@@ -36,9 +36,9 @@ pub(crate) const DRAIN_BATCH: usize = 256;
 
 /// The shard owning a `(site, branch)` key, for a monitor split `shards`
 /// ways: `hash(site, branch) % shards`. One shard short-circuits to 0
-/// without hashing. The hash is the same stable FNV-1a used for the
-/// runtime keys ([`hash_words`]), so the mapping is identical across runs,
-/// platforms, and engines.
+/// without hashing. The hash is the one the runtime keys are derived with
+/// ([`hash_words`]), so the mapping is identical across runs, platforms,
+/// and engines.
 pub fn shard_of(site: u64, branch: u32, shards: usize) -> usize {
     if shards <= 1 {
         return 0;
@@ -369,7 +369,8 @@ mod tests {
                     seen[s] += 1;
                 }
             }
-            // FNV spreads 1024 keys well enough that no shard starves.
+            // The key hash spreads 1024 keys well enough that no shard
+            // starves.
             assert!(seen.iter().all(|&n| n > 0), "{shards} shards: {seen:?}");
         }
     }

@@ -77,10 +77,10 @@ pub(crate) fn push_node<T>(arena: &mut Vec<T>, node: T) -> u32 {
     index as u32
 }
 
-/// Hashes a runtime key. `site` and `iter` are FNV hashes already and the
-/// only party choosing keys is the program being monitored, so two folded
-/// multiplies to spread them over the index are enough; a keyed hash
-/// (SipHash) would defend against nothing here.
+/// Hashes a runtime key. `site` and `iter` are hashes already
+/// ([`crate::KeyHasher`]) and the only party choosing keys is the program
+/// being monitored, so two folded multiplies to spread them over the index
+/// are enough; a keyed hash (SipHash) would defend against nothing here.
 #[inline]
 pub(crate) fn mix_key(branch: u32, site: u64, iter: u64) -> u64 {
     fn fold(a: u64, b: u64) -> u64 {

@@ -1,5 +1,5 @@
 //! Property tests for the monitor infrastructure: the SPSC queue against a
-//! sequential model, hash stability, and checker invariants.
+//! sequential model, key hashing, and checker invariants.
 
 use bw_analysis::{CheckKind, TidCheck};
 use bw_monitor::{check_instance, hash_words, spsc_queue, Report};
@@ -44,11 +44,22 @@ proptest! {
         }
     }
 
-    /// FNV key hashing is deterministic and (practically) injective on
-    /// small word sequences.
+    /// Key hashing separates what the runtime keys must keep apart: two word
+    /// sequences of one length that differ in exactly one position hash
+    /// differently. Every case also flips bit 63 alone, which a step with an
+    /// even multiplier would shift out of the state.
     #[test]
-    fn hashing_is_stable(words in proptest::collection::vec(any::<u64>(), 0..8)) {
-        prop_assert_eq!(hash_words(words.iter().copied()), hash_words(words.iter().copied()));
+    fn one_word_apart_hashes_apart(
+        words in proptest::collection::vec(any::<u64>(), 1..8),
+        at in any::<usize>(),
+        delta in 1u64..u64::MAX,
+    ) {
+        let at = at % words.len();
+        for delta in [delta, 1 << 63] {
+            let mut other = words.clone();
+            other[at] ^= delta;
+            prop_assert_ne!(hash_words(words.iter().copied()), hash_words(other));
+        }
     }
 
     /// A set of reports that all agree passes every check kind.
