@@ -75,7 +75,7 @@ const FLAGS: &[Flag] = &[
     flag("--seed", Some("S"), &["gen"], "module seed, decimal or 0x-hex (default 0)"),
     flag("--max-stmts", Some("M"), &["fuzz", "gen"], "statements per SPMD body (default 40)"),
     flag("--out", Some("FILE"), &["gen"], "write the module there instead of stdout"),
-    flag("--engine", Some("sim|real"), EXECUTING, "deterministic simulator (default), OS threads"),
+    flag("--engine", Some("sim|real"), &["run"], "deterministic simulator (default), OS threads"),
     flag(
         "--real-cross-check",
         None,
@@ -272,11 +272,6 @@ fn warn_dropped(telemetry: &TelemetrySnapshot) {
     }
 }
 
-/// `--engine sim|real`.
-fn engine_kind(args: &Args) -> Result<EngineKind, String> {
-    args.choice("--engine", &[("sim", EngineKind::Sim), ("real", EngineKind::Real)])
-}
-
 fn cmd_analyze(args: &Args) -> Result<(), String> {
     let bw = load(args)?;
     println!("{:<8} {:<20} {:<10} {:<6} check", "branch", "function", "category", "depth");
@@ -314,7 +309,7 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
 fn cmd_run(args: &Args) -> Result<(), String> {
     let bw = load(args)?;
     let n = args.count("--threads", 4)?;
-    let kind = engine_kind(args)?;
+    let kind = args.choice("--engine", &[("sim", EngineKind::Sim), ("real", EngineKind::Real)])?;
     let shards = args.positive("--monitor-shards")?;
     let tracing = Tracing::start(args)?;
 
@@ -372,7 +367,6 @@ fn cmd_fuzz(args: &Args) -> Result<(), String> {
     }
     let injections = args.count("--inject", 0)?;
     let gen = gen_config(args)?;
-    let kind = engine_kind(args)?;
     let real_cross_check = args.has("--real-cross-check");
     let shards = args.positive("--monitor-shards")?;
     let config = blockwatch::gen::FuzzConfig {
@@ -381,7 +375,6 @@ fn cmd_fuzz(args: &Args) -> Result<(), String> {
         threads,
         gen,
         injections,
-        engine: kind,
         real_cross_check,
         monitor_shards: shards,
     };
@@ -504,7 +497,6 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
     )?;
 
     let workers = args.count("--workers", 0)?;
-    let kind = engine_kind(args)?;
     let shards = args.positive("--monitor-shards")?;
     let show_progress = args.has("--progress");
     let mut tracing = Tracing::start(args)?;
@@ -531,7 +523,6 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
         let mut runner = bw
             .campaign_runner(injections, model, n)
             .workers(workers)
-            .engine(kind)
             .monitor(monitor)
             .monitor_shards(shards);
         let callback = progress(label);
@@ -554,7 +545,7 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
     let baseline = run(MonitorMode::Off, "without BLOCKWATCH", false)?;
     tracing.finish(Some(&protected.telemetry));
 
-    println!("{model:?}, {injections} injections, {n} threads, {} engine", kind.name());
+    println!("{model:?}, {injections} injections, {n} threads");
     println!("  without BLOCKWATCH: {:?}", baseline.counts);
     println!("  with    BLOCKWATCH: {:?}", protected.counts);
     println!(
@@ -563,8 +554,7 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
         100.0 * protected.coverage()
     );
     // What forking injections from a shared fault-free prefix saved, over
-    // both campaigns (0% on the real engine, where every injection is a
-    // full replay).
+    // both campaigns.
     let mut total = WorkerStats::default();
     for w in protected.worker_stats.iter().chain(&baseline.worker_stats) {
         total.steps_run += w.steps_run;

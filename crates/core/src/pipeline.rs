@@ -14,7 +14,8 @@ use bw_fault::{
 use bw_ir::Module;
 use bw_telemetry::{Histogram, Recorder, TelemetrySnapshot, NULL_RECORDER};
 use bw_vm::{
-    engine, EngineKind, ExecConfig, MonitorMode, PrepareTimings, ProgramImage, RunResult,
+    engine, Engine, EngineKind, ExecConfig, MonitorMode, PrepareTimings, ProgramImage, RunResult,
+    SimEngine,
 };
 
 use crate::error::Error;
@@ -40,10 +41,10 @@ use crate::error::Error;
 #[derive(Debug)]
 pub struct Blockwatch {
     image: Arc<ProgramImage>,
-    /// Golden (fault-free) runs per (engine, configuration) pair, so
+    /// Golden (fault-free) runs on the simulator per configuration, so
     /// repeated campaigns on one image — different fault models, worker
     /// counts or seeds — profile the program only once per configuration.
-    golden_cache: Mutex<HashMap<(EngineKind, ExecConfig), Arc<RunResult>>>,
+    golden_cache: Mutex<HashMap<ExecConfig, Arc<RunResult>>>,
     /// Wall-clock time of the front-end (parse + lower) stage; zero when
     /// the program was built from an existing module.
     parse_us: u64,
@@ -148,20 +149,11 @@ impl Blockwatch {
     /// cached per configuration: campaigns that share a simulation
     /// configuration also share one profiling run.
     pub fn golden(&self, config: &ExecConfig) -> Arc<RunResult> {
-        self.golden_on(EngineKind::Sim, config)
-    }
-
-    /// The golden (fault-free) run under `config` on the selected engine,
-    /// cached per (engine, configuration) pair.
-    ///
-    /// Note that [`EngineKind::Real`] is not deterministic: caching its
-    /// golden run pins one observed schedule for all later comparisons.
-    pub fn golden_on(&self, kind: EngineKind, config: &ExecConfig) -> Arc<RunResult> {
         let mut cache = self.golden_cache.lock().unwrap_or_else(|e| e.into_inner());
         Arc::clone(
             cache
-                .entry((kind, config.clone()))
-                .or_insert_with(|| Arc::new(engine(kind).run(&self.image, config))),
+                .entry(config.clone())
+                .or_insert_with(|| Arc::new(SimEngine.run(&self.image, config))),
         )
     }
 
@@ -225,13 +217,6 @@ impl<'a> CampaignRunner<'a> {
         self
     }
 
-    /// Selects the execution engine for both the golden and the faulty
-    /// runs (default: [`EngineKind::Sim`]).
-    pub fn engine(mut self, kind: EngineKind) -> Self {
-        self.config = self.config.engine(kind);
-        self
-    }
-
     /// Sets the monitor mode of both the golden and the faulty runs
     /// (`MonitorMode::Off` gives the paper's "original program" baseline).
     pub fn monitor(mut self, monitor: MonitorMode) -> Self {
@@ -278,7 +263,7 @@ impl<'a> CampaignRunner<'a> {
         if config.sim.nthreads == 0 {
             return Err(Error::Campaign(CampaignError::NoThreads));
         }
-        let golden = self.bw.golden_on(config.engine, &config.sim);
+        let golden = self.bw.golden(&config.sim);
         run_campaign_with_golden_recorded(
             &self.bw.image,
             config,

@@ -25,7 +25,7 @@
 use std::sync::Arc;
 
 use bw_telemetry::{Recorder, Span, Value, NULL_RECORDER};
-use bw_vm::{engine, ProgramImage, RunResult};
+use bw_vm::{Engine, ProgramImage, RunResult, SimEngine};
 
 use crate::campaign::{
     run_pool, CampaignConfig, CampaignError, CampaignJob, CampaignResult, WorkerStats,
@@ -133,7 +133,7 @@ impl CampaignBatch {
             .items
             .iter()
             .map(|(image, config)| {
-                (config.sim.nthreads != 0).then(|| engine(config.engine).run(image, &config.sim))
+                (config.sim.nthreads != 0).then(|| SimEngine.run(image, &config.sim))
             })
             .collect();
         let mut jobs: Vec<CampaignJob<'_>> = Vec::new();

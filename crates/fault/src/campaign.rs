@@ -15,8 +15,8 @@
 //!    window's injections are not replayed from step 0: one fault-free
 //!    [`SimPrefix`] advances past the window's fault points and every
 //!    injection is a fork of it — the golden part of its run inherited,
-//!    only the faulty tail executed (see `execute_window` for the two
-//!    cases that still replay in full). A forked run's `RunResult` is the
+//!    only the faulty tail executed (see `execute_window` for the one
+//!    case that still replays in full). A forked run's `RunResult` is the
 //!    replayed one bit for bit, so nothing downstream can tell.
 //! 3. **Reduce**: records are sorted into injection-index order and
 //!    counted. Every planned injection runs exactly once, so the result
@@ -33,8 +33,7 @@ use bw_telemetry::{
 };
 use bw_monitor::{TraceViolation, ViolationReport};
 use bw_vm::{
-    engine, Engine, EngineKind, ExecConfig, ProgramImage, RunOutcome, RunResult, SimEngine,
-    SimPrefix, SplitMix64,
+    Engine, ExecConfig, ProgramImage, RunOutcome, RunResult, SimEngine, SimPrefix, SplitMix64,
 };
 
 use crate::injector::{FaultModel, InjectionHook, InjectionPlan};
@@ -52,9 +51,9 @@ const _: () = {
 /// Classification of one injection experiment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultOutcome {
-    /// The fault did not reach its target branch (e.g. the thread executed
-    /// fewer branches than profiled — cannot happen in the deterministic
-    /// engine, kept for API completeness) or the thread had no branches.
+    /// The fault did not reach its target branch, which happens only when
+    /// the chosen thread had no branches: the simulator is deterministic,
+    /// so every other target the golden run profiled is reached.
     NotActivated,
     /// The monitor flagged a violation.
     Detected,
@@ -266,19 +265,10 @@ pub struct CampaignConfig {
     /// stream from `(seed, injection_index)`, so results do not depend on
     /// worker scheduling.
     pub seed: u64,
-    /// The execution configuration (thread count, monitor mode, …). The
-    /// golden run uses the same configuration with no fault.
+    /// The execution configuration (thread count, monitor mode, …) of the
+    /// deterministic simulator, which runs every campaign. The golden run
+    /// uses the same configuration with no fault.
     pub sim: ExecConfig,
-    /// Which execution engine runs the golden and faulty experiments.
-    /// Defaults to [`EngineKind::Sim`], the deterministic scheduler the
-    /// paper's tables are built on. [`EngineKind::Real`] runs every
-    /// experiment on real OS threads — classifications then inherit the
-    /// host's scheduling nondeterminism (an SDC verdict compares against a
-    /// golden run whose output order must be schedule-independent), so use
-    /// it for exercising the concurrent machinery, not for reproducing the
-    /// paper's numbers. Consider lowering [`ExecConfig::watchdog_ms`]: a
-    /// deadlocked real-engine experiment costs that long in wall time.
-    pub engine: EngineKind,
     /// Worker threads for the execution stage; `0` means
     /// `std::thread::available_parallelism()`.
     pub workers: usize,
@@ -292,7 +282,6 @@ impl CampaignConfig {
             model,
             seed: 0xfa_017,
             sim: ExecConfig::new(nthreads),
-            engine: EngineKind::Sim,
             workers: 0,
         }
     }
@@ -300,12 +289,6 @@ impl CampaignConfig {
     /// Sets the target-selection seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Selects the execution engine (see [`CampaignConfig::engine`]).
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -345,8 +328,7 @@ pub struct WorkerStats {
     /// Interpreter steps this worker's injections inherited from a prefix
     /// instead of executing them, less the steps the prefixes themselves
     /// took: `steps_run + steps_skipped` is what replaying every one of
-    /// its injections from step 0 would have executed. Exact; `0` where
-    /// every injection is a full replay (the real engine).
+    /// its injections from step 0 would have executed. Exact.
     pub steps_skipped: u64,
 }
 
@@ -596,18 +578,17 @@ fn injection_record(
     }
 }
 
-/// Runs one injection experiment on `eng` from step 0 and classifies it;
-/// also returns the steps the run took. [`execute_window`]'s fallback for
-/// the injections no prefix can serve.
+/// Runs one injection experiment from step 0 and classifies it; also
+/// returns the steps the run took. [`execute_window`]'s fallback for the
+/// injections no prefix can serve.
 fn execute_one(
-    eng: &dyn Engine,
     image: &ProgramImage,
     faulty: &ExecConfig,
     golden: &RunResult,
     plan: InjectionPlan,
 ) -> (InjectionRecord, u64) {
     let hook = InjectionHook::new(plan);
-    let result = eng.run_hooked(image, faulty, &hook);
+    let result = SimEngine.run_hooked(image, faulty, &hook);
     (injection_record(plan, &hook, &result, golden), result.total_steps)
 }
 
@@ -740,7 +721,6 @@ pub(crate) struct CampaignJob<'a> {
     /// job's trace records; `None` for a campaign run on its own.
     item: Option<usize>,
     image: &'a ProgramImage,
-    config: &'a CampaignConfig,
     faulty: ExecConfig,
     golden: &'a RunResult,
     plans: Vec<InjectionPlan>,
@@ -766,7 +746,6 @@ impl<'a> CampaignJob<'a> {
         Ok(CampaignJob {
             item,
             image,
-            config,
             faulty,
             golden,
             collected: Mutex::new(Vec::with_capacity(plans.len())),
@@ -860,10 +839,9 @@ struct Worker<'a> {
 /// prefix itself ([`SimPrefix::finish`]) instead of a copy. The time the
 /// prefix takes to advance is charged to the injection it precedes.
 ///
-/// Two cases replay an injection from step 0 ([`execute_one`]) instead,
-/// each decided by something observable: the real engine (OS threads
-/// cannot be forked) and a plan that fires in `@init`, which runs before
-/// any point a prefix can be forked at (see [`InjectionPlan`]).
+/// One case replays an injection from step 0 ([`execute_one`]) instead: a
+/// plan that fires in `@init`, which runs before any point a prefix can be
+/// forked at (see [`InjectionPlan`]).
 ///
 /// Span tracing (`--trace-spans`): every record an injection's run emits
 /// (sim-engine spans run inline on this thread; a fork writes its prefix's
@@ -903,24 +881,18 @@ fn execute_window(job: &CampaignJob<'_>, window: std::ops::Range<usize>, worker:
         started = bw_telemetry::wall_now_us();
     };
 
-    let prefix =
-        (job.config.engine == EngineKind::Sim).then(|| SimPrefix::new(job.image, &job.faulty));
+    let mut prefix = SimPrefix::new(job.image, &job.faulty);
     // Per thread, the targets a fork can serve, latest first.
     let mut queues: Vec<Vec<(u64, usize)>> = vec![Vec::new(); job.faulty.nthreads as usize];
     for index in window {
         let plan = job.plans[index];
-        if let Some(prefix) = &prefix {
-            if !(plan.tid == 0 && plan.dyn_index <= prefix.init_branches()) {
-                queues[plan.tid as usize].push((plan.dyn_index, index));
-                continue;
-            }
+        if plan.tid == 0 && plan.dyn_index <= prefix.init_branches() {
+            inject(index, worker, &mut || execute_one(job.image, &job.faulty, job.golden, plan));
+        } else {
+            queues[plan.tid as usize].push((plan.dyn_index, index));
         }
-        inject(index, worker, &mut || {
-            execute_one(engine(job.config.engine), job.image, &job.faulty, job.golden, plan)
-        });
     }
 
-    let Some(mut prefix) = prefix else { return };
     for queue in &mut queues {
         queue.sort_unstable_by(|a, b| b.cmp(a));
     }
@@ -1055,10 +1027,9 @@ pub fn run_campaign(
         return Err(CampaignError::NoThreads);
     }
     // Step 1: profile — the golden run records per-thread dynamic branch
-    // counts (the paper's PIN profiling run), on the same engine the
-    // faulty runs will use.
+    // counts (the paper's PIN profiling run).
     let stage_start = bw_telemetry::wall_now_us();
-    let golden = engine(config.engine).run(image, &config.sim);
+    let golden = SimEngine.run(image, &config.sim);
     trace_stage(
         "campaign.golden",
         stage_start,
@@ -1068,9 +1039,9 @@ pub fn run_campaign(
 }
 
 /// Runs a campaign against an already-computed golden run (which must come
-/// from `engine(config.engine).run(image, &config.sim)`), with every
-/// optional input explicit. Lets callers amortize one golden run across
-/// several campaigns on the same image and configuration.
+/// from `SimEngine.run(image, &config.sim)`), with every optional input
+/// explicit. Lets callers amortize one golden run across several campaigns
+/// on the same image and configuration.
 ///
 /// `progress` streams per-injection completion. `recorder` receives stage
 /// spans (`campaign.plan`, `campaign.execute`, `campaign.reduce`), one

@@ -7,7 +7,7 @@
 //! [`InjectionHook`] does exactly this at interpreter level, via the VM's
 //! [`BranchHook`] integration point.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use bw_ir::BranchId;
 use bw_vm::{BranchHook, FaultAction};
@@ -52,26 +52,18 @@ pub struct InjectionPlan {
     pub bit: u8,
 }
 
-/// Sentinel for "not yet activated" in [`InjectionHook`]'s atomic slot
-/// (branch ids are `u32`, so this value is unreachable).
-const NOT_ACTIVATED: u64 = u64::MAX;
-
 /// A branch hook that fires once at the planned injection point.
-///
-/// Usable from both engines: a compare-and-swap on the activation slot
-/// guarantees the fault fires exactly once even when several of the real
-/// engine's worker threads race past the target dynamic index.
 #[derive(Debug)]
 pub struct InjectionHook {
     plan: InjectionPlan,
-    /// `NOT_ACTIVATED`, or the static branch id the fault landed on.
-    injected: AtomicU64,
+    /// The static branch the fault landed on, once it has.
+    injected: Cell<Option<BranchId>>,
 }
 
 impl InjectionHook {
     /// Creates the hook for one injection experiment.
     pub fn new(plan: InjectionPlan) -> Self {
-        InjectionHook { plan, injected: AtomicU64::new(NOT_ACTIVATED) }
+        InjectionHook { plan, injected: Cell::new(None) }
     }
 
     /// Whether the fault was actually injected (the target dynamic branch
@@ -82,34 +74,20 @@ impl InjectionHook {
 
     /// The static branch the fault landed on, once activated.
     pub fn injected_branch(&self) -> Option<BranchId> {
-        match self.injected.load(Ordering::Acquire) {
-            NOT_ACTIVATED => None,
-            id => Some(BranchId(id as u32)),
-        }
+        self.injected.get()
     }
 }
 
 impl BranchHook for InjectionHook {
     fn on_branch(&self, tid: u32, dyn_index: u64, branch: BranchId) -> Option<FaultAction> {
-        if tid != self.plan.tid || dyn_index != self.plan.dyn_index {
+        // Fire-once: one dynamic index occurs at most once per thread per
+        // phase, but init/fini re-run as thread 0 with a fresh index
+        // stream, so the same (tid, dyn_index) can legitimately be seen
+        // more than once.
+        if tid != self.plan.tid || dyn_index != self.plan.dyn_index || self.activated() {
             return None;
         }
-        // Fire-once: only the thread that wins the CAS applies the fault.
-        // (One dynamic index occurs at most once per thread per phase, but
-        // init/fini re-run as thread 0 with a fresh index stream, so the
-        // same (tid, dyn_index) can legitimately be seen more than once.)
-        if self
-            .injected
-            .compare_exchange(
-                NOT_ACTIVATED,
-                u64::from(branch.0),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_err()
-        {
-            return None;
-        }
+        self.injected.set(Some(branch));
         Some(match self.plan.model {
             FaultModel::BranchFlip => FaultAction::FlipOutcome,
             FaultModel::ConditionBitFlip => FaultAction::CorruptData {

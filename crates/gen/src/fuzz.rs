@@ -13,7 +13,7 @@ use bw_analysis::AnalysisConfig;
 use bw_fault::{CampaignBatch, CampaignConfig, FaultModel, OutcomeCounts};
 use bw_ir::{parse_module, Module, ModulePrinter};
 use bw_telemetry::{Recorder, Value, NULL_RECORDER};
-use bw_vm::{EngineKind, ExecConfig, ProgramImage};
+use bw_vm::{ExecConfig, ProgramImage};
 
 use crate::generate::{generate_module, GenConfig};
 use crate::oracle::{check_image_cross, OracleStats, DEFAULT_THREADS};
@@ -31,12 +31,8 @@ pub struct FuzzConfig {
     /// Program-shape parameters for the generator.
     pub gen: GenConfig,
     /// Fault injections to run against each passing seed (0 disables the
-    /// injection stage).
+    /// injection stage). Campaigns run on the deterministic simulator.
     pub injections: usize,
-    /// Engine the injection campaigns run on. [`EngineKind::Real`] trades
-    /// reproducibility of the injection outcomes for true-concurrency
-    /// exercise of the monitor machinery.
-    pub engine: EngineKind,
     /// Cross-check every fault-free oracle run against the real-threads
     /// engine (see [`crate::check_image_cross`]).
     pub real_cross_check: bool,
@@ -54,7 +50,6 @@ impl Default for FuzzConfig {
             threads: DEFAULT_THREADS.to_vec(),
             gen: GenConfig::default(),
             injections: 0,
-            engine: EngineKind::Sim,
             real_cross_check: false,
             monitor_shards: None,
         }
@@ -316,8 +311,7 @@ fn inject_batch(
             .monitor_shards(config.monitor_shards);
         let cc = CampaignConfig::new(config.injections, FaultModel::BranchFlip, nthreads)
             .seed(*seed)
-            .sim(sim)
-            .engine(config.engine);
+            .sim(sim);
         batch.push(Arc::clone(image), cc);
     }
     let outcome = batch.run_recorded(recorder);
@@ -354,7 +348,6 @@ mod tests {
             threads: vec![1, 2],
             gen: GenConfig { max_stmts: 10, ..GenConfig::default() },
             injections: 0,
-            engine: EngineKind::Sim,
             real_cross_check: false,
             monitor_shards: None,
         }

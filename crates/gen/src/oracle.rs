@@ -669,8 +669,6 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    use bw_vm::BranchHook;
-
     /// One instance's reports, `(thread, witness, taken)` sorted by thread.
     fn at(reports: &[(u32, u64, bool)]) -> Vec<Keyed> {
         reports.iter().map(|&report| ((0, 0, 0), report)).collect()
@@ -762,21 +760,8 @@ mod tests {
     }
 
     impl Engine for Perturbed {
-        fn kind(&self) -> EngineKind {
-            EngineKind::Sim
-        }
-
-        fn deterministic(&self) -> bool {
-            true
-        }
-
-        fn run_hooked(
-            &self,
-            image: &ProgramImage,
-            config: &ExecConfig,
-            hook: &dyn BranchHook,
-        ) -> RunResult {
-            let mut result = SimEngine.run_hooked(image, config, hook);
+        fn run(&self, image: &ProgramImage, config: &ExecConfig) -> RunResult {
+            let mut result = SimEngine.run(image, config);
             if self.runs.fetch_add(1, Ordering::Relaxed) == self.faulty {
                 (self.perturb)(&mut result);
             }

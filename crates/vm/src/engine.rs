@@ -5,16 +5,13 @@
 //!
 //! * [`SimEngine`] — the deterministic discrete-event scheduler of
 //!   [`crate::sim`]: all threads interpreted in one OS thread under an
-//!   explicit [`MachineModel`] cost model. Bitwise-reproducible.
+//!   explicit [`MachineModel`] cost model. Bitwise-reproducible, and the
+//!   only engine that runs a program under a [`BranchHook`]
+//!   ([`SimEngine::run_hooked`]): every injected fault lands on it.
 //! * [`RealEngine`] — the real-threads scheduler of [`crate::real`]: one
 //!   OS thread per SPMD thread, atomic shared memory, OS synchronization
 //!   and the asynchronous monitor thread. Genuinely concurrent, hence
-//!   schedule-dependent.
-//!
-//! Determinism is therefore a *scheduler* property, not an engine-core
-//! property: [`Engine::deterministic`] tells callers (campaign planners,
-//! test oracles, golden caches) whether two runs with the same
-//! [`ExecConfig`] are bitwise-identical.
+//!   schedule-dependent; it runs programs fault-free.
 //!
 //! Both schedulers accept the same [`ExecConfig`] and produce the same
 //! [`RunResult`]; fields a scheduler cannot honour are documented on the
@@ -133,10 +130,8 @@ pub struct ExecConfig {
     /// cannot observe a deadlock the way the simulator's scheduler can, so
     /// a wait past this deadline classifies the run as [`RunOutcome::Hung`]
     /// (the moral equivalent of the paper's injection-harness timeout).
-    /// Lower it when injecting faults on the real engine — every deadlocked
-    /// experiment costs this long in wall time. Only tests do (the 200 ms
-    /// `Hung` test would take the default's 10 s), which is why it is still
-    /// a field.
+    /// Only tests lower it (the 200 ms `Hung` test would take the default's
+    /// 10 s), which is why it is still a field.
     pub watchdog_ms: u64,
     /// When set, the monitor ingest is sharded across this many workers,
     /// each owning a disjoint `(site, branch)` key-space slice (routed by
@@ -332,59 +327,34 @@ impl RunResult {
 ///
 /// # Contract
 ///
-/// For every implementation, `run` and `run_hooked` must:
+/// For every implementation, `run` must:
 ///
 /// * execute init single-threaded, then `nthreads` SPMD threads, then fini
 ///   single-threaded, collecting outputs in (init, thread-id, fini) order;
-/// * consult the hook for every dynamic branch (init and fini run as
-///   thread 0), applying any returned [`FaultAction`](crate::FaultAction) *after* the
-///   instrumentation witness is captured;
 /// * classify the end state as `Completed`, first-trap `Crashed`, or
 ///   `Hung` on budget exhaustion / deadlock;
 /// * honour [`MonitorMode`]: `Enabled` checks events, `SendOnly` pays the
 ///   send path but discards verdicts, `Off` sends nothing.
 ///
-/// What is **not** part of the contract: determinism (ask
-/// [`Engine::deterministic`]), cycle accounting, event capture, and which
-/// `ExecConfig` knobs beyond the common subset take effect — those are
-/// scheduler properties, documented per field.
+/// What is **not** part of the contract: determinism (only [`SimEngine`]
+/// has it), cycle accounting, event capture, and which `ExecConfig` knobs
+/// beyond the common subset take effect — those are scheduler properties,
+/// documented per field.
 pub trait Engine: Sync {
-    /// Which scheduler this is.
-    fn kind(&self) -> EngineKind;
-
-    /// Whether two runs with identical `(image, config)` produce
-    /// bitwise-identical [`RunResult`]s (outputs, outcome, counters, event
-    /// order). Golden caches and campaign planners require this.
-    fn deterministic(&self) -> bool;
-
-    /// Runs `image` under this scheduler with a fault-injection hook.
-    fn run_hooked(
-        &self,
-        image: &ProgramImage,
-        config: &ExecConfig,
-        hook: &dyn BranchHook,
-    ) -> RunResult;
-
     /// Runs `image` fault-free under this scheduler.
-    fn run(&self, image: &ProgramImage, config: &ExecConfig) -> RunResult {
-        self.run_hooked(image, config, &NoHook)
-    }
+    fn run(&self, image: &ProgramImage, config: &ExecConfig) -> RunResult;
 }
 
 /// The deterministic discrete-event scheduler (see [`crate::sim`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimEngine;
 
-impl Engine for SimEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Sim
-    }
-
-    fn deterministic(&self) -> bool {
-        true
-    }
-
-    fn run_hooked(
+impl SimEngine {
+    /// Runs `image` with a fault-injection hook, consulted at every
+    /// dynamic branch (init and fini run as thread 0); a returned
+    /// [`FaultAction`](crate::FaultAction) is applied *after* the
+    /// instrumentation witness is captured.
+    pub fn run_hooked(
         &self,
         image: &ProgramImage,
         config: &ExecConfig,
@@ -396,26 +366,19 @@ impl Engine for SimEngine {
     }
 }
 
+impl Engine for SimEngine {
+    fn run(&self, image: &ProgramImage, config: &ExecConfig) -> RunResult {
+        self.run_hooked(image, config, &NoHook)
+    }
+}
+
 /// The real-OS-threads scheduler (see [`crate::real`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RealEngine;
 
 impl Engine for RealEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Real
-    }
-
-    fn deterministic(&self) -> bool {
-        false
-    }
-
-    fn run_hooked(
-        &self,
-        image: &ProgramImage,
-        config: &ExecConfig,
-        hook: &dyn BranchHook,
-    ) -> RunResult {
-        let result = crate::real::run_real_engine(image, config, hook);
+    fn run(&self, image: &ProgramImage, config: &ExecConfig) -> RunResult {
+        let result = crate::real::run_real_engine(image, config);
         crate::live::record_run(&result);
         result
     }
@@ -438,14 +401,8 @@ mod tests {
     fn kind_round_trips_through_names() {
         for (kind, name) in [(EngineKind::Sim, "sim"), (EngineKind::Real, "real")] {
             assert_eq!(kind.name(), name);
-            assert_eq!(engine(kind).kind(), kind);
+            assert_eq!(kind.to_string(), name);
         }
-    }
-
-    #[test]
-    fn determinism_is_a_scheduler_property() {
-        assert!(engine(EngineKind::Sim).deterministic());
-        assert!(!engine(EngineKind::Real).deterministic());
     }
 
     #[test]

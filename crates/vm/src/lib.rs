@@ -14,14 +14,14 @@
 //! * **Real-threads engine** ([`RealEngine`]): one OS thread per SPMD
 //!   thread plus the asynchronous monitor thread of the paper, with the
 //!   lock-free queues actually crossing threads. Used to validate the
-//!   monitor machinery under true concurrency.
+//!   monitor machinery under true concurrency; it runs programs fault-free.
 //!
 //! Both are implementations of the [`Engine`] trait over one unified
 //! [`ExecConfig`]/[`RunResult`] pair — pick one at runtime with
-//! [`engine`]`(`[`EngineKind`]`)`; [`Engine::run`] and
-//! [`Engine::run_hooked`] are the only way to execute. Determinism is a
-//! property of the scheduler ([`Engine::deterministic`]), not of the shared
-//! core.
+//! [`engine`]`(`[`EngineKind`]`)` and call [`Engine::run`]. Faults are
+//! injected on the simulator alone: [`SimEngine::run_hooked`] consults a
+//! [`BranchHook`] at every dynamic branch, and [`SimPrefix`] forks hooked
+//! runs from a shared fault-free prefix.
 //!
 //! # Examples
 //!

@@ -32,7 +32,7 @@ use crate::image::ProgramImage;
 use crate::memory::AtomicMemory;
 use crate::span::{lane, Span};
 use crate::telemetry::VmTelemetry;
-use crate::thread::{BranchHook, CostClass, NoSink, Sink, ThreadState, Yield};
+use crate::thread::{CostClass, NoHook, NoSink, Sink, ThreadState, Yield};
 use crate::trap::TrapKind;
 
 /// How a blocking wait ended.
@@ -296,7 +296,6 @@ fn worker_loop(
     stop: &AtomicBool,
     deadline: Instant,
     config: &ExecConfig,
-    hook: &dyn BranchHook,
     mut sender: Option<EventSender>,
 ) -> WorkerExit {
     let Some(entry) = entry else {
@@ -327,7 +326,8 @@ fn worker_loop(
             trip_stop(stop, mutexes, barriers);
             break;
         };
-        match t.run(image, mem, config.nthreads, hook, budget.min(STOP_POLL_STEPS), &mut sender) {
+        let budget = budget.min(STOP_POLL_STEPS);
+        match t.run(image, mem, config.nthreads, &NoHook, budget, &mut sender) {
             Yield::Budget => {}
             Yield::Lock(m) => {
                 let wait_start = tracer.as_ref().map(|tr| tr.now());
@@ -403,7 +403,6 @@ fn run_serial_phase(
     mem: &AtomicMemory,
     func: bw_ir::FuncId,
     config: &ExecConfig,
-    hook: &dyn BranchHook,
     outputs: &mut Vec<Val>,
     total_steps: &mut u64,
 ) -> Result<(), RunOutcome> {
@@ -412,7 +411,7 @@ fn run_serial_phase(
         let Some(budget) = steps_before_hang(&t, config) else {
             break Err(RunOutcome::Hung);
         };
-        match t.run(image, mem, config.nthreads, hook, budget, &mut NoSink) {
+        match t.run(image, mem, config.nthreads, &NoHook, budget, &mut NoSink) {
             // Sync ops are no-ops single-threaded (a barrier with
             // nthreads participants in init would deadlock a real
             // program; our ports never do this).
@@ -430,11 +429,7 @@ fn run_serial_phase(
 
 /// The real engine's run loop; reached through
 /// [`RealEngine`](crate::engine::RealEngine).
-pub(crate) fn run_real_engine(
-    image: &ProgramImage,
-    config: &ExecConfig,
-    hook: &dyn BranchHook,
-) -> RunResult {
+pub(crate) fn run_real_engine(image: &ProgramImage, config: &ExecConfig) -> RunResult {
     let n = config.nthreads;
     let mem = AtomicMemory::new(&image.module);
     let mut outputs = Vec::new();
@@ -462,7 +457,7 @@ pub(crate) fn run_real_engine(
     // Phase 1: init, single-threaded.
     if let Some(init) = image.module.init {
         if let Err(outcome) =
-            run_serial_phase(image, &mem, init, config, hook, &mut outputs, &mut total_steps)
+            run_serial_phase(image, &mem, init, config, &mut outputs, &mut total_steps)
         {
             return ended(outcome, outputs, total_steps);
         }
@@ -505,7 +500,7 @@ pub(crate) fn run_real_engine(
                 scope.spawn(move || {
                     worker_loop(
                         tid as u32, entry, image, mem, mutexes, barriers, stop, deadline,
-                        config, hook, sender,
+                        config, sender,
                     )
                 })
             })
@@ -543,7 +538,7 @@ pub(crate) fn run_real_engine(
     if outcome == RunOutcome::Completed {
         if let Some(fini) = image.module.fini {
             if let Err(o) =
-                run_serial_phase(image, &mem, fini, config, hook, &mut outputs, &mut total_steps)
+                run_serial_phase(image, &mem, fini, config, &mut outputs, &mut total_steps)
             {
                 outcome = o;
             }
@@ -620,6 +615,40 @@ mod tests {
         );
         let result = RealEngine.run(&image, &ExecConfig::new(2));
         assert_eq!(result.outcome, RunOutcome::Crashed(TrapKind::OutOfBounds));
+    }
+
+    /// One thread traps while the others wait for it at a barrier: the
+    /// trap's stop flag must wake them, so the run ends `Crashed` at once
+    /// rather than when their watchdog expires. Thread 0 traps only after
+    /// the other three have checked in on their way to the barrier, so
+    /// they are already waiting there when the flag trips.
+    #[test]
+    fn one_trap_stops_the_threads_waiting_at_a_barrier() {
+        let image = image(
+            r#"
+            float grid[4];
+            int arrived = 0;
+            mutex m;
+            barrier b;
+            @spmd func f() {
+                if (threadid() == 0) {
+                    while (arrived < 3) { }
+                    grid[100] = 1.0;
+                } else {
+                    lock(m);
+                    arrived = arrived + 1;
+                    unlock(m);
+                }
+                barrier(b);
+            }
+            "#,
+        );
+        let watchdog = Duration::from_secs(10);
+        let config = ExecConfig::new(4).watchdog_ms(watchdog.as_millis() as u64);
+        let started = Instant::now();
+        let result = RealEngine.run(&image, &config);
+        assert_eq!(result.outcome, RunOutcome::Crashed(TrapKind::OutOfBounds));
+        assert!(started.elapsed() < watchdog / 2, "the waiters sat out their watchdog");
     }
 
     #[test]

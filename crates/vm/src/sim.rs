@@ -753,11 +753,11 @@ impl<'a> Sim<'a> {
 /// A fault-free run of the sim engine that can be stopped between two
 /// scheduler slots and *forked*: [`SimPrefix::resume`] continues a copy of
 /// it under a hook, to the same [`RunResult`] — bit for bit — that
-/// [`Engine::run_hooked`](crate::Engine::run_hooked) on [`SimEngine`]
-/// returns for that hook, provided the hook stays silent on every branch
-/// the prefix has already executed. A fault-injection campaign advances
-/// one prefix past many fault points instead of re-interpreting the
-/// program from step 0 for each.
+/// [`SimEngine::run_hooked`](crate::SimEngine::run_hooked) returns for
+/// that hook, provided the hook stays silent on every branch the prefix
+/// has already executed. A fault-injection campaign advances one prefix
+/// past many fault points instead of re-interpreting the program from
+/// step 0 for each.
 ///
 /// The prefix runs hook-free, with the monitor the configuration asks for:
 /// under [`MonitorMode::Enabled`] its inline monitor checks each event as
@@ -776,8 +776,6 @@ impl<'a> Sim<'a> {
 /// barrier phases, lock waits and holds and the next flow id carry over.
 /// Within one fork the sequence of `tspan` records is, field for field, the
 /// one `run_hooked` writes under the same scope.
-///
-/// [`SimEngine`]: crate::SimEngine
 pub struct SimPrefix<'a> {
     sim: Sim<'a>,
     init_branches: u64,

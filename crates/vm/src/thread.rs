@@ -44,10 +44,11 @@ pub enum FaultAction {
 /// Hook consulted at every dynamic branch — the integration point for the
 /// fault injector (profiling and injection runs).
 ///
-/// One hook serves every thread of a run, and on the real engine those are
-/// OS threads consulting it concurrently: hence `&self` and `Sync`.
-/// Stateful hooks use interior mutability (atomics).
-pub trait BranchHook: Sync {
+/// One hook serves every thread of a run. Only the simulator runs hooked
+/// ([`SimEngine::run_hooked`](crate::SimEngine::run_hooked)), and it
+/// interleaves its threads on one OS thread, so a stateful hook needs
+/// interior mutability (a `Cell`) but no synchronization.
+pub trait BranchHook {
     /// Called when `tid` is about to execute its `dyn_index`-th dynamic
     /// branch (1-based), which is static branch `branch`. Returning an
     /// action injects a fault.

@@ -9,7 +9,7 @@
 //! Run with: `cargo run -p blockwatch --example quickstart`
 
 use blockwatch::fault::{InjectionHook, InjectionPlan};
-use blockwatch::vm::{Engine, ExecConfig, SimEngine};
+use blockwatch::vm::{ExecConfig, SimEngine};
 use blockwatch::{Blockwatch, FaultModel};
 
 const FIGURE1: &str = r#"

@@ -170,7 +170,9 @@ leg_traced_vs_untraced() {
 # iteration cap, no `converged` flag and no `NoFixpoint` refusal. A
 # campaign runs every injection it plans (DESIGN §5.1): no early abort, no
 # golden-run copies on `CampaignResult` and no engine-generic
-# false-positive sweep.
+# false-positive sweep. Faults are injected on the simulator only (DESIGN
+# §5.1): no engine knob on a campaign, the fuzzer or the golden cache, no
+# hooked run on the `Engine` trait, and a hook that need not be `Sync`.
 leg_leftover_guard() {
   if grep -rnE 'ModuleAnalysis::run_parallel|fn run_parallel\(module|ValueGraph|\.divergence\(' \
       crates tests examples \
@@ -204,6 +206,11 @@ leg_leftover_guard() {
   if grep -rnE 'abort_after_sdc|abort_on_detection|\.aborted\b|golden_outputs_len|false_positive_runs_on' \
       crates tests examples; then
     echo "ci: campaign early abort or a deleted CampaignResult field is back" >&2; return 1
+  fi
+  if grep -rnE 'golden_on|BranchHook: Sync|fn deterministic\(|\.engine\(|config\.engine\b' \
+      crates tests examples \
+    || grep -n AtomicU64 crates/fault/src/injector.rs; then
+    echo "ci: fault injection chooses an engine again" >&2; return 1
   fi
 }
 
@@ -283,12 +290,14 @@ leg_exhibits() {
 }
 
 # The OS-thread scheduler must satisfy the same Engine contract as the
-# simulator on every SPLASH port (parity suite), and survive a fuzz smoke
-# with real-engine campaigns and the sim-vs-real oracle cross-check. The
-# window is small: these runs cost wall-clock time on real threads.
+# simulator on every SPLASH port and reach its verdicts on a program with a
+# failing check (parity suite), and agree with it on fuzzed programs (the
+# sim-vs-real oracle cross-check). Faults are injected on the simulator
+# only; fuzz-smoke runs the injection stage. The window is small: these
+# runs cost wall-clock time on real threads.
 leg_real_engine() {
   cargo test -q -p blockwatch --test engine_parity
-  bw fuzz --seeds 25 --inject 2 --engine real --real-cross-check
+  bw fuzz --seeds 25 --real-cross-check
 }
 
 if [ $# -eq 0 ]; then

@@ -109,6 +109,11 @@ fn unknown_flags_are_errors_not_ignored() {
         // Likewise the flag of the removed `/metrics` pull server: a campaign
         // asked to serve it must not run unwatched.
         (&["campaign", "splash:fft", "--metrics-addr", "127.0.0.1:0"], "--metrics-addr", "campaign"),
+        // Faults are injected on the simulator only: asking a campaign or
+        // the fuzzer's injection stage for OS threads must not run on the
+        // simulator in silence.
+        (&["campaign", "splash:fft", "--engine", "real"], "--engine", "campaign"),
+        (&["fuzz", "--engine", "real"], "--engine", "fuzz"),
         // A real flag, on a subcommand that does not take it.
         (&["analyze", "splash:fft", "--threads", "8"], "--threads", "analyze"),
         (&["gen", "--seeds", "3"], "--seeds", "gen"),
@@ -175,9 +180,11 @@ fn flags_the_usage_names(usage: &str) -> Vec<(String, String, bool)> {
 fn every_flag_the_usage_names_is_accepted_where_it_is_listed() {
     let usage = stdout(&bw(&["help"]));
     let mut named = flags_the_usage_names(&usage);
-    assert!(named.len() >= 40, "the usage parser lost the synopses: {named:?}");
+    assert!(named.len() >= 39, "the usage parser lost the synopses: {named:?}");
     assert!(named.contains(&("timeline".into(), "--chrome".into(), true)), "{named:?}");
     assert!(named.contains(&("fuzz".into(), "--real-cross-check".into(), false)), "{named:?}");
+    let engine: Vec<_> = named.iter().filter(|(_, flag, _)| flag == "--engine").collect();
+    assert_eq!(engine, [&("run".to_string(), "--engine".to_string(), true)], "{named:?}");
     for command in ["analyze", "run", "ir", "campaign"] {
         named.push((command.into(), "--size".into(), true));
     }

@@ -2,19 +2,18 @@
 //! agree on every schedule-independent observable for every SPLASH-2 port
 //! at every swept thread count.
 //!
-//! Schedule-independent means: the run outcome, the absence of monitor
-//! violations, and — for the ports whose outputs do not depend on lock
-//! acquisition order — the program outputs themselves (both engines emit
-//! outputs in thread-id order). Step counts, cycle attribution and event
-//! totals are schedule-*dependent* and deliberately not compared.
+//! Schedule-independent means: the run outcome, the monitor's verdicts
+//! (none on the ports; the same `(branch, kind)` pairs on a program given
+//! a check its branch cannot pass), no dropped events, and — for the ports
+//! whose outputs do not depend on lock acquisition order — the program
+//! outputs themselves (both engines emit outputs in thread-id order). Step
+//! counts, cycle attribution and event totals are schedule-*dependent* and
+//! deliberately not compared.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use blockwatch::ir::BranchId;
-use blockwatch::vm::{
-    engine, BranchHook, EngineKind, ExecConfig, FaultAction, ProgramImage, RunOutcome,
-};
-use blockwatch::{Benchmark, Size};
+use blockwatch::vm::{engine, EngineKind, ExecConfig, ProgramImage, RunOutcome, RunResult};
+use blockwatch::{Benchmark, Category, CheckKind, Size};
 
 const THREADS: [u32; 4] = [1, 2, 4, 8];
 
@@ -72,44 +71,55 @@ fn engines_agree_on_outputs_of_deterministic_ports() {
                 "{} at {n} threads: sim and real outputs diverge",
                 bench.name()
             );
+            assert_eq!(real.events_dropped, 0, "{} at {n} threads", bench.name());
         }
     }
 }
 
+/// A `threadID` branch (`threadid() == 0`, taken by thread 0 alone) given a
+/// `shared` check: every loop iteration is a direction split the monitor
+/// must flag. The real engine reaches the same verdicts as the simulator,
+/// with one monitor thread and with four shard workers.
 #[test]
-fn engine_metadata_reflects_the_scheduler() {
-    assert!(engine(EngineKind::Sim).deterministic());
-    assert!(!engine(EngineKind::Real).deterministic());
-    assert_eq!(engine(EngineKind::Sim).kind(), EngineKind::Sim);
-    assert_eq!(engine(EngineKind::Real).kind(), EngineKind::Real);
-}
+fn the_real_engine_reports_the_violations_the_simulator_does() {
+    let module = blockwatch::ir::frontend::compile(
+        r#"
+        shared int n = 6;
+        barrier b;
+        @spmd func f() {
+            for (var i: int = 0; i < n; i = i + 1) {
+                if (threadid() == 0) { output(i); }
+                barrier(b);
+            }
+        }
+        "#,
+    )
+    .expect("compiles");
+    let mut image = ProgramImage::prepare_default(module);
+    let mut plan = image.plan.clone();
+    let check = plan
+        .decisions
+        .iter_mut()
+        .filter_map(|d| d.as_mut().ok())
+        .find(|c| matches!(c.kind, CheckKind::ThreadIdPredicate(_)))
+        .expect("the threadid() == 0 branch has a threadID check");
+    check.kind = CheckKind::SharedUniform;
+    check.effective_category = Category::Shared;
+    image.replace_plan(plan);
 
-/// Records every hook consultation, per thread, without injecting.
-struct StreamHook(Mutex<Vec<Vec<(u64, u32)>>>);
-
-impl BranchHook for StreamHook {
-    fn on_branch(&self, tid: u32, dyn_index: u64, branch: BranchId) -> Option<FaultAction> {
-        self.0.lock().unwrap()[tid as usize].push((dyn_index, branch.0));
-        None
-    }
-}
-
-/// Both engines consult the one hook trait at every dynamic branch, so a
-/// thread's `(dyn_index, branch)` stream — init and fini included, as
-/// thread 0 — is the same whichever scheduler interleaves the threads.
-#[test]
-fn a_hook_sees_the_same_per_thread_branch_stream_on_both_engines() {
-    let n = 4;
-    for bench in DETERMINISTIC_OUTPUT_PORTS {
-        let image = image(bench);
-        let config = ExecConfig::new(n);
-        let [sim, real] = [EngineKind::Sim, EngineKind::Real].map(|kind| {
-            let hook = StreamHook(Mutex::new(vec![Vec::new(); n as usize]));
-            let result = engine(kind).run_hooked(&image, &config, &hook);
-            assert_eq!(result.outcome, RunOutcome::Completed, "{} on {kind}", bench.name());
-            hook.0.into_inner().unwrap()
-        });
-        assert!(sim.iter().all(|stream| !stream.is_empty()), "{}", bench.name());
-        assert_eq!(sim, real, "{}: hook streams diverge between engines", bench.name());
+    let verdicts = |result: &RunResult| {
+        let mut pairs: Vec<_> = result.violations.iter().map(|v| (v.branch, v.kind)).collect();
+        pairs.sort_unstable();
+        pairs
+    };
+    let config = ExecConfig::new(4);
+    let sim = engine(EngineKind::Sim).run(&image, &config);
+    assert!(sim.detected(), "the simulator misses the split");
+    for shards in [None, Some(4)] {
+        let real = engine(EngineKind::Real).run(&image, &config.clone().monitor_shards(shards));
+        assert_eq!(real.outcome, RunOutcome::Completed, "{shards:?} shards");
+        assert_eq!(real.events_dropped, 0, "{shards:?} shards");
+        assert!(real.detected(), "the real engine misses the split at {shards:?} shards");
+        assert_eq!(verdicts(&real), verdicts(&sim), "{shards:?} shards");
     }
 }

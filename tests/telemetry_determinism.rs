@@ -312,7 +312,7 @@ impl Capture {
 fn traced_campaign_spans_equal_plan_by_plan_full_replays() {
     use blockwatch::fault::{plan_campaign, CampaignConfig, InjectionHook};
     use blockwatch::telemetry::{TraceScope, Value};
-    use blockwatch::vm::{Engine, SimEngine};
+    use blockwatch::vm::SimEngine;
 
     let _guard = trace_sink_lock();
     for (bench, size, model, injections) in [
