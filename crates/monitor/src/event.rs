@@ -123,7 +123,8 @@ mod tests {
     #[test]
     fn event_is_small() {
         // The hot path copies events by value into the ring buffer; keep
-        // them compact (the paper uses fixed-size records too).
-        assert!(std::mem::size_of::<BranchEvent>() <= 40);
+        // them compact (the paper uses fixed-size records too). Exactly 40
+        // bytes (DESIGN §4.3), so a layout change has to be made here.
+        assert_eq!(std::mem::size_of::<BranchEvent>(), 40);
     }
 }

@@ -199,10 +199,10 @@ impl ShardedMonitorThread {
     }
 }
 
-/// One shard's drain loop: batch-pop each producer queue round-robin until
-/// stopped and empty, then a final sweep and flush. Feeds the live
-/// registry (`live.monitor.shard.<i>.*`) once per sweep so the sampler
-/// sees queue depth and throughput mid-run.
+/// One shard's drain loop: sweep the producer queues until stopped and
+/// empty, then a final sweep and flush. Feeds the live registry
+/// (`live.monitor.shard.<i>.*`) once per sweep so the sampler sees queue
+/// depth and throughput mid-run.
 fn shard_worker(
     checks: CheckTable,
     nthreads: usize,
@@ -221,36 +221,18 @@ fn shard_worker(
     // (one drain sweep that moved events), wall-clock, observability
     // only. Resolved once per worker; `None` costs nothing per sweep.
     let tracer = bw_telemetry::trace_sink();
+    let stamp = || tracer.as_ref().map(|sink| (sink, bw_telemetry::wall_now_us()));
     let track = format!("shard{shard}");
     let mut idle_since: Option<u64> = None;
     loop {
-        let sweep_start = tracer.as_ref().map(|_| bw_telemetry::wall_now_us());
-        let mut drained_any = false;
-        let mut depth = 0usize;
-        let mut processed = 0u64;
-        for q in queues {
-            let qlen = q.len();
-            depth += qlen;
-            queue_high_water = queue_high_water.max(qlen);
-            loop {
-                let n = q.pop_batch(&mut batch, DRAIN_BATCH);
-                if n == 0 {
-                    break;
-                }
-                drained_any = true;
-                processed += n as u64;
-                for event in batch.drain(..) {
-                    monitor.process(event);
-                }
-            }
-        }
+        let traced = stamp();
+        let (processed, depth) = sweep(queues, &mut batch, &mut monitor, &mut queue_high_water);
         if processed > 0 {
             live_events.add(processed);
         }
         live_depth.set(depth as u64);
-        if let Some(sink) = tracer.as_ref() {
-            let start = sweep_start.expect("sweep start stamped when tracing");
-            if drained_any {
+        if let Some((sink, start)) = traced {
+            if processed > 0 {
                 // Close the preceding idle gap, then the drain sweep.
                 if let Some(idle) = idle_since.take() {
                     bw_telemetry::record_span(
@@ -278,7 +260,7 @@ fn shard_worker(
                 idle_since = Some(start);
             }
         }
-        if !drained_any {
+        if processed == 0 {
             if stop.load(Ordering::Acquire) {
                 break;
             }
@@ -286,29 +268,15 @@ fn shard_worker(
         }
     }
     // Producers are done: one final sweep, then flush.
-    let final_start = tracer.as_ref().map(|_| bw_telemetry::wall_now_us());
-    let mut tail = 0u64;
-    for q in queues {
-        queue_high_water = queue_high_water.max(q.len());
-        loop {
-            let n = q.pop_batch(&mut batch, DRAIN_BATCH);
-            if n == 0 {
-                break;
-            }
-            tail += n as u64;
-            for event in batch.drain(..) {
-                monitor.process(event);
-            }
-        }
-    }
+    let traced = stamp();
+    let (tail, _) = sweep(queues, &mut batch, &mut monitor, &mut queue_high_water);
     if tail > 0 {
         live_events.add(tail);
     }
     live_depth.set(0);
     monitor.telemetry_mut().queue_high_water = queue_high_water as u64;
     monitor.flush();
-    if let Some(sink) = tracer.as_ref() {
-        let start = final_start.expect("final sweep stamped when tracing");
+    if let Some((sink, start)) = traced {
         bw_telemetry::record_span(
             sink.as_ref(),
             TimeDomain::WallUs,
@@ -321,6 +289,35 @@ fn shard_worker(
         );
     }
     monitor
+}
+
+/// One sweep over a shard's queues: each is popped dry in batches of up to
+/// [`DRAIN_BATCH`] events, every batch going to
+/// [`Monitor::process_batch`]. Returns the events moved and the queues'
+/// summed occupancy as the sweep found them; `high_water` keeps the
+/// longest queue seen.
+fn sweep(
+    queues: &[Consumer<BranchEvent>],
+    batch: &mut Vec<BranchEvent>,
+    monitor: &mut Monitor,
+    high_water: &mut usize,
+) -> (u64, usize) {
+    let (mut moved, mut depth) = (0u64, 0usize);
+    for q in queues {
+        let len = q.len();
+        depth += len;
+        *high_water = (*high_water).max(len);
+        loop {
+            let n = q.pop_batch(batch, DRAIN_BATCH);
+            if n == 0 {
+                break;
+            }
+            moved += n as u64;
+            monitor.process_batch(batch);
+            batch.clear();
+        }
+    }
+    (moved, depth)
 }
 
 #[cfg(test)]

@@ -91,6 +91,22 @@ pub(crate) fn mix_key(branch: u32, site: u64, iter: u64) -> u64 {
     fold(keys ^ u64::from(branch), 0x1656_67b1_9e37_79f9)
 }
 
+/// Starts loading the cache line holding `value` into every cache level.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn prefetch_read<T>(value: &T) {
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    // SAFETY: a prefetch never faults and writes nothing, whatever address
+    // it is given (here a live reference), and SSE, which provides it, is
+    // part of the x86_64 baseline.
+    unsafe { _mm_prefetch::<_MM_HINT_T0>((value as *const T).cast::<i8>()) }
+}
+
+/// Other targets get no prefetch: the probe takes its miss as it comes.
+#[cfg(not(target_arch = "x86_64"))]
+#[inline]
+fn prefetch_read<T>(_value: &T) {}
+
 /// Open-addressing index from a key's hash to the row that holds the key
 /// in some dense arena. A slot is zero when empty, else the upper half of
 /// the hash above `row + 1`; the stored half also gives the slot's home
@@ -145,6 +161,18 @@ impl KeyIndex {
                 return Ok(pos);
             }
             pos = (pos + 1) & mask;
+        }
+    }
+
+    /// Asks the cache for the home slot of `hash`, where a
+    /// [`KeyIndex::probe`] for it starts. Only a hint: a slot a growth or a
+    /// removal has moved since costs a wasted load, never a wrong answer.
+    #[inline]
+    pub(crate) fn prefetch(&self, hash: u64) {
+        let mask = self.slots.len().wrapping_sub(1);
+        // An empty index has no slot: `get` yields `None` for it.
+        if let Some(slot) = self.slots.get((hash >> 32) as usize & mask) {
+            prefetch_read(slot);
         }
     }
 
@@ -413,6 +441,13 @@ impl BranchTable {
         self.free_row = row;
         self.copy_reports(head, full);
         Recorded::Completed(Chain { iter, head, len })
+    }
+
+    /// Prefetches the index slot where [`BranchTable::record`] will start
+    /// looking for the key `(branch, site, iter)`.
+    #[inline]
+    pub(crate) fn prefetch(&self, branch: u32, site: u64, iter: u64) {
+        self.index.prefetch(mix_key(branch, site, iter));
     }
 
     fn copy_reports(&self, head: u32, out: &mut Vec<Report>) {

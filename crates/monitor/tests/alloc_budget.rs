@@ -195,19 +195,41 @@ fn a_real_stream_stays_within_its_bytes_budget() {
 /// nothing at all.
 #[test]
 fn steady_state_allocates_nothing() {
+    steady_state(|monitor, events| {
+        for &event in events {
+            monitor.process(event);
+        }
+    });
+}
+
+/// The same through `Monitor::process_batch`, in the threaded drain's
+/// batches of 256: the lookahead allocates nothing either.
+#[test]
+fn steady_state_allocates_nothing_in_batches() {
+    steady_state(|monitor, events| {
+        for batch in events.chunks(256) {
+            monitor.process_batch(batch);
+        }
+    });
+}
+
+/// Feeds rounds of complete instances at 500 sites through `feed`: the
+/// warm-up allocates, the rounds after it and a flush with nothing
+/// pending do not. Each round's events are built before counting starts.
+fn steady_state(feed: impl Fn(&mut Monitor, &[BranchEvent])) {
     let checks = CheckTable::from_kinds(vec![Some(CheckKind::SharedUniform)]);
     let mut monitor = Monitor::new(checks, 4);
     let rounds = |monitor: &mut Monitor, iters: std::ops::Range<u64>| {
-        allocations(|| {
-            for iter in iters {
-                for site in 0..500u64 {
-                    for thread in 0..4 {
-                        let witness = iter;
-                        monitor.process(BranchEvent { branch: 0, thread, site, iter, witness, taken: true });
-                    }
+        let mut events = Vec::new();
+        for iter in iters {
+            for site in 0..500u64 {
+                for thread in 0..4 {
+                    let witness = iter;
+                    events.push(BranchEvent { branch: 0, thread, site, iter, witness, taken: true });
                 }
             }
-        })
+        }
+        allocations(|| feed(monitor, &events))
     };
     // 64 reports a site: each history (capacity 16) has compacted once.
     let warm_up = rounds(&mut monitor, 0..16);

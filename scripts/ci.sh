@@ -173,6 +173,9 @@ leg_traced_vs_untraced() {
 # false-positive sweep. Faults are injected on the simulator only (DESIGN
 # §5.1): no engine knob on a campaign, the fuzzer or the golden cache, no
 # hooked run on the `Engine` trait, and a hook that need not be `Sync`.
+# And `unsafe` code in `crates/*/src` stays where it is listed: the SPSC
+# ring (`spsc.rs`) and the instance-index prefetch (`table.rs`, DESIGN
+# §4.3).
 leg_leftover_guard() {
   if grep -rnE 'ModuleAnalysis::run_parallel|fn run_parallel\(module|ValueGraph|\.divergence\(' \
       crates tests examples \
@@ -211,6 +214,10 @@ leg_leftover_guard() {
       crates tests examples \
     || grep -n AtomicU64 crates/fault/src/injector.rs; then
     echo "ci: fault injection chooses an engine again" >&2; return 1
+  fi
+  if grep -rnE '\bunsafe +(\{|fn|impl|trait|extern)' crates/*/src \
+    | grep -vE '^crates/monitor/src/spsc\.rs:|^crates/monitor/src/table\.rs:[0-9]+: +unsafe \{ _mm_prefetch::'; then
+    echo "ci: \`unsafe\` outside the SPSC ring and the index prefetch" >&2; return 1
   fi
 }
 
