@@ -120,7 +120,7 @@ impl CheckTable {
 /// that a slot arrives before its probe, near enough that it is still in
 /// cache then (EXPERIMENTS, "Monitor ingest with prefetch", sweeps 4, 8
 /// and 16).
-const PREFETCH_DISTANCE: usize = 8;
+pub(crate) const PREFETCH_DISTANCE: usize = 8;
 
 /// The passive monitor object. A clone is the same monitor: fed the same
 /// events from then on, it reaches the same verdicts, reports and telemetry.
@@ -194,10 +194,17 @@ impl Monitor {
     pub fn process_batch(&mut self, events: &[BranchEvent]) {
         for (i, &event) in events.iter().enumerate() {
             if let Some(ahead) = events.get(i + PREFETCH_DISTANCE) {
-                self.table.prefetch(ahead.branch, ahead.site, ahead.iter);
+                self.prefetch(ahead);
             }
             self.process(event);
         }
+    }
+
+    /// Prefetches the instance-index slot `event` will probe; a hint that
+    /// decides nothing.
+    #[inline]
+    pub(crate) fn prefetch(&self, event: &BranchEvent) {
+        self.table.prefetch(event.branch, event.site, event.iter);
     }
 
     /// Files a chain that left the instance table into its site's history

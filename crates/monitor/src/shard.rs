@@ -25,7 +25,7 @@ use std::sync::Arc;
 use bw_telemetry::{TimeDomain, Value};
 
 use crate::event::{hash_words, BranchEvent};
-use crate::monitor::{CheckTable, Monitor};
+use crate::monitor::{CheckTable, Monitor, PREFETCH_DISTANCE};
 use crate::spsc::Consumer;
 use crate::topology::MonitorVerdict;
 
@@ -88,6 +88,32 @@ impl ShardedMonitor {
         self.monitors[shard].process(event);
     }
 
+    /// Routes `batch` in order, exactly as one [`ShardedMonitor::process`]
+    /// call per event would. What it adds is the lookahead of
+    /// [`Monitor::process_batch`]: before event *i* it prefetches, in the
+    /// shard owning event *i* + 8, the instance-index slot that event will
+    /// probe. Each event carries a tag of the caller's, handed back to
+    /// `flagged` with every event that completed a violation, right after
+    /// that event was processed.
+    pub fn process_batch<T: Copy>(
+        &mut self,
+        batch: &[(BranchEvent, T)],
+        mut flagged: impl FnMut(BranchEvent, T),
+    ) {
+        let shards = self.monitors.len();
+        for (i, &(event, tag)) in batch.iter().enumerate() {
+            if let Some((ahead, _)) = batch.get(i + PREFETCH_DISTANCE) {
+                self.monitors[shard_of(ahead.site, ahead.branch, shards)].prefetch(ahead);
+            }
+            let monitor = &mut self.monitors[shard_of(event.site, event.branch, shards)];
+            let before = monitor.violations().len();
+            monitor.process(event);
+            if monitor.violations().len() > before {
+                flagged(event, tag);
+            }
+        }
+    }
+
     /// Flushes every shard's partially-reported instances; returns the
     /// total number of violations found so far across all shards.
     pub fn flush(&mut self) -> usize {
@@ -97,14 +123,6 @@ impl ShardedMonitor {
     /// Whether any shard has detected a violation.
     pub fn detected(&self) -> bool {
         self.monitors.iter().any(|m| m.detected())
-    }
-
-    /// Violations detected so far across all shards. Cheap (sums one
-    /// length per shard); the sim engine's tracer polls it around each
-    /// `process` call to attribute a verdict to the event that
-    /// triggered it.
-    pub fn violations_found(&self) -> usize {
-        self.monitors.iter().map(|m| m.violations().len()).sum()
     }
 
     /// Total events processed across all shards.
@@ -410,6 +428,45 @@ mod tests {
                 "{shards} shards: reports must be byte-identical"
             );
             assert_eq!(sharded.events_processed, flat.events_processed);
+        }
+    }
+
+    /// A batch ends where the same events one at a time end, at any shard
+    /// count and batch size, and `flagged` gets the tag of exactly the
+    /// events after which a violation was found.
+    #[test]
+    fn a_batch_is_its_events_one_at_a_time() {
+        let events = mixed_stream(4);
+        let found = |m: &ShardedMonitor| m.monitors.iter().map(|m| m.violations().len()).sum();
+        let tagged: Vec<(BranchEvent, usize)> = events.iter().copied().zip(0..).collect();
+        for shards in [1usize, 3, 4] {
+            let mut single = ShardedMonitor::new(checks(), 4, shards);
+            let mut raised = Vec::new();
+            for (i, &event) in events.iter().enumerate() {
+                let before: usize = found(&single);
+                single.process(event);
+                if found(&single) > before {
+                    raised.push(i);
+                }
+            }
+            assert_eq!(raised.len(), 8, "the eager violations");
+            single.flush();
+            let single = single.into_verdict();
+            for size in [1, 7, 256, events.len()] {
+                let mut batched = ShardedMonitor::new(checks(), 4, shards);
+                let mut flagged = Vec::new();
+                for chunk in tagged.chunks(size) {
+                    batched.process_batch(chunk, |_, i| flagged.push(i));
+                }
+                let what = format!("{shards} shards, batches of {size}");
+                assert_eq!(flagged, raised, "{what}");
+                batched.flush();
+                let batched = batched.into_verdict();
+                assert_eq!(batched.violations, single.violations, "{what}");
+                assert_eq!(batched.violation_reports, single.violation_reports, "{what}");
+                assert_eq!(batched.events_processed, single.events_processed, "{what}");
+                assert_eq!(batched.telemetry, single.telemetry, "{what}");
+            }
         }
     }
 

@@ -268,6 +268,10 @@ fn steps_before_hang(t: &ThreadState, config: &ExecConfig) -> Option<u64> {
 impl Sink for Option<EventSender> {
     fn charge(&mut self, _: CostClass) {}
 
+    fn wants_events(&self) -> bool {
+        self.is_some()
+    }
+
     fn event(&mut self, event: BranchEvent) {
         if let Some(sender) = self {
             sender.send(event);

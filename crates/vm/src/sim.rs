@@ -195,23 +195,6 @@ impl SimTracer {
     }
 }
 
-/// Hands `event`, sent at `clock`, to the inline monitor; under a tracer a
-/// violation it completes leaves its verdict arrow there.
-#[inline]
-fn monitor_event(
-    monitor: &mut ShardedMonitor,
-    tracer: Option<&mut SimTracer>,
-    event: BranchEvent,
-    clock: u64,
-) {
-    let Some(tracer) = tracer else { return monitor.process(event) };
-    let before = monitor.violations_found();
-    monitor.process(event);
-    if monitor.violations_found() > before {
-        tracer.verdict(event, clock);
-    }
-}
-
 /// The sim engine's run loop; reached through
 /// [`SimEngine`](crate::engine::SimEngine).
 pub(crate) fn run_sim_engine(
@@ -223,18 +206,6 @@ pub(crate) fn run_sim_engine(
     sim.tracer = SimTracer::installed(image, config);
     sim.init(hook);
     sim.run(hook)
-}
-
-/// The inline monitor `config` asks for. It partitions its pending tables
-/// across the configured shard count exactly as the real engine's shard
-/// workers do, so `--monitor-shards` is observable (and verifiably
-/// verdict-neutral) on the deterministic engine too.
-fn inline_monitor(image: &ProgramImage, config: &ExecConfig) -> ShardedMonitor {
-    ShardedMonitor::new(
-        CheckTable::from_plan(&image.plan),
-        config.nthreads as usize,
-        config.monitor_shards.unwrap_or(1),
-    )
 }
 
 /// What each instruction class and each monitor event costs one thread, in
@@ -305,13 +276,70 @@ struct Ledger {
     branch_events: Vec<BranchEvent>,
 }
 
+/// How many events the inline monitor is handed at once.
+const EVENT_BATCH: usize = 256;
+
+/// The inline monitor and the events sent to it that it has not processed
+/// yet, each with its sender's clock. Holding them back lets
+/// [`ShardedMonitor::process_batch`] look ahead of its probes; it changes
+/// no verdict, since the monitor takes every event in the order sent. The
+/// batch is drained when it is full, at the end of each stretch of a
+/// traced run (before the scheduler writes the stretch's spans, so that a
+/// verdict arrow keeps its place among them) and in `Sim::finish` before
+/// the flush, however the run ended.
+#[derive(Clone)]
+struct InlineMonitor {
+    monitor: ShardedMonitor,
+    /// The first `held` entries are the pending events.
+    pending: [(BranchEvent, u64); EVENT_BATCH],
+    held: usize,
+}
+
+impl InlineMonitor {
+    /// The inline monitor `config` asks for. It partitions its pending
+    /// tables across the configured shard count exactly as the real
+    /// engine's shard workers do, so `--monitor-shards` is observable (and
+    /// verifiably verdict-neutral) on the deterministic engine too.
+    fn new(image: &ProgramImage, config: &ExecConfig) -> Self {
+        let monitor = ShardedMonitor::new(
+            CheckTable::from_plan(&image.plan),
+            config.nthreads as usize,
+            config.monitor_shards.unwrap_or(1),
+        );
+        let unused =
+            BranchEvent { branch: 0, thread: 0, site: 0, iter: 0, witness: 0, taken: false };
+        InlineMonitor { monitor, pending: [(unused, 0); EVENT_BATCH], held: 0 }
+    }
+
+    fn send(&mut self, event: BranchEvent, clock: u64, tracer: Option<&mut SimTracer>) {
+        self.pending[self.held] = (event, clock);
+        self.held += 1;
+        if self.held == EVENT_BATCH {
+            self.drain(tracer);
+        }
+    }
+
+    /// Processes the pending events; under a tracer a violation one of
+    /// them completes leaves its verdict arrow at that event's clock.
+    fn drain(&mut self, tracer: Option<&mut SimTracer>) {
+        let pending = &self.pending[..self.held];
+        match tracer {
+            Some(tracer) => {
+                self.monitor.process_batch(pending, |event, clock| tracer.verdict(event, clock))
+            }
+            None => self.monitor.process_batch(pending, |_, _| {}),
+        }
+        self.held = 0;
+    }
+}
+
 /// Where a monitor event goes once the sending thread has paid for it.
 #[derive(Clone)]
 enum EventSink {
     /// Nowhere: the monitor is off, or `SendOnly` drops what it sends.
     Discard,
-    /// Into the inline monitor.
-    Monitor(ShardedMonitor),
+    /// Into the inline monitor (boxed: it holds a whole batch).
+    Monitor(Box<InlineMonitor>),
 }
 
 /// One thread's slot as the stepper sees it: its clock, its costs, the
@@ -332,6 +360,11 @@ impl Sink for SlotSink<'_> {
         self.ledger.cycles.add(class, cycles);
     }
 
+    #[inline]
+    fn wants_events(&self) -> bool {
+        self.ledger.capture || self.ledger.mode != MonitorMode::Off
+    }
+
     fn event(&mut self, event: BranchEvent) {
         let ledger = &mut *self.ledger;
         if ledger.capture {
@@ -344,7 +377,7 @@ impl Sink for SlotSink<'_> {
         ledger.cycles.cycles_events += self.costs.event;
         ledger.events_sent += 1;
         if let EventSink::Monitor(monitor) = self.events {
-            monitor_event(monitor, self.tracer.as_deref_mut(), event, self.clock);
+            monitor.send(event, self.clock, self.tracer.as_deref_mut());
         }
     }
 }
@@ -358,6 +391,8 @@ struct MutexState {
 #[derive(Clone)]
 struct BarrierState {
     arrivals: Vec<(u32, u64)>, // (tid, arrival clock)
+    /// The latest arrival clock so far (0 with no arrivals).
+    last_arrival: u64,
 }
 
 /// Everything a run has computed so far, as of a scheduler-slot boundary:
@@ -381,8 +416,11 @@ struct State {
     heap: BinaryHeap<Reverse<(u64, u32)>>,
     /// How the parallel section ended and its simulated cycles, once it has
     /// (or once `@init` failed, which skips it).
-    end: Option<(RunOutcome, u64)>,
+    end: Option<End>,
 }
+
+/// How the parallel section ended, and its simulated cycles.
+type End = (RunOutcome, u64);
 
 /// Steps still allowed before the run counts as hung; `Err` once the next
 /// step would be one too many (that step is counted, as the attempt that
@@ -440,13 +478,15 @@ impl<'a> Sim<'a> {
                     .map(|_| MutexState { owner: None, waiters: Vec::new() })
                     .collect(),
                 barriers: (0..image.module.num_barriers)
-                    .map(|_| BarrierState { arrivals: Vec::new() })
+                    .map(|_| BarrierState { arrivals: Vec::new(), last_arrival: 0 })
                     .collect(),
                 heap: BinaryHeap::new(),
                 end: None,
             },
             events: match config.monitor {
-                MonitorMode::Enabled => EventSink::Monitor(inline_monitor(image, config)),
+                MonitorMode::Enabled => {
+                    EventSink::Monitor(Box::new(InlineMonitor::new(image, config)))
+                }
                 _ => EventSink::Discard,
             },
             tracer: None,
@@ -503,9 +543,19 @@ impl<'a> Sim<'a> {
     }
 
     /// Phase 2, one step of it: pops the runnable thread with the smallest
-    /// clock and runs it for one scheduler slot. Returns `false` once the
-    /// parallel section is over (`state.end` says how).
-    fn slot(&mut self, hook: &dyn BranchHook) -> bool {
+    /// clock and runs it for one scheduler slot. Returns how the parallel
+    /// section ended once it has; the end is kept in `state.end`, so every
+    /// later call returns it again without running anything.
+    fn slot(&mut self, hook: &dyn BranchHook) -> Option<End> {
+        if self.state.end.is_none() {
+            self.state.end = self.run_slot(hook);
+        }
+        self.state.end
+    }
+
+    /// [`Sim::slot`] on a parallel section still under way: `Some` if this
+    /// slot ends it.
+    fn run_slot(&mut self, hook: &dyn BranchHook) -> Option<End> {
         let config = self.config;
         let n = config.nthreads;
         let State {
@@ -519,14 +569,10 @@ impl<'a> Sim<'a> {
             mutexes,
             barriers,
             heap,
-            end,
             ..
         } = &mut self.state;
-        if end.is_some() {
-            return false;
-        }
         let Some(Reverse((clock, tid))) = heap.pop() else {
-            *end = Some(if threads.iter().any(|t| t.finished.is_none()) {
+            return Some(if threads.iter().any(|t| t.finished.is_none()) {
                 // Heap empty with unfinished threads: deadlock (e.g. a barrier
                 // missing an arrival after a fault diverted control flow).
                 (RunOutcome::Hung, max_clock(clocks))
@@ -536,11 +582,10 @@ impl<'a> Sim<'a> {
                 }
                 (RunOutcome::Completed, max_clock(finish_clock))
             });
-            return false;
         };
         let t = tid as usize;
         if threads[t].finished.is_some() || blocked[t] {
-            return true; // stale heap entry
+            return None; // stale heap entry
         }
         let costs = &self.costs[t];
         let mut clock = clock.max(clocks[t]);
@@ -554,8 +599,7 @@ impl<'a> Sim<'a> {
                 Ok(allowed) => allowed.min(slot),
                 Err(hung) => {
                     clocks[t] = clock;
-                    *end = Some((hung, max_clock(clocks)));
-                    return false;
+                    return Some((hung, max_clock(clocks)));
                 }
             };
             let before = threads[t].steps;
@@ -568,6 +612,11 @@ impl<'a> Sim<'a> {
             };
             let yielded = threads[t].run(self.image, mem, n, hook, allowed, &mut sink);
             clock = sink.clock;
+            if let (Some(tracer), EventSink::Monitor(monitor)) =
+                (self.tracer.as_mut(), &mut self.events)
+            {
+                monitor.drain(Some(tracer));
+            }
             let used = threads[t].steps - before;
             *total_steps += used;
             slot -= used;
@@ -602,9 +651,7 @@ impl<'a> Sim<'a> {
                         // Control flow corrupted into an unlock the
                         // thread does not own: crash, like glibc would.
                         clocks[t] = clock;
-                        *end =
-                            Some((RunOutcome::Crashed(TrapKind::BadUnlock), max_clock(clocks)));
-                        return false;
+                        return Some((RunOutcome::Crashed(TrapKind::BadUnlock), max_clock(clocks)));
                     }
                     ms.owner = None;
                     if let Some(tr) = self.tracer.as_mut() {
@@ -625,19 +672,14 @@ impl<'a> Sim<'a> {
                 Yield::Barrier(b) => {
                     let bs = &mut barriers[b.index()];
                     bs.arrivals.push((tid, clock));
+                    bs.last_arrival = bs.last_arrival.max(clock);
                     // Barriers are sized to the full thread count, like
                     // the pthread barriers in SPLASH-2: if a fault makes
                     // a thread exit early, the remaining threads
                     // deadlock here and the run is classified as hung.
                     if bs.arrivals.len() == n as usize {
                         // Release everyone at the max arrival clock.
-                        let release = bs
-                            .arrivals
-                            .iter()
-                            .map(|&(_, c)| c)
-                            .max()
-                            .expect("nonempty arrivals")
-                            + MACHINE.barrier_latency(n);
+                        let release = bs.last_arrival + MACHINE.barrier_latency(n);
                         ledger.cycles.cycles_sync += MACHINE.barrier_latency(n);
                         for &(other, _) in &bs.arrivals {
                             let ot = other as usize;
@@ -651,6 +693,7 @@ impl<'a> Sim<'a> {
                             tr.barrier_release(&bs.arrivals, release, threads);
                         }
                         bs.arrivals.clear();
+                        bs.last_arrival = 0;
                         clock = release;
                     } else {
                         blocked[t] = true;
@@ -665,8 +708,7 @@ impl<'a> Sim<'a> {
                 }
                 Yield::Trap(k) => {
                     clocks[t] = clock;
-                    *end = Some((RunOutcome::Crashed(k), max_clock(clocks)));
-                    return false;
+                    return Some((RunOutcome::Crashed(k), max_clock(clocks)));
                 }
             }
         }
@@ -675,13 +717,16 @@ impl<'a> Sim<'a> {
         if requeue {
             heap.push(Reverse((clock, tid)));
         }
-        true
+        None
     }
 
     /// The rest of the run from wherever it stands.
     fn run(mut self, hook: &dyn BranchHook) -> RunResult {
-        while self.slot(hook) {}
-        self.finish(hook)
+        loop {
+            if let Some(end) = self.slot(hook) {
+                return self.finish(end, hook);
+            }
+        }
     }
 
     /// The rest of a [`SimPrefix`]'s run under `hook`, its held spans
@@ -693,10 +738,10 @@ impl<'a> Sim<'a> {
         result
     }
 
-    /// Phase 3: `@fini` if the program survived, then the result.
-    fn finish(mut self, hook: &dyn BranchHook) -> RunResult {
-        let (mut outcome, parallel_cycles) =
-            self.state.end.expect("the parallel section has ended");
+    /// Phase 3, once the parallel section has ended as `end`: `@fini` if
+    /// the program survived, then the result.
+    fn finish(mut self, end: End, hook: &dyn BranchHook) -> RunResult {
+        let (mut outcome, parallel_cycles) = end;
         let branches_per_thread: Vec<u64> =
             self.state.threads.iter().map(|t| t.dyn_branches).collect();
         let steps_per_thread: Vec<u64> = self.state.threads.iter().map(|t| t.steps).collect();
@@ -715,10 +760,13 @@ impl<'a> Sim<'a> {
         let State { ledger, outputs, total_steps, .. } = self.state;
         let Ledger { events_sent, cycles, branch_events, .. } = ledger;
         let verdict = match self.events {
-            EventSink::Monitor(mut m) => {
-                // The end-of-run flush only happens if the program survived:
-                // a crash or hang kills the real monitor thread along with
-                // the process, so only eagerly detected violations count.
+            EventSink::Monitor(mut inline) => {
+                // Every event sent is checked, however the run ended. The
+                // end-of-run flush only happens if the program survived: a
+                // crash or hang kills the real monitor thread along with the
+                // process, so only eagerly detected violations count.
+                inline.drain(self.tracer.as_mut());
+                let mut m = inline.monitor;
                 if outcome == RunOutcome::Completed {
                     m.flush();
                 }
@@ -827,7 +875,7 @@ impl<'a> SimPrefix<'a> {
                     return Some(tid);
                 }
             }
-            if !self.sim.slot(&NoHook) {
+            if self.sim.slot(&NoHook).is_some() {
                 return None;
             }
         }
@@ -857,6 +905,35 @@ mod tests {
 
     fn compile(src: &str) -> ProgramImage {
         ProgramImage::prepare_default(bw_ir::frontend::compile(src).expect("compile"))
+    }
+
+    /// The slot sink asks for events when the monitor is on or the run
+    /// captures them; otherwise the stepper builds none.
+    #[test]
+    fn the_slot_sink_wants_events_the_run_uses() {
+        let costs = ThreadCosts::new(0, &ExecConfig::new(1), 0);
+        for (mode, capture, wanted) in [
+            (MonitorMode::Off, false, false),
+            (MonitorMode::Off, true, true),
+            (MonitorMode::SendOnly, false, true),
+            (MonitorMode::Enabled, false, true),
+        ] {
+            let mut ledger = Ledger {
+                mode,
+                capture,
+                events_sent: 0,
+                cycles: VmTelemetry::default(),
+                branch_events: Vec::new(),
+            };
+            let sink = SlotSink {
+                clock: 0,
+                costs: &costs,
+                ledger: &mut ledger,
+                events: &mut EventSink::Discard,
+                tracer: None,
+            };
+            assert_eq!(sink.wants_events(), wanted, "{mode:?}, capture {capture}");
+        }
     }
 
     #[test]

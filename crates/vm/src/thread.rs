@@ -92,6 +92,10 @@ pub(crate) trait Sink {
     /// One instruction of class `class` completed. Zero-cost instructions
     /// (constants, `threadid`, phi steps) are not reported.
     fn charge(&mut self, class: CostClass);
+    /// Whether the sink takes monitor events at all. When it does not, the
+    /// stepper builds none: it hashes no witness and no instance key, and
+    /// never calls [`Sink::event`].
+    fn wants_events(&self) -> bool;
     /// An instrumented branch executed; called after the branch's own
     /// [`Sink::charge`].
     fn event(&mut self, event: BranchEvent);
@@ -103,6 +107,9 @@ pub(crate) struct NoSink;
 
 impl Sink for NoSink {
     fn charge(&mut self, _: CostClass) {}
+    fn wants_events(&self) -> bool {
+        false
+    }
     fn event(&mut self, _: BranchEvent) {}
 }
 
@@ -459,7 +466,9 @@ impl ThreadState {
                         // the branch therefore sends the clean witness but takes
                         // the corrupted direction — which is exactly what makes it
                         // detectable as a within-group direction mismatch.
-                        let witness = runtime.witnesses.as_ref().map(|witnesses| {
+                        let witnesses =
+                            runtime.witnesses.as_ref().filter(|_| sink.wants_events());
+                        let witness = witnesses.map(|witnesses| {
                             let mut wh = KeyHasher::new();
                             for &w in witnesses {
                                 wh.write(regs[w.index()].bits());
@@ -717,6 +726,62 @@ fn recompute_outcome(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::SimMemory;
+
+    /// A sink that counts events if it wants them and panics on one if it
+    /// does not.
+    struct Events {
+        wanted: bool,
+        seen: u64,
+    }
+
+    impl Sink for Events {
+        fn charge(&mut self, _: CostClass) {}
+        fn wants_events(&self) -> bool {
+            self.wanted
+        }
+        fn event(&mut self, _: BranchEvent) {
+            assert!(self.wanted, "an event sent to a sink that wants none");
+            self.seen += 1;
+        }
+    }
+
+    /// Runs thread 1 of a program with instrumented branches to its end;
+    /// returns the sink and the thread's dynamic branches.
+    fn run_to_end(wanted: bool) -> (Events, u64) {
+        let image = ProgramImage::prepare_default(
+            bw_ir::frontend::compile(
+                r#"
+                shared int n = 40;
+                int data[64];
+                @spmd func f() {
+                    var t: int = threadid();
+                    for (var i: int = 0; i < n; i = i + 1) {
+                        if (i % 3 == 0) { data[t] = data[t] + i; }
+                    }
+                    if (t == 1) { output(data[t]); }
+                }
+                "#,
+            )
+            .expect("compiles"),
+        );
+        let entry = image.module.spmd_entry.expect("an spmd entry");
+        let mem = SimMemory::new(&image.module);
+        let mut thread = ThreadState::new(1, entry, &image, 7);
+        let mut sink = Events { wanted, seen: 0 };
+        let yielded = thread.run(&image, &mem, 4, &NoHook, 1 << 20, &mut sink);
+        assert_eq!(yielded, Yield::Done);
+        (sink, thread.dyn_branches)
+    }
+
+    #[test]
+    fn a_sink_that_wants_no_events_is_sent_none() {
+        let (wanting, branches) = run_to_end(true);
+        assert!(wanting.seen > 40, "{} events", wanting.seen);
+        let (refusing, same) = run_to_end(false);
+        assert_eq!(refusing.seen, 0);
+        assert_eq!(same, branches, "the branches are taken all the same");
+    }
 
     #[test]
     fn splitmix_is_deterministic_and_bounded() {

@@ -412,6 +412,70 @@ fn two_targets_share_a_fork_point() {
     assert!(at(4) >= at(0) && at(4) - at(0) <= 16 * 64, "{} {}", at(0), at(4));
 }
 
+/// The inline monitor is handed its events in batches, so a prefix
+/// usually stops with events sent but not yet checked; a fork must take
+/// them along, unchecked, and check them as the full run does. Here the
+/// whole run sends fewer events than a batch holds: an untraced run drains
+/// its batch only when it is full and when the run ends, so at every fork
+/// below, each event the prefix has sent is still held back. Every flip is
+/// detected, so the violation of each is completed by a fork's monitor, in
+/// instances the held-back events may have opened. Traced, a run drains at
+/// the end of each stretch; its forks must still write the spans of the
+/// full replay.
+///
+/// Mutation check: a fork whose monitor starts without the prefix's
+/// held-back events (their count reset in `SimPrefix::resume`'s copy)
+/// fails the untraced cells here.
+#[test]
+fn forks_carry_the_events_held_back_for_the_monitor() {
+    let lock = sink_lock();
+    let image = ProgramImage::prepare_default(
+        bw_ir::frontend::compile(
+            r#"
+            shared int n = 8;
+            int data[64];
+            barrier b;
+            @spmd func f() {
+                var t: int = threadid();
+                for (var i: int = 0; i < n; i = i + 1) {
+                    if (i % 3 == 0) { data[t * 8 + i] = i; }
+                }
+                barrier(b);
+                for (var j: int = 0; j < n; j = j + 1) {
+                    if (data[j] > 4) { output(j); }
+                }
+            }
+            "#,
+        )
+        .expect("compiles"),
+    );
+    for traced in [false, true] {
+        let trace = traced.then(|| Traced::install(&lock));
+        for quantum in [1, 3, 64] {
+            for shards in [1, 4] {
+                let base = ExecConfig::new(4)
+                    .quantum(quantum)
+                    .monitor_shards(Some(shards))
+                    .capture_events(true);
+                let what = format!("held back, q{quantum} s{shards} traced={traced}");
+                let golden = SimEngine.run(&image, &base);
+                assert_eq!(golden.outcome, RunOutcome::Completed, "{what}");
+                assert!(golden.events_sent < 256, "{what}: {} events", golden.events_sent);
+                let last = golden.branches_per_thread[3];
+                let plans = [flip(1, 2), flip(0, 9), flip(2, last / 2), flip(3, last - 1)];
+                let config = faulty(&base, &golden);
+                for plan in plans {
+                    let full = SimEngine.run_hooked(&image, &config, &InjectionHook::new(plan));
+                    assert!(full.detected(), "{what}: {plan:?}");
+                }
+                let walked = walk(&image, &config, &plans, trace.as_ref(), &what);
+                assert_eq!(walked.forked, plans.len(), "{what}");
+                assert!(walked.outcomes.contains_key("Completed"), "{what}");
+            }
+        }
+    }
+}
+
 /// `max_steps` between the fork and the end of the faulty run cuts the run
 /// in its tail; `max_steps` short of the fork cuts the prefix itself, and
 /// the fork is then the cut run.

@@ -175,7 +175,9 @@ leg_traced_vs_untraced() {
 # hooked run on the `Engine` trait, and a hook that need not be `Sync`.
 # And `unsafe` code in `crates/*/src` stays where it is listed: the SPSC
 # ring (`spsc.rs`) and the instance-index prefetch (`table.rs`, DESIGN
-# §4.3).
+# §4.3). The simulator hands its inline monitor batches (DESIGN §4.3,
+# "Ingest"): `sim.rs` never calls the per-event `process(`, which would
+# jump an event ahead of the ones held back before it.
 leg_leftover_guard() {
   if grep -rnE 'ModuleAnalysis::run_parallel|fn run_parallel\(module|ValueGraph|\.divergence\(' \
       crates tests examples \
@@ -218,6 +220,9 @@ leg_leftover_guard() {
   if grep -rnE '\bunsafe +(\{|fn|impl|trait|extern)' crates/*/src \
     | grep -vE '^crates/monitor/src/spsc\.rs:|^crates/monitor/src/table\.rs:[0-9]+: +unsafe \{ _mm_prefetch::'; then
     echo "ci: \`unsafe\` outside the SPSC ring and the index prefetch" >&2; return 1
+  fi
+  if grep -nE '(\.|::)process\(' crates/vm/src/sim.rs; then
+    echo "ci: the simulator calls the monitor per event outside its batch drain" >&2; return 1
   fi
 }
 
