@@ -85,9 +85,10 @@ const FLAGS: &[Flag] = &[
     flag(
         "--monitor-shards",
         Some("S"),
-        EXECUTING,
+        &["run"],
         "split the monitor ingest across S workers, each owning a disjoint (site, branch) slice; \
-         verdicts are byte-identical at any S — a throughput knob (`events_per_s` in bwbench)",
+         verdicts are byte-identical at any S. Throughput on the real engine, whose shards are \
+         threads; the simulator runs them inline",
     ),
     flag("--require-coverage", None, &["fuzz"], "fail unless every check kind was exercised"),
     flag("--progress", None, &["campaign"], "live injections/s and ETA on stderr"),
@@ -368,16 +369,8 @@ fn cmd_fuzz(args: &Args) -> Result<(), String> {
     let injections = args.count("--inject", 0)?;
     let gen = gen_config(args)?;
     let real_cross_check = args.has("--real-cross-check");
-    let shards = args.positive("--monitor-shards")?;
-    let config = blockwatch::gen::FuzzConfig {
-        seeds,
-        start_seed,
-        threads,
-        gen,
-        injections,
-        real_cross_check,
-        monitor_shards: shards,
-    };
+    let config =
+        blockwatch::gen::FuzzConfig { seeds, start_seed, threads, gen, injections, real_cross_check };
     let tracing = Tracing::start(args)?;
     let report = match &tracing.recorder {
         Some(recorder) => blockwatch::gen::run_fuzz_recorded(&config, recorder.as_ref()),
@@ -497,7 +490,6 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
     )?;
 
     let workers = args.count("--workers", 0)?;
-    let shards = args.positive("--monitor-shards")?;
     let show_progress = args.has("--progress");
     let mut tracing = Tracing::start(args)?;
     let recorder = tracing.recorder.clone();
@@ -523,8 +515,7 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
         let mut runner = bw
             .campaign_runner(injections, model, n)
             .workers(workers)
-            .monitor(monitor)
-            .monitor_shards(shards);
+            .monitor(monitor);
         let callback = progress(label);
         if show_progress {
             runner = runner.on_progress(callback);

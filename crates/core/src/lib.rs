@@ -70,8 +70,8 @@ pub use bw_vm as vm;
 
 pub use bw_analysis::{AnalysisConfig, Category, CategoryHistogram, CheckKind, CheckPlan};
 pub use bw_fault::{
-    BatchResult, CampaignBatch, CampaignConfig, CampaignError, CampaignProgress, CampaignResult,
-    FaultModel, FaultOutcome, OutcomeCounts, WorkerStats,
+    CampaignConfig, CampaignError, CampaignProgress, CampaignResult, FaultModel, FaultOutcome,
+    OutcomeCounts, WorkerStats,
 };
 pub use bw_splash::{Benchmark, Size};
 pub use bw_telemetry::{

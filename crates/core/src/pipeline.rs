@@ -224,14 +224,6 @@ impl<'a> CampaignRunner<'a> {
         self
     }
 
-    /// Shards the monitor ingest of both the golden and the faulty runs
-    /// across `shards` workers (`None` = one monitor). Verdicts are
-    /// shard-independent, so this is purely a throughput knob.
-    pub fn monitor_shards(mut self, shards: Option<usize>) -> Self {
-        self.config.sim.monitor_shards = shards;
-        self
-    }
-
     /// Replaces the simulation configuration wholesale.
     pub fn sim(mut self, sim: ExecConfig) -> Self {
         self.config = self.config.sim(sim);

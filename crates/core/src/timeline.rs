@@ -118,9 +118,7 @@ impl<'a> TimelineReport<'a> {
                 dom.unit()
             ));
             if !left_out.is_empty() {
-                // A batch numbers the injections of each of its images alike.
-                let mut injections: Vec<_> =
-                    left_out.iter().map(|e| (e.arg_u64("image"), e.arg_u64("inj"))).collect();
+                let mut injections: Vec<_> = left_out.iter().map(|e| e.arg_u64("inj")).collect();
                 injections.sort_unstable();
                 injections.dedup();
                 out.push_str(&format!(

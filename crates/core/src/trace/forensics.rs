@@ -32,9 +32,9 @@ struct CategoryStats {
 /// report is byte-identical across runs at any worker count.
 #[derive(Clone, Debug, Default)]
 pub struct ForensicsReport<'a> {
-    /// Injection records, sorted by (image, index).
+    /// Injection records, sorted by index.
     pub injections: Vec<TraceInjection<'a>>,
-    /// Violation records, sorted by (image, index, site, branch, iter).
+    /// Violation records, sorted by (index, site, branch, iter).
     pub violations: Vec<TraceViolation<'a>>,
 }
 
@@ -48,15 +48,10 @@ impl<'a> TraceView<'a> for ForensicsReport<'a> {
     }
 
     fn finish(&mut self) {
-        self.injections.sort_by_key(|i| (i.image.unwrap_or(0), i.index));
+        self.injections.sort_by_key(|i| i.index);
         self.violations.sort_by(|a, b| {
-            (a.image.unwrap_or(0), a.index, a.site, a.branch, a.iter, &a.kind).cmp(&(
-                b.image.unwrap_or(0),
-                b.index,
-                b.site,
-                b.branch,
-                b.iter,
-                &b.kind,
+            (a.index, a.site, a.branch, a.iter, &a.kind).cmp(&(
+                b.index, b.site, b.branch, b.iter, &b.kind,
             ))
         });
     }
@@ -65,9 +60,23 @@ impl<'a> TraceView<'a> for ForensicsReport<'a> {
 impl<'a> ForensicsReport<'a> {
     /// Parses a JSONL trace, keeping the `injection` and `violation`
     /// records. Blank lines are skipped; a malformed line fails the whole
-    /// parse with its line number.
+    /// parse with its line number, and so does a trace of more than one
+    /// campaign, whose evidence the report would merge.
     pub fn parse(text: &'a str) -> Result<ForensicsReport<'a>, String> {
-        super::read(text)
+        let report: ForensicsReport<'a> = super::read(text)?;
+        match report.campaigns() {
+            0 | 1 => Ok(report),
+            n => Err(format!(
+                "the trace holds {n} campaigns (their injection indices repeat); \
+                 `bw report` reads the trace of one"
+            )),
+        }
+    }
+
+    /// How many campaigns the injections come from: each campaign numbers
+    /// its injections from 0, so an index seen `n` times means `n`.
+    fn campaigns(&self) -> usize {
+        self.injections.chunk_by(|a, b| a.index == b.index).map(<[_]>::len).max().unwrap_or(0)
     }
 
     /// Whether the trace carries any detection evidence at all.

@@ -66,7 +66,10 @@ fn the_summary_carries_the_series_the_series_view_reads() {
 
 /// Every record kind twice, every numeric field of each `u64::MAX` (the
 /// `latency` and `branch` strings too): a hostile trace the writers never
-/// produce but the readers must survive. Each view's sums saturate.
+/// produce but the readers must survive. Each view's sums saturate. The
+/// second injection is numbered 0, as the same campaign's next one (a
+/// repeated index is a second campaign), and both carry the `image` field
+/// older writers put on them, which the readers skip.
 fn saturated_trace() -> String {
     const M: u64 = u64::MAX;
     let lines = [
@@ -94,7 +97,8 @@ fn saturated_trace() -> String {
             r#"{{"ev":"worker","worker":{M},"injections":{M},"wall_us":{M},"busy_us":{M},"steps_run":{M},"steps_skipped":{M}}}"#
         ),
     ];
-    lines.iter().chain(&lines).map(|l| format!("{l}\n")).collect()
+    let again = lines.iter().map(|l| l.replace(&format!(r#""index":{M},"#), r#""index":0,"#));
+    lines.iter().cloned().chain(again).map(|l| format!("{l}\n")).collect()
 }
 
 #[test]

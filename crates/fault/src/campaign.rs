@@ -392,8 +392,6 @@ impl WorkerStats {
 /// the trace views read it back (its strings borrowed from the trace text).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceInjection<'a> {
-    /// Batch image index, in a batch.
-    pub image: Option<u64>,
     /// Injection index within its campaign.
     pub index: u64,
     /// The pool worker that ran it.
@@ -416,16 +414,17 @@ impl<'a> TraceInjection<'a> {
     /// Writes the record; a fault that hit no branch has `branch` `"-"`.
     pub fn record_to(self, recorder: &dyn Recorder) {
         let branch = self.branch.map_or(Cow::Borrowed("-"), |b| Cow::Owned(b.to_string()));
-        let fields = [
-            ("index", Value::U64(self.index)),
-            ("worker", Value::U64(self.worker)),
-            ("outcome", Value::Str(self.outcome)),
-            ("branch", Value::Str(branch)),
-            ("category", Value::Str(self.category)),
-            ("dur_us", Value::U64(self.dur_us)),
-        ];
-        let image = self.image.map(|i| ("image", Value::U64(i)));
-        recorder.record(Self::EV, &image.into_iter().chain(fields).collect::<Vec<_>>());
+        recorder.record(
+            Self::EV,
+            &[
+                ("index", Value::U64(self.index)),
+                ("worker", Value::U64(self.worker)),
+                ("outcome", Value::Str(self.outcome)),
+                ("branch", Value::Str(branch)),
+                ("category", Value::Str(self.category)),
+                ("dur_us", Value::U64(self.dur_us)),
+            ],
+        );
     }
 
     /// Decodes an `injection` record.
@@ -433,7 +432,6 @@ impl<'a> TraceInjection<'a> {
         let mut inj = TraceInjection::default();
         for (name, value) in rec.fields {
             match &*name {
-                "image" => inj.image = Some(Record::u64(rec.line, &name, &value)?),
                 "index" => inj.index = Record::u64(rec.line, &name, &value)?,
                 "worker" => inj.worker = Record::u64(rec.line, &name, &value)?,
                 "dur_us" => inj.dur_us = Record::u64(rec.line, &name, &value)?,
@@ -665,9 +663,9 @@ fn campaign_telemetry(
 /// Live-registry handles campaign workers bump once per injection. These
 /// are process-cumulative (`live.campaign.*` keeps growing across the
 /// protected and baseline campaigns of one `bw campaign` invocation, and
-/// across fuzz batches), which is what turns them into rates under the
-/// sampler. They feed the trace's `sample` records only — never the
-/// campaign's own result snapshot.
+/// across the campaigns of a fuzz session), which is what turns them into
+/// rates under the sampler. They feed the trace's `sample` records only —
+/// never the campaign's own result snapshot.
 struct CampaignLive {
     planned: std::sync::Arc<bw_telemetry::Counter>,
     completed: std::sync::Arc<bw_telemetry::Counter>,
@@ -716,10 +714,7 @@ const WINDOW: usize = 32;
 
 /// One campaign as the worker pool sees it: what to run, the counter its
 /// windows are claimed from, and where the records go.
-pub(crate) struct CampaignJob<'a> {
-    /// Position in a [`crate::batch::CampaignBatch`], tagged onto the
-    /// job's trace records; `None` for a campaign run on its own.
-    item: Option<usize>,
+struct CampaignJob<'a> {
     image: &'a ProgramImage,
     faulty: ExecConfig,
     golden: &'a RunResult,
@@ -735,8 +730,7 @@ pub(crate) struct CampaignJob<'a> {
 
 impl<'a> CampaignJob<'a> {
     /// Validates `golden` against `config` and plans the injections.
-    pub(crate) fn new(
-        item: Option<usize>,
+    fn new(
         image: &'a ProgramImage,
         config: &'a CampaignConfig,
         golden: &'a RunResult,
@@ -744,7 +738,6 @@ impl<'a> CampaignJob<'a> {
     ) -> Result<Self, CampaignError> {
         let (faulty, plans) = validate_and_plan(config, golden)?;
         Ok(CampaignJob {
-            item,
             image,
             faulty,
             golden,
@@ -759,7 +752,7 @@ impl<'a> CampaignJob<'a> {
     }
 
     /// Injections planned.
-    pub(crate) fn planned(&self) -> usize {
+    fn planned(&self) -> usize {
         self.plans.len()
     }
 
@@ -782,9 +775,7 @@ impl<'a> CampaignJob<'a> {
         if outcome == FaultOutcome::Detected {
             worker.live.detected.inc();
         }
-        let image = self.item.map(|item| item as u64);
         let traced = TraceInjection {
-            image,
             index: index as u64,
             worker: worker.stats.worker as u64,
             outcome: Cow::Borrowed(outcome.name()),
@@ -794,7 +785,7 @@ impl<'a> CampaignJob<'a> {
         };
         traced.record_to(worker.recorder);
         if let Some(report) = record.report.as_deref() {
-            TraceViolation::new(report, image, index as u64).record_to(worker.recorder);
+            TraceViolation::new(report, index as u64).record_to(worker.recorder);
         }
         self.collected.lock().unwrap().push((index, record));
         let done = self.completed.fetch_add(1, Ordering::Relaxed) + 1;
@@ -810,10 +801,10 @@ impl<'a> CampaignJob<'a> {
     }
 
     /// Stage 3: merges the records in injection-index order and assembles
-    /// the result. `nworkers` is the pool's width (the `campaign.workers`
-    /// gauge).
-    pub(crate) fn reduce(self, nworkers: usize, worker_stats: Vec<WorkerStats>) -> CampaignResult {
+    /// the result; the pool's width is the `campaign.workers` gauge.
+    fn reduce(self, worker_stats: Vec<WorkerStats>) -> CampaignResult {
         let (records, counts) = reduce_campaign(self.collected.into_inner().unwrap());
+        let nworkers = worker_stats.len();
         let telemetry =
             campaign_telemetry(&records, &counts, self.golden, nworkers, &self.inj_hist);
         CampaignResult { records, counts, worker_stats, telemetry }
@@ -845,8 +836,7 @@ struct Worker<'a> {
 ///
 /// Span tracing (`--trace-spans`): every record an injection's run emits
 /// (sim-engine spans run inline on this thread; a fork writes its prefix's
-/// there too) is scoped with `inj`/`wid` — and `image` in a batch, whose
-/// jobs number their injections alike — and the worker lane `w<wid>` gets
+/// there too) is scoped with `inj`/`wid`, and the worker lane `w<wid>` gets
 /// one span per injection, back to back like the `dur_us` they mirror.
 fn execute_window(job: &CampaignJob<'_>, window: std::ops::Range<usize>, worker: &mut Worker<'_>) {
     let trace = bw_telemetry::trace_sink();
@@ -858,9 +848,7 @@ fn execute_window(job: &CampaignJob<'_>, window: std::ops::Range<usize>, worker:
                       run: &mut dyn FnMut() -> (InjectionRecord, u64)| {
         let wid = worker.stats.worker;
         let _scope = trace.as_ref().map(|_| {
-            let image = job.item.map(|item| ("image", Value::from(item)));
-            let fields = [("inj", Value::from(index)), ("wid", Value::from(wid))];
-            TraceScope::enter(&image.into_iter().chain(fields).collect::<Vec<_>>())
+            TraceScope::enter(&[("inj", Value::from(index)), ("wid", Value::from(wid))])
         });
         let (record, steps) = run();
         let run_us = bw_telemetry::wall_now_us().saturating_sub(started);
@@ -931,17 +919,13 @@ fn execute_window(job: &CampaignJob<'_>, window: std::ops::Range<usize>, worker:
     worker.stats.steps_skipped += inherited.saturating_sub(ran);
 }
 
-/// Stage 2: runs every job's plans on one pool of `workers` threads
-/// (`0` = available parallelism, and never more than there are plans).
-/// Workers take the jobs in order and claim whole windows of a job's plan
-/// indices ([`CampaignJob::claim`]); `recorder` receives one `injection`
-/// record per experiment.
-pub(crate) fn run_pool(
-    jobs: &[CampaignJob<'_>],
-    workers: usize,
-    recorder: &dyn Recorder,
-) -> Vec<WorkerStats> {
-    let planned: usize = jobs.iter().map(CampaignJob::planned).sum();
+/// Stage 2: runs `job`'s plans on one pool of `workers` threads (`0` =
+/// available parallelism, and never more than there are plans). Workers
+/// claim whole windows of plan indices ([`CampaignJob::claim`]) until none
+/// is left; `recorder` receives one `injection` record per experiment. One
+/// worker runs on the calling thread: no thread is spawned.
+fn run_pool(job: &CampaignJob<'_>, workers: usize, recorder: &dyn Recorder) -> Vec<WorkerStats> {
+    let planned = job.planned();
     let requested = if workers == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
@@ -952,27 +936,12 @@ pub(crate) fn run_pool(
     // shorter ones: a fork saves half a run, an idle worker a whole one.
     let window = WINDOW.min(planned.div_ceil(nworkers)).max(1);
     let live = &CampaignLive::resolve(planned);
-    // The first job that may still have unclaimed windows; workers advance
-    // it (compare-exchange, so exactly one advance per exhausted job).
-    let cursor = AtomicUsize::new(0);
     let worker = |wid: usize| -> WorkerStats {
         let started = Instant::now();
         let mut worker =
             Worker { stats: WorkerStats { worker: wid, ..WorkerStats::default() }, live, recorder };
-        loop {
-            let current = cursor.load(Ordering::Relaxed);
-            let Some(job) = jobs.get(current) else { break };
-            match job.claim(window) {
-                Some(window) => execute_window(job, window, &mut worker),
-                None => {
-                    let _ = cursor.compare_exchange(
-                        current,
-                        current + 1,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    );
-                }
-            }
+        while let Some(window) = job.claim(window) {
+            execute_window(job, window, &mut worker);
         }
         worker.stats.wall_us = started.elapsed().as_micros() as u64;
         worker.stats
@@ -1057,13 +1026,13 @@ pub fn run_campaign_with_golden_recorded(
 ) -> Result<CampaignResult, CampaignError> {
     let span = Span::enter(recorder, "campaign.plan");
     let stage_start = bw_telemetry::wall_now_us();
-    let job = CampaignJob::new(None, image, config, golden, progress)?;
+    let job = CampaignJob::new(image, config, golden, progress)?;
     trace_stage("campaign.plan", stage_start, &[("injections", Value::from(job.planned()))]);
     span.finish(&[("injections", Value::from(job.planned()))]);
 
     let span = Span::enter(recorder, "campaign.execute");
     let stage_start = bw_telemetry::wall_now_us();
-    let worker_stats = run_pool(std::slice::from_ref(&job), config.workers, recorder);
+    let worker_stats = run_pool(&job, config.workers, recorder);
     trace_stage(
         "campaign.execute",
         stage_start,
@@ -1073,7 +1042,7 @@ pub fn run_campaign_with_golden_recorded(
 
     let span = Span::enter(recorder, "campaign.reduce");
     let stage_start = bw_telemetry::wall_now_us();
-    let result = job.reduce(worker_stats.len(), worker_stats);
+    let result = job.reduce(worker_stats);
     trace_stage("campaign.reduce", stage_start, &[("records", Value::from(result.records.len()))]);
     span.finish(&[("records", Value::from(result.records.len()))]);
 
@@ -1121,7 +1090,7 @@ mod tests {
     proptest::proptest! {
         #[test]
         fn worker_and_injection_records_round_trip(
-            n in proptest::collection::vec(proptest::any::<u64>(), 7),
+            n in proptest::collection::vec(proptest::any::<u64>(), 6),
             outcome in 0usize..6,
             category in "[ -~é]{0,8}",
         ) {
@@ -1142,7 +1111,6 @@ mod tests {
                 FaultOutcome::Sdc,
             ];
             let injection = TraceInjection {
-                image: n[6].is_multiple_of(2).then_some(n[6]),
                 index: n[1],
                 worker: n[0],
                 outcome: outcomes[outcome].name().into(),
@@ -1175,7 +1143,6 @@ mod tests {
         };
         stats.record_to(&buf.recorder());
         let injection = TraceInjection {
-            image: None,
             index: 4,
             worker: 1,
             outcome: "detected".into(),
@@ -1184,7 +1151,7 @@ mod tests {
             dur_us: 10,
         };
         injection.clone().record_to(&buf.recorder());
-        TraceInjection { image: Some(3), branch: None, ..injection }.record_to(&buf.recorder());
+        TraceInjection { branch: None, ..injection }.record_to(&buf.recorder());
         assert_eq!(
             buf.bodies(),
             [
@@ -1197,7 +1164,7 @@ mod tests {
                     r#""category":"shared","dur_us":10}"#
                 ),
                 concat!(
-                    r#""ev":"injection","image":3,"index":4,"worker":1,"outcome":"detected","#,
+                    r#""ev":"injection","index":4,"worker":1,"outcome":"detected","#,
                     r#""branch":"-","category":"shared","dur_us":10}"#
                 ),
             ]

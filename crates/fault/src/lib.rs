@@ -44,11 +44,9 @@
 
 #![warn(missing_docs)]
 
-mod batch;
 mod campaign;
 mod injector;
 
-pub use batch::{BatchResult, CampaignBatch};
 pub use campaign::{
     classify, false_positive_runs, plan_campaign, run_campaign,
     run_campaign_with_golden_recorded, CampaignConfig, CampaignError, CampaignProgress,

@@ -7,13 +7,12 @@
 //! nothing but the seed.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 use bw_analysis::AnalysisConfig;
-use bw_fault::{CampaignBatch, CampaignConfig, FaultModel, OutcomeCounts};
+use bw_fault::{run_campaign_with_golden_recorded, CampaignConfig, FaultModel, OutcomeCounts};
 use bw_ir::{parse_module, Module, ModulePrinter};
 use bw_telemetry::{Recorder, Value, NULL_RECORDER};
-use bw_vm::{ExecConfig, ProgramImage};
+use bw_vm::{Engine, ExecConfig, ProgramImage, SimEngine};
 
 use crate::generate::{generate_module, GenConfig};
 use crate::oracle::{check_image_cross, OracleStats, DEFAULT_THREADS};
@@ -36,10 +35,6 @@ pub struct FuzzConfig {
     /// Cross-check every fault-free oracle run against the real-threads
     /// engine (see [`crate::check_image_cross`]).
     pub real_cross_check: bool,
-    /// Monitor shard count for the injection-stage campaigns (`None` = one
-    /// monitor). The fault-free oracle stage always sweeps shard counts
-    /// regardless (the shard-neutrality invariant).
-    pub monitor_shards: Option<usize>,
 }
 
 impl Default for FuzzConfig {
@@ -51,7 +46,6 @@ impl Default for FuzzConfig {
             gen: GenConfig::default(),
             injections: 0,
             real_cross_check: false,
-            monitor_shards: None,
         }
     }
 }
@@ -200,19 +194,14 @@ pub fn check_module_cross(
         .map_err(|f| CheckFailure { class: f.class(), message: f.to_string() })
 }
 
-/// How many oracle-passing seeds one [`CampaignBatch`] covers: large
-/// enough that the shared worker pool amortizes across images, small
-/// enough that failures surface before the session ends.
-const INJECT_CHUNK: usize = 64;
-
 /// Runs a fuzzing session.
 pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
     run_fuzz_recorded(config, &NULL_RECORDER)
 }
 
 /// [`run_fuzz`] with a structured-event [`Recorder`] receiving one
-/// `fuzz.seed` event per seed (seed, status, failure class) plus the
-/// injection batches' stage spans and per-injection trace — the format
+/// `fuzz.seed` event per seed (seed, status, failure class) plus each
+/// injection campaign's stage spans and per-injection trace — the format
 /// `bw stats` reads back. The report itself stays a pure function of the
 /// configuration; only the trace carries wall-clock data.
 pub fn run_fuzz_recorded(config: &FuzzConfig, recorder: &dyn Recorder) -> FuzzReport {
@@ -227,8 +216,6 @@ pub fn run_fuzz_recorded(config: &FuzzConfig, recorder: &dyn Recorder) -> FuzzRe
     // sure they are sized for the largest swept thread count.
     let mut gen = config.gen;
     gen.max_threads = gen.max_threads.max(config.threads.iter().copied().max().unwrap_or(1));
-    // Oracle-passing seeds waiting for the batched injection stage.
-    let mut pending: Vec<(u64, Arc<ProgramImage>)> = Vec::new();
     for seed in config.start_seed..config.start_seed.saturating_add(config.seeds) {
         let module = generate_module(seed, &gen);
         report.seeds_run += 1;
@@ -241,10 +228,10 @@ pub fn run_fuzz_recorded(config: &FuzzConfig, recorder: &dyn Recorder) -> FuzzRe
                 );
                 report.stats.absorb(stats);
                 if config.injections > 0 {
-                    let image = ProgramImage::prepare(module.clone(), AnalysisConfig::default());
-                    pending.push((seed, Arc::new(image)));
-                    if pending.len() >= INJECT_CHUNK {
-                        inject_batch(&mut pending, config, &mut report, recorder);
+                    let image = ProgramImage::prepare(module, AnalysisConfig::default());
+                    match inject(seed, &image, config, recorder) {
+                        Ok(counts) => merge_counts(&mut report.injection_counts, &counts),
+                        Err(failure) => report.failures.push(failure),
                     }
                 }
             }
@@ -278,53 +265,36 @@ pub fn run_fuzz_recorded(config: &FuzzConfig, recorder: &dyn Recorder) -> FuzzRe
             }
         }
     }
-    inject_batch(&mut pending, config, &mut report, recorder);
-    // Oracle failures are pushed per seed but campaign failures only when
-    // their chunk flushes; restore the documented seed order.
-    report.failures.sort_by_key(|f| f.seed);
     recorder.flush();
     report
 }
 
-/// Runs one [`CampaignBatch`] over the pending oracle-passing seeds. Each
-/// image gets exactly the per-seed campaign configuration the sequential
-/// stage used, so the deterministic per-seed outcomes (and therefore the
-/// aggregate counts) are independent of the chunking. The oracle has
-/// already proven each fault-free program completes cleanly at every
-/// swept thread count, so campaign setup errors are themselves
-/// oracle-grade failures.
-fn inject_batch(
-    pending: &mut Vec<(u64, Arc<ProgramImage>)>,
+/// Runs seed `seed`'s campaign on its oracle-passing `image`: one golden
+/// run, then `config.injections` branch flips, all on the calling thread
+/// (one worker spawns none). The oracle has already proven the fault-free
+/// program completes cleanly at every swept thread count, so a campaign
+/// that refuses it is itself an oracle-grade failure.
+fn inject(
+    seed: u64,
+    image: &ProgramImage,
     config: &FuzzConfig,
-    report: &mut FuzzReport,
     recorder: &dyn Recorder,
-) {
-    if pending.is_empty() {
-        return;
-    }
+) -> Result<OutcomeCounts, FuzzFailure> {
     let nthreads = config.threads.iter().copied().max().unwrap_or(4);
-    let mut batch = CampaignBatch::new();
-    for (seed, image) in pending.iter() {
-        let sim = ExecConfig::new(nthreads)
-            .seed(*seed)
-            .max_steps(2_000_000)
-            .monitor_shards(config.monitor_shards);
-        let cc = CampaignConfig::new(config.injections, FaultModel::BranchFlip, nthreads)
-            .seed(*seed)
-            .sim(sim);
-        batch.push(Arc::clone(image), cc);
-    }
-    let outcome = batch.run_recorded(recorder);
-    for ((seed, image), result) in pending.drain(..).zip(outcome.results) {
-        match result {
-            Ok(res) => merge_counts(&mut report.injection_counts, &res.counts),
-            Err(e) => report.failures.push(FuzzFailure {
-                seed,
-                message: format!("fault campaign refused a program the oracle passed: {e}"),
-                minimized: ModulePrinter(&image.module).to_string(),
-                minimized_insts: image.module.num_insts(),
-            }),
-        }
+    let sim = ExecConfig::new(nthreads).seed(seed).max_steps(2_000_000);
+    let campaign = CampaignConfig::new(config.injections, FaultModel::BranchFlip, nthreads)
+        .seed(seed)
+        .workers(1)
+        .sim(sim);
+    let golden = SimEngine.run(image, &campaign.sim);
+    match run_campaign_with_golden_recorded(image, &campaign, &golden, None, recorder) {
+        Ok(result) => Ok(result.counts),
+        Err(e) => Err(FuzzFailure {
+            seed,
+            message: format!("fault campaign refused a program the oracle passed: {e}"),
+            minimized: ModulePrinter(&image.module).to_string(),
+            minimized_insts: image.module.num_insts(),
+        }),
     }
 }
 
@@ -349,7 +319,6 @@ mod tests {
             gen: GenConfig { max_stmts: 10, ..GenConfig::default() },
             injections: 0,
             real_cross_check: false,
-            monitor_shards: None,
         }
     }
 

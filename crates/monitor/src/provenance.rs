@@ -175,12 +175,10 @@ fn join_ids(ids: &[u32]) -> String {
 }
 
 /// One `violation` trace record: a [`ViolationReport`] flattened for the
-/// JSONL sink, under the injection (and batch image) it was detected in.
-/// Read back, its strings borrow from the trace text.
+/// JSONL sink, under the injection it was detected in. Read back, its
+/// strings borrow from the trace text.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceViolation<'a> {
-    /// Batch image index, in a batch.
-    pub image: Option<u64>,
     /// Injection index the violation was detected under.
     pub index: u64,
     /// Offending branch.
@@ -217,15 +215,9 @@ impl<'a> TraceViolation<'a> {
     /// The `ev` tag of the record.
     pub const EV: &'static str = "violation";
 
-    /// The record of `report`, detected under injection `index` of batch
-    /// image `image`.
-    pub fn new(
-        report: &ViolationReport,
-        image: Option<u64>,
-        index: u64,
-    ) -> TraceViolation<'static> {
+    /// The record of `report`, detected under injection `index`.
+    pub fn new(report: &ViolationReport, index: u64) -> TraceViolation<'static> {
         TraceViolation {
-            image,
             index,
             branch: u64::from(report.violation.branch),
             site: report.violation.site,
@@ -247,24 +239,25 @@ impl<'a> TraceViolation<'a> {
     pub fn record_to(self, recorder: &dyn Recorder) {
         let latency =
             self.latency.map_or(Cow::Borrowed(UNKNOWN_LATENCY), |l| Cow::Owned(l.to_string()));
-        let fields = [
-            ("index", Value::U64(self.index)),
-            ("branch", Value::U64(self.branch)),
-            ("site", Value::U64(self.site)),
-            ("iter", Value::U64(self.iter)),
-            ("kind", Value::Str(self.kind)),
-            ("category", Value::Str(self.category)),
-            ("predicted", Value::Str(self.predicted)),
-            ("reporters", Value::U64(self.reporters)),
-            ("detected_seq", Value::U64(self.detected_seq)),
-            ("latency", Value::Str(latency)),
-            ("observed", Value::Str(self.observed)),
-            ("deviants", Value::Str(self.deviants)),
-            ("majority", Value::Str(self.majority)),
-            ("window", Value::Str(self.window)),
-        ];
-        let image = self.image.map(|i| ("image", Value::U64(i)));
-        recorder.record(Self::EV, &image.into_iter().chain(fields).collect::<Vec<_>>());
+        recorder.record(
+            Self::EV,
+            &[
+                ("index", Value::U64(self.index)),
+                ("branch", Value::U64(self.branch)),
+                ("site", Value::U64(self.site)),
+                ("iter", Value::U64(self.iter)),
+                ("kind", Value::Str(self.kind)),
+                ("category", Value::Str(self.category)),
+                ("predicted", Value::Str(self.predicted)),
+                ("reporters", Value::U64(self.reporters)),
+                ("detected_seq", Value::U64(self.detected_seq)),
+                ("latency", Value::Str(latency)),
+                ("observed", Value::Str(self.observed)),
+                ("deviants", Value::Str(self.deviants)),
+                ("majority", Value::Str(self.majority)),
+                ("window", Value::Str(self.window)),
+            ],
+        );
     }
 
     /// Decodes a `violation` record. `latency` is a message count or the
@@ -291,7 +284,6 @@ impl<'a> TraceViolation<'a> {
                 }
                 _ => {
                     let number = match &*name {
-                        "image" => v.image.insert(0),
                         "index" => &mut v.index,
                         "branch" => &mut v.branch,
                         "site" => &mut v.site,
@@ -787,11 +779,9 @@ mod tests {
             site in proptest::any::<u64>(),
             witness in 43u64..u64::MAX,
             latency in proptest::any::<bool>(),
-            image in proptest::any::<u64>(),
             index in proptest::any::<u64>(),
         ) {
-            let image = latency.then_some(image);
-            let v = TraceViolation::new(&sample_report(site, witness, latency), image, index);
+            let v = TraceViolation::new(&sample_report(site, witness, latency), index);
             proptest::prop_assert_eq!(v.latency, latency.then_some(3));
             let buf = bw_telemetry::TraceBuffer::default();
             v.clone().record_to(&buf.recorder());
@@ -804,9 +794,9 @@ mod tests {
     #[test]
     fn violation_wire_format_is_pinned() {
         let buf = bw_telemetry::TraceBuffer::default();
-        let v = TraceViolation::new(&sample_report(0x40, 99, true), None, 5);
+        let v = TraceViolation::new(&sample_report(0x40, 99, true), 5);
         v.clone().record_to(&buf.recorder());
-        TraceViolation { image: Some(2), latency: None, ..v.clone() }.record_to(&buf.recorder());
+        TraceViolation { latency: None, ..v.clone() }.record_to(&buf.recorder());
         let pinned = concat!(
             r#""ev":"violation","index":5,"branch":3,"site":64,"iter":7,"kind":"witness_mismatch","#,
             r#""category":"shared","predicted":"all threads agree on witness and direction","#,
@@ -815,7 +805,7 @@ mod tests {
         );
         let bodies = buf.bodies();
         assert_eq!(bodies[0], pinned);
-        assert!(bodies[1].starts_with(r#""ev":"violation","image":2,"index":5,"#), "{}", bodies[1]);
+        assert!(bodies[1].starts_with(r#""ev":"violation","index":5,"#), "{}", bodies[1]);
         assert!(bodies[1].contains(r#""latency":"?""#), "{}", bodies[1]);
 
         let mut table = String::new();

@@ -22,9 +22,9 @@
 //! `"us"`, wall-clock microseconds; the two are never compared), `track`
 //! the lane, `cat` the span category, `name` / `ts` / `dur` label, start
 //! and duration in the record's own domain, and every other field — caller
-//! extras, then the fields of the enclosing [`TraceScope`]s (campaigns push
-//! `inj` / `wid`, and `image` in a batch, so one trace file keeps
-//! per-injection spans separable) — as `args`.
+//! extras, then the fields of the enclosing [`TraceScope`]s (a campaign
+//! pushes `inj` / `wid`, so its trace keeps per-injection spans separable)
+//! — as `args`.
 //!
 //! ## Determinism contract
 //!

@@ -73,17 +73,16 @@ leg_forensics() {
   grep -q "top violating sites" "$out/w1.txt"
 }
 
-# Sharding the monitor ingest is a throughput knob, never a semantic one:
-# the same campaign at 1 and 4 monitor shards (and any worker count) must
-# reconstruct the unsharded forensics, and the sharded trace must carry
-# per-shard health counters for `bw stats`.
+# Sharding the monitor ingest never changes a verdict: the simulator's
+# output at 4 shards must be the unsharded output, byte for byte, and a
+# sharded run on the real engine (where the shards are threads) must leave
+# per-shard health counters in its trace for `bw stats`.
 leg_shards() {
-  w1
-  campaign s1 splash:fft --injections 40 --workers 4 --monitor-shards 1
-  campaign s4 splash:fft --injections 40 --workers 4 --monitor-shards 4
-  diff "$out/s1.txt" "$out/s4.txt"
-  diff "$out/w1.txt" "$out/s4.txt"
-  bw stats "$out/s4.jsonl" | grep -q "monitor shards:"
+  bw run splash:fft > "$out/run-s1.txt"
+  bw run splash:fft --monitor-shards 4 > "$out/run-s4.txt"
+  diff "$out/run-s1.txt" "$out/run-s4.txt"
+  bw run splash:fft --engine real --monitor-shards 4 --telemetry "$out/real-s4.jsonl" >/dev/null
+  bw stats "$out/real-s4.jsonl" | grep -q "monitor shards:"
 }
 
 # Live sampling is observability-only: the sampled campaign's forensics
@@ -177,7 +176,9 @@ leg_traced_vs_untraced() {
 # ring (`spsc.rs`) and the instance-index prefetch (`table.rs`, DESIGN
 # §4.3). The simulator hands its inline monitor batches (DESIGN §4.3,
 # "Ingest"): `sim.rs` never calls the per-event `process(`, which would
-# jump an event ahead of the ones held back before it.
+# jump an event ahead of the ones held back before it. A campaign is one
+# program (DESIGN §5.1): no cross-program batch or chunked fuzz injection,
+# and no `image` field on the `injection` and `violation` records.
 leg_leftover_guard() {
   if grep -rnE 'ModuleAnalysis::run_parallel|fn run_parallel\(module|ValueGraph|\.divergence\(' \
       crates tests examples \
@@ -223,6 +224,10 @@ leg_leftover_guard() {
   fi
   if grep -nE '(\.|::)process\(' crates/vm/src/sim.rs; then
     echo "ci: the simulator calls the monitor per event outside its batch drain" >&2; return 1
+  fi
+  if grep -rnE 'CampaignBatch|BatchResult|INJECT_CHUNK' crates tests examples \
+    || grep -n '"image"' crates/fault/src/campaign.rs crates/monitor/src/provenance.rs; then
+    echo "ci: the cross-program campaign batch or its \`image\` trace tag is back" >&2; return 1
   fi
 }
 

@@ -114,6 +114,10 @@ fn unknown_flags_are_errors_not_ignored() {
         // simulator in silence.
         (&["campaign", "splash:fft", "--engine", "real"], "--engine", "campaign"),
         (&["fuzz", "--engine", "real"], "--engine", "fuzz"),
+        // A campaign's monitor shards are inline on the simulator's one
+        // thread: they buy nothing, so neither injecting command takes them.
+        (&["campaign", "splash:fft", "--monitor-shards", "2"], "--monitor-shards", "campaign"),
+        (&["fuzz", "--monitor-shards", "2"], "--monitor-shards", "fuzz"),
         // A real flag, on a subcommand that does not take it.
         (&["analyze", "splash:fft", "--threads", "8"], "--threads", "analyze"),
         (&["gen", "--seeds", "3"], "--seeds", "gen"),
@@ -180,7 +184,7 @@ fn flags_the_usage_names(usage: &str) -> Vec<(String, String, bool)> {
 fn every_flag_the_usage_names_is_accepted_where_it_is_listed() {
     let usage = stdout(&bw(&["help"]));
     let mut named = flags_the_usage_names(&usage);
-    assert!(named.len() >= 39, "the usage parser lost the synopses: {named:?}");
+    assert!(named.len() >= 37, "the usage parser lost the synopses: {named:?}");
     assert!(named.contains(&("timeline".into(), "--chrome".into(), true)), "{named:?}");
     assert!(named.contains(&("fuzz".into(), "--real-cross-check".into(), false)), "{named:?}");
     let engine: Vec<_> = named.iter().filter(|(_, flag, _)| flag == "--engine").collect();

@@ -233,7 +233,7 @@ fn span_tracing_does_not_perturb_campaign_determinism() {
             .campaign_runner(40, FaultModel::BranchFlip, 2)
             .seed(11)
             .workers(workers)
-            .monitor_shards(Some(2))
+            .sim(ExecConfig::new(2).monitor_shards(Some(2)))
             .recorder(rec.as_ref())
             .run()
             .unwrap();
@@ -431,4 +431,24 @@ fn phase_profile_reports_symmetric_program_similar() {
     assert!(!profile.phases.is_empty());
     assert_eq!(profile.deviant_threads(), Vec::<u32>::new(), "{}", profile.render());
     assert!(profile.render().contains("all threads similar in every phase"));
+}
+
+/// `bw report` reads one campaign: two campaigns recorded into one trace
+/// number their injections alike, and merging their evidence would give a
+/// report of neither, so the trace is refused with the count.
+#[test]
+fn a_trace_of_two_campaigns_is_refused_by_the_report() {
+    let _guard = trace_sink_lock();
+    let bw = Blockwatch::from_module(Benchmark::Fft.module(Size::Test).unwrap()).unwrap();
+    let buf = blockwatch::telemetry::TraceBuffer::default();
+    let recorder = buf.recorder();
+    let campaign = |seed| {
+        bw.campaign_runner(6, FaultModel::BranchFlip, 2).seed(seed).workers(1).recorder(&recorder).run()
+    };
+    campaign(1).unwrap();
+    let one = buf.text();
+    assert!(ForensicsReport::parse(&one).is_ok());
+    campaign(2).unwrap();
+    let error = ForensicsReport::parse(&buf.text()).unwrap_err();
+    assert!(error.contains("holds 2 campaigns"), "{error}");
 }

@@ -151,8 +151,8 @@ fn encoded_fields() -> Vec<(String, Vec<String>)> {
     SpanRecord { name: "stage".into(), dur_us: 1 }.record_to(&rec, &[]);
     record_span(&rec, TimeDomain::Cycles, "t0", "barrier_phase", "phase 0", 0, 1, &[]);
     record_flow(&rec, TimeDomain::Cycles, "t0", "verdict", "site 1", 0, 1, true, &[]);
-    TraceInjection { image: Some(0), ..TraceInjection::default() }.record_to(&rec);
-    TraceViolation { image: Some(0), ..TraceViolation::default() }.record_to(&rec);
+    TraceInjection::default().record_to(&rec);
+    TraceViolation::default().record_to(&rec);
     WorkerStats::default().record_to(&rec);
     rec.flush();
 
