@@ -171,6 +171,17 @@ pub fn check_module_cross(
     seed: u64,
     real_cross: bool,
 ) -> Result<OracleStats, CheckFailure> {
+    check_prepared(module, threads, seed, real_cross).map(|(stats, _)| stats)
+}
+
+/// [`check_module_cross`], also handing back the image the oracle ran, so
+/// that the injection stage does not prepare the module a second time.
+fn check_prepared(
+    module: &Module,
+    threads: &[u32],
+    seed: u64,
+    real_cross: bool,
+) -> Result<(OracleStats, ProgramImage), CheckFailure> {
     let text = ModulePrinter(module).to_string();
     match parse_module(&text) {
         Ok(reparsed) if reparsed == *module => {}
@@ -190,8 +201,9 @@ pub fn check_module_cross(
     // The one way preparing can fail is a verifier rejection.
     let image = ProgramImage::try_prepare(module.clone(), AnalysisConfig::default())
         .map_err(|e| CheckFailure { class: "prepare", message: e.to_string() })?;
-    check_image_cross(&image, threads, seed, real_cross)
-        .map_err(|f| CheckFailure { class: f.class(), message: f.to_string() })
+    let stats = check_image_cross(&image, threads, seed, real_cross)
+        .map_err(|f| CheckFailure { class: f.class(), message: f.to_string() })?;
+    Ok((stats, image))
 }
 
 /// Runs a fuzzing session.
@@ -220,15 +232,14 @@ pub fn run_fuzz_recorded(config: &FuzzConfig, recorder: &dyn Recorder) -> FuzzRe
         let module = generate_module(seed, &gen);
         report.seeds_run += 1;
         live_seeds.inc();
-        match check_module_cross(&module, &config.threads, seed, config.real_cross_check) {
-            Ok(stats) => {
+        match check_prepared(&module, &config.threads, seed, config.real_cross_check) {
+            Ok((stats, image)) => {
                 recorder.record(
                     "fuzz.seed",
                     &[("seed", Value::from(seed)), ("status", Value::from("ok"))],
                 );
                 report.stats.absorb(stats);
                 if config.injections > 0 {
-                    let image = ProgramImage::prepare(module, AnalysisConfig::default());
                     match inject(seed, &image, config, recorder) {
                         Ok(counts) => merge_counts(&mut report.injection_counts, &counts),
                         Err(failure) => report.failures.push(failure),

@@ -8,11 +8,11 @@
 //!
 //! **What counts as a step.** Every IR instruction is one step, and a phi
 //! is one `Free` step: a control transfer evaluates the target block's
-//! phis (in parallel) as part of the `br`/`jump` step, and the thread then
-//! owes one zero-cost step per phi before the block's first real
-//! instruction. Owed steps are consumed in O(1), but they are ordinary
-//! steps to every counter: they fill a budget, can straddle two calls of
-//! `run`, and count in [`ThreadState::steps`].
+//! phis (the edge's copies, put in order at link time) as part of the
+//! `br`/`jump` step, and the thread then owes one zero-cost step per phi
+//! before the block's first real instruction. Owed steps are consumed in
+//! O(1), but they are ordinary steps to every counter: they fill a budget,
+//! can straddle two calls of `run`, and count in [`ThreadState::steps`].
 
 use bw_ir::{BarrierId, BinOp, BranchId, CmpOp, FuncId, MutexId, Space, UnOp, Val, ValueId};
 use bw_monitor::{BranchEvent, KeyHasher};
@@ -189,8 +189,6 @@ pub(crate) struct ThreadState {
     /// `(loop, iteration)` of the loops containing each live frame's
     /// program point, outermost first, innermost frame last.
     loops: Vec<(u32, u64)>,
-    /// Values in flight during a parallel phi copy.
-    phi_buf: Vec<Val>,
     /// Phi steps the last transfer left to take (see the module docs).
     phi_owed: u64,
     /// Thread-local memory.
@@ -232,7 +230,6 @@ impl ThreadState {
             frames: vec![root],
             regs: vec![Val::I64(0); entry.nregs as usize],
             loops: Vec::new(),
-            phi_buf: Vec::new(),
             phi_owed: u64::from(entry.phi_steps),
             local: LocalMemory::new(),
             outputs: Vec::new(),
@@ -320,7 +317,7 @@ impl ThreadState {
             macro_rules! take {
                 ($edge:expr) => {{
                     let edge = &code.edges[$edge as usize];
-                    transfer(edge, &code.copies, regs, &mut self.phi_buf);
+                    transfer(edge, &code.copies, regs);
                     adjust_loops(edge, &mut self.loops, frame.loop_base);
                     pc = edge.pc as usize;
                     let phis = u64::from(edge.phi_steps);
@@ -471,7 +468,7 @@ impl ThreadState {
                         let witness = witnesses.map(|witnesses| {
                             let mut wh = KeyHasher::new();
                             for &w in witnesses {
-                                wh.write(regs[w.index()].bits());
+                                wh.write(regs[w as usize].bits());
                             }
                             wh.finish()
                         });
@@ -578,15 +575,11 @@ impl ThreadState {
     }
 }
 
-/// Evaluates the phis an edge feeds: every source is read before any
-/// destination is written, because one phi may read what another defines
-/// (a swap carried around a loop).
-fn transfer(edge: &Edge, copies: &[PhiCopy], regs: &mut [Val], in_flight: &mut Vec<Val>) {
-    let copies = &copies[edge.copy_start as usize..edge.copy_end as usize];
-    in_flight.clear();
-    in_flight.extend(copies.iter().map(|c| regs[c.src as usize]));
-    for (c, &value) in copies.iter().zip(in_flight.iter()) {
-        regs[c.dst as usize] = value;
+/// Evaluates the phis an edge feeds. The link stage put the copies in an
+/// order in which making them one by one is making them all at once.
+fn transfer(edge: &Edge, copies: &[PhiCopy], regs: &mut [Val]) {
+    for c in &copies[edge.copy_start as usize..edge.copy_end as usize] {
+        regs[c.dst as usize] = regs[c.src as usize];
     }
 }
 

@@ -17,9 +17,15 @@
 //! instead of split at the end of the budget → all but the real-threads
 //! test; loop-stack pops off by one (either way) → the same five; the hook
 //! consulted before the witness is captured → `injected_runs_match…` (its
-//! condition-bit flips); a cyclic parallel copy done in sequence →
-//! `the_step_cut_lands_on_the_same_step` alone (its program swaps two
-//! variables around a loop; no port and no generated module does).
+//! condition-bit flips). Applied to `src/image.rs`'s link stage: the copies
+//! of an edge made in the order the phis are written, cycles not broken →
+//! `a_swap_and_a_rotation…` and `the_step_cut_lands_on_the_same_step` (no
+//! port and no generated module carries a cyclic copy); entry-block phis
+//! allowed to share their source's register →
+//! `an_entry_block_trivial_phi…` alone; the branches' condition values not
+//! kept in registers of their own → `injected_runs_match…` alone here (and
+//! `tests/campaign_cost.rs` in the umbrella crate), because a corrupted
+//! operand then leaks into the phis that share it.
 
 mod reference;
 
@@ -358,6 +364,134 @@ fn a_loop_headed_by_the_entry_block_matches() {
             assert_eq!(result.outcome, RunOutcome::Completed, "{what}");
             assert!(result.events_sent > 0, "{what}: the inner branches are instrumented");
             assert!(!result.detected(), "{what}: {:?}", result.violations);
+        }
+    }
+}
+
+/// A function whose entry block heads a loop and carries a *trivial* phi,
+/// `p = phi(body: x)`, read again in the body after `x` is redefined there.
+/// Outside the entry block such a phi shares `x`'s register; here it must
+/// not: on the first iteration no edge has fed it, so it still reads the
+/// zero it was born with while `x` already holds 7.
+fn entry_block_trivial_phi() -> Module {
+    let mut m = Module::new("entry_trivial");
+    let mut f = FunctionBuilder::new("echo", vec![], None);
+    let head = f.current_block();
+    let body = f.add_block("body");
+    let exit = f.add_block("exit");
+    let i = f.phi(Type::I64, vec![]);
+    let p = f.phi(Type::I64, vec![]);
+    let three = f.const_i64(3);
+    let more = f.cmp(CmpOp::Lt, i, three);
+    f.br(more, body, exit);
+    f.switch_to(body);
+    f.output(p);
+    let seven = f.const_i64(7);
+    let x = f.add(i, seven);
+    f.output(p);
+    f.output(x);
+    let one = f.const_i64(1);
+    let next = f.add(i, one);
+    f.add_phi_incoming(i, body, next);
+    f.add_phi_incoming(p, body, x);
+    f.jump(head);
+    f.switch_to(exit);
+    f.output(p);
+    f.ret(None);
+    let echo = m.add_func(f.finish());
+
+    let mut s = FunctionBuilder::new("slave", vec![], None);
+    s.call(&mut m, echo, vec![]);
+    s.ret(None);
+    let slave = m.add_func(s.finish());
+    m.spmd_entry = Some(slave);
+    m
+}
+
+#[test]
+fn an_entry_block_trivial_phi_keeps_its_own_register() {
+    let image = ProgramImage::try_prepare(entry_block_trivial_phi(), Default::default())
+        .expect("a back edge to the entry block verifies");
+    for nthreads in [1, 3] {
+        for quantum in [1, 3, 64] {
+            let config = ExecConfig::new(nthreads).quantum(quantum).capture_events(true);
+            let what = format!("entry-block trivial phi t{nthreads} q{quantum}");
+            let result = check(&image, &config, || NoHook, &what);
+            assert_eq!(result.outcome, RunOutcome::Completed, "{what}");
+            // Each thread prints p, p, x per iteration, then p.
+            let one = [0, 0, 7, 7, 7, 8, 8, 8, 9, 9];
+            let want: Vec<Val> =
+                (0..nthreads).flat_map(|_| one).map(Val::I64).collect();
+            assert_eq!(bits(&result.outputs), bits(&want), "{what}");
+        }
+    }
+}
+
+/// A loop whose header carries a two-phi swap `(a, b) = (b, a)` and a
+/// three-phi rotation `(c, d, e) = (d, e, c)` around its back edge: parallel
+/// copies that are cycles, which copying in the order the phis are written
+/// gets wrong. Each thread also offsets the values by its id, so the copies
+/// are not the same in every thread.
+fn swap_and_rotation() -> Module {
+    let mut m = Module::new("cycles");
+    let mut f = FunctionBuilder::new("slave", vec![], None);
+    let entry = f.current_block();
+    let head = f.add_block("head");
+    let body = f.add_block("body");
+    let exit = f.add_block("exit");
+    let t = f.thread_id();
+    let zero = f.const_i64(0);
+    let starts: Vec<_> = (1..=5)
+        .map(|k| {
+            let k = f.const_i64(k * 10);
+            f.add(k, t)
+        })
+        .collect();
+    f.jump(head);
+    f.switch_to(head);
+    let k = f.phi(Type::I64, vec![(entry, zero)]);
+    let phis: Vec<_> = starts.iter().map(|&v| f.phi(Type::I64, vec![(entry, v)])).collect();
+    let (a, b, c, d, e) = (phis[0], phis[1], phis[2], phis[3], phis[4]);
+    let four = f.const_i64(4);
+    let more = f.cmp(CmpOp::Lt, k, four);
+    f.br(more, body, exit);
+    f.switch_to(body);
+    f.output(a);
+    f.output(c);
+    let one = f.const_i64(1);
+    let next = f.add(k, one);
+    f.add_phi_incoming(k, body, next);
+    for (phi, from) in [(a, b), (b, a), (c, d), (d, e), (e, c)] {
+        f.add_phi_incoming(phi, body, from);
+    }
+    f.jump(head);
+    f.switch_to(exit);
+    for v in phis {
+        f.output(v);
+    }
+    f.ret(None);
+    let slave = m.add_func(f.finish());
+    m.spmd_entry = Some(slave);
+    m
+}
+
+#[test]
+fn a_swap_and_a_rotation_around_a_loop_match() {
+    let image = ProgramImage::try_prepare(swap_and_rotation(), Default::default())
+        .expect("the cycles module verifies");
+    for nthreads in [1, 4] {
+        for quantum in [1, 3, 64] {
+            let config = ExecConfig::new(nthreads).quantum(quantum).capture_events(true);
+            let what = format!("swap and rotation t{nthreads} q{quantum}");
+            let result = check(&image, &config, || NoHook, &what);
+            assert_eq!(result.outcome, RunOutcome::Completed, "{what}");
+            // Thread 0: (a, c) per iteration, then a..e after four of them.
+            let want: Vec<i64> = vec![10, 30, 20, 40, 10, 50, 20, 30, 10, 20, 40, 50, 30];
+            let first: Vec<i64> = result.outputs[..want.len()]
+                .iter()
+                .map(|v| v.as_i64().expect("integers"))
+                .collect();
+            assert_eq!(first, want, "{what}");
         }
     }
 }

@@ -116,9 +116,11 @@ fn preparing_a_module_stays_within_its_allocation_budget() {
         per_module(plan),
         per_module(prepare)
     );
-    // Measured: 136.7 a module (35,951 over 263): verify and facts 35.7,
-    // analysis 47.4, plan 7.5, the decode and the image the rest. The
-    // parent made 1,132.1 (297,743), 241.6 of them verifying and 719.0 in
-    // the analysis.
+    // Measured: 133.3 a module (35,054 over 263): verify and facts 35.7,
+    // analysis 48.2, plan 7.5, the decode and the image the rest; the
+    // decoder's buffers are sized once a module and reused for every
+    // function (136.7 before they were). Before the control-flow facts were
+    // shared, preparing made 1,132.1 (297,743), 241.6 of them verifying and
+    // 719.0 in the analysis.
     assert!(per_module(prepare) <= 143.0, "{:.1} allocations per module", per_module(prepare));
 }

@@ -178,7 +178,9 @@ leg_traced_vs_untraced() {
 # "Ingest"): `sim.rs` never calls the per-event `process(`, which would
 # jump an event ahead of the ones held back before it. A campaign is one
 # program (DESIGN §5.1): no cross-program batch or chunked fuzz injection,
-# and no `image` field on the `injection` and `violation` records.
+# and no `image` field on the `injection` and `violation` records. A
+# transfer makes its edge's copies one by one, in the order the link stage
+# gave them (DESIGN §4.5): no value buffer for a parallel phi copy.
 leg_leftover_guard() {
   if grep -rnE 'ModuleAnalysis::run_parallel|fn run_parallel\(module|ValueGraph|\.divergence\(' \
       crates tests examples \
@@ -228,6 +230,9 @@ leg_leftover_guard() {
   if grep -rnE 'CampaignBatch|BatchResult|INJECT_CHUNK' crates tests examples \
     || grep -n '"image"' crates/fault/src/campaign.rs crates/monitor/src/provenance.rs; then
     echo "ci: the cross-program campaign batch or its \`image\` trace tag is back" >&2; return 1
+  fi
+  if grep -rnE 'phi_buf|in_flight' crates/vm/src; then
+    echo "ci: the stepper copies phis through a buffer again; the link stage orders them" >&2; return 1
   fi
 }
 
