@@ -33,10 +33,11 @@ use bw_telemetry::{
 };
 use bw_monitor::{TraceViolation, ViolationReport};
 use bw_vm::{
-    Engine, ExecConfig, ProgramImage, RunOutcome, RunResult, SimEngine, SimPrefix, SplitMix64,
+    Engine, ExecConfig, Fork, ProgramImage, RunOutcome, RunResult, SimEngine, SimPrefix, SplitMix64,
 };
 
 use crate::injector::{FaultModel, InjectionHook, InjectionPlan};
+use crate::liveness::ConditionLiveness;
 
 // The campaign engine shares `&ProgramImage` (and the golden `RunResult`)
 // across worker threads; fail the build loudly if either ever grows
@@ -576,18 +577,21 @@ fn injection_record(
     }
 }
 
-/// Runs one injection experiment from step 0 and classifies it; also
-/// returns the steps the run took. [`execute_window`]'s fallback for the
-/// injections no prefix can serve.
+/// An injection's record, the steps its run executed and the steps it
+/// skipped beyond its prefix's.
+type Injected = (InjectionRecord, u64, u64);
+
+/// Runs one injection experiment from step 0 and classifies it.
+/// [`execute_window`]'s fallback for the injections no prefix can serve.
 fn execute_one(
     image: &ProgramImage,
     faulty: &ExecConfig,
     golden: &RunResult,
     plan: InjectionPlan,
-) -> (InjectionRecord, u64) {
+) -> Injected {
     let hook = InjectionHook::new(plan);
     let result = SimEngine.run_hooked(image, faulty, &hook);
-    (injection_record(plan, &hook, &result, golden), result.total_steps)
+    (injection_record(plan, &hook, &result, golden), result.total_steps, 0)
 }
 
 /// Validates a golden run against the campaign configuration and derives
@@ -719,6 +723,9 @@ struct CampaignJob<'a> {
     faulty: ExecConfig,
     golden: &'a RunResult,
     plans: Vec<InjectionPlan>,
+    /// What lets a condition-bit flip's fork end at a fault that changes
+    /// nothing; `None` for branch flips, which always change the direction.
+    liveness: Option<ConditionLiveness>,
     progress: Option<&'a ProgressFn<'a>>,
     started: Instant,
     /// Start of the next unclaimed window.
@@ -737,10 +744,13 @@ impl<'a> CampaignJob<'a> {
         progress: Option<&'a ProgressFn<'a>>,
     ) -> Result<Self, CampaignError> {
         let (faulty, plans) = validate_and_plan(config, golden)?;
+        let liveness =
+            (config.model == FaultModel::ConditionBitFlip).then(|| ConditionLiveness::new(image));
         Ok(CampaignJob {
             image,
             faulty,
             golden,
+            liveness,
             collected: Mutex::new(Vec::with_capacity(plans.len())),
             plans,
             progress,
@@ -834,6 +844,11 @@ struct Worker<'a> {
 /// plan that fires in `@init`, which runs before any point a prefix can be
 /// forked at (see [`InjectionPlan`]).
 ///
+/// A condition-bit flip's fork may end at its fault ([`Fork::Stopped`]):
+/// the branch kept its direction and the corrupted value is dead, so the
+/// rest of the run is the golden one, and the golden run is what the
+/// injection is classified by. Under a span sink no fork stops.
+///
 /// Span tracing (`--trace-spans`): every record an injection's run emits
 /// (sim-engine spans run inline on this thread; a fork writes its prefix's
 /// there too) is scoped with `inj`/`wid`, and the worker lane `w<wid>` gets
@@ -841,16 +856,13 @@ struct Worker<'a> {
 fn execute_window(job: &CampaignJob<'_>, window: std::ops::Range<usize>, worker: &mut Worker<'_>) {
     let trace = bw_telemetry::trace_sink();
     let mut started = bw_telemetry::wall_now_us();
-    // Runs one injection (`run` returns its record and the steps it
-    // executed) and books it, from the end of the one before.
-    let mut inject = |index: usize,
-                      worker: &mut Worker<'_>,
-                      run: &mut dyn FnMut() -> (InjectionRecord, u64)| {
+    // Runs one injection and books it, from the end of the one before.
+    let mut inject = |index: usize, worker: &mut Worker<'_>, run: &mut dyn FnMut() -> Injected| {
         let wid = worker.stats.worker;
         let _scope = trace.as_ref().map(|_| {
             TraceScope::enter(&[("inj", Value::from(index)), ("wid", Value::from(wid))])
         });
-        let (record, steps) = run();
+        let (record, steps, skipped) = run();
         let run_us = bw_telemetry::wall_now_us().saturating_sub(started);
         if let Some(sink) = trace.as_ref() {
             bw_telemetry::record_span(
@@ -865,6 +877,7 @@ fn execute_window(job: &CampaignJob<'_>, window: std::ops::Range<usize>, worker:
             );
         }
         worker.stats.steps_run += steps;
+        worker.stats.steps_skipped += skipped;
         job.account(index, record, run_us, worker);
         started = bw_telemetry::wall_now_us();
     };
@@ -898,9 +911,22 @@ fn execute_window(job: &CampaignJob<'_>, window: std::ops::Range<usize>, worker:
         let plan = job.plans[index];
         ran = prefix.steps();
         inherited += ran;
-        let hook = InjectionHook::new(plan);
-        let record = |result: RunResult| {
-            (injection_record(plan, &hook, &result, job.golden), result.total_steps - ran)
+        let hook = match &job.liveness {
+            Some(liveness) => InjectionHook::pruning(plan, liveness),
+            None => InjectionHook::new(plan),
+        };
+        let golden = job.golden;
+        let record = |fork: Fork| match fork {
+            Fork::Ran(result) => {
+                (injection_record(plan, &hook, &result, golden), result.total_steps - ran, 0)
+            }
+            // The run from the fault on is the golden run's: what it did not
+            // execute is skipped.
+            Fork::Stopped { steps } => (
+                injection_record(plan, &hook, golden, golden),
+                steps - ran,
+                golden.total_steps - steps,
+            ),
         };
         if targets.iter().any(Option::is_some) {
             inject(index, worker, &mut || record(prefix.resume(&hook)));

@@ -9,8 +9,10 @@
 
 use std::cell::Cell;
 
-use bw_ir::BranchId;
+use bw_ir::{BranchId, ValueId};
 use bw_vm::{BranchHook, FaultAction};
+
+use crate::liveness::ConditionLiveness;
 
 /// The two fault models of the paper's Section IV.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -54,16 +56,29 @@ pub struct InjectionPlan {
 
 /// A branch hook that fires once at the planned injection point.
 #[derive(Debug)]
-pub struct InjectionHook {
+pub struct InjectionHook<'a> {
     plan: InjectionPlan,
     /// The static branch the fault landed on, once it has.
     injected: Cell<Option<BranchId>>,
+    /// What [`BranchHook::dead_after`] answers from, if anything.
+    liveness: Option<&'a ConditionLiveness>,
 }
 
-impl InjectionHook {
-    /// Creates the hook for one injection experiment.
+impl InjectionHook<'static> {
+    /// Creates the hook for one injection experiment. It never lets a
+    /// fork stop early.
     pub fn new(plan: InjectionPlan) -> Self {
-        InjectionHook { plan, injected: Cell::new(None) }
+        InjectionHook { plan, injected: Cell::new(None), liveness: None }
+    }
+}
+
+impl<'a> InjectionHook<'a> {
+    /// The hook of [`InjectionHook::new`], answering
+    /// [`BranchHook::dead_after`] from `liveness` (the table of the image it
+    /// runs on), so that a fork of a [`bw_vm::SimPrefix`] ends at a
+    /// condition-data fault that changes nothing.
+    pub fn pruning(plan: InjectionPlan, liveness: &'a ConditionLiveness) -> Self {
+        InjectionHook { liveness: Some(liveness), ..InjectionHook::new(plan) }
     }
 
     /// Whether the fault was actually injected (the target dynamic branch
@@ -78,7 +93,7 @@ impl InjectionHook {
     }
 }
 
-impl BranchHook for InjectionHook {
+impl BranchHook for InjectionHook<'_> {
     fn on_branch(&self, tid: u32, dyn_index: u64, branch: BranchId) -> Option<FaultAction> {
         // Fire-once: one dynamic index occurs at most once per thread per
         // phase, but init/fini re-run as thread 0 with a fresh index
@@ -95,6 +110,10 @@ impl BranchHook for InjectionHook {
                 bit: self.plan.bit,
             },
         })
+    }
+
+    fn dead_after(&self, branch: BranchId, value: ValueId, taken: bool) -> bool {
+        self.liveness.is_some_and(|l| l.dead_after(branch, value, taken))
     }
 }
 

@@ -46,6 +46,7 @@
 
 mod campaign;
 mod injector;
+mod liveness;
 
 pub use campaign::{
     classify, false_positive_runs, plan_campaign, run_campaign,
@@ -54,3 +55,4 @@ pub use campaign::{
     WorkerStats,
 };
 pub use injector::{FaultModel, InjectionHook, InjectionPlan};
+pub use liveness::ConditionLiveness;

@@ -22,6 +22,19 @@ pub trait SharedMemory {
     /// Returns [`TrapKind::OutOfBounds`] for accesses outside the region.
     fn load(&self, ptr: Ptr) -> Result<Val, TrapKind>;
 
+    /// Loads the word at `ptr` into `dst`, which is left alone on a trap:
+    /// [`SharedMemory::load`] without the `Result<Val, _>` in between, which
+    /// the interpreter's `load` would copy through the stack.
+    ///
+    /// # Errors
+    ///
+    /// As [`SharedMemory::load`].
+    #[inline]
+    fn load_to(&self, ptr: Ptr, dst: &mut Val) -> Result<(), TrapKind> {
+        *dst = self.load(ptr)?;
+        Ok(())
+    }
+
     /// Stores `value` at `ptr`.
     ///
     /// # Errors
@@ -83,6 +96,14 @@ impl SharedMemory for SimMemory {
         let region = self.region(ptr)?;
         let off = check_bounds(region.len(), ptr)?;
         Ok(region[off].get())
+    }
+
+    #[inline]
+    fn load_to(&self, ptr: Ptr, dst: &mut Val) -> Result<(), TrapKind> {
+        let region = self.region(ptr)?;
+        let off = check_bounds(region.len(), ptr)?;
+        *dst = region[off].get();
+        Ok(())
     }
 
     fn store(&self, ptr: Ptr, value: Val) -> Result<(), TrapKind> {
@@ -188,6 +209,20 @@ impl LocalMemory {
         let region = self.regions.get(ptr.region as usize).ok_or(TrapKind::OutOfBounds)?;
         let off = check_bounds(region.len(), ptr)?;
         Ok(region[off])
+    }
+
+    /// Loads the word at `ptr` into `dst`, which is left alone on a trap
+    /// (see [`SharedMemory::load_to`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`LocalMemory::load`].
+    #[inline]
+    pub fn load_to(&self, ptr: Ptr, dst: &mut Val) -> Result<(), TrapKind> {
+        let region = self.regions.get(ptr.region as usize).ok_or(TrapKind::OutOfBounds)?;
+        let off = check_bounds(region.len(), ptr)?;
+        *dst = region[off];
+        Ok(())
     }
 
     /// Stores `value` at `ptr`.

@@ -332,7 +332,8 @@ fn worker_loop(
         };
         let budget = budget.min(STOP_POLL_STEPS);
         match t.run(image, mem, config.nthreads, &NoHook, budget, &mut sender) {
-            Yield::Budget => {}
+            // `NoHook` injects nothing, so nothing is invisible either.
+            Yield::Budget | Yield::Invisible => {}
             Yield::Lock(m) => {
                 let wait_start = tracer.as_ref().map(|tr| tr.now());
                 match mutexes[m.index()].lock(stop, deadline) {
@@ -419,7 +420,11 @@ fn run_serial_phase(
             // Sync ops are no-ops single-threaded (a barrier with
             // nthreads participants in init would deadlock a real
             // program; our ports never do this).
-            Yield::Budget | Yield::Lock(_) | Yield::Unlock(_) | Yield::Barrier(_) => {}
+            Yield::Budget
+            | Yield::Lock(_)
+            | Yield::Unlock(_)
+            | Yield::Barrier(_)
+            | Yield::Invisible => {}
             Yield::Done => break Ok(()),
             Yield::Trap(k) => break Err(RunOutcome::Crashed(k)),
         }

@@ -449,6 +449,11 @@ struct Sim<'a> {
     state: State,
     events: EventSink,
     tracer: Option<SimTracer>,
+    /// Whether the run ends at an invisible fault ([`Yield::Invisible`]):
+    /// only an untraced fork's does.
+    prune: bool,
+    /// Set when it has.
+    pruned: bool,
 }
 
 impl<'a> Sim<'a> {
@@ -490,6 +495,8 @@ impl<'a> Sim<'a> {
                 _ => EventSink::Discard,
             },
             tracer: None,
+            prune: false,
+            pruned: false,
         }
     }
 
@@ -508,7 +515,13 @@ impl<'a> Sim<'a> {
                 // Sync ops are no-ops single-threaded (a barrier with
                 // nthreads participants in init would deadlock a real
                 // program; our ports never do this).
-                Yield::Budget | Yield::Lock(_) | Yield::Unlock(_) | Yield::Barrier(_) => {}
+                // Nor does a serial phase stop at an invisible fault: it
+                // runs in no fork.
+                Yield::Budget
+                | Yield::Lock(_)
+                | Yield::Unlock(_)
+                | Yield::Barrier(_)
+                | Yield::Invisible => {}
                 Yield::Done => {
                     state.outputs.append(&mut thread.outputs);
                     return Ok(thread.dyn_branches);
@@ -623,6 +636,12 @@ impl<'a> Sim<'a> {
 
             match yielded {
                 Yield::Budget => {}
+                Yield::Invisible => {
+                    if self.prune {
+                        self.pruned = true;
+                        break;
+                    }
+                }
                 Yield::Lock(m) => {
                     clock += costs.alu + MACHINE.lock;
                     ledger.cycles.add(CostClass::Alu, costs.alu);
@@ -730,12 +749,21 @@ impl<'a> Sim<'a> {
     }
 
     /// The rest of a [`SimPrefix`]'s run under `hook`, its held spans
-    /// written first.
-    fn fork(mut self, hook: &dyn BranchHook) -> RunResult {
+    /// written first. An untraced fork stops at an invisible fault; a
+    /// traced one writes every span of its run, so it goes on.
+    fn fork(mut self, hook: &dyn BranchHook) -> Fork {
         self.tracer = self.tracer.map(SimTracer::into_fork);
-        let result = self.run(hook);
-        crate::live::record_run(&result);
-        result
+        self.prune = self.tracer.is_none();
+        loop {
+            if let Some(end) = self.slot(hook) {
+                let result = self.finish(end, hook);
+                crate::live::record_run(&result);
+                return Fork::Ran(result);
+            }
+            if self.pruned {
+                return Fork::Stopped { steps: self.state.total_steps };
+            }
+        }
     }
 
     /// Phase 3, once the parallel section has ended as `end`: `@fini` if
@@ -824,6 +852,12 @@ impl<'a> Sim<'a> {
 /// barrier phases, lock waits and holds and the next flow id carry over.
 /// Within one fork the sequence of `tspan` records is, field for field, the
 /// one `run_hooked` writes under the same scope.
+///
+/// A fork can also stop early: when its hook's condition-data fault leaves
+/// the branch's direction alone and corrupts a value nothing reads any more
+/// ([`BranchHook::dead_after`]), the fork returns [`Fork::Stopped`] right
+/// after that branch instead of running a tail that would be the prefix's
+/// own. A fork under a span sink never stops: it owes the sink its spans.
 pub struct SimPrefix<'a> {
     sim: Sim<'a>,
     init_branches: u64,
@@ -881,20 +915,41 @@ impl<'a> SimPrefix<'a> {
         }
     }
 
-    /// Continues a copy of the run under `hook` to its end. Exact when
-    /// `hook` returns `None` for every branch executed so far: thread 0's
-    /// first [`SimPrefix::init_branches`] in `@init`, and every branch
-    /// short of the targets [`SimPrefix::advance_to`] was given.
-    pub fn resume(&self, hook: &dyn BranchHook) -> RunResult {
+    /// Continues a copy of the run under `hook` to its end, or to an
+    /// invisible fault. Exact when `hook` returns `None` for every branch
+    /// executed so far: thread 0's first [`SimPrefix::init_branches`] in
+    /// `@init`, and every branch short of the targets
+    /// [`SimPrefix::advance_to`] was given.
+    pub fn resume(&self, hook: &dyn BranchHook) -> Fork {
         self.sim.clone().fork(hook)
     }
 
     /// [`SimPrefix::resume`] for the last fork of a prefix: the run itself
     /// continues, its state and inline monitor moved instead of cloned, and
     /// dropped when the fork ends instead of when the prefix would have.
-    pub fn finish(self, hook: &dyn BranchHook) -> RunResult {
+    pub fn finish(self, hook: &dyn BranchHook) -> Fork {
         self.sim.fork(hook)
     }
+}
+
+/// How a fork of a [`SimPrefix`] ended. (Returned once per fork and
+/// matched at once: boxing the result would cost every fork an allocation
+/// to save a move.)
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)]
+pub enum Fork {
+    /// It ran to its end: the [`RunResult`] `run_hooked` returns for the
+    /// same hook.
+    Ran(RunResult),
+    /// It stopped right after its fault, a condition-data flip that left
+    /// the branch's direction alone and corrupted a value the run reads no
+    /// more ([`BranchHook::dead_after`]). From there on the run is the
+    /// prefix's own, fault-free one, and so is its result: `run_hooked`
+    /// returns what the unhooked run does.
+    Stopped {
+        /// Instructions executed up to the stop, the prefix's included.
+        steps: u64,
+    },
 }
 
 #[cfg(test)]

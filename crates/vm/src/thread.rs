@@ -53,6 +53,19 @@ pub trait BranchHook {
     /// branch (1-based), which is static branch `branch`. Returning an
     /// action injects a fault.
     fn on_branch(&self, tid: u32, dyn_index: u64, branch: BranchId) -> Option<FaultAction>;
+
+    /// Asked right after a [`FaultAction::CorruptData`] that left `branch`
+    /// going the way it went anyway (`taken`), about the condition-data
+    /// `value` it corrupted: whether, once the branch has gone that way,
+    /// nothing reads the value before it is redefined — no instruction, no
+    /// phi of an edge, no witness of a later branch. Then the fault changes
+    /// nothing more, and a fork of a [`SimPrefix`](crate::SimPrefix) ends
+    /// there ([`Fork::Stopped`](crate::Fork::Stopped)); every other run goes
+    /// on. Provided: `false`, the answer that is never wrong.
+    fn dead_after(&self, branch: BranchId, value: ValueId, taken: bool) -> bool {
+        let _ = (branch, value, taken);
+        false
+    }
 }
 
 /// A no-op hook for fault-free runs.
@@ -128,6 +141,11 @@ pub(crate) enum Yield {
     Done,
     /// The thread aborted.
     Trap(TrapKind),
+    /// The thread executed a branch whose injected condition-data fault
+    /// changed nothing the rest of the run reads
+    /// ([`BranchHook::dead_after`]); it can be resumed as after
+    /// [`Yield::Budget`].
+    Invisible,
 }
 
 /// A deterministic per-thread PRNG (SplitMix64) backing the `rand` op.
@@ -370,13 +388,16 @@ impl ThreadState {
                     }
                     Inst::Load(r) => {
                         let Some(p) = regs[r.a as usize].as_ptr() else { trap!(TrapKind::TypeError) };
+                        // Straight into the register: a `Result<Val, _>` in
+                        // between is spilled and reloaded piecewise, a
+                        // store-forwarding stall on every load.
+                        let dst = &mut regs[r.dst as usize];
                         let (loaded, cost) = match p.space {
-                            Space::Shared => (mem.load(p), CostClass::Shared(p.region)),
-                            Space::Local => (self.local.load(p), CostClass::LocalMem),
+                            Space::Shared => (mem.load_to(p, dst), CostClass::Shared(p.region)),
+                            Space::Local => (self.local.load_to(p, dst), CostClass::LocalMem),
                         };
-                        match loaded {
-                            Ok(v) => regs[r.dst as usize] = v,
-                            Err(k) => trap!(k),
+                        if let Err(k) = loaded {
+                            trap!(k);
                         }
                         sink.charge(cost);
                     }
@@ -474,6 +495,7 @@ impl ThreadState {
                         });
 
                         // Fault injection hook (the fault strikes at the branch).
+                        let mut invisible = false;
                         if let Some(action) =
                             hook.on_branch(self.tid, self.dyn_branches, BranchId(branch))
                         {
@@ -481,13 +503,15 @@ impl ThreadState {
                                 FaultAction::FlipOutcome => outcome = !outcome,
                                 FaultAction::CorruptData { value_choice, bit } => {
                                     let targets = &runtime.cond_info.data_values;
-                                    let target =
-                                        targets[value_choice as usize % targets.len()].index();
-                                    let old = regs[target];
-                                    regs[target] =
+                                    let target = targets[value_choice as usize % targets.len()];
+                                    let old = regs[target.index()];
+                                    regs[target.index()] =
                                         Val::from_bits(old.ty(), old.bits() ^ (1u64 << (bit % 64)));
+                                    let kept = outcome;
                                     outcome =
                                         recompute_outcome(&runtime.cond_info, regs, ValueId(cond));
+                                    invisible = outcome == kept
+                                        && hook.dead_after(BranchId(branch), target, outcome);
                                 }
                             }
                         }
@@ -514,6 +538,9 @@ impl ThreadState {
                         sink.charge(CostClass::Alu);
                         if let Some(event) = event {
                             sink.event(event);
+                        }
+                        if invisible {
+                            suspend!(Yield::Invisible);
                         }
                     }
                     Inst::Jump { edge } => {

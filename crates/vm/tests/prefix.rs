@@ -5,7 +5,9 @@
 //! Every test here demands that such a fork returns the [`RunResult`]
 //! `SimEngine::run_hooked` returns for the same hook, field for field —
 //! the comparison of `differential.rs`, whose reference model stays the
-//! oracle for the scheduler loop both sides share.
+//! oracle for the scheduler loop both sides share. A fork whose hook lets it
+//! stop at a condition-bit flip that changes nothing ([`Fork::Stopped`])
+//! returns no result; there the full replay must equal the unhooked run.
 //!
 //! `forked_campaigns_equal_full_replays` walks the grid of the issue
 //! (7 ports × both fault models × threads {1, 2, 4, 8} × quantum
@@ -61,17 +63,20 @@
 //!   those plans from step 0.
 //!
 //! [`SimPrefix`]: bw_vm::SimPrefix
+//! [`Fork::Stopped`]: bw_vm::Fork::Stopped
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use bw_analysis::{Category, CheckPlan};
-use bw_fault::{plan_campaign, CampaignConfig, FaultModel, InjectionHook, InjectionPlan};
+use bw_fault::{
+    plan_campaign, CampaignConfig, ConditionLiveness, FaultModel, InjectionHook, InjectionPlan,
+};
 use bw_gen::{generate_module, GenConfig};
 use bw_ir::{Type, Val};
 use bw_splash::{Benchmark, Size};
 use bw_telemetry::{Recorder, TraceScope, Value};
 use bw_vm::{
-    Engine, ExecConfig, ExecMode, MonitorMode, NoHook, ProgramImage, RunOutcome, RunResult,
+    Engine, ExecConfig, ExecMode, Fork, MonitorMode, NoHook, ProgramImage, RunOutcome, RunResult,
     SimEngine, SimPrefix,
 };
 
@@ -172,6 +177,16 @@ fn assert_same(fork: &RunResult, full: &RunResult, what: &str) {
     assert_eq!(fork.monitor, full.monitor, "monitor: {what}");
 }
 
+/// The result of a fork that cannot have stopped: its hook says no value is
+/// ever dead.
+#[track_caller]
+fn ran(fork: Fork) -> RunResult {
+    match fork {
+        Fork::Ran(result) => result,
+        Fork::Stopped { steps } => panic!("a fork stopped at step {steps} with nothing dead"),
+    }
+}
+
 fn port(bench: Benchmark) -> ProgramImage {
     ProgramImage::prepare_default(bench.module(Size::Test).expect("port compiles"))
 }
@@ -186,6 +201,8 @@ fn faulty(config: &ExecConfig, golden: &RunResult) -> ExecConfig {
 struct Walk {
     /// Plans forked from the prefix.
     forked: usize,
+    /// Forks among them that stopped at their fault.
+    stopped: usize,
     /// Plans that fire in `@init`, which a prefix cannot serve.
     in_init: usize,
     /// Steps the prefix had executed at each fork, in `plans` order.
@@ -200,7 +217,10 @@ struct Walk {
 /// plans bucketed per thread in ascending `dyn_index`, one fork at each,
 /// the last taking the prefix itself (`SimPrefix::finish`) — and compares
 /// each fork with `run_hooked` from step 0: the results and, under `trace`,
-/// the records the two write inside the same `TraceScope`.
+/// the records the two write inside the same `TraceScope`. The forks' hooks
+/// answer `dead_after` from the image's liveness table, as a campaign's do;
+/// a fork that stops must do so untraced, and its full replay must be the
+/// unhooked run.
 #[track_caller]
 fn walk(
     image: &ProgramImage,
@@ -210,6 +230,8 @@ fn walk(
     what: &str,
 ) -> Walk {
     let mut prefix = SimPrefix::new(image, config);
+    let liveness = ConditionLiveness::new(image);
+    let plain = std::cell::OnceCell::new();
     let mut walk = Walk { fork_steps: vec![None; plans.len()], ..Walk::default() };
     let mut queues: Vec<Vec<(u64, usize)>> = vec![Vec::new(); config.nthreads as usize];
     for (i, plan) in plans.iter().enumerate() {
@@ -231,12 +253,23 @@ fn walk(
         targets[tid] = head(&queues[tid]);
 
         let what = format!("{what} #{i} {:?}", plans[i]);
-        let (fork_hook, full_hook) = (InjectionHook::new(plans[i]), InjectionHook::new(plans[i]));
-        walk.fork_steps[i] = Some(prefix.steps());
-        let mut compare = |(fork, fork_spans): (RunResult, Vec<Record>)| {
+        let fork_hook = InjectionHook::pruning(plans[i], &liveness);
+        let full_hook = InjectionHook::new(plans[i]);
+        let at = prefix.steps();
+        walk.fork_steps[i] = Some(at);
+        let mut compare = |(fork, fork_spans): (Fork, Vec<Record>)| {
             let (full, full_spans) =
                 spans_of(trace, i, || SimEngine.run_hooked(image, config, &full_hook));
-            assert_same(&fork, &full, &what);
+            match fork {
+                Fork::Ran(fork) => assert_same(&fork, &full, &what),
+                Fork::Stopped { steps } => {
+                    assert!(trace.is_none(), "{what}: a traced fork stopped");
+                    let plain = plain.get_or_init(|| SimEngine.run(image, config));
+                    assert_same(&full, plain, &format!("{what}, stopped at step {steps}"));
+                    assert!(at < steps && steps <= full.total_steps, "{what}: {at} {steps}");
+                    walk.stopped += 1;
+                }
+            }
             assert_eq!(fork_hook.injected_branch(), full_hook.injected_branch(), "{what}");
             assert_same_spans(&fork_spans, &full_spans, &what);
             walk.spans += fork_spans.len();
@@ -261,6 +294,7 @@ fn forked_campaigns_equal_full_replays() {
     for bench in Benchmark::ALL {
         let image = port(bench);
         let mut outcomes = std::collections::BTreeSet::new();
+        let mut stopped = 0;
         for nthreads in [1u32, 2, 4, 8] {
             for quantum in [1u32, 3, 64] {
                 for (monitor, shards) in [
@@ -296,6 +330,10 @@ fn forked_campaigns_equal_full_replays() {
                         );
                         let walked = walk(&image, &config, &plans, None, &what);
                         assert_eq!(walked.forked + walked.in_init, plans.len(), "{what}");
+                        if model == FaultModel::BranchFlip {
+                            assert_eq!(walked.stopped, 0, "{what}: a flipped branch stopped");
+                        }
+                        stopped += walked.stopped;
                         outcomes.extend(walked.outcomes.into_keys());
                     }
                 }
@@ -308,6 +346,8 @@ fn forked_campaigns_equal_full_replays() {
             "{}: every forked run ended as {outcomes:?}",
             bench.name()
         );
+        // And the stopped forks only if some did stop.
+        assert!(!full || stopped > 0, "{}: no fork stopped", bench.name());
     }
 }
 
@@ -528,7 +568,7 @@ fn unhooked_forks_equal_the_plain_run() {
                 assert_eq!(plain_spans.is_empty(), !traced);
                 let what = format!("{} t{nthreads} {monitor:?} traced={traced}", bench.name());
                 let check = |prefix: &SimPrefix, at: &str| {
-                    let (fork, fork_spans) = spans_of(trace, 0, || prefix.resume(&NoHook));
+                    let (fork, fork_spans) = spans_of(trace, 0, || ran(prefix.resume(&NoHook)));
                     assert_same(&fork, &plain, &format!("{what}, {at}"));
                     assert_same_spans(&fork_spans, &plain_spans, &format!("{what}, {at}"));
                 };
@@ -545,7 +585,7 @@ fn unhooked_forks_equal_the_plain_run() {
                 assert_eq!(prefix.advance_to(&[]), None, "{what}");
                 check(&prefix, "100 %");
                 // The prefix itself continued, as a window's last fork does.
-                let (end, end_spans) = spans_of(trace, 0, || prefix.finish(&NoHook));
+                let (end, end_spans) = spans_of(trace, 0, || ran(prefix.finish(&NoHook)));
                 assert_same(&end, &plain, &format!("{what}, 100 %, finished"));
                 assert_same_spans(&end_spans, &plain_spans, &format!("{what}, 100 %, finished"));
             }
@@ -593,7 +633,7 @@ fn a_plan_that_fires_in_init_is_behind_the_prefix() {
     assert_eq!(image.analysis.branches[hit.index()].func, init);
     assert_eq!(prefix.advance_to(&[Some(9)]), Some(0));
     let fork_hook = InjectionHook::new(plan);
-    let fork = prefix.resume(&fork_hook);
+    let fork = ran(prefix.resume(&fork_hook));
     let landed = fork_hook.injected_branch().expect("activated");
     assert_ne!(image.analysis.branches[landed.index()].func, init);
     assert_ne!((fork.total_steps, landed), (full.total_steps, hit));
@@ -718,7 +758,7 @@ fn locks_held_and_awaited_at_the_cut() {
         // of the run's are the fork's to close.
         let mut prefix = SimPrefix::new(&image, &config);
         assert_eq!(prefix.advance_to(&[Some(20)]), Some(0), "{what}");
-        let (_, spans) = spans_of(Some(&trace), 0, || prefix.resume(&NoHook));
+        let (_, spans) = spans_of(Some(&trace), 0, || ran(prefix.resume(&NoHook)));
         assert_eq!(of_cat(&spans, "lock_hold").len(), 4, "{what}");
         assert_eq!(of_cat(&spans, "lock_wait").len(), 3, "{what}");
     }
@@ -793,7 +833,7 @@ fn a_violation_the_log_replay_completes_is_traced() {
         );
         let mut prefix = SimPrefix::new(&image, &config);
         assert_eq!(prefix.advance_to(&[]), None, "{what}");
-        let (end, end_spans) = spans_of(Some(&trace), 0, || prefix.resume(&NoHook));
+        let (end, end_spans) = spans_of(Some(&trace), 0, || ran(prefix.resume(&NoHook)));
         assert_same(&end, &golden, &what);
         assert_same_spans(&end_spans, &golden_spans, &what);
     }

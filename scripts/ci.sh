@@ -50,11 +50,15 @@ w1() {
 # allocation per record, none per field) and the benchmark campaigns'
 # exact cost (`tests/campaign_cost.rs`: steps run and skipped, FMM's
 # allocations per injection and peak heap; ~5 s in the debug profile).
+# Last, the full sweep of `crates/fault/tests/invisible.rs` (thinned in
+# debug builds): condition-bit-flip campaigns whose forks stop at a fault
+# that changes nothing, against plan-by-plan replays (~45 s in release).
 leg_test() {
   cargo build --release --workspace
   cargo test -q --workspace
   cargo clippy --workspace --all-targets -- -D warnings
   cargo test --release -q -p bw-vm
+  cargo test --release -q -p bw-fault --test invisible
 }
 
 # A bounded random-program sweep through the whole pipeline (generate →
@@ -180,7 +184,10 @@ leg_traced_vs_untraced() {
 # program (DESIGN §5.1): no cross-program batch or chunked fuzz injection,
 # and no `image` field on the `injection` and `violation` records. A
 # transfer makes its edge's copies one by one, in the order the link stage
-# gave them (DESIGN §4.5): no value buffer for a parallel phi copy.
+# gave them (DESIGN §4.5): no value buffer for a parallel phi copy. The
+# liveness table of branch condition data is a condition-flip campaign's
+# (DESIGN §5.1, "Invisible condition flips"): preparing an image
+# (`image.rs`) never builds it.
 leg_leftover_guard() {
   if grep -rnE 'ModuleAnalysis::run_parallel|fn run_parallel\(module|ValueGraph|\.divergence\(' \
       crates tests examples \
@@ -233,6 +240,9 @@ leg_leftover_guard() {
   fi
   if grep -rnE 'phi_buf|in_flight' crates/vm/src; then
     echo "ci: the stepper copies phis through a buffer again; the link stage orders them" >&2; return 1
+  fi
+  if grep -niE 'ConditionLiveness|liveness' crates/vm/src/image.rs; then
+    echo "ci: preparing builds the condition-liveness table; only a condition-flip campaign needs it" >&2; return 1
   fi
 }
 

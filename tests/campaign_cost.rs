@@ -8,6 +8,9 @@
 //! `Small`, 80 branch flips — must run and skip exactly the interpreter
 //! steps they do today (`WorkerStats::{steps_run, steps_skipped}`), so a
 //! change that adds a step to every fork, or loses a fork, fails here.
+//! FMM's five condition-bit flips that change nothing end at the fault and
+//! skip their tails; their sum, 18,036,663 steps, is still what replaying
+//! every plan from step 0 executes.
 //!
 //! FMM's checking is most of its cost, and its heap is pinned too, with a
 //! counting global allocator: allocations per injection, and the peak of
@@ -21,9 +24,13 @@
 //! binary allocates while it measures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use blockwatch::{Benchmark, Blockwatch, CampaignResult, ExecConfig, FaultModel, Size};
+use bw_fault::{plan_campaign, CampaignConfig, ConditionLiveness, InjectionHook};
+use bw_ir::{BranchId, ValueId};
+use bw_vm::{BranchHook, FaultAction, SimEngine, SimPrefix};
 
 /// Allocations and reallocations made.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -93,8 +100,7 @@ struct Measured {
     peak_bytes: u64,
 }
 
-fn campaign(bench: Benchmark, size: Size, model: FaultModel, injections: usize) -> Measured {
-    let bw = Blockwatch::compile(&bench.source(size)).expect("the port compiles");
+fn campaign(bw: &Blockwatch, model: FaultModel, injections: usize) -> Measured {
     bw.golden(&ExecConfig::new(4));
     let runner = bw.campaign_runner(injections, model, 4).seed(0).workers(1);
     let (allocations, live) = (ALLOCATIONS.load(Ordering::Relaxed), LIVE.load(Ordering::Relaxed));
@@ -107,6 +113,47 @@ fn campaign(bench: Benchmark, size: Size, model: FaultModel, injections: usize) 
     }
 }
 
+/// A plan's hook that notes whether its fault was invisible: whether the
+/// run asked `dead_after`, and heard yes.
+struct Probe<'a> {
+    hook: InjectionHook<'a>,
+    invisible: Cell<bool>,
+}
+
+impl BranchHook for Probe<'_> {
+    fn on_branch(&self, tid: u32, dyn_index: u64, branch: BranchId) -> Option<FaultAction> {
+        self.hook.on_branch(tid, dyn_index, branch)
+    }
+
+    fn dead_after(&self, branch: BranchId, value: ValueId, taken: bool) -> bool {
+        let dead = self.hook.dead_after(branch, value, taken);
+        self.invisible.set(self.invisible.get() || dead);
+        dead
+    }
+}
+
+/// The forks of a seed-0 condition-bit-flip campaign of `injections` on
+/// four threads that end at their fault: the plans whose fault is
+/// invisible in a replay from step 0, less those that fire in `@init`
+/// (the campaign replays those, and a replay never stops).
+fn tail_less_forks(bw: &Blockwatch, injections: usize) -> usize {
+    let image = bw.image();
+    let config = CampaignConfig::new(injections, FaultModel::ConditionBitFlip, 4).seed(0);
+    let golden = bw.golden(&config.sim);
+    let faulty = config.sim.clone().max_steps(golden.total_steps * 8 + 100_000);
+    let init = SimPrefix::new(image, &faulty).init_branches();
+    let liveness = ConditionLiveness::new(image);
+    let plans = plan_campaign(&golden.branches_per_thread, &config);
+    let forked = plans.into_iter().filter(|p| p.tid != 0 || p.dyn_index > init);
+    let invisible = |plan| {
+        let probe =
+            Probe { hook: InjectionHook::pruning(plan, &liveness), invisible: Cell::new(false) };
+        SimEngine.run_hooked(image, &faulty, &probe);
+        probe.invisible.get()
+    };
+    forked.filter(|&plan| invisible(plan)).count()
+}
+
 /// `(steps_run, steps_skipped)` over the campaign's workers.
 fn steps(result: &CampaignResult) -> (u64, u64) {
     let stats = &result.worker_stats;
@@ -115,18 +162,24 @@ fn steps(result: &CampaignResult) -> (u64, u64) {
 
 #[test]
 fn the_benchmark_campaigns_cost_what_they_did() {
-    let raytrace = campaign(Benchmark::Raytrace, Size::Test, FaultModel::BranchFlip, 160);
+    let port = |bench: Benchmark, size| {
+        Blockwatch::compile(&bench.source(size)).expect("the port compiles")
+    };
+    let raytrace = campaign(&port(Benchmark::Raytrace, Size::Test), FaultModel::BranchFlip, 160);
     assert_eq!(steps(&raytrace.result), (23_918_866, 19_223_070), "raytrace");
 
-    let ocean = campaign(Benchmark::OceanNoncontig, Size::Small, FaultModel::BranchFlip, 80);
+    let ocean = port(Benchmark::OceanNoncontig, Size::Small);
+    let ocean = campaign(&ocean, FaultModel::BranchFlip, 80);
     assert_eq!(steps(&ocean.result), (19_391_360, 16_343_434), "ocean-noncontig");
 
     let injections = 26;
-    let fmm = campaign(Benchmark::Fmm, Size::Test, FaultModel::ConditionBitFlip, injections);
-    assert_eq!(steps(&fmm.result), (8_496_687, 9_539_976), "fmm");
+    let bw = port(Benchmark::Fmm, Size::Test);
+    let fmm = campaign(&bw, FaultModel::ConditionBitFlip, injections);
+    assert_eq!(steps(&fmm.result), (6_080_039, 11_956_624), "fmm");
     let per_injection = fmm.allocations as f64 / injections as f64;
     let peak_mb = fmm.peak_bytes as f64 / (1 << 20) as f64;
     println!("fmm: {per_injection:.1} allocations an injection, peak {peak_mb:.2} MB live");
     assert!(per_injection <= 112.0, "fmm: {per_injection:.1} allocations an injection");
     assert!(peak_mb <= 10.0, "fmm: peak {peak_mb:.2} MB of live heap");
+    assert_eq!(tail_less_forks(&bw, injections), 5, "fmm: forks that end at the fault");
 }
