@@ -38,12 +38,6 @@ impl Category {
     pub const ALL: [Category; 5] =
         [Category::Na, Category::Shared, Category::ThreadId, Category::Partial, Category::None];
 
-    /// Whether this category makes a branch eligible for checking
-    /// (everything but `None` and `Na`).
-    pub fn is_checkable(self) -> bool {
-        matches!(self, Category::Shared | Category::ThreadId | Category::Partial)
-    }
-
     /// The least category at or above both, in the lattice
     /// `NA < shared < {threadID, partial} < none`: `NA` is the identity,
     /// `shared` is below every other assigned category, and `threadID` and
@@ -249,15 +243,6 @@ mod tests {
         assert_eq!(combine_all([None, Shared]), None);
         // Branch 4: private > 0 with private partial → partial
         assert_eq!(combine_all([Partial, Shared]), Partial);
-    }
-
-    #[test]
-    fn checkability() {
-        assert!(Shared.is_checkable());
-        assert!(ThreadId.is_checkable());
-        assert!(Partial.is_checkable());
-        assert!(!None.is_checkable());
-        assert!(!Na.is_checkable());
     }
 
     #[test]

@@ -172,34 +172,29 @@ pub struct ConditionInfo {
 impl ConditionInfo {
     /// Extracts condition structure for `cond` in `f`.
     pub fn extract(f: &bw_ir::Function, cond: ValueId) -> ConditionInfo {
-        let mut value = resolve_trivial(f, cond);
-        let mut negated = false;
-        while let Some(inst) = f.def_inst(value) {
-            match &inst.op {
-                Op::Un { op: UnOp::Not, operand } => {
-                    negated = !negated;
-                    value = resolve_trivial(f, *operand);
-                }
-                _ => break,
-            }
+        let (_, negated, cmp) = peel(f, cond);
+        ConditionInfo {
+            cmp: cmp.map(|(op, lhs, rhs)| (op, lhs, rhs, negated)),
+            data_values: cmp_witnesses(f, cmp, cond),
         }
-        let cmp = f.def_inst(value).and_then(|inst| match &inst.op {
-            Op::Cmp { op, lhs, rhs } => Some((*op, *lhs, *rhs, negated)),
-            _ => None,
-        });
-        let data_values = match cmp {
-            Some((_, lhs, rhs, _)) => {
-                let w = non_const_values(f, &[lhs, rhs]);
-                if w.is_empty() {
-                    vec![cond]
-                } else {
-                    w
-                }
-            }
-            None => vec![cond],
-        };
-        ConditionInfo { cmp, data_values }
     }
+}
+
+/// Peels `not`s and trivial phis off a branch condition: the value under
+/// them, whether an odd number of `not`s was peeled, and the comparison
+/// that value is, if it is one.
+fn peel(f: &bw_ir::Function, cond: ValueId) -> (ValueId, bool, Option<(CmpOp, ValueId, ValueId)>) {
+    let mut value = resolve_trivial(f, cond);
+    let mut negated = false;
+    while let Some(Op::Un { op: UnOp::Not, operand }) = f.def_inst(value).map(|i| &i.op) {
+        negated = !negated;
+        value = resolve_trivial(f, *operand);
+    }
+    let cmp = match f.def_inst(value).map(|i| &i.op) {
+        Some(&Op::Cmp { op, lhs, rhs }) => Some((op, lhs, rhs)),
+        _ => None,
+    };
+    (value, negated, cmp)
 }
 
 /// Chooses the runtime check and witness set for one branch condition.
@@ -211,25 +206,7 @@ fn derive_check(
     effective: Category,
 ) -> (CheckKind, Vec<ValueId>) {
     let f = module.func(func);
-
-    // Peel `not`s (tracking parity) and trivial phis off the condition.
-    let mut value = resolve_trivial(f, cond);
-    let mut negated = false;
-    while let Some(inst) = f.def_inst(value) {
-        match &inst.op {
-            Op::Un { op: UnOp::Not, operand } => {
-                negated = !negated;
-                value = resolve_trivial(f, *operand);
-            }
-            _ => break,
-        }
-    }
-
-    let cmp = f.def_inst(value).and_then(|inst| match &inst.op {
-        Op::Cmp { op, lhs, rhs } => Some((*op, *lhs, *rhs)),
-        _ => None,
-    });
-
+    let (value, negated, cmp) = peel(f, cond);
     match effective {
         Category::ThreadId => {
             if let Some((op, lhs, rhs)) = cmp {
@@ -258,22 +235,23 @@ fn derive_check(
 }
 
 /// Witnesses for value-comparing checks: the non-constant operands of the
-/// comparison, or the condition itself when it is not a comparison.
+/// comparison, or `fallback` when it is not a comparison or both operands
+/// are constants.
 fn cmp_witnesses(
     f: &bw_ir::Function,
     cmp: Option<(CmpOp, ValueId, ValueId)>,
-    cond: ValueId,
+    fallback: ValueId,
 ) -> Vec<ValueId> {
     match cmp {
         Some((_, lhs, rhs)) => {
             let w = non_const_values(f, &[lhs, rhs]);
             if w.is_empty() {
-                vec![cond]
+                vec![fallback]
             } else {
                 w
             }
         }
-        None => vec![cond],
+        None => vec![fallback],
     }
 }
 

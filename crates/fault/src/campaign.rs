@@ -1113,13 +1113,15 @@ mod tests {
         assert!((counts.detection_rate() - 40.0 / 90.0).abs() < 1e-12);
     }
 
-    proptest::proptest! {
-        #[test]
-        fn worker_and_injection_records_round_trip(
-            n in proptest::collection::vec(proptest::any::<u64>(), 6),
-            outcome in 0usize..6,
-            category in "[ -~é]{0,8}",
-        ) {
+    #[test]
+    fn worker_and_injection_records_round_trip() {
+        let mut rng = bw_vm::SplitMix64::new(1);
+        for case in 0..64 {
+            let n: Vec<u64> = (0..6).map(|_| rng.next_u64()).collect();
+            let outcome = rng.below(6) as usize;
+            let category: String = (0..rng.below(9))
+                .map(|_| match rng.below(96) as u8 { 95 => 'é', i => char::from(b' ' + i) })
+                .collect();
             let stats = WorkerStats {
                 worker: n[0] as usize,
                 injections: n[1],
@@ -1150,9 +1152,9 @@ mod tests {
             let text = buf.text();
             let mut back = bw_telemetry::records(&text);
             let worker = back.next().unwrap().and_then(WorkerStats::from_record);
-            proptest::prop_assert_eq!(worker, Ok(stats));
+            assert_eq!(worker, Ok(stats), "case {case}");
             let read = back.next().unwrap().and_then(TraceInjection::from_record);
-            proptest::prop_assert_eq!(read, Ok(injection));
+            assert_eq!(read, Ok(injection), "case {case}");
         }
     }
 

@@ -296,18 +296,18 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
             continue;
         }
 
-        // Operators and punctuation.
-        let two = if i + 1 < bytes.len() { &source[i..i + 2] } else { "" };
-        let tok2 = match two {
-            "->" => Some(Tok::Arrow),
-            "==" => Some(Tok::EqEq),
-            "!=" => Some(Tok::NotEq),
-            "<=" => Some(Tok::Le),
-            ">=" => Some(Tok::Ge),
-            "&&" => Some(Tok::AndAnd),
-            "||" => Some(Tok::OrOr),
-            "<<" => Some(Tok::Shl),
-            ">>" => Some(Tok::Shr),
+        // Operators and punctuation, matched on bytes: the two bytes at
+        // `i` may end inside a multi-byte character.
+        let tok2 = match bytes.get(i..i + 2) {
+            Some(b"->") => Some(Tok::Arrow),
+            Some(b"==") => Some(Tok::EqEq),
+            Some(b"!=") => Some(Tok::NotEq),
+            Some(b"<=") => Some(Tok::Le),
+            Some(b">=") => Some(Tok::Ge),
+            Some(b"&&") => Some(Tok::AndAnd),
+            Some(b"||") => Some(Tok::OrOr),
+            Some(b"<<") => Some(Tok::Shl),
+            Some(b">>") => Some(Tok::Shr),
             _ => None,
         };
         if let Some(tok) = tok2 {
@@ -338,11 +338,11 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
             b'|' => Tok::Pipe,
             b'^' => Tok::Caret,
             b'!' => Tok::Not,
-            other => {
-                return Err(LexError {
-                    message: format!("unexpected character `{}`", other as char),
-                    pos,
-                })
+            _ => {
+                // A token starts on a character boundary: every token before
+                // it ends on an ASCII byte.
+                let other = source[i..].chars().next().unwrap_or_default();
+                return Err(LexError { message: format!("unexpected character `{other}`"), pos });
             }
         };
         bump!();
@@ -434,6 +434,14 @@ mod tests {
         let err = lex("a $ b").unwrap_err();
         assert!(err.message.contains("unexpected character"));
         assert_eq!(err.pos.col, 3);
+    }
+
+    #[test]
+    fn a_multi_byte_character_is_a_positioned_error() {
+        for (src, col) in [("—", 1), ("a—", 2), ("1—", 2), ("@spmd func f() { x — }", 20)] {
+            let err = lex(src).unwrap_err();
+            assert_eq!((err.message.as_str(), err.pos.col), ("unexpected character `—`", col));
+        }
     }
 
     #[test]

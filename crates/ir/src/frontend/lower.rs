@@ -969,8 +969,7 @@ mod tests {
         assert_eq!(m.name, "figure1");
         assert!(m.init.is_some());
         assert!(m.spmd_entry.is_some());
-        assert!(m.global_by_name("id").is_some());
-        assert!(m.globals[m.global_by_name("id").unwrap().index()].tid_counter);
+        assert!(m.globals.iter().find(|g| g.name == "id").expect("global `id`").tid_counter);
         // slave has 4 conditional branches from the ifs plus 1 loop branch.
         let slave = m.func(m.func_by_name("slave").unwrap());
         assert_eq!(slave.num_branches(), 4);

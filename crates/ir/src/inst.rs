@@ -233,41 +233,9 @@ impl Op {
         matches!(self, Op::Br { .. } | Op::Jump(_) | Op::Ret(_) | Op::Trap)
     }
 
-    /// Whether this op is a conditional branch (the subject of BLOCKWATCH
-    /// similarity analysis — note the paper folds loops into "branches").
-    pub fn is_branch(&self) -> bool {
-        matches!(self, Op::Br { .. })
-    }
-
     /// Whether this op is a phi node.
     pub fn is_phi(&self) -> bool {
         matches!(self, Op::Phi { .. })
-    }
-
-    /// The result type of this op, or `None` if it produces no value.
-    pub fn result_type(&self) -> Option<Type> {
-        match self {
-            Op::Const(v) => Some(v.ty()),
-            Op::Bin { .. } => None, // depends on operands; filled by builder
-            Op::Cmp { .. } => Some(Type::Bool),
-            Op::Un { .. } => None, // depends on operand; filled by builder
-            Op::Phi { ty, .. } => Some(*ty),
-            Op::GlobalAddr(_) | Op::Gep { .. } | Op::Alloca { .. } => Some(Type::Ptr),
-            Op::Load { ty, .. } => Some(*ty),
-            Op::ThreadId | Op::NumThreads | Op::AtomicFetchAdd { .. } | Op::Rand { .. } => {
-                Some(Type::I64)
-            }
-            Op::Call { .. } | Op::CallIndirect { .. } => None, // from callee signature
-            Op::Store { .. }
-            | Op::Output(_)
-            | Op::MutexLock(_)
-            | Op::MutexUnlock(_)
-            | Op::Barrier(_)
-            | Op::Br { .. }
-            | Op::Jump(_)
-            | Op::Ret(_)
-            | Op::Trap => None,
-        }
     }
 
     /// Iterates over the value operands of this op. A phi's incomings are
@@ -350,12 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn branch_classification() {
-        assert!(Op::Br { cond: ValueId(0), then_bb: BlockId(1), else_bb: BlockId(2) }.is_branch());
-        assert!(!Op::Jump(BlockId(0)).is_branch());
-    }
-
-    #[test]
     fn successors_of_terminators() {
         let br = Op::Br { cond: ValueId(0), then_bb: BlockId(1), else_bb: BlockId(2) };
         assert_eq!(br.successors().collect::<Vec<_>>(), vec![BlockId(1), BlockId(2)]);
@@ -395,16 +357,5 @@ mod tests {
         assert_eq!(CmpOp::Eq.swapped(), CmpOp::Eq);
         assert_eq!(CmpOp::Le.negated(), CmpOp::Gt);
         assert_eq!(CmpOp::Ne.negated(), CmpOp::Eq);
-    }
-
-    #[test]
-    fn result_types() {
-        assert_eq!(Op::Const(Val::I64(1)).result_type(), Some(Type::I64));
-        assert_eq!(
-            Op::Cmp { op: CmpOp::Eq, lhs: ValueId(0), rhs: ValueId(1) }.result_type(),
-            Some(Type::Bool)
-        );
-        assert_eq!(Op::ThreadId.result_type(), Some(Type::I64));
-        assert_eq!(Op::Trap.result_type(), None);
     }
 }

@@ -188,13 +188,6 @@ impl LoopForest {
     pub fn contains(&self, id: LoopId, block: BlockId) -> bool {
         self.get(id).blocks.binary_search(&block).is_ok()
     }
-
-    /// Whether the edge `from → to` is a back edge of some loop (i.e. `to`
-    /// is a loop header and `from` is inside that loop).
-    pub fn is_back_edge(&self, from: BlockId, to: BlockId) -> bool {
-        self.loop_with_header(to)
-            .is_some_and(|l| self.contains(l, from))
-    }
 }
 
 #[cfg(test)]
@@ -258,16 +251,6 @@ mod tests {
         let inner = lf.loop_with_header(inner_h).unwrap();
         assert_eq!(lf.loop_chain(body), vec![outer, inner]);
         assert_eq!(lf.loop_chain(BlockId(0)), vec![]);
-    }
-
-    #[test]
-    fn back_edge_detection() {
-        let (f, outer_h, inner_h, body, exit) = nested_loops();
-        let lf = forest(&f);
-        assert!(lf.is_back_edge(body, inner_h));
-        assert!(!lf.is_back_edge(inner_h, body));
-        assert!(!lf.is_back_edge(BlockId(0), outer_h));
-        assert!(!lf.is_back_edge(exit, outer_h));
     }
 
     #[test]

@@ -157,11 +157,6 @@ impl Module {
         &self.globals[id.index()]
     }
 
-    /// Looks up a global by name.
-    pub fn global_by_name(&self, name: &str) -> Option<GlobalId> {
-        self.globals.iter().position(|g| g.name == name).map(GlobalId::from_index)
-    }
-
     /// Declares a mutex and returns its id.
     pub fn add_mutex(&mut self) -> MutexId {
         let id = MutexId(self.num_mutexes);
@@ -220,9 +215,7 @@ mod tests {
         let mut m = Module::new("t");
         let g = m.add_global("counter", Type::I64, Val::I64(0), false);
         m.mark_tid_counter(g);
-        assert_eq!(m.global_by_name("counter"), Some(g));
         assert!(m.global(g).tid_counter);
-        assert_eq!(m.global_by_name("missing"), None);
 
         let f = m.add_func(Function::new("slave", vec![], None));
         assert_eq!(m.func_by_name("slave"), Some(f));

@@ -773,21 +773,20 @@ mod tests {
         build_report(violation, CheckKind::SharedUniform, &reports, window, 14, 2)
     }
 
-    proptest::proptest! {
-        #[test]
-        fn violation_records_round_trip(
-            site in proptest::any::<u64>(),
-            witness in 43u64..u64::MAX,
-            latency in proptest::any::<bool>(),
-            index in proptest::any::<u64>(),
-        ) {
-            let v = TraceViolation::new(&sample_report(site, witness, latency), index);
-            proptest::prop_assert_eq!(v.latency, latency.then_some(3));
+    #[test]
+    fn violation_records_round_trip() {
+        let mut rng = bw_vm::SplitMix64::new(1);
+        for case in 0..64 {
+            let site = rng.next_u64();
+            let witness = 43 + rng.next_u64() % (u64::MAX - 43);
+            let latency = rng.below(2) == 1;
+            let v = TraceViolation::new(&sample_report(site, witness, latency), rng.next_u64());
+            assert_eq!(v.latency, latency.then_some(3), "case {case}");
             let buf = bw_telemetry::TraceBuffer::default();
             v.clone().record_to(&buf.recorder());
             let text = buf.text();
             let back = bw_telemetry::records(&text).next().unwrap();
-            proptest::prop_assert_eq!(back.and_then(TraceViolation::from_record), Ok(v));
+            assert_eq!(back.and_then(TraceViolation::from_record), Ok(v), "case {case}");
         }
     }
 

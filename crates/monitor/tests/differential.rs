@@ -24,8 +24,7 @@ mod reference;
 use bw_analysis::{CheckKind, TidCheck};
 use bw_monitor::{BranchEvent, CheckTable, Monitor, ShardedMonitor, ViolationKind, ViolationReport};
 use bw_splash::{Benchmark, Size};
-use bw_vm::{Engine, ExecConfig, ProgramImage, SimEngine};
-use proptest::prelude::*;
+use bw_vm::{Engine, ExecConfig, ProgramImage, SimEngine, SplitMix64};
 use reference::RefMonitor;
 
 /// One branch per check kind, and one the plan left uninstrumented.
@@ -74,7 +73,7 @@ impl Pair {
 }
 
 /// A step of a random script.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum Op {
     /// `count` threads, starting at thread `start`, report one instance of
     /// `branch` at one of a few hot sites, behaving as the branch's
@@ -98,23 +97,24 @@ fn honest(branch: u32, iter: u64, t: u32, n: u32) -> (u64, bool) {
     }
 }
 
-fn op() -> impl Strategy<Value = Op> {
-    let liar = prop_oneof![2 => Just(None), 1 => (0u32..32, any::<bool>()).prop_map(Some)];
-    // Three sites and six iterations for seven branches: keys recur, so
-    // rounds overlap pending instances and reopen completed ones, and the
-    // sites' rings fill up and wrap.
-    let round = ((0u32..7, 0u64..3, 0u64..6), (0u32..32, 1u32..33), liar).prop_map(
-        |((branch, site, iter), (start, count), liar)| Op::Round {
-            branch,
-            site,
-            iter,
-            start,
-            count,
-            liar,
+/// A random step: three rounds to two one-shots to one flush.
+fn op(rng: &mut SplitMix64) -> Op {
+    let mut draw = |n: i64| rng.below(n) as u32;
+    match draw(6) {
+        // Three sites and six iterations for seven branches: keys recur, so
+        // rounds overlap pending instances and reopen completed ones, and
+        // the sites' rings fill up and wrap. One round in three has a liar.
+        0..=2 => Op::Round {
+            branch: draw(7),
+            site: u64::from(draw(3)),
+            iter: u64::from(draw(6)),
+            start: draw(32),
+            count: 1 + draw(32),
+            liar: (draw(3) == 0).then(|| (draw(32), draw(2) == 1)),
         },
-    );
-    let one_shot = (0u32..7, 0u32..32).prop_map(|(branch, thread)| Op::OneShot { branch, thread });
-    prop_oneof![3 => round.boxed(), 2 => one_shot.boxed(), 1 => Just(Op::Flush).boxed()]
+        3 | 4 => Op::OneShot { branch: draw(7), thread: draw(32) },
+        _ => Op::Flush,
+    }
 }
 
 /// What a monitor is fed: an event, or an end-of-phase flush.
@@ -220,20 +220,22 @@ fn every_position(steps: &[Step]) -> Vec<usize> {
     (0..=steps.len()).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
-
-    /// Any script, at every thread count the exhibits use, reads the same
-    /// on the flat back-end and on the model, and a clone taken at a random
-    /// point of it continues as the monitor it was taken from.
-    #[test]
-    fn flat_backend_matches_the_two_level_model(
-        nthreads in prop_oneof![Just(1u32), Just(2u32), Just(4u32), Just(32u32)],
-        ops in proptest::collection::vec(op(), 0..160),
-        at in any::<usize>(),
-    ) {
-        let (_, steps) = play(nthreads, &ops);
-        clones_are_the_monitor(nthreads, &steps, &[at % (steps.len() + 1)]);
+/// Any script, at every thread count the exhibits use, reads the same on
+/// the flat back-end and on the model, and a clone taken at a random point
+/// of it continues as the monitor it was taken from. 96 scripts from a
+/// fixed-seed SplitMix64; a failure names its case index and script.
+#[test]
+fn flat_backend_matches_the_two_level_model() {
+    let mut rng = SplitMix64::new(1);
+    for case in 0..96 {
+        let nthreads = [1, 2, 4, 32][rng.below(4) as usize];
+        let ops: Vec<Op> = (0..rng.below(160)).map(|_| op(&mut rng)).collect();
+        let at = rng.next_u64() as usize;
+        let replayed = std::panic::catch_unwind(|| {
+            let (_, steps) = play(nthreads, &ops);
+            clones_are_the_monitor(nthreads, &steps, &[at % (steps.len() + 1)]);
+        });
+        assert!(replayed.is_ok(), "case {case}: {nthreads} threads, clone at {at}, {ops:?}");
     }
 }
 

@@ -282,15 +282,19 @@ mod tests {
         assert_eq!(lines[1][5], ("items".to_string(), Value::U64(7)));
     }
 
-    proptest::proptest! {
-        #[test]
-        fn span_records_round_trip(name in "[ -~é]{0,12}", dur_us in proptest::any::<u64>()) {
-            let span = SpanRecord { name: name.into(), dur_us };
+    #[test]
+    fn span_records_round_trip() {
+        let mut rng = bw_vm::SplitMix64::new(1);
+        for case in 0..64 {
+            let name: String = (0..rng.below(13))
+                .map(|_| match rng.below(96) as u8 { 95 => 'é', i => char::from(b' ' + i) })
+                .collect();
+            let span = SpanRecord { name: name.into(), dur_us: rng.next_u64() };
             let buf = TraceBuffer::default();
             span.record_to(&buf.recorder(), &[("items", Value::U64(7))]);
             let text = buf.text();
             let back = records(&text).next().unwrap().and_then(SpanRecord::from_record);
-            proptest::prop_assert_eq!(back, Ok(span));
+            assert_eq!(back, Ok(span), "case {case}");
         }
     }
 

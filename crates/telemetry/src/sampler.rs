@@ -273,13 +273,13 @@ mod tests {
         assert!(fields.contains(&("live.born_gauge".to_string(), Value::U64(7))));
     }
 
-    proptest::proptest! {
-        #[test]
-        fn sample_records_round_trip(
-            deltas in proptest::collection::vec((0u64..6, proptest::any::<u64>()), 0..6),
-            tick in proptest::any::<u64>(),
-            dt_us in proptest::any::<u64>(),
-        ) {
+    #[test]
+    fn sample_records_round_trip() {
+        let mut rng = bw_vm::SplitMix64::new(1);
+        for case in 0..64 {
+            let deltas: Vec<(u64, u64)> =
+                (0..rng.below(6)).map(|_| (rng.below(6) as u64, rng.next_u64())).collect();
+            let (tick, dt_us) = (rng.next_u64(), rng.next_u64());
             // Counters 0..6 (counter 5 is a drop counter), each also a gauge.
             let name = |i: u64| if i == 5 { "live.events_dropped".into() } else { format!("live.c{i}") };
             let cur: Vec<(String, u64)> = deltas.iter().map(|&(i, v)| (name(i), v)).collect();
@@ -295,7 +295,8 @@ mod tests {
                 .map(|(k, v)| (k.as_str().into(), v.clone()))
                 .collect();
             let warn = fields.iter().any(|(k, _)| k == "warn");
-            proptest::prop_assert_eq!(back, Ok(SampleTick { tick, dt_us, warn, values }));
+            let sample = SampleTick { tick, dt_us, warn, values };
+            assert_eq!(back, Ok(sample), "case {case}: {deltas:?}, tick {tick}, dt_us {dt_us}");
         }
     }
 

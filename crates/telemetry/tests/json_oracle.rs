@@ -6,14 +6,15 @@
 //! message and offset. Two sweeps drive them: random flat objects built
 //! from the pieces a hand-rolled parser gets wrong (escapes, surrogate
 //! pairs, multi-byte text, raw control bytes, numbers at the `u64`/`i64`
-//! edges) in well-formed and scrambled order, and every single-byte
-//! substitution, deletion and truncation of the fixture lines that
-//! `tests/trace_schema.rs` sweeps through the trace views.
+//! edges) in well-formed and scrambled order, 2048 of each from a
+//! fixed-seed SplitMix64 (a failure names its case index), and every
+//! single-byte substitution, deletion and truncation of the fixture lines
+//! that `tests/trace_schema.rs` sweeps through the trace views.
 
 mod reference;
 
 use bw_telemetry::{parse_flat_object, records, JsonError, Value};
-use proptest::prelude::*;
+use bw_vm::SplitMix64;
 
 /// What a parser says of `input`, with every string owned.
 type Verdict = Result<Vec<(String, Value<'static>)>, JsonError>;
@@ -54,55 +55,62 @@ const SCALARS: &[&str] = &[
 /// Separators and stray structure for the scrambled objects.
 const GLUE: &[&str] = &["{", "}", "\"", ":", ",", " ", "\n", "\r", "\t", "[", "\u{0}"];
 
-fn pick(table: &'static [&'static str]) -> impl Strategy<Value = &'static str> {
-    (0..table.len()).prop_map(move |i| table[i])
+fn pick(rng: &mut SplitMix64, table: &'static [&'static str]) -> &'static str {
+    table[rng.below(table.len() as i64) as usize]
 }
 
-fn text() -> impl Strategy<Value = String> {
-    proptest::collection::vec(pick(TEXT), 0..5).prop_map(|parts| parts.concat())
+/// Up to four pieces of string contents.
+fn text(rng: &mut SplitMix64) -> String {
+    (0..rng.below(5)).map(|_| pick(rng, TEXT)).collect()
 }
 
 /// A value: a string literal or a bare scalar.
-fn value() -> impl Strategy<Value = String> {
-    prop_oneof![
-        text().prop_map(|s| format!("\"{s}\"")),
-        pick(SCALARS).prop_map(str::to_string),
-    ]
-}
-
-/// A flat object, each separator optionally padded with whitespace.
-fn object() -> impl Strategy<Value = String> {
-    let member = (text(), value(), 0usize..4);
-    proptest::collection::vec(member, 0..6).prop_map(|members| {
-        let pad = |n: usize| [" ", "", "\t", ""][n];
-        let body: Vec<String> = members
-            .into_iter()
-            .map(|(key, value, n)| {
-                format!("{}\"{key}\"{}:{}{value}", pad(n), pad((n + 1) % 4), pad(n))
-            })
-            .collect();
-        format!("{{{}}}", body.join(","))
-    })
-}
-
-/// Pieces of every kind in any order.
-fn scramble() -> impl Strategy<Value = String> {
-    let piece = prop_oneof![pick(TEXT), pick(SCALARS), pick(GLUE), pick(GLUE)];
-    proptest::collection::vec(piece, 0..16).prop_map(|parts| parts.concat())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
-
-    #[test]
-    fn random_flat_objects_parse_as_the_reference_parses_them(line in object()) {
-        agree(&line)?;
+fn value(rng: &mut SplitMix64) -> String {
+    if rng.below(2) == 0 {
+        format!("\"{}\"", text(rng))
+    } else {
+        pick(rng, SCALARS).to_string()
     }
+}
 
-    #[test]
-    fn scrambled_objects_fail_where_the_reference_fails(line in scramble()) {
-        agree(&line)?;
-        agree(&format!("{{{line}}}"))?;
+/// A flat object of up to five members, each separator optionally padded
+/// with whitespace.
+fn object(rng: &mut SplitMix64) -> String {
+    let pad = |n: usize| [" ", "", "\t", ""][n];
+    let members: Vec<String> = (0..rng.below(6))
+        .map(|_| {
+            let (key, value, n) = (text(rng), value(rng), rng.below(4) as usize);
+            format!("{}\"{key}\"{}:{}{value}", pad(n), pad((n + 1) % 4), pad(n))
+        })
+        .collect();
+    format!("{{{}}}", members.join(","))
+}
+
+/// Up to fifteen pieces of every kind in any order.
+fn scramble(rng: &mut SplitMix64) -> String {
+    (0..rng.below(16))
+        .map(|_| {
+            let table = [TEXT, SCALARS, GLUE, GLUE][rng.below(4) as usize];
+            pick(rng, table)
+        })
+        .collect()
+}
+
+#[test]
+fn random_flat_objects_parse_as_the_reference_parses_them() {
+    let mut rng = SplitMix64::new(1);
+    for case in 0..2048 {
+        agree(&object(&mut rng)).unwrap_or_else(|e| panic!("case {case}: {e}"));
+    }
+}
+
+#[test]
+fn scrambled_objects_fail_where_the_reference_fails() {
+    let mut rng = SplitMix64::new(2);
+    for case in 0..2048 {
+        let line = scramble(&mut rng);
+        agree(&line).unwrap_or_else(|e| panic!("case {case}: {e}"));
+        agree(&format!("{{{line}}}")).unwrap_or_else(|e| panic!("case {case}: {e}"));
     }
 }
 

@@ -236,11 +236,6 @@ impl LocalMemory {
         region[off] = value;
         Ok(())
     }
-
-    /// Number of live regions.
-    pub fn num_regions(&self) -> usize {
-        self.regions.len()
-    }
 }
 
 #[cfg(test)]
@@ -315,6 +310,5 @@ mod tests {
         assert_eq!(lm.load(p.offset_by(3)), Ok(Val::F64(2.5)));
         assert_eq!(lm.load(p.offset_by(4)), Err(TrapKind::OutOfBounds));
         assert_eq!(lm.alloca(-1), Err(TrapKind::BadAlloc));
-        assert_eq!(lm.num_regions(), 1);
     }
 }

@@ -12,16 +12,14 @@
 //! (constant loop bounds), race-freedom (threads write disjoint,
 //! tid-indexed array slices) and uniform barrier participation, but
 //! otherwise mixes shared, thread-ID-dependent and data-dependent control
-//! flow freely.
+//! flow freely. Each property runs 32 programs from a fixed-seed
+//! SplitMix64; a failure names its case index and prints the program.
 
-use proptest::prelude::*;
-
-use bw_vm::{Engine, ExecConfig, MonitorMode, ProgramImage, SimEngine};
+use bw_vm::{Engine, ExecConfig, MonitorMode, ProgramImage, SimEngine, SplitMix64};
 
 /// Per-thread array slice width used by generated programs.
 const SLICE: usize = 8;
 
-#[derive(Clone, Debug)]
 enum Expr {
     Const(i8),
     Var(u8),
@@ -34,7 +32,6 @@ enum Expr {
     SharedScalar,
 }
 
-#[derive(Clone, Debug)]
 enum Stmt {
     Decl(Expr),
     Assign(u8, Expr),
@@ -45,65 +42,64 @@ enum Stmt {
     Barrier,
 }
 
-fn expr_strategy() -> impl Strategy<Value = Expr> {
-    let leaf = prop_oneof![
-        any::<i8>().prop_map(Expr::Const),
-        (0u8..4).prop_map(Expr::Var),
-        Just(Expr::Tid),
-        Just(Expr::NumThreads),
-        Just(Expr::SharedScalar),
-    ];
-    leaf.prop_recursive(3, 24, 3, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Add(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Mul(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Min(Box::new(a), Box::new(b))),
-            inner.prop_map(|e| Expr::SliceRead(Box::new(e))),
-        ]
-    })
+/// An expression at most `depth` operators deep: at each level one leaf to
+/// two operators.
+fn expr(rng: &mut SplitMix64, depth: u32) -> Expr {
+    if depth == 0 || rng.below(3) == 0 {
+        return match rng.below(5) {
+            0 => Expr::Const(rng.next_u64() as i8),
+            1 => Expr::Var(rng.below(4) as u8),
+            2 => Expr::Tid,
+            3 => Expr::NumThreads,
+            _ => Expr::SharedScalar,
+        };
+    }
+    let op = rng.below(4);
+    let mut sub = || Box::new(expr(rng, depth - 1));
+    match op {
+        0 => Expr::Add(sub(), sub()),
+        1 => Expr::Mul(sub(), sub()),
+        2 => Expr::Min(sub(), sub()),
+        _ => Expr::SliceRead(sub()),
+    }
 }
 
-/// `uniform` decides whether barriers may appear (they must be executed by
-/// every thread, so only in control contexts every thread reaches).
-fn stmt_strategy(depth: u32, uniform: bool) -> BoxedStrategy<Stmt> {
-    let e = expr_strategy;
-    let mut simple = vec![
-        e().prop_map(Stmt::Decl).boxed(),
-        ((0u8..4), e()).prop_map(|(v, x)| Stmt::Assign(v, x)).boxed(),
-        e().prop_map(Stmt::Output).boxed(),
-        (e(), e()).prop_map(|(i, v)| Stmt::SliceWrite(Box::new(i), v)).boxed(),
-    ];
-    if uniform {
-        simple.push(Just(Stmt::Barrier).boxed());
+/// A statement nesting at most `depth` loops and ifs: three simple
+/// statements to two nested ones. `uniform` decides whether barriers may
+/// appear (they must be executed by every thread, so only in control
+/// contexts every thread reaches).
+fn stmt(rng: &mut SplitMix64, depth: u32, uniform: bool) -> Stmt {
+    if depth > 0 && rng.below(5) >= 3 {
+        return if rng.below(2) == 0 {
+            let bound = 1 + rng.below(4) as u8;
+            Stmt::For { bound, body: stmts(rng, 4, depth - 1, uniform) }
+        } else {
+            Stmt::If {
+                lhs: expr(rng, 3),
+                rhs: expr(rng, 3),
+                then_body: stmts(rng, 4, depth - 1, false),
+                else_body: stmts(rng, 3, depth - 1, false),
+            }
+        };
     }
-    let simple = proptest::strategy::Union::new(simple);
-    if depth == 0 {
-        return simple.boxed();
+    match rng.below(if uniform { 5 } else { 4 }) {
+        0 => Stmt::Decl(expr(rng, 3)),
+        1 => Stmt::Assign(rng.below(4) as u8, expr(rng, 3)),
+        2 => Stmt::Output(expr(rng, 3)),
+        3 => Stmt::SliceWrite(Box::new(expr(rng, 3)), expr(rng, 3)),
+        _ => Stmt::Barrier,
     }
-    let nested = prop_oneof![
-        (
-            1u8..5,
-            proptest::collection::vec(stmt_strategy(depth - 1, uniform), 0..4)
-        )
-            .prop_map(|(bound, body)| Stmt::For { bound, body }),
-        (
-            e(),
-            e(),
-            proptest::collection::vec(stmt_strategy(depth - 1, false), 0..4),
-            proptest::collection::vec(stmt_strategy(depth - 1, false), 0..3)
-        )
-            .prop_map(|(lhs, rhs, then_body, else_body)| Stmt::If {
-                lhs,
-                rhs,
-                then_body,
-                else_body
-            }),
-    ];
-    prop_oneof![3 => simple, 2 => nested].boxed()
 }
 
-fn program_strategy() -> impl Strategy<Value = Vec<Stmt>> {
-    proptest::collection::vec(stmt_strategy(2, true), 1..8)
+/// Fewer than `max` statements.
+fn stmts(rng: &mut SplitMix64, max: i64, depth: u32, uniform: bool) -> Vec<Stmt> {
+    (0..rng.below(max)).map(|_| stmt(rng, depth, uniform)).collect()
+}
+
+/// The source of a program of one to seven top-level statements.
+fn program(rng: &mut SplitMix64) -> String {
+    let top = 1 + rng.below(7);
+    to_source(&(0..top).map(|_| stmt(rng, 2, true)).collect::<Vec<_>>())
 }
 
 fn expr_source(e: &Expr, out: &mut String) {
@@ -224,49 +220,55 @@ func iwrap(x: int) -> int {{
     )
 }
 
-fn prepare(stmts: &[Stmt]) -> ProgramImage {
-    let source = to_source(stmts);
-    let module = bw_ir::frontend::compile(&source)
+fn prepare(source: &str) -> ProgramImage {
+    let module = bw_ir::frontend::compile(source)
         .unwrap_or_else(|e| panic!("generated program failed to compile: {e}\n{source}"));
     ProgramImage::prepare_default(module)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 32, .. ProptestConfig::default() })]
-
-    #[test]
-    fn generated_programs_run_deterministically(stmts in program_strategy()) {
-        let image = prepare(&stmts);
+#[test]
+fn generated_programs_run_deterministically() {
+    let mut rng = SplitMix64::new(1);
+    for case in 0..32 {
+        let source = program(&mut rng);
+        let image = prepare(&source);
         let a = SimEngine.run(&image, &ExecConfig::new(4));
         let b = SimEngine.run(&image, &ExecConfig::new(4));
-        prop_assert_eq!(a.outputs, b.outputs);
-        prop_assert_eq!(a.total_steps, b.total_steps);
-        prop_assert_eq!(a.parallel_cycles, b.parallel_cycles);
+        assert_eq!(a.outputs, b.outputs, "case {case}:\n{source}");
+        assert_eq!(a.total_steps, b.total_steps, "case {case}:\n{source}");
+        assert_eq!(a.parallel_cycles, b.parallel_cycles, "case {case}:\n{source}");
     }
+}
 
-    #[test]
-    fn monitor_never_changes_semantics(stmts in program_strategy()) {
-        let image = prepare(&stmts);
+#[test]
+fn monitor_never_changes_semantics() {
+    let mut rng = SplitMix64::new(2);
+    for case in 0..32 {
+        let source = program(&mut rng);
+        let image = prepare(&source);
         let mut on = ExecConfig::new(4);
         on.monitor = MonitorMode::Enabled;
         let mut off = ExecConfig::new(4);
         off.monitor = MonitorMode::Off;
         let a = SimEngine.run(&image, &on);
         let b = SimEngine.run(&image, &off);
-        prop_assert_eq!(a.outcome, b.outcome);
-        prop_assert_eq!(a.outputs, b.outputs);
-        prop_assert_eq!(a.branches_per_thread, b.branches_per_thread);
+        assert_eq!(a.outcome, b.outcome, "case {case}:\n{source}");
+        assert_eq!(a.outputs, b.outputs, "case {case}:\n{source}");
+        assert_eq!(a.branches_per_thread, b.branches_per_thread, "case {case}:\n{source}");
     }
+}
 
-    #[test]
-    fn fault_free_runs_never_violate(stmts in program_strategy()) {
-        let image = prepare(&stmts);
+#[test]
+fn fault_free_runs_never_violate() {
+    let mut rng = SplitMix64::new(3);
+    for case in 0..32 {
+        let source = program(&mut rng);
+        let image = prepare(&source);
         for nthreads in [1u32, 2, 4, 8] {
             let result = SimEngine.run(&image, &ExecConfig::new(nthreads));
-            prop_assert!(
+            assert!(
                 result.violations.is_empty(),
-                "false positive at {} threads: {:?}",
-                nthreads,
+                "case {case}: false positive at {nthreads} threads: {:?}\n{source}",
                 result.violations
             );
         }

@@ -50,15 +50,19 @@ w1() {
 # allocation per record, none per field) and the benchmark campaigns'
 # exact cost (`tests/campaign_cost.rs`: steps run and skipped, FMM's
 # allocations per injection and peak heap; ~5 s in the debug profile).
-# Last, the full sweep of `crates/fault/tests/invisible.rs` (thinned in
+# Then the full sweep of `crates/fault/tests/invisible.rs` (thinned in
 # debug builds): condition-bit-flip campaigns whose forks stop at a fault
 # that changes nothing, against plan-by-plan replays (~45 s in release).
+# Last, the front-end's properties with the full one-byte mutation sweep of
+# the seven ports' sources through `compile` (every 13th byte in debug
+# builds): about 94,500 mutants, none of which may panic.
 leg_test() {
   cargo build --release --workspace
   cargo test -q --workspace
   cargo clippy --workspace --all-targets -- -D warnings
   cargo test --release -q -p bw-vm
   cargo test --release -q -p bw-fault --test invisible
+  cargo test --release -q -p bw-ir --test proptest_frontend
 }
 
 # A bounded random-program sweep through the whole pipeline (generate →
@@ -187,7 +191,9 @@ leg_traced_vs_untraced() {
 # gave them (DESIGN §4.5): no value buffer for a parallel phi copy. The
 # liveness table of branch condition data is a condition-flip campaign's
 # (DESIGN §5.1, "Invisible condition flips"): preparing an image
-# (`image.rs`) never builds it.
+# (`image.rs`) never builds it. The workspace has no external crate
+# (DESIGN §3): no `vendor/` stub, and no manifest or lockfile names
+# proptest; the property tests are plain fixed-seed loops (DESIGN §7).
 leg_leftover_guard() {
   if grep -rnE 'ModuleAnalysis::run_parallel|fn run_parallel\(module|ValueGraph|\.divergence\(' \
       crates tests examples \
@@ -199,6 +205,9 @@ leg_leftover_guard() {
   fi
   if grep -rn serde Cargo.toml crates/*/Cargo.toml; then
     echo "ci: serde is back in a workspace manifest" >&2; return 1
+  fi
+  if [ -e vendor ] || grep -n proptest Cargo.toml crates/*/Cargo.toml Cargo.lock; then
+    echo "ci: vendor/ or proptest is back" >&2; return 1
   fi
   if grep -rnE 'feature = "telemetry"|tm_(add|inc|gauge_max|observe|event|span)!|NoopSpan|(telemetry|crate)::ENABLED' \
       crates tests examples; then

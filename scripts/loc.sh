@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Lines of Rust per crate, counted two ways:
-#   all   every .rs file outside a tests/ directory — the measure the
-#         tree's size has long been tracked by (`find crates vendor -name
-#         '*.rs' -not -path '*/tests/*' | xargs cat | wc -l`);
+#   all   every .rs file under crates/ outside a tests/ directory — the
+#         measure the tree's size has long been tracked by (`find crates
+#         -name '*.rs' -not -path '*/tests/*' | xargs cat | wc -l`);
 #   code  the same files without their #[cfg(test)] items (the in-file test
 #         modules) and without tests.rs files: the code that ships.
 # Usage: scripts/loc.sh [tree]   (default: the tree this script is in)
@@ -15,7 +15,7 @@ cd "${1:-$scripts/..}"
 printf '%-12s %8s %8s\n' crate all code
 total_all=0
 total_code=0
-for dir in crates/*/ vendor/*/; do
+for dir in crates/*/; do
   dir=${dir%/}
   all=$(sources "$dir" | xargs -r cat | wc -l)
   code=$(sources "$dir" | grep -v '/tests\.rs$' | code_only | wc -l)
