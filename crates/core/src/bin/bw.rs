@@ -70,7 +70,7 @@ const FLAGS: &[Flag] = &[
     ),
     flag("--seeds", Some("N"), &["fuzz"], "how many seeds to sweep (default 100)"),
     flag("--start", Some("S"), &["fuzz"], "first seed, decimal or 0x-hex (default 0)"),
-    flag("--threads", Some("T1,T2,.."), &["fuzz"], "thread counts of the oracle (default 2,4,8)"),
+    flag("--threads", Some("T1,T2,.."), &["fuzz"], "thread counts of the oracle (default 1,2,4,8)"),
     flag("--inject", Some("K"), &["fuzz"], "also run a K-injection campaign on every passing seed"),
     flag("--seed", Some("S"), &["gen"], "module seed, decimal or 0x-hex (default 0)"),
     flag("--max-stmts", Some("M"), &["fuzz", "gen"], "statements per SPMD body (default 40)"),
@@ -372,10 +372,11 @@ fn cmd_fuzz(args: &Args) -> Result<(), String> {
     let config =
         blockwatch::gen::FuzzConfig { seeds, start_seed, threads, gen, injections, real_cross_check };
     let tracing = Tracing::start(args)?;
-    let report = match &tracing.recorder {
-        Some(recorder) => blockwatch::gen::run_fuzz_recorded(&config, recorder.as_ref()),
-        None => blockwatch::gen::run_fuzz(&config),
+    let recorder: &dyn Recorder = match &tracing.recorder {
+        Some(recorder) => recorder.as_ref(),
+        None => &blockwatch::telemetry::NULL_RECORDER,
     };
+    let report = blockwatch::gen::run_fuzz(&config, recorder);
     tracing.finish(None);
     emit(&report.render());
 

@@ -28,7 +28,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use bw_telemetry::{
-    Histogram, Record, Recorder, Span, TelemetrySnapshot, TimeDomain, TraceScope, Value,
+    Histogram, Record, Recorder, SpanRecord, TelemetrySnapshot, TimeDomain, TraceScope, Value,
     NULL_RECORDER,
 };
 use bw_monitor::{TraceViolation, ViolationReport};
@@ -691,10 +691,14 @@ impl CampaignLive {
     }
 }
 
-/// Mirrors a completed campaign stage onto the trace timeline (the
-/// `main` lane, wall-clock) when span tracing is active. Called after
-/// the stage so a stage that returns early (error) leaves no span.
-fn trace_stage(name: &str, start_us: u64, extra: &[(&str, Value)]) {
+/// Writes a completed campaign stage's records from one measurement: its
+/// `tspan` on the trace timeline (the `main` lane, wall-clock) when span
+/// tracing is active, then its `span` record to `recorder`, each with
+/// `field` appended. Called after the stage, so a stage that returns early
+/// (an error) writes neither.
+fn record_stage(recorder: &dyn Recorder, name: &str, start_us: u64, field: (&str, Value)) {
+    let dur_us = bw_telemetry::wall_now_us().saturating_sub(start_us);
+    let extra = [field];
     if let Some(sink) = bw_telemetry::trace_sink() {
         bw_telemetry::record_span(
             sink.as_ref(),
@@ -703,10 +707,11 @@ fn trace_stage(name: &str, start_us: u64, extra: &[(&str, Value)]) {
             "stage",
             name,
             start_us,
-            bw_telemetry::wall_now_us().saturating_sub(start_us),
-            extra,
+            dur_us,
+            &extra,
         );
     }
+    SpanRecord { name: Cow::Borrowed(name), dur_us }.record_to(recorder, &extra);
 }
 
 /// Injections a worker claims at a time and runs off one [`SimPrefix`],
@@ -1025,11 +1030,8 @@ pub fn run_campaign(
     // counts (the paper's PIN profiling run).
     let stage_start = bw_telemetry::wall_now_us();
     let golden = SimEngine.run(image, &config.sim);
-    trace_stage(
-        "campaign.golden",
-        stage_start,
-        &[("total_steps", Value::from(golden.total_steps))],
-    );
+    let steps = ("total_steps", Value::from(golden.total_steps));
+    record_stage(&NULL_RECORDER, "campaign.golden", stage_start, steps);
     run_campaign_with_golden_recorded(image, config, &golden, None, &NULL_RECORDER)
 }
 
@@ -1050,27 +1052,20 @@ pub fn run_campaign_with_golden_recorded(
     progress: Option<&ProgressFn<'_>>,
     recorder: &dyn Recorder,
 ) -> Result<CampaignResult, CampaignError> {
-    let span = Span::enter(recorder, "campaign.plan");
     let stage_start = bw_telemetry::wall_now_us();
     let job = CampaignJob::new(image, config, golden, progress)?;
-    trace_stage("campaign.plan", stage_start, &[("injections", Value::from(job.planned()))]);
-    span.finish(&[("injections", Value::from(job.planned()))]);
+    let planned = ("injections", Value::from(job.planned()));
+    record_stage(recorder, "campaign.plan", stage_start, planned);
 
-    let span = Span::enter(recorder, "campaign.execute");
     let stage_start = bw_telemetry::wall_now_us();
     let worker_stats = run_pool(&job, config.workers, recorder);
-    trace_stage(
-        "campaign.execute",
-        stage_start,
-        &[("workers", Value::from(worker_stats.len()))],
-    );
-    span.finish(&[("workers", Value::from(worker_stats.len()))]);
+    let workers = ("workers", Value::from(worker_stats.len()));
+    record_stage(recorder, "campaign.execute", stage_start, workers);
 
-    let span = Span::enter(recorder, "campaign.reduce");
     let stage_start = bw_telemetry::wall_now_us();
     let result = job.reduce(worker_stats);
-    trace_stage("campaign.reduce", stage_start, &[("records", Value::from(result.records.len()))]);
-    span.finish(&[("records", Value::from(result.records.len()))]);
+    let records = ("records", Value::from(result.records.len()));
+    record_stage(recorder, "campaign.reduce", stage_start, records);
 
     result.worker_stats.iter().for_each(|w| w.record_to(recorder));
     recorder.flush();

@@ -11,11 +11,11 @@ use std::fmt::Write as _;
 use bw_analysis::AnalysisConfig;
 use bw_fault::{run_campaign_with_golden_recorded, CampaignConfig, FaultModel, OutcomeCounts};
 use bw_ir::{parse_module, Module, ModulePrinter};
-use bw_telemetry::{Recorder, Value, NULL_RECORDER};
-use bw_vm::{Engine, ExecConfig, ProgramImage, SimEngine};
+use bw_telemetry::{Recorder, Value};
+use bw_vm::{engine, Engine, EngineKind, ExecConfig, ProgramImage, SimEngine};
 
 use crate::generate::{generate_module, GenConfig};
-use crate::oracle::{check_image_cross, OracleStats, DEFAULT_THREADS};
+use crate::oracle::{sweep, CheckFailure, OracleStats, DEFAULT_THREADS};
 use crate::shrink::shrink;
 
 /// Configuration of one fuzzing session.
@@ -32,8 +32,10 @@ pub struct FuzzConfig {
     /// Fault injections to run against each passing seed (0 disables the
     /// injection stage). Campaigns run on the deterministic simulator.
     pub injections: usize,
-    /// Cross-check every fault-free oracle run against the real-threads
-    /// engine (see [`crate::check_image_cross`]).
+    /// Also run the oracle's real-engine legs: at every thread count the
+    /// OS-thread engine, flat and at four monitor shards, must agree with
+    /// the simulator on what does not depend on the schedule (outputs,
+    /// outcome, no violations).
     pub real_cross_check: bool,
 }
 
@@ -130,22 +132,11 @@ impl FuzzReport {
     }
 }
 
-/// A pipeline-stage or oracle failure for one module.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CheckFailure {
-    /// Stable failure-class name (see [`crate::OracleFailure::class`];
-    /// pipeline stages contribute `round-trip` and `prepare`). The shrinker
-    /// only accepts reductions that stay in the original class.
-    pub class: &'static str,
-    /// Human-readable description.
-    pub message: String,
-}
-
 /// Runs the full pipeline for one module and applies the oracle.
 ///
 /// Checks, in order: the textual round-trip (print → parse → structural
 /// equality), preparation (verify + analyze + instrument + link), and the
-/// three oracle invariants at every thread count.
+/// oracle ([`crate::check_image`]) at every thread count.
 ///
 /// # Errors
 ///
@@ -155,68 +146,38 @@ pub fn check_module(
     threads: &[u32],
     seed: u64,
 ) -> Result<OracleStats, CheckFailure> {
-    check_module_cross(module, threads, seed, false)
+    check_prepared(module, threads, seed, false).map(|(stats, _)| stats)
 }
 
-/// [`check_module`] with the opt-in real-engine cross-check of
-/// [`crate::check_image_cross`] on the oracle stage.
-///
-/// # Errors
-///
-/// Returns the first failing stage, tagged with its class
-/// (`engine-divergence` when sim and real disagree).
-pub fn check_module_cross(
-    module: &Module,
-    threads: &[u32],
-    seed: u64,
-    real_cross: bool,
-) -> Result<OracleStats, CheckFailure> {
-    check_prepared(module, threads, seed, real_cross).map(|(stats, _)| stats)
-}
-
-/// [`check_module_cross`], also handing back the image the oracle ran, so
-/// that the injection stage does not prepare the module a second time.
+/// [`check_module`], with the oracle's real-engine legs when `real_cross`
+/// is set, also handing back the image the oracle ran, so that the
+/// injection stage does not prepare the module a second time.
 fn check_prepared(
     module: &Module,
     threads: &[u32],
     seed: u64,
     real_cross: bool,
 ) -> Result<(OracleStats, ProgramImage), CheckFailure> {
-    let text = ModulePrinter(module).to_string();
-    match parse_module(&text) {
+    let round_trip = |message| CheckFailure { class: "round-trip", message };
+    match parse_module(&ModulePrinter(module).to_string()) {
         Ok(reparsed) if reparsed == *module => {}
-        Ok(_) => {
-            return Err(CheckFailure {
-                class: "round-trip",
-                message: "textual round-trip is not structurally identical".into(),
-            })
-        }
-        Err(e) => {
-            return Err(CheckFailure {
-                class: "round-trip",
-                message: format!("printed module fails to re-parse: {e}"),
-            })
-        }
+        Ok(_) => return Err(round_trip("textual round-trip is not structurally identical".into())),
+        Err(e) => return Err(round_trip(format!("printed module fails to re-parse: {e}"))),
     }
     // The one way preparing can fail is a verifier rejection.
     let image = ProgramImage::try_prepare(module.clone(), AnalysisConfig::default())
         .map_err(|e| CheckFailure { class: "prepare", message: e.to_string() })?;
-    let stats = check_image_cross(&image, threads, seed, real_cross)
-        .map_err(|f| CheckFailure { class: f.class(), message: f.to_string() })?;
+    let real = engine(EngineKind::Real);
+    let stats = sweep(&SimEngine, real, &image, threads, seed, real_cross)?;
     Ok((stats, image))
 }
 
-/// Runs a fuzzing session.
-pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
-    run_fuzz_recorded(config, &NULL_RECORDER)
-}
-
-/// [`run_fuzz`] with a structured-event [`Recorder`] receiving one
-/// `fuzz.seed` event per seed (seed, status, failure class) plus each
-/// injection campaign's stage spans and per-injection trace — the format
-/// `bw stats` reads back. The report itself stays a pure function of the
-/// configuration; only the trace carries wall-clock data.
-pub fn run_fuzz_recorded(config: &FuzzConfig, recorder: &dyn Recorder) -> FuzzReport {
+/// Runs a fuzzing session. `recorder` receives one `fuzz.seed` event per
+/// seed (seed, status, failure class) plus each injection campaign's stage
+/// spans and per-injection trace — the format `bw stats` reads back; pass
+/// [`bw_telemetry::NULL_RECORDER`] for none. The report itself stays a pure
+/// function of the configuration; only the trace carries wall-clock data.
+pub fn run_fuzz(config: &FuzzConfig, recorder: &dyn Recorder) -> FuzzReport {
     let mut report = FuzzReport::default();
     // Live registry handles for the sampler: seeds swept and failures
     // found so far. Cold per-seed updates, trace-side
@@ -256,16 +217,12 @@ pub fn run_fuzz_recorded(config: &FuzzConfig, recorder: &dyn Recorder) -> FuzzRe
                         ("class", Value::from(failure.class)),
                     ],
                 );
-                let threads = config.threads.clone();
                 // Only accept reductions that fail in the same class as the
                 // original: without this, a "not transparent" repro can
                 // drift into an unrelated deadlock while shrinking.
-                let class = failure.class;
-                let real_cross = config.real_cross_check;
                 let min = shrink(&module, |m| {
-                    check_module_cross(m, &threads, seed, real_cross)
-                        .err()
-                        .is_some_and(|f| f.class == class)
+                    check_prepared(m, &config.threads, seed, config.real_cross_check)
+                        .is_err_and(|f| f.class == failure.class)
                 });
                 report.failures.push(FuzzFailure {
                     seed,
@@ -321,6 +278,7 @@ fn merge_counts(into: &mut OutcomeCounts, from: &OutcomeCounts) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bw_telemetry::NULL_RECORDER;
 
     fn small_config() -> FuzzConfig {
         FuzzConfig {
@@ -336,11 +294,11 @@ mod tests {
     #[test]
     fn small_session_passes_and_is_reproducible() {
         let cfg = small_config();
-        let a = run_fuzz(&cfg);
+        let a = run_fuzz(&cfg, &NULL_RECORDER);
         assert!(a.ok(), "unexpected failures:\n{}", a.render());
         assert_eq!(a.seeds_run, 3);
         assert!(a.stats.runs > 0);
-        let b = run_fuzz(&cfg);
+        let b = run_fuzz(&cfg, &NULL_RECORDER);
         assert_eq!(a, b);
     }
 
@@ -349,7 +307,7 @@ mod tests {
         let mut cfg = small_config();
         cfg.seeds = 1;
         cfg.injections = 4;
-        let r = run_fuzz(&cfg);
+        let r = run_fuzz(&cfg, &NULL_RECORDER);
         assert!(r.ok(), "unexpected failures:\n{}", r.render());
         let c = &r.injection_counts;
         assert_eq!(c.activated() + c.not_activated, 4);
@@ -360,7 +318,7 @@ mod tests {
         let mut cfg = small_config();
         cfg.seeds = 2;
         cfg.real_cross_check = true;
-        let r = run_fuzz(&cfg);
+        let r = run_fuzz(&cfg, &NULL_RECORDER);
         assert!(r.ok(), "unexpected failures:\n{}", r.render());
         // 2 seeds x 2 thread counts x 10 runs (monitored, repeat,
         // unmonitored, span-traced, shard sweep of 4, real, real sharded).
@@ -370,7 +328,7 @@ mod tests {
     #[test]
     fn coverage_counts_are_reported() {
         let cfg = FuzzConfig { seeds: 10, ..small_config() };
-        let r = run_fuzz(&cfg);
+        let r = run_fuzz(&cfg, &NULL_RECORDER);
         assert!(r.ok(), "unexpected failures:\n{}", r.render());
         assert_eq!(r.stats.coverage.total(), r.stats.checked_instances);
         assert!(r.render().contains("coverage: shared-uniform"));

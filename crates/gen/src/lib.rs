@@ -26,13 +26,10 @@ mod generate;
 mod oracle;
 mod shrink;
 
-pub use fuzz::{
-    check_module, check_module_cross, run_fuzz, run_fuzz_recorded, CheckFailure, FuzzConfig,
-    FuzzFailure, FuzzReport,
-};
+pub use fuzz::{check_module, run_fuzz, FuzzConfig, FuzzFailure, FuzzReport};
 pub use generate::{generate_module, GenConfig};
 pub use oracle::{
-    check_image, check_image_cross, sabotaged_image, CoverageCounts,
-    OracleFailure, OracleStats, DEFAULT_THREADS, ORACLE_MAX_STEPS,
+    check_image, sabotaged_image, CheckFailure, CoverageCounts, OracleStats, DEFAULT_THREADS,
+    ORACLE_MAX_STEPS,
 };
 pub use shrink::shrink;

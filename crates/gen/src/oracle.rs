@@ -13,30 +13,25 @@
 //!    up as a disagreement.
 //! 3. **Differential transparency** — instrumented and uninstrumented runs
 //!    produce identical program-visible results: outputs, outcome, and the
-//!    total and per-thread instruction and branch counts. (Event counts,
-//!    cycle attribution and the monitor's instruments necessarily differ and
-//!    are not compared.)
+//!    total and per-thread instruction and branch counts.
 //!
-//! Plus a reproducibility gate: running the same configuration twice must be
-//! bitwise-identical in every deterministic field of the `RunResult` —
-//! outcome, outputs, cycles, step and branch counts (total and per thread),
-//! the event stream and counts, violations, the cycle buckets and the
-//! monitor's instruments.
-//!
-//! And a **shard-neutrality** gate: sharding the monitor ingest
-//! (`ExecConfig::monitor_shards`) is a throughput knob, never a semantic
-//! one — every shard count must produce byte-identical violations,
-//! violation reports and program observables.
+//! At each thread count the program runs once monitored, and then once per
+//! row of the leg table `LEGS`: again, with the monitor off, under a span
+//! sink, at four shard counts and (opt-in) on the OS-thread engine. A row
+//! names the observables its run must share with the monitored run and the
+//! failure it reports when one differs; one comparator, `Leg::compare`,
+//! checks them all. The category patterns are checked after the
+//! simulator's legs.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 use bw_analysis::{AnalysisConfig, Category, CheckKind, CheckPlan, TidCheck};
-use bw_monitor::{Violation, ViolationReport};
+use bw_ir::BranchId;
 use bw_vm::{
     engine, Engine, EngineKind, ExecConfig, MonitorMode, ProgramImage, RunOutcome, RunResult,
     SimEngine,
 };
-use bw_ir::BranchId;
 
 /// One branch event as the pattern check orders it: its runtime instance
 /// `(branch, site, iter)`, keyed as the monitor keys its pending table, then
@@ -53,194 +48,267 @@ pub const DEFAULT_THREADS: [u32; 4] = [1, 2, 4, 8];
 /// each such candidate take minutes).
 pub const ORACLE_MAX_STEPS: u64 = 2_000_000;
 
-/// Why the oracle rejected a program.
-#[derive(Clone, Debug)]
-pub enum OracleFailure {
-    /// A fault-free run did not complete — a generator (or engine) bug.
-    RunFailed {
-        /// Thread count of the failing run.
-        nthreads: u32,
-        /// How it ended.
-        outcome: RunOutcome,
-    },
-    /// Invariant 1 broken: a fault-free run produced a violation.
-    FalsePositive {
-        /// Thread count of the failing run.
-        nthreads: u32,
-        /// The spurious violation.
-        violation: Violation,
-        /// The monitor's full provenance for the spurious violation
-        /// (deviant threads, witness table, window). Shrunken repros carry
-        /// it so the evidence survives minimization.
-        report: Option<Box<ViolationReport>>,
-    },
-    /// Invariant 2 broken: an event stream contradicts a branch's category.
-    CategoryPattern {
-        /// Thread count of the failing run.
-        nthreads: u32,
-        /// The offending branch (its `BranchId` index).
-        branch: u32,
-        /// What the pattern check saw.
-        detail: String,
-    },
-    /// Invariant 3 broken: instrumentation changed program-visible results.
-    NotTransparent {
-        /// Thread count of the failing run.
-        nthreads: u32,
-        /// Which observable diverged.
-        detail: String,
-    },
-    /// The same configuration produced two different runs.
-    NotReproducible {
-        /// Thread count of the failing run.
-        nthreads: u32,
-        /// Which observable diverged.
-        detail: String,
-    },
-    /// Span tracing changed an observable: a run with a `--trace-spans`
-    /// sink installed disagreed with the untraced run on something
-    /// deterministic (outputs, violations, step counts, cycles). Tracing
-    /// must be observability-only by construction.
-    TraceDivergence {
-        /// Thread count of the failing run.
-        nthreads: u32,
-        /// Which observable diverged.
-        detail: String,
-    },
-    /// The real-threads engine disagreed with the simulator on a
-    /// schedule-independent observable (outputs, outcome, or the absence
-    /// of violations). Only produced by the opt-in cross-check of
-    /// [`check_image_cross`].
-    EngineDivergence {
-        /// Thread count of the failing run.
-        nthreads: u32,
-        /// Which observable diverged.
-        detail: String,
-    },
-    /// Sharding the monitor ingest changed the verdict: a run with
-    /// `monitor_shards = Some(shards)` disagreed with the unsharded run on
-    /// an observable that must be shard-independent (outcome, outputs,
-    /// violations, violation reports, event totals).
-    ShardDivergence {
-        /// Thread count of the failing run.
-        nthreads: u32,
-        /// Shard count of the diverging run.
-        shards: usize,
-        /// Which observable diverged.
-        detail: String,
-    },
+/// Why the oracle, or a pipeline stage before it, rejected a program.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CheckFailure {
+    /// Stable name of the failure class: `run-failed`, `false-positive`,
+    /// `category-pattern`, a leg's class, or a pipeline stage's
+    /// `round-trip` or `prepare`. The shrinker keeps a reduction only when
+    /// it fails in the same class, so a transparency repro cannot drift
+    /// into, say, a plain deadlock.
+    pub class: &'static str,
+    /// What went wrong, in words: the failure's `Display`.
+    pub message: String,
 }
 
-impl OracleFailure {
-    /// Stable name of the failure class. The shrinker keeps a reduction
-    /// only when it reproduces the *same class* of failure, so a
-    /// transparency repro cannot drift into, say, a plain deadlock.
+impl CheckFailure {
+    /// The failure class, as the `class` field holds it. `benchmark/`
+    /// reads the class of `check_image`'s failures by this method and of
+    /// `check_module`'s by the field.
     pub fn class(&self) -> &'static str {
+        self.class
+    }
+}
+
+impl fmt::Display for CheckFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.message)
+    }
+}
+
+/// How a leg's run differs from the monitored run.
+#[derive(Clone, Copy, Debug)]
+enum Run {
+    /// The same configuration again.
+    Repeat,
+    /// The monitor off, and no events captured.
+    MonitorOff,
+    /// A discarding span sink installed, so that every span tracer runs.
+    SpanSink,
+    /// The monitor ingest split across this many shards.
+    Shards(usize),
+    /// On the OS-thread engine, without captured events, at this many
+    /// monitor shards (`None`: one monitor).
+    Real(Option<usize>),
+}
+
+impl Run {
+    /// The leg's run of `image`, whose monitored run was configured `on`.
+    fn result(
+        self,
+        sim: &dyn Engine,
+        real: &dyn Engine,
+        image: &ProgramImage,
+        on: &ExecConfig,
+    ) -> RunResult {
         match self {
-            OracleFailure::RunFailed { .. } => "run-failed",
-            OracleFailure::FalsePositive { .. } => "false-positive",
-            OracleFailure::CategoryPattern { .. } => "category-pattern",
-            OracleFailure::NotTransparent { .. } => "not-transparent",
-            OracleFailure::NotReproducible { .. } => "not-reproducible",
-            OracleFailure::TraceDivergence { .. } => "trace-divergence",
-            OracleFailure::EngineDivergence { .. } => "engine-divergence",
-            OracleFailure::ShardDivergence { .. } => "shard-divergence",
+            Run::Repeat => sim.run(image, on),
+            Run::MonitorOff => {
+                sim.run(image, &on.clone().monitor(MonitorMode::Off).capture_events(false))
+            }
+            Run::SpanSink => {
+                // The sink installed before (the CLI may hold one for the
+                // whole fuzz session) comes back afterwards.
+                let prev = bw_telemetry::trace_sink();
+                bw_telemetry::set_trace_sink(Some(Arc::new(bw_telemetry::NullRecorder)));
+                let result = sim.run(image, on);
+                bw_telemetry::set_trace_sink(prev);
+                result
+            }
+            Run::Shards(shards) => sim.run(image, &on.clone().monitor_shards(Some(shards))),
+            Run::Real(shards) => {
+                real.run(image, &on.clone().capture_events(false).monitor_shards(shards))
+            }
+        }
+    }
+
+    /// How the run differs, as the failure detail says it.
+    fn context(self) -> &'static str {
+        match self {
+            Run::Repeat => "between identical runs",
+            Run::MonitorOff => "with the monitor on",
+            Run::SpanSink => "under a span sink",
+            Run::Shards(_) => "with sharded ingest",
+            Run::Real(_) => "on the real engine",
         }
     }
 }
 
-impl fmt::Display for OracleFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+/// A named observable of a run.
+#[derive(Clone, Copy, Debug)]
+enum Observable {
+    Outcome,
+    Outputs,
+    ParallelCycles,
+    TotalSteps,
+    BranchEvents,
+    Violations,
+    ViolationReports,
+    StepsPerThread,
+    BranchesPerThread,
+    /// Events sent, processed and dropped.
+    EventCounts,
+    EventsProcessed,
+    Engines,
+    Cycles,
+    Monitor,
+}
+
+use Observable::*;
+
+impl Observable {
+    /// The observable's name, and whether runs `a` and `b` differ in it.
+    fn compare(self, a: &RunResult, b: &RunResult) -> (&'static str, bool) {
+        let events = |r: &RunResult| (r.events_sent, r.events_processed, r.events_dropped);
         match self {
-            OracleFailure::RunFailed { nthreads, outcome } => {
-                write!(f, "fault-free run at {nthreads} thread(s) ended {outcome:?}")
+            Outcome => ("outcome", a.outcome != b.outcome),
+            Outputs => ("outputs", a.outputs != b.outputs),
+            ParallelCycles => ("parallel_cycles", a.parallel_cycles != b.parallel_cycles),
+            TotalSteps => ("total_steps", a.total_steps != b.total_steps),
+            BranchEvents => ("branch event streams", a.branch_events != b.branch_events),
+            Violations => ("violations", a.violations != b.violations),
+            ViolationReports => ("violation reports", a.violation_reports != b.violation_reports),
+            StepsPerThread => ("per-thread step counts", a.steps_per_thread != b.steps_per_thread),
+            BranchesPerThread => {
+                ("per-thread branch counts", a.branches_per_thread != b.branches_per_thread)
             }
-            OracleFailure::FalsePositive { nthreads, violation, report } => {
-                write!(f, "false positive at {nthreads} thread(s): {}", violation.describe())?;
-                if let Some(report) = report {
-                    write!(f, "\n{}", report.describe())?;
-                }
-                Ok(())
-            }
-            OracleFailure::CategoryPattern { nthreads, branch, detail } => {
-                write!(
-                    f,
-                    "category pattern mismatch at {nthreads} thread(s) on br{branch}: {detail}"
-                )
-            }
-            OracleFailure::NotTransparent { nthreads, detail } => {
-                write!(f, "instrumentation not transparent at {nthreads} thread(s): {detail}")
-            }
-            OracleFailure::NotReproducible { nthreads, detail } => {
-                write!(f, "run not reproducible at {nthreads} thread(s): {detail}")
-            }
-            OracleFailure::TraceDivergence { nthreads, detail } => {
-                write!(f, "span tracing not transparent at {nthreads} thread(s): {detail}")
-            }
-            OracleFailure::EngineDivergence { nthreads, detail } => {
-                write!(f, "real engine diverges from sim at {nthreads} thread(s): {detail}")
-            }
-            OracleFailure::ShardDivergence { nthreads, shards, detail } => {
-                write!(
-                    f,
-                    "sharded monitor ({shards} shard(s)) diverges at {nthreads} thread(s): {detail}"
-                )
-            }
+            EventCounts => ("event counts", events(a) != events(b)),
+            EventsProcessed => ("events_processed", a.events_processed != b.events_processed),
+            Engines => ("engines", a.engine != b.engine),
+            Cycles => ("cycle attributions", a.cycles != b.cycles),
+            Monitor => ("monitor instruments", a.monitor != b.monitor),
         }
     }
 }
+
+/// Every deterministic field of a run: what two runs of one configuration
+/// share bit for bit.
+const EVERY_FIELD: &[Observable] = &[
+    Outcome,
+    Outputs,
+    ParallelCycles,
+    TotalSteps,
+    BranchEvents,
+    Violations,
+    StepsPerThread,
+    BranchesPerThread,
+    EventCounts,
+    Engines,
+    Cycles,
+    Monitor,
+];
+
+/// What the program sees, which the monitor must not change. (Event counts,
+/// cycle attribution and the monitor's instruments necessarily differ.)
+const PROGRAM_VIEW: &[Observable] =
+    &[Outcome, Outputs, StepsPerThread, BranchesPerThread, TotalSteps];
+
+/// Verdicts, their provenance and the program's results and costs, which
+/// sharding the ingest must not change. (Per-shard health counters appear
+/// on the sharded side only.)
+const VERDICTS: &[Observable] =
+    &[Outcome, Outputs, Violations, ViolationReports, EventsProcessed, TotalSteps, ParallelCycles];
+
+/// What does not depend on the schedule, which the real engine must share
+/// with the simulator: outputs (both emit them in thread-id order), the
+/// outcome and the violations (none: the monitored run has passed the
+/// false-positive check). Step counts, cycles and event totals are not.
+const SCHEDULE_FREE: &[Observable] = &[Outcome, Outputs, Violations];
+
+/// One leg of the sweep: a run of the program that differs from the
+/// monitored run in one way, and what it reports when it is caught.
+#[derive(Debug)]
+struct Leg {
+    /// How its run differs from the monitored run.
+    run: Run,
+    /// The observables that must equal the monitored run's, in the order
+    /// they are compared.
+    must_match: &'static [Observable],
+    /// The failure class it reports.
+    class: &'static str,
+    /// The failure message's lead, before " at N thread(s): <detail>".
+    lead: &'static str,
+}
+
+/// The legs, in the order they run: how each one's run differs from the
+/// monitored run, the observables it must share with it, and the class
+/// and lead of the failure it reports. The first [`SIM_LEGS`] run on the
+/// simulator; the rest are the opt-in real-engine cross-check.
+const LEGS: [Leg; 9] = [
+    Leg::new(Run::Repeat, EVERY_FIELD, "not-reproducible", "run not reproducible"),
+    Leg::new(Run::MonitorOff, PROGRAM_VIEW, "not-transparent", "instrumentation not transparent"),
+    Leg::new(Run::SpanSink, EVERY_FIELD, "trace-divergence", "span tracing not transparent"),
+    Leg::new(Run::Shards(1), VERDICTS, "shard-divergence", "sharded monitor (1 shard(s)) diverges"),
+    Leg::new(Run::Shards(2), VERDICTS, "shard-divergence", "sharded monitor (2 shard(s)) diverges"),
+    Leg::new(Run::Shards(4), VERDICTS, "shard-divergence", "sharded monitor (4 shard(s)) diverges"),
+    Leg::new(Run::Shards(8), VERDICTS, "shard-divergence", "sharded monitor (8 shard(s)) diverges"),
+    Leg::new(Run::Real(None), SCHEDULE_FREE, "engine-divergence", "real engine diverges from sim"),
+    Leg::new(
+        Run::Real(Some(4)),
+        SCHEDULE_FREE,
+        "shard-divergence",
+        "sharded monitor (4 shard(s)) diverges",
+    ),
+];
+
+/// How many of [`LEGS`] run on the simulator.
+const SIM_LEGS: usize = 7;
+
+impl Leg {
+    const fn new(
+        run: Run,
+        must_match: &'static [Observable],
+        class: &'static str,
+        lead: &'static str,
+    ) -> Leg {
+        Leg { run, must_match, class, lead }
+    }
+
+    /// The one comparator: the first of the leg's observables on which its
+    /// `run` differs from the `monitored` one, in words.
+    fn compare(&self, monitored: &RunResult, run: &RunResult) -> Option<String> {
+        let (name, _) = self
+            .must_match
+            .iter()
+            .map(|o| o.compare(monitored, run))
+            .find(|&(_, differs)| differs)?;
+        Some(match name {
+            "outcome" => format!("outcome {:?} vs {:?}", monitored.outcome, run.outcome),
+            name => format!("{name} differ {}", self.run.context()),
+        })
+    }
+}
+
+/// The check kinds the coverage counts, with their report names, in report
+/// order.
+const KINDS: [(CheckKind, &str); 6] = [
+    (CheckKind::SharedUniform, "shared-uniform"),
+    (CheckKind::ThreadIdPredicate(TidCheck::AtMostOneTaken), "tid-at-most-one-taken"),
+    (CheckKind::ThreadIdPredicate(TidCheck::AtMostOneNotTaken), "tid-at-most-one-not-taken"),
+    (CheckKind::ThreadIdPredicate(TidCheck::TakenIsPrefix), "tid-taken-is-prefix"),
+    (CheckKind::ThreadIdPredicate(TidCheck::TakenIsSuffix), "tid-taken-is-suffix"),
+    (CheckKind::GroupByWitness, "group-by-witness"),
+];
 
 /// How many monitor-checkable instances (two or more reporting threads)
-/// each check kind received during an oracle sweep. A category left at
-/// zero after a fuzz session means that session never actually exercised
-/// the corresponding monitor checker — passing proves nothing about it.
+/// each check kind received during an oracle sweep, in the order of
+/// [`CoverageCounts::by_kind`]. A category left at zero after a fuzz
+/// session means that session never actually exercised the corresponding
+/// monitor checker — passing proves nothing about it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CoverageCounts {
-    /// [`CheckKind::SharedUniform`] instances checked.
-    pub shared_uniform: u64,
-    /// [`TidCheck::AtMostOneTaken`] instances checked.
-    pub tid_at_most_one_taken: u64,
-    /// [`TidCheck::AtMostOneNotTaken`] instances checked.
-    pub tid_at_most_one_not_taken: u64,
-    /// [`TidCheck::TakenIsPrefix`] instances checked.
-    pub tid_taken_is_prefix: u64,
-    /// [`TidCheck::TakenIsSuffix`] instances checked.
-    pub tid_taken_is_suffix: u64,
-    /// [`CheckKind::GroupByWitness`] instances checked.
-    pub group_by_witness: u64,
-}
+pub struct CoverageCounts([u64; 6]);
 
 impl CoverageCounts {
     /// Records one checked instance of `kind`.
     pub fn record(&mut self, kind: &CheckKind) {
-        match kind {
-            CheckKind::SharedUniform => self.shared_uniform += 1,
-            CheckKind::ThreadIdPredicate(TidCheck::AtMostOneTaken) => {
-                self.tid_at_most_one_taken += 1;
-            }
-            CheckKind::ThreadIdPredicate(TidCheck::AtMostOneNotTaken) => {
-                self.tid_at_most_one_not_taken += 1;
-            }
-            CheckKind::ThreadIdPredicate(TidCheck::TakenIsPrefix) => {
-                self.tid_taken_is_prefix += 1;
-            }
-            CheckKind::ThreadIdPredicate(TidCheck::TakenIsSuffix) => {
-                self.tid_taken_is_suffix += 1;
-            }
-            CheckKind::GroupByWitness => self.group_by_witness += 1,
+        if let Some(i) = KINDS.iter().position(|(k, _)| k == kind) {
+            self.0[i] += 1;
         }
     }
 
     /// `(name, count)` pairs in a fixed order, for reporting.
     pub fn by_kind(&self) -> [(&'static str, u64); 6] {
-        [
-            ("shared-uniform", self.shared_uniform),
-            ("tid-at-most-one-taken", self.tid_at_most_one_taken),
-            ("tid-at-most-one-not-taken", self.tid_at_most_one_not_taken),
-            ("tid-taken-is-prefix", self.tid_taken_is_prefix),
-            ("tid-taken-is-suffix", self.tid_taken_is_suffix),
-            ("group-by-witness", self.group_by_witness),
-        ]
+        std::array::from_fn(|i| (KINDS[i].1, self.0[i]))
     }
 
     /// Names of the check kinds that never saw a checked instance.
@@ -250,26 +318,20 @@ impl CoverageCounts {
 
     /// Total checked instances across all kinds.
     pub fn total(&self) -> u64 {
-        self.by_kind().iter().map(|&(_, n)| n).sum()
+        self.0.iter().sum()
     }
 
     /// Accumulates another sweep's counts.
     pub fn absorb(&mut self, other: CoverageCounts) {
-        self.shared_uniform += other.shared_uniform;
-        self.tid_at_most_one_taken += other.tid_at_most_one_taken;
-        self.tid_at_most_one_not_taken += other.tid_at_most_one_not_taken;
-        self.tid_taken_is_prefix += other.tid_taken_is_prefix;
-        self.tid_taken_is_suffix += other.tid_taken_is_suffix;
-        self.group_by_witness += other.group_by_witness;
+        self.0.iter_mut().zip(other.0).for_each(|(n, m)| *n += m);
     }
 }
 
 /// Aggregate statistics from one oracle sweep, for fuzz reporting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OracleStats {
-    /// Runs executed (eight per thread count: monitored, repeat,
-    /// unmonitored, span-traced, and the four-point shard sweep; ten with
-    /// the real cross-check).
+    /// Runs executed: per thread count, the monitored run and one per leg
+    /// (eight; ten with the real cross-check).
     pub runs: u64,
     /// Branch events captured across all monitored runs.
     pub events: u64,
@@ -292,241 +354,75 @@ impl OracleStats {
     }
 }
 
-/// Runs the full oracle over `image` at each thread count.
+/// Runs the oracle over `image` at each thread count, on the simulator.
 ///
 /// `base_seed` seeds the simulated machine (per-thread PRNG streams), so the
 /// whole sweep is a pure function of `(image, threads, base_seed)`.
 ///
 /// # Errors
 ///
-/// Returns the first [`OracleFailure`] encountered.
+/// Returns the first failure, tagged with its class.
 pub fn check_image(
     image: &ProgramImage,
     threads: &[u32],
     base_seed: u64,
-) -> Result<OracleStats, OracleFailure> {
-    check_image_cross(image, threads, base_seed, false)
+) -> Result<OracleStats, CheckFailure> {
+    sweep(&SimEngine, engine(EngineKind::Real), image, threads, base_seed, false)
 }
 
-/// [`check_image`] with an opt-in real-engine cross-check.
-///
-/// When `real_cross` is set, every thread count additionally runs once on
-/// the OS-thread engine and the schedule-independent observables must
-/// agree with the simulator: program outputs (both engines emit them in
-/// thread-id order), the run outcome, and the absence of violations.
-/// Schedule-*dependent* observables — step counts, cycle attribution,
-/// event totals — are deliberately not compared.
-///
-/// # Errors
-///
-/// Returns the first [`OracleFailure`] encountered; real-engine
-/// disagreement is [`OracleFailure::EngineDivergence`].
-pub fn check_image_cross(
-    image: &ProgramImage,
-    threads: &[u32],
-    base_seed: u64,
-    real_cross: bool,
-) -> Result<OracleStats, OracleFailure> {
-    check_on(&SimEngine, image, threads, base_seed, real_cross)
-}
-
-/// [`check_image_cross`] with its simulator runs on `sim`, which tests
-/// replace with a deliberately faulty engine.
-fn check_on(
+/// [`check_image`] on the engines `sim` and `real` (tests swap in faulty
+/// ones), with the real-engine legs when `real_cross` is set.
+pub(crate) fn sweep(
     sim: &dyn Engine,
+    real: &dyn Engine,
     image: &ProgramImage,
     threads: &[u32],
     base_seed: u64,
     real_cross: bool,
-) -> Result<OracleStats, OracleFailure> {
+) -> Result<OracleStats, CheckFailure> {
     let mut stats = OracleStats::default();
     for &n in threads {
-        let cfg_on = ExecConfig::new(n)
-            .seed(base_seed)
-            .max_steps(ORACLE_MAX_STEPS)
-            .capture_events(true);
-
-        let r_on = sim.run(image, &cfg_on);
+        let on =
+            ExecConfig::new(n).seed(base_seed).max_steps(ORACLE_MAX_STEPS).capture_events(true);
+        let monitored = sim.run(image, &on);
         stats.runs += 1;
-        if r_on.outcome != RunOutcome::Completed {
-            return Err(OracleFailure::RunFailed { nthreads: n, outcome: r_on.outcome });
+        if monitored.outcome != RunOutcome::Completed {
+            let message = format!("fault-free run at {n} thread(s) ended {:?}", monitored.outcome);
+            return Err(CheckFailure { class: "run-failed", message });
         }
         // Invariant 1: zero false positives.
-        if let Some(&violation) = r_on.violations.first() {
+        if let Some(violation) = monitored.violations.first() {
             // Carry the matching provenance (reports are sorted in lockstep
             // with the violations) so the repro explains *which* threads
             // disagreed, not just that some did.
-            let report = r_on
-                .violation_reports
-                .iter()
-                .find(|r| r.violation == violation)
-                .cloned()
-                .map(Box::new);
-            return Err(OracleFailure::FalsePositive { nthreads: n, violation, report });
-        }
-
-        // Reproducibility: the identical configuration, bit for bit.
-        let r_again = sim.run(image, &cfg_on);
-        stats.runs += 1;
-        if let Some(detail) = diff_full(&r_on, &r_again) {
-            return Err(OracleFailure::NotReproducible { nthreads: n, detail });
-        }
-
-        // Invariant 3: the monitor must be invisible to the program.
-        let cfg_off = cfg_on.clone().monitor(MonitorMode::Off).capture_events(false);
-        let r_off = sim.run(image, &cfg_off);
-        stats.runs += 1;
-        if let Some(detail) = diff_transparent(&r_on, &r_off) {
-            return Err(OracleFailure::NotTransparent { nthreads: n, detail });
-        }
-
-        // Tracing transparency: with a `--trace-spans` sink installed every
-        // span tracer activates, and nothing deterministic may change. The
-        // discarding sink exercises the instrumentation without a file; the
-        // previous sink (the CLI may have installed one for the whole fuzz
-        // session) is restored afterwards.
-        {
-            let prev = bw_telemetry::trace_sink();
-            bw_telemetry::set_trace_sink(Some(std::sync::Arc::new(bw_telemetry::NullRecorder)));
-            let r_traced = sim.run(image, &cfg_on);
-            bw_telemetry::set_trace_sink(prev);
-            stats.runs += 1;
-            if let Some(detail) = diff_full(&r_on, &r_traced) {
-                return Err(OracleFailure::TraceDivergence { nthreads: n, detail });
+            let mut message = format!("false positive at {n} thread(s): {}", violation.describe());
+            if let Some(report) =
+                monitored.violation_reports.iter().find(|r| r.violation == *violation)
+            {
+                let _ = write!(message, "\n{}", report.describe());
             }
+            return Err(CheckFailure { class: "false-positive", message });
         }
 
-        // Shard neutrality: partitioning the monitor ingest must change
-        // nothing observable — same verdicts, same provenance, same
-        // program-visible results, same costs.
-        for shards in [1usize, 2, 4, 8] {
-            let cfg_sharded = cfg_on.clone().monitor_shards(Some(shards));
-            let r_sharded = sim.run(image, &cfg_sharded);
-            stats.runs += 1;
-            if let Some(detail) = diff_sharded(&r_on, &r_sharded) {
-                return Err(OracleFailure::ShardDivergence { nthreads: n, shards, detail });
+        for (i, leg) in LEGS.iter().enumerate() {
+            if i == SIM_LEGS {
+                // Invariant 2: the event stream matches the static
+                // categories.
+                stats.events += monitored.branch_events.len() as u64;
+                check_category_patterns(image, &monitored, n, &mut stats)?;
+                if !real_cross {
+                    break;
+                }
             }
-        }
-
-        // Invariant 2: the event stream matches the static categories.
-        stats.events += r_on.branch_events.len() as u64;
-        check_category_patterns(image, &r_on, n, &mut stats)?;
-
-        // Opt-in: the real-threads engine must agree on everything that
-        // does not depend on the schedule — flat and with sharded ingest.
-        if real_cross {
-            let cfg_real = cfg_on.clone().capture_events(false);
-            let r_real = engine(EngineKind::Real).run(image, &cfg_real);
+            let run = leg.run.result(sim, real, image, &on);
             stats.runs += 1;
-            if let Some(detail) = diff_engines(&r_on, &r_real) {
-                return Err(OracleFailure::EngineDivergence { nthreads: n, detail });
-            }
-            let cfg_real_sharded = cfg_real.clone().monitor_shards(Some(4));
-            let r_real_sharded = engine(EngineKind::Real).run(image, &cfg_real_sharded);
-            stats.runs += 1;
-            if let Some(detail) = diff_engines(&r_on, &r_real_sharded) {
-                return Err(OracleFailure::ShardDivergence { nthreads: n, shards: 4, detail });
+            if let Some(detail) = leg.compare(&monitored, &run) {
+                let message = format!("{} at {n} thread(s): {detail}", leg.lead);
+                return Err(CheckFailure { class: leg.class, message });
             }
         }
     }
     Ok(stats)
-}
-
-/// Compares a sharded sim run against the unsharded reference: everything
-/// the program or the user can observe must match byte for byte.
-/// (Telemetry is excluded — per-shard health counters legitimately appear
-/// only on the sharded side.)
-fn diff_sharded(flat: &RunResult, sharded: &RunResult) -> Option<String> {
-    if flat.outcome != sharded.outcome {
-        return Some(format!("outcome {:?} flat vs {:?} sharded", flat.outcome, sharded.outcome));
-    }
-    if flat.outputs != sharded.outputs {
-        return Some("program outputs differ with sharded ingest".into());
-    }
-    if flat.violations != sharded.violations {
-        return Some(format!(
-            "violations differ: {} flat vs {} sharded",
-            flat.violations.len(),
-            sharded.violations.len()
-        ));
-    }
-    if flat.violation_reports != sharded.violation_reports {
-        return Some("violation reports differ with sharded ingest".into());
-    }
-    if flat.events_processed != sharded.events_processed {
-        return Some(format!(
-            "events_processed {} flat vs {} sharded",
-            flat.events_processed, sharded.events_processed
-        ));
-    }
-    if flat.total_steps != sharded.total_steps {
-        return Some("total_steps differ with sharded ingest".into());
-    }
-    if flat.parallel_cycles != sharded.parallel_cycles {
-        return Some("parallel_cycles differ with sharded ingest".into());
-    }
-    None
-}
-
-/// Compares the schedule-independent subset of a sim run and a real run.
-fn diff_engines(sim: &RunResult, real: &RunResult) -> Option<String> {
-    if sim.outcome != real.outcome {
-        return Some(format!("outcome {:?} sim vs {:?} real", sim.outcome, real.outcome));
-    }
-    if sim.outputs != real.outputs {
-        return Some(format!(
-            "outputs differ: {} value(s) sim vs {} real",
-            sim.outputs.len(),
-            real.outputs.len()
-        ));
-    }
-    if let Some(v) = real.violations.first() {
-        return Some(format!("real engine false positive: {}", v.describe()));
-    }
-    None
-}
-
-/// Compares two runs of one configuration: every deterministic field must
-/// match, the first that does not is named.
-fn diff_full(a: &RunResult, b: &RunResult) -> Option<String> {
-    if a.outcome != b.outcome {
-        return Some(format!("outcome {:?} vs {:?}", a.outcome, b.outcome));
-    }
-    let events = |r: &RunResult| (r.events_sent, r.events_processed, r.events_dropped);
-    [
-        (a.outputs != b.outputs, "outputs"),
-        (a.parallel_cycles != b.parallel_cycles, "parallel_cycles"),
-        (a.total_steps != b.total_steps, "total_steps"),
-        (a.branch_events != b.branch_events, "branch event streams"),
-        (a.violations != b.violations, "violations"),
-        (a.steps_per_thread != b.steps_per_thread, "per-thread step counts"),
-        (a.branches_per_thread != b.branches_per_thread, "per-thread branch counts"),
-        (events(a) != events(b), "event counts"),
-        (a.engine != b.engine, "engines"),
-        (a.cycles != b.cycles, "cycle attributions"),
-        (a.monitor != b.monitor, "monitor instruments"),
-    ]
-    .into_iter()
-    .find_map(|(differs, what)| differs.then(|| format!("{what} differ between identical runs")))
-}
-
-fn diff_transparent(on: &RunResult, off: &RunResult) -> Option<String> {
-    if on.outcome != off.outcome {
-        return Some(format!("outcome {:?} monitored vs {:?} unmonitored", on.outcome, off.outcome));
-    }
-    if on.outputs != off.outputs {
-        return Some("program outputs differ with the monitor on".into());
-    }
-    if on.steps_per_thread != off.steps_per_thread {
-        return Some("per-thread step counts differ with the monitor on".into());
-    }
-    if on.branches_per_thread != off.branches_per_thread {
-        return Some("per-thread branch counts differ with the monitor on".into());
-    }
-    if on.total_steps != off.total_steps {
-        return Some("total interpreted instructions differ with the monitor on".into());
-    }
-    None
 }
 
 fn check_category_patterns(
@@ -534,7 +430,12 @@ fn check_category_patterns(
     run: &RunResult,
     nthreads: u32,
     stats: &mut OracleStats,
-) -> Result<(), OracleFailure> {
+) -> Result<(), CheckFailure> {
+    let mismatch = |branch: u32, detail: String| {
+        let message =
+            format!("category pattern mismatch at {nthreads} thread(s) on br{branch}: {detail}");
+        CheckFailure { class: "category-pattern", message }
+    };
     // Sorting puts each runtime instance's reports next to each other, by
     // thread, and the instances in key order.
     let mut events: Vec<Keyed> = run
@@ -546,20 +447,15 @@ fn check_category_patterns(
     for reports in events.chunk_by(|a, b| a.0 == b.0) {
         let ((branch, _, _), _) = reports[0];
         let Some(check) = image.plan.check(BranchId(branch)) else {
-            return Err(OracleFailure::CategoryPattern {
-                nthreads,
-                branch,
-                detail: "event emitted for a branch the plan never instrumented".into(),
-            });
+            let detail = "event emitted for a branch the plan never instrumented";
+            return Err(mismatch(branch, detail.into()));
         };
         stats.instances += 1;
         if reports.len() >= 2 {
             stats.checked_instances += 1;
             stats.coverage.record(&check.kind);
         }
-        if let Err(detail) = expected_pattern(&check.kind, reports) {
-            return Err(OracleFailure::CategoryPattern { nthreads, branch, detail });
-        }
+        expected_pattern(&check.kind, reports).map_err(|detail| mismatch(branch, detail))?;
     }
     Ok(())
 }
@@ -759,14 +655,40 @@ mod tests {
         perturb: fn(&mut RunResult),
     }
 
-    impl Engine for Perturbed {
-        fn run(&self, image: &ProgramImage, config: &ExecConfig) -> RunResult {
-            let mut result = SimEngine.run(image, config);
+    impl Perturbed {
+        /// `engine`'s run, perturbed if it is the `faulty`-th.
+        fn on(&self, engine: &dyn Engine, image: &ProgramImage, config: &ExecConfig) -> RunResult {
+            let mut result = engine.run(image, config);
             if self.runs.fetch_add(1, Ordering::Relaxed) == self.faulty {
                 (self.perturb)(&mut result);
             }
             result
         }
+    }
+
+    impl Engine for Perturbed {
+        fn run(&self, image: &ProgramImage, config: &ExecConfig) -> RunResult {
+            self.on(&SimEngine, image, config)
+        }
+    }
+
+    /// The real engine, its runs counted and perturbed with the simulator's.
+    struct PerturbedReal<'a>(&'a Perturbed);
+
+    impl Engine for PerturbedReal<'_> {
+        fn run(&self, image: &ProgramImage, config: &ExecConfig) -> RunResult {
+            self.0.on(engine(EngineKind::Real), image, config)
+        }
+    }
+
+    fn check_on(
+        sim: &Perturbed,
+        image: &ProgramImage,
+        threads: &[u32],
+        base_seed: u64,
+        real_cross: bool,
+    ) -> Result<OracleStats, CheckFailure> {
+        sweep(sim, &PerturbedReal(sim), image, threads, base_seed, real_cross)
     }
 
     /// The reproducibility gate compares the cycle buckets and the monitor's
@@ -792,11 +714,79 @@ mod tests {
             // second its repeat.
             let mutant = Perturbed { faulty: 1, runs: AtomicUsize::new(0), perturb };
             match check_on(&mutant, &image, &[4], 7, false) {
-                Err(OracleFailure::NotReproducible { nthreads: 4, detail }) => {
-                    assert_eq!(detail, format!("{what} differ between identical runs"));
+                Err(failure) if failure.class == "not-reproducible" => {
+                    let detail = format!("{what} differ between identical runs");
+                    assert_eq!(
+                        failure.message,
+                        format!("run not reproducible at 4 thread(s): {detail}")
+                    );
                 }
                 other => panic!("{what}: {other:?}"),
             }
+        }
+    }
+
+    /// Each row of the leg table is wired to its own run, comparator and
+    /// failure: perturbing one leg's run, in an observable its comparator
+    /// reads and (where the rows differ) another row's does not, fails the
+    /// sweep with that leg's class and names the observable. One case per
+    /// row, in table order.
+    #[test]
+    fn every_leg_reports_a_perturbation_of_its_own_run() {
+        let image = ProgramImage::prepare_default(crate::generate_module(0, &Default::default()));
+        let sound = Perturbed { faulty: usize::MAX, runs: AtomicUsize::new(0), perturb: |_| {} };
+        check_on(&sound, &image, &[4], 7, true).expect("seed 0 passes the real cross-check");
+        let cycles: fn(&mut RunResult) = |r| r.cycles.cycles_alu += 1;
+        let branches: fn(&mut RunResult) = |r| r.branches_per_thread[0] += 1;
+        let events: fn(&mut RunResult) = |r| r.events_processed += 1;
+        let hung: fn(&mut RunResult) = |r| r.outcome = RunOutcome::Hung;
+        let at = |lead: &str, detail: &str| format!("{lead} at 4 thread(s): {detail}");
+        let sharded = |shards| {
+            at(
+                &format!("sharded monitor ({shards} shard(s)) diverges"),
+                "events_processed differ with sharded ingest",
+            )
+        };
+        let legs = [
+            (
+                cycles,
+                "not-reproducible",
+                at("run not reproducible", "cycle attributions differ between identical runs"),
+            ),
+            (
+                branches,
+                "not-transparent",
+                at(
+                    "instrumentation not transparent",
+                    "per-thread branch counts differ with the monitor on",
+                ),
+            ),
+            (
+                cycles,
+                "trace-divergence",
+                at("span tracing not transparent", "cycle attributions differ under a span sink"),
+            ),
+            (events, "shard-divergence", sharded(1)),
+            (events, "shard-divergence", sharded(2)),
+            (events, "shard-divergence", sharded(4)),
+            (events, "shard-divergence", sharded(8)),
+            (
+                hung,
+                "engine-divergence",
+                at("real engine diverges from sim", "outcome Completed vs Hung"),
+            ),
+            (
+                hung,
+                "shard-divergence",
+                at("sharded monitor (4 shard(s)) diverges", "outcome Completed vs Hung"),
+            ),
+        ];
+        for (leg, (perturb, class, message)) in legs.into_iter().enumerate() {
+            // Run 0 is the monitored run; the legs' runs follow in order.
+            let mutant = Perturbed { faulty: 1 + leg, runs: AtomicUsize::new(0), perturb };
+            let failure = check_on(&mutant, &image, &[4], 7, true)
+                .expect_err(&format!("leg {leg}'s perturbed run passes"));
+            assert_eq!((failure.class, failure.message), (class, message), "leg {leg}");
         }
     }
 }

@@ -13,7 +13,7 @@ fn fixed_seed_batch_passes_all_invariants() {
         injections: 0,
         ..FuzzConfig::default()
     };
-    let report = run_fuzz(&cfg);
+    let report = run_fuzz(&cfg, &bw_telemetry::NULL_RECORDER);
     assert!(report.ok(), "oracle failures:\n{}", report.render());
     assert_eq!(report.seeds_run, 10);
     // The batch must actually exercise cross-thread checking, not pass
@@ -35,8 +35,8 @@ fn fuzz_report_is_bitwise_reproducible() {
         injections: 3,
         ..FuzzConfig::default()
     };
-    let a = run_fuzz(&cfg);
-    let b = run_fuzz(&cfg);
+    let a = run_fuzz(&cfg, &bw_telemetry::NULL_RECORDER);
+    let b = run_fuzz(&cfg, &bw_telemetry::NULL_RECORDER);
     assert!(a.ok(), "oracle failures:\n{}", a.render());
     assert_eq!(a, b, "same config must produce an identical report");
     assert_eq!(a.render(), b.render());

@@ -4,7 +4,7 @@
 
 use bw_analysis::{AnalysisConfig, Category, ModuleAnalysis};
 use bw_gen::{
-    check_image, check_module, check_module_cross, generate_module, sabotaged_image, shrink,
+    check_image, check_module, generate_module, run_fuzz, sabotaged_image, shrink, FuzzConfig,
     GenConfig, DEFAULT_THREADS,
 };
 use bw_ir::{FuncId, Module, Op};
@@ -210,9 +210,14 @@ fn seeds_that_raced_on_the_accumulator_pass() {
         (0x8db, false),
         (0x9a2, false),
     ] {
-        let module = generate_module(seed, &GenConfig::default());
-        check_module_cross(&module, &DEFAULT_THREADS, seed, real_cross)
-            .unwrap_or_else(|f| panic!("seed {seed:#x}: {} ({})", f.message, f.class));
+        let config = FuzzConfig {
+            seeds: 1,
+            start_seed: seed,
+            real_cross_check: real_cross,
+            ..FuzzConfig::default()
+        };
+        let report = run_fuzz(&config, &bw_telemetry::NULL_RECORDER);
+        assert!(report.ok(), "seed {seed:#x}: {}", report.render());
     }
 }
 

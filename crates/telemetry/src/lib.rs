@@ -3,7 +3,7 @@
 //! Every other crate in the workspace records what it does through this
 //! one: lock-free metric primitives ([`Counter`], [`Gauge`],
 //! [`Histogram`]), a structured-event [`Recorder`] with a JSON Lines
-//! sink ([`JsonlRecorder`]) and RAII [`Span`] timers, and the plain-data
+//! sink ([`JsonlRecorder`]) and stage [`SpanRecord`]s, and the plain-data
 //! [`TelemetrySnapshot`] that run results and campaign results carry.
 //!
 //! ## Cost model
@@ -51,9 +51,7 @@ pub use json::{
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use record::{records, Record};
-pub use recorder::{
-    JsonlRecorder, NullRecorder, Recorder, Span, SpanRecord, TraceBuffer, NULL_RECORDER,
-};
+pub use recorder::{JsonlRecorder, NullRecorder, Recorder, SpanRecord, TraceBuffer, NULL_RECORDER};
 pub use registry::MetricRegistry;
 pub use sampler::{record_sample, sample_fields, SampleTick, Sampler};
 pub use snapshot::{Metric, TelemetrySnapshot};

@@ -1,5 +1,5 @@
 //! Structured-event recorders: the [`Recorder`] trait, the no-op sink,
-//! the JSON Lines sink, and the RAII [`Span`] timer.
+//! the JSON Lines sink, and the `span` record of a timed stage.
 //!
 //! A recorder receives flat `(event name, fields)` records. The JSONL
 //! sink stamps each record with a monotonically increasing sequence
@@ -160,7 +160,7 @@ impl Write for TraceBuffer {
 }
 
 /// One `span` record: how long a named stage took on the wall clock. What
-/// a [`Span`] writes and `bw stats` aggregates per name.
+/// a campaign writes per stage and `bw stats` aggregates per name.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SpanRecord<'a> {
     /// Stage name.
@@ -196,46 +196,6 @@ impl<'a> SpanRecord<'a> {
     }
 }
 
-/// An RAII timer: created via [`Span::enter`],
-/// it emits a `span` event with the measured `dur_us` when dropped.
-pub struct Span<'a> {
-    recorder: &'a dyn Recorder,
-    name: &'static str,
-    start: Instant,
-    done: bool,
-}
-
-impl<'a> Span<'a> {
-    /// Starts a named span against `recorder`.
-    pub fn enter(recorder: &'a dyn Recorder, name: &'static str) -> Self {
-        Span {
-            recorder,
-            name,
-            start: Instant::now(),
-            done: false,
-        }
-    }
-
-    /// Ends the span early, attaching extra fields to the `span` record.
-    pub fn finish(mut self, fields: &[(&str, Value<'_>)]) {
-        self.done = true;
-        self.write(fields);
-    }
-
-    fn write(&self, fields: &[(&str, Value<'_>)]) {
-        let dur_us = self.start.elapsed().as_micros() as u64;
-        SpanRecord { name: Cow::Borrowed(self.name), dur_us }.record_to(self.recorder, fields);
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        if !self.done {
-            self.write(&[]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,23 +223,6 @@ mod tests {
         assert_eq!(lines[0][2], ("ev".to_string(), Value::from("alpha")));
         assert_eq!(lines[1][3], ("s".to_string(), Value::from("x\"y")));
         assert_eq!(rec.records_emitted(), 2);
-    }
-
-    #[test]
-    fn span_emits_duration_on_drop() {
-        let buf = TraceBuffer::default();
-        let rec = buf.recorder();
-        {
-            let _span = Span::enter(&rec, "stage");
-        }
-        Span::enter(&rec, "late").finish(&[("items", Value::U64(7))]);
-        rec.flush();
-        let lines = lines_of(&buf);
-        assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0][2], ("ev".to_string(), Value::from("span")));
-        assert_eq!(lines[0][3], ("name".to_string(), Value::from("stage")));
-        assert_eq!(lines[0][4].0, "dur_us");
-        assert_eq!(lines[1][5], ("items".to_string(), Value::U64(7)));
     }
 
     #[test]

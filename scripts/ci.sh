@@ -193,7 +193,11 @@ leg_traced_vs_untraced() {
 # (DESIGN §5.1, "Invisible condition flips"): preparing an image
 # (`image.rs`) never builds it. The workspace has no external crate
 # (DESIGN §3): no `vendor/` stub, and no manifest or lockfile names
-# proptest; the property tests are plain fixed-seed loops (DESIGN §7).
+# proptest; the property tests are plain fixed-seed loops (DESIGN §7). The
+# fuzz oracle is one table of legs with one comparator (DESIGN §11): no
+# per-leg `diff_` function, one entry point per job (no `_cross` or
+# `_recorded` twin), and a campaign stage is measured once (DESIGN §10), so
+# the RAII stage timer stays gone.
 leg_leftover_guard() {
   if grep -rnE 'ModuleAnalysis::run_parallel|fn run_parallel\(module|ValueGraph|\.divergence\(' \
       crates tests examples \
@@ -252,6 +256,11 @@ leg_leftover_guard() {
   fi
   if grep -niE 'ConditionLiveness|liveness' crates/vm/src/image.rs; then
     echo "ci: preparing builds the condition-liveness table; only a condition-flip campaign needs it" >&2; return 1
+  fi
+  if grep -rnE 'check_image_cross|check_module_cross|run_fuzz_recorded|Span::enter' \
+      crates tests examples \
+    || grep -n 'fn diff_' crates/gen/src/oracle.rs; then
+    echo "ci: a second oracle entry point, a per-leg comparator or the stage timer is back" >&2; return 1
   fi
 }
 
@@ -314,15 +323,13 @@ leg_bwir() {
 # than in the benchmark run.
 leg_bwbench() { cargo test --release --offline --manifest-path benchmark/Cargo.toml; }
 
-# The paper's exhibits that reproduce today must reproduce byte for byte:
-# each is rebuilt and diffed against its archived text in results/ (about
-# two minutes in release). figure8 and figure9 are left out: their archived
-# cells predate per-injection seeding (EXPERIMENTS.md), so no build since
-# reproduces them, and they come back when they are regenerated.
+# The paper's exhibits must reproduce byte for byte: each is rebuilt and
+# diffed against its archived text in results/ (about four minutes in
+# release; figure8 and figure9 at 300 injections a cell take two of them).
 leg_exhibits() {
   local spec bin args
-  for spec in table3 table4 table5 figure6 figure7 false_positives duplication \
-      "ablations 200"; do
+  for spec in table3 table4 table5 figure6 figure7 "figure8 300" "figure9 300" \
+      false_positives duplication "ablations 200"; do
     read -r bin args <<<"$spec"
     # shellcheck disable=SC2086  # $args is an argument list
     cargo run --release --quiet -p bw-bench --bin "$bin" -- $args > "$out/$bin.txt"

@@ -262,3 +262,17 @@ fn an_argument_the_subcommand_does_not_take_is_an_error() {
         assert!(out.stdout.is_empty(), "bw {args:?} ran anyway: {}", stdout(&out));
     }
 }
+
+/// The usage names the oracle's default thread counts as
+/// `blockwatch::gen::DEFAULT_THREADS` holds them: the help text is written
+/// by hand, so nothing else keeps the two in step.
+#[test]
+fn the_fuzz_usage_names_the_default_thread_counts() {
+    let counts: Vec<String> =
+        blockwatch::gen::DEFAULT_THREADS.iter().map(u32::to_string).collect();
+    let usage = stdout(&bw(&["help"]));
+    let expected = format!("(default {})", counts.join(","));
+    let help = usage.lines().skip_while(|line| line.trim() != "--threads T1,T2,..").nth(1);
+    let help = help.expect("the usage explains `--threads T1,T2,..`");
+    assert!(help.contains(&expected), "`bw fuzz --threads` help lacks {expected}: {help:?}");
+}

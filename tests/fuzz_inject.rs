@@ -4,8 +4,8 @@
 //! exactly the injections the campaigns planned.
 
 use blockwatch::fault::{run_campaign, CampaignConfig, FaultModel, OutcomeCounts, TraceInjection};
-use blockwatch::gen::{generate_module, run_fuzz, run_fuzz_recorded, FuzzConfig, GenConfig};
-use blockwatch::telemetry::{records, TraceBuffer, Value};
+use blockwatch::gen::{generate_module, run_fuzz, FuzzConfig, GenConfig};
+use blockwatch::telemetry::{records, TraceBuffer, Value, NULL_RECORDER};
 use blockwatch::vm::{ExecConfig, ProgramImage};
 use blockwatch::AnalysisConfig;
 
@@ -15,8 +15,8 @@ const INJECTIONS: usize = 4;
 fn the_injection_stage_is_the_standalone_campaigns_of_the_passing_seeds() {
     let config = FuzzConfig { seeds: 32, injections: INJECTIONS, ..FuzzConfig::default() };
     let buf = TraceBuffer::default();
-    let report = run_fuzz_recorded(&config, &buf.recorder());
-    assert_eq!(report, run_fuzz(&config), "the recorder changes nothing");
+    let report = run_fuzz(&config, &buf.recorder());
+    assert_eq!(report, run_fuzz(&config, &NULL_RECORDER), "the recorder changes nothing");
     let trace = buf.text();
 
     // Each seed's `fuzz.seed` record, then its campaign's injections.

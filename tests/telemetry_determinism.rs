@@ -214,6 +214,83 @@ fn span_tracing_does_not_perturb_run_determinism() {
     assert!(!plain_trace.contains("\"ev\":\"tspan\""));
 }
 
+/// A program with a barrier, a mutex and a loop branch per thread that
+/// reaches the same outputs on any schedule: the real engine's lanes carry
+/// barrier phases, barrier waits and lock intervals.
+const LOCKED_PHASES: &str = r#"
+module locked_phases;
+
+shared int n = 40;
+int acc[33];
+int total;
+
+barrier phase;
+mutex guard;
+
+@spmd func slave() {
+    var tid: int = threadid();
+    for (var i: int = 0; i < n; i = i + 1) {
+        acc[tid] = acc[tid] + i;
+    }
+    barrier(phase);
+    lock(guard);
+    total = total + acc[tid];
+    unlock(guard);
+    barrier(phase);
+    output(acc[tid] + total);
+}
+"#;
+
+/// The real engine under a span sink (`bw run --engine real
+/// --trace-spans`): its workers' wall-clock lanes and the monitor shards'
+/// lanes parse as a timeline, and tracing changes no outcome, output or
+/// violation of the untraced real run.
+#[test]
+fn real_engine_lanes_parse_and_change_nothing() {
+    let _guard = trace_sink_lock();
+    let bw = Blockwatch::compile(LOCKED_PHASES).unwrap();
+    let run = |traced: bool| {
+        let buf = SharedBuf::default();
+        let rec = Arc::new(JsonlRecorder::new(Box::new(buf.clone())));
+        if traced {
+            blockwatch::telemetry::set_trace_sink(Some(Arc::clone(&rec) as Arc<dyn Recorder>));
+        }
+        let result = bw.run_on(EngineKind::Real, &ExecConfig::new(4).monitor_shards(Some(2)));
+        blockwatch::telemetry::set_trace_sink(None);
+        rec.flush();
+        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        (result, text)
+    };
+    let (traced, trace) = run(true);
+    let (plain, plain_trace) = run(false);
+
+    assert_eq!(traced.outcome, blockwatch::RunOutcome::Completed);
+    assert_eq!(traced.outcome, plain.outcome);
+    assert_eq!(traced.outputs, plain.outputs);
+    assert_eq!(traced.violations, plain.violations);
+    assert!(!plain_trace.contains("\"ev\":\"tspan\""));
+
+    let timeline = TimelineReport::parse(&trace).unwrap();
+    assert_eq!(timeline.domains(), [blockwatch::telemetry::TimeDomain::WallUs]);
+    let lanes: std::collections::BTreeSet<(&str, &str)> =
+        timeline.events.iter().map(|e| (&*e.track, &*e.cat)).collect();
+    for tid in 0..4 {
+        for cat in ["barrier_phase", "barrier_wait", "lock_wait", "lock_hold"] {
+            assert!(lanes.contains(&(&*format!("t{tid}"), cat)), "t{tid} has no {cat}: {lanes:?}");
+        }
+    }
+    for shard in ["shard0", "shard1"] {
+        assert!(lanes.contains(&(shard, "flush_batch")), "{shard} has no flush_batch: {lanes:?}");
+    }
+    for &(track, cat) in &lanes {
+        if cat == "queue_wait" || cat == "flush_batch" {
+            assert!(track.starts_with("shard"), "{cat} on {track}");
+        }
+    }
+    let rendered = timeline.render();
+    assert!(rendered.contains("shard1"), "{rendered}");
+}
+
 /// ...and on the campaign path: records, outcome counters and the
 /// rendered forensics report are byte-identical with tracing on or off
 /// and at 1 or 4 workers, at a multi-shard configuration. A sink does not
