@@ -494,17 +494,10 @@ pub fn classify(result: &RunResult, golden: &RunResult, activated: bool) -> Faul
     }
 }
 
-/// SplitMix64's output finalizer, used to key per-injection streams.
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The independent PRNG stream of injection `index` under `seed`.
 fn injection_rng(seed: u64, index: usize) -> SplitMix64 {
     let lane = (index as u64).wrapping_add(1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    SplitMix64::new(mix64(seed ^ lane))
+    SplitMix64::new(SplitMix64::mix(seed ^ lane))
 }
 
 /// Stage 1: derives the full list of injection plans from the golden run's

@@ -7,72 +7,20 @@
 //! instruction and value tables, phi and call operand lists — and nothing
 //! per line beyond that. A function's CFG is two allocations, and the
 //! verifier allocates per function (that CFG, the dominator tree) and per
-//! module, never per block or instruction. A counting global allocator
+//! module, never per block or instruction. The shared counting allocator
 //! measures all of it over the seven ports and the generated modules
-//! `prepare-pipeline` draws; counts are per thread, so the test harness's
-//! own threads do not show.
+//! `prepare-pipeline` draws.
 
+#[path = "../../../tests/support/counting.rs"]
+mod counting;
 mod reference;
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::fmt::Write;
 
 use bw_gen::{generate_module, GenConfig};
 use bw_ir::{parse_module, verify_module, Cfg, Module, ModulePrinter};
 use bw_splash::{Benchmark, Size};
-
-thread_local! {
-    /// Allocations and reallocations this thread has made.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-fn count() {
-    // `try_with`: an allocation during thread teardown is simply not counted.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a `const`-initialised
-// thread-local `Cell<u64>` (no lazy initialiser, no destructor), so touching
-// it neither allocates nor re-enters the allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller's obligations are `System.alloc`'s own.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: `ptr` came from this allocator, that is from `System`,
-        // with `layout`; the caller guarantees the rest.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocations the calling thread makes while `work` runs.
-fn allocations<R>(work: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let result = work();
-    (ALLOCATIONS.with(Cell::get) - before, result)
-}
+use counting::{allocations, gate};
 
 /// The seven ports at `Test` size and 64 generated modules at each of
 /// `prepare-pipeline`'s four statement budgets.
@@ -94,19 +42,24 @@ fn instructions(m: &Module) -> usize {
 
 #[test]
 fn printing_allocates_only_for_output_growth() {
+    let (mut presized, mut tightest) = (0, (0, u64::MAX));
     for module in corpus() {
         let len = ModulePrinter(&module).to_string().len();
         let mut buffer = String::with_capacity(len);
         let (n, written) = allocations(|| write!(buffer, "{}", ModulePrinter(&module)));
         written.expect("a String takes any text");
         assert_eq!(n, 0, "`{}` allocated printing into a buffer with room", module.name);
+        presized = presized.max(n);
 
         // `to_string` starts empty and doubles: one allocation, then one
         // per doubling from the first 8 bytes to `len`.
         let doublings = (len as f64 / 8.0).log2().ceil() as u64;
         let (n, _) = allocations(|| ModulePrinter(&module).to_string());
         assert!(n <= 1 + doublings, "`{}`: {n} allocations for {len} bytes", module.name);
+        tightest = std::cmp::min_by_key(tightest, (n, 1 + doublings), |&(n, b)| b - n);
     }
+    gate("ir.print.presized", presized, 0);
+    gate("ir.print.to_string", tightest.0, tightest.1);
 }
 
 #[test]
@@ -134,23 +87,26 @@ fn parsing_allocates_for_the_module_it_builds() {
     // Measured: 0.580 an instruction (30,415 over 52,415), against 0.710
     // for the reference, which grew every block's instruction list by
     // doubling and built its value table as a third vector.
-    assert!(per_inst <= 0.61, "{per_inst:.3} allocations per instruction");
+    gate("ir.parse.per_instruction", per_inst, 0.61);
 }
 
 #[test]
 fn a_cfg_is_two_allocations() {
+    let mut most = 0;
     for module in corpus() {
         for func in &module.funcs {
             let (n, _) = allocations(|| Cfg::new(func));
             assert!(n <= 2, "`{}` in `{}`: {n} allocations", func.name, module.name);
+            most = most.max(n);
         }
     }
+    gate("ir.cfg", most, 2);
 }
 
 #[test]
 fn verification_allocates_per_function_not_per_instruction() {
     let modules = corpus();
-    let (mut new, mut old) = (0, 0);
+    let (mut new, mut old, mut tightest) = (0, 0, (0, u64::MAX));
     for module in &modules {
         let (n, verdict) = allocations(|| verify_module(module));
         verdict.expect("the corpus verifies");
@@ -159,6 +115,7 @@ fn verification_allocates_per_function_not_per_instruction() {
         // order, DFS stack, immediate dominators).
         let bound = 3 + 6 * module.funcs.len() as u64;
         assert!(n <= bound, "`{}`: {n} allocations, more than {bound}", module.name);
+        tightest = std::cmp::min_by_key(tightest, (n, bound), |&(n, b)| b - n);
         new += n;
         let (n, _) = allocations(|| reference::verify::verify_module(module));
         old += n;
@@ -174,5 +131,6 @@ fn verification_allocates_per_function_not_per_instruction() {
     // reference, which built a `HashSet` per block with phis and per phi, a
     // `Vec` per instruction for its operands and per terminator for its
     // successors, and two per block for the CFG.
-    assert!(per_module <= 24.0, "{per_module:.1} allocations per module");
+    gate("ir.verify", tightest.0, tightest.1);
+    gate("ir.verify.per_module", per_module, 24.0);
 }

@@ -6,102 +6,17 @@
 //! working set none, and building a monitor nothing. What it holds is
 //! pinned too, as the peak of live heap bytes per event of a real stream:
 //! the instance table, one report node per event, and the site histories
-//! of the instances that completed — no per-event evidence. A counting
-//! global allocator measures both; counts are per thread, so the test
-//! harness's own threads do not show.
+//! of the instances that completed — no per-event evidence. The shared
+//! counting allocator measures both.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "../../../tests/support/counting.rs"]
+mod counting;
 
 use bw_analysis::CheckKind;
 use bw_monitor::{BranchEvent, CheckTable, Monitor};
 use bw_splash::{Benchmark, Size};
 use bw_vm::{Engine, ExecConfig, ProgramImage, SimEngine};
-
-thread_local! {
-    /// Allocations and reallocations this thread has made.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    /// Bytes this thread has allocated and not freed.
-    static LIVE: Cell<u64> = const { Cell::new(0) };
-    /// The most `LIVE` has been since it was last reset.
-    static PEAK: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-fn count() {
-    // `try_with`: an allocation during thread teardown is simply not counted.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-fn grow(bytes: usize) {
-    let _ = LIVE.try_with(|live| {
-        live.set(live.get() + bytes as u64);
-        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
-    });
-}
-
-fn shrink(bytes: usize) {
-    // Saturating: a block another thread allocated may be freed here.
-    let _ = LIVE.try_with(|live| live.set(live.get().saturating_sub(bytes as u64)));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters are `const`-initialised
-// thread-local `Cell<u64>`s (no lazy initialiser, no destructor), so
-// touching them neither allocates nor re-enters the allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        grow(layout.size());
-        // SAFETY: the caller's obligations are `System.alloc`'s own.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        grow(layout.size());
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        if new_size > layout.size() {
-            grow(new_size - layout.size());
-        } else {
-            shrink(layout.size() - new_size);
-        }
-        // SAFETY: `ptr` came from this allocator, that is from `System`,
-        // with `layout`; the caller guarantees the rest.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        shrink(layout.size());
-        // SAFETY: `ptr` came from `System` with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocations the calling thread makes while `work` runs.
-fn allocations(work: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
-    work();
-    ALLOCATIONS.with(Cell::get) - before
-}
-
-/// The most heap the calling thread held while `work` ran, above what it
-/// held before.
-fn peak_bytes(work: impl FnOnce()) -> u64 {
-    let before = LIVE.with(Cell::get);
-    PEAK.with(|peak| peak.set(before));
-    work();
-    PEAK.with(Cell::get) - before
-}
+use counting::{allocations, gate, peak_bytes};
 
 /// One monitor's life over `events`: built, fed, flushed, dropped.
 struct Replay {
@@ -113,20 +28,19 @@ struct Replay {
 
 fn replay(checks: &CheckTable, events: &[BranchEvent]) -> Replay {
     let checks = checks.clone(); // the caller's allocation, not the monitor's
-    let mut pending = 0;
-    let mut peak = 0;
-    let allocations = allocations(|| {
-        peak = peak_bytes(|| {
+    let (allocations, (peak_bytes, pending)) = allocations(|| {
+        peak_bytes(|| {
             let mut monitor = Monitor::new(checks, 4);
             for &event in events {
                 monitor.process(event);
             }
-            pending = monitor.pending_instances();
+            let pending = monitor.pending_instances();
             monitor.flush();
             assert!(!monitor.detected());
-        });
+            pending
+        })
     });
-    Replay { allocations, peak_bytes: peak, pending }
+    Replay { allocations, peak_bytes, pending }
 }
 
 /// A port's branch events at `Size::Test`, four threads, and its checks.
@@ -149,7 +63,7 @@ fn a_real_stream_costs_a_logarithmic_number_of_allocations() {
     let n = events.len();
     println!("{n} events, {} pending at flush: {} allocations", once.pending, once.allocations);
     assert!(once.pending > 30_000, "most instances are left for the flush: {}", once.pending);
-    assert!(once.allocations <= 200, "{} allocations for {n} events", once.allocations);
+    gate("monitor.fmm.stream", once.allocations, 200);
 
     // The same stream followed by a copy of itself at other sites: twice
     // the sites, instances, reports and history entries — and one more
@@ -158,12 +72,7 @@ fn a_real_stream_costs_a_logarithmic_number_of_allocations() {
     twice.extend(events.iter().map(|e| BranchEvent { site: e.site ^ 0x5bd1_e995_0000_0001, ..*e }));
     let doubled = replay(&checks, &twice);
     assert_eq!(doubled.pending, 2 * once.pending);
-    assert!(
-        doubled.allocations <= once.allocations + 16,
-        "{} allocations grew to {} on doubling the stream",
-        once.allocations,
-        doubled.allocations
-    );
+    gate("monitor.fmm.stream_doubled", doubled.allocations, once.allocations + 16);
 }
 
 /// The peak of live heap bytes per event over one monitor's life. FMM
@@ -178,14 +87,15 @@ fn a_real_stream_costs_a_logarithmic_number_of_allocations() {
 /// FMM read 111.9 — breaks the budget.
 #[test]
 fn a_real_stream_stays_within_its_bytes_budget() {
-    for (bench, budget) in [(Benchmark::Fmm, 75.0), (Benchmark::WaterNsquared, 45.0)] {
+    for (name, bench, budget) in
+        [("fmm", Benchmark::Fmm, 75.0), ("water-nsquared", Benchmark::WaterNsquared, 45.0)]
+    {
         let (checks, events) = captured(bench);
         let run = replay(&checks, &events);
         let per_event = run.peak_bytes as f64 / events.len() as f64;
-        let name = bench.name();
         let (n, peak) = (events.len(), run.peak_bytes);
         println!("{name}: {n} events, peak {peak} bytes, {per_event:.1} B/event");
-        assert!(per_event <= budget, "{name}: {per_event:.1} B/event over a budget of {budget}");
+        gate(&format!("monitor.{name}.bytes_per_event"), per_event, budget);
     }
 }
 
@@ -195,7 +105,7 @@ fn a_real_stream_stays_within_its_bytes_budget() {
 /// nothing at all.
 #[test]
 fn steady_state_allocates_nothing() {
-    steady_state(|monitor, events| {
+    steady_state("monitor.steady", |monitor, events| {
         for &event in events {
             monitor.process(event);
         }
@@ -206,7 +116,7 @@ fn steady_state_allocates_nothing() {
 /// batches of 256: the lookahead allocates nothing either.
 #[test]
 fn steady_state_allocates_nothing_in_batches() {
-    steady_state(|monitor, events| {
+    steady_state("monitor.steady_batched", |monitor, events| {
         for batch in events.chunks(256) {
             monitor.process_batch(batch);
         }
@@ -216,7 +126,8 @@ fn steady_state_allocates_nothing_in_batches() {
 /// Feeds rounds of complete instances at 500 sites through `feed`: the
 /// warm-up allocates, the rounds after it and a flush with nothing
 /// pending do not. Each round's events are built before counting starts.
-fn steady_state(feed: impl Fn(&mut Monitor, &[BranchEvent])) {
+/// The two budgets are `<name>` and `<name>.flush` in the ledger.
+fn steady_state(name: &str, feed: impl Fn(&mut Monitor, &[BranchEvent])) {
     let checks = CheckTable::from_kinds(vec![Some(CheckKind::SharedUniform)]);
     let mut monitor = Monitor::new(checks, 4);
     let rounds = |monitor: &mut Monitor, iters: std::ops::Range<u64>| {
@@ -229,13 +140,15 @@ fn steady_state(feed: impl Fn(&mut Monitor, &[BranchEvent])) {
                 }
             }
         }
-        allocations(|| feed(monitor, &events))
+        allocations(|| feed(monitor, &events)).0
     };
     // 64 reports a site: each history (capacity 16) has compacted once.
     let warm_up = rounds(&mut monitor, 0..16);
     assert!(warm_up > 0);
-    assert_eq!(rounds(&mut monitor, 16..80), 0, "steady state");
-    assert_eq!(allocations(|| assert_eq!(monitor.flush(), 0)), 0, "a flush with nothing pending");
+    gate(name, rounds(&mut monitor, 16..80), 0);
+    let (flush, flushed) = allocations(|| monitor.flush());
+    assert_eq!(flushed, 0, "nothing is pending");
+    gate(&format!("{name}.flush"), flush, 0);
     assert!(!monitor.detected());
 }
 
@@ -244,8 +157,12 @@ fn steady_state(feed: impl Fn(&mut Monitor, &[BranchEvent])) {
 /// dropped unused.
 #[test]
 fn building_a_monitor_allocates_nothing() {
+    let mut most = 0;
     for nthreads in [1, 4, 32, 10_000] {
         let checks = CheckTable::from_kinds(vec![Some(CheckKind::SharedUniform); 64]);
-        assert_eq!(allocations(|| drop(Monitor::new(checks, nthreads))), 0, "{nthreads} threads");
+        let (n, ()) = allocations(|| drop(Monitor::new(checks, nthreads)));
+        assert_eq!(n, 0, "{nthreads} threads");
+        most = most.max(n);
     }
+    gate("monitor.new", most, 0);
 }

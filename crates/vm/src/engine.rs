@@ -136,9 +136,9 @@ pub struct ExecConfig {
     /// When set, the monitor ingest is sharded across this many workers,
     /// each owning a disjoint `(site, branch)` key-space slice (routed by
     /// [`bw_monitor::shard_of`]); `None` is the paper's single monitor
-    /// thread. On [`SimEngine`] the inline monitor partitions its pending
-    /// tables the same way, so verdicts are byte-identical at any shard
-    /// count.
+    /// thread, and so is `Some(0)` ([`ExecConfig::monitor_shard_count`]).
+    /// On [`SimEngine`] the inline monitor partitions its pending tables
+    /// the same way, so verdicts are byte-identical at any shard count.
     pub monitor_shards: Option<usize>,
 }
 
@@ -207,13 +207,14 @@ impl ExecConfig {
         self
     }
 
-    /// The monitor topology this configuration selects.
-    pub fn monitor_topology(&self) -> bw_monitor::MonitorTopology {
-        use bw_monitor::MonitorTopology;
-        match self.monitor_shards {
-            Some(shards) => MonitorTopology::Sharded { shards },
-            None => MonitorTopology::Flat,
-        }
+    /// Monitor shards on either engine: `None` and `Some(0)` both mean one.
+    pub fn monitor_shard_count(&self) -> usize {
+        self.monitor_shards.unwrap_or(1).max(1)
+    }
+
+    /// The PRNG seed of the serial `@init`/`@fini` phases on either engine.
+    pub(crate) fn serial_seed(&self) -> u64 {
+        self.seed ^ 0xfeed
     }
 }
 
@@ -406,11 +407,10 @@ mod tests {
     }
 
     #[test]
-    fn monitor_topology_follows_monitor_shards() {
-        use bw_monitor::MonitorTopology;
+    fn none_and_zero_monitor_shards_are_one() {
         let cfg = ExecConfig::new(4);
-        assert_eq!(cfg.monitor_topology(), MonitorTopology::Flat);
-        let cfg = cfg.monitor_shards(Some(4));
-        assert_eq!(cfg.monitor_topology(), MonitorTopology::Sharded { shards: 4 });
+        assert_eq!(cfg.monitor_shard_count(), 1);
+        assert_eq!(cfg.clone().monitor_shards(Some(0)).monitor_shard_count(), 1);
+        assert_eq!(cfg.monitor_shards(Some(4)).monitor_shard_count(), 4);
     }
 }

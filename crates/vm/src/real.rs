@@ -24,7 +24,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use bw_ir::Val;
-use bw_monitor::{BranchEvent, CheckTable, EventSender, MonitorBuilder, MonitorHandle};
+use bw_monitor::{
+    BranchEvent, CheckTable, EventSender, MonitorBuilder, MonitorHandle, MonitorTopology,
+};
 use bw_telemetry::{Recorder, TimeDomain};
 
 use crate::engine::{EngineKind, ExecConfig, MonitorMode, RunOutcome, RunResult};
@@ -411,7 +413,7 @@ fn run_serial_phase(
     outputs: &mut Vec<Val>,
     total_steps: &mut u64,
 ) -> Result<(), RunOutcome> {
-    let mut t = ThreadState::new(0, func, image, config.seed ^ 0xfeed);
+    let mut t = ThreadState::new(0, func, image, config.serial_seed());
     let result = loop {
         let Some(budget) = steps_before_hang(&t, config) else {
             break Err(RunOutcome::Hung);
@@ -490,7 +492,7 @@ pub(crate) fn run_real_engine(image: &ProgramImage, config: &ExecConfig) -> RunR
         MonitorMode::Enabled | MonitorMode::SendOnly => {
             let (senders, handle) =
                 MonitorBuilder::new(CheckTable::from_plan(&image.plan), n as usize)
-                    .topology(config.monitor_topology())
+                    .topology(MonitorTopology::Sharded { shards: config.monitor_shard_count() })
                     .spawn();
             (senders.into_iter().map(Some).collect(), Some(handle))
         }
@@ -542,8 +544,7 @@ pub(crate) fn run_real_engine(image: &ProgramImage, config: &ExecConfig) -> RunR
         }
     }
 
-    // Phase 3: fini. Same seed derivation as the simulator's serial phases
-    // so the engines agree on fini-local PRNG draws.
+    // Phase 3: fini, seeded as the simulator's serial phases (`serial_seed`).
     if outcome == RunOutcome::Completed {
         if let Some(fini) = image.module.fini {
             if let Err(o) =

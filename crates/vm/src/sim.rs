@@ -304,7 +304,7 @@ impl InlineMonitor {
         let monitor = ShardedMonitor::new(
             CheckTable::from_plan(&image.plan),
             config.nthreads as usize,
-            config.monitor_shards.unwrap_or(1),
+            config.monitor_shard_count(),
         );
         let unused =
             BranchEvent { branch: 0, thread: 0, site: 0, iter: 0, witness: 0, taken: false };
@@ -504,7 +504,7 @@ impl<'a> Sim<'a> {
     /// returns the dynamic branches it took.
     fn run_serial(&mut self, func: bw_ir::FuncId, hook: &dyn BranchHook) -> Result<u64, RunOutcome> {
         let state = &mut self.state;
-        let mut thread = ThreadState::new(0, func, self.image, self.config.seed ^ 0xfeed);
+        let mut thread = ThreadState::new(0, func, self.image, self.config.serial_seed());
         loop {
             let allowed = steps_allowed(self.config.max_steps, &mut state.total_steps)?;
             let before = thread.steps;

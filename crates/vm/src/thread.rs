@@ -161,7 +161,11 @@ impl SplitMix64 {
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
+        Self::mix(self.0)
+    }
+
+    /// The generator's output finalizer, for keying derived streams.
+    pub fn mix(mut z: u64) -> u64 {
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)

@@ -5,75 +5,23 @@
 //! once, and the analysis and the decoder read those; no stage allocates
 //! per block or per instruction, only per function (its facts, its value
 //! tables), per module and per branch (a check's witnesses, a condition's
-//! data values), plus what the image keeps. A counting global allocator
+//! data values), plus what the image keeps. The shared counting allocator
 //! measures each stage over the seven ports at `Size::Test` and 64
 //! generated modules at each of `prepare-pipeline`'s four statement
-//! budgets; counts are per thread, so the test harness's own threads do not
-//! show.
+//! budgets.
 //!
 //! The parent commit built the facts three times and allocated per block,
 //! per instruction and per analysis pass: 1,132 allocations a module here.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "../../../tests/support/counting.rs"]
+mod counting;
 
 use bw_analysis::{AnalysisConfig, CheckPlan, ModuleAnalysis};
 use bw_gen::{generate_module, GenConfig};
 use bw_ir::Module;
 use bw_splash::{Benchmark, Size};
 use bw_vm::ProgramImage;
-
-thread_local! {
-    /// Allocations and reallocations this thread has made.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-fn count() {
-    // `try_with`: an allocation during thread teardown is simply not counted.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a `const`-initialised
-// thread-local `Cell<u64>` (no lazy initialiser, no destructor), so touching
-// it neither allocates nor re-enters the allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller's obligations are `System.alloc`'s own.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: `ptr` came from this allocator, that is from `System`,
-        // with `layout`; the caller guarantees the rest.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocations the calling thread makes while `work` runs.
-fn allocations<R>(work: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let result = work();
-    (ALLOCATIONS.with(Cell::get) - before, result)
-}
+use counting::{allocations, gate};
 
 /// The seven ports at `Test` size and 64 generated modules at each of
 /// `prepare-pipeline`'s four statement budgets.
@@ -122,5 +70,5 @@ fn preparing_a_module_stays_within_its_allocation_budget() {
     // function (136.7 before they were). Before the control-flow facts were
     // shared, preparing made 1,132.1 (297,743), 241.6 of them verifying and
     // 719.0 in the analysis.
-    assert!(per_module(prepare) <= 143.0, "{:.1} allocations per module", per_module(prepare));
+    gate("vm.try_prepare.per_module", per_module(prepare), 143.0);
 }

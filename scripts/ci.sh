@@ -2,6 +2,8 @@
 # The repo's CI gate, one shell function per leg. `scripts/ci.sh` runs every
 # leg in order; `scripts/ci.sh <leg>...` runs the named ones, which is all a
 # job of .github/workflows/ci.yml does — a leg is defined once, here.
+# `ledger` is part of `test` and not in `legs`; `scripts/ci.sh ledger` runs
+# it alone.
 # What a leg writes lands in $CI_OUT (default: a temp directory, removed).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -40,29 +42,34 @@ w1() {
 # differential test compares whole RunResults with the reference stepper
 # kept under crates/vm/tests/reference/, its prefix test every fork of a
 # `SimPrefix` with the full replay, and both thin their sweeps in debug
-# builds, so the complete ones (and the allocation budget) run here. The
-# workspace passes run the five other allocation budgets with a counting
-# allocator: the IR text path's (`crates/ir/tests/alloc_budget.rs`: printing
-# allocates only as its output grows, parsing per instruction), the
-# monitor's (`crates/monitor/tests/alloc_budget.rs`), the
-# fuzz oracle's (`crates/gen/tests/alloc_budget.rs`: per run over 600
-# seeds), the trace read path's (`tests/trace_alloc_budget.rs`: one
-# allocation per record, none per field) and the benchmark campaigns'
-# exact cost (`tests/campaign_cost.rs`: steps run and skipped, FMM's
-# allocations per injection and peak heap; ~5 s in the debug profile).
-# Then the full sweep of `crates/fault/tests/invisible.rs` (thinned in
-# debug builds): condition-bit-flip campaigns whose forks stop at a fault
-# that changes nothing, against plan-by-plan replays (~45 s in release).
+# builds, so the complete ones run here. The allocation budgets run first,
+# as the ledger (`leg_ledger` below). Then the full sweep of
+# `crates/fault/tests/invisible.rs` (thinned in debug builds):
+# condition-bit-flip campaigns whose forks stop at a fault that changes
+# nothing, against plan-by-plan replays (~45 s in release).
 # Last, the front-end's properties with the full one-byte mutation sweep of
 # the seven ports' sources through `compile` (every 13th byte in debug
 # builds): about 94,500 mutants, none of which may panic.
 leg_test() {
   cargo build --release --workspace
+  leg_ledger
   cargo test -q --workspace
   cargo clippy --workspace --all-targets -- -D warnings
   cargo test --release -q -p bw-vm
   cargo test --release -q -p bw-fault --test invisible
   cargo test --release -q -p bw-ir --test proptest_frontend
+}
+
+# The allocation ledger: the seven counting-allocator gates (DESIGN §7) in
+# the release profile, one `ledger: <name> <value> (budget <budget>)` line
+# per budget, sorted by name. A gate prints its line, then asserts it. Part
+# of `test`; `scripts/ci.sh ledger` runs it alone, so a change can quote the
+# whole ledger before and after.
+leg_ledger() {
+  cargo test --release -q -p bw-ir -p bw-gen -p bw-monitor -p bw-vm -p blockwatch \
+      --test alloc_budget --test prepare_alloc_budget --test trace_alloc_budget \
+      --test campaign_cost -- --nocapture \
+    | grep -o 'ledger: .*' | sort
 }
 
 # A bounded random-program sweep through the whole pipeline (generate →
@@ -197,7 +204,9 @@ leg_traced_vs_untraced() {
 # fuzz oracle is one table of legs with one comparator (DESIGN §11): no
 # per-leg `diff_` function, one entry point per job (no `_cross` or
 # `_recorded` twin), and a campaign stage is measured once (DESIGN §10), so
-# the RAII stage timer stays gone.
+# the RAII stage timer stays gone. The allocation gates share one counting
+# allocator (DESIGN §7): no `GlobalAlloc` impl or `#[global_allocator]`
+# outside tests/support/counting.rs.
 leg_leftover_guard() {
   if grep -rnE 'ModuleAnalysis::run_parallel|fn run_parallel\(module|ValueGraph|\.divergence\(' \
       crates tests examples \
@@ -261,6 +270,10 @@ leg_leftover_guard() {
       crates tests examples \
     || grep -n 'fn diff_' crates/gen/src/oracle.rs; then
     echo "ci: a second oracle entry point, a per-leg comparator or the stage timer is back" >&2; return 1
+  fi
+  if grep -rnE 'impl +([A-Za-z_]+::)*GlobalAlloc\b|#\[global_allocator\]' crates tests examples \
+    | grep -v '^tests/support/counting\.rs:'; then
+    echo "ci: a second counting allocator; the gates share tests/support/counting.rs" >&2; return 1
   fi
 }
 

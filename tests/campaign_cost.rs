@@ -12,83 +12,26 @@
 //! skip their tails; their sum, 18,036,663 steps, is still what replaying
 //! every plan from step 0 executes.
 //!
-//! FMM's checking is most of its cost, and its heap is pinned too, with a
-//! counting global allocator: allocations per injection, and the peak of
+//! FMM's checking is most of its cost, and its heap is pinned too, with the
+//! shared counting allocator: allocations per injection, and the peak of
 //! live heap bytes over the campaign. A fork continues a clone of the
 //! prefix's monitor; when each fork built a fresh monitor and replayed the
 //! prefix's event log into it, every fork paid each table doubling again
 //! (220 allocations an injection), and while every run's result named its
 //! metrics, each fork built ~30 names and merged a second copy of the
-//! monitor's (168 an injection). The allocator's counters are
-//! process-wide, so this file holds one test: no other test of the same
-//! binary allocates while it measures.
+//! monitor's (168 an injection). The counters are per thread, which holds
+//! the whole campaign: at one worker it runs on the calling thread.
 
-use std::alloc::{GlobalAlloc, Layout, System};
+#[path = "support/counting.rs"]
+mod counting;
+
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use blockwatch::{Benchmark, Blockwatch, CampaignResult, ExecConfig, FaultModel, Size};
 use bw_fault::{plan_campaign, CampaignConfig, ConditionLiveness, InjectionHook};
 use bw_ir::{BranchId, ValueId};
 use bw_vm::{BranchHook, FaultAction, SimEngine, SimPrefix};
-
-/// Allocations and reallocations made.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-/// Bytes allocated and not freed.
-static LIVE: AtomicU64 = AtomicU64::new(0);
-/// The most `LIVE` has been since it was last reset.
-static PEAK: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-fn grow(bytes: usize) {
-    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-fn shrink(bytes: usize) {
-    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters are statics updated with
-// atomic operations, which neither allocate nor re-enter the allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        grow(layout.size());
-        // SAFETY: the caller's obligations are `System.alloc`'s own.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        grow(layout.size());
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        if new_size > layout.size() {
-            grow(new_size - layout.size());
-        } else {
-            shrink(layout.size() - new_size);
-        }
-        // SAFETY: `ptr` came from this allocator, that is from `System`,
-        // with `layout`; the caller guarantees the rest.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        shrink(layout.size());
-        // SAFETY: `ptr` came from `System` with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+use counting::{allocations, gate, peak_bytes};
 
 /// One campaign as `bwbench` runs it: four threads, one worker, seed 0,
 /// the golden run made (and cached) before the campaign starts.
@@ -103,14 +46,8 @@ struct Measured {
 fn campaign(bw: &Blockwatch, model: FaultModel, injections: usize) -> Measured {
     bw.golden(&ExecConfig::new(4));
     let runner = bw.campaign_runner(injections, model, 4).seed(0).workers(1);
-    let (allocations, live) = (ALLOCATIONS.load(Ordering::Relaxed), LIVE.load(Ordering::Relaxed));
-    PEAK.store(live, Ordering::Relaxed);
-    let result = runner.run().expect("the golden run completes");
-    Measured {
-        allocations: ALLOCATIONS.load(Ordering::Relaxed) - allocations,
-        peak_bytes: PEAK.load(Ordering::Relaxed) - live,
-        result,
-    }
+    let (allocations, (peak_bytes, result)) = allocations(|| peak_bytes(|| runner.run()));
+    Measured { result: result.expect("the golden run completes"), allocations, peak_bytes }
 }
 
 /// A plan's hook that notes whether its fault was invisible: whether the
@@ -178,8 +115,7 @@ fn the_benchmark_campaigns_cost_what_they_did() {
     assert_eq!(steps(&fmm.result), (6_080_039, 11_956_624), "fmm");
     let per_injection = fmm.allocations as f64 / injections as f64;
     let peak_mb = fmm.peak_bytes as f64 / (1 << 20) as f64;
-    println!("fmm: {per_injection:.1} allocations an injection, peak {peak_mb:.2} MB live");
-    assert!(per_injection <= 112.0, "fmm: {per_injection:.1} allocations an injection");
-    assert!(peak_mb <= 10.0, "fmm: peak {peak_mb:.2} MB of live heap");
+    gate("campaign.fmm.per_injection", per_injection, 112.0);
+    gate("campaign.fmm.peak_mb", peak_mb, 10.0);
     assert_eq!(tail_less_forks(&bw, injections), 5, "fmm: forks that end at the fault");
 }

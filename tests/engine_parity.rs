@@ -78,10 +78,9 @@ fn engines_agree_on_outputs_of_deterministic_ports() {
 
 /// A `threadID` branch (`threadid() == 0`, taken by thread 0 alone) given a
 /// `shared` check: every loop iteration is a direction split the monitor
-/// must flag. The real engine reaches the same verdicts as the simulator,
-/// with one monitor thread and with four shard workers.
-#[test]
-fn the_real_engine_reports_the_violations_the_simulator_does() {
+/// must flag. Only thread 0 writes outputs, so they do not depend on the
+/// schedule.
+fn split_image() -> ProgramImage {
     let module = blockwatch::ir::frontend::compile(
         r#"
         shared int n = 6;
@@ -106,7 +105,14 @@ fn the_real_engine_reports_the_violations_the_simulator_does() {
     check.kind = CheckKind::SharedUniform;
     check.effective_category = Category::Shared;
     image.replace_plan(plan);
+    image
+}
 
+/// The real engine reaches the simulator's verdicts on the split, with one
+/// monitor thread and with four shard workers.
+#[test]
+fn the_real_engine_reports_the_violations_the_simulator_does() {
+    let image = split_image();
     let verdicts = |result: &RunResult| {
         let mut pairs: Vec<_> = result.violations.iter().map(|v| (v.branch, v.kind)).collect();
         pairs.sort_unstable();
@@ -121,5 +127,21 @@ fn the_real_engine_reports_the_violations_the_simulator_does() {
         assert_eq!(real.events_dropped, 0, "{shards:?} shards");
         assert!(real.detected(), "the real engine misses the split at {shards:?} shards");
         assert_eq!(verdicts(&real), verdicts(&sim), "{shards:?} shards");
+    }
+}
+
+/// `monitor_shards(Some(0))` is one monitor shard on either engine, as
+/// `None` is: the same outcome, outputs and violations.
+#[test]
+fn zero_monitor_shards_run_as_one_on_both_engines() {
+    let image = split_image();
+    let config = ExecConfig::new(4);
+    for kind in [EngineKind::Sim, EngineKind::Real] {
+        let one = engine(kind).run(&image, &config);
+        let zero = engine(kind).run(&image, &config.clone().monitor_shards(Some(0)));
+        assert!(one.detected(), "{kind}: the split goes unflagged");
+        assert_eq!(zero.outcome, one.outcome, "{kind}");
+        assert_eq!(zero.outputs, one.outputs, "{kind}");
+        assert_eq!(zero.violations, one.violations, "{kind}");
     }
 }
