@@ -1,5 +1,7 @@
 //! `bw` — the BLOCKWATCH command-line tool: compile, analyze, protect and
-//! fault-test SPMD mini-language programs. `bw help` prints the synopsis of
+//! fault-test SPMD mini-language programs, and regenerate the paper's
+//! exhibits (`bw table3` … `bw ablations`, each the text of its
+//! `results/<name>.txt`). `bw help` prints the synopsis of
 //! every subcommand and what every flag does; that text is rendered from
 //! the [`COMMANDS`] and [`FLAGS`] tables below, which are also what the
 //! parser ([`blockwatch::cli`]) accepts — a subcommand or flag is added by
@@ -12,6 +14,7 @@ use std::time::Duration;
 
 use blockwatch::cli::{command, emit, flag, Args, Cli, Command, Flag};
 use blockwatch::ir::ModulePrinter;
+use blockwatch::reports::exhibits;
 use blockwatch::timeline::TimelineReport;
 use blockwatch::trace::{
     render_histograms, render_telemetry, ForensicsReport, SeriesReport, TraceSummary,
@@ -49,6 +52,20 @@ const COMMANDS: &[Command] = &[
         "violation forensics from a trace: per-category detection matrix, top violating sites, \
          deviant-thread tables",
     ),
+    command("table3", None, "Table III: the similarity fixpoint's passes on the Figure 2 example"),
+    command("table4", None, "Table IV: characteristics of the benchmark programs"),
+    command("table5", None, "Table V: similarity category statistics"),
+    command("figure6", None, "Figure 6: normalized execution time at 4 and 32 threads"),
+    command("figure7", None, "Figure 7: geomean overhead vs. thread count"),
+    command("figure8", Some("[injections]"), "Figure 8: coverage, branch flips (default 1000)"),
+    command("figure9", Some("[injections]"), "Figure 9: coverage, condition faults (default 1000)"),
+    command(
+        "false_positives",
+        Some("[runs]"),
+        "Section IV: fault-free runs of every port (default 100)",
+    ),
+    command("duplication", None, "Section VI: BLOCKWATCH vs. software duplication"),
+    command("ablations", Some("[injections]"), "the Section III-A optimizations (default 300)"),
 ];
 
 const LOADING: &[&str] = &["analyze", "run", "ir", "campaign"];
@@ -65,7 +82,7 @@ const FLAGS: &[Flag] = &[
     flag(
         "--workers",
         Some("W"),
-        &["campaign"],
+        &["campaign", "figure8", "figure9"],
         "worker threads (default 0: available parallelism); results are identical at any W",
     ),
     flag("--seeds", Some("N"), &["fuzz"], "how many seeds to sweep (default 100)"),
@@ -116,7 +133,6 @@ const FLAGS: &[Flag] = &[
 ];
 
 static CLI: Cli = Cli {
-    prefix: "bw ",
     commands: COMMANDS,
     flags: FLAGS,
     notes: "  <file> is a source path, a .bwir textual-IR dump (e.g. a fuzz repro), or
@@ -128,7 +144,7 @@ static CLI: Cli = Cli {
 };
 
 fn main() -> ExitCode {
-    CLI.main(None, |args| match args.command() {
+    CLI.main(|args| match args.command() {
         "analyze" => cmd_analyze(args),
         "run" => cmd_run(args),
         "ir" => cmd_ir(args),
@@ -139,8 +155,31 @@ fn main() -> ExitCode {
         "top" => cmd_top(args),
         "timeline" => cmd_timeline(args),
         "report" => cmd_report(args),
-        other => Err(format!("`bw {other}` is in COMMANDS but has no body")),
+        _ => cmd_exhibit(args),
     })
+}
+
+/// The paper exhibit the command names, as its `results/<name>.txt` holds it.
+fn cmd_exhibit(args: &Args) -> Result<(), String> {
+    let figure = |model| -> Result<String, String> {
+        let injections = args.operand_count(1000)?;
+        Ok(exhibits::coverage_figure(model, injections, args.count("--workers", 0)?))
+    };
+    let text = match args.command() {
+        "table3" => exhibits::table3(),
+        "table4" => exhibits::table4(),
+        "table5" => exhibits::table5(),
+        "figure6" => exhibits::figure6(),
+        "figure7" => exhibits::figure7(),
+        "figure8" => figure(FaultModel::BranchFlip)?,
+        "figure9" => figure(FaultModel::ConditionBitFlip)?,
+        "false_positives" => exhibits::false_positives(args.operand_count(100)?)?,
+        "duplication" => exhibits::duplication(),
+        "ablations" => exhibits::ablations(args.operand_count(300)?),
+        other => return Err(format!("`bw {other}` is in COMMANDS but has no body")),
+    };
+    emit(&text);
+    Ok(())
 }
 
 /// The program the `<file>` operand names.
@@ -587,5 +626,55 @@ mod tests {
                 assert!(COMMANDS.iter().any(|c| c.name == *command), "{}: {command}", f.name);
             }
         }
+    }
+
+    /// What command `name` makes of the command line `list`: its count
+    /// (`default` when left out) and its workers.
+    fn parsed(name: &str, list: &[&str], default: usize) -> Result<(usize, usize), String> {
+        let argv: Vec<String> = list.iter().map(|s| s.to_string()).collect();
+        let args = CLI.parse(name, &argv)?;
+        Ok((args.operand_count(default)?, args.count("--workers", 0)?))
+    }
+
+    #[test]
+    fn parses_exhibit_args() {
+        assert_eq!(parsed("figure8", &["--workers", "3", "250"], 100), Ok((250, 3)));
+        assert_eq!(parsed("figure9", &["40", "--workers", "4"], 100), Ok((40, 4)));
+        assert_eq!(parsed("figure8", &[], 100), Ok((100, 0)));
+        assert_eq!(parsed("ablations", &["30"], 300), Ok((30, 0)));
+        assert_eq!(parsed("false_positives", &[], 100), Ok((100, 0)));
+    }
+
+    #[test]
+    fn an_exhibit_count_that_is_not_a_number_is_rejected() {
+        // `figure8 30O` used to run the default 1,000 injections per cell,
+        // and `ablations 30O` its default 300.
+        let counted = COMMANDS.iter().filter(|c| c.operand.is_some_and(|o| o.starts_with('[')));
+        let counted: Vec<&str> = counted.map(|c| c.name).collect();
+        assert_eq!(counted, ["figure8", "figure9", "false_positives", "ablations"]);
+        for name in counted {
+            for bad in ["30O", "1OO"] {
+                let err = parsed(name, &[bad], 1000).unwrap_err();
+                assert!(err.contains(&format!("`{bad}`")), "{name}: {err}");
+            }
+            let err = parsed(name, &["40", "50"], 1000).unwrap_err();
+            assert!(err.contains("`50`"), "{name}: {err}");
+        }
+    }
+
+    #[test]
+    fn exhibit_workers_without_a_count_is_rejected() {
+        assert!(parsed("figure8", &["40", "--workers"], 1000).unwrap_err().contains("--workers"));
+        let err = parsed("figure8", &["--workers", "four"], 1000).unwrap_err();
+        assert!(err.contains("--workers") && err.contains("`four`"), "{err}");
+    }
+
+    #[test]
+    fn an_unknown_exhibit_flag_is_rejected() {
+        let err = parsed("figure8", &["40", "--worker", "4"], 1000).unwrap_err();
+        assert!(err.contains("`--worker`"), "{err}");
+        // `--workers` exists, but not for the exhibits that run no pool of their own.
+        let err = parsed("ablations", &["--workers", "4"], 300).unwrap_err();
+        assert!(err.contains("`--workers` for `bw ablations`"), "{err}");
     }
 }

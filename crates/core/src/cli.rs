@@ -1,9 +1,9 @@
-//! Argument handling for the workspace's binaries (`bw`, and the `bw-bench`
-//! exhibits that take arguments). A binary declares two tables — its
-//! [`Command`]s and its [`Flag`]s — and parsing, validation and the usage
-//! text all read them: a flag is accepted exactly where the usage lists it,
-//! a malformed value is an error naming flag and value, and no synopsis is
-//! written out by hand.
+//! Argument handling for `bw`, the workspace's one binary: the paper's
+//! exhibits (`bw table3` … `bw ablations`) are commands of it like the
+//! others. It declares two tables — its [`Command`]s and its [`Flag`]s — and
+//! parsing, validation and the usage text all read them: a flag is accepted
+//! exactly where the usage lists it, a malformed value is an error naming
+//! flag and value, and no synopsis is written out by hand.
 
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -21,7 +21,7 @@ pub struct Flag {
     pub help: &'static str,
 }
 
-/// One subcommand, or a binary that is one command.
+/// One subcommand.
 pub struct Command {
     /// Its name on the command line.
     pub name: &'static str,
@@ -51,11 +51,11 @@ pub const fn command(
     Command { name, operand, summary }
 }
 
-/// A binary's command line.
+/// What precedes a command's name in the usage and in an error.
+const PREFIX: &str = "bw ";
+
+/// `bw`'s command line.
 pub struct Cli {
-    /// What precedes a command's name in the usage: `"bw "`, or `""` when
-    /// each command is a binary of its own.
-    pub prefix: &'static str,
     /// Its commands, in usage order.
     pub commands: &'static [Command],
     /// Every flag of every command, in synopsis order.
@@ -89,7 +89,7 @@ impl Cli {
         let mut out = String::from("usage:\n");
         let width = self.commands.iter().map(|c| c.name.len()).max().unwrap_or(0);
         for c in self.commands {
-            let head = format!("  {}{:width$}", self.prefix, c.name);
+            let head = format!("  {PREFIX}{:width$}", c.name);
             let flags = self.flags.iter().filter(|f| f.commands.contains(&c.name));
             let flags = flags.map(|f| match f.metavar {
                 Some(metavar) => format!("[{} {metavar}]", f.name),
@@ -126,7 +126,7 @@ impl Cli {
             if arg.starts_with("--") {
                 let accepted = |f: &&Flag| f.name == arg && f.commands.contains(&command.name);
                 let Some(flag) = self.flags.iter().find(accepted) else {
-                    let name = format!("{}{}", self.prefix, command.name);
+                    let name = format!("{PREFIX}{}", command.name);
                     return Err(format!("unknown flag `{arg}` for `{name}`\n{}", self.usage()));
                 };
                 let value = match flag.metavar {
@@ -143,25 +143,18 @@ impl Cli {
         Ok(args)
     }
 
-    /// A binary's whole `main`: `--help` (or `-h`, or the command `help`)
-    /// anywhere prints the usage; otherwise the arguments are parsed — for
-    /// `command`, or for the command the first one names when `None` — and
-    /// handed to `body`, whose error is printed and becomes exit code 1.
-    pub fn main(
-        &'static self,
-        command: Option<&str>,
-        body: impl FnOnce(&Args) -> Result<(), String>,
-    ) -> ExitCode {
+    /// The binary's whole `main`: `--help` (or `-h`, or the command `help`)
+    /// anywhere prints the usage; otherwise the arguments after the first,
+    /// which names the command, are parsed and handed to `body`, whose
+    /// error is printed and becomes exit code 1.
+    pub fn main(&'static self, body: impl FnOnce(&Args) -> Result<(), String>) -> ExitCode {
         let mut argv: Vec<String> = std::env::args().skip(1).collect();
         let help = argv.iter().any(|a| a == "--help" || a == "-h");
-        let command = match command {
-            Some(name) => name.to_string(),
-            None if argv.is_empty() => {
-                eprintln!("{}", self.usage());
-                return ExitCode::FAILURE;
-            }
-            None => argv.remove(0),
-        };
+        if argv.is_empty() {
+            eprintln!("{}", self.usage());
+            return ExitCode::FAILURE;
+        }
+        let command = argv.remove(0);
         if help || command == "help" {
             emit(&format!("{}\n", self.usage()));
             return ExitCode::SUCCESS;

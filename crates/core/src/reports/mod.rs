@@ -1,10 +1,11 @@
 //! Experiment harnesses regenerating the paper's tables and figures.
 //!
 //! Each function produces the structured rows/series behind one exhibit;
-//! the `bw-bench` binaries print them, and the integration tests assert
-//! their *shape* against the paper (who wins, by roughly what factor,
-//! where the crossovers fall — absolute numbers come from a cost-model
-//! simulator, not the authors' 32-core testbed).
+//! [`exhibits`] renders them as `bw table3` … `bw ablations` print them,
+//! and the integration tests assert their *shape* against the paper (who
+//! wins, by roughly what factor, where the crossovers fall — absolute
+//! numbers come from a cost-model simulator, not the authors' 32-core
+//! testbed).
 
 use bw_analysis::ModuleAnalysis;
 use bw_fault::{FaultModel, OutcomeCounts};
@@ -17,6 +18,8 @@ use bw_vm::{
 /// lived in this module; it is [`crate::trace::ForensicsReport`].
 pub use crate::trace::ForensicsReport;
 use crate::{Blockwatch, Error};
+
+pub mod exhibits;
 
 /// A row of Table IV: benchmark characteristics.
 #[derive(Clone, Debug)]

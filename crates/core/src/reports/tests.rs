@@ -340,3 +340,27 @@ fn table5_shapes_match_paper() {
         }
     }
 }
+
+#[test]
+fn renders_aligned_table() {
+    let t = exhibits::render_table(
+        &["name", "value"],
+        &[vec!["a".into(), "1".into()], vec!["longer".into(), "22".into()]],
+    );
+    assert!(t.contains("name"));
+    assert!(t.lines().count() >= 4);
+}
+
+#[test]
+fn pct_formats() {
+    assert_eq!(exhibits::pct(0.975), "97.5%");
+}
+
+/// The three exhibits that take milliseconds render `results/` byte for
+/// byte; `scripts/ci.sh exhibits` checks all ten.
+#[test]
+fn the_tables_render_their_archived_text() {
+    assert_eq!(exhibits::table3(), include_str!("../../../../results/table3.txt"));
+    assert_eq!(exhibits::table4(), include_str!("../../../../results/table4.txt"));
+    assert_eq!(exhibits::table5(), include_str!("../../../../results/table5.txt"));
+}

@@ -48,8 +48,9 @@ fn a_run_allocates_for_its_setup_and_its_stacks_only() {
     // Measured: 63 at either size (set-up, the stacks' and outputs' few
     // doublings, the result); 98 while a result named its ~20 `vm.*`
     // metrics. The tree-walking stepper the decoded one replaced made
-    // 38,110 and 79,603.
-    gate("vm.raytrace.test", test, 200);
+    // 38,110 and 79,603. The budget is 1.3x the measurement, so a run that
+    // allocates half as much again fails.
+    gate("vm.raytrace.test", test, 82);
     // More than twice the work on the same program: a few more doublings.
     assert!(small_steps > 2 * test_steps, "{small_steps} vs {test_steps} steps");
     gate("vm.raytrace.small", small, test + 16);

@@ -206,7 +206,10 @@ leg_traced_vs_untraced() {
 # `_recorded` twin), and a campaign stage is measured once (DESIGN §10), so
 # the RAII stage timer stays gone. The allocation gates share one counting
 # allocator (DESIGN §7): no `GlobalAlloc` impl or `#[global_allocator]`
-# outside tests/support/counting.rs.
+# outside tests/support/counting.rs. The paper's ten exhibits are `bw`
+# commands (DESIGN §3, §5): no `crates/bench`, no `bw-bench` crate with a
+# binary per exhibit, and no second command table (`EXHIBITS`), which is
+# what gave `Cli` a usage prefix and `Cli::main` a fixed command.
 leg_leftover_guard() {
   if grep -rnE 'ModuleAnalysis::run_parallel|fn run_parallel\(module|ValueGraph|\.divergence\(' \
       crates tests examples \
@@ -275,6 +278,10 @@ leg_leftover_guard() {
     | grep -v '^tests/support/counting\.rs:'; then
     echo "ci: a second counting allocator; the gates share tests/support/counting.rs" >&2; return 1
   fi
+  if [ -e crates/bench ] || grep -rnE 'bw_bench|bw-bench|EXHIBITS' crates tests examples; then
+    echo "ci: the exhibit crate or its second command table is back; exhibits are \`bw\` commands" >&2
+    return 1
+  fi
 }
 
 # One owner per trace record kind (DESIGN §10, "Trace schema"): the file that
@@ -336,17 +343,18 @@ leg_bwir() {
 # than in the benchmark run.
 leg_bwbench() { cargo test --release --offline --manifest-path benchmark/Cargo.toml; }
 
-# The paper's exhibits must reproduce byte for byte: each is rebuilt and
-# diffed against its archived text in results/ (about four minutes in
-# release; figure8 and figure9 at 300 injections a cell take two of them).
+# The paper's exhibits must reproduce byte for byte: each `bw` exhibit
+# command is run and diffed against its archived text in results/ (about
+# four minutes in release; figure8 and figure9 at 300 injections a cell take
+# two of them). EXPERIMENTS.md's regeneration loop passes the same arguments.
 leg_exhibits() {
-  local spec bin args
+  local spec name args
   for spec in table3 table4 table5 figure6 figure7 "figure8 300" "figure9 300" \
       false_positives duplication "ablations 200"; do
-    read -r bin args <<<"$spec"
+    read -r name args <<<"$spec"
     # shellcheck disable=SC2086  # $args is an argument list
-    cargo run --release --quiet -p bw-bench --bin "$bin" -- $args > "$out/$bin.txt"
-    diff "$out/$bin.txt" "results/$bin.txt"
+    bw "$name" $args > "$out/$name.txt"
+    diff "$out/$name.txt" "results/$name.txt"
   done
 }
 

@@ -276,3 +276,32 @@ fn the_fuzz_usage_names_the_default_thread_counts() {
     let help = help.expect("the usage explains `--threads T1,T2,..`");
     assert!(help.contains(&expected), "`bw fuzz --threads` help lacks {expected}: {help:?}");
 }
+
+/// The paper's ten exhibits are `bw` commands: the usage lists each with
+/// its operand, and a count that is not a number is an error, not the
+/// default (`figure8 30O` once ran 1,000 injections a cell).
+#[test]
+fn the_usage_lists_every_exhibit_and_a_bad_count_is_an_error() {
+    let usage = stdout(&bw(&["help"]));
+    for (exhibit, operand) in [
+        ("table3", ""),
+        ("table4", ""),
+        ("table5", ""),
+        ("figure6", ""),
+        ("figure7", ""),
+        ("figure8", "[injections]"),
+        ("figure9", "[injections]"),
+        ("false_positives", "[runs]"),
+        ("duplication", ""),
+        ("ablations", "[injections]"),
+    ] {
+        let synopsis = usage.lines().find(|l| l.split_whitespace().nth(1) == Some(exhibit));
+        let synopsis = synopsis.unwrap_or_else(|| panic!("the usage lacks `bw {exhibit}`"));
+        let words: Vec<&str> = synopsis.split_whitespace().skip(2).take(1).collect();
+        assert_eq!(words.concat(), operand, "{synopsis}");
+    }
+    let out = bw(&["figure8", "30O"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(stderr(&out).contains("`30O`"), "{}", stderr(&out));
+    assert!(out.stdout.is_empty(), "bw figure8 30O ran anyway: {}", stdout(&out));
+}

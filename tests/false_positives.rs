@@ -1,8 +1,7 @@
 //! The paper's Section IV false-positive experiment, as a test: repeated
 //! fault-free runs of every instrumented benchmark report zero violations.
-//! (The full 100-run sweep is `cargo run -p bw-bench --bin false_positives`;
-//! this test keeps CI time bounded with a smaller sweep over more
-//! configurations.)
+//! (The full 100-run sweep is `bw false_positives`; this test keeps CI
+//! time bounded with a smaller sweep over more configurations.)
 
 use blockwatch::reports::false_positive_sweep;
 use blockwatch::Size;
