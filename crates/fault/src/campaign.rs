@@ -170,8 +170,9 @@ pub enum CampaignError {
     /// The campaign was configured with zero threads — there is nothing to
     /// inject into.
     NoThreads,
-    /// A cached golden run was provided (see `run_campaign_with_golden`)
-    /// but does not match the campaign's thread count.
+    /// A cached golden run was provided (see
+    /// `run_campaign_with_golden_recorded`) but does not match the
+    /// campaign's thread count.
     GoldenMismatch {
         /// Threads the campaign configuration asks for.
         expected: usize,
@@ -246,8 +247,9 @@ impl CampaignProgress {
     }
 }
 
-/// The progress-callback type accepted by the `*_with` campaign entry
-/// points. Called from worker threads, hence `Sync`.
+/// The progress-callback type accepted by `run_campaign_with_golden_recorded`
+/// and `blockwatch::CampaignRunner::on_progress`. Called from worker threads,
+/// hence `Sync`.
 pub type ProgressFn<'a> = dyn Fn(CampaignProgress) + Sync + 'a;
 
 /// Campaign configuration.

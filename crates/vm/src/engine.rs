@@ -22,9 +22,9 @@
 //! [`MachineModel`]: crate::machine::MachineModel
 //! [`MachineModel::opteron_6128`]: crate::machine::MachineModel::opteron_6128
 
+use bw_ir::Val;
 use bw_monitor::{BranchEvent, VerdictTelemetry, Violation, ViolationReport};
 use bw_telemetry::TelemetrySnapshot;
-use bw_ir::Val;
 
 use crate::image::ProgramImage;
 use crate::telemetry::VmTelemetry;
@@ -109,7 +109,9 @@ pub struct ExecConfig {
     /// Hang cutoff. On [`SimEngine`] this bounds the *total* interpreted
     /// instructions across all threads (the scheduler interleaves them in
     /// one loop); on [`RealEngine`] it bounds each thread independently
-    /// (threads run free and cannot observe a global count cheaply).
+    /// (threads run free and cannot observe a global count cheaply). The
+    /// other way a run hangs, on both engines, is a deadlock: no thread
+    /// left running while one waits at a mutex or barrier.
     pub max_steps: u64,
     /// Instructions executed per scheduler slot. [`SimEngine`] only. No
     /// exhibit or binary sets it; it stays a field because the schedule
@@ -125,14 +127,6 @@ pub struct ExecConfig {
     /// event order to record, so the field is ignored and
     /// [`RunResult::branch_events`] stays empty.
     pub capture_events: bool,
-    /// Wall-clock watchdog for blocked waits, in milliseconds.
-    /// [`RealEngine`] only: a real thread stuck at a barrier or mutex
-    /// cannot observe a deadlock the way the simulator's scheduler can, so
-    /// a wait past this deadline classifies the run as [`RunOutcome::Hung`]
-    /// (the moral equivalent of the paper's injection-harness timeout).
-    /// Only tests lower it (the 200 ms `Hung` test would take the default's
-    /// 10 s), which is why it is still a field.
-    pub watchdog_ms: u64,
     /// When set, the monitor ingest is sharded across this many workers,
     /// each owning a disjoint `(site, branch)` key-space slice (routed by
     /// [`bw_monitor::shard_of`]); `None` is the paper's single monitor
@@ -153,7 +147,6 @@ impl ExecConfig {
             max_steps: 2_000_000_000,
             quantum: 64,
             capture_events: false,
-            watchdog_ms: 10_000,
             monitor_shards: None,
         }
     }
@@ -191,12 +184,6 @@ impl ExecConfig {
     /// Enables (or disables) branch-event capture on the result.
     pub fn capture_events(mut self, capture: bool) -> Self {
         self.capture_events = capture;
-        self
-    }
-
-    /// Sets the real engine's blocked-wait watchdog (milliseconds).
-    pub fn watchdog_ms(mut self, ms: u64) -> Self {
-        self.watchdog_ms = ms;
         self
     }
 

@@ -1,6 +1,6 @@
 //! The real-threads engine: one OS thread per SPMD thread, atomic shared
-//! memory, OS mutexes/barriers, per-thread lock-free queues and the
-//! asynchronous monitor thread — the paper's actual runtime architecture.
+//! memory, per-thread lock-free queues and the asynchronous monitor thread
+//! — the paper's actual runtime architecture.
 //!
 //! This engine has no cost model (wall-clock on the host is meaningless for
 //! the paper's 32-core numbers; that is the simulator's job) but it
@@ -9,19 +9,21 @@
 //! experiments, the sim-vs-real parity suite and as a sanity check that the
 //! lock-free machinery works.
 //!
-//! Unlike the simulator, this scheduler cannot observe a deadlock directly
-//! (a thread stuck in `pthread_barrier_wait` is invisible to the others),
-//! so blocked threads carry a wall-clock **watchdog**
-//! ([`ExecConfig::watchdog_ms`]): a thread that waits past the deadline
-//! declares the run hung, trips a shared stop flag and wakes every waiter
-//! — the moral equivalent of the paper's injection-harness timeout. The
-//! first trap likewise trips the stop flag, because a trap in a real
-//! process kills every thread, which is also exactly what the simulator
-//! models.
+//! Mutexes and barriers are one `SyncTable` under one lock, beside a
+//! count of the SPMD threads still running (neither parked nor exited). A
+//! thread that waits parks and leaves the count, and whoever releases it
+//! puts it back, so the count reaches zero with a thread parked only when
+//! no thread is left to release one: the run is deadlocked, every parked
+//! thread returns and the run is [`RunOutcome::Hung`] — the state the
+//! simulator's scheduler sees too (no runnable thread, threads
+//! unfinished). No verdict depends on wall-clock time. The first trap, or
+//! a thread past its step budget, trips a stop flag that running threads
+//! poll, because a trap in a real process kills every thread, which is also
+//! exactly what the simulator models; once they have stopped, the parked
+//! threads see the count at zero and return too.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use bw_ir::Val;
 use bw_monitor::{
@@ -37,132 +39,159 @@ use crate::telemetry::VmTelemetry;
 use crate::thread::{CostClass, NoHook, NoSink, Sink, ThreadState, Yield};
 use crate::trap::TrapKind;
 
-/// How a blocking wait ended.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum WaitOutcome {
-    /// The wait completed normally (lock acquired / barrier released).
-    Released,
-    /// Another thread tripped the stop flag while we waited.
-    Stopped,
-    /// The watchdog deadline passed: the run is deadlocked.
-    TimedOut,
-}
-
-/// A mutex usable with unpaired lock/unlock coming from interpreted code,
-/// with stop-flag and watchdog support on the blocking path.
-struct RawMutex {
-    state: Mutex<bool>,
+/// Every mutex and barrier of the parallel section and the count of
+/// running SPMD threads, under one lock; one condition variable wakes the
+/// parked threads. Locks and barriers pair unchecked: interpreted code may
+/// unlock in another thread, and a program may skip an arrival.
+struct SyncTable {
+    state: Mutex<SyncState>,
     cv: Condvar,
-}
-
-impl RawMutex {
-    fn new() -> Self {
-        RawMutex { state: Mutex::new(false), cv: Condvar::new() }
-    }
-
-    fn lock(&self, stop: &AtomicBool, deadline: Instant) -> WaitOutcome {
-        let mut held = self.state.lock().expect("mutex poisoned");
-        while *held {
-            if stop.load(Ordering::Relaxed) {
-                return WaitOutcome::Stopped;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return WaitOutcome::TimedOut;
-            }
-            let (guard, _) =
-                self.cv.wait_timeout(held, deadline - now).expect("mutex poisoned");
-            held = guard;
-        }
-        *held = true;
-        WaitOutcome::Released
-    }
-
-    /// Returns `false` if the mutex was not held (interpreter bug or
-    /// fault-corrupted control flow).
-    fn unlock(&self) -> bool {
-        let mut held = self.state.lock().expect("mutex poisoned");
-        if !*held {
-            return false;
-        }
-        *held = false;
-        self.cv.notify_one();
-        true
-    }
-
-    /// Wakes every waiter so it can observe a freshly tripped stop flag.
-    fn interrupt(&self) {
-        let _guard = self.state.lock().expect("mutex poisoned");
-        self.cv.notify_all();
-    }
-}
-
-/// A reusable barrier with stop-flag and watchdog support. `std`'s
-/// `Barrier` cannot be interrupted, which would leave workers stuck forever
-/// when a fault makes one thread miss its arrival.
-struct RawBarrier {
-    state: Mutex<BarrierGen>,
-    cv: Condvar,
+    /// Every SPMD thread arrives at every barrier.
     participants: usize,
 }
 
-struct BarrierGen {
+struct SyncState {
+    mutexes: Vec<MutexRow>,
+    barriers: Vec<BarrierRow>,
+    /// Threads neither parked nor exited. A release counts the threads it
+    /// wakes at once, so this never reads zero while one is on its way.
+    running: usize,
+    /// Threads that have not exited.
+    live: usize,
+    /// `running` reached zero with a thread parked; every wait returns.
+    deadlocked: bool,
+}
+
+#[derive(Clone, Copy, Default)]
+struct MutexRow {
+    held: bool,
+    /// Threads parked on the mutex that no unlock has handed it to yet.
+    waiting: usize,
+    /// Unlocks that handed the mutex to a parked thread not yet awake.
+    handed: usize,
+}
+
+#[derive(Clone, Copy, Default)]
+struct BarrierRow {
     arrived: usize,
     generation: u64,
 }
 
-impl RawBarrier {
-    fn new(participants: usize) -> Self {
-        RawBarrier {
-            state: Mutex::new(BarrierGen { arrived: 0, generation: 0 }),
-            cv: Condvar::new(),
-            participants,
-        }
+impl SyncTable {
+    fn new(mutexes: usize, barriers: usize, threads: usize) -> Self {
+        let state = SyncState {
+            mutexes: vec![MutexRow::default(); mutexes],
+            barriers: vec![BarrierRow::default(); barriers],
+            running: threads,
+            live: threads,
+            deadlocked: false,
+        };
+        SyncTable { state: Mutex::new(state), cv: Condvar::new(), participants: threads }
     }
 
-    fn wait(&self, stop: &AtomicBool, deadline: Instant) -> WaitOutcome {
-        let mut s = self.state.lock().expect("barrier poisoned");
-        s.arrived += 1;
-        if s.arrived >= self.participants {
-            s.arrived = 0;
-            s.generation = s.generation.wrapping_add(1);
+    /// Every write under the lock comes after whatever can panic there, so
+    /// a poisoned table is intact; recovering it lets a panicking worker's
+    /// `Exit` still run and its join report the panic.
+    fn state(&self) -> MutexGuard<'_, SyncState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Takes mutex `m`, parking while it is held. `false`: the run
+    /// deadlocked first.
+    fn lock(&self, m: usize) -> bool {
+        let mut s = self.state();
+        let row = &mut s.mutexes[m];
+        if !row.held {
+            row.held = true;
+            return true;
+        }
+        row.waiting += 1;
+        self.park(s, |s| {
+            let row = &mut s.mutexes[m];
+            let handed = row.handed > 0;
+            row.handed -= usize::from(handed);
+            handed
+        })
+    }
+
+    /// Releases mutex `m`, handing it to one parked thread if there is
+    /// one. `false`: `m` was not held (an interpreter bug or corrupted
+    /// control flow).
+    fn unlock(&self, m: usize) -> bool {
+        let mut s = self.state();
+        let row = &mut s.mutexes[m];
+        if !row.held {
+            return false;
+        }
+        if row.waiting == 0 {
+            row.held = false;
+        } else {
+            row.waiting -= 1;
+            row.handed += 1;
+            s.running += 1;
             self.cv.notify_all();
-            return WaitOutcome::Released;
         }
-        let generation = s.generation;
-        while s.generation == generation {
-            if stop.load(Ordering::Relaxed) {
-                s.arrived -= 1;
-                return WaitOutcome::Stopped;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                s.arrived -= 1;
-                return WaitOutcome::TimedOut;
-            }
-            let (guard, _) = self.cv.wait_timeout(s, deadline - now).expect("barrier poisoned");
-            s = guard;
-        }
-        WaitOutcome::Released
+        true
     }
 
-    /// Wakes every waiter so it can observe a freshly tripped stop flag.
-    fn interrupt(&self) {
-        let _guard = self.state.lock().expect("barrier poisoned");
-        self.cv.notify_all();
+    /// Arrives at barrier `b`; the last arrival releases the others.
+    /// `false`: the run deadlocked first.
+    fn wait(&self, b: usize) -> bool {
+        let mut s = self.state();
+        let row = &mut s.barriers[b];
+        row.arrived += 1;
+        if row.arrived == self.participants {
+            row.arrived = 0;
+            row.generation = row.generation.wrapping_add(1);
+            s.running += self.participants - 1;
+            self.cv.notify_all();
+            return true;
+        }
+        let generation = row.generation;
+        self.park(s, |s| s.barriers[b].generation != generation)
+    }
+
+    /// Parks the caller until `released` says a release reached it (`true`)
+    /// or the run deadlocks (`false`).
+    fn park(
+        &self,
+        mut s: MutexGuard<'_, SyncState>,
+        mut released: impl FnMut(&mut SyncState) -> bool,
+    ) -> bool {
+        self.stop_running(&mut s);
+        loop {
+            if released(&mut s) {
+                return true;
+            }
+            if s.deadlocked {
+                // Running again, on its way out through `Exit`.
+                s.running += 1;
+                return false;
+            }
+            s = self.cv.wait(s).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Takes the caller off `running`; at zero with a thread still here,
+    /// that thread is parked and nobody can release it.
+    fn stop_running(&self, s: &mut SyncState) {
+        s.running -= 1;
+        if s.running == 0 && s.live > 0 {
+            s.deadlocked = true;
+            self.cv.notify_all();
+        }
     }
 }
 
-/// Trips the stop flag and wakes everything that might be blocked on it.
-/// Notifications happen under each primitive's lock, so a waiter that has
-/// checked the flag but not yet parked cannot miss the wakeup.
-fn trip_stop(stop: &AtomicBool, mutexes: &[RawMutex], barriers: &[RawBarrier]) {
-    stop.store(true, Ordering::Relaxed);
-    for m in mutexes {
-        m.interrupt();
-    }
-    for b in barriers {
-        b.interrupt();
+/// Takes a worker off the [`SyncTable`] when it ends, by return or by
+/// panic, so no thread is left parked for it.
+struct Exit<'a>(&'a SyncTable);
+
+impl Drop for Exit<'_> {
+    fn drop(&mut self) {
+        let mut s = self.0.state();
+        s.live -= 1;
+        self.0.stop_running(&mut s);
     }
 }
 
@@ -291,20 +320,17 @@ struct WorkerExit {
     dyn_branches: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     tid: u32,
-    entry: Option<bw_ir::FuncId>,
     image: &ProgramImage,
     mem: &AtomicMemory,
-    mutexes: &[RawMutex],
-    barriers: &[RawBarrier],
+    sync: &SyncTable,
     stop: &AtomicBool,
-    deadline: Instant,
     config: &ExecConfig,
     mut sender: Option<EventSender>,
 ) -> WorkerExit {
-    let Some(entry) = entry else {
+    let _exit = Exit(sync);
+    let Some(entry) = image.module.spmd_entry else {
         return WorkerExit {
             outputs: Vec::new(),
             trap: None,
@@ -319,17 +345,17 @@ fn worker_loop(
     let mut hung = false;
     // Resolved once per worker: costs nothing when no sink is installed.
     let mut tracer = bw_telemetry::trace_sink()
-        .map(|sink| RealTracer::new(sink, tid, mutexes.len()));
+        .map(|sink| RealTracer::new(sink, tid, image.module.num_mutexes as usize));
     loop {
         if stop.load(Ordering::Relaxed) {
-            // Another thread trapped or declared a hang; in a real process
+            // Another thread trapped or ran out of steps; in a real process
             // we would be dead already. Our partial state is discarded by
             // the non-`Completed` outcome.
             break;
         }
         let Some(budget) = steps_before_hang(&t, config) else {
             hung = true;
-            trip_stop(stop, mutexes, barriers);
+            stop.store(true, Ordering::Relaxed);
             break;
         };
         let budget = budget.min(STOP_POLL_STEPS);
@@ -338,24 +364,18 @@ fn worker_loop(
             Yield::Budget | Yield::Invisible => {}
             Yield::Lock(m) => {
                 let wait_start = tracer.as_ref().map(|tr| tr.now());
-                match mutexes[m.index()].lock(stop, deadline) {
-                    WaitOutcome::Released => {
-                        if let (Some(tr), Some(start)) = (tracer.as_mut(), wait_start) {
-                            tr.lock_acquired(m.index(), start);
-                        }
-                    }
-                    WaitOutcome::Stopped => break,
-                    WaitOutcome::TimedOut => {
-                        hung = true;
-                        trip_stop(stop, mutexes, barriers);
-                        break;
-                    }
+                if !sync.lock(m.index()) {
+                    hung = true;
+                    break;
+                }
+                if let (Some(tr), Some(start)) = (tracer.as_mut(), wait_start) {
+                    tr.lock_acquired(m.index(), start);
                 }
             }
             Yield::Unlock(m) => {
-                if !mutexes[m.index()].unlock() {
+                if !sync.unlock(m.index()) {
                     trap = Some(TrapKind::BadUnlock);
-                    trip_stop(stop, mutexes, barriers);
+                    stop.store(true, Ordering::Relaxed);
                     break;
                 }
                 if let Some(tr) = tracer.as_mut() {
@@ -364,18 +384,12 @@ fn worker_loop(
             }
             Yield::Barrier(b) => {
                 let wait_start = tracer.as_ref().map(|tr| tr.now());
-                match barriers[b.index()].wait(stop, deadline) {
-                    WaitOutcome::Released => {
-                        if let (Some(tr), Some(start)) = (tracer.as_mut(), wait_start) {
-                            tr.barrier_released(start, &t);
-                        }
-                    }
-                    WaitOutcome::Stopped => break,
-                    WaitOutcome::TimedOut => {
-                        hung = true;
-                        trip_stop(stop, mutexes, barriers);
-                        break;
-                    }
+                if !sync.wait(b.index()) {
+                    hung = true;
+                    break;
+                }
+                if let (Some(tr), Some(start)) = (tracer.as_mut(), wait_start) {
+                    tr.barrier_released(start, &t);
                 }
             }
             Yield::Done => {
@@ -386,7 +400,7 @@ fn worker_loop(
             }
             Yield::Trap(k) => {
                 trap = Some(k);
-                trip_stop(stop, mutexes, barriers);
+                stop.store(true, Ordering::Relaxed);
                 break;
             }
         }
@@ -475,12 +489,12 @@ pub(crate) fn run_real_engine(image: &ProgramImage, config: &ExecConfig) -> RunR
     }
 
     // Phase 2: parallel section with monitor thread.
-    let mutexes: Vec<RawMutex> =
-        (0..image.module.num_mutexes).map(|_| RawMutex::new()).collect();
-    let barriers: Vec<RawBarrier> =
-        (0..image.module.num_barriers).map(|_| RawBarrier::new(n as usize)).collect();
+    let sync = SyncTable::new(
+        image.module.num_mutexes as usize,
+        image.module.num_barriers as usize,
+        n as usize,
+    );
     let stop = AtomicBool::new(false);
-    let deadline = Instant::now() + Duration::from_millis(config.watchdog_ms);
 
     // The builder wires the full monitor side for whichever topology the
     // config selects — flat or sharded ingest — and hands back one
@@ -498,22 +512,13 @@ pub(crate) fn run_real_engine(image: &ProgramImage, config: &ExecConfig) -> RunR
         }
     };
 
-    let entry = image.module.spmd_entry;
     let worker_exits: Vec<WorkerExit> = std::thread::scope(|scope| {
-        let mem = &mem;
-        let mutexes = &mutexes[..];
-        let barriers = &barriers[..];
-        let stop = &stop;
+        let (mem, sync, stop) = (&mem, &sync, &stop);
         let handles: Vec<_> = senders
             .into_iter()
             .enumerate()
             .map(|(tid, sender)| {
-                scope.spawn(move || {
-                    worker_loop(
-                        tid as u32, entry, image, mem, mutexes, barriers, stop, deadline,
-                        config, sender,
-                    )
-                })
+                scope.spawn(move || worker_loop(tid as u32, image, mem, sync, stop, config, sender))
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
@@ -523,7 +528,8 @@ pub(crate) fn run_real_engine(image: &ProgramImage, config: &ExecConfig) -> RunR
     let verdict = monitor.map(MonitorHandle::join);
 
     // Aggregate workers: first trap (in thread-id order) wins, like the
-    // simulator; otherwise any hang makes the run hung.
+    // simulator; otherwise a spent step budget or a deadlock makes the run
+    // hung.
     let mut outcome = RunOutcome::Completed;
     for w in &worker_exits {
         if let Some(k) = w.trap {
@@ -628,10 +634,10 @@ mod tests {
     }
 
     /// One thread traps while the others wait for it at a barrier: the
-    /// trap's stop flag must wake them, so the run ends `Crashed` at once
-    /// rather than when their watchdog expires. Thread 0 traps only after
-    /// the other three have checked in on their way to the barrier, so
-    /// they are already waiting there when the flag trips.
+    /// run ends `Crashed`, the waiters returning once no thread is left
+    /// running. Thread 0 traps only after the other three have checked in
+    /// on their way to the barrier, so they are already waiting there when
+    /// it stops.
     #[test]
     fn one_trap_stops_the_threads_waiting_at_a_barrier() {
         let image = image(
@@ -653,12 +659,8 @@ mod tests {
             }
             "#,
         );
-        let watchdog = Duration::from_secs(10);
-        let config = ExecConfig::new(4).watchdog_ms(watchdog.as_millis() as u64);
-        let started = Instant::now();
-        let result = RealEngine.run(&image, &config);
+        let result = RealEngine.run(&image, &ExecConfig::new(4));
         assert_eq!(result.outcome, RunOutcome::Crashed(TrapKind::OutOfBounds));
-        assert!(started.elapsed() < watchdog / 2, "the waiters sat out their watchdog");
     }
 
     #[test]
@@ -753,12 +755,13 @@ mod tests {
         assert!(result.violations.is_empty());
     }
 
+    /// Each program deadlocks, seen once no thread is left running: thread
+    /// 0 skips the barrier the others wait at; thread 0 exits holding the
+    /// mutex the others wait on after a barrier; even and odd threads wait
+    /// at two barriers that neither half fills.
     #[test]
-    fn watchdog_classifies_a_missing_barrier_arrival_as_hung() {
-        // Thread 0 skips the barrier, so the rest wait forever; the
-        // watchdog must turn that into a Hung classification instead of
-        // wedging the test binary.
-        let image = image(
+    fn deadlocks_are_hung() {
+        let programs = [
             r#"
             barrier b;
             @spmd func f() {
@@ -766,9 +769,52 @@ mod tests {
                 output(threadid());
             }
             "#,
-        );
-        let config = ExecConfig::new(4).watchdog_ms(200);
-        let result = engine(EngineKind::Real).run(&image, &config);
-        assert_eq!(result.outcome, RunOutcome::Hung);
+            r#"
+            mutex m;
+            barrier b;
+            @spmd func f() {
+                if (threadid() == 0) { lock(m); }
+                barrier(b);
+                if (threadid() != 0) {
+                    lock(m);
+                    unlock(m);
+                }
+            }
+            "#,
+            r#"
+            barrier even;
+            barrier odd;
+            @spmd func f() {
+                if (threadid() % 2 == 0) { barrier(even); } else { barrier(odd); }
+            }
+            "#,
+        ];
+        for src in programs {
+            let result = RealEngine.run(&image(src), &ExecConfig::new(4));
+            assert_eq!(result.outcome, RunOutcome::Hung, "{src}");
+        }
+    }
+
+    /// Three threads wait at a barrier while thread 0 computes for well
+    /// over 200 ms of wall time: waiting long is not a deadlock.
+    #[test]
+    fn a_long_wait_at_a_barrier_completes() {
+        let iterations = if cfg!(debug_assertions) { 800_000 } else { 4_000_000 };
+        let image = image(&format!(
+            r#"
+            shared int n = {iterations};
+            barrier b;
+            @spmd func f() {{
+                if (threadid() == 0) {{
+                    var sum: int = 0;
+                    for (var i: int = 0; i < n; i = i + 1) {{ sum = sum + i; }}
+                    output(sum);
+                }}
+                barrier(b);
+            }}
+            "#
+        ));
+        let result = RealEngine.run(&image, &ExecConfig::new(4));
+        assert_eq!(result.outcome, RunOutcome::Completed);
     }
 }

@@ -282,6 +282,9 @@ leg_leftover_guard() {
     echo "ci: the exhibit crate or its second command table is back; exhibits are \`bw\` commands" >&2
     return 1
   fi
+  if grep -rnE 'watchdog|wait_timeout|deadline' crates/vm/src; then
+    echo "ci: the real engine times its waits again; it detects deadlock by counting" >&2; return 1
+  fi
 }
 
 # One owner per trace record kind (DESIGN §10, "Trace schema"): the file that
@@ -360,13 +363,19 @@ leg_exhibits() {
 
 # The OS-thread scheduler must satisfy the same Engine contract as the
 # simulator on every SPLASH port and reach its verdicts on a program with a
-# failing check (parity suite), and agree with it on fuzzed programs (the
-# sim-vs-real oracle cross-check). Faults are injected on the simulator
+# failing check (parity suite, in release: its 32-thread repeats are thinned
+# in debug builds), and agree with it on fuzzed programs (the sim-vs-real
+# oracle cross-check). Faults are injected on the simulator
 # only; fuzz-smoke runs the injection stage. The window is small: these
-# runs cost wall-clock time on real threads.
+# runs cost wall-clock time on real threads. Last, water at reference size
+# on 32 threads (~10 s on 2 cores): a long run with many parked waiters,
+# which must complete however slow the host.
 leg_real_engine() {
-  cargo test -q -p blockwatch --test engine_parity
+  cargo test --release -q -p blockwatch --test engine_parity
   bw fuzz --seeds 25 --real-cross-check
+  bw run splash:water --size reference --engine real --threads 32 | tee "$out/water32.txt"
+  grep -qx 'outcome: Completed (real engine)' "$out/water32.txt" \
+    || { echo "ci: the 32-thread water run did not complete" >&2; return 1; }
 }
 
 if [ $# -eq 0 ]; then

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use blockwatch::vm::{engine, EngineKind, ExecConfig, ProgramImage, RunOutcome, RunResult};
 use blockwatch::{Benchmark, Category, CheckKind, Size};
 
-const THREADS: [u32; 4] = [1, 2, 4, 8];
+const THREADS: [u32; 5] = [1, 2, 4, 8, 32];
 
 /// Ports whose outputs are schedule-independent: no lock-order-dependent
 /// float accumulation feeding the output, and no data race. That excludes
@@ -52,6 +52,23 @@ fn every_port_completes_cleanly_on_both_engines() {
                     r.violations
                 );
             }
+        }
+    }
+}
+
+/// Many parked waiters are what a miscounted handoff between a release and
+/// the threads it wakes trips on: every port, run again and again at 32
+/// threads on the real engine, must complete every time (fewer repeats in
+/// debug builds, where each run is slower).
+#[test]
+fn every_port_completes_every_time_at_32_threads_on_the_real_engine() {
+    let repeats = if cfg!(debug_assertions) { 5 } else { 20 };
+    let config = ExecConfig::new(32);
+    for bench in Benchmark::ALL {
+        let image = image(bench);
+        for run in 0..repeats {
+            let r = engine(EngineKind::Real).run(&image, &config);
+            assert_eq!(r.outcome, RunOutcome::Completed, "{} run {run}", bench.name());
         }
     }
 }
