@@ -300,18 +300,6 @@ fn sampled<'s, 'a>(path: &str, series: &'s SeriesReport<'a>) -> Result<&'s Serie
     Ok(series)
 }
 
-/// Warns on stderr when the monitor lost events to full queues.
-fn warn_dropped(telemetry: &TelemetrySnapshot) {
-    if let Some(dropped) = telemetry.counter("monitor.events_dropped") {
-        if dropped > 0 {
-            eprintln!(
-                "warning: {dropped} event(s) dropped on full queues; \
-                 detection coverage may be reduced"
-            );
-        }
-    }
-}
-
 fn cmd_analyze(args: &Args) -> Result<(), String> {
     let bw = load(args)?;
     println!("{:<8} {:<20} {:<10} {:<6} check", "branch", "function", "category", "depth");
@@ -371,9 +359,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         }
         EngineKind::Real => {
             println!(
-                "events processed: {} | dropped: {} | violations: {}",
+                "events processed: {} | violations: {}",
                 result.events_processed,
-                result.events_dropped,
                 result.violations.len()
             );
         }
@@ -381,7 +368,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     for v in &result.violations {
         println!("  violation: branch {} {:?} ({} reporters)", v.branch, v.kind, v.reporters);
     }
-    warn_dropped(&telemetry);
     if args.has("--stats") {
         print!("{}", render_telemetry(&telemetry));
     }
@@ -605,7 +591,6 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
             w.throughput()
         );
     }
-    warn_dropped(&protected.telemetry);
     if args.has("--stats") {
         print!("{}", render_telemetry(&protected.telemetry));
     }

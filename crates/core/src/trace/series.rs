@@ -83,10 +83,9 @@ impl<'a> SeriesReport<'a> {
         for id in &shards {
             let _ = write!(out, "  {:>5}", format!("q{id}"));
         }
-        out.push_str("  warn\n");
+        out.push('\n');
         let (mut planned, mut completed, mut detected) = (0u64, 0u64, 0u64);
         let (mut elapsed_us, mut events_total) = (0u64, 0u64);
-        let mut warned = 0u64;
         for tick in &self.ticks {
             elapsed_us = elapsed_us.saturating_add(tick.dt_us);
             let events = tick.value("live.engine.events_processed").unwrap_or(0);
@@ -128,10 +127,6 @@ impl<'a> SeriesReport<'a> {
                     .unwrap_or(0);
                 let _ = write!(out, "  {depth:>5}");
             }
-            if tick.warn {
-                warned += 1;
-                out.push_str("  !");
-            }
             out.push('\n');
         }
         let _ = write!(
@@ -145,9 +140,6 @@ impl<'a> SeriesReport<'a> {
                 "; {completed}/{planned} injections ({:.1}/s avg), {detected} detected",
                 if elapsed_us == 0 { 0.0 } else { completed as f64 * 1e6 / elapsed_us as f64 }
             );
-        }
-        if warned > 0 {
-            let _ = write!(out, "; {warned} tick(s) saw dropped events");
         }
         out.push('\n');
         out

@@ -181,34 +181,19 @@ impl<'a> TraceSummary<'a> {
             out.push('\n');
         }
         out.push_str(&render_telemetry(&self.metrics.deterministic_part()));
-        // Monitor health, surfaced from the generic tables: dropped events
-        // mean the verdicts are incomplete, and the pending high-water shows
-        // how deep the correlation table ran.
-        let dropped = self.metrics.counter("monitor.events_dropped");
-        let pending = self.metrics.gauge("monitor.pending_high_water");
-        if dropped.is_some() || pending.is_some() {
+        // Monitor health, surfaced from the generic tables: the pending
+        // high-water shows how deep the correlation table ran.
+        if let Some(p) = self.metrics.gauge("monitor.pending_high_water") {
             out.push_str("monitor health:\n");
-            match dropped {
-                Some(d) if d > 0 => {
-                    let _ = writeln!(
-                        out,
-                        "  events dropped: {d}  (queue overflow; verdicts may be incomplete)"
-                    );
-                }
-                Some(_) => out.push_str("  events dropped: 0\n"),
-                None => {}
-            }
-            if let Some(p) = pending {
-                let _ = writeln!(out, "  pending-table high water: {p} instance(s)");
-            }
+            let _ = writeln!(out, "  pending-table high water: {p} instance(s)");
         }
         // Per-shard ingest health (only present when the monitor ran
-        // sharded): each shard's share of the event stream, its drops and
-        // its queue high-water mark — an uneven split or a hot shard shows
-        // up here. Campaign traces carry these under the `golden.` prefix,
-        // `bw run` traces carry them bare; match the `monitor.shard.<i>.`
-        // segment wherever it sits, summing counters and maxing gauges.
-        let mut shards: std::collections::BTreeMap<u64, (u64, u64, u64)> =
+        // sharded): each shard's share of the event stream and its queue
+        // high-water mark — an uneven split or a hot shard shows up here.
+        // Campaign traces carry these under the `golden.` prefix, `bw run`
+        // traces carry them bare; match the `monitor.shard.<i>.` segment
+        // wherever it sits, summing counters and maxing gauges.
+        let mut shards: std::collections::BTreeMap<u64, (u64, u64)> =
             std::collections::BTreeMap::new();
         for (name, value) in self.metrics.counters().iter().chain(self.metrics.gauges()) {
             let Some(rest) = name.split("monitor.shard.").nth(1) else { continue };
@@ -217,18 +202,16 @@ impl<'a> TraceSummary<'a> {
             let row = shards.entry(id).or_default();
             match parts.next() {
                 Some("events_processed") => row.0 = row.0.saturating_add(*value),
-                Some("events_dropped") => row.1 = row.1.saturating_add(*value),
-                Some("queue_high_water") => row.2 = row.2.max(*value),
+                Some("queue_high_water") => row.1 = row.1.max(*value),
                 _ => {}
             }
         }
         if !shards.is_empty() {
             out.push_str("monitor shards:\n");
-            for (s, (processed, dropped, high_water)) in shards {
+            for (s, (processed, high_water)) in shards {
                 let _ = writeln!(
                     out,
-                    "  shard {s:<3} processed {processed}  dropped {dropped}  \
-                     queue high water {high_water}"
+                    "  shard {s:<3} processed {processed}  queue high water {high_water}"
                 );
             }
         }

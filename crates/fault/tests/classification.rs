@@ -26,7 +26,6 @@ fn result(outcome: RunOutcome, outputs: Vec<Val>, detected: bool) -> RunResult {
         total_steps: 0,
         events_sent: 0,
         events_processed: 0,
-        events_dropped: 0,
         branches_per_thread: vec![0],
         steps_per_thread: vec![0],
         engine: EngineKind::Sim,

@@ -72,7 +72,6 @@ fn same(a: &RunResult, b: &RunResult) -> bool {
         && bits(&a.outputs) == bits(&b.outputs)
         && a.events_sent == b.events_sent
         && a.events_processed == b.events_processed
-        && a.events_dropped == b.events_dropped
         && a.branch_events == b.branch_events
         && a.violations == b.violations
         && a.violation_reports == b.violation_reports

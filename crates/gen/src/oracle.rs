@@ -146,7 +146,7 @@ enum Observable {
     ViolationReports,
     StepsPerThread,
     BranchesPerThread,
-    /// Events sent, processed and dropped.
+    /// Events sent and processed.
     EventCounts,
     EventsProcessed,
     Engines,
@@ -159,7 +159,7 @@ use Observable::*;
 impl Observable {
     /// The observable's name, and whether runs `a` and `b` differ in it.
     fn compare(self, a: &RunResult, b: &RunResult) -> (&'static str, bool) {
-        let events = |r: &RunResult| (r.events_sent, r.events_processed, r.events_dropped);
+        let events = |r: &RunResult| (r.events_sent, r.events_processed);
         match self {
             Outcome => ("outcome", a.outcome != b.outcome),
             Outputs => ("outputs", a.outputs != b.outputs),

@@ -21,8 +21,10 @@
 //! `instances × nthreads`.
 //!
 //! Design goals carried over from the paper:
-//! 1. **Asynchronous** — senders never wait for the monitor (the queue push
-//!    returns immediately; the monitor threads run on their own cores).
+//! 1. **Asynchronous** — a sender waits for the monitor only when its
+//!    queue is full (otherwise the push returns immediately; the monitor
+//!    threads run on their own cores). It never drops an event, so every
+//!    report is checked.
 //! 2. **Unique branch identifier and fast lookup** — `(static branch id,
 //!    call-path hash)` at level 1, plus the loop-iteration hash at level 2.
 //! 3. **Lock freedom** — no locks anywhere on the reporting path.

@@ -8,9 +8,6 @@
 //! threads that poll until all producers disconnect, exactly like the
 //! paper's asynchronous monitor thread.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use bw_analysis::{CheckKind, CheckPlan};
 
 use crate::checker::{check_instance, Report, ViolationKind};
@@ -136,7 +133,6 @@ pub struct Monitor {
     /// the next.
     scratch: Vec<Report>,
     events_processed: u64,
-    events_dropped: u64,
     telemetry: MonitorTelemetry,
 }
 
@@ -153,7 +149,6 @@ impl Monitor {
             reports: Vec::new(),
             scratch: Vec::new(),
             events_processed: 0,
-            events_dropped: 0,
             telemetry: MonitorTelemetry::default(),
         }
     }
@@ -313,21 +308,6 @@ impl Monitor {
         self.table.len()
     }
 
-    /// Events the application threads had to drop because this monitor
-    /// could not keep up (aggregated from every [`EventSender`] when the
-    /// monitor is spawned through [`crate::MonitorBuilder`]).
-    ///
-    /// A nonzero value means verdicts may have missed violations — the
-    /// paper's zero-false-negative claim only holds when this is zero.
-    pub fn events_dropped(&self) -> u64 {
-        self.events_dropped
-    }
-
-    /// Folds sender-side drop counts into this monitor's accounting.
-    pub fn record_dropped(&mut self, n: u64) {
-        self.events_dropped += n;
-    }
-
     /// The monitor's instruments.
     pub fn telemetry(&self) -> &MonitorTelemetry {
         &self.telemetry
@@ -346,9 +326,15 @@ impl Monitor {
     }
 }
 
-/// A sending endpoint one application thread uses. Pushes spin briefly when
-/// the queue is full (the paper sizes queues to make this rare) and count
-/// the overflow events that had to be dropped after the spin budget.
+/// How many times a sender re-tries a full queue, spinning, before it
+/// starts yielding its core to the monitor between tries.
+const SPINS_BEFORE_YIELD: u32 = 1024;
+
+/// A sending endpoint one application thread uses. A push that finds the
+/// queue full waits for the monitor to free a slot: it spins briefly, then
+/// yields between tries. No event is ever dropped, so a small queue costs
+/// the sender waiting, never a check (the paper sizes queues to make the
+/// wait rare).
 ///
 /// A sender owns one producer per monitor shard and routes each event to
 /// the shard owning its `(site, branch)` key via [`crate::shard_of`]; the
@@ -358,79 +344,58 @@ pub struct EventSender {
     /// One queue producer per monitor shard, indexed by shard id.
     producers: Vec<Producer<BranchEvent>>,
     sent: u64,
-    /// Per-shard drop counts, aligned with `producers`.
-    dropped: Vec<u64>,
-    spin_budget: u32,
-    /// Shared per-shard sinks the local drop counts are flushed into when
-    /// the sender goes away, so the totals survive the sender's lifetime
-    /// (folded into the verdict at [`crate::MonitorHandle::join`]). Empty
-    /// when no one is counting; otherwise aligned with `producers`.
-    drop_sinks: Vec<Arc<AtomicU64>>,
 }
 
 impl EventSender {
-    /// Wraps one producer per monitor shard (indexed by shard id), with an
-    /// optional matching vector of per-shard drop sinks.
+    /// Wraps one producer per monitor shard (indexed by shard id).
     ///
     /// # Panics
     ///
-    /// Panics if `producers` is empty, or if `drop_sinks` is non-empty but
-    /// not the same length as `producers`.
-    pub fn fanned(producers: Vec<Producer<BranchEvent>>, drop_sinks: Vec<Arc<AtomicU64>>) -> Self {
+    /// Panics if `producers` is empty.
+    pub fn fanned(producers: Vec<Producer<BranchEvent>>) -> Self {
         assert!(!producers.is_empty(), "sender needs at least one shard producer");
-        assert!(
-            drop_sinks.is_empty() || drop_sinks.len() == producers.len(),
-            "drop sinks must match shard producers"
-        );
-        let dropped = vec![0; producers.len()];
-        EventSender { producers, sent: 0, dropped, spin_budget: 1024, drop_sinks }
+        EventSender { producers, sent: 0 }
     }
 
-    /// Sends an event to the shard owning its key, spinning briefly if that
-    /// shard's queue is full; drops the event (and counts it against the
-    /// shard) if the monitor cannot keep up.
+    /// Sends an event to the shard owning its key, waiting while that
+    /// shard's queue is full.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the queue is full and its consumer is gone (the shard
+    /// worker exited or panicked), instead of waiting forever.
     pub fn send(&mut self, event: BranchEvent) {
         let shard = if self.producers.len() == 1 {
             0
         } else {
             crate::shard::shard_of(event.site, event.branch, self.producers.len())
         };
-        let mut ev = event;
-        for _ in 0..self.spin_budget {
-            match self.producers[shard].push(ev) {
-                Ok(()) => {
-                    self.sent += 1;
-                    return;
-                }
-                Err(QueueFull(back)) => {
-                    ev = back;
-                    std::hint::spin_loop();
-                }
-            }
+        if let Err(QueueFull(event)) = self.producers[shard].push(event) {
+            wait_to_push(&self.producers[shard], event);
         }
-        self.dropped[shard] += 1;
-        // Cold path: surface the drop immediately in the live registry so
-        // the sampler can warn mid-run, not just at join.
-        crate::live::record_dropped_event();
+        self.sent += 1;
     }
 
-    /// Events successfully enqueued by this sender (all shards).
+    /// Events enqueued by this sender (all shards).
     pub fn sent(&self) -> u64 {
         self.sent
     }
-
-    /// Events dropped due to sustained queue overflow (all shards).
-    pub fn dropped(&self) -> u64 {
-        self.dropped.iter().sum()
-    }
 }
 
-impl Drop for EventSender {
-    fn drop(&mut self) {
-        for (sink, &dropped) in self.drop_sinks.iter().zip(&self.dropped) {
-            if dropped > 0 {
-                sink.fetch_add(dropped, Ordering::AcqRel);
-            }
+/// Pushes `event` into a queue that was full: spins, then yields, until the
+/// monitor frees a slot (out of line: the queue is sized so this is rare).
+#[cold]
+#[inline(never)]
+fn wait_to_push(producer: &Producer<BranchEvent>, mut event: BranchEvent) {
+    let mut spins = 0u32;
+    while let Err(QueueFull(back)) = producer.push(event) {
+        event = back;
+        if spins < SPINS_BEFORE_YIELD {
+            spins += 1;
+            std::hint::spin_loop();
+        } else {
+            assert!(!producer.consumer_gone(), "monitor queue is full and its consumer is gone");
+            std::thread::yield_now();
         }
     }
 }
@@ -554,7 +519,6 @@ mod tests {
                             taken: true,
                         });
                     }
-                    assert_eq!(sender.dropped(), 0);
                 })
             })
             .collect();
@@ -566,6 +530,28 @@ mod tests {
         assert_eq!(verdict.violations.len(), 1);
         assert_eq!(verdict.violations[0].iter, 50);
         assert_eq!(verdict.violations[0].kind, ViolationKind::WitnessMismatch);
+    }
+
+    /// A full queue whose consumer is gone can never drain: the sender
+    /// panics instead of waiting forever. The send runs on its own thread,
+    /// so a sender that waited would fail the test, not hang it.
+    #[test]
+    fn a_sender_whose_consumer_is_gone_panics_instead_of_waiting() {
+        let (producer, consumer) = crate::spsc::spsc_queue(1);
+        drop(consumer); // as when the shard worker exits or panics
+        let mut sender = EventSender::fanned(vec![producer]);
+        sender.send(ev(0, 0, 1, true)); // fills the queue
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let sent = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sender.send(ev(0, 0, 2, true));
+            }));
+            let _ = done.send(sent.is_err());
+        });
+        let panicked = finished
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the sender is still waiting on a queue nothing drains");
+        assert!(panicked, "the send into a full, orphaned queue returned");
     }
 
     #[test]

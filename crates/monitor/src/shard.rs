@@ -19,7 +19,7 @@
 //! order of [`crate::sort_violations`], making the final verdict
 //! independent of the shard count.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use bw_telemetry::{TimeDomain, Value};
@@ -49,7 +49,7 @@ pub fn shard_of(site: u64, branch: u32, shards: usize) -> usize {
 /// Per-shard queue capacity when a total per-thread budget of `total` slots
 /// is split `shards` ways. An even split, but never below the smaller of
 /// the total and 1024 slots — tiny queues turn routing imbalance straight
-/// into drops. One shard keeps the full budget.
+/// into senders waiting on a full queue. One shard keeps the full budget.
 pub fn per_shard_capacity(total: usize, shards: usize) -> usize {
     let shards = shards.max(1);
     (total / shards).max(total.min(1024)).max(1)
@@ -153,31 +153,23 @@ impl ShardedMonitor {
 pub struct ShardedMonitorThread {
     handles: Vec<std::thread::JoinHandle<Monitor>>,
     stop: Arc<AtomicBool>,
-    shard_drops: Vec<Arc<AtomicU64>>,
 }
 
 impl ShardedMonitorThread {
     /// Spawns one worker per shard. `shard_queues[s]` holds shard `s`'s
     /// consumer ends (one per producing thread, every producer routing by
-    /// [`shard_of`]); `shard_drops[s]` is the sink shard `s`'s senders
-    /// flush their drop counts into (see
-    /// [`crate::EventSender::fanned`]) — folded into shard `s`'s monitor at
-    /// [`ShardedMonitorThread::join`].
+    /// [`shard_of`]).
     ///
     /// # Panics
     ///
-    /// Panics if `shard_queues` is empty or `shard_drops` has a different
-    /// length.
+    /// Panics if `shard_queues` is empty.
     pub fn spawn(
         checks: CheckTable,
         nthreads: usize,
         shard_queues: Vec<Vec<Consumer<BranchEvent>>>,
-        shard_drops: Vec<Arc<AtomicU64>>,
     ) -> Self {
         assert!(!shard_queues.is_empty(), "at least one shard");
-        assert_eq!(shard_queues.len(), shard_drops.len(), "one drop sink per shard");
         let stop = Arc::new(AtomicBool::new(false));
-        crate::live::register();
         let handles = shard_queues
             .into_iter()
             .enumerate()
@@ -190,13 +182,12 @@ impl ShardedMonitorThread {
                     .expect("spawn shard monitor")
             })
             .collect();
-        ShardedMonitorThread { handles, stop, shard_drops }
+        ShardedMonitorThread { handles, stop }
     }
 
-    /// Signals every shard to finish once its queues are empty, folds each
-    /// shard's sender-side drop count into its monitor, and merges the
-    /// shards into one deterministic verdict (callers must drop or join
-    /// the sending threads first so the drop counts have been flushed).
+    /// Signals every shard to finish once its queues are empty and merges
+    /// the shards into one deterministic verdict (callers must drop or join
+    /// the sending threads first, so every event sent is in a queue).
     ///
     /// # Panics
     ///
@@ -206,12 +197,7 @@ impl ShardedMonitorThread {
         let monitors = self
             .handles
             .into_iter()
-            .zip(&self.shard_drops)
-            .map(|(handle, drops)| {
-                let mut monitor = handle.join().expect("shard monitor panicked");
-                monitor.record_dropped(drops.load(Ordering::Acquire));
-                monitor
-            })
+            .map(|handle| handle.join().expect("shard monitor panicked"))
             .collect();
         MonitorVerdict::merge_monitors(monitors)
     }
@@ -516,8 +502,6 @@ mod tests {
         use crate::spsc::spsc_queue;
         let nthreads = 4usize;
         let shards = 4usize;
-        let shard_drops: Vec<Arc<AtomicU64>> =
-            (0..shards).map(|_| Arc::new(AtomicU64::new(0))).collect();
         let mut shard_queues: Vec<Vec<Consumer<BranchEvent>>> =
             (0..shards).map(|_| Vec::new()).collect();
         let mut senders = Vec::new();
@@ -528,13 +512,9 @@ mod tests {
                 producers.push(p);
                 qs.push(c);
             }
-            senders.push(EventSender::fanned(
-                producers,
-                shard_drops.iter().map(Arc::clone).collect(),
-            ));
+            senders.push(EventSender::fanned(producers));
         }
-        let monitor =
-            ShardedMonitorThread::spawn(checks(), nthreads, shard_queues, shard_drops);
+        let monitor = ShardedMonitorThread::spawn(checks(), nthreads, shard_queues);
         let handles: Vec<_> = senders
             .into_iter()
             .enumerate()
@@ -548,7 +528,6 @@ mod tests {
                             sender.send(ev(t as u32, site, iter, witness, true));
                         }
                     }
-                    assert_eq!(sender.dropped(), 0);
                 })
             })
             .collect();
@@ -557,7 +536,6 @@ mod tests {
         }
         let verdict = monitor.join();
         assert_eq!(verdict.events_processed, 4 * 16 * 50);
-        assert_eq!(verdict.events_dropped, 0);
         assert_eq!(verdict.violations.len(), 1);
         assert_eq!(verdict.violations[0].site, 9);
         assert_eq!(verdict.violations[0].iter, 25);

@@ -115,6 +115,12 @@ impl<T> Producer<T> {
     pub fn capacity(&self) -> usize {
         self.ring.buf.len() - 1
     }
+
+    /// Whether the consumer end is gone (dropped, or unwound with its
+    /// thread), so nothing will free a slot again.
+    pub(crate) fn consumer_gone(&self) -> bool {
+        Arc::strong_count(&self.ring) == 1
+    }
 }
 
 impl<T> Consumer<T> {

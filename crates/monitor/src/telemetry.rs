@@ -89,8 +89,6 @@ impl MonitorTelemetry {
 pub struct ShardHealth {
     /// Events the shard processed.
     pub events_processed: u64,
-    /// Events its senders dropped.
-    pub events_dropped: u64,
     /// Its highest queue occupancy before a drain pass.
     pub queue_high_water: u64,
 }
@@ -105,8 +103,6 @@ pub struct VerdictTelemetry {
     pub instruments: MonitorTelemetry,
     /// Events processed.
     pub events_processed: u64,
-    /// Events the senders dropped.
-    pub events_dropped: u64,
     /// Violations found (before `SendOnly` discards them).
     pub violations: u64,
     /// Instances still pending at the end, the largest of any shard.
@@ -118,18 +114,18 @@ pub struct VerdictTelemetry {
 
 impl VerdictTelemetry {
     /// Appends the `monitor.*` metrics to `s`: the instruments, the event
-    /// and violation counts, then `monitor.shard.<i>.{events_processed,
-    /// events_dropped}` counters and `monitor.shard.<i>.queue_high_water`
-    /// gauges per shard.
+    /// and violation counts, then a `monitor.shard.<i>.events_processed`
+    /// counter and a `monitor.shard.<i>.queue_high_water` gauge per shard.
+    /// `monitor.events_dropped` is always 0 (senders wait, never drop); it
+    /// is still written, so traces keep the records they had.
     pub fn render_to(&self, s: &mut TelemetrySnapshot) {
         self.instruments.render_to(s);
         s.push_counter("monitor.events_processed", self.events_processed);
-        s.push_counter("monitor.events_dropped", self.events_dropped);
+        s.push_counter("monitor.events_dropped", 0);
         s.push_counter("monitor.violations", self.violations);
         s.push_gauge("monitor.pending_instances", self.pending_instances);
         for (i, shard) in self.shards.iter().enumerate() {
             s.push_counter(format!("monitor.shard.{i}.events_processed"), shard.events_processed);
-            s.push_counter(format!("monitor.shard.{i}.events_dropped"), shard.events_dropped);
             s.push_gauge(format!("monitor.shard.{i}.queue_high_water"), shard.queue_high_water);
         }
     }

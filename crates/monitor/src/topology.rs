@@ -8,9 +8,6 @@
 //! sharded ingest is flipping an enum variant, not adopting a parallel
 //! code path.
 
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
-
 use crate::event::BranchEvent;
 use crate::monitor::{sort_violations, CheckTable, EventSender, Monitor, Violation};
 use crate::provenance::ViolationReport;
@@ -53,8 +50,8 @@ pub struct MonitorVerdict {
     pub violation_reports: Vec<ViolationReport>,
     /// Events processed across every monitor worker.
     pub events_processed: u64,
-    /// Sender-side drops across every monitor worker. Nonzero means
-    /// verdicts may have missed violations.
+    /// Always 0: a sender waits on a full queue and never drops an event.
+    /// Kept for the benchmark harness, which reads it.
     pub events_dropped: u64,
     /// What the monitor measured, merged across shards, plus per-shard
     /// health when sharded; named on demand by
@@ -86,13 +83,11 @@ impl MonitorVerdict {
             let t = &mut telemetry;
             t.instruments.merge(monitor.telemetry());
             t.events_processed = t.events_processed.saturating_add(monitor.events_processed());
-            t.events_dropped = t.events_dropped.saturating_add(monitor.events_dropped());
             t.violations = t.violations.saturating_add(monitor.violations().len() as u64);
             t.pending_instances = t.pending_instances.max(monitor.pending_instances() as u64);
             if sharded {
                 t.shards.push(ShardHealth {
                     events_processed: monitor.events_processed(),
-                    events_dropped: monitor.events_dropped(),
                     queue_high_water: monitor.telemetry().queue_high_water,
                 });
             }
@@ -105,7 +100,7 @@ impl MonitorVerdict {
             violations,
             violation_reports,
             events_processed: telemetry.events_processed,
-            events_dropped: telemetry.events_dropped,
+            events_dropped: 0,
             telemetry,
         }
     }
@@ -117,8 +112,8 @@ pub struct MonitorHandle(ShardedMonitorThread);
 
 impl MonitorHandle {
     /// Stops the monitor once its queues drain and merges the final state
-    /// into a [`MonitorVerdict`] (drop or join the sending threads first so
-    /// drop counts have been flushed).
+    /// into a [`MonitorVerdict`] (drop or join the sending threads first, so
+    /// every event sent is in a queue).
     ///
     /// # Panics
     ///
@@ -128,8 +123,8 @@ impl MonitorHandle {
     }
 }
 
-/// Builds and spawns a monitor of any [`MonitorTopology`], wiring queues,
-/// routing senders, and drop accounting uniformly.
+/// Builds and spawns a monitor of any [`MonitorTopology`], wiring queues
+/// and routing senders uniformly.
 ///
 /// ```ignore
 /// let (senders, handle) = MonitorBuilder::new(checks, nthreads)
@@ -163,7 +158,8 @@ impl MonitorBuilder {
 
     /// Sets the *total* per-thread queue budget in events. Sharded ingest
     /// splits the budget across shards ([`per_shard_capacity`]); flat
-    /// ingest gives the single queue the whole budget.
+    /// ingest gives the single queue the whole budget. A small budget costs
+    /// the senders waiting for the monitor, never an event.
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity;
         self
@@ -176,12 +172,9 @@ impl MonitorBuilder {
     ///
     /// Panics if the shard count or the queue capacity is zero.
     pub fn spawn(self) -> (Vec<EventSender>, MonitorHandle) {
-        crate::live::register();
         let shards = self.topology.shard_count();
         assert!(shards > 0, "shard count must be positive");
         let capacity = per_shard_capacity(self.queue_capacity, shards);
-        let shard_drops: Vec<Arc<AtomicU64>> =
-            (0..shards).map(|_| Arc::new(AtomicU64::new(0))).collect();
         let mut shard_queues: Vec<Vec<Consumer<BranchEvent>>> =
             (0..shards).map(|_| Vec::with_capacity(self.nthreads)).collect();
         let mut senders = Vec::with_capacity(self.nthreads);
@@ -192,13 +185,9 @@ impl MonitorBuilder {
                 producers.push(p);
                 queues.push(c);
             }
-            senders.push(EventSender::fanned(
-                producers,
-                shard_drops.iter().map(Arc::clone).collect(),
-            ));
+            senders.push(EventSender::fanned(producers));
         }
-        let monitor =
-            ShardedMonitorThread::spawn(self.checks, self.nthreads, shard_queues, shard_drops);
+        let monitor = ShardedMonitorThread::spawn(self.checks, self.nthreads, shard_queues);
         (senders, MonitorHandle(monitor))
     }
 }
@@ -254,7 +243,6 @@ mod tests {
         ] {
             let verdict = drive(topology);
             assert_eq!(verdict.events_processed, 4 * 8 * 25, "{topology:?}");
-            assert_eq!(verdict.events_dropped, 0, "{topology:?}");
             assert_eq!(verdict.violations.len(), 1, "{topology:?}");
             assert_eq!(verdict.violations[0].site, 3, "{topology:?}");
             assert_eq!(verdict.violations[0].iter, 7, "{topology:?}");

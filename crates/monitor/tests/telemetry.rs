@@ -2,17 +2,11 @@
 //!
 //! * queue-occupancy / pending-instance high-water marks are monotone and
 //!   consistent with `events_processed`;
-//! * flush batch accounting matches what `flush` actually drained;
-//! * sender-side drop counts survive the sender (the `EventSender` drop
-//!   aggregation bugfix) and surface on the joined monitor, one shard
-//!   and several.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+//! * flush batch accounting matches what `flush` actually drained.
 
 use bw_analysis::CheckKind;
 use bw_monitor::{
-    shard_of, spsc_queue, BranchEvent, CheckTable, EventSender, Monitor, ShardedMonitor,
+    spsc_queue, BranchEvent, CheckTable, EventSender, Monitor, ShardedMonitor,
     ShardedMonitorThread,
 };
 
@@ -98,7 +92,7 @@ fn queue_high_water_is_bounded_by_capacity() {
     let mut consumers = Vec::new();
     for _ in 0..nthreads {
         let (p, c) = spsc_queue(capacity);
-        producers.push(EventSender::fanned(vec![p], Vec::new()));
+        producers.push(EventSender::fanned(vec![p]));
         consumers.push(c);
     }
     // Pre-fill the queues before the monitor exists so the first drain
@@ -107,15 +101,9 @@ fn queue_high_water_is_bounded_by_capacity() {
         for iter in 0..(capacity as u64) {
             sender.send(ev(t as u32, iter, 1));
         }
-        assert_eq!(sender.dropped(), 0);
         assert_eq!(sender.sent(), capacity as u64);
     }
-    let monitor = ShardedMonitorThread::spawn(
-        checks(),
-        nthreads,
-        vec![consumers],
-        vec![Arc::new(AtomicU64::new(0))],
-    );
+    let monitor = ShardedMonitorThread::spawn(checks(), nthreads, vec![consumers]);
     drop(producers);
     let verdict = monitor.join();
     assert_eq!(verdict.events_processed, (nthreads * capacity) as u64);
@@ -142,79 +130,4 @@ fn violation_tallies_match_violations() {
     assert_eq!(verdict.violations.len(), 4);
     assert_eq!(verdict.telemetry.instruments.violations_shared_uniform, 4);
     assert_eq!(verdict.telemetry.violations, 4);
-}
-
-/// Bugfix regression: a sender dropped (thread exit) after overflowing its
-/// queue must not take its drop count with it — the joined monitor sees it.
-#[test]
-fn dropped_events_survive_the_sender() {
-    let drops = Arc::new(AtomicU64::new(0));
-    let (p, c) = spsc_queue(4);
-    let mut sender = EventSender::fanned(vec![p], vec![Arc::clone(&drops)]);
-    // No consumer is draining yet: capacity 4, so sends 5..=7 must drop
-    // after the spin budget.
-    for iter in 0..7u64 {
-        sender.send(ev(0, iter, 1));
-    }
-    assert_eq!(sender.sent(), 4);
-    assert_eq!(sender.dropped(), 3);
-    assert_eq!(drops.load(Ordering::Acquire), 0, "flushed only on drop");
-    drop(sender);
-    assert_eq!(drops.load(Ordering::Acquire), 3);
-
-    // The one-shard monitor spawned over the same drop sink reports the
-    // loss.
-    let monitor = ShardedMonitorThread::spawn(checks(), 1, vec![vec![c]], vec![drops]);
-    let verdict = monitor.join();
-    assert_eq!(verdict.events_dropped, 3);
-    assert_eq!(verdict.events_processed, 4);
-    assert_eq!(verdict.telemetry.events_dropped, 3);
-    assert!(verdict.telemetry.shards.is_empty(), "one shard keeps no per-shard health");
-}
-
-/// The same drop-survival guarantee through sharded ingest: each shard's
-/// sink collects the drops charged to that shard's queues, the merged
-/// verdict sums them, and per-shard counters expose the split.
-#[test]
-fn dropped_events_survive_the_sender_sharded() {
-    let shards = 2usize;
-    // One site per shard, found by probing the routing hash the sender
-    // itself uses.
-    let site_for = |shard: usize| {
-        (0u64..).find(|&site| shard_of(site, 0, shards) == shard).expect("some site routes here")
-    };
-    let shard_drops: Vec<Arc<AtomicU64>> =
-        (0..shards).map(|_| Arc::new(AtomicU64::new(0))).collect();
-    let mut producers = Vec::new();
-    let mut shard_queues = Vec::new();
-    for _ in 0..shards {
-        let (p, c) = spsc_queue(4);
-        producers.push(p);
-        shard_queues.push(vec![c]);
-    }
-    let mut sender =
-        EventSender::fanned(producers, shard_drops.iter().map(Arc::clone).collect());
-    // No consumer is draining yet: 7 events per shard into capacity-4
-    // queues, so each shard drops 3.
-    for shard in 0..shards {
-        let site = site_for(shard);
-        for iter in 0..7u64 {
-            sender.send(BranchEvent { branch: 0, thread: 0, site, iter, witness: 1, taken: true });
-        }
-    }
-    assert_eq!(sender.sent(), 8);
-    assert_eq!(sender.dropped(), 6);
-    assert_eq!(shard_drops[0].load(Ordering::Acquire), 0, "flushed only on drop");
-    drop(sender);
-    assert_eq!(shard_drops[0].load(Ordering::Acquire), 3);
-    assert_eq!(shard_drops[1].load(Ordering::Acquire), 3);
-
-    let monitor = ShardedMonitorThread::spawn(checks(), 1, shard_queues, shard_drops);
-    let verdict = monitor.join();
-    assert_eq!(verdict.events_dropped, 6);
-    assert_eq!(verdict.events_processed, 8);
-    assert_eq!(verdict.telemetry.events_dropped, 6);
-    let shards = &verdict.telemetry.shards;
-    assert_eq!(shards.iter().map(|s| s.events_dropped).collect::<Vec<_>>(), [3, 3]);
-    assert_eq!(shards[0].events_processed, 4);
 }

@@ -12,10 +12,6 @@
 //! nothing the sampler emits flows into a run's result snapshot, so
 //! same-seed determinism is untouched by whether a sampler was running.
 //!
-//! When an interval's `*events_dropped` counters moved, the record gains
-//! a `warn` field — the live counterpart of the end-of-run drop warning,
-//! so a monitor falling behind is visible mid-campaign in `bw top`.
-//!
 //! A final tick is always flushed on [`Sampler::stop`] (or drop), so even
 //! a run shorter than one interval leaves at least one sample behind.
 
@@ -36,8 +32,8 @@ const SLEEP_SLICE: Duration = Duration::from_millis(5);
 
 /// Builds one `sample` record's fields from two consecutive registry
 /// snapshots: counter deltas (changed counters only, saturating so
-/// snapshots passed out of order cannot underflow), absolute gauge
-/// values, and a `warn` marker when events were dropped in the interval.
+/// snapshots passed out of order cannot underflow) and absolute gauge
+/// values.
 pub fn sample_fields(
     prev: &TelemetrySnapshot,
     cur: &TelemetrySnapshot,
@@ -48,21 +44,14 @@ pub fn sample_fields(
         ("tick".to_string(), Value::U64(tick)),
         ("dt_us".to_string(), Value::U64(dt_us)),
     ];
-    let mut dropped = 0u64;
     for (name, &v) in cur.counters().iter().map(|(n, v)| (n, v)) {
         let delta = v.saturating_sub(prev.counter(name).unwrap_or(0));
         if delta > 0 {
-            if name.ends_with("events_dropped") {
-                dropped += delta;
-            }
             fields.push((name.clone(), Value::U64(delta)));
         }
     }
     for (name, &v) in cur.gauges().iter().map(|(n, v)| (n, v)) {
         fields.push((name.clone(), Value::U64(v)));
-    }
-    if dropped > 0 {
-        fields.push(("warn".to_string(), Value::from("events_dropped")));
     }
     fields
 }
@@ -83,9 +72,6 @@ pub struct SampleTick<'a> {
     pub tick: u64,
     /// Wall-clock microseconds covered by this tick.
     pub dt_us: u64,
-    /// True when the sampler flagged the interval (nonzero
-    /// `events_dropped` delta).
-    pub warn: bool,
     /// Counter *deltas* and absolute gauge values, in record order, each a
     /// `Value::U64` ([`SampleTick::from_record`] checked).
     values: Fields<'a>,
@@ -96,7 +82,8 @@ impl<'a> SampleTick<'a> {
     pub const EV: &'static str = "sample";
 
     /// Decodes a `sample` record: every field but the bookkeeping ones and
-    /// the recorder's envelope is a metric value.
+    /// the recorder's envelope is a metric value. A `warn` field, which
+    /// samplers wrote while senders could drop events, is skipped.
     pub fn from_record(rec: Record<'a>) -> Result<SampleTick<'a>, String> {
         let Record { line, mut fields } = rec;
         let mut tick = SampleTick::default();
@@ -106,8 +93,7 @@ impl<'a> SampleTick<'a> {
         for at in 0..fields.len() {
             let (name, value) = &fields[at];
             match &**name {
-                "seq" | "t_us" | "ev" => {}
-                "warn" => tick.warn = true,
+                "seq" | "t_us" | "ev" | "warn" => {}
                 "tick" => tick.tick = Record::u64(line, name, value)?,
                 "dt_us" => tick.dt_us = Record::u64(line, name, value)?,
                 _ => {
@@ -242,15 +228,11 @@ mod tests {
     }
 
     #[test]
-    fn dropped_events_raise_the_warn_marker() {
-        let prev = snap(&[("live.monitor.events_dropped", 0)], &[]);
-        let cur = snap(&[("live.monitor.events_dropped", 7)], &[]);
-        let fields = sample_fields(&prev, &cur, 1, 1000);
-        assert!(fields
-            .iter()
-            .any(|(k, v)| k == "warn" && *v == Value::from("events_dropped")));
-        let clean = sample_fields(&cur, &cur, 2, 1000);
-        assert!(!clean.iter().any(|(k, _)| k == "warn"));
+    fn an_old_warn_marker_is_skipped() {
+        let old = r#"{"ev":"sample","tick":2,"dt_us":9,"live.a":7,"warn":"events_dropped"}"#;
+        let tick = crate::records(old).next().unwrap().and_then(SampleTick::from_record).unwrap();
+        assert_eq!((tick.tick, tick.dt_us), (2, 9));
+        assert_eq!(tick.values().collect::<Vec<_>>(), [("live.a", 7)]);
     }
 
     #[test]
@@ -280,36 +262,29 @@ mod tests {
             let deltas: Vec<(u64, u64)> =
                 (0..rng.below(6)).map(|_| (rng.below(6) as u64, rng.next_u64())).collect();
             let (tick, dt_us) = (rng.next_u64(), rng.next_u64());
-            // Counters 0..6 (counter 5 is a drop counter), each also a gauge.
-            let name = |i: u64| if i == 5 { "live.events_dropped".into() } else { format!("live.c{i}") };
-            let cur: Vec<(String, u64)> = deltas.iter().map(|&(i, v)| (name(i), v)).collect();
+            // Counters 0..6, each also a gauge.
+            let cur: Vec<(String, u64)> =
+                deltas.iter().map(|&(i, v)| (format!("live.c{i}"), v)).collect();
             let cur: Vec<(&str, u64)> = cur.iter().map(|(n, v)| (n.as_str(), *v)).collect();
             let fields = sample_fields(&snap(&[], &[]), &snap(&cur, &cur), tick, dt_us);
             let buf = crate::TraceBuffer::default();
             record_sample(&buf.recorder(), &fields);
             let text = buf.text();
             let back = crate::records(&text).next().unwrap().and_then(SampleTick::from_record);
-            let values = fields[2..]
-                .iter()
-                .filter(|(_, v)| v.as_u64().is_some())
-                .map(|(k, v)| (k.as_str().into(), v.clone()))
-                .collect();
-            let warn = fields.iter().any(|(k, _)| k == "warn");
-            let sample = SampleTick { tick, dt_us, warn, values };
+            let values =
+                fields[2..].iter().map(|(k, v)| (k.as_str().into(), v.clone())).collect();
+            let sample = SampleTick { tick, dt_us, values };
             assert_eq!(back, Ok(sample), "case {case}: {deltas:?}, tick {tick}, dt_us {dt_us}");
         }
     }
 
     #[test]
     fn sample_record_wire_format_is_pinned() {
-        let prev = snap(&[("live.a", 1), ("live.monitor.events_dropped", 0)], &[]);
-        let cur = snap(&[("live.a", 4), ("live.monitor.events_dropped", 2)], &[("live.depth", 9)]);
+        let prev = snap(&[("live.a", 1), ("live.b", 0)], &[]);
+        let cur = snap(&[("live.a", 4), ("live.b", 2)], &[("live.depth", 9)]);
         let buf = crate::TraceBuffer::default();
         record_sample(&buf.recorder(), &sample_fields(&prev, &cur, 3, 5000));
-        let pinned = concat!(
-            r#""ev":"sample","tick":3,"dt_us":5000,"live.a":3,"live.monitor.events_dropped":2,"#,
-            r#""live.depth":9,"warn":"events_dropped"}"#
-        );
+        let pinned = r#""ev":"sample","tick":3,"dt_us":5000,"live.a":3,"live.b":2,"live.depth":9}"#;
         assert_eq!(buf.bodies(), [pinned]);
         let mistyped = r#"{"ev":"sample","tick":1,"dt_us":"5ms"}"#;
         let err = crate::records(mistyped).next().unwrap().and_then(SampleTick::from_record);

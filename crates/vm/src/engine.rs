@@ -243,16 +243,11 @@ pub struct RunResult {
     pub total_steps: u64,
     /// Total monitor events sent by all threads.
     pub events_sent: u64,
-    /// Events the monitor side actually processed. Equals `events_sent` on
-    /// the sim engine with the monitor enabled (the inline monitor never
-    /// drops); `0` with the monitor off.
+    /// Events the monitor side processed: all of `events_sent` whenever a
+    /// monitor ran (a real-engine sender waits on a full queue, it never
+    /// drops an event); `0` with the monitor off, and on the sim engine
+    /// under `SendOnly`, which charges the sends but runs no monitor.
     pub events_processed: u64,
-    /// Events dropped because a queue stayed full (real engine only; the
-    /// sim engine's inline monitor cannot drop). Aggregated from every
-    /// sender through the shared drop counter, so counts survive worker
-    /// threads that exit early. Nonzero means the monitor fell behind and
-    /// verdicts may have missed violations.
-    pub events_dropped: u64,
     /// Dynamic branches executed per thread (used by the fault injector's
     /// profiling phase).
     pub branches_per_thread: Vec<u64>,

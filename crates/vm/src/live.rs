@@ -69,7 +69,6 @@ mod tests {
             total_steps: 10,
             events_sent: 5,
             events_processed: 5,
-            events_dropped: 0,
             branches_per_thread: Vec::new(),
             steps_per_thread: Vec::new(),
             engine: EngineKind::Sim,

@@ -815,7 +815,6 @@ impl<'a> Sim<'a> {
             total_steps,
             events_sent,
             events_processed,
-            events_dropped: 0,
             branches_per_thread,
             steps_per_thread,
             engine: EngineKind::Sim,

@@ -53,7 +53,6 @@ fn assert_same(new: &RunResult, old: &RunResult, what: &str) {
     assert_eq!(bits(&new.outputs), bits(&old.outputs), "outputs: {what}");
     assert_eq!(new.events_sent, old.events_sent, "events_sent: {what}");
     assert_eq!(new.events_processed, old.events_processed, "events_processed: {what}");
-    assert_eq!(new.events_dropped, old.events_dropped, "events_dropped: {what}");
     assert_eq!(new.branch_events, old.branch_events, "branch_events: {what}");
     assert_eq!(new.violations, old.violations, "violations: {what}");
     assert_eq!(new.violation_reports, old.violation_reports, "violation_reports: {what}");

@@ -168,7 +168,6 @@ fn assert_same(fork: &RunResult, full: &RunResult, what: &str) {
     assert_eq!(bits(&fork.outputs), bits(&full.outputs), "outputs: {what}");
     assert_eq!(fork.events_sent, full.events_sent, "events_sent: {what}");
     assert_eq!(fork.events_processed, full.events_processed, "events_processed: {what}");
-    assert_eq!(fork.events_dropped, full.events_dropped, "events_dropped: {what}");
     assert_eq!(fork.branch_events, full.branch_events, "branch_events: {what}");
     assert_eq!(fork.violations, full.violations, "violations: {what}");
     assert_eq!(fork.violation_reports, full.violation_reports, "violation_reports: {what}");

@@ -962,7 +962,6 @@ impl<'a> Sim<'a> {
             total_steps: self.total_steps,
             events_sent: self.events_sent,
             events_processed,
-            events_dropped: 0,
             branches_per_thread,
             steps_per_thread,
             engine: EngineKind::Sim,

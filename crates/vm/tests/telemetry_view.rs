@@ -27,11 +27,11 @@ use bw_vm::{
 };
 
 /// The former `MonitorTelemetry::snapshot` and `Monitor::snapshot`: one
-/// monitor's numbers under their names.
+/// monitor's numbers under their names. Nothing is ever dropped, so
+/// `monitor.events_dropped` is 0.
 fn monitor_snapshot(
     t: &MonitorTelemetry,
     events_processed: u64,
-    events_dropped: u64,
     violations: u64,
     pending_instances: u64,
 ) -> TelemetrySnapshot {
@@ -54,7 +54,7 @@ fn monitor_snapshot(
         t.violations_group_witness,
     );
     s.push_counter("monitor.events_processed", events_processed);
-    s.push_counter("monitor.events_dropped", events_dropped);
+    s.push_counter("monitor.events_dropped", 0);
     s.push_counter("monitor.violations", violations);
     s.push_gauge("monitor.pending_instances", pending_instances);
     s
@@ -64,7 +64,6 @@ fn monitor_snapshot(
 struct Shard {
     snapshot: TelemetrySnapshot,
     events_processed: u64,
-    events_dropped: u64,
     queue_high_water: u64,
 }
 
@@ -78,10 +77,6 @@ fn merge_monitors(shards: &[Shard]) -> TelemetrySnapshot {
             telemetry.push_counter(
                 format!("monitor.shard.{i}.events_processed"),
                 shard.events_processed,
-            );
-            telemetry.push_counter(
-                format!("monitor.shard.{i}.events_dropped"),
-                shard.events_dropped,
             );
             telemetry.push_gauge(
                 format!("monitor.shard.{i}.queue_high_water"),
@@ -148,12 +143,10 @@ fn sim_assembly(image: &ProgramImage, config: &ExecConfig, r: &RunResult) -> Tel
                 snapshot: monitor_snapshot(
                     m.telemetry(),
                     m.events_processed(),
-                    m.events_dropped(),
                     m.violations().len() as u64,
                     m.pending_instances() as u64,
                 ),
                 events_processed: m.events_processed(),
-                events_dropped: m.events_dropped(),
                 queue_high_water: m.telemetry().queue_high_water,
             })
             .collect();
@@ -172,17 +165,17 @@ fn real_assembly(r: &RunResult) -> TelemetrySnapshot {
         None => TelemetrySnapshot::new(),
         Some(v) => {
             let health: Vec<_> = if v.shards.is_empty() {
-                vec![(v.events_processed, v.events_dropped, v.instruments.queue_high_water)]
+                vec![(v.events_processed, v.instruments.queue_high_water)]
             } else {
                 v.shards
                     .iter()
-                    .map(|s| (s.events_processed, s.events_dropped, s.queue_high_water))
+                    .map(|s| (s.events_processed, s.queue_high_water))
                     .collect()
             };
             let shards: Vec<Shard> = health
                 .into_iter()
                 .enumerate()
-                .map(|(i, (processed, dropped, high_water))| {
+                .map(|(i, (processed, high_water))| {
                     let (instruments, violations, pending) = if i == 0 {
                         (v.instruments.clone(), v.violations, v.pending_instances)
                     } else {
@@ -191,15 +184,8 @@ fn real_assembly(r: &RunResult) -> TelemetrySnapshot {
                     let instruments =
                         MonitorTelemetry { queue_high_water: high_water, ..instruments };
                     Shard {
-                        snapshot: monitor_snapshot(
-                            &instruments,
-                            processed,
-                            dropped,
-                            violations,
-                            pending,
-                        ),
+                        snapshot: monitor_snapshot(&instruments, processed, violations, pending),
                         events_processed: processed,
-                        events_dropped: dropped,
                         queue_high_water: high_water,
                     }
                 })

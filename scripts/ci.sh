@@ -209,7 +209,10 @@ leg_traced_vs_untraced() {
 # outside tests/support/counting.rs. The paper's ten exhibits are `bw`
 # commands (DESIGN §3, §5): no `crates/bench`, no `bw-bench` crate with a
 # binary per exhibit, and no second command table (`EXHIBITS`), which is
-# what gave `Cli` a usage prefix and `Cli::main` a fixed command.
+# what gave `Cli` a usage prefix and `Cli::main` a fixed command. The
+# real engine detects deadlock by counting (DESIGN §4.5): no wait is timed.
+# A sender waits on a full queue and never drops an event (DESIGN §13): no
+# drop sink, spin budget, drop counter or drop warning.
 leg_leftover_guard() {
   if grep -rnE 'ModuleAnalysis::run_parallel|fn run_parallel\(module|ValueGraph|\.divergence\(' \
       crates tests examples \
@@ -284,6 +287,10 @@ leg_leftover_guard() {
   fi
   if grep -rnE 'watchdog|wait_timeout|deadline' crates/vm/src; then
     echo "ci: the real engine times its waits again; it detects deadlock by counting" >&2; return 1
+  fi
+  if grep -rnE 'drop_sink|spin_budget|record_dropped|warn_dropped' crates; then
+    echo "ci: senders drop events again, or a layer counts the drops; a sender waits on a full queue" >&2
+    return 1
   fi
 }
 
@@ -368,14 +375,18 @@ leg_exhibits() {
 # oracle cross-check). Faults are injected on the simulator
 # only; fuzz-smoke runs the injection stage. The window is small: these
 # runs cost wall-clock time on real threads. Last, water at reference size
-# on 32 threads (~10 s on 2 cores): a long run with many parked waiters,
-# which must complete however slow the host.
+# on 32 threads (~3 s on 2 cores): a long run with many parked waiters and
+# full queues, which must complete however slow the host, with every one of
+# the simulator's 2,999,780 events (`fig6.water-nsquared.t32.on.events`)
+# checked and none flagged.
 leg_real_engine() {
   cargo test --release -q -p blockwatch --test engine_parity
   bw fuzz --seeds 25 --real-cross-check
   bw run splash:water --size reference --engine real --threads 32 | tee "$out/water32.txt"
   grep -qx 'outcome: Completed (real engine)' "$out/water32.txt" \
     || { echo "ci: the 32-thread water run did not complete" >&2; return 1; }
+  grep -qx 'events processed: 2999780 | violations: 0' "$out/water32.txt" \
+    || { echo "ci: the 32-thread water run did not check every event, or flagged one" >&2; return 1; }
 }
 
 if [ $# -eq 0 ]; then

@@ -5,8 +5,9 @@
 //!   (`bw campaign splash:fft --injections 12 --workers 2 --telemetry T.jsonl
 //!   --trace-spans --sample-interval-ms 5`) and that binary's rendering of it
 //!   by every trace subcommand. Today's `bw` must reproduce each byte for
-//!   byte. FFT takes no lock, so the busy column is the one the old
-//!   arithmetic printed too.
+//!   byte, except that `bw top` and `bw stats --series` have since lost
+//!   their empty `warn` column (no sender drops events any more). FFT takes
+//!   no lock, so the busy column is the one the old arithmetic printed too.
 //! * **Hostile input**: every single-byte substitution, deletion and
 //!   truncation of one fixture line per record kind goes through all four
 //!   views and yields `Ok` or a `line N:` error — the same from each.
@@ -77,6 +78,24 @@ fn the_parse_entry_points_agree_with_the_fixture() {
     assert!(fixture("campaign.series.txt").ends_with(&series.render()));
 }
 
+/// A `sample` record from before senders waited on a full queue carries a
+/// `warn` marker beside its drop counter. Every view still reads it, and the
+/// series prints its values and no marker.
+#[test]
+fn an_old_sample_record_with_a_warn_marker_still_parses() {
+    let old = concat!(
+        r#"{"seq":0,"t_us":1,"ev":"sample","tick":1,"dt_us":1000,"live.engine.events_processed":5,"#,
+        r#""live.monitor.events_dropped":2,"warn":"events_dropped"}"#
+    );
+    assert_eq!(verdicts(old), [None, None, None, None]);
+    let series = SeriesReport::parse(old).unwrap();
+    assert_eq!(series.ticks[0].value("live.monitor.events_dropped"), Some(2));
+    assert_eq!(series.ticks[0].values().count(), 2);
+    let text = series.render();
+    assert!(text.contains("totals: 5 events"), "{text}");
+    assert!(!text.contains("warn") && !text.contains('!'), "{text}");
+}
+
 /// What each view makes of `trace`: its error, or `None`.
 fn verdicts(trace: &str) -> [Option<String>; 4] {
     [
@@ -145,9 +164,9 @@ fn encoded_fields() -> Vec<(String, Vec<String>)> {
     h.observe(5);
     snapshot.push_histogram("h", h.snapshot());
     snapshot.record_to(&rec);
-    let mut dropped = TelemetrySnapshot::new();
-    dropped.push_counter("live.monitor.events_dropped", 1);
-    record_sample(&rec, &sample_fields(&TelemetrySnapshot::new(), &dropped, 1, 1));
+    let mut counted = TelemetrySnapshot::new();
+    counted.push_counter("live.c", 1);
+    record_sample(&rec, &sample_fields(&TelemetrySnapshot::new(), &counted, 1, 1));
     SpanRecord { name: "stage".into(), dur_us: 1 }.record_to(&rec, &[]);
     record_span(&rec, TimeDomain::Cycles, "t0", "barrier_phase", "phase 0", 0, 1, &[]);
     record_flow(&rec, TimeDomain::Cycles, "t0", "verdict", "site 1", 0, 1, true, &[]);
