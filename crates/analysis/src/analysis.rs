@@ -182,12 +182,6 @@ impl ModuleAnalysis {
         self.value_cats[func.index()][value.index()]
     }
 
-    /// The branch at the terminator of `(func, block)`, if that block ends
-    /// in a conditional branch.
-    pub fn branch_at(&self, func: FuncId, block: BlockId) -> Option<&BranchInfo> {
-        self.branches.iter().find(|b| b.func == func && b.block == block)
-    }
-
     /// Overrides the category recorded for one SSA value — and for any
     /// branch whose condition is that value.
     ///

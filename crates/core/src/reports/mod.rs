@@ -14,9 +14,6 @@ use bw_vm::{
     Engine, ExecConfig, ExecMode, MachineModel, MonitorMode, ProgramImage, RunOutcome, SimEngine,
 };
 
-/// Where `tests/telemetry_determinism.rs` has imported it from since it
-/// lived in this module; it is [`crate::trace::ForensicsReport`].
-pub use crate::trace::ForensicsReport;
 use crate::{Blockwatch, Error};
 
 pub mod exhibits;

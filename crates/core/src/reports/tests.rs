@@ -5,7 +5,7 @@
 use bw_telemetry::{HistogramSnapshot, TelemetrySnapshot, Value};
 
 use super::*;
-use crate::trace::{render_telemetry, SeriesReport, TraceSummary};
+use crate::trace::{render_telemetry, ForensicsReport, SeriesReport, TraceSummary};
 
 #[test]
 fn trace_summary_aggregates_records() {

@@ -21,20 +21,31 @@
 //! poll, because a trap in a real process kills every thread, which is also
 //! exactly what the simulator models; once they have stopped, the parked
 //! threads see the count at zero and return too.
+//!
+//! Under a span sink (`--trace-spans`) each worker reports its barrier
+//! releases, lock traffic and end to its own [`Lanes`] — the one lane
+//! definition it shares with the simulator — stamped in wall-clock
+//! microseconds from the process-wide trace epoch
+//! (`bw_telemetry::wall_now_us`), so worker lanes line up with monitor
+//! shard and campaign-stage lanes. A worker cannot tell a free mutex from
+//! one it waited for, so it reports every lock as blocked, then acquired:
+//! its lane has a `lock_wait` per acquisition, where the simulator's has
+//! one only when a thread parked. Tracing only reads worker state, so it
+//! changes no output or verdict.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use bw_ir::Val;
 use bw_monitor::{
     BranchEvent, CheckTable, EventSender, MonitorBuilder, MonitorHandle, MonitorTopology,
 };
-use bw_telemetry::{Recorder, TimeDomain};
+use bw_telemetry::TimeDomain;
 
 use crate::engine::{EngineKind, ExecConfig, MonitorMode, RunOutcome, RunResult};
 use crate::image::ProgramImage;
 use crate::memory::AtomicMemory;
-use crate::span::{lane, Span};
+use crate::span::{Fact, Lanes};
 use crate::telemetry::VmTelemetry;
 use crate::thread::{CostClass, NoHook, NoSink, Sink, ThreadState, Yield};
 use crate::trap::TrapKind;
@@ -195,93 +206,6 @@ impl Drop for Exit<'_> {
     }
 }
 
-/// Wall-clock span collection for one real-engine worker, active only
-/// while a trace sink is installed (`bw_telemetry::set_trace_sink`, the
-/// `--trace-spans` path). Mirrors the simulator's `SimTracer` vocabulary
-/// — barrier-phase spans with per-phase step/branch counts, barrier-wait
-/// stalls, lock wait/hold intervals — but timestamps are microseconds
-/// since a run-wide epoch (`dom: "us"`), because this engine has no cost
-/// model. Timestamps share the process-wide trace epoch
-/// (`bw_telemetry::wall_now_us`) so worker lanes line up with monitor
-/// shard and campaign-stage lanes. The tracer only reads worker state
-/// and writes to the sink, so tracing cannot change outputs or verdicts.
-struct RealTracer {
-    sink: Arc<dyn Recorder>,
-    tid: u32,
-    track: String,
-    phase: u64,
-    phase_start: u64,
-    steps_base: u64,
-    branches_base: u64,
-    /// Acquire time of each mutex this worker currently holds.
-    hold_since: Vec<Option<u64>>,
-}
-
-impl RealTracer {
-    fn new(sink: Arc<dyn Recorder>, tid: u32, nmutexes: usize) -> Self {
-        RealTracer {
-            sink,
-            tid,
-            track: lane(tid),
-            phase: 0,
-            phase_start: 0,
-            steps_base: 0,
-            branches_base: 0,
-            hold_since: vec![None; nmutexes],
-        }
-    }
-
-    fn now(&self) -> u64 {
-        bw_telemetry::wall_now_us()
-    }
-
-    fn emit(&self, span: Span) {
-        span.write(self.sink.as_ref(), TimeDomain::WallUs, |_| self.track.as_str());
-    }
-
-    /// Closes the current barrier phase at time `end`.
-    fn phase_span(&self, end: u64, t: &ThreadState) {
-        self.emit(Span::Phase {
-            tid: self.tid,
-            phase: self.phase,
-            start: self.phase_start,
-            end,
-            steps: t.steps.saturating_sub(self.steps_base),
-            branches: t.dyn_branches.saturating_sub(self.branches_base),
-        });
-    }
-
-    fn lock_acquired(&mut self, mutex: usize, start: u64) {
-        let end = self.now();
-        self.emit(Span::LockWait { tid: self.tid, mutex, start, end });
-        self.hold_since[mutex] = Some(end);
-    }
-
-    fn lock_released(&mut self, mutex: usize) {
-        if let Some(start) = self.hold_since[mutex].take() {
-            self.emit(Span::LockHold { tid: self.tid, mutex, start, end: self.now() });
-        }
-    }
-
-    /// A barrier this worker waited on was released: one phase span
-    /// (work) plus one barrier-wait span (stall), then the next phase
-    /// opens at the release time.
-    fn barrier_released(&mut self, arrival: u64, t: &ThreadState) {
-        self.phase_span(arrival, t);
-        let release = self.now();
-        self.emit(Span::BarrierWait { tid: self.tid, phase: self.phase, arrival, release });
-        self.phase += 1;
-        self.phase_start = release;
-        self.steps_base = t.steps;
-        self.branches_base = t.dyn_branches;
-    }
-
-    /// Closes the final phase when the worker completes normally.
-    fn finish(&self, t: &ThreadState) {
-        self.phase_span(self.now(), t);
-    }
-}
-
 /// A worker looks at the stop flag at least this often (in steps), so a
 /// thread spinning without sync instructions still dies promptly when
 /// another one traps.
@@ -343,9 +267,18 @@ fn worker_loop(
     let mut t = ThreadState::new(tid, entry, image, config.seed);
     let mut trap = None;
     let mut hung = false;
-    // Resolved once per worker: costs nothing when no sink is installed.
-    let mut tracer = bw_telemetry::trace_sink()
-        .map(|sink| RealTracer::new(sink, tid, image.module.num_mutexes as usize));
+    // The worker's lane, while a span sink is installed: resolved once per
+    // worker, so it costs nothing when none is. It stamps what it is told
+    // in wall-clock microseconds.
+    let mut lanes = bw_telemetry::trace_sink()
+        .map(|sink| (sink, Lanes::new(tid..tid + 1, image.module.num_mutexes as usize)));
+    let tracing = lanes.is_some();
+    let mut trace = |fact: Fact<'_>| {
+        if let Some((sink, lanes)) = &mut lanes {
+            let now = bw_telemetry::wall_now_us();
+            lanes.record(fact, now, |span| span.write(sink.as_ref(), TimeDomain::WallUs));
+        }
+    };
     loop {
         if stop.load(Ordering::Relaxed) {
             // Another thread trapped or ran out of steps; in a real process
@@ -362,15 +295,15 @@ fn worker_loop(
         match t.run(image, mem, config.nthreads, &NoHook, budget, &mut sender) {
             // `NoHook` injects nothing, so nothing is invisible either.
             Yield::Budget | Yield::Invisible => {}
+            // Whether or not the mutex is free, the worker's lane reports
+            // a wait: one `lock_wait` per acquisition.
             Yield::Lock(m) => {
-                let wait_start = tracer.as_ref().map(|tr| tr.now());
+                trace(Fact::Blocked { tid });
                 if !sync.lock(m.index()) {
                     hung = true;
                     break;
                 }
-                if let (Some(tr), Some(start)) = (tracer.as_mut(), wait_start) {
-                    tr.lock_acquired(m.index(), start);
-                }
+                trace(Fact::Acquired { tid, mutex: m.index() });
             }
             Yield::Unlock(m) => {
                 if !sync.unlock(m.index()) {
@@ -378,24 +311,19 @@ fn worker_loop(
                     stop.store(true, Ordering::Relaxed);
                     break;
                 }
-                if let Some(tr) = tracer.as_mut() {
-                    tr.lock_released(m.index());
-                }
+                trace(Fact::Unlocked { tid, mutex: m.index() });
             }
             Yield::Barrier(b) => {
-                let wait_start = tracer.as_ref().map(|tr| tr.now());
+                // (The clock is read only for a lane to stamp.)
+                let arrival = if tracing { bw_telemetry::wall_now_us() } else { 0 };
                 if !sync.wait(b.index()) {
                     hung = true;
                     break;
                 }
-                if let (Some(tr), Some(start)) = (tracer.as_mut(), wait_start) {
-                    tr.barrier_released(start, &t);
-                }
+                trace(Fact::Released { tid, arrival, thread: &t });
             }
             Yield::Done => {
-                if let Some(tr) = tracer.as_ref() {
-                    tr.finish(&t);
-                }
+                trace(Fact::Finished { tid, thread: &t });
                 break;
             }
             Yield::Trap(k) => {
@@ -405,8 +333,8 @@ fn worker_loop(
             }
         }
     }
-    // Dropping the sender (at return) flushes its drop count into the
-    // shared counter the monitor reads at join.
+    // The worker hands back how many events it sent; dropping its sender
+    // at return lets the monitor finish draining the queue.
     WorkerExit {
         sent: sender.as_ref().map_or(0, |s| s.sent()),
         outputs: std::mem::take(&mut t.outputs),
@@ -579,6 +507,8 @@ pub(crate) fn run_real_engine(image: &ProgramImage, config: &ExecConfig) -> RunR
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::engine::{engine, Engine, EngineKind, RealEngine};
 

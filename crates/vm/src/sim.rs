@@ -19,6 +19,10 @@
 //! monitor included — can be cloned between two slots: [`SimPrefix`] is a
 //! fault-free run stopped there, from which hooked runs continue without
 //! repeating what came before, neither the interpretation nor the checking.
+//!
+//! Under a span sink the scheduler reports every thread's barrier
+//! releases, lock traffic and end to the [`Lanes`] of `span.rs`, the one
+//! lane definition the real engine's workers share, stamped in cycles.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -32,7 +36,7 @@ use crate::engine::{EngineKind, ExecConfig, ExecMode, MonitorMode, RunOutcome, R
 use crate::image::ProgramImage;
 use crate::machine::MachineModel;
 use crate::memory::SimMemory;
-use crate::span::{lane, Span};
+use crate::span::{Fact, Lanes, Span};
 use crate::telemetry::VmTelemetry;
 use crate::thread::{BranchHook, CostClass, NoHook, NoSink, Sink, ThreadState, Yield};
 use crate::trap::TrapKind;
@@ -43,13 +47,12 @@ const MACHINE: MachineModel = MachineModel::opteron_6128();
 
 /// Passive span collection for the deterministic engine: while a trace
 /// sink is installed (`bw_telemetry::set_trace_sink`, the `--trace-spans`
-/// path), the scheduler reports per-thread barrier-phase spans (with
-/// per-phase step/branch counts), lock hold/wait intervals, barrier-wait
-/// stalls and verdict flow arrows as `tspan` records timestamped in
-/// simulated cycles. The tracer is never consulted for a scheduling
-/// decision and writes only to the sink — tracing cannot perturb clocks,
-/// verdicts or outputs, and every timestamp it emits is deterministic
-/// for a fixed seed.
+/// path), the scheduler reports its threads' barrier releases, lock
+/// traffic and ends to the shared [`Lanes`], and verdicts to the tracer,
+/// which write `tspan` records timestamped in simulated cycles. The
+/// tracer is never consulted for a scheduling decision and writes only to
+/// the sink — tracing cannot perturb clocks, verdicts or outputs, and
+/// every timestamp it emits is deterministic for a fixed seed.
 ///
 /// A [`SimPrefix`]'s tracer holds its spans back instead: the prefix runs
 /// once for many forks, and each fork's trace has to contain them under
@@ -61,59 +64,28 @@ struct SimTracer {
     /// everything a prefix has produced so far, the verdict arrows of its
     /// inline monitor among them in the order the run reached them.
     held: Option<Vec<Span>>,
-    threads: Vec<ThreadTrace>,
-    /// Acquire clock of each mutex's current owner.
-    hold_since: Vec<Option<u64>>,
+    lanes: Lanes,
     /// Next causal-arrow id.
     flows: u64,
-}
-
-/// What the tracer keeps per SPMD thread.
-#[derive(Clone)]
-struct ThreadTrace {
-    /// The thread's lane, `t<tid>`.
-    track: String,
-    /// Index of the thread's current barrier phase.
-    phase: u64,
-    /// Start clock of that phase.
-    phase_start: u64,
-    /// `ThreadState::steps` at phase start, for per-phase deltas.
-    steps_base: u64,
-    /// `ThreadState::dyn_branches` at phase start.
-    branches_base: u64,
-    /// Clock at which the thread blocked on a mutex, while it waits.
-    wait_since: Option<u64>,
 }
 
 impl SimTracer {
     /// The tracer of a run on `image` under `config`, if a sink is
     /// installed. Resolved once per run: costs nothing when none is.
     fn installed(image: &ProgramImage, config: &ExecConfig) -> Option<Self> {
-        let sink = bw_telemetry::trace_sink()?;
-        let thread = |tid| ThreadTrace {
-            track: lane(tid),
-            phase: 0,
-            phase_start: 0,
-            steps_base: 0,
-            branches_base: 0,
-            wait_since: None,
-        };
         Some(SimTracer {
-            sink,
+            sink: bw_telemetry::trace_sink()?,
             held: None,
-            threads: (0..config.nthreads).map(thread).collect(),
-            hold_since: vec![None; image.module.num_mutexes as usize],
+            lanes: Lanes::new(0..config.nthreads, image.module.num_mutexes as usize),
             flows: 0,
         })
     }
 
-    fn emit(&mut self, span: Span) {
-        match &mut self.held {
+    /// Writes `span` to `sink`, or holds it back.
+    fn emit(sink: &dyn Recorder, held: &mut Option<Vec<Span>>, span: Span) {
+        match held {
             Some(held) => held.push(span),
-            None => {
-                let track = |tid: u32| self.threads[tid as usize].track.as_str();
-                span.write(self.sink.as_ref(), TimeDomain::Cycles, track);
-            }
+            None => span.write(sink, TimeDomain::Cycles),
         }
     }
 
@@ -123,60 +95,15 @@ impl SimTracer {
     /// `TraceScope`, as a full replay's would.
     fn into_fork(mut self) -> SimTracer {
         for span in self.held.take().into_iter().flatten() {
-            self.emit(span);
+            span.write(self.sink.as_ref(), TimeDomain::Cycles);
         }
         self
     }
 
-    /// Closes thread `tid`'s current barrier phase at clock `end`.
-    fn phase_span(&mut self, tid: u32, end: u64, thread: &ThreadState) {
-        let t = &self.threads[tid as usize];
-        self.emit(Span::Phase {
-            tid,
-            phase: t.phase,
-            start: t.phase_start,
-            end,
-            steps: thread.steps.saturating_sub(t.steps_base),
-            branches: thread.dyn_branches.saturating_sub(t.branches_base),
-        });
-    }
-
-    /// A full barrier released at clock `release`: one phase span (work)
-    /// plus one barrier-wait span (stall) per participant, then the next
-    /// phase opens at the release clock for all of them.
-    fn barrier_release(&mut self, arrivals: &[(u32, u64)], release: u64, threads: &[ThreadState]) {
-        for &(tid, arrival) in arrivals {
-            let thread = &threads[tid as usize];
-            self.phase_span(tid, arrival, thread);
-            let phase = self.threads[tid as usize].phase;
-            self.emit(Span::BarrierWait { tid, phase, arrival, release });
-            let t = &mut self.threads[tid as usize];
-            t.phase += 1;
-            t.phase_start = release;
-            t.steps_base = thread.steps;
-            t.branches_base = thread.dyn_branches;
-        }
-    }
-
-    fn lock_acquired(&mut self, m: usize, clock: u64) {
-        self.hold_since[m] = Some(clock);
-    }
-
-    fn lock_blocked(&mut self, tid: u32, clock: u64) {
-        self.threads[tid as usize].wait_since = Some(clock);
-    }
-
-    fn lock_released(&mut self, tid: u32, m: usize, clock: u64) {
-        if let Some(start) = self.hold_since[m].take() {
-            self.emit(Span::LockHold { tid, mutex: m, start, end: clock });
-        }
-    }
-
-    fn lock_handoff(&mut self, next: u32, m: usize, granted: u64) {
-        if let Some(start) = self.threads[next as usize].wait_since.take() {
-            self.emit(Span::LockWait { tid: next, mutex: m, start, end: granted });
-        }
-        self.hold_since[m] = Some(granted);
+    /// What the scheduler saw at `clock`.
+    fn record(&mut self, fact: Fact<'_>, clock: u64) {
+        let SimTracer { sink, held, lanes, .. } = self;
+        lanes.record(fact, clock, |span| Self::emit(sink.as_ref(), held, span));
     }
 
     /// The inline monitor flagged a violation while processing `event`,
@@ -184,14 +111,7 @@ impl SimTracer {
     fn verdict(&mut self, event: BranchEvent, clock: u64) {
         let flow = self.flows;
         self.flows += 1;
-        self.emit(Span::Verdict { event, clock, flow });
-    }
-
-    /// Closes every thread's final phase at its finish clock.
-    fn finish(&mut self, finish_clock: &[u64], threads: &[ThreadState]) {
-        for (t, thread) in threads.iter().enumerate() {
-            self.phase_span(t as u32, finish_clock[t], thread);
-        }
+        Self::emit(self.sink.as_ref(), &mut self.held, Span::Verdict { event, clock, flow });
     }
 }
 
@@ -591,7 +511,9 @@ impl<'a> Sim<'a> {
                 (RunOutcome::Hung, max_clock(clocks))
             } else {
                 if let Some(tr) = self.tracer.as_mut() {
-                    tr.finish(finish_clock, threads);
+                    for (t, thread) in threads.iter().enumerate() {
+                        tr.record(Fact::Finished { tid: t as u32, thread }, finish_clock[t]);
+                    }
                 }
                 (RunOutcome::Completed, max_clock(finish_clock))
             });
@@ -650,12 +572,12 @@ impl<'a> Sim<'a> {
                     if ms.owner.is_none() {
                         ms.owner = Some(tid);
                         if let Some(tr) = self.tracer.as_mut() {
-                            tr.lock_acquired(m.index(), clock);
+                            tr.record(Fact::Acquired { tid, mutex: m.index() }, clock);
                         }
                     } else {
                         ms.waiters.push(tid);
                         if let Some(tr) = self.tracer.as_mut() {
-                            tr.lock_blocked(tid, clock);
+                            tr.record(Fact::Blocked { tid }, clock);
                         }
                         blocked[t] = true;
                         requeue = false;
@@ -674,7 +596,7 @@ impl<'a> Sim<'a> {
                     }
                     ms.owner = None;
                     if let Some(tr) = self.tracer.as_mut() {
-                        tr.lock_released(tid, m.index(), clock);
+                        tr.record(Fact::Unlocked { tid, mutex: m.index() }, clock);
                     }
                     if !ms.waiters.is_empty() {
                         let next = ms.waiters.remove(0);
@@ -683,7 +605,7 @@ impl<'a> Sim<'a> {
                         clocks[nt] = clocks[nt].max(clock) + MACHINE.lock_handoff;
                         blocked[nt] = false;
                         if let Some(tr) = self.tracer.as_mut() {
-                            tr.lock_handoff(next, m.index(), clocks[nt]);
+                            tr.record(Fact::Acquired { tid: next, mutex: m.index() }, clocks[nt]);
                         }
                         heap.push(Reverse((clocks[nt], next)));
                     }
@@ -709,7 +631,10 @@ impl<'a> Sim<'a> {
                             }
                         }
                         if let Some(tr) = self.tracer.as_mut() {
-                            tr.barrier_release(&bs.arrivals, release, threads);
+                            for &(tid, arrival) in &bs.arrivals {
+                                let thread = &threads[tid as usize];
+                                tr.record(Fact::Released { tid, arrival, thread }, release);
+                            }
                         }
                         bs.arrivals.clear();
                         bs.last_arrival = 0;

@@ -652,10 +652,10 @@ fn a_plan_that_fires_in_init_is_behind_the_prefix() {
 /// tail's — against those of `run_hooked` inside the same scope, every
 /// field, in order.
 ///
-/// Mutation check, as above, for the tracer (`src/sim.rs`) against the six
-/// tests that run under a sink — this one, `targets_at_the_ends…`,
-/// `two_targets_share…`, `unhooked_forks…` and the two below; each mutant
-/// fails the tests named:
+/// Mutation check, as above, for the tracer (`src/sim.rs`, its `Lanes` in
+/// `src/span.rs`) against the six tests that run under a sink — this one,
+/// `targets_at_the_ends…`, `two_targets_share…`, `unhooked_forks…` and the
+/// two below; each mutant fails the tests named:
 /// * the held spans not written by `SimTracer::into_fork` → all six; not
 ///   written by the last fork alone (`SimPrefix::finish` running the run
 ///   without `Sim::fork`) → all six too, since every walk ends with one;
@@ -665,7 +665,7 @@ fn a_plan_that_fires_in_init_is_behind_the_prefix() {
 /// * `steps_base`/`branches_base` zeroed in the fork, or `phase`/
 ///   `phase_start` → all but `locks_held…`, whose cuts lie in phase 0
 ///   (`steps`/`branches`, the names and `ts` of the phases open at the cut);
-/// * `hold_since` emptied in the fork → `locks_held…` and this test (a
+/// * `holds` emptied in the fork → `locks_held…` and this test (a
 ///   `lock_hold` goes missing); `wait_since` emptied → `locks_held…` (a
 ///   `lock_wait` goes missing);
 /// * the prefix's events handed to `monitor.process` instead of

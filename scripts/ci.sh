@@ -292,6 +292,11 @@ leg_leftover_guard() {
     echo "ci: senders drop events again, or a layer counts the drops; a sender waits on a full queue" >&2
     return 1
   fi
+  if grep -rnE 'RealTracer|ThreadTrace' crates/vm/src \
+    || grep -rnE 'phase_start|steps_base|hold_since' crates/*/src | grep -v '^crates/vm/src/span\.rs:'; then
+    echo "ci: an engine keeps its own lane bookkeeping again; both engines share \`Lanes\` in span.rs" >&2
+    return 1
+  fi
 }
 
 # One owner per trace record kind (DESIGN §10, "Trace schema"): the file that

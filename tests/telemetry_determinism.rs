@@ -8,9 +8,9 @@ use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use blockwatch::reports::ForensicsReport;
 use blockwatch::splash::{Benchmark, Size};
 use blockwatch::timeline::{PhaseProfile, TimelineReport};
+use blockwatch::trace::ForensicsReport;
 use blockwatch::{
     Blockwatch, EngineKind, ExecConfig, FaultModel, JsonlRecorder, MetricRegistry, Recorder,
     Sampler, SeriesReport,
@@ -289,6 +289,42 @@ fn real_engine_lanes_parse_and_change_nothing() {
     }
     let rendered = timeline.render();
     assert!(rendered.contains("shard1"), "{rendered}");
+}
+
+/// Both engines trace one lane definition: on every thread's lane, in lane
+/// order, the simulator and the real engine write the same barrier phases
+/// (with their step and branch counts), barrier waits and lock holds.
+/// `lock_wait` is left out: the real engine writes one per acquisition, the
+/// simulator one only when a thread parked.
+#[test]
+fn both_engines_write_the_same_thread_lanes() {
+    let _guard = trace_sink_lock();
+    let bw = Blockwatch::compile(LOCKED_PHASES).unwrap();
+    let lanes = |engine| {
+        let capture = Arc::new(Capture::default());
+        blockwatch::telemetry::set_trace_sink(Some(Arc::clone(&capture) as Arc<dyn Recorder>));
+        let result = bw.run_on(engine, &ExecConfig::new(4));
+        blockwatch::telemetry::set_trace_sink(None);
+        assert_eq!(result.outcome, blockwatch::RunOutcome::Completed, "{engine:?}");
+        let mut lanes = std::collections::BTreeMap::<String, Vec<String>>::new();
+        for fields in capture.0.lock().unwrap().iter() {
+            let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+            let text = |key| field(key).and_then(|v| v.as_str()).unwrap_or_default().to_string();
+            let (track, cat, name) = (text("track"), text("cat"), text("name"));
+            if !track.starts_with('t') || cat == "lock_wait" {
+                continue;
+            }
+            let counts = ["steps", "branches"].map(|key| field(key).and_then(|v| v.as_u64()));
+            lanes.entry(track).or_default().push(format!("{cat} {name} {counts:?}"));
+        }
+        lanes
+    };
+    let (sim, real) = (lanes(EngineKind::Sim), lanes(EngineKind::Real));
+    assert_eq!(sim.keys().collect::<Vec<_>>(), ["t0", "t1", "t2", "t3"]);
+    for (track, spans) in &sim {
+        assert_eq!(spans.len(), 6, "{track}: three phases, two waits, one hold: {spans:?}");
+    }
+    assert_eq!(sim, real);
 }
 
 /// ...and on the campaign path: records, outcome counters and the
