@@ -836,9 +836,11 @@ struct Worker<'a> {
 /// the prefix advances to each fault point in the order the run reaches
 /// them, and every injection is a fork of it — the interpreter state, a
 /// clone of the prefix's inline monitor and, under a span sink, its spans
-/// inherited, only the tail executed and checked. The last fork takes the
-/// prefix itself ([`SimPrefix::finish`]) instead of a copy. The time the
-/// prefix takes to advance is charged to the injection it precedes.
+/// inherited, only the tail executed and checked; the prefix is handed
+/// the golden run, and when no check flagged it a fork's flush checks
+/// only the instances its tail joined. The last fork takes the prefix
+/// itself ([`SimPrefix::finish`]) instead of a copy. The time the prefix
+/// takes to advance is charged to the injection it precedes.
 ///
 /// One case replays an injection from step 0 ([`execute_one`]) instead: a
 /// plan that fires in `@init`, which runs before any point a prefix can be
@@ -882,7 +884,7 @@ fn execute_window(job: &CampaignJob<'_>, window: std::ops::Range<usize>, worker:
         started = bw_telemetry::wall_now_us();
     };
 
-    let mut prefix = SimPrefix::new(job.image, &job.faulty);
+    let mut prefix = SimPrefix::new(job.image, &job.faulty, job.golden);
     // Per thread, the targets a fork can serve, latest first.
     let mut queues: Vec<Vec<(u64, usize)>> = vec![Vec::new(); job.faulty.nthreads as usize];
     for index in window {

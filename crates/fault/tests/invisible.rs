@@ -272,7 +272,7 @@ impl Case {
     #[track_caller]
     fn stops(&self, plan: InjectionPlan) -> bool {
         let liveness = ConditionLiveness::new(&self.image);
-        let mut prefix = SimPrefix::new(&self.image, &self.config);
+        let mut prefix = SimPrefix::new(&self.image, &self.config, &self.golden);
         let mut targets = vec![None; 4];
         targets[plan.tid as usize] = Some(plan.dyn_index);
         assert_eq!(prefix.advance_to(&targets), Some(plan.tid));
@@ -305,7 +305,7 @@ fn a_dead_value_whose_branch_kept_its_direction_stops() {
     assert!(case.stops(plan));
     // Under a span sink the fork owes the sink every span of its run.
     bw_telemetry::set_trace_sink(Some(Arc::new(NullRecorder)));
-    let mut prefix = SimPrefix::new(&case.image, &case.config);
+    let mut prefix = SimPrefix::new(&case.image, &case.config, &case.golden);
     prefix.advance_to(&[None, Some(plan.dyn_index)]);
     let liveness = ConditionLiveness::new(&case.image);
     let traced = prefix.resume(&InjectionHook::pruning(plan, &liveness));

@@ -223,6 +223,123 @@ mod tests {
         assert_eq!(check_instance(kind, &bad), Err(ViolationKind::TidPredicate));
     }
 
+    /// Every kind the plan can ask for.
+    const KINDS: [CheckKind; 6] = [
+        CheckKind::SharedUniform,
+        CheckKind::GroupByWitness,
+        CheckKind::ThreadIdPredicate(TidCheck::AtMostOneTaken),
+        CheckKind::ThreadIdPredicate(TidCheck::AtMostOneNotTaken),
+        CheckKind::ThreadIdPredicate(TidCheck::TakenIsPrefix),
+        CheckKind::ThreadIdPredicate(TidCheck::TakenIsSuffix),
+    ];
+
+    /// The reports of `reports` that `mask` keeps, in order.
+    fn subsequence(reports: &[Report], mask: u64) -> Vec<Report> {
+        reports.iter().enumerate().filter(|(i, _)| mask >> i & 1 == 1).map(|(_, r)| *r).collect()
+    }
+
+    /// What makes a flush that skips instances exact: an instance with
+    /// fewer than two reports passes, and every check is hereditary —
+    /// reports that pass keep passing with any of them left out. Checked
+    /// on every arrival order of up to four of four threads, witnesses in
+    /// {0, 1, 2}, both directions, every subsequence of each passing set.
+    #[test]
+    fn checks_pass_below_two_reports_and_are_hereditary() {
+        let mut sets = vec![Vec::new()];
+        let mut frontier = vec![Vec::new()];
+        for _ in 0..4 {
+            let mut next = Vec::new();
+            for set in &frontier {
+                for thread in (0..4).filter(|t| set.iter().all(|r: &Report| r.thread != *t)) {
+                    for (witness, taken) in (0..3).flat_map(|w| [(w, false), (w, true)]) {
+                        let mut longer = set.clone();
+                        longer.push(r(thread, witness, taken));
+                        next.push(longer);
+                    }
+                }
+            }
+            sets.extend(next.iter().cloned());
+            frontier = next;
+        }
+        assert_eq!(sets.len(), 1 + 4 * 6 + 12 * 36 + 24 * 216 + 24 * 1296);
+        for kind in KINDS {
+            // Four-report sets that pass: some must, and not all.
+            let mut passing = 0;
+            for (case, set) in sets.iter().enumerate() {
+                let passed = check_instance(kind, set).is_ok();
+                if set.len() < 2 {
+                    assert!(passed, "{kind:?}, case {case}: {set:?} fails with one reporter");
+                }
+                if !passed {
+                    continue;
+                }
+                passing += usize::from(set.len() == 4);
+                for mask in 0..1u64 << set.len() {
+                    let sub = subsequence(set, mask);
+                    assert_eq!(
+                        check_instance(kind, &sub),
+                        Ok(()),
+                        "{kind:?}, case {case}: {set:?} passes, its subsequence {sub:?} fails"
+                    );
+                }
+            }
+            assert!(passing > 0 && passing < 24 * 1296, "{kind:?}: {passing} sets of 4 pass");
+        }
+    }
+
+    /// The same at 32 reporters, sampled: each case draws a rule for the
+    /// directions (uniform, by thread-id cut, one thread singled out, by
+    /// witness, or random) so that every kind sees passing sets, then
+    /// perturbs a report now and then, and tries 64 random subsequences of
+    /// each passing set.
+    #[test]
+    fn checks_are_hereditary_at_32_reporters() {
+        let mut rng = bw_vm::SplitMix64::new(1);
+        let mut passing = [0usize; KINDS.len()];
+        for case in 0..4000 {
+            let mut threads: Vec<u32> = (0..48).collect();
+            for i in (1..threads.len()).rev() {
+                threads.swap(i, rng.below(i as i64 + 1) as usize);
+            }
+            let witnesses = 1 + rng.below(3) as u64;
+            let (rule, cut) = (rng.below(6), rng.below(48) as u32);
+            let mut reports: Vec<Report> = threads[..32]
+                .iter()
+                .map(|&thread| {
+                    let witness = rng.below(witnesses as i64) as u64;
+                    let taken = match rule {
+                        0 => cut % 2 == 0,
+                        1 => thread < cut,
+                        2 => thread > cut,
+                        3 => thread == cut,
+                        4 => witness == 1,
+                        _ => rng.below(2) == 1,
+                    };
+                    r(thread, witness, taken)
+                })
+                .collect();
+            if rng.below(4) == 0 {
+                let flip = rng.below(32) as usize;
+                reports[flip].taken = !reports[flip].taken;
+            }
+            for (k, kind) in KINDS.into_iter().enumerate() {
+                if check_instance(kind, &reports).is_err() {
+                    continue;
+                }
+                passing[k] += 1;
+                for _ in 0..64 {
+                    let sub = subsequence(&reports, rng.next_u64() & 0xffff_ffff);
+                    assert_eq!(
+                        check_instance(kind, &sub),
+                        Ok(()),
+                        "{kind:?}, case {case}: {reports:?} passes, its subsequence {sub:?} fails"
+                    );
+                }
+            }
+        }
+        assert!(passing.iter().all(|&n| n >= 100), "passing sets per kind: {passing:?}");
+    }
+
     #[test]
     fn tid_predicate_checks_shared_witness_too() {
         let kind = CheckKind::ThreadIdPredicate(TidCheck::AtMostOneTaken);

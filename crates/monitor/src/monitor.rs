@@ -180,6 +180,14 @@ impl Monitor {
             self.telemetry.pending_high_water.max(self.table.len() as u64);
     }
 
+    /// Scopes the flush to the instances a report joins from now on: an
+    /// instance pending now that no report joins later is not checked.
+    /// Exact when each instance pending now passes its check as it stands
+    /// (`ShardedMonitor::scope_flush` has the case it serves).
+    pub(crate) fn scope_flush(&mut self) {
+        self.table.scope_flush();
+    }
+
     /// Processes `events` in order, exactly as one [`Monitor::process`] call
     /// each would. What it adds is lookahead: before event *i* it
     /// prefetches the instance-index slot that event *i* + 8 will probe,
@@ -221,6 +229,12 @@ impl Monitor {
     /// Checks every instance that has not reached `nthreads` reporters
     /// (executed at the end of the parallel phase). Returns the total number
     /// of violations found so far.
+    ///
+    /// It looks only at instances that can fail: those holding two or more
+    /// reports, in row order (an instance with fewer passes its check
+    /// unseen), and, once [`crate::ShardedMonitor::scope_flush`] has scoped
+    /// it, only those among them a report has joined since. Every other
+    /// instance leaves the table as a checked one does.
     pub fn flush(&mut self) -> usize {
         let batch = self.table.len() as u64;
         self.telemetry.flush_calls += 1;
@@ -231,10 +245,15 @@ impl Monitor {
         // drained, checked already.
         if batch > 0 {
             let mut reports = std::mem::take(&mut self.scratch);
-            for row in 0..self.table.rows() {
-                if let Some((branch, site, iter)) = self.table.pending_row(row, &mut reports) {
-                    if let Some(kind) = self.checks.kind(branch) {
-                        self.check(kind, branch, site, iter, &reports, true);
+            for word in 0..self.table.flush_words() {
+                let mut bits = self.table.flush_word(word);
+                while bits != 0 {
+                    let row = word * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if let Some((branch, site, iter)) = self.table.pending_row(row, &mut reports) {
+                        if let Some(kind) = self.checks.kind(branch) {
+                            self.check(kind, branch, site, iter, &reports, true);
+                        }
                     }
                 }
             }

@@ -88,6 +88,16 @@ impl ShardedMonitor {
         self.monitors[shard].process(event);
     }
 
+    /// Scopes every shard's flush to the instances a report joins from now
+    /// on: an instance pending now that no report joins later is not
+    /// checked. Exact when each instance pending now passes its check as it
+    /// stands, as in a fork of a fault-free run that no check flagged
+    /// (`bw_vm::SimPrefix` says why). It costs one pass over each shard's
+    /// row bitset, and nothing per event.
+    pub fn scope_flush(&mut self) {
+        self.monitors.iter_mut().for_each(Monitor::scope_flush);
+    }
+
     /// Routes `batch` in order, exactly as one [`ShardedMonitor::process`]
     /// call per event would. What it adds is the lookahead of
     /// [`Monitor::process_batch`]: before event *i* it prefetches, in the

@@ -23,9 +23,13 @@
 //! with fewer reporters are checked at the flush (end of the parallel
 //! phase, [`BranchTable::pending_row`]), since the monitor cannot know
 //! statically how many threads execute a branch that is itself under
-//! divergent control. The flush leaves their rows in place until the next
-//! report arrives ([`BranchTable::file_drained`]): a monitor that is never
-//! fed again never files them.
+//! divergent control. A check needs two reporters, so the flush checks
+//! only the rows of a bitset the table keeps of the instances holding two
+//! or more ([`BranchTable::flush_word`]); after
+//! [`BranchTable::scope_flush`], only those a report has joined since.
+//! The flush leaves the rows in place until the next report arrives
+//! ([`BranchTable::file_drained`]): a monitor that is never fed again never
+//! files them.
 //!
 //! A thread reporting a key it has already reported is defined behaviour,
 //! not a sign of a hash collision: while the instance is pending the first
@@ -346,6 +350,12 @@ pub(crate) struct BranchTable {
     index: KeyIndex,
     rows: Vec<Row>,
     free_row: u32,
+    /// The rows a flush checks, a bit each: those whose pending instance
+    /// a report has joined (so it holds two or more) since the set was
+    /// last cleared — by a flush, or by [`BranchTable::scope_flush`]. One
+    /// word per 64 rows of `rows`' capacity, so it grows when `rows`
+    /// reallocates and not in between.
+    multi: Vec<u64>,
     /// Every report node, the chains the site histories hold included.
     pub(crate) nodes: Nodes,
     /// The stamp of the next report.
@@ -361,6 +371,7 @@ impl Default for BranchTable {
             index: KeyIndex::default(),
             rows: Vec::new(),
             free_row: NIL,
+            multi: Vec::new(),
             nodes: Nodes::default(),
             stamp: 0,
             drained: false,
@@ -415,12 +426,17 @@ impl BranchTable {
                 }
                 let node = self.nodes.alloc(node);
                 self.nodes.arena[last as usize].link.set_next(node);
+                self.multi[row as usize / 64] |= 1 << (row % 64);
                 (pos, row, len + 1)
             }
             Err(pos) => {
                 let entry = Row { site, iter, branch, head: self.nodes.alloc(node) };
                 let row = if self.free_row == NIL {
-                    push_node(&mut self.rows, entry)
+                    let row = push_node(&mut self.rows, entry);
+                    if self.rows.len() > self.multi.len() * 64 {
+                        self.grow_multi();
+                    }
+                    row
                 } else {
                     let row = self.free_row;
                     let free = std::mem::replace(&mut self.rows[row as usize], entry);
@@ -435,12 +451,28 @@ impl BranchTable {
             return Recorded::Pending;
         }
         self.index.remove(pos);
+        self.multi[row as usize / 64] &= !(1 << (row % 64));
         let entry = &mut self.rows[row as usize];
         let head = std::mem::replace(&mut entry.head, NIL);
         entry.iter = u64::from(self.free_row);
         self.free_row = row;
         self.copy_reports(head, full);
         Recorded::Completed(Chain { iter, head, len })
+    }
+
+    /// Covers the capacity `rows` has just grown to: one reallocation each
+    /// time `rows` doubles.
+    #[cold]
+    fn grow_multi(&mut self) {
+        self.multi.resize(self.rows.capacity().div_ceil(64), 0);
+    }
+
+    /// Scopes the flush to the instances a report joins from now on, by
+    /// clearing the set of rows it checks: a report joining an instance
+    /// sets its bit again. The caller vouches that every instance pending
+    /// now passes its check as it stands.
+    pub(crate) fn scope_flush(&mut self) {
+        self.multi.fill(0);
     }
 
     /// Prefetches the index slot where [`BranchTable::record`] will start
@@ -455,15 +487,24 @@ impl BranchTable {
         out.extend(self.nodes.chain(head).map(ReportNode::report));
     }
 
-    /// Number of rows, pending or free: the range of
-    /// [`BranchTable::pending_row`].
-    pub(crate) fn rows(&self) -> usize {
-        self.rows.len()
+    /// Number of words [`BranchTable::flush_word`] takes.
+    pub(crate) fn flush_words(&self) -> usize {
+        self.multi.len()
+    }
+
+    /// The rows `64 * word + i` a flush checks, as the set bits `i`: those
+    /// whose pending instance holds two or more reports — a check passes
+    /// fewer without looking — and, once the flush is scoped, that a report
+    /// has joined since.
+    #[inline]
+    pub(crate) fn flush_word(&self, word: usize) -> u64 {
+        self.multi[word]
     }
 
     /// The key of the instance pending in `row`, its reports copied into
-    /// `out` in arrival order; `None` for a free row. A flush visits every
-    /// row this way, then calls [`BranchTable::close_flush`].
+    /// `out` in arrival order; `None` for a free row. A flush visits the
+    /// rows of [`BranchTable::flush_word`] this way, then calls
+    /// [`BranchTable::close_flush`].
     pub(crate) fn pending_row(&self, row: usize, out: &mut Vec<Report>) -> Option<(u32, u64, u64)> {
         let Row { site, iter, branch, head } = self.rows[row];
         if head == NIL {
@@ -479,6 +520,7 @@ impl BranchTable {
     pub(crate) fn close_flush(&mut self) {
         if self.index.len() > 0 {
             self.index.clear();
+            self.multi.fill(0);
             self.drained = true;
         }
     }
@@ -536,11 +578,12 @@ mod tests {
         t.record(key.0, key.1, key.2, report, n, &mut Vec::new())
     }
 
-    /// What a flush visits, sorted by key; the table is closed after.
+    /// Every instance a flush drains, sorted by key; the table is closed
+    /// after.
     fn drained(t: &mut BranchTable) -> Vec<(u32, u64, u64, Vec<Report>)> {
         let mut out = Vec::new();
         let mut reports = Vec::new();
-        for row in 0..t.rows() {
+        for row in 0..t.rows.len() {
             if let Some((b, s, i)) = t.pending_row(row, &mut reports) {
                 out.push((b, s, i, reports.clone()));
             }
@@ -548,6 +591,19 @@ mod tests {
         t.close_flush();
         out.sort_by_key(|(b, s, i, _)| (*b, *s, *i));
         out
+    }
+
+    /// The rows a flush checks, in the order it checks them.
+    fn flushed_rows(t: &BranchTable) -> Vec<usize> {
+        let mut rows = Vec::new();
+        for word in 0..t.flush_words() {
+            let mut bits = t.flush_word(word);
+            while bits != 0 {
+                rows.push(word * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        rows
     }
 
     /// The reports and stamps of a chain, in order.
@@ -644,6 +700,68 @@ mod tests {
         // Usable afterwards, from a clean slate.
         assert_eq!(rec(&mut t, (1, 0, 3), r(0, true), 4), Recorded::Pending);
         assert_eq!(t.len(), 1);
+    }
+
+    /// Row `k` holds the instance at `iter` `k`: `reports[k]` threads report
+    /// it, in a table expecting four.
+    fn table_of(reports: &[u32]) -> BranchTable {
+        let mut t = BranchTable::default();
+        for (iter, &n) in reports.iter().enumerate() {
+            for thread in 0..n {
+                rec(&mut t, (1, 0, iter as u64), r(thread, true), 4);
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn the_flush_checks_the_instances_with_two_reports_in_row_order() {
+        // Rows 0..200: one, two, three, one, ... reporters; none complete.
+        let counts: Vec<u32> = (0..200).map(|k| k % 3 + 1).collect();
+        let mut t = table_of(&counts);
+        let multi: Vec<usize> = (0..200).filter(|k| counts[*k] >= 2).collect();
+        assert_eq!(flushed_rows(&t), multi);
+        // A completed instance leaves the set, and its row, reused, holds
+        // one report.
+        for thread in 1..4 {
+            rec(&mut t, (1, 0, 5), r(thread, true), 4);
+        }
+        rec(&mut t, (1, 0, 1000), r(0, true), 4);
+        assert_eq!(t.pending_row(5, &mut Vec::new()), Some((1, 0, 1000)));
+        assert!(!flushed_rows(&t).contains(&5));
+        // The flush empties the set.
+        drained(&mut t);
+        assert!(flushed_rows(&t).is_empty());
+    }
+
+    #[test]
+    fn a_scoped_flush_checks_what_a_report_joined_since() {
+        let mut t = table_of(&[2, 2, 1, 3, 1]);
+        t.scope_flush();
+        assert!(flushed_rows(&t).is_empty(), "nothing reported since");
+        // Row 0 gains a report, row 2 its second, row 1 none, row 3 its
+        // fourth (it completes), row 4 a repeat of thread 0's (dropped); a
+        // new instance opens with two in row 3, which the completed one
+        // freed, and another with one in row 5.
+        for (iter, thread) in [(0, 2), (2, 1), (3, 3), (4, 0), (5, 0), (5, 1), (6, 0)] {
+            rec(&mut t, (1, 0, iter), r(thread, true), 4);
+        }
+        assert_eq!(t.pending_row(3, &mut Vec::new()), Some((1, 0, 5)));
+        assert_eq!(flushed_rows(&t), vec![0, 2, 3]);
+    }
+
+    /// The bitset reallocates when the rows do, not every 64 rows.
+    #[test]
+    fn the_bitset_grows_with_the_rows_capacity() {
+        let mut t = BranchTable::default();
+        let mut growths = 0;
+        for iter in 0..10_000u64 {
+            let before = t.multi.capacity();
+            rec(&mut t, (1, 0, iter), r(0, true), 4);
+            growths += usize::from(t.multi.capacity() != before);
+            assert!(t.multi.len() * 64 >= t.rows.capacity());
+        }
+        assert!(growths <= 10, "{growths} reallocations for 10,000 rows");
     }
 
     #[test]

@@ -675,10 +675,15 @@ impl<'a> Sim<'a> {
 
     /// The rest of a [`SimPrefix`]'s run under `hook`, its held spans
     /// written first. An untraced fork stops at an invisible fault; a
-    /// traced one writes every span of its run, so it goes on.
-    fn fork(mut self, hook: &dyn BranchHook) -> Fork {
+    /// traced one writes every span of its run, so it goes on. With
+    /// `scoped`, its flush checks only the instances a report of its own
+    /// tail joins ([`ShardedMonitor::scope_flush`]).
+    fn fork(mut self, hook: &dyn BranchHook, scoped: bool) -> Fork {
         self.tracer = self.tracer.map(SimTracer::into_fork);
         self.prune = self.tracer.is_none();
+        if let (true, EventSink::Monitor(inline)) = (scoped, &mut self.events) {
+            inline.monitor.scope_flush();
+        }
         loop {
             if let Some(end) = self.slot(hook) {
                 let result = self.finish(end, hook);
@@ -782,20 +787,36 @@ impl<'a> Sim<'a> {
 /// ([`BranchHook::dead_after`]), the fork returns [`Fork::Stopped`] right
 /// after that branch instead of running a tail that would be the prefix's
 /// own. A fork under a span sink never stops: it owes the sink its spans.
+///
+/// A fork's flush checks only what its tail joined when the golden run —
+/// the prefix's run continued unhooked — completed unflagged. An instance
+/// pending at the flush that no report of the tail joined holds a subset
+/// of the reports the golden run checked it with, eagerly or at its own
+/// flush; that check passed, and every check is hereditary (what passes
+/// on a set of reports passes on each subset), so this one passes too.
+/// After a flagged golden run every fork's flush checks every instance
+/// with two or more reports, as any run's does.
 pub struct SimPrefix<'a> {
     sim: Sim<'a>,
     init_branches: u64,
+    /// Whether the golden run completed, monitored, with no violation.
+    clean: bool,
 }
 
 impl<'a> SimPrefix<'a> {
     /// Runs `@init` (hook-free) and stops before the parallel section's
-    /// first slot.
-    pub fn new(image: &'a ProgramImage, config: &'a ExecConfig) -> Self {
+    /// first slot. `golden` is the run this prefix is the start of: the
+    /// program run unhooked under `config` (its step budget aside). Only
+    /// whether it completed unflagged is read.
+    pub fn new(image: &'a ProgramImage, config: &'a ExecConfig, golden: &RunResult) -> Self {
         let mut sim = Sim::new(image, config);
         sim.tracer = SimTracer::installed(image, config)
             .map(|tracer| SimTracer { held: Some(Vec::new()), ..tracer });
         let init_branches = sim.init(&NoHook);
-        SimPrefix { sim, init_branches }
+        let clean = golden.outcome == RunOutcome::Completed
+            && golden.monitor.is_some()
+            && golden.violations.is_empty();
+        SimPrefix { sim, init_branches, clean }
     }
 
     /// Dynamic branches `@init` took. It ran as thread 0 with an index
@@ -845,14 +866,14 @@ impl<'a> SimPrefix<'a> {
     /// `@init`, and every branch short of the targets
     /// [`SimPrefix::advance_to`] was given.
     pub fn resume(&self, hook: &dyn BranchHook) -> Fork {
-        self.sim.clone().fork(hook)
+        self.sim.clone().fork(hook, self.clean)
     }
 
     /// [`SimPrefix::resume`] for the last fork of a prefix: the run itself
     /// continues, its state and inline monitor moved instead of cloned, and
     /// dropped when the fork ends instead of when the prefix would have.
     pub fn finish(self, hook: &dyn BranchHook) -> Fork {
-        self.sim.fork(hook)
+        self.sim.fork(hook, self.clean)
     }
 }
 

@@ -67,7 +67,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use bw_analysis::{Category, CheckPlan};
+use bw_analysis::{Category, CheckKind, CheckPlan};
 use bw_fault::{
     plan_campaign, CampaignConfig, ConditionLiveness, FaultModel, InjectionHook, InjectionPlan,
 };
@@ -228,9 +228,9 @@ fn walk(
     trace: Option<&Traced>,
     what: &str,
 ) -> Walk {
-    let mut prefix = SimPrefix::new(image, config);
+    let plain = SimEngine.run(image, config);
+    let mut prefix = SimPrefix::new(image, config, &plain);
     let liveness = ConditionLiveness::new(image);
-    let plain = std::cell::OnceCell::new();
     let mut walk = Walk { fork_steps: vec![None; plans.len()], ..Walk::default() };
     let mut queues: Vec<Vec<(u64, usize)>> = vec![Vec::new(); config.nthreads as usize];
     for (i, plan) in plans.iter().enumerate() {
@@ -263,8 +263,7 @@ fn walk(
                 Fork::Ran(fork) => assert_same(&fork, &full, &what),
                 Fork::Stopped { steps } => {
                     assert!(trace.is_none(), "{what}: a traced fork stopped");
-                    let plain = plain.get_or_init(|| SimEngine.run(image, config));
-                    assert_same(&full, plain, &format!("{what}, stopped at step {steps}"));
+                    assert_same(&full, &plain, &format!("{what}, stopped at step {steps}"));
                     assert!(at < steps && steps <= full.total_steps, "{what}: {at} {steps}");
                     walk.stopped += 1;
                 }
@@ -411,7 +410,7 @@ fn targets_at_the_ends_of_a_thread() {
             let walked = walk(&image, &config, &plans, trace.as_ref(), &what);
             // Thread 0's first branch is `@init`'s on every port with an
             // `@init` that branches; nothing else is.
-            let init = SimPrefix::new(&image, &config).init_branches();
+            let init = SimPrefix::new(&image, &config, &golden).init_branches();
             assert_eq!(walked.in_init, usize::from(init > 0), "{what}");
             // A thread's first target forks before the thread has run; the
             // unreachable ones fork after everything has.
@@ -571,7 +570,7 @@ fn unhooked_forks_equal_the_plain_run() {
                     assert_same(&fork, &plain, &format!("{what}, {at}"));
                     assert_same_spans(&fork_spans, &plain_spans, &format!("{what}, {at}"));
                 };
-                let mut prefix = SimPrefix::new(&image, &config);
+                let mut prefix = SimPrefix::new(&image, &config, &plain);
                 check(&prefix, "0 %");
                 let mut half = vec![None; nthreads as usize];
                 let last = nthreads as usize - 1;
@@ -618,7 +617,7 @@ fn a_plan_that_fires_in_init_is_behind_the_prefix() {
         .expect("compiles"),
     );
     let config = ExecConfig::new(2);
-    let mut prefix = SimPrefix::new(&image, &config);
+    let mut prefix = SimPrefix::new(&image, &config, &SimEngine.run(&image, &config));
     // The loop test of `setup` runs nine times.
     assert_eq!(prefix.init_branches(), 9);
 
@@ -755,7 +754,7 @@ fn locks_held_and_awaited_at_the_cut() {
         // The fork at thread 0's branch: nothing has been released yet, so
         // what the prefix held back has no lock span in it and all seven
         // of the run's are the fork's to close.
-        let mut prefix = SimPrefix::new(&image, &config);
+        let mut prefix = SimPrefix::new(&image, &config, &SimEngine.run(&image, &config));
         assert_eq!(prefix.advance_to(&[Some(20)]), Some(0), "{what}");
         let (_, spans) = spans_of(Some(&trace), 0, || ran(prefix.resume(&NoHook)));
         assert_eq!(of_cat(&spans, "lock_hold").len(), 4, "{what}");
@@ -830,10 +829,69 @@ fn a_violation_the_log_replay_completes_is_traced() {
             of_cat(&golden_spans, "barrier_wait").len() == 8,
             "{what}: two barriers, four threads"
         );
-        let mut prefix = SimPrefix::new(&image, &config);
+        let mut prefix = SimPrefix::new(&image, &config, &golden);
         assert_eq!(prefix.advance_to(&[]), None, "{what}");
         let (end, end_spans) = spans_of(Some(&trace), 0, || ran(prefix.resume(&NoHook)));
         assert_same(&end, &golden, &what);
         assert_same_spans(&end_spans, &golden_spans, &what);
+    }
+}
+
+/// A fork's flush checks only what its tail joined, which is exact
+/// because the golden run was flagged nowhere. Here it is flagged: one
+/// branch that only threads 0 and 1 reach, and on which they disagree,
+/// is mis-planned as `SharedUniform`, so the golden run's flush finds its
+/// two-report instance. Its reports are sent, and checked into the
+/// prefix's table, before the barrier; the forks come after, and no
+/// report of theirs joins it. Each fork's flush must find it as
+/// `run_hooked`'s does.
+///
+/// Mutation check: the prefix told its golden run was clean whatever it
+/// was (`clean` forced `true` in `SimPrefix::new`) → this test, at every
+/// fork (`violations`).
+#[test]
+fn a_flagged_golden_run_leaves_the_forks_flush_unscoped() {
+    let _lock = sink_lock();
+    let module = bw_ir::frontend::compile(
+        r#"
+        shared int n = 300;
+        int data[320];
+        barrier b;
+        @spmd func f() {
+            var t: int = threadid();
+            if (t < 2) {
+                if (t == 0) { output(7); }
+            }
+            barrier(b);
+            for (var i: int = 0; i < n; i = i + 1) {
+                if (data[i] > t) { output(i); }
+            }
+        }
+        "#,
+    )
+    .expect("compiles");
+    let mut image = ProgramImage::prepare_default(module);
+    // The inner `t == 0`: the program's second branch.
+    let mut plan = image.plan.clone();
+    plan.decisions[1].as_mut().expect("instrumented").kind = CheckKind::SharedUniform;
+    image.replace_plan(plan);
+    for (quantum, shards) in [(1, 1), (3, 4), (64, 1), (64, 4)] {
+        let base = ExecConfig::new(4).quantum(quantum).monitor_shards(Some(shards));
+        let golden = SimEngine.run(&image, &base);
+        let what = format!("mis-planned branch, q{quantum} s{shards}");
+        assert_eq!(golden.outcome, RunOutcome::Completed, "{what}");
+        let flagged: Vec<_> = golden.violations.iter().map(|v| (v.branch, v.reporters)).collect();
+        assert_eq!(flagged, vec![(1, 2)], "{what}: the flush flags the two-report instance");
+        // Each fork comes after its thread alone has sent more than two
+        // batches of events (256 each), so the flagged instance's reports
+        // are in the prefix's table, not held back for the fork's monitor
+        // to process.
+        let last = golden.branches_per_thread[3];
+        assert!(last > 2 * 256 + 20, "{what}: {last} branches");
+        let config = faulty(&base, &golden);
+        let plans: Vec<_> =
+            (0..4).flat_map(|tid| [flip(tid, last - 20), flip(tid, last - 1)]).collect();
+        let walked = walk(&image, &config, &plans, None, &what);
+        assert_eq!(walked.forked, plans.len(), "{what}");
     }
 }

@@ -292,6 +292,10 @@ leg_leftover_guard() {
     echo "ci: senders drop events again, or a layer counts the drops; a sender waits on a full queue" >&2
     return 1
   fi
+  if grep -nF '0..self.table.rows()' crates/monitor/src/monitor.rs; then
+    echo "ci: the flush walks every instance row again; it checks only the instances that can fail" >&2
+    return 1
+  fi
   if grep -rnE 'RealTracer|ThreadTrace' crates/vm/src \
     || grep -rnE 'phase_start|steps_base|hold_since' crates/*/src | grep -v '^crates/vm/src/span\.rs:'; then
     echo "ci: an engine keeps its own lane bookkeeping again; both engines share \`Lanes\` in span.rs" >&2

@@ -78,7 +78,7 @@ fn tail_less_forks(bw: &Blockwatch, injections: usize) -> usize {
     let config = CampaignConfig::new(injections, FaultModel::ConditionBitFlip, 4).seed(0);
     let golden = bw.golden(&config.sim);
     let faulty = config.sim.clone().max_steps(golden.total_steps * 8 + 100_000);
-    let init = SimPrefix::new(image, &faulty).init_branches();
+    let init = SimPrefix::new(image, &faulty, &golden).init_branches();
     let liveness = ConditionLiveness::new(image);
     let plans = plan_campaign(&golden.branches_per_thread, &config);
     let forked = plans.into_iter().filter(|p| p.tid != 0 || p.dyn_index > init);
