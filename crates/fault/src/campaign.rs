@@ -31,7 +31,7 @@ use bw_telemetry::{
     Histogram, Record, Recorder, SpanRecord, TelemetrySnapshot, TimeDomain, TraceScope, Value,
     NULL_RECORDER,
 };
-use bw_monitor::{TraceViolation, ViolationReport};
+use bw_monitor::{GoldenProfile, TraceViolation, ViolationReport};
 use bw_vm::{
     Engine, ExecConfig, Fork, ProgramImage, RunOutcome, RunResult, SimEngine, SimPrefix, SplitMix64,
 };
@@ -726,6 +726,10 @@ struct CampaignJob<'a> {
     /// What lets a condition-bit flip's fork end at a fault that changes
     /// nothing; `None` for branch flips, which always change the direction.
     liveness: Option<ConditionLiveness>,
+    /// The golden run's event stream, indexed, which lets a fork check only
+    /// what differs from it; `None` where no fork can use one
+    /// ([`SimPrefix::golden_profile`]).
+    profile: Option<GoldenProfile>,
     progress: Option<&'a ProgressFn<'a>>,
     started: Instant,
     /// Start of the next unclaimed window.
@@ -736,7 +740,8 @@ struct CampaignJob<'a> {
 }
 
 impl<'a> CampaignJob<'a> {
-    /// Validates `golden` against `config` and plans the injections.
+    /// Validates `golden` against `config`, plans the injections and
+    /// profiles the golden run.
     fn new(
         image: &'a ProgramImage,
         config: &'a CampaignConfig,
@@ -746,11 +751,13 @@ impl<'a> CampaignJob<'a> {
         let (faulty, plans) = validate_and_plan(config, golden)?;
         let liveness =
             (config.model == FaultModel::ConditionBitFlip).then(|| ConditionLiveness::new(image));
+        let profile = SimPrefix::golden_profile(image, &faulty, golden);
         Ok(CampaignJob {
             image,
             faulty,
             golden,
             liveness,
+            profile,
             collected: Mutex::new(Vec::with_capacity(plans.len())),
             plans,
             progress,
@@ -834,11 +841,14 @@ struct Worker<'a> {
 /// faulty configuration (whose step budget the golden prefix never
 /// trips): the plans are bucketed per thread in ascending `dyn_index`,
 /// the prefix advances to each fault point in the order the run reaches
-/// them, and every injection is a fork of it — the interpreter state, a
-/// clone of the prefix's inline monitor and, under a span sink, its spans
-/// inherited, only the tail executed and checked; the prefix is handed
-/// the golden run, and when no check flagged it a fork's flush checks
-/// only the instances its tail joined. The last fork takes the prefix
+/// them, and every injection is a fork of it — the interpreter state, the
+/// prefix's inline monitor and, under a span sink, its spans inherited,
+/// only the tail executed and checked; the prefix is handed the golden run,
+/// and when no check flagged it a fork's flush checks only the instances
+/// its tail joined. With the job's golden profile and no span sink, a fork
+/// checks only the reports that differ from the golden run's and copies
+/// the prefix's monitor only when that cannot decide its verdict; without,
+/// every fork checks its tail with a copy. The last fork takes the prefix
 /// itself ([`SimPrefix::finish`]) instead of a copy. The time the prefix
 /// takes to advance is charged to the injection it precedes.
 ///
@@ -884,7 +894,10 @@ fn execute_window(job: &CampaignJob<'_>, window: std::ops::Range<usize>, worker:
         started = bw_telemetry::wall_now_us();
     };
 
-    let mut prefix = SimPrefix::new(job.image, &job.faulty, job.golden);
+    let mut prefix = match &job.profile {
+        Some(profile) => SimPrefix::with_profile(job.image, &job.faulty, job.golden, profile),
+        None => SimPrefix::new(job.image, &job.faulty, job.golden),
+    };
     // Per thread, the targets a fork can serve, latest first.
     let mut queues: Vec<Vec<(u64, usize)>> = vec![Vec::new(); job.faulty.nthreads as usize];
     for index in window {

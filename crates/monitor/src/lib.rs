@@ -59,6 +59,7 @@
 
 mod checker;
 mod event;
+mod golden;
 mod live;
 mod monitor;
 pub mod provenance;
@@ -70,6 +71,7 @@ mod topology;
 
 pub use checker::{check_instance, Report, ViolationKind};
 pub use event::{hash_words, BranchEvent, KeyHasher};
+pub use golden::{DifferenceMonitor, GoldenCursor, GoldenProfile};
 pub use monitor::{sort_violations, CheckTable, EventSender, Monitor, Violation};
 pub use shard::{per_shard_capacity, shard_of, ShardedMonitor, ShardedMonitorThread};
 pub use topology::{MonitorBuilder, MonitorHandle, MonitorTopology, MonitorVerdict};

@@ -356,6 +356,11 @@ pub(crate) struct BranchTable {
     /// word per 64 rows of `rows`' capacity, so it grows when `rows`
     /// reallocates and not in between.
     multi: Vec<u64>,
+    /// The rows holding an instance, a bit each, laid out like `multi`:
+    /// pending ones, and after a flush the drained ones until they are
+    /// filed. What a walk over the instances visits, in ascending row
+    /// order, instead of every row the arena has ever had.
+    occupied: Vec<u64>,
     /// Every report node, the chains the site histories hold included.
     pub(crate) nodes: Nodes,
     /// The stamp of the next report.
@@ -372,6 +377,7 @@ impl Default for BranchTable {
             rows: Vec::new(),
             free_row: NIL,
             multi: Vec::new(),
+            occupied: Vec::new(),
             nodes: Nodes::default(),
             stamp: 0,
             drained: false,
@@ -443,6 +449,7 @@ impl BranchTable {
                     self.free_row = free.iter as u32;
                     row
                 };
+                self.occupied[row as usize / 64] |= 1 << (row % 64);
                 self.index.insert(pos, hash, row);
                 (pos, row, 1)
             }
@@ -452,6 +459,7 @@ impl BranchTable {
         }
         self.index.remove(pos);
         self.multi[row as usize / 64] &= !(1 << (row % 64));
+        self.occupied[row as usize / 64] &= !(1 << (row % 64));
         let entry = &mut self.rows[row as usize];
         let head = std::mem::replace(&mut entry.head, NIL);
         entry.iter = u64::from(self.free_row);
@@ -460,11 +468,24 @@ impl BranchTable {
         Recorded::Completed(Chain { iter, head, len })
     }
 
-    /// Covers the capacity `rows` has just grown to: one reallocation each
-    /// time `rows` doubles.
+    /// Covers the capacity `rows` has just grown to: one reallocation of
+    /// each bitset each time `rows` doubles.
     #[cold]
     fn grow_multi(&mut self) {
         self.multi.resize(self.rows.capacity().div_ceil(64), 0);
+        self.occupied.resize(self.multi.len(), 0);
+    }
+
+    /// The rows holding an instance, in ascending order.
+    fn occupied_rows(&self) -> impl Iterator<Item = usize> + '_ {
+        self.occupied.iter().enumerate().flat_map(|(word, &bits)| {
+            let mut bits = bits;
+            std::iter::from_fn(move || {
+                let bit = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
+                bits &= bits - 1;
+                Some(word * 64 + bit)
+            })
+        })
     }
 
     /// Scopes the flush to the instances a report joins from now on, by
@@ -531,13 +552,16 @@ impl BranchTable {
     }
 
     /// Hands the chain of every instance the last flush drained to `file`
-    /// as `(nodes, branch, site, chain)`, then forgets the rows.
+    /// as `(nodes, branch, site, chain)`, in ascending row order, then
+    /// forgets the rows.
     pub(crate) fn file_drained(&mut self, mut file: impl FnMut(&mut Nodes, u32, u64, Chain)) {
-        for row in &self.rows {
-            if row.head != NIL {
-                let len = self.nodes.chain(row.head).count() as u32;
-                let chain = Chain { iter: row.iter, head: row.head, len };
-                file(&mut self.nodes, row.branch, row.site, chain);
+        for word in 0..self.occupied.len() {
+            let mut bits = std::mem::take(&mut self.occupied[word]);
+            while bits != 0 {
+                let Row { site, iter, branch, head } = self.rows[word * 64 + bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+                let len = self.nodes.chain(head).count() as u32;
+                file(&mut self.nodes, branch, site, Chain { iter, head, len });
             }
         }
         self.rows.clear();
@@ -545,17 +569,18 @@ impl BranchTable {
         self.drained = false;
     }
 
-    /// The `(iter, head)` of each instance pending at `(branch, site)`: a
-    /// scan of every row, made only for a violation's evidence. During a
-    /// flush it reads the instances the flush is draining.
+    /// The `(iter, head)` of each instance pending at `(branch, site)`, in
+    /// ascending row order: a scan of the occupied rows, made only for a
+    /// violation's evidence. During a flush it reads the instances the
+    /// flush is draining.
     pub(crate) fn pending_at(
         &self,
         branch: u32,
         site: u64,
     ) -> impl Iterator<Item = (u64, u32)> + '_ {
-        self.rows
-            .iter()
-            .filter(move |row| row.head != NIL && row.site == site && row.branch == branch)
+        self.occupied_rows()
+            .map(|row| &self.rows[row])
+            .filter(move |row| row.site == site && row.branch == branch)
             .map(|row| (row.iter, row.head))
     }
 
@@ -748,6 +773,41 @@ mod tests {
         }
         assert_eq!(t.pending_row(3, &mut Vec::new()), Some((1, 0, 5)));
         assert_eq!(flushed_rows(&t), vec![0, 2, 3]);
+    }
+
+    /// The walks over the instances — a violation's evidence and the filing
+    /// of what a flush drained — visit the occupied rows only, in ascending
+    /// row order, whatever order the rows were filled and freed in.
+    #[test]
+    fn walks_visit_the_occupied_rows_in_row_order() {
+        // 130 instances at one site, rows 0..130; then every instance whose
+        // row is not a multiple of 3 completes, and two new ones reuse the
+        // freed rows 128 and 127 (the free list is last in, first out).
+        let mut t = table_of(&[1; 130]);
+        for iter in (0..130u64).filter(|k| k % 3 != 0) {
+            for thread in 1..4 {
+                rec(&mut t, (1, 0, iter), r(thread, true), 4);
+            }
+        }
+        rec(&mut t, (1, 0, 500), r(0, true), 4);
+        rec(&mut t, (1, 0, 501), r(0, true), 4);
+        rec(&mut t, (2, 0, 0), r(0, true), 4); // another branch: not at (1, 0)
+        let mut expect: Vec<u64> = (0..130).filter(|k| k % 3 == 0).collect();
+        expect.insert(expect.iter().position(|&k| k > 127).unwrap(), 501); // row 127
+        expect.insert(expect.iter().position(|&k| k == 129).unwrap(), 500); // row 128
+        let at: Vec<u64> = t.pending_at(1, 0).map(|(iter, _)| iter).collect();
+        assert_eq!(at, expect);
+        assert_eq!(t.occupied_rows().count(), expect.len() + 1);
+        // The flush drains them; filing them walks the same rows in order.
+        drained(&mut t);
+        let mut filed = Vec::new();
+        t.file_drained(|_, branch, _, chain| filed.push((branch, chain.iter)));
+        let row_of_other = t.rows.len(); // the rows are forgotten
+        assert_eq!(row_of_other, 0);
+        let mine: Vec<u64> = filed.iter().filter(|f| f.0 == 1).map(|f| f.1).collect();
+        assert_eq!(mine, expect);
+        assert_eq!(filed.len(), expect.len() + 1);
+        assert_eq!(t.occupied_rows().count(), 0);
     }
 
     /// The bitset reallocates when the rows do, not every 64 rows.

@@ -63,7 +63,7 @@ pub use engine::{
 pub use image::{PrepareTimings, ProgramImage};
 pub use machine::MachineModel;
 pub use memory::{AtomicMemory, LocalMemory, SharedMemory, SimMemory};
-pub use sim::{Fork, SimPrefix};
+pub use sim::{Fork, ForkLedger, SimPrefix};
 pub use telemetry::VmTelemetry;
 pub use thread::{BranchHook, FaultAction, NoHook, SplitMix64, MAX_CALL_DEPTH};
 pub use trap::TrapKind;

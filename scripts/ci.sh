@@ -8,7 +8,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-legs=(test fuzz-smoke forensics shards sampled traced traced-vs-untraced
+legs=(test difference fuzz-smoke forensics shards sampled traced traced-vs-untraced
       leftover-guard schema-guard bwir bwbench exhibits real-engine)
 
 if [ -n "${CI_OUT:-}" ]; then
@@ -92,6 +92,15 @@ leg_forensics() {
 # output at 4 shards must be the unsharded output, byte for byte, and a
 # sharded run on the real engine (where the shards are threads) must leave
 # per-shard health counters in its trace for `bw stats`.
+# Forks that check only what differs from the golden run against forks
+# that check their whole tail, every plan of the sweep (debug builds take
+# every eighth): the seven ports at `Test`, both fault models, 4 and 32
+# threads, and 200 generated modules; then the monitor-level sweep.
+leg_difference() {
+  cargo test --release -q -p bw-vm --test difference
+  cargo test --release -q -p bw-monitor --test difference
+}
+
 leg_shards() {
   bw run splash:fft > "$out/run-s1.txt"
   bw run splash:fft --monitor-shards 4 > "$out/run-s4.txt"

@@ -21,6 +21,14 @@
 //! metrics, each fork built ~30 names and merged a second copy of the
 //! monitor's (168 an injection). The counters are per thread, which holds
 //! the whole campaign: at one worker it runs on the calling thread.
+//!
+//! Since a fork checks only what differs from the golden run, the paths
+//! the forks take are pinned as well, on FMM and on a water-nsquared `Test`
+//! campaign of 40 branch flips at four threads (`bw_vm::ForkLedger`, a
+//! `ledger:` line each): how many forks the difference monitor decided,
+//! how many took the exact path, the copies made of a prefix's monitor and
+//! the events a full monitor processed. A change that sends more forks down
+//! the exact path, or checks more events in full, fails there.
 
 #[path = "support/counting.rs"]
 mod counting;
@@ -30,7 +38,7 @@ use std::cell::Cell;
 use blockwatch::{Benchmark, Blockwatch, CampaignResult, ExecConfig, FaultModel, Size};
 use bw_fault::{plan_campaign, CampaignConfig, ConditionLiveness, InjectionHook};
 use bw_ir::{BranchId, ValueId};
-use bw_vm::{BranchHook, FaultAction, SimEngine, SimPrefix};
+use bw_vm::{BranchHook, FaultAction, ForkLedger, SimEngine, SimPrefix};
 use counting::{allocations, gate, peak_bytes};
 
 /// One campaign as `bwbench` runs it: four threads, one worker, seed 0,
@@ -41,13 +49,34 @@ struct Measured {
     allocations: u64,
     /// The most heap the campaign held at once, above what was live before.
     peak_bytes: u64,
+    /// The paths its forks took.
+    forks: ForkLedger,
 }
 
 fn campaign(bw: &Blockwatch, model: FaultModel, injections: usize) -> Measured {
     bw.golden(&ExecConfig::new(4));
     let runner = bw.campaign_runner(injections, model, 4).seed(0).workers(1);
+    let before = ForkLedger::of_this_thread();
     let (allocations, (peak_bytes, result)) = allocations(|| peak_bytes(|| runner.run()));
-    Measured { result: result.expect("the golden run completes"), allocations, peak_bytes }
+    let forks = ForkLedger::of_this_thread().since(before);
+    Measured { result: result.expect("the golden run completes"), allocations, peak_bytes, forks }
+}
+
+/// Prints a campaign's fork paths as `ledger:` lines, then demands them:
+/// `(difference, exact, monitor clones, full-monitor events)`.
+#[track_caller]
+fn pin_forks(name: &str, forks: ForkLedger, expected: (u64, u64, u64, u64)) {
+    let counts = [
+        ("difference_forks", forks.difference, expected.0),
+        ("exact_forks", forks.exact, expected.1),
+        ("monitor_clones", forks.monitor_clones, expected.2),
+        ("full_monitor_events", forks.full_monitor_events, expected.3),
+    ];
+    for (what, value, pinned) in counts {
+        println!("ledger: campaign.{name}.{what} {value} (pinned {pinned})");
+    }
+    let got = (forks.difference, forks.exact, forks.monitor_clones, forks.full_monitor_events);
+    assert_eq!(got, expected, "{name}: forks (difference, exact, clones, full-monitor events)");
 }
 
 /// A plan's hook that notes whether its fault was invisible: whether the
@@ -117,5 +146,10 @@ fn the_benchmark_campaigns_cost_what_they_did() {
     let peak_mb = fmm.peak_bytes as f64 / (1 << 20) as f64;
     gate("campaign.fmm.per_injection", per_injection, 112.0);
     gate("campaign.fmm.peak_mb", peak_mb, 10.0);
+    pin_forks("fmm", fmm.forks, (20, 6, 5, 190_939));
     assert_eq!(tail_less_forks(&bw, injections), 5, "fmm: forks that end at the fault");
+
+    let water = port(Benchmark::WaterNsquared, Size::Test);
+    let water = campaign(&water, FaultModel::BranchFlip, 40);
+    pin_forks("water", water.forks, (34, 5, 5, 49_968));
 }
