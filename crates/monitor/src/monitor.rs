@@ -15,7 +15,8 @@ use crate::event::BranchEvent;
 use crate::provenance::{build_report, window_capacity, Evidence, SiteTable, ViolationReport};
 use crate::spsc::{Producer, QueueFull};
 use crate::table::{BranchTable, Chain, Recorded};
-use crate::telemetry::MonitorTelemetry;
+use crate::telemetry::{MonitorTelemetry, VerdictTelemetry};
+use crate::topology::MonitorVerdict;
 
 /// A detected similarity violation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -237,9 +238,7 @@ impl Monitor {
     /// instance leaves the table as a checked one does.
     pub fn flush(&mut self) -> usize {
         let batch = self.table.len() as u64;
-        self.telemetry.flush_calls += 1;
-        self.telemetry.flush_batch_total += batch;
-        self.telemetry.flush_batch_max = self.telemetry.flush_batch_max.max(batch);
+        self.telemetry.count_flush(batch);
         let (first, first_report) = (self.violations.len(), self.reports.len());
         // With nothing pending the rows can only hold what an earlier flush
         // drained, checked already.
@@ -336,6 +335,39 @@ impl Monitor {
     /// thread draining the queues sees their occupancy).
     pub fn telemetry_mut(&mut self) -> &mut MonitorTelemetry {
         &mut self.telemetry
+    }
+
+    /// The verdict this monitor would reach had it gone on to process
+    /// `events` more events that complete no failing instance — leaving
+    /// `pending` instances pending and never more than `pending_high_water`
+    /// — and then, with `flush`, flushed them and found none failing. Only
+    /// the counts move; the tables are not read. What a fork that a
+    /// [`crate::DifferenceMonitor`] decided reports.
+    pub(crate) fn verdict_after(
+        &self,
+        events: u64,
+        pending_high_water: u64,
+        pending: u64,
+        flush: bool,
+    ) -> MonitorVerdict {
+        let mut instruments = self.telemetry.clone();
+        instruments.pending_high_water = instruments.pending_high_water.max(pending_high_water);
+        if flush {
+            instruments.count_flush(pending);
+        }
+        let events_processed = self.events_processed + events;
+        let mut telemetry = VerdictTelemetry::default();
+        let left = if flush { 0 } else { pending };
+        telemetry.add(&instruments, events_processed, self.violations.len() as u64, left);
+        let (mut violations, mut reports) = (self.violations.clone(), self.reports.clone());
+        sort_violations(&mut violations, &mut reports);
+        MonitorVerdict {
+            violations,
+            violation_reports: reports,
+            events_processed,
+            events_dropped: 0,
+            telemetry,
+        }
     }
 
     /// Decomposes the monitor into its owned verdict lists (used by the

@@ -46,6 +46,13 @@ impl MonitorTelemetry {
         }
     }
 
+    /// Counts one flush of `batch` pending instances.
+    pub(crate) fn count_flush(&mut self, batch: u64) {
+        self.flush_calls += 1;
+        self.flush_batch_total += batch;
+        self.flush_batch_max = self.flush_batch_max.max(batch);
+    }
+
     /// Folds another shard's instruments in: counts add (saturating),
     /// high-water marks keep the maximum.
     pub(crate) fn merge(&mut self, other: &MonitorTelemetry) {
@@ -113,6 +120,21 @@ pub struct VerdictTelemetry {
 }
 
 impl VerdictTelemetry {
+    /// Folds in one monitor: its instruments, the events it processed, the
+    /// violations it found and the instances it left pending.
+    pub(crate) fn add(
+        &mut self,
+        instruments: &MonitorTelemetry,
+        events: u64,
+        violations: u64,
+        pending: u64,
+    ) {
+        self.instruments.merge(instruments);
+        self.events_processed = self.events_processed.saturating_add(events);
+        self.violations = self.violations.saturating_add(violations);
+        self.pending_instances = self.pending_instances.max(pending);
+    }
+
     /// Appends the `monitor.*` metrics to `s`: the instruments, the event
     /// and violation counts, then a `monitor.shard.<i>.events_processed`
     /// counter and a `monitor.shard.<i>.queue_high_water` gauge per shard.

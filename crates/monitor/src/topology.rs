@@ -80,13 +80,14 @@ impl MonitorVerdict {
         let mut violations = Vec::new();
         let mut violation_reports = Vec::new();
         for monitor in monitors {
-            let t = &mut telemetry;
-            t.instruments.merge(monitor.telemetry());
-            t.events_processed = t.events_processed.saturating_add(monitor.events_processed());
-            t.violations = t.violations.saturating_add(monitor.violations().len() as u64);
-            t.pending_instances = t.pending_instances.max(monitor.pending_instances() as u64);
+            telemetry.add(
+                monitor.telemetry(),
+                monitor.events_processed(),
+                monitor.violations().len() as u64,
+                monitor.pending_instances() as u64,
+            );
             if sharded {
-                t.shards.push(ShardHealth {
+                telemetry.shards.push(ShardHealth {
                     events_processed: monitor.events_processed(),
                     queue_high_water: monitor.telemetry().queue_high_water,
                 });
